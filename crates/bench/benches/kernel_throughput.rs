@@ -1,5 +1,6 @@
 //! Hot-path kernel throughput: GFLOP/s for the fedmath kernels, the batched
-//! vs. per-example client-step speedup, and full training rounds per second.
+//! vs. per-example client-step speedup, one full 360-client validation pass,
+//! and full training rounds per second.
 //!
 //! The one-off summary printed before the Criterion measurements is the perf
 //! artifact tracked across PRs: with `FEDTUNE_BENCH_JSON=1` it lands in
@@ -27,11 +28,12 @@
 //! for themselves.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use feddata::{Benchmark, DatasetSpec, Example, FederatedDataset, Input, Scale};
+use feddata::{Benchmark, DatasetSpec, Example, FederatedDataset, Input, Scale, Split};
 use fedmath::kernel;
 use fedmath::rng::rng_for;
 use fedmath::Matrix;
 use fedmodels::{LocalSgd, LocalSgdConfig, Mlp, Model, ModelSpec, SgdScratch};
+use fedsim::evaluation::{evaluate_full, WeightingScheme};
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -244,6 +246,23 @@ fn kernel_gflops_section(summary: &mut fedbench::BenchSummary) {
     summary.record_gflops(gemm_gflops);
     println!("  gemm     {m}x{k}x{n}: {gemm_gflops:6.2} GFLOP/s");
 
+    // gemm_nt at the evaluation forward's first-layer shape: the largest
+    // paper-scale FEMNIST-like validation client (203 examples) against the
+    // 24-feature, 32-unit hidden layer.
+    let (m, k, n) = (203, 24, 32);
+    let a: Vec<f64> = (0..m * k).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let b: Vec<f64> = (0..n * k).map(|_| rng.gen::<f64>() - 0.5).collect();
+    let mut c = vec![0.0; m * n];
+    let reps = 4000;
+    let nt_secs = time_reps(reps, || {
+        c.fill(0.0);
+        kernel::gemm_nt(m, k, n, &a, &b, &mut c);
+        black_box(&c);
+    });
+    let nt_gflops = (2.0 * (m * k * n) as f64 * reps as f64) / nt_secs / 1e9;
+    summary.push("gemm_nt_203x24x32", nt_secs, reps as u64);
+    println!("  gemm_nt {m}x{k}x{n}: {nt_gflops:6.2} GFLOP/s");
+
     // matvec at a logits-sized shape, 2*rows*cols flops per call.
     let (rows, cols) = (256, 256);
     let a: Vec<f64> = (0..rows * cols).map(|_| rng.gen::<f64>() - 0.5).collect();
@@ -424,10 +443,40 @@ fn round_section(summary: &mut fedbench::BenchSummary, dataset: &FederatedDatase
     println!("\nkernel_throughput: 50-client training round: {rounds_per_sec:.2} rounds/s");
 }
 
+/// One full validation pass as every noisy score pays it: the default MLP
+/// over all 360 validation clients of the paper-scale FEMNIST-like
+/// federation.
+fn eval_section(summary: &mut fedbench::BenchSummary) {
+    let dataset = DatasetSpec::benchmark(Benchmark::FemnistLike, Scale::Paper)
+        .generate(0)
+        .expect("dataset generation");
+    let model = ModelSpec::for_dataset(&dataset).build(&dataset, &mut rng_for(95, 0));
+    let pass = || {
+        evaluate_full(
+            &model,
+            &dataset,
+            Split::Validation,
+            WeightingScheme::ByExamples,
+        )
+        .expect("validation pass")
+    };
+    assert_eq!(pass().num_clients(), 360);
+    let reps = 10;
+    let secs = time_reps(reps, || {
+        black_box(pass());
+    });
+    summary.push("eval_full_360_clients", secs, reps as u64);
+    println!(
+        "\nkernel_throughput: full validation pass (360 clients): {:.2} ms",
+        secs / reps as f64 * 1e3
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let mut summary = fedbench::BenchSummary::new("kernel_throughput");
     kernel_gflops_section(&mut summary);
     client_step_section(&mut summary);
+    eval_section(&mut summary);
     let dataset = round_dataset();
     round_section(&mut summary, &dataset);
     summary.write_if_enabled();

@@ -294,9 +294,8 @@ pub fn cohort_error<C: std::borrow::Borrow<ClientData>>(
         if client.is_empty() {
             continue;
         }
-        let metrics = model.evaluate(client.examples())?;
-        let weight = weighting.weight(metrics.num_examples);
-        num += metrics.error_rate * weight;
+        let weight = weighting.weight(client.examples().len());
+        num += model.error_rate(client.examples())? * weight;
         den += weight;
     }
     if den <= 0.0 {
@@ -390,9 +389,8 @@ pub fn run_population_noise_with(
                 models
                     .iter()
                     .map(|model| {
-                        let metrics = model.evaluate(client.examples())?;
-                        let weight = WeightingScheme::ByExamples.weight(metrics.num_examples);
-                        Ok((metrics.error_rate * weight, weight))
+                        let weight = WeightingScheme::ByExamples.weight(client.examples().len());
+                        Ok((model.error_rate(client.examples())? * weight, weight))
                     })
                     .collect()
             })?;

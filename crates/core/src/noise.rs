@@ -206,7 +206,6 @@ mod tests {
             .map(|(i, (&e, &n))| ClientEvaluation {
                 client_index: i,
                 error_rate: e,
-                loss: e,
                 num_examples: n,
             })
             .collect();

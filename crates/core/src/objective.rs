@@ -363,7 +363,10 @@ impl Objective for FederatedObjective<'_> {
 /// run plus the memoised full-validation evaluation at its current fidelity.
 ///
 /// Exactly one evaluation task owns a trial's state at a time; between
-/// dispatches it is parked in the campaign sink. Fresh trials start empty.
+/// dispatches and batches the whole state — memo included — is parked in
+/// the campaign sink, so fresh-noise replicates (`noise_rep >= 1`) of an
+/// unchanged model pay the validation pass once per `(trial, fidelity)`
+/// under every driver. Fresh trials start empty.
 #[derive(Debug, Default)]
 pub struct FederatedTrialState {
     run: Option<TrainingRun>,
@@ -415,11 +418,11 @@ pub struct FederatedEvalCore<'a> {
     execution: ExecutionPolicy,
 }
 
-/// The single-threaded half of [`BatchFederatedObjective`]: parked training
-/// runs and the campaign log with its cumulative-rounds accounting.
+/// The single-threaded half of [`BatchFederatedObjective`]: parked per-trial
+/// state and the campaign log with its cumulative-rounds accounting.
 #[derive(Default)]
 pub struct FederatedCampaignSink {
-    runs: HashMap<usize, TrainingRun>,
+    states: HashMap<usize, FederatedTrialState>,
     log: Vec<ObjectiveLogEntry>,
     cumulative_rounds: usize,
     last_batch_start: usize,
@@ -559,12 +562,12 @@ impl<'a> BatchFederatedObjective<'a> {
                 None => groups.push((request.trial_id, vec![i])),
             }
         }
-        // Each group takes ownership of its trial's training run for the
-        // duration of the batch; the Mutex is uncontended (one worker per
-        // group) and only transfers ownership in and out.
-        let slots: Vec<Mutex<Option<TrainingRun>>> = groups
+        // Each group takes ownership of its trial's state for the duration
+        // of the batch; the Mutex is uncontended (one worker per group) and
+        // only transfers ownership in and out.
+        let slots: Vec<Mutex<FederatedTrialState>> = groups
             .iter()
-            .map(|(trial_id, _)| Mutex::new(self.sink.runs.remove(trial_id)))
+            .map(|(trial_id, _)| Mutex::new(self.sink.take_state(*trial_id)))
             .collect();
         let eval = &self.eval;
         let outputs = self.batch_runner.run_trials(0, groups.len(), |trial_ctx| {
@@ -572,18 +575,16 @@ impl<'a> BatchFederatedObjective<'a> {
             let mut slot = slots[trial_ctx.index()]
                 .lock()
                 .expect("batch slot lock poisoned");
-            let mut eval_cache = None;
             let mut outputs = Vec::with_capacity(indices.len());
             for &i in indices {
-                outputs.push(eval.evaluate_request(&mut slot, &mut eval_cache, &requests[i])?);
+                outputs.push(eval.evaluate(&mut slot, &requests[i])?);
             }
             Ok(outputs)
         });
-        // Reinstall the runs before propagating any error.
+        // Reinstall the states before propagating any error.
         for (slot, (trial_id, _)) in slots.into_iter().zip(&groups) {
-            if let Some(run) = slot.into_inner().expect("batch slot lock poisoned") {
-                self.sink.runs.insert(*trial_id, run);
-            }
+            let state = slot.into_inner().expect("batch slot lock poisoned");
+            self.sink.put_state(*trial_id, state);
         }
         let outputs = outputs?;
         // Scatter group outputs back to request order, then account and log.
@@ -605,22 +606,28 @@ impl<'a> BatchFederatedObjective<'a> {
     }
 }
 
-impl<'a> FederatedEvalCore<'a> {
-    /// Trains (or resumes) and evaluates one request against the slot owning
+impl ConcurrentEval for FederatedEvalCore<'_> {
+    type State = FederatedTrialState;
+
+    /// Trains (or resumes) and evaluates one request against the state owning
     /// its training run. Pure in `(request, run state)`: all randomness is
     /// derived positionally, so the caller may execute requests for distinct
     /// trials in any order or in parallel.
     ///
-    /// `eval_cache` memoises the full validation evaluation at the run's
-    /// current fidelity: fresh-noise replicates (`noise_rep >= 1`) evaluate
-    /// an unchanged model, so only the noise draw differs and the validation
-    /// pass is paid once per `(trial, fidelity)` rather than once per rep.
-    fn evaluate_request(
+    /// The state's `eval_cache` memoises the full validation evaluation at
+    /// the run's current fidelity: fresh-noise replicates (`noise_rep >= 1`)
+    /// evaluate an unchanged model, so only the noise draw differs and the
+    /// validation pass is paid once per `(trial, fidelity)` rather than once
+    /// per rep.
+    fn evaluate(
         &self,
-        run_slot: &mut Option<TrainingRun>,
-        eval_cache: &mut Option<(usize, fedsim::evaluation::FederatedEvaluation)>,
+        state: &mut FederatedTrialState,
         request: &TrialRequest,
     ) -> Result<EvalOutput> {
+        let FederatedTrialState {
+            run: run_slot,
+            eval_cache,
+        } = state;
         // The point identity: all randomness of this evaluation is keyed by
         // the canonical configuration fingerprint, never by trial numbering,
         // so the score is a pure function of `(config, resource, noise_rep)`
@@ -677,34 +684,18 @@ impl<'a> FederatedEvalCore<'a> {
     }
 }
 
-impl ConcurrentEval for FederatedEvalCore<'_> {
-    type State = FederatedTrialState;
-
-    fn evaluate(
-        &self,
-        state: &mut FederatedTrialState,
-        request: &TrialRequest,
-    ) -> Result<EvalOutput> {
-        self.evaluate_request(&mut state.run, &mut state.eval_cache, request)
-    }
-}
-
 impl ConcurrentSink for FederatedCampaignSink {
     type State = FederatedTrialState;
 
     fn take_state(&mut self, trial_id: usize) -> FederatedTrialState {
-        FederatedTrialState {
-            run: self.runs.remove(&trial_id),
-            eval_cache: None,
-        }
+        self.states.remove(&trial_id).unwrap_or_default()
     }
 
     fn put_state(&mut self, trial_id: usize, state: FederatedTrialState) {
-        // The eval cache is a pure memo of the run at its fidelity: dropping
-        // it here cannot move a bit, it only means the next dispatch re-runs
-        // the (deterministic) validation pass.
-        if let Some(run) = state.run {
-            self.runs.insert(trial_id, run);
+        // A state whose run never started (its first request failed) holds
+        // nothing worth parking.
+        if state.run.is_some() {
+            self.states.insert(trial_id, state);
         }
     }
 

@@ -62,6 +62,7 @@ use std::sync::OnceLock;
 /// cached for the process; each update is one relaxed atomic add.
 struct KernelMetrics {
     flops: fedtrace::Counter,
+    eval_flops: fedtrace::Counter,
     pool_reuses: fedtrace::Counter,
     pool_fresh: fedtrace::Counter,
 }
@@ -72,6 +73,7 @@ fn metrics() -> &'static KernelMetrics {
         let registry = fedtrace::global().registry();
         KernelMetrics {
             flops: registry.counter("kernel.flops"),
+            eval_flops: registry.counter("kernel.eval_flops"),
             pool_reuses: registry.counter("kernel.pool_reuses"),
             pool_fresh: registry.counter("kernel.pool_fresh_allocations"),
         }
@@ -93,11 +95,18 @@ const BLOCK_J: usize = 128;
 /// still fitting the vector register file.
 const REG_J: usize = 16;
 
-/// `B` rows (output columns) processed together by [`gemm_nt`]: each keeps
-/// its own 4-lane [`dot`] accumulator in registers, giving independent
-/// addition chains across columns without touching the per-element lane
-/// order.
-const REG_NT: usize = 4;
+/// Output columns per packed `Bᵀ` panel in [`gemm_nt`]: one panel step is 8
+/// contiguous `f64`s (a full AVX-512 register, two AVX2 ones), so each of the
+/// four [`dot`] lanes is a vector accumulator spanning 8 output columns.
+const NT_COLS: usize = 8;
+
+thread_local! {
+    /// Per-thread packing scratch of [`gemm_nt`]: grows to the largest
+    /// `⌈n/8⌉·8 × k` weight matrix the thread has multiplied by and is then
+    /// reused, so steady-state calls allocate nothing. Each growth counts as
+    /// one `kernel.pool_fresh_allocations`.
+    static NT_PACK: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
 /// Dot product of two equal-length slices.
 ///
@@ -216,56 +225,102 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
 ///
 /// # Accumulation order
 ///
-/// `C[i][j] += dot(A.row(i), B.row(j))` using [`dot`]'s 4-lane order.
-/// `REG_NT` `B` rows are processed together so their lane accumulators
-/// form independent addition chains, but each element's lane assignment and
-/// combine order are exactly [`dot`]'s — the bits match a per-row `dot` loop.
+/// `C[i][j] += dot(A.row(i), B.row(j))` using [`dot`]'s 4-lane order. The
+/// kernel is vectorised across *output columns*: `Bᵀ` is packed once per call
+/// into `NT_COLS`-column panels (per-thread scratch), and each of the four
+/// lanes is a vector accumulator over a panel's columns, fed by
+/// broadcast-FMAs of `A[i][t]` against the panel's step `t`. Lanes combine
+/// elementwise as `(l0 + l1) + (l2 + l3)` and the `k % 4` tail folds in
+/// ascending order, so no output needs a horizontal reduction while each
+/// element's lane assignment, combine order and tail are exactly [`dot`]'s —
+/// the bits match a per-row `dot` loop.
 ///
 /// # Panics
 ///
 /// Panics if a slice length does not match its `m`/`k`/`n` shape.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    metrics().flops.add(2 * (m * k * n) as u64);
+    gemm_nt_core(m, k, n, a, b, c);
+}
+
+/// [`gemm_nt`] for the evaluation forward pass: the same kernel and bits,
+/// reported to `kernel.eval_flops` instead of `kernel.flops` so the training
+/// FLOP count stays a function of the training schedule alone.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its `m`/`k`/`n` shape.
+pub fn gemm_nt_eval(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    metrics().eval_flops.add(2 * (m * k * n) as u64);
+    gemm_nt_core(m, k, n, a, b, c);
+}
+
+fn gemm_nt_core(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
-    metrics().flops.add(2 * (m * k * n) as u64);
-    let split = k - k % 4;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j + REG_NT <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let mut lanes = [[0.0f64; 4]; REG_NT];
-            let mut t = 0;
-            while t + 4 <= split {
-                let ac = &a_row[t..t + 4];
-                for (lane, b_row) in lanes.iter_mut().zip([b0, b1, b2, b3]) {
-                    let bc = &b_row[t..t + 4];
-                    lane[0] = ac[0].mul_add(bc[0], lane[0]);
-                    lane[1] = ac[1].mul_add(bc[1], lane[1]);
-                    lane[2] = ac[2].mul_add(bc[2], lane[2]);
-                    lane[3] = ac[3].mul_add(bc[3], lane[3]);
-                }
-                t += 4;
-            }
-            for (r, (lane, b_row)) in lanes.iter().zip([b0, b1, b2, b3]).enumerate() {
-                let mut acc = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-                for tt in split..k {
-                    acc = a_row[tt].mul_add(b_row[tt], acc);
-                }
-                c_row[j + r] += acc;
-            }
-            j += REG_NT;
-        }
-        while j < n {
-            c_row[j] += dot(a_row, &b[j * k..(j + 1) * k]);
-            j += 1;
-        }
+    if k == 0 || n == 0 {
+        return;
     }
+    NT_PACK.with_borrow_mut(|pack| {
+        // Panel `p`, step `t`, column `r` holds `B[p·8 + r][t]`. Packing
+        // overwrites every slot except the last panel's missing columns,
+        // which are zeroed here and whose sums are discarded.
+        let panel_len = k * NT_COLS;
+        let packed_len = n.div_ceil(NT_COLS) * panel_len;
+        if pack.len() < packed_len {
+            if pack.capacity() < packed_len {
+                metrics().pool_fresh.incr();
+            }
+            pack.resize(packed_len, 0.0);
+        }
+        let pack = &mut pack[..packed_len];
+        if !n.is_multiple_of(NT_COLS) {
+            pack[packed_len - panel_len..].fill(0.0);
+        }
+        for (j, b_row) in b.chunks_exact(k).enumerate() {
+            let panel = &mut pack[j / NT_COLS * panel_len..][..panel_len];
+            for (t, &v) in b_row.iter().enumerate() {
+                panel[t * NT_COLS + j % NT_COLS] = v;
+            }
+        }
+        let split = k - k % 4;
+        for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            for (panel, c_cols) in pack.chunks_exact(panel_len).zip(c_row.chunks_mut(NT_COLS)) {
+                let mut lanes = [[0.0f64; NT_COLS]; 4];
+                for (a_quad, steps) in a_row[..split]
+                    .chunks_exact(4)
+                    .zip(panel.chunks_exact(4 * NT_COLS))
+                {
+                    for ((lane, &av), step) in lanes
+                        .iter_mut()
+                        .zip(a_quad)
+                        .zip(steps.chunks_exact(NT_COLS))
+                    {
+                        for (l, &bv) in lane.iter_mut().zip(step) {
+                            *l = av.mul_add(bv, *l);
+                        }
+                    }
+                }
+                let [l0, l1, l2, l3] = lanes;
+                let mut acc = [0.0f64; NT_COLS];
+                for (j, v) in acc.iter_mut().enumerate() {
+                    *v = (l0[j] + l1[j]) + (l2[j] + l3[j]);
+                }
+                for (&av, step) in a_row[split..]
+                    .iter()
+                    .zip(panel[split * NT_COLS..].chunks_exact(NT_COLS))
+                {
+                    for (v, &bv) in acc.iter_mut().zip(step) {
+                        *v = av.mul_add(bv, *v);
+                    }
+                }
+                for (cv, &v) in c_cols.iter_mut().zip(&acc) {
+                    *cv += v;
+                }
+            }
+        }
+    });
 }
 
 /// Transposed-A matrix product accumulation `C += Aᵀ · B`:
@@ -620,6 +675,41 @@ mod tests {
     }
 
     #[test]
+    fn gemm_nt_is_bit_identical_to_row_wise_dot() {
+        // Single rows, ragged panels (n % 8 != 0), ragged lanes (k % 4 != 0),
+        // empty dimensions, a shrinking then regrowing pack, and the
+        // evaluation forward's own 203x24x32 / 203x32x20.
+        for (m, k, n) in [
+            (1, 7, 5),
+            (3, 8, 16),
+            (4, 1, 1),
+            (5, 0, 3),
+            (5, 3, 0),
+            (7, 13, 19),
+            (32, 64, 64),
+            (203, 24, 32),
+            (203, 32, 20),
+        ] {
+            let a = seq(m * k, 0.3);
+            let b = seq(n * k, -0.2);
+            let mut c = seq(m * n, 0.01);
+            let mut c_eval = c.clone();
+            let mut c_ref = c.clone();
+            gemm_nt(m, k, n, &a, &b, &mut c);
+            gemm_nt_eval(m, k, n, &a, &b, &mut c_eval);
+            for i in 0..m {
+                for j in 0..n {
+                    c_ref[i * n + j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                }
+            }
+            for (i, ((x, e), y)) in c.iter().zip(&c_eval).zip(&c_ref).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "element {i} ({m}x{k}x{n})");
+                assert_eq!(e.to_bits(), y.to_bits(), "eval element {i} ({m}x{k}x{n})");
+            }
+        }
+    }
+
+    #[test]
     fn gemm_tn_is_bit_identical_to_per_example_fold() {
         // gemm_tn's contract: ascending-k accumulation == folding examples
         // in batch order, the per-example gradient order.
@@ -810,6 +900,34 @@ mod proptests {
                     for j in 0..n {
                         c_ref[i * n + j] = av.mul_add(b[kk * n + j], c_ref[i * n + j]);
                     }
+                }
+            }
+            for (x, y) in c.iter().zip(c_ref.iter()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        #[test]
+        fn prop_gemm_nt_bitwise_matches_row_wise_dot(
+            m in 1usize..40, kq in 0usize..8, kr in 1usize..4,
+            nq in 0usize..4, nr in 1usize..8, seed in 0u64..1000,
+        ) {
+            // k % 4 != 0 and n % 8 != 0: every call has a lane tail and a
+            // partly filled last panel.
+            let (k, n) = (4 * kq + kr, 8 * nq + nr);
+            let gen = |off: u64, len: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|i| (((seed + off) as f64 + i as f64) * 0.61).sin())
+                    .collect()
+            };
+            let a = gen(1, m * k);
+            let b = gen(2, n * k);
+            let mut c = gen(3, m * n);
+            let mut c_ref = c.clone();
+            gemm_nt(m, k, n, &a, &b, &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    c_ref[i * n + j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
                 }
             }
             for (x, y) in c.iter().zip(c_ref.iter()) {

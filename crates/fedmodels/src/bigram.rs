@@ -1,8 +1,9 @@
 //! Embedding + softmax next-token model (the stand-in for the paper's
 //! 2-layer LSTM on the StackOverflow/Reddit language-modelling tasks).
 
+use crate::eval::{self, BatchedForward};
 use crate::model::Model;
-use crate::{ModelError, Result};
+use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
 use fedmath::kernel::{self, BufferPool};
 use fedmath::Matrix;
@@ -60,6 +61,31 @@ impl BigramLm {
                 message: "bigram language model expects token inputs, got dense features".into(),
             }),
         }
+    }
+
+    /// Validated gather of `rows`' context embeddings into a pooled
+    /// `[rows × embed_dim]` matrix; see [`eval::gather_rows`].
+    fn gather<'a>(
+        &'a self,
+        rows: impl ExactSizeIterator<Item = &'a Example>,
+        pool: &mut BufferPool,
+    ) -> Result<Vec<f64>> {
+        eval::gather_rows(rows, self.embed_dim, self.vocab_size, pool, |input| {
+            Ok(self.embedding.row(self.context_token(input)?))
+        })
+    }
+}
+
+impl BatchedForward for BigramLm {
+    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        let (v, d) = (self.vocab_size, self.embed_dim);
+        let batch = examples.len();
+        let x = self.gather(examples.iter(), pool)?;
+        let mut logits = pool.take(batch * v);
+        kernel::gemm_nt_eval(batch, d, v, &x, self.output.as_slice(), &mut logits);
+        kernel::bias_add_rows(&mut logits, batch, v, &self.bias);
+        pool.put(x);
+        Ok(logits)
     }
 }
 
@@ -176,28 +202,9 @@ impl Model for BigramLm {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         let batch = order.len();
-        if batch == 0 {
-            return Err(ModelError::EmptyBatch);
-        }
         let v = self.vocab_size;
         let d = self.embed_dim;
-        // Validate up front so the hot loops below cannot fail.
-        for &idx in order {
-            let e = &examples[idx];
-            if e.label >= v {
-                return Err(ModelError::LabelOutOfRange {
-                    label: e.label,
-                    num_classes: v,
-                });
-            }
-            self.context_token(&e.input)?;
-        }
-        // Gather the context embeddings into a [batch × emb] matrix.
-        let mut x = pool.take(batch * d);
-        for (r, &idx) in order.iter().enumerate() {
-            let token = self.context_token(&examples[idx].input)?;
-            x[r * d..(r + 1) * d].copy_from_slice(self.embedding.row(token));
-        }
+        let x = self.gather(order.iter().map(|&idx| &examples[idx]), pool)?;
         let mut dlogits = pool.take(batch * v);
         kernel::gemm_nt(batch, d, v, &x, self.output.as_slice(), &mut dlogits);
         kernel::bias_add_rows(&mut dlogits, batch, v, &self.bias);
@@ -228,6 +235,14 @@ impl Model for BigramLm {
         pool.put(dlogits);
         pool.put(de);
         Ok(())
+    }
+
+    fn count_errors(&self, examples: &[Example]) -> Result<usize> {
+        eval::count_errors(self, examples)
+    }
+
+    fn evaluate(&self, examples: &[Example]) -> Result<EvalMetrics> {
+        eval::evaluate(self, examples)
     }
 }
 
@@ -344,6 +359,40 @@ mod tests {
         assert!(model
             .gradient_batch_into(&bad_token, &[0], &mut pool, &mut out)
             .is_err());
+    }
+
+    #[test]
+    fn batched_evaluation_is_bitwise_identical_to_per_example() {
+        use crate::eval::testing::assert_batched_matches_per_example;
+        // Ragged dims: 5 % 4 != 0 embedding width, 19 % 8 != 0 vocabulary.
+        let mut rng = rng_for(2, 7);
+        let model = BigramLm::new(19, 5, &mut rng);
+        let examples: Vec<Example> = (0..203)
+            .map(|i| Example::token((i * 7) % 19, (i * 3 + 1) % 19))
+            .collect();
+        assert_batched_matches_per_example(&model, &examples, &[1, 3, 4, 203]);
+    }
+
+    #[test]
+    fn batched_evaluation_keeps_the_per_example_errors() {
+        use crate::eval::testing::assert_same_error;
+        let mut rng = rng_for(2, 8);
+        let model = BigramLm::new(3, 2, &mut rng);
+        let good = Example::token(0, 1);
+        assert_eq!(assert_same_error(&model, &[]), ModelError::EmptyBatch);
+        assert!(matches!(
+            assert_same_error(&model, &[good.clone(), Example::token(0, 9)]),
+            ModelError::LabelOutOfRange {
+                label: 9,
+                num_classes: 3
+            }
+        ));
+        for bad in [Example::token(9, 0), Example::dense(vec![0.0], 0)] {
+            assert!(matches!(
+                assert_same_error(&model, &[good.clone(), bad]),
+                ModelError::IncompatibleInput { .. }
+            ));
+        }
     }
 
     #[test]

@@ -125,6 +125,14 @@ impl Model for AnyModel {
         delegate!(self, m => m.params_into(out))
     }
 
+    fn count_errors(&self, examples: &[feddata::Example]) -> Result<usize> {
+        delegate!(self, m => m.count_errors(examples))
+    }
+
+    fn evaluate(&self, examples: &[feddata::Example]) -> Result<crate::EvalMetrics> {
+        delegate!(self, m => m.evaluate(examples))
+    }
+
     fn gradient_batch_into(
         &self,
         examples: &[feddata::Example],

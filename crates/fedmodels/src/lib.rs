@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod bigram;
+mod eval;
 pub mod factory;
 pub mod linear;
 pub mod metrics;

@@ -1,7 +1,8 @@
 //! Multinomial logistic (softmax) regression on dense features.
 
+use crate::eval::{self, BatchedForward};
 use crate::model::Model;
-use crate::{ModelError, Result};
+use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
 use fedmath::kernel::{self, BufferPool};
 use fedmath::Matrix;
@@ -59,6 +60,31 @@ impl SoftmaxRegression {
                 message: "softmax regression expects dense inputs, got a token".into(),
             }),
         }
+    }
+
+    /// Validated gather of `rows`' features into a pooled
+    /// `[rows × feature_dim]` matrix; see [`eval::gather_rows`].
+    fn gather<'a>(
+        &self,
+        rows: impl ExactSizeIterator<Item = &'a Example>,
+        pool: &mut BufferPool,
+    ) -> Result<Vec<f64>> {
+        eval::gather_rows(rows, self.feature_dim, self.num_classes, pool, |input| {
+            self.dense_input(input)
+        })
+    }
+}
+
+impl BatchedForward for SoftmaxRegression {
+    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        let (f, c) = (self.feature_dim, self.num_classes);
+        let batch = examples.len();
+        let x = self.gather(examples.iter(), pool)?;
+        let mut logits = pool.take(batch * c);
+        kernel::gemm_nt_eval(batch, f, c, &x, self.weights.as_slice(), &mut logits);
+        kernel::bias_add_rows(&mut logits, batch, c, &self.bias);
+        pool.put(x);
+        Ok(logits)
     }
 }
 
@@ -153,27 +179,9 @@ impl Model for SoftmaxRegression {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         let batch = order.len();
-        if batch == 0 {
-            return Err(ModelError::EmptyBatch);
-        }
         let f = self.feature_dim;
         let c = self.num_classes;
-        // Validate up front so the hot loops below cannot fail.
-        for &idx in order {
-            let e = &examples[idx];
-            if e.label >= c {
-                return Err(ModelError::LabelOutOfRange {
-                    label: e.label,
-                    num_classes: c,
-                });
-            }
-            self.dense_input(&e.input)?;
-        }
-        let mut x = pool.take(batch * f);
-        for (r, &idx) in order.iter().enumerate() {
-            let xe = self.dense_input(&examples[idx].input)?;
-            x[r * f..(r + 1) * f].copy_from_slice(xe);
-        }
+        let x = self.gather(order.iter().map(|&idx| &examples[idx]), pool)?;
         // Forward: logits = X · Wᵀ + b, sharing `dot`'s accumulation order
         // with the per-example matvec, then the fused softmax/label backward.
         let mut dlogits = pool.take(batch * c);
@@ -192,6 +200,14 @@ impl Model for SoftmaxRegression {
         pool.put(x);
         pool.put(dlogits);
         Ok(())
+    }
+
+    fn count_errors(&self, examples: &[Example]) -> Result<usize> {
+        eval::count_errors(self, examples)
+    }
+
+    fn evaluate(&self, examples: &[Example]) -> Result<EvalMetrics> {
+        eval::evaluate(self, examples)
     }
 }
 
@@ -319,6 +335,39 @@ mod tests {
         assert!(model
             .gradient_batch_into(&bad_dim, &[0], &mut pool, &mut out)
             .is_err());
+    }
+
+    #[test]
+    fn batched_evaluation_is_bitwise_identical_to_per_example() {
+        use crate::eval::testing::assert_batched_matches_per_example;
+        // Ragged dims: 11 % 4 != 0 features, 6 % 8 != 0 classes.
+        let mut rng = rng_for(0, 4);
+        let model = SoftmaxRegression::new(11, 6, &mut rng);
+        let examples: Vec<Example> = (0..203)
+            .map(|i| Example::dense((0..11).map(|_| rng.gen::<f64>() - 0.5).collect(), i % 6))
+            .collect();
+        assert_batched_matches_per_example(&model, &examples, &[1, 3, 4, 203]);
+    }
+
+    #[test]
+    fn batched_evaluation_keeps_the_per_example_errors() {
+        use crate::eval::testing::assert_same_error;
+        let model = SoftmaxRegression::zeros(2, 2);
+        let good = Example::dense(vec![0.0, 0.0], 1);
+        assert_eq!(assert_same_error(&model, &[]), ModelError::EmptyBatch);
+        assert!(matches!(
+            assert_same_error(&model, &[good.clone(), Example::dense(vec![0.0, 0.0], 7)]),
+            ModelError::LabelOutOfRange {
+                label: 7,
+                num_classes: 2
+            }
+        ));
+        for bad in [Example::dense(vec![0.0], 0), Example::token(1, 0)] {
+            assert!(matches!(
+                assert_same_error(&model, &[good.clone(), bad]),
+                ModelError::IncompatibleInput { .. }
+            ));
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! on the learning-rate and momentum hyperparameters, which is the property
 //! the HP-tuning study needs.
 
+use crate::eval::{self, BatchedForward};
 use crate::model::Model;
-use crate::{ModelError, Result};
+use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
 use fedmath::kernel::{self, BufferPool};
 use fedmath::Matrix;
@@ -83,6 +84,36 @@ impl Mlp {
             *l += b;
         }
         Ok((pre, hidden, logits))
+    }
+
+    /// Validated gather of `rows`' features into a pooled
+    /// `[rows × feature_dim]` matrix; see [`eval::gather_rows`].
+    fn gather<'a>(
+        &self,
+        rows: impl ExactSizeIterator<Item = &'a Example>,
+        pool: &mut BufferPool,
+    ) -> Result<Vec<f64>> {
+        eval::gather_rows(rows, self.feature_dim, self.num_classes, pool, |input| {
+            self.dense_input(input)
+        })
+    }
+}
+
+impl BatchedForward for Mlp {
+    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        let (f, h, c) = (self.feature_dim, self.hidden_dim, self.num_classes);
+        let batch = examples.len();
+        let x = self.gather(examples.iter(), pool)?;
+        let mut hidden = pool.take(batch * h);
+        kernel::gemm_nt_eval(batch, f, h, &x, self.w1.as_slice(), &mut hidden);
+        kernel::bias_add_rows(&mut hidden, batch, h, &self.b1);
+        kernel::relu_rows(&mut hidden);
+        let mut logits = pool.take(batch * c);
+        kernel::gemm_nt_eval(batch, h, c, &hidden, self.w2.as_slice(), &mut logits);
+        kernel::bias_add_rows(&mut logits, batch, c, &self.b2);
+        pool.put(x);
+        pool.put(hidden);
+        Ok(logits)
     }
 }
 
@@ -210,28 +241,10 @@ impl Model for Mlp {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         let batch = order.len();
-        if batch == 0 {
-            return Err(ModelError::EmptyBatch);
-        }
         let f = self.feature_dim;
         let h = self.hidden_dim;
         let c = self.num_classes;
-        // Validate up front so the hot loops below cannot fail.
-        for &idx in order {
-            let e = &examples[idx];
-            if e.label >= c {
-                return Err(ModelError::LabelOutOfRange {
-                    label: e.label,
-                    num_classes: c,
-                });
-            }
-            self.dense_input(&e.input)?;
-        }
-        let mut x = pool.take(batch * f);
-        for (r, &idx) in order.iter().enumerate() {
-            let xe = self.dense_input(&examples[idx].input)?;
-            x[r * f..(r + 1) * f].copy_from_slice(xe);
-        }
+        let x = self.gather(order.iter().map(|&idx| &examples[idx]), pool)?;
         // Forward: two GEMMs against Wᵀ, each output element a `dot` of two
         // contiguous rows — the same accumulation order as the per-example
         // matvec forward, so the activations are bit-identical.
@@ -271,6 +284,14 @@ impl Model for Mlp {
         pool.put(dlogits);
         pool.put(dh);
         Ok(())
+    }
+
+    fn count_errors(&self, examples: &[Example]) -> Result<usize> {
+        eval::count_errors(self, examples)
+    }
+
+    fn evaluate(&self, examples: &[Example]) -> Result<EvalMetrics> {
+        eval::evaluate(self, examples)
     }
 }
 
@@ -430,6 +451,49 @@ mod tests {
         assert!(model
             .gradient_batch_into(&bad_dim, &[0], &mut pool, &mut out)
             .is_err());
+        // A rejected batch hands its gather buffer back to the pool.
+        assert_eq!((pool.fresh_allocations(), pool.pooled()), (1, 1));
+    }
+
+    #[test]
+    fn batched_evaluation_is_bitwise_identical_to_per_example() {
+        use crate::eval::testing::assert_batched_matches_per_example;
+        use rand::Rng;
+        // Ragged dims: 7 % 4 != 0 features, 13 % 8 != 0 hidden units, 5
+        // classes; sizes 1, 3, 4 and the largest validation client.
+        let mut rng = rng_for(1, 8);
+        let model = Mlp::new(7, 13, 5, &mut rng);
+        let examples: Vec<Example> = (0..203)
+            .map(|i| Example::dense((0..7).map(|_| rng.gen::<f64>() - 0.5).collect(), i % 5))
+            .collect();
+        assert_batched_matches_per_example(&model, &examples, &[1, 3, 4, 203]);
+    }
+
+    #[test]
+    fn batched_evaluation_keeps_the_per_example_errors() {
+        use crate::eval::testing::assert_same_error;
+        let mut rng = rng_for(1, 9);
+        let model = Mlp::new(2, 3, 2, &mut rng);
+        let good = Example::dense(vec![0.0, 0.0], 1);
+        assert_eq!(assert_same_error(&model, &[]), ModelError::EmptyBatch);
+        assert!(matches!(
+            assert_same_error(&model, &[good.clone(), Example::dense(vec![0.0, 0.0], 2)]),
+            ModelError::LabelOutOfRange {
+                label: 2,
+                num_classes: 2
+            }
+        ));
+        for bad in [Example::dense(vec![0.0], 0), Example::token(1, 0)] {
+            assert!(matches!(
+                assert_same_error(&model, &[good.clone(), bad]),
+                ModelError::IncompatibleInput { .. }
+            ));
+        }
+        // A bad label on a bad input reports the label, as per example.
+        assert!(matches!(
+            assert_same_error(&model, &[Example::dense(vec![0.0], 9)]),
+            ModelError::LabelOutOfRange { .. }
+        ));
     }
 
     #[test]

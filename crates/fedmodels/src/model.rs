@@ -119,7 +119,37 @@ pub trait Model: Clone + Send + Sync {
     /// Returns [`ModelError::EmptyBatch`] for an empty batch and propagates
     /// input/label mismatches.
     fn error_rate(&self, examples: &[Example]) -> Result<f64> {
-        Ok(self.evaluate(examples)?.error_rate)
+        Ok(self.count_errors(examples)? as f64 / examples.len() as f64)
+    }
+
+    /// Number of misclassified `examples` — all that federated evaluation
+    /// (Eq. 2) needs from a client, without the loss.
+    ///
+    /// The default walks the examples one at a time through
+    /// [`logits`](Self::logits); the built-in models override it with one
+    /// batched forward per call whose predictions are bit-identical to it
+    /// (asserted in their tests).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions, in the same order, as [`evaluate`](Self::evaluate).
+    fn count_errors(&self, examples: &[Example]) -> Result<usize> {
+        if examples.is_empty() {
+            return Err(ModelError::EmptyBatch);
+        }
+        let mut errors = 0usize;
+        for e in examples {
+            if e.label >= self.num_classes() {
+                return Err(ModelError::LabelOutOfRange {
+                    label: e.label,
+                    num_classes: self.num_classes(),
+                });
+            }
+            if self.predict(&e.input)? != e.label {
+                errors += 1;
+            }
+        }
+        Ok(errors)
     }
 
     /// Predicted class (argmax of the logits) for one input.
@@ -133,6 +163,10 @@ pub trait Model: Clone + Send + Sync {
     }
 
     /// Evaluates loss and error rate over `examples` in one pass.
+    ///
+    /// The default is the per-example reference; the built-in models
+    /// override it on the same batched forward as
+    /// [`count_errors`](Self::count_errors), keeping its bits.
     ///
     /// # Errors
     ///
@@ -286,6 +320,29 @@ mod tests {
             Err(ModelError::LabelOutOfRange {
                 label: 5,
                 num_classes: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn default_count_errors_agrees_with_evaluate() {
+        let model = BiasOnly {
+            biases: vec![0.0, 1.0, -1.0],
+        };
+        assert_eq!(model.count_errors(&examples()).unwrap(), 1);
+        assert_eq!(
+            model.error_rate(&examples()).unwrap(),
+            model.evaluate(&examples()).unwrap().error_rate
+        );
+        assert!(matches!(
+            model.count_errors(&[]),
+            Err(ModelError::EmptyBatch)
+        ));
+        assert!(matches!(
+            model.count_errors(&[Example::dense(vec![0.0], 5)]),
+            Err(ModelError::LabelOutOfRange {
+                label: 5,
+                num_classes: 3
             })
         ));
     }

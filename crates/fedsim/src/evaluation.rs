@@ -9,6 +9,26 @@ use feddata::{ClientData, FederatedDataset, Split};
 use fedmodels::Model;
 use serde::{Deserialize, Serialize};
 
+/// Evaluation accounting on the global [`fedtrace`] registry: validation
+/// passes run (one per [`evaluate_clients_with`] call) and clients scored.
+/// Write-only counters — nothing reads them back, so tracing cannot move a
+/// score bit.
+struct EvaluationMetrics {
+    passes: fedtrace::Counter,
+    clients: fedtrace::Counter,
+}
+
+fn evaluation_metrics() -> &'static EvaluationMetrics {
+    static METRICS: std::sync::OnceLock<EvaluationMetrics> = std::sync::OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = fedtrace::global().registry();
+        EvaluationMetrics {
+            passes: registry.counter("sim.validation_passes"),
+            clients: registry.counter("sim.clients_evaluated"),
+        }
+    })
+}
+
 /// How per-client errors are weighted when aggregating (footnote 1 of §2.2).
 ///
 /// The paper uses the example-weighted objective by default and switches to
@@ -41,8 +61,6 @@ pub struct ClientEvaluation {
     pub client_index: usize,
     /// Error rate on the client's local data, in `[0, 1]`.
     pub error_rate: f64,
-    /// Mean cross-entropy loss on the client's local data.
-    pub loss: f64,
     /// Number of local examples evaluated.
     pub num_examples: usize,
 }
@@ -111,16 +129,6 @@ impl FederatedEvaluation {
     pub fn weighted_error(&self) -> Result<f64> {
         let errors: Vec<f64> = self.per_client.iter().map(|c| c.error_rate).collect();
         fedmath::stats::weighted_mean(&errors, &self.weights()).map_err(SimError::from)
-    }
-
-    /// The aggregated (weighted) loss.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`weighted_error`](Self::weighted_error).
-    pub fn weighted_loss(&self) -> Result<f64> {
-        let losses: Vec<f64> = self.per_client.iter().map(|c| c.loss).collect();
-        fedmath::stats::weighted_mean(&losses, &self.weights()).map_err(SimError::from)
     }
 
     /// The aggregated accuracy (`1 - weighted_error`).
@@ -205,12 +213,10 @@ pub fn evaluate_clients_with<M: Model>(
             if client.is_empty() {
                 return Ok(None);
             }
-            let metrics = model.evaluate(client.examples())?;
             Ok(Some(ClientEvaluation {
                 client_index: idx,
-                error_rate: metrics.error_rate,
-                loss: metrics.loss,
-                num_examples: metrics.num_examples,
+                error_rate: model.error_rate(client.examples())?,
+                num_examples: client.examples().len(),
             }))
         });
     let mut per_client = Vec::with_capacity(indices.len());
@@ -219,6 +225,9 @@ pub fn evaluate_clients_with<M: Model>(
             per_client.push(evaluation);
         }
     }
+    let metrics = evaluation_metrics();
+    metrics.passes.incr();
+    metrics.clients.add(per_client.len() as u64);
     FederatedEvaluation::new(per_client, weighting)
 }
 
@@ -311,13 +320,11 @@ mod tests {
             ClientEvaluation {
                 client_index: 0,
                 error_rate: 0.0,
-                loss: 0.5,
                 num_examples: 1,
             },
             ClientEvaluation {
                 client_index: 1,
                 error_rate: 1.0,
-                loss: 1.5,
                 num_examples: 3,
             },
         ];
@@ -325,7 +332,6 @@ mod tests {
             FederatedEvaluation::new(per_client.clone(), WeightingScheme::ByExamples).unwrap();
         assert_eq!(eval.num_clients(), 2);
         assert!((eval.weighted_error().unwrap() - 0.75).abs() < 1e-12);
-        assert!((eval.weighted_loss().unwrap() - 1.25).abs() < 1e-12);
         assert!((eval.weighted_accuracy().unwrap() - 0.25).abs() < 1e-12);
         assert_eq!(eval.min_client_error(), 0.0);
         assert_eq!(eval.max_client_error(), 1.0);
