@@ -93,6 +93,42 @@ fn standalone(spec: &CampaignSpec) -> CampaignOutcome {
     .expect("standalone campaign")
 }
 
+/// Prints what answers "is the ledger fsync-bound" for every segment ledger
+/// this process has written (only the service run has any: the standalone
+/// runs keep theirs in memory): records made durable per `sync_data` and
+/// the sync latency (log2 buckets, so each percentile is its bucket's upper
+/// bound).
+fn print_sync_profile() {
+    let snapshot = fedtrace::global().registry().snapshot();
+    let (Some(batch), Some(micros)) = (
+        snapshot.histogram("store.sync_batch"),
+        snapshot.histogram("store.sync_micros"),
+    ) else {
+        return;
+    };
+    let percentile = |q: f64| {
+        let rank = (q * micros.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        micros
+            .buckets
+            .iter()
+            .find(|b| {
+                seen += b.count;
+                seen >= rank
+            })
+            .map_or(micros.max, |b| b.le)
+    };
+    println!(
+        "service ledgers: {} syncs, {:.2} records/sync, sync p50 <= {} us, p99 <= {} us, \
+         {:.1} ms in sync_data",
+        batch.count,
+        batch.mean(),
+        percentile(0.5),
+        percentile(0.99),
+        micros.sum as f64 / 1e3,
+    );
+}
+
 fn regenerate() {
     let mut summary = fedbench::BenchSummary::new("service_throughput");
 
@@ -177,6 +213,7 @@ fn regenerate() {
     println!(
         "service: {service_wall:.2}s wall vs sequential {sequential_wall:.2}s — {speedup:.2}x"
     );
+    print_sync_profile();
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "the service must overlap campaigns at least {SPEEDUP_FLOOR}x \

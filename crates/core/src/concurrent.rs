@@ -27,7 +27,9 @@
 //!    they finish (its completion buffer is order-independent), but the
 //!    campaign log commits through a reorder buffer strictly in dispatch
 //!    order, and virtual events still deliver in `(sim_time, EventKey)`
-//!    order.
+//!    order. The driver works in *turns* — block for one completion, drain
+//!    the rest already waiting, commit, [`ConcurrentSink::end_turn`], step
+//!    — so how many completions a turn happens to catch is invisible too.
 //!
 //! `tests/determinism.rs` asserts the resulting [`EventDrivenOutcome`] —
 //! scores, selections, timeline — is bit-identical across the sequential
@@ -105,6 +107,20 @@ pub trait ConcurrentSink {
     /// cumulative accounting (rounds, log order) matches the sequential
     /// driver bit for bit.
     fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64);
+
+    /// Ends a driver **turn**. A driver blocks for one completion, drains
+    /// every completion already waiting, commits what is in order, calls
+    /// this once, and only then steps the [`ExecutorCore`] — so a sink that
+    /// persists its commits makes the whole turn durable here with a single
+    /// sync, and no result reaches the scheduler ahead of the sink's
+    /// storage. The default has nothing to persist.
+    ///
+    /// # Errors
+    ///
+    /// A failure to persist the turn's commits; it fails the campaign.
+    fn end_turn(&mut self) -> Result<()> {
+        Ok(())
+    }
 }
 
 /// An objective that can evaluate its in-flight trials concurrently: it
@@ -262,46 +278,50 @@ pub fn run_event_driven_concurrent_traced<O: ConcurrentObjective>(
                         }
                     }
                 }
-                ExecutorStep::Deliver(awaited) => loop {
-                    let msg = rx.recv().map_err(|_| crate::CoreError::InvalidConfig {
+                // One turn: block for a completion, drain every other one
+                // already waiting, then end the turn before stepping again.
+                // The core hands back the same `Deliver` until the awaited
+                // completion is among them.
+                ExecutorStep::Deliver(_) => {
+                    let first = rx.recv().map_err(|_| crate::CoreError::InvalidConfig {
                         message: "evaluation workers disconnected before completing \
                                   dispatched work"
                             .into(),
                     })?;
-                    let WorkerMsg::Done {
-                        seq,
-                        key,
-                        request,
-                        sim_completion,
-                        state,
-                        output,
-                    } = msg
-                    else {
-                        return Err(crate::CoreError::InvalidConfig {
-                            message: "an evaluation task panicked".into(),
-                        });
-                    };
-                    let output = output?;
-                    core.complete(key, TrialResult::of(&request, output.noisy_score))?;
-                    commit_buf.insert(seq, (request, output, sim_completion));
-                    while let Some((request, output, time)) = commit_buf.remove(&next_commit) {
-                        sink.commit(&request, &output, time);
-                        next_commit += 1;
+                    for msg in std::iter::once(first).chain(rx.try_iter()) {
+                        let WorkerMsg::Done {
+                            seq,
+                            key,
+                            request,
+                            sim_completion,
+                            state,
+                            output,
+                        } = msg
+                        else {
+                            return Err(crate::CoreError::InvalidConfig {
+                                message: "an evaluation task panicked".into(),
+                            });
+                        };
+                        let output = output?;
+                        core.complete(key, TrialResult::of(&request, output.noisy_score))?;
+                        commit_buf.insert(seq, (request, output, sim_completion));
+                        while let Some((request, output, time)) = commit_buf.remove(&next_commit) {
+                            sink.commit(&request, &output, time);
+                            next_commit += 1;
+                        }
+                        let trial = key.trial as usize;
+                        let queue = in_flight.get_mut(&trial).expect("in-flight trial tracked");
+                        if let Some((next, dispatched)) = queue.pop_front() {
+                            // Hand the warm state straight to the trial's next
+                            // task — no round trip through the sink.
+                            submit_eval(next, dispatched, state, true);
+                        } else {
+                            in_flight.remove(&trial);
+                            sink.put_state(trial, state);
+                        }
                     }
-                    let trial = key.trial as usize;
-                    let queue = in_flight.get_mut(&trial).expect("in-flight trial tracked");
-                    if let Some((next, dispatched)) = queue.pop_front() {
-                        // Hand the warm state straight to the trial's next
-                        // task — no round trip through the sink.
-                        submit_eval(next, dispatched, state, true);
-                    } else {
-                        in_flight.remove(&trial);
-                        sink.put_state(trial, state);
-                    }
-                    if key == awaited {
-                        break;
-                    }
-                },
+                    sink.end_turn()?;
+                }
                 ExecutorStep::Finished => break,
             }
         }

@@ -14,10 +14,15 @@
 //!   This is what makes kill-and-restart resume exactly where it left off:
 //!   the scheduler re-derives the same request sequence from the same seed,
 //!   and the paid prefix is served from disk.
-//! - **Durability.** The sink appends every commit to the campaign's segment
-//!   ledger with per-insert durability, so the instant a result influences
-//!   the scheduler it is already on disk — a crash can lose in-flight work
-//!   (recomputed on restart) but never an observed result.
+//! - **Durability.** The unit of durability is the driver *turn*, not the
+//!   single result: [`ServeSink::commit`](ConcurrentSink::commit) stages each
+//!   commit in the campaign's segment ledger and
+//!   [`ServeSink::sync_turn`] makes everything staged durable with one
+//!   `sync_data` before the driver publishes progress or steps the core
+//!   again. So the instant a result influences the scheduler or a status
+//!   reply it is already on disk — a crash can lose in-flight work and the
+//!   unobserved results of the turn it interrupts (both recomputed on
+//!   restart) but never an observed result.
 //!
 //! [`ServeObjective`] glues the halves together so the *standalone*
 //! reference runs — the ones the service's bit-identity tests compare
@@ -25,7 +30,7 @@
 //! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent).
 
 use crate::spec::{CampaignSpec, ObjectiveSpec};
-use crate::{Result, ServeError};
+use crate::Result;
 use fedhpo::{SearchSpace, TrialRequest};
 use fedsim::clock::CostModel;
 use fedstore::{StoreError, TrialKey, TrialRecord, TrialStore};
@@ -165,10 +170,10 @@ pub struct ServeSink {
     pub evaluations: u64,
     /// Committed incremental training rounds.
     pub resource_spent: u64,
-    /// First ledger failure, stashed because [`ConcurrentSink::commit`]
-    /// cannot return errors; the campaign driver checks it after every
-    /// commit drain and fails the campaign.
-    pub io_error: Option<StoreError>,
+    /// First staging failure, stashed because [`ConcurrentSink::commit`]
+    /// cannot return errors; [`ServeSink::sync_turn`] returns it and the
+    /// driver fails the campaign.
+    io_error: Option<StoreError>,
 }
 
 impl ServeSink {
@@ -180,6 +185,21 @@ impl ServeSink {
     /// The ledger being appended to.
     pub fn store(&self) -> &TrialStore {
         &self.store
+    }
+
+    /// Ends a driver turn: every commit staged since the previous call
+    /// becomes durable with one `sync_data` (none when nothing new was
+    /// staged). Until this returns `Ok` the turn's results must reach
+    /// neither the scheduler nor a status reply.
+    ///
+    /// # Errors
+    ///
+    /// The first failure to stage a commit this turn, else the sync's own.
+    pub fn sync_turn(&mut self) -> std::result::Result<(), StoreError> {
+        match self.io_error.take() {
+            Some(e) => Err(e),
+            None => self.store.group_commit(),
+        }
     }
 }
 
@@ -195,11 +215,11 @@ impl ConcurrentSink for ServeSink {
     }
 
     fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
-        self.evaluations += 1;
-        self.resource_spent += output.rounds_delta as u64;
         if self.io_error.is_some() {
             return;
         }
+        self.evaluations += 1;
+        self.resource_spent += output.rounds_delta as u64;
         let record = match TrialKey::for_request(&self.space, request) {
             Ok(key) => TrialRecord {
                 config: key.config,
@@ -216,10 +236,16 @@ impl ConcurrentSink for ServeSink {
             }
         };
         // Idempotent: replayed hits re-insert their existing record, which
-        // the ledger recognizes and skips.
-        if let Err(e) = self.store.insert(record) {
+        // the ledger recognizes and skips. Staged only — `sync_turn` syncs.
+        if let Err(e) = self.store.insert_unsynced(record) {
             self.io_error = Some(e);
         }
+    }
+
+    fn end_turn(&mut self) -> fedtune_core::Result<()> {
+        self.sync_turn().map_err(|e| CoreError::InvalidConfig {
+            message: format!("campaign ledger: {e}"),
+        })
     }
 }
 
@@ -278,11 +304,6 @@ pub fn build_objective(spec: &CampaignSpec, store: TrialStore) -> Result<ServeOb
         eval: std::sync::Arc::new(eval),
         sink,
     })
-}
-
-/// Maps a sink's stashed ledger failure into a service error.
-pub(crate) fn sink_failure(sink: &mut ServeSink) -> Option<ServeError> {
-    sink.io_error.take().map(ServeError::from)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ```text
 //! <root>/campaigns/<name>/
 //!     spec.json     the full CampaignSpec (written once at submit)
-//!     ledger/       the campaign's segment ledger (every commit, durable)
+//!     ledger/       the campaign's segment ledger (one sync per driver turn)
 //!     LOCK          single-writer pid file while a driver is live
 //!     DONE.json     terminal CampaignStatus (absent while incomplete)
 //! ```
@@ -252,8 +252,9 @@ impl Service {
         let result = (|| -> Result<CampaignOutcome> {
             let _lock = LedgerLock::acquire(&dir)?;
             let mut store = TrialStore::open_segments(dir.join("ledger"))?;
-            // Per-insert durability: a committed result is on disk before
-            // the scheduler ever sees it.
+            // Sync at every batch boundary, and the driver marks exactly one
+            // per turn: a turn's commits are on disk before the scheduler or
+            // a status reply sees any of them.
             store.set_durability(Durability::PerInsert);
             let state = Arc::clone(&self.state);
             let progress_name = name.clone();

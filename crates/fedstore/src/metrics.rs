@@ -21,6 +21,10 @@ pub(crate) struct StoreMetrics {
     pub syncs: fedtrace::Counter,
     /// Wall-clock microseconds per flush+sync (`store.sync_micros`).
     pub sync_micros: fedtrace::Histogram,
+    /// Records made durable per flush+sync (`store.sync_batch`): with
+    /// `store.sync_micros` it answers "is the ledger fsync-bound" — a mean
+    /// near 1 is one `sync_data` per record, a large one is group commit.
+    pub sync_batch: fedtrace::Histogram,
     /// Bytes discarded by crash recovery (`store.recovery_truncated_bytes`).
     pub recovery_truncated_bytes: fedtrace::Counter,
     /// Segment files deleted by crash recovery
@@ -43,6 +47,7 @@ pub(crate) fn metrics() -> &'static StoreMetrics {
             group_commits: registry.counter("store.group_commits"),
             syncs: registry.counter("store.syncs"),
             sync_micros: registry.histogram("store.sync_micros"),
+            sync_batch: registry.histogram("store.sync_batch"),
             recovery_truncated_bytes: registry.counter("store.recovery_truncated_bytes"),
             recovery_dropped_segments: registry.counter("store.recovery_dropped_segments"),
             compaction_swaps: registry.counter("store.compaction_swaps"),

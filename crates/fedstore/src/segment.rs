@@ -594,6 +594,7 @@ impl SegmentWriter {
             let m = crate::metrics::metrics();
             m.syncs.incr();
             m.sync_micros.observe(started.elapsed().as_micros() as u64);
+            m.sync_batch.observe(self.unsynced);
         }
         self.unsynced = 0;
         Ok(())

@@ -424,6 +424,16 @@ impl TrialStore {
         }
     }
 
+    /// Records appended to the backend since its last sync — what a crash
+    /// right now could lose. Always zero for in-memory stores.
+    pub fn unsynced(&self) -> u64 {
+        match &self.backend {
+            None => 0,
+            Some(Backend::Jsonl { unsynced, .. }) => *unsynced,
+            Some(Backend::Segments(writer)) => writer.unsynced(),
+        }
+    }
+
     /// Changes the backend's durability policy (no-op for in-memory
     /// stores). Loosening the policy never un-syncs anything already on
     /// disk; tightening it takes effect at the next batch boundary.
@@ -797,9 +807,11 @@ mod tests {
             .map(|i| record(&[i as f64], 3, 0, i as f64 * 0.1))
             .collect();
         assert_eq!(store.insert_many(batch.clone()).unwrap(), 16);
+        assert_eq!(store.unsynced(), 16, "OnFlush leaves the batch unsynced");
         // The whole batch again: all idempotent.
         assert_eq!(store.insert_many(batch).unwrap(), 0);
         store.flush().unwrap();
+        assert_eq!(store.unsynced(), 0);
         store.set_durability(crate::Durability::EveryN(4));
         drop(store);
         let reopened = TrialStore::open_segments(&dir).unwrap();
