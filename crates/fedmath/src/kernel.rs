@@ -26,17 +26,23 @@
 //! per-example paths still agree bitwise. The committed orders:
 //!
 //! - [`gemm`] and [`gemm_tn`] accumulate every output element strictly in
-//!   ascending `k` order (a single addition chain per element). Cache
-//!   blocking only reorders *which elements* are touched when, never the
-//!   per-element chain, so the result is bit-identical to the naive triple
-//!   loop.
-//! - [`dot`] (and everything built on it: [`matvec_into`], [`gemm_nt`]) uses
-//!   a fixed 4-lane split: element `i` joins lane `i mod 4`, lanes combine as
-//!   `(l0 + l1) + (l2 + l3)`, and the length-dependent tail is added in
-//!   ascending order afterwards. This reorders sums relative to a naive
-//!   sequential fold (that is what buys instruction-level parallelism), but
+//!   ascending `k` order (a single addition chain per element), inside one
+//!   shared `MR×NR` register tile. Row × column tiles only reorder *which
+//!   elements* are computed when, never a chain, and ragged edges are the
+//!   same routine at a narrower width rather than a scalar loop — so the
+//!   result is bit-identical to the naive triple loop.
+//! - [`dot`] (and everything built on it: [`matvec_into`], [`gemm_nt`],
+//!   [`gemm_nt_fused`]) uses a fixed 4-lane split: element `i` joins lane
+//!   `i mod 4`, lanes combine as `(l0 + l1) + (l2 + l3)`, and the
+//!   length-dependent tail is added in ascending order afterwards. This
+//!   reorders sums relative to a naive sequential fold (that is what buys
+//!   instruction-level parallelism), but
 //!   the order is a pure function of the slice length — the same inputs give
 //!   the same bits on every call, policy, and thread count.
+//!   [`gemm_nt_fused`]'s [`Epilogue`] then stores each finished sum as
+//!   `C += acc` or as `(0.0 + acc) + bias` (optionally through ReLU): the
+//!   elementwise sequence of accumulating into zeros, adding the bias row
+//!   and applying ReLU, sign of zero included, without those passes.
 //! - [`softmax_xent_backward`] performs, per row, the exact operation
 //!   sequence of [`crate::ops::softmax_inplace`] followed by the label
 //!   subtraction, so fusing is bit-identical to the unfused per-example path.
@@ -51,7 +57,9 @@
 //! [`BufferPool`] recycles `Vec<f64>` scratch buffers so steady-state
 //! training performs no per-example or per-round heap allocations: the first
 //! round warms the pool, subsequent rounds reuse its buffers. Pooling is
-//! accounting, never semantics — buffers are zeroed on [`BufferPool::take`].
+//! accounting, never semantics — buffers are zeroed on [`BufferPool::take`],
+//! and [`BufferPool::take_unzeroed`] is for buffers whose every element is
+//! assigned before it is read.
 
 use std::sync::OnceLock;
 
@@ -87,24 +95,33 @@ fn metrics() -> &'static KernelMetrics {
 /// Tiling never changes results (see the module-level determinism contract).
 const BLOCK_J: usize = 128;
 
-/// Output columns held in a register accumulator tile by [`gemm`] and
-/// [`gemm_tn`]: each element's full ascending-`k` addition chain runs in a
-/// register, with one `c` load before the chain and one store after, instead
-/// of a load/store round trip per `k` step. 16 `f64` accumulators give the
-/// out-of-order core enough independent chains to hide FP-add latency while
-/// still fitting the vector register file.
+/// Output columns of the widest register tile in [`gemm`] and [`gemm_tn`]:
+/// each element's full ascending-`k` chain runs in a register, with one `c`
+/// load before the chain and one store after, instead of a load/store round
+/// trip per `k` step.
 const REG_J: usize = 16;
+
+/// Output rows per register tile in [`gemm`] and [`gemm_tn`]: each `B` step
+/// loaded for a tile feeds four rows' chains, so a 4×16 tile issues 16 vector
+/// FMAs per 4 `B` loads + 4 `A` broadcasts, and its 64 accumulators are
+/// enough independent chains to hide the FMA latency.
+const REG_I: usize = 4;
 
 /// Output columns per packed `Bᵀ` panel in [`gemm_nt`]: one panel step is 8
 /// contiguous `f64`s (a full AVX-512 register, two AVX2 ones), so each of the
 /// four [`dot`] lanes is a vector accumulator spanning 8 output columns.
 const NT_COLS: usize = 8;
 
+/// Rows of `A` sharing each packed-panel load in [`gemm_nt`]. Two rows × four
+/// lanes × 8 columns is what fits the vector register file at LLVM's default
+/// 256-bit preference; four rows spill.
+const NT_ROWS: usize = 2;
+
 thread_local! {
     /// Per-thread packing scratch of [`gemm_nt`]: grows to the largest
-    /// `⌈n/8⌉·8 × k` weight matrix the thread has multiplied by and is then
-    /// reused, so steady-state calls allocate nothing. Each growth counts as
-    /// one `kernel.pool_fresh_allocations`.
+    /// `⌈n/8⌉·8 × (k + 1)` weight matrix (plus bias row) the thread has
+    /// multiplied by and is then reused, so steady-state calls allocate
+    /// nothing. Each growth counts as one `kernel.pool_fresh_allocations`.
     static NT_PACK: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -164,6 +181,107 @@ pub fn scale(alpha: f64, y: &mut [f64]) {
     }
 }
 
+/// What a [`tile`] reads: row-major `k×n` `B`, and `A` through two strides —
+/// element `(i, kk)` of the logical `m×k` operand is
+/// `a[i * a_row_stride + kk * a_k_stride]`, the one thing [`gemm`] and
+/// [`gemm_tn`] differ in.
+#[derive(Clone, Copy)]
+struct TileOperands<'a> {
+    a: &'a [f64],
+    a_row_stride: usize,
+    a_k_stride: usize,
+    b: &'a [f64],
+    k: usize,
+    n: usize,
+}
+
+/// One `MR×NR` register tile of `C += A · B` at row `i`, column `j`: loads
+/// its `c` values once, runs every element's ascending-`kk` `mul_add` chain
+/// to completion in registers (each `B` step is loaded once and feeds all
+/// `MR` rows), and stores once. Edge tiles are this routine at a narrower
+/// `MR`/`NR`, so no element ever sees a different operation sequence.
+#[inline(always)]
+fn tile<const MR: usize, const NR: usize>(
+    ops: TileOperands<'_>,
+    c: &mut [f64],
+    i: usize,
+    j: usize,
+) {
+    let TileOperands { a, b, k, n, .. } = ops;
+    let mut acc = [[0.0f64; NR]; MR];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(i + r) * n + j..][..NR]);
+    }
+    for kk in 0..k {
+        let step: &[f64; NR] = b[kk * n + j..][..NR].try_into().expect("NR-wide B step");
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[(i + r) * ops.a_row_stride + kk * ops.a_k_stride];
+            for (v, &bv) in row.iter_mut().zip(step) {
+                *v = av.mul_add(bv, *v);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i + r) * n + j..][..NR].copy_from_slice(row);
+    }
+}
+
+/// Columns `jb..je` of the `MR` rows at `i`, widest tiles first.
+fn tile_row<const MR: usize>(ops: TileOperands<'_>, c: &mut [f64], i: usize, jb: usize, je: usize) {
+    let mut j = jb;
+    while j + REG_J <= je {
+        tile::<MR, REG_J>(ops, c, i, j);
+        j += REG_J;
+    }
+    if j + 8 <= je {
+        tile::<MR, 8>(ops, c, i, j);
+        j += 8;
+    }
+    if j + 4 <= je {
+        tile::<MR, 4>(ops, c, i, j);
+        j += 4;
+    }
+    while j < je {
+        tile::<MR, 1>(ops, c, i, j);
+        j += 1;
+    }
+}
+
+/// `C += A · B` for either `A` layout (`a_strides` are [`TileOperands`]' row
+/// and `k` strides): `BLOCK_J`-column cache tiles, inside them `REG_I`-row
+/// tiles (single rows for the last `m % REG_I`).
+fn gemm_tiled(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    (a_row_stride, a_k_stride): (usize, usize),
+    b: &[f64],
+    c: &mut [f64],
+) {
+    metrics().flops.add(2 * (m * k * n) as u64);
+    let ops = TileOperands {
+        a,
+        a_row_stride,
+        a_k_stride,
+        b,
+        k,
+        n,
+    };
+    for jb in (0..n).step_by(BLOCK_J) {
+        let je = (jb + BLOCK_J).min(n);
+        let mut i = 0;
+        while i + REG_I <= m {
+            tile_row::<REG_I>(ops, c, i, jb, je);
+            i += REG_I;
+        }
+        while i < m {
+            tile_row::<1>(ops, c, i, jb, je);
+            i += 1;
+        }
+    }
+}
+
 /// Matrix product accumulation `C += A · B` over flat row-major storage:
 /// `A` is `m×k`, `B` is `k×n`, `C` is `m×n`.
 ///
@@ -171,11 +289,10 @@ pub fn scale(alpha: f64, y: &mut [f64]) {
 ///
 /// `C[i][j]` accumulates products strictly in ascending `k` order, one fused
 /// multiply-add per product term, one chain per element — the same order as
-/// a naive `i/k/j` triple loop over `mul_add`, so blocking
-/// (`BLOCK_J`-column cache tiles, `REG_J`-column register tiles) is
-/// bit-transparent. Each register tile loads its `c` values once, runs the
-/// full `k` chain in registers (the auto-vectorizer turns the independent
-/// per-column chains into SIMD FMAs), and stores once.
+/// a naive `i/k/j` triple loop over `mul_add`, so tiling (`BLOCK_J`-column
+/// cache tiles, `REG_I×REG_J` register tiles narrowing to 8, 4 and 1 columns
+/// and to single rows at the edges) is bit-transparent: it reorders which
+/// elements are computed when, never a chain.
 ///
 /// # Panics
 ///
@@ -184,143 +301,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemm: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm: C shape mismatch");
-    metrics().flops.add(2 * (m * k * n) as u64);
-    for jb in (0..n).step_by(BLOCK_J) {
-        let je = (jb + BLOCK_J).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let c_row = &mut c[i * n..(i + 1) * n];
-            let mut j = jb;
-            while j + REG_J <= je {
-                let mut acc = [0.0f64; REG_J];
-                acc.copy_from_slice(&c_row[j..j + REG_J]);
-                for (kk, &av) in a_row.iter().enumerate() {
-                    let b_tile = &b[kk * n + j..kk * n + j + REG_J];
-                    for r in 0..REG_J {
-                        acc[r] = av.mul_add(b_tile[r], acc[r]);
-                    }
-                }
-                c_row[j..j + REG_J].copy_from_slice(&acc);
-                j += REG_J;
-            }
-            // Remainder columns: the same ascending-k chain per element.
-            while j < je {
-                let mut v = c_row[j];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    v = av.mul_add(b[kk * n + j], v);
-                }
-                c_row[j] = v;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Transposed-B matrix product accumulation `C += A · Bᵀ`:
-/// `A` is `m×k`, `B` is `n×k` (row-major, so `Bᵀ` is `k×n`), `C` is `m×n`.
-///
-/// This is the natural layout for the model forward passes: weights are
-/// stored `[outputs × inputs]`, activations `[batch × inputs]`, and every
-/// output element is a dot product of two contiguous rows.
-///
-/// # Accumulation order
-///
-/// `C[i][j] += dot(A.row(i), B.row(j))` using [`dot`]'s 4-lane order. The
-/// kernel is vectorised across *output columns*: `Bᵀ` is packed once per call
-/// into `NT_COLS`-column panels (per-thread scratch), and each of the four
-/// lanes is a vector accumulator over a panel's columns, fed by
-/// broadcast-FMAs of `A[i][t]` against the panel's step `t`. Lanes combine
-/// elementwise as `(l0 + l1) + (l2 + l3)` and the `k % 4` tail folds in
-/// ascending order, so no output needs a horizontal reduction while each
-/// element's lane assignment, combine order and tail are exactly [`dot`]'s —
-/// the bits match a per-row `dot` loop.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its `m`/`k`/`n` shape.
-pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    metrics().flops.add(2 * (m * k * n) as u64);
-    gemm_nt_core(m, k, n, a, b, c);
-}
-
-/// [`gemm_nt`] for the evaluation forward pass: the same kernel and bits,
-/// reported to `kernel.eval_flops` instead of `kernel.flops` so the training
-/// FLOP count stays a function of the training schedule alone.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match its `m`/`k`/`n` shape.
-pub fn gemm_nt_eval(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    metrics().eval_flops.add(2 * (m * k * n) as u64);
-    gemm_nt_core(m, k, n, a, b, c);
-}
-
-fn gemm_nt_core(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
-    assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
-    assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
-    if k == 0 || n == 0 {
-        return;
-    }
-    NT_PACK.with_borrow_mut(|pack| {
-        // Panel `p`, step `t`, column `r` holds `B[p·8 + r][t]`. Packing
-        // overwrites every slot except the last panel's missing columns,
-        // which are zeroed here and whose sums are discarded.
-        let panel_len = k * NT_COLS;
-        let packed_len = n.div_ceil(NT_COLS) * panel_len;
-        if pack.len() < packed_len {
-            if pack.capacity() < packed_len {
-                metrics().pool_fresh.incr();
-            }
-            pack.resize(packed_len, 0.0);
-        }
-        let pack = &mut pack[..packed_len];
-        if !n.is_multiple_of(NT_COLS) {
-            pack[packed_len - panel_len..].fill(0.0);
-        }
-        for (j, b_row) in b.chunks_exact(k).enumerate() {
-            let panel = &mut pack[j / NT_COLS * panel_len..][..panel_len];
-            for (t, &v) in b_row.iter().enumerate() {
-                panel[t * NT_COLS + j % NT_COLS] = v;
-            }
-        }
-        let split = k - k % 4;
-        for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-            for (panel, c_cols) in pack.chunks_exact(panel_len).zip(c_row.chunks_mut(NT_COLS)) {
-                let mut lanes = [[0.0f64; NT_COLS]; 4];
-                for (a_quad, steps) in a_row[..split]
-                    .chunks_exact(4)
-                    .zip(panel.chunks_exact(4 * NT_COLS))
-                {
-                    for ((lane, &av), step) in lanes
-                        .iter_mut()
-                        .zip(a_quad)
-                        .zip(steps.chunks_exact(NT_COLS))
-                    {
-                        for (l, &bv) in lane.iter_mut().zip(step) {
-                            *l = av.mul_add(bv, *l);
-                        }
-                    }
-                }
-                let [l0, l1, l2, l3] = lanes;
-                let mut acc = [0.0f64; NT_COLS];
-                for (j, v) in acc.iter_mut().enumerate() {
-                    *v = (l0[j] + l1[j]) + (l2[j] + l3[j]);
-                }
-                for (&av, step) in a_row[split..]
-                    .iter()
-                    .zip(panel[split * NT_COLS..].chunks_exact(NT_COLS))
-                {
-                    for (v, &bv) in acc.iter_mut().zip(step) {
-                        *v = av.mul_add(bv, *v);
-                    }
-                }
-                for (cv, &v) in c_cols.iter_mut().zip(&acc) {
-                    *cv += v;
-                }
-            }
-        }
-    });
+    gemm_tiled(m, k, n, a, (k, 1), b, c);
 }
 
 /// Transposed-A matrix product accumulation `C += Aᵀ · B`:
@@ -335,10 +316,9 @@ fn gemm_nt_core(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 ///
 /// `C[i][j]` accumulates strictly in ascending `k` order, one fused
 /// multiply-add per product term, one chain per element, run to completion
-/// inside a `REG_J`-column register tile (`BLOCK_J`-column cache tiles
-/// over `j`). Tiling reorders only which elements are computed when — every
-/// element's chain is the `k → i → j` fold order, so the bits match the
-/// untiled loop.
+/// inside [`gemm`]'s register tiles (the two kernels share one tile routine
+/// and differ only in how `A` is strided). Every element's chain is the
+/// `k → i → j` fold order, so the bits match the untiled loop.
 ///
 /// # Panics
 ///
@@ -347,32 +327,226 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]
     assert_eq!(a.len(), k * m, "gemm_tn: A shape mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn: B shape mismatch");
     assert_eq!(c.len(), m * n, "gemm_tn: C shape mismatch");
-    metrics().flops.add(2 * (m * k * n) as u64);
-    for jb in (0..n).step_by(BLOCK_J) {
-        let je = (jb + BLOCK_J).min(n);
-        for i in 0..m {
-            let c_row = &mut c[i * n..(i + 1) * n];
-            let mut j = jb;
-            while j + REG_J <= je {
-                let mut acc = [0.0f64; REG_J];
-                acc.copy_from_slice(&c_row[j..j + REG_J]);
-                for kk in 0..k {
-                    let av = a[kk * m + i];
-                    let b_tile = &b[kk * n + j..kk * n + j + REG_J];
-                    for r in 0..REG_J {
-                        acc[r] = av.mul_add(b_tile[r], acc[r]);
-                    }
-                }
-                c_row[j..j + REG_J].copy_from_slice(&acc);
-                j += REG_J;
+    gemm_tiled(m, k, n, a, (1, m), b, c);
+}
+
+/// What [`gemm_nt_fused`] does with each finished dot product `acc` as its
+/// tile is stored.
+#[derive(Debug, Clone, Copy)]
+pub enum Epilogue<'a> {
+    /// `C[i][j] += acc`.
+    Accumulate,
+    /// `C[i][j] = (0.0 + acc) + bias[j]`: the bits of accumulating into a
+    /// zero-filled `C` and then adding the bias row (the leading `0.0 +`
+    /// keeps that sequence's sign of zero), without either pass over `C`.
+    Bias(&'a [f64]),
+    /// [`Bias`](Self::Bias) followed by [`crate::ops::relu`].
+    BiasRelu(&'a [f64]),
+}
+
+/// Which FLOP counter a [`gemm_nt_fused`] call reports to, so the training
+/// FLOP count stays a function of the training schedule alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// `kernel.flops`.
+    Training,
+    /// `kernel.eval_flops`.
+    Evaluation,
+}
+
+/// Transposed-B matrix product accumulation `C += A · Bᵀ`:
+/// `A` is `m×k`, `B` is `n×k` (row-major, so `Bᵀ` is `k×n`), `C` is `m×n`.
+/// [`gemm_nt_fused`] with [`Epilogue::Accumulate`], counted as training
+/// FLOPs.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its `m`/`k`/`n` shape.
+pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    gemm_nt_fused(m, k, n, a, b, Epilogue::Accumulate, Pass::Training, c);
+}
+
+/// Transposed-B matrix product `A · Bᵀ` stored into `C` through `epilogue`:
+/// `A` is `m×k`, `B` is `n×k` (row-major, so `Bᵀ` is `k×n`), `C` is `m×n`.
+///
+/// This is the natural layout for the model forward passes: weights are
+/// stored `[outputs × inputs]`, activations `[batch × inputs]`, and every
+/// output element is a dot product of two contiguous rows. The bias and ReLU
+/// epilogues assign every element of `C`, whose previous contents are never
+/// read.
+///
+/// # Accumulation order
+///
+/// Each output's `acc` is `dot(A.row(i), B.row(j))` in [`dot`]'s 4-lane
+/// order. The kernel is vectorised across *output columns*: `Bᵀ` is packed
+/// once per call into `NT_COLS`-column panels (per-thread scratch), and each
+/// of the four lanes is a vector accumulator over a panel's columns, fed by
+/// broadcast-FMAs of `A[i][t]` against the panel's step `t`; `NT_ROWS` rows
+/// of `A` share each panel load. Lanes combine elementwise as
+/// `(l0 + l1) + (l2 + l3)` and the `k % 4` tail folds in ascending order, so
+/// no output needs a horizontal reduction while each element's lane
+/// assignment, combine order and tail are exactly [`dot`]'s — the bits match
+/// a per-row `dot` loop followed by the epilogue's elementwise passes.
+///
+/// # Panics
+///
+/// Panics if a slice length does not match its `m`/`k`/`n` shape, or a bias
+/// is not `n` long.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_fused(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    epilogue: Epilogue<'_>,
+    pass: Pass,
+    c: &mut [f64],
+) {
+    assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
+    assert_eq!(b.len(), n * k, "gemm_nt: B shape mismatch");
+    assert_eq!(c.len(), m * n, "gemm_nt: C shape mismatch");
+    let bias = match epilogue {
+        Epilogue::Accumulate => None,
+        Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) => Some(bias),
+    };
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "gemm_nt: bias length mismatch");
+    }
+    let flops = match pass {
+        Pass::Training => &metrics().flops,
+        Pass::Evaluation => &metrics().eval_flops,
+    };
+    flops.add(2 * (m * k * n) as u64);
+    NT_PACK.with_borrow_mut(|pack| {
+        // Panel `p`, step `t`, column `r` holds `B[p·8 + r][t]`; one more
+        // step after the `k` holds `bias[p·8 + r]` (zeros when accumulating),
+        // so a tile reads its bias as one fixed-width step. Packing
+        // overwrites every slot except the last panel's missing columns,
+        // which are zeroed here and whose sums are discarded.
+        let panel_len = (k + 1) * NT_COLS;
+        let packed_len = n.div_ceil(NT_COLS) * panel_len;
+        if pack.len() < packed_len {
+            if pack.capacity() < packed_len {
+                metrics().pool_fresh.incr();
             }
-            while j < je {
-                let mut v = c_row[j];
-                for kk in 0..k {
-                    v = a[kk * m + i].mul_add(b[kk * n + j], v);
+            pack.resize(packed_len, 0.0);
+        }
+        let pack = &mut pack[..packed_len];
+        if !n.is_multiple_of(NT_COLS) {
+            pack[packed_len - panel_len..].fill(0.0);
+        }
+        for j in 0..n {
+            let panel = &mut pack[j / NT_COLS * panel_len..][..panel_len];
+            for (t, &v) in b[j * k..][..k].iter().enumerate() {
+                panel[t * NT_COLS + j % NT_COLS] = v;
+            }
+            panel[k * NT_COLS + j % NT_COLS] = bias.map_or(0.0, |bias| bias[j]);
+        }
+        // `finish(acc, old, bias)` is the value stored over `old`. One
+        // instantiation of the row loop per epilogue: the choice is made
+        // here, once per call, not once per tile.
+        match epilogue {
+            Epilogue::Accumulate => nt_product(m, k, n, a, pack, c, |acc, old, _| old + acc),
+            Epilogue::Bias(_) => nt_product(m, k, n, a, pack, c, |acc, _, bias| (0.0 + acc) + bias),
+            Epilogue::BiasRelu(_) => nt_product(m, k, n, a, pack, c, |acc, _, bias| {
+                crate::ops::relu((0.0 + acc) + bias)
+            }),
+        }
+    });
+}
+
+/// Every row of [`gemm_nt_fused`]: `NT_ROWS` at a time, single rows for the
+/// last `m % NT_ROWS`.
+#[inline(always)]
+fn nt_product(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    pack: &[f64],
+    c: &mut [f64],
+    finish: impl Fn(f64, f64, f64) -> f64 + Copy,
+) {
+    let mut i = 0;
+    while i + NT_ROWS <= m {
+        nt_rows::<NT_ROWS>(k, n, &a[i * k..], pack, &mut c[i * n..], finish);
+        i += NT_ROWS;
+    }
+    while i < m {
+        nt_rows::<1>(k, n, &a[i * k..], pack, &mut c[i * n..], finish);
+        i += 1;
+    }
+}
+
+/// `MR` consecutive rows of [`gemm_nt_fused`] against every packed panel:
+/// `a` starts at the first of the rows, `c` at its output row. Each panel
+/// step is loaded once for all `MR` rows; the four [`dot`] lanes are four
+/// separate accumulator arrays so each stays a plain set of vector registers.
+#[inline(always)]
+fn nt_rows<const MR: usize>(
+    k: usize,
+    n: usize,
+    a: &[f64],
+    pack: &[f64],
+    c: &mut [f64],
+    finish: impl Fn(f64, f64, f64) -> f64,
+) {
+    let quads_of_rows: [(&[[f64; 4]], &[f64]); MR] =
+        std::array::from_fn(|r| a[r * k..][..k].as_chunks());
+    let panel_len = (k + 1) * NT_COLS;
+    for p in 0..n.div_ceil(NT_COLS) {
+        let (steps, _) = pack[p * panel_len..][..panel_len].as_chunks::<NT_COLS>();
+        let (bias, steps) = steps.split_last().expect("a panel ends in its bias step");
+        // By value, before the FMA loop, so that nothing but the next tile's
+        // loads follows a tile's stores: with the bias loaded between the
+        // stores the two-row tile ran at half speed (203×24×32: 22 µs against
+        // 12 µs) on the development CPU.
+        let bias = *bias;
+        let (step_quads, step_tail) = steps.as_chunks::<4>();
+        let mut l0 = [[0.0f64; NT_COLS]; MR];
+        let mut l1 = [[0.0f64; NT_COLS]; MR];
+        let mut l2 = [[0.0f64; NT_COLS]; MR];
+        let mut l3 = [[0.0f64; NT_COLS]; MR];
+        for (q, [s0, s1, s2, s3]) in step_quads.iter().enumerate() {
+            for (r, (quads, _)) in quads_of_rows.iter().enumerate() {
+                let [a0, a1, a2, a3] = quads[q];
+                for (l, &bv) in l0[r].iter_mut().zip(s0) {
+                    *l = a0.mul_add(bv, *l);
                 }
-                c_row[j] = v;
-                j += 1;
+                for (l, &bv) in l1[r].iter_mut().zip(s1) {
+                    *l = a1.mul_add(bv, *l);
+                }
+                for (l, &bv) in l2[r].iter_mut().zip(s2) {
+                    *l = a2.mul_add(bv, *l);
+                }
+                for (l, &bv) in l3[r].iter_mut().zip(s3) {
+                    *l = a3.mul_add(bv, *l);
+                }
+            }
+        }
+        let j0 = p * NT_COLS;
+        for (r, (_, a_tail)) in quads_of_rows.iter().enumerate() {
+            let mut acc = [0.0f64; NT_COLS];
+            for (j, v) in acc.iter_mut().enumerate() {
+                *v = (l0[r][j] + l1[r][j]) + (l2[r][j] + l3[r][j]);
+            }
+            for (&av, step) in a_tail.iter().zip(step_tail) {
+                for (v, &bv) in acc.iter_mut().zip(step) {
+                    *v = av.mul_add(bv, *v);
+                }
+            }
+            let store = |out: &mut [f64]| {
+                for ((cv, &v), &bv) in out.iter_mut().zip(&acc).zip(&bias) {
+                    *cv = finish(v, *cv, bv);
+                }
+            };
+            let out = &mut c[r * n + j0..][..NT_COLS.min(n - j0)];
+            // A full panel's store is compiled with its width known; the
+            // ragged last panel runs the same routine on a shorter slice.
+            match <&mut [f64; NT_COLS]>::try_from(&mut *out) {
+                Ok(full) => store(full),
+                Err(_) => store(out),
             }
         }
     }
@@ -394,23 +568,6 @@ pub fn matvec_into(rows: usize, cols: usize, a: &[f64], x: &[f64], out: &mut [f6
     assert_eq!(out.len(), rows, "matvec_into: out length mismatch");
     for (o, row) in out.iter_mut().zip(a.chunks_exact(cols.max(1))) {
         *o = dot(row, x);
-    }
-}
-
-/// Adds `bias` to every row of the row-major `rows×cols` matrix `c`.
-///
-/// Elementwise — no reduction order to document.
-///
-/// # Panics
-///
-/// Panics if a slice length does not match the `rows`/`cols` shape.
-pub fn bias_add_rows(c: &mut [f64], rows: usize, cols: usize, bias: &[f64]) {
-    assert_eq!(c.len(), rows * cols, "bias_add_rows: shape mismatch");
-    assert_eq!(bias.len(), cols, "bias_add_rows: bias length mismatch");
-    for row in c.chunks_exact_mut(cols.max(1)) {
-        for (v, &b) in row.iter_mut().zip(bias.iter()) {
-            *v += b;
-        }
     }
 }
 
@@ -512,9 +669,9 @@ pub fn softmax_xent_backward(
     total_loss
 }
 
-/// Upper bound on buffers retained by a [`BufferPool`]; beyond it, released
-/// buffers are dropped instead of pooled (a safety valve, not a tuning knob —
-/// the training loop holds at most a handful of live buffers).
+/// Upper bound on buffers retained by a [`BufferPool`]; beyond it, a released
+/// buffer replaces the smallest pooled one or is dropped (a safety valve, not
+/// a tuning knob — the training loop holds at most a handful of live buffers).
 const POOL_CAP: usize = 32;
 
 /// A recycling pool of `Vec<f64>` scratch buffers.
@@ -526,8 +683,9 @@ const POOL_CAP: usize = 32;
 /// per-round heap allocations (asserted by [`BufferPool::fresh_allocations`]
 /// in tests and tracked by the `kernel_throughput` bench).
 ///
-/// Buffers handed out by [`take`](Self::take) are zero-filled, so pooling is
-/// invisible to the numerics.
+/// Buffers handed out by [`take`](Self::take) are zero-filled and those from
+/// [`take_unzeroed`](Self::take_unzeroed) are fully assigned by their caller
+/// before any read, so pooling is invisible to the numerics.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<f64>>,
@@ -542,14 +700,30 @@ impl BufferPool {
 
     /// Returns a zero-filled buffer of exactly `len` elements, reusing the
     /// best-fitting (smallest sufficient capacity) free buffer if one exists.
+    /// For accumulators: the `C` of a `+=` kernel.
     pub fn take(&mut self, len: usize) -> Vec<f64> {
-        let mut best: Option<usize> = None;
-        for (i, b) in self.free.iter().enumerate() {
-            if b.capacity() >= len && best.is_none_or(|j| self.free[j].capacity() > b.capacity()) {
-                best = Some(i);
-            }
-        }
-        let mut buf = match best {
+        let mut buf = self.best_fit(len);
+        buf.clear();
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// [`take`](Self::take) without the zero fill, for callers that assign
+    /// every element before reading any: the contents are unspecified
+    /// (whatever the buffer's last user left, zeros where it had to grow).
+    pub fn take_unzeroed(&mut self, len: usize) -> Vec<f64> {
+        let mut buf = self.best_fit(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Removes the smallest free buffer whose capacity covers `len`, or
+    /// allocates one.
+    fn best_fit(&mut self, len: usize) -> Vec<f64> {
+        let best = (0..self.free.len())
+            .filter(|&i| self.free[i].capacity() >= len)
+            .min_by_key(|&i| self.free[i].capacity());
+        match best {
             Some(i) => {
                 metrics().pool_reuses.incr();
                 self.free.swap_remove(i)
@@ -559,17 +733,28 @@ impl BufferPool {
                 metrics().pool_fresh.incr();
                 Vec::with_capacity(len)
             }
-        };
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
+        }
     }
 
-    /// Returns a buffer to the pool for reuse. Buffers beyond `POOL_CAP`
-    /// (or with zero capacity) are dropped.
-    pub fn put(&mut self, buf: Vec<f64>) {
-        if buf.capacity() > 0 && self.free.len() < POOL_CAP {
+    /// Returns a buffer to the pool for reuse. Zero-capacity buffers are
+    /// dropped; a full pool (`POOL_CAP`) keeps the larger of `buf` and its
+    /// smallest buffer, so a warm pool never loses the capacity that covers
+    /// its largest request.
+    pub fn put(&mut self, mut buf: Vec<f64>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        if self.free.len() < POOL_CAP {
             self.free.push(buf);
+            return;
+        }
+        let smallest = self
+            .free
+            .iter_mut()
+            .min_by_key(|b| b.capacity())
+            .expect("POOL_CAP > 0");
+        if smallest.capacity() < buf.capacity() {
+            std::mem::swap(smallest, &mut buf);
         }
     }
 
@@ -597,7 +782,7 @@ mod tests {
 
     /// Naive reference: unblocked i/k/j matmul (ascending-k accumulation,
     /// one fused multiply-add per term, matching the kernel contract).
-    fn naive_gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    pub(super) fn naive_gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
         for i in 0..m {
             for kk in 0..k {
                 let av = a[i * k + kk];
@@ -636,19 +821,70 @@ mod tests {
         assert_eq!(dot(&a, &b).to_bits(), dot(&b, &a).to_bits());
     }
 
+    /// Naive reference for [`gemm_tn`]: the per-example `k → i → j` fold.
+    pub(super) fn naive_gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        for kk in 0..k {
+            for i in 0..m {
+                for j in 0..n {
+                    c[i * n + j] = a[kk * m + i].mul_add(b[kk * n + j], c[i * n + j]);
+                }
+            }
+        }
+    }
+
+    pub(super) fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, element {i}");
+        }
+    }
+
+    /// Shapes reaching every row tile (4, 1) × column tile (16, 8, 4, 1),
+    /// `BLOCK_J` crossings, an empty `k`, and the training shapes:
+    /// `gemm(B, 20, 32)` is the hidden backprop, `gemm_tn(20, B, 32)` and
+    /// `gemm_tn(32, B, 24)` the two weight gradients.
+    fn tile_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (3, 5, 2),
+            (3, 6, 4),
+            (8, 4, 8),
+            (5, 9, 131),
+            (2, 130, 140),
+            (9, 3, 29),
+            (4, 0, 16),
+        ];
+        for batch in [32, 64, 128, 203] {
+            shapes.extend([(batch, 20, 32), (20, batch, 32), (32, batch, 24)]);
+        }
+        shapes
+    }
+
     #[test]
     fn gemm_is_bit_identical_to_naive_triple_loop() {
-        // Shapes straddling the block and unroll boundaries.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 2), (8, 4, 8), (5, 9, 131), (2, 130, 140)] {
+        for (m, k, n) in tile_shapes() {
             let a = seq(m * k, 0.3);
             let b = seq(k * n, -0.2);
             let mut c = seq(m * n, 0.01);
             let mut c_ref = c.clone();
             gemm(m, k, n, &a, &b, &mut c);
             naive_gemm(m, k, n, &a, &b, &mut c_ref);
-            for (i, (x, y)) in c.iter().zip(c_ref.iter()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "element {i} ({m}x{k}x{n})");
-            }
+            assert_same_bits(&c, &c_ref, &format!("{m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn gemm_tn_is_bit_identical_to_per_example_fold() {
+        // gemm_tn's contract: ascending-k accumulation == folding examples
+        // in batch order, the per-example gradient order.
+        for (m, k, n) in tile_shapes() {
+            let a = seq(k * m, 0.7);
+            let b = seq(k * n, -0.3);
+            let mut c = seq(m * n, 0.01);
+            let mut c_ref = c.clone();
+            gemm_tn(m, k, n, &a, &b, &mut c);
+            naive_gemm_tn(m, k, n, &a, &b, &mut c_ref);
+            assert_same_bits(&c, &c_ref, &format!("{m}x{k}x{n}"));
         }
     }
 
@@ -674,12 +910,50 @@ mod tests {
         }
     }
 
+    /// Asserts the three epilogues against row-wise `dot` followed by the
+    /// separate passes they replace: accumulate into `c0`; or accumulate into
+    /// zeros, add the bias row, apply `ops::relu`.
+    pub(super) fn assert_gemm_nt_matches_dot(
+        (m, k, n): (usize, usize, usize),
+        a: &[f64],
+        b: &[f64],
+        bias: &[f64],
+        c0: &[f64],
+    ) {
+        let what = format!("{m}x{k}x{n}");
+        let dots: Vec<f64> = (0..m * n)
+            .map(|e| dot(&a[e / n * k..][..k], &b[e % n * k..][..k]))
+            .collect();
+        let mut want: Vec<f64> = c0.iter().zip(&dots).map(|(c, d)| c + d).collect();
+        let mut got = c0.to_vec();
+        gemm_nt(m, k, n, a, b, &mut got);
+        assert_same_bits(&got, &want, &format!("accumulate {what}"));
+
+        want = dots.iter().map(|d| 0.0 + d).collect();
+        for (v, bv) in want.iter_mut().zip(bias.iter().cycle()) {
+            *v += bv;
+        }
+        for pass in [Pass::Training, Pass::Evaluation] {
+            // The assigning epilogues never read `C`: poison it.
+            got.fill(f64::NAN);
+            gemm_nt_fused(m, k, n, a, b, Epilogue::Bias(bias), pass, &mut got);
+            assert_same_bits(&got, &want, &format!("bias {what}"));
+        }
+        for v in want.iter_mut() {
+            *v = crate::ops::relu(*v);
+        }
+        got.fill(f64::NAN);
+        let relu = Epilogue::BiasRelu(bias);
+        gemm_nt_fused(m, k, n, a, b, relu, Pass::Evaluation, &mut got);
+        assert_same_bits(&got, &want, &format!("bias + relu {what}"));
+    }
+
     #[test]
     fn gemm_nt_is_bit_identical_to_row_wise_dot() {
-        // Single rows, ragged panels (n % 8 != 0), ragged lanes (k % 4 != 0),
-        // empty dimensions, a shrinking then regrowing pack, and the
-        // evaluation forward's own 203x24x32 / 203x32x20.
-        for (m, k, n) in [
+        // Single and odd row counts, ragged panels (n % 8 != 0), ragged lanes
+        // (k % 4 != 0), empty dimensions, a shrinking then regrowing pack, and
+        // the training / evaluation forwards' own shapes.
+        let mut shapes = vec![
             (1, 7, 5),
             (3, 8, 16),
             (4, 1, 1),
@@ -687,48 +961,32 @@ mod tests {
             (5, 3, 0),
             (7, 13, 19),
             (32, 64, 64),
-            (203, 24, 32),
-            (203, 32, 20),
-        ] {
+        ];
+        for batch in [32, 64, 128, 203] {
+            shapes.extend([(batch, 24, 32), (batch, 32, 20)]);
+        }
+        for (m, k, n) in shapes {
             let a = seq(m * k, 0.3);
             let b = seq(n * k, -0.2);
-            let mut c = seq(m * n, 0.01);
-            let mut c_eval = c.clone();
-            let mut c_ref = c.clone();
-            gemm_nt(m, k, n, &a, &b, &mut c);
-            gemm_nt_eval(m, k, n, &a, &b, &mut c_eval);
-            for i in 0..m {
-                for j in 0..n {
-                    c_ref[i * n + j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                }
-            }
-            for (i, ((x, e), y)) in c.iter().zip(&c_eval).zip(&c_ref).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "element {i} ({m}x{k}x{n})");
-                assert_eq!(e.to_bits(), y.to_bits(), "eval element {i} ({m}x{k}x{n})");
-            }
+            let bias = seq(n, 0.7);
+            let c0 = seq(m * n, 0.01);
+            assert_gemm_nt_matches_dot((m, k, n), &a, &b, &bias, &c0);
         }
     }
 
     #[test]
-    fn gemm_tn_is_bit_identical_to_per_example_fold() {
-        // gemm_tn's contract: ascending-k accumulation == folding examples
-        // in batch order, the per-example gradient order.
-        let (m, k, n) = (3, 6, 4);
-        let a = seq(k * m, 0.7);
-        let b = seq(k * n, -0.3);
-        let mut c = vec![0.0; m * n];
-        gemm_tn(m, k, n, &a, &b, &mut c);
-        let mut c_ref = vec![0.0; m * n];
-        for kk in 0..k {
-            for i in 0..m {
-                for j in 0..n {
-                    c_ref[i * n + j] = a[kk * m + i].mul_add(b[kk * n + j], c_ref[i * n + j]);
-                }
-            }
+    fn gemm_nt_epilogue_keeps_the_unfused_sign_of_zero() {
+        // A product that underflows to -0.0 is the one way `dot` returns a
+        // negative zero. Accumulating it into a zero-filled C gives +0.0, and
+        // +0.0 + -0.0 stays +0.0, where a bare `acc + bias` would be -0.0.
+        let (a, b, bias) = ([-1e-200], [1e-200], [-0.0]);
+        assert!(dot(&a, &b).is_sign_negative());
+        let mut c = [f64::NAN];
+        for epilogue in [Epilogue::Bias(&bias), Epilogue::BiasRelu(&bias)] {
+            gemm_nt_fused(1, 1, 1, &a, &b, epilogue, Pass::Evaluation, &mut c);
+            assert_eq!(c[0].to_bits(), 0.0f64.to_bits());
         }
-        for (x, y) in c.iter().zip(c_ref.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_gemm_nt_matches_dot((1, 1, 1), &a, &b, &bias, &[0.0]);
     }
 
     #[test]
@@ -744,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_scale_bias_colsum() {
+    fn axpy_scale_colsum() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(0.5, &x, &mut y);
@@ -752,9 +1010,7 @@ mod tests {
         scale(2.0, &mut y);
         assert_eq!(y, vec![21.0, 42.0, 63.0]);
 
-        let mut c = vec![0.0, 1.0, 2.0, 3.0];
-        bias_add_rows(&mut c, 2, 2, &[10.0, 20.0]);
-        assert_eq!(c, vec![10.0, 21.0, 12.0, 23.0]);
+        let c = vec![10.0, 21.0, 12.0, 23.0];
 
         let mut sums = vec![0.0, 100.0];
         col_sum_add(2, 2, &c, &mut sums);
@@ -865,46 +1121,68 @@ mod tests {
         for _ in 0..(POOL_CAP + 10) {
             pool.put(vec![0.0; 4]);
         }
-        assert!(pool.pooled() <= POOL_CAP);
+        assert_eq!(pool.pooled(), POOL_CAP);
+        // A full pool trades its smallest buffer for a larger incoming one
+        // and drops a smaller one.
+        pool.put(Vec::with_capacity(64));
+        pool.put(Vec::with_capacity(2));
+        assert_eq!(pool.pooled(), POOL_CAP);
+        assert!(pool.take(64).capacity() >= 64);
+        assert_eq!(pool.fresh_allocations(), 1);
+    }
+
+    #[test]
+    fn buffer_pool_unzeroed_take_is_sized_and_initialised() {
+        let mut pool = BufferPool::new();
+        pool.put(vec![7.0; 8]);
+        // Shrinking keeps the previous contents, growing fills with zeros;
+        // neither allocates once the capacity is there.
+        assert_eq!(pool.take_unzeroed(3), vec![7.0; 3]);
+        let mut grown = Vec::with_capacity(8);
+        grown.extend([1.0, 2.0]);
+        pool.put(grown);
+        assert_eq!(pool.take_unzeroed(4), vec![1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(pool.fresh_allocations(), 0);
+        assert_eq!(pool.take_unzeroed(5), vec![0.0; 5]);
+        assert_eq!(pool.fresh_allocations(), 1);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{assert_gemm_nt_matches_dot, assert_same_bits, naive_gemm, naive_gemm_tn};
     use super::*;
     use proptest::prelude::*;
+
+    fn wave(seed: u64, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((seed as f64 + i as f64) * 0.61).sin())
+            .collect()
+    }
 
     fn vec_of(len: usize) -> impl Strategy<Value = Vec<f64>> {
         proptest::collection::vec(-10.0f64..10.0, len..len + 1)
     }
 
     proptest! {
+        // m up to 10 and n up to 44: two 4-row tiles plus single rows, and
+        // every 16/8/4/1 column-tile combination, for both `A` layouts.
         #[test]
-        fn prop_gemm_bitwise_matches_naive(
-            m in 1usize..6, k in 1usize..12, n in 1usize..9,
+        fn prop_gemm_and_gemm_tn_bitwise_match_naive(
+            m in 1usize..11, k in 0usize..20, n in 1usize..45,
             seed in 0u64..1000,
         ) {
-            let gen = |off: u64, len: usize| -> Vec<f64> {
-                (0..len)
-                    .map(|i| (((seed + off) as f64 + i as f64) * 0.61).sin())
-                    .collect()
-            };
-            let a = gen(1, m * k);
-            let b = gen(2, k * n);
-            let mut c = gen(3, m * n);
-            let mut c_ref = c.clone();
+            let a = wave(seed + 1, m * k);
+            let b = wave(seed + 2, k * n);
+            let c0 = wave(seed + 3, m * n);
+            let (mut c, mut c_ref) = (c0.clone(), c0.clone());
             gemm(m, k, n, &a, &b, &mut c);
-            for i in 0..m {
-                for kk in 0..k {
-                    let av = a[i * k + kk];
-                    for j in 0..n {
-                        c_ref[i * n + j] = av.mul_add(b[kk * n + j], c_ref[i * n + j]);
-                    }
-                }
-            }
-            for (x, y) in c.iter().zip(c_ref.iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
+            naive_gemm(m, k, n, &a, &b, &mut c_ref);
+            assert_same_bits(&c, &c_ref, "gemm");
+            let (mut c, mut c_ref) = (c0.clone(), c0);
+            gemm_tn(m, k, n, &a, &b, &mut c);
+            naive_gemm_tn(m, k, n, &a, &b, &mut c_ref);
+            assert_same_bits(&c, &c_ref, "gemm_tn");
         }
 
         #[test]
@@ -915,24 +1193,17 @@ mod proptests {
             // k % 4 != 0 and n % 8 != 0: every call has a lane tail and a
             // partly filled last panel.
             let (k, n) = (4 * kq + kr, 8 * nq + nr);
-            let gen = |off: u64, len: usize| -> Vec<f64> {
-                (0..len)
-                    .map(|i| (((seed + off) as f64 + i as f64) * 0.61).sin())
-                    .collect()
-            };
-            let a = gen(1, m * k);
-            let b = gen(2, n * k);
-            let mut c = gen(3, m * n);
-            let mut c_ref = c.clone();
-            gemm_nt(m, k, n, &a, &b, &mut c);
-            for i in 0..m {
-                for j in 0..n {
-                    c_ref[i * n + j] += dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                }
-            }
-            for (x, y) in c.iter().zip(c_ref.iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
+            let mut a = wave(seed + 1, m * k);
+            let mut b = wave(seed + 2, n * k);
+            // Output (0, 0) is a dot product of exactly -0.0: every term is
+            // zero except a last one that underflows.
+            a[..k].fill(0.0);
+            b[..k].fill(0.0);
+            (a[k - 1], b[k - 1]) = (-1e-200, 1e-200);
+            prop_assert!(dot(&a[..k], &b[..k]).is_sign_negative());
+            let mut bias = wave(seed + 4, n);
+            bias[0] = -0.0;
+            assert_gemm_nt_matches_dot((m, k, n), &a, &b, &bias, &wave(seed + 3, m * n));
         }
 
         #[test]

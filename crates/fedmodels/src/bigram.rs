@@ -5,7 +5,7 @@ use crate::eval::{self, BatchedForward};
 use crate::model::Model;
 use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
-use fedmath::kernel::{self, BufferPool};
+use fedmath::kernel::{self, BufferPool, Epilogue, Pass};
 use fedmath::Matrix;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
@@ -81,9 +81,9 @@ impl BatchedForward for BigramLm {
         let (v, d) = (self.vocab_size, self.embed_dim);
         let batch = examples.len();
         let x = self.gather(examples.iter(), pool)?;
-        let mut logits = pool.take(batch * v);
-        kernel::gemm_nt_eval(batch, d, v, &x, self.output.as_slice(), &mut logits);
-        kernel::bias_add_rows(&mut logits, batch, v, &self.bias);
+        let mut logits = pool.take_unzeroed(batch * v);
+        let (w, bias) = (self.output.as_slice(), Epilogue::Bias(&self.bias));
+        kernel::gemm_nt_fused(batch, d, v, &x, w, bias, Pass::Evaluation, &mut logits);
         pool.put(x);
         Ok(logits)
     }
@@ -205,9 +205,9 @@ impl Model for BigramLm {
         let v = self.vocab_size;
         let d = self.embed_dim;
         let x = self.gather(order.iter().map(|&idx| &examples[idx]), pool)?;
-        let mut dlogits = pool.take(batch * v);
-        kernel::gemm_nt(batch, d, v, &x, self.output.as_slice(), &mut dlogits);
-        kernel::bias_add_rows(&mut dlogits, batch, v, &self.bias);
+        let mut dlogits = pool.take_unzeroed(batch * v);
+        let (w, bias) = (self.output.as_slice(), Epilogue::Bias(&self.bias));
+        kernel::gemm_nt_fused(batch, d, v, &x, w, bias, Pass::Training, &mut dlogits);
         kernel::softmax_xent_backward(&mut dlogits, batch, v, |r| examples[order[r]].label);
         out.clear();
         out.resize(self.num_params(), 0.0);

@@ -49,7 +49,8 @@ pub(crate) fn gather_rows<'a>(
     if rows.len() == 0 {
         return Err(ModelError::EmptyBatch);
     }
-    let mut x = pool.take(rows.len() * width);
+    // Every row is assigned below, or the buffer goes back unread.
+    let mut x = pool.take_unzeroed(rows.len() * width);
     let filled = rows.enumerate().try_for_each(|(r, e)| {
         if e.label >= num_classes {
             return Err(ModelError::LabelOutOfRange {

@@ -4,7 +4,7 @@ use crate::eval::{self, BatchedForward};
 use crate::model::Model;
 use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
-use fedmath::kernel::{self, BufferPool};
+use fedmath::kernel::{self, BufferPool, Epilogue, Pass};
 use fedmath::Matrix;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
@@ -80,9 +80,9 @@ impl BatchedForward for SoftmaxRegression {
         let (f, c) = (self.feature_dim, self.num_classes);
         let batch = examples.len();
         let x = self.gather(examples.iter(), pool)?;
-        let mut logits = pool.take(batch * c);
-        kernel::gemm_nt_eval(batch, f, c, &x, self.weights.as_slice(), &mut logits);
-        kernel::bias_add_rows(&mut logits, batch, c, &self.bias);
+        let mut logits = pool.take_unzeroed(batch * c);
+        let (w, bias) = (self.weights.as_slice(), Epilogue::Bias(&self.bias));
+        kernel::gemm_nt_fused(batch, f, c, &x, w, bias, Pass::Evaluation, &mut logits);
         pool.put(x);
         Ok(logits)
     }
@@ -184,9 +184,9 @@ impl Model for SoftmaxRegression {
         let x = self.gather(order.iter().map(|&idx| &examples[idx]), pool)?;
         // Forward: logits = X · Wᵀ + b, sharing `dot`'s accumulation order
         // with the per-example matvec, then the fused softmax/label backward.
-        let mut dlogits = pool.take(batch * c);
-        kernel::gemm_nt(batch, f, c, &x, self.weights.as_slice(), &mut dlogits);
-        kernel::bias_add_rows(&mut dlogits, batch, c, &self.bias);
+        let mut dlogits = pool.take_unzeroed(batch * c);
+        let (w, bias) = (self.weights.as_slice(), Epilogue::Bias(&self.bias));
+        kernel::gemm_nt_fused(batch, f, c, &x, w, bias, Pass::Training, &mut dlogits);
         kernel::softmax_xent_backward(&mut dlogits, batch, c, |r| examples[order[r]].label);
         out.clear();
         out.resize(self.num_params(), 0.0);

@@ -9,7 +9,7 @@ use crate::eval::{self, BatchedForward};
 use crate::model::Model;
 use crate::{EvalMetrics, ModelError, Result};
 use feddata::{Example, Input};
-use fedmath::kernel::{self, BufferPool};
+use fedmath::kernel::{self, BufferPool, Epilogue, Pass};
 use fedmath::Matrix;
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
@@ -104,13 +104,12 @@ impl BatchedForward for Mlp {
         let (f, h, c) = (self.feature_dim, self.hidden_dim, self.num_classes);
         let batch = examples.len();
         let x = self.gather(examples.iter(), pool)?;
-        let mut hidden = pool.take(batch * h);
-        kernel::gemm_nt_eval(batch, f, h, &x, self.w1.as_slice(), &mut hidden);
-        kernel::bias_add_rows(&mut hidden, batch, h, &self.b1);
-        kernel::relu_rows(&mut hidden);
-        let mut logits = pool.take(batch * c);
-        kernel::gemm_nt_eval(batch, h, c, &hidden, self.w2.as_slice(), &mut logits);
-        kernel::bias_add_rows(&mut logits, batch, c, &self.b2);
+        let mut hidden = pool.take_unzeroed(batch * h);
+        let (w1, b1) = (self.w1.as_slice(), Epilogue::BiasRelu(&self.b1));
+        kernel::gemm_nt_fused(batch, f, h, &x, w1, b1, Pass::Evaluation, &mut hidden);
+        let mut logits = pool.take_unzeroed(batch * c);
+        let (w2, b2) = (self.w2.as_slice(), Epilogue::Bias(&self.b2));
+        kernel::gemm_nt_fused(batch, h, c, &hidden, w2, b2, Pass::Evaluation, &mut logits);
         pool.put(x);
         pool.put(hidden);
         Ok(logits)
@@ -248,15 +247,15 @@ impl Model for Mlp {
         // Forward: two GEMMs against Wᵀ, each output element a `dot` of two
         // contiguous rows — the same accumulation order as the per-example
         // matvec forward, so the activations are bit-identical.
-        let mut pre = pool.take(batch * h);
-        kernel::gemm_nt(batch, f, h, &x, self.w1.as_slice(), &mut pre);
-        kernel::bias_add_rows(&mut pre, batch, h, &self.b1);
-        let mut hidden = pool.take(batch * h);
+        let mut pre = pool.take_unzeroed(batch * h);
+        let (w1, b1) = (self.w1.as_slice(), Epilogue::Bias(&self.b1));
+        kernel::gemm_nt_fused(batch, f, h, &x, w1, b1, Pass::Training, &mut pre);
+        let mut hidden = pool.take_unzeroed(batch * h);
         hidden.copy_from_slice(&pre);
         kernel::relu_rows(&mut hidden);
-        let mut dlogits = pool.take(batch * c);
-        kernel::gemm_nt(batch, h, c, &hidden, self.w2.as_slice(), &mut dlogits);
-        kernel::bias_add_rows(&mut dlogits, batch, c, &self.b2);
+        let mut dlogits = pool.take_unzeroed(batch * c);
+        let (w2, b2) = (self.w2.as_slice(), Epilogue::Bias(&self.b2));
+        kernel::gemm_nt_fused(batch, h, c, &hidden, w2, b2, Pass::Training, &mut dlogits);
         // Fused softmax + label subtraction, mirroring softmax_inplace per row.
         kernel::softmax_xent_backward(&mut dlogits, batch, c, |r| examples[order[r]].label);
         out.clear();

@@ -414,7 +414,8 @@ impl<'env> ThreadPool<'env> {
 /// The `'env` lifetime is the borrow horizon for jobs: anything a job borrows
 /// must outlive the `with_thread_pool` call itself. Built on
 /// `std::thread::scope`, so a panicking job propagates to the caller once the
-/// scope joins.
+/// scope joins — and so does a panic in `f` itself: the workers are told to
+/// shut down on unwind too, drain the queue, and let the join finish.
 pub fn with_thread_pool<'env, R, F>(threads: usize, f: F) -> R
 where
     F: FnOnce(&ThreadPool<'env>) -> R,
@@ -436,13 +437,30 @@ where
             shared: Arc::clone(&shared),
             workers,
         };
-        let out = f(&pool);
-        let mut state = shared.state.lock().expect("pool queue poisoned");
+        let _shutdown = ShutdownOnDrop(&shared);
+        f(&pool)
+    })
+}
+
+/// Ends the workers of a [`with_thread_pool`] scope when dropped, whether
+/// the driver returned or is unwinding — without it a panicking driver
+/// leaves them waiting and the scope's join never returns.
+struct ShutdownOnDrop<'a, 'env>(&'a PoolShared<'env>);
+
+impl Drop for ShutdownOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        // `drop` may run during an unwind and must not panic; the two fields
+        // of `PoolState` are valid at every step, so a poisoned lock is safe
+        // to recover.
+        let mut state = self
+            .0
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         state.shutdown = true;
         drop(state);
-        shared.work_ready.notify_all();
-        out
-    })
+        self.0.work_ready.notify_all();
+    }
 }
 
 fn worker_loop(shared: &PoolShared<'_>) {
@@ -752,6 +770,54 @@ mod tests {
         // with_thread_pool only returns once the scope has joined, i.e. after
         // the workers drained the queue.
         assert_eq!(ran.load(Ordering::SeqCst), 100);
+    }
+
+    /// Runs `driver` inside a one-worker pool on a helper thread and then
+    /// panics there, dropping what `driver` returned only as the frame
+    /// unwinds. Reports whether the panic unwound out of `with_thread_pool`;
+    /// a hang fails the `recv_timeout` instead of the whole suite.
+    fn driver_panic_unwinds<T>(driver: impl FnOnce(&ThreadPool<'_>) -> T + Send + 'static) -> bool {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_thread_pool(1, |pool| {
+                    let _held_until_unwind = driver(pool);
+                    panic!("driver failed");
+                })
+            }));
+            let _ = done_tx.send(outcome.is_err());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a panicking driver must not hang the pool's scope")
+    }
+
+    #[test]
+    fn thread_pool_driver_panic_unwinds_past_idle_workers() {
+        assert!(driver_panic_unwinds(|_| {}));
+    }
+
+    #[test]
+    fn thread_pool_driver_panic_still_drains_a_queued_job() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::channel;
+        let ran = Arc::new(AtomicBool::new(false));
+        let queued_ran = Arc::clone(&ran);
+        assert!(driver_panic_unwinds(move |pool| {
+            let (started_tx, started_rx) = channel();
+            // The driver's frame owns `release_tx`, so the only worker stays
+            // inside the first job, with the second one queued behind it,
+            // until that frame unwinds.
+            let (release_tx, release_rx) = channel::<()>();
+            pool.submit(move || {
+                started_tx.send(()).expect("driver is waiting");
+                let _ = release_rx.recv();
+            });
+            pool.submit(move || queued_ran.store(true, Ordering::SeqCst));
+            started_rx.recv().expect("first job starts");
+            release_tx
+        }));
+        assert!(ran.load(Ordering::SeqCst));
     }
 
     #[test]
