@@ -10,6 +10,8 @@
 //!   every frame, CRC-verified, never holding the ledger in memory;
 //! - **indexed ingest** — `TrialStore::insert_many` at one tenth the scale,
 //!   paying content-addressed dedup and index maintenance;
+//! - **indexed re-open** — `TrialStore::open_segments` over the ledger the
+//!   indexed ingest just wrote: what a restarted campaign or daemon waits for;
 //! - **JSONL ingest** — the interchange backend at one hundredth the scale,
 //!   for the binary-vs-text narrative.
 //!
@@ -44,6 +46,14 @@ const RSS_CAP_KB: u64 = 256 * 1024;
 /// group-committed trials per second, with `perf_compare` handling the
 /// finer-grained 30% relative gate on top.
 const INGEST_FLOOR: f64 = 1_000_000.0;
+
+/// Indexed ingest as a fraction of the raw writer's rate **in the same
+/// run**: a host-independent floor under the index's cost, so an index
+/// regression fails even on a runner whose absolute rates make the relative
+/// gate meaningless. The two-hash-map store with three copies of every key
+/// ran at 0.13; the one-B-tree store measured 0.39 / 0.41 / 0.42 over three
+/// runs at the default scale, and the floor is about half of that.
+const INDEXED_RATIO_FLOOR: f64 = 0.2;
 
 fn env_trials(var: &str, default: u64) -> u64 {
     std::env::var(var)
@@ -170,6 +180,11 @@ fn regenerate() {
         store.flush().expect("flush");
         assert_eq!(store.len() as u64, indexed_n);
     });
+    // 3b. Re-opening that ledger: decode every frame and rebuild the index.
+    summary.time("store_reopen_indexed", indexed_n, || {
+        let store = TrialStore::open_segments(&dir).expect("re-open store");
+        assert_eq!(store.len() as u64, indexed_n);
+    });
     let _ = std::fs::remove_dir_all(&dir);
 
     // 4. The JSONL interchange backend, for the binary-vs-text narrative.
@@ -219,6 +234,12 @@ fn regenerate() {
     assert!(
         ingest >= INGEST_FLOOR,
         "group-commit ingest collapsed: {ingest:.0} trials/s < {INGEST_FLOOR:.0}"
+    );
+    let indexed_ratio = summary.entries[2].throughput_per_second / ingest;
+    assert!(
+        indexed_ratio >= INDEXED_RATIO_FLOOR,
+        "indexed ingest fell to {indexed_ratio:.3} of the raw writer's rate \
+         (floor {INDEXED_RATIO_FLOOR})"
     );
     println!(
         "\nledger throughput over {n} trials: ingest {:.2}M/s, replay {:.2}M/s, {bytes_per_trial:.1} B/trial",

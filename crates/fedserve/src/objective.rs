@@ -13,7 +13,10 @@
 //!   bits without recomputation (and without paying the simulated latency).
 //!   This is what makes kill-and-restart resume exactly where it left off:
 //!   the scheduler re-derives the same request sequence from the same seed,
-//!   and the paid prefix is served from disk.
+//!   and the paid prefix is served from disk. The snapshot (`hits`) shares
+//!   the store's key allocations — copying a stored key is a reference
+//!   count — so it costs one table of pointers and scores, not a second copy
+//!   of every configuration.
 //! - **Durability.** The unit of durability is the driver *turn*, not the
 //!   single result: [`ServeSink::commit`](ConcurrentSink::commit) stages each
 //!   commit in the campaign's segment ledger and
@@ -278,12 +281,13 @@ impl ConcurrentObjective for ServeObjective {
 /// Propagates an invalid search space from the spec.
 pub fn build_objective(spec: &CampaignSpec, store: TrialStore) -> Result<ServeObjective> {
     let space = spec.build_space()?;
-    let mut hits = HashMap::with_capacity(store.len());
-    for record in store.records() {
-        hits.insert(record.key(), (record.noisy_score, record.true_error));
-    }
+    let hits = store
+        .records()
+        .iter()
+        .map(|record| (record.key(), (record.noisy_score, record.true_error)))
+        .collect();
     let eval = ServeEval {
-        space: spec.build_space()?,
+        space: space.clone(),
         objective: spec.objective.clone(),
         cost: spec.cost.build(),
         seed: spec.seed,

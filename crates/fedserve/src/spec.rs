@@ -398,10 +398,10 @@ impl CampaignSpec {
     /// The ledger provenance records of this campaign carry.
     pub fn provenance(&self) -> Provenance {
         Provenance {
-            benchmark: format!("fedserve:{}", self.scheduler.label()),
-            scale: "service".to_string(),
+            benchmark: format!("fedserve:{}", self.scheduler.label()).into(),
+            scale: "service".into(),
             seed: self.seed,
-            noise: self.objective.label(),
+            noise: self.objective.label().into(),
         }
     }
 }
@@ -605,7 +605,7 @@ mod tests {
         assert!(scheduler.async_capable());
         assert_eq!(spec.cost.build(), CostModel::Unit);
         let provenance = spec.provenance();
-        assert_eq!(provenance.benchmark, "fedserve:async_asha");
-        assert_eq!(provenance.noise, "analytic-noiseless");
+        assert_eq!(&*provenance.benchmark, "fedserve:async_asha");
+        assert_eq!(&*provenance.noise, "analytic-noiseless");
     }
 }

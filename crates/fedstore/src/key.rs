@@ -11,11 +11,16 @@
 
 use crate::{Result, StoreError};
 use fedhpo::{HpConfig, SearchSpace};
+use std::sync::Arc;
 
 /// The canonical bit-level identity of one hyperparameter configuration.
+///
+/// The bits live in one shared allocation: a record, the store's index key
+/// for it and any caller's copy of that key are reference counts on the same
+/// slice, so cloning a key never copies the configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigKey {
-    bits: Vec<u64>,
+    bits: Arc<[u64]>,
 }
 
 impl ConfigKey {
@@ -28,7 +33,7 @@ impl ConfigKey {
     /// or any value is non-finite or outside its dimension.
     pub fn from_config(space: &SearchSpace, config: &HpConfig) -> Result<Self> {
         Ok(ConfigKey {
-            bits: space.canonical_bits(config)?,
+            bits: space.canonical_bits(config)?.into(),
         })
     }
 
@@ -40,19 +45,22 @@ impl ConfigKey {
     ///
     /// Returns [`StoreError::InvalidRecord`] on non-finite values.
     pub fn from_canonical_values(values: &[f64]) -> Result<Self> {
-        let bits = values
-            .iter()
-            .map(|&v| {
-                if v.is_finite() {
-                    Ok((v + 0.0).to_bits())
-                } else {
-                    Err(StoreError::InvalidRecord {
-                        message: format!("configuration value {v} is not finite"),
-                    })
-                }
-            })
-            .collect::<Result<Vec<u64>>>()?;
-        Ok(ConfigKey { bits })
+        Self::from_canonical_iter(values.iter().copied())
+    }
+
+    /// [`ConfigKey::from_canonical_values`] over any re-startable sequence
+    /// (the segment decoder reads the values straight out of a frame). One
+    /// pass validates and a second fills the shared slice: slice-backed
+    /// iterators carry a trusted length, so the collect is one allocation.
+    pub(crate) fn from_canonical_iter(values: impl Iterator<Item = f64> + Clone) -> Result<Self> {
+        if let Some(v) = values.clone().find(|v| !v.is_finite()) {
+            return Err(StoreError::InvalidRecord {
+                message: format!("configuration value {v} is not finite"),
+            });
+        }
+        Ok(ConfigKey {
+            bits: values.map(|v| (v + 0.0).to_bits()).collect(),
+        })
     }
 
     /// The canonical bit patterns, in dimension order.

@@ -13,21 +13,26 @@
 use crate::key::{ConfigKey, TrialKey};
 use crate::{Result, StoreError};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Where a record came from: enough context to audit a ledger and to tell
 /// apart tables recorded under different campaigns. (`Hash` lets the binary
 /// segment writer intern repeated provenances into a per-segment dictionary.)
+///
+/// A campaign stamps millions of records with one provenance, so the labels
+/// are shared: cloning a provenance is three reference counts, not three
+/// string copies.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Provenance {
     /// Benchmark name (e.g. `"cifar10-like"`).
-    pub benchmark: String,
+    pub benchmark: Arc<str>,
     /// Experiment-scale label (e.g. `"smoke"`).
-    pub scale: String,
+    pub scale: Arc<str>,
     /// Root seed of the recording campaign.
     pub seed: u64,
     /// Noise-setting label the evaluation was observed under
     /// (e.g. `"noiseless"`, `"noisy"`).
-    pub noise: String,
+    pub noise: Arc<str>,
 }
 
 /// One evaluation in the trial ledger.

@@ -35,10 +35,10 @@ pub fn campaign_provenance(
     noise_label: &str,
 ) -> Provenance {
     Provenance {
-        benchmark: benchmark.name().to_string(),
-        scale: format!("{:?}", scale.data_scale).to_lowercase(),
+        benchmark: benchmark.name().into(),
+        scale: format!("{:?}", scale.data_scale).to_lowercase().into(),
         seed,
-        noise: noise_label.to_string(),
+        noise: noise_label.into(),
     }
 }
 
@@ -220,9 +220,9 @@ mod tests {
             9,
             "noisy",
         );
-        assert_eq!(p.benchmark, "cifar10-like");
-        assert_eq!(p.scale, "smoke");
+        assert_eq!(&*p.benchmark, "cifar10-like");
+        assert_eq!(&*p.scale, "smoke");
         assert_eq!(p.seed, 9);
-        assert_eq!(p.noise, "noisy");
+        assert_eq!(&*p.noise, "noisy");
     }
 }

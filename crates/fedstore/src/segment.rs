@@ -261,6 +261,11 @@ fn encode_record(buf: &mut Vec<u8>, provenance_id: u32, r: &TrialRecord) {
     buf.extend_from_slice(&r.sim_time.to_bits().to_le_bytes());
 }
 
+/// The little-endian `u64` in an 8-byte slice.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
 /// A bounds-checked little-endian reader over one frame payload.
 struct Cursor<'a> {
     bytes: &'a [u8],
@@ -284,10 +289,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn take_u64(&mut self) -> std::result::Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(le_u64(self.take(8)?))
     }
 
     fn take_varint(&mut self) -> std::result::Result<u64, String> {
@@ -338,10 +340,10 @@ fn decode_payload(bytes: &[u8], dict: &[Provenance]) -> std::result::Result<Payl
         TAG_PROVENANCE => {
             let id = u32::try_from(cur.take_varint()?)
                 .map_err(|_| "provenance id exceeds u32".to_string())?;
-            let benchmark = cur.take_str()?.to_string();
-            let scale = cur.take_str()?.to_string();
+            let benchmark = cur.take_str()?.into();
+            let scale = cur.take_str()?.into();
             let seed = cur.take_varint()?;
-            let noise = cur.take_str()?.to_string();
+            let noise = cur.take_str()?.into();
             cur.finish()?;
             if id as usize != dict.len() {
                 return Err(format!(
@@ -366,11 +368,12 @@ fn decode_payload(bytes: &[u8], dict: &[Provenance]) -> std::result::Result<Payl
             if arity > MAX_ARITY {
                 return Err(format!("arity {arity} exceeds the {MAX_ARITY} cap"));
             }
-            let mut values = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                values.push(f64::from_bits(cur.take_u64()?));
-            }
-            let config = ConfigKey::from_canonical_values(&values)
+            // `arity` is capped above, so the byte count cannot overflow.
+            let values = cur
+                .take(arity * 8)?
+                .chunks_exact(8)
+                .map(|b| f64::from_bits(le_u64(b)));
+            let config = ConfigKey::from_canonical_iter(values)
                 .map_err(|e| format!("invalid configuration: {e}"))?;
             let resource = usize::try_from(cur.take_varint()?)
                 .map_err(|_| "resource exceeds usize".to_string())?;

@@ -22,7 +22,7 @@ use crate::key::{ConfigKey, TrialKey};
 use crate::record::TrialRecord;
 use crate::segment::{self, Durability, SegmentConfig, SegmentWriter};
 use crate::{Result, StoreError};
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -45,10 +45,10 @@ enum Backend {
 #[derive(Debug, Default)]
 pub struct TrialStore {
     records: Vec<TrialRecord>,
-    index: HashMap<TrialKey, usize>,
-    /// Replicate indices recorded per `(configuration, resource)` point,
-    /// kept sorted for deterministic resampling.
-    replicates: HashMap<(ConfigKey, usize), Vec<u64>>,
+    /// The one index, key → position in `records`. [`TrialKey`] orders by
+    /// `(config, resource, rep)`, so a point's replicates are one contiguous,
+    /// rep-ascending key range.
+    index: BTreeMap<TrialKey, usize>,
     backend: Option<Backend>,
 }
 
@@ -246,18 +246,14 @@ impl TrialStore {
     /// replicate order — the pool [`crate::TabularObjective`] resamples
     /// noise from.
     pub fn replicates(&self, config: &ConfigKey, resource: usize) -> Vec<&TrialRecord> {
-        let Some(reps) = self.replicates.get(&(config.clone(), resource)) else {
-            return Vec::new();
+        let at = |rep| TrialKey {
+            config: config.clone(),
+            resource,
+            rep,
         };
-        reps.iter()
-            .map(|&rep| {
-                let key = TrialKey {
-                    config: config.clone(),
-                    resource,
-                    rep,
-                };
-                self.get(&key).expect("replicate list mirrors the index")
-            })
+        self.index
+            .range(at(0)..=at(u64::MAX))
+            .map(|(_, &i)| &self.records[i])
             .collect()
     }
 
@@ -318,24 +314,28 @@ impl TrialStore {
         // in-memory stores — a record must never be accepted on one side of
         // the round trip and rejected on the other.
         record.validate_sim_time()?;
-        let key = record.key();
-        if let Some(existing) = self.get(&key) {
-            let identical = existing.noisy_score.to_bits() == record.noisy_score.to_bits()
-                && existing.true_error.to_bits() == record.true_error.to_bits()
-                && existing.provenance == record.provenance;
-            return if identical {
-                Ok(false)
-            } else {
-                Err(StoreError::Conflict {
-                    message: format!(
-                        "(resource {}, rep {}) of config {:?} already recorded with a different payload",
-                        key.resource,
-                        key.rep,
-                        key.config.values(),
-                    ),
-                })
-            };
-        }
+        // One traversal finds the duplicate or the slot the new key goes in.
+        let slot = match self.index.entry(record.key()) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(found) => {
+                let existing = &self.records[*found.get()];
+                let identical = existing.noisy_score.to_bits() == record.noisy_score.to_bits()
+                    && existing.true_error.to_bits() == record.true_error.to_bits()
+                    && existing.provenance == record.provenance;
+                return if identical {
+                    Ok(false)
+                } else {
+                    Err(StoreError::Conflict {
+                        message: format!(
+                            "(resource {}, rep {}) of config {:?} already recorded with a different payload",
+                            record.resource,
+                            record.rep,
+                            record.config.values(),
+                        ),
+                    })
+                };
+            }
+        };
         match &mut self.backend {
             None => {}
             Some(Backend::Jsonl {
@@ -357,11 +357,7 @@ impl TrialStore {
             }
             Some(Backend::Segments(writer)) => writer.append_unsynced(&record)?,
         }
-        let point = (key.config.clone(), key.resource);
-        let reps = self.replicates.entry(point).or_default();
-        let position = reps.partition_point(|&r| r < key.rep);
-        reps.insert(position, key.rep);
-        self.index.insert(key, self.records.len());
+        slot.insert(self.records.len());
         self.records.push(record);
         Ok(true)
     }
@@ -526,33 +522,37 @@ impl TrialStore {
                 file,
                 line_buf,
                 durability,
-                ..
+                unsynced,
             }) => {
                 let io_error = |e: std::io::Error| StoreError::Io {
                     path: path.display().to_string(),
                     message: e.to_string(),
                 };
-                let bytes_before = file.metadata().map_err(io_error)?.len();
+                let swapped = file.metadata().map_err(io_error).and_then(|before| {
+                    let tmp = path.with_extension("jsonl.tmp");
+                    self.export_jsonl_at(&tmp)?;
+                    std::fs::rename(&tmp, &path).map_err(io_error)?;
+                    Ok(before.len())
+                });
                 drop(file);
-                let tmp = path.with_extension("jsonl.tmp");
-                self.export_jsonl_at(&tmp)?;
-                std::fs::rename(&tmp, &path).map_err(io_error)?;
+                // Whatever happened, reattach an append handle — the rename is
+                // atomic, so `path` is the old ledger or the synced snapshot.
                 let file = std::fs::OpenOptions::new()
                     .append(true)
                     .open(&path)
                     .map_err(io_error)?;
-                let bytes_after = file.metadata().map_err(io_error)?.len();
+                let bytes_after = file.metadata().map_err(io_error).map(|m| m.len());
                 self.backend = Some(Backend::Jsonl {
+                    unsynced: if swapped.is_ok() { 0 } else { unsynced },
                     path,
                     file,
                     line_buf,
                     durability,
-                    unsynced: 0,
                 });
                 Ok(CompactionReport {
                     records: self.records.len() as u64,
-                    bytes_before,
-                    bytes_after,
+                    bytes_before: swapped?,
+                    bytes_after: bytes_after?,
                     segments_before: 1,
                     segments_after: 1,
                 })
@@ -669,6 +669,65 @@ mod tests {
         let mut other = record(&[0.5], 3, 0, 0.4);
         other.provenance = provenance("noiseless");
         assert!(store.insert(other).is_err());
+    }
+
+    #[test]
+    fn replicates_are_exactly_one_key_range() {
+        let mut store = TrialStore::in_memory();
+        // The point under test, both ends of the replicate range stored
+        // out of order ...
+        store.insert(record(&[1.0], 3, u64::MAX, 0.9)).unwrap();
+        store.insert(record(&[1.0], 3, 7, 0.7)).unwrap();
+        store.insert(record(&[1.0], 3, 0, 0.1)).unwrap();
+        // ... and its neighbours in key order: the adjacent resources, a
+        // strict prefix and a strict extension of the configuration.
+        store.insert(record(&[1.0], 2, u64::MAX, 0.2)).unwrap();
+        store.insert(record(&[1.0], 4, 0, 0.4)).unwrap();
+        store.insert(record(&[], 3, 0, 0.5)).unwrap();
+        store.insert(record(&[1.0, 0.0], 3, 0, 0.6)).unwrap();
+        let reps = |values: &[f64], resource| -> Vec<(u64, f64)> {
+            store
+                .replicates(&ConfigKey::from_canonical_values(values).unwrap(), resource)
+                .iter()
+                .map(|r| (r.rep, r.noisy_score))
+                .collect()
+        };
+        assert_eq!(reps(&[1.0], 3), [(0, 0.1), (7, 0.7), (u64::MAX, 0.9)]);
+        assert_eq!(reps(&[1.0], 2), [(u64::MAX, 0.2)]);
+        assert_eq!(reps(&[1.0], 4), [(0, 0.4)]);
+        assert_eq!(reps(&[], 3), [(0, 0.5)]);
+        assert_eq!(reps(&[1.0, 0.0], 3), [(0, 0.6)]);
+        assert!(reps(&[1.0], 5).is_empty());
+        assert!(reps(&[1.0, 0.0], 2).is_empty());
+    }
+
+    #[test]
+    fn refused_inserts_leave_the_ledger_untouched() {
+        let dir = temp_dir("refused");
+        let mut store =
+            TrialStore::open_segments_with(&dir, crate::SegmentConfig::group_commit()).unwrap();
+        store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
+        store.insert(record(&[0.5], 3, 1, 0.6)).unwrap();
+        let appended = |store: &TrialStore| match &store.backend {
+            Some(Backend::Segments(writer)) => writer.bytes_appended(),
+            _ => panic!("segment backend expected"),
+        };
+        let bytes = appended(&store);
+        assert_eq!(store.unsynced(), 2);
+        // An idempotent re-insert and a conflict both stop at the occupied
+        // index entry: nothing is appended, counted or indexed.
+        assert!(!store.insert(record(&[0.5], 3, 1, 0.6)).unwrap());
+        let err = store.insert(record(&[0.5], 3, 1, 0.61)).unwrap_err();
+        assert!(matches!(err, StoreError::Conflict { .. }), "{err}");
+        assert!(err.to_string().contains("rep 1"), "{err}");
+        assert_eq!(appended(&store), bytes);
+        assert_eq!(store.unsynced(), 2);
+        assert_eq!(store.len(), 2);
+        let kept = store.get(&record(&[0.5], 3, 1, 0.0).key()).unwrap();
+        assert_eq!(kept.noisy_score, 0.6);
+        drop(store);
+        assert_eq!(TrialStore::open_segments(&dir).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -870,6 +929,26 @@ mod tests {
     }
 
     #[test]
+    fn failed_jsonl_compaction_keeps_the_file_backend() {
+        let dir = temp_dir("jsonlcompactfail");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ledger.jsonl");
+        let mut store = TrialStore::open(&path).unwrap();
+        store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
+        // The snapshot's temporary sibling cannot be created: the export
+        // fails before anything is swapped.
+        std::fs::create_dir(dir.join("ledger.jsonl.tmp")).unwrap();
+        assert!(matches!(store.compact(), Err(StoreError::Io { .. })));
+        // The store is still file-backed, and later inserts still reach disk.
+        assert_eq!(store.path(), Some(path.as_path()));
+        store.insert(record(&[0.7], 3, 0, 0.8)).unwrap();
+        assert_eq!(store.unsynced(), 0, "per-insert durability still applies");
+        drop(store);
+        assert_eq!(TrialStore::open(&path).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn segment_backend_recovers_torn_tail_on_open() {
         let dir = temp_dir("segtorn");
         {
@@ -1001,6 +1080,57 @@ mod proptests {
             }
             // A second round trip is a fixed point.
             prop_assert_eq!(reloaded.to_jsonl().expect("serializable"), text);
+        }
+
+        /// The index is a function of the record *set*: inserting one set in
+        /// any order answers every `get` / `contains` / `replicates` query
+        /// identically, and `records()` is always the insertion order.
+        #[test]
+        fn prop_index_answers_are_order_independent(
+            seed in any::<u64>(),
+            n in 1usize..24,
+            shuffle in any::<u64>(),
+        ) {
+            // Few distinct points, so replicate ranges hold several records
+            // and neighbour each other (prefix / extension configurations,
+            // adjacent resources, both ends of the rep range).
+            let mut rng = fedmath::rng::rng_for(seed, 1);
+            let mut reference = arbitrary_store(seed, n);
+            for _ in 0..n {
+                let values: &[f64] = [&[][..], &[1.0], &[1.0, 0.0], &[2.0]][rng.gen_range(0..4)];
+                let mut record = reference.records()[0].clone();
+                record.config = ConfigKey::from_canonical_values(values).expect("finite values");
+                record.resource = rng.gen_range(1..3);
+                record.rep = [0, 1, u64::MAX][rng.gen_range(0..3)];
+                // Same key, same payload: an idempotent duplicate.
+                reference.insert(record).expect("no conflicts");
+            }
+            let mut order: Vec<TrialRecord> = reference.records().to_vec();
+            let mut rng = fedmath::rng::rng_for(shuffle, 1);
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut permuted = TrialStore::in_memory();
+            for record in &order {
+                prop_assert!(permuted.insert(record.clone()).expect("same set, no conflicts"));
+            }
+            // Ledger lines compare records bit for bit (NaN scores included).
+            let line = |r: &TrialRecord| r.to_line().expect("storable");
+            let lines = |rs: Vec<&TrialRecord>| rs.into_iter().map(line).collect::<Vec<_>>();
+            prop_assert_eq!(lines(permuted.records().iter().collect()), lines(order.iter().collect()));
+            for record in reference.records() {
+                let key = record.key();
+                prop_assert!(permuted.contains(&key));
+                prop_assert_eq!(permuted.get(&key).map(line), Some(line(record)));
+                prop_assert_eq!(
+                    lines(permuted.replicates(&record.config, record.resource)),
+                    lines(reference.replicates(&record.config, record.resource))
+                );
+                // A key the set does not hold misses in both.
+                let absent = TrialKey { rep: key.rep ^ 4, ..key };
+                prop_assert!(!permuted.contains(&absent));
+                prop_assert!(permuted.get(&absent).is_none());
+            }
         }
 
         /// JSONL export → import into a segment ledger → reopen: bit-lossless
