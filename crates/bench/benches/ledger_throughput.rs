@@ -11,9 +11,7 @@
 //! - **indexed ingest** — `TrialStore::insert_many` at one tenth the scale,
 //!   paying content-addressed dedup and index maintenance;
 //! - **indexed re-open** — `TrialStore::open_segments` over the ledger the
-//!   indexed ingest just wrote: what a restarted campaign or daemon waits for;
-//! - **JSONL ingest** — the interchange backend at one hundredth the scale,
-//!   for the binary-vs-text narrative.
+//!   indexed ingest just wrote: what a restarted campaign or daemon waits for.
 //!
 //! A separate scale phase then runs the full record→replay cycle at
 //! `FEDTUNE_LEDGER_SCALE_TRIALS` (default ten million). Peak RSS is read
@@ -187,26 +185,7 @@ fn regenerate() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 4. The JSONL interchange backend, for the binary-vs-text narrative.
-    let jsonl_n = (n / 100).max(1);
-    let dir = bench_dir("jsonl");
-    std::fs::create_dir_all(&dir).expect("create dir");
-    summary.time("jsonl_buffered_ingest", jsonl_n, || {
-        let mut store = TrialStore::open(dir.join("ledger.jsonl")).expect("open jsonl");
-        store.set_durability(Durability::OnFlush);
-        let mut batch = Vec::with_capacity(4096);
-        for i in 0..jsonl_n {
-            batch.push(trial(i, &p));
-            if batch.len() == 4096 {
-                store.insert_many(batch.drain(..)).expect("insert batch");
-            }
-        }
-        store.insert_many(batch.drain(..)).expect("insert tail");
-        store.flush().expect("flush");
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // 5. The scale phase: the full record→replay cycle at ten million
+    // 4. The scale phase: the full record→replay cycle at ten million
     // trials, gated on *memory*, not time — its wall clock is dominated by
     // how fast the host provisions and writes back half a gigabyte of pages.
     let scale_n = env_trials("FEDTUNE_LEDGER_SCALE_TRIALS", 10_000_000);

@@ -1,20 +1,19 @@
 //! Streams a trial ledger to stdout as JSONL, one record per line.
 //!
 //! ```text
-//! ledger_dump <PATH> [--limit N]
+//! ledger_dump <DIR> [--limit N]
 //! ```
 //!
-//! `PATH` may be a segment-ledger directory (the binary format written by
-//! `TrialStore::open_segments`, e.g. a fedserve campaign's `ledger/` dir)
-//! or a JSONL ledger file; both stream in bounded memory, so a
-//! multi-million-record ledger dumps without loading it whole. The output
-//! is the store's own canonical JSONL encoding — `ledger_dump` on a JSONL
-//! file is a validating round trip, and on a segment directory it is the
+//! `DIR` is a segment-ledger directory (the binary format written by
+//! `TrialStore::open_segments`, e.g. a fedserve campaign's `ledger/` dir).
+//! It streams in bounded memory, so a multi-million-record ledger dumps
+//! without loading it whole. The output is the store's own JSONL
+//! interchange encoding (what `TrialStore::import_jsonl` reads back) — the
 //! human-readable escape hatch for the binary format.
 
 use fedstore::record::TrialRecord;
 use fedstore::segment;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -43,15 +42,20 @@ fn run(args: &[String]) -> Result<(), String> {
                 );
             }
             "--help" | "-h" => {
-                println!("usage: ledger_dump <PATH> [--limit N]");
+                println!("usage: ledger_dump <DIR> [--limit N]");
                 return Ok(());
             }
             other if path.is_none() => path = Some(other),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let path = path.ok_or("usage: ledger_dump <PATH> [--limit N]")?;
+    let path = path.ok_or("usage: ledger_dump <DIR> [--limit N]")?;
     let target = std::path::Path::new(path);
+    if !target.is_dir() {
+        return Err(format!(
+            "{path} is not a segment-ledger directory\nusage: ledger_dump <DIR> [--limit N]"
+        ));
+    }
 
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
@@ -68,44 +72,25 @@ fn run(args: &[String]) -> Result<(), String> {
         Ok(true)
     };
 
-    if target.is_dir() {
-        // Binary segment ledger: stream records in ledger order. A `limit`
-        // stops early via a sentinel error so we never scan past the cap.
-        let mut done = false;
-        let result = segment::for_each_record(target, |record| {
-            if done {
-                return Ok(());
-            }
-            match emit(&record) {
-                Ok(true) => Ok(()),
-                Ok(false) => {
-                    done = true;
-                    Ok(())
-                }
-                Err(message) => Err(fedstore::StoreError::Io {
-                    path: target.display().to_string(),
-                    message,
-                }),
-            }
-        });
-        result.map_err(|e| e.to_string())?;
-    } else {
-        // JSONL ledger: validate every line through the canonical decoder.
-        let file = std::fs::File::open(target)
-            .map_err(|e| format!("opening {}: {e}", target.display()))?;
-        let reader = std::io::BufReader::new(file);
-        for (index, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("reading {}: {e}", target.display()))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record = TrialRecord::from_line(&line, index + 1)
-                .map_err(|e| format!("{}:{}: {e}", target.display(), index + 1))?;
-            if !emit(&record)? {
-                break;
-            }
+    // Stream records in ledger order; past a `limit` the scan only skips.
+    let mut done = false;
+    segment::for_each_record(target, |record| {
+        if done {
+            return Ok(());
         }
-    }
+        match emit(&record) {
+            Ok(true) => Ok(()),
+            Ok(false) => {
+                done = true;
+                Ok(())
+            }
+            Err(message) => Err(fedstore::StoreError::Io {
+                path: target.display().to_string(),
+                message,
+            }),
+        }
+    })
+    .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| format!("flushing stdout: {e}"))?;
     Ok(())
 }

@@ -524,7 +524,7 @@ mod tests {
     use super::*;
     use crate::spec::{CampaignLimits, CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
     use fedtune_core::{run_event_driven_concurrent, ConcurrentObjective};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicU64;
     use std::sync::{Mutex, MutexGuard};
 
@@ -771,11 +771,12 @@ mod tests {
         dir
     }
 
-    /// A ledger whose appends succeed and whose every sync fails: `fsync`
-    /// on a character device is `EINVAL` — for root too, which a read-only
-    /// directory is not.
-    fn unsyncable_ledger() -> TrialStore {
-        TrialStore::open("/dev/null").unwrap()
+    /// A fresh segment ledger whose appends succeed and whose first sync
+    /// fails (the campaigns under test do not survive it to try a second).
+    fn unsyncable_ledger(dir: &Path) -> TrialStore {
+        let mut store = TrialStore::open_segments(dir).unwrap();
+        store.fail_next_sync();
+        store
     }
 
     /// `[group commits, syncs, records appended, records made durable]` of
@@ -955,7 +956,9 @@ mod tests {
 
     #[test]
     fn a_failed_sync_fails_the_turn_and_publishes_nothing() {
-        mid_flight(2, 2, unsyncable_ledger(), |driver| {
+        let _serial = ledger_accounting();
+        let dirs = ["turn", "served", "standalone"].map(|t| ledger_dir(&format!("unsyncable_{t}")));
+        mid_flight(2, 2, unsyncable_ledger(&dirs[0]), |driver| {
             for msg in driver.done.drain(..) {
                 driver.shared.tx.send(msg).unwrap();
             }
@@ -980,7 +983,7 @@ mod tests {
         let mut published = 0usize;
         let result = run_campaign(
             &spec,
-            unsyncable_ledger(),
+            unsyncable_ledger(&dirs[1]),
             &pool,
             &gate,
             &CampaignFlags::default(),
@@ -997,9 +1000,12 @@ mod tests {
 
         // The standalone driver ends its turns through the same sink.
         let mut scheduler = spec.build_scheduler().unwrap();
-        let mut objective = build_objective(&spec, unsyncable_ledger()).unwrap();
+        let mut objective = build_objective(&spec, unsyncable_ledger(&dirs[2])).unwrap();
         let err = standalone_over(&spec, scheduler.as_mut(), &mut objective, 2).unwrap_err();
         assert!(err.to_string().contains("campaign ledger"), "{err}");
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //!   (`-0.0` normalisation, non-finite rejection, discrete snapping).
 //! - [`record`] — [`TrialRecord`]: one evaluation (noisy observation *and*
 //!   ground-truth error) with [`Provenance`] (benchmark, scale, seed, noise
-//!   source), serialized as one JSON line with a non-finite score guard.
-//! - [`store`] — [`TrialStore`]: an in-memory index over an append-only
-//!   JSON-lines file backend. Opening an existing ledger re-indexes it;
-//!   inserts are durable immediately.
+//!   source); its JSON-line form (with a non-finite score guard) is the
+//!   interchange text `export_jsonl` / `import_jsonl` / `ledger_dump` speak.
+//! - [`segment`] — the one on-disk format: CRC32C-framed binary segments
+//!   with group commit, torn-tail recovery and (in [`compaction`]) a
+//!   crash-safe snapshot swap.
+//! - [`store`] — [`TrialStore`]: an in-memory index over a segment ledger.
+//!   Opening an existing ledger recovers and re-indexes it; inserts are
+//!   durable immediately unless the [`Durability`] policy batches them.
 //! - [`recorder`] — [`RecordingObjective`]: wraps any
 //!   [`fedtune_core::BatchObjective`] (in practice the live
 //!   `BatchFederatedObjective`), captures every evaluation into the store,
@@ -97,9 +101,9 @@ pub enum StoreError {
         /// The underlying failure.
         message: String,
     },
-    /// A ledger line could not be parsed back into a record.
+    /// A JSONL interchange line could not be parsed back into a record.
     Parse {
-        /// 1-based line number within the ledger.
+        /// 1-based line number within the file.
         line: usize,
         /// The underlying failure.
         message: String,

@@ -1,5 +1,5 @@
-//! One recorded evaluation and its provenance, with the ledger's JSON-line
-//! encoding.
+//! One recorded evaluation and its provenance, with its JSON-line
+//! interchange encoding.
 //!
 //! A record carries both sides of the paper's noisy-evaluation story: the
 //! noisy observation the tuner acted on *and* the ground-truth
@@ -99,7 +99,9 @@ impl TrialRecord {
         Ok(())
     }
 
-    /// Serializes the record as one compact JSON line (no trailing newline).
+    /// Serializes the record as one compact JSON line (no trailing newline)
+    /// — the interchange text format, defined once by this type's
+    /// [`Serialize`] impl.
     ///
     /// # Errors
     ///
@@ -108,66 +110,13 @@ impl TrialRecord {
     /// fails (the score guards make that unreachable for records built
     /// through [`ConfigKey`]).
     pub fn to_line(&self) -> Result<String> {
-        let mut line = String::new();
-        self.to_line_into(&mut line)?;
-        Ok(line)
-    }
-
-    /// Appends the record's JSON line (no trailing newline) to `out` —
-    /// byte-identical to [`TrialRecord::to_line`], but allocation-free: the
-    /// record's shape is encoded directly from its fields, with no
-    /// intermediate value tree, so the file backend can thread one reusable
-    /// buffer through every insert. The buffer is appended to, not cleared.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TrialRecord::to_line`].
-    pub fn to_line_into(&self, out: &mut String) -> Result<()> {
-        use std::fmt::Write;
         self.validate_sim_time()?;
-        let encode = |e: serde_json::Error| StoreError::InvalidRecord {
+        serde_json::to_string(self).map_err(|e| StoreError::InvalidRecord {
             message: e.to_string(),
-        };
-        let write_score = |out: &mut String, score: f64| {
-            if score.is_finite() {
-                serde_json::write_f64(out, score).map_err(encode)
-            } else {
-                out.push_str(if score.is_nan() {
-                    "\"NaN\""
-                } else if score > 0.0 {
-                    "\"inf\""
-                } else {
-                    "\"-inf\""
-                });
-                Ok(())
-            }
-        };
-        out.push_str("{\"values\":[");
-        for (i, &bits) in self.config.bits().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            serde_json::write_f64(out, f64::from_bits(bits)).map_err(encode)?;
-        }
-        // Writing integers into a String is infallible.
-        let _ = write!(out, "],\"resource\":{},\"rep\":{}", self.resource, self.rep);
-        out.push_str(",\"noisy\":");
-        write_score(out, self.noisy_score)?;
-        out.push_str(",\"true\":");
-        write_score(out, self.true_error)?;
-        out.push_str(",\"sim\":");
-        serde_json::write_f64(out, self.sim_time).map_err(encode)?;
-        out.push_str(",\"provenance\":{\"benchmark\":");
-        serde_json::write_escaped(out, &self.provenance.benchmark);
-        out.push_str(",\"scale\":");
-        serde_json::write_escaped(out, &self.provenance.scale);
-        let _ = write!(out, ",\"seed\":{},\"noise\":", self.provenance.seed);
-        serde_json::write_escaped(out, &self.provenance.noise);
-        out.push_str("}}");
-        Ok(())
+        })
     }
 
-    /// Parses one ledger line back into a record.
+    /// Parses one interchange line back into a record.
     ///
     /// # Errors
     ///
@@ -285,24 +234,6 @@ mod tests {
             true_error,
             sim_time: 0.0,
             provenance: provenance(),
-        }
-    }
-
-    #[test]
-    fn buffered_encoder_matches_the_tree_writer_byte_for_byte() {
-        // `to_line_into` hand-encodes the record shape; the value-tree path
-        // (`Serialize` + `serde_json::to_string`) is the reference it must
-        // never drift from — the ledger format is defined once.
-        let mut esc = record(f64::NAN, f64::NEG_INFINITY).with_canonical_scores();
-        esc.provenance.benchmark = "quo\"ted\nbench".into();
-        esc.provenance.noise = "ctrl\u{0001}".into();
-        esc.sim_time = 0.1 + 0.2;
-        for r in [record(0.25, 1.0 / 3.0), record(f64::INFINITY, -0.75), esc] {
-            let tree = serde_json::to_string(&r).unwrap();
-            let mut buf = String::from("reused:");
-            r.to_line_into(&mut buf).unwrap();
-            assert_eq!(buf, format!("reused:{tree}"));
-            assert_eq!(r.to_line().unwrap(), tree);
         }
     }
 

@@ -1,6 +1,6 @@
 //! The binary segment ledger: fixed-size segment files of CRC32C-framed
-//! records with batched group commit — the default file backend for
-//! high-ingest campaigns, with JSONL kept as the interchange format.
+//! records with batched group commit — the ledger's one on-disk format, with
+//! JSONL kept as the interchange format.
 //!
 //! # Layout
 //!
@@ -31,13 +31,12 @@
 //!
 //! Appends go through a buffered writer; [`Durability`] says when the ledger
 //! calls `sync_data`: per insert (every record durable before the insert
-//! returns — the JSONL backend's historical contract), every N records, or
-//! only on explicit flush (group commit: one sync amortized over a batch).
+//! returns), every N records, or only on explicit flush (group commit: one
+//! sync amortized over a batch).
 //! Whatever the mode, a crash leaves at most a torn tail: [`recover_with`]
 //! streams every segment, verifies every frame, truncates the first corrupt
 //! frame (torn tail or bit flip alike) back to the last valid one, and drops
-//! the unreachable remainder of the ledger — the binary twin of the JSONL
-//! backend's torn-line recovery.
+//! the unreachable remainder of the ledger.
 
 use crate::framing::{append_frame, FrameReadError, FrameReader};
 use crate::key::ConfigKey;
@@ -72,7 +71,7 @@ pub(crate) const SEG_SUFFIX: &str = ".fsb";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
     /// `sync_data` before every insert returns: a completed insert survives
-    /// crash and power loss. Slowest; the historical JSONL contract.
+    /// crash and power loss. Slowest; the default.
     PerInsert,
     /// `sync_data` once every N records (and at every explicit flush): a
     /// crash loses at most the last N-1 records.
@@ -427,6 +426,9 @@ pub struct SegmentWriter {
     frame_buf: Vec<u8>,
     records: u64,
     bytes_appended: u64,
+    /// Armed by [`crate::TrialStore::fail_next_sync`] (tests only): the next
+    /// sync fails in place of its `sync_data` and disarms this.
+    pub(crate) fail_next_sync: bool,
 }
 
 impl SegmentWriter {
@@ -477,6 +479,7 @@ impl SegmentWriter {
             frame_buf: Vec::new(),
             records: 0,
             bytes_appended: 0,
+            fail_next_sync: false,
         })
     }
 
@@ -593,6 +596,9 @@ impl SegmentWriter {
             let started = std::time::Instant::now();
             let io = io_error(&self.dir);
             file.flush().map_err(&io)?;
+            if std::mem::take(&mut self.fail_next_sync) {
+                return Err(io(std::io::Error::other("injected sync failure")));
+            }
             file.get_ref().sync_data().map_err(&io)?;
             let m = crate::metrics::metrics();
             m.syncs.incr();

@@ -1,45 +1,29 @@
 //! The persistent trial store: an in-memory index over an append-only
-//! ledger with two interchangeable file backends.
+//! binary segment ledger.
 //!
 //! The store is **content-addressed**: records are keyed by
 //! `(canonical configuration bits, resource, replicate)` — never by trial id
 //! or arrival order — so any campaign that re-derives the same points (a
 //! resumed run, a replayed method sweep, a differently-ordered parallel
-//! schedule) finds them. Both backends are append-only and recover torn
-//! tails on open, and both stream during re-indexing — opening a ledger
-//! never buffers the whole file:
+//! schedule) finds them.
 //!
-//! - **Binary segments** ([`TrialStore::open_segments`]) — the default for
-//!   recording at scale: CRC32C-framed records in fixed-size segment files
-//!   with configurable [`Durability`] and group commit (see
-//!   [`crate::segment`]), plus crash-safe [compaction](TrialStore::compact).
-//! - **JSON lines** ([`TrialStore::open`]) — the human-readable interchange
-//!   format; [`TrialStore::export_jsonl`]/[`TrialStore::import_jsonl`]
-//!   convert losslessly between the two.
+//! There is one on-disk format ([`TrialStore::open_segments`]): CRC32C-framed
+//! records in fixed-size segment files with configurable [`Durability`] and
+//! group commit (see [`crate::segment`]), plus crash-safe
+//! [compaction](TrialStore::compact). Opening recovers a torn tail and
+//! streams the ledger into the index — it never buffers the whole ledger.
+//! JSON lines are the human-readable **interchange** format only:
+//! [`TrialStore::export_jsonl`] / [`TrialStore::import_jsonl`] convert
+//! losslessly, one [`TrialRecord::to_line`] per record.
 
 use crate::compaction::{self, CompactionReport};
 use crate::key::{ConfigKey, TrialKey};
 use crate::record::TrialRecord;
-use crate::segment::{self, Durability, SegmentConfig, SegmentWriter};
+use crate::segment::{self, io_error, Durability, SegmentConfig, SegmentWriter};
 use crate::{Result, StoreError};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
-
-/// The append handle of a file-backed store.
-#[derive(Debug)]
-enum Backend {
-    /// One JSON record per line, appended through a reusable encode buffer.
-    Jsonl {
-        path: PathBuf,
-        file: std::fs::File,
-        line_buf: String,
-        durability: Durability,
-        unsynced: u64,
-    },
-    /// CRC-framed binary segments (see [`crate::segment`]).
-    Segments(SegmentWriter),
-}
+use std::path::Path;
 
 /// A persistent, content-addressed collection of [`TrialRecord`]s.
 #[derive(Debug, Default)]
@@ -49,95 +33,14 @@ pub struct TrialStore {
     /// `(config, resource, rep)`, so a point's replicates are one contiguous,
     /// rep-ascending key range.
     index: BTreeMap<TrialKey, usize>,
-    backend: Option<Backend>,
+    /// The append handle of a file-backed store; `None` in memory.
+    backend: Option<SegmentWriter>,
 }
 
 impl TrialStore {
     /// Creates an empty store with no file backend.
     pub fn in_memory() -> Self {
         TrialStore::default()
-    }
-
-    /// Opens (or creates) a JSON-lines ledger at `path`: existing lines are
-    /// parsed and indexed, and subsequent inserts append to the file.
-    ///
-    /// A **torn final line** — the signature of a crash mid-append (the file
-    /// does not end in a newline and its last line does not parse) — is
-    /// recovered by truncating the ledger to its last complete record: the
-    /// evaluation in flight is lost, everything before it is kept. Any other
-    /// corruption still fails loudly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on filesystem failures and
-    /// [`StoreError::Parse`]/[`StoreError::Conflict`] on a corrupt ledger.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let io_error = |e: std::io::Error| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let mut store = TrialStore::in_memory();
-        // Stream the ledger through one reusable line buffer: re-indexing a
-        // multi-gigabyte file allocates nothing per record beyond the index
-        // entries themselves.
-        match std::fs::File::open(&path) {
-            Ok(file) => {
-                let mut reader = BufReader::with_capacity(1 << 20, file);
-                let mut line = String::new();
-                let mut number = 0;
-                let mut valid_end: u64 = 0;
-                loop {
-                    line.clear();
-                    let n = reader.read_line(&mut line).map_err(io_error)?;
-                    if n == 0 {
-                        break;
-                    }
-                    number += 1;
-                    let complete = line.ends_with('\n');
-                    let stripped = line.trim_end_matches(['\n', '\r']);
-                    if stripped.trim().is_empty() {
-                        valid_end += n as u64;
-                        continue;
-                    }
-                    match TrialRecord::from_line(stripped, number) {
-                        Ok(record) => {
-                            store.insert(record)?;
-                            valid_end += n as u64;
-                        }
-                        // A torn final line — the signature of a crash
-                        // mid-append — truncates to the last complete
-                        // record; mid-file corruption still fails loudly.
-                        Err(_) if !complete => {
-                            drop(reader);
-                            let file = std::fs::OpenOptions::new()
-                                .write(true)
-                                .open(&path)
-                                .map_err(io_error)?;
-                            file.set_len(valid_end).map_err(io_error)?;
-                            file.sync_data().map_err(io_error)?;
-                            break;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_error(e)),
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(io_error)?;
-        store.backend = Some(Backend::Jsonl {
-            path,
-            file,
-            line_buf: String::new(),
-            durability: Durability::PerInsert,
-            unsynced: 0,
-        });
-        Ok(store)
     }
 
     /// Opens (or creates) a binary segment ledger in the directory `dir`
@@ -164,57 +67,17 @@ impl TrialStore {
     /// [`StoreError::Conflict`] on a ledger with contradictory records.
     pub fn open_segments_with(dir: impl AsRef<Path>, config: SegmentConfig) -> Result<Self> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
+        std::fs::create_dir_all(dir).map_err(io_error(dir))?;
         let mut store = TrialStore::in_memory();
         segment::recover_with(dir, |record| store.insert(record).map(|_| ()))?;
         let writer = SegmentWriter::open_assume_recovered(dir, config)?;
-        store.backend = Some(Backend::Segments(writer));
+        store.backend = Some(writer);
         Ok(store)
     }
 
-    /// Rebuilds an in-memory store from ledger text (one JSON record per
-    /// line; blank lines are ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Parse`] on a malformed line and
-    /// [`StoreError::Conflict`] on contradictory duplicate keys.
-    pub fn from_jsonl(text: &str) -> Result<Self> {
-        let mut store = TrialStore::in_memory();
-        for (number, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record = TrialRecord::from_line(line, number + 1)?;
-            store.insert(record)?;
-        }
-        Ok(store)
-    }
-
-    /// Serializes every record as ledger text (one JSON line per record).
-    ///
-    /// # Errors
-    ///
-    /// Propagates record serialization failures.
-    pub fn to_jsonl(&self) -> Result<String> {
-        let mut out = String::new();
-        for record in &self.records {
-            record.to_line_into(&mut out)?;
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// The ledger path when file-backed: the file for JSONL, the segment
-    /// directory for the binary backend.
+    /// The segment directory when file-backed.
     pub fn path(&self) -> Option<&Path> {
-        match self.backend.as_ref()? {
-            Backend::Jsonl { path, .. } => Some(path.as_path()),
-            Backend::Segments(writer) => Some(writer.dir()),
-        }
+        self.backend.as_ref().map(SegmentWriter::dir)
     }
 
     /// Number of records in the store.
@@ -336,61 +199,24 @@ impl TrialStore {
                 };
             }
         };
-        match &mut self.backend {
-            None => {}
-            Some(Backend::Jsonl {
-                path,
-                file,
-                line_buf,
-                unsynced,
-                ..
-            }) => {
-                let io_error = |e: std::io::Error| StoreError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                };
-                line_buf.clear();
-                record.to_line_into(line_buf)?;
-                line_buf.push('\n');
-                file.write_all(line_buf.as_bytes()).map_err(io_error)?;
-                *unsynced += 1;
-            }
-            Some(Backend::Segments(writer)) => writer.append_unsynced(&record)?,
+        if let Some(writer) = &mut self.backend {
+            writer.append_unsynced(&record)?;
         }
         slot.insert(self.records.len());
         self.records.push(record);
         Ok(true)
     }
 
-    /// Marks a batch boundary: syncs the backend now if its durability
+    /// Marks a batch boundary: syncs the ledger now if its durability
     /// policy asks for it, given the records appended since the last sync.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on sync failures.
     pub fn group_commit(&mut self) -> Result<()> {
-        match &mut self.backend {
-            None => Ok(()),
-            Some(Backend::Jsonl {
-                path,
-                file,
-                durability,
-                unsynced,
-                ..
-            }) => {
-                if durability.wants_sync(*unsynced) {
-                    // `sync_data` (not `flush`, which is a userspace no-op
-                    // for `File`) is what makes the durability claim real.
-                    file.sync_data().map_err(|e| StoreError::Io {
-                        path: path.display().to_string(),
-                        message: e.to_string(),
-                    })?;
-                    *unsynced = 0;
-                }
-                Ok(())
-            }
-            Some(Backend::Segments(writer)) => writer.group_commit(),
-        }
+        self.backend
+            .as_mut()
+            .map_or(Ok(()), SegmentWriter::group_commit)
     }
 
     /// Syncs every appended record to disk unconditionally, whatever the
@@ -401,45 +227,31 @@ impl TrialStore {
     ///
     /// Returns [`StoreError::Io`] on sync failures.
     pub fn flush(&mut self) -> Result<()> {
-        match &mut self.backend {
-            None => Ok(()),
-            Some(Backend::Jsonl {
-                path,
-                file,
-                unsynced,
-                ..
-            }) => {
-                file.sync_data().map_err(|e| StoreError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
-                *unsynced = 0;
-                Ok(())
-            }
-            Some(Backend::Segments(writer)) => writer.flush(),
-        }
+        self.backend.as_mut().map_or(Ok(()), SegmentWriter::flush)
     }
 
-    /// Records appended to the backend since its last sync — what a crash
+    /// Records appended to the ledger since its last sync — what a crash
     /// right now could lose. Always zero for in-memory stores.
     pub fn unsynced(&self) -> u64 {
-        match &self.backend {
-            None => 0,
-            Some(Backend::Jsonl { unsynced, .. }) => *unsynced,
-            Some(Backend::Segments(writer)) => writer.unsynced(),
-        }
+        self.backend.as_ref().map_or(0, SegmentWriter::unsynced)
     }
 
-    /// Changes the backend's durability policy (no-op for in-memory
+    /// Changes the ledger's durability policy (no-op for in-memory
     /// stores). Loosening the policy never un-syncs anything already on
     /// disk; tightening it takes effect at the next batch boundary.
     pub fn set_durability(&mut self, durability: Durability) {
-        match &mut self.backend {
-            None => {}
-            Some(Backend::Jsonl {
-                durability: slot, ..
-            }) => *slot = durability,
-            Some(Backend::Segments(writer)) => writer.set_durability(durability),
+        if let Some(writer) = &mut self.backend {
+            writer.set_durability(durability);
+        }
+    }
+
+    /// Test hook: the next sync of a file-backed store fails with
+    /// [`StoreError::Io`] after its frames reached the OS and before
+    /// `sync_data`; the one after it is real again.
+    #[doc(hidden)]
+    pub fn fail_next_sync(&mut self) {
+        if let Some(writer) = &mut self.backend {
+            writer.fail_next_sync = true;
         }
     }
 
@@ -454,37 +266,37 @@ impl TrialStore {
     pub fn export_jsonl(&self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
         let tmp = path.with_extension("jsonl.tmp");
-        self.export_jsonl_at(&tmp)?;
-        std::fs::rename(&tmp, path).map_err(|e| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+        let file = std::fs::File::create(&tmp).map_err(io_error(&tmp))?;
+        let mut out = BufWriter::with_capacity(1 << 20, file);
+        for record in &self.records {
+            writeln!(out, "{}", record.to_line()?).map_err(io_error(&tmp))?;
+        }
+        out.flush().map_err(io_error(&tmp))?;
+        out.get_ref().sync_data().map_err(io_error(&tmp))?;
+        std::fs::rename(&tmp, path).map_err(io_error(path))
     }
 
-    /// Imports a JSONL interchange file, inserting every record as one
+    /// Imports a JSONL interchange file — another ledger's export, or a
+    /// legacy JSON-lines ledger file — inserting every record as one
     /// group-committed batch (idempotent duplicates are skipped). Returns
     /// how many records were new.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Parse`] on a malformed line (imports fail
-    /// loudly — torn-tail recovery is for a backend's own ledger, not for
+    /// loudly — torn-tail recovery is for the ledger's own segments, not for
     /// interchange files), [`StoreError::Conflict`] on contradictory
     /// records, and [`StoreError::Io`] on filesystem failures.
     pub fn import_jsonl(&mut self, path: impl AsRef<Path>) -> Result<usize> {
         let path = path.as_ref();
-        let io_error = |e: std::io::Error| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        };
-        let file = std::fs::File::open(path).map_err(io_error)?;
+        let file = std::fs::File::open(path).map_err(io_error(path))?;
         let mut reader = BufReader::with_capacity(1 << 20, file);
         let mut line = String::new();
         let mut number = 0;
         let mut added = 0;
         loop {
             line.clear();
-            if reader.read_line(&mut line).map_err(io_error)? == 0 {
+            if reader.read_line(&mut line).map_err(io_error(path))? == 0 {
                 break;
             }
             number += 1;
@@ -502,94 +314,29 @@ impl TrialStore {
 
     /// Compacts the ledger in place: rewrites it as a snapshot of the
     /// current index — one record per key, in insertion order, duplicates
-    /// long since dropped by idempotent re-inserts — and swaps it in
-    /// crash-safely. For the segment backend this is the marker-committed
-    /// swap of [`crate::compaction`]; for JSONL it is an atomic
-    /// write-to-temporary-and-rename. In-memory stores report themselves
-    /// unchanged.
+    /// long since dropped by idempotent re-inserts — and swaps it in with
+    /// the marker-committed protocol of [`crate::compaction`]. In-memory
+    /// stores report themselves unchanged.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on filesystem failures.
     pub fn compact(&mut self) -> Result<CompactionReport> {
-        match self.backend.take() {
-            None => Ok(CompactionReport {
+        let Some(writer) = self.backend.take() else {
+            return Ok(CompactionReport {
                 records: self.records.len() as u64,
                 ..CompactionReport::default()
-            }),
-            Some(Backend::Jsonl {
-                path,
-                file,
-                line_buf,
-                durability,
-                unsynced,
-            }) => {
-                let io_error = |e: std::io::Error| StoreError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                };
-                let swapped = file.metadata().map_err(io_error).and_then(|before| {
-                    let tmp = path.with_extension("jsonl.tmp");
-                    self.export_jsonl_at(&tmp)?;
-                    std::fs::rename(&tmp, &path).map_err(io_error)?;
-                    Ok(before.len())
-                });
-                drop(file);
-                // Whatever happened, reattach an append handle — the rename is
-                // atomic, so `path` is the old ledger or the synced snapshot.
-                let file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(io_error)?;
-                let bytes_after = file.metadata().map_err(io_error).map(|m| m.len());
-                self.backend = Some(Backend::Jsonl {
-                    unsynced: if swapped.is_ok() { 0 } else { unsynced },
-                    path,
-                    file,
-                    line_buf,
-                    durability,
-                });
-                Ok(CompactionReport {
-                    records: self.records.len() as u64,
-                    bytes_before: swapped?,
-                    bytes_after: bytes_after?,
-                    segments_before: 1,
-                    segments_after: 1,
-                })
-            }
-            Some(Backend::Segments(writer)) => {
-                let dir = writer.dir().to_path_buf();
-                let config = *writer.config();
-                // Seal the writer (its Drop flushes) before touching files.
-                drop(writer);
-                let report = compaction::swap_in_snapshot(&dir, config, self.records.iter());
-                // Whatever happened, reattach a writer — the swap protocol
-                // guarantees the directory is the old or the new snapshot.
-                let writer = SegmentWriter::open_assume_recovered(&dir, config)?;
-                self.backend = Some(Backend::Segments(writer));
-                report
-            }
-        }
-    }
-
-    /// `export_jsonl` without the atomic rename — writes directly to
-    /// `path`, synced.
-    fn export_jsonl_at(&self, path: &Path) -> Result<()> {
-        let io_error = |e: std::io::Error| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
+            });
         };
-        let file = std::fs::File::create(path).map_err(io_error)?;
-        let mut out = BufWriter::with_capacity(1 << 20, file);
-        let mut line_buf = String::new();
-        for record in &self.records {
-            line_buf.clear();
-            record.to_line_into(&mut line_buf)?;
-            line_buf.push('\n');
-            out.write_all(line_buf.as_bytes()).map_err(io_error)?;
-        }
-        out.flush().map_err(io_error)?;
-        out.get_ref().sync_data().map_err(io_error)
+        let dir = writer.dir().to_path_buf();
+        let config = *writer.config();
+        // Seal the writer (its Drop flushes) before touching files.
+        drop(writer);
+        let report = compaction::swap_in_snapshot(&dir, config, self.records.iter());
+        // Whatever happened, reattach a writer — the swap protocol
+        // guarantees the directory is the old or the new snapshot.
+        self.backend = Some(SegmentWriter::open_assume_recovered(&dir, config)?);
+        report
     }
 }
 
@@ -708,9 +455,9 @@ mod tests {
             TrialStore::open_segments_with(&dir, crate::SegmentConfig::group_commit()).unwrap();
         store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
         store.insert(record(&[0.5], 3, 1, 0.6)).unwrap();
-        let appended = |store: &TrialStore| match &store.backend {
-            Some(Backend::Segments(writer)) => writer.bytes_appended(),
-            _ => panic!("segment backend expected"),
+        let appended = |store: &TrialStore| {
+            let writer = store.backend.as_ref().expect("file-backed");
+            writer.bytes_appended()
         };
         let bytes = appended(&store);
         assert_eq!(store.unsynced(), 2);
@@ -730,90 +477,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn jsonl_round_trip_preserves_everything() {
-        let mut store = TrialStore::in_memory();
-        store.insert(record(&[1e-3, 64.0], 6, 0, 0.37)).unwrap();
-        store.insert(record(&[1e-3, 64.0], 6, 1, f64::NAN)).unwrap();
-        store
-            .insert(record(&[-0.0, 32.0], 2, 0, f64::INFINITY))
-            .unwrap();
-        let text = store.to_jsonl();
-        let text = text.unwrap();
-        assert_eq!(text.lines().count(), 3);
-        let reloaded = TrialStore::from_jsonl(&text).unwrap();
-        assert_eq!(reloaded.len(), store.len());
-        for (a, b) in store.records().iter().zip(reloaded.records()) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.noisy_score.to_bits(), b.noisy_score.to_bits());
-            assert_eq!(a.true_error.to_bits(), b.true_error.to_bits());
-            assert_eq!(a.provenance, b.provenance);
-        }
-        // Blank lines are tolerated; corrupt lines are located.
-        assert!(TrialStore::from_jsonl("\n\n").unwrap().is_empty());
-        let err = TrialStore::from_jsonl("{oops}\n").unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
-    }
-
-    #[test]
-    fn torn_final_line_is_recovered_on_open() {
-        let path = std::env::temp_dir().join(format!(
-            "fedstore_torn_{}_{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = TrialStore::open(&path).unwrap();
-            store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
-            store.insert(record(&[0.7], 3, 0, 0.8)).unwrap();
-        }
-        // A crash mid-append leaves a partial record with no newline.
-        {
-            use std::io::Write;
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            file.write_all(b"{\"values\":[0.9],\"reso").unwrap();
-        }
-        // Re-opening drops exactly the torn record and keeps appending.
-        let mut store = TrialStore::open(&path).unwrap();
-        assert_eq!(store.len(), 2);
-        store.insert(record(&[0.9], 3, 0, 0.1)).unwrap();
-        let reopened = TrialStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 3);
-        // Corruption that is NOT a torn tail still fails loudly.
-        std::fs::write(&path, "{broken}\nmore\n").unwrap();
-        assert!(matches!(
-            TrialStore::open(&path),
-            Err(StoreError::Parse { line: 1, .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn non_finite_scores_survive_the_file_backend() {
-        let path = std::env::temp_dir().join(format!(
-            "fedstore_nonfinite_{}_{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = TrialStore::open(&path).unwrap();
-            store.insert(record(&[0.5], 3, 0, f64::NAN)).unwrap();
-            store
-                .insert(record(&[0.5], 3, 1, f64::NEG_INFINITY))
-                .unwrap();
-        }
-        let reopened = TrialStore::open(&path).unwrap();
-        assert!(reopened.records()[0].noisy_score.is_nan());
-        assert_eq!(reopened.records()[1].noisy_score, f64::NEG_INFINITY);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "fedstore_store_{tag}_{}_{:?}",
             std::process::id(),
@@ -878,6 +542,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every record as its interchange line: compares stores bit for bit
+    /// (NaN scores included).
+    fn lines(store: &TrialStore) -> Vec<String> {
+        let line = |r: &TrialRecord| r.to_line().unwrap();
+        store.records().iter().map(line).collect()
+    }
+
+    #[test]
+    fn a_failed_sync_loses_nothing_and_the_next_flush_covers_it() {
+        let dir = temp_dir("syncfault");
+        let mut store = TrialStore::open_segments(&dir).unwrap();
+        store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
+        store.fail_next_sync();
+        // Appended and indexed, but the sync behind the insert fails ...
+        let err = store.insert(record(&[0.7], 3, 0, 0.8)).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        assert_eq!(store.unsynced(), 1, "a failed sync must not zero the count");
+        assert_eq!(store.len(), 2);
+        assert!(store.contains(&record(&[0.7], 3, 0, 0.0).key()));
+        // ... and the hook is one-shot: the next flush is real and covers it.
+        store.flush().unwrap();
+        assert_eq!(store.unsynced(), 0);
+        let expected = lines(&store);
+        drop(store);
+        assert_eq!(lines(&TrialStore::open_segments(&dir).unwrap()), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn export_import_jsonl_bridges_the_backends_losslessly() {
         let dir = temp_dir("bridge");
@@ -902,49 +594,52 @@ mod tests {
         drop(imported);
         let a = TrialStore::open_segments(&segdir).unwrap();
         let b = TrialStore::open_segments(&segdir2).unwrap();
-        assert_eq!(a.to_jsonl().unwrap(), b.to_jsonl().unwrap());
+        assert_eq!(lines(&a), lines(&b));
         for (x, y) in a.records().iter().zip(b.records()) {
             assert_eq!(x.noisy_score.to_bits(), y.noisy_score.to_bits());
             assert_eq!(x.true_error.to_bits(), y.true_error.to_bits());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
-    #[test]
-    fn jsonl_backend_compacts_atomically() {
-        let dir = temp_dir("jsonlcompact");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ledger.jsonl");
-        let mut store = TrialStore::open(&path).unwrap();
-        store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
-        store.insert(record(&[0.7], 3, 0, 0.8)).unwrap();
-        let report = store.compact().unwrap();
-        assert_eq!(report.records, 2);
-        assert_eq!(report.bytes_after, report.bytes_before);
-        // The backend still appends after the rename swap.
-        store.insert(record(&[0.9], 3, 0, 0.1)).unwrap();
-        drop(store);
-        assert_eq!(TrialStore::open(&path).unwrap().len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+        // The migration path: a legacy JSON-lines ledger file — no "sim"
+        // field, guard strings for non-finite scores, a blank line.
+        let legacy = dir.join("trials.jsonl");
+        let line = |rep: u64, noisy: &str| {
+            format!(
+                "{{\"values\":[0.5],\"resource\":3,\"rep\":{rep},\"noisy\":{noisy},\"true\":0.25,\
+                 \"provenance\":{{\"benchmark\":\"b\",\"scale\":\"s\",\"seed\":0,\"noise\":\"n\"}}}}\n"
+            )
+        };
+        let text = [
+            line(0, "0.5"),
+            "\n".into(),
+            line(1, "\"NaN\""),
+            line(2, "\"inf\""),
+            line(3, "\"-inf\""),
+        ];
+        std::fs::write(&legacy, text.concat()).unwrap();
+        let segdir3 = dir.join("migrated");
+        let mut migrated = TrialStore::open_segments(&segdir3).unwrap();
+        assert_eq!(migrated.import_jsonl(&legacy).unwrap(), 4);
+        drop(migrated);
+        let migrated = TrialStore::open_segments(&segdir3).unwrap();
+        let scores: Vec<u64> = migrated
+            .records()
+            .iter()
+            .map(|r| r.noisy_score.to_bits())
+            .collect();
+        let expected = [0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(f64::to_bits);
+        assert_eq!(scores, expected);
+        assert!(migrated.records().iter().all(|r| r.sim_time == 0.0));
 
-    #[test]
-    fn failed_jsonl_compaction_keeps_the_file_backend() {
-        let dir = temp_dir("jsonlcompactfail");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ledger.jsonl");
-        let mut store = TrialStore::open(&path).unwrap();
-        store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
-        // The snapshot's temporary sibling cannot be created: the export
-        // fails before anything is swapped.
-        std::fs::create_dir(dir.join("ledger.jsonl.tmp")).unwrap();
-        assert!(matches!(store.compact(), Err(StoreError::Io { .. })));
-        // The store is still file-backed, and later inserts still reach disk.
-        assert_eq!(store.path(), Some(path.as_path()));
-        store.insert(record(&[0.7], 3, 0, 0.8)).unwrap();
-        assert_eq!(store.unsynced(), 0, "per-insert durability still applies");
-        drop(store);
-        assert_eq!(TrialStore::open(&path).unwrap().len(), 2);
+        // An interchange file is never repaired: a corrupt line is located,
+        // torn or not.
+        std::fs::write(
+            &legacy,
+            [line(4, "0.1").as_str(), "{\"values\":[0.9],\"reso"].concat(),
+        )
+        .unwrap();
+        let err = TrialStore::in_memory().import_jsonl(&legacy).unwrap_err();
+        assert!(matches!(err, StoreError::Parse { line: 2, .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -970,34 +665,6 @@ mod tests {
         drop(store);
         assert_eq!(TrialStore::open_segments(&dir).unwrap().len(), 8);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_appends_and_reopens() {
-        let path = std::env::temp_dir().join(format!(
-            "fedstore_test_{}_{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut store = TrialStore::open(&path).unwrap();
-            assert!(store.is_empty());
-            assert_eq!(store.path(), Some(path.as_path()));
-            store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
-            store.insert(record(&[0.5], 6, 0, 0.3)).unwrap();
-        }
-        {
-            // Re-open: records are re-indexed, appends continue.
-            let mut store = TrialStore::open(&path).unwrap();
-            assert_eq!(store.len(), 2);
-            assert!(store.contains(&record(&[0.5], 3, 0, 0.0).key()));
-            assert!(!store.insert(record(&[0.5], 3, 0, 0.4)).unwrap());
-            store.insert(record(&[0.7], 3, 0, 0.8)).unwrap();
-        }
-        let reopened = TrialStore::open(&path).unwrap();
-        assert_eq!(reopened.len(), 3);
-        std::fs::remove_file(&path).unwrap();
     }
 }
 
@@ -1058,30 +725,6 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Serialize → deserialize → re-index is lossless: every record
-        /// round-trips bit-exactly (non-finite scores included) and the
-        /// rebuilt index answers exactly the same lookups.
-        #[test]
-        fn prop_jsonl_round_trip_is_lossless(seed in any::<u64>(), n in 1usize..24) {
-            let store = arbitrary_store(seed, n);
-            let text = store.to_jsonl().expect("serializable");
-            let reloaded = TrialStore::from_jsonl(&text).expect("parseable");
-            prop_assert_eq!(reloaded.len(), store.len());
-            for (a, b) in store.records().iter().zip(reloaded.records()) {
-                prop_assert_eq!(&a.config, &b.config);
-                prop_assert_eq!(a.resource, b.resource);
-                prop_assert_eq!(a.rep, b.rep);
-                prop_assert_eq!(a.noisy_score.to_bits(), b.noisy_score.to_bits());
-                prop_assert_eq!(a.true_error.to_bits(), b.true_error.to_bits());
-                prop_assert_eq!(&a.provenance, &b.provenance);
-                // The rebuilt index resolves the record's own key.
-                let found = reloaded.get(&a.key()).expect("key indexed");
-                prop_assert_eq!(found.noisy_score.to_bits(), a.noisy_score.to_bits());
-            }
-            // A second round trip is a fixed point.
-            prop_assert_eq!(reloaded.to_jsonl().expect("serializable"), text);
-        }
-
         /// The index is a function of the record *set*: inserting one set in
         /// any order answers every `get` / `contains` / `replicates` query
         /// identically, and `records()` is always the insertion order.
@@ -1134,8 +777,8 @@ mod proptests {
         }
 
         /// JSONL export → import into a segment ledger → reopen: bit-lossless
-        /// end to end, non-finite guard encodings included — the two backends
-        /// are interchangeable representations of the same ledger.
+        /// end to end, non-finite guard encodings included, and the rebuilt
+        /// index answers the same lookups.
         #[test]
         fn prop_jsonl_to_segments_is_bit_lossless(seed in any::<u64>(), n in 1usize..16) {
             let dir = std::env::temp_dir().join(format!(
@@ -1164,12 +807,13 @@ mod proptests {
                 prop_assert_eq!(a.true_error.to_bits(), b.true_error.to_bits());
                 prop_assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
                 prop_assert_eq!(&a.provenance, &b.provenance);
+                let found = reopened.get(&a.key()).expect("key indexed");
+                prop_assert_eq!(found.noisy_score.to_bits(), a.noisy_score.to_bits());
             }
             // The segment ledger re-exports the exact same interchange text.
-            prop_assert_eq!(
-                reopened.to_jsonl().expect("serializable"),
-                store.to_jsonl().expect("serializable")
-            );
+            let again = dir.join("again.jsonl");
+            reopened.export_jsonl(&again).expect("exportable");
+            prop_assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&jsonl).unwrap());
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -177,10 +177,11 @@ fn interrupted_resume_is_bit_identical_across_seeds_and_thread_counts() {
 
 #[test]
 fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
-    // Record each campaign straight into a binary segment ledger, bridge it
-    // to JSONL with export_jsonl, then replay from fresh reopens of *both*
-    // backends under every thread count: the storage format and the
-    // parallelism must both be invisible in the bits.
+    // Record each campaign straight into a binary segment ledger, carry it
+    // through the JSONL interchange (export_jsonl → import_jsonl) into a
+    // second segment ledger, then replay from fresh reopens of *both* under
+    // every thread count: the trip through text and the parallelism must
+    // both be invisible in the bits.
     let scale = ExperimentScale::smoke();
     let base = std::env::temp_dir().join(format!("fedstore_backend_replay_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -201,6 +202,13 @@ fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
         let jsonl_path = base.join(format!("ledger_{seed}.jsonl"));
         seg_store.export_jsonl(&jsonl_path).unwrap();
         drop(seg_store);
+        let imported_dir = base.join(format!("imported_{seed}"));
+        let mut imported = TrialStore::open_segments(&imported_dir).unwrap();
+        assert_eq!(
+            imported.import_jsonl(&jsonl_path).unwrap(),
+            reference.num_evaluations()
+        );
+        drop(imported);
 
         for threads in [1usize, 2, 4] {
             let policy = ExecutionPolicy::parallel_with(threads);
@@ -210,7 +218,7 @@ fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
             let (seg_outcome, finished) =
                 drive_campaign(&ctx, &scale, policy, seed, &mut from_segments, None);
             assert!(finished);
-            let mut from_jsonl = TrialStore::open(&jsonl_path).unwrap();
+            let mut from_jsonl = TrialStore::open_segments(&imported_dir).unwrap();
             let (jsonl_outcome, finished) =
                 drive_campaign(&ctx, &scale, policy, seed, &mut from_jsonl, None);
             assert!(finished);
@@ -256,10 +264,10 @@ fn file_backed_ledger_resumes_across_processes() {
         None,
     );
 
-    let path = std::env::temp_dir().join(format!("fedstore_resume_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let dir = std::env::temp_dir().join(format!("fedstore_resume_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut store = TrialStore::open(&path).unwrap();
+        let mut store = TrialStore::open_segments(&dir).unwrap();
         let (_, finished) = drive_campaign(
             &ctx,
             &scale,
@@ -270,7 +278,7 @@ fn file_backed_ledger_resumes_across_processes() {
         );
         assert!(!finished);
     }
-    let mut store = TrialStore::open(&path).unwrap();
+    let mut store = TrialStore::open_segments(&dir).unwrap();
     assert!(!store.is_empty());
     let (resumed, finished) = drive_campaign(
         &ctx,
@@ -283,7 +291,7 @@ fn file_backed_ledger_resumes_across_processes() {
     assert!(finished);
     assert_eq!(reference, resumed);
     assert_eq!(store.len(), reference_store.len());
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
