@@ -1,6 +1,6 @@
-//! Wall-clock throughput of the event-driven executor: the blocking driver
-//! versus cross-trial concurrent evaluation on the persistent real thread
-//! pool.
+//! Wall-clock throughput of the event-driven executor: the inline driver
+//! (every evaluation on the calling thread, one after another) versus the
+//! same pump with its jobs on the persistent real thread pool.
 //!
 //! The campaign is async ASHA under heavy-tailed virtual stragglers — the
 //! workload the concurrent driver exists for: up to eight virtual trials in
@@ -13,7 +13,7 @@
 //! threads), not from multiplying CPU throughput, so it holds wherever
 //! `std::thread` can park eight sleepers at once.
 //!
-//! The blocking driver serializes every sleep (its wall clock is the sum of
+//! The inline driver serializes every sleep (its wall clock is the sum of
 //! all evaluation latencies); the concurrent driver overlaps all in-flight
 //! trials, so its wall clock tracks the virtual critical path instead. The
 //! bench asserts the outcomes are **bit-identical** before comparing clocks,
@@ -26,12 +26,11 @@
 //! measured time is parked, not scheduled.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace, TrialRequest, TrialResult};
+use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace, TrialRequest};
 use fedsim::clock::{ClientRuntimeModel, CostModel};
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, BatchObjective, ConcurrentEval,
-    ConcurrentObjective, ConcurrentSink, EvalOutput, EventDrivenOutcome, Result as CoreResult,
-    VirtualExecution,
+    run_event_driven, run_event_driven_concurrent, ConcurrentEval, ConcurrentObjective,
+    ConcurrentSink, EvalOutput, EventDrivenOutcome, Result as CoreResult, VirtualExecution,
 };
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -42,11 +41,11 @@ use std::time::{Duration, Instant};
 const VIRTUAL_WORKERS: usize = 8;
 
 /// Target total evaluation latency of the whole campaign, in real seconds.
-/// The blocking driver pays roughly this much wall clock; the concurrent
+/// The inline driver pays roughly this much wall clock; the concurrent
 /// driver overlaps it across threads.
 const TARGET_TOTAL_SLEEP: f64 = 6.0;
 
-/// The committed floor on the 8-thread speedup over the blocking driver.
+/// The committed floor on the 8-thread speedup over the inline driver.
 const SPEEDUP_FLOOR: f64 = 3.0;
 
 fn ladder() -> fedhpo::Asha {
@@ -77,8 +76,10 @@ struct LatencyEval {
     time_scale: f64,
 }
 
-impl LatencyEval {
-    fn run(&self, trained: &mut usize, request: &TrialRequest) -> CoreResult<EvalOutput> {
+impl ConcurrentEval for LatencyEval {
+    type State = usize;
+
+    fn evaluate(&self, trained: &mut usize, request: &TrialRequest) -> CoreResult<EvalOutput> {
         let fingerprint = self.space.canonical_fingerprint(&request.config)?;
         let already = *trained;
         let reached = already.max(request.resource);
@@ -94,14 +95,6 @@ impl LatencyEval {
             rounds_delta: delta,
             resource_completed: reached,
         })
-    }
-}
-
-impl ConcurrentEval for LatencyEval {
-    type State = usize;
-
-    fn evaluate(&self, state: &mut usize, request: &TrialRequest) -> CoreResult<EvalOutput> {
-        self.run(state, request)
     }
 }
 
@@ -157,23 +150,8 @@ impl ConcurrentObjective for LatencyObjective {
     }
 }
 
-/// The same objective through the blocking driver: every sleep serialized.
-impl BatchObjective for LatencyObjective {
-    fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> CoreResult<Vec<TrialResult>> {
-        requests
-            .iter()
-            .map(|request| {
-                let mut state = self.sink.take_state(request.trial_id);
-                let output = self.eval.run(&mut state, request)?;
-                self.sink.put_state(request.trial_id, state);
-                self.sink.committed_rounds += output.rounds_delta;
-                Ok(TrialResult::of(request, output.noisy_score))
-            })
-            .collect()
-    }
-}
-
 enum Driver {
+    /// Every evaluation inline on the calling thread: every sleep serialized.
     Blocking,
     Concurrent(usize),
 }
@@ -250,7 +228,7 @@ fn regenerate() {
     assert!(
         speedup_8 >= SPEEDUP_FLOOR,
         "8-thread concurrent evaluation must be at least {SPEEDUP_FLOOR}x \
-         the blocking driver, got {speedup_8:.2}x"
+         the inline driver, got {speedup_8:.2}x"
     );
     // Gate the ratio itself: throughput_per_second of this entry is the
     // speedup ×1000, so perf_compare's 30% window tracks it directly.

@@ -1,55 +1,60 @@
-//! Cross-trial concurrent evaluation under virtual time.
+//! The objective contract every driver accepts, and the one pump that
+//! drives it.
 //!
-//! The blocking event-driven driver evaluates each dispatch set with one
-//! synchronous `evaluate_batch_at` call, so even when the virtual
-//! [`WorkerPool`](fedsim::WorkerPool) has eight trials in flight the real
-//! machine trains them one set at a time. This module closes that gap: a
-//! [`ConcurrentObjective`] splits into a shared, `Sync` **evaluation core**
-//! and a mutable **campaign sink**, and [`run_event_driven_concurrent`]
-//! drives the sans-io [`ExecutorCore`] with every in-flight virtual trial
-//! evaluating concurrently on the persistent real thread pool
-//! ([`fedsim::exec::with_thread_pool`]).
+//! A [`ConcurrentObjective`] splits into a shared, `Sync` **evaluation
+//! half** ([`ConcurrentEval`]) and a mutable, driver-thread **sink half**
+//! ([`ConcurrentSink`]). [`Pump`] is the only loop in the workspace that
+//! moves work between the two: it owns the inbox, the completion message and
+//! its panic guard, the dispatch sequence numbers, the per-trial busy queue
+//! with warm-state chaining, the dispatch-order commit buffer and the turn
+//! (see [`Pump::run`]). What differs between callers is passed in:
 //!
-//! # Why the outcome is bit-identical at every thread count
+//! - **where a job runs** — the `spawn` callable handed to [`Pump::new`]:
+//!   inline on the calling thread
+//!   ([`run_event_driven`](crate::scheduler::run_event_driven), the
+//!   single-threaded reference every identity test compares against), on a
+//!   scoped [`ThreadPool`] with a `&Eval` ([`run_event_driven_concurrent`],
+//!   [`run_scheduled`](crate::scheduler::run_scheduled) above one thread),
+//!   or on the daemon's `'static` `SharedPool` with an `Arc<Eval>`
+//!   (`fedserve::campaign::run_campaign`);
+//! - **admission and the turn end** — the [`Host`] the daemon implements
+//!   (fair-share gate, control flags, budgets, `sync → publish`); every
+//!   standalone lane runs [`Ungated`], which is all of the trait's defaults.
 //!
-//! Three ordering rules make real parallelism invisible to the result:
+//! # Why the outcome is bit-identical in every lane
 //!
 //! 1. **Evaluations are pure in their coordinates.** Scores, costs, and
 //!    noise derive from the canonical `(config, resource, noise_rep)` point,
-//!    never from shared sequential state, so *what* a task computes cannot
+//!    never from shared sequential state, so *what* a job computes cannot
 //!    depend on *when* or *where* it runs.
-//! 2. **Per-trial state flows in dispatch order.** A trial's training run is
-//!    checked out of the sink when its first in-flight task starts and is
-//!    handed directly from each completed task to that trial's next queued
-//!    task (the pool's chained submission), so resume points are the same
-//!    sequence the sequential driver produces.
-//! 3. **Commits are sequenced.** Results reach the [`ExecutorCore`] whenever
-//!    they finish (its completion buffer is order-independent), but the
-//!    campaign log commits through a reorder buffer strictly in dispatch
-//!    order, and virtual events still deliver in `(sim_time, EventKey)`
-//!    order. The driver works in *turns* — block for one completion, drain
-//!    the rest already waiting, commit, [`ConcurrentSink::end_turn`], step
-//!    — so how many completions a turn happens to catch is invisible too.
-//!
-//! `tests/determinism.rs` asserts the resulting [`EventDrivenOutcome`] —
-//! scores, selections, timeline — is bit-identical across the sequential
-//! driver and this one at 1/4/8 real threads.
+//! 2. **Per-trial state flows in dispatch order.** A trial's state is
+//!    handed directly from each finished job to that trial's next queued
+//!    job, so resume points are one sequence at every thread count.
+//! 3. **Commits are sequenced.** The core hears a result when it *arrives*
+//!    (its completion buffer is order-independent and virtual events still
+//!    deliver in `(sim_time, EventKey)` order); the sink hears it at its
+//!    *dispatch-order slot*. A failed evaluation is parked like any other
+//!    and raised at its slot, so the error a campaign reports is the
+//!    earliest failing dispatch — not whichever worker lost the race — and
+//!    nothing dispatched after it is committed. How many completions a turn
+//!    happens to catch is invisible too.
 
-use crate::scheduler::VirtualExecution;
-use crate::scheduler::{DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep};
-use crate::Result;
+use crate::scheduler::{
+    event_key, DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep, VirtualExecution,
+};
+use crate::{CoreError, Result};
 use fedhpo::{Scheduler, SearchSpace, TrialRequest, TrialResult};
-use fedsim::clock::EventKey;
-use fedsim::exec::with_thread_pool;
+use fedsim::exec::{with_thread_pool, ThreadPool};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Deref;
 use std::sync::mpsc;
 
 /// Per-request output of one evaluation, before campaign accounting.
 ///
-/// This is what an evaluation task computes on a worker thread; the sink
-/// turns it into log entries and budget accounting on the driver thread, in
-/// dispatch order.
+/// This is what an evaluation job computes wherever the lane runs it; the
+/// sink turns it into log entries and budget accounting on the driver
+/// thread, in dispatch order.
 #[derive(Debug, Clone)]
 pub struct EvalOutput {
     /// The noisy score reported to the tuner (lower is better).
@@ -62,16 +67,16 @@ pub struct EvalOutput {
     pub resource_completed: usize,
 }
 
-/// The shared, thread-safe half of a concurrent objective: evaluates one
-/// request against that trial's private state.
+/// The shared, thread-safe half of an objective: evaluates one request
+/// against that trial's private state.
 ///
 /// `Sync` is the contract that makes cross-trial concurrency safe: the core
 /// holds only immutable campaign-wide inputs (context, noise model, seed
 /// trees), while everything mutable travels in the per-trial `State` that
-/// exactly one task owns at a time.
+/// exactly one job owns at a time.
 pub trait ConcurrentEval: Sync {
     /// Per-trial mutable state (training run, caches), owned by exactly one
-    /// in-flight task at a time and otherwise parked in the sink.
+    /// in-flight job at a time and otherwise parked in the sink.
     type State: Send;
 
     /// Evaluates `request`, resuming from (and updating) `state`.
@@ -86,8 +91,16 @@ pub trait ConcurrentEval: Sync {
     fn evaluate(&self, state: &mut Self::State, request: &TrialRequest) -> Result<EvalOutput>;
 }
 
-/// The single-threaded half of a concurrent objective: parks per-trial state
-/// between dispatches and accumulates the campaign log.
+impl<T: ConcurrentEval + ?Sized> ConcurrentEval for &T {
+    type State = T::State;
+
+    fn evaluate(&self, state: &mut T::State, request: &TrialRequest) -> Result<EvalOutput> {
+        (**self).evaluate(state, request)
+    }
+}
+
+/// The single-threaded half of an objective: parks per-trial state between
+/// dispatches and accumulates the campaign log.
 ///
 /// All methods run on the driver thread; [`commit`](Self::commit) is called
 /// strictly in dispatch order regardless of real completion order.
@@ -95,39 +108,38 @@ pub trait ConcurrentSink {
     /// Same state type as the paired [`ConcurrentEval`].
     type State: Send;
 
-    /// Checks the trial's state out for an in-flight task ("fresh" state for
+    /// Checks the trial's state out for an in-flight job ("fresh" state for
     /// trials never seen).
     fn take_state(&mut self, trial_id: usize) -> Self::State;
 
-    /// Parks the trial's state again once no task of that trial is in
-    /// flight.
+    /// Parks the trial's state again once no job of that trial is in flight.
     fn put_state(&mut self, trial_id: usize, state: Self::State);
 
     /// Records one finished evaluation. Invoked in dispatch order, so
-    /// cumulative accounting (rounds, log order) matches the sequential
-    /// driver bit for bit.
+    /// cumulative accounting (rounds, log order) is the same sequence at
+    /// every thread count. A sink whose recording can fail keeps the failure
+    /// and returns it from [`end_turn`](Self::end_turn).
     fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64);
 
-    /// Ends a driver **turn**. A driver blocks for one completion, drains
-    /// every completion already waiting, commits what is in order, calls
-    /// this once, and only then steps the [`ExecutorCore`] — so a sink that
-    /// persists its commits makes the whole turn durable here with a single
-    /// sync, and no result reaches the scheduler ahead of the sink's
-    /// storage. The default has nothing to persist.
+    /// Ends a driver **turn** (a barrier driver: a batch). A sink that
+    /// persists its commits makes everything committed since the previous
+    /// call durable here with a single sync. The default has nothing to
+    /// persist.
     ///
     /// # Errors
     ///
-    /// A failure to persist the turn's commits; it fails the campaign.
+    /// A failure to record or persist the turn's commits; it fails the
+    /// campaign.
     fn end_turn(&mut self) -> Result<()> {
         Ok(())
     }
 }
 
-/// An objective that can evaluate its in-flight trials concurrently: it
-/// splits into a `Sync` evaluation core shared by worker threads and a
-/// mutable campaign sink owned by the driver thread.
+/// An objective a driver can evaluate: it splits into a `Sync` evaluation
+/// half shared by worker threads and a mutable sink owned by the driver
+/// thread.
 pub trait ConcurrentObjective {
-    /// Per-trial mutable state shuttled between sink and tasks.
+    /// Per-trial mutable state shuttled between sink and jobs.
     type State: Send;
     /// The shared evaluation half.
     type Eval: ConcurrentEval<State = Self::State>;
@@ -138,31 +150,449 @@ pub trait ConcurrentObjective {
     fn split(&mut self) -> (&Self::Eval, &mut Self::Sink);
 }
 
-/// A message from an evaluation task back to the driver thread.
-enum WorkerMsg<S> {
+/// One dispatch as the pump numbers it: its place in dispatch order — which
+/// is its place in commit order — and the virtual time it completes at.
+struct Numbered {
+    seq: usize,
+    request: TrialRequest,
+    sim_time: f64,
+}
+
+/// A message into the pump's single inbox: admissions and completions share
+/// one channel so the driver has exactly one blocking point.
+enum Msg<S> {
+    /// The host admitted the dispatch parked under this ticket.
+    Admit(u64),
+    /// An evaluation job finished, successfully or not.
     Done {
-        seq: usize,
-        key: EventKey,
-        request: TrialRequest,
-        sim_completion: f64,
+        work: Numbered,
         state: S,
         output: Result<EvalOutput>,
     },
-    /// Sent by the panic guard so the driver never blocks forever on a task
-    /// that died; the worker's panic itself propagates when the pool scope
-    /// joins.
+    /// Sent by the panic guard so the driver never blocks forever on a job
+    /// that died.
     Panicked,
 }
 
-/// Sends [`WorkerMsg::Panicked`] if the task unwinds before defusing.
+/// Sends [`Msg::Panicked`] if the job unwinds before defusing.
 struct PanicGuard<S> {
-    tx: Option<mpsc::Sender<WorkerMsg<S>>>,
+    tx: Option<mpsc::Sender<Msg<S>>>,
 }
 
 impl<S> Drop for PanicGuard<S> {
     fn drop(&mut self) {
         if let Some(tx) = self.tx.take() {
-            let _ = tx.send(WorkerMsg::Panicked);
+            let _ = tx.send(Msg::Panicked);
+        }
+    }
+}
+
+/// One dispatched evaluation with its trial's state checked out, handed to
+/// the lane's `spawn` callable. Whoever receives it calls
+/// [`run`](Self::run) — now, or from a pool job — exactly once.
+pub struct EvalJob<E, S> {
+    eval: E,
+    tx: mpsc::Sender<Msg<S>>,
+    work: Numbered,
+    state: S,
+}
+
+impl<E, S> EvalJob<E, S>
+where
+    E: Deref,
+    E::Target: ConcurrentEval<State = S>,
+{
+    /// Evaluates the request and reports back to the pump's inbox; with a
+    /// `wall` profile the evaluation is recorded as an `"evaluate"` slice
+    /// from whatever thread this runs on. A panic inside the evaluation
+    /// unwinds through here, and the pump hears of it from the guard.
+    pub fn run(mut self, wall: Option<&fedtrace::WallProfile>) {
+        let mut guard = PanicGuard { tx: Some(self.tx) };
+        let started = wall.map(|w| w.now_seconds());
+        let output = self.eval.evaluate(&mut self.state, &self.work.request);
+        if let (Some(w), Some(started)) = (wall, started) {
+            w.record_since("evaluate", started);
+        }
+        if let Some(tx) = guard.tx.take() {
+            let _ = tx.send(Msg::Done {
+                work: self.work,
+                state: self.state,
+                output,
+            });
+        }
+    }
+}
+
+/// A [`Host`]'s answer to one dispatch asking to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Start it now.
+    Run,
+    /// Park it until the callable from [`Pump::admitter`] is called with
+    /// this ticket; tickets must be granted in the order they were issued.
+    Ticket(u64),
+    /// No room to queue it: the pump takes a turn (grants and completions
+    /// free room) and asks again.
+    Full,
+}
+
+/// What a process multiplexing many campaigns inserts around the pump:
+/// admission before a dispatch may occupy a real worker, and what ending a
+/// turn means. Only the `fedserve` daemon implements it; every standalone
+/// lane runs [`Ungated`], which is these defaults.
+pub trait Host<K: ConcurrentSink> {
+    /// What the host fails a campaign with.
+    type Error: From<CoreError>;
+
+    /// Runs before every [`ExecutorCore::step`]: the place to
+    /// [`halt`](ExecutorCore::halt) the campaign (budgets, operator stop) or
+    /// abort it with an error.
+    ///
+    /// # Errors
+    ///
+    /// Whatever should end the campaign here and now.
+    fn before_step(
+        &mut self,
+        _core: &mut ExecutorCore<'_>,
+    ) -> std::result::Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Asks to run one dispatch (asked again after a [`Admission::Full`]).
+    ///
+    /// # Errors
+    ///
+    /// Whatever should end the campaign here and now.
+    fn admit(&mut self, _request: &TrialRequest) -> std::result::Result<Admission, Self::Error> {
+        Ok(Admission::Run)
+    }
+
+    /// One admitted evaluation finished and gave its worker back.
+    fn release(&mut self) {}
+
+    /// Ends a turn whose commits are staged in `sink`; `last_commit` is the
+    /// virtual time of the latest one, `None` when the turn committed
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// A failure to make the turn's commits durable.
+    fn end_turn(
+        &mut self,
+        sink: &mut K,
+        _last_commit: Option<f64>,
+    ) -> std::result::Result<(), Self::Error> {
+        sink.end_turn().map_err(Into::into)
+    }
+}
+
+/// No admission, no control flags: a campaign with the machine to itself.
+pub struct Ungated;
+
+impl<K: ConcurrentSink> Host<K> for Ungated {
+    type Error = CoreError;
+}
+
+/// The one driver loop over [`ExecutorCore`]; see the module docs.
+///
+/// `E` is how a job reaches the evaluation half (`&Eval`, `Arc<Eval>`),
+/// `K` the sink, `F` where a job runs: `spawn(job, chained)` must see to it
+/// that [`EvalJob::run`] is called once (`chained` marks a job that inherits
+/// its predecessor's warm state, for the pools' accounting).
+pub struct Pump<'s, E, K: ConcurrentSink, F> {
+    eval: E,
+    sink: &'s mut K,
+    spawn: F,
+    tx: mpsc::Sender<Msg<K::State>>,
+    rx: mpsc::Receiver<Msg<K::State>>,
+    /// Dispatch-order sequence numbers; commits drain contiguously.
+    next_seq: usize,
+    next_commit: usize,
+    /// Finished evaluations — failed ones included — parked until every
+    /// earlier dispatch has committed.
+    parked: BTreeMap<usize, (Numbered, Result<EvalOutput>)>,
+    /// Dispatches a [`Host`] issued tickets for, in ticket order.
+    awaiting: VecDeque<(u64, Numbered)>,
+    /// Trials with a job in flight; the queue holds that trial's later
+    /// dispatches, chained onto the freed state as jobs complete.
+    busy: HashMap<usize, VecDeque<Numbered>>,
+}
+
+impl<'s, E, K, F> Pump<'s, E, K, F>
+where
+    E: Deref + Clone,
+    E::Target: ConcurrentEval<State = K::State>,
+    K: ConcurrentSink,
+    F: FnMut(EvalJob<E, K::State>, bool),
+{
+    /// A pump evaluating through `eval`, committing to `sink`, running its
+    /// jobs wherever `spawn` puts them.
+    pub fn new(eval: E, sink: &'s mut K, spawn: F) -> Self {
+        let (tx, rx) = mpsc::channel();
+        Pump {
+            eval,
+            sink,
+            spawn,
+            tx,
+            rx,
+            next_seq: 0,
+            next_commit: 0,
+            parked: BTreeMap::new(),
+            awaiting: VecDeque::new(),
+            busy: HashMap::new(),
+        }
+    }
+
+    /// The sink, for a host or a test to read between turns.
+    pub fn sink(&self) -> &K {
+        self.sink
+    }
+
+    /// The callable a [`Host`] grants tickets through, from any thread: it
+    /// posts the admission to the pump's inbox, where the next turn finds
+    /// it.
+    pub fn admitter(&self) -> impl Fn(u64) + Send + 'static
+    where
+        K::State: 'static,
+    {
+        let tx = self.tx.clone();
+        move |ticket| {
+            let _ = tx.send(Msg::Admit(ticket));
+        }
+    }
+
+    /// Drives `core` to its end. Each round is `host.before_step`, then
+    /// [`ExecutorCore::step`]: a `Dispatch` numbers every trial and starts it
+    /// once the host admits it (or queues it behind that trial's job in
+    /// flight); a `Deliver` is one [`turn`](Self::turn), after which the
+    /// core is stepped again — it hands back the same `Deliver` until the
+    /// awaited completion was among the turn's.
+    ///
+    /// # Errors
+    ///
+    /// The core's conditions (scheduler stall, invalid completion), the
+    /// failure of the earliest failing dispatch, a panicked job
+    /// ([`CoreError::EvalPanicked`]), or whatever the host or the sink's
+    /// turn end fails with.
+    pub fn run<H: Host<K>>(
+        &mut self,
+        mut core: ExecutorCore<'_>,
+        host: &mut H,
+    ) -> std::result::Result<EventDrivenOutcome, H::Error> {
+        loop {
+            host.before_step(&mut core)?;
+            match core.step()? {
+                ExecutorStep::Dispatch(batch) => {
+                    for dispatched in batch {
+                        self.dispatch(dispatched, &mut core, host)?;
+                    }
+                }
+                // The core hands back the same `Deliver` until a turn brings
+                // the awaited completion.
+                ExecutorStep::Deliver(_) => self.turn(&mut core, host)?,
+                ExecutorStep::Finished => return Ok(core.finish()),
+            }
+        }
+    }
+
+    /// Numbers one dispatch and starts it as soon as the host admits it.
+    ///
+    /// # Errors
+    ///
+    /// The host's refusal, or a failed back-pressure [`turn`](Self::turn).
+    pub fn dispatch<H: Host<K>>(
+        &mut self,
+        dispatched: DispatchedTrial,
+        core: &mut ExecutorCore<'_>,
+        host: &mut H,
+    ) -> std::result::Result<(), H::Error> {
+        let work = self.number(dispatched.request, dispatched.sim_completion);
+        let ticket = loop {
+            match host.admit(&work.request)? {
+                Admission::Run => break None,
+                Admission::Ticket(ticket) => break Some(ticket),
+                Admission::Full => self.turn(core, host)?,
+            }
+        };
+        match ticket {
+            Some(ticket) => self.awaiting.push_back((ticket, work)),
+            None => self.start(work),
+        }
+        Ok(())
+    }
+
+    /// One turn: block for one inbox message, drain what is waiting behind
+    /// it, complete what finished, commit what is in order, end the turn.
+    /// The caller steps the core afterwards.
+    ///
+    /// # Errors
+    ///
+    /// See [`run`](Self::run); after an error nothing later is committed.
+    pub fn turn<H: Host<K>>(
+        &mut self,
+        core: &mut ExecutorCore<'_>,
+        host: &mut H,
+    ) -> std::result::Result<(), H::Error> {
+        let last_commit = self.drain(host, &mut |work, output| {
+            let result = TrialResult::of(&work.request, output.noisy_score);
+            core.complete(event_key(&work.request), result)
+        })?;
+        host.end_turn(self.sink, last_commit)
+    }
+
+    /// The run-and-commit-in-order half on its own, for the barrier driver:
+    /// evaluates `batch` wherever this pump's jobs run, commits it in batch
+    /// order at virtual time zero, ends **one** turn, and only then returns
+    /// the results (in batch order) for the scheduler to hear.
+    ///
+    /// # Errors
+    ///
+    /// The failure of the earliest failing request, a panicked job, or the
+    /// sink's turn end.
+    pub fn run_batch(&mut self, batch: Vec<TrialRequest>) -> Result<Vec<TrialResult>> {
+        let mut arrived = Vec::with_capacity(batch.len());
+        for request in batch {
+            let work = self.number(request, 0.0);
+            self.start(work);
+        }
+        while self.next_commit < self.next_seq {
+            self.drain(&mut Ungated, &mut |work, output| {
+                let result = TrialResult::of(&work.request, output.noisy_score);
+                arrived.push((work.seq, result));
+                Ok(())
+            })?;
+        }
+        self.sink.end_turn()?;
+        arrived.sort_unstable_by_key(|(seq, _)| *seq);
+        Ok(arrived.into_iter().map(|(_, result)| result).collect())
+    }
+
+    fn number(&mut self, request: TrialRequest, sim_time: f64) -> Numbered {
+        self.next_seq += 1;
+        Numbered {
+            seq: self.next_seq - 1,
+            request,
+            sim_time,
+        }
+    }
+
+    /// Starts `work`, or queues it behind its trial's job in flight.
+    fn start(&mut self, work: Numbered) {
+        let trial = work.request.trial_id;
+        match self.busy.get_mut(&trial) {
+            // The trial's state is with a job right now: queue behind it,
+            // preserving per-trial dispatch order.
+            Some(queue) => queue.push_back(work),
+            None => {
+                self.busy.insert(trial, VecDeque::new());
+                let state = self.sink.take_state(trial);
+                self.launch(work, state, false);
+            }
+        }
+    }
+
+    fn launch(&mut self, work: Numbered, state: K::State, chained: bool) {
+        let job = EvalJob {
+            eval: self.eval.clone(),
+            tx: self.tx.clone(),
+            work,
+            state,
+        };
+        (self.spawn)(job, chained);
+    }
+
+    /// Blocks for one inbox message and handles it and every message
+    /// already waiting: admissions start their dispatch; a finished
+    /// evaluation releases its admission, is reported to `arrived` (if it
+    /// succeeded), parks in the commit buffer, and hands its trial's state
+    /// on. Returns the virtual time of the latest commit.
+    fn drain<H: Host<K>>(
+        &mut self,
+        host: &mut H,
+        arrived: &mut dyn FnMut(&Numbered, &EvalOutput) -> Result<()>,
+    ) -> std::result::Result<Option<f64>, H::Error> {
+        if self.busy.is_empty() && self.awaiting.is_empty() {
+            return Err(invalid("the pump was asked to wait with no evaluation in flight").into());
+        }
+        let mut last_commit = None;
+        let mut next = Some(self.rx.recv().expect("the pump holds a sender itself"));
+        while let Some(msg) = next {
+            match msg {
+                Msg::Admit(ticket) => match self.awaiting.pop_front() {
+                    Some((expected, work)) if expected == ticket => self.start(work),
+                    next => {
+                        let next = next.map(|(expected, _)| expected);
+                        return Err(invalid(format!(
+                            "ticket {ticket} granted out of turn: next awaiting admission is {next:?}"
+                        ))
+                        .into());
+                    }
+                },
+                Msg::Done {
+                    work,
+                    state,
+                    output,
+                } => {
+                    host.release();
+                    if let Ok(output) = &output {
+                        arrived(&work, output)?;
+                    }
+                    let trial = work.request.trial_id;
+                    self.parked.insert(work.seq, (work, output));
+                    while let Some((work, output)) = self.parked.remove(&self.next_commit) {
+                        // A failure surfaces here, at its dispatch-order
+                        // slot, whenever it arrived.
+                        self.sink.commit(&work.request, &output?, work.sim_time);
+                        self.next_commit += 1;
+                        last_commit = Some(work.sim_time);
+                    }
+                    let Some(queue) = self.busy.get_mut(&trial) else {
+                        return Err(invalid(format!(
+                            "completion for trial {trial}, which has no evaluation in flight"
+                        ))
+                        .into());
+                    };
+                    match queue.pop_front() {
+                        // Hand the warm state straight to the trial's next
+                        // job — no round trip through the sink.
+                        Some(queued) => self.launch(queued, state, true),
+                        None => {
+                            self.busy.remove(&trial);
+                            self.sink.put_state(trial, state);
+                        }
+                    }
+                }
+                Msg::Panicked => return Err(CoreError::EvalPanicked.into()),
+            }
+            next = self.rx.try_recv().ok();
+        }
+        Ok(last_commit)
+    }
+}
+
+fn invalid(message: impl Into<String>) -> CoreError {
+    CoreError::InvalidConfig {
+        message: message.into(),
+    }
+}
+
+/// Where a job runs on a scoped pool: one pool job per evaluation, recorded
+/// on `wall` from the worker that ran it.
+pub(crate) fn on_pool<'p, 'env, E, S>(
+    pool: &'p ThreadPool<'env>,
+    wall: Option<&'env fedtrace::WallProfile>,
+) -> impl FnMut(EvalJob<E, S>, bool) + use<'p, 'env, E, S>
+where
+    E: Deref + Send + 'env,
+    E::Target: ConcurrentEval<State = S>,
+    S: Send + 'env,
+{
+    move |job, chained| {
+        let run = move || job.run(wall);
+        if chained {
+            pool.submit_chained(run);
+        } else {
+            pool.submit(run);
         }
     }
 }
@@ -171,17 +601,16 @@ impl<S> Drop for PanicGuard<S> {
 /// in-flight virtual trial evaluating **concurrently on `threads` real
 /// threads** (clamped to at least one; pass
 /// [`ExecutionPolicy::from_env().pool_threads()`](fedsim::ExecutionPolicy::pool_threads)
-/// to honor `FEDTUNE_THREADS`).
+/// to honor `FEDTUNE_THREADS`): the same pump, its jobs on a scoped pool.
 ///
 /// The outcome — scores, selections, virtual timeline, campaign log — is
-/// bit-identical to the sequential driver at every thread count; only
+/// bit-identical to the inline driver at every thread count; only
 /// wall-clock time changes. See the module docs for the ordering argument.
 ///
 /// # Errors
 ///
-/// Exactly the blocking driver's conditions (invalid [`VirtualExecution`],
-/// scheduler stall, evaluation failure), plus a disconnect error if the
-/// worker channel closes early.
+/// Exactly the inline driver's conditions. A panicking evaluation
+/// propagates its panic when the pool's scope joins.
 pub fn run_event_driven_concurrent<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
@@ -204,8 +633,8 @@ pub fn run_event_driven_concurrent<O: ConcurrentObjective>(
 /// [`run_event_driven_concurrent`] with an explicit observability scope.
 ///
 /// Wall-domain "evaluate" slices are recorded from worker threads onto the
-/// trace's [`WallProfile`](fedtrace::WallProfile); sim-domain accounting is identical to the
-/// blocking driver's. Accounting, never semantics.
+/// trace's [`WallProfile`](fedtrace::WallProfile); sim-domain accounting is
+/// identical to the inline driver's. Accounting, never semantics.
 ///
 /// # Errors
 ///
@@ -221,144 +650,62 @@ pub fn run_event_driven_concurrent_traced<O: ConcurrentObjective>(
 ) -> Result<EventDrivenOutcome> {
     let (eval, sink) = objective.split();
     let wall = trace.map(|t| t.wall_profile());
-    let mut core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
+    let core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
     with_thread_pool(threads, move |pool| {
-        let (tx, rx) = mpsc::channel::<WorkerMsg<O::State>>();
-        // Dispatch-order sequence numbers; commits drain contiguously.
-        let mut next_seq: usize = 0;
-        let mut next_commit: usize = 0;
-        let mut commit_buf: BTreeMap<usize, (TrialRequest, EvalOutput, f64)> = BTreeMap::new();
-        // Trials with a task in flight; the queue holds that trial's later
-        // dispatches, chained onto the freed state as tasks complete.
-        let mut in_flight: HashMap<usize, VecDeque<(usize, DispatchedTrial)>> = HashMap::new();
-
-        let submit_eval = |seq: usize, d: DispatchedTrial, mut state: O::State, chained: bool| {
-            let tx = tx.clone();
-            let job = move || {
-                let mut guard = PanicGuard { tx: Some(tx) };
-                let started = wall.map(|w| w.now_seconds());
-                let output = eval.evaluate(&mut state, &d.request);
-                if let (Some(w), Some(started)) = (wall, started) {
-                    w.record_since("evaluate", started);
-                }
-                let tx = guard.tx.take().expect("guard still armed");
-                let _ = tx.send(WorkerMsg::Done {
-                    seq,
-                    key: d.key,
-                    request: d.request,
-                    sim_completion: d.sim_completion,
-                    state,
-                    output,
-                });
-            };
-            if chained {
-                pool.submit_chained(job);
-            } else {
-                pool.submit(job);
-            }
-        };
-
-        loop {
-            match core.step()? {
-                ExecutorStep::Dispatch(batch) => {
-                    for dispatched in batch {
-                        let trial = dispatched.request.trial_id;
-                        let seq = next_seq;
-                        next_seq += 1;
-                        match in_flight.get_mut(&trial) {
-                            // The trial's state is on a worker right now:
-                            // queue behind it, preserving per-trial dispatch
-                            // order.
-                            Some(queue) => queue.push_back((seq, dispatched)),
-                            None => {
-                                in_flight.insert(trial, VecDeque::new());
-                                let state = sink.take_state(trial);
-                                submit_eval(seq, dispatched, state, false);
-                            }
-                        }
-                    }
-                }
-                // One turn: block for a completion, drain every other one
-                // already waiting, then end the turn before stepping again.
-                // The core hands back the same `Deliver` until the awaited
-                // completion is among them.
-                ExecutorStep::Deliver(_) => {
-                    let first = rx.recv().map_err(|_| crate::CoreError::InvalidConfig {
-                        message: "evaluation workers disconnected before completing \
-                                  dispatched work"
-                            .into(),
-                    })?;
-                    for msg in std::iter::once(first).chain(rx.try_iter()) {
-                        let WorkerMsg::Done {
-                            seq,
-                            key,
-                            request,
-                            sim_completion,
-                            state,
-                            output,
-                        } = msg
-                        else {
-                            return Err(crate::CoreError::InvalidConfig {
-                                message: "an evaluation task panicked".into(),
-                            });
-                        };
-                        let output = output?;
-                        core.complete(key, TrialResult::of(&request, output.noisy_score))?;
-                        commit_buf.insert(seq, (request, output, sim_completion));
-                        while let Some((request, output, time)) = commit_buf.remove(&next_commit) {
-                            sink.commit(&request, &output, time);
-                            next_commit += 1;
-                        }
-                        let trial = key.trial as usize;
-                        let queue = in_flight.get_mut(&trial).expect("in-flight trial tracked");
-                        if let Some((next, dispatched)) = queue.pop_front() {
-                            // Hand the warm state straight to the trial's next
-                            // task — no round trip through the sink.
-                            submit_eval(next, dispatched, state, true);
-                        } else {
-                            in_flight.remove(&trial);
-                            sink.put_state(trial, state);
-                        }
-                    }
-                    sink.end_turn()?;
-                }
-                ExecutorStep::Finished => break,
-            }
-        }
-        Ok(core.finish())
+        Pump::new(eval, sink, on_pool(pool, wall)).run(core, &mut Ungated)
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::scheduler::{run_event_driven, BatchObjective, EventDrivenOutcome};
-    use fedhpo::{AsyncAsha, IntoScheduler};
+    use crate::scheduler::run_event_driven;
+    use fedhpo::{AsyncAsha, IntoScheduler, RandomSearch};
     use fedmath::rng::rng_for;
     use fedsim::clock::{ClientRuntimeModel, CostModel};
+    use std::cell::RefCell;
+    use std::sync::{Condvar, Mutex};
 
-    fn space_1d() -> SearchSpace {
+    pub(crate) fn space_1d() -> SearchSpace {
         SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap()
     }
 
-    fn analytic_score(request: &TrialRequest) -> f64 {
+    pub(crate) fn analytic_score(request: &TrialRequest) -> f64 {
         let x = request.config.values()[0];
         (x - 0.3).abs() + 1.0 / (request.resource as f64 + 1.0)
     }
 
-    /// The `Sync` half: scores analytically, optionally failing one trial.
-    struct AnalyticEval {
-        fail_trial: Option<usize>,
+    /// The `Sync` half: scores analytically; `failing` trials fail instead.
+    #[derive(Default)]
+    pub(crate) struct AnalyticEval {
+        failing: Vec<usize>,
+        /// When armed, the first failing trial does not return before the
+        /// last one has (set by the last, awaited by the first).
+        last_failed: Option<(Mutex<bool>, Condvar)>,
+        panicking: Option<usize>,
     }
 
     impl ConcurrentEval for AnalyticEval {
         type State = usize;
 
         fn evaluate(&self, state: &mut usize, request: &TrialRequest) -> Result<EvalOutput> {
-            if self.fail_trial == Some(request.trial_id) {
-                return Err(crate::CoreError::InvalidConfig {
-                    message: format!("injected failure for trial {}", request.trial_id),
-                });
+            let trial = request.trial_id;
+            if self.panicking == Some(trial) {
+                panic!("injected panic for trial {trial}");
+            }
+            if self.failing.contains(&trial) {
+                if let Some((failed, changed)) = &self.last_failed {
+                    let mut failed = failed.lock().unwrap();
+                    if self.failing.last() == Some(&trial) {
+                        *failed = true;
+                        changed.notify_all();
+                    } else if self.failing.first() == Some(&trial) {
+                        while !*failed {
+                            failed = changed.wait(failed).unwrap();
+                        }
+                    }
+                }
+                return Err(invalid(format!("injected failure for trial {trial}")));
             }
             let score = analytic_score(request);
             let delta = request.resource.saturating_sub(*state);
@@ -372,15 +719,18 @@ mod tests {
         }
     }
 
-    /// The driver-thread half: records every commit bit-exactly.
+    /// The driver-thread half: records every commit bit-exactly and counts
+    /// the turns it was asked to end.
     #[derive(Default)]
-    struct RecordingSink {
+    pub(crate) struct CommitLog {
         states: HashMap<usize, usize>,
-        commits: Vec<(usize, usize, u64, u64)>,
-        rounds: usize,
+        /// `(trial, resource, rep, score bits, sim_time bits)` per commit.
+        pub(crate) commits: Vec<(usize, usize, u64, u64, u64)>,
+        pub(crate) rounds: usize,
+        pub(crate) turns_ended: usize,
     }
 
-    impl ConcurrentSink for RecordingSink {
+    impl ConcurrentSink for CommitLog {
         type State = usize;
 
         fn take_state(&mut self, trial_id: usize) -> usize {
@@ -396,36 +746,64 @@ mod tests {
             self.commits.push((
                 request.trial_id,
                 request.resource,
+                request.noise_rep,
                 output.noisy_score.to_bits(),
                 sim_time.to_bits(),
             ));
         }
+
+        fn end_turn(&mut self) -> Result<()> {
+            self.turns_ended += 1;
+            Ok(())
+        }
     }
 
-    struct AnalyticConcurrent {
-        eval: AnalyticEval,
-        sink: RecordingSink,
+    /// The analytic objective every driver test in this crate evaluates.
+    #[derive(Default)]
+    pub(crate) struct AnalyticObjective {
+        pub(crate) eval: AnalyticEval,
+        pub(crate) sink: CommitLog,
     }
 
-    impl ConcurrentObjective for AnalyticConcurrent {
+    impl ConcurrentObjective for AnalyticObjective {
         type State = usize;
         type Eval = AnalyticEval;
-        type Sink = RecordingSink;
+        type Sink = CommitLog;
 
-        fn split(&mut self) -> (&AnalyticEval, &mut RecordingSink) {
+        fn split(&mut self) -> (&AnalyticEval, &mut CommitLog) {
             (&self.eval, &mut self.sink)
         }
     }
 
-    /// Blocking reference for the same analytic score.
-    struct AnalyticBatch;
+    /// A scheduler that suggests the given batches, one per cycle, and
+    /// ignores what it is told.
+    pub(crate) struct Scripted(VecDeque<Vec<TrialRequest>>);
 
-    impl BatchObjective for AnalyticBatch {
-        fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> Result<Vec<TrialResult>> {
-            Ok(requests
-                .iter()
-                .map(|r| TrialResult::of(r, analytic_score(r)))
-                .collect())
+    impl Scripted {
+        pub(crate) fn new(batches: Vec<Vec<TrialRequest>>) -> Self {
+            Scripted(batches.into())
+        }
+    }
+
+    impl Scheduler for Scripted {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+
+        fn suggest(
+            &mut self,
+            _space: &SearchSpace,
+            _rng: &mut StdRng,
+        ) -> fedhpo::Result<Vec<TrialRequest>> {
+            Ok(self.0.pop_front().unwrap_or_default())
+        }
+
+        fn report(&mut self, _result: &TrialResult) -> fedhpo::Result<()> {
+            Ok(())
+        }
+
+        fn is_finished(&self) -> bool {
+            self.0.is_empty()
         }
     }
 
@@ -434,91 +812,220 @@ mod tests {
         VirtualExecution::new(4, cost)
     }
 
-    fn run_concurrent(
-        threads: usize,
-        fail_trial: Option<usize>,
-    ) -> Result<(EventDrivenOutcome, AnalyticConcurrent)> {
+    /// Async ASHA under stragglers — several trials in flight at once —
+    /// inline (`threads == 0`) or on a scoped pool.
+    fn campaign(threads: usize, eval: AnalyticEval) -> (Result<EventDrivenOutcome>, CommitLog) {
         let ladder = fedhpo::Asha::new(12, 3, 1, 9);
         let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
-        let mut objective = AnalyticConcurrent {
-            eval: AnalyticEval { fail_trial },
-            sink: RecordingSink::default(),
+        let mut objective = AnalyticObjective {
+            eval,
+            sink: CommitLog::default(),
         };
-        let mut rng = rng_for(3, 0);
-        let outcome = run_event_driven_concurrent(
-            &mut scheduler,
-            &space_1d(),
-            &mut objective,
-            &mut rng,
-            &straggler_sim(),
-            threads,
-        )?;
-        Ok((outcome, objective))
+        let (space, mut rng, sim) = (space_1d(), rng_for(3, 0), straggler_sim());
+        let outcome = match threads {
+            0 => run_event_driven(&mut scheduler, &space, &mut objective, &mut rng, &sim),
+            _ => run_event_driven_concurrent(
+                &mut scheduler,
+                &space,
+                &mut objective,
+                &mut rng,
+                &sim,
+                threads,
+            ),
+        };
+        (outcome, objective.sink)
     }
 
     #[test]
-    fn concurrent_driver_is_bit_identical_to_blocking_at_every_thread_count() {
-        // An async ASHA campaign under heavy-tailed stragglers keeps several
-        // trials in flight at once — the adversarial case for reordering.
-        let ladder = fedhpo::Asha::new(12, 3, 1, 9);
-        let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
-        let mut rng = rng_for(3, 0);
-        let blocking = run_event_driven(
-            &mut scheduler,
-            &space_1d(),
-            &mut AnalyticBatch,
-            &mut rng,
-            &straggler_sim(),
-        )
-        .unwrap();
-        assert!(blocking.finished);
-        let mut reference_commits = None;
-        for threads in [1usize, 4, 8] {
-            let (outcome, objective) = run_concurrent(threads, None).unwrap();
-            assert_eq!(outcome, blocking, "threads = {threads}");
-            for (a, b) in outcome
-                .outcome
-                .records()
-                .iter()
-                .zip(blocking.outcome.records())
-            {
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "threads = {threads}");
-                assert_eq!(
-                    a.sim_time.to_bits(),
-                    b.sim_time.to_bits(),
-                    "threads = {threads}"
-                );
-            }
-            // Commit order (dispatch order) is itself thread-invariant, and
-            // every in-flight trial's state came back to the sink.
-            assert_eq!(
-                objective.sink.commits.len(),
-                outcome.outcome.num_evaluations()
-            );
-            match &reference_commits {
-                None => reference_commits = Some(objective.sink.commits.clone()),
-                Some(reference) => {
-                    assert_eq!(&objective.sink.commits, reference, "threads = {threads}");
-                }
-            }
-            assert_eq!(
-                objective.sink.rounds,
-                outcome.outcome.total_resource(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_driver_propagates_evaluation_errors() {
-        for threads in [1usize, 4] {
-            let Err(err) = run_concurrent(threads, Some(0)) else {
-                panic!("expected the injected failure to propagate");
+    fn the_earliest_failing_dispatch_is_reported_in_every_lane() {
+        // Trials 0..=3 go out in the first wave; 1 and 2 fail. Above one
+        // thread trial 1 — dispatched first — is held until trial 2 has
+        // failed, so its failure *arrives* second; one worker (and the
+        // inline lane) can only run them in dispatch order.
+        let (reference, _) = campaign(0, AnalyticEval::default());
+        let first_commit = reference.unwrap().timeline[0].trial as usize;
+        for threads in [0usize, 1, 4, 8] {
+            let eval = AnalyticEval {
+                failing: vec![1, 2],
+                last_failed: (threads > 1).then(Default::default),
+                panicking: None,
             };
+            let (outcome, sink) = campaign(threads, eval);
+            let message = outcome.unwrap_err().to_string();
             assert!(
-                err.to_string().contains("injected failure"),
-                "threads = {threads}: {err}"
+                message.contains("injected failure for trial 1"),
+                "threads = {threads}: {message}"
             );
+            // Dispatch 0 committed; nothing from the failure on did, though
+            // trial 3 finished fine.
+            let committed: Vec<usize> = sink.commits.iter().map(|c| c.0).collect();
+            assert_eq!(committed, [first_commit], "threads = {threads}");
         }
+    }
+
+    /// Jobs the test holds instead of running, to finish them in an order of
+    /// its choosing.
+    type Job<'e> = EvalJob<&'e AnalyticEval, usize>;
+    type Held<'e> = RefCell<Vec<Job<'e>>>;
+    type HoldingPump<'p, 'e> = Pump<'p, &'e AnalyticEval, CommitLog, &'p dyn Fn(Job<'e>, bool)>;
+
+    /// A pump frozen after the first dispatch wave of a `k`-trial random
+    /// search: every dispatch has passed `host` and — where admitted — sits
+    /// in `held`.
+    fn mid_flight<'e, H: Host<CommitLog>>(
+        k: usize,
+        eval: &'e AnalyticEval,
+        host: &mut H,
+        body: impl FnOnce(&mut HoldingPump<'_, 'e>, &mut ExecutorCore<'_>, &mut H, &Held<'e>),
+    ) where
+        H::Error: std::fmt::Debug,
+    {
+        let mut scheduler = RandomSearch::new(k, 3).scheduler().unwrap();
+        let (space, mut rng) = (space_1d(), rng_for(5, 0));
+        let sim = VirtualExecution::new(k, CostModel::Unit);
+        let mut core = ExecutorCore::new(&mut scheduler, &space, &mut rng, &sim).unwrap();
+        let held: Held<'e> = RefCell::new(Vec::new());
+        let hold = |job, _chained| held.borrow_mut().push(job);
+        let mut sink = CommitLog::default();
+        let mut pump: HoldingPump<'_, 'e> = Pump::new(eval, &mut sink, &hold);
+        let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
+            panic!("a fresh campaign dispatches first");
+        };
+        assert_eq!(batch.len(), k);
+        for dispatched in batch {
+            pump.dispatch(dispatched, &mut core, host).unwrap();
+        }
+        body(&mut pump, &mut core, host, &held);
+    }
+
+    #[test]
+    fn a_turn_commits_in_dispatch_order_and_ends_once_however_jobs_finish() {
+        for k in [1usize, 2, 7] {
+            let eval = AnalyticEval::default();
+            mid_flight(k, &eval, &mut Ungated, |pump, core, host, held| {
+                let dispatched: Vec<usize> = held
+                    .borrow()
+                    .iter()
+                    .map(|j| j.work.request.trial_id)
+                    .collect();
+                // Completions arrive in the reverse of dispatch order.
+                for job in held.borrow_mut().drain(..).rev() {
+                    job.run(None);
+                }
+                pump.turn(core, host).unwrap();
+                let sink = pump.sink();
+                let committed: Vec<usize> = sink.commits.iter().map(|c| c.0).collect();
+                assert_eq!(committed, dispatched, "k = {k}: dispatch order");
+                assert_eq!(sink.turns_ended, 1, "k = {k}: one turn end");
+                assert_eq!(sink.states.len(), k, "k = {k}: every state parked again");
+                assert!(matches!(core.step().unwrap(), ExecutorStep::Finished));
+            });
+        }
+    }
+
+    /// Issues a ticket per dispatch and leaves granting to the test.
+    #[derive(Default)]
+    struct Ticketing {
+        issued: Vec<u64>,
+        released: usize,
+    }
+
+    impl Host<CommitLog> for Ticketing {
+        type Error = CoreError;
+
+        fn admit(&mut self, _request: &TrialRequest) -> Result<Admission> {
+            let ticket = 100 + self.issued.len() as u64;
+            self.issued.push(ticket);
+            Ok(Admission::Ticket(ticket))
+        }
+
+        fn release(&mut self) {
+            self.released += 1;
+        }
+    }
+
+    #[test]
+    fn admissions_start_dispatches_in_ticket_order() {
+        let eval = AnalyticEval::default();
+        mid_flight(
+            3,
+            &eval,
+            &mut Ticketing::default(),
+            |pump, core, host, held| {
+                assert!(held.borrow().is_empty(), "nothing runs before its grant");
+                let admit = pump.admitter();
+                host.issued.iter().for_each(|&ticket| admit(ticket));
+                // The grants alone make a turn: three jobs start, none finished.
+                pump.turn(core, host).unwrap();
+                assert_eq!(held.borrow().len(), 3);
+                assert_eq!(pump.sink().turns_ended, 1);
+                for job in held.borrow_mut().drain(..) {
+                    job.run(None);
+                }
+                pump.turn(core, host).unwrap();
+                assert_eq!(host.released, 3);
+                assert_eq!(pump.sink().commits.len(), 3);
+            },
+        );
+    }
+
+    #[test]
+    fn a_misbehaving_host_fails_the_campaign_without_panicking() {
+        let eval = AnalyticEval::default();
+        let failure = |result: Result<()>| result.unwrap_err().to_string();
+        // The same ticket granted twice: the second finds nothing waiting.
+        mid_flight(
+            1,
+            &eval,
+            &mut Ticketing::default(),
+            |pump, core, host, _| {
+                let admit = pump.admitter();
+                admit(host.issued[0]);
+                admit(host.issued[0]);
+                let message = failure(pump.turn(core, host));
+                assert!(message.contains("awaiting admission is None"), "{message}");
+            },
+        );
+        // A grant out of order must not start the wrong dispatch.
+        mid_flight(
+            2,
+            &eval,
+            &mut Ticketing::default(),
+            |pump, core, host, held| {
+                pump.admitter()(host.issued[1]);
+                let message = failure(pump.turn(core, host));
+                assert!(message.contains("awaiting admission is Some"), "{message}");
+                assert!(held.borrow().is_empty());
+            },
+        );
+        // A completion for a trial the pump has nothing in flight for.
+        mid_flight(1, &eval, &mut Ungated, |pump, core, host, held| {
+            held.borrow_mut().remove(0).run(None);
+            let trial = pump.busy.drain().next().unwrap().0;
+            pump.busy.insert(trial + 1, VecDeque::new());
+            let message = failure(pump.turn(core, host));
+            assert!(message.contains("no evaluation in flight"), "{message}");
+        });
+        // Waiting with nothing in flight is an error, not a hang.
+        mid_flight(1, &eval, &mut Ungated, |pump, core, host, held| {
+            held.borrow_mut().remove(0).run(None);
+            pump.turn(core, host).unwrap();
+            let message = failure(pump.turn(core, host));
+            assert!(message.contains("no evaluation in flight"), "{message}");
+        });
+    }
+
+    #[test]
+    fn a_panicking_job_fails_the_campaign_with_its_own_error() {
+        let eval = AnalyticEval {
+            panicking: Some(0),
+            ..AnalyticEval::default()
+        };
+        mid_flight(1, &eval, &mut Ungated, |pump, core, host, held| {
+            let job = held.borrow_mut().remove(0);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run(None)));
+            assert!(unwound.is_err());
+            assert_eq!(pump.turn(core, host), Err(CoreError::EvalPanicked));
+        });
     }
 }

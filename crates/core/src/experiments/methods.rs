@@ -21,6 +21,8 @@ use fedhpo::{
     Asha, AsyncAsha, Bohb, Hyperband, IntoScheduler, RandomSearch, ReEvaluation, Scheduler, Tpe,
     Tuner,
 };
+use fedmath::SeedTree;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// The HP-tuning methods compared throughout the paper (RS, TPE, HB, BOHB)
@@ -238,6 +240,23 @@ pub struct MethodComparison {
 }
 
 impl MethodComparison {
+    /// The comparison of `runs`, with online curves reported over the
+    /// scale's budget grid.
+    fn over_budget_grid(
+        benchmark: Benchmark,
+        scale: &ExperimentScale,
+        runs: Vec<MethodRun>,
+    ) -> Self {
+        let grid_steps = scale.num_configs.max(4);
+        MethodComparison {
+            benchmark: benchmark.name().to_string(),
+            runs,
+            budget_grid: (1..=grid_steps)
+                .map(|i| i * scale.total_budget / grid_steps)
+                .collect(),
+        }
+    }
+
     /// Distinct (method, noise) pairs present in the runs, in insertion order.
     fn run_keys(&self) -> Vec<(String, String)> {
         let mut keys: Vec<(String, String)> = Vec::new();
@@ -430,21 +449,75 @@ pub fn run_method_comparison_with(
             log: objective.into_log(),
         })
     })?;
-    let grid_steps = scale.num_configs.max(4);
-    let budget_grid: Vec<usize> = (1..=grid_steps)
-        .map(|i| i * scale.total_budget / grid_steps)
-        .collect();
-    Ok(MethodComparison {
-        benchmark: benchmark.name().to_string(),
-        runs,
-        budget_grid,
-    })
+    Ok(MethodComparison::over_budget_grid(benchmark, scale, runs))
 }
 
-/// The method comparison through the batched **ask/tell scheduler**: every
+/// One campaign of the scheduled comparison's (method × noise setting ×
+/// trial) grid, as [`scheduled_comparison`] hands it out.
+pub struct ScheduledCampaign<'a> {
+    /// The method (the scheduler handed out with the cell is its state
+    /// machine at the comparison's scale).
+    pub method: TuningMethod,
+    /// The noise setting's label.
+    pub noise_label: &'a str,
+    /// The noise setting's configuration.
+    pub noise: &'a NoiseConfig,
+    /// The positional seed of the campaign's objective.
+    pub objective_seed: u64,
+}
+
+/// Enumerates the scheduled comparison's campaign grid — method-major, then
+/// noise setting, then trial — and assembles what `campaign` logs for each
+/// cell. Every cell gets a fresh scheduler and positional seeds (the
+/// engine's: fan-out rooted at `derive_seed(seed, 7)`, cell `i` on child
+/// `i`, objective on channel 0, scheduler RNG on channel 1), so live,
+/// recorded and replayed comparisons (`fedstore`) differ only in the
+/// objective `campaign` evaluates.
+///
+/// # Errors
+///
+/// Propagates scheduler construction failures and `campaign`'s.
+pub fn scheduled_comparison(
+    benchmark: Benchmark,
+    scale: &ExperimentScale,
+    methods: &[TuningMethod],
+    noise_settings: &[(String, NoiseConfig)],
+    seed: u64,
+    mut campaign: impl FnMut(
+        &ScheduledCampaign<'_>,
+        &mut dyn Scheduler,
+        &mut StdRng,
+    ) -> Result<Vec<ObjectiveLogEntry>>,
+) -> Result<MethodComparison> {
+    let tree = SeedTree::new(fedmath::rng::derive_seed(seed, 7));
+    let mut runs = Vec::new();
+    for &method in methods {
+        for (noise_label, noise) in noise_settings {
+            for trial in 0..scale.method_trials {
+                let unit = tree.child(runs.len() as u64);
+                let cell = ScheduledCampaign {
+                    method,
+                    noise_label,
+                    noise,
+                    objective_seed: unit.child(0).seed(),
+                };
+                let mut scheduler = method.scheduler(scale)?;
+                runs.push(MethodRun {
+                    method: method.name().to_string(),
+                    noise_label: noise_label.clone(),
+                    trial,
+                    log: campaign(&cell, scheduler.as_mut(), &mut unit.child(1).rng())?,
+                });
+            }
+        }
+    }
+    Ok(MethodComparison::over_budget_grid(benchmark, scale, runs))
+}
+
+/// The method comparison through the barrier **ask/tell driver**: every
 /// (method × noise setting × trial) campaign is driven by
-/// [`run_scheduled`], with each suggested batch fanned out across threads by
-/// a [`BatchFederatedObjective`] under `batch_policy`. Campaign seeds are
+/// [`run_scheduled`], with each suggested batch evaluated on `batch_policy`'s
+/// real threads against a [`BatchFederatedObjective`]. Campaign seeds are
 /// positional (derived from the unit's grid position), and all evaluation
 /// randomness is keyed by request coordinates, so `Sequential` and
 /// `Parallel` batch policies produce **bit-identical** comparisons
@@ -454,7 +527,8 @@ pub fn run_method_comparison_with(
 /// runs each tuner pull-style and therefore sequentially), this is the
 /// scalable path for live tuning: a single campaign saturates the machine —
 /// RS suggests its whole schedule as one batch, HB/BOHB/ASHA suggest whole
-/// rungs.
+/// rungs. Campaigns run one after another; the parallelism lives *inside*
+/// each campaign's batches.
 ///
 /// # Errors
 ///
@@ -468,42 +542,21 @@ pub fn run_method_comparison_scheduled(
     seed: u64,
 ) -> Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let units: Vec<(TuningMethod, &str, &NoiseConfig, usize)> = methods
-        .iter()
-        .flat_map(|&method| {
-            noise_settings.iter().flat_map(move |(label, noise)| {
-                (0..scale.method_trials).map(move |trial| (method, label.as_str(), noise, trial))
-            })
-        })
-        .collect();
-    // Campaigns run one after another — the parallelism lives *inside* each
-    // campaign's batches — but unit seeds are derived exactly as the engine
-    // would, keyed by grid position.
-    let root = fedmath::rng::derive_seed(seed, 7);
-    let runs = TrialRunner::sequential().run_trials(root, units.len(), |unit| {
-        let (method, noise_label, noise, trial) = units[unit.index()];
-        let mut scheduler = method.scheduler(scale)?;
-        let planned = method.planned_evaluations(scale);
-        let mut objective = BatchFederatedObjective::new(&ctx, *noise, planned, unit.seed(0))?
-            .with_batch_runner(TrialRunner::new(batch_policy));
-        let mut rng = unit.rng(1);
-        run_scheduled(scheduler.as_mut(), ctx.space(), &mut objective, &mut rng)?;
-        Ok(MethodRun {
-            method: method.name().to_string(),
-            noise_label: noise_label.to_string(),
-            trial,
-            log: objective.into_log(),
-        })
-    })?;
-    let grid_steps = scale.num_configs.max(4);
-    let budget_grid: Vec<usize> = (1..=grid_steps)
-        .map(|i| i * scale.total_budget / grid_steps)
-        .collect();
-    Ok(MethodComparison {
-        benchmark: benchmark.name().to_string(),
-        runs,
-        budget_grid,
-    })
+    let threads = batch_policy.pool_threads();
+    scheduled_comparison(
+        benchmark,
+        scale,
+        methods,
+        noise_settings,
+        seed,
+        |cell, scheduler, rng| {
+            let planned = cell.method.planned_evaluations(scale);
+            let mut objective =
+                BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
+            run_scheduled(scheduler, ctx.space(), &mut objective, rng, threads)?;
+            Ok(objective.into_log())
+        },
+    )
 }
 
 /// The Fig. 1 headline: method bars on CIFAR10-like at one third of the

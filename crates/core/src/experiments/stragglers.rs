@@ -6,14 +6,15 @@
 //! systems noise: slow clients make *training rounds* slow, and a
 //! rung-synchronous ladder stalls every worker at the barrier until the
 //! slowest trial of the rung finishes. The event-driven executor
-//! ([`run_event_driven`]) makes that cost measurable in simulated wall-clock
-//! and lets asynchronous ASHA demonstrate its point: promote on completion,
-//! keep every worker busy, and reach a given accuracy sooner.
+//! ([`run_event_driven_concurrent`]) makes that cost measurable in simulated
+//! wall-clock and lets asynchronous ASHA demonstrate its point: promote on
+//! completion, keep every worker busy, and reach a given accuracy sooner.
 //!
 //! Both ladders are identical ([`TuningMethod::Asha`] vs
 //! [`TuningMethod::AsyncAsha`]); only the driver/scheduler handshake differs,
 //! so any throughput gap is attributable to the barrier.
 
+use crate::concurrent::run_event_driven_concurrent;
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::experiments::methods::TuningMethod;
@@ -23,7 +24,7 @@ use crate::objective::{
 };
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
-use crate::scheduler::{run_event_driven, VirtualExecution};
+use crate::scheduler::VirtualExecution;
 use crate::Result;
 use feddata::Benchmark;
 use fedsim::clock::{ClientRuntimeModel, CostModel};
@@ -181,23 +182,23 @@ pub fn run_straggler_comparison(
         .flat_map(|&method| workers_grid.iter().map(move |&workers| (method, workers)))
         .collect();
     let root = fedmath::rng::derive_seed(seed, 9);
-    // Campaigns run one after another (the parallelism lives inside each
-    // batch), with engine-style positional unit seeds.
+    // Campaigns run one after another (the parallelism is each campaign's
+    // in-flight trials), with engine-style positional unit seeds.
     let runs = TrialRunner::sequential().run_trials(root, units.len(), |unit| {
         let (method, workers) = units[unit.index()];
         let mut scheduler = method.scheduler(scale)?;
         let planned = method.planned_evaluations(scale);
         let mut objective =
-            BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), planned, unit.seed(0))?
-                .with_batch_runner(TrialRunner::new(batch_policy));
+            BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), planned, unit.seed(0))?;
         let mut rng = unit.rng(1);
         let sim = VirtualExecution::new(workers, cost);
-        let event = run_event_driven(
+        let event = run_event_driven_concurrent(
             scheduler.as_mut(),
             ctx.space(),
             &mut objective,
             &mut rng,
             &sim,
+            batch_policy.pool_threads(),
         )?;
         Ok(StragglerRun {
             method: method.name().to_string(),

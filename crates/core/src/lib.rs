@@ -20,11 +20,14 @@
 //!   noisy tuning runs cheaply).
 //! - [`objective`] — a live [`fedhpo::Objective`] that trains configurations
 //!   on demand with noisy evaluation, used by the RS/TPE/Hyperband/BOHB
-//!   comparisons, plus [`BatchFederatedObjective`] — the batched,
-//!   order-independent variant behind the scheduler driver.
-//! - [`scheduler`] — the parallel batch driver for `fedhpo`'s ask/tell
-//!   [`fedhpo::Scheduler`] methods: suggested batches fan out across threads
-//!   through the engine with bit-identical results.
+//!   comparisons, plus [`BatchFederatedObjective`] — the point-keyed,
+//!   order-independent variant every scheduler driver evaluates.
+//! - [`concurrent`] — the objective contract ([`ConcurrentObjective`]) and
+//!   the one [`Pump`] that drives it, inline, on a scoped pool, or for the
+//!   `fedserve` daemon.
+//! - [`scheduler`] — the sans-io [`ExecutorCore`] and the thin drivers for
+//!   `fedhpo`'s ask/tell [`fedhpo::Scheduler`] methods over that pump, with
+//!   bit-identical results at every thread count.
 //! - [`experiments`] — one runner per paper table/figure; see `DESIGN.md` for
 //!   the experiment index.
 //!
@@ -56,8 +59,8 @@ pub mod scale;
 pub mod scheduler;
 
 pub use concurrent::{
-    run_event_driven_concurrent, run_event_driven_concurrent_traced, ConcurrentEval,
-    ConcurrentObjective, ConcurrentSink, EvalOutput,
+    run_event_driven_concurrent, run_event_driven_concurrent_traced, Admission, ConcurrentEval,
+    ConcurrentObjective, ConcurrentSink, EvalJob, EvalOutput, Host, Pump, Ungated,
 };
 pub use context::BenchmarkContext;
 pub use engine::{ProgressTracker, TrialContext, TrialRunner};
@@ -72,8 +75,8 @@ pub use pool::{ConfigPool, PooledConfig};
 pub use report::{ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{
-    run_event_driven, run_event_driven_traced, run_scheduled, run_scheduled_for, BatchObjective,
-    DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep, VirtualExecution,
+    run_event_driven, run_event_driven_traced, run_scheduled, run_scheduled_for, DispatchedTrial,
+    EventDrivenOutcome, ExecutorCore, ExecutorStep, VirtualExecution,
 };
 
 use std::fmt;
@@ -103,6 +106,8 @@ pub enum CoreError {
     Pop(fedpop::PopError),
     /// An underlying numerical routine failed.
     Math(fedmath::MathError),
+    /// An evaluation job panicked before reporting to its driver.
+    EvalPanicked,
 }
 
 impl fmt::Display for CoreError {
@@ -117,6 +122,7 @@ impl fmt::Display for CoreError {
             CoreError::Proxy(e) => write!(f, "proxy error: {e}"),
             CoreError::Pop(e) => write!(f, "population error: {e}"),
             CoreError::Math(e) => write!(f, "math error: {e}"),
+            CoreError::EvalPanicked => write!(f, "an evaluation task panicked"),
         }
     }
 }
@@ -124,7 +130,7 @@ impl fmt::Display for CoreError {
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoreError::InvalidConfig { .. } => None,
+            CoreError::InvalidConfig { .. } | CoreError::EvalPanicked => None,
             CoreError::Data(e) => Some(e),
             CoreError::Sim(e) => Some(e),
             CoreError::Model(e) => Some(e),

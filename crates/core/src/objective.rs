@@ -13,7 +13,7 @@ use crate::context::BenchmarkContext;
 use crate::noise::{noisy_error, NoiseConfig};
 use crate::Result;
 use feddata::Split;
-use fedhpo::{HpConfig, HpoError, Objective, TrialRequest, TrialResult};
+use fedhpo::{HpConfig, HpoError, Objective, TrialRequest};
 use fedmath::{SeedStream, SeedTree};
 use fedproxy::hyperparams_from_config;
 use fedsim::evaluation::evaluate_full_with;
@@ -102,55 +102,35 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
     selected_true_error(&within, usize::MAX)
 }
 
-/// Request-ordered campaign bookkeeping for objectives that answer requests
-/// without training (the `fedstore` recording and tabular-replay
-/// objectives): every observation is logged with the same incremental
-/// resource accounting the live [`BatchFederatedObjective`] performs — a
+/// The campaign sink every scheduled objective in the workspace commits to:
+/// per-trial state of type `S` parked between that trial's dispatches, and
+/// the commit-ordered log with **campaign-side** resource accounting — a
 /// configuration is charged only for fidelity above what it has already
 /// reached, and an evaluation's logged `resource` is the fidelity actually
-/// reached — so store-backed logs are comparable (and, for replayed
+/// reached. For a live objective that is exactly what its evaluations
+/// trained; for one that can answer without training (the `fedstore`
+/// recording and tabular-replay objectives) it is what the request cost the
+/// campaign, so store-backed logs are comparable (and, for replayed
 /// campaigns, bit-identical) to live ones.
 #[derive(Debug, Clone, Default)]
-pub struct CampaignLog {
+pub struct CampaignLog<S = ()> {
     log: Vec<ObjectiveLogEntry>,
     consumed: HashMap<usize, usize>,
     cumulative_rounds: usize,
-    last_batch_start: usize,
+    states: HashMap<usize, S>,
 }
 
-impl CampaignLog {
-    /// Creates an empty campaign log.
-    pub fn new() -> Self {
-        CampaignLog::default()
-    }
-
-    /// Marks the start of a batch (for [`last_batch_true_errors`]).
-    ///
-    /// [`last_batch_true_errors`]: Self::last_batch_true_errors
-    pub fn begin_batch(&mut self) {
-        self.last_batch_start = self.log.len();
-    }
-
-    /// Logs one observation for `request` with incremental resource
-    /// accounting, and returns the logged entry.
-    pub fn observe(
-        &mut self,
-        request: &fedhpo::TrialRequest,
-        noisy_score: f64,
-        true_error: f64,
-    ) -> &ObjectiveLogEntry {
-        self.observe_at(request, noisy_score, true_error, 0.0)
-    }
-
-    /// [`observe`](Self::observe) with an explicit simulated completion
-    /// time, for campaigns driven under a virtual clock.
+impl<S> CampaignLog<S> {
+    /// Logs one observation for `request`, completed at `sim_time` virtual
+    /// seconds (`0.0` where there is no virtual clock), with incremental
+    /// resource accounting.
     pub fn observe_at(
         &mut self,
-        request: &fedhpo::TrialRequest,
+        request: &TrialRequest,
         noisy_score: f64,
         true_error: f64,
         sim_time: f64,
-    ) -> &ObjectiveLogEntry {
+    ) {
         let consumed = self.consumed.entry(request.trial_id).or_insert(0);
         let reached = (*consumed).max(request.resource);
         self.cumulative_rounds += reached - *consumed;
@@ -164,10 +144,9 @@ impl CampaignLog {
             noise_rep: request.noise_rep,
             sim_time,
         });
-        self.log.last().expect("entry pushed above")
     }
 
-    /// The campaign log so far, in request order.
+    /// The campaign log so far, in commit order.
     pub fn log(&self) -> &[ObjectiveLogEntry] {
         &self.log
     }
@@ -182,17 +161,25 @@ impl CampaignLog {
         self.cumulative_rounds
     }
 
-    /// True errors logged since the last [`begin_batch`](Self::begin_batch).
-    pub fn last_batch_true_errors(&self) -> Vec<f64> {
-        self.log[self.last_batch_start..]
-            .iter()
-            .map(|e| e.true_error)
-            .collect()
-    }
-
     /// Noise-aware selection over the log; see [`selected_true_error`].
     pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
         selected_true_error(&self.log, budget)
+    }
+}
+
+impl<S: Send + Default> ConcurrentSink for CampaignLog<S> {
+    type State = S;
+
+    fn take_state(&mut self, trial_id: usize) -> S {
+        self.states.remove(&trial_id).unwrap_or_default()
+    }
+
+    fn put_state(&mut self, trial_id: usize, state: S) {
+        self.states.insert(trial_id, state);
+    }
+
+    fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
+        self.observe_at(request, output.noisy_score, output.true_error, sim_time);
     }
 }
 
@@ -359,22 +346,23 @@ impl Objective for FederatedObjective<'_> {
     }
 }
 
-/// Per-trial mutable state of the batched federated objective: the training
-/// run plus the memoised full-validation evaluation at its current fidelity.
+/// Per-trial mutable state of the scheduled federated objective: the
+/// training run plus the memoised full-validation evaluation at its current
+/// fidelity.
 ///
-/// Exactly one evaluation task owns a trial's state at a time; between
-/// dispatches and batches the whole state — memo included — is parked in
-/// the campaign sink, so fresh-noise replicates (`noise_rep >= 1`) of an
-/// unchanged model pay the validation pass once per `(trial, fidelity)`
-/// under every driver. Fresh trials start empty.
+/// Exactly one evaluation job owns a trial's state at a time; between
+/// dispatches the whole state — memo included — is parked in the campaign
+/// sink, so fresh-noise replicates (`noise_rep >= 1`) of an unchanged model
+/// pay the validation pass once per `(trial, fidelity)` in every lane. Fresh
+/// trials start empty.
 #[derive(Debug, Default)]
 pub struct FederatedTrialState {
     run: Option<TrainingRun>,
     eval_cache: Option<(usize, fedsim::evaluation::FederatedEvaluation)>,
 }
 
-/// The batched, order-independent federated objective behind the ask/tell
-/// scheduler driver (`fedtune_core::scheduler`).
+/// The order-independent federated objective behind the ask/tell scheduler
+/// drivers (`fedtune_core::scheduler`).
 ///
 /// Where [`FederatedObjective`] draws evaluation noise from one shared
 /// sequential RNG (so results depend on global call order), this objective
@@ -382,9 +370,9 @@ pub struct FederatedTrialState {
 /// training run is seeded by the configuration's canonical fingerprint
 /// (`SearchSpace::canonical_fingerprint`) and every noise draw by
 /// `(fingerprint, resource, noise_rep)` on a per-objective [`SeedTree`].
-/// Every request in a batch is therefore a pure function of its own
-/// coordinates, and a whole batch can fan out across threads — one worker
-/// per distinct trial — with results bit-identical to sequential execution
+/// Every request is therefore a pure function of its own coordinates, and
+/// everything in flight can evaluate on real threads at once — one job per
+/// distinct trial — with results bit-identical to inline execution
 /// (asserted by `tests/determinism.rs`). Point-keyed randomness also makes
 /// the score a function of `(config, resource, noise_rep)` alone — two
 /// trials that happen to sample the same configuration observe identical
@@ -392,18 +380,17 @@ pub struct FederatedTrialState {
 /// trial ledger keys records by. And it gives the re-evaluation mitigation
 /// its contract: rep `r` of a point yields the same draw no matter when it
 /// is scheduled, and distinct reps yield independent draws.
-/// Internally the objective is split sans-io style into a shared, `Sync`
-/// **evaluation core** ([`FederatedEvalCore`]) holding the immutable
-/// campaign inputs and a mutable **campaign sink**
-/// ([`FederatedCampaignSink`]) parking per-trial state and the log — which
-/// is exactly the [`ConcurrentObjective`]
-/// shape, so the same objective drives the blocking batch API below *and*
-/// [`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent)
-/// with bit-identical results.
+///
+/// The objective is split sans-io style into a shared, `Sync` **evaluation
+/// core** ([`FederatedEvalCore`]) holding the immutable campaign inputs and a
+/// mutable **campaign sink** (a [`CampaignLog`]) parking per-trial state
+/// and the log — the [`ConcurrentObjective`] contract, which is all a
+/// driver asks for: the barrier driver, the inline event-driven reference
+/// and the concurrent one run this same objective with bit-identical
+/// results.
 pub struct BatchFederatedObjective<'a> {
     eval: FederatedEvalCore<'a>,
-    sink: FederatedCampaignSink,
-    batch_runner: crate::engine::TrialRunner,
+    sink: CampaignLog<FederatedTrialState>,
 }
 
 /// The shared, thread-safe half of [`BatchFederatedObjective`]: immutable
@@ -418,21 +405,10 @@ pub struct FederatedEvalCore<'a> {
     execution: ExecutionPolicy,
 }
 
-/// The single-threaded half of [`BatchFederatedObjective`]: parked per-trial
-/// state and the campaign log with its cumulative-rounds accounting.
-#[derive(Default)]
-pub struct FederatedCampaignSink {
-    states: HashMap<usize, FederatedTrialState>,
-    log: Vec<ObjectiveLogEntry>,
-    cumulative_rounds: usize,
-    last_batch_start: usize,
-}
-
 impl<'a> BatchFederatedObjective<'a> {
-    /// Creates a batched objective; parameters mirror
-    /// [`FederatedObjective::new`]. Batches run sequentially until a runner
-    /// is attached with
-    /// [`with_batch_runner`](Self::with_batch_runner).
+    /// Creates the objective; parameters mirror [`FederatedObjective::new`].
+    /// How many real threads evaluate it is the driver's argument, not the
+    /// objective's.
     ///
     /// # Errors
     ///
@@ -462,34 +438,8 @@ impl<'a> BatchFederatedObjective<'a> {
                 noise_seeds,
                 execution: ExecutionPolicy::Sequential,
             },
-            sink: FederatedCampaignSink::default(),
-            batch_runner: crate::engine::TrialRunner::sequential(),
+            sink: CampaignLog::default(),
         })
-    }
-
-    /// The search space of the objective's benchmark context — the space a
-    /// recording wrapper must canonicalize configurations against.
-    pub fn space(&self) -> &fedhpo::SearchSpace {
-        self.eval.ctx.space()
-    }
-
-    /// True full-validation errors of the most recent
-    /// [`evaluate_batch`](Self::evaluate_batch) call, aligned with its
-    /// returned results. Empty before the first batch.
-    pub fn last_batch_true_errors(&self) -> Vec<f64> {
-        self.sink.log[self.sink.last_batch_start..]
-            .iter()
-            .map(|e| e.true_error)
-            .collect()
-    }
-
-    /// Sets the runner fanning the distinct trials of each batch out across
-    /// threads. Any policy produces bit-identical results; `Parallel` only
-    /// changes wall-clock time.
-    #[must_use]
-    pub fn with_batch_runner(mut self, runner: crate::engine::TrialRunner) -> Self {
-        self.batch_runner = runner;
-        self
     }
 
     /// Sets the execution policy for the *inner* per-trial work (federated
@@ -501,108 +451,25 @@ impl<'a> BatchFederatedObjective<'a> {
         self
     }
 
-    /// The evaluations logged so far, in request order.
+    /// The evaluations logged so far, in commit order.
     pub fn log(&self) -> &[ObjectiveLogEntry] {
-        &self.sink.log
+        self.sink.log()
     }
 
     /// Total training rounds consumed so far.
     pub fn cumulative_rounds(&self) -> usize {
-        self.sink.cumulative_rounds
+        self.sink.cumulative_rounds()
     }
 
     /// Consumes the objective and returns its log.
     pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
-        self.sink.log
+        self.sink.into_log()
     }
 
     /// Noise-aware selection within the budget; see
     /// [`FederatedObjective::selected_true_error_within`].
     pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        selected_true_error(&self.sink.log, budget)
-    }
-
-    /// Evaluates a whole batch of requests: distinct trials fan out under the
-    /// batch runner's policy (each worker owns its trial's training run),
-    /// requests of the same trial execute in request order, and the log and
-    /// returned results are stitched back in request order — bit-identical
-    /// under every policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-trial-group) evaluation error.
-    pub fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> Result<Vec<TrialResult>> {
-        self.evaluate_batch_with_times(requests, None)
-    }
-
-    /// [`evaluate_batch`](Self::evaluate_batch) with per-request simulated
-    /// completion times stamped into the log — the entry point the
-    /// event-driven driver uses (it knows each request's virtual completion
-    /// instant at dispatch).
-    pub fn evaluate_batch_at(
-        &mut self,
-        requests: &[TrialRequest],
-        sim_times: &[f64],
-    ) -> Result<Vec<TrialResult>> {
-        self.evaluate_batch_with_times(requests, Some(sim_times))
-    }
-
-    fn evaluate_batch_with_times(
-        &mut self,
-        requests: &[TrialRequest],
-        sim_times: Option<&[f64]>,
-    ) -> Result<Vec<TrialResult>> {
-        use std::sync::Mutex;
-
-        // Group request indices by trial, in first-occurrence order.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            match groups.iter_mut().find(|(id, _)| *id == request.trial_id) {
-                Some((_, indices)) => indices.push(i),
-                None => groups.push((request.trial_id, vec![i])),
-            }
-        }
-        // Each group takes ownership of its trial's state for the duration
-        // of the batch; the Mutex is uncontended (one worker per group) and
-        // only transfers ownership in and out.
-        let slots: Vec<Mutex<FederatedTrialState>> = groups
-            .iter()
-            .map(|(trial_id, _)| Mutex::new(self.sink.take_state(*trial_id)))
-            .collect();
-        let eval = &self.eval;
-        let outputs = self.batch_runner.run_trials(0, groups.len(), |trial_ctx| {
-            let (_, indices) = &groups[trial_ctx.index()];
-            let mut slot = slots[trial_ctx.index()]
-                .lock()
-                .expect("batch slot lock poisoned");
-            let mut outputs = Vec::with_capacity(indices.len());
-            for &i in indices {
-                outputs.push(eval.evaluate(&mut slot, &requests[i])?);
-            }
-            Ok(outputs)
-        });
-        // Reinstall the states before propagating any error.
-        for (slot, (trial_id, _)) in slots.into_iter().zip(&groups) {
-            let state = slot.into_inner().expect("batch slot lock poisoned");
-            self.sink.put_state(*trial_id, state);
-        }
-        let outputs = outputs?;
-        // Scatter group outputs back to request order, then account and log.
-        let mut by_request: Vec<Option<EvalOutput>> = vec![None; requests.len()];
-        for ((_, indices), group_outputs) in groups.iter().zip(outputs) {
-            for (&i, output) in indices.iter().zip(group_outputs) {
-                by_request[i] = Some(output);
-            }
-        }
-        self.sink.last_batch_start = self.sink.log.len();
-        let mut results = Vec::with_capacity(requests.len());
-        for (i, (request, output)) in requests.iter().zip(by_request).enumerate() {
-            let output = output.expect("every request belongs to one group");
-            self.sink
-                .commit(request, &output, sim_times.map_or(0.0, |t| t[i]));
-            results.push(TrialResult::of(request, output.noisy_score));
-        }
-        Ok(results)
+        self.sink.selected_true_error_within(budget)
     }
 }
 
@@ -684,41 +551,12 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
     }
 }
 
-impl ConcurrentSink for FederatedCampaignSink {
-    type State = FederatedTrialState;
-
-    fn take_state(&mut self, trial_id: usize) -> FederatedTrialState {
-        self.states.remove(&trial_id).unwrap_or_default()
-    }
-
-    fn put_state(&mut self, trial_id: usize, state: FederatedTrialState) {
-        // A state whose run never started (its first request failed) holds
-        // nothing worth parking.
-        if state.run.is_some() {
-            self.states.insert(trial_id, state);
-        }
-    }
-
-    fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
-        self.cumulative_rounds += output.rounds_delta;
-        self.log.push(ObjectiveLogEntry {
-            trial_id: request.trial_id,
-            resource: output.resource_completed,
-            noisy_score: output.noisy_score,
-            true_error: output.true_error,
-            cumulative_rounds: self.cumulative_rounds,
-            noise_rep: request.noise_rep,
-            sim_time,
-        });
-    }
-}
-
 impl<'a> ConcurrentObjective for BatchFederatedObjective<'a> {
     type State = FederatedTrialState;
     type Eval = FederatedEvalCore<'a>;
-    type Sink = FederatedCampaignSink;
+    type Sink = CampaignLog<FederatedTrialState>;
 
-    fn split(&mut self) -> (&FederatedEvalCore<'a>, &mut FederatedCampaignSink) {
+    fn split(&mut self) -> (&FederatedEvalCore<'a>, &mut Self::Sink) {
         (&self.eval, &mut self.sink)
     }
 }
@@ -726,7 +564,9 @@ impl<'a> ConcurrentObjective for BatchFederatedObjective<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::tests::Scripted;
     use crate::scale::ExperimentScale;
+    use crate::scheduler::run_scheduled;
     use feddata::Benchmark;
     use feddp::PrivacyBudget;
     use fedhpo::{RandomSearch, SearchSpace, Tuner};
@@ -820,6 +660,26 @@ mod tests {
         }
     }
 
+    /// The scores of `batches` driven through the barrier driver, one
+    /// scripted batch per scheduler cycle, on `threads` real threads.
+    fn scores_of(
+        objective: &mut BatchFederatedObjective<'_>,
+        batches: Vec<Vec<TrialRequest>>,
+        threads: usize,
+    ) -> Vec<f64> {
+        let space = objective.eval.ctx.space();
+        let mut scheduler = Scripted::new(batches);
+        let outcome = run_scheduled(
+            &mut scheduler,
+            space,
+            objective,
+            &mut rng_for(0, 0),
+            threads,
+        )
+        .unwrap();
+        outcome.records().iter().map(|r| r.score).collect()
+    }
+
     #[test]
     fn batch_objective_trains_logs_and_resumes() {
         let ctx = ctx();
@@ -828,10 +688,12 @@ mod tests {
         let mut rng = rng_for(0, 0);
         let a = ctx.space().sample(&mut rng).unwrap();
         let b = ctx.space().sample(&mut rng).unwrap();
-        let results = objective
-            .evaluate_batch(&[request(0, &a, 3, 0), request(1, &b, 3, 0)])
-            .unwrap();
-        assert_eq!(results.len(), 2);
+        let scores = scores_of(
+            &mut objective,
+            vec![vec![request(0, &a, 3, 0), request(1, &b, 3, 0)]],
+            1,
+        );
+        assert_eq!(scores.len(), 2);
         assert_eq!(objective.cumulative_rounds(), 6);
         assert_eq!(objective.log().len(), 2);
         // Noiseless: noisy score equals the true error.
@@ -841,9 +703,11 @@ mod tests {
         }
         // Resuming trial 0 pays only the incremental rounds; a re-evaluation
         // at the reached fidelity pays nothing.
-        objective
-            .evaluate_batch(&[request(0, &a, 5, 0), request(0, &a, 5, 1)])
-            .unwrap();
+        scores_of(
+            &mut objective,
+            vec![vec![request(0, &a, 5, 0), request(0, &a, 5, 1)]],
+            4,
+        );
         assert_eq!(objective.cumulative_rounds(), 8);
         assert_eq!(objective.log()[3].noise_rep, 1);
         assert!(objective.selected_true_error_within(usize::MAX).is_some());
@@ -858,17 +722,17 @@ mod tests {
             let mut rng = rng_for(1, 0);
             ctx.space().sample(&mut rng).unwrap()
         };
-        let run = |requests: &[TrialRequest]| {
+        let run = |requests: Vec<TrialRequest>| {
             let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 7).unwrap();
-            objective.evaluate_batch(requests).unwrap()
+            scores_of(&mut objective, vec![requests], 1)
         };
         // The same (trial, resource, rep) coordinate always draws the same
         // noise, regardless of what else is in the batch.
-        let alone = run(&[request(0, &config, 2, 0)]);
-        let with_rep = run(&[request(0, &config, 2, 0), request(0, &config, 2, 1)]);
-        assert_eq!(alone[0].score.to_bits(), with_rep[0].score.to_bits());
+        let alone = run(vec![request(0, &config, 2, 0)]);
+        let with_rep = run(vec![request(0, &config, 2, 0), request(0, &config, 2, 1)]);
+        assert_eq!(alone[0].to_bits(), with_rep[0].to_bits());
         // Distinct reps draw independent noise.
-        assert!((with_rep[0].score - with_rep[1].score).abs() > 1e-9);
+        assert!((with_rep[0] - with_rep[1]).abs() > 1e-9);
     }
 
     #[test]
@@ -897,21 +761,23 @@ mod tests {
         let mut values = fixed.to_vec();
         values.extend([64.0, 1.0]);
         let config = HpConfig::new(values);
-        let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
-        let results = objective
-            .evaluate_batch(&[request(3, &config, 2, 0), request(7, &config, 2, 0)])
-            .unwrap();
-        assert_eq!(results[0].score.to_bits(), results[1].score.to_bits());
-        let log = objective.log();
-        assert_eq!(log[0].true_error.to_bits(), log[1].true_error.to_bits());
-        // Distinct points still draw independently.
         let mut other_values = fixed.to_vec();
         other_values.extend([32.0, 1.0]);
         let other = HpConfig::new(other_values);
-        let more = objective
-            .evaluate_batch(&[request(8, &other, 2, 0)])
-            .unwrap();
-        assert_ne!(more[0].score.to_bits(), results[0].score.to_bits());
+        let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
+        let scores = scores_of(
+            &mut objective,
+            vec![
+                vec![request(3, &config, 2, 0), request(7, &config, 2, 0)],
+                vec![request(8, &other, 2, 0)],
+            ],
+            4,
+        );
+        assert_eq!(scores[0].to_bits(), scores[1].to_bits());
+        let log = objective.log();
+        assert_eq!(log[0].true_error.to_bits(), log[1].true_error.to_bits());
+        // Distinct points still draw independently.
+        assert_ne!(scores[2].to_bits(), scores[0].to_bits());
     }
 
     #[test]
@@ -924,21 +790,19 @@ mod tests {
                 .map(|t| request(t, &ctx.space().sample(&mut rng).unwrap(), 3, 0))
                 .collect()
         };
-        let run = |runner: crate::engine::TrialRunner| {
-            let mut objective = BatchFederatedObjective::new(&ctx, noise, 6, 9)
-                .unwrap()
-                .with_batch_runner(runner);
-            objective.evaluate_batch(&requests).unwrap()
+        let run = |threads: usize| {
+            let mut objective = BatchFederatedObjective::new(&ctx, noise, 6, 9).unwrap();
+            let scores = scores_of(&mut objective, vec![requests.clone()], threads);
+            (scores, objective.into_log())
         };
-        let sequential = run(crate::engine::TrialRunner::sequential());
-        for threads in [2, 3, 8] {
-            let parallel = run(crate::engine::TrialRunner::new(
-                ExecutionPolicy::parallel_with(threads),
-            ));
-            assert_eq!(sequential.len(), parallel.len());
-            for (s, p) in sequential.iter().zip(&parallel) {
-                assert_eq!(s.score.to_bits(), p.score.to_bits(), "{threads} threads");
+        let (inline, inline_log) = run(1);
+        for threads in [2, 4, 8] {
+            let (pooled, pooled_log) = run(threads);
+            assert_eq!(inline.len(), pooled.len());
+            for (s, p) in inline.iter().zip(&pooled) {
+                assert_eq!(s.to_bits(), p.to_bits(), "{threads} threads");
             }
+            assert_eq!(inline_log, pooled_log, "{threads} threads");
         }
     }
 

@@ -1,106 +1,53 @@
-//! The drivers for ask/tell tuning schedulers: the barrier-synchronous
-//! **batch driver** and the **event-driven virtual-time executor**.
+//! The sans-io executor state machine and the thin drivers over it: the
+//! barrier-synchronous **batch driver** and the inline **event-driven
+//! virtual-time driver**.
 //!
 //! `fedhpo`'s [`Scheduler`] trait inverts tuner control flow — the method
 //! *suggests* batches of [`TrialRequest`]s instead of calling the objective
-//! itself — and this module supplies the drivers that make the inversion pay.
+//! itself — and every driver here evaluates those requests through the one
+//! [`Pump`] over a
+//! [`ConcurrentObjective`].
 //!
-//! [`run_scheduled`] is the barrier driver: each suggested batch is executed
-//! through a [`BatchObjective`] (in practice [`BatchFederatedObjective`],
-//! which fans the batch's distinct trials out over the engine's
-//! [`TrialRunner`](crate::engine::TrialRunner)), results are reported back in
-//! the deterministic batch order, and resource accounting flows through the
-//! shared [`BudgetLedger`].
-//!
-//! [`run_event_driven`] replaces the barrier with a **deterministic
-//! discrete-event simulation** over `fedsim`'s virtual clock: a pool of
-//! *virtual* workers pulls trials as they free up, every evaluation's
-//! simulated runtime comes from a [`CostModel`] keyed by the point's
-//! canonical fingerprint, completions are delivered to
-//! [`Scheduler::report`] in total `(sim_time, key)` order, and
+//! [`ExecutorCore`] is a **deterministic discrete-event simulation** over
+//! `fedsim`'s virtual clock: a pool of *virtual* workers pulls trials as
+//! they free up, every evaluation's simulated runtime comes from a
+//! [`CostModel`] keyed by the point's canonical fingerprint, completions are
+//! delivered to [`Scheduler::report`] in total `(sim_time, key)` order, and
 //! [`Scheduler::async_capable`] schedulers (async ASHA) are re-polled on
 //! every completion — promote-on-completion with no rung barrier, the
 //! paper's actual adaptive-allocation algorithm. Campaign budgets can be
 //! expressed in **simulated wall-clock** seconds on top of training rounds.
+//! [`run_event_driven`] is the pump over that core with every job run inline
+//! on the calling thread — the single-threaded reference;
+//! [`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent)
+//! is the same pump on a scoped thread pool.
 //!
-//! Because every scheduler suggests deterministically, every
-//! [`BatchFederatedObjective`] evaluation derives its randomness from the
-//! request's coordinates, and the virtual timeline is a pure function of the
-//! schedule and cost model, the produced [`TuningOutcome`] — including its
-//! virtual timeline — is **bit-identical** under every execution policy and
-//! real thread count (`tests/determinism.rs`).
+//! [`run_scheduled`] is the barrier driver, and deliberately **not** an
+//! `ExecutorCore` at unit cost: it has no virtual clock (`sim_time` is `0.0`
+//! on every record), reports each batch in batch order — record for record
+//! what `fedhpo::run_scheduler` produces — and treats
+//! [`Scheduler::async_capable`] schedulers as barrier schedulers, all of
+//! which are pinned by tests. It shares the pump's run-and-commit-in-order
+//! half ([`Pump::run_batch`]), so it evaluates on `threads` real threads and
+//! ends one sink turn per batch before the first `report`.
+//!
+//! Because every scheduler suggests deterministically, every evaluation
+//! derives its randomness from the request's coordinates, and the virtual
+//! timeline is a pure function of the schedule and cost model, the produced
+//! [`TuningOutcome`] — including its virtual timeline — is **bit-identical**
+//! in every lane and at every real thread count (`tests/determinism.rs`).
 
-use crate::objective::BatchFederatedObjective;
+use crate::concurrent::{on_pool, ConcurrentObjective, EvalJob, Pump, Ungated};
 use crate::Result;
 use fedhpo::{BudgetLedger, Scheduler, SearchSpace, TrialRequest, TrialResult, TuningOutcome};
 use fedsim::clock::{CostModel, EventKey, EventQueue, VirtualClock, WorkerPool};
+use fedsim::exec::with_thread_pool;
 use fedtrace::{ClockDomain, EventKind, TrialSpan};
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
 
-/// An objective that evaluates a whole batch of trial requests at once.
-///
-/// Implementations decide how the batch executes (sequentially, across
-/// threads, on remote workers); the returned results must be in request
-/// order and independent of that choice.
-pub trait BatchObjective {
-    /// Evaluates every request, returning one result per request in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures.
-    fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> Result<Vec<TrialResult>>;
-
-    /// True (noise-free) objective values of the most recent
-    /// [`evaluate_batch`](Self::evaluate_batch) call, aligned with its
-    /// returned results — or `None` when the objective cannot separate truth
-    /// from its reported scores. Recording wrappers (the `fedstore` trial
-    /// ledger) use this to persist ground truth next to each noisy
-    /// observation.
-    fn last_true_errors(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// [`evaluate_batch`](Self::evaluate_batch) with each request's
-    /// **simulated completion time** supplied by the event-driven driver
-    /// (`sim_times[i]` belongs to `requests[i]`). Objectives that keep a
-    /// campaign log should stamp the entries with these times; the default
-    /// simply ignores them, which is always correct for scoring because
-    /// evaluations are pure functions of their request coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures.
-    fn evaluate_batch_at(
-        &mut self,
-        requests: &[TrialRequest],
-        sim_times: &[f64],
-    ) -> Result<Vec<TrialResult>> {
-        debug_assert_eq!(requests.len(), sim_times.len());
-        self.evaluate_batch(requests)
-    }
-}
-
-impl BatchObjective for BatchFederatedObjective<'_> {
-    fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> Result<Vec<TrialResult>> {
-        BatchFederatedObjective::evaluate_batch(self, requests)
-    }
-
-    fn last_true_errors(&self) -> Option<Vec<f64>> {
-        Some(self.last_batch_true_errors())
-    }
-
-    fn evaluate_batch_at(
-        &mut self,
-        requests: &[TrialRequest],
-        sim_times: &[f64],
-    ) -> Result<Vec<TrialResult>> {
-        BatchFederatedObjective::evaluate_batch_at(self, requests, sim_times)
-    }
-}
-
 /// Drives `scheduler` to completion against `objective`: suggest a batch,
-/// evaluate it (parallel inside the objective), report every result in batch
+/// evaluate it on `threads` real threads, report every result in batch
 /// order, repeat. The counterpart of `fedhpo::run_scheduler` with batch
 /// fan-out instead of one-at-a-time evaluation.
 ///
@@ -108,13 +55,14 @@ impl BatchObjective for BatchFederatedObjective<'_> {
 ///
 /// Propagates scheduler and objective errors, and fails if the scheduler
 /// stalls (returns an empty batch while unfinished).
-pub fn run_scheduled(
+pub fn run_scheduled<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
-    objective: &mut dyn BatchObjective,
+    objective: &mut O,
     rng: &mut StdRng,
+    threads: usize,
 ) -> Result<TuningOutcome> {
-    let (outcome, finished) = run_scheduled_for(scheduler, space, objective, rng, None)?;
+    let (outcome, finished) = run_scheduled_for(scheduler, space, objective, rng, threads, None)?;
     debug_assert!(finished, "an unbounded run always finishes");
     Ok(outcome)
 }
@@ -122,6 +70,13 @@ pub fn run_scheduled(
 /// [`run_scheduled`] with an optional interruption point: drives at most
 /// `max_batches` suggest → evaluate → report cycles and returns the outcome
 /// so far plus whether the schedule completed.
+///
+/// Each batch goes through [`Pump::run_batch`]: at `threads <= 1` its jobs
+/// run inline on the calling thread (what a sequential policy has always
+/// meant for this driver), above that on a scoped pool of `threads` workers;
+/// either way the batch commits to the objective's sink in batch order and
+/// the sink's turn ends **once**, before the scheduler hears the first
+/// result — a recording sink has the whole batch on disk by then.
 ///
 /// Interrupting at a batch boundary leaves every suggested request evaluated
 /// and reported, which is the invariant store-backed resumption relies on: a
@@ -134,40 +89,52 @@ pub fn run_scheduled(
 ///
 /// Propagates scheduler and objective errors, and fails if the scheduler
 /// stalls (returns an empty batch while unfinished).
-pub fn run_scheduled_for(
+pub fn run_scheduled_for<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
-    objective: &mut dyn BatchObjective,
+    objective: &mut O,
     rng: &mut StdRng,
+    threads: usize,
     max_batches: Option<usize>,
 ) -> Result<(TuningOutcome, bool)> {
-    let mut outcome = TuningOutcome::default();
-    let mut ledger = BudgetLedger::new();
-    let mut batches = 0usize;
-    while !scheduler.is_finished() {
-        if max_batches.is_some_and(|max| batches >= max) {
-            return Ok((outcome, false));
-        }
-        let batch = scheduler.suggest(space, rng)?;
-        if batch.is_empty() {
-            if scheduler.is_finished() {
-                break;
+    let mut drive = |evaluate: &mut dyn FnMut(Vec<TrialRequest>) -> Result<Vec<TrialResult>>| {
+        let mut outcome = TuningOutcome::default();
+        let mut ledger = BudgetLedger::new();
+        let mut batches = 0usize;
+        while !scheduler.is_finished() {
+            if max_batches.is_some_and(|max| batches >= max) {
+                return Ok((outcome, false));
             }
-            return Err(crate::CoreError::InvalidConfig {
-                message: format!(
-                    "scheduler {} stalled: empty batch while unfinished",
-                    scheduler.name()
-                ),
-            });
+            let batch = scheduler.suggest(space, rng)?;
+            if batch.is_empty() {
+                if scheduler.is_finished() {
+                    break;
+                }
+                return Err(crate::CoreError::InvalidConfig {
+                    message: format!(
+                        "scheduler {} stalled: empty batch while unfinished",
+                        scheduler.name()
+                    ),
+                });
+            }
+            for result in &evaluate(batch)? {
+                outcome.push(ledger.record(result));
+                scheduler.report(result)?;
+            }
+            batches += 1;
         }
-        let results = objective.evaluate_batch(&batch)?;
-        for result in &results {
-            outcome.push(ledger.record(result));
-            scheduler.report(result)?;
-        }
-        batches += 1;
+        Ok((outcome, true))
+    };
+    let (eval, sink) = objective.split();
+    if threads <= 1 {
+        let mut pump = Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(None));
+        drive(&mut |batch| pump.run_batch(batch))
+    } else {
+        with_thread_pool(threads, |pool| {
+            let mut pump = Pump::new(eval, sink, on_pool(pool, None));
+            drive(&mut |batch| pump.run_batch(batch))
+        })
     }
-    Ok((outcome, true))
 }
 
 /// Configuration of the event-driven virtual-time executor: how many
@@ -176,8 +143,8 @@ pub fn run_scheduled_for(
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualExecution {
     /// Number of virtual workers trials are scheduled onto. Independent of
-    /// the real thread count — real parallelism lives inside the batch
-    /// objective and never changes the virtual timeline.
+    /// the real thread count — where the pump runs its jobs never changes
+    /// the virtual timeline.
     pub workers: usize,
     /// Simulated runtime of each evaluation.
     pub cost: CostModel,
@@ -277,8 +244,8 @@ pub enum ExecutorStep {
     Dispatch(Vec<DispatchedTrial>),
     /// The earliest virtual event is this key and its completion has not
     /// been fed yet; the core cannot advance virtual time until
-    /// [`ExecutorCore::complete`] is called for it. (A blocking driver that
-    /// completes every dispatch before stepping again never sees this.)
+    /// [`ExecutorCore::complete`] is called for it. (A driver that completes
+    /// every dispatch before stepping again never sees this.)
     Deliver(EventKey),
     /// The campaign is over: every dispatched trial has been delivered and
     /// the scheduler has no further work (or the simulated budget cut the
@@ -303,6 +270,15 @@ pub struct DispatchedTrial {
     pub sim_completion: f64,
 }
 
+/// The virtual event-queue key of a request's evaluation.
+pub(crate) fn event_key(request: &TrialRequest) -> EventKey {
+    EventKey::new(
+        request.trial_id as u64,
+        request.resource as u64,
+        request.noise_rep,
+    )
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Poll,
@@ -323,10 +299,10 @@ enum Phase {
 /// order, so the outcome is a pure function of the schedule and cost model —
 /// never of how, where, or in what real order evaluations ran.
 ///
-/// The blocking drivers ([`run_event_driven`], [`run_event_driven_traced`])
-/// and the concurrent one ([`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent)) are thin wrappers
-/// over this core; a future campaign daemon can drive the same machine from
-/// an RPC frontend.
+/// Its one driver is the [`Pump`]: inline
+/// ([`run_event_driven`]), on a scoped pool
+/// ([`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent))
+/// or on the `fedserve` daemon's shared pool behind its fair-share gate.
 ///
 /// Two invariants the core maintains for its callers:
 ///
@@ -435,11 +411,6 @@ impl<'a> ExecutorCore<'a> {
             phase: Phase::Poll,
             halted: false,
         })
-    }
-
-    /// Current simulated time.
-    pub fn sim_now(&self) -> f64 {
-        self.clock.now()
     }
 
     /// Number of dispatched evaluations whose completions have not been
@@ -664,11 +635,7 @@ impl<'a> ExecutorCore<'a> {
                 .evaluation_seconds(fingerprint, already, reached);
             self.staged.insert(request.trial_id, reached);
             let completion = self.pool.assign(worker, start, seconds)?;
-            let key = EventKey::new(
-                request.trial_id as u64,
-                request.resource as u64,
-                request.noise_rep,
-            );
+            let key = event_key(&request);
             self.events
                 .push(completion, key, ())
                 .map_err(|e| crate::CoreError::InvalidConfig {
@@ -762,21 +729,21 @@ impl<'a> ExecutorCore<'a> {
 ///   work — one slow trial no longer stalls a rung, which is the paper's
 ///   actual asynchronous successive halving.
 ///
-/// Real-compute parallelism is orthogonal: all requests dispatched at one
-/// virtual instant are evaluated as one real batch (fanned out by the
-/// objective), and since scores and costs are pure functions of request
-/// coordinates, the entire outcome **including its virtual timeline** is
-/// bit-identical across real thread counts.
+/// This is the [`Pump`] with every job run **inline on the calling thread**,
+/// the moment it is dispatched: the single-threaded reference the concurrent
+/// and served lanes are compared against. Since scores and costs are pure
+/// functions of request coordinates, the entire outcome **including its
+/// virtual timeline** is bit-identical to theirs.
 ///
 /// # Errors
 ///
 /// Propagates scheduler, objective, and cost-model errors, and fails if the
 /// scheduler stalls (no outstanding work, no queued work, and an empty
 /// suggestion while unfinished).
-pub fn run_event_driven(
+pub fn run_event_driven<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
-    objective: &mut dyn BatchObjective,
+    objective: &mut O,
     rng: &mut StdRng,
     sim: &VirtualExecution,
 ) -> Result<EventDrivenOutcome> {
@@ -798,8 +765,9 @@ pub fn run_event_driven(
 /// When `trace` is `Some`, the driver registers counters and histograms
 /// under the scheduler's name (`<name>.suggests`, `<name>.reports`,
 /// `<name>.dispatched`, `<name>.promotions`, `<name>.queue_depth`,
-/// `<name>.busy_workers`, `<name>.rung_resource`) and journals campaign
-/// boundaries plus one sim-domain instant per delivered completion.
+/// `<name>.busy_workers`, `<name>.rung_resource`), journals campaign
+/// boundaries plus one sim-domain instant per delivered completion, and
+/// records `suggest` / `evaluate` / `deliver` wall slices.
 ///
 /// **Accounting, never semantics**: metrics are write-only from the
 /// driver's point of view, so `None` and `Some` produce bit-identical
@@ -809,115 +777,54 @@ pub fn run_event_driven(
 /// # Errors
 ///
 /// Exactly [`run_event_driven`]'s conditions.
-pub fn run_event_driven_traced(
+pub fn run_event_driven_traced<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
-    objective: &mut dyn BatchObjective,
+    objective: &mut O,
     rng: &mut StdRng,
     sim: &VirtualExecution,
     trace: Option<&fedtrace::Trace>,
 ) -> Result<EventDrivenOutcome> {
-    let mut core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
-    loop {
-        match core.step()? {
-            ExecutorStep::Dispatch(batch) => {
-                let requests: Vec<TrialRequest> = batch.iter().map(|d| d.request.clone()).collect();
-                let times: Vec<f64> = batch.iter().map(|d| d.sim_completion).collect();
-                let started = trace.map(|t| t.wall_profile().now_seconds());
-                let results = objective.evaluate_batch_at(&requests, &times);
-                if let (Some(t), Some(started)) = (trace, started) {
-                    t.wall_profile().record_since("evaluate", started);
-                }
-                let results = results?;
-                if results.len() != requests.len() {
-                    return Err(crate::CoreError::InvalidConfig {
-                        message: format!(
-                            "objective returned {} results for {} requests",
-                            results.len(),
-                            requests.len()
-                        ),
-                    });
-                }
-                for (dispatched, result) in batch.iter().zip(results) {
-                    core.complete(dispatched.key, result)?;
-                }
-            }
-            // This driver completes every dispatch before stepping again, so
-            // the core can never be waiting on a missing completion.
-            ExecutorStep::Deliver(key) => {
-                return Err(crate::CoreError::InvalidConfig {
-                    message: format!(
-                        "executor waited on a completion that was never produced: {key:?}"
-                    ),
-                });
-            }
-            ExecutorStep::Finished => break,
-        }
-    }
-    Ok(core.finish())
+    let (eval, sink) = objective.split();
+    let wall = trace.map(|t| t.wall_profile());
+    let core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
+    Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(wall)).run(core, &mut Ungated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::tests::{space_1d, AnalyticObjective};
     use crate::context::BenchmarkContext;
     use crate::noise::NoiseConfig;
+    use crate::objective::BatchFederatedObjective;
     use crate::scale::ExperimentScale;
     use feddata::Benchmark;
     use fedhpo::{Asha, HpConfig, IntoScheduler, RandomSearch, Tuner};
     use fedmath::rng::rng_for;
-
-    /// A batch objective scoring configurations analytically, recording the
-    /// batch sizes it saw.
-    struct AnalyticBatchObjective {
-        batch_sizes: Vec<usize>,
-    }
-
-    impl BatchObjective for AnalyticBatchObjective {
-        fn evaluate_batch(&mut self, requests: &[TrialRequest]) -> Result<Vec<TrialResult>> {
-            self.batch_sizes.push(requests.len());
-            Ok(requests
-                .iter()
-                .map(|r| {
-                    let x = r.config.values()[0];
-                    TrialResult::of(r, (x - 0.3).abs() + 1.0 / (r.resource as f64 + 1.0))
-                })
-                .collect())
-        }
-    }
-
-    fn space_1d() -> fedhpo::SearchSpace {
-        fedhpo::SearchSpace::new()
-            .with_uniform("x", 0.0, 1.0)
-            .unwrap()
-    }
-
-    #[test]
-    fn random_search_arrives_as_one_batch() {
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
-        let mut rng = rng_for(0, 0);
-        let outcome = run_scheduled(&mut scheduler, &space_1d(), &mut objective, &mut rng).unwrap();
-        assert_eq!(objective.batch_sizes, vec![8]);
-        assert_eq!(outcome.num_evaluations(), 8);
-        assert_eq!(outcome.total_resource(), 16);
-    }
 
     #[test]
     fn batched_asha_matches_sequential_tuner_outcome() {
         // The batch driver over an analytic objective must agree exactly with
         // fedhpo's sequential reference driver on the same scheduler.
         let asha = Asha::new(9, 3, 1, 9);
-        let mut scheduler = asha.scheduler().unwrap();
-        let mut batch_objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
+        let batched = |threads: usize| {
+            let mut scheduler = asha.scheduler().unwrap();
+            let mut objective = AnalyticObjective::default();
+            let mut rng = rng_for(1, 0);
+            let outcome = run_scheduled(
+                &mut scheduler,
+                &space_1d(),
+                &mut objective,
+                &mut rng,
+                threads,
+            )
+            .unwrap();
+            // One sink turn per rung, however many threads evaluated it.
+            assert_eq!(objective.sink.turns_ended, 3, "threads = {threads}");
+            assert_eq!(objective.sink.commits.len(), outcome.num_evaluations());
+            outcome
         };
-        let mut rng = rng_for(1, 0);
-        let batched =
-            run_scheduled(&mut scheduler, &space_1d(), &mut batch_objective, &mut rng).unwrap();
-        assert!(batch_objective.batch_sizes[0] >= 9);
 
         let mut sequential_objective =
             fedhpo::FunctionObjective::new(|config: &HpConfig, resource: usize| {
@@ -928,7 +835,8 @@ mod tests {
         let sequential = asha
             .tune(&space_1d(), &mut sequential_objective, &mut rng)
             .unwrap();
-        assert_eq!(batched, sequential);
+        assert_eq!(batched(1), sequential);
+        assert_eq!(batched(4), sequential);
     }
 
     #[test]
@@ -977,15 +885,14 @@ mod tests {
         let asha = Asha::new(9, 3, 1, 9);
         let run_until = |max_batches: Option<usize>| {
             let mut scheduler = asha.scheduler().unwrap();
-            let mut objective = AnalyticBatchObjective {
-                batch_sizes: Vec::new(),
-            };
+            let mut objective = AnalyticObjective::default();
             let mut rng = rng_for(3, 0);
             run_scheduled_for(
                 &mut scheduler,
                 &space_1d(),
                 &mut objective,
                 &mut rng,
+                1,
                 max_batches,
             )
             .unwrap()
@@ -1003,38 +910,6 @@ mod tests {
         let (rerun, finished) = run_until(Some(usize::MAX));
         assert!(finished);
         assert_eq!(full, rerun);
-    }
-
-    #[test]
-    fn batch_objective_exposes_true_errors_of_the_last_batch() {
-        let ctx =
-            BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), 0).unwrap();
-        let mut objective =
-            BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), 2, 5).unwrap();
-        let dyn_objective: &mut dyn BatchObjective = &mut objective;
-        assert_eq!(dyn_objective.last_true_errors(), Some(Vec::new()));
-        let mut rng = rng_for(4, 0);
-        let requests: Vec<TrialRequest> = (0..2)
-            .map(|t| TrialRequest {
-                trial_id: t,
-                config: ctx.space().sample(&mut rng).unwrap(),
-                resource: 2,
-                noise_rep: 0,
-            })
-            .collect();
-        let results = dyn_objective.evaluate_batch(&requests).unwrap();
-        let trues = dyn_objective.last_true_errors().unwrap();
-        assert_eq!(trues.len(), results.len());
-        // Under noise, truth and reported score differ; the log agrees.
-        for (entry, true_error) in objective.log().iter().zip(&trues) {
-            assert_eq!(entry.true_error, *true_error);
-        }
-        // An objective without truth introspection reports None.
-        let mut analytic = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
-        let dyn_analytic: &mut dyn BatchObjective = &mut analytic;
-        assert!(dyn_analytic.last_true_errors().is_none());
     }
 
     #[test]
@@ -1077,17 +952,13 @@ mod tests {
         let space = space_1d();
         for method in TuningMethod::EXTENDED {
             let mut scheduler = method.scheduler(&scale).unwrap();
-            let mut objective = AnalyticBatchObjective {
-                batch_sizes: Vec::new(),
-            };
+            let mut objective = AnalyticObjective::default();
             let mut rng = rng_for(13, 0);
             let scheduled =
-                run_scheduled(scheduler.as_mut(), &space, &mut objective, &mut rng).unwrap();
+                run_scheduled(scheduler.as_mut(), &space, &mut objective, &mut rng, 1).unwrap();
             for workers in [1usize, 3, 16] {
                 let mut scheduler = method.scheduler(&scale).unwrap();
-                let mut objective = AnalyticBatchObjective {
-                    batch_sizes: Vec::new(),
-                };
+                let mut objective = AnalyticObjective::default();
                 let mut rng = rng_for(13, 0);
                 let sim = VirtualExecution::new(workers, CostModel::Unit);
                 let event =
@@ -1139,9 +1010,7 @@ mod tests {
     fn event_driven_timeline_is_monotone_and_respects_worker_count() {
         // 8 unit-cost trials on 2 virtual workers take 4 simulated waves.
         let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
+        let mut objective = AnalyticObjective::default();
         let mut rng = rng_for(0, 0);
         let sim = VirtualExecution::new(2, CostModel::Unit);
         let event =
@@ -1164,9 +1033,7 @@ mod tests {
         // The same 8-trial schedule on 1 worker with a 3-second budget: three
         // evaluations complete, the rest are never dispatched.
         let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
+        let mut objective = AnalyticObjective::default();
         let mut rng = rng_for(0, 0);
         let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(3.0);
         let event =
@@ -1176,9 +1043,7 @@ mod tests {
         assert_eq!(event.sim_elapsed, 3.0);
         // A budget larger than the whole campaign changes nothing.
         let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
+        let mut objective = AnalyticObjective::default();
         let mut rng = rng_for(0, 0);
         let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(1e6);
         let event =
@@ -1199,9 +1064,7 @@ mod tests {
         );
         let sim = VirtualExecution::new(4, cost);
         let run = |scheduler: &mut dyn Scheduler| {
-            let mut objective = AnalyticBatchObjective {
-                batch_sizes: Vec::new(),
-            };
+            let mut objective = AnalyticObjective::default();
             let mut rng = rng_for(3, 0);
             run_event_driven(scheduler, &space_1d(), &mut objective, &mut rng, &sim).unwrap()
         };
@@ -1254,9 +1117,7 @@ mod tests {
                 false
             }
         }
-        let mut objective = AnalyticBatchObjective {
-            batch_sizes: Vec::new(),
-        };
+        let mut objective = AnalyticObjective::default();
         let mut rng = rng_for(0, 2);
         let err = run_event_driven(
             &mut Staller,
@@ -1404,7 +1265,8 @@ mod tests {
         let mut objective =
             BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 3, 5).unwrap();
         let mut rng = rng_for(2, 0);
-        let outcome = run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng).unwrap();
+        let outcome =
+            run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng, 2).unwrap();
         assert_eq!(outcome.num_evaluations(), 3);
         assert_eq!(objective.log().len(), 3);
         assert_eq!(objective.cumulative_rounds(), 6);

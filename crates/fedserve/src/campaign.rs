@@ -1,30 +1,32 @@
-//! One campaign driver: an `ExecutorCore` pumped through the fair gate.
+//! One campaign driver: the pump behind the fair gate, on the shared pool.
 //!
-//! [`run_campaign`] is the service-side sibling of
-//! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent):
-//! the same sans-io core, the same dispatch-order commit discipline, the
-//! same per-trial state chaining — with two insertions that make it
-//! multi-tenant:
+//! [`run_campaign`] is [`fedtune_core::Pump`] — the same loop, reorder
+//! buffer and per-trial state chaining as
+//! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent)
+//! — in the one lane that is multi-tenant:
 //!
-//! - every ready dispatch passes through the [`FairGate`] before touching a
-//!   real worker (admission may lag dispatch; grants arrive on the driver's
-//!   own channel, in dispatch order, so the reorder logic is unchanged), and
 //! - evaluation jobs go to a process-wide [`SharedPool`] instead of a
-//!   campaign-private scoped pool, so co-tenants share threads.
+//!   campaign-private scoped pool, so co-tenants share threads, and
+//! - the private `Tenant` [`Host`] puts every dispatch through the
+//!   [`FairGate`] before it touches a real worker (admission may lag
+//!   dispatch; grants arrive in the pump's own inbox, in dispatch order, so
+//!   the reorder logic is unchanged), raises the control flags and the
+//!   dispatch-side budgets before each step, and ends each turn with
+//!   `sync → publish Progress`.
 //!
-//! The driver works in **turns** (`Flow::turn`): block for one inbox
-//! message, drain every grant and completion already waiting behind it,
-//! stage the commits that are in dispatch order, make them durable with one
-//! ledger sync, publish progress, step the core. A turn of one message is
-//! one append and one sync; under load the messages that pile up while the
-//! driver sits in `sync_data` share the next one (group commit, with the
-//! disk's own latency as the only batching knob).
+//! A **turn** blocks for one inbox message, drains every grant and
+//! completion already waiting behind it, stages the commits that are in
+//! dispatch order, makes them durable with one ledger sync, publishes
+//! progress, steps the core. A turn of one message is one append and one
+//! sync; under load the messages that pile up while the driver sits in
+//! `sync_data` share the next one (group commit, with the disk's own latency
+//! as the only batching knob).
 //!
 //! Neither insertion touches the virtual-time state machine: admission
 //! delays and co-tenant scheduling shift only *wall* time, so a campaign's
 //! outcome — selections, scores, `sim_elapsed`, timeline — is bit-identical
-//! to the same campaign run standalone. The unit tests at the bottom assert
-//! exactly that.
+//! to the same campaign run standalone. The lane-matrix test at the bottom
+//! asserts exactly that.
 //!
 //! # Control and isolation
 //!
@@ -35,25 +37,26 @@
 //! [`ExecutorCore::halt`]: the scheduler is never polled again but already
 //! dispatched evaluations drain, leaving a consistent partial outcome.
 //! A panicking or failing evaluation aborts only its own campaign — the
-//! shared pool isolates the panic, the driver maps it to
-//! [`ServeError::EvalPanicked`], and the gate guard releases the
-//! campaign's admitted capacity on the way out.
+//! shared pool isolates the panic, the pump reports it and the driver
+//! returns [`ServeError::EvalPanicked`]; a failing one is reported as the
+//! earliest failing dispatch, whatever order the workers finished in — and
+//! the tenant's drop releases the campaign's admitted capacity on the way
+//! out.
 
 use crate::dispatch::{DrrConfig, FairGate, GateError};
-use crate::objective::{build_objective, ServeEval, ServeSink};
-use crate::spec::CampaignSpec;
+use crate::objective::build_objective;
+use crate::spec::{CampaignLimits, CampaignSpec};
 use crate::{Result, ServeError};
-use fedhpo::{Scheduler, TrialRequest, TrialResult};
-use fedsim::clock::EventKey;
+use fedhpo::{Scheduler, TrialRequest};
 use fedsim::SharedPool;
-use fedstore::TrialStore;
+use fedstore::{RecordingEval, RecordingObjective, RecordingSink, TrialStore};
 use fedtune_core::{
-    ConcurrentEval, ConcurrentSink, DispatchedTrial, EvalOutput, EventDrivenOutcome, ExecutorCore,
-    ExecutorStep, VirtualExecution,
+    Admission, ConcurrentEval, EvalJob, EventDrivenOutcome, ExecutorCore, Host, Pump,
+    VirtualExecution,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Why a campaign halted before its schedule finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,230 +121,126 @@ pub struct CampaignOutcome {
     pub store: TrialStore,
 }
 
-/// A message into the driver's single inbox: gate grants and evaluation
-/// completions share one channel so the driver has exactly one blocking
-/// point.
-enum CampaignMsg {
-    /// The gate admitted the ticket at the front of the pending queue.
-    Grant(u64),
-    /// An evaluation task finished on the shared pool.
-    Done {
-        seq: usize,
-        key: EventKey,
-        request: TrialRequest,
-        sim_completion: f64,
-        state: usize,
-        output: fedtune_core::Result<EvalOutput>,
-    },
-    /// An evaluation task unwound before reporting.
-    Panicked,
-}
-
-/// Sends [`CampaignMsg::Panicked`] if the task unwinds before defusing,
-/// so the driver never blocks forever on a dead task.
-struct PanicGuard {
-    tx: Option<mpsc::Sender<CampaignMsg>>,
-}
-
-impl Drop for PanicGuard {
-    fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            let _ = tx.send(CampaignMsg::Panicked);
-        }
-    }
-}
-
-/// Deregisters the campaign from the gate on every exit path, releasing
-/// its admitted capacity to the co-tenants.
-struct GateGuard<'g> {
-    gate: &'g FairGate,
+/// One campaign's seat in the daemon: what [`Host`] means behind the
+/// [`FairGate`]. Dropping it deregisters the campaign from the gate on every
+/// exit path, releasing its admitted capacity to the co-tenants.
+struct Tenant<'a, E> {
+    gate: &'a FairGate,
     member: u64,
+    flags: &'a CampaignFlags,
+    limits: &'a CampaignLimits,
+    eval: &'a RecordingEval<E>,
+    on_progress: &'a mut dyn FnMut(Progress),
+    halt: Option<HaltReason>,
+    /// Budget enforcement is *dispatch-side*: the dispatch sequence is a
+    /// pure function of the virtual state machine (never of real thread
+    /// timing), so the halt lands on the same evaluation in every execution
+    /// and a budget-capped campaign stays bit-reproducible. `planned`
+    /// mirrors each trial's dispatched (not yet necessarily committed)
+    /// training rounds.
+    planned: HashMap<usize, usize>,
+    planned_rounds: u64,
+    dispatched: u64,
 }
 
-impl Drop for GateGuard<'_> {
+impl<E> Drop for Tenant<'_, E> {
     fn drop(&mut self) {
         self.gate.deregister(self.member);
     }
 }
 
-/// Immutable driver context shared by submit sites.
-struct Shared<'s> {
-    pool: &'s SharedPool,
-    gate: &'s FairGate,
-    member: u64,
-    eval: Arc<ServeEval>,
-    tx: mpsc::Sender<CampaignMsg>,
-    trace: Option<Arc<fedtrace::Trace>>,
-}
+impl<E> Host<RecordingSink<E::State, TrialStore>> for Tenant<'_, E>
+where
+    E: ConcurrentEval,
+    E::State: Default,
+{
+    type Error = ServeError;
 
-impl Shared<'_> {
-    /// Ships one granted dispatch to the shared pool.
-    fn submit(&self, seq: usize, dispatched: DispatchedTrial, mut state: usize, chained: bool) {
-        let eval = Arc::clone(&self.eval);
-        let tx = self.tx.clone();
-        let trace = self.trace.clone();
-        let job = move || {
-            let mut guard = PanicGuard { tx: Some(tx) };
-            let started = trace.as_ref().map(|t| t.wall_profile().now_seconds());
-            let output = eval.evaluate(&mut state, &dispatched.request);
-            if let (Some(t), Some(started)) = (trace.as_ref(), started) {
-                t.wall_profile().record_since("evaluate", started);
+    fn before_step(&mut self, core: &mut ExecutorCore<'_>) -> Result<()> {
+        if self.flags.kill.load(Ordering::Relaxed) {
+            return Err(ServeError::Killed);
+        }
+        if self.halt.is_none() {
+            // Trial/resource budgets cut the schedule off at dispatch
+            // granularity, once a wave has gone out: everything already
+            // dispatched still drains (exactly like a simulated wall-clock
+            // cutoff).
+            let spent = |cap: Option<u64>, used: u64| {
+                self.dispatched > 0 && cap.is_some_and(|cap| used >= cap)
+            };
+            self.halt = if spent(self.limits.max_evaluations, self.dispatched) {
+                Some(HaltReason::BudgetEvaluations)
+            } else if spent(self.limits.max_resource, self.planned_rounds) {
+                Some(HaltReason::BudgetResource)
+            } else if self.flags.stop.load(Ordering::Relaxed) {
+                Some(HaltReason::Stopped)
+            } else if self.flags.suspend.load(Ordering::Relaxed) {
+                Some(HaltReason::Suspended)
+            } else {
+                None
+            };
+            if self.halt.is_some() {
+                core.halt();
             }
-            let tx = guard.tx.take().expect("guard still armed");
-            let _ = tx.send(CampaignMsg::Done {
-                seq,
-                key: dispatched.key,
-                request: dispatched.request,
-                sim_completion: dispatched.sim_completion,
-                state,
-                output,
-            });
-        };
-        if chained {
-            self.pool.submit_chained(job);
-        } else {
-            self.pool.submit(job);
-        }
-    }
-}
-
-/// Mutable reorder state of one driver (everything that is not the core or
-/// the sink).
-#[derive(Default)]
-struct Flow {
-    next_seq: usize,
-    next_commit: usize,
-    /// Out-of-order completions parked until their dispatch-order turn.
-    commit_buf: BTreeMap<usize, (TrialRequest, EvalOutput, f64)>,
-    /// Dispatches enqueued at the gate, awaiting admission (FIFO — the
-    /// gate grants a member's tickets in enqueue order).
-    pending_grant: VecDeque<(u64, usize, DispatchedTrial)>,
-    /// Trials with a task in flight; queued later dispatches chain onto
-    /// the freed state in order.
-    busy: HashMap<usize, VecDeque<(usize, DispatchedTrial)>>,
-}
-
-impl Flow {
-    /// One driver turn: blocks for one inbox message, drains every message
-    /// already waiting behind it (grants and completions alike), stages the
-    /// commits that are in dispatch order, makes them durable with **one**
-    /// sync, and only then publishes progress. The caller steps the core
-    /// after this returns, so no result reaches the scheduler or a status
-    /// reply before it is on disk. While the driver sits in the sync,
-    /// finished evaluations queue up in the inbox and the next turn takes
-    /// them together: the batch grows with the disk's latency on its own.
-    ///
-    /// # Errors
-    ///
-    /// A failed evaluation, a ledger failure (nothing is published for the
-    /// turn), or a grant or completion that contradicts the driver's books
-    /// (it fails this campaign rather than panicking its thread).
-    fn turn(
-        &mut self,
-        rx: &mpsc::Receiver<CampaignMsg>,
-        shared: &Shared<'_>,
-        core: &mut ExecutorCore<'_>,
-        sink: &mut ServeSink,
-        on_progress: &mut dyn FnMut(Progress),
-    ) -> Result<()> {
-        let first = rx.recv().map_err(|_| ServeError::Core {
-            message: "evaluation workers disconnected before completing dispatched work"
-                .to_string(),
-        })?;
-        let mut last_commit = None;
-        for msg in std::iter::once(first).chain(rx.try_iter()) {
-            self.handle(msg, shared, core, sink, &mut last_commit)?;
-        }
-        sink.sync_turn()?;
-        if let Some(sim_time) = last_commit {
-            on_progress(Progress {
-                evaluations: sink.evaluations,
-                resource_spent: sink.resource_spent,
-                sim_time,
-                ledger_hits: shared.eval.ledger_hits(),
-                ledger_misses: shared.eval.ledger_misses(),
-            });
         }
         Ok(())
     }
 
-    /// Handles one inbox message, staging (not syncing) whatever commits it
-    /// puts in dispatch order; `last_commit` takes the latest one's time.
-    fn handle(
-        &mut self,
-        msg: CampaignMsg,
-        shared: &Shared<'_>,
-        core: &mut ExecutorCore<'_>,
-        sink: &mut ServeSink,
-        last_commit: &mut Option<f64>,
-    ) -> Result<()> {
-        match msg {
-            CampaignMsg::Grant(ticket) => {
-                let Some((expected, seq, dispatched)) = self.pending_grant.pop_front() else {
-                    return Err(ServeError::Core {
-                        message: format!(
-                            "gate granted ticket {ticket} with no dispatch awaiting admission"
-                        ),
-                    });
-                };
-                if expected != ticket {
-                    return Err(ServeError::Core {
-                        message: format!(
-                            "gate granted ticket {ticket} out of enqueue order (expected {expected})"
-                        ),
-                    });
-                }
-                let trial = dispatched.request.trial_id;
-                match self.busy.get_mut(&trial) {
-                    // The trial's state is on a worker right now: queue
-                    // behind it, preserving per-trial dispatch order.
-                    Some(queue) => queue.push_back((seq, dispatched)),
-                    None => {
-                        self.busy.insert(trial, VecDeque::new());
-                        let state = sink.take_state(trial);
-                        shared.submit(seq, dispatched, state, false);
-                    }
-                }
-                Ok(())
-            }
-            CampaignMsg::Done {
-                seq,
-                key,
-                request,
-                sim_completion,
-                state,
-                output,
-            } => {
-                shared.gate.release(shared.member);
-                let output = output?;
-                core.complete(key, TrialResult::of(&request, output.noisy_score))?;
-                self.commit_buf
-                    .insert(seq, (request, output, sim_completion));
-                while let Some((request, output, time)) = self.commit_buf.remove(&self.next_commit)
-                {
-                    sink.commit(&request, &output, time);
-                    self.next_commit += 1;
-                    *last_commit = Some(time);
-                }
-                let trial = key.trial as usize;
-                let Some(queue) = self.busy.get_mut(&trial) else {
-                    return Err(ServeError::Core {
-                        message: format!(
-                            "completion for trial {trial}, which has no evaluation in flight"
-                        ),
-                    });
-                };
-                if let Some((next, dispatched)) = queue.pop_front() {
-                    // Hand the warm state straight to the trial's next task.
-                    shared.submit(next, dispatched, state, true);
-                } else {
-                    self.busy.remove(&trial);
-                    sink.put_state(trial, state);
-                }
-                Ok(())
-            }
-            CampaignMsg::Panicked => Err(ServeError::EvalPanicked),
+    fn admit(&mut self, request: &TrialRequest) -> Result<Admission> {
+        if self.flags.kill.load(Ordering::Relaxed) {
+            return Err(ServeError::Killed);
         }
+        // Admission cost = incremental rounds this evaluation will train
+        // (affects only fairness, never bits).
+        let trained = self.planned.get(&request.trial_id).copied().unwrap_or(0);
+        let delta = request.resource.saturating_sub(trained) as u64;
+        match self.gate.enqueue(self.member, delta.max(1)) {
+            Ok(ticket) => {
+                self.planned
+                    .insert(request.trial_id, trained.max(request.resource));
+                self.planned_rounds += delta;
+                self.dispatched += 1;
+                Ok(Admission::Ticket(ticket))
+            }
+            Err(GateError::QueueFull { .. }) => Ok(Admission::Full),
+            Err(e @ GateError::UnknownMember { .. }) => Err(ServeError::Core {
+                message: e.to_string(),
+            }),
+        }
+    }
+
+    fn release(&mut self) {
+        self.gate.release(self.member);
+    }
+
+    /// One sync for the whole turn, and only then one status update: no
+    /// status reply runs ahead of the disk, and a failed sync publishes
+    /// nothing.
+    fn end_turn(
+        &mut self,
+        sink: &mut RecordingSink<E::State, TrialStore>,
+        last_commit: Option<f64>,
+    ) -> Result<()> {
+        sink.sync()?;
+        if let Some(sim_time) = last_commit {
+            (self.on_progress)(Progress {
+                evaluations: sink.campaign.log().len() as u64,
+                resource_spent: sink.campaign.cumulative_rounds() as u64,
+                sim_time,
+                ledger_hits: self.eval.hits(),
+                ledger_misses: self.eval.misses(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// The virtual service a spec describes.
+fn sim_of(spec: &CampaignSpec) -> VirtualExecution {
+    VirtualExecution {
+        workers: spec.workers,
+        cost: spec.cost.build(),
+        sim_budget: spec.sim_budget,
     }
 }
 
@@ -372,7 +271,7 @@ pub fn run_campaign(
     drive(
         spec,
         scheduler.as_mut(),
-        store,
+        build_objective(spec, store)?,
         pool,
         gate,
         flags,
@@ -381,152 +280,91 @@ pub fn run_campaign(
     )
 }
 
-/// [`run_campaign`] over a caller-built scheduler — the seam the
-/// durable-before-visible tests wrap a scheduler through.
+/// [`run_campaign`] over a caller-built scheduler and objective — the seam
+/// the tests wrap a scheduler or rig an evaluation through.
 #[allow(clippy::too_many_arguments)]
-fn drive(
+fn drive<E>(
     spec: &CampaignSpec,
     scheduler: &mut dyn Scheduler,
-    store: TrialStore,
+    objective: RecordingObjective<E>,
     pool: &SharedPool,
     gate: &FairGate,
     flags: &CampaignFlags,
     trace: Option<Arc<fedtrace::Trace>>,
     on_progress: &mut dyn FnMut(Progress),
-) -> Result<CampaignOutcome> {
+) -> Result<CampaignOutcome>
+where
+    E: ConcurrentEval + Send + 'static,
+    E::State: Default + 'static,
+{
     let space = spec.build_space()?;
     let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-    let mut sim = VirtualExecution::new(spec.workers, spec.cost.build());
-    if let Some(budget) = spec.sim_budget {
-        sim = sim.with_sim_budget(budget);
-    }
-    let mut objective = build_objective(spec, store)?;
-    let eval = Arc::clone(&objective.eval);
-    let sink = &mut objective.sink;
-
-    let (tx, rx) = mpsc::channel::<CampaignMsg>();
-    let grant_tx = tx.clone();
-    let member = gate.register(
-        DrrConfig {
-            quantum: spec.limits.quantum,
-            max_in_flight: spec.limits.max_in_flight,
-            max_queued: spec.limits.max_queued,
-        },
-        move |ticket| {
-            let _ = grant_tx.send(CampaignMsg::Grant(ticket));
+    let sim = sim_of(spec);
+    let RecordingObjective { eval, mut sink } = objective;
+    let eval = Arc::new(eval);
+    let core = ExecutorCore::new_traced(scheduler, &space, &mut rng, &sim, trace.as_deref())?;
+    // Where a job runs: on the shared pool, owning an `Arc` of everything
+    // it touches.
+    let mut pump = Pump::new(
+        Arc::clone(&eval),
+        &mut sink,
+        |job: EvalJob<_, _>, chained| {
+            let trace = trace.clone();
+            let run = move || job.run(trace.as_deref().map(fedtrace::Trace::wall_profile));
+            if chained {
+                pool.submit_chained(run);
+            } else {
+                pool.submit(run);
+            }
         },
     );
-    let _gate_guard = GateGuard { gate, member };
-
-    let shared = Shared {
-        pool,
-        gate,
-        member,
-        eval: Arc::clone(&eval),
-        tx,
-        trace: trace.clone(),
+    let config = DrrConfig {
+        quantum: spec.limits.quantum,
+        max_in_flight: spec.limits.max_in_flight,
+        max_queued: spec.limits.max_queued,
     };
-    let mut core = ExecutorCore::new_traced(scheduler, &space, &mut rng, &sim, trace.as_deref())?;
-    let mut flow = Flow::default();
-    let mut halt_reason: Option<HaltReason> = None;
-    // Budget enforcement is *dispatch-side*: the dispatch sequence is a pure
-    // function of the virtual state machine (never of real thread timing),
-    // so the halt lands on the same evaluation in every execution and a
-    // budget-capped campaign stays bit-reproducible. `planned` mirrors each
-    // trial's dispatched (not yet necessarily committed) training rounds.
-    let mut planned: HashMap<usize, usize> = HashMap::new();
-    let mut planned_rounds: u64 = 0;
-
-    loop {
-        if flags.kill.load(Ordering::Relaxed) {
-            return Err(ServeError::Killed);
-        }
-        if halt_reason.is_none() {
-            if flags.stop.load(Ordering::Relaxed) {
-                core.halt();
-                halt_reason = Some(HaltReason::Stopped);
-            } else if flags.suspend.load(Ordering::Relaxed) {
-                core.halt();
-                halt_reason = Some(HaltReason::Suspended);
-            }
-        }
-        match core.step()? {
-            ExecutorStep::Dispatch(batch) => {
-                for dispatched in batch {
-                    let seq = flow.next_seq;
-                    flow.next_seq += 1;
-                    // Admission cost = incremental rounds this evaluation
-                    // will train (affects only fairness, never bits).
-                    let trial = dispatched.request.trial_id;
-                    let trained = planned.entry(trial).or_insert(0);
-                    let delta = dispatched.request.resource.saturating_sub(*trained);
-                    *trained = (*trained).max(dispatched.request.resource);
-                    planned_rounds += delta as u64;
-                    let cost = (delta as u64).max(1);
-                    let ticket = loop {
-                        if flags.kill.load(Ordering::Relaxed) {
-                            return Err(ServeError::Killed);
-                        }
-                        match gate.enqueue(member, cost) {
-                            Ok(ticket) => break ticket,
-                            Err(GateError::QueueFull { .. }) => {
-                                // Back-pressure: take a turn (grants free
-                                // queue slots) before queueing more.
-                                flow.turn(&rx, &shared, &mut core, sink, on_progress)?;
-                            }
-                            Err(e @ GateError::UnknownMember { .. }) => {
-                                return Err(ServeError::Core {
-                                    message: e.to_string(),
-                                });
-                            }
-                        }
-                    };
-                    flow.pending_grant.push_back((ticket, seq, dispatched));
-                }
-                // Trial/resource budgets cut the schedule off at dispatch
-                // granularity: everything already dispatched still drains
-                // (exactly like a simulated wall-clock cutoff).
-                if halt_reason.is_none() {
-                    let limits = &spec.limits;
-                    if limits
-                        .max_evaluations
-                        .is_some_and(|cap| flow.next_seq as u64 >= cap)
-                    {
-                        core.halt();
-                        halt_reason = Some(HaltReason::BudgetEvaluations);
-                    } else if limits.max_resource.is_some_and(|cap| planned_rounds >= cap) {
-                        core.halt();
-                        halt_reason = Some(HaltReason::BudgetResource);
-                    }
-                }
-            }
-            // The core hands back the same `Deliver` (and the loop re-checks
-            // the flags) until a turn brings the awaited completion.
-            ExecutorStep::Deliver(_) => flow.turn(&rx, &shared, &mut core, sink, on_progress)?,
-            ExecutorStep::Finished => break,
-        }
-    }
-
-    let outcome = core.finish();
+    let mut tenant = Tenant {
+        gate,
+        member: gate.register(config, pump.admitter()),
+        flags,
+        limits: &spec.limits,
+        eval: &eval,
+        on_progress,
+        halt: None,
+        planned: HashMap::new(),
+        planned_rounds: 0,
+        dispatched: 0,
+    };
+    let outcome = pump.run(core, &mut tenant)?;
+    let halt = tenant.halt;
+    drop((pump, tenant));
     Ok(CampaignOutcome {
         outcome,
-        halt: halt_reason,
-        evaluations: sink.evaluations,
-        resource_spent: sink.resource_spent,
-        ledger_hits: eval.ledger_hits(),
-        ledger_misses: eval.ledger_misses(),
-        store: objective.sink.into_store(),
+        halt,
+        evaluations: sink.campaign.log().len() as u64,
+        resource_spent: sink.campaign.cumulative_rounds() as u64,
+        ledger_hits: eval.hits(),
+        ledger_misses: eval.misses(),
+        store: sink.into_store(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CampaignLimits, CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
-    use fedtune_core::{run_event_driven_concurrent, ConcurrentObjective};
+    use crate::objective::AnalyticEval;
+    use crate::spec::{CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
+    use fedhpo::TrialResult;
+    use fedtune_core::experiments::methods::TuningMethod;
+    use fedtune_core::experiments::stragglers::straggler_cost_model;
+    use fedtune_core::{
+        run_event_driven, run_event_driven_concurrent, ConcurrentObjective, ConcurrentSink,
+        EvalOutput, ExecutionPolicy, ExecutorStep, ExperimentScale,
+    };
+    use std::cell::RefCell;
     use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicU64;
-    use std::sync::{Mutex, MutexGuard};
+    use std::sync::{Condvar, Mutex, MutexGuard};
 
     fn spec(name: &str, seed: u64) -> CampaignSpec {
         CampaignSpec {
@@ -561,8 +399,8 @@ mod tests {
         }
     }
 
-    /// The campaign straight through `run_event_driven_concurrent`, no gate
-    /// or shared pool anywhere.
+    /// The campaign straight through the pump's standalone lanes, no gate or
+    /// shared pool anywhere: inline at `threads == 0`, else a scoped pool.
     fn standalone_over<O: ConcurrentObjective>(
         spec: &CampaignSpec,
         scheduler: &mut dyn Scheduler,
@@ -571,11 +409,11 @@ mod tests {
     ) -> fedtune_core::Result<EventDrivenOutcome> {
         let space = spec.build_space().unwrap();
         let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-        let mut sim = VirtualExecution::new(spec.workers, spec.cost.build());
-        if let Some(budget) = spec.sim_budget {
-            sim = sim.with_sim_budget(budget);
+        let sim = sim_of(spec);
+        match threads {
+            0 => run_event_driven(scheduler, &space, objective, &mut rng, &sim),
+            _ => run_event_driven_concurrent(scheduler, &space, objective, &mut rng, &sim, threads),
         }
-        run_event_driven_concurrent(scheduler, &space, objective, &mut rng, &sim, threads)
     }
 
     fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
@@ -584,65 +422,144 @@ mod tests {
         standalone_over(spec, scheduler.as_mut(), &mut objective, threads).unwrap()
     }
 
-    #[test]
-    fn served_campaign_is_bit_identical_to_standalone() {
-        let spec = spec("bit-identity", 41);
-        let reference = standalone(&spec, 4);
-        assert!(reference.finished);
+    /// A shared pool and a gate of four slots for one test's campaigns.
+    struct Daemon {
+        pool: SharedPool,
+        gate: FairGate,
+    }
 
-        let pool = SharedPool::new(4);
-        let gate = FairGate::new(4);
-        let flags = CampaignFlags::default();
-        let mut progress = Vec::new();
-        let served = run_campaign(
-            &spec,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |p| progress.push(p.evaluations),
-        )
-        .unwrap();
-        assert_eq!(served.outcome, reference, "service changed campaign bits");
-        assert_eq!(
-            served.outcome.sim_elapsed.to_bits(),
-            reference.sim_elapsed.to_bits()
-        );
-        assert!(served.halt.is_none());
-        assert_eq!(
-            served.evaluations,
-            reference.outcome.num_evaluations() as u64
-        );
-        assert_eq!(served.ledger_misses, served.evaluations);
-        assert_eq!(served.ledger_hits, 0);
-        assert_eq!(
-            progress.last().copied(),
-            Some(served.evaluations),
-            "progress callback tracked every commit"
-        );
-        // Every commit landed in the ledger.
-        assert_eq!(served.store.len() as u64, served.evaluations);
-        assert_eq!(gate.global_in_flight(), 0, "gate capacity fully released");
+    impl Daemon {
+        fn new(threads: usize) -> Self {
+            Daemon {
+                pool: SharedPool::new(threads),
+                gate: FairGate::new(4),
+            }
+        }
+
+        /// `run_campaign` on this pool and gate, untraced.
+        fn run(
+            &self,
+            spec: &CampaignSpec,
+            store: TrialStore,
+            flags: &CampaignFlags,
+            on_progress: &mut dyn FnMut(Progress),
+        ) -> Result<CampaignOutcome> {
+            run_campaign(
+                spec,
+                store,
+                &self.pool,
+                &self.gate,
+                flags,
+                None,
+                on_progress,
+            )
+        }
+    }
+
+    /// What a ledger says was committed, in commit order:
+    /// `(trial's configuration, resource, rep, sim_time bits, score bits)`.
+    fn commit_sequence(store: &TrialStore) -> Vec<(Vec<f64>, usize, u64, u64, u64)> {
+        let bits = |r: &fedstore::TrialRecord| {
+            (
+                r.config.values(),
+                r.resource,
+                r.rep,
+                r.sim_time.to_bits(),
+                r.noisy_score.to_bits(),
+            )
+        };
+        store.records().iter().map(bits).collect()
+    }
+
+    #[test]
+    fn every_lane_produces_the_same_outcome_and_commit_sequence() {
+        // Two campaigns — async ASHA under the straggler cost model, and
+        // barrier ASHA with re-evaluation (several reps of one trial in
+        // flight at once) — through every lane the pump has: inline, a
+        // scoped pool at 1 / 4 / 8 threads (and whatever `FEDTUNE_THREADS`
+        // asks for), and the shared pool behind the fair gate.
+        let scale = ExperimentScale::smoke();
+        let env_threads = ExecutionPolicy::from_env().pool_threads();
+        for method in [TuningMethod::AsyncAsha, TuningMethod::AshaReEval] {
+            let mut spec = spec("lanes", 23);
+            spec.cost = CostSpec::HeavyTailedClients {
+                clients: scale.clients_per_round * 10,
+                per_round: scale.clients_per_round,
+                seed: fedmath::rng::derive_seed(spec.seed, 11),
+            };
+            assert_eq!(spec.cost.build(), straggler_cost_model(&scale, spec.seed));
+            let scheduler = || method.scheduler(&scale).unwrap();
+            let lane = |threads: usize| {
+                let mut objective = build_objective(&spec, TrialStore::in_memory()).unwrap();
+                let outcome =
+                    standalone_over(&spec, scheduler().as_mut(), &mut objective, threads).unwrap();
+                assert_eq!(
+                    objective.sink.campaign.log().len(),
+                    outcome.outcome.num_evaluations()
+                );
+                (outcome, objective.sink.into_store())
+            };
+
+            let (reference, reference_store) = lane(0);
+            assert!(reference.finished, "{method}");
+            assert!(!reference.timeline.is_empty());
+            let reference_commits = commit_sequence(&reference_store);
+            assert_eq!(reference_commits.len(), reference.timeline.len());
+            for threads in [1usize, 4, 8, env_threads] {
+                let (outcome, store) = lane(threads);
+                assert_eq!(outcome, reference, "{method}, {threads} threads");
+                assert_eq!(
+                    commit_sequence(&store),
+                    reference_commits,
+                    "{method}, {threads} threads"
+                );
+            }
+
+            let daemon = Daemon::new(4);
+            let mut progress = Vec::new();
+            let served = drive(
+                &spec,
+                scheduler().as_mut(),
+                build_objective(&spec, TrialStore::in_memory()).unwrap(),
+                &daemon.pool,
+                &daemon.gate,
+                &CampaignFlags::default(),
+                None,
+                &mut |p| progress.push(p.evaluations),
+            )
+            .unwrap();
+            assert_eq!(served.outcome, reference, "{method}: served");
+            assert_eq!(
+                served.outcome.sim_elapsed.to_bits(),
+                reference.sim_elapsed.to_bits()
+            );
+            assert_eq!(commit_sequence(&served.store), reference_commits);
+            assert!(served.halt.is_none());
+            assert_eq!(served.evaluations, reference_commits.len() as u64);
+            assert_eq!(served.ledger_misses, served.evaluations);
+            assert_eq!(served.ledger_hits, 0);
+            assert_eq!(
+                progress.last().copied(),
+                Some(served.evaluations),
+                "progress callback tracked every commit"
+            );
+            assert_eq!(
+                daemon.gate.global_in_flight(),
+                0,
+                "gate capacity fully released"
+            );
+        }
     }
 
     #[test]
     fn evaluation_budget_halts_deterministically() {
         let mut capped = spec("budget", 17);
         capped.limits.max_evaluations = Some(7);
-        let pool = SharedPool::new(2);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(2);
         let flags = CampaignFlags::default();
-        let outcome = run_campaign(
-            &capped,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let outcome = daemon
+            .run(&capped, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap();
         assert_eq!(outcome.halt, Some(HaltReason::BudgetEvaluations));
         assert!(!outcome.outcome.finished);
         // The halt lands after the budget-crossing commit plus whatever was
@@ -652,16 +569,9 @@ mod tests {
             outcome.evaluations <= 7 + capped.limits.max_in_flight as u64 + capped.workers as u64
         );
         // Run it again: the cutoff is bit-stable.
-        let again = run_campaign(
-            &capped,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let again = daemon
+            .run(&capped, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap();
         assert_eq!(again.outcome, outcome.outcome);
         assert_eq!(again.evaluations, outcome.evaluations);
     }
@@ -669,22 +579,14 @@ mod tests {
     #[test]
     fn stop_flag_settles_with_partial_outcome() {
         let spec = spec("stopped", 3);
-        let pool = SharedPool::new(2);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(2);
         let flags = CampaignFlags::default();
         // Raised before the first step: the halt drains the first dispatch
         // wave and settles.
         flags.stop.store(true, Ordering::Relaxed);
-        let outcome = run_campaign(
-            &spec,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let outcome = daemon
+            .run(&spec, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap();
         assert_eq!(outcome.halt, Some(HaltReason::Stopped));
         assert!(!outcome.outcome.finished);
         assert!(outcome.evaluations < 30, "halt cut the schedule short");
@@ -693,22 +595,18 @@ mod tests {
     #[test]
     fn kill_flag_aborts_without_terminal_outcome() {
         let spec = spec("killed", 29);
-        let pool = SharedPool::new(2);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(2);
         let flags = CampaignFlags::default();
         flags.kill.store(true, Ordering::Relaxed);
-        let err = run_campaign(
-            &spec,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap_err();
+        let err = daemon
+            .run(&spec, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap_err();
         assert_eq!(err, ServeError::Killed);
-        assert_eq!(gate.global_in_flight(), 0, "guard released gate capacity");
+        assert_eq!(
+            daemon.gate.global_in_flight(),
+            0,
+            "guard released gate capacity"
+        );
     }
 
     #[test]
@@ -721,35 +619,102 @@ mod tests {
             fail_trial: None,
             panic_trial: Some(2),
         };
-        let pool = SharedPool::new(2);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(2);
         let flags = CampaignFlags::default();
-        let err = run_campaign(
-            &rigged,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap_err();
+        let err = daemon
+            .run(&rigged, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap_err();
         assert_eq!(err, ServeError::EvalPanicked);
         // The pool survived the panic: a healthy campaign runs fine on the
         // same pool and gate afterwards.
         let healthy = spec("after-panic", 7);
-        let outcome = run_campaign(
-            &healthy,
-            TrialStore::in_memory(),
-            &pool,
-            &gate,
-            &flags,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
+        let outcome = daemon
+            .run(&healthy, TrialStore::in_memory(), &flags, &mut |_| {})
+            .unwrap();
         assert!(outcome.outcome.finished);
         assert_eq!(outcome.outcome, standalone(&healthy, 2));
+    }
+
+    /// Fails two trials of the first dispatch wave; above one worker the one
+    /// dispatched first does not return before the other has failed.
+    struct TwoFailures {
+        inner: AnalyticEval,
+        first: usize,
+        second: usize,
+        second_failed: Option<(Mutex<bool>, Condvar)>,
+    }
+
+    impl ConcurrentEval for TwoFailures {
+        type State = usize;
+
+        fn evaluate(
+            &self,
+            state: &mut usize,
+            request: &TrialRequest,
+        ) -> fedtune_core::Result<EvalOutput> {
+            let trial = request.trial_id;
+            if trial != self.first && trial != self.second {
+                return self.inner.evaluate(state, request);
+            }
+            if let Some((failed, changed)) = &self.second_failed {
+                let mut failed = failed.lock().unwrap();
+                if trial == self.second {
+                    *failed = true;
+                    changed.notify_all();
+                }
+                while !*failed {
+                    failed = changed.wait(failed).unwrap();
+                }
+            }
+            Err(fedtune_core::CoreError::InvalidConfig {
+                message: format!("rigged failure of trial {trial}"),
+            })
+        }
+    }
+
+    #[test]
+    fn a_tenant_is_told_of_its_earliest_failing_dispatch_whatever_finished_first() {
+        let spec = spec("two-failures", 7);
+        let first_wave: Vec<usize> = standalone(&spec, 0).timeline[..4]
+            .iter()
+            .map(|span| span.trial as usize)
+            .collect();
+        for workers in [1usize, 4, 8] {
+            let daemon = Daemon::new(workers);
+            let rigged = TwoFailures {
+                inner: AnalyticEval::new(&spec).unwrap(),
+                first: first_wave[1],
+                second: first_wave[2],
+                second_failed: (workers > 1).then(Default::default),
+            };
+            let objective = RecordingObjective::new(
+                rigged,
+                &spec.build_space().unwrap(),
+                spec.provenance(),
+                TrialStore::in_memory(),
+            );
+            let mut published = 0u64;
+            let result = drive(
+                &spec,
+                spec.build_scheduler().unwrap().as_mut(),
+                objective,
+                &daemon.pool,
+                &daemon.gate,
+                &CampaignFlags::default(),
+                None,
+                &mut |p| published = p.evaluations,
+            );
+            match result {
+                Err(ServeError::Core { message }) => assert!(
+                    message.contains(&format!("rigged failure of trial {}", first_wave[1])),
+                    "{workers} workers: {message}"
+                ),
+                other => panic!("{workers} workers: {:?}", other.map(|o| o.evaluations)),
+            }
+            // Only the dispatch ahead of the failure was ever committed.
+            assert!(published <= 1, "{workers} workers: {published} published");
+            assert_eq!(daemon.gate.global_in_flight(), 0);
+        }
     }
 
     // -- The turn boundary ------------------------------------------------
@@ -799,41 +764,37 @@ mod tests {
         appended - durable
     }
 
-    /// A driver frozen mid-flight, everything `run_campaign` holds between
-    /// two steps of its loop.
-    struct MidFlight<'s, 'c> {
-        flow: Flow,
-        rx: mpsc::Receiver<CampaignMsg>,
-        /// Holds the inbox's sender (`shared.tx`), which the tests load.
-        shared: Shared<'s>,
-        core: ExecutorCore<'c>,
-        sink: ServeSink,
-        /// The finished evaluations of the admitted dispatches, in dispatch
-        /// order, not yet in the inbox.
-        done: Vec<CampaignMsg>,
-        /// `(configuration, sim_completion bits)` per admitted dispatch.
+    type Eval = Arc<RecordingEval<AnalyticEval>>;
+    type Job = EvalJob<Eval, usize>;
+    type Sink = RecordingSink<usize, TrialStore>;
+
+    /// A driver frozen mid-flight: the pump with its jobs held by the test,
+    /// the real tenant, and a gate whose grants go to the test instead of
+    /// the inbox.
+    struct MidFlight<'a, 'p> {
+        pump: Pump<'p, Eval, Sink, &'p dyn Fn(Job, bool)>,
+        core: ExecutorCore<'a>,
+        tenant: Tenant<'a, AnalyticEval>,
+        /// Admitted dispatches whose evaluation has not run yet.
+        held: &'p RefCell<Vec<Job>>,
+        published: &'a RefCell<Vec<Progress>>,
+        /// The gate's grants, in the order it made them.
+        granted: Vec<u64>,
+        /// `(configuration, sim_completion bits)` per dispatch.
         dispatched: Vec<(Vec<f64>, u64)>,
     }
 
     impl MidFlight<'_, '_> {
         fn turn(&mut self) -> (Result<()>, Vec<Progress>) {
-            let mut published = Vec::new();
-            let result = self.flow.turn(
-                &self.rx,
-                &self.shared,
-                &mut self.core,
-                &mut self.sink,
-                &mut |p| published.push(p),
-            );
-            (result, published)
+            let result = self.pump.turn(&mut self.core, &mut self.tenant);
+            (result, self.published.take())
         }
     }
 
-    /// Dispatches `k` evaluations of a random search over `store` and stops
-    /// the driver there: the first `admitted` are past the gate with their
-    /// evaluations finished (see [`MidFlight::done`]), the rest still await
-    /// their grants. The gate's own notifier goes nowhere — the test is the
-    /// only writer of the inbox.
+    /// Dispatches `k` evaluations of a random search over `store` through
+    /// the tenant and stops the driver there: the first `admitted` are past
+    /// the gate and held, not yet evaluated; the rest still await the grants
+    /// the gate made (see [`MidFlight::granted`]).
     fn mid_flight(
         k: usize,
         admitted: usize,
@@ -849,66 +810,69 @@ mod tests {
         let space = spec.build_space().unwrap();
         let mut scheduler = spec.build_scheduler().unwrap();
         let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-        let sim = VirtualExecution::new(spec.workers, spec.cost.build());
-        let objective = build_objective(&spec, store).unwrap();
-        let pool = SharedPool::new(1);
+        let sim = sim_of(&spec);
+        let RecordingObjective { eval, mut sink } = build_objective(&spec, store).unwrap();
+        let eval = Arc::new(eval);
+        let held = RefCell::new(Vec::new());
+        let hold = |job, _chained| held.borrow_mut().push(job);
         let gate = FairGate::new(k);
         let config = DrrConfig {
             quantum: 1,
             max_in_flight: k,
             max_queued: k,
         };
-        let member = gate.register(config, |_| {});
-        let (tx, rx) = mpsc::channel();
-        let mut core =
-            ExecutorCore::new_traced(scheduler.as_mut(), &space, &mut rng, &sim, None).unwrap();
-        let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
+        let granted = Arc::new(Mutex::new(Vec::new()));
+        let grants = Arc::clone(&granted);
+        let member = gate.register(config, move |ticket| grants.lock().unwrap().push(ticket));
+        let published = RefCell::new(Vec::new());
+        let mut on_progress = |p| published.borrow_mut().push(p);
+        let mut driver = MidFlight {
+            pump: Pump::new(Arc::clone(&eval), &mut sink, &hold),
+            core: ExecutorCore::new_traced(scheduler.as_mut(), &space, &mut rng, &sim, None)
+                .unwrap(),
+            tenant: Tenant {
+                gate: &gate,
+                member,
+                flags: &CampaignFlags::default(),
+                limits: &spec.limits,
+                eval: &eval,
+                on_progress: &mut on_progress,
+                halt: None,
+                planned: HashMap::new(),
+                planned_rounds: 0,
+                dispatched: 0,
+            },
+            held: &held,
+            published: &published,
+            granted: Vec::new(),
+            dispatched: Vec::new(),
+        };
+        let ExecutorStep::Dispatch(batch) = driver.core.step().unwrap() else {
             panic!("a fresh campaign dispatches first");
         };
         assert_eq!(batch.len(), k);
-        let mut flow = Flow {
-            next_seq: k,
-            ..Flow::default()
-        };
-        let (mut done, mut dispatched) = (Vec::new(), Vec::new());
-        for (seq, d) in batch.into_iter().enumerate() {
-            let ticket = gate.enqueue(member, 1).unwrap();
-            if seq >= admitted {
-                flow.pending_grant.push_back((ticket, seq, d));
-                continue;
-            }
-            flow.busy.insert(d.request.trial_id, VecDeque::new());
-            dispatched.push((
+        for d in batch {
+            driver.dispatched.push((
                 d.request.config.values().to_vec(),
                 d.sim_completion.to_bits(),
             ));
-            let mut state = 0usize;
-            let output = objective.eval.evaluate(&mut state, &d.request);
-            done.push(CampaignMsg::Done {
-                seq,
-                key: d.key,
-                request: d.request,
-                sim_completion: d.sim_completion,
-                state,
-                output,
-            });
+            driver
+                .pump
+                .dispatch(d, &mut driver.core, &mut driver.tenant)
+                .unwrap();
         }
-        body(&mut MidFlight {
-            flow,
-            rx,
-            shared: Shared {
-                pool: &pool,
-                gate: &gate,
-                member,
-                eval: Arc::clone(&objective.eval),
-                tx,
-                trace: None,
-            },
-            core,
-            sink: objective.sink,
-            done,
-            dispatched,
-        });
+        driver.granted = granted.lock().unwrap().clone();
+        assert_eq!(driver.granted.len(), k, "the gate has room for all");
+        if admitted > 0 {
+            let admit = driver.pump.admitter();
+            driver.granted[..admitted].iter().for_each(|&t| admit(t));
+            // The grants alone make a turn: jobs start, nothing commits.
+            let (result, published) = driver.turn();
+            result.unwrap();
+            assert!(published.is_empty());
+            assert_eq!(held.borrow().len(), admitted);
+        }
+        body(&mut driver);
     }
 
     #[test]
@@ -919,8 +883,8 @@ mod tests {
             let store = TrialStore::open_segments(&dir).unwrap();
             mid_flight(k, k, store, |driver| {
                 // Completions arrive in the reverse of dispatch order.
-                for msg in driver.done.drain(..).rev() {
-                    driver.shared.tx.send(msg).unwrap();
+                for job in driver.held.borrow_mut().drain(..).rev() {
+                    job.run(None);
                 }
                 let before = accounting();
                 let (result, published) = driver.turn();
@@ -936,7 +900,7 @@ mod tests {
                     "k = {k}: one group commit, one sync_data, k appends, all k in that sync"
                 );
 
-                let ledger = driver.sink.store();
+                let ledger = driver.pump.sink().store();
                 assert_eq!(ledger.unsynced(), 0);
                 let appended: Vec<(Vec<f64>, u64)> = ledger
                     .records()
@@ -948,7 +912,7 @@ mod tests {
                 // One status update for the whole turn, after the sync.
                 assert_eq!(published.len(), 1, "k = {k}");
                 assert_eq!(published[0].evaluations, k as u64);
-                assert_eq!(driver.shared.gate.global_in_flight(), 0, "slots released");
+                assert_eq!(driver.tenant.gate.global_in_flight(), 0, "slots released");
             });
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -959,8 +923,8 @@ mod tests {
         let _serial = ledger_accounting();
         let dirs = ["turn", "served", "standalone"].map(|t| ledger_dir(&format!("unsyncable_{t}")));
         mid_flight(2, 2, unsyncable_ledger(&dirs[0]), |driver| {
-            for msg in driver.done.drain(..) {
-                driver.shared.tx.send(msg).unwrap();
+            for job in driver.held.borrow_mut().drain(..) {
+                job.run(None);
             }
             let (result, published) = driver.turn();
             assert!(
@@ -969,7 +933,7 @@ mod tests {
             );
             assert!(published.is_empty(), "status ran ahead of the disk");
             assert_eq!(
-                driver.sink.store().unsynced(),
+                driver.pump.sink().store().unsynced(),
                 2,
                 "both staged, neither durable"
             );
@@ -978,16 +942,12 @@ mod tests {
         // End to end: the error `Service::settle` turns into
         // `CampaignState::Failed`, and not one status update before it.
         let spec = spec("unsyncable", 13);
-        let pool = SharedPool::new(2);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(2);
         let mut published = 0usize;
-        let result = run_campaign(
+        let result = daemon.run(
             &spec,
             unsyncable_ledger(&dirs[1]),
-            &pool,
-            &gate,
             &CampaignFlags::default(),
-            None,
             &mut |_| published += 1,
         );
         assert!(
@@ -996,13 +956,20 @@ mod tests {
             result.map(|out| out.evaluations)
         );
         assert_eq!(published, 0);
-        assert_eq!(gate.global_in_flight(), 0, "guard released gate capacity");
+        assert_eq!(
+            daemon.gate.global_in_flight(),
+            0,
+            "tenant released gate capacity"
+        );
 
-        // The standalone driver ends its turns through the same sink.
-        let mut scheduler = spec.build_scheduler().unwrap();
-        let mut objective = build_objective(&spec, unsyncable_ledger(&dirs[2])).unwrap();
-        let err = standalone_over(&spec, scheduler.as_mut(), &mut objective, 2).unwrap_err();
-        assert!(err.to_string().contains("campaign ledger"), "{err}");
+        // The standalone lanes end their turns through the same sink.
+        for threads in [0usize, 2] {
+            let mut scheduler = spec.build_scheduler().unwrap();
+            let mut objective = build_objective(&spec, unsyncable_ledger(&dirs[2])).unwrap();
+            let err =
+                standalone_over(&spec, scheduler.as_mut(), &mut objective, threads).unwrap_err();
+            assert!(err.to_string().contains("injected sync failure"), "{err}");
+        }
         for dir in &dirs {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -1012,40 +979,28 @@ mod tests {
     fn a_misbehaving_gate_fails_the_campaign_without_panicking() {
         // The same ticket granted twice: the second finds nothing waiting.
         mid_flight(1, 0, TrialStore::in_memory(), |driver| {
-            let ticket = driver.flow.pending_grant[0].0;
-            driver.shared.tx.send(CampaignMsg::Grant(ticket)).unwrap();
-            driver.shared.tx.send(CampaignMsg::Grant(ticket)).unwrap();
+            let admit = driver.pump.admitter();
+            admit(driver.granted[0]);
+            admit(driver.granted[0]);
             let (result, _) = driver.turn();
             match result {
                 Err(ServeError::Core { message }) => {
-                    assert!(message.contains("no dispatch awaiting"), "{message}")
+                    assert!(message.contains("awaiting admission is None"), "{message}")
                 }
                 other => panic!("double grant: {other:?}"),
             }
         });
         // A grant out of enqueue order must not submit the wrong dispatch.
         mid_flight(2, 0, TrialStore::in_memory(), |driver| {
-            let second = driver.flow.pending_grant[1].0;
-            driver.shared.tx.send(CampaignMsg::Grant(second)).unwrap();
+            driver.pump.admitter()(driver.granted[1]);
             let (result, _) = driver.turn();
             match result {
                 Err(ServeError::Core { message }) => {
-                    assert!(message.contains("out of enqueue order"), "{message}")
+                    assert!(message.contains("awaiting admission is Some"), "{message}")
                 }
                 other => panic!("out-of-order grant: {other:?}"),
             }
-        });
-        // A completion for a trial with nothing in flight.
-        mid_flight(1, 1, TrialStore::in_memory(), |driver| {
-            driver.flow.busy.clear();
-            driver.shared.tx.send(driver.done.remove(0)).unwrap();
-            let (result, _) = driver.turn();
-            match result {
-                Err(ServeError::Core { message }) => {
-                    assert!(message.contains("no evaluation in flight"), "{message}")
-                }
-                other => panic!("untracked completion: {other:?}"),
-            }
+            assert!(driver.held.borrow().is_empty());
         });
     }
 
@@ -1102,8 +1057,7 @@ mod tests {
         let spec = spec("durable-served", 41);
         let reference = standalone(&spec, 4);
         let dir = ledger_dir("durable_served");
-        let pool = SharedPool::new(4);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(4);
         let mut scheduler = DurableBeforeVisible {
             inner: spec.build_scheduler().unwrap(),
             unsynced: &process_unsynced,
@@ -1113,9 +1067,9 @@ mod tests {
         let served = drive(
             &spec,
             &mut scheduler,
-            TrialStore::open_segments(&dir).unwrap(),
-            &pool,
-            &gate,
+            build_objective(&spec, TrialStore::open_segments(&dir).unwrap()).unwrap(),
+            &daemon.pool,
+            &daemon.gate,
             &CampaignFlags::default(),
             None,
             &mut |p| {
@@ -1132,10 +1086,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `ServeSink` behind a mirror of its ledger's unsynced count, refreshed
-    /// after every call that can move it.
+    /// The recording sink behind a mirror of its ledger's unsynced count,
+    /// refreshed after every call that can move it.
     struct MirroredSink {
-        inner: ServeSink,
+        inner: Sink,
         unsynced: Arc<AtomicU64>,
         /// Most records ever staged at once, to show the mirror moves.
         peak: u64,
@@ -1173,16 +1127,16 @@ mod tests {
     }
 
     struct Mirrored {
-        eval: Arc<ServeEval>,
+        eval: RecordingEval<AnalyticEval>,
         sink: MirroredSink,
     }
 
     impl ConcurrentObjective for Mirrored {
         type State = usize;
-        type Eval = ServeEval;
+        type Eval = RecordingEval<AnalyticEval>;
         type Sink = MirroredSink;
 
-        fn split(&mut self) -> (&ServeEval, &mut MirroredSink) {
+        fn split(&mut self) -> (&Self::Eval, &mut MirroredSink) {
             (&self.eval, &mut self.sink)
         }
     }
@@ -1193,12 +1147,13 @@ mod tests {
         let spec = spec("durable-standalone", 41);
         let reference = standalone(&spec, 4);
         let dir = ledger_dir("durable_standalone");
-        let objective = build_objective(&spec, TrialStore::open_segments(&dir).unwrap()).unwrap();
+        let RecordingObjective { eval, sink } =
+            build_objective(&spec, TrialStore::open_segments(&dir).unwrap()).unwrap();
         let unsynced = Arc::new(AtomicU64::new(0));
         let mut objective = Mirrored {
-            eval: objective.eval,
+            eval,
             sink: MirroredSink {
-                inner: objective.sink,
+                inner: sink,
                 unsynced: Arc::clone(&unsynced),
                 peak: 0,
             },
@@ -1225,8 +1180,7 @@ mod tests {
     #[test]
     fn a_crash_inside_a_turn_resumes_to_the_same_bits() {
         let _serial = ledger_accounting();
-        let pool = SharedPool::new(4);
-        let gate = FairGate::new(4);
+        let daemon = Daemon::new(4);
         for seed in [31u64, 32, 33] {
             let mut spec = spec("crash", seed);
             spec.scheduler = SchedulerSpec::AsyncAsha {
@@ -1242,13 +1196,10 @@ mod tests {
                 // sync and status update, before the core hears of it.
                 let flags = CampaignFlags::default();
                 let (mut turns, mut published) = (0usize, 0u64);
-                let first = run_campaign(
+                let first = daemon.run(
                     &spec,
                     TrialStore::open_segments(&dir).unwrap(),
-                    &pool,
-                    &gate,
                     &flags,
-                    None,
                     &mut |p| {
                         turns += 1;
                         published = p.evaluations;
@@ -1264,19 +1215,17 @@ mod tests {
                     Ok(_) => assert!(turns < kill_at),
                     Err(e) => panic!("seed {seed}, turn {kill_at}: {e}"),
                 }
-                assert_eq!(gate.global_in_flight(), 0);
+                assert_eq!(daemon.gate.global_in_flight(), 0);
 
                 // Second life: only the ledger survives.
-                let resumed = run_campaign(
-                    &spec,
-                    TrialStore::open_segments(&dir).unwrap(),
-                    &pool,
-                    &gate,
-                    &CampaignFlags::default(),
-                    None,
-                    &mut |_| {},
-                )
-                .unwrap();
+                let resumed = daemon
+                    .run(
+                        &spec,
+                        TrialStore::open_segments(&dir).unwrap(),
+                        &CampaignFlags::default(),
+                        &mut |_| {},
+                    )
+                    .unwrap();
                 assert_eq!(resumed.outcome, reference, "seed {seed}, turn {kill_at}");
                 assert_eq!(
                     resumed.outcome.sim_elapsed.to_bits(),

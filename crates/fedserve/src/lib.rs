@@ -48,7 +48,7 @@ pub mod spec;
 pub use campaign::{CampaignOutcome, HaltReason};
 pub use client::Client;
 pub use dispatch::{DrrConfig, DrrState, FairGate, GateError};
-pub use objective::{build_objective, ServeEval, ServeObjective, ServeSink};
+pub use objective::{build_objective, AnalyticEval};
 pub use proto::{
     decode_frame, encode_frame, ErrorCode, FrameError, Request, Response, MAGIC, MAX_FRAME,
 };
@@ -154,8 +154,11 @@ impl From<proto::FrameError> for ServeError {
 
 impl From<fedtune_core::CoreError> for ServeError {
     fn from(e: fedtune_core::CoreError) -> Self {
-        ServeError::Core {
-            message: e.to_string(),
+        match e {
+            fedtune_core::CoreError::EvalPanicked => ServeError::EvalPanicked,
+            other => ServeError::Core {
+                message: other.to_string(),
+            },
         }
     }
 }

@@ -1,69 +1,68 @@
-//! The served objective: ledger-backed, bit-deterministic, latency-aware.
+//! The served objective: an analytic, bit-deterministic, latency-aware
+//! evaluation behind `fedstore`'s recording wrapper.
 //!
-//! [`ServeEval`] / [`ServeSink`] implement fedtune_core's concurrent
-//! objective contract for service campaigns. Three properties matter here:
+//! This module owns only the evaluation: [`AnalyticEval`] scores a request
+//! as a pure function of its canonical `(config, resource, noise_rep)`
+//! coordinates — the score is analytic and the observation noise comes from
+//! an RNG keyed positionally off the campaign seed and those coordinates —
+//! so no thread count, completion order, or co-tenant can move a bit.
 //!
-//! - **Purity.** A live evaluation is a pure function of its canonical
-//!   `(config, resource, noise_rep)` coordinates: the score is analytic and
-//!   the observation noise comes from an RNG keyed positionally off the
-//!   campaign seed and those coordinates. No thread count, completion order,
-//!   or co-tenant can move a bit.
-//! - **Replay.** The eval carries a snapshot of the campaign's recovered
-//!   ledger; a request whose key is already recorded returns the *recorded*
-//!   bits without recomputation (and without paying the simulated latency).
-//!   This is what makes kill-and-restart resume exactly where it left off:
-//!   the scheduler re-derives the same request sequence from the same seed,
-//!   and the paid prefix is served from disk. The snapshot (`hits`) shares
-//!   the store's key allocations — copying a stored key is a reference
-//!   count — so it costs one table of pointers and scores, not a second copy
-//!   of every configuration.
-//! - **Durability.** The unit of durability is the driver *turn*, not the
-//!   single result: [`ServeSink::commit`](ConcurrentSink::commit) stages each
-//!   commit in the campaign's segment ledger and
-//!   [`ServeSink::sync_turn`] makes everything staged durable with one
-//!   `sync_data` before the driver publishes progress or steps the core
-//!   again. So the instant a result influences the scheduler or a status
-//!   reply it is already on disk — a crash can lose in-flight work and the
-//!   unobserved results of the turn it interrupts (both recomputed on
-//!   restart) but never an observed result.
+//! Everything about the ledger is [`fedstore::RecordingObjective`], the same
+//! wrapper the standalone record / replay experiments use; [`build_objective`]
+//! puts the two together.
 //!
-//! [`ServeObjective`] glues the halves together so the *standalone*
-//! reference runs — the ones the service's bit-identity tests compare
-//! against — go through the very same code via
+//! - **Replay.** A request whose key the campaign's recovered ledger already
+//!   holds returns the *recorded* bits without recomputation (and without
+//!   paying the simulated latency). This is what makes kill-and-restart
+//!   resume exactly where it left off: the scheduler re-derives the same
+//!   request sequence from the same seed, and the paid prefix is served
+//!   from disk.
+//! - **Durability.** The unit of durability is the driver *turn*: commits
+//!   are staged in the segment ledger in dispatch order and one sync at the
+//!   turn's end makes them durable before the driver publishes progress. So
+//!   a *status* never runs ahead of the disk. The *scheduler* can: the
+//!   executor core hears a result when it arrives, while its commit may
+//!   still be parked behind an earlier dispatch that has not finished. A
+//!   crash in that window loses nothing that matters — the parked result
+//!   was never committed, so the restarted campaign recomputes it, to the
+//!   same bits, and re-derives every decision that followed from it.
+//!
+//! The *standalone* reference runs — the ones the service's bit-identity
+//! tests compare against — drive the very same objective through
 //! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent).
 
 use crate::spec::{CampaignSpec, ObjectiveSpec};
 use crate::Result;
 use fedhpo::{SearchSpace, TrialRequest};
 use fedsim::clock::CostModel;
-use fedstore::{StoreError, TrialKey, TrialRecord, TrialStore};
-use fedtune_core::{ConcurrentEval, ConcurrentObjective, ConcurrentSink, CoreError, EvalOutput};
+use fedstore::{RecordingObjective, TrialKey, TrialStore};
+use fedtune_core::{ConcurrentEval, CoreError, EvalOutput};
 use rand_distr::{Distribution, Normal};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// The thread-shared evaluation half (see module docs).
-pub struct ServeEval {
+/// The analytic evaluation of an [`ObjectiveSpec`] (see module docs). Its
+/// per-trial state is the rounds the trial has been trained to *by live
+/// evaluations of this process*, which is what the simulated latency bills.
+pub struct AnalyticEval {
     space: SearchSpace,
     objective: ObjectiveSpec,
     cost: CostModel,
     seed: u64,
-    /// Recorded `(noisy_score, true_error)` bits from the recovered ledger.
-    hits: HashMap<TrialKey, (f64, f64)>,
-    served_hits: AtomicU64,
-    served_misses: AtomicU64,
 }
 
-impl ServeEval {
-    /// Evaluations answered from the recovered ledger so far.
-    pub fn ledger_hits(&self) -> u64 {
-        self.served_hits.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations computed live so far.
-    pub fn ledger_misses(&self) -> u64 {
-        self.served_misses.load(Ordering::Relaxed)
+impl AnalyticEval {
+    /// The evaluation `spec` describes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates an invalid search space from the spec.
+    pub fn new(spec: &CampaignSpec) -> Result<Self> {
+        Ok(AnalyticEval {
+            space: spec.build_space()?,
+            objective: spec.objective.clone(),
+            cost: spec.cost.build(),
+            seed: spec.seed,
+        })
     }
 
     /// The analytic true error at one request's coordinates.
@@ -100,7 +99,7 @@ impl ServeEval {
     }
 }
 
-impl ConcurrentEval for ServeEval {
+impl ConcurrentEval for AnalyticEval {
     type State = usize;
 
     fn evaluate(
@@ -114,20 +113,7 @@ impl ConcurrentEval for ServeEval {
             })?;
         let already = *trained;
         let reached = already.max(request.resource);
-        let rounds_delta = reached - already;
         *trained = reached;
-        if let Some(&(noisy_score, true_error)) = self.hits.get(&key) {
-            // Served from the ledger: recorded bits, no latency — a resumed
-            // campaign fast-forwards through its paid prefix.
-            self.served_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(EvalOutput {
-                noisy_score,
-                true_error,
-                rounds_delta,
-                resource_completed: reached,
-            });
-        }
-        self.served_misses.fetch_add(1, Ordering::Relaxed);
         let ObjectiveSpec::Analytic {
             noise_sd,
             latency_scale,
@@ -156,158 +142,31 @@ impl ConcurrentEval for ServeEval {
         Ok(EvalOutput {
             noisy_score: true_error + self.noise_draw(&key, *noise_sd),
             true_error,
-            rounds_delta,
+            rounds_delta: reached - already,
             resource_completed: reached,
         })
     }
 }
 
-/// The driver-thread accounting half: parks per-trial trained-rounds state
-/// and appends every commit to the campaign's ledger.
-pub struct ServeSink {
-    store: TrialStore,
-    provenance: fedstore::Provenance,
-    space: SearchSpace,
-    states: HashMap<usize, usize>,
-    /// Committed evaluations (hits and misses alike).
-    pub evaluations: u64,
-    /// Committed incremental training rounds.
-    pub resource_spent: u64,
-    /// First staging failure, stashed because [`ConcurrentSink::commit`]
-    /// cannot return errors; [`ServeSink::sync_turn`] returns it and the
-    /// driver fails the campaign.
-    io_error: Option<StoreError>,
-}
-
-impl ServeSink {
-    /// Consumes the sink, returning its ledger.
-    pub fn into_store(self) -> TrialStore {
-        self.store
-    }
-
-    /// The ledger being appended to.
-    pub fn store(&self) -> &TrialStore {
-        &self.store
-    }
-
-    /// Ends a driver turn: every commit staged since the previous call
-    /// becomes durable with one `sync_data` (none when nothing new was
-    /// staged). Until this returns `Ok` the turn's results must reach
-    /// neither the scheduler nor a status reply.
-    ///
-    /// # Errors
-    ///
-    /// The first failure to stage a commit this turn, else the sync's own.
-    pub fn sync_turn(&mut self) -> std::result::Result<(), StoreError> {
-        match self.io_error.take() {
-            Some(e) => Err(e),
-            None => self.store.group_commit(),
-        }
-    }
-}
-
-impl ConcurrentSink for ServeSink {
-    type State = usize;
-
-    fn take_state(&mut self, trial_id: usize) -> usize {
-        self.states.remove(&trial_id).unwrap_or(0)
-    }
-
-    fn put_state(&mut self, trial_id: usize, state: usize) {
-        self.states.insert(trial_id, state);
-    }
-
-    fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
-        if self.io_error.is_some() {
-            return;
-        }
-        self.evaluations += 1;
-        self.resource_spent += output.rounds_delta as u64;
-        let record = match TrialKey::for_request(&self.space, request) {
-            Ok(key) => TrialRecord {
-                config: key.config,
-                resource: key.resource,
-                rep: key.rep,
-                noisy_score: output.noisy_score,
-                true_error: output.true_error,
-                sim_time,
-                provenance: self.provenance.clone(),
-            },
-            Err(e) => {
-                self.io_error = Some(e);
-                return;
-            }
-        };
-        // Idempotent: replayed hits re-insert their existing record, which
-        // the ledger recognizes and skips. Staged only — `sync_turn` syncs.
-        if let Err(e) = self.store.insert_unsynced(record) {
-            self.io_error = Some(e);
-        }
-    }
-
-    fn end_turn(&mut self) -> fedtune_core::Result<()> {
-        self.sync_turn().map_err(|e| CoreError::InvalidConfig {
-            message: format!("campaign ledger: {e}"),
-        })
-    }
-}
-
-/// Both halves of a campaign's objective, shaped for
-/// [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent)
-/// (the standalone reference) and for the service's own driver (which `Arc`s
-/// the eval half across the shared pool).
-pub struct ServeObjective {
-    /// The thread-shared evaluation half.
-    pub eval: std::sync::Arc<ServeEval>,
-    /// The driver-side accounting half.
-    pub sink: ServeSink,
-}
-
-impl ConcurrentObjective for ServeObjective {
-    type State = usize;
-    type Eval = ServeEval;
-    type Sink = ServeSink;
-
-    fn split(&mut self) -> (&ServeEval, &mut ServeSink) {
-        (&self.eval, &mut self.sink)
-    }
-}
-
 /// Builds a campaign's objective around an already-opened (and possibly
-/// recovered) ledger: every record in `store` becomes a replay hit.
+/// recovered) ledger, which the objective owns from here on: every record in
+/// `store` becomes a replay hit, every commit is appended to it.
 ///
 /// # Errors
 ///
 /// Propagates an invalid search space from the spec.
-pub fn build_objective(spec: &CampaignSpec, store: TrialStore) -> Result<ServeObjective> {
-    let space = spec.build_space()?;
-    let hits = store
-        .records()
-        .iter()
-        .map(|record| (record.key(), (record.noisy_score, record.true_error)))
-        .collect();
-    let eval = ServeEval {
-        space: space.clone(),
-        objective: spec.objective.clone(),
-        cost: spec.cost.build(),
-        seed: spec.seed,
-        hits,
-        served_hits: AtomicU64::new(0),
-        served_misses: AtomicU64::new(0),
-    };
-    let sink = ServeSink {
+pub fn build_objective(
+    spec: &CampaignSpec,
+    store: TrialStore,
+) -> Result<RecordingObjective<AnalyticEval>> {
+    let eval = AnalyticEval::new(spec)?;
+    let space = eval.space.clone();
+    Ok(RecordingObjective::new(
+        eval,
+        &space,
+        spec.provenance(),
         store,
-        provenance: spec.provenance(),
-        space,
-        states: HashMap::new(),
-        evaluations: 0,
-        resource_spent: 0,
-        io_error: None,
-    };
-    Ok(ServeObjective {
-        eval: std::sync::Arc::new(eval),
-        sink,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -315,6 +174,7 @@ mod tests {
     use super::*;
     use crate::spec::{CampaignLimits, CostSpec, DimSpec, SchedulerSpec};
     use fedhpo::HpConfig;
+    use fedtune_core::{ConcurrentObjective, ConcurrentSink};
 
     fn spec(noise_sd: f64) -> CampaignSpec {
         CampaignSpec {
@@ -374,8 +234,8 @@ mod tests {
         let c = eval.evaluate(&mut s2, &request(0, 0.75, 2, 1)).unwrap();
         assert_eq!(a.true_error.to_bits(), c.true_error.to_bits());
         assert_ne!(a.noisy_score.to_bits(), c.noisy_score.to_bits());
-        assert_eq!(eval.ledger_misses(), 3);
-        assert_eq!(eval.ledger_hits(), 0);
+        assert_eq!(eval.misses(), 3);
+        assert_eq!(eval.hits(), 0);
     }
 
     #[test]
@@ -389,9 +249,9 @@ mod tests {
         let first = eval.evaluate(&mut state, &req).unwrap();
         let (_, sink) = live.split();
         sink.commit(&req, &first, 7.5);
-        assert_eq!(sink.evaluations, 1);
-        assert_eq!(sink.resource_spent, 3);
-        assert!(sink.io_error.is_none());
+        sink.end_turn().unwrap();
+        assert_eq!(sink.campaign.log().len(), 1);
+        assert_eq!(sink.campaign.cumulative_rounds(), 3);
 
         // Second pass: an objective rebuilt over the committed ledger serves
         // the same request from disk, bit for bit.
@@ -403,8 +263,8 @@ mod tests {
         let again = eval.evaluate(&mut state, &req).unwrap();
         assert_eq!(first.noisy_score.to_bits(), again.noisy_score.to_bits());
         assert_eq!(first.true_error.to_bits(), again.true_error.to_bits());
-        assert_eq!(eval.ledger_hits(), 1);
-        assert_eq!(eval.ledger_misses(), 0);
+        assert_eq!(eval.hits(), 1);
+        assert_eq!(eval.misses(), 0);
     }
 
     #[test]

@@ -249,16 +249,20 @@ where
     })
 }
 
-/// A unit of work queued on a [`ThreadPool`].
+/// A unit of work queued on a pool.
 type PoolJob<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-struct PoolState<'env> {
+struct QueueState<'env> {
     jobs: VecDeque<PoolJob<'env>>,
     shutdown: bool,
 }
 
-struct PoolShared<'env> {
-    state: Mutex<PoolState<'env>>,
+/// The one FIFO injector queue behind both pool handles: jobs *start* in
+/// exactly the order they were pushed (there is no per-worker deque and
+/// hence no stealing), which keeps pool scheduling out of any determinism
+/// argument.
+struct JobQueue<'env> {
+    state: Mutex<QueueState<'env>>,
     work_ready: Condvar,
 }
 
@@ -282,129 +286,102 @@ fn pool_metrics() -> &'static PoolMetrics {
     })
 }
 
+impl<'env> JobQueue<'env> {
+    fn new() -> Arc<Self> {
+        Arc::new(JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            work_ready: Condvar::new(),
+        })
+    }
+
+    /// Queues `job` behind everything pushed before it and wakes a worker.
+    fn push(&self, job: PoolJob<'env>, chained: bool) {
+        let metrics = pool_metrics();
+        metrics.tasks.incr();
+        if chained {
+            metrics.steals_avoided.incr();
+        }
+        let mut state = self.state.lock().expect("pool queue poisoned");
+        state.jobs.push_back(job);
+        drop(state);
+        self.work_ready.notify_one();
+    }
+
+    /// Tells the workers to return once the queue is drained. Called from
+    /// `drop`s, possibly during an unwind, so it must not panic; the two
+    /// fields of `QueueState` are valid at every step, so a poisoned lock is
+    /// safe to recover.
+    fn shut_down(&self) {
+        let mut state = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.shutdown = true;
+        drop(state);
+        self.work_ready.notify_all();
+    }
+
+    /// A worker's life: run queued jobs in order until shut down and
+    /// drained. With `isolate`, a panicking job is contained at the job
+    /// boundary (counted as `exec.pool.task_panics`) and the worker keeps
+    /// serving the queue; without it the panic takes the worker with it.
+    fn work(&self, isolate: bool) {
+        loop {
+            let job = {
+                let mut state = self.state.lock().expect("pool queue poisoned");
+                loop {
+                    if let Some(job) = state.jobs.pop_front() {
+                        break job;
+                    }
+                    if state.shutdown {
+                        return;
+                    }
+                    state = self.work_ready.wait(state).expect("pool queue poisoned");
+                }
+            };
+            // Run outside the lock so a panicking job cannot poison the queue.
+            if !isolate {
+                job();
+            } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+                pool_metrics().task_panics.incr();
+            }
+        }
+    }
+}
+
 /// Handle to a persistent, order-preserving worker pool created by
 /// [`with_thread_pool`].
 ///
 /// Workers are long-lived threads draining one shared FIFO queue: tasks
-/// *start* in exactly the order they were submitted (there is no per-worker
-/// deque and hence no stealing), which keeps pool scheduling out of any
-/// determinism argument — a caller that commits results in submission order
-/// gets bit-identical output at every worker count.
+/// *start* in exactly the order they were submitted, so a caller that
+/// commits results in submission order gets bit-identical output at every
+/// worker count.
 ///
 /// The counter `exec.pool.tasks` records every submission and
-/// `exec.pool.steals_avoided` every task the submitting thread ran inline
-/// (see [`help_run_one`](Self::help_run_one)) instead of handing it to a
-/// worker. Accounting, never semantics.
+/// `exec.pool.steals_avoided` every [chained](Self::submit_chained) one.
+/// Accounting, never semantics.
 pub struct ThreadPool<'env> {
-    shared: Arc<PoolShared<'env>>,
-    workers: usize,
+    queue: Arc<JobQueue<'env>>,
 }
 
 impl<'env> ThreadPool<'env> {
-    /// Number of persistent worker threads serving this pool.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Queues `job` for execution on the next idle worker. Jobs start in
     /// submission order; all submitted jobs complete before
     /// [`with_thread_pool`] returns.
     pub fn submit<F: FnOnce() + Send + 'env>(&self, job: F) {
-        pool_metrics().tasks.incr();
-        let mut state = self.shared.state.lock().expect("pool queue poisoned");
-        state.jobs.push_back(Box::new(job));
-        drop(state);
-        self.shared.work_ready.notify_one();
+        self.queue.push(Box::new(job), false);
     }
 
     /// [`submit`](Self::submit) for a task that inherits its predecessor's
-    /// warm per-task state (the concurrent executor chaining a trial's next
-    /// dispatch onto the state its completed dispatch just freed). Counted
-    /// as `exec.pool.steals_avoided`: the state handoff bypasses the shared
+    /// warm per-task state (the pump chaining a trial's next dispatch onto
+    /// the state its completed dispatch just freed). Counted as
+    /// `exec.pool.steals_avoided`: the state handoff bypasses the shared
     /// parked-state round trip a work-stealing pool would pay.
     pub fn submit_chained<F: FnOnce() + Send + 'env>(&self, job: F) {
-        pool_metrics().steals_avoided.incr();
-        self.submit(job);
-    }
-
-    /// Pops one queued job (if any) and runs it on the *calling* thread.
-    ///
-    /// Lets a thread that is waiting for pool results make progress instead
-    /// of handing every task across a thread boundary; each inline run is
-    /// counted as `exec.pool.steals_avoided`. Returns `false` when the queue
-    /// was empty.
-    pub fn help_run_one(&self) -> bool {
-        let job = {
-            let mut state = self.shared.state.lock().expect("pool queue poisoned");
-            state.jobs.pop_front()
-        };
-        match job {
-            Some(job) => {
-                pool_metrics().steals_avoided.incr();
-                job();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Order-preserving fan-out on the pool: applies `f` to `0..len` in the
-    /// same fixed contiguous chunks as the free function [`map_range`] and
-    /// stitches results back in index order, so the output is bit-identical
-    /// to the sequential path for any pure-per-index `f`.
-    ///
-    /// Unlike the free function, `f` must own its captures (or borrow data
-    /// that outlives the pool), because chunks outlive this call's frame on
-    /// worker threads. The calling thread helps drain the queue while it
-    /// waits, so the fan-out completes even on a single-worker pool.
-    pub fn map_range<O, F>(&self, len: usize, f: F) -> Vec<O>
-    where
-        O: Send + 'env,
-        F: Fn(usize) -> O + Send + Sync + 'env,
-    {
-        if len == 0 {
-            return Vec::new();
-        }
-        let threads = self.workers.min(len);
-        let chunk = len.div_ceil(threads);
-        let starts: Vec<usize> = (0..len).step_by(chunk).collect();
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<O>)>();
-        let f = Arc::new(f);
-        for (slot, &start) in starts.iter().enumerate() {
-            let end = (start + chunk).min(len);
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            self.submit(move || {
-                let part: Vec<O> = (start..end).map(|i| f(i)).collect();
-                let _ = tx.send((slot, part));
-            });
-        }
-        drop(tx);
-        let mut parts: Vec<Option<Vec<O>>> = (0..starts.len()).map(|_| None).collect();
-        let mut received = 0;
-        while received < starts.len() {
-            match rx.try_recv() {
-                Ok((slot, part)) => {
-                    parts[slot] = Some(part);
-                    received += 1;
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {
-                    if !self.help_run_one() {
-                        let (slot, part) = rx.recv().expect("pool worker panicked");
-                        parts[slot] = Some(part);
-                        received += 1;
-                    }
-                }
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    panic!("pool worker panicked")
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(len);
-        for part in parts {
-            out.extend(part.expect("every chunk reported"));
-        }
-        out
+        self.queue.push(Box::new(job), true);
     }
 }
 
@@ -420,75 +397,29 @@ pub fn with_thread_pool<'env, R, F>(threads: usize, f: F) -> R
 where
     F: FnOnce(&ThreadPool<'env>) -> R,
 {
-    let workers = threads.max(1);
-    let shared: Arc<PoolShared<'env>> = Arc::new(PoolShared {
-        state: Mutex::new(PoolState {
-            jobs: VecDeque::new(),
-            shutdown: false,
-        }),
-        work_ready: Condvar::new(),
-    });
+    let queue = JobQueue::<'env>::new();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared));
+        for _ in 0..threads.max(1) {
+            let queue = Arc::clone(&queue);
+            scope.spawn(move || queue.work(false));
         }
-        let pool = ThreadPool {
-            shared: Arc::clone(&shared),
-            workers,
-        };
-        let _shutdown = ShutdownOnDrop(&shared);
-        f(&pool)
+        f(&ThreadPool { queue })
     })
 }
 
-/// Ends the workers of a [`with_thread_pool`] scope when dropped, whether
-/// the driver returned or is unwinding — without it a panicking driver
-/// leaves them waiting and the scope's join never returns.
-struct ShutdownOnDrop<'a, 'env>(&'a PoolShared<'env>);
-
-impl Drop for ShutdownOnDrop<'_, '_> {
+/// Ends the workers when [`with_thread_pool`]'s handle goes, whether the
+/// driver returned or is unwinding — without it a panicking driver leaves
+/// them waiting and the scope's join never returns.
+impl Drop for ThreadPool<'_> {
     fn drop(&mut self) {
-        // `drop` may run during an unwind and must not panic; the two fields
-        // of `PoolState` are valid at every step, so a poisoned lock is safe
-        // to recover.
-        let mut state = self
-            .0
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.shutdown = true;
-        drop(state);
-        self.0.work_ready.notify_all();
-    }
-}
-
-fn worker_loop(shared: &PoolShared<'_>) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
-                }
-                if state.shutdown {
-                    break None;
-                }
-                state = shared.work_ready.wait(state).expect("pool queue poisoned");
-            }
-        };
-        match job {
-            // Run outside the lock so a panicking job cannot poison the queue.
-            Some(job) => job(),
-            None => return,
-        }
+        self.queue.shut_down();
     }
 }
 
 /// A process-lifetime worker pool shared by many independent drivers — the
 /// multiplexing substrate of the tuning service daemon.
 ///
-/// Differences from the scoped [`ThreadPool`]:
+/// Differences from the scoped [`ThreadPool`] (the queue is the same one):
 ///
 /// - **Owned, `'static` jobs.** Campaign drivers come and go while the pool
 ///   persists, so jobs must own their captures (typically `Arc` clones of a
@@ -501,101 +432,45 @@ fn worker_loop(shared: &PoolShared<'_>) {
 /// - **Explicit shutdown.** Dropping the pool sets the shutdown flag and
 ///   joins every worker after the queue drains.
 ///
-/// The queue is the same single FIFO as the scoped pool: tasks *start* in
-/// submission order, so fair-share admission decisions made upstream are not
-/// reordered by the pool itself.
+/// Tasks *start* in submission order, so fair-share admission decisions made
+/// upstream are not reordered by the pool itself.
 pub struct SharedPool {
-    shared: Arc<PoolShared<'static>>,
+    queue: Arc<JobQueue<'static>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
 }
 
 impl SharedPool {
     /// Starts a pool of `threads.max(1)` persistent workers.
     pub fn new(threads: usize) -> Self {
-        let workers = threads.max(1);
-        let shared: Arc<PoolShared<'static>> = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-        });
-        let handles = (0..workers)
+        let queue = JobQueue::new();
+        let handles = (0..threads.max(1))
             .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop_isolating(&shared))
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || queue.work(true))
             })
             .collect();
-        SharedPool {
-            shared,
-            handles,
-            workers,
-        }
-    }
-
-    /// Number of persistent worker threads serving this pool.
-    pub fn workers(&self) -> usize {
-        self.workers
+        SharedPool { queue, handles }
     }
 
     /// Queues `job` for execution on the next idle worker. Jobs start in
     /// submission order.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        pool_metrics().tasks.incr();
-        let mut state = self.shared.state.lock().expect("pool queue poisoned");
-        state.jobs.push_back(Box::new(job));
-        drop(state);
-        self.shared.work_ready.notify_one();
+        self.queue.push(Box::new(job), false);
     }
 
     /// [`submit`](Self::submit) for a task chained onto its predecessor's
     /// warm per-trial state; counted as `exec.pool.steals_avoided` exactly
     /// like the scoped pool's chained submissions.
     pub fn submit_chained<F: FnOnce() + Send + 'static>(&self, job: F) {
-        pool_metrics().steals_avoided.incr();
-        self.submit(job);
+        self.queue.push(Box::new(job), true);
     }
 }
 
 impl Drop for SharedPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool queue poisoned");
-            state.shutdown = true;
-        }
-        self.shared.work_ready.notify_all();
+        self.queue.shut_down();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// [`worker_loop`] with per-job panic isolation for the shared pool: a
-/// panicking job is contained at the job boundary and the worker keeps
-/// serving the queue.
-fn worker_loop_isolating(shared: &PoolShared<'static>) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = state.jobs.pop_front() {
-                    break Some(job);
-                }
-                if state.shutdown {
-                    break None;
-                }
-                state = shared.work_ready.wait(state).expect("pool queue poisoned");
-            }
-        };
-        match job {
-            Some(job) => {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                if outcome.is_err() {
-                    pool_metrics().task_panics.incr();
-                }
-            }
-            None => return,
         }
     }
 }
@@ -671,7 +546,6 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::mpsc;
         let pool = SharedPool::new(1);
-        assert_eq!(pool.workers(), 1);
         let (tx, rx) = mpsc::channel::<usize>();
         let ran = Arc::new(AtomicUsize::new(0));
         for i in 0..50 {
@@ -760,7 +634,6 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let ran = AtomicUsize::new(0);
         with_thread_pool(4, |pool| {
-            assert_eq!(pool.workers(), 4);
             for _ in 0..100 {
                 pool.submit(|| {
                     ran.fetch_add(1, Ordering::SeqCst);
@@ -821,25 +694,18 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_map_range_matches_sequential_at_every_worker_count() {
-        let sequential: Vec<usize> = (0..57).map(|i| i * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            let pooled = with_thread_pool(threads, |pool| pool.map_range(57, |i| i * 3 + 1));
-            assert_eq!(sequential, pooled, "threads = {threads}");
-        }
-        let empty: Vec<usize> = with_thread_pool(2, |pool| pool.map_range(0, |i| i));
-        assert!(empty.is_empty());
-    }
-
-    #[test]
     fn thread_pool_jobs_may_borrow_pre_pool_data() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let data: Vec<u64> = (0..64).collect();
-        let total: u64 = data.iter().sum();
-        let summed = with_thread_pool(3, |pool| {
-            let parts = pool.map_range(data.len(), |i| data[i]);
-            parts.into_iter().sum::<u64>()
+        let summed = AtomicU64::new(0);
+        with_thread_pool(3, |pool| {
+            for value in &data {
+                pool.submit(|| {
+                    summed.fetch_add(*value, Ordering::SeqCst);
+                });
+            }
         });
-        assert_eq!(summed, total);
+        assert_eq!(summed.into_inner(), data.iter().sum::<u64>());
     }
 
     #[test]
@@ -855,11 +721,15 @@ mod tests {
 
     #[test]
     fn thread_pool_clamps_zero_workers_to_one() {
-        let out = with_thread_pool(0, |pool| {
-            assert_eq!(pool.workers(), 1);
-            pool.map_range(5, |i| i + 1)
+        let (tx, rx) = std::sync::mpsc::channel();
+        with_thread_pool(0, |pool| {
+            for i in 1..=5 {
+                let tx = tx.clone();
+                pool.submit(move || tx.send(i).expect("receiver outlives the pool"));
+            }
         });
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
+        // One worker, one FIFO queue: completion order is submission order.
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //!   Opening an existing ledger recovers and re-indexes it; inserts are
 //!   durable immediately unless the [`Durability`] policy batches them.
 //! - [`recorder`] — [`RecordingObjective`]: wraps any
-//!   [`fedtune_core::BatchObjective`] (in practice the live
-//!   `BatchFederatedObjective`), captures every evaluation into the store,
-//!   and serves already-recorded requests *from* the store — which is
-//!   exactly resume: re-driving an interrupted campaign skips its recorded
-//!   prefix and continues bit-identically.
+//!   [`fedtune_core::ConcurrentEval`] (the live federated evaluation core,
+//!   the `fedserve` daemon's analytic one), stages every commit in the
+//!   store with one group commit per driver turn, and serves
+//!   already-recorded requests *from* the store — which is exactly resume:
+//!   re-driving an interrupted campaign skips its recorded prefix and
+//!   continues bit-identically. Every driver records through it.
 //! - [`tabular`] — [`TabularObjective`]: the scheduler-facing surrogate.
 //!   Campaigns replay against the table with exact-hit semantics and
 //!   deterministic noise resampling from recorded replicates — orders of
@@ -82,7 +83,7 @@ pub use compaction::CompactionReport;
 pub use key::{ConfigKey, TrialKey};
 pub use lock::LedgerLock;
 pub use record::{Provenance, TrialRecord};
-pub use recorder::RecordingObjective;
+pub use recorder::{RecordingEval, RecordingObjective, RecordingSink};
 pub use replay::{campaign_provenance, record_method_comparison, replay_method_comparison};
 pub use segment::{Durability, ScanReport, SegmentConfig, SegmentWriter};
 pub use store::TrialStore;

@@ -2,8 +2,8 @@
 //!
 //! [`record_method_comparison`] is a drop-in replacement for
 //! `fedtune_core::experiments::methods::run_method_comparison_scheduled` that
-//! additionally persists every evaluation into a [`TrialStore`]; it derives
-//! campaign seeds from the unit's grid position exactly like the live driver,
+//! additionally persists every evaluation into a [`TrialStore`]; it walks the
+//! same campaign grid with the same positional seeds (`scheduled_comparison`),
 //! so its result is bit-identical to the live comparison — and, when the
 //! store already holds a previous (possibly interrupted) recording of the
 //! same campaign, recorded evaluations are served from the ledger instead of
@@ -20,11 +20,10 @@ use crate::store::TrialStore;
 use crate::tabular::TabularObjective;
 use feddata::Benchmark;
 use fedhpo::SearchSpace;
-use fedmath::SeedTree;
-use fedtune_core::experiments::methods::{MethodComparison, MethodRun, TuningMethod};
+use fedtune_core::experiments::methods::{scheduled_comparison, MethodComparison, TuningMethod};
 use fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ExecutionPolicy, ExperimentScale,
-    NoiseConfig, TrialRunner,
+    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective, ExecutionPolicy,
+    ExperimentScale, NoiseConfig,
 };
 
 /// The provenance stamp for one campaign cell.
@@ -40,31 +39,6 @@ pub fn campaign_provenance(
         seed,
         noise: noise_label.into(),
     }
-}
-
-/// The campaign grid of the scheduled method comparison, in the live
-/// driver's enumeration order: method-major, then noise setting, then trial.
-fn campaign_units<'a>(
-    methods: &'a [TuningMethod],
-    noise_settings: &'a [(String, NoiseConfig)],
-    scale: &ExperimentScale,
-) -> Vec<(TuningMethod, &'a str, &'a NoiseConfig, usize)> {
-    methods
-        .iter()
-        .flat_map(|&method| {
-            noise_settings.iter().flat_map(move |(label, noise)| {
-                (0..scale.method_trials).map(move |trial| (method, label.as_str(), noise, trial))
-            })
-        })
-        .collect()
-}
-
-/// The budget grid the live comparison reports online curves over.
-fn budget_grid(scale: &ExperimentScale) -> Vec<usize> {
-    let grid_steps = scale.num_configs.max(4);
-    (1..=grid_steps)
-        .map(|i| i * scale.total_budget / grid_steps)
-        .collect()
 }
 
 /// Runs the scheduled method comparison live while recording every
@@ -87,38 +61,29 @@ pub fn record_method_comparison(
     store: &mut TrialStore,
 ) -> fedtune_core::Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let units = campaign_units(methods, noise_settings, scale);
-    // Unit seeds replicate the live driver: the engine roots its fan-out at
-    // `derive_seed(seed, 7)` and gives trial `i` the subtree at child `i`.
-    let tree = SeedTree::new(fedmath::rng::derive_seed(seed, 7));
-    let mut runs = Vec::with_capacity(units.len());
-    for (index, (method, noise_label, noise, trial)) in units.into_iter().enumerate() {
-        let unit = tree.child(index as u64);
-        let mut scheduler = method.scheduler(scale)?;
-        let planned = method.planned_evaluations(scale);
-        let mut objective =
-            BatchFederatedObjective::new(&ctx, *noise, planned, unit.child(0).seed())?
-                .with_batch_runner(TrialRunner::new(batch_policy));
-        let mut recording = RecordingObjective::new(
-            &mut objective,
-            ctx.space(),
-            campaign_provenance(benchmark, scale, seed, noise_label),
-            store,
-        );
-        let mut rng = unit.child(1).rng();
-        run_scheduled(scheduler.as_mut(), ctx.space(), &mut recording, &mut rng)?;
-        runs.push(MethodRun {
-            method: method.name().to_string(),
-            noise_label: noise_label.to_string(),
-            trial,
-            log: recording.into_log(),
-        });
-    }
-    Ok(MethodComparison {
-        benchmark: benchmark.name().to_string(),
-        runs,
-        budget_grid: budget_grid(scale),
-    })
+    let threads = batch_policy.pool_threads();
+    scheduled_comparison(
+        benchmark,
+        scale,
+        methods,
+        noise_settings,
+        seed,
+        |cell, scheduler, rng| {
+            let planned = cell.method.planned_evaluations(scale);
+            let mut objective =
+                BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
+            // Only the evaluation half is wrapped: the recording sink parks
+            // the trial states and keeps the campaign's log.
+            let mut recording = RecordingObjective::new(
+                objective.split().0,
+                ctx.space(),
+                campaign_provenance(benchmark, scale, seed, cell.noise_label),
+                &mut *store,
+            );
+            run_scheduled(scheduler, ctx.space(), &mut recording, rng, threads)?;
+            Ok(recording.sink.campaign.into_log())
+        },
+    )
 }
 
 /// Replays the scheduled method comparison against `store` alone — no
@@ -144,27 +109,19 @@ pub fn replay_method_comparison(
     seed: u64,
 ) -> fedtune_core::Result<MethodComparison> {
     let space = SearchSpace::paper_default();
-    let units = campaign_units(methods, noise_settings, scale);
-    let tree = SeedTree::new(fedmath::rng::derive_seed(seed, 7));
-    let mut runs = Vec::with_capacity(units.len());
-    for (index, (method, noise_label, _noise, trial)) in units.into_iter().enumerate() {
-        let unit = tree.child(index as u64);
-        let mut scheduler = method.scheduler(scale)?;
-        let mut tabular = TabularObjective::new(store, &space);
-        let mut rng = unit.child(1).rng();
-        run_scheduled(scheduler.as_mut(), &space, &mut tabular, &mut rng)?;
-        runs.push(MethodRun {
-            method: method.name().to_string(),
-            noise_label: noise_label.to_string(),
-            trial,
-            log: tabular.into_log(),
-        });
-    }
-    Ok(MethodComparison {
-        benchmark: benchmark.name().to_string(),
-        runs,
-        budget_grid: budget_grid(scale),
-    })
+    scheduled_comparison(
+        benchmark,
+        scale,
+        methods,
+        noise_settings,
+        seed,
+        |_, scheduler, rng| {
+            let mut tabular = TabularObjective::new(store, &space);
+            // Lookups are too cheap to be worth a thread hand-off each.
+            run_scheduled(scheduler, &space, &mut tabular, rng, 1)?;
+            Ok(tabular.campaign.into_log())
+        },
+    )
 }
 
 #[cfg(test)]

@@ -164,8 +164,8 @@ impl TrialStore {
     }
 
     /// Inserts a record **without** marking a batch boundary — the building
-    /// block callers with their own batching (the recorder's miss loop,
-    /// [`TrialStore::insert_many`]) pair with
+    /// block callers with their own batching (the recorder's per-turn
+    /// staging, [`TrialStore::insert_many`]) pair with
     /// [`TrialStore::group_commit`].
     ///
     /// # Errors

@@ -21,19 +21,30 @@
 use crate::key::TrialKey;
 use crate::store::TrialStore;
 use crate::{Result, StoreError};
-use fedhpo::{HpConfig, SearchSpace, TrialRequest, TrialResult};
+use fedhpo::{HpConfig, SearchSpace, TrialRequest};
 use fedmath::rng::derive_seed;
-use fedtune_core::{BatchObjective, CampaignLog, ObjectiveLogEntry};
+use fedtune_core::{CampaignLog, ConcurrentEval, ConcurrentObjective, CoreError, EvalOutput};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A scheduler-facing objective answering every evaluation from a recorded
-/// table.
+/// table: a [`ConcurrentObjective`] for the drivers, and a pull-style
+/// [`fedhpo::Objective`] for the classic tuners.
 pub struct TabularObjective<'s> {
+    /// The thread-shared half: the table lookup and its tally.
+    pub table: Table<'s>,
+    /// The driver-thread half: the replay log in commit order — same shape
+    /// as the live objective's, true errors from the table, and the
+    /// resource accounting a live campaign would have incurred.
+    pub campaign: CampaignLog,
+}
+
+/// The thread-shared half of a [`TabularObjective`]: the table lookup.
+pub struct Table<'s> {
     store: &'s TrialStore,
     space: SearchSpace,
     resample_seed: u64,
-    campaign: CampaignLog,
-    exact_hits: usize,
-    resampled: usize,
+    exact_hits: AtomicUsize,
+    resampled: AtomicUsize,
 }
 
 impl<'s> TabularObjective<'s> {
@@ -41,12 +52,14 @@ impl<'s> TabularObjective<'s> {
     /// `space`.
     pub fn new(store: &'s TrialStore, space: &SearchSpace) -> Self {
         TabularObjective {
-            store,
-            space: space.clone(),
-            resample_seed: 0,
-            campaign: CampaignLog::new(),
-            exact_hits: 0,
-            resampled: 0,
+            table: Table {
+                store,
+                space: space.clone(),
+                resample_seed: 0,
+                exact_hits: AtomicUsize::new(0),
+                resampled: AtomicUsize::new(0),
+            },
+            campaign: CampaignLog::default(),
         }
     }
 
@@ -54,40 +67,20 @@ impl<'s> TabularObjective<'s> {
     /// (distinct seeds draw independent resample assignments).
     #[must_use]
     pub fn with_resample_seed(mut self, seed: u64) -> Self {
-        self.resample_seed = seed;
+        self.table.resample_seed = seed;
         self
     }
+}
 
-    /// The replay log so far, in request order — same shape and accounting
-    /// as the live objective's log, with true errors from the table.
-    pub fn log(&self) -> &[ObjectiveLogEntry] {
-        self.campaign.log()
-    }
-
-    /// Consumes the objective and returns its log.
-    pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
-        self.campaign.into_log()
-    }
-
+impl Table<'_> {
     /// Requests answered by their exactly-recorded key.
     pub fn exact_hits(&self) -> usize {
-        self.exact_hits
+        self.exact_hits.load(Ordering::Relaxed)
     }
 
     /// Requests answered by deterministic replicate resampling.
     pub fn resampled(&self) -> usize {
-        self.resampled
-    }
-
-    /// Campaign rounds the replayed schedule *would* have consumed live.
-    pub fn cumulative_rounds(&self) -> usize {
-        self.campaign.cumulative_rounds()
-    }
-
-    /// Noise-aware selection over the replay log; see
-    /// [`fedtune_core::selected_true_error`].
-    pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        self.campaign.selected_true_error_within(budget)
+        self.resampled.load(Ordering::Relaxed)
     }
 
     /// Answers one request from the table, returning
@@ -96,10 +89,10 @@ impl<'s> TabularObjective<'s> {
     /// # Errors
     ///
     /// Returns [`StoreError::Miss`] when the point is not recorded at all.
-    fn lookup(&mut self, request: &TrialRequest) -> Result<(f64, f64)> {
+    fn lookup(&self, request: &TrialRequest) -> Result<(f64, f64)> {
         let key = TrialKey::for_request(&self.space, request)?;
         if let Some(record) = self.store.get(&key) {
-            self.exact_hits += 1;
+            self.exact_hits.fetch_add(1, Ordering::Relaxed);
             return Ok((record.noisy_score, record.true_error));
         }
         let replicates = self.store.replicates(&key.config, key.resource);
@@ -122,62 +115,33 @@ impl<'s> TabularObjective<'s> {
             key.rep,
         );
         let pick = &replicates[(channel % replicates.len() as u64) as usize];
-        self.resampled += 1;
+        self.resampled.fetch_add(1, Ordering::Relaxed);
         Ok((pick.noisy_score, pick.true_error))
-    }
-
-    /// Answers one request and logs it with campaign resource accounting,
-    /// stamped at `sim_time` virtual seconds.
-    fn evaluate_one_at(&mut self, request: &TrialRequest, sim_time: f64) -> Result<f64> {
-        let (noisy_score, true_error) = self.lookup(request)?;
-        self.campaign
-            .observe_at(request, noisy_score, true_error, sim_time);
-        Ok(noisy_score)
-    }
-
-    /// Answers one request and logs it with campaign resource accounting.
-    fn evaluate_one(&mut self, request: &TrialRequest) -> Result<f64> {
-        self.evaluate_one_at(request, 0.0)
     }
 }
 
-impl BatchObjective for TabularObjective<'_> {
-    fn evaluate_batch(
-        &mut self,
-        requests: &[TrialRequest],
-    ) -> fedtune_core::Result<Vec<TrialResult>> {
-        self.campaign.begin_batch();
-        requests
-            .iter()
-            .map(|request| {
-                let score = self
-                    .evaluate_one(request)
-                    .map_err(fedtune_core::CoreError::from)?;
-                Ok(TrialResult::of(request, score))
-            })
-            .collect()
-    }
+impl ConcurrentEval for Table<'_> {
+    type State = ();
 
-    fn evaluate_batch_at(
-        &mut self,
-        requests: &[TrialRequest],
-        sim_times: &[f64],
-    ) -> fedtune_core::Result<Vec<TrialResult>> {
-        self.campaign.begin_batch();
-        requests
-            .iter()
-            .zip(sim_times)
-            .map(|(request, &sim_time)| {
-                let score = self
-                    .evaluate_one_at(request, sim_time)
-                    .map_err(fedtune_core::CoreError::from)?;
-                Ok(TrialResult::of(request, score))
-            })
-            .collect()
+    fn evaluate(&self, _: &mut (), request: &TrialRequest) -> fedtune_core::Result<EvalOutput> {
+        let (noisy_score, true_error) = self.lookup(request).map_err(CoreError::from)?;
+        // What the request would have cost live is the log's accounting.
+        Ok(EvalOutput {
+            noisy_score,
+            true_error,
+            rounds_delta: 0,
+            resource_completed: request.resource,
+        })
     }
+}
 
-    fn last_true_errors(&self) -> Option<Vec<f64>> {
-        Some(self.campaign.last_batch_true_errors())
+impl<'s> ConcurrentObjective for TabularObjective<'s> {
+    type State = ();
+    type Eval = Table<'s>;
+    type Sink = CampaignLog;
+
+    fn split(&mut self) -> (&Table<'s>, &mut CampaignLog) {
+        (&self.table, &mut self.campaign)
     }
 }
 
@@ -200,15 +164,21 @@ impl fedhpo::Objective for TabularObjective<'_> {
         resource: usize,
         noise_rep: u64,
     ) -> fedhpo::Result<f64> {
-        self.evaluate_one(&TrialRequest {
+        let request = TrialRequest {
             trial_id,
             config: config.clone(),
             resource,
             noise_rep,
-        })
-        .map_err(|e| fedhpo::HpoError::Objective {
-            message: e.to_string(),
-        })
+        };
+        let (noisy_score, true_error) =
+            self.table
+                .lookup(&request)
+                .map_err(|e| fedhpo::HpoError::Objective {
+                    message: e.to_string(),
+                })?;
+        self.campaign
+            .observe_at(&request, noisy_score, true_error, 0.0);
+        Ok(noisy_score)
     }
 }
 
@@ -217,6 +187,7 @@ mod tests {
     use super::*;
     use crate::key::ConfigKey;
     use crate::record::Provenance;
+    use crate::recorder::tests::scores_of;
     use crate::TrialRecord;
     use fedhpo::Objective;
 
@@ -270,17 +241,25 @@ mod tests {
     fn exact_hits_return_recorded_bits() {
         let store = table();
         let mut tabular = TabularObjective::new(&store, &space());
-        let results = tabular
-            .evaluate_batch(&[request(0, 1.0, 2, 0), request(1, 3.0, 2, 0)])
-            .unwrap();
-        assert_eq!(results[0].score.to_bits(), 0.40f64.to_bits());
-        assert_eq!(results[1].score.to_bits(), 0.60f64.to_bits());
-        assert_eq!(tabular.exact_hits(), 2);
-        assert_eq!(tabular.resampled(), 0);
-        assert_eq!(tabular.last_true_errors().unwrap(), vec![0.45, 0.58]);
-        assert_eq!(tabular.cumulative_rounds(), 4);
-        assert_eq!(tabular.log().len(), 2);
-        assert!(tabular.selected_true_error_within(usize::MAX).is_some());
+        let batch = vec![request(0, 1.0, 2, 0), request(1, 3.0, 2, 0)];
+        let scores = scores_of(&mut tabular, &space(), vec![batch], 4).unwrap();
+        assert_eq!(scores[0].to_bits(), 0.40f64.to_bits());
+        assert_eq!(scores[1].to_bits(), 0.60f64.to_bits());
+        assert_eq!(tabular.table.exact_hits(), 2);
+        assert_eq!(tabular.table.resampled(), 0);
+        let truths: Vec<f64> = tabular
+            .campaign
+            .log()
+            .iter()
+            .map(|e| e.true_error)
+            .collect();
+        assert_eq!(truths, vec![0.45, 0.58]);
+        assert_eq!(tabular.campaign.cumulative_rounds(), 4);
+        assert_eq!(tabular.campaign.log().len(), 2);
+        assert!(tabular
+            .campaign
+            .selected_true_error_within(usize::MAX)
+            .is_some());
     }
 
     #[test]
@@ -288,8 +267,9 @@ mod tests {
         let store = table();
         let run = |seed: u64, rep: u64| {
             let mut tabular = TabularObjective::new(&store, &space()).with_resample_seed(seed);
-            let score = tabular.evaluate_batch(&[request(0, 1.0, 2, rep)]).unwrap()[0].score;
-            (score, tabular.resampled())
+            let batch = vec![request(0, 1.0, 2, rep)];
+            let score = scores_of(&mut tabular, &space(), vec![batch], 1).unwrap()[0];
+            (score, tabular.table.resampled())
         };
         // Replicate 7 was never recorded: it resamples one of the recorded
         // draws, the same one every time.
@@ -314,15 +294,14 @@ mod tests {
     fn complete_misses_fail_loudly() {
         let store = table();
         let mut tabular = TabularObjective::new(&store, &space());
-        let err = tabular
-            .evaluate_batch(&[request(0, 9.0, 2, 0)])
-            .unwrap_err();
+        let err =
+            scores_of(&mut tabular, &space(), vec![vec![request(0, 9.0, 2, 0)]], 1).unwrap_err();
         assert!(err.to_string().contains("no recorded evaluation"), "{err}");
-        // An unrecorded fidelity of a recorded config also misses.
-        assert!(tabular.evaluate_batch(&[request(0, 3.0, 4, 0)]).is_err());
-        // Nothing was logged for the failed evaluations' batches beyond the
-        // successful prefix.
-        assert!(tabular.log().is_empty());
+        // An unrecorded fidelity of a recorded config also misses — and
+        // nothing dispatched after the miss is logged.
+        let batch = vec![request(0, 3.0, 4, 0), request(1, 1.0, 2, 0)];
+        assert!(scores_of(&mut tabular, &space(), vec![batch], 1).is_err());
+        assert!(tabular.campaign.log().is_empty());
     }
 
     #[test]
@@ -335,7 +314,7 @@ mod tests {
         let rep1 = tabular.evaluate_rep(0, &config, 2, 1).unwrap();
         assert_eq!(rep1.to_bits(), 0.50f64.to_bits());
         assert!(tabular.evaluate(0, &HpConfig::new(vec![9.0]), 2).is_err());
-        assert_eq!(tabular.into_log().len(), 2);
+        assert_eq!(tabular.campaign.into_log().len(), 2);
     }
 
     #[test]
@@ -344,15 +323,14 @@ mod tests {
         let mut tabular = TabularObjective::new(&store, &space());
         // Promote trial 0 from fidelity 2 to 4: only the delta is charged;
         // a replicate at the reached fidelity is free.
-        tabular
-            .evaluate_batch(&[
-                request(0, 1.0, 2, 0),
-                request(0, 1.0, 4, 0),
-                request(0, 1.0, 2, 1),
-            ])
-            .unwrap();
-        assert_eq!(tabular.cumulative_rounds(), 4);
-        let log = tabular.log();
+        let batch = vec![
+            request(0, 1.0, 2, 0),
+            request(0, 1.0, 4, 0),
+            request(0, 1.0, 2, 1),
+        ];
+        scores_of(&mut tabular, &space(), vec![batch], 1).unwrap();
+        assert_eq!(tabular.campaign.cumulative_rounds(), 4);
+        let log = tabular.campaign.log();
         assert_eq!(log[0].cumulative_rounds, 2);
         assert_eq!(log[1].cumulative_rounds, 4);
         assert_eq!(log[2].cumulative_rounds, 4);

@@ -1,5 +1,5 @@
-//! ASHA through the batched ask/tell scheduler: a live federated tuning
-//! campaign whose rungs fan out across every core, plus the noise-aware
+//! ASHA through the barrier ask/tell driver: a live federated tuning
+//! campaign whose rungs evaluate on every core, plus the noise-aware
 //! re-evaluation mitigation on top.
 //!
 //! ```text
@@ -8,14 +8,14 @@
 //!
 //! With `FEDTUNE_BENCH_JSON=1` the run writes `BENCH_asha_tuning.json` so
 //! both campaigns' wall-clock is tracked alongside the bench harness.
-//! `FEDTUNE_THREADS` overrides the batch fan-out (1 = sequential, N = N
-//! threads, 0/unset = all cores).
+//! `FEDTUNE_THREADS` overrides the driver's real thread count (1 = inline
+//! on the calling thread, N = N threads, 0/unset = all cores).
 
 use feddata::Benchmark;
 use fedhpo::{Asha, IntoScheduler, ReEvaluation};
 use fedtune::fedtune_core::{
     run_scheduled, BatchFederatedObjective, BenchmarkContext, ExecutionPolicy, ExperimentScale,
-    NoiseConfig, TrialRunner,
+    NoiseConfig,
 };
 use fedtune::{fedhpo, fedmath};
 
@@ -37,11 +37,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Plain ASHA under noisy evaluation. Every suggested batch (a whole
     // rung) trains in parallel; results are bit-identical to sequential.
     let mut scheduler = asha.scheduler()?;
-    let mut objective = BatchFederatedObjective::new(&ctx, noise, asha.planned_evaluations(), 1)?
-        .with_batch_runner(TrialRunner::new(ExecutionPolicy::from_env()));
+    let threads = ExecutionPolicy::from_env().pool_threads();
+    let mut objective = BatchFederatedObjective::new(&ctx, noise, asha.planned_evaluations(), 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_parallel", asha.planned_evaluations() as u64, || {
-        run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng)
+        run_scheduled(
+            &mut scheduler,
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            threads,
+        )
     })?;
     let selected = objective
         .selected_true_error_within(usize::MAX)
@@ -58,11 +64,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = ReEvaluation::new(asha, 3, 3);
     let mut scheduler = policy.scheduler()?;
     let planned = asha.planned_evaluations() + 9;
-    let mut objective = BatchFederatedObjective::new(&ctx, noise, planned, 1)?
-        .with_batch_runner(TrialRunner::new(ExecutionPolicy::from_env()));
+    let mut objective = BatchFederatedObjective::new(&ctx, noise, planned, 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_reeval_parallel", planned as u64, || {
-        run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng)
+        run_scheduled(
+            &mut scheduler,
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            threads,
+        )
     })?;
     let selected = objective
         .selected_true_error_within(usize::MAX)

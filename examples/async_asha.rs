@@ -12,8 +12,8 @@
 //! cargo run --release --example async_asha
 //! ```
 //!
-//! `FEDTUNE_THREADS` overrides the real-compute fan-out (1 = sequential,
-//! N = N threads, 0/unset = all cores). With `FEDTUNE_BENCH_JSON=1` the run
+//! `FEDTUNE_THREADS` overrides the real threads in-flight trials evaluate
+//! on (N = N threads, 0/unset = all cores). With `FEDTUNE_BENCH_JSON=1` the run
 //! writes `BENCH_async_asha.json` including the simulated throughput. With
 //! `FEDTUNE_TRACE=1` it also exports `trace-async_asha.json` — the Chrome
 //! `trace_event` timeline of every campaign's virtual workers, loadable in
@@ -76,10 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("its selection in less simulated wall-clock than the rung-synchronous ladder.");
 
     // Cross-trial concurrent evaluation: the same async campaign once more,
-    // first through the blocking driver, then with every in-flight virtual
-    // trial training concurrently on `FEDTUNE_THREADS` real threads. The
-    // outcomes must match bit for bit — real parallelism buys wall clock,
-    // never a different result.
+    // first through the inline driver (every evaluation on this thread, the
+    // reference), then with every in-flight virtual trial training
+    // concurrently on `FEDTUNE_THREADS` real threads — the same pump, its
+    // jobs somewhere else. The outcomes must match bit for bit — real
+    // parallelism buys wall clock, never a different result.
     let threads = policy.pool_threads();
     let seed = 0u64;
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed)?;
@@ -99,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scheduler = method.scheduler(&scale)?;
     let mut objective = fresh_objective()?;
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let blocking = run_event_driven_traced(
+    let inline = run_event_driven_traced(
         scheduler.as_mut(),
         ctx.space(),
         &mut objective,
@@ -107,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &sim,
         trace,
     )?;
-    let blocking_wall = start.elapsed().as_secs_f64();
+    let inline_wall = start.elapsed().as_secs_f64();
 
     let start = std::time::Instant::now();
     let mut scheduler = method.scheduler(&scale)?;
@@ -124,7 +125,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let concurrent_wall = start.elapsed().as_secs_f64();
     assert_eq!(
-        blocking, concurrent,
+        inline, concurrent,
         "the concurrent executor moved a bit of the campaign outcome"
     );
     summary.push(
@@ -137,9 +138,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         concurrent.outcome.num_evaluations(),
         concurrent_wall
     );
-    println!(
-        "blocking driver for reference: {blocking_wall:.2}s wall — outcomes are bit-identical"
-    );
+    println!("inline driver for reference: {inline_wall:.2}s wall — outcomes are bit-identical");
 
     if let Some(trace) = fedtrace::global_if_enabled() {
         let tracks: Vec<fedtrace::TimelineTrack> = comparison

@@ -20,9 +20,10 @@ use fedtune_core::experiments::methods::{
 use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::experiments::subsampling::run_subsampling_sweep_with;
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, run_event_driven_traced,
-    BatchFederatedObjective, BenchmarkContext, ConfigPool, EventDrivenOutcome, ExperimentScale,
-    NoiseConfig, ObjectiveLogEntry, TrialRunner, VirtualExecution,
+    run_event_driven, run_event_driven_concurrent, run_event_driven_concurrent_traced,
+    run_event_driven_traced, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective,
+    ConfigPool, EventDrivenOutcome, ExperimentScale, NoiseConfig, ObjectiveLogEntry, TrialRunner,
+    VirtualExecution,
 };
 
 const SEEDS: [u64; 3] = [0, 7, 42];
@@ -275,8 +276,9 @@ fn scheduled_extended_comparison_is_bit_identical_across_policies() {
 }
 
 /// One async-ASHA campaign through the event-driven executor with
-/// heavy-tailed simulated client runtimes, batches fanned out under
-/// `policy` and (optionally) observed by `trace`. Returns the outcome
+/// heavy-tailed simulated client runtimes — inline on the calling thread
+/// under the sequential policy, on a scoped pool of the policy's threads
+/// otherwise — and (optionally) observed by `trace`. Returns the outcome
 /// (records in virtual completion order, stamped with sim times) and the
 /// objective log.
 fn event_driven_campaign(
@@ -295,18 +297,24 @@ fn event_driven_campaign(
         planned,
         fedmath::rng::derive_seed(seed, 0),
     )
-    .unwrap()
-    .with_batch_runner(TrialRunner::new(policy));
+    .unwrap();
     let mut rng = fedmath::rng::rng_for(seed, 1);
     let sim = VirtualExecution::new(3, straggler_cost_model(scale, seed));
-    let outcome = run_event_driven_traced(
-        scheduler.as_mut(),
-        ctx.space(),
-        &mut objective,
-        &mut rng,
-        &sim,
-        trace,
-    )
+    let (scheduler, space) = (scheduler.as_mut(), ctx.space());
+    let outcome = if policy.is_parallel() {
+        let threads = policy.pool_threads();
+        run_event_driven_concurrent_traced(
+            scheduler,
+            space,
+            &mut objective,
+            &mut rng,
+            &sim,
+            threads,
+            trace,
+        )
+    } else {
+        run_event_driven_traced(scheduler, space, &mut objective, &mut rng, &sim, trace)
+    }
     .unwrap();
     (outcome, objective.into_log())
 }
@@ -362,40 +370,23 @@ fn event_driven_campaigns_are_bit_identical_across_policies() {
 fn concurrent_executor_matches_blocking_driver_bit_for_bit() {
     // The real-parallelism contract: evaluating every in-flight virtual
     // trial concurrently on real threads may change wall-clock time only.
-    // Outcome, virtual timeline, and campaign log are bit-identical to the
-    // blocking sequential driver at 1, 4, and 8 real threads, across seeds.
+    // Outcome, virtual timeline, and campaign log (committed in dispatch
+    // order in both lanes) are bit-identical to the inline driver on a
+    // scoped pool of 1, 4, and 8 real threads, across seeds.
     let scale = ExperimentScale::smoke();
     for &seed in &SEEDS {
         let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
-        let (blocking, blocking_log) =
+        let (inline, inline_log) =
             event_driven_campaign(&ctx, &scale, ExecutionPolicy::Sequential, seed, None);
-        assert!(blocking.finished);
+        assert!(inline.finished);
         for threads in [1usize, 4, 8] {
-            let method = TuningMethod::AsyncAsha;
-            let mut scheduler = method.scheduler(&scale).unwrap();
-            let mut objective = BatchFederatedObjective::new(
-                &ctx,
-                NoiseConfig::paper_noisy(),
-                method.planned_evaluations(&scale),
-                fedmath::rng::derive_seed(seed, 0),
-            )
-            .unwrap();
-            let mut rng = fedmath::rng::rng_for(seed, 1);
-            let sim = VirtualExecution::new(3, straggler_cost_model(&scale, seed));
-            let concurrent = run_event_driven_concurrent(
-                scheduler.as_mut(),
-                ctx.space(),
-                &mut objective,
-                &mut rng,
-                &sim,
-                threads,
-            )
-            .unwrap();
+            let policy = ExecutionPolicy::parallel_with(threads);
+            let (concurrent, log) = event_driven_campaign(&ctx, &scale, policy, seed, None);
             assert_eq!(
-                blocking, concurrent,
+                inline, concurrent,
                 "seed {seed}, {threads} threads: concurrent outcome diverged"
             );
-            for (a, b) in blocking
+            for (a, b) in inline
                 .outcome
                 .records()
                 .iter()
@@ -405,15 +396,10 @@ fn concurrent_executor_matches_blocking_driver_bit_for_bit() {
                 assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
             }
             assert_eq!(
-                blocking.sim_elapsed.to_bits(),
+                inline.sim_elapsed.to_bits(),
                 concurrent.sim_elapsed.to_bits()
             );
-            // The campaign log commits in dispatch order on both drivers.
-            assert_eq!(
-                blocking_log,
-                objective.into_log(),
-                "seed {seed}, {threads} threads"
-            );
+            assert_eq!(inline_log, log, "seed {seed}, {threads} threads");
         }
     }
 }
@@ -488,24 +474,24 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
         planned,
         fedmath::rng::derive_seed(seed, 0),
     )
-    .unwrap()
-    .with_batch_runner(TrialRunner::parallel());
+    .unwrap();
     let mut recording = fedstore::RecordingObjective::new(
-        &mut inner,
+        inner.split().0,
         ctx.space(),
         fedstore::campaign_provenance(Benchmark::Cifar10Like, &scale, seed, "noisy"),
         &mut store,
     );
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let live = run_event_driven(
+    let live = run_event_driven_concurrent(
         scheduler.as_mut(),
         ctx.space(),
         &mut recording,
         &mut rng,
         &sim,
+        ExecutionPolicy::parallel().pool_threads(),
     )
     .unwrap();
-    let live_log = recording.into_log();
+    let live_log = recording.sink.campaign.into_log();
     assert!(live.finished);
     assert!(!store.is_empty());
     // The ledger carries the virtual stamps of the recording campaign.
@@ -523,9 +509,9 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
         &sim,
     )
     .unwrap();
-    assert_eq!(tabular.exact_hits(), live.outcome.num_evaluations());
-    assert_eq!(tabular.resampled(), 0);
-    let replay_log = tabular.into_log();
+    assert_eq!(tabular.table.exact_hits(), live.outcome.num_evaluations());
+    assert_eq!(tabular.table.resampled(), 0);
+    let replay_log = tabular.campaign.into_log();
     assert_eq!(live, replayed, "replayed virtual timeline diverged");
     assert_eq!(live.sim_elapsed.to_bits(), replayed.sim_elapsed.to_bits());
     for (a, b) in live

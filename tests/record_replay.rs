@@ -11,8 +11,8 @@ use fedtune::fedstore::{
 };
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune::fedtune_core::{
-    run_scheduled, run_scheduled_for, BatchFederatedObjective, BenchmarkContext, ExecutionPolicy,
-    ExperimentScale, NoiseConfig, TrialRunner,
+    run_scheduled, run_scheduled_for, BatchFederatedObjective, BenchmarkContext,
+    ConcurrentObjective, ExecutionPolicy, ExperimentScale, NoiseConfig,
 };
 
 fn method_slate() -> [TuningMethod; 3] {
@@ -105,10 +105,9 @@ fn drive_campaign(
         planned,
         derive_seed(seed, 0),
     )
-    .unwrap()
-    .with_batch_runner(TrialRunner::new(policy));
+    .unwrap();
     let mut recording = RecordingObjective::new(
-        &mut objective,
+        objective.split().0,
         ctx.space(),
         campaign_provenance(ctx.benchmark(), scale, seed, "noisy"),
         store,
@@ -119,6 +118,7 @@ fn drive_campaign(
         ctx.space(),
         &mut recording,
         &mut rng,
+        policy.pool_threads(),
         max_batches,
     )
     .unwrap()
@@ -351,8 +351,11 @@ fn tabular_surrogate_drives_every_extended_method() {
     let unit_index = 4 * 2 * scale.method_trials;
     let tree = fedtune::fedmath::SeedTree::new(derive_seed(seed, 7));
     let mut rng = tree.child(unit_index as u64).child(1).rng();
-    let outcome = run_scheduled(&mut scheduler, &space, &mut tabular, &mut rng).unwrap();
+    let outcome = run_scheduled(&mut scheduler, &space, &mut tabular, &mut rng, 4).unwrap();
     assert!(outcome.num_evaluations() > 0);
-    assert!(tabular.resampled() > 0, "extra replicates should resample");
-    assert!(tabular.exact_hits() > 0);
+    assert!(
+        tabular.table.resampled() > 0,
+        "extra replicates should resample"
+    );
+    assert!(tabular.table.exact_hits() > 0);
 }
