@@ -10,12 +10,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedsim::WeightingScheme;
-use fedtune_core::{BenchmarkContext, ConfigPool};
+use fedtune_core::{BenchmarkContext, ConfigPool, TrialRunner};
 
 fn pool() -> (BenchmarkContext, ConfigPool) {
     let scale = fedbench::measurement_scale();
     let ctx = BenchmarkContext::new(Benchmark::RedditLike, &scale, 0).expect("context");
-    let pool = ConfigPool::train(&ctx, 1).expect("pool");
+    let pool = ConfigPool::train(&TrialRunner::from_env(), &ctx, scale.pool_size, 1).expect("pool");
     (ctx, pool)
 }
 

@@ -7,9 +7,9 @@ use feddata::Benchmark;
 use fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, run_method_comparison_scheduled, TuningMethod,
 };
-use fedtune_core::ExecutionPolicy;
+use fedtune_core::{ExecutionPolicy, TrialRunner};
 
-fn regenerate() {
+fn regenerate(runner: &TrialRunner) {
     let scale = fedbench::report_scale();
     let mut summary = fedbench::BenchSummary::new("fig08_methods");
     let campaigns = (TuningMethod::EXTENDED.len() * 2 * scale.method_trials) as u64;
@@ -17,7 +17,7 @@ fn regenerate() {
     // threads. Time the sequential policy too so the JSON tracks the speedup.
     let comparison = summary.time("scheduled_extended_parallel", campaigns, || {
         run_method_comparison_scheduled(
-            ExecutionPolicy::from_env(),
+            runner.policy(),
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -42,20 +42,27 @@ fn regenerate() {
 }
 
 fn bench(c: &mut Criterion) {
-    regenerate();
+    let runner = TrialRunner::from_env();
+    regenerate(&runner);
     let scale = fedbench::measurement_scale();
     let mut group = c.benchmark_group("fig08_methods");
     group.sample_size(10);
     group.bench_function("cifar10_like_all_methods", |b| {
         b.iter(|| {
-            run_method_comparison(Benchmark::Cifar10Like, &scale, &paper_noise_settings(), 0)
-                .expect("method comparison")
+            run_method_comparison(
+                &runner,
+                Benchmark::Cifar10Like,
+                &scale,
+                &paper_noise_settings(),
+                0,
+            )
+            .expect("method comparison")
         })
     });
     group.bench_function("cifar10_like_scheduled_extended", |b| {
         b.iter(|| {
             run_method_comparison_scheduled(
-                ExecutionPolicy::from_env(),
+                runner.policy(),
                 Benchmark::Cifar10Like,
                 &scale,
                 &TuningMethod::EXTENDED,

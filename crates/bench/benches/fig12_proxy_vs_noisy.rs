@@ -3,22 +3,26 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedtune_core::experiments::proxy::run_proxy_vs_noisy;
+use fedtune_core::TrialRunner;
 
-fn regenerate() {
+fn regenerate(runner: &TrialRunner) {
     let scale = fedbench::report_scale();
     for &b in &Benchmark::ALL {
-        let result = run_proxy_vs_noisy(b, &scale, 0).expect("proxy vs noisy");
+        let result = run_proxy_vs_noisy(runner, b, &scale, 0).expect("proxy vs noisy");
         fedbench::print_report(&result.to_report());
     }
 }
 
 fn bench(c: &mut Criterion) {
-    regenerate();
+    let runner = TrialRunner::from_env();
+    regenerate(&runner);
     let scale = fedbench::measurement_scale();
     let mut group = c.benchmark_group("fig12_proxy_vs_noisy");
     group.sample_size(10);
     group.bench_function("cifar10_like", |b| {
-        b.iter(|| run_proxy_vs_noisy(Benchmark::Cifar10Like, &scale, 0).expect("proxy vs noisy"))
+        b.iter(|| {
+            run_proxy_vs_noisy(&runner, Benchmark::Cifar10Like, &scale, 0).expect("proxy vs noisy")
+        })
     });
     group.finish();
 }

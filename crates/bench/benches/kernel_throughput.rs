@@ -267,7 +267,7 @@ fn kernel_gflops_section(summary: &mut fedbench::BenchSummary) {
         let gflops = (2.0 * (m * k * n) as f64 * reps as f64) / secs / 1e9;
         summary.push(label, secs, reps as u64);
         if label == "gemm_64x64x64" {
-            summary.record_gflops(gflops);
+            summary.headline("gflops", gflops);
         }
         println!("  {label:<18} {gflops:6.2} GFLOP/s");
     }
@@ -471,7 +471,7 @@ fn round_section(summary: &mut fedbench::BenchSummary, dataset: &FederatedDatase
     let secs = start.elapsed().as_secs_f64();
     let rounds_per_sec = rounds as f64 / secs;
     summary.push("training_round_50_clients", secs, rounds as u64);
-    summary.record_rounds_per_sec(rounds_per_sec);
+    summary.headline("rounds_per_sec", rounds_per_sec);
     println!("\nkernel_throughput: 50-client training round: {rounds_per_sec:.2} rounds/s");
 }
 

@@ -209,7 +209,9 @@ fn regenerate() {
     let replay = summary.entries[1].throughput_per_second;
     let bytes_per_trial = scale_bytes as f64 / scale_n as f64;
     assert!((bytes as f64 / n as f64 - bytes_per_trial).abs() < 1.0);
-    summary.record_ledger(ingest, replay, bytes_per_trial);
+    summary.headline("trials_ingested_per_sec", ingest);
+    summary.headline("replay_trials_per_sec", replay);
+    summary.headline("ledger_bytes_per_trial", bytes_per_trial);
     assert!(
         ingest >= INGEST_FLOOR,
         "group-commit ingest collapsed: {ingest:.0} trials/s < {INGEST_FLOOR:.0}"

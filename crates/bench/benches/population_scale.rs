@@ -127,8 +127,13 @@ fn print_summary(population: &SyntheticPopulation) {
         "cache exceeded its capacity: {}",
         stats.peak_resident
     );
-    summary.record_population(peak as u64, stats.hit_rate());
-    summary.record_sim(report.sim_elapsed, rounds as u64);
+    summary.headline("peak_resident_clients", peak as f64);
+    summary.headline("cache_hit_rate", stats.hit_rate());
+    summary.headline("sim_elapsed", report.sim_elapsed);
+    summary.headline(
+        "trials_per_sim_hour",
+        rounds as f64 / (report.sim_elapsed / 3600.0),
+    );
     summary.write_if_enabled();
 }
 

@@ -72,7 +72,11 @@ fn regenerate() {
         );
         last_report = Some(comparison.to_report().expect("straggler report"));
     }
-    summary.record_sim(total_sim, total_evaluations);
+    summary.headline("sim_elapsed", total_sim);
+    summary.headline(
+        "trials_per_sim_hour",
+        total_evaluations as f64 / (total_sim / 3600.0),
+    );
     summary.write_if_enabled();
     if let Some(report) = last_report {
         fedbench::print_report(&report);

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 
 use fedtune_core::ExperimentScale;
+use std::collections::BTreeMap;
 
 /// The scale used inside Criterion measurement loops: small enough that every
 /// benchmark iteration completes in well under a second.
@@ -55,34 +56,14 @@ pub struct BenchSummary {
     pub name: String,
     /// The `FEDTUNE_BENCH_SCALE` the summary was produced at.
     pub scale: String,
-    /// Simulated wall-clock of the bench's virtual-time campaigns, in
-    /// virtual seconds (`0.0` for benches that only measure real time).
-    pub sim_elapsed: f64,
-    /// Simulated throughput: trials completed per simulated hour (`0.0`
-    /// when no virtual-time campaign ran).
-    pub trials_per_sim_hour: f64,
-    /// Peak clients resident at once during a population-backed run:
-    /// in-flight cohort plus cache residents (`0` for benches that do not
-    /// touch a lazy population).
-    pub peak_resident_clients: u64,
-    /// Client-cache hit rate over the run, in `[0, 1]` (`0.0` when no cache
-    /// was involved).
-    pub cache_hit_rate: f64,
-    /// Full federated training rounds completed per wall-clock second
-    /// (`0.0` for benches that do not time training rounds).
-    pub rounds_per_sec: f64,
-    /// Headline kernel throughput in GFLOP/s (`0.0` for benches that do not
-    /// measure math kernels).
-    pub gflops: f64,
-    /// Headline ledger ingest throughput: trials recorded per wall-clock
-    /// second (`0.0` for benches that do not touch the trial ledger).
-    pub trials_ingested_per_sec: f64,
-    /// Headline ledger replay throughput: recorded trials streamed back per
-    /// wall-clock second (`0.0` when no replay was measured).
-    pub replay_trials_per_sec: f64,
-    /// On-disk ledger footprint per recorded trial, in bytes (`0.0` when no
-    /// ledger was written).
-    pub ledger_bytes_per_trial: f64,
+    /// The bench's headline numbers by name — `sim_elapsed`,
+    /// `trials_per_sim_hour`, `peak_resident_clients`, `cache_hit_rate`,
+    /// `rounds_per_sec`, `gflops`, `trials_ingested_per_sec`,
+    /// `replay_trials_per_sec`, `ledger_bytes_per_trial`, … — holding only
+    /// what this bench measured. A summary written without the block still
+    /// deserializes (to an empty map), and [`regression::compare`] never
+    /// reads it.
+    pub headlines: BTreeMap<String, f64>,
     /// The measurements.
     pub entries: Vec<BenchEntry>,
     /// A full [`fedtrace`] metrics snapshot taken at the end of the run
@@ -101,15 +82,7 @@ impl BenchSummary {
         BenchSummary {
             name: name.to_string(),
             scale: std::env::var("FEDTUNE_BENCH_SCALE").unwrap_or_else(|_| "smoke".into()),
-            sim_elapsed: 0.0,
-            trials_per_sim_hour: 0.0,
-            peak_resident_clients: 0,
-            cache_hit_rate: 0.0,
-            rounds_per_sec: 0.0,
-            gflops: 0.0,
-            trials_ingested_per_sec: 0.0,
-            replay_trials_per_sec: 0.0,
-            ledger_bytes_per_trial: 0.0,
+            headlines: BTreeMap::new(),
             entries: Vec::new(),
             metrics: None,
         }
@@ -121,47 +94,10 @@ impl BenchSummary {
         self.metrics = Some(metrics);
     }
 
-    /// Records the headline training-round throughput (rounds per second).
-    pub fn record_rounds_per_sec(&mut self, rounds_per_sec: f64) {
-        self.rounds_per_sec = rounds_per_sec;
-    }
-
-    /// Records the headline kernel throughput in GFLOP/s.
-    pub fn record_gflops(&mut self, gflops: f64) {
-        self.gflops = gflops;
-    }
-
-    /// Records the headline trial-ledger outcome: ingest and replay
-    /// throughput (trials per wall-clock second) and the on-disk bytes the
-    /// ledger spends per trial.
-    pub fn record_ledger(
-        &mut self,
-        trials_ingested_per_sec: f64,
-        replay_trials_per_sec: f64,
-        ledger_bytes_per_trial: f64,
-    ) {
-        self.trials_ingested_per_sec = trials_ingested_per_sec;
-        self.replay_trials_per_sec = replay_trials_per_sec;
-        self.ledger_bytes_per_trial = ledger_bytes_per_trial;
-    }
-
-    /// Records the memory/cache outcome of a population-backed run: the peak
-    /// number of simultaneously-resident clients and the cache hit rate.
-    pub fn record_population(&mut self, peak_resident_clients: u64, cache_hit_rate: f64) {
-        self.peak_resident_clients = peak_resident_clients;
-        self.cache_hit_rate = cache_hit_rate;
-    }
-
-    /// Records the virtual-time outcome of the bench: total simulated
-    /// seconds and the trials completed in them (converted to trials per
-    /// simulated hour).
-    pub fn record_sim(&mut self, sim_elapsed: f64, trials: u64) {
-        self.sim_elapsed = sim_elapsed;
-        self.trials_per_sim_hour = if sim_elapsed > 0.0 {
-            trials as f64 / (sim_elapsed / 3600.0)
-        } else {
-            0.0
-        };
+    /// Records the headline number `name` (see [`headlines`](Self::headlines)
+    /// for the names in use), replacing an earlier value.
+    pub fn headline(&mut self, name: &str, value: f64) {
+        self.headlines.insert(name.to_string(), value);
     }
 
     /// Records one measurement.
@@ -418,53 +354,25 @@ mod tests {
         // Zero wall-clock never divides by zero.
         summary.push("instant", 0.0, 5);
         assert_eq!(summary.entries[2].throughput_per_second, 0.0);
-        // Virtual-time accounting: 30 trials in half a simulated hour.
-        assert_eq!(summary.sim_elapsed, 0.0);
-        summary.record_sim(1800.0, 30);
-        assert_eq!(summary.sim_elapsed, 1800.0);
-        assert_eq!(summary.trials_per_sim_hour, 60.0);
-        // A zero-length virtual campaign never divides by zero.
-        let mut idle = BenchSummary::new("idle");
-        idle.record_sim(0.0, 5);
-        assert_eq!(idle.trials_per_sim_hour, 0.0);
-        // Population accounting fields round-trip into the JSON.
-        summary.record_population(72, 0.85);
-        assert_eq!(summary.peak_resident_clients, 72);
-        assert_eq!(summary.cache_hit_rate, 0.85);
+        // Headline numbers ride in the JSON under their names.
+        assert!(summary.headlines.is_empty());
+        summary.headline("sim_elapsed", 1800.0);
+        summary.headline("peak_resident_clients", 72.0);
+        summary.headline("peak_resident_clients", 73.0);
+        assert_eq!(summary.headlines.len(), 2);
+        assert_eq!(summary.headlines["peak_resident_clients"], 73.0);
         let json = serde_json::to_string_pretty(&summary).unwrap();
         assert!(json.contains("timed_block"));
         assert!(json.contains("unit_test"));
-        assert!(json.contains("trials_per_sim_hour"));
-        assert!(json.contains("peak_resident_clients"));
-        assert!(json.contains("cache_hit_rate"));
+        assert!(json.contains("\"headlines\""));
+        assert!(json.contains("\"sim_elapsed\": 1800.0"));
+        let back: BenchSummary = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, summary);
         // Disabled by default: no file side effects.
         if std::env::var("FEDTUNE_BENCH_JSON").as_deref() != Ok("1") {
             summary.write_if_enabled();
             assert!(!std::path::Path::new("BENCH_unit_test.json").exists());
         }
-    }
-
-    #[test]
-    fn summary_records_headline_throughput_fields() {
-        let mut summary = BenchSummary::new("headline");
-        assert_eq!(summary.rounds_per_sec, 0.0);
-        assert_eq!(summary.gflops, 0.0);
-        summary.record_rounds_per_sec(12.5);
-        summary.record_gflops(3.75);
-        assert_eq!(summary.trials_ingested_per_sec, 0.0);
-        summary.record_ledger(1.5e6, 4.0e6, 70.5);
-        let json = serde_json::to_string(&summary).unwrap();
-        assert!(json.contains("rounds_per_sec"));
-        assert!(json.contains("gflops"));
-        assert!(json.contains("trials_ingested_per_sec"));
-        assert!(json.contains("replay_trials_per_sec"));
-        assert!(json.contains("ledger_bytes_per_trial"));
-        let back: BenchSummary = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.rounds_per_sec, 12.5);
-        assert_eq!(back.gflops, 3.75);
-        assert_eq!(back.trials_ingested_per_sec, 1.5e6);
-        assert_eq!(back.replay_trials_per_sec, 4.0e6);
-        assert_eq!(back.ledger_bytes_per_trial, 70.5);
     }
 
     #[test]
@@ -527,13 +435,16 @@ mod tests {
             back.metrics.as_ref().unwrap().counter("kernel.flops"),
             Some(123)
         );
-        // …while a baseline written before the field existed still parses…
+        // …while a baseline written before either block existed (or with the
+        // nine scalar headline fields of the old format) still parses…
         let legacy = serde_json::to_string(&summary_with("k", &[("gemm", 1000.0)]))
             .unwrap()
-            .replace(",\"metrics\":null", "");
-        assert!(!legacy.contains("metrics"));
+            .replace(",\"metrics\":null", "")
+            .replace("\"headlines\":{},", "\"sim_elapsed\":0.0,\"gflops\":36.5,");
+        assert!(!legacy.contains("metrics") && !legacy.contains("headlines"));
         let baseline: BenchSummary = serde_json::from_str(&legacy).unwrap();
         assert!(baseline.metrics.is_none());
+        assert!(baseline.headlines.is_empty());
         // …and the comparison gates only on entries, in both directions.
         assert!(regression::compare(&baseline, &candidate, 0.3).passed());
         assert!(regression::compare(&candidate, &baseline, 0.3).passed());

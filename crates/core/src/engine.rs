@@ -18,14 +18,21 @@
 //!   [`fedsim::exec::map_range`] under the runner's
 //!   [`ExecutionPolicy`], sequentially or across threads, with bit-identical
 //!   results (asserted by `tests/determinism.rs`).
-//! - **Shared progress accounting.** An optional [`ProgressTracker`] counts
-//!   completed trials across concurrently-running experiments.
+//!
+//! The runner is an argument: every experiment entry point and
+//! [`ConfigPool`](crate::ConfigPool) constructor that fans trials out takes
+//! `&TrialRunner` first, and nothing in the library reads the environment to
+//! make one. A process builds its runner once, where it starts —
+//! [`TrialRunner::from_env`] in a `main`, a pinned
+//! [`TrialRunner::sequential`] / [`TrialRunner::new`] in a test — and hands it
+//! down. Every fan-out is counted on the global `fedtrace` registry as
+//! `engine.trials_planned` / `engine.trials_completed`.
 
 use crate::Result;
 use fedmath::SeedTree;
 use fedsim::exec::{self, ExecutionPolicy};
 use rand::rngs::StdRng;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The reproducible identity of one trial inside a fan-out.
 #[derive(Debug, Clone)]
@@ -57,9 +64,8 @@ impl TrialContext {
     }
 }
 
-/// Process-wide totals mirrored by every [`ProgressTracker`], registered on
-/// the global `fedtrace` registry as `engine.trials_planned` /
-/// `engine.trials_completed`.
+/// Process-wide trial totals on the global `fedtrace` registry. Write-only —
+/// the engine never reads them back, so accounting cannot change a result.
 struct EngineCounters {
     planned: fedtrace::Counter,
     completed: fedtrace::Counter,
@@ -76,74 +82,17 @@ fn engine_counters() -> &'static EngineCounters {
     })
 }
 
-/// Cross-experiment progress accounting: how many trials are planned and how
-/// many have completed. Shared between runners via `Arc`; updates are
-/// lock-free so parallel fan-outs can report without coordination.
-///
-/// Since the observability PR this is a thin shim over [`fedtrace::Counter`]
-/// handles: each tracker keeps its own standalone counters (the public API
-/// is unchanged) and mirrors every update into the global registry's
-/// `engine.trials_planned` / `engine.trials_completed` totals.
-#[derive(Debug, Default)]
-pub struct ProgressTracker {
-    planned: fedtrace::Counter,
-    completed: fedtrace::Counter,
-}
-
-impl ProgressTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        ProgressTracker::default()
-    }
-
-    /// Registers `count` upcoming trials.
-    pub fn add_planned(&self, count: usize) {
-        self.planned.add(count as u64);
-        engine_counters().planned.add(count as u64);
-    }
-
-    /// Records one completed trial.
-    pub fn record_completed(&self) {
-        self.completed.incr();
-        engine_counters().completed.incr();
-    }
-
-    /// Number of trials registered so far.
-    pub fn planned(&self) -> usize {
-        self.planned.value() as usize
-    }
-
-    /// Number of trials completed so far.
-    pub fn completed(&self) -> usize {
-        self.completed.value() as usize
-    }
-
-    /// Completed fraction in `[0, 1]` (1 when nothing is planned).
-    pub fn fraction(&self) -> f64 {
-        let planned = self.planned();
-        if planned == 0 {
-            1.0
-        } else {
-            self.completed() as f64 / planned as f64
-        }
-    }
-}
-
 /// Executes independent trials under an [`ExecutionPolicy`] with per-trial
-/// derived seeds and optional shared progress accounting.
+/// derived seeds.
 #[derive(Debug, Clone, Default)]
 pub struct TrialRunner {
     policy: ExecutionPolicy,
-    progress: Option<Arc<ProgressTracker>>,
 }
 
 impl TrialRunner {
     /// Creates a runner with the given policy.
     pub fn new(policy: ExecutionPolicy) -> Self {
-        TrialRunner {
-            policy,
-            progress: None,
-        }
+        TrialRunner { policy }
     }
 
     /// A sequential runner.
@@ -151,25 +100,14 @@ impl TrialRunner {
         TrialRunner::new(ExecutionPolicy::Sequential)
     }
 
-    /// A runner fanning trials out over all available cores.
-    pub fn parallel() -> Self {
-        TrialRunner::new(ExecutionPolicy::parallel())
-    }
-
     /// A runner honoring the `FEDTUNE_THREADS` environment override
     /// ([`ExecutionPolicy::from_env`]): all cores unless the variable pins a
-    /// thread count. The default of every plain experiment entry point, so
-    /// one environment variable governs the whole fan-out of an example or
-    /// bench run — with bit-identical results at any setting.
+    /// thread count. Call it once where a process starts (an example's or
+    /// bench's `main`, a test) and pass the runner down, so one environment
+    /// variable governs the whole fan-out of a run — with bit-identical
+    /// results at any setting.
     pub fn from_env() -> Self {
         TrialRunner::new(ExecutionPolicy::from_env())
-    }
-
-    /// Attaches a shared progress tracker.
-    #[must_use]
-    pub fn with_progress(mut self, progress: Arc<ProgressTracker>) -> Self {
-        self.progress = Some(progress);
-        self
     }
 
     /// The runner's execution policy.
@@ -193,20 +131,15 @@ impl TrialRunner {
         T: Send,
         F: Fn(&TrialContext) -> Result<T> + Sync,
     {
-        if let Some(progress) = &self.progress {
-            progress.add_planned(count);
-        }
+        let counters = engine_counters();
+        counters.planned.add(count as u64);
         let root = SeedTree::new(root_seed);
-        let progress = self.progress.as_deref();
         let results = exec::map_range(&self.policy, count, |index| {
-            let ctx = TrialContext {
+            let result = trial(&TrialContext {
                 index,
                 seeds: root.child(index as u64),
-            };
-            let result = trial(&ctx);
-            if let Some(progress) = progress {
-                progress.record_completed();
-            }
+            });
+            counters.completed.incr();
             result
         });
         results.into_iter().collect()
@@ -217,13 +150,15 @@ impl TrialRunner {
 mod tests {
     use super::*;
 
+    fn parallel() -> TrialRunner {
+        TrialRunner::new(ExecutionPolicy::parallel_with(4))
+    }
+
     #[test]
     fn trial_contexts_are_positional() {
         let runner = TrialRunner::sequential();
         let seeds_forward = runner.run_trials(7, 8, |ctx| Ok(ctx.seed(0))).unwrap();
-        let seeds_parallel = TrialRunner::parallel()
-            .run_trials(7, 8, |ctx| Ok(ctx.seed(0)))
-            .unwrap();
+        let seeds_parallel = parallel().run_trials(7, 8, |ctx| Ok(ctx.seed(0))).unwrap();
         assert_eq!(seeds_forward, seeds_parallel);
         // Distinct trials, distinct seeds; distinct channels, distinct seeds.
         let unique: std::collections::HashSet<u64> = seeds_forward.iter().copied().collect();
@@ -234,14 +169,14 @@ mod tests {
 
     #[test]
     fn results_come_back_in_trial_order() {
-        let runner = TrialRunner::parallel();
+        let runner = parallel();
         let indices = runner.run_trials(0, 100, |ctx| Ok(ctx.index())).unwrap();
         assert_eq!(indices, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn first_error_wins() {
-        let runner = TrialRunner::parallel();
+        let runner = parallel();
         let result: Result<Vec<usize>> = runner.run_trials(0, 10, |ctx| {
             if ctx.index() >= 4 {
                 Err(crate::CoreError::InvalidConfig {
@@ -256,24 +191,45 @@ mod tests {
     }
 
     #[test]
-    fn progress_is_shared_and_counted() {
-        let progress = Arc::new(ProgressTracker::new());
-        assert_eq!(progress.fraction(), 1.0);
-        let runner = TrialRunner::parallel().with_progress(Arc::clone(&progress));
-        runner.run_trials(1, 5, |_| Ok(())).unwrap();
-        let second = TrialRunner::sequential().with_progress(Arc::clone(&progress));
-        second.run_trials(2, 3, |_| Ok(())).unwrap();
-        assert_eq!(progress.planned(), 8);
-        assert_eq!(progress.completed(), 8);
-        assert_eq!(progress.fraction(), 1.0);
-        progress.add_planned(2);
-        assert!(progress.fraction() < 1.0);
+    fn every_fan_out_is_counted_on_the_global_registry() {
+        // Other tests in this binary run trials too, so read deltas as
+        // lower bounds.
+        let registry = fedtrace::global().registry();
+        let planned = registry.counter("engine.trials_planned");
+        let completed = registry.counter("engine.trials_completed");
+        let (planned_before, completed_before) = (planned.value(), completed.value());
+        parallel().run_trials(1, 5, |_| Ok(())).unwrap();
+        TrialRunner::sequential()
+            .run_trials(2, 3, |_| Ok(()))
+            .unwrap();
+        assert!(planned.value() >= planned_before + 8);
+        assert!(completed.value() >= completed_before + 8);
+    }
+
+    fn explode_at_three(threads: usize) {
+        let runner = TrialRunner::new(ExecutionPolicy::parallel_with(threads));
+        let _ = runner.run_trials(0, 8, |ctx| {
+            assert!(ctx.index() != 3, "trial {} exploded", ctx.index());
+            Ok(ctx.index())
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 3 exploded")]
+    fn a_trial_panic_keeps_its_message_on_one_thread() {
+        explode_at_three(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "trial 3 exploded")]
+    fn a_trial_panic_keeps_its_message_on_four_threads() {
+        explode_at_three(4);
     }
 
     #[test]
     fn trial_rngs_are_reproducible() {
         use rand::Rng;
-        let runner = TrialRunner::parallel();
+        let runner = parallel();
         let draws_a = runner
             .run_trials(3, 4, |ctx| Ok(ctx.rng(0).gen::<u64>()))
             .unwrap();

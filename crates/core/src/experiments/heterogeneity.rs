@@ -2,10 +2,11 @@
 //! Fig. 7 (global error vs. minimum client error).
 
 use crate::context::BenchmarkContext;
-use crate::experiments::{simulated_rs_trials, subsample_rate_grid};
+use crate::engine::TrialRunner;
+use crate::experiments::{rate_sweep, series_report};
 use crate::noise::NoiseConfig;
 use crate::pool::{validation_pool_with_iid_fraction, ConfigPool};
-use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
 use crate::Result;
 use feddata::Benchmark;
@@ -31,40 +32,30 @@ pub struct DataHeterogeneitySweep {
 ///
 /// Propagates pool-training, repartitioning, and evaluation failures.
 pub fn run_data_heterogeneity(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<DataHeterogeneitySweep> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 3));
-    let pool = ConfigPool::train(&ctx, seeds.next_seed())?;
-    let population = ctx.dataset().num_val_clients();
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
 
     let mut series = Vec::new();
     for &p in &[0.0, 0.5, 1.0] {
         let mut partition_rng = seeds.next_rng();
         let val_clients = validation_pool_with_iid_fraction(&ctx, p, &mut partition_rng)?;
-        let reevaluated = pool.reevaluate_on(&val_clients)?;
-        let mut points = Vec::new();
-        for rate in subsample_rate_grid(population) {
-            let noise = NoiseConfig::subsampled(rate);
-            let errors = simulated_rs_trials(
-                &reevaluated,
-                &noise,
-                scale.num_configs,
-                scale.num_configs,
-                scale.bootstrap_trials,
-                seeds.next_seed(),
-            )?;
-            points.push(SeriesPoint::from_error_rates(
-                rate,
-                rate_label(rate, population),
-                &errors,
-            )?);
-        }
+        let reevaluated = pool.reevaluate_on(runner, &val_clients)?;
         series.push(SeriesGroup {
             name: format!("p={p}"),
-            points,
+            points: rate_sweep(
+                runner,
+                &ctx,
+                &reevaluated,
+                scale,
+                NoiseConfig::subsampled,
+                |_| seeds.next_seed(),
+            )?,
         });
     }
     Ok(DataHeterogeneitySweep {
@@ -75,19 +66,13 @@ pub fn run_data_heterogeneity(
 
 /// Renders Fig. 4 sweeps as a report.
 pub fn data_heterogeneity_report(sweeps: &[DataHeterogeneitySweep]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
+    series_report(
         "fig4",
         "Data heterogeneity: RS under subsampling on repartitioned validation pools (Fig. 4)",
-    );
-    for sweep in sweeps {
-        for group in &sweep.series {
-            report.push_group(SeriesGroup {
-                name: format!("{} {}", sweep.benchmark, group.name),
-                points: group.points.clone(),
-            });
-        }
-    }
-    report
+        sweeps
+            .iter()
+            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
+    )
 }
 
 /// Fig. 6 for one benchmark: one subsampling sweep per systems-bias exponent.
@@ -106,14 +91,15 @@ pub struct SystemsHeterogeneitySweep {
 ///
 /// Propagates pool-training and noisy-evaluation failures.
 pub fn run_systems_heterogeneity(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<SystemsHeterogeneitySweep> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 4));
-    let pool = ConfigPool::train(&ctx, seeds.next_seed())?;
-    systems_heterogeneity_from_pool(&ctx, &pool, scale, seeds.next_seed())
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
+    systems_heterogeneity_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
 }
 
 /// The Fig. 6 sweep given an already-trained pool.
@@ -122,12 +108,12 @@ pub fn run_systems_heterogeneity(
 ///
 /// Propagates noisy-evaluation failures.
 pub fn systems_heterogeneity_from_pool(
+    runner: &TrialRunner,
     ctx: &BenchmarkContext,
     pool: &ConfigPool,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<SystemsHeterogeneitySweep> {
-    let population = ctx.dataset().num_val_clients();
     // Common random numbers across bias series: each rate's trial seed is
     // derived from the rate's position only, so every `b` replays the same
     // bootstrap draws. This reduces cross-series variance and makes the
@@ -135,26 +121,16 @@ pub fn systems_heterogeneity_from_pool(
     let rate_seeds = fedmath::SeedTree::new(seed);
     let mut series = Vec::new();
     for &bias in &[0.0, 1.0, 1.5, 3.0] {
-        let mut points = Vec::new();
-        for (rate_idx, rate) in subsample_rate_grid(population).into_iter().enumerate() {
-            let noise = NoiseConfig::subsampled(rate).with_systems_bias(bias);
-            let errors = simulated_rs_trials(
-                pool,
-                &noise,
-                scale.num_configs,
-                scale.num_configs,
-                scale.bootstrap_trials,
-                rate_seeds.child(rate_idx as u64).seed(),
-            )?;
-            points.push(SeriesPoint::from_error_rates(
-                rate,
-                rate_label(rate, population),
-                &errors,
-            )?);
-        }
         series.push(SeriesGroup {
             name: format!("b={bias}"),
-            points,
+            points: rate_sweep(
+                runner,
+                ctx,
+                pool,
+                scale,
+                |rate| NoiseConfig::subsampled(rate).with_systems_bias(bias),
+                |rate_idx| rate_seeds.child(rate_idx as u64).seed(),
+            )?,
         });
     }
     Ok(SystemsHeterogeneitySweep {
@@ -165,19 +141,13 @@ pub fn systems_heterogeneity_from_pool(
 
 /// Renders Fig. 6 sweeps as a report.
 pub fn systems_heterogeneity_report(sweeps: &[SystemsHeterogeneitySweep]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
+    series_report(
         "fig6",
         "Systems heterogeneity: accuracy-biased client sampling (Fig. 6)",
-    );
-    for sweep in sweeps {
-        for group in &sweep.series {
-            report.push_group(SeriesGroup {
-                name: format!("{} {}", sweep.benchmark, group.name),
-                points: group.points.clone(),
-            });
-        }
-    }
-    report
+        sweeps
+            .iter()
+            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
+    )
 }
 
 /// One point of the Fig. 7 scatter: a configuration's global (full
@@ -227,12 +197,18 @@ impl MinClientScatter {
 ///
 /// Propagates pool-training failures.
 pub fn run_min_client_scatter(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<MinClientScatter> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let pool = ConfigPool::train(&ctx, fedmath::rng::derive_seed(seed, 5))?;
+    let pool = ConfigPool::train(
+        runner,
+        &ctx,
+        scale.pool_size,
+        fedmath::rng::derive_seed(seed, 5),
+    )?;
     Ok(min_client_scatter_from_pool(&ctx, &pool))
 }
 
@@ -289,11 +265,14 @@ pub fn min_client_report(scatters: &[MinClientScatter]) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::subsample_rate_grid;
 
     #[test]
     fn data_heterogeneity_sweep_shape() {
         let scale = ExperimentScale::smoke();
-        let sweep = run_data_heterogeneity(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let sweep =
+            run_data_heterogeneity(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
+                .unwrap();
         assert_eq!(sweep.series.len(), 3);
         let grid = subsample_rate_grid(10).len();
         for s in &sweep.series {
@@ -319,7 +298,9 @@ mod tests {
     #[test]
     fn systems_heterogeneity_sweep_shape() {
         let scale = ExperimentScale::smoke();
-        let sweep = run_systems_heterogeneity(Benchmark::Cifar10Like, &scale, 1).unwrap();
+        let sweep =
+            run_systems_heterogeneity(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 1)
+                .unwrap();
         assert_eq!(sweep.series.len(), 4);
         assert_eq!(sweep.series[0].name, "b=0");
         assert_eq!(sweep.series[3].name, "b=3");
@@ -335,7 +316,9 @@ mod tests {
     #[test]
     fn min_client_scatter_shape() {
         let scale = ExperimentScale::smoke();
-        let scatter = run_min_client_scatter(Benchmark::Cifar10Like, &scale, 2).unwrap();
+        let scatter =
+            run_min_client_scatter(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 2)
+                .unwrap();
         assert_eq!(scatter.points.len(), scale.pool_size);
         for p in &scatter.points {
             // The minimum client error can never exceed the global error by

@@ -388,35 +388,14 @@ pub fn paper_noise_settings() -> Vec<(String, NoiseConfig)> {
 
 /// Runs the method comparison on one benchmark: every method × every noise
 /// setting × `method_trials` independent trials, with live federated training
-/// through [`FederatedObjective`].
+/// through [`FederatedObjective`]. Every (method × noise setting × trial)
+/// campaign is one `runner` trial, seeded by its position in the campaign
+/// grid; sequential and parallel runners produce bit-identical comparisons.
 ///
 /// # Errors
 ///
 /// Propagates training and evaluation failures.
 pub fn run_method_comparison(
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    noise_settings: &[(String, NoiseConfig)],
-    seed: u64,
-) -> Result<MethodComparison> {
-    run_method_comparison_with(
-        &TrialRunner::from_env(),
-        benchmark,
-        scale,
-        noise_settings,
-        seed,
-    )
-}
-
-/// [`run_method_comparison`] through an explicit [`TrialRunner`]: every
-/// (method × noise setting × trial) campaign is one engine trial, seeded by
-/// its position in the campaign grid. Sequential and parallel runners
-/// produce bit-identical comparisons.
-///
-/// # Errors
-///
-/// Propagates training and evaluation failures.
-pub fn run_method_comparison_with(
     runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
@@ -606,9 +585,18 @@ impl HeadlineResult {
 /// # Errors
 ///
 /// Propagates training and evaluation failures.
-pub fn run_headline(scale: &ExperimentScale, seed: u64) -> Result<HeadlineResult> {
-    let comparison =
-        run_method_comparison(Benchmark::Cifar10Like, scale, &paper_noise_settings(), seed)?;
+pub fn run_headline(
+    runner: &TrialRunner,
+    scale: &ExperimentScale,
+    seed: u64,
+) -> Result<HeadlineResult> {
+    let comparison = run_method_comparison(
+        runner,
+        Benchmark::Cifar10Like,
+        scale,
+        &paper_noise_settings(),
+        seed,
+    )?;
     let budget = (scale.total_budget / 3).max(scale.rounds_per_config);
     let method_bars = comparison.bars_at(budget)?;
 
@@ -701,8 +689,14 @@ mod tests {
     fn method_comparison_smoke_run() {
         let scale = ExperimentScale::smoke();
         let noise_settings = paper_noise_settings();
-        let comparison =
-            run_method_comparison(Benchmark::Cifar10Like, &scale, &noise_settings, 0).unwrap();
+        let comparison = run_method_comparison(
+            &TrialRunner::from_env(),
+            Benchmark::Cifar10Like,
+            &scale,
+            &noise_settings,
+            0,
+        )
+        .unwrap();
         assert_eq!(comparison.benchmark, "cifar10-like");
         // 4 methods x 2 noise settings x method_trials runs.
         assert_eq!(comparison.runs.len(), 4 * 2 * scale.method_trials);

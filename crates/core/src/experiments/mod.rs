@@ -14,6 +14,10 @@
 //!
 //! Every runner takes a [`crate::ExperimentScale`] and a seed, returns a
 //! serialisable result struct, and can render an [`crate::ExperimentReport`].
+//! A runner that fans trials out (pool training, bootstrap replays, tuner
+//! campaigns) takes the [`TrialRunner`] to do it on as its first argument —
+//! none of them reads `FEDTUNE_THREADS`; seeds are positional, so the result
+//! is the same bits under every runner and the caller decides the threads.
 
 pub mod heterogeneity;
 pub mod methods;
@@ -25,9 +29,12 @@ pub mod stragglers;
 pub mod subsampling;
 pub mod table1;
 
+use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
+use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::scale::ExperimentScale;
 use crate::Result;
 
 /// The subsample-rate grid used on the x-axes of Figures 3, 4, 6, and 9:
@@ -99,41 +106,15 @@ pub fn simulated_rs_trial(
     Ok(best_true)
 }
 
-/// Runs [`simulated_rs_trial`] `trials` times with independent randomness and
-/// returns the selected true errors. Fans trials out under the
-/// `FEDTUNE_THREADS`-overridable default ([`TrialRunner::from_env`]); see
-/// [`simulated_rs_trials_with`] for an explicit execution policy.
+/// Runs [`simulated_rs_trial`] `trials` times through `runner` and returns
+/// the selected true errors. Trial `i` draws its randomness from the seed
+/// derived at `(seed, i)`, so sequential and parallel runners return
+/// bit-identical error vectors.
 ///
 /// # Errors
 ///
 /// Propagates trial failures.
 pub fn simulated_rs_trials(
-    pool: &ConfigPool,
-    noise: &NoiseConfig,
-    k: usize,
-    total_evaluations: usize,
-    trials: usize,
-    seed: u64,
-) -> Result<Vec<f64>> {
-    simulated_rs_trials_with(
-        &TrialRunner::from_env(),
-        pool,
-        noise,
-        k,
-        total_evaluations,
-        trials,
-        seed,
-    )
-}
-
-/// [`simulated_rs_trials`] through an explicit [`TrialRunner`]. Trial `i`
-/// draws its randomness from the seed derived at `(seed, i)`, so sequential
-/// and parallel runners return bit-identical error vectors.
-///
-/// # Errors
-///
-/// Propagates trial failures.
-pub fn simulated_rs_trials_with(
     runner: &TrialRunner,
     pool: &ConfigPool,
     noise: &NoiseConfig,
@@ -148,13 +129,66 @@ pub fn simulated_rs_trials_with(
     })
 }
 
+/// The rate sweep on the x-axis of Figures 3, 4, 6 and 9: at every rate of
+/// [`subsample_rate_grid`] over `ctx`'s validation clients, bootstrap
+/// `scale.bootstrap_trials` RS selections of `scale.num_configs`
+/// configurations over `pool` under `noise_at(rate)` and summarise the
+/// selected true errors as one point. `seed_at(i)` is the bootstrap seed of
+/// the grid's `i`-th rate; it is called once per rate, in grid order, so a
+/// figure may derive it positionally or draw it from a stream.
+pub(crate) fn rate_sweep(
+    runner: &TrialRunner,
+    ctx: &BenchmarkContext,
+    pool: &ConfigPool,
+    scale: &ExperimentScale,
+    noise_at: impl Fn(f64) -> NoiseConfig,
+    mut seed_at: impl FnMut(usize) -> u64,
+) -> Result<Vec<SeriesPoint>> {
+    let population = ctx.dataset().num_val_clients();
+    subsample_rate_grid(population)
+        .into_iter()
+        .enumerate()
+        .map(|(rate_idx, rate)| {
+            let errors = simulated_rs_trials(
+                runner,
+                pool,
+                &noise_at(rate),
+                scale.num_configs,
+                scale.num_configs,
+                scale.bootstrap_trials,
+                seed_at(rate_idx),
+            )?;
+            SeriesPoint::from_error_rates(rate, rate_label(rate, population), &errors)
+        })
+        .collect()
+}
+
+/// The report shape Figures 4, 6 and 9 share: every sweep's series, each
+/// group named `"<benchmark> <series>"`.
+pub(crate) fn series_report<'a>(
+    id: &str,
+    title: &str,
+    sweeps: impl IntoIterator<Item = (&'a str, &'a [SeriesGroup])>,
+) -> ExperimentReport {
+    let mut report = ExperimentReport::new(id, title);
+    for (benchmark, series) in sweeps {
+        for group in series {
+            report.push_group(SeriesGroup {
+                name: format!("{benchmark} {}", group.name),
+                points: group.points.clone(),
+            });
+        }
+    }
+    report
+}
+
 /// Runs [`simulated_rs_trajectory`] `trials` times through a [`TrialRunner`]
 /// and returns one incumbent trajectory per trial, in trial order.
 ///
 /// # Errors
 ///
 /// Propagates trial failures.
-pub fn simulated_rs_trajectories_with(
+pub fn simulated_rs_trajectories(
     runner: &TrialRunner,
     pool: &ConfigPool,
     noise: &NoiseConfig,
@@ -204,8 +238,6 @@ pub fn simulated_rs_trajectory(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::BenchmarkContext;
-    use crate::scale::ExperimentScale;
     use feddata::Benchmark;
     use fedmath::rng::rng_for;
 
@@ -237,7 +269,8 @@ mod tests {
     fn simulated_rs_behaviour() {
         let ctx =
             BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), 0).unwrap();
-        let pool = ConfigPool::train(&ctx, 1).unwrap();
+        let runner = TrialRunner::from_env();
+        let pool = ConfigPool::train(&runner, &ctx, ctx.scale().pool_size, 1).unwrap();
         // Noiseless selection over the whole pool always returns the best error.
         let mut rng = rng_for(0, 0);
         let chosen =
@@ -245,7 +278,8 @@ mod tests {
         assert_eq!(chosen, pool.best_full_error().unwrap());
 
         let errors =
-            simulated_rs_trials(&pool, &NoiseConfig::subsampled(0.2), 4, 16, 10, 3).unwrap();
+            simulated_rs_trials(&runner, &pool, &NoiseConfig::subsampled(0.2), 4, 16, 10, 3)
+                .unwrap();
         assert_eq!(errors.len(), 10);
         assert!(errors.iter().all(|e| (0.0..=1.0).contains(e)));
 

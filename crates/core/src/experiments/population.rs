@@ -311,24 +311,12 @@ pub fn reference_ids(population: u64, probe: usize) -> Vec<u64> {
     fedpop::summary::stride_probe_ids(population, probe)
 }
 
-/// Runs the experiment under the `FEDTUNE_THREADS`-overridable default
-/// runner.
+/// Runs the experiment on `runner`; sequential and parallel runners produce
+/// bit-identical results — the cache in front of each population only
+/// changes how often shards are regenerated, never their bits.
 ///
-/// # Errors
-///
-/// Propagates training and evaluation failures.
-pub fn run_population_noise(
-    benchmark: Benchmark,
-    scale: &PopulationExperimentScale,
-    seed: u64,
-) -> Result<PopulationNoiseResult> {
-    run_population_noise_with(&TrialRunner::from_env(), benchmark, scale, seed)
-}
-
-/// [`run_population_noise`] through an explicit [`TrialRunner`]; sequential
-/// and parallel runners produce bit-identical results — the cache in front
-/// of each population only changes how often shards are regenerated, never
-/// their bits.
+/// Unlike every other experiment entry point this one carries a `_with`
+/// suffix: the frozen `benchmark/` package imports it under this name.
 ///
 /// # Errors
 ///
@@ -517,7 +505,9 @@ mod tests {
     #[test]
     fn smoke_sweep_shows_the_noise_story() {
         let scale = PopulationExperimentScale::smoke();
-        let result = run_population_noise(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let result =
+            run_population_noise_with(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
+                .unwrap();
         assert_eq!(result.benchmark, "cifar10-like");
         assert_eq!(result.sweeps.len(), 1);
         let sweep = &result.sweeps[0];

@@ -2,10 +2,11 @@
 //! across evaluation-client subsampling rates.
 
 use crate::context::BenchmarkContext;
-use crate::experiments::{simulated_rs_trials, subsample_rate_grid};
+use crate::engine::TrialRunner;
+use crate::experiments::{rate_sweep, series_report};
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
-use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::{ExperimentReport, SeriesGroup};
 use crate::scale::ExperimentScale;
 use crate::Result;
 use feddata::Benchmark;
@@ -39,14 +40,15 @@ pub struct PrivacySweep {
 ///
 /// Propagates pool-training and noisy-evaluation failures.
 pub fn run_privacy_sweep(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<PrivacySweep> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 6));
-    let pool = ConfigPool::train(&ctx, seeds.next_seed())?;
-    privacy_sweep_from_pool(&ctx, &pool, scale, seeds.next_seed())
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
+    privacy_sweep_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
 }
 
 /// The Fig. 9 sweep given an already-trained pool.
@@ -55,35 +57,25 @@ pub fn run_privacy_sweep(
 ///
 /// Propagates noisy-evaluation failures.
 pub fn privacy_sweep_from_pool(
+    runner: &TrialRunner,
     ctx: &BenchmarkContext,
     pool: &ConfigPool,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<PrivacySweep> {
-    let population = ctx.dataset().num_val_clients();
     let mut seeds = SeedStream::new(seed);
     let mut series = Vec::new();
     for budget in PRIVACY_GRID {
-        let mut points = Vec::new();
-        for rate in subsample_rate_grid(population) {
-            let noise = NoiseConfig::subsampled(rate).with_privacy(budget);
-            let errors = simulated_rs_trials(
-                pool,
-                &noise,
-                scale.num_configs,
-                scale.num_configs,
-                scale.bootstrap_trials,
-                seeds.next_seed(),
-            )?;
-            points.push(SeriesPoint::from_error_rates(
-                rate,
-                rate_label(rate, population),
-                &errors,
-            )?);
-        }
         series.push(SeriesGroup {
             name: format!("eps={}", budget.label()),
-            points,
+            points: rate_sweep(
+                runner,
+                ctx,
+                pool,
+                scale,
+                |rate| NoiseConfig::subsampled(rate).with_privacy(budget),
+                |_| seeds.next_seed(),
+            )?,
         });
     }
     Ok(PrivacySweep {
@@ -94,29 +86,25 @@ pub fn privacy_sweep_from_pool(
 
 /// Renders Fig. 9 sweeps as a report.
 pub fn privacy_report(sweeps: &[PrivacySweep]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
+    series_report(
         "fig9",
         "Differential privacy: RS under Laplace-perturbed evaluation (Fig. 9)",
-    );
-    for sweep in sweeps {
-        for group in &sweep.series {
-            report.push_group(SeriesGroup {
-                name: format!("{} {}", sweep.benchmark, group.name),
-                points: group.points.clone(),
-            });
-        }
-    }
-    report
+        sweeps
+            .iter()
+            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::subsample_rate_grid;
 
     #[test]
     fn privacy_sweep_shape_and_ordering() {
         let scale = ExperimentScale::smoke();
-        let sweep = run_privacy_sweep(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let sweep =
+            run_privacy_sweep(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0).unwrap();
         assert_eq!(sweep.series.len(), 5);
         assert_eq!(sweep.series[0].name, "eps=0.1");
         assert_eq!(sweep.series[4].name, "eps=inf");

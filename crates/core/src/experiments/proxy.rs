@@ -2,6 +2,7 @@
 //! RS matrix), and Fig. 12 (proxy tuning vs. noisy evaluation over budget).
 
 use crate::context::BenchmarkContext;
+use crate::engine::TrialRunner;
 use crate::experiments::simulated_rs_trajectory;
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
@@ -234,8 +235,9 @@ impl ProxyVsNoisy {
     }
 }
 
-/// Runs Fig. 12 for one client benchmark. The noisy curves reuse a trained
-/// configuration pool (RS trajectories under 1% subsampling and the given ε);
+/// Runs Fig. 12 for one client benchmark. The noisy curves reuse a
+/// configuration pool trained on `runner` (RS trajectories under 1%
+/// subsampling and the given ε, replayed in seed-stream order);
 /// the proxy references run one-shot proxy RS from each of the other three
 /// benchmarks (and the benchmark itself, matching the paper's inclusion of
 /// the "perfect" proxy).
@@ -244,13 +246,14 @@ impl ProxyVsNoisy {
 ///
 /// Propagates training and evaluation failures.
 pub fn run_proxy_vs_noisy(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<ProxyVsNoisy> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 11));
-    let pool = ConfigPool::train(&ctx, seeds.next_seed())?;
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
 
     // Noisy RS curves at 1% subsample for eps in {1, 10, inf}.
     let subsample = 0.01f64.max(1.0 / ctx.dataset().num_val_clients() as f64);
@@ -353,7 +356,9 @@ mod tests {
     #[test]
     fn proxy_vs_noisy_smoke() {
         let scale = ExperimentScale::smoke();
-        let result = run_proxy_vs_noisy(Benchmark::Cifar10Like, &scale, 2).unwrap();
+        let result =
+            run_proxy_vs_noisy(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 2)
+                .unwrap();
         assert_eq!(result.noisy_curves.len(), 3);
         assert_eq!(result.proxy_references.len(), 4);
         for curve in &result.noisy_curves {

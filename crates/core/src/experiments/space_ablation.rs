@@ -3,6 +3,7 @@
 //! noiseless setting but can hurt when evaluation is noisy.
 
 use crate::context::BenchmarkContext;
+use crate::engine::TrialRunner;
 use crate::experiments::simulated_rs_trials;
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
@@ -60,6 +61,7 @@ impl SpaceAblation {
 ///
 /// Propagates training and evaluation failures.
 pub fn run_space_ablation(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
@@ -70,12 +72,13 @@ pub fn run_space_ablation(
     for width in 1u32..=4 {
         let space = SearchSpace::paper_nested_lr_space(width)?;
         let ctx = BenchmarkContext::new(benchmark, scale, seed)?.with_space(space);
-        let pool = ConfigPool::train(&ctx, seeds.next_seed())?;
+        let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
         let k = pool.len();
 
         // Noiseless evaluation over the whole pool always selects the best
         // configuration; sampling noise comes only from the pool itself.
         let noiseless_errors = simulated_rs_trials(
+            runner,
             &pool,
             &NoiseConfig::noiseless(),
             k,
@@ -94,6 +97,7 @@ pub fn run_space_ablation(
         let noise =
             NoiseConfig::subsampled(single_client).with_privacy(PrivacyBudget::Finite(10.0));
         let noisy_errors = simulated_rs_trials(
+            runner,
             &pool,
             &noise,
             k,
@@ -121,7 +125,9 @@ mod tests {
     #[test]
     fn space_ablation_smoke() {
         let scale = ExperimentScale::smoke();
-        let ablation = run_space_ablation(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let ablation =
+            run_space_ablation(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
+                .unwrap();
         assert_eq!(ablation.noiseless.len(), 4);
         assert_eq!(ablation.noisy.len(), 4);
         for (clean, noisy) in ablation.noiseless.iter().zip(ablation.noisy.iter()) {

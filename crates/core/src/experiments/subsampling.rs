@@ -3,9 +3,7 @@
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::{
-    simulated_rs_trajectories_with, simulated_rs_trials_with, subsample_rate_grid,
-};
+use crate::experiments::{rate_sweep, simulated_rs_trajectories};
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
 use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
@@ -30,26 +28,13 @@ pub struct SubsamplingSweep {
 /// Runs the Fig. 3 experiment for one benchmark: train a configuration pool,
 /// then for each subsampling rate simulate `bootstrap_trials` RS runs of
 /// `num_configs` configurations and record the full-validation error of the
-/// selected configuration.
+/// selected configuration. Sequential and parallel runners produce
+/// bit-identical sweeps.
 ///
 /// # Errors
 ///
 /// Propagates pool-training and noisy-evaluation failures.
 pub fn run_subsampling_sweep(
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<SubsamplingSweep> {
-    run_subsampling_sweep_with(&TrialRunner::from_env(), benchmark, scale, seed)
-}
-
-/// [`run_subsampling_sweep`] through an explicit [`TrialRunner`]; sequential
-/// and parallel runners produce bit-identical sweeps.
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_subsampling_sweep_with(
     runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
@@ -57,60 +42,34 @@ pub fn run_subsampling_sweep_with(
 ) -> Result<SubsamplingSweep> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 1));
-    let pool = ConfigPool::train_with(&ctx, scale.pool_size, seeds.next_seed(), runner)?;
-    subsampling_sweep_from_pool_with(runner, &ctx, &pool, scale, seeds.next_seed())
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
+    subsampling_sweep_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
 }
 
 /// The Fig. 3 sweep given an already-trained pool (so several figures can
-/// share one pool).
+/// share one pool). Each rate's bootstrap trials fan out through the runner,
+/// seeded by the rate's position in the grid — so the sweep is a pure
+/// function of `(pool, scale, seed)` under every execution policy.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
 pub fn subsampling_sweep_from_pool(
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<SubsamplingSweep> {
-    subsampling_sweep_from_pool_with(&TrialRunner::from_env(), ctx, pool, scale, seed)
-}
-
-/// [`subsampling_sweep_from_pool`] through an explicit [`TrialRunner`].
-/// Each rate's bootstrap trials fan out through the runner, seeded by the
-/// rate's position in the grid — so the sweep is a pure function of
-/// `(pool, scale, seed)` under every execution policy.
-///
-/// # Errors
-///
-/// Propagates noisy-evaluation failures.
-pub fn subsampling_sweep_from_pool_with(
     runner: &TrialRunner,
     ctx: &BenchmarkContext,
     pool: &ConfigPool,
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<SubsamplingSweep> {
-    let population = ctx.dataset().num_val_clients();
     let rate_seeds = fedmath::SeedTree::new(seed);
-    let mut points = Vec::new();
-    for (rate_idx, rate) in subsample_rate_grid(population).into_iter().enumerate() {
-        let noise = NoiseConfig::subsampled(rate);
-        let errors = simulated_rs_trials_with(
-            runner,
-            pool,
-            &noise,
-            scale.num_configs,
-            scale.num_configs,
-            scale.bootstrap_trials,
-            rate_seeds.child(rate_idx as u64).seed(),
-        )?;
-        points.push(SeriesPoint::from_error_rates(
-            rate,
-            rate_label(rate, population),
-            &errors,
-        )?);
-    }
+    let points = rate_sweep(
+        runner,
+        ctx,
+        pool,
+        scale,
+        NoiseConfig::subsampled,
+        |rate_idx| rate_seeds.child(rate_idx as u64).seed(),
+    )?;
     Ok(SubsamplingSweep {
         benchmark: ctx.benchmark().name().to_string(),
         points,
@@ -149,26 +108,13 @@ pub struct BudgetCurves {
 
 /// Runs the Fig. 5 experiment: the online performance of RS (true error of
 /// the incumbent) as its round budget is consumed, at a single-client rate,
-/// an intermediate rate, and full evaluation.
+/// an intermediate rate, and full evaluation. Sequential and parallel
+/// runners produce bit-identical curves.
 ///
 /// # Errors
 ///
 /// Propagates pool-training and noisy-evaluation failures.
 pub fn run_budget_curves(
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<BudgetCurves> {
-    run_budget_curves_with(&TrialRunner::from_env(), benchmark, scale, seed)
-}
-
-/// [`run_budget_curves`] through an explicit [`TrialRunner`]; sequential and
-/// parallel runners produce bit-identical curves.
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_budget_curves_with(
     runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
@@ -176,31 +122,17 @@ pub fn run_budget_curves_with(
 ) -> Result<BudgetCurves> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 2));
-    let pool = ConfigPool::train_with(&ctx, scale.pool_size, seeds.next_seed(), runner)?;
-    budget_curves_from_pool_with(runner, &ctx, &pool, scale, seeds.next_seed())
+    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
+    budget_curves_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
 }
 
-/// The Fig. 5 curves given an already-trained pool.
+/// The Fig. 5 curves given an already-trained pool; the bootstrap
+/// trajectories of each rate fan out through the runner.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
 pub fn budget_curves_from_pool(
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<BudgetCurves> {
-    budget_curves_from_pool_with(&TrialRunner::from_env(), ctx, pool, scale, seed)
-}
-
-/// [`budget_curves_from_pool`] through an explicit [`TrialRunner`]; the
-/// bootstrap trajectories of each rate fan out through the runner.
-///
-/// # Errors
-///
-/// Propagates noisy-evaluation failures.
-pub fn budget_curves_from_pool_with(
     runner: &TrialRunner,
     ctx: &BenchmarkContext,
     pool: &ConfigPool,
@@ -217,7 +149,7 @@ pub fn budget_curves_from_pool_with(
     for (rate_idx, &rate) in rates.iter().enumerate() {
         let noise = NoiseConfig::subsampled(rate);
         // Collect incumbent trajectories over bootstrap trials.
-        let trajectories = simulated_rs_trajectories_with(
+        let trajectories = simulated_rs_trajectories(
             runner,
             pool,
             &noise,
@@ -276,7 +208,9 @@ mod tests {
     #[test]
     fn subsampling_sweep_shape_and_monotone_trend() {
         let scale = ExperimentScale::smoke();
-        let sweep = run_subsampling_sweep(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let sweep =
+            run_subsampling_sweep(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
+                .unwrap();
         assert_eq!(sweep.benchmark, "cifar10-like");
         // One point per rate in the grid for a 10-client validation pool:
         // counts 1, 3, 9, 10.
@@ -300,7 +234,8 @@ mod tests {
     #[test]
     fn budget_curves_shape() {
         let scale = ExperimentScale::smoke();
-        let curves = run_budget_curves(Benchmark::FemnistLike, &scale, 1).unwrap();
+        let curves =
+            run_budget_curves(&TrialRunner::from_env(), Benchmark::FemnistLike, &scale, 1).unwrap();
         assert_eq!(curves.curves.len(), 3);
         for curve in &curves.curves {
             assert_eq!(curve.points.len(), scale.num_configs);

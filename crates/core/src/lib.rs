@@ -7,8 +7,9 @@
 //!
 //! - [`engine`] — the unified trial execution engine: [`TrialRunner`] fans
 //!   independent trials out under an execution policy with per-trial derived
-//!   seeds, shared progress accounting, and results that are bit-identical
-//!   between sequential and parallel execution.
+//!   seeds and results that are bit-identical between sequential and
+//!   parallel execution. It is an argument of every experiment that fans
+//!   out; the library never builds one from the environment.
 //! - [`scale`] — experiment scale presets (paper-scale, CPU default, smoke).
 //! - [`context`] — a benchmark dataset bundled with its search space and
 //!   model architecture.
@@ -63,7 +64,7 @@ pub use concurrent::{
     ConcurrentObjective, ConcurrentSink, EvalJob, EvalOutput, Host, Pump, Ungated,
 };
 pub use context::BenchmarkContext;
-pub use engine::{ProgressTracker, TrialContext, TrialRunner};
+pub use engine::{TrialContext, TrialRunner};
 pub use fedsim::clock::{ClientRuntimeModel, CostModel};
 pub use fedsim::ExecutionPolicy;
 pub use noise::{noisy_error, NoiseConfig};

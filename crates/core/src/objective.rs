@@ -1,23 +1,33 @@
-//! A live federated tuning objective with noisy evaluation.
+//! The live federated tuning objectives with noisy evaluation.
 //!
-//! [`FederatedObjective`] is what connects the HPO methods of `fedhpo` to the
-//! federated simulator: every `evaluate(trial, config, resource)` call trains
-//! (or resumes) the configuration's federated training run up to `resource`
-//! rounds, evaluates the current global model on the validation pool, applies
-//! the configured evaluation noise, and returns the noisy error the tuner
-//! acts on. The true full-validation error of every evaluation is logged so
-//! experiments can report what the tuner's choices actually cost.
+//! [`FederatedObjective`] (pull-style, `fedhpo::Objective`) and
+//! [`BatchFederatedObjective`] (scheduled, [`ConcurrentObjective`]) connect
+//! the HPO methods of `fedhpo` to the federated simulator: every evaluation
+//! trains (or resumes) the configuration's federated training run up to the
+//! requested rounds, evaluates the current global model on the validation
+//! pool, applies the configured evaluation noise, and returns the noisy
+//! error the tuner acts on. The true full-validation error of every
+//! evaluation is logged so experiments can report what the tuner's choices
+//! actually cost.
+//!
+//! Both start a trial through the context's [`fedproxy::ConfigRunner`] and
+//! share one advance-and-validate body over [`FederatedTrialState`]; they
+//! differ only in how randomness is keyed — the pull-style objective seeds a
+//! run by trial id and draws noise from one sequential RNG, the scheduled one
+//! keys both by the evaluated point. Neither has a thread knob: inside one
+//! evaluation rounds and validation run sequentially, and how many
+//! evaluations run at once is the driver's argument.
 
 use crate::concurrent::{ConcurrentEval, ConcurrentObjective, ConcurrentSink, EvalOutput};
 use crate::context::BenchmarkContext;
 use crate::noise::{noisy_error, NoiseConfig};
 use crate::Result;
-use feddata::Split;
+use feddata::{FederatedDataset, Split};
 use fedhpo::{HpConfig, HpoError, Objective, TrialRequest};
 use fedmath::{SeedStream, SeedTree};
-use fedproxy::hyperparams_from_config;
-use fedsim::evaluation::evaluate_full_with;
-use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig, TrainingRun, WeightingScheme};
+use fedproxy::ConfigRunner;
+use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
+use fedsim::{TrainingRun, WeightingScheme};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -186,14 +196,14 @@ impl<S: Send + Default> ConcurrentSink for CampaignLog<S> {
 /// A noisy federated HPO objective over one benchmark context.
 pub struct FederatedObjective<'a> {
     ctx: &'a BenchmarkContext,
+    runner: ConfigRunner,
     noise: NoiseConfig,
     total_evaluations: usize,
-    runs: HashMap<usize, TrainingRun>,
+    trials: HashMap<usize, FederatedTrialState>,
     log: Vec<ObjectiveLogEntry>,
     cumulative_rounds: usize,
     trial_seeds: SeedTree,
     eval_rng: StdRng,
-    execution: ExecutionPolicy,
 }
 
 impl<'a> FederatedObjective<'a> {
@@ -227,24 +237,15 @@ impl<'a> FederatedObjective<'a> {
         let trial_seeds = SeedTree::new(seeds.next_seed());
         Ok(FederatedObjective {
             ctx,
+            runner: ctx.config_runner().with_weighting(noise.weighting),
             noise,
             total_evaluations,
-            runs: HashMap::new(),
+            trials: HashMap::new(),
             log: Vec::new(),
             cumulative_rounds: 0,
             trial_seeds,
             eval_rng,
-            execution: ExecutionPolicy::Sequential,
         })
-    }
-
-    /// Sets the execution policy used for round-level client training and
-    /// validation evaluation inside this objective. Both policies return
-    /// bit-identical scores; `Parallel` only changes wall-clock time.
-    #[must_use]
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// The evaluations logged so far, in call order.
@@ -271,71 +272,34 @@ impl<'a> FederatedObjective<'a> {
         selected_true_error(&self.log, budget)
     }
 
-    fn weighting(&self) -> WeightingScheme {
-        self.noise.weighting
-    }
-}
-
-impl Objective for FederatedObjective<'_> {
-    fn evaluate(
+    /// [`Objective::evaluate`] in this crate's error type.
+    fn evaluate_live(
         &mut self,
         trial_id: usize,
         config: &HpConfig,
         resource: usize,
-    ) -> fedhpo::Result<f64> {
-        let to_objective_error = |e: String| HpoError::Objective { message: e };
-
-        // Create or resume the trial's training run.
-        if !self.runs.contains_key(&trial_id) {
-            let hyperparams = hyperparams_from_config(self.ctx.space(), config)
-                .map_err(|e| to_objective_error(e.to_string()))?;
-            let trainer_config = TrainerConfig {
-                clients_per_round: self.ctx.scale().clients_per_round,
-                hyperparams,
-                weighting: self.weighting(),
-                execution: self.execution,
-            };
-            let trainer = FederatedTrainer::new(trainer_config)
-                .map_err(|e| to_objective_error(e.to_string()))?;
-            let run_seed = self.trial_seeds.child(trial_id as u64).seed();
-            let run = trainer
-                .start(self.ctx.dataset(), self.ctx.model_spec(), run_seed)
-                .map_err(|e| to_objective_error(e.to_string()))?;
-            self.runs.insert(trial_id, run);
-        }
-        let weighting = self.weighting();
-        let run = self.runs.get_mut(&trial_id).expect("inserted above");
-        let already = run.rounds_completed();
-        if resource > already {
-            run.run_rounds(self.ctx.dataset(), resource - already)
-                .map_err(|e| to_objective_error(e.to_string()))?;
-            self.cumulative_rounds += resource - already;
-        }
-
-        // Evaluate the current global model on the full validation pool, then
-        // apply the configured evaluation noise.
-        let full_eval = evaluate_full_with(
-            &self.execution,
-            run.model(),
-            self.ctx.dataset(),
-            Split::Validation,
-            weighting,
-        )
-        .map_err(|e| to_objective_error(e.to_string()))?;
-        let true_error = full_eval
-            .weighted_error()
-            .map_err(|e| to_objective_error(e.to_string()))?;
+    ) -> Result<f64> {
+        let dataset = self.ctx.dataset();
+        // Each trial's training run is seeded by its trial id (see `new`).
+        let run_seed = self.trial_seeds.child(trial_id as u64).seed();
+        let (rounds_delta, fidelity, full_eval) = self
+            .trials
+            .entry(trial_id)
+            .or_default()
+            .advance(dataset, self.noise.weighting, resource, || {
+                self.runner.start(dataset, config, run_seed)
+            })?;
+        self.cumulative_rounds += rounds_delta;
+        let true_error = full_eval.weighted_error()?;
         let noisy_score = noisy_error(
-            &full_eval,
+            full_eval,
             &self.noise,
             self.total_evaluations,
             &mut self.eval_rng,
-        )
-        .map_err(|e| to_objective_error(e.to_string()))?;
-
+        )?;
         self.log.push(ObjectiveLogEntry {
             trial_id,
-            resource: run.rounds_completed(),
+            resource: fidelity,
             noisy_score,
             true_error,
             cumulative_rounds: self.cumulative_rounds,
@@ -346,9 +310,22 @@ impl Objective for FederatedObjective<'_> {
     }
 }
 
-/// Per-trial mutable state of the scheduled federated objective: the
-/// training run plus the memoised full-validation evaluation at its current
-/// fidelity.
+impl Objective for FederatedObjective<'_> {
+    fn evaluate(
+        &mut self,
+        trial_id: usize,
+        config: &HpConfig,
+        resource: usize,
+    ) -> fedhpo::Result<f64> {
+        self.evaluate_live(trial_id, config, resource)
+            .map_err(|e| HpoError::Objective {
+                message: e.to_string(),
+            })
+    }
+}
+
+/// Per-trial mutable state of a live federated objective: the training run
+/// plus the memoised full-validation evaluation at its current fidelity.
 ///
 /// Exactly one evaluation job owns a trial's state at a time; between
 /// dispatches the whole state — memo included — is parked in the campaign
@@ -358,7 +335,40 @@ impl Objective for FederatedObjective<'_> {
 #[derive(Debug, Default)]
 pub struct FederatedTrialState {
     run: Option<TrainingRun>,
-    eval_cache: Option<(usize, fedsim::evaluation::FederatedEvaluation)>,
+    eval_cache: Option<(usize, FederatedEvaluation)>,
+}
+
+impl FederatedTrialState {
+    /// The advance-and-validate body both live objectives share: trains the
+    /// trial's run — started by `start` on first use — up to `resource`
+    /// rounds, then validates the model on the full validation pool, once
+    /// per fidelity. Returns the rounds this call trained, the fidelity
+    /// reached, and the evaluation there.
+    fn advance(
+        &mut self,
+        dataset: &FederatedDataset,
+        weighting: WeightingScheme,
+        resource: usize,
+        start: impl FnOnce() -> fedproxy::Result<TrainingRun>,
+    ) -> Result<(usize, usize, &FederatedEvaluation)> {
+        if self.run.is_none() {
+            self.run = Some(start()?);
+        }
+        let run = self.run.as_mut().expect("run started above");
+        let rounds_delta = resource.saturating_sub(run.rounds_completed());
+        run.run_rounds(dataset, rounds_delta)?;
+        let fidelity = run.rounds_completed();
+        if self
+            .eval_cache
+            .as_ref()
+            .is_none_or(|(at, _)| *at != fidelity)
+        {
+            let evaluation = evaluate_full(run.model(), dataset, Split::Validation, weighting)?;
+            self.eval_cache = Some((fidelity, evaluation));
+        }
+        let evaluation = &self.eval_cache.as_ref().expect("cached above").1;
+        Ok((rounds_delta, fidelity, evaluation))
+    }
 }
 
 /// The order-independent federated objective behind the ask/tell scheduler
@@ -398,11 +408,11 @@ pub struct BatchFederatedObjective<'a> {
 /// evaluate any request against a per-trial [`FederatedTrialState`].
 pub struct FederatedEvalCore<'a> {
     ctx: &'a BenchmarkContext,
+    runner: ConfigRunner,
     noise: NoiseConfig,
     total_evaluations: usize,
     trial_seeds: SeedTree,
     noise_seeds: SeedTree,
-    execution: ExecutionPolicy,
 }
 
 impl<'a> BatchFederatedObjective<'a> {
@@ -432,23 +442,14 @@ impl<'a> BatchFederatedObjective<'a> {
         Ok(BatchFederatedObjective {
             eval: FederatedEvalCore {
                 ctx,
+                runner: ctx.config_runner().with_weighting(noise.weighting),
                 noise,
                 total_evaluations,
                 trial_seeds,
                 noise_seeds,
-                execution: ExecutionPolicy::Sequential,
             },
             sink: CampaignLog::default(),
         })
-    }
-
-    /// Sets the execution policy for the *inner* per-trial work (federated
-    /// rounds, validation evaluation). Defaults to sequential, which is the
-    /// right choice when trials already fan out across all cores.
-    #[must_use]
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.eval.execution = execution;
-        self
     }
 
     /// The evaluations logged so far, in commit order.
@@ -491,46 +492,18 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
         state: &mut FederatedTrialState,
         request: &TrialRequest,
     ) -> Result<EvalOutput> {
-        let FederatedTrialState {
-            run: run_slot,
-            eval_cache,
-        } = state;
         // The point identity: all randomness of this evaluation is keyed by
         // the canonical configuration fingerprint, never by trial numbering,
         // so the score is a pure function of `(config, resource, noise_rep)`
         // — the same identity the `fedstore` trial ledger addresses records
         // by.
         let fingerprint = self.ctx.space().canonical_fingerprint(&request.config)?;
-        if run_slot.is_none() {
-            let hyperparams = hyperparams_from_config(self.ctx.space(), &request.config)?;
-            let trainer_config = TrainerConfig {
-                clients_per_round: self.ctx.scale().clients_per_round,
-                hyperparams,
-                weighting: self.noise.weighting,
-                execution: self.execution,
-            };
-            let trainer = FederatedTrainer::new(trainer_config)?;
-            let run_seed = self.trial_seeds.child(fingerprint).seed();
-            *run_slot = Some(trainer.start(self.ctx.dataset(), self.ctx.model_spec(), run_seed)?);
-        }
-        let run = run_slot.as_mut().expect("run created above");
-        let already = run.rounds_completed();
-        let rounds_delta = request.resource.saturating_sub(already);
-        if rounds_delta > 0 {
-            run.run_rounds(self.ctx.dataset(), rounds_delta)?;
-        }
-        let fidelity = run.rounds_completed();
-        if eval_cache.as_ref().is_none_or(|(at, _)| *at != fidelity) {
-            let evaluation = evaluate_full_with(
-                &self.execution,
-                run.model(),
-                self.ctx.dataset(),
-                Split::Validation,
-                self.noise.weighting,
-            )?;
-            *eval_cache = Some((fidelity, evaluation));
-        }
-        let full_eval = &eval_cache.as_ref().expect("cached above").1;
+        let dataset = self.ctx.dataset();
+        let (rounds_delta, resource_completed, full_eval) =
+            state.advance(dataset, self.noise.weighting, request.resource, || {
+                let run_seed = self.trial_seeds.child(fingerprint).seed();
+                self.runner.start(dataset, &request.config, run_seed)
+            })?;
         let true_error = full_eval.weighted_error()?;
         let mut noise_rng = self
             .noise_seeds
@@ -546,7 +519,7 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
             noisy_score,
             true_error,
             rounds_delta,
-            resource_completed: run.rounds_completed(),
+            resource_completed,
         })
     }
 }
@@ -811,9 +784,7 @@ mod tests {
         let ctx = ctx();
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 0, 0).is_err());
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::subsampled(2.0), 4, 0).is_err());
-        let objective = BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 0)
-            .unwrap()
-            .with_execution(ExecutionPolicy::Sequential);
+        let objective = BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 0).unwrap();
         assert_eq!(objective.cumulative_rounds(), 0);
         assert!(objective.log().is_empty());
         assert!(objective.selected_true_error_within(10).is_none());

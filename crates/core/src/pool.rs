@@ -4,7 +4,8 @@
 //! trials i.e. run RS on K = 16 HP configs that are resampled from the set of
 //! 128"*. Training the pool once and replaying noisy selection many times is
 //! what makes the subsampling / heterogeneity / privacy sweeps tractable;
-//! this module reproduces that machinery.
+//! this module reproduces that machinery. Training and re-evaluation fan out
+//! over configurations through the caller's [`TrialRunner`].
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
@@ -14,7 +15,7 @@ use feddata::{ClientData, Split};
 use fedhpo::HpConfig;
 use fedmath::SeedStream;
 use fedmodels::AnyModel;
-use fedsim::evaluation::{evaluate_clients_with, FederatedEvaluation};
+use fedsim::evaluation::{evaluate_clients, FederatedEvaluation};
 use fedsim::WeightingScheme;
 use rand::rngs::StdRng;
 
@@ -42,38 +43,18 @@ pub struct ConfigPool {
 
 impl ConfigPool {
     /// Samples `pool_size` configurations from the context's search space and
-    /// trains each for the scale's per-configuration round budget (in
-    /// parallel across configurations).
+    /// trains each for the scale's per-configuration round budget, one
+    /// `runner` trial per configuration. Sequential and parallel runners
+    /// produce bit-identical pools.
     ///
     /// # Errors
     ///
     /// Propagates sampling, training, and evaluation failures.
-    pub fn train(ctx: &BenchmarkContext, seed: u64) -> Result<Self> {
-        Self::train_sized(ctx, ctx.scale().pool_size, seed)
-    }
-
-    /// Trains a pool of an explicit size (used by the search-space ablation
-    /// which uses `K = 128` regardless of scale).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling, training, and evaluation failures.
-    pub fn train_sized(ctx: &BenchmarkContext, pool_size: usize, seed: u64) -> Result<Self> {
-        Self::train_with(ctx, pool_size, seed, &TrialRunner::from_env())
-    }
-
-    /// Trains a pool through an explicit [`TrialRunner`], so callers control
-    /// the execution policy and progress accounting. Sequential and parallel
-    /// runners produce bit-identical pools.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampling, training, and evaluation failures.
-    pub fn train_with(
+    pub fn train(
+        runner: &TrialRunner,
         ctx: &BenchmarkContext,
         pool_size: usize,
         seed: u64,
-        trials: &TrialRunner,
     ) -> Result<Self> {
         if pool_size == 0 {
             return Err(CoreError::InvalidConfig {
@@ -84,11 +65,11 @@ impl ConfigPool {
         let mut sample_rng = seeds.next_rng();
         let configs = ctx.space().sample_many(pool_size, &mut sample_rng)?;
         let trial_root = seeds.next_seed();
-        let runner = ctx.config_runner();
+        let config_runner = ctx.config_runner();
 
-        let entries = trials.run_trials(trial_root, pool_size, |trial| {
+        let entries = runner.run_trials(trial_root, pool_size, |trial| {
             let config = &configs[trial.index()];
-            let result = runner.run(ctx.dataset(), config, trial.seed(0))?;
+            let result = config_runner.run(ctx.dataset(), config, trial.seed(0))?;
             Ok(PooledConfig {
                 index: trial.index(),
                 config: config.clone(),
@@ -162,34 +143,21 @@ impl ConfigPool {
     /// (used by the data-heterogeneity experiments, which repartition the
     /// evaluation clients while keeping the trained models fixed) and returns
     /// a new pool whose evaluations and full errors refer to that pool.
+    /// Evaluation consumes no randomness, so every runner produces identical
+    /// pools.
     ///
     /// # Errors
     ///
     /// Propagates evaluation failures.
-    pub fn reevaluate_on(&self, val_clients: &[ClientData]) -> Result<ConfigPool> {
-        self.reevaluate_on_with(val_clients, &TrialRunner::from_env())
-    }
-
-    /// [`reevaluate_on`](Self::reevaluate_on) through an explicit
-    /// [`TrialRunner`]. Evaluation consumes no randomness, so every policy
-    /// produces identical pools.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures.
-    pub fn reevaluate_on_with(
+    pub fn reevaluate_on(
         &self,
+        runner: &TrialRunner,
         val_clients: &[ClientData],
-        trials: &TrialRunner,
     ) -> Result<ConfigPool> {
         let indices: Vec<usize> = (0..val_clients.len()).collect();
-        // The outer trial fan-out already saturates the cores; keep the inner
-        // per-client evaluation sequential to avoid thread oversubscription.
-        let inner = fedsim::ExecutionPolicy::Sequential;
-        let entries = trials.run_trials(0, self.entries.len(), |trial| {
+        let entries = runner.run_trials(0, self.entries.len(), |trial| {
             let entry = &self.entries[trial.index()];
-            let evaluation = evaluate_clients_with(
-                &inner,
+            let evaluation = evaluate_clients(
                 &entry.model,
                 val_clients,
                 &indices,
@@ -243,10 +211,14 @@ mod tests {
         BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), 0).unwrap()
     }
 
+    fn train(ctx: &BenchmarkContext, pool_size: usize, seed: u64) -> Result<ConfigPool> {
+        ConfigPool::train(&TrialRunner::from_env(), ctx, pool_size, seed)
+    }
+
     #[test]
     fn pool_trains_and_exposes_scores() {
         let ctx = smoke_context();
-        let pool = ConfigPool::train(&ctx, 1).unwrap();
+        let pool = train(&ctx, ctx.scale().pool_size, 1).unwrap();
         assert_eq!(pool.len(), ctx.scale().pool_size);
         assert!(!pool.is_empty());
         assert_eq!(pool.true_errors().len(), pool.len());
@@ -266,21 +238,21 @@ mod tests {
     #[test]
     fn pool_rejects_zero_size() {
         let ctx = smoke_context();
-        assert!(ConfigPool::train_sized(&ctx, 0, 1).is_err());
+        assert!(train(&ctx, 0, 1).is_err());
     }
 
     #[test]
     fn pool_training_is_deterministic() {
         let ctx = smoke_context();
-        let a = ConfigPool::train_sized(&ctx, 3, 9).unwrap();
-        let b = ConfigPool::train_sized(&ctx, 3, 9).unwrap();
+        let a = train(&ctx, 3, 9).unwrap();
+        let b = train(&ctx, 3, 9).unwrap();
         assert_eq!(a.true_errors(), b.true_errors());
     }
 
     #[test]
     fn noisy_scores_differ_from_true_scores_under_subsampling() {
         let ctx = smoke_context();
-        let pool = ConfigPool::train_sized(&ctx, 4, 2).unwrap();
+        let pool = train(&ctx, 4, 2).unwrap();
         let mut rng = rng_for(0, 0);
         let noiseless = pool
             .noisy_scores(&NoiseConfig::noiseless(), 16, &mut rng)
@@ -304,11 +276,13 @@ mod tests {
     #[test]
     fn reevaluation_on_iid_pool_preserves_entry_count() {
         let ctx = smoke_context();
-        let pool = ConfigPool::train_sized(&ctx, 3, 3).unwrap();
+        let pool = train(&ctx, 3, 3).unwrap();
         let mut rng = rng_for(1, 0);
         let iid_pool = validation_pool_with_iid_fraction(&ctx, 1.0, &mut rng).unwrap();
         assert_eq!(iid_pool.len(), ctx.dataset().num_val_clients());
-        let reevaluated = pool.reevaluate_on(&iid_pool).unwrap();
+        let reevaluated = pool
+            .reevaluate_on(&TrialRunner::from_env(), &iid_pool)
+            .unwrap();
         assert_eq!(reevaluated.len(), pool.len());
         // Full-population error barely changes (same pooled data overall),
         // but the per-client structure does; just sanity-check the range.
@@ -323,7 +297,7 @@ mod tests {
     #[test]
     fn from_entries_roundtrip() {
         let ctx = smoke_context();
-        let pool = ConfigPool::train_sized(&ctx, 2, 4).unwrap();
+        let pool = train(&ctx, 2, 4).unwrap();
         let rebuilt = ConfigPool::from_entries(pool.entries().to_vec());
         assert_eq!(rebuilt.len(), 2);
     }

@@ -15,10 +15,8 @@
 //! current results justify (highest rung first), then tops the batch up with
 //! fresh uniformly-sampled configurations.
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -139,21 +137,6 @@ impl Asha {
     }
 }
 
-impl Tuner for Asha {
-    fn name(&self) -> &'static str {
-        "asha"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
-    }
-}
-
 impl IntoScheduler for Asha {
     type Scheduler = AshaScheduler;
 
@@ -180,9 +163,10 @@ impl IntoScheduler for Asha {
 /// actual algorithm (Li et al. 2020), where no worker ever idles waiting for
 /// a straggler to finish a rung.
 ///
-/// Driven by a barrier-synchronous driver ([`run_scheduler`] or the batch
-/// driver), `AsyncAsha` degenerates to [`Asha`] exactly — asynchrony is a
-/// property of the driver/scheduler handshake, not of the promotion rule.
+/// Driven by a barrier-synchronous driver
+/// ([`run_scheduler`](crate::run_scheduler) or the batch driver), `AsyncAsha`
+/// degenerates to [`Asha`] exactly — asynchrony is a property of the
+/// driver/scheduler handshake, not of the promotion rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncAsha {
     ladder: Asha,
@@ -239,21 +223,6 @@ impl IntoScheduler for AsyncAsha {
         let mut scheduler = self.ladder.scheduler()?;
         scheduler.asynchronous = true;
         Ok(scheduler)
-    }
-}
-
-impl Tuner for AsyncAsha {
-    fn name(&self) -> &'static str {
-        "async-asha"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
     }
 }
 
@@ -385,6 +354,7 @@ impl Scheduler for AshaScheduler {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 
@@ -410,7 +380,7 @@ mod tests {
             .scheduler()
             .is_err());
         let asha = Asha::new(9, 3, 1, 9);
-        assert_eq!(asha.name(), "asha");
+        assert_eq!(asha.scheduler().unwrap().name(), "asha");
         assert_eq!(asha.num_configs(), 9);
         assert_eq!(asha.eta(), 3);
         assert_eq!(asha.min_resource(), 1);
@@ -499,7 +469,7 @@ mod tests {
     fn async_asha_declares_async_and_degenerates_under_a_barrier_driver() {
         let asha = Asha::new(9, 3, 1, 9);
         let async_asha = AsyncAsha::from_ladder(asha).with_concurrency(9);
-        assert_eq!(async_asha.name(), "async-asha");
+        assert_eq!(async_asha.scheduler().unwrap().name(), "async-asha");
         assert_eq!(
             async_asha.ladder(),
             &Asha::new(9, 3, 1, 9).with_concurrency(9)

@@ -8,13 +8,9 @@
 //! enough observations, and falls back to random sampling early on.
 
 use crate::hyperband::{BracketScheduler, Hyperband, Proposer};
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler};
-use crate::space::SearchSpace;
+use crate::scheduler::IntoScheduler;
 use crate::tpe::{TpeConfig, TpeSampler};
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::Result;
-use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
 /// The BOHB tuner.
@@ -54,21 +50,6 @@ impl Bohb {
     }
 }
 
-impl Tuner for Bohb {
-    fn name(&self) -> &'static str {
-        "bohb"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
-    }
-}
-
 impl IntoScheduler for Bohb {
     type Scheduler = BracketScheduler;
 
@@ -92,7 +73,9 @@ impl IntoScheduler for Bohb {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
-    use crate::space::HpConfig;
+    use crate::scheduler::Scheduler;
+    use crate::space::{HpConfig, SearchSpace};
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
 
     fn space_1d() -> SearchSpace {
@@ -110,7 +93,10 @@ mod tests {
     fn bohb_structure_matches_hyperband() {
         assert_eq!(Bohb::paper_default(405).hyperband().num_brackets(), 5);
         assert_eq!(Bohb::paper_default(405).hyperband().eta(), 3);
-        assert_eq!(Bohb::new(27, 3, Some(3)).name(), "bohb");
+        assert_eq!(
+            Bohb::new(27, 3, Some(3)).scheduler().unwrap().name(),
+            "bohb"
+        );
     }
 
     #[test]

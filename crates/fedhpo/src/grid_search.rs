@@ -91,10 +91,6 @@ fn linspace(low: f64, high: f64, points: usize) -> Vec<f64> {
 }
 
 impl Tuner for GridSearch {
-    fn name(&self) -> &'static str {
-        "grid"
-    }
-
     fn tune(
         &self,
         space: &SearchSpace,
@@ -172,7 +168,6 @@ mod tests {
         assert_eq!(outcome.num_evaluations(), 11);
         assert_eq!(outcome.total_resource(), 22);
         assert!(outcome.best().unwrap().score < 1e-9);
-        assert_eq!(tuner.name(), "grid");
         assert_eq!(tuner.resolution(), 11);
     }
 

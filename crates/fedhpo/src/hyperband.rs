@@ -7,11 +7,9 @@
 //! runs 5 brackets with elimination factor `η = 3` and a maximum of 405
 //! rounds per configuration.
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
 use crate::tpe::TpeSampler;
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
@@ -301,21 +299,6 @@ impl SuccessiveHalving {
     }
 }
 
-impl Tuner for SuccessiveHalving {
-    fn name(&self) -> &'static str {
-        "sha"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
-    }
-}
-
 impl IntoScheduler for SuccessiveHalving {
     type Scheduler = BracketScheduler;
 
@@ -404,21 +387,6 @@ impl Hyperband {
     }
 }
 
-impl Tuner for Hyperband {
-    fn name(&self) -> &'static str {
-        "hb"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
-    }
-}
-
 impl Hyperband {
     /// The bracket ladder in execution order (most exploratory first).
     pub(crate) fn bracket_ladder(&self) -> Vec<(usize, usize)> {
@@ -448,6 +416,7 @@ impl IntoScheduler for Hyperband {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 
@@ -482,7 +451,7 @@ mod tests {
             .tune(&space_1d(), &mut obj, &mut rng)
             .is_err());
         let sha = SuccessiveHalving::new(9, 3, 1, 9);
-        assert_eq!(sha.name(), "sha");
+        assert_eq!(sha.scheduler().unwrap().name(), "sha");
         assert_eq!(sha.num_configs(), 9);
         assert_eq!(sha.eta(), 3);
         assert_eq!(sha.min_resource(), 1);
@@ -564,7 +533,7 @@ mod tests {
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         // The most exploitative bracket evaluates at full resource.
         assert!(outcome.records().iter().any(|r| r.resource == 27));
-        assert_eq!(hb.name(), "hb");
+        assert_eq!(hb.scheduler().unwrap().name(), "hb");
         // Cumulative budget is strictly increasing.
         let mut prev = 0;
         for r in outcome.records() {

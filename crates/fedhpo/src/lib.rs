@@ -27,10 +27,11 @@
 //!
 //! Every method is implemented as a batched ask/tell [`Scheduler`]
 //! (`suggest` a batch of [`TrialRequest`]s, `report` each [`TrialResult`]);
-//! the classic pull-style [`Tuner`] interface remains as a thin wrapper over
-//! the sequential reference driver [`run_scheduler`]. A parallel batch
-//! driver that fans suggestions out across threads lives in
-//! `fedtune_core::scheduler`.
+//! the classic pull-style [`Tuner`] interface is one blanket impl — the
+//! sequential reference driver [`run_scheduler`] over any [`IntoScheduler`]
+//! ([`GridSearch`] and [`RepeatedRandomSearch`], which have no scheduler,
+//! keep their own loops). A parallel batch driver that fans suggestions out
+//! across threads lives in `fedtune_core::scheduler`.
 //!
 //! The crate is deliberately **noise-agnostic**: tuners minimise whatever an
 //! [`Objective`] reports, and the experiment harness in `fedtune-core`

@@ -1,9 +1,7 @@
 //! Random search (Algorithm 1/2 of the paper).
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::SearchSpace;
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 
@@ -51,21 +49,6 @@ impl RandomSearch {
             });
         }
         Ok(())
-    }
-}
-
-impl Tuner for RandomSearch {
-    fn name(&self) -> &'static str {
-        "rs"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
     }
 }
 
@@ -128,6 +111,7 @@ impl Scheduler for RandomSearchScheduler {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
 
     fn quadratic_space() -> SearchSpace {
@@ -151,7 +135,7 @@ mod tests {
             .is_err());
         assert_eq!(RandomSearch::paper_default(405).num_configs(), 16);
         assert_eq!(RandomSearch::paper_default(405).rounds_per_config(), 405);
-        assert_eq!(RandomSearch::new(4, 2).name(), "rs");
+        assert_eq!(RandomSearch::new(4, 2).scheduler().unwrap().name(), "rs");
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! [`TuningOutcome::selected_within_budget`](crate::TuningOutcome::selected_within_budget),
 //! which averages the fresh draws per survivor.
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -77,21 +75,6 @@ impl<C: IntoScheduler> IntoScheduler for ReEvaluation<C> {
             incumbents: BTreeMap::new(),
             phase: Phase::Inner,
         })
-    }
-}
-
-impl<C: IntoScheduler> Tuner for ReEvaluation<C> {
-    fn name(&self) -> &'static str {
-        "re-eval"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
     }
 }
 
@@ -224,6 +207,7 @@ mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
 
     fn space_1d() -> SearchSpace {
@@ -239,7 +223,7 @@ mod tests {
             .scheduler()
             .is_err());
         let policy = ReEvaluation::new(RandomSearch::new(4, 1), 2, 3);
-        assert_eq!(policy.name(), "re-eval");
+        assert_eq!(policy.scheduler().unwrap().name(), "re-eval");
         assert_eq!(policy.top_k(), 2);
         assert_eq!(policy.reps(), 3);
         assert_eq!(policy.inner().num_configs(), 4);

@@ -57,10 +57,6 @@ impl RepeatedRandomSearch {
 }
 
 impl Tuner for RepeatedRandomSearch {
-    fn name(&self) -> &'static str {
-        "rs-repeated"
-    }
-
     fn tune(
         &self,
         space: &SearchSpace,
@@ -128,7 +124,6 @@ mod tests {
             .tune(&space, &mut obj, &mut rng)
             .is_err());
         let tuner = RepeatedRandomSearch::new(4, 2, 3);
-        assert_eq!(tuner.name(), "rs-repeated");
         assert_eq!(tuner.num_configs(), 4);
         assert_eq!(tuner.repeats(), 3);
     }

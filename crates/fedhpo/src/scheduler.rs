@@ -192,9 +192,9 @@ pub trait IntoScheduler {
 
 /// The reference sequential driver: repeatedly asks `scheduler` for a batch,
 /// evaluates every request through `objective` in batch order, and reports
-/// each result before the next evaluation. Every [`Tuner`](crate::Tuner) in
-/// this crate is implemented as this driver over its scheduler, so pull-style
-/// and ask/tell campaigns produce identical [`TuningOutcome`]s.
+/// each result before the next evaluation. The blanket
+/// [`Tuner`](crate::Tuner) impl is this driver over a fresh scheduler, so
+/// pull-style and ask/tell campaigns produce identical [`TuningOutcome`]s.
 ///
 /// # Errors
 ///

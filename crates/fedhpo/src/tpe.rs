@@ -11,10 +11,8 @@
 //! assumes noiseless evaluations — this implementation makes no attempt to
 //! model evaluation noise, which is exactly the behaviour the paper studies.
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{Dimension, HpConfig, SearchSpace};
-use crate::tuner::{Tuner, TuningOutcome};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -288,21 +286,6 @@ impl Tpe {
     }
 }
 
-impl Tuner for Tpe {
-    fn name(&self) -> &'static str {
-        "tpe"
-    }
-
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
-    }
-}
-
 impl IntoScheduler for Tpe {
     type Scheduler = TpeScheduler;
 
@@ -400,6 +383,7 @@ mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
+    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
 
     fn space_2d() -> SearchSpace {
@@ -456,7 +440,7 @@ mod tests {
         assert!(Tpe::new(1, 0)
             .tune(&space_2d(), &mut obj, &mut rng)
             .is_err());
-        assert_eq!(Tpe::paper_default(405).name(), "tpe");
+        assert_eq!(Tpe::paper_default(405).scheduler().unwrap().name(), "tpe");
     }
 
     #[test]

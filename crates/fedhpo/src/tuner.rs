@@ -1,6 +1,7 @@
 //! The [`Tuner`] trait and the evaluation history it produces.
 
 use crate::objective::Objective;
+use crate::scheduler::{run_scheduler, IntoScheduler};
 use crate::space::{HpConfig, SearchSpace};
 use crate::Result;
 use rand::rngs::StdRng;
@@ -160,11 +161,13 @@ impl TuningOutcome {
     }
 }
 
-/// A hyperparameter-tuning method.
+/// A hyperparameter-tuning method, pull-style: it calls the objective itself.
+///
+/// Every method with an ask/tell scheduler ([`IntoScheduler`]) is a `Tuner`
+/// through the one blanket impl below; only [`GridSearch`](crate::GridSearch)
+/// and [`RepeatedRandomSearch`](crate::RepeatedRandomSearch), which have no
+/// scheduler, write their own loop.
 pub trait Tuner {
-    /// Short name used in reports (`"rs"`, `"tpe"`, `"hb"`, `"bohb"`, …).
-    fn name(&self) -> &'static str;
-
     /// Runs the tuning method against `objective` over `space`, using `rng`
     /// for all stochastic choices, and returns the evaluation history.
     ///
@@ -177,6 +180,20 @@ pub trait Tuner {
         objective: &mut dyn Objective,
         rng: &mut StdRng,
     ) -> Result<TuningOutcome>;
+}
+
+/// The sequential reference driver [`run_scheduler`] over a fresh scheduler,
+/// so pull-style and ask/tell campaigns of one method produce identical
+/// [`TuningOutcome`]s.
+impl<T: IntoScheduler> Tuner for T {
+    fn tune(
+        &self,
+        space: &SearchSpace,
+        objective: &mut dyn Objective,
+        rng: &mut StdRng,
+    ) -> Result<TuningOutcome> {
+        run_scheduler(&mut self.scheduler()?, space, objective, rng)
+    }
 }
 
 #[cfg(test)]

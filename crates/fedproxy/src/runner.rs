@@ -5,13 +5,18 @@ use crate::Result;
 use feddata::{FederatedDataset, Split};
 use fedhpo::{HpConfig, SearchSpace};
 use fedmodels::{AnyModel, ModelSpec};
-use fedsim::evaluation::{evaluate_full_with, FederatedEvaluation};
-use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig, WeightingScheme};
+use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
+use fedsim::{FederatedTrainer, TrainerConfig, TrainingRun, WeightingScheme};
 
 /// Trains individual hyperparameter configurations on a dataset and reports
 /// their full-validation error — the basic unit of work behind every
 /// experiment in the paper ("train a single model for a given FedAdam HP
-/// configuration" in the artifact's `fedtrain_simple`).
+/// configuration" in the artifact's `fedtrain_simple`). It is also the one
+/// place a configuration becomes a started [`TrainingRun`]
+/// ([`start`](Self::start)): `run` and the live tuning objectives of
+/// `fedtune_core` all go through it. Rounds and the validation pass run
+/// sequentially inside one configuration; callers parallelise *across*
+/// configurations (`fedtune_core::TrialRunner`, the scheduler drivers).
 #[derive(Debug, Clone)]
 pub struct ConfigRunner {
     space: SearchSpace,
@@ -19,7 +24,6 @@ pub struct ConfigRunner {
     clients_per_round: usize,
     weighting: WeightingScheme,
     rounds: usize,
-    execution: ExecutionPolicy,
 }
 
 /// The result of training one configuration.
@@ -42,16 +46,7 @@ impl ConfigRunner {
             clients_per_round: 10,
             weighting: WeightingScheme::ByExamples,
             rounds,
-            execution: ExecutionPolicy::Sequential,
         }
-    }
-
-    /// Overrides the execution policy used for round-level client training
-    /// and evaluation. Both policies produce bit-identical results.
-    #[must_use]
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Overrides the number of clients sampled per training round
@@ -77,6 +72,27 @@ impl ConfigRunner {
         self.rounds
     }
 
+    /// Maps `config` onto federated hyperparameters and starts its training
+    /// run on `dataset` at round zero, seeded by `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hyperparameter-mapping and trainer-configuration errors.
+    pub fn start(
+        &self,
+        dataset: &FederatedDataset,
+        config: &HpConfig,
+        seed: u64,
+    ) -> Result<TrainingRun> {
+        let trainer = FederatedTrainer::new(TrainerConfig {
+            clients_per_round: self.clients_per_round,
+            hyperparams: hyperparams_from_config(&self.space, config)?,
+            weighting: self.weighting,
+            ..TrainerConfig::default()
+        })?;
+        Ok(trainer.start(dataset, self.model_spec, seed)?)
+    }
+
     /// Trains `config` on `dataset` for the configured number of rounds and
     /// evaluates it on the full validation pool.
     ///
@@ -89,22 +105,9 @@ impl ConfigRunner {
         config: &HpConfig,
         seed: u64,
     ) -> Result<ConfigRunResult> {
-        let hyperparams = hyperparams_from_config(&self.space, config)?;
-        let trainer_config = TrainerConfig {
-            clients_per_round: self.clients_per_round,
-            hyperparams,
-            weighting: self.weighting,
-            execution: self.execution,
-        };
-        let trainer = FederatedTrainer::new(trainer_config)?;
-        let run = trainer.train(dataset, self.model_spec, self.rounds, seed)?;
-        let evaluation = evaluate_full_with(
-            &self.execution,
-            run.model(),
-            dataset,
-            Split::Validation,
-            self.weighting,
-        )?;
+        let mut run = self.start(dataset, config, seed)?;
+        run.run_rounds(dataset, self.rounds)?;
+        let evaluation = evaluate_full(run.model(), dataset, Split::Validation, self.weighting)?;
         let full_error = evaluation.weighted_error()?;
         Ok(ConfigRunResult {
             model: run.into_model(),
@@ -119,7 +122,6 @@ mod tests {
     use super::*;
     use feddata::{Benchmark, DatasetSpec, Scale};
     use fedmath::rng::rng_for;
-    use fedsim::evaluation::evaluate_full;
 
     #[test]
     fn runner_trains_and_evaluates_a_config() {

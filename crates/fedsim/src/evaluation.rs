@@ -203,7 +203,8 @@ pub fn evaluate_clients_with<M: Model>(
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
     let evaluated: Vec<Result<Option<ClientEvaluation>>> =
-        exec::map_indexed(policy, indices, |_, &idx| {
+        exec::map_range(policy, indices.len(), |i| {
+            let idx = indices[i];
             let client = clients.get(idx).ok_or_else(|| SimError::Sampling {
                 message: format!(
                     "client index {idx} out of range for pool of {}",

@@ -4,10 +4,10 @@
 //!
 //! Two properties make this safe for the simulator's numerics:
 //!
-//! 1. **Order-preserving fan-out.** [`map_range`]/[`map_indexed`] always
-//!    return results in index order, and every work item must derive its
-//!    randomness from its *index* (see `fedmath::SeedTree`), never from a
-//!    shared sequential RNG — so scheduling cannot leak into the output.
+//! 1. **Order-preserving fan-out.** [`map_range`] always returns results in
+//!    index order, and every work item must derive its randomness from its
+//!    *index* (see `fedmath::SeedTree`), never from a shared sequential RNG
+//!    — so scheduling cannot leak into the output.
 //! 2. **Fixed-shape reduction.** [`map_chunks`] partitions work over fixed
 //!    chunk boundaries ([`REDUCE_CHUNK`]) that depend only on the problem
 //!    size; folding within chunks and combining the partials left-to-right
@@ -61,11 +61,6 @@ pub enum ExecutionPolicy {
 }
 
 impl ExecutionPolicy {
-    /// The sequential policy.
-    pub fn sequential() -> Self {
-        ExecutionPolicy::Sequential
-    }
-
     /// A parallel policy using all available cores.
     pub fn parallel() -> Self {
         ExecutionPolicy::Parallel { threads: 0 }
@@ -79,37 +74,25 @@ impl ExecutionPolicy {
     /// The policy selected by the `FEDTUNE_THREADS` environment variable:
     /// `1` means sequential, any other number is a parallel worker count
     /// (`0` = all cores). Unset, empty, or unparsable values fall back to
-    /// [`parallel`](Self::parallel) — the default every example and bench
-    /// used before the override existed. A malformed value warns on stderr
-    /// once per process (see [`threads_env_override`]).
+    /// [`parallel`](Self::parallel). The variable is read once per process
+    /// and the answer cached, so every pool and policy in a run agrees on
+    /// one thread count; a malformed value (e.g. `FEDTUNE_THREADS=lots`)
+    /// warns on stderr that one time.
+    ///
+    /// This is for the edge of a process — a `main`, a bench, a test.
+    /// Library code takes the policy (or a runner built from it) as an
+    /// argument.
     pub fn from_env() -> Self {
-        Self::from_threads(threads_env_override())
-    }
-
-    /// [`from_env`](Self::from_env) with the raw variable value injected
-    /// (separated out so the parsing is testable without mutating the
-    /// process environment). Unlike [`from_env`](Self::from_env) this
-    /// never warns: callers inject the value deliberately.
-    pub fn from_threads_override(value: Option<&str>) -> Self {
-        Self::from_threads(parse_threads_override(value).unwrap_or(None))
-    }
-
-    /// The policy implied by an explicit thread count: `Some(1)` →
-    /// sequential, `Some(n)` → parallel with `n` workers (`0` = all cores),
-    /// `None` → the parallel default. The single interpretation shared by
-    /// [`from_env`](Self::from_env), [`from_threads_override`](Self::from_threads_override),
-    /// and pool constructors.
-    pub fn from_threads(threads: Option<usize>) -> Self {
-        match threads {
-            Some(1) => ExecutionPolicy::Sequential,
-            Some(threads) => ExecutionPolicy::Parallel { threads },
-            None => ExecutionPolicy::parallel(),
-        }
-    }
-
-    /// Returns `true` if this policy fans out over threads.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, ExecutionPolicy::Parallel { .. })
+        static PARSED: std::sync::OnceLock<ExecutionPolicy> = std::sync::OnceLock::new();
+        *PARSED.get_or_init(|| {
+            parse_threads(std::env::var("FEDTUNE_THREADS").ok().as_deref()).unwrap_or_else(|raw| {
+                eprintln!(
+                    "warning: FEDTUNE_THREADS={raw:?} is not a thread count; \
+                     falling back to the parallel default (all cores)"
+                );
+                ExecutionPolicy::parallel()
+            })
+        })
     }
 
     /// The real worker-thread count this policy implies for a long-lived
@@ -136,51 +119,21 @@ impl ExecutionPolicy {
     }
 }
 
-/// Parses a raw `FEDTUNE_THREADS` value into a thread count.
-///
-/// `Ok(None)` means unset or empty (use the default), `Ok(Some(n))` is an
-/// explicit count, and `Err(raw)` reports a malformed value so the caller
-/// decides how loudly to complain. This is the **single** parse of the
-/// variable: [`ExecutionPolicy::from_env`], [`ExecutionPolicy::from_threads_override`],
-/// and [`threads_env_override`] all go through it, so a malformed value can
-/// never be silently ignored by one path while another honors it.
-///
-/// # Errors
-///
-/// Returns the trimmed raw value when it is non-empty but not a `usize`.
-pub fn parse_threads_override(value: Option<&str>) -> std::result::Result<Option<usize>, String> {
-    let Some(raw) = value.map(str::trim) else {
-        return Ok(None);
-    };
+/// The one parse of a raw `FEDTUNE_THREADS` value, behind
+/// [`ExecutionPolicy::from_env`]: unset or empty is the parallel default,
+/// `1` is sequential, any other count is that many workers, and a value
+/// that is not a `usize` comes back trimmed as the error so the caller can
+/// name it in its warning.
+fn parse_threads(value: Option<&str>) -> std::result::Result<ExecutionPolicy, String> {
+    let raw = value.map_or("", str::trim);
     if raw.is_empty() {
-        return Ok(None);
+        return Ok(ExecutionPolicy::parallel());
     }
     match raw.parse::<usize>() {
-        Ok(threads) => Ok(Some(threads)),
+        Ok(1) => Ok(ExecutionPolicy::Sequential),
+        Ok(threads) => Ok(ExecutionPolicy::Parallel { threads }),
         Err(_) => Err(raw.to_string()),
     }
-}
-
-/// The process-wide `FEDTUNE_THREADS` override, parsed once and cached.
-///
-/// A malformed value (e.g. `FEDTUNE_THREADS=lots`) warns on stderr exactly
-/// once per process and then behaves as unset. The cache also pins the
-/// interpretation for the process lifetime, so every pool and policy in a
-/// run agrees on the same thread count.
-pub fn threads_env_override() -> Option<usize> {
-    static PARSED: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *PARSED.get_or_init(|| {
-        match parse_threads_override(std::env::var("FEDTUNE_THREADS").ok().as_deref()) {
-            Ok(threads) => threads,
-            Err(raw) => {
-                eprintln!(
-                    "warning: FEDTUNE_THREADS={raw:?} is not a thread count; \
-                     falling back to the parallel default (all cores)"
-                );
-                None
-            }
-        }
-    })
 }
 
 /// Applies `f` to every index in `0..len`, returning results in index order.
@@ -188,7 +141,9 @@ pub fn threads_env_override() -> Option<usize> {
 /// Under [`ExecutionPolicy::Parallel`] the index range is split into
 /// contiguous chunks, one scoped thread per chunk; results are stitched back
 /// together in chunk order, so the output is identical to the sequential
-/// policy whenever `f` is a pure function of its index.
+/// policy whenever `f` is a pure function of its index. A panic in `f`
+/// reaches the caller with its own payload under every policy (the
+/// lowest-index chunk's, when several workers panic).
 pub fn map_range<O, F>(policy: &ExecutionPolicy, len: usize, f: F) -> Vec<O>
 where
     O: Send,
@@ -210,21 +165,14 @@ where
             .collect();
         let mut out = Vec::with_capacity(len);
         for handle in handles {
-            out.extend(handle.join().expect("execution-engine worker panicked"));
+            out.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
         out
     })
-}
-
-/// Applies `f` to every element of `items` (with its index), returning
-/// results in input order. See [`map_range`] for the execution contract.
-pub fn map_indexed<T, O, F>(policy: &ExecutionPolicy, items: &[T], f: F) -> Vec<O>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(usize, &T) -> O + Sync,
-{
-    map_range(policy, items.len(), |i| f(i, &items[i]))
 }
 
 /// Applies `f` to fixed contiguous `chunk_size`-sized index chunks of
@@ -482,63 +430,32 @@ mod tests {
     #[test]
     fn policy_constructors_and_threads() {
         assert_eq!(ExecutionPolicy::default(), ExecutionPolicy::Sequential);
-        assert!(!ExecutionPolicy::sequential().is_parallel());
-        assert!(ExecutionPolicy::parallel().is_parallel());
         assert_eq!(
             ExecutionPolicy::parallel_with(3),
             ExecutionPolicy::Parallel { threads: 3 }
         );
         assert_eq!(ExecutionPolicy::Sequential.effective_threads(100), 1);
-        // The FEDTUNE_THREADS override: 1 = sequential, n = parallel with n
-        // workers, 0 = all cores, anything else = the parallel default.
-        assert_eq!(
-            ExecutionPolicy::from_threads_override(Some("1")),
-            ExecutionPolicy::Sequential
-        );
-        assert_eq!(
-            ExecutionPolicy::from_threads_override(Some(" 4 ")),
-            ExecutionPolicy::Parallel { threads: 4 }
-        );
-        assert_eq!(
-            ExecutionPolicy::from_threads_override(Some("0")),
-            ExecutionPolicy::parallel()
-        );
-        assert_eq!(
-            ExecutionPolicy::from_threads_override(Some("lots")),
-            ExecutionPolicy::parallel()
-        );
-        assert_eq!(
-            ExecutionPolicy::from_threads_override(None),
-            ExecutionPolicy::parallel()
-        );
         assert_eq!(ExecutionPolicy::parallel_with(4).effective_threads(2), 2);
         assert_eq!(ExecutionPolicy::parallel_with(4).effective_threads(0), 1);
         assert!(ExecutionPolicy::parallel().effective_threads(64) >= 1);
     }
 
     #[test]
-    fn parse_threads_override_distinguishes_unset_from_malformed() {
-        assert_eq!(parse_threads_override(None), Ok(None));
-        assert_eq!(parse_threads_override(Some("")), Ok(None));
-        assert_eq!(parse_threads_override(Some("  ")), Ok(None));
-        assert_eq!(parse_threads_override(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_threads_override(Some(" 8 ")), Ok(Some(8)));
-        assert_eq!(parse_threads_override(Some("0")), Ok(Some(0)));
-        assert_eq!(parse_threads_override(Some("lots")), Err("lots".into()));
-        assert_eq!(parse_threads_override(Some("-3")), Err("-3".into()));
-        // from_threads is the shared interpretation of the parsed count.
+    fn threads_override_parses_to_a_policy_or_names_the_malformed_value() {
+        // 1 = sequential, n = parallel with n workers, 0 = all cores, unset
+        // or blank = the parallel default.
+        assert_eq!(parse_threads(Some("1")), Ok(ExecutionPolicy::Sequential));
         assert_eq!(
-            ExecutionPolicy::from_threads(Some(1)),
-            ExecutionPolicy::Sequential
+            parse_threads(Some(" 4 ")),
+            Ok(ExecutionPolicy::Parallel { threads: 4 })
         );
-        assert_eq!(
-            ExecutionPolicy::from_threads(Some(6)),
-            ExecutionPolicy::Parallel { threads: 6 }
-        );
-        assert_eq!(
-            ExecutionPolicy::from_threads(None),
-            ExecutionPolicy::parallel()
-        );
+        assert_eq!(parse_threads(Some("0")), Ok(ExecutionPolicy::parallel()));
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(parse_threads(unset), Ok(ExecutionPolicy::parallel()));
+        }
+        // Malformed values come back trimmed, for `from_env`'s one warning.
+        assert_eq!(parse_threads(Some(" lots ")), Err("lots".into()));
+        assert_eq!(parse_threads(Some("-3")), Err("-3".into()));
     }
 
     #[test]
@@ -588,13 +505,6 @@ mod tests {
         }
         let empty: Vec<usize> = map_range(&ExecutionPolicy::parallel(), 0, |i| i);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn map_indexed_passes_elements() {
-        let items = vec![10, 20, 30];
-        let out = map_indexed(&ExecutionPolicy::parallel_with(2), &items, |i, &v| v + i);
-        assert_eq!(out, vec![10, 21, 32]);
     }
 
     /// A chunk-fold + ordered combine, as `run_round`'s aggregation does it.

@@ -16,9 +16,12 @@
 //!   accuracy-biased sampling `(a + δ)^b` used to model systems heterogeneity
 //!   in §3.2.
 //! - [`exec`] is the deterministic execution engine: an
-//!   [`exec::ExecutionPolicy`] knob (`Sequential` or `Parallel`) governs how
-//!   client training and evaluation fan out over threads, with bit-identical
-//!   results under every policy.
+//!   [`exec::ExecutionPolicy`] (`Sequential` or `Parallel`) governs how the
+//!   clients of a round ([`TrainerConfig`]'s `execution`) and of a validation
+//!   pass (`evaluation::evaluate_*_with`) fan out over threads, with
+//!   bit-identical results under every policy. [`ExecutionPolicy::from_env`]
+//!   is the only reader of `FEDTUNE_THREADS`, and it is for the edge of a
+//!   process: nothing in this crate calls it.
 //! - [`clock`] is the virtual-time layer for discrete-event campaign
 //!   simulation: a monotone [`clock::VirtualClock`], a completion queue with
 //!   total deterministic `(sim_time, key)` ordering, a virtual
@@ -54,10 +57,7 @@ pub mod training;
 
 pub use clock::{ClientRuntimeModel, CostModel, EventKey, EventQueue, VirtualClock, WorkerPool};
 pub use evaluation::{ClientEvaluation, FederatedEvaluation, WeightingScheme};
-pub use exec::{
-    parse_threads_override, threads_env_override, with_thread_pool, ExecutionPolicy, SharedPool,
-    ThreadPool,
-};
+pub use exec::{with_thread_pool, ExecutionPolicy, SharedPool, ThreadPool};
 pub use hyperparams::{FedAdamConfig, FederatedHyperparams};
 pub use sampling::{BiasedSampler, ClientSampler, UniformSampler};
 pub use server::{FedAdam, FedAvg, FedSgd, ServerOptimizer};

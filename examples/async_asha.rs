@@ -68,7 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total_evaluations += run.evaluations as u64;
         total_sim += run.sim_elapsed;
     }
-    summary.record_sim(total_sim, total_evaluations);
+    summary.headline("sim_elapsed", total_sim);
+    summary.headline(
+        "trials_per_sim_hour",
+        total_evaluations as f64 / (total_sim / 3600.0),
+    );
 
     println!("\nTime-to-accuracy (selected configuration's true error over simulated time):");
     println!("{}", comparison.to_report()?.to_table());

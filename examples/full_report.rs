@@ -15,7 +15,7 @@ use fedtune::fedtune_core::experiments::heterogeneity::{
     run_systems_heterogeneity, systems_heterogeneity_report,
 };
 use fedtune::fedtune_core::experiments::methods::{
-    paper_noise_settings, run_headline, run_method_comparison_with,
+    paper_noise_settings, run_headline, run_method_comparison,
 };
 use fedtune::fedtune_core::experiments::privacy::{privacy_report, run_privacy_sweep};
 use fedtune::fedtune_core::experiments::proxy::{
@@ -23,10 +23,10 @@ use fedtune::fedtune_core::experiments::proxy::{
 };
 use fedtune::fedtune_core::experiments::space_ablation::run_space_ablation;
 use fedtune::fedtune_core::experiments::subsampling::{
-    budget_report, run_budget_curves, run_subsampling_sweep_with, subsampling_report,
+    budget_report, run_budget_curves, run_subsampling_sweep, subsampling_report,
 };
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
-use fedtune::fedtune_core::{ExecutionPolicy, ExperimentScale, TrialRunner};
+use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn scale_from_env() -> ExperimentScale {
     match std::env::var("FEDTUNE_SCALE").as_deref() {
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     // FEDTUNE_THREADS overrides the trial fan-out (1 = sequential, N = N
     // threads, 0/unset = all cores); results are bit-identical either way.
-    let runner = TrialRunner::new(ExecutionPolicy::from_env());
+    let runner = TrialRunner::from_env();
     let seed = 2026;
     println!("fedtune full report — scale: {scale:?}\n");
 
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sweeps = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig3] {b}");
-        sweeps.push(run_subsampling_sweep_with(&runner, b, &scale, seed)?);
+        sweeps.push(run_subsampling_sweep(&runner, b, &scale, seed)?);
     }
     println!("{}", subsampling_report(&sweeps).to_table());
 
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut curves = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig5] {b}");
-        curves.push(run_budget_curves(b, &scale, seed)?);
+        curves.push(run_budget_curves(&runner, b, &scale, seed)?);
     }
     println!("{}", budget_report(&curves).to_table());
 
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut het = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig4] {b}");
-        het.push(run_data_heterogeneity(b, &scale, seed)?);
+        het.push(run_data_heterogeneity(&runner, b, &scale, seed)?);
     }
     println!("{}", data_heterogeneity_report(&het).to_table());
 
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sys = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig6] {b}");
-        sys.push(run_systems_heterogeneity(b, &scale, seed)?);
+        sys.push(run_systems_heterogeneity(&runner, b, &scale, seed)?);
     }
     println!("{}", systems_heterogeneity_report(&sys).to_table());
 
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scatters = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig7] {b}");
-        scatters.push(run_min_client_scatter(b, &scale, seed)?);
+        scatters.push(run_min_client_scatter(&runner, b, &scale, seed)?);
     }
     let fig7 = min_client_report(&scatters);
     // The scatter has one row per configuration; print only the notes to keep
@@ -98,13 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut priv_sweeps = Vec::new();
     for &b in &Benchmark::ALL {
         eprintln!("[fig9] {b}");
-        priv_sweeps.push(run_privacy_sweep(b, &scale, seed)?);
+        priv_sweeps.push(run_privacy_sweep(&runner, b, &scale, seed)?);
     }
     println!("{}", privacy_report(&priv_sweeps).to_table());
 
     println!("---- Fig. 8 / 15 / 16: method comparison (cifar10-like) ----");
     eprintln!("[fig8] cifar10-like");
-    let comparison = run_method_comparison_with(
+    let comparison = run_method_comparison(
         &runner,
         Benchmark::Cifar10Like,
         &scale,
@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("---- Fig. 1: headline ----");
     eprintln!("[fig1]");
-    let headline = run_headline(&scale, seed)?;
+    let headline = run_headline(&runner, &scale, seed)?;
     println!("{}", headline.to_report().to_table());
 
     println!("---- Fig. 10/14: HP transfer ----");
@@ -143,13 +143,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("---- Fig. 12: proxy vs noisy evaluation ----");
     for &b in &Benchmark::ALL {
         eprintln!("[fig12] {b}");
-        let result = run_proxy_vs_noisy(b, &scale, seed)?;
+        let result = run_proxy_vs_noisy(&runner, b, &scale, seed)?;
         println!("{}", result.to_report().to_table());
     }
 
     println!("---- Fig. 13: search-space ablation (cifar10-like) ----");
     eprintln!("[fig13]");
-    let ablation = run_space_ablation(Benchmark::Cifar10Like, &scale, seed)?;
+    let ablation = run_space_ablation(&runner, Benchmark::Cifar10Like, &scale, seed)?;
     println!("{}", ablation.to_report().to_table());
 
     println!("full report complete");

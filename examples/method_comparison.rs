@@ -9,10 +9,8 @@
 //! so the campaign's wall-clock is tracked alongside the bench harness.
 
 use feddata::Benchmark;
-use fedtune::fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison_with,
-};
-use fedtune::fedtune_core::{ExecutionPolicy, ExperimentScale, TrialRunner};
+use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, run_method_comparison};
+use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Smoke scale keeps this example under a minute; use
@@ -22,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let campaigns = (4 * 2 * scale.method_trials) as u64;
     // FEDTUNE_THREADS overrides the trial fan-out (1 = sequential, N = N
     // threads, 0/unset = all cores); results are bit-identical either way.
-    let runner = TrialRunner::new(ExecutionPolicy::from_env());
+    let runner = TrialRunner::from_env();
     let comparison = summary.time("live_method_comparison", campaigns, || {
-        run_method_comparison_with(
+        run_method_comparison(
             &runner,
             Benchmark::Cifar10Like,
             &scale,

@@ -11,10 +11,8 @@
 
 use feddata::Benchmark;
 use fedtune::fedtune_core::experiments::privacy::{privacy_report, run_privacy_sweep};
-use fedtune::fedtune_core::experiments::subsampling::{
-    run_subsampling_sweep_with, subsampling_report,
-};
-use fedtune::fedtune_core::{ExecutionPolicy, ExperimentScale, TrialRunner};
+use fedtune::fedtune_core::experiments::subsampling::{run_subsampling_sweep, subsampling_report};
+use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The smoke scale finishes in seconds; switch to
@@ -24,16 +22,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut summary = fedbench::BenchSummary::new("noisy_evaluation_sweep");
 
     // FEDTUNE_THREADS overrides the trial fan-out; results are identical.
-    let runner = TrialRunner::new(ExecutionPolicy::from_env());
+    let runner = TrialRunner::from_env();
     println!("== Client subsampling (Fig. 3 shape) ==");
     let sweep = summary.time("subsampling_sweep", scale.bootstrap_trials as u64, || {
-        run_subsampling_sweep_with(&runner, benchmark, &scale, 0)
+        run_subsampling_sweep(&runner, benchmark, &scale, 0)
     })?;
     println!("{}", subsampling_report(&[sweep]).to_table());
 
     println!("== Differential privacy (Fig. 9 shape) ==");
     let privacy = summary.time("privacy_sweep", scale.bootstrap_trials as u64, || {
-        run_privacy_sweep(benchmark, &scale, 0)
+        run_privacy_sweep(&runner, benchmark, &scale, 0)
     })?;
     println!("{}", privacy_report(&[privacy]).to_table());
 

@@ -16,8 +16,9 @@
 
 use fedtune::feddata::Benchmark;
 use fedtune::fedtune_core::experiments::population::{
-    run_population_noise, PopulationExperimentScale,
+    run_population_noise_with, PopulationExperimentScale,
 };
+use fedtune::fedtune_core::TrialRunner;
 
 fn scale_from_env() -> PopulationExperimentScale {
     match std::env::var("FEDPOP_SCALE").as_deref() {
@@ -29,6 +30,8 @@ fn scale_from_env() -> PopulationExperimentScale {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
+    // FEDTUNE_THREADS overrides the trial fan-out; results are identical.
+    let runner = TrialRunner::from_env();
     let mut summary = fedbench::BenchSummary::new("population_noise");
     println!(
         "population noise sweep: N in {:?}, K in {:?}, {} configs x {} repeats",
@@ -38,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (scale.populations.len() * scale.cohort_sizes.len() * scale.num_configs * scale.repeats)
             as u64;
     let result = summary.time("population_noise_sweep", cells, || {
-        run_population_noise(Benchmark::Cifar10Like, &scale, 0)
+        run_population_noise_with(&runner, Benchmark::Cifar10Like, &scale, 0)
     })?;
     println!("{}", result.to_report().to_table());
 
@@ -48,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         peak_resident = peak_resident.max(sweep.cache_peak_resident as u64);
         hit_rate = hit_rate.max(sweep.cache_hit_rate);
     }
-    summary.record_population(peak_resident, hit_rate);
+    summary.headline("peak_resident_clients", peak_resident as f64);
+    summary.headline("cache_hit_rate", hit_rate);
     summary.write_if_enabled();
 
     // The CI gate: more evaluation clients => strictly less noise and

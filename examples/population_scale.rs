@@ -198,7 +198,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         throughput_probe as f64 / elapsed
     );
 
-    summary.record_population(peak_resident as u64, stats.hit_rate());
+    summary.headline("peak_resident_clients", peak_resident as f64);
+    summary.headline("cache_hit_rate", stats.hit_rate());
     summary.write_if_enabled();
     Ok(())
 }

@@ -14,11 +14,14 @@ use fedpop::{
 };
 use fedsim::clock::VirtualClock;
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
+use fedtune_core::experiments::heterogeneity::{run_data_heterogeneity, run_systems_heterogeneity};
 use fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison_scheduled, run_method_comparison_with, TuningMethod,
+    paper_noise_settings, run_method_comparison, run_method_comparison_scheduled, TuningMethod,
 };
+use fedtune_core::experiments::privacy::run_privacy_sweep;
+use fedtune_core::experiments::space_ablation::run_space_ablation;
 use fedtune_core::experiments::stragglers::straggler_cost_model;
-use fedtune_core::experiments::subsampling::run_subsampling_sweep_with;
+use fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune_core::{
     run_event_driven, run_event_driven_concurrent, run_event_driven_concurrent_traced,
     run_event_driven_traced, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective,
@@ -142,11 +145,10 @@ fn config_pool_training_is_bit_identical_across_policies() {
     for &seed in &SEEDS {
         let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
         let sequential =
-            ConfigPool::train_with(&ctx, scale.pool_size, seed, &TrialRunner::sequential())
-                .unwrap();
+            ConfigPool::train(&TrialRunner::sequential(), &ctx, scale.pool_size, seed).unwrap();
         for &threads in &THREAD_COUNTS {
             let runner = TrialRunner::new(ExecutionPolicy::parallel_with(threads));
-            let parallel = ConfigPool::train_with(&ctx, scale.pool_size, seed, &runner).unwrap();
+            let parallel = ConfigPool::train(&runner, &ctx, scale.pool_size, seed).unwrap();
             assert_eq!(sequential.len(), parallel.len());
             assert_bits_equal(
                 &format!("pool errors, seed {seed}, {threads} threads"),
@@ -171,14 +173,14 @@ fn subsampling_experiment_is_bit_identical_across_policies() {
     // bootstrap sweep.
     let scale = ExperimentScale::smoke();
     for &seed in &SEEDS {
-        let sequential = run_subsampling_sweep_with(
+        let sequential = run_subsampling_sweep(
             &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
             &scale,
             seed,
         )
         .unwrap();
-        let parallel = run_subsampling_sweep_with(
+        let parallel = run_subsampling_sweep(
             &TrialRunner::new(ExecutionPolicy::parallel_with(4)),
             Benchmark::Cifar10Like,
             &scale,
@@ -189,13 +191,42 @@ fn subsampling_experiment_is_bit_identical_across_policies() {
     }
 }
 
+/// `run` on a sequential runner and on four threads gives equal results.
+fn assert_equal_across_runners<T: PartialEq + std::fmt::Debug>(
+    figure: &str,
+    run: impl Fn(&TrialRunner) -> T,
+) {
+    let sequential = run(&TrialRunner::sequential());
+    let parallel = run(&TrialRunner::new(ExecutionPolicy::parallel_with(4)));
+    assert_eq!(sequential, parallel, "{figure}");
+}
+
+#[test]
+fn pooled_noise_figures_are_bit_identical_across_policies() {
+    // Figs 4 / 6 / 9 / 13 end to end: pool training, re-evaluation and
+    // every bootstrap sweep, one seed and one thread count each.
+    let (benchmark, scale, seed) = (Benchmark::Cifar10Like, ExperimentScale::smoke(), 7);
+    assert_equal_across_runners("fig 4", |runner| {
+        run_data_heterogeneity(runner, benchmark, &scale, seed).unwrap()
+    });
+    assert_equal_across_runners("fig 6", |runner| {
+        run_systems_heterogeneity(runner, benchmark, &scale, seed).unwrap()
+    });
+    assert_equal_across_runners("fig 9", |runner| {
+        run_privacy_sweep(runner, benchmark, &scale, seed).unwrap()
+    });
+    assert_equal_across_runners("fig 13", |runner| {
+        run_space_ablation(runner, benchmark, &scale, seed).unwrap()
+    });
+}
+
 #[test]
 fn method_comparison_is_bit_identical_across_policies() {
     // The live-training campaign (RS/TPE/HB/BOHB × noise settings × trials)
     // through the engine: heavier, so one seed and one thread count.
     let scale = ExperimentScale::smoke();
     let noise_settings = paper_noise_settings();
-    let sequential = run_method_comparison_with(
+    let sequential = run_method_comparison(
         &TrialRunner::sequential(),
         Benchmark::Cifar10Like,
         &scale,
@@ -203,7 +234,7 @@ fn method_comparison_is_bit_identical_across_policies() {
         3,
     )
     .unwrap();
-    let parallel = run_method_comparison_with(
+    let parallel = run_method_comparison(
         &TrialRunner::new(ExecutionPolicy::parallel_with(4)),
         Benchmark::Cifar10Like,
         &scale,
@@ -301,7 +332,7 @@ fn event_driven_campaign(
     let mut rng = fedmath::rng::rng_for(seed, 1);
     let sim = VirtualExecution::new(3, straggler_cost_model(scale, seed));
     let (scheduler, space) = (scheduler.as_mut(), ctx.space());
-    let outcome = if policy.is_parallel() {
+    let outcome = if matches!(policy, ExecutionPolicy::Parallel { .. }) {
         let threads = policy.pool_threads();
         run_event_driven_concurrent_traced(
             scheduler,

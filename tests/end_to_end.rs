@@ -8,7 +8,7 @@ use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, run_meth
 use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
 use fedtune::fedtune_core::{
-    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig,
+    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig, TrialRunner,
 };
 
 fn smoke() -> ExperimentScale {
@@ -30,20 +30,19 @@ fn full_tuning_pipeline_with_each_tuner() {
     let scale = smoke();
     let ctx = BenchmarkContext::new(Benchmark::FemnistLike, &scale, 1).unwrap();
 
-    let tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(RandomSearch::new(3, 4)),
-        Box::new(Tpe::new(3, 4)),
-        Box::new(Hyperband::new(4, 3, Some(2))),
+    let tuners: Vec<(&str, Box<dyn Tuner>)> = vec![
+        ("rs", Box::new(RandomSearch::new(3, 4))),
+        ("tpe", Box::new(Tpe::new(3, 4))),
+        ("hb", Box::new(Hyperband::new(4, 3, Some(2)))),
     ];
-    for tuner in tuners {
+    for (name, tuner) in tuners {
         let mut objective =
             FederatedObjective::new(&ctx, NoiseConfig::subsampled(0.3), 8, 2).unwrap();
         let mut rng = fedmath::rng::rng_for(3, 0);
         let outcome = tuner.tune(ctx.space(), &mut objective, &mut rng).unwrap();
         assert!(
             outcome.num_evaluations() > 0,
-            "{} produced no evaluations",
-            tuner.name()
+            "{name} produced no evaluations"
         );
         assert!(!objective.log().is_empty());
         // Every logged evaluation must carry a valid true error.
@@ -61,7 +60,7 @@ fn pool_based_and_live_objectives_agree_on_the_noiseless_truth() {
     // error; for the same configuration and seed they must agree exactly.
     let scale = smoke();
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 4).unwrap();
-    let pool = ConfigPool::train_sized(&ctx, 2, 99).unwrap();
+    let pool = ConfigPool::train(&TrialRunner::from_env(), &ctx, 2, 99).unwrap();
     for entry in pool.entries() {
         let recheck = fedsim::evaluation::evaluate_full(
             &entry.model,
@@ -78,7 +77,8 @@ fn pool_based_and_live_objectives_agree_on_the_noiseless_truth() {
 
 #[test]
 fn subsampling_sweep_runs_for_text_benchmark() {
-    let sweep = run_subsampling_sweep(Benchmark::RedditLike, &smoke(), 5).unwrap();
+    let sweep = run_subsampling_sweep(&TrialRunner::from_env(), Benchmark::RedditLike, &smoke(), 5)
+        .unwrap();
     assert!(!sweep.points.is_empty());
     // Error percentages stay in range.
     for p in &sweep.points {
@@ -89,8 +89,14 @@ fn subsampling_sweep_runs_for_text_benchmark() {
 #[test]
 fn method_comparison_produces_bars_for_all_methods() {
     let scale = smoke();
-    let comparison =
-        run_method_comparison(Benchmark::Cifar10Like, &scale, &paper_noise_settings(), 6).unwrap();
+    let comparison = run_method_comparison(
+        &TrialRunner::from_env(),
+        Benchmark::Cifar10Like,
+        &scale,
+        &paper_noise_settings(),
+        6,
+    )
+    .unwrap();
     let bars = comparison.bars_at(scale.total_budget).unwrap();
     let names: Vec<&str> = bars.iter().map(|b| b.name.as_str()).collect();
     for method in ["RS", "TPE", "HB", "BOHB"] {

@@ -5,27 +5,39 @@
 use feddata::Benchmark;
 use feddp::PrivacyBudget;
 use fedtune::fedtune_core::experiments::{simulated_rs_trials, subsample_rate_grid};
-use fedtune::fedtune_core::{BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig};
+use fedtune::fedtune_core::{
+    BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig, TrialRunner,
+};
 
 /// A slightly larger pool than the smoke scale so selection effects are
 /// visible above sampling noise, while staying fast enough for CI.
-fn pool_and_ctx() -> (BenchmarkContext, ConfigPool) {
+fn pool_and_ctx() -> (TrialRunner, BenchmarkContext, ConfigPool) {
     let mut scale = ExperimentScale::smoke();
     scale.pool_size = 24;
     scale.rounds_per_config = 12;
     scale.total_budget = scale.pool_size * scale.rounds_per_config;
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).unwrap();
-    let pool = ConfigPool::train(&ctx, 1).unwrap();
-    (ctx, pool)
+    let runner = TrialRunner::from_env();
+    let pool = ConfigPool::train(&runner, &ctx, scale.pool_size, 1).unwrap();
+    (runner, ctx, pool)
 }
 
 #[test]
 fn observation1_subsampling_hurts_selection() {
-    let (_ctx, pool) = pool_and_ctx();
+    let (runner, _ctx, pool) = pool_and_ctx();
     let trials = 200;
-    let single =
-        simulated_rs_trials(&pool, &NoiseConfig::subsampled(0.1), 8, 8, trials, 3).unwrap();
-    let full = simulated_rs_trials(&pool, &NoiseConfig::noiseless(), 8, 8, trials, 3).unwrap();
+    let single = simulated_rs_trials(
+        &runner,
+        &pool,
+        &NoiseConfig::subsampled(0.1),
+        8,
+        8,
+        trials,
+        3,
+    )
+    .unwrap();
+    let full =
+        simulated_rs_trials(&runner, &pool, &NoiseConfig::noiseless(), 8, 8, trials, 3).unwrap();
     let mean_single = fedmath::stats::mean(&single);
     let mean_full = fedmath::stats::mean(&full);
     assert!(
@@ -36,10 +48,11 @@ fn observation1_subsampling_hurts_selection() {
 
 #[test]
 fn observation5_stricter_privacy_degrades_selection() {
-    let (ctx, pool) = pool_and_ctx();
+    let (runner, ctx, pool) = pool_and_ctx();
     let rate = 3.0 / ctx.dataset().num_val_clients() as f64;
     let trials = 200;
     let strict = simulated_rs_trials(
+        &runner,
         &pool,
         &NoiseConfig::subsampled(rate).with_privacy(PrivacyBudget::Finite(0.1)),
         8,
@@ -49,6 +62,7 @@ fn observation5_stricter_privacy_degrades_selection() {
     )
     .unwrap();
     let non_private = simulated_rs_trials(
+        &runner,
         &pool,
         &NoiseConfig::subsampled(rate).with_privacy(PrivacyBudget::Infinite),
         8,
@@ -77,12 +91,13 @@ fn more_clients_recover_selection_quality() {
     // Observation 1, second half: sampling enough clients recovers most of
     // the loss. Median selected error must be non-increasing (within a small
     // tolerance) as the subsample rate grows.
-    let (ctx, pool) = pool_and_ctx();
+    let (runner, ctx, pool) = pool_and_ctx();
     let population = ctx.dataset().num_val_clients();
     let mut medians = Vec::new();
     for rate in subsample_rate_grid(population) {
         let errors =
-            simulated_rs_trials(&pool, &NoiseConfig::subsampled(rate), 8, 8, 150, 5).unwrap();
+            simulated_rs_trials(&runner, &pool, &NoiseConfig::subsampled(rate), 8, 8, 150, 5)
+                .unwrap();
         medians.push(fedmath::stats::median(&errors).unwrap());
     }
     let first = medians[0];
@@ -95,12 +110,21 @@ fn more_clients_recover_selection_quality() {
 
 #[test]
 fn systems_bias_with_heterogeneity_is_harmful_or_neutral() {
-    let (ctx, pool) = pool_and_ctx();
+    let (runner, ctx, pool) = pool_and_ctx();
     let rate = 1.0 / ctx.dataset().num_val_clients() as f64;
     let trials = 200;
-    let unbiased =
-        simulated_rs_trials(&pool, &NoiseConfig::subsampled(rate), 8, 8, trials, 6).unwrap();
+    let unbiased = simulated_rs_trials(
+        &runner,
+        &pool,
+        &NoiseConfig::subsampled(rate),
+        8,
+        8,
+        trials,
+        6,
+    )
+    .unwrap();
     let biased = simulated_rs_trials(
+        &runner,
         &pool,
         &NoiseConfig::subsampled(rate).with_systems_bias(3.0),
         8,

@@ -5,7 +5,7 @@
 use feddata::{Benchmark, DatasetSpec, Scale};
 use fedhpo::{RandomSearch, Tuner};
 use fedtune::fedtune_core::{
-    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig,
+    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig, TrialRunner,
 };
 
 #[test]
@@ -20,10 +20,11 @@ fn dataset_generation_is_deterministic() {
 fn pool_training_is_deterministic_and_seed_sensitive() {
     let scale = ExperimentScale::smoke();
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).unwrap();
-    let a = ConfigPool::train_sized(&ctx, 3, 5).unwrap();
-    let b = ConfigPool::train_sized(&ctx, 3, 5).unwrap();
+    let runner = TrialRunner::from_env();
+    let a = ConfigPool::train(&runner, &ctx, 3, 5).unwrap();
+    let b = ConfigPool::train(&runner, &ctx, 3, 5).unwrap();
     assert_eq!(a.true_errors(), b.true_errors());
-    let c = ConfigPool::train_sized(&ctx, 3, 6).unwrap();
+    let c = ConfigPool::train(&runner, &ctx, 3, 6).unwrap();
     assert_ne!(a.true_errors(), c.true_errors());
 }
 
@@ -48,7 +49,8 @@ fn noisy_tuning_runs_are_deterministic() {
 fn experiment_reports_are_deterministic() {
     use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
     let scale = ExperimentScale::smoke();
-    let a = run_subsampling_sweep(Benchmark::Cifar10Like, &scale, 2).unwrap();
-    let b = run_subsampling_sweep(Benchmark::Cifar10Like, &scale, 2).unwrap();
+    let runner = TrialRunner::from_env();
+    let a = run_subsampling_sweep(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
+    let b = run_subsampling_sweep(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
     assert_eq!(a, b);
 }
