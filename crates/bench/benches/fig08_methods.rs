@@ -1,23 +1,22 @@
 //! Regenerates Fig. 8: online performance of the tuning methods, noiseless
-//! vs. noisy — now through the batched ask/tell scheduler, including the
-//! ASHA and re-evaluation extensions.
+//! vs. noisy, including the ASHA and re-evaluation extensions.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison, run_method_comparison_scheduled, TuningMethod,
+    paper_noise_settings, run_method_comparison, TuningMethod,
 };
-use fedtune_core::{ExecutionPolicy, TrialRunner};
+use fedtune_core::TrialRunner;
 
 fn regenerate(runner: &TrialRunner) {
     let scale = fedbench::report_scale();
     let mut summary = fedbench::BenchSummary::new("fig08_methods");
     let campaigns = (TuningMethod::EXTENDED.len() * 2 * scale.method_trials) as u64;
-    // The scheduled path is the production one: batches fan out across
-    // threads. Time the sequential policy too so the JSON tracks the speedup.
+    // Batches fan out across the runner's threads. Time the sequential
+    // policy too so the JSON tracks the speedup.
     let comparison = summary.time("scheduled_extended_parallel", campaigns, || {
-        run_method_comparison_scheduled(
-            runner.policy(),
+        run_method_comparison(
+            runner,
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -27,8 +26,8 @@ fn regenerate(runner: &TrialRunner) {
         .expect("scheduled method comparison")
     });
     summary.time("scheduled_extended_sequential", campaigns, || {
-        run_method_comparison_scheduled(
-            ExecutionPolicy::Sequential,
+        run_method_comparison(
+            &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -47,22 +46,10 @@ fn bench(c: &mut Criterion) {
     let scale = fedbench::measurement_scale();
     let mut group = c.benchmark_group("fig08_methods");
     group.sample_size(10);
-    group.bench_function("cifar10_like_all_methods", |b| {
+    group.bench_function("cifar10_like_scheduled_extended", |b| {
         b.iter(|| {
             run_method_comparison(
                 &runner,
-                Benchmark::Cifar10Like,
-                &scale,
-                &paper_noise_settings(),
-                0,
-            )
-            .expect("method comparison")
-        })
-    });
-    group.bench_function("cifar10_like_scheduled_extended", |b| {
-        b.iter(|| {
-            run_method_comparison_scheduled(
-                runner.policy(),
                 Benchmark::Cifar10Like,
                 &scale,
                 &TuningMethod::EXTENDED,

@@ -1,21 +1,21 @@
 //! Regenerates Fig. 15/16: method comparison bars at one-third and full
-//! budget, through the batched ask/tell scheduler with the ASHA and
-//! re-evaluation extensions alongside the paper's four methods.
+//! budget, with the ASHA and re-evaluation extensions alongside the paper's
+//! four methods.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison_scheduled, TuningMethod,
+    paper_noise_settings, run_method_comparison, TuningMethod,
 };
-use fedtune_core::ExecutionPolicy;
+use fedtune_core::TrialRunner;
 
 fn regenerate() {
     let scale = fedbench::report_scale();
     let mut summary = fedbench::BenchSummary::new("fig15_16_method_bars");
     let campaigns = (TuningMethod::EXTENDED.len() * 2 * scale.method_trials) as u64;
     let comparison = summary.time("scheduled_extended_parallel", campaigns, || {
-        run_method_comparison_scheduled(
-            ExecutionPolicy::from_env(),
+        run_method_comparison(
+            &TrialRunner::from_env(),
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -45,8 +45,8 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("cifar10_like_bars", |b| {
         b.iter(|| {
-            let comparison = run_method_comparison_scheduled(
-                ExecutionPolicy::from_env(),
+            let comparison = run_method_comparison(
+                &TrialRunner::from_env(),
                 Benchmark::Cifar10Like,
                 &scale,
                 &TuningMethod::EXTENDED,

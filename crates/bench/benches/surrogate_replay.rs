@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedstore::{record_method_comparison, replay_method_comparison, TrialStore};
 use fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
-use fedtune_core::ExecutionPolicy;
+use fedtune_core::TrialRunner;
 
 fn regenerate() {
     let scale = fedbench::report_scale();
@@ -17,7 +17,7 @@ fn regenerate() {
     let mut store = TrialStore::in_memory();
     let live = summary.time("record_live", campaigns, || {
         record_method_comparison(
-            ExecutionPolicy::from_env(),
+            &TrialRunner::from_env(),
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -66,7 +66,7 @@ fn bench(c: &mut Criterion) {
     let settings = paper_noise_settings();
     let mut store = TrialStore::in_memory();
     record_method_comparison(
-        ExecutionPolicy::from_env(),
+        &TrialRunner::from_env(),
         Benchmark::Cifar10Like,
         &scale,
         &TuningMethod::EXTENDED,

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
 use fedtune_core::experiments::stragglers::{run_straggler_comparison, StragglerRun};
-use fedtune_core::ExecutionPolicy;
+use fedtune_core::TrialRunner;
 
 const WORKER_GRID: [usize; 3] = [10, 50, 100];
 
@@ -29,7 +29,7 @@ fn scale_for(workers: usize) -> fedtune_core::ExperimentScale {
 fn regenerate() {
     // FEDTUNE_THREADS governs the real-compute fan-out; virtual timelines
     // are independent of it by construction.
-    let policy = ExecutionPolicy::from_env();
+    let runner = TrialRunner::from_env();
     let mut summary = fedbench::BenchSummary::new("time_to_accuracy");
     let mut total_evaluations = 0u64;
     let mut total_sim = 0.0f64;
@@ -37,7 +37,7 @@ fn regenerate() {
     for &workers in &WORKER_GRID {
         let scale = scale_for(workers);
         let comparison = summary.time(&format!("straggler_{workers}_workers"), 2, || {
-            run_straggler_comparison(policy, Benchmark::Cifar10Like, &scale, &[workers], 0)
+            run_straggler_comparison(&runner, Benchmark::Cifar10Like, &scale, &[workers], 0)
                 .expect("straggler comparison")
         });
         for run in &comparison.runs {
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("straggler_comparison_10_workers", |b| {
         b.iter(|| {
             run_straggler_comparison(
-                ExecutionPolicy::from_env(),
+                &TrialRunner::from_env(),
                 Benchmark::Cifar10Like,
                 &scale,
                 &[10],

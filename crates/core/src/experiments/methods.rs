@@ -2,24 +2,22 @@
 //! (method bars at one-third and full budget): RS vs. TPE vs. Hyperband vs.
 //! BOHB under noiseless and noisy evaluation — plus the scheduler-era
 //! extensions: ASHA (asynchronous successive halving) and the noise-aware
-//! re-evaluation mitigation, both driven through the batched ask/tell
-//! scheduler.
+//! re-evaluation mitigation. Every method runs as an ask/tell scheduler
+//! under [`run_scheduled`] against a [`BatchFederatedObjective`]; there is no
+//! other tuning path.
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::experiments::hyperband_planned_evaluations;
 use crate::noise::NoiseConfig;
-use crate::objective::{
-    selected_true_error, BatchFederatedObjective, FederatedObjective, ObjectiveLogEntry,
-};
+use crate::objective::{selected_true_error, BatchFederatedObjective, ObjectiveLogEntry};
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
 use crate::scheduler::run_scheduled;
-use crate::{ExecutionPolicy, Result};
+use crate::Result;
 use feddata::Benchmark;
 use fedhpo::{
     Asha, AsyncAsha, Bohb, Hyperband, IntoScheduler, RandomSearch, ReEvaluation, Scheduler, Tpe,
-    Tuner,
 };
 use fedmath::SeedTree;
 use rand::rngs::StdRng;
@@ -137,25 +135,8 @@ impl TuningMethod {
         Bohb::new(scale.rounds_per_config, scale.eta, Some(scale.num_brackets))
     }
 
-    /// Builds the tuner with the budgets of the given scale.
-    /// [`scheduler`](Self::scheduler) builds the same configurations, so the
-    /// pull-style and scheduled paths always compare identically-budgeted
-    /// methods.
-    pub fn build(&self, scale: &ExperimentScale) -> Box<dyn Tuner> {
-        match self {
-            TuningMethod::RandomSearch => Box::new(Self::rs(scale)),
-            TuningMethod::Tpe => Box::new(Self::tpe(scale)),
-            TuningMethod::Hyperband => Box::new(Self::hyperband(scale)),
-            TuningMethod::Bohb => Box::new(Self::bohb(scale)),
-            TuningMethod::Asha => Box::new(Self::asha(scale)),
-            TuningMethod::AshaReEval => Box::new(Self::asha_reeval(scale)),
-            TuningMethod::AsyncAsha => Box::new(Self::async_asha(scale)),
-        }
-    }
-
     /// Builds the ask/tell scheduler for this method at the given scale —
-    /// the state machine driven by [`run_method_comparison_scheduled`],
-    /// configured identically to [`build`](Self::build).
+    /// the state machine driven by [`run_method_comparison`].
     ///
     /// # Errors
     ///
@@ -386,51 +367,6 @@ pub fn paper_noise_settings() -> Vec<(String, NoiseConfig)> {
     ]
 }
 
-/// Runs the method comparison on one benchmark: every method × every noise
-/// setting × `method_trials` independent trials, with live federated training
-/// through [`FederatedObjective`]. Every (method × noise setting × trial)
-/// campaign is one `runner` trial, seeded by its position in the campaign
-/// grid; sequential and parallel runners produce bit-identical comparisons.
-///
-/// # Errors
-///
-/// Propagates training and evaluation failures.
-pub fn run_method_comparison(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    noise_settings: &[(String, NoiseConfig)],
-    seed: u64,
-) -> Result<MethodComparison> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    // One work unit per (method, noise, trial), in the paper's nesting order
-    // so `runs` keeps its historical layout.
-    let units: Vec<(TuningMethod, &str, &NoiseConfig, usize)> = TuningMethod::ALL
-        .iter()
-        .flat_map(|&method| {
-            noise_settings.iter().flat_map(move |(label, noise)| {
-                (0..scale.method_trials).map(move |trial| (method, label.as_str(), noise, trial))
-            })
-        })
-        .collect();
-    let root = fedmath::rng::derive_seed(seed, 7);
-    let runs = runner.run_trials(root, units.len(), |unit| {
-        let (method, noise_label, noise, trial) = units[unit.index()];
-        let tuner = method.build(scale);
-        let planned = method.planned_evaluations(scale);
-        let mut objective = FederatedObjective::new(&ctx, *noise, planned, unit.seed(0))?;
-        let mut rng = unit.rng(1);
-        tuner.tune(ctx.space(), &mut objective, &mut rng)?;
-        Ok(MethodRun {
-            method: method.name().to_string(),
-            noise_label: noise_label.to_string(),
-            trial,
-            log: objective.into_log(),
-        })
-    })?;
-    Ok(MethodComparison::over_budget_grid(benchmark, scale, runs))
-}
-
 /// One campaign of the scheduled comparison's (method × noise setting ×
 /// trial) grid, as [`scheduled_comparison`] hands it out.
 pub struct ScheduledCampaign<'a> {
@@ -493,27 +429,24 @@ pub fn scheduled_comparison(
     Ok(MethodComparison::over_budget_grid(benchmark, scale, runs))
 }
 
-/// The method comparison through the barrier **ask/tell driver**: every
-/// (method × noise setting × trial) campaign is driven by
-/// [`run_scheduled`], with each suggested batch evaluated on `batch_policy`'s
-/// real threads against a [`BatchFederatedObjective`]. Campaign seeds are
-/// positional (derived from the unit's grid position), and all evaluation
-/// randomness is keyed by request coordinates, so `Sequential` and
-/// `Parallel` batch policies produce **bit-identical** comparisons
-/// (`tests/determinism.rs`).
+/// Runs the method comparison on one benchmark: every (method × noise
+/// setting × `method_trials`) campaign is driven by [`run_scheduled`], each
+/// suggested batch evaluated on `runner.policy().pool_threads()` real threads
+/// against a [`BatchFederatedObjective`]. Campaign seeds are positional
+/// (derived from the unit's grid position), and all evaluation randomness is
+/// keyed by request coordinates, so sequential and parallel runners produce
+/// **bit-identical** comparisons (`tests/determinism.rs`).
 ///
-/// Unlike [`run_method_comparison`] (which parallelises across campaigns but
-/// runs each tuner pull-style and therefore sequentially), this is the
-/// scalable path for live tuning: a single campaign saturates the machine —
-/// RS suggests its whole schedule as one batch, HB/BOHB/ASHA suggest whole
-/// rungs. Campaigns run one after another; the parallelism lives *inside*
-/// each campaign's batches.
+/// Campaigns run one after another; the parallelism lives *inside* each
+/// campaign's batches — RS suggests its whole schedule as one batch,
+/// HB/BOHB/ASHA suggest whole rungs, TPE proposes one configuration at a
+/// time.
 ///
 /// # Errors
 ///
 /// Propagates training and evaluation failures.
-pub fn run_method_comparison_scheduled(
-    batch_policy: ExecutionPolicy,
+pub fn run_method_comparison(
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     methods: &[TuningMethod],
@@ -521,7 +454,7 @@ pub fn run_method_comparison_scheduled(
     seed: u64,
 ) -> Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let threads = batch_policy.pool_threads();
+    let threads = runner.policy().pool_threads();
     scheduled_comparison(
         benchmark,
         scale,
@@ -594,6 +527,7 @@ pub fn run_headline(
         runner,
         Benchmark::Cifar10Like,
         scale,
+        &TuningMethod::ALL,
         &paper_noise_settings(),
         seed,
     )?;
@@ -644,7 +578,6 @@ mod tests {
                 > TuningMethod::Asha.planned_evaluations(&scale)
         );
         for m in TuningMethod::EXTENDED {
-            let _ = m.build(&scale);
             assert!(m.scheduler(&scale).is_ok());
         }
     }
@@ -653,8 +586,8 @@ mod tests {
     fn scheduled_comparison_covers_extended_methods() {
         let scale = ExperimentScale::smoke();
         let noise_settings = paper_noise_settings();
-        let comparison = run_method_comparison_scheduled(
-            ExecutionPolicy::parallel(),
+        let comparison = run_method_comparison(
+            &TrialRunner::new(crate::ExecutionPolicy::parallel()),
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -693,6 +626,7 @@ mod tests {
             &TrialRunner::from_env(),
             Benchmark::Cifar10Like,
             &scale,
+            &TuningMethod::ALL,
             &noise_settings,
             0,
         )

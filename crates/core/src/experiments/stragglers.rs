@@ -160,7 +160,7 @@ impl StragglerComparison {
 /// of the same ASHA ladder, each at every worker count in `workers_grid`,
 /// under the shared heavy-tailed [`straggler_cost_model`] and the paper's
 /// noisy evaluation. Campaign seeds are positional in the (method, workers)
-/// grid, and `batch_policy` only governs how the real compute fans out —
+/// grid, and `runner`'s policy only governs how the real compute fans out —
 /// the comparison (including every virtual timeline) is bit-identical under
 /// any policy and thread count.
 ///
@@ -168,7 +168,7 @@ impl StragglerComparison {
 ///
 /// Propagates training and evaluation failures.
 pub fn run_straggler_comparison(
-    batch_policy: crate::ExecutionPolicy,
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     workers_grid: &[usize],
@@ -198,7 +198,7 @@ pub fn run_straggler_comparison(
             &mut objective,
             &mut rng,
             &sim,
-            batch_policy.pool_threads(),
+            runner.policy().pool_threads(),
         )?;
         Ok(StragglerRun {
             method: method.name().to_string(),
@@ -230,7 +230,7 @@ mod tests {
     fn straggler_comparison_smoke_run() {
         let scale = ExperimentScale::smoke();
         let comparison = run_straggler_comparison(
-            crate::ExecutionPolicy::parallel(),
+            &TrialRunner::new(crate::ExecutionPolicy::parallel()),
             Benchmark::Cifar10Like,
             &scale,
             &[2, 8],

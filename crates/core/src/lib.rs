@@ -19,10 +19,10 @@
 //! - [`pool`] — the pre-trained configuration pool used by the paper's
 //!   RS-only analyses (train 128 configurations once, then simulate many
 //!   noisy tuning runs cheaply).
-//! - [`objective`] — a live [`fedhpo::Objective`] that trains configurations
-//!   on demand with noisy evaluation, used by the RS/TPE/Hyperband/BOHB
-//!   comparisons, plus [`BatchFederatedObjective`] — the point-keyed,
-//!   order-independent variant every scheduler driver evaluates.
+//! - [`objective`] — [`BatchFederatedObjective`], the live objective that
+//!   trains configurations on demand with noisy evaluation: point-keyed,
+//!   order-independent, and the one every scheduler driver (and so every
+//!   RS/TPE/Hyperband/BOHB comparison) evaluates.
 //! - [`concurrent`] — the objective contract ([`ConcurrentObjective`]) and
 //!   the one [`Pump`] that drives it, inline, on a scoped pool, or for the
 //!   `fedserve` daemon.
@@ -70,7 +70,7 @@ pub use fedsim::ExecutionPolicy;
 pub use noise::{noisy_error, NoiseConfig};
 pub use objective::{
     selected_true_error, selected_true_error_within_sim, BatchFederatedObjective, CampaignLog,
-    FederatedObjective, ObjectiveLogEntry,
+    ObjectiveLogEntry,
 };
 pub use pool::{ConfigPool, PooledConfig};
 pub use report::{ExperimentReport, SeriesGroup, SeriesPoint};

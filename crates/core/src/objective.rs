@@ -1,21 +1,18 @@
-//! The live federated tuning objectives with noisy evaluation.
+//! The live federated tuning objective with noisy evaluation.
 //!
-//! [`FederatedObjective`] (pull-style, `fedhpo::Objective`) and
-//! [`BatchFederatedObjective`] (scheduled, [`ConcurrentObjective`]) connect
-//! the HPO methods of `fedhpo` to the federated simulator: every evaluation
-//! trains (or resumes) the configuration's federated training run up to the
+//! [`BatchFederatedObjective`] (a [`ConcurrentObjective`]) connects the HPO
+//! methods of `fedhpo` to the federated simulator: every evaluation trains
+//! (or resumes) the configuration's federated training run up to the
 //! requested rounds, evaluates the current global model on the validation
 //! pool, applies the configured evaluation noise, and returns the noisy
-//! error the tuner acts on. The true full-validation error of every
+//! error the scheduler acts on. The true full-validation error of every
 //! evaluation is logged so experiments can report what the tuner's choices
 //! actually cost.
 //!
-//! Both start a trial through the context's [`fedproxy::ConfigRunner`] and
-//! share one advance-and-validate body over [`FederatedTrialState`]; they
-//! differ only in how randomness is keyed — the pull-style objective seeds a
-//! run by trial id and draws noise from one sequential RNG, the scheduled one
-//! keys both by the evaluated point. Neither has a thread knob: inside one
-//! evaluation rounds and validation run sequentially, and how many
+//! A trial starts through the context's [`fedproxy::ConfigRunner`], and all
+//! randomness is keyed by the evaluated point (see
+//! [`BatchFederatedObjective`]). The objective has no thread knob: inside
+//! one evaluation rounds and validation run sequentially, and how many
 //! evaluations run at once is the driver's argument.
 
 use crate::concurrent::{ConcurrentEval, ConcurrentObjective, ConcurrentSink, EvalOutput};
@@ -23,12 +20,11 @@ use crate::context::BenchmarkContext;
 use crate::noise::{noisy_error, NoiseConfig};
 use crate::Result;
 use feddata::{FederatedDataset, Split};
-use fedhpo::{HpConfig, HpoError, Objective, TrialRequest};
+use fedhpo::TrialRequest;
 use fedmath::{SeedStream, SeedTree};
 use fedproxy::ConfigRunner;
 use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
 use fedsim::{TrainingRun, WeightingScheme};
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -193,137 +189,6 @@ impl<S: Send + Default> ConcurrentSink for CampaignLog<S> {
     }
 }
 
-/// A noisy federated HPO objective over one benchmark context.
-pub struct FederatedObjective<'a> {
-    ctx: &'a BenchmarkContext,
-    runner: ConfigRunner,
-    noise: NoiseConfig,
-    total_evaluations: usize,
-    trials: HashMap<usize, FederatedTrialState>,
-    log: Vec<ObjectiveLogEntry>,
-    cumulative_rounds: usize,
-    trial_seeds: SeedTree,
-    eval_rng: StdRng,
-}
-
-impl<'a> FederatedObjective<'a> {
-    /// Creates an objective.
-    ///
-    /// `total_evaluations` is the number of evaluations the tuner is expected
-    /// to perform; it sets the DP composition length `M` in the Laplace scale
-    /// `M / (ε |S|)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the noise configuration is invalid or
-    /// `total_evaluations` is zero.
-    pub fn new(
-        ctx: &'a BenchmarkContext,
-        noise: NoiseConfig,
-        total_evaluations: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        noise.validate()?;
-        if total_evaluations == 0 {
-            return Err(crate::CoreError::InvalidConfig {
-                message: "total_evaluations must be positive".into(),
-            });
-        }
-        let mut seeds = SeedStream::new(seed);
-        let eval_rng = seeds.next_rng();
-        // Each trial's training run is seeded by its trial id, not by the
-        // order in which the tuner first evaluates it — so tuners that visit
-        // trials in different orders still give every trial the same run.
-        let trial_seeds = SeedTree::new(seeds.next_seed());
-        Ok(FederatedObjective {
-            ctx,
-            runner: ctx.config_runner().with_weighting(noise.weighting),
-            noise,
-            total_evaluations,
-            trials: HashMap::new(),
-            log: Vec::new(),
-            cumulative_rounds: 0,
-            trial_seeds,
-            eval_rng,
-        })
-    }
-
-    /// The evaluations logged so far, in call order.
-    pub fn log(&self) -> &[ObjectiveLogEntry] {
-        &self.log
-    }
-
-    /// Total training rounds consumed so far.
-    pub fn cumulative_rounds(&self) -> usize {
-        self.cumulative_rounds
-    }
-
-    /// Consumes the objective and returns its log.
-    pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
-        self.log
-    }
-
-    /// The true error of the configuration the tuner would select within the
-    /// given round budget: among logged evaluations with
-    /// `cumulative_rounds <= budget`, find the lowest noisy score and report
-    /// that evaluation's true error. Returns `None` if nothing was evaluated
-    /// within the budget.
-    pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        selected_true_error(&self.log, budget)
-    }
-
-    /// [`Objective::evaluate`] in this crate's error type.
-    fn evaluate_live(
-        &mut self,
-        trial_id: usize,
-        config: &HpConfig,
-        resource: usize,
-    ) -> Result<f64> {
-        let dataset = self.ctx.dataset();
-        // Each trial's training run is seeded by its trial id (see `new`).
-        let run_seed = self.trial_seeds.child(trial_id as u64).seed();
-        let (rounds_delta, fidelity, full_eval) = self
-            .trials
-            .entry(trial_id)
-            .or_default()
-            .advance(dataset, self.noise.weighting, resource, || {
-                self.runner.start(dataset, config, run_seed)
-            })?;
-        self.cumulative_rounds += rounds_delta;
-        let true_error = full_eval.weighted_error()?;
-        let noisy_score = noisy_error(
-            full_eval,
-            &self.noise,
-            self.total_evaluations,
-            &mut self.eval_rng,
-        )?;
-        self.log.push(ObjectiveLogEntry {
-            trial_id,
-            resource: fidelity,
-            noisy_score,
-            true_error,
-            cumulative_rounds: self.cumulative_rounds,
-            noise_rep: 0,
-            sim_time: 0.0,
-        });
-        Ok(noisy_score)
-    }
-}
-
-impl Objective for FederatedObjective<'_> {
-    fn evaluate(
-        &mut self,
-        trial_id: usize,
-        config: &HpConfig,
-        resource: usize,
-    ) -> fedhpo::Result<f64> {
-        self.evaluate_live(trial_id, config, resource)
-            .map_err(|e| HpoError::Objective {
-                message: e.to_string(),
-            })
-    }
-}
-
 /// Per-trial mutable state of a live federated objective: the training run
 /// plus the memoised full-validation evaluation at its current fidelity.
 ///
@@ -339,7 +204,7 @@ pub struct FederatedTrialState {
 }
 
 impl FederatedTrialState {
-    /// The advance-and-validate body both live objectives share: trains the
+    /// The advance-and-validate body of a live evaluation: trains the
     /// trial's run — started by `start` on first use — up to `resource`
     /// rounds, then validates the model on the full validation pool, once
     /// per fidelity. Returns the rounds this call trained, the fidelity
@@ -351,22 +216,21 @@ impl FederatedTrialState {
         resource: usize,
         start: impl FnOnce() -> fedproxy::Result<TrainingRun>,
     ) -> Result<(usize, usize, &FederatedEvaluation)> {
-        if self.run.is_none() {
-            self.run = Some(start()?);
-        }
-        let run = self.run.as_mut().expect("run started above");
+        let run = match &mut self.run {
+            Some(run) => run,
+            None => self.run.insert(start()?),
+        };
         let rounds_delta = resource.saturating_sub(run.rounds_completed());
         run.run_rounds(dataset, rounds_delta)?;
         let fidelity = run.rounds_completed();
-        if self
-            .eval_cache
-            .as_ref()
-            .is_none_or(|(at, _)| *at != fidelity)
-        {
-            let evaluation = evaluate_full(run.model(), dataset, Split::Validation, weighting)?;
-            self.eval_cache = Some((fidelity, evaluation));
-        }
-        let evaluation = &self.eval_cache.as_ref().expect("cached above").1;
+        let cached = match self.eval_cache.take() {
+            Some(hit) if hit.0 == fidelity => hit,
+            _ => (
+                fidelity,
+                evaluate_full(run.model(), dataset, Split::Validation, weighting)?,
+            ),
+        };
+        let evaluation = &self.eval_cache.insert(cached).1;
         Ok((rounds_delta, fidelity, evaluation))
     }
 }
@@ -374,10 +238,9 @@ impl FederatedTrialState {
 /// The order-independent federated objective behind the ask/tell scheduler
 /// drivers (`fedtune_core::scheduler`).
 ///
-/// Where [`FederatedObjective`] draws evaluation noise from one shared
-/// sequential RNG (so results depend on global call order), this objective
-/// derives all randomness *positionally* from the evaluated **point**: the
-/// training run is seeded by the configuration's canonical fingerprint
+/// All randomness is derived *positionally* from the evaluated **point**,
+/// never from call order or trial numbering: the training run is seeded by
+/// the configuration's canonical fingerprint
 /// (`SearchSpace::canonical_fingerprint`) and every noise draw by
 /// `(fingerprint, resource, noise_rep)` on a per-objective [`SeedTree`].
 /// Every request is therefore a pure function of its own coordinates, and
@@ -416,8 +279,10 @@ pub struct FederatedEvalCore<'a> {
 }
 
 impl<'a> BatchFederatedObjective<'a> {
-    /// Creates the objective; parameters mirror [`FederatedObjective::new`].
-    /// How many real threads evaluate it is the driver's argument, not the
+    /// Creates the objective. `total_evaluations` is the number of
+    /// evaluations the campaign is expected to perform; it sets the DP
+    /// composition length `M` in the Laplace scale `M / (ε |S|)`. How many
+    /// real threads evaluate the objective is the driver's argument, not the
     /// objective's.
     ///
     /// # Errors
@@ -468,7 +333,7 @@ impl<'a> BatchFederatedObjective<'a> {
     }
 
     /// Noise-aware selection within the budget; see
-    /// [`FederatedObjective::selected_true_error_within`].
+    /// [`selected_true_error`].
     pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
         self.sink.selected_true_error_within(budget)
     }
@@ -542,81 +407,11 @@ mod tests {
     use crate::scheduler::run_scheduled;
     use feddata::Benchmark;
     use feddp::PrivacyBudget;
-    use fedhpo::{RandomSearch, SearchSpace, Tuner};
+    use fedhpo::{HpConfig, IntoScheduler, RandomSearch, SearchSpace};
     use fedmath::rng::rng_for;
 
     fn ctx() -> BenchmarkContext {
         BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), 0).unwrap()
-    }
-
-    #[test]
-    fn objective_validation() {
-        let ctx = ctx();
-        assert!(FederatedObjective::new(&ctx, NoiseConfig::noiseless(), 0, 0).is_err());
-        assert!(FederatedObjective::new(&ctx, NoiseConfig::subsampled(2.0), 16, 0).is_err());
-        let obj = FederatedObjective::new(&ctx, NoiseConfig::noiseless(), 16, 0).unwrap();
-        assert_eq!(obj.cumulative_rounds(), 0);
-        assert!(obj.log().is_empty());
-        assert!(obj.selected_true_error_within(100).is_none());
-    }
-
-    #[test]
-    fn evaluation_trains_and_logs() {
-        let ctx = ctx();
-        let mut objective = FederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 1).unwrap();
-        let mut rng = rng_for(0, 0);
-        let config = ctx.space().sample(&mut rng).unwrap();
-        let score = objective.evaluate(0, &config, 3).unwrap();
-        assert!(score.is_finite());
-        assert_eq!(objective.cumulative_rounds(), 3);
-        assert_eq!(objective.log().len(), 1);
-        let entry = &objective.log()[0];
-        assert_eq!(entry.trial_id, 0);
-        assert_eq!(entry.resource, 3);
-        assert_eq!(entry.cumulative_rounds, 3);
-        // Noiseless: the noisy score equals the true error.
-        assert!((entry.noisy_score - entry.true_error).abs() < 1e-12);
-
-        // Resuming the same trial only pays the incremental rounds.
-        let _ = objective.evaluate(0, &config, 5).unwrap();
-        assert_eq!(objective.cumulative_rounds(), 5);
-        assert_eq!(objective.log()[1].resource, 5);
-        // Re-evaluating at the same resource costs nothing extra.
-        let _ = objective.evaluate(0, &config, 5).unwrap();
-        assert_eq!(objective.cumulative_rounds(), 5);
-        assert_eq!(objective.into_log().len(), 3);
-    }
-
-    #[test]
-    fn selection_within_budget_uses_noisy_scores() {
-        let ctx = ctx();
-        let mut objective = FederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 2).unwrap();
-        let tuner = RandomSearch::new(3, 2);
-        let mut rng = rng_for(1, 0);
-        let outcome = tuner.tune(ctx.space(), &mut objective, &mut rng).unwrap();
-        assert_eq!(outcome.num_evaluations(), 3);
-        assert_eq!(objective.log().len(), 3);
-        let selected = objective.selected_true_error_within(usize::MAX).unwrap();
-        assert!((0.0..=1.0).contains(&selected));
-        // Within a budget covering only the first trial, selection must be
-        // that trial's true error.
-        let first = objective.log()[0].true_error;
-        assert_eq!(objective.selected_true_error_within(2).unwrap(), first);
-    }
-
-    #[test]
-    fn noisy_objective_reports_different_scores_than_truth() {
-        let ctx = ctx();
-        let noise = NoiseConfig::subsampled(0.1).with_privacy(PrivacyBudget::Finite(1.0));
-        let mut objective = FederatedObjective::new(&ctx, noise, 4, 3).unwrap();
-        let mut rng = rng_for(2, 0);
-        let config = ctx.space().sample(&mut rng).unwrap();
-        let _ = objective.evaluate(0, &config, 2).unwrap();
-        let entry = &objective.log()[0];
-        assert!(
-            (entry.noisy_score - entry.true_error).abs() > 1e-6,
-            "with 1 client and eps=1 the noisy score should differ from the truth"
-        );
     }
 
     fn request(
@@ -651,6 +446,39 @@ mod tests {
         )
         .unwrap();
         outcome.records().iter().map(|r| r.score).collect()
+    }
+
+    #[test]
+    fn selection_within_budget_uses_noisy_scores() {
+        let ctx = ctx();
+        let mut objective =
+            BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 2).unwrap();
+        let mut scheduler = RandomSearch::new(3, 2).scheduler().unwrap();
+        let mut rng = rng_for(1, 0);
+        let outcome =
+            run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng, 1).unwrap();
+        assert_eq!(outcome.num_evaluations(), 3);
+        assert_eq!(objective.log().len(), 3);
+        let selected = objective.selected_true_error_within(usize::MAX).unwrap();
+        assert!((0.0..=1.0).contains(&selected));
+        // Within a budget covering only the first trial, selection must be
+        // that trial's true error.
+        let first = objective.log()[0].true_error;
+        assert_eq!(objective.selected_true_error_within(2).unwrap(), first);
+    }
+
+    #[test]
+    fn noisy_objective_reports_different_scores_than_truth() {
+        let ctx = ctx();
+        let noise = NoiseConfig::subsampled(0.1).with_privacy(PrivacyBudget::Finite(1.0));
+        let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
+        let config = ctx.space().sample(&mut rng_for(2, 0)).unwrap();
+        scores_of(&mut objective, vec![vec![request(0, &config, 2, 0)]], 1);
+        let entry = &objective.log()[0];
+        assert!(
+            (entry.noisy_score - entry.true_error).abs() > 1e-6,
+            "with 1 client and eps=1 the noisy score should differ from the truth"
+        );
     }
 
     #[test]
@@ -826,9 +654,10 @@ mod tests {
         let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0)
             .unwrap()
             .with_space(SearchSpace::paper_nested_lr_space(2).unwrap());
-        let mut objective = FederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 4).unwrap();
-        let mut rng = rng_for(3, 0);
-        let config = ctx.space().sample(&mut rng).unwrap();
-        assert!(objective.evaluate(0, &config, 1).is_ok());
+        let mut objective =
+            BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 4).unwrap();
+        let config = ctx.space().sample(&mut rng_for(3, 0)).unwrap();
+        let scores = scores_of(&mut objective, vec![vec![request(0, &config, 1, 0)]], 1);
+        assert!(scores[0].is_finite());
     }
 }

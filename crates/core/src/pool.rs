@@ -174,12 +174,6 @@ impl ConfigPool {
         })?;
         Ok(ConfigPool { entries })
     }
-
-    /// Convenience constructor for tests and analyses that already have
-    /// evaluated entries.
-    pub fn from_entries(entries: Vec<PooledConfig>) -> Self {
-        ConfigPool { entries }
-    }
 }
 
 /// Helper shared by the experiment runners: the validation pool of a context,
@@ -292,13 +286,5 @@ mod tests {
         // p = 0 returns the original partition.
         let same = validation_pool_with_iid_fraction(&ctx, 0.0, &mut rng).unwrap();
         assert_eq!(same, ctx.dataset().clients(Split::Validation).to_vec());
-    }
-
-    #[test]
-    fn from_entries_roundtrip() {
-        let ctx = smoke_context();
-        let pool = train(&ctx, 2, 4).unwrap();
-        let rebuilt = ConfigPool::from_entries(pool.entries().to_vec());
-        assert_eq!(rebuilt.len(), 2);
     }
 }

@@ -48,8 +48,8 @@ use std::collections::{HashMap, VecDeque};
 
 /// Drives `scheduler` to completion against `objective`: suggest a batch,
 /// evaluate it on `threads` real threads, report every result in batch
-/// order, repeat. The counterpart of `fedhpo::run_scheduler` with batch
-/// fan-out instead of one-at-a-time evaluation.
+/// order, repeat. `fedhpo::run_scheduler` is its one-at-a-time reference:
+/// the two produce the same outcome record for record.
 ///
 /// # Errors
 ///
@@ -800,7 +800,7 @@ mod tests {
     use crate::objective::BatchFederatedObjective;
     use crate::scale::ExperimentScale;
     use feddata::Benchmark;
-    use fedhpo::{Asha, HpConfig, IntoScheduler, RandomSearch, Tuner};
+    use fedhpo::{Asha, HpConfig, IntoScheduler, RandomSearch};
     use fedmath::rng::rng_for;
 
     #[test]
@@ -832,9 +832,13 @@ mod tests {
                 (x - 0.3).abs() + 1.0 / (resource as f64 + 1.0)
             });
         let mut rng = rng_for(1, 0);
-        let sequential = asha
-            .tune(&space_1d(), &mut sequential_objective, &mut rng)
-            .unwrap();
+        let sequential = fedhpo::run_scheduler(
+            &mut asha.scheduler().unwrap(),
+            &space_1d(),
+            &mut sequential_objective,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(batched(1), sequential);
         assert_eq!(batched(4), sequential);
     }

@@ -354,7 +354,7 @@ impl Scheduler for AshaScheduler {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
-    use crate::tuner::Tuner;
+    use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 
@@ -402,7 +402,7 @@ mod tests {
         let mut rng = rng_for(0, 0);
         let mut objective = resource_aware_objective();
         let asha = Asha::new(9, 3, 1, 9);
-        let outcome = asha.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
         // With the whole first rung in one batch, ASHA degenerates to SHA's
         // rung counts: 9 at r=1, 3 at r=3, 1 at r=9.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
@@ -420,7 +420,7 @@ mod tests {
         let mut rng = rng_for(1, 0);
         let mut objective = resource_aware_objective();
         let asha = Asha::new(9, 3, 1, 9).with_concurrency(2);
-        let outcome = asha.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
         // Same ladder, narrower batches: every rung still fills eventually.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
         for r in outcome.records() {
@@ -490,12 +490,16 @@ mod tests {
         // asynchrony only changes how a driver may poll, never the rule.
         let mut rng = rng_for(5, 0);
         let mut objective = resource_aware_objective();
-        let sync_outcome = asha.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let sync_outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
         let mut rng = rng_for(5, 0);
         let mut objective = resource_aware_objective();
-        let async_outcome = AsyncAsha::from_ladder(asha)
-            .tune(&space_1d(), &mut objective, &mut rng)
-            .unwrap();
+        let async_outcome = run_fresh(
+            &AsyncAsha::from_ladder(asha),
+            &space_1d(),
+            &mut objective,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(sync_outcome, async_outcome);
     }
 
@@ -504,7 +508,7 @@ mod tests {
         let mut rng = rng_for(2, 0);
         let mut objective = resource_aware_objective();
         let asha = Asha::new(27, 3, 1, 27);
-        let outcome = asha.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
         let best = outcome
             .best_at_max_fidelity_within_budget(usize::MAX)
             .unwrap();

@@ -73,9 +73,9 @@ impl IntoScheduler for Bohb {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
+    use crate::scheduler::run_fresh;
     use crate::scheduler::Scheduler;
     use crate::space::{HpConfig, SearchSpace};
-    use crate::tuner::Tuner;
     use fedmath::rng::rng_for;
 
     fn space_1d() -> SearchSpace {
@@ -104,7 +104,7 @@ mod tests {
         let mut rng = rng_for(0, 0);
         let mut obj = objective();
         let bohb = Bohb::new(27, 3, Some(3));
-        let outcome = bohb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space_1d(), &mut obj, &mut rng).unwrap();
         assert!(outcome.num_evaluations() > 0);
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         assert!(outcome.records().iter().any(|r| r.resource == 27));
@@ -112,7 +112,7 @@ mod tests {
         let mut rng = rng_for(0, 0);
         let mut obj = objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let hb_outcome = hb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let hb_outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), hb_outcome.total_resource());
     }
 
@@ -125,7 +125,7 @@ mod tests {
             (config.values()[0].log10() + 3.0).abs()
         });
         let bohb = Bohb::new(9, 3, Some(2));
-        let outcome = bohb.tune(&space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space, &mut obj, &mut rng).unwrap();
         for record in outcome.records() {
             assert!(space.validate_config(&record.config).is_ok());
         }
@@ -141,7 +141,7 @@ mod tests {
             num_startup: 2,
             ..Default::default()
         });
-        let outcome = bohb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space_1d(), &mut obj, &mut rng).unwrap();
         let n = outcome.num_evaluations();
         let late: Vec<f64> = outcome.records()[n / 2..]
             .iter()

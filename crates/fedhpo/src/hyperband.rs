@@ -416,7 +416,7 @@ impl IntoScheduler for Hyperband {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
-    use crate::tuner::Tuner;
+    use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 
@@ -438,18 +438,34 @@ mod tests {
     fn sha_validation() {
         let mut rng = rng_for(0, 0);
         let mut obj = resource_aware_objective();
-        assert!(SuccessiveHalving::new(0, 3, 1, 9)
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
-        assert!(SuccessiveHalving::new(9, 1, 1, 9)
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
-        assert!(SuccessiveHalving::new(9, 3, 0, 9)
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
-        assert!(SuccessiveHalving::new(9, 3, 10, 9)
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
+        assert!(run_fresh(
+            &SuccessiveHalving::new(0, 3, 1, 9),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
+        assert!(run_fresh(
+            &SuccessiveHalving::new(9, 1, 1, 9),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
+        assert!(run_fresh(
+            &SuccessiveHalving::new(9, 3, 0, 9),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
+        assert!(run_fresh(
+            &SuccessiveHalving::new(9, 3, 10, 9),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
         let sha = SuccessiveHalving::new(9, 3, 1, 9);
         assert_eq!(sha.scheduler().unwrap().name(), "sha");
         assert_eq!(sha.num_configs(), 9);
@@ -463,7 +479,7 @@ mod tests {
         let mut rng = rng_for(1, 0);
         let mut obj = resource_aware_objective();
         let sha = SuccessiveHalving::new(9, 3, 1, 9);
-        let outcome = sha.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&sha, &space_1d(), &mut obj, &mut rng).unwrap();
 
         // Count evaluations per rung: 9 at r=1, 3 at r=3, 1 at r=9.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
@@ -528,7 +544,7 @@ mod tests {
         let mut rng = rng_for(2, 0);
         let mut obj = resource_aware_objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = hb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
         assert!(outcome.num_evaluations() > 0);
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         // The most exploitative bracket evaluates at full resource.
@@ -547,7 +563,7 @@ mod tests {
         let mut rng = rng_for(3, 0);
         let mut obj = resource_aware_objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = hb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
         let best = outcome
             .best_at_max_fidelity_within_budget(usize::MAX)
             .unwrap();
@@ -559,12 +575,20 @@ mod tests {
     fn hyperband_validation() {
         let mut rng = rng_for(4, 0);
         let mut obj = resource_aware_objective();
-        assert!(Hyperband::new(0, 3, Some(2))
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
-        assert!(Hyperband::new(9, 1, Some(2))
-            .tune(&space_1d(), &mut obj, &mut rng)
-            .is_err());
+        assert!(run_fresh(
+            &Hyperband::new(0, 3, Some(2)),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
+        assert!(run_fresh(
+            &Hyperband::new(9, 1, Some(2)),
+            &space_1d(),
+            &mut obj,
+            &mut rng
+        )
+        .is_err());
     }
 
     #[test]
@@ -630,7 +654,7 @@ mod tests {
         let mut rng = rng_for(5, 0);
         let mut obj = resource_aware_objective();
         let hb = Hyperband::new(9, 3, Some(3));
-        let outcome = hb.tune(&space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
         // A trial id must always map to one configuration.
         let mut seen: HashMap<usize, Vec<f64>> = HashMap::new();
         for r in outcome.records() {

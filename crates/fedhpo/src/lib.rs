@@ -1,13 +1,10 @@
 //! Hyperparameter-optimization methods with noisy-evaluation support.
 //!
 //! This crate implements the four HP-tuning methods compared in the paper
-//! (§2.3, Appendix A), plus grid search and the bootstrap analysis used for
-//! the RS-only figures:
+//! (§2.3, Appendix A), plus the bootstrap analysis used for the RS-only
+//! figures:
 //!
 //! - [`RandomSearch`] — the simple baseline (Algorithm 1/2).
-//! - [`RepeatedRandomSearch`] — RS with averaged repeated noisy evaluations
-//!   (the "sample more" mitigation discussed in §5).
-//! - [`GridSearch`] — the classical grid baseline.
 //! - [`Tpe`] — the Tree-structured Parzen Estimator (Bergstra et al. 2011),
 //!   a Bayesian-optimization method based on kernel-density estimates of the
 //!   good and bad configuration distributions.
@@ -23,18 +20,21 @@
 //!   barriers.
 //! - [`ReEvaluation`] — the paper's §5 mitigation as a wrapper policy:
 //!   top-k survivors are re-evaluated with fresh noise draws before
-//!   selection.
+//!   selection. Over [`RandomSearch`] with `top_k = num_configs` it is the
+//!   "resample previously seen configurations" mitigation.
 //!
-//! Every method is implemented as a batched ask/tell [`Scheduler`]
-//! (`suggest` a batch of [`TrialRequest`]s, `report` each [`TrialResult`]);
-//! the classic pull-style [`Tuner`] interface is one blanket impl — the
-//! sequential reference driver [`run_scheduler`] over any [`IntoScheduler`]
-//! ([`GridSearch`] and [`RepeatedRandomSearch`], which have no scheduler,
-//! keep their own loops). A parallel batch driver that fans suggestions out
-//! across threads lives in `fedtune_core::scheduler`.
+//! Every method is a batched ask/tell [`Scheduler`] (`suggest` a batch of
+//! [`TrialRequest`]s, `report` each [`TrialResult`]) built from its
+//! configuration through [`IntoScheduler`]; that is the only tuning
+//! interface. Campaigns are driven by `fedtune_core::scheduler::run_scheduled`
+//! (or the event-driven executor) against a `ConcurrentObjective`.
+//! [`Objective`], [`FunctionObjective`] and [`run_scheduler`] are this crate's
+//! sequential reference loop — what `run_scheduled` is pinned against record
+//! for record and what the unit tests below the executor run on — not an API
+//! to build campaigns on.
 //!
-//! The crate is deliberately **noise-agnostic**: tuners minimise whatever an
-//! [`Objective`] reports, and the experiment harness in `fedtune-core`
+//! The crate is deliberately **noise-agnostic**: schedulers minimise whatever
+//! score is reported, and the experiment harness in `fedtune-core`
 //! decides how noisy that report is (client subsampling, heterogeneity,
 //! differential privacy, proxy data). This mirrors how the tuning methods in
 //! the paper operate on whatever validation signal the federated system can
@@ -43,7 +43,7 @@
 //! # Example
 //!
 //! ```
-//! use fedhpo::{FunctionObjective, Objective, RandomSearch, SearchSpace, Tuner};
+//! use fedhpo::{run_scheduler, FunctionObjective, IntoScheduler, RandomSearch, SearchSpace};
 //!
 //! // Minimise a quadratic over a 1-D space with RS.
 //! let space = SearchSpace::new().with_uniform("x", -5.0, 5.0).unwrap();
@@ -51,9 +51,9 @@
 //!     let x = config.values()[0];
 //!     (x - 1.0) * (x - 1.0)
 //! });
-//! let tuner = RandomSearch::new(32, 1);
+//! let mut scheduler = RandomSearch::new(32, 1).scheduler().unwrap();
 //! let mut rng = fedmath::rng::rng_for(0, 0);
-//! let outcome = tuner.tune(&space, &mut objective, &mut rng).unwrap();
+//! let outcome = run_scheduler(&mut scheduler, &space, &mut objective, &mut rng).unwrap();
 //! let best = outcome.best().unwrap();
 //! assert!(best.score < 0.5);
 //! ```
@@ -64,12 +64,10 @@
 pub mod asha;
 pub mod bohb;
 pub mod bootstrap;
-pub mod grid_search;
 pub mod hyperband;
 pub mod objective;
 pub mod random_search;
 pub mod reeval;
-pub mod repeated;
 pub mod scheduler;
 pub mod space;
 pub mod tpe;
@@ -78,18 +76,16 @@ pub mod tuner;
 pub use asha::{Asha, AshaScheduler, AsyncAsha};
 pub use bohb::Bohb;
 pub use bootstrap::{bootstrap_selection, BootstrapOutcome};
-pub use grid_search::GridSearch;
 pub use hyperband::{BracketScheduler, Hyperband, SuccessiveHalving};
 pub use objective::{FunctionObjective, Objective};
 pub use random_search::{RandomSearch, RandomSearchScheduler};
 pub use reeval::{ReEvalScheduler, ReEvaluation};
-pub use repeated::RepeatedRandomSearch;
 pub use scheduler::{
     run_scheduler, BudgetLedger, IntoScheduler, Scheduler, TrialRequest, TrialResult,
 };
 pub use space::{Dimension, HpConfig, SearchSpace};
 pub use tpe::{Tpe, TpeConfig, TpeScheduler};
-pub use tuner::{EvaluationRecord, Tuner, TuningOutcome};
+pub use tuner::{EvaluationRecord, TuningOutcome};
 
 use std::fmt;
 

@@ -1,16 +1,18 @@
-//! The objective interface that tuners minimise.
+//! The objective interface of the sequential reference loop
+//! ([`run_scheduler`](crate::run_scheduler)); live campaigns implement
+//! `fedtune_core`'s `ConcurrentObjective` instead.
 
 use crate::space::HpConfig;
 use crate::Result;
 
-/// The function a tuner minimises.
+/// The function a tuning method minimises.
 ///
 /// An objective evaluates one hyperparameter configuration after it has been
 /// trained with a total of `resource` budget units (training rounds in the
-/// federated setting). Tuners may call `evaluate` several times for the same
-/// `trial_id` with increasing `resource` (early-stopping methods such as
+/// federated setting). A schedule may evaluate the same `trial_id` several
+/// times with increasing `resource` (early-stopping methods such as
 /// Hyperband do); implementations are expected to resume training rather than
-/// restart, and the tuner accounts only the *incremental* resource.
+/// restart, and the driver accounts only the *incremental* resource.
 ///
 /// Lower return values are better (the paper minimises validation error).
 pub trait Objective {

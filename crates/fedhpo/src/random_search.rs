@@ -111,7 +111,7 @@ impl Scheduler for RandomSearchScheduler {
 mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
-    use crate::tuner::Tuner;
+    use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
 
     fn quadratic_space() -> SearchSpace {
@@ -127,12 +127,8 @@ mod tests {
         let space = quadratic_space();
         let mut obj = FunctionObjective::new(|_: &crate::HpConfig, _| 0.0);
         let mut rng = rng_for(0, 0);
-        assert!(RandomSearch::new(0, 1)
-            .tune(&space, &mut obj, &mut rng)
-            .is_err());
-        assert!(RandomSearch::new(1, 0)
-            .tune(&space, &mut obj, &mut rng)
-            .is_err());
+        assert!(run_fresh(&RandomSearch::new(0, 1), &space, &mut obj, &mut rng).is_err());
+        assert!(run_fresh(&RandomSearch::new(1, 0), &space, &mut obj, &mut rng).is_err());
         assert_eq!(RandomSearch::paper_default(405).num_configs(), 16);
         assert_eq!(RandomSearch::paper_default(405).rounds_per_config(), 405);
         assert_eq!(RandomSearch::new(4, 2).scheduler().unwrap().name(), "rs");
@@ -148,7 +144,7 @@ mod tests {
         });
         let tuner = RandomSearch::new(200, 1);
         let mut rng = rng_for(1, 0);
-        let outcome = tuner.tune(&space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap();
         assert_eq!(outcome.num_evaluations(), 200);
         assert_eq!(obj.calls(), 200);
         let best = outcome.best().unwrap();
@@ -165,7 +161,7 @@ mod tests {
         let mut obj = FunctionObjective::new(|_: &crate::HpConfig, _| 1.0);
         let tuner = RandomSearch::new(8, 5);
         let mut rng = rng_for(2, 0);
-        let outcome = tuner.tune(&space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), 40);
         for (i, record) in outcome.records().iter().enumerate() {
             assert_eq!(record.trial_id, i);
@@ -205,7 +201,7 @@ mod tests {
         let run = |seed: u64| {
             let mut obj = FunctionObjective::new(|c: &crate::HpConfig, _| c.values()[0]);
             let mut rng = rng_for(seed, 0);
-            tuner.tune(&space, &mut obj, &mut rng).unwrap()
+            run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).best().unwrap().score, run(8).best().unwrap().score);

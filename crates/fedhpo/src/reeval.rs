@@ -207,7 +207,7 @@ mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
-    use crate::tuner::Tuner;
+    use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
 
     fn space_1d() -> SearchSpace {
@@ -240,7 +240,7 @@ mod tests {
         });
         let policy = ReEvaluation::new(RandomSearch::new(6, 5), 2, 3);
         let mut rng = rng_for(0, 0);
-        let outcome = policy.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&policy, &space_1d(), &mut objective, &mut rng).unwrap();
         // 6 schedule evaluations + 2 survivors × 3 reps.
         assert_eq!(outcome.num_evaluations(), 6 + 6);
         let reevals: Vec<_> = outcome
@@ -305,9 +305,57 @@ mod tests {
         let mut objective = FunctionObjective::new(|config: &HpConfig, _| config.values()[0]);
         let policy = ReEvaluation::new(RandomSearch::new(2, 1), 10, 2);
         let mut rng = rng_for(1, 0);
-        let outcome = policy.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&policy, &space_1d(), &mut objective, &mut rng).unwrap();
         // Only 2 trials exist; both get re-evaluated twice.
         assert_eq!(outcome.num_evaluations(), 2 + 4);
+    }
+
+    #[test]
+    fn reevaluating_every_config_averages_out_evaluation_noise() {
+        // "Resample previously seen configurations" (§5): RS with every
+        // configuration re-evaluated (`top_k = num_configs`) selects on the
+        // mean of fresh draws, and under heavy evaluation noise that mean
+        // should (usually) pick a configuration closer to the optimum than
+        // plain RS's single-draw minimum over the same candidates.
+        use rand::Rng;
+        let noisy_quadratic = || {
+            let mut noise = rng_for(99, 0);
+            FunctionObjective::new(move |config: &HpConfig, _| {
+                (config.values()[0] - 0.25).powi(2) + noise.gen_range(-1.0..1.0) * 0.5
+            })
+        };
+        let space = SearchSpace::new().with_uniform("x", -1.0, 1.0).unwrap();
+        let trials = 20;
+        let mut wins = 0;
+        for seed in 0..trials {
+            let mut rng = rng_for(10 + seed, 0);
+            let averaged = ReEvaluation::new(RandomSearch::new(12, 1), 12, 8);
+            let outcome = run_fresh(&averaged, &space, &mut noisy_quadratic(), &mut rng).unwrap();
+            assert_eq!(outcome.num_evaluations(), 12 + 12 * 8);
+            assert_eq!(outcome.total_resource(), 12);
+            let averaged_x = outcome
+                .selected_within_budget(usize::MAX)
+                .unwrap()
+                .config
+                .values()[0];
+
+            let mut rng = rng_for(10 + seed, 0);
+            let plain = run_fresh(
+                &RandomSearch::new(12, 1),
+                &space,
+                &mut noisy_quadratic(),
+                &mut rng,
+            )
+            .unwrap();
+            let plain_x = plain.best().unwrap().config.values()[0];
+            if (averaged_x - 0.25).abs() <= (plain_x - 0.25).abs() {
+                wins += 1;
+            }
+        }
+        assert!(
+            wins >= trials / 2,
+            "averaged re-evaluations should win at least half the time, won {wins}/{trials}"
+        );
     }
 
     #[test]
@@ -318,7 +366,7 @@ mod tests {
         });
         let policy = ReEvaluation::new(SuccessiveHalving::new(9, 3, 1, 9), 2, 2);
         let mut rng = rng_for(2, 0);
-        let outcome = policy.tune(&space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&policy, &space_1d(), &mut objective, &mut rng).unwrap();
         let reevals: Vec<_> = outcome
             .records()
             .iter()
@@ -333,9 +381,13 @@ mod tests {
             config.values()[0] + 1.0 / (resource as f64 + 1.0)
         });
         let mut rng = rng_for(2, 0);
-        let plain = SuccessiveHalving::new(9, 3, 1, 9)
-            .tune(&space_1d(), &mut plain_obj, &mut rng)
-            .unwrap();
+        let plain = run_fresh(
+            &SuccessiveHalving::new(9, 3, 1, 9),
+            &space_1d(),
+            &mut plain_obj,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(outcome.total_resource(), plain.total_resource());
     }
 }

@@ -1,11 +1,9 @@
 //! The batched **ask/tell** tuning interface.
 //!
-//! The classic [`Tuner`](crate::Tuner) API is *pull*-style: the tuner owns the
-//! loop and calls the objective one evaluation at a time, so the hot path of a
-//! live tuning campaign is inherently sequential. [`Scheduler`] inverts that
-//! control flow: the tuning method *suggests* a batch of [`TrialRequest`]s,
-//! the caller evaluates them however it likes (sequentially, fanned out over
-//! threads, or on remote workers), and *reports* each [`TrialResult`] back.
+//! A tuning method never owns the evaluation loop: a [`Scheduler`] *suggests*
+//! a batch of [`TrialRequest`]s, the caller evaluates them however it likes
+//! (sequentially, fanned out over threads, or on remote workers), and
+//! *reports* each [`TrialResult`] back.
 //!
 //! Determinism contract: a scheduler's suggestions must be a pure function of
 //! (its configuration, the RNG passed to [`Scheduler::suggest`], and the
@@ -15,10 +13,13 @@
 //! lets a batch be evaluated in parallel and reported in any deterministic
 //! order while reproducing the sequential run bit for bit.
 //!
-//! [`run_scheduler`] is the reference sequential driver used by every
-//! [`Tuner`](crate::Tuner) implementation in this crate; the parallel batch
-//! driver that fans suggestions out through the execution engine lives in
-//! `fedtune_core::scheduler`.
+//! [`run_scheduler`] is the crate-local sequential **reference loop**: one
+//! evaluation at a time through an [`Objective`], reported before the next.
+//! It stays because the real driver — `fedtune_core::scheduler::run_scheduled`,
+//! which fans batches out through the execution engine — is pinned against it
+//! record for record, and because this crate sits below the executor and needs
+//! a loop for its own unit tests. Nothing above `fedhpo` implements
+//! [`Objective`] or calls `run_scheduler` outside tests.
 
 use crate::objective::Objective;
 use crate::space::{HpConfig, SearchSpace};
@@ -192,9 +193,9 @@ pub trait IntoScheduler {
 
 /// The reference sequential driver: repeatedly asks `scheduler` for a batch,
 /// evaluates every request through `objective` in batch order, and reports
-/// each result before the next evaluation. The blanket
-/// [`Tuner`](crate::Tuner) impl is this driver over a fresh scheduler, so
-/// pull-style and ask/tell campaigns produce identical [`TuningOutcome`]s.
+/// each result before the next evaluation — the record-for-record reference
+/// `fedtune_core::scheduler::run_scheduled` is tested against, not an API to
+/// build campaigns on.
 ///
 /// # Errors
 ///
@@ -234,6 +235,17 @@ pub fn run_scheduler(
         }
     }
     Ok(outcome)
+}
+
+/// Test shorthand: [`run_scheduler`] over a fresh scheduler of `method`.
+#[cfg(test)]
+pub(crate) fn run_fresh(
+    method: &impl IntoScheduler,
+    space: &SearchSpace,
+    objective: &mut dyn Objective,
+    rng: &mut StdRng,
+) -> Result<TuningOutcome> {
+    run_scheduler(&mut method.scheduler()?, space, objective, rng)
 }
 
 #[cfg(test)]

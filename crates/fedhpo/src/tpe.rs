@@ -383,7 +383,7 @@ mod tests {
     use super::*;
     use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
-    use crate::tuner::Tuner;
+    use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
 
     fn space_2d() -> SearchSpace {
@@ -434,12 +434,8 @@ mod tests {
         .is_err());
         let mut rng = rng_for(0, 0);
         let mut obj = FunctionObjective::new(|_: &HpConfig, _| 0.0);
-        assert!(Tpe::new(0, 1)
-            .tune(&space_2d(), &mut obj, &mut rng)
-            .is_err());
-        assert!(Tpe::new(1, 0)
-            .tune(&space_2d(), &mut obj, &mut rng)
-            .is_err());
+        assert!(run_fresh(&Tpe::new(0, 1), &space_2d(), &mut obj, &mut rng).is_err());
+        assert!(run_fresh(&Tpe::new(1, 0), &space_2d(), &mut obj, &mut rng).is_err());
         assert_eq!(Tpe::paper_default(405).scheduler().unwrap().name(), "tpe");
     }
 
@@ -487,8 +483,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = rng_for(10, seed);
             let mut obj = FunctionObjective::new(|c: &HpConfig, _| f(c));
-            let tpe_best = Tpe::new(24, 1)
-                .tune(&space, &mut obj, &mut rng)
+            let tpe_best = run_fresh(&Tpe::new(24, 1), &space, &mut obj, &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
@@ -496,8 +491,7 @@ mod tests {
 
             let mut rng = rng_for(20, seed);
             let mut obj = FunctionObjective::new(|c: &HpConfig, _| f(c));
-            let rs_best = RandomSearch::new(24, 1)
-                .tune(&space, &mut obj, &mut rng)
+            let rs_best = run_fresh(&RandomSearch::new(24, 1), &space, &mut obj, &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
@@ -542,7 +536,7 @@ mod tests {
         let space = space_2d();
         let mut obj = FunctionObjective::new(|_: &HpConfig, _| 0.5);
         let mut rng = rng_for(2, 0);
-        let outcome = Tpe::new(6, 10).tune(&space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&Tpe::new(6, 10), &space, &mut obj, &mut rng).unwrap();
         assert_eq!(outcome.num_evaluations(), 6);
         assert_eq!(outcome.total_resource(), 60);
     }

@@ -1,10 +1,7 @@
-//! The [`Tuner`] trait and the evaluation history it produces.
+//! The evaluation history a tuning run produces: [`EvaluationRecord`] and
+//! [`TuningOutcome`], with the selection rules the experiments read off it.
 
-use crate::objective::Objective;
-use crate::scheduler::{run_scheduler, IntoScheduler};
-use crate::space::{HpConfig, SearchSpace};
-use crate::Result;
-use rand::rngs::StdRng;
+use crate::space::HpConfig;
 use serde::{Deserialize, Serialize};
 
 /// One evaluation performed during a tuning run.
@@ -138,7 +135,7 @@ impl TuningOutcome {
             .find(|r| r.trial_id == winner && r.noise_rep >= 1 && r.cumulative_resource <= budget)
     }
 
-    /// Appends a record (used by tuner implementations).
+    /// Appends a record (used by the scheduler drivers).
     pub fn push(&mut self, record: EvaluationRecord) {
         self.records.push(record);
     }
@@ -158,41 +155,6 @@ impl TuningOutcome {
             .iter()
             .filter(|r| r.sim_time <= sim_budget && r.score.is_finite())
             .min_by(|a, b| a.score.total_cmp(&b.score))
-    }
-}
-
-/// A hyperparameter-tuning method, pull-style: it calls the objective itself.
-///
-/// Every method with an ask/tell scheduler ([`IntoScheduler`]) is a `Tuner`
-/// through the one blanket impl below; only [`GridSearch`](crate::GridSearch)
-/// and [`RepeatedRandomSearch`](crate::RepeatedRandomSearch), which have no
-/// scheduler, write their own loop.
-pub trait Tuner {
-    /// Runs the tuning method against `objective` over `space`, using `rng`
-    /// for all stochastic choices, and returns the evaluation history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates objective failures and configuration errors.
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome>;
-}
-
-/// The sequential reference driver [`run_scheduler`] over a fresh scheduler,
-/// so pull-style and ask/tell campaigns of one method produce identical
-/// [`TuningOutcome`]s.
-impl<T: IntoScheduler> Tuner for T {
-    fn tune(
-        &self,
-        space: &SearchSpace,
-        objective: &mut dyn Objective,
-        rng: &mut StdRng,
-    ) -> Result<TuningOutcome> {
-        run_scheduler(&mut self.scheduler()?, space, objective, rng)
     }
 }
 

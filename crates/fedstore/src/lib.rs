@@ -32,7 +32,7 @@
 //!   deterministic noise resampling from recorded replicates — orders of
 //!   magnitude faster than live simulation.
 //! - [`replay`] — drop-in record/replay counterparts of
-//!   `fedtune_core::experiments::methods::run_method_comparison_scheduled`.
+//!   `fedtune_core::experiments::methods::run_method_comparison`.
 //!
 //! # Example
 //!
@@ -40,7 +40,7 @@
 //! use feddata::Benchmark;
 //! use fedstore::{record_method_comparison, replay_method_comparison, TrialStore};
 //! use fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
-//! use fedtune_core::{ExecutionPolicy, ExperimentScale};
+//! use fedtune_core::{ExperimentScale, TrialRunner};
 //!
 //! let scale = ExperimentScale::smoke();
 //! let methods = [TuningMethod::RandomSearch];
@@ -48,7 +48,7 @@
 //! let mut store = TrialStore::in_memory();
 //! // Record once (live federated training) ...
 //! let live = record_method_comparison(
-//!     ExecutionPolicy::Sequential,
+//!     &TrialRunner::sequential(),
 //!     Benchmark::Cifar10Like,
 //!     &scale,
 //!     &methods,

@@ -1,7 +1,7 @@
-//! Record/replay counterparts of the scheduled method comparison.
+//! Record/replay counterparts of the method comparison.
 //!
 //! [`record_method_comparison`] is a drop-in replacement for
-//! `fedtune_core::experiments::methods::run_method_comparison_scheduled` that
+//! `fedtune_core::experiments::methods::run_method_comparison` that
 //! additionally persists every evaluation into a [`TrialStore`]; it walks the
 //! same campaign grid with the same positional seeds (`scheduled_comparison`),
 //! so its result is bit-identical to the live comparison — and, when the
@@ -22,8 +22,8 @@ use feddata::Benchmark;
 use fedhpo::SearchSpace;
 use fedtune_core::experiments::methods::{scheduled_comparison, MethodComparison, TuningMethod};
 use fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective, ExecutionPolicy,
-    ExperimentScale, NoiseConfig,
+    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective, ExperimentScale,
+    NoiseConfig, TrialRunner,
 };
 
 /// The provenance stamp for one campaign cell.
@@ -41,18 +41,17 @@ pub fn campaign_provenance(
     }
 }
 
-/// Runs the scheduled method comparison live while recording every
-/// evaluation into `store`. Bit-identical to
-/// `run_method_comparison_scheduled` with the same arguments (asserted in
-/// `tests/record_replay.rs`); campaigns whose evaluations are already in the
-/// store are served from it instead of retrained, which is how an
-/// interrupted recording resumes.
+/// Runs the method comparison live while recording every evaluation into
+/// `store`. Bit-identical to `run_method_comparison` with the same arguments
+/// (asserted in `tests/record_replay.rs`); campaigns whose evaluations are
+/// already in the store are served from it instead of retrained, which is
+/// how an interrupted recording resumes.
 ///
 /// # Errors
 ///
 /// Propagates training, evaluation, and ledger failures.
 pub fn record_method_comparison(
-    batch_policy: ExecutionPolicy,
+    runner: &TrialRunner,
     benchmark: Benchmark,
     scale: &ExperimentScale,
     methods: &[TuningMethod],
@@ -61,7 +60,7 @@ pub fn record_method_comparison(
     store: &mut TrialStore,
 ) -> fedtune_core::Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let threads = batch_policy.pool_threads();
+    let threads = runner.policy().pool_threads();
     scheduled_comparison(
         benchmark,
         scale,
@@ -86,8 +85,8 @@ pub fn record_method_comparison(
     )
 }
 
-/// Replays the scheduled method comparison against `store` alone — no
-/// dataset generation, no training. The schedulers re-derive the recorded
+/// Replays the method comparison against `store` alone — no dataset
+/// generation, no training. The schedulers re-derive the recorded
 /// campaigns from the same positional seeds, every lookup hits the table
 /// exactly, and the produced [`MethodComparison`] (logs, selection, budget
 /// grid) is bit-identical to the live run that recorded the table.
@@ -136,7 +135,7 @@ mod tests {
         let settings = paper_noise_settings();
         let mut store = TrialStore::in_memory();
         let recorded = record_method_comparison(
-            ExecutionPolicy::Sequential,
+            &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
             &scale,
             &methods,

@@ -21,14 +21,14 @@
 use crate::key::TrialKey;
 use crate::store::TrialStore;
 use crate::{Result, StoreError};
-use fedhpo::{HpConfig, SearchSpace, TrialRequest};
+use fedhpo::{SearchSpace, TrialRequest};
 use fedmath::rng::derive_seed;
 use fedtune_core::{CampaignLog, ConcurrentEval, ConcurrentObjective, CoreError, EvalOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A scheduler-facing objective answering every evaluation from a recorded
-/// table: a [`ConcurrentObjective`] for the drivers, and a pull-style
-/// [`fedhpo::Objective`] for the classic tuners.
+/// table: a [`ConcurrentObjective`], so every driver that runs a live
+/// campaign replays one.
 pub struct TabularObjective<'s> {
     /// The thread-shared half: the table lookup and its tally.
     pub table: Table<'s>,
@@ -145,43 +145,6 @@ impl<'s> ConcurrentObjective for TabularObjective<'s> {
     }
 }
 
-/// Pull-style access for the classic [`fedhpo::Tuner`] interface: the same
-/// table semantics, one request at a time.
-impl fedhpo::Objective for TabularObjective<'_> {
-    fn evaluate(
-        &mut self,
-        trial_id: usize,
-        config: &HpConfig,
-        resource: usize,
-    ) -> fedhpo::Result<f64> {
-        self.evaluate_rep(trial_id, config, resource, 0)
-    }
-
-    fn evaluate_rep(
-        &mut self,
-        trial_id: usize,
-        config: &HpConfig,
-        resource: usize,
-        noise_rep: u64,
-    ) -> fedhpo::Result<f64> {
-        let request = TrialRequest {
-            trial_id,
-            config: config.clone(),
-            resource,
-            noise_rep,
-        };
-        let (noisy_score, true_error) =
-            self.table
-                .lookup(&request)
-                .map_err(|e| fedhpo::HpoError::Objective {
-                    message: e.to_string(),
-                })?;
-        self.campaign
-            .observe_at(&request, noisy_score, true_error, 0.0);
-        Ok(noisy_score)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +152,7 @@ mod tests {
     use crate::record::Provenance;
     use crate::recorder::tests::scores_of;
     use crate::TrialRecord;
-    use fedhpo::Objective;
+    use fedhpo::HpConfig;
 
     fn provenance() -> Provenance {
         Provenance {
@@ -302,19 +265,6 @@ mod tests {
         let batch = vec![request(0, 3.0, 4, 0), request(1, 1.0, 2, 0)];
         assert!(scores_of(&mut tabular, &space(), vec![batch], 1).is_err());
         assert!(tabular.campaign.log().is_empty());
-    }
-
-    #[test]
-    fn pull_style_objective_replays_too() {
-        let store = table();
-        let mut tabular = TabularObjective::new(&store, &space());
-        let config = HpConfig::new(vec![1.0]);
-        let score = tabular.evaluate(0, &config, 2).unwrap();
-        assert_eq!(score.to_bits(), 0.40f64.to_bits());
-        let rep1 = tabular.evaluate_rep(0, &config, 2, 1).unwrap();
-        assert_eq!(rep1.to_bits(), 0.50f64.to_bits());
-        assert!(tabular.evaluate(0, &HpConfig::new(vec![9.0]), 2).is_err());
-        assert_eq!(tabular.campaign.into_log().len(), 2);
     }
 
     #[test]

@@ -27,13 +27,13 @@ use fedtune::fedtune_core::experiments::stragglers::{
 };
 use fedtune::fedtune_core::{
     run_event_driven_concurrent_traced, run_event_driven_traced, BatchFederatedObjective,
-    BenchmarkContext, ExecutionPolicy, ExperimentScale, NoiseConfig, VirtualExecution,
+    BenchmarkContext, ExperimentScale, NoiseConfig, TrialRunner, VirtualExecution,
 };
 use fedtune::{feddata, fedmath, fedsim, fedtrace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = ExperimentScale::smoke();
-    let policy = ExecutionPolicy::from_env();
+    let runner = TrialRunner::from_env();
     let mut summary = fedbench::BenchSummary::new("async_asha");
 
     let fedsim::CostModel::HeterogeneousClients(model) = straggler_cost_model(&scale, 0) else {
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let workers = [2usize, 8];
     let comparison = summary.time("straggler_comparison", 2 * workers.len() as u64, || {
-        run_straggler_comparison(policy, Benchmark::Cifar10Like, &scale, &workers, 0)
+        run_straggler_comparison(&runner, Benchmark::Cifar10Like, &scale, &workers, 0)
     })?;
 
     let mut total_evaluations = 0u64;
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // concurrently on `FEDTUNE_THREADS` real threads — the same pump, its
     // jobs somewhere else. The outcomes must match bit for bit — real
     // parallelism buys wall clock, never a different result.
-    let threads = policy.pool_threads();
+    let threads = runner.policy().pool_threads();
     let seed = 0u64;
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed)?;
     let method = TuningMethod::AsyncAsha;

@@ -15,7 +15,7 @@ use fedtune::fedtune_core::experiments::heterogeneity::{
     run_systems_heterogeneity, systems_heterogeneity_report,
 };
 use fedtune::fedtune_core::experiments::methods::{
-    paper_noise_settings, run_headline, run_method_comparison,
+    paper_noise_settings, run_headline, run_method_comparison, TuningMethod,
 };
 use fedtune::fedtune_core::experiments::privacy::{privacy_report, run_privacy_sweep};
 use fedtune::fedtune_core::experiments::proxy::{
@@ -108,6 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runner,
         Benchmark::Cifar10Like,
         &scale,
+        &TuningMethod::ALL,
         &paper_noise_settings(),
         seed,
     )?;

@@ -9,7 +9,9 @@
 //! so the campaign's wall-clock is tracked alongside the bench harness.
 
 use feddata::Benchmark;
-use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, run_method_comparison};
+use fedtune::fedtune_core::experiments::methods::{
+    paper_noise_settings, run_method_comparison, TuningMethod,
+};
 use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,8 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `ExperimentScale::default_scale()` to regenerate the EXPERIMENTS.md rows.
     let scale = ExperimentScale::smoke();
     let mut summary = fedbench::BenchSummary::new("method_comparison");
-    let campaigns = (4 * 2 * scale.method_trials) as u64;
-    // FEDTUNE_THREADS overrides the trial fan-out (1 = sequential, N = N
+    let campaigns = (TuningMethod::ALL.len() * 2 * scale.method_trials) as u64;
+    // FEDTUNE_THREADS overrides each batch's fan-out (1 = sequential, N = N
     // threads, 0/unset = all cores); results are bit-identical either way.
     let runner = TrialRunner::from_env();
     let comparison = summary.time("live_method_comparison", campaigns, || {
@@ -26,6 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &runner,
             Benchmark::Cifar10Like,
             &scale,
+            &TuningMethod::ALL,
             &paper_noise_settings(),
             5,
         )

@@ -9,8 +9,11 @@
 //! ```
 
 use feddata::Benchmark;
-use fedhpo::{RandomSearch, Tuner};
-use fedtune::fedtune_core::{BenchmarkContext, ExperimentScale, FederatedObjective, NoiseConfig};
+use fedhpo::{IntoScheduler, RandomSearch};
+use fedtune::fedtune_core::{
+    run_scheduled, BatchFederatedObjective, BenchmarkContext, ExperimentScale, NoiseConfig,
+    TrialRunner,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A CPU-sized CIFAR10-like federation: ~220 clients with Dirichlet(0.1)
@@ -24,13 +27,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.dataset().num_val_clients()
     );
 
+    // A tuning method is an ask/tell scheduler; `run_scheduled` drives it
+    // against the objective, evaluating each suggested batch on `threads`
+    // real threads (FEDTUNE_THREADS; results are bit-identical at any count).
     let tuner = RandomSearch::new(scale.num_configs, scale.rounds_per_config);
+    let threads = TrialRunner::from_env().policy().pool_threads();
 
     // 1. Tune with clean (full-population) evaluation.
     let mut clean_objective =
-        FederatedObjective::new(&ctx, NoiseConfig::noiseless(), scale.num_configs, 1)?;
+        BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 0);
-    tuner.tune(ctx.space(), &mut clean_objective, &mut rng)?;
+    run_scheduled(
+        &mut tuner.scheduler()?,
+        ctx.space(),
+        &mut clean_objective,
+        &mut rng,
+        threads,
+    )?;
     let clean_error = clean_objective
         .selected_true_error_within(usize::MAX)
         .expect("at least one evaluation");
@@ -38,9 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Tune with the paper's noisy evaluation: 1% of validation clients per
     //    evaluation and epsilon = 100 differential privacy.
     let mut noisy_objective =
-        FederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), scale.num_configs, 1)?;
+        BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 1);
-    tuner.tune(ctx.space(), &mut noisy_objective, &mut rng)?;
+    run_scheduled(
+        &mut tuner.scheduler()?,
+        ctx.space(),
+        &mut noisy_objective,
+        &mut rng,
+        threads,
+    )?;
     let noisy_error = noisy_objective
         .selected_true_error_within(usize::MAX)
         .expect("at least one evaluation");

@@ -10,7 +10,7 @@
 use fedtune::feddata::Benchmark;
 use fedtune::fedstore::{record_method_comparison, replay_method_comparison, TrialStore};
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
-use fedtune::fedtune_core::{ExecutionPolicy, ExperimentScale};
+use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Smoke scale keeps the recording under a minute; the replay side is
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut store = TrialStore::in_memory();
     let live = summary.time("record_live_campaigns", campaigns, || {
         record_method_comparison(
-            ExecutionPolicy::from_env(),
+            &TrialRunner::from_env(),
             Benchmark::Cifar10Like,
             &scale,
             &methods,

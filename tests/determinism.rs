@@ -16,7 +16,7 @@ use fedsim::clock::VirtualClock;
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
 use fedtune_core::experiments::heterogeneity::{run_data_heterogeneity, run_systems_heterogeneity};
 use fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison, run_method_comparison_scheduled, TuningMethod,
+    paper_noise_settings, run_method_comparison, TuningMethod,
 };
 use fedtune_core::experiments::privacy::run_privacy_sweep;
 use fedtune_core::experiments::space_ablation::run_space_ablation;
@@ -222,14 +222,15 @@ fn pooled_noise_figures_are_bit_identical_across_policies() {
 
 #[test]
 fn method_comparison_is_bit_identical_across_policies() {
-    // The live-training campaign (RS/TPE/HB/BOHB × noise settings × trials)
-    // through the engine: heavier, so one seed and one thread count.
+    // The live-training campaign (RS/TPE/HB/BOHB × noise settings × trials):
+    // heavier, so one seed and one thread count.
     let scale = ExperimentScale::smoke();
     let noise_settings = paper_noise_settings();
     let sequential = run_method_comparison(
         &TrialRunner::sequential(),
         Benchmark::Cifar10Like,
         &scale,
+        &TuningMethod::ALL,
         &noise_settings,
         3,
     )
@@ -238,6 +239,7 @@ fn method_comparison_is_bit_identical_across_policies() {
         &TrialRunner::new(ExecutionPolicy::parallel_with(4)),
         Benchmark::Cifar10Like,
         &scale,
+        &TuningMethod::ALL,
         &noise_settings,
         3,
     )
@@ -255,8 +257,8 @@ fn scheduled_campaigns_are_bit_identical_across_policies() {
     let noise_settings = paper_noise_settings();
     let methods = [TuningMethod::Asha, TuningMethod::AshaReEval];
     for &seed in &SEEDS {
-        let sequential = run_method_comparison_scheduled(
-            ExecutionPolicy::Sequential,
+        let sequential = run_method_comparison(
+            &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
             &scale,
             &methods,
@@ -265,8 +267,8 @@ fn scheduled_campaigns_are_bit_identical_across_policies() {
         )
         .unwrap();
         for &threads in &THREAD_COUNTS {
-            let parallel = run_method_comparison_scheduled(
-                ExecutionPolicy::parallel_with(threads),
+            let parallel = run_method_comparison(
+                &TrialRunner::new(ExecutionPolicy::parallel_with(threads)),
                 Benchmark::Cifar10Like,
                 &scale,
                 &methods,
@@ -285,8 +287,8 @@ fn scheduled_extended_comparison_is_bit_identical_across_policies() {
     // driver: heavier, so one seed and one thread count.
     let scale = ExperimentScale::smoke();
     let noise_settings = paper_noise_settings();
-    let sequential = run_method_comparison_scheduled(
-        ExecutionPolicy::Sequential,
+    let sequential = run_method_comparison(
+        &TrialRunner::sequential(),
         Benchmark::Cifar10Like,
         &scale,
         &TuningMethod::EXTENDED,
@@ -294,8 +296,8 @@ fn scheduled_extended_comparison_is_bit_identical_across_policies() {
         11,
     )
     .unwrap();
-    let parallel = run_method_comparison_scheduled(
-        ExecutionPolicy::parallel_with(4),
+    let parallel = run_method_comparison(
+        &TrialRunner::new(ExecutionPolicy::parallel_with(4)),
         Benchmark::Cifar10Like,
         &scale,
         &TuningMethod::EXTENDED,

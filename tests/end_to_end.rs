@@ -2,13 +2,16 @@
 //! through federated training, noisy evaluation, and hyperparameter tuning.
 
 use feddata::{Benchmark, Split};
-use fedhpo::{Hyperband, RandomSearch, Tpe, Tuner};
+use fedhpo::{Hyperband, IntoScheduler, RandomSearch, Scheduler, Tpe};
 use fedtune::fedproxy::OneShotProxy;
-use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, run_method_comparison};
+use fedtune::fedtune_core::experiments::methods::{
+    paper_noise_settings, run_method_comparison, TuningMethod,
+};
 use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
 use fedtune::fedtune_core::{
-    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig, TrialRunner,
+    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
+    NoiseConfig, TrialRunner,
 };
 
 fn smoke() -> ExperimentScale {
@@ -30,16 +33,27 @@ fn full_tuning_pipeline_with_each_tuner() {
     let scale = smoke();
     let ctx = BenchmarkContext::new(Benchmark::FemnistLike, &scale, 1).unwrap();
 
-    let tuners: Vec<(&str, Box<dyn Tuner>)> = vec![
-        ("rs", Box::new(RandomSearch::new(3, 4))),
-        ("tpe", Box::new(Tpe::new(3, 4))),
-        ("hb", Box::new(Hyperband::new(4, 3, Some(2)))),
+    let threads = TrialRunner::from_env().policy().pool_threads();
+    let tuners: Vec<(&str, Box<dyn Scheduler>)> = vec![
+        ("rs", Box::new(RandomSearch::new(3, 4).scheduler().unwrap())),
+        ("tpe", Box::new(Tpe::new(3, 4).scheduler().unwrap())),
+        (
+            "hb",
+            Box::new(Hyperband::new(4, 3, Some(2)).scheduler().unwrap()),
+        ),
     ];
-    for (name, tuner) in tuners {
+    for (name, mut tuner) in tuners {
         let mut objective =
-            FederatedObjective::new(&ctx, NoiseConfig::subsampled(0.3), 8, 2).unwrap();
+            BatchFederatedObjective::new(&ctx, NoiseConfig::subsampled(0.3), 8, 2).unwrap();
         let mut rng = fedmath::rng::rng_for(3, 0);
-        let outcome = tuner.tune(ctx.space(), &mut objective, &mut rng).unwrap();
+        let outcome = run_scheduled(
+            tuner.as_mut(),
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            threads,
+        )
+        .unwrap();
         assert!(
             outcome.num_evaluations() > 0,
             "{name} produced no evaluations"
@@ -93,6 +107,7 @@ fn method_comparison_produces_bars_for_all_methods() {
         &TrialRunner::from_env(),
         Benchmark::Cifar10Like,
         &scale,
+        &TuningMethod::ALL,
         &paper_noise_settings(),
         6,
     )

@@ -16,12 +16,12 @@
 use feddata::Benchmark;
 use fedsim::ExecutionPolicy;
 use fedtune_core::experiments::methods::{
-    paper_noise_settings, run_method_comparison_scheduled, TuningMethod,
+    paper_noise_settings, run_method_comparison, TuningMethod,
 };
 use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::{
     run_event_driven, run_event_driven_concurrent, BatchFederatedObjective, BenchmarkContext,
-    ExperimentScale, NoiseConfig, VirtualExecution,
+    ExperimentScale, NoiseConfig, TrialRunner, VirtualExecution,
 };
 
 /// One pinned scheduled run: `(noise_label, trial, log_len, selected-true-error bits)`.
@@ -44,8 +44,8 @@ const SCHEDULED_SEED: u64 = 3;
 fn scheduled_asha_selections_are_pinned() {
     let scale = ExperimentScale::smoke();
     let noise_settings = paper_noise_settings();
-    let comparison = run_method_comparison_scheduled(
-        ExecutionPolicy::Sequential,
+    let comparison = run_method_comparison(
+        &TrialRunner::sequential(),
         Benchmark::Cifar10Like,
         &scale,
         &[TuningMethod::Asha],
@@ -103,7 +103,7 @@ fn segment_backed_record_replay_reproduces_the_pinned_bits() {
     let recorded = {
         let mut store = TrialStore::open_segments(&dir).unwrap();
         record_method_comparison(
-            ExecutionPolicy::Sequential,
+            &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
             &scale,
             &[TuningMethod::Asha],

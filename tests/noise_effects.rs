@@ -4,6 +4,9 @@
 
 use feddata::Benchmark;
 use feddp::PrivacyBudget;
+use fedtune::fedtune_core::experiments::methods::{
+    paper_noise_settings, run_method_comparison, TuningMethod,
+};
 use fedtune::fedtune_core::experiments::{simulated_rs_trials, subsample_rate_grid};
 use fedtune::fedtune_core::{
     BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig, TrialRunner,
@@ -139,4 +142,43 @@ fn systems_bias_with_heterogeneity_is_harmful_or_neutral() {
         mean_biased >= mean_unbiased - 0.05,
         "biased sampling ({mean_biased}) should not improve selection vs unbiased ({mean_unbiased})"
     );
+}
+
+#[test]
+fn noisy_evaluation_degrades_every_tuning_method() {
+    // Fig. 8 / 15 / 16, the claim every method bar rests on: under the
+    // paper's noisy evaluation (1% clients + ε = 100) each of RS / TPE / HB /
+    // BOHB selects a worse configuration than under noiseless evaluation.
+    // Asserted on the mean over 8 dataset seeds × the scale's trials, each
+    // method's own gap — not on an ordering between methods, which smoke
+    // scale cannot resolve.
+    let scale = ExperimentScale::smoke();
+    let runner = TrialRunner::sequential();
+    let mut errors = vec![[Vec::new(), Vec::new()]; TuningMethod::ALL.len()];
+    for seed in 0..8u64 {
+        let comparison = run_method_comparison(
+            &runner,
+            Benchmark::Cifar10Like,
+            &scale,
+            &TuningMethod::ALL,
+            &paper_noise_settings(),
+            seed,
+        )
+        .unwrap();
+        for run in &comparison.runs {
+            let method = TuningMethod::ALL
+                .iter()
+                .position(|m| m.name() == run.method)
+                .unwrap();
+            let noisy = usize::from(run.noise_label == "noisy");
+            errors[method][noisy].push(run.selected_true_error_within(scale.total_budget).unwrap());
+        }
+    }
+    for (method, [noiseless, noisy]) in TuningMethod::ALL.iter().zip(&errors) {
+        let gap = fedmath::stats::mean(noisy) - fedmath::stats::mean(noiseless);
+        assert!(
+            gap >= 0.02,
+            "{method}: noisy evaluation should cost at least 2 points of true error, gap {gap:+.3}"
+        );
+    }
 }

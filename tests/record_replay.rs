@@ -12,7 +12,7 @@ use fedtune::fedstore::{
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune::fedtune_core::{
     run_scheduled, run_scheduled_for, BatchFederatedObjective, BenchmarkContext,
-    ConcurrentObjective, ExecutionPolicy, ExperimentScale, NoiseConfig,
+    ConcurrentObjective, ExecutionPolicy, ExperimentScale, NoiseConfig, TrialRunner,
 };
 
 fn method_slate() -> [TuningMethod; 3] {
@@ -30,8 +30,8 @@ fn recorded_and_replayed_comparisons_match_the_live_run_bitwise() {
     let settings = paper_noise_settings();
     let seed = 11;
 
-    let live = fedtune::fedtune_core::experiments::methods::run_method_comparison_scheduled(
-        ExecutionPolicy::parallel(),
+    let live = fedtune::fedtune_core::experiments::methods::run_method_comparison(
+        &TrialRunner::new(ExecutionPolicy::parallel()),
         Benchmark::Cifar10Like,
         &scale,
         &methods,
@@ -44,7 +44,7 @@ fn recorded_and_replayed_comparisons_match_the_live_run_bitwise() {
     // ledger.
     let mut store = TrialStore::in_memory();
     let recorded = record_method_comparison(
-        ExecutionPolicy::parallel(),
+        &TrialRunner::new(ExecutionPolicy::parallel()),
         Benchmark::Cifar10Like,
         &scale,
         &methods,
@@ -304,7 +304,7 @@ fn tabular_surrogate_drives_every_extended_method() {
     let seed = 21;
     let mut store = TrialStore::in_memory();
     let recorded = record_method_comparison(
-        ExecutionPolicy::parallel(),
+        &TrialRunner::new(ExecutionPolicy::parallel()),
         Benchmark::Cifar10Like,
         &scale,
         &TuningMethod::EXTENDED,

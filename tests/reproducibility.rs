@@ -3,9 +3,10 @@
 //! the whole pipeline.
 
 use feddata::{Benchmark, DatasetSpec, Scale};
-use fedhpo::{RandomSearch, Tuner};
+use fedhpo::{IntoScheduler, RandomSearch};
 use fedtune::fedtune_core::{
-    BenchmarkContext, ConfigPool, ExperimentScale, FederatedObjective, NoiseConfig, TrialRunner,
+    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
+    NoiseConfig, TrialRunner,
 };
 
 #[test]
@@ -32,13 +33,19 @@ fn pool_training_is_deterministic_and_seed_sensitive() {
 fn noisy_tuning_runs_are_deterministic() {
     let scale = ExperimentScale::smoke();
     let ctx = BenchmarkContext::new(Benchmark::FemnistLike, &scale, 1).unwrap();
+    let threads = TrialRunner::from_env().policy().pool_threads();
     let run = |seed: u64| {
         let mut objective =
-            FederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), 4, seed).unwrap();
+            BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), 4, seed).unwrap();
         let mut rng = fedmath::rng::rng_for(seed, 0);
-        RandomSearch::new(4, 3)
-            .tune(ctx.space(), &mut objective, &mut rng)
-            .unwrap();
+        run_scheduled(
+            &mut RandomSearch::new(4, 3).scheduler().unwrap(),
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            threads,
+        )
+        .unwrap();
         objective.into_log()
     };
     assert_eq!(run(9), run(9));
