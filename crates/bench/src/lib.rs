@@ -2,7 +2,7 @@
 //!
 //! Every bench target in `benches/` regenerates one table or figure of the
 //! paper: it prints the regenerated rows once (so `cargo bench` output can be
-//! compared against the paper and recorded in `EXPERIMENTS.md`) and then
+//! compared against the paper and against `examples/full_report`) and then
 //! measures the cost of the underlying experiment at a reduced scale with
 //! Criterion.
 

@@ -1,17 +1,14 @@
 //! Fig. 4 (data heterogeneity), Fig. 6 (systems heterogeneity), and
 //! Fig. 7 (global error vs. minimum client error).
 
-use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::{rate_sweep, series_report};
+use crate::experiments::{rate_sweep, series_report, SeedChannel};
 use crate::noise::NoiseConfig;
-use crate::pool::{validation_pool_with_iid_fraction, ConfigPool};
+use crate::pool::{validation_pool_with_iid_fraction, TrainedBenchmark};
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
-use crate::scale::ExperimentScale;
 use crate::Result;
-use feddata::Benchmark;
 use fedmath::stats::QuartileSummary;
-use fedmath::SeedStream;
+use fedmath::{SeedStream, SeedTree};
 use serde::{Deserialize, Serialize};
 
 /// Fig. 4 for one benchmark: one subsampling sweep per iid fraction `p`.
@@ -23,43 +20,37 @@ pub struct DataHeterogeneitySweep {
     pub series: Vec<SeriesGroup>,
 }
 
-/// Runs Fig. 4: the validation pool is repartitioned towards iid-ness with
-/// fraction `p ∈ {0, 0.5, 1}` (training data untouched, §3.2), the pool of
-/// trained configurations is re-evaluated on each partition, and the RS
-/// bootstrap is repeated across subsampling rates.
+/// Runs Fig. 4 over one trained benchmark: the validation pool is
+/// repartitioned towards iid-ness with fraction `p ∈ {0, 0.5, 1}` (training
+/// data untouched, §3.2), the trained configurations are re-evaluated on each
+/// partition, and the RS bootstrap is repeated across subsampling rates.
 ///
 /// # Errors
 ///
-/// Propagates pool-training, repartitioning, and evaluation failures.
+/// Propagates repartitioning and evaluation failures.
 pub fn run_data_heterogeneity(
     runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
+    trained: &TrainedBenchmark,
 ) -> Result<DataHeterogeneitySweep> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 3));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-
+    let mut seeds = SeedStream::new(trained.seed(SeedChannel::DataHeterogeneity));
     let mut series = Vec::new();
     for &p in &[0.0, 0.5, 1.0] {
         let mut partition_rng = seeds.next_rng();
-        let val_clients = validation_pool_with_iid_fraction(&ctx, p, &mut partition_rng)?;
-        let reevaluated = pool.reevaluate_on(runner, &val_clients)?;
+        let val_clients = validation_pool_with_iid_fraction(trained.ctx(), p, &mut partition_rng)?;
+        let reevaluated = trained.pool().reevaluate_on(runner, &val_clients)?;
         series.push(SeriesGroup {
             name: format!("p={p}"),
             points: rate_sweep(
                 runner,
-                &ctx,
                 &reevaluated,
-                scale,
+                trained.scale(),
                 NoiseConfig::subsampled,
                 |_| seeds.next_seed(),
             )?,
         });
     }
     Ok(DataHeterogeneitySweep {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         series,
     })
 }
@@ -84,57 +75,37 @@ pub struct SystemsHeterogeneitySweep {
     pub series: Vec<SeriesGroup>,
 }
 
-/// Runs Fig. 6: evaluation-client sampling is biased towards clients on which
-/// the evaluated model performs well, with weight `(a + δ)^b`.
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_systems_heterogeneity(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<SystemsHeterogeneitySweep> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 4));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-    systems_heterogeneity_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
-}
-
-/// The Fig. 6 sweep given an already-trained pool.
+/// Runs Fig. 6 over one trained benchmark: evaluation-client sampling is
+/// biased towards clients on which the evaluated model performs well, with
+/// weight `(a + δ)^b`.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn systems_heterogeneity_from_pool(
+pub fn run_systems_heterogeneity(
     runner: &TrialRunner,
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
+    trained: &TrainedBenchmark,
 ) -> Result<SystemsHeterogeneitySweep> {
     // Common random numbers across bias series: each rate's trial seed is
     // derived from the rate's position only, so every `b` replays the same
     // bootstrap draws. This reduces cross-series variance and makes the
     // series *exactly* coincide at full evaluation, where bias cannot matter.
-    let rate_seeds = fedmath::SeedTree::new(seed);
+    let rate_seeds = SeedTree::new(trained.seed(SeedChannel::SystemsHeterogeneity));
     let mut series = Vec::new();
     for &bias in &[0.0, 1.0, 1.5, 3.0] {
         series.push(SeriesGroup {
             name: format!("b={bias}"),
             points: rate_sweep(
                 runner,
-                ctx,
-                pool,
-                scale,
+                trained.pool(),
+                trained.scale(),
                 |rate| NoiseConfig::subsampled(rate).with_systems_bias(bias),
                 |rate_idx| rate_seeds.child(rate_idx as u64).seed(),
             )?,
         });
     }
     Ok(SystemsHeterogeneitySweep {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         series,
     })
 }
@@ -190,31 +161,12 @@ impl MinClientScatter {
     }
 }
 
-/// Runs Fig. 7: plots every pooled configuration at
-/// (global error, minimum client error).
-///
-/// # Errors
-///
-/// Propagates pool-training failures.
-pub fn run_min_client_scatter(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<MinClientScatter> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let pool = ConfigPool::train(
-        runner,
-        &ctx,
-        scale.pool_size,
-        fedmath::rng::derive_seed(seed, 5),
-    )?;
-    Ok(min_client_scatter_from_pool(&ctx, &pool))
-}
-
-/// The Fig. 7 scatter from an already-trained pool.
-pub fn min_client_scatter_from_pool(ctx: &BenchmarkContext, pool: &ConfigPool) -> MinClientScatter {
-    let points = pool
+/// Fig. 7 over one trained benchmark: every pooled configuration at
+/// (global error, minimum client error). Reads the pool; trains and draws
+/// nothing.
+pub fn run_min_client_scatter(trained: &TrainedBenchmark) -> MinClientScatter {
+    let points = trained
+        .pool()
         .entries()
         .iter()
         .map(|e| MinClientPoint {
@@ -223,7 +175,7 @@ pub fn min_client_scatter_from_pool(ctx: &BenchmarkContext, pool: &ConfigPool) -
         })
         .collect();
     MinClientScatter {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         points,
     }
 }
@@ -265,14 +217,13 @@ pub fn min_client_report(scatters: &[MinClientScatter]) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::subsample_rate_grid;
+    use crate::experiments::{smoke_trained, subsample_rate_grid};
+    use feddata::Benchmark;
 
     #[test]
     fn data_heterogeneity_sweep_shape() {
-        let scale = ExperimentScale::smoke();
-        let sweep =
-            run_data_heterogeneity(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
-                .unwrap();
+        let (runner, trained) = smoke_trained(Benchmark::Cifar10Like, 0);
+        let sweep = run_data_heterogeneity(&runner, &trained).unwrap();
         assert_eq!(sweep.series.len(), 3);
         let grid = subsample_rate_grid(10).len();
         for s in &sweep.series {
@@ -297,10 +248,8 @@ mod tests {
 
     #[test]
     fn systems_heterogeneity_sweep_shape() {
-        let scale = ExperimentScale::smoke();
-        let sweep =
-            run_systems_heterogeneity(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 1)
-                .unwrap();
+        let (runner, trained) = smoke_trained(Benchmark::Cifar10Like, 1);
+        let sweep = run_systems_heterogeneity(&runner, &trained).unwrap();
         assert_eq!(sweep.series.len(), 4);
         assert_eq!(sweep.series[0].name, "b=0");
         assert_eq!(sweep.series[3].name, "b=3");
@@ -315,11 +264,9 @@ mod tests {
 
     #[test]
     fn min_client_scatter_shape() {
-        let scale = ExperimentScale::smoke();
-        let scatter =
-            run_min_client_scatter(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 2)
-                .unwrap();
-        assert_eq!(scatter.points.len(), scale.pool_size);
+        let (_, trained) = smoke_trained(Benchmark::Cifar10Like, 2);
+        let scatter = run_min_client_scatter(&trained);
+        assert_eq!(scatter.points.len(), trained.scale().pool_size);
         for p in &scatter.points {
             // The minimum client error can never exceed the global error by
             // definition of a minimum over clients... it CAN be lower, and it

@@ -8,9 +8,11 @@
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::hyperband_planned_evaluations;
+use crate::experiments::proxy::proxy_rs;
+use crate::experiments::SeedChannel;
 use crate::noise::NoiseConfig;
 use crate::objective::{selected_true_error, BatchFederatedObjective, ObjectiveLogEntry};
+use crate::pool::TrainedBenchmark;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
 use crate::scheduler::run_scheduled;
@@ -163,16 +165,11 @@ impl TuningMethod {
     pub fn planned_evaluations(&self, scale: &ExperimentScale) -> usize {
         match self {
             TuningMethod::RandomSearch | TuningMethod::Tpe => scale.num_configs,
-            TuningMethod::Hyperband | TuningMethod::Bohb => hyperband_planned_evaluations(
-                scale.rounds_per_config,
-                scale.eta,
-                scale.num_brackets,
-            ),
-            TuningMethod::Asha | TuningMethod::AsyncAsha => Self::asha(scale).planned_evaluations(),
-            TuningMethod::AshaReEval => {
-                let policy = Self::asha_reeval(scale);
-                policy.inner().planned_evaluations() + policy.top_k() * policy.reps()
+            TuningMethod::Hyperband | TuningMethod::Bohb => {
+                Self::hyperband(scale).planned_evaluations()
             }
+            TuningMethod::Asha | TuningMethod::AsyncAsha => Self::asha(scale).planned_evaluations(),
+            TuningMethod::AshaReEval => Self::asha_reeval(scale).planned_evaluations(),
         }
     }
 }
@@ -384,7 +381,7 @@ pub struct ScheduledCampaign<'a> {
 /// Enumerates the scheduled comparison's campaign grid — method-major, then
 /// noise setting, then trial — and assembles what `campaign` logs for each
 /// cell. Every cell gets a fresh scheduler and positional seeds (the
-/// engine's: fan-out rooted at `derive_seed(seed, 7)`, cell `i` on child
+/// engine's: fan-out rooted at [`SeedChannel::Methods`], cell `i` on child
 /// `i`, objective on channel 0, scheduler RNG on channel 1), so live,
 /// recorded and replayed comparisons (`fedstore`) differ only in the
 /// objective `campaign` evaluates.
@@ -404,7 +401,7 @@ pub fn scheduled_comparison(
         &mut StdRng,
     ) -> Result<Vec<ObjectiveLogEntry>>,
 ) -> Result<MethodComparison> {
-    let tree = SeedTree::new(fedmath::rng::derive_seed(seed, 7));
+    let tree = SeedTree::new(SeedChannel::Methods.seed(seed));
     let mut runs = Vec::new();
     for &method in methods {
         for (noise_label, noise) in noise_settings {
@@ -478,8 +475,9 @@ pub fn run_method_comparison(
 pub struct HeadlineResult {
     /// Bars for the four tuning methods.
     pub method_bars: Vec<SeriesGroup>,
-    /// Full-validation error (percent) of one-shot proxy RS.
-    pub proxy_rs_percent: f64,
+    /// Full-validation error (percent) of one-shot proxy RS over the
+    /// bootstrap trials.
+    pub proxy_rs: fedmath::stats::QuartileSummary,
     /// The round budget the bars are evaluated at (one third of the total).
     pub budget: usize,
 }
@@ -499,12 +497,7 @@ impl HeadlineResult {
             points: vec![SeriesPoint {
                 x: self.budget as f64,
                 x_label: format!("{} rounds", self.budget),
-                summary: fedmath::stats::QuartileSummary {
-                    lower: self.proxy_rs_percent,
-                    median: self.proxy_rs_percent,
-                    upper: self.proxy_rs_percent,
-                    count: 1,
-                },
+                summary: self.proxy_rs,
             }],
         });
         report
@@ -513,42 +506,27 @@ impl HeadlineResult {
     }
 }
 
-/// Runs the Fig. 1 headline experiment.
+/// The Fig. 1 headline from what its caller already has: the bars of
+/// `comparison` (the CIFAR10-like method comparison Fig. 8 draws) at one
+/// third of the budget, and one-shot proxy RS over `trained` with
+/// FEMNIST-like as the proxy (the best proxy for CIFAR10 in Fig. 11).
 ///
 /// # Errors
 ///
-/// Propagates training and evaluation failures.
+/// Propagates summary failures; returns [`crate::CoreError::InvalidConfig`]
+/// if `trained` lacks either benchmark.
 pub fn run_headline(
     runner: &TrialRunner,
-    scale: &ExperimentScale,
-    seed: u64,
+    comparison: &MethodComparison,
+    trained: &[TrainedBenchmark],
 ) -> Result<HeadlineResult> {
-    let comparison = run_method_comparison(
-        runner,
-        Benchmark::Cifar10Like,
-        scale,
-        &TuningMethod::ALL,
-        &paper_noise_settings(),
-        seed,
-    )?;
+    let client = TrainedBenchmark::find(trained, Benchmark::Cifar10Like)?;
+    let proxy = TrainedBenchmark::find(trained, Benchmark::FemnistLike)?;
+    let scale = client.scale();
     let budget = (scale.total_budget / 3).max(scale.rounds_per_config);
-    let method_bars = comparison.bars_at(budget)?;
-
-    // One-shot proxy RS with FEMNIST-like as the proxy dataset (the best
-    // proxy for CIFAR10 in Fig. 11).
-    let proxy_ctx = BenchmarkContext::new(Benchmark::FemnistLike, scale, seed)?;
-    let client_ctx = BenchmarkContext::new(Benchmark::Cifar10Like, scale, seed)?;
-    let pipeline = fedproxy::OneShotProxy::new(scale.num_configs);
-    let outcome = pipeline.run(
-        proxy_ctx.dataset(),
-        &proxy_ctx.config_runner(),
-        client_ctx.dataset(),
-        &client_ctx.config_runner(),
-        fedmath::rng::derive_seed(seed, 8),
-    )?;
     Ok(HeadlineResult {
-        method_bars,
-        proxy_rs_percent: outcome.client_error * 100.0,
+        method_bars: comparison.bars_at(budget)?,
+        proxy_rs: proxy_rs(runner, proxy, client)?,
         budget,
     })
 }
@@ -579,6 +557,34 @@ mod tests {
         );
         for m in TuningMethod::EXTENDED {
             assert!(m.scheduler(&scale).is_ok());
+        }
+    }
+
+    #[test]
+    fn planned_evaluations_match_what_the_scheduler_suggests() {
+        // `M` calibrates the Laplace scale, so a plan that drifts from the
+        // schedule silently mis-states ε.
+        let space = fedhpo::SearchSpace::paper_default();
+        for scale in [
+            ExperimentScale::smoke(),
+            ExperimentScale::default_scale(),
+            ExperimentScale::paper(),
+        ] {
+            for method in TuningMethod::EXTENDED {
+                let mut objective = fedhpo::FunctionObjective::new(|_: &fedhpo::HpConfig, _| 0.5);
+                let outcome = fedhpo::run_scheduler(
+                    method.scheduler(&scale).unwrap().as_mut(),
+                    &space,
+                    &mut objective,
+                    &mut fedmath::rng::rng_for(0, 0),
+                )
+                .unwrap();
+                assert_eq!(
+                    outcome.num_evaluations(),
+                    method.planned_evaluations(&scale),
+                    "{method} at {scale:?}"
+                );
+            }
         }
     }
 

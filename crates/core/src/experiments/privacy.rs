@@ -1,15 +1,12 @@
 //! Fig. 9: the effect of the differential-privacy budget ε on random search,
 //! across evaluation-client subsampling rates.
 
-use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::{rate_sweep, series_report};
+use crate::experiments::{rate_sweep, series_report, SeedChannel};
 use crate::noise::NoiseConfig;
-use crate::pool::ConfigPool;
+use crate::pool::TrainedBenchmark;
 use crate::report::{ExperimentReport, SeriesGroup};
-use crate::scale::ExperimentScale;
 use crate::Result;
-use feddata::Benchmark;
 use feddp::PrivacyBudget;
 use fedmath::SeedStream;
 use serde::{Deserialize, Serialize};
@@ -32,54 +29,31 @@ pub struct PrivacySweep {
     pub series: Vec<SeriesGroup>,
 }
 
-/// Runs Fig. 9: random search where every evaluation is an ε-DP release of
-/// the subsampled validation accuracy (uniform weighting, Laplace noise of
-/// scale `M / (ε |S|)` with `M = K` evaluations per tuning run).
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_privacy_sweep(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<PrivacySweep> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 6));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-    privacy_sweep_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
-}
-
-/// The Fig. 9 sweep given an already-trained pool.
+/// Runs Fig. 9 over one trained benchmark: random search where every
+/// evaluation is an ε-DP release of the subsampled validation accuracy
+/// (uniform weighting, Laplace noise of scale `M / (ε |S|)` with `M = K`
+/// evaluations per tuning run).
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn privacy_sweep_from_pool(
-    runner: &TrialRunner,
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<PrivacySweep> {
-    let mut seeds = SeedStream::new(seed);
+pub fn run_privacy_sweep(runner: &TrialRunner, trained: &TrainedBenchmark) -> Result<PrivacySweep> {
+    let mut seeds = SeedStream::new(trained.seed(SeedChannel::Privacy));
     let mut series = Vec::new();
     for budget in PRIVACY_GRID {
         series.push(SeriesGroup {
             name: format!("eps={}", budget.label()),
             points: rate_sweep(
                 runner,
-                ctx,
-                pool,
-                scale,
+                trained.pool(),
+                trained.scale(),
                 |rate| NoiseConfig::subsampled(rate).with_privacy(budget),
                 |_| seeds.next_seed(),
             )?,
         });
     }
     Ok(PrivacySweep {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         series,
     })
 }
@@ -98,13 +72,12 @@ pub fn privacy_report(sweeps: &[PrivacySweep]) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::subsample_rate_grid;
+    use crate::experiments::{smoke_trained, subsample_rate_grid};
 
     #[test]
     fn privacy_sweep_shape_and_ordering() {
-        let scale = ExperimentScale::smoke();
-        let sweep =
-            run_privacy_sweep(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let (runner, trained) = smoke_trained(feddata::Benchmark::Cifar10Like, 0);
+        let sweep = run_privacy_sweep(&runner, &trained).unwrap();
         assert_eq!(sweep.series.len(), 5);
         assert_eq!(sweep.series[0].name, "eps=0.1");
         assert_eq!(sweep.series[4].name, "eps=inf");

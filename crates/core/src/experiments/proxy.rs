@@ -1,19 +1,23 @@
 //! Fig. 10/14 (HP transfer between dataset pairs), Fig. 11 (one-shot proxy
-//! RS matrix), and Fig. 12 (proxy tuning vs. noisy evaluation over budget).
+//! RS matrix), and Fig. 12 (proxy tuning vs. noisy evaluation over budget) —
+//! all read off the one trained pool per benchmark: the pools hold the same
+//! configurations, so a transfer scatter is two pools' error columns side by
+//! side and one-shot proxy RS is the RS bootstrap selecting by the *proxy*
+//! pool's errors and reporting the *client* pool's.
 
-use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::simulated_rs_trajectory;
+use crate::experiments::{
+    budget_curve, selections, simulated_rs_trajectories, Scores, SeedChannel,
+};
 use crate::noise::NoiseConfig;
-use crate::pool::ConfigPool;
+use crate::pool::TrainedBenchmark;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
-use crate::scale::ExperimentScale;
-use crate::Result;
+use crate::{CoreError, Result};
 use feddata::Benchmark;
 use feddp::PrivacyBudget;
 use fedmath::stats::QuartileSummary;
-use fedmath::SeedStream;
-use fedproxy::{transfer_analysis, OneShotProxy, TransferAnalysis};
+use fedmath::SeedTree;
+use fedproxy::{transfer_analysis, TransferAnalysis};
 use serde::{Deserialize, Serialize};
 
 /// The dataset pairs of Fig. 10 (same task family) and Fig. 14 (cross
@@ -25,36 +29,25 @@ pub const TRANSFER_PAIRS: [(Benchmark, Benchmark); 4] = [
     (Benchmark::FemnistLike, Benchmark::StackOverflowLike),
 ];
 
-/// Runs the HP-transfer analysis of Fig. 10/14: the same configurations are
-/// trained and evaluated independently on both datasets of every pair.
-///
-/// The number of configurations per pair follows `scale.num_configs` (the
-/// paper uses 128; use [`ExperimentScale::paper`] to match).
+/// The HP-transfer analysis of Fig. 10/14 over a trained pool set: every
+/// pooled configuration (the paper's 128) at its full-validation error on
+/// both datasets of every pair.
 ///
 /// # Errors
 ///
-/// Propagates training failures.
-pub fn run_transfer_pairs(scale: &ExperimentScale, seed: u64) -> Result<Vec<TransferAnalysis>> {
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 9));
-    let mut analyses = Vec::new();
-    for &(a, b) in &TRANSFER_PAIRS {
-        let ctx_a = BenchmarkContext::new(a, scale, seed)?;
-        let ctx_b = BenchmarkContext::new(b, scale, seed)?;
-        let mut sample_rng = seeds.next_rng();
-        let configs = ctx_a
-            .space()
-            .sample_many(scale.num_configs, &mut sample_rng)?;
-        let analysis = transfer_analysis(
-            ctx_a.dataset(),
-            &ctx_a.config_runner(),
-            ctx_b.dataset(),
-            &ctx_b.config_runner(),
-            &configs,
-            seeds.next_seed(),
-        )?;
-        analyses.push(analysis);
-    }
-    Ok(analyses)
+/// Returns [`CoreError::InvalidConfig`] if `trained` lacks a benchmark of a
+/// pair or two pools hold different configurations.
+pub fn run_transfer_pairs(trained: &[TrainedBenchmark]) -> Result<Vec<TransferAnalysis>> {
+    TRANSFER_PAIRS
+        .iter()
+        .map(|&(a, b)| {
+            let b = TrainedBenchmark::find(trained, b)?;
+            let errors_a = b.proxy_scores(TrainedBenchmark::find(trained, a)?)?;
+            let analysis =
+                transfer_analysis(a.name(), &errors_a, b.name(), &b.pool().true_errors())?;
+            Ok(analysis)
+        })
+        .collect()
 }
 
 /// Renders the transfer scatters as a report (one row per configuration, plus
@@ -91,6 +84,38 @@ pub fn transfer_report(analyses: &[TransferAnalysis]) -> ExperimentReport {
     report
 }
 
+/// One-shot proxy RS over a trained pair (§4): bootstrap
+/// `bootstrap_trials` searches of `num_configs` configurations that select
+/// by `proxy`'s full-validation error, and summarise the error the selected
+/// configuration reached on `client`, in percent. Proxy scores carry no
+/// noise, so every (proxy, client) pair replays the same draws and differs
+/// only in what the proxy ranks first.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] if the pools hold different
+/// configurations.
+pub fn proxy_rs(
+    runner: &TrialRunner,
+    proxy: &TrainedBenchmark,
+    client: &TrainedBenchmark,
+) -> Result<QuartileSummary> {
+    let scale = client.scale();
+    let scores = client.proxy_scores(proxy)?;
+    let percents: Vec<f64> = selections(simulated_rs_trajectories(
+        runner,
+        client.pool(),
+        &Scores::Proxy(&scores),
+        scale.num_configs,
+        scale.bootstrap_trials,
+        client.seed(SeedChannel::ProxyRs),
+    )?)
+    .iter()
+    .map(|error| error * 100.0)
+    .collect();
+    QuartileSummary::from_values(&percents).map_err(CoreError::from)
+}
+
 /// One cell of the Fig. 11 matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProxyMatrixCell {
@@ -98,10 +123,9 @@ pub struct ProxyMatrixCell {
     pub proxy: String,
     /// Client dataset the selected configuration was deployed on.
     pub client: String,
-    /// Full-validation error on the client dataset, in percent.
-    pub client_error_percent: f64,
-    /// Full-validation error on the proxy dataset, in percent.
-    pub proxy_error_percent: f64,
+    /// Full-validation error on the client dataset over the bootstrap
+    /// trials, in percent.
+    pub client_error: QuartileSummary,
 }
 
 /// The Fig. 11 matrix: one-shot proxy RS for every (proxy, client) pair.
@@ -112,16 +136,13 @@ pub struct ProxyMatrix {
 }
 
 impl ProxyMatrix {
-    /// The best proxy for a given client dataset (lowest client error).
+    /// The best proxy for a given client dataset (lowest median client
+    /// error).
     pub fn best_proxy_for(&self, client: &str) -> Option<&ProxyMatrixCell> {
         self.cells
             .iter()
             .filter(|c| c.client == client)
-            .min_by(|a, b| {
-                a.client_error_percent
-                    .partial_cmp(&b.client_error_percent)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .min_by(|a, b| a.client_error.median.total_cmp(&b.client_error.median))
     }
 
     /// Renders the matrix as a report (one series per client dataset, one
@@ -129,34 +150,18 @@ impl ProxyMatrix {
     pub fn to_report(&self) -> ExperimentReport {
         let mut report =
             ExperimentReport::new("fig11", "One-shot proxy RS across dataset pairs (Fig. 11)");
-        let clients: Vec<String> = {
-            let mut seen = Vec::new();
-            for c in &self.cells {
-                if !seen.contains(&c.client) {
-                    seen.push(c.client.clone());
-                }
-            }
-            seen
-        };
-        for client in clients {
-            let points = self
-                .cells
+        for row in self.cells.chunk_by(|a, b| a.client == b.client) {
+            let points = row
                 .iter()
-                .filter(|c| c.client == client)
                 .enumerate()
-                .map(|(i, c)| SeriesPoint {
+                .map(|(i, cell)| SeriesPoint {
                     x: i as f64,
-                    x_label: format!("proxy={}", c.proxy),
-                    summary: QuartileSummary {
-                        lower: c.client_error_percent,
-                        median: c.client_error_percent,
-                        upper: c.client_error_percent,
-                        count: 1,
-                    },
+                    x_label: format!("proxy={}", cell.proxy),
+                    summary: cell.client_error,
                 })
                 .collect();
             report.push_group(SeriesGroup {
-                name: format!("client={client}"),
+                name: format!("client={}", row[0].client),
                 points,
             });
         }
@@ -164,35 +169,21 @@ impl ProxyMatrix {
     }
 }
 
-/// Runs the Fig. 11 experiment: for every (proxy, client) pair of the four
-/// benchmarks, run one-shot proxy RS (`K` configurations searched on the
-/// proxy, a single configuration deployed on the client).
+/// Runs the Fig. 11 experiment over a trained pool set: [`proxy_rs`] for
+/// every (proxy, client) pair of it.
 ///
 /// # Errors
 ///
-/// Propagates training failures.
-pub fn run_proxy_matrix(scale: &ExperimentScale, seed: u64) -> Result<ProxyMatrix> {
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 10));
-    let contexts: Vec<BenchmarkContext> = Benchmark::ALL
-        .iter()
-        .map(|&b| BenchmarkContext::new(b, scale, seed))
-        .collect::<Result<_>>()?;
-    let pipeline = OneShotProxy::new(scale.num_configs);
+/// Returns [`CoreError::InvalidConfig`] if two pools hold different
+/// configurations.
+pub fn run_proxy_matrix(runner: &TrialRunner, trained: &[TrainedBenchmark]) -> Result<ProxyMatrix> {
     let mut cells = Vec::new();
-    for client_ctx in &contexts {
-        for proxy_ctx in &contexts {
-            let outcome = pipeline.run(
-                proxy_ctx.dataset(),
-                &proxy_ctx.config_runner(),
-                client_ctx.dataset(),
-                &client_ctx.config_runner(),
-                seeds.next_seed(),
-            )?;
+    for client in trained {
+        for proxy in trained {
             cells.push(ProxyMatrixCell {
-                proxy: proxy_ctx.benchmark().name().to_string(),
-                client: client_ctx.benchmark().name().to_string(),
-                client_error_percent: outcome.client_error * 100.0,
-                proxy_error_percent: outcome.proxy_error * 100.0,
+                proxy: proxy.name().to_string(),
+                client: client.name().to_string(),
+                client_error: proxy_rs(runner, proxy, client)?,
             });
         }
     }
@@ -209,8 +200,9 @@ pub struct ProxyVsNoisy {
     /// 1% client subsample.
     pub noisy_curves: Vec<SeriesGroup>,
     /// One horizontal reference per proxy dataset: the client error of the
-    /// configuration chosen by one-shot proxy RS, in percent.
-    pub proxy_references: Vec<(String, f64)>,
+    /// configuration chosen by one-shot proxy RS over the bootstrap trials,
+    /// in percent.
+    pub proxy_references: Vec<(String, QuartileSummary)>,
 }
 
 impl ProxyVsNoisy {
@@ -228,89 +220,56 @@ impl ProxyVsNoisy {
         }
         for (proxy, error) in &self.proxy_references {
             report.push_note(format!(
-                "proxy {proxy}: {error:.2}% client error (budget-independent)"
+                "proxy {proxy}: {:.2}% [{:.2}, {:.2}] client error over {} trials (budget-independent)",
+                error.median, error.lower, error.upper, error.count
             ));
         }
         report
     }
 }
 
-/// Runs Fig. 12 for one client benchmark. The noisy curves reuse a
-/// configuration pool trained on `runner` (RS trajectories under 1%
-/// subsampling and the given ε, replayed in seed-stream order);
-/// the proxy references run one-shot proxy RS from each of the other three
-/// benchmarks (and the benchmark itself, matching the paper's inclusion of
+/// Runs Fig. 12 for one trained client benchmark: RS budget curves under 1%
+/// subsampling at ε ∈ {1, 10, ∞} over the client's pool, and the [`proxy_rs`]
+/// reference from each of `proxies` (the paper includes the client itself,
 /// the "perfect" proxy).
 ///
 /// # Errors
 ///
-/// Propagates training and evaluation failures.
+/// Propagates noisy-evaluation failures; returns
+/// [`CoreError::InvalidConfig`] if a proxy pool holds different
+/// configurations.
 pub fn run_proxy_vs_noisy(
     runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
+    client: &TrainedBenchmark,
+    proxies: &[TrainedBenchmark],
 ) -> Result<ProxyVsNoisy> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 11));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-
-    // Noisy RS curves at 1% subsample for eps in {1, 10, inf}.
-    let subsample = 0.01f64.max(1.0 / ctx.dataset().num_val_clients() as f64);
-    let budgets: [(&str, PrivacyBudget); 3] = [
-        ("eps=1", PrivacyBudget::Finite(1.0)),
-        ("eps=10", PrivacyBudget::Finite(10.0)),
-        ("eps=inf", PrivacyBudget::Infinite),
+    let subsample = 0.01f64.max(1.0 / client.pool().num_val_clients() as f64);
+    let budgets = [
+        PrivacyBudget::Finite(1.0),
+        PrivacyBudget::Finite(10.0),
+        PrivacyBudget::Infinite,
     ];
-    let mut noisy_curves = Vec::new();
-    for (label, privacy) in budgets {
-        let noise = NoiseConfig::subsampled(subsample).with_privacy(privacy);
-        let mut per_step: Vec<Vec<f64>> = vec![Vec::new(); scale.num_configs];
-        for _ in 0..scale.bootstrap_trials {
-            let mut rng = seeds.next_rng();
-            let trajectory = simulated_rs_trajectory(
-                &pool,
-                &noise,
-                scale.num_configs,
-                scale.num_configs,
-                &mut rng,
-            )?;
-            for (step, err) in trajectory.into_iter().enumerate() {
-                per_step[step].push(err);
-            }
-        }
-        let mut points = Vec::new();
-        for (step, errors) in per_step.iter().enumerate() {
-            let rounds = (step + 1) * scale.rounds_per_config;
-            points.push(SeriesPoint::from_error_rates(
-                rounds as f64,
-                format!("{rounds} rounds"),
-                errors,
-            )?);
-        }
-        noisy_curves.push(SeriesGroup {
-            name: label.to_string(),
-            points,
-        });
-    }
-
-    // Proxy references from every benchmark (including the client itself).
-    let pipeline = OneShotProxy::new(scale.num_configs);
-    let mut proxy_references = Vec::new();
-    for &proxy in &Benchmark::ALL {
-        let proxy_ctx = BenchmarkContext::new(proxy, scale, seed)?;
-        let outcome = pipeline.run(
-            proxy_ctx.dataset(),
-            &proxy_ctx.config_runner(),
-            ctx.dataset(),
-            &ctx.config_runner(),
-            seeds.next_seed(),
-        )?;
-        proxy_references.push((proxy.name().to_string(), outcome.client_error * 100.0));
-    }
-
+    let curve_seeds = SeedTree::new(client.seed(SeedChannel::ProxyVsNoisy));
+    let noisy_curves = budgets
+        .iter()
+        .enumerate()
+        .map(|(i, &privacy)| {
+            budget_curve(
+                runner,
+                client.pool(),
+                client.scale(),
+                format!("eps={}", privacy.label()),
+                &NoiseConfig::subsampled(subsample).with_privacy(privacy),
+                curve_seeds.child(i as u64).seed(),
+            )
+        })
+        .collect::<Result<_>>()?;
+    let proxy_references = proxies
+        .iter()
+        .map(|proxy| Ok((proxy.name().to_string(), proxy_rs(runner, proxy, client)?)))
+        .collect::<Result<_>>()?;
     Ok(ProxyVsNoisy {
-        benchmark: benchmark.name().to_string(),
+        benchmark: client.name().to_string(),
         noisy_curves,
         proxy_references,
     })
@@ -319,34 +278,53 @@ pub fn run_proxy_vs_noisy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
+
+    fn smoke_set(seed: u64) -> (TrialRunner, Vec<TrainedBenchmark>) {
+        let runner = TrialRunner::from_env();
+        let set = TrainedBenchmark::train_all(&runner, &ExperimentScale::smoke(), seed).unwrap();
+        (runner, set)
+    }
 
     #[test]
     fn proxy_matrix_smoke() {
+        let (runner, trained) = smoke_set(0);
         let scale = ExperimentScale::smoke();
-        let matrix = run_proxy_matrix(&scale, 0).unwrap();
+        let matrix = run_proxy_matrix(&runner, &trained).unwrap();
         assert_eq!(matrix.cells.len(), 16);
         for cell in &matrix.cells {
-            assert!((0.0..=100.0).contains(&cell.client_error_percent));
-            assert!((0.0..=100.0).contains(&cell.proxy_error_percent));
+            assert!((0.0..=100.0).contains(&cell.client_error.median));
+            assert_eq!(cell.client_error.count, scale.bootstrap_trials);
         }
-        let best = matrix.best_proxy_for("cifar10-like").unwrap();
-        assert_eq!(best.client, "cifar10-like");
+        // Trial for trial, no proxy can beat selecting by the client's own
+        // errors: the diagonal is each row's floor.
+        for client in &trained {
+            let best = matrix.best_proxy_for(client.name()).unwrap();
+            let own = matrix
+                .cells
+                .iter()
+                .find(|c| c.client == client.name() && c.proxy == client.name())
+                .unwrap();
+            assert_eq!(best.client_error.median, own.client_error.median);
+        }
         let report = matrix.to_report();
         assert_eq!(report.groups.len(), 4);
+        assert!(report.groups.iter().all(|g| g.points.len() == 4));
         assert!(report.to_table().contains("proxy="));
     }
 
     #[test]
     fn transfer_pairs_smoke() {
-        let mut scale = ExperimentScale::smoke();
-        scale.num_configs = 3;
-        let analyses = run_transfer_pairs(&scale, 1).unwrap();
+        let (_, trained) = smoke_set(1);
+        let analyses = run_transfer_pairs(&trained).unwrap();
         assert_eq!(analyses.len(), 4);
         assert_eq!(analyses[0].dataset_a, "cifar10-like");
         assert_eq!(analyses[0].dataset_b, "femnist-like");
         for a in &analyses {
-            assert_eq!(a.points.len(), 3);
+            // One point per pooled configuration, not per searched one.
+            assert_eq!(a.points.len(), ExperimentScale::smoke().pool_size);
         }
+        assert_eq!(analyses[0].errors_a(), trained[0].pool().true_errors());
         let report = transfer_report(&analyses);
         assert!(report
             .to_table()
@@ -354,22 +332,42 @@ mod tests {
     }
 
     #[test]
+    fn pools_with_different_configurations_are_rejected_not_zipped() {
+        let (runner, mut trained) = smoke_set(1);
+        trained[1] = TrainedBenchmark::train(
+            &runner,
+            Benchmark::FemnistLike,
+            &ExperimentScale::smoke(),
+            2,
+        )
+        .unwrap();
+        let invalid = |e: CoreError| matches!(e, CoreError::InvalidConfig { .. });
+        assert!(invalid(run_transfer_pairs(&trained).unwrap_err()));
+        assert!(invalid(run_proxy_matrix(&runner, &trained).unwrap_err()));
+        assert!(invalid(
+            run_proxy_vs_noisy(&runner, &trained[0], &trained).unwrap_err()
+        ));
+        // A set missing a benchmark of a pair is an error too.
+        assert!(invalid(run_transfer_pairs(&trained[..1]).unwrap_err()));
+    }
+
+    #[test]
     fn proxy_vs_noisy_smoke() {
+        let (runner, trained) = smoke_set(2);
         let scale = ExperimentScale::smoke();
-        let result =
-            run_proxy_vs_noisy(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 2)
-                .unwrap();
+        let result = run_proxy_vs_noisy(&runner, &trained[0], &trained).unwrap();
+        assert_eq!(result.benchmark, "cifar10-like");
         assert_eq!(result.noisy_curves.len(), 3);
         assert_eq!(result.proxy_references.len(), 4);
         for curve in &result.noisy_curves {
             assert_eq!(curve.points.len(), scale.num_configs);
         }
         // The self-proxy (tuning on the client dataset itself without noise)
-        // should be among the proxies reported.
-        assert!(result
-            .proxy_references
-            .iter()
-            .any(|(name, _)| name == "cifar10-like"));
+        // is among the proxies reported, every reference over every trial.
+        assert_eq!(result.proxy_references[0].0, "cifar10-like");
+        for (_, reference) in &result.proxy_references {
+            assert_eq!(reference.count, scale.bootstrap_trials);
+        }
         let report = result.to_report();
         assert!(report.to_table().contains("eps=inf"));
         assert!(report.to_table().contains("proxy"));

@@ -4,7 +4,7 @@
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::simulated_rs_trials;
+use crate::experiments::{simulated_rs_trials, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
@@ -66,7 +66,7 @@ pub fn run_space_ablation(
     scale: &ExperimentScale,
     seed: u64,
 ) -> Result<SpaceAblation> {
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 12));
+    let mut seeds = SeedStream::new(SeedChannel::SpaceAblation.seed(seed));
     let mut noiseless_points = Vec::new();
     let mut noisy_points = Vec::new();
     for width in 1u32..=4 {

@@ -18,6 +18,7 @@ use crate::concurrent::run_event_driven_concurrent;
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::experiments::methods::TuningMethod;
+use crate::experiments::SeedChannel;
 use crate::noise::NoiseConfig;
 use crate::objective::{
     selected_true_error_within_sim, BatchFederatedObjective, ObjectiveLogEntry,
@@ -39,7 +40,7 @@ pub fn straggler_cost_model(scale: &ExperimentScale, seed: u64) -> CostModel {
     CostModel::HeterogeneousClients(ClientRuntimeModel::heavy_tailed(
         scale.clients_per_round * 10,
         scale.clients_per_round,
-        fedmath::rng::derive_seed(seed, 11),
+        SeedChannel::StragglerCostModel.seed(seed),
     ))
 }
 
@@ -181,7 +182,7 @@ pub fn run_straggler_comparison(
         .iter()
         .flat_map(|&method| workers_grid.iter().map(move |&workers| (method, workers)))
         .collect();
-    let root = fedmath::rng::derive_seed(seed, 9);
+    let root = SeedChannel::StragglerCampaigns.seed(seed);
     // Campaigns run one after another (the parallelism is each campaign's
     // in-flight trials), with engine-style positional unit seeds.
     let runs = TrialRunner::sequential().run_trials(root, units.len(), |unit| {

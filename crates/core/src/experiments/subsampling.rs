@@ -1,16 +1,13 @@
 //! Fig. 3 (random search vs. evaluation-client subsampling) and
 //! Fig. 5 (error vs. training budget at several subsampling rates).
 
-use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::experiments::{rate_sweep, simulated_rs_trajectories};
+use crate::experiments::{budget_curve, rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
-use crate::pool::ConfigPool;
+use crate::pool::TrainedBenchmark;
 use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
-use crate::scale::ExperimentScale;
 use crate::Result;
-use feddata::Benchmark;
-use fedmath::SeedStream;
+use fedmath::SeedTree;
 use serde::{Deserialize, Serialize};
 
 /// The result of the Fig. 3 sweep for one benchmark.
@@ -25,55 +22,32 @@ pub struct SubsamplingSweep {
     pub best_hps_percent: f64,
 }
 
-/// Runs the Fig. 3 experiment for one benchmark: train a configuration pool,
-/// then for each subsampling rate simulate `bootstrap_trials` RS runs of
-/// `num_configs` configurations and record the full-validation error of the
-/// selected configuration. Sequential and parallel runners produce
-/// bit-identical sweeps.
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_subsampling_sweep(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<SubsamplingSweep> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 1));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-    subsampling_sweep_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
-}
-
-/// The Fig. 3 sweep given an already-trained pool (so several figures can
-/// share one pool). Each rate's bootstrap trials fan out through the runner,
+/// Runs the Fig. 3 experiment over one trained benchmark: for each
+/// subsampling rate simulate `bootstrap_trials` RS runs of `num_configs`
+/// configurations and record the full-validation error of the selected
+/// configuration. Each rate's bootstrap trials fan out through the runner,
 /// seeded by the rate's position in the grid — so the sweep is a pure
-/// function of `(pool, scale, seed)` under every execution policy.
+/// function of the trained pool under every execution policy.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn subsampling_sweep_from_pool(
+pub fn run_subsampling_sweep(
     runner: &TrialRunner,
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
+    trained: &TrainedBenchmark,
 ) -> Result<SubsamplingSweep> {
-    let rate_seeds = fedmath::SeedTree::new(seed);
+    let rate_seeds = SeedTree::new(trained.seed(SeedChannel::Subsampling));
     let points = rate_sweep(
         runner,
-        ctx,
-        pool,
-        scale,
+        trained.pool(),
+        trained.scale(),
         NoiseConfig::subsampled,
         |rate_idx| rate_seeds.child(rate_idx as u64).seed(),
     )?;
     Ok(SubsamplingSweep {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         points,
-        best_hps_percent: pool.best_full_error()? * 100.0,
+        best_hps_percent: trained.pool().best_full_error()? * 100.0,
     })
 }
 
@@ -106,80 +80,39 @@ pub struct BudgetCurves {
     pub curves: Vec<SeriesGroup>,
 }
 
-/// Runs the Fig. 5 experiment: the online performance of RS (true error of
-/// the incumbent) as its round budget is consumed, at a single-client rate,
-/// an intermediate rate, and full evaluation. Sequential and parallel
-/// runners produce bit-identical curves.
-///
-/// # Errors
-///
-/// Propagates pool-training and noisy-evaluation failures.
-pub fn run_budget_curves(
-    runner: &TrialRunner,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<BudgetCurves> {
-    let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let mut seeds = SeedStream::new(fedmath::rng::derive_seed(seed, 2));
-    let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
-    budget_curves_from_pool(runner, &ctx, &pool, scale, seeds.next_seed())
-}
-
-/// The Fig. 5 curves given an already-trained pool; the bootstrap
-/// trajectories of each rate fan out through the runner.
+/// Runs the Fig. 5 experiment over one trained benchmark: the online
+/// performance of RS (true error of the incumbent) as its round budget is
+/// consumed, at a single-client rate, an intermediate rate, and full
+/// evaluation. Sequential and parallel runners produce bit-identical curves.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn budget_curves_from_pool(
-    runner: &TrialRunner,
-    ctx: &BenchmarkContext,
-    pool: &ConfigPool,
-    scale: &ExperimentScale,
-    seed: u64,
-) -> Result<BudgetCurves> {
-    let population = ctx.dataset().num_val_clients();
+pub fn run_budget_curves(runner: &TrialRunner, trained: &TrainedBenchmark) -> Result<BudgetCurves> {
+    let population = trained.pool().num_val_clients();
     // The paper plots a single client, a small percentage, and 100%.
-    let single = 1.0 / population as f64;
-    let small = (3.0 / population as f64).min(1.0);
-    let rates = [single, small, 1.0];
-    let rate_seeds = fedmath::SeedTree::new(seed);
-    let mut curves = Vec::new();
-    for (rate_idx, &rate) in rates.iter().enumerate() {
-        let noise = NoiseConfig::subsampled(rate);
-        // Collect incumbent trajectories over bootstrap trials.
-        let trajectories = simulated_rs_trajectories(
-            runner,
-            pool,
-            &noise,
-            scale.num_configs,
-            scale.num_configs,
-            scale.bootstrap_trials,
-            rate_seeds.child(rate_idx as u64).seed(),
-        )?;
-        let mut per_step: Vec<Vec<f64>> = vec![Vec::new(); scale.num_configs];
-        for trajectory in trajectories {
-            for (step, err) in trajectory.into_iter().enumerate() {
-                per_step[step].push(err);
-            }
-        }
-        let mut points = Vec::new();
-        for (step, errors) in per_step.iter().enumerate() {
-            let rounds = (step + 1) * scale.rounds_per_config;
-            points.push(SeriesPoint::from_error_rates(
-                rounds as f64,
-                format!("{rounds} rounds"),
-                errors,
-            )?);
-        }
-        curves.push(SeriesGroup {
-            name: rate_label(rate, population),
-            points,
-        });
-    }
+    let rates = [
+        1.0 / population as f64,
+        (3.0 / population as f64).min(1.0),
+        1.0,
+    ];
+    let rate_seeds = SeedTree::new(trained.seed(SeedChannel::Budget));
+    let curves = rates
+        .iter()
+        .enumerate()
+        .map(|(rate_idx, &rate)| {
+            budget_curve(
+                runner,
+                trained.pool(),
+                trained.scale(),
+                rate_label(rate, population),
+                &NoiseConfig::subsampled(rate),
+                rate_seeds.child(rate_idx as u64).seed(),
+            )
+        })
+        .collect::<Result<_>>()?;
     Ok(BudgetCurves {
-        benchmark: ctx.benchmark().name().to_string(),
+        benchmark: trained.name().to_string(),
         curves,
     })
 }
@@ -204,13 +137,13 @@ pub fn budget_report(all: &[BudgetCurves]) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::smoke_trained;
+    use feddata::Benchmark;
 
     #[test]
     fn subsampling_sweep_shape_and_monotone_trend() {
-        let scale = ExperimentScale::smoke();
-        let sweep =
-            run_subsampling_sweep(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
-                .unwrap();
+        let (runner, trained) = smoke_trained(Benchmark::Cifar10Like, 0);
+        let sweep = run_subsampling_sweep(&runner, &trained).unwrap();
         assert_eq!(sweep.benchmark, "cifar10-like");
         // One point per rate in the grid for a 10-client validation pool:
         // counts 1, 3, 9, 10.
@@ -233,9 +166,9 @@ mod tests {
 
     #[test]
     fn budget_curves_shape() {
-        let scale = ExperimentScale::smoke();
-        let curves =
-            run_budget_curves(&TrialRunner::from_env(), Benchmark::FemnistLike, &scale, 1).unwrap();
+        let (runner, trained) = smoke_trained(Benchmark::FemnistLike, 1);
+        let scale = *trained.scale();
+        let curves = run_budget_curves(&runner, &trained).unwrap();
         assert_eq!(curves.curves.len(), 3);
         for curve in &curves.curves {
             assert_eq!(curve.points.len(), scale.num_configs);

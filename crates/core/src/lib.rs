@@ -16,9 +16,10 @@
 //! - [`noise`] — the [`NoiseConfig`] describing every evaluation-noise source
 //!   studied in the paper (client subsampling, systems-heterogeneity bias,
 //!   differential privacy, weighting scheme) and the noisy-evaluation kernel.
-//! - [`pool`] — the pre-trained configuration pool used by the paper's
-//!   RS-only analyses (train 128 configurations once, then simulate many
-//!   noisy tuning runs cheaply).
+//! - [`pool`] — the pre-trained configuration pool behind the paper's
+//!   RS-only analyses: [`TrainedBenchmark`] trains 128 configurations per
+//!   benchmark once, and every RS figure simulates many noisy tuning runs
+//!   over it cheaply.
 //! - [`objective`] — [`BatchFederatedObjective`], the live objective that
 //!   trains configurations on demand with noisy evaluation: point-keyed,
 //!   order-independent, and the one every scheduler driver (and so every
@@ -29,7 +30,8 @@
 //! - [`scheduler`] — the sans-io [`ExecutorCore`] and the thin drivers for
 //!   `fedhpo`'s ask/tell [`fedhpo::Scheduler`] methods over that pump, with
 //!   bit-identical results at every thread count.
-//! - [`experiments`] — one runner per paper table/figure; see `DESIGN.md` for
+//! - [`experiments`] — one runner per paper table/figure, the RS figures as
+//!   analyses over the one trained pool per benchmark; see `DESIGN.md` for
 //!   the experiment index.
 //!
 //! # Example
@@ -72,7 +74,7 @@ pub use objective::{
     selected_true_error, selected_true_error_within_sim, BatchFederatedObjective, CampaignLog,
     ObjectiveLogEntry,
 };
-pub use pool::{ConfigPool, PooledConfig};
+pub use pool::{ConfigPool, PooledConfig, TrainedBenchmark};
 pub use report::{ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{

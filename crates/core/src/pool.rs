@@ -2,16 +2,20 @@
 //!
 //! §3 ("Evaluation"): *"we train random 128 HP configs and then bootstrap 100
 //! trials i.e. run RS on K = 16 HP configs that are resampled from the set of
-//! 128"*. Training the pool once and replaying noisy selection many times is
-//! what makes the subsampling / heterogeneity / privacy sweeps tractable;
-//! this module reproduces that machinery. Training and re-evaluation fan out
-//! over configurations through the caller's [`TrialRunner`].
+//! 128"*. Training the pool **once per benchmark** and replaying noisy
+//! selection many times is what makes the subsampling / heterogeneity /
+//! privacy / proxy analyses tractable: [`TrainedBenchmark::train`] is the one
+//! place an experiment trains a pool, and every RS figure of
+//! [`crate::experiments`] is an analysis over the result. Training and
+//! re-evaluation fan out over configurations through the caller's
+//! [`TrialRunner`].
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
-use crate::noise::{noisy_error, NoiseConfig};
+use crate::experiments::SeedChannel;
+use crate::scale::ExperimentScale;
 use crate::{CoreError, Result};
-use feddata::{ClientData, Split};
+use feddata::{Benchmark, ClientData, Split};
 use fedhpo::HpConfig;
 use fedmath::SeedStream;
 use fedmodels::AnyModel;
@@ -96,6 +100,13 @@ impl ConfigPool {
         self.entries.is_empty()
     }
 
+    /// Number of validation clients every pooled evaluation covers.
+    pub fn num_val_clients(&self) -> usize {
+        self.entries
+            .first()
+            .map_or(0, |e| e.evaluation.num_clients())
+    }
+
     /// The full-validation errors of every configuration, in pool order —
     /// the "true scores" used when reporting what a tuner actually selected.
     pub fn true_errors(&self) -> Vec<f64> {
@@ -110,33 +121,6 @@ impl ConfigPool {
     /// Returns an error if the pool is empty.
     pub fn best_full_error(&self) -> Result<f64> {
         fedmath::stats::min(&self.true_errors()).map_err(CoreError::from)
-    }
-
-    /// The minimum per-client error of each configuration (y-axis of Fig. 7).
-    pub fn min_client_errors(&self) -> Vec<f64> {
-        self.entries
-            .iter()
-            .map(|e| e.evaluation.min_client_error())
-            .collect()
-    }
-
-    /// Draws one noisy observation of every configuration's error under the
-    /// given noise configuration, using the pool's stored per-client
-    /// evaluations. `total_evaluations` is the DP composition length `M`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates noisy-evaluation failures.
-    pub fn noisy_scores(
-        &self,
-        noise: &NoiseConfig,
-        total_evaluations: usize,
-        rng: &mut StdRng,
-    ) -> Result<Vec<f64>> {
-        self.entries
-            .iter()
-            .map(|e| noisy_error(&e.evaluation, noise, total_evaluations, rng))
-            .collect()
     }
 
     /// Re-evaluates every pooled model on a replacement validation pool
@@ -176,6 +160,114 @@ impl ConfigPool {
     }
 }
 
+/// A benchmark with its configuration pool trained: what every RS figure of
+/// the paper is an analysis over. All benchmarks trained at one
+/// `(scale, seed)` hold the *same* configurations in the same order (the
+/// sampling stream is keyed by the seed alone and the search space is
+/// shared), which is what lets two of them be compared configuration by
+/// configuration ([`proxy_scores`](Self::proxy_scores)).
+#[derive(Debug, Clone)]
+pub struct TrainedBenchmark {
+    ctx: BenchmarkContext,
+    pool: ConfigPool,
+    seed: u64,
+}
+
+impl TrainedBenchmark {
+    /// Generates `benchmark` at `scale` and trains its `scale.pool_size`
+    /// configurations on `runner`, both from `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates dataset-generation and pool-training failures.
+    pub fn train(
+        runner: &TrialRunner,
+        benchmark: Benchmark,
+        scale: &ExperimentScale,
+        seed: u64,
+    ) -> Result<Self> {
+        let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
+        let pool = ConfigPool::train(runner, &ctx, scale.pool_size, SeedChannel::Pool.seed(seed))?;
+        Ok(TrainedBenchmark { ctx, pool, seed })
+    }
+
+    /// [`train`](Self::train) for each of [`Benchmark::ALL`], in that order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first training failure.
+    pub fn train_all(
+        runner: &TrialRunner,
+        scale: &ExperimentScale,
+        seed: u64,
+    ) -> Result<Vec<Self>> {
+        Benchmark::ALL
+            .iter()
+            .map(|&benchmark| Self::train(runner, benchmark, scale, seed))
+            .collect()
+    }
+
+    /// The member of `set` trained on `benchmark`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] if `set` has none.
+    pub fn find(set: &[Self], benchmark: Benchmark) -> Result<&Self> {
+        set.iter()
+            .find(|trained| trained.ctx.benchmark() == benchmark)
+            .ok_or_else(|| CoreError::InvalidConfig {
+                message: format!("no trained pool for {benchmark}"),
+            })
+    }
+
+    /// The benchmark's dataset, search space and model.
+    pub fn ctx(&self) -> &BenchmarkContext {
+        &self.ctx
+    }
+
+    /// The trained pool.
+    pub fn pool(&self) -> &ConfigPool {
+        &self.pool
+    }
+
+    /// The scale the benchmark was generated and trained at.
+    pub fn scale(&self) -> &ExperimentScale {
+        self.ctx.scale()
+    }
+
+    /// The benchmark's display name.
+    pub fn name(&self) -> &'static str {
+        self.ctx.benchmark().name()
+    }
+
+    /// The seed a figure over this pool draws from on its `channel`.
+    pub fn seed(&self, channel: SeedChannel) -> u64 {
+        channel.seed(self.seed)
+    }
+
+    /// The full-validation errors of `proxy`'s pool, as one score per
+    /// configuration of *this* pool — what one-shot proxy RS selects by and
+    /// the x-axis of the transfer scatters.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] unless both pools hold the same
+    /// configurations in the same order (trained at one `(scale, seed)`).
+    pub fn proxy_scores(&self, proxy: &TrainedBenchmark) -> Result<Vec<f64>> {
+        let (mine, theirs) = (self.pool.entries.iter(), proxy.pool.entries.iter());
+        if !mine.map(|e| &e.config).eq(theirs.map(|e| &e.config)) {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "the pools of {} and {} hold different configurations",
+                    proxy.name(),
+                    self.name()
+                ),
+            });
+        }
+        Ok(proxy.pool.true_errors())
+    }
+}
+
 /// Helper shared by the experiment runners: the validation pool of a context,
 /// optionally repartitioned towards iid-ness by fraction `p`.
 ///
@@ -197,8 +289,6 @@ pub fn validation_pool_with_iid_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::ExperimentScale;
-    use feddata::Benchmark;
     use fedmath::rng::rng_for;
 
     fn smoke_context() -> BenchmarkContext {
@@ -219,7 +309,6 @@ mod tests {
         assert!(pool.true_errors().iter().all(|&e| (0.0..=1.0).contains(&e)));
         let best = pool.best_full_error().unwrap();
         assert!(pool.true_errors().iter().all(|&e| e >= best));
-        assert_eq!(pool.min_client_errors().len(), pool.len());
         for (i, entry) in pool.entries().iter().enumerate() {
             assert_eq!(entry.index, i);
             assert_eq!(
@@ -227,6 +316,33 @@ mod tests {
                 ctx.dataset().num_val_clients()
             );
         }
+    }
+
+    #[test]
+    fn benchmarks_trained_together_hold_the_same_configurations() {
+        let runner = TrialRunner::from_env();
+        let scale = ExperimentScale::smoke();
+        let set = TrainedBenchmark::train_all(&runner, &scale, 3).unwrap();
+        assert_eq!(set.len(), Benchmark::ALL.len());
+        let cifar = TrainedBenchmark::find(&set, Benchmark::Cifar10Like).unwrap();
+        for trained in &set {
+            assert_eq!(trained.pool().len(), scale.pool_size);
+            for (a, b) in cifar.pool().entries().iter().zip(trained.pool().entries()) {
+                assert_eq!(a.config, b.config, "{}", trained.name());
+            }
+            assert_eq!(
+                trained.proxy_scores(cifar).unwrap(),
+                cifar.pool().true_errors()
+            );
+        }
+        // A pool from another seed holds other configurations: its errors
+        // are refused as scores for this one, never zipped by position.
+        let other = TrainedBenchmark::train(&runner, Benchmark::FemnistLike, &scale, 4).unwrap();
+        assert!(matches!(
+            cifar.proxy_scores(&other),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        assert!(TrainedBenchmark::find(&set[..1], Benchmark::RedditLike).is_err());
     }
 
     #[test]
@@ -241,30 +357,6 @@ mod tests {
         let a = train(&ctx, 3, 9).unwrap();
         let b = train(&ctx, 3, 9).unwrap();
         assert_eq!(a.true_errors(), b.true_errors());
-    }
-
-    #[test]
-    fn noisy_scores_differ_from_true_scores_under_subsampling() {
-        let ctx = smoke_context();
-        let pool = train(&ctx, 4, 2).unwrap();
-        let mut rng = rng_for(0, 0);
-        let noiseless = pool
-            .noisy_scores(&NoiseConfig::noiseless(), 16, &mut rng)
-            .unwrap();
-        for (noisy, truth) in noiseless.iter().zip(pool.true_errors().iter()) {
-            assert!((noisy - truth).abs() < 1e-12);
-        }
-        let subsampled = pool
-            .noisy_scores(&NoiseConfig::subsampled(0.1), 16, &mut rng)
-            .unwrap();
-        let differs = subsampled
-            .iter()
-            .zip(pool.true_errors().iter())
-            .any(|(a, b)| (a - b).abs() > 1e-9);
-        assert!(
-            differs,
-            "subsampled scores should deviate from the full errors"
-        );
     }
 
     #[test]

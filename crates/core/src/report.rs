@@ -3,7 +3,7 @@
 //! Each experiment produces an [`ExperimentReport`]: a set of named series,
 //! each series a list of `(x, quartile-summary)` points. The bench harness
 //! prints these as the rows/curves corresponding to the paper's figures, and
-//! `EXPERIMENTS.md` records them.
+//! `examples/full_report` prints all of them in one run.
 
 use fedmath::stats::QuartileSummary;
 use serde::{Deserialize, Serialize};
@@ -54,7 +54,7 @@ pub struct SeriesGroup {
 /// a human-readable title, and its series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentReport {
-    /// Stable experiment identifier matching DESIGN.md / EXPERIMENTS.md.
+    /// Stable experiment identifier matching DESIGN.md and `examples/full_report`.
     pub id: String,
     /// Human-readable title.
     pub title: String,
@@ -86,7 +86,7 @@ impl ExperimentReport {
     }
 
     /// Renders the report as fixed-width text rows (one per point), the
-    /// format printed by the bench harness and captured in EXPERIMENTS.md.
+    /// format printed by the bench harness and `examples/full_report`.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("== {} — {} ==\n", self.id, self.title));

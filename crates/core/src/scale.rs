@@ -52,7 +52,7 @@ impl ExperimentScale {
     }
 
     /// The CPU-friendly default: same structure, roughly an order of
-    /// magnitude smaller budgets. Used by the examples and EXPERIMENTS.md.
+    /// magnitude smaller budgets — what `examples/full_report` runs at.
     pub fn default_scale() -> Self {
         ExperimentScale {
             data_scale: feddata::Scale::Default,

@@ -94,19 +94,24 @@ impl Asha {
         rungs
     }
 
+    /// Trials evaluated at each rung when every rung fills and every
+    /// promotion is taken: `num_configs`, then a `1/η` share per rung, up to
+    /// the first rung nobody reaches.
+    pub fn rung_sizes(&self) -> Vec<usize> {
+        let mut n = self.num_configs;
+        (0..self.num_rungs())
+            .map_while(|_| {
+                let here = n;
+                n /= self.eta;
+                (here > 0).then_some(here)
+            })
+            .collect()
+    }
+
     /// Worst-case number of evaluations the schedule performs (every rung
     /// full, every promotion taken) — the DP composition length `M`.
     pub fn planned_evaluations(&self) -> usize {
-        let mut total = 0;
-        let mut n = self.num_configs;
-        for _ in 0..self.num_rungs() {
-            if n == 0 {
-                break;
-            }
-            total += n;
-            n /= self.eta;
-        }
-        total.max(1)
+        self.rung_sizes().iter().sum::<usize>().max(1)
     }
 
     fn validate(&self) -> Result<()> {

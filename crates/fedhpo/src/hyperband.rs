@@ -385,6 +385,23 @@ impl Hyperband {
             .max(1.0) as usize;
         (n.max(1), r.min(self.max_resource))
     }
+
+    /// Number of evaluations the schedule performs over all brackets — the
+    /// DP composition length `M` of a Hyperband / BOHB run.
+    pub fn planned_evaluations(&self) -> usize {
+        let mut evaluations = 0;
+        for (mut n, mut r) in self.bracket_ladder() {
+            loop {
+                evaluations += n;
+                if n < self.eta || r >= self.max_resource {
+                    break;
+                }
+                n = (n / self.eta).max(1);
+                r = (r * self.eta).min(self.max_resource);
+            }
+        }
+        evaluations
+    }
 }
 
 impl Hyperband {
@@ -528,6 +545,12 @@ mod tests {
         assert_eq!(hb.bracket_plan(2), (15, 45));
         assert_eq!(hb.bracket_plan(1), (8, 135));
         assert_eq!(hb.bracket_plan(0), (5, 405));
+        // R = 9, eta = 3, 3 brackets: s=2 runs 9 + 3 + 1 evaluations
+        // (n=9, r=1), s=1 runs 5 + 1 (n=5, r=3), s=0 runs 3 (n=3, r=9).
+        assert_eq!(
+            Hyperband::new(9, 3, Some(3)).planned_evaluations(),
+            9 + 3 + 1 + 5 + 1 + 3
+        );
     }
 
     #[test]

@@ -63,6 +63,17 @@ impl<C> ReEvaluation<C> {
     }
 }
 
+impl ReEvaluation<crate::Asha> {
+    /// Evaluations the campaign performs — the DP composition length `M`:
+    /// the ladder's plan plus `reps` fresh draws for each finalist. Finalists
+    /// are the best `top_k` of whoever reached the ladder's highest populated
+    /// rung, so fewer than `top_k` once the ladder narrows below it.
+    pub fn planned_evaluations(&self) -> usize {
+        let top_rung = self.inner.rung_sizes().last().copied().unwrap_or(0);
+        self.inner.planned_evaluations() + self.top_k.min(top_rung) * self.reps
+    }
+}
+
 impl<C: IntoScheduler> IntoScheduler for ReEvaluation<C> {
     type Scheduler = ReEvalScheduler<C::Scheduler>;
 

@@ -9,13 +9,15 @@
 //!   [`fedhpo::HpConfig`] (the Appendix B search space) into the concrete
 //!   [`fedsim::FederatedHyperparams`] used by the simulator.
 //! - [`ConfigRunner`] — "train this configuration on this dataset for R
-//!   rounds and report its full validation error", the building block shared
-//!   by the transfer analysis and the proxy pipeline.
-//! - [`transfer`] — evaluating the *same* configurations on two datasets to
-//!   quantify HP transfer (Fig. 10/14).
-//! - [`OneShotProxy`] — the two-step baseline of §4: random search on the
-//!   proxy dataset, then a single training run on the client dataset
-//!   (Fig. 11/12).
+//!   rounds and report its full validation error", the building block behind
+//!   every pool, live objective and the proxy pipeline.
+//! - [`transfer`] — the HP-transfer scatter (Fig. 10/14) as a pure function
+//!   of the error columns the *same* configurations reached on two datasets.
+//! - [`OneShotProxy`] — the deployable two-step baseline of §4: random search
+//!   on the proxy dataset, then a single training run on the client dataset.
+//!   The paper's proxy figures (1, 11, 12) train nothing here: they bootstrap
+//!   over one pool per benchmark (`fedtune_core::TrainedBenchmark`) and share
+//!   only the selection rule, [`incumbents`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,7 +28,7 @@ pub mod runner;
 pub mod transfer;
 
 pub use mapping::hyperparams_from_config;
-pub use one_shot::{OneShotProxy, ProxyOutcome};
+pub use one_shot::{incumbents, OneShotProxy, ProxyOutcome};
 pub use runner::ConfigRunner;
 pub use transfer::{transfer_analysis, TransferAnalysis, TransferPoint};
 

@@ -6,6 +6,11 @@
 //! 2. Train a single model on the client dataset with the best configuration
 //!    found. Because only one configuration touches the client data, the
 //!    result is unaffected by evaluation noise.
+//!
+//! [`OneShotProxy::run`] is the *deployable* pipeline: it trains what it
+//! searches. The paper's proxy figures (Fig. 1 bar, 11, 12) do not call it —
+//! they bootstrap over pools `fedtune_core` trained once per benchmark,
+//! selecting by the proxy pool's errors with the same [`incumbents`] rule.
 
 use crate::runner::ConfigRunner;
 use crate::Result;
@@ -13,6 +18,21 @@ use feddata::FederatedDataset;
 use fedhpo::HpConfig;
 use fedmath::SeedStream;
 use serde::{Deserialize, Serialize};
+
+/// The selection rule of a random search that sees `scores` in order: entry
+/// `j` is the index of its incumbent after `j + 1` scores — the lowest so
+/// far, the earliest on ties. The last entry is what the search selects.
+pub fn incumbents(scores: &[f64]) -> Vec<usize> {
+    let mut best = 0;
+    (0..scores.len())
+        .map(|j| {
+            if scores[j] < scores[best] {
+                best = j;
+            }
+            best
+        })
+        .collect()
+}
 
 /// The one-shot proxy tuning pipeline.
 #[derive(Debug, Clone)]
@@ -98,9 +118,7 @@ impl OneShotProxy {
             let result = proxy_runner.run(proxy_dataset, config, run_seed)?;
             proxy_errors.push(result.full_error);
         }
-        let best_index = fedmath::stats::argmin(&proxy_errors)
-            .map_err(fedhpo::HpoError::from)
-            .map_err(crate::ProxyError::from)?;
+        let best_index = incumbents(&proxy_errors)[self.num_configs - 1];
         let selected_config = configs[best_index].clone();
 
         // Step 2: a single training run on the client data.
@@ -156,6 +174,12 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert_eq!(outcome.proxy_error, min);
         assert!(space.validate_config(&outcome.selected_config).is_ok());
+    }
+
+    #[test]
+    fn incumbents_track_the_lowest_score_so_far() {
+        assert_eq!(incumbents(&[0.5, 0.7, 0.2, 0.2, 0.1]), [0, 0, 2, 2, 4]);
+        assert!(incumbents(&[]).is_empty());
     }
 
     #[test]

@@ -1,10 +1,6 @@
 //! Hyperparameter transfer between dataset pairs (Fig. 10 and Fig. 14).
 
-use crate::runner::ConfigRunner;
 use crate::Result;
-use feddata::FederatedDataset;
-use fedhpo::HpConfig;
-use fedmath::SeedStream;
 use serde::{Deserialize, Serialize};
 
 /// One configuration evaluated on two datasets.
@@ -47,61 +43,55 @@ impl TransferAnalysis {
     }
 }
 
-/// Trains and evaluates the *same* configurations independently on two
-/// datasets, producing the transfer scatter of Fig. 10/14.
-///
-/// `runner_a` / `runner_b` carry the per-dataset model and round settings
-/// (image vs. text datasets use different models); both interpret `configs`
-/// against the same search space.
+/// The transfer scatter of Fig. 10/14 from the full-validation errors the
+/// *same* configurations reached on two datasets (`errors_a[i]` and
+/// `errors_b[i]` belong to configuration `i`). Training is the caller's
+/// business — `fedtune_core` reads both columns off pools trained once per
+/// benchmark.
 ///
 /// # Errors
 ///
-/// Propagates training errors; returns an error if `configs` is empty.
+/// Returns an error if the columns are empty or differ in length.
 pub fn transfer_analysis(
-    dataset_a: &FederatedDataset,
-    runner_a: &ConfigRunner,
-    dataset_b: &FederatedDataset,
-    runner_b: &ConfigRunner,
-    configs: &[HpConfig],
-    seed: u64,
+    dataset_a: &str,
+    errors_a: &[f64],
+    dataset_b: &str,
+    errors_b: &[f64],
 ) -> Result<TransferAnalysis> {
-    if configs.is_empty() {
+    if errors_a.is_empty() || errors_a.len() != errors_b.len() {
         return Err(crate::ProxyError::InvalidConfig {
-            message: "transfer analysis needs at least one configuration".into(),
+            message: format!(
+                "transfer analysis needs one error per configuration on both datasets, got {} and {}",
+                errors_a.len(),
+                errors_b.len()
+            ),
         });
     }
-    let mut seeds = SeedStream::new(seed);
-    let mut points = Vec::with_capacity(configs.len());
-    for (config_index, config) in configs.iter().enumerate() {
-        let seed_a = seeds.next_seed();
-        let seed_b = seeds.next_seed();
-        let error_a = runner_a.run(dataset_a, config, seed_a)?.full_error;
-        let error_b = runner_b.run(dataset_b, config, seed_b)?.full_error;
-        points.push(TransferPoint {
+    let points = errors_a
+        .iter()
+        .zip(errors_b)
+        .enumerate()
+        .map(|(config_index, (&error_a, &error_b))| TransferPoint {
             config_index,
             error_a,
             error_b,
-        });
-    }
-    let a: Vec<f64> = points.iter().map(|p| p.error_a).collect();
-    let b: Vec<f64> = points.iter().map(|p| p.error_b).collect();
-    let pearson = fedmath::stats::pearson_correlation(&a, &b).ok();
-    let spearman = fedmath::stats::spearman_correlation(&a, &b).ok();
+        })
+        .collect();
     Ok(TransferAnalysis {
-        dataset_a: dataset_a.name().to_string(),
-        dataset_b: dataset_b.name().to_string(),
+        dataset_a: dataset_a.to_string(),
+        dataset_b: dataset_b.to_string(),
         points,
-        pearson,
-        spearman,
+        pearson: fedmath::stats::pearson_correlation(errors_a, errors_b).ok(),
+        spearman: fedmath::stats::spearman_correlation(errors_a, errors_b).ok(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ConfigRunner;
     use feddata::{Benchmark, DatasetSpec, Scale};
-    use fedhpo::SearchSpace;
-    use fedmath::rng::rng_for;
+    use fedhpo::{HpConfig, SearchSpace};
     use fedmodels::ModelSpec;
 
     #[test]
@@ -110,56 +100,48 @@ mod tests {
         // the paper finds HPs transfer well within a family. With a handful
         // of very different configurations the rank correlation should be
         // positive.
-        let cifar = DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
-            .generate(0)
-            .unwrap();
-        let femnist = DatasetSpec::benchmark(Benchmark::FemnistLike, Scale::Smoke)
-            .generate(0)
-            .unwrap();
         let space = SearchSpace::paper_default();
-        let runner_a = ConfigRunner::new(space.clone(), ModelSpec::Mlp { hidden_dim: 8 }, 15);
-        let runner_b = ConfigRunner::new(space.clone(), ModelSpec::Mlp { hidden_dim: 8 }, 15);
-
+        let runner = ConfigRunner::new(space, ModelSpec::Mlp { hidden_dim: 8 }, 15);
         // Spread configurations from terrible (tiny lrs) to sensible.
-        let configs = vec![
+        let configs = [
             HpConfig::new(vec![1e-6, 0.0, 0.0, 0.9999, 1e-6, 0.0, 5e-5, 128.0, 1.0]),
             HpConfig::new(vec![1e-5, 0.3, 0.5, 0.9999, 1e-4, 0.3, 5e-5, 64.0, 1.0]),
             HpConfig::new(vec![1e-3, 0.6, 0.9, 0.9999, 1e-2, 0.5, 5e-5, 32.0, 1.0]),
             HpConfig::new(vec![3e-2, 0.9, 0.99, 0.9999, 5e-2, 0.7, 5e-5, 32.0, 1.0]),
         ];
-        let analysis =
-            transfer_analysis(&cifar, &runner_a, &femnist, &runner_b, &configs, 1).unwrap();
+        let errors_on = |benchmark: Benchmark| -> Vec<f64> {
+            let dataset = DatasetSpec::benchmark(benchmark, Scale::Smoke)
+                .generate(0)
+                .unwrap();
+            configs
+                .iter()
+                .enumerate()
+                .map(|(i, config)| runner.run(&dataset, config, i as u64).unwrap().full_error)
+                .collect()
+        };
+        let cifar = errors_on(Benchmark::Cifar10Like);
+        let femnist = errors_on(Benchmark::FemnistLike);
+        let analysis = transfer_analysis("cifar10-like", &cifar, "femnist-like", &femnist).unwrap();
         assert_eq!(analysis.points.len(), 4);
         assert_eq!(analysis.dataset_a, "cifar10-like");
         assert_eq!(analysis.dataset_b, "femnist-like");
-        assert_eq!(analysis.errors_a().len(), 4);
-        assert_eq!(analysis.errors_b().len(), 4);
+        assert_eq!(analysis.errors_a(), cifar);
+        assert_eq!(analysis.errors_b(), femnist);
         if let Some(s) = analysis.spearman {
             assert!(s > 0.0, "expected positive rank correlation, got {s}");
         }
     }
 
     #[test]
-    fn empty_config_list_is_rejected() {
-        let cifar = DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
-            .generate(0)
-            .unwrap();
-        let space = SearchSpace::paper_default();
-        let runner = ConfigRunner::new(space, ModelSpec::Softmax, 2);
-        assert!(transfer_analysis(&cifar, &runner, &cifar, &runner, &[], 0).is_err());
+    fn empty_or_ragged_columns_are_rejected() {
+        assert!(transfer_analysis("a", &[], "b", &[]).is_err());
+        assert!(transfer_analysis("a", &[0.1, 0.2], "b", &[0.1]).is_err());
     }
 
     #[test]
-    fn transfer_points_are_reproducible() {
-        let d = DatasetSpec::benchmark(Benchmark::RedditLike, Scale::Smoke)
-            .generate(2)
-            .unwrap();
-        let space = SearchSpace::paper_default();
-        let runner = ConfigRunner::new(space.clone(), ModelSpec::Bigram { embed_dim: 4 }, 3);
-        let mut rng = rng_for(0, 0);
-        let configs = space.sample_many(2, &mut rng).unwrap();
-        let a = transfer_analysis(&d, &runner, &d, &runner, &configs, 5).unwrap();
-        let b = transfer_analysis(&d, &runner, &d, &runner, &configs, 5).unwrap();
-        assert_eq!(a, b);
+    fn constant_columns_have_no_correlation() {
+        let analysis = transfer_analysis("a", &[0.5, 0.5, 0.5], "b", &[0.1, 0.2, 0.3]).unwrap();
+        assert_eq!(analysis.pearson, None);
+        assert_eq!(analysis.points[2].config_index, 2);
     }
 }

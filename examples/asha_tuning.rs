@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // survivors get 3 fresh noise draws each, and selection averages them.
     let policy = ReEvaluation::new(asha, 3, 3);
     let mut scheduler = policy.scheduler()?;
-    let planned = asha.planned_evaluations() + 9;
+    let planned = policy.planned_evaluations();
     let mut objective = BatchFederatedObjective::new(&ctx, noise, planned, 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_reeval_parallel", planned as u64, || {

@@ -1,13 +1,13 @@
 //! Regenerates every table and figure of the paper in one run and prints the
-//! corresponding rows. Used to produce the numbers recorded in
-//! `EXPERIMENTS.md`.
+//! corresponding rows: one trained pool per benchmark, then every RS figure
+//! as an analysis over that set, then the live-training figures.
 //!
 //! ```text
 //! FEDTUNE_SCALE=default cargo run --release --example full_report
 //! ```
 //!
-//! `FEDTUNE_SCALE` may be `smoke` (seconds), `default` (minutes, the numbers
-//! in EXPERIMENTS.md), or `paper` (the paper's raw budgets; hours).
+//! `FEDTUNE_SCALE` may be `smoke` (seconds), `default` (under a minute), or
+//! `paper` (the paper's raw budgets; hours).
 
 use feddata::Benchmark;
 use fedtune::fedtune_core::experiments::heterogeneity::{
@@ -26,7 +26,7 @@ use fedtune::fedtune_core::experiments::subsampling::{
     budget_report, run_budget_curves, run_subsampling_sweep, subsampling_report,
 };
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
-use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
+use fedtune::fedtune_core::{ExperimentScale, TrainedBenchmark, TrialRunner};
 
 fn scale_from_env() -> ExperimentScale {
     match std::env::var("FEDTUNE_SCALE").as_deref() {
@@ -48,58 +48,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let table = DatasetTable::generate(&scale, seed)?;
     println!("{}", table.to_text());
 
+    eprintln!(
+        "[pools] training {} configurations per benchmark",
+        scale.pool_size
+    );
+    let trained = TrainedBenchmark::train_all(&runner, &scale, seed)?;
+
     println!("---- Fig. 3: client subsampling ----");
-    let mut sweeps = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig3] {b}");
-        sweeps.push(run_subsampling_sweep(&runner, b, &scale, seed)?);
-    }
+    let sweeps = trained
+        .iter()
+        .map(|t| run_subsampling_sweep(&runner, t))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", subsampling_report(&sweeps).to_table());
 
     println!("---- Fig. 5: budget curves ----");
-    let mut curves = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig5] {b}");
-        curves.push(run_budget_curves(&runner, b, &scale, seed)?);
-    }
+    let curves = trained
+        .iter()
+        .map(|t| run_budget_curves(&runner, t))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", budget_report(&curves).to_table());
 
     println!("---- Fig. 4: data heterogeneity ----");
-    let mut het = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig4] {b}");
-        het.push(run_data_heterogeneity(&runner, b, &scale, seed)?);
-    }
+    let het = trained
+        .iter()
+        .map(|t| run_data_heterogeneity(&runner, t))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", data_heterogeneity_report(&het).to_table());
 
     println!("---- Fig. 6: systems heterogeneity ----");
-    let mut sys = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig6] {b}");
-        sys.push(run_systems_heterogeneity(&runner, b, &scale, seed)?);
-    }
+    let sys = trained
+        .iter()
+        .map(|t| run_systems_heterogeneity(&runner, t))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", systems_heterogeneity_report(&sys).to_table());
 
     println!("---- Fig. 7: min client error scatter ----");
-    let mut scatters = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig7] {b}");
-        scatters.push(run_min_client_scatter(&runner, b, &scale, seed)?);
-    }
-    let fig7 = min_client_report(&scatters);
+    let scatters: Vec<_> = trained.iter().map(run_min_client_scatter).collect();
     // The scatter has one row per configuration; print only the notes to keep
-    // the report readable, plus the counts.
-    for note in &fig7.notes {
+    // the report readable.
+    for note in &min_client_report(&scatters).notes {
         println!("note: {note}");
     }
     println!();
 
     println!("---- Fig. 9: privacy ----");
-    let mut priv_sweeps = Vec::new();
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig9] {b}");
-        priv_sweeps.push(run_privacy_sweep(&runner, b, &scale, seed)?);
-    }
+    let priv_sweeps = trained
+        .iter()
+        .map(|t| run_privacy_sweep(&runner, t))
+        .collect::<Result<Vec<_>, _>>()?;
     println!("{}", privacy_report(&priv_sweeps).to_table());
 
     println!("---- Fig. 8 / 15 / 16: method comparison (cifar10-like) ----");
@@ -123,28 +119,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("---- Fig. 1: headline ----");
-    eprintln!("[fig1]");
-    let headline = run_headline(&runner, &scale, seed)?;
+    let headline = run_headline(&runner, &comparison, &trained)?;
     println!("{}", headline.to_report().to_table());
 
     println!("---- Fig. 10/14: HP transfer ----");
-    eprintln!("[fig10]");
-    let analyses = run_transfer_pairs(&scale, seed)?;
-    let fig10 = transfer_report(&analyses);
-    for note in &fig10.notes {
+    for note in &transfer_report(&run_transfer_pairs(&trained)?).notes {
         println!("note: {note}");
     }
     println!();
 
     println!("---- Fig. 11: proxy matrix ----");
-    eprintln!("[fig11]");
-    let matrix = run_proxy_matrix(&scale, seed)?;
+    let matrix = run_proxy_matrix(&runner, &trained)?;
     println!("{}", matrix.to_report().to_table());
 
     println!("---- Fig. 12: proxy vs noisy evaluation ----");
-    for &b in &Benchmark::ALL {
-        eprintln!("[fig12] {b}");
-        let result = run_proxy_vs_noisy(&runner, b, &scale, seed)?;
+    for client in &trained {
+        let result = run_proxy_vs_noisy(&runner, client, &trained)?;
         println!("{}", result.to_report().to_table());
     }
 

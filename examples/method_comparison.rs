@@ -16,7 +16,7 @@ use fedtune::fedtune_core::{ExperimentScale, TrialRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Smoke scale keeps this example under a minute; use
-    // `ExperimentScale::default_scale()` to regenerate the EXPERIMENTS.md rows.
+    // `ExperimentScale::default_scale()` for the rows `examples/full_report` prints.
     let scale = ExperimentScale::smoke();
     let mut summary = fedbench::BenchSummary::new("method_comparison");
     let campaigns = (TuningMethod::ALL.len() * 2 * scale.method_trials) as u64;

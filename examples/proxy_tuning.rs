@@ -2,6 +2,11 @@
 //! proxy dataset and deploy only the single best configuration on the client
 //! federation, side-stepping noisy federated evaluation entirely.
 //!
+//! This is the *deployable* pipeline (`OneShotProxy::run` trains what it
+//! searches, one draw per proxy). The paper's Fig. 11 / 12 statistics over
+//! many such searches come from `experiments::proxy`, which bootstraps them
+//! off pools trained once per benchmark — see `examples/full_report`.
+//!
 //! ```text
 //! cargo run --release --example proxy_tuning
 //! ```

@@ -14,19 +14,22 @@ use fedpop::{
 };
 use fedsim::clock::VirtualClock;
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
-use fedtune_core::experiments::heterogeneity::{run_data_heterogeneity, run_systems_heterogeneity};
+use fedtune_core::experiments::heterogeneity::{
+    run_data_heterogeneity, run_min_client_scatter, run_systems_heterogeneity,
+};
 use fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, TuningMethod,
 };
 use fedtune_core::experiments::privacy::run_privacy_sweep;
+use fedtune_core::experiments::proxy::{run_proxy_matrix, run_proxy_vs_noisy, run_transfer_pairs};
 use fedtune_core::experiments::space_ablation::run_space_ablation;
 use fedtune_core::experiments::stragglers::straggler_cost_model;
-use fedtune_core::experiments::subsampling::run_subsampling_sweep;
+use fedtune_core::experiments::subsampling::{run_budget_curves, run_subsampling_sweep};
 use fedtune_core::{
     run_event_driven, run_event_driven_concurrent, run_event_driven_concurrent_traced,
     run_event_driven_traced, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective,
-    ConfigPool, EventDrivenOutcome, ExperimentScale, NoiseConfig, ObjectiveLogEntry, TrialRunner,
-    VirtualExecution,
+    ConfigPool, EventDrivenOutcome, ExperimentScale, NoiseConfig, ObjectiveLogEntry,
+    TrainedBenchmark, TrialRunner, VirtualExecution,
 };
 
 const SEEDS: [u64; 3] = [0, 7, 42];
@@ -169,54 +172,65 @@ fn config_pool_training_is_bit_identical_across_policies() {
 
 #[test]
 fn subsampling_experiment_is_bit_identical_across_policies() {
-    // A full experiment runner end to end: pool training plus the Fig. 3
-    // bootstrap sweep.
+    // A full experiment end to end: pool training plus the Fig. 3 bootstrap
+    // sweep over it.
     let scale = ExperimentScale::smoke();
     for &seed in &SEEDS {
-        let sequential = run_subsampling_sweep(
-            &TrialRunner::sequential(),
-            Benchmark::Cifar10Like,
-            &scale,
-            seed,
-        )
-        .unwrap();
-        let parallel = run_subsampling_sweep(
-            &TrialRunner::new(ExecutionPolicy::parallel_with(4)),
-            Benchmark::Cifar10Like,
-            &scale,
-            seed,
-        )
-        .unwrap();
-        assert_eq!(sequential, parallel, "seed {seed}");
+        let sweep = |runner: &TrialRunner| {
+            let trained =
+                TrainedBenchmark::train(runner, Benchmark::Cifar10Like, &scale, seed).unwrap();
+            run_subsampling_sweep(runner, &trained).unwrap()
+        };
+        assert_eq!(
+            sweep(&TrialRunner::sequential()),
+            sweep(&TrialRunner::new(ExecutionPolicy::parallel_with(4))),
+            "seed {seed}"
+        );
     }
-}
-
-/// `run` on a sequential runner and on four threads gives equal results.
-fn assert_equal_across_runners<T: PartialEq + std::fmt::Debug>(
-    figure: &str,
-    run: impl Fn(&TrialRunner) -> T,
-) {
-    let sequential = run(&TrialRunner::sequential());
-    let parallel = run(&TrialRunner::new(ExecutionPolicy::parallel_with(4)));
-    assert_eq!(sequential, parallel, "{figure}");
 }
 
 #[test]
 fn pooled_noise_figures_are_bit_identical_across_policies() {
-    // Figs 4 / 6 / 9 / 13 end to end: pool training, re-evaluation and
-    // every bootstrap sweep, one seed and one thread count each.
-    let (benchmark, scale, seed) = (Benchmark::Cifar10Like, ExperimentScale::smoke(), 7);
-    assert_equal_across_runners("fig 4", |runner| {
-        run_data_heterogeneity(runner, benchmark, &scale, seed).unwrap()
+    // Every pooled figure end to end — the pool set trained on the runner,
+    // then re-evaluation and every bootstrap over it — plus Fig. 13's own
+    // pools, one seed and one thread count each.
+    let (scale, seed) = (ExperimentScale::smoke(), 7);
+    let sets = [
+        TrialRunner::sequential(),
+        TrialRunner::new(ExecutionPolicy::parallel_with(4)),
+    ]
+    .map(|runner| {
+        let trained = TrainedBenchmark::train_all(&runner, &scale, seed).unwrap();
+        (runner, trained)
     });
-    assert_equal_across_runners("fig 6", |runner| {
-        run_systems_heterogeneity(runner, benchmark, &scale, seed).unwrap()
+    /// `run` over the sequentially trained set and over the one trained on
+    /// four threads, each on its own runner, gives equal results.
+    fn check<T: PartialEq + std::fmt::Debug>(
+        figure: &str,
+        sets: &[(TrialRunner, Vec<TrainedBenchmark>); 2],
+        run: impl Fn(&TrialRunner, &[TrainedBenchmark]) -> T,
+    ) {
+        let [sequential, parallel] = sets
+            .each_ref()
+            .map(|(runner, trained)| run(runner, trained));
+        assert_eq!(sequential, parallel, "{figure}");
+    }
+    check("fig 4", &sets, |r, t| {
+        run_data_heterogeneity(r, &t[0]).unwrap()
     });
-    assert_equal_across_runners("fig 9", |runner| {
-        run_privacy_sweep(runner, benchmark, &scale, seed).unwrap()
+    check("fig 5", &sets, |r, t| run_budget_curves(r, &t[0]).unwrap());
+    check("fig 6", &sets, |r, t| {
+        run_systems_heterogeneity(r, &t[0]).unwrap()
     });
-    assert_equal_across_runners("fig 13", |runner| {
-        run_space_ablation(runner, benchmark, &scale, seed).unwrap()
+    check("fig 7", &sets, |_, t| run_min_client_scatter(&t[0]));
+    check("fig 9", &sets, |r, t| run_privacy_sweep(r, &t[0]).unwrap());
+    check("fig 10 / 14", &sets, |_, t| run_transfer_pairs(t).unwrap());
+    check("fig 11", &sets, |r, t| run_proxy_matrix(r, t).unwrap());
+    check("fig 12", &sets, |r, t| {
+        run_proxy_vs_noisy(r, &t[0], t).unwrap()
+    });
+    check("fig 13", &sets, |r, _| {
+        run_space_ablation(r, Benchmark::Cifar10Like, &scale, seed).unwrap()
     });
 }
 

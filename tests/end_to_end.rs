@@ -11,7 +11,7 @@ use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
 use fedtune::fedtune_core::{
     run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
-    NoiseConfig, TrialRunner,
+    NoiseConfig, TrainedBenchmark, TrialRunner,
 };
 
 fn smoke() -> ExperimentScale {
@@ -91,8 +91,9 @@ fn pool_based_and_live_objectives_agree_on_the_noiseless_truth() {
 
 #[test]
 fn subsampling_sweep_runs_for_text_benchmark() {
-    let sweep = run_subsampling_sweep(&TrialRunner::from_env(), Benchmark::RedditLike, &smoke(), 5)
-        .unwrap();
+    let runner = TrialRunner::from_env();
+    let trained = TrainedBenchmark::train(&runner, Benchmark::RedditLike, &smoke(), 5).unwrap();
+    let sweep = run_subsampling_sweep(&runner, &trained).unwrap();
     assert!(!sweep.points.is_empty());
     // Error percentages stay in range.
     for p in &sweep.points {

@@ -11,17 +11,23 @@ use fedtune::fedtune_core::experiments::{simulated_rs_trials, subsample_rate_gri
 use fedtune::fedtune_core::{
     BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig, TrialRunner,
 };
+use std::sync::OnceLock;
 
 /// A slightly larger pool than the smoke scale so selection effects are
-/// visible above sampling noise, while staying fast enough for CI.
-fn pool_and_ctx() -> (TrialRunner, BenchmarkContext, ConfigPool) {
-    let mut scale = ExperimentScale::smoke();
-    scale.pool_size = 24;
-    scale.rounds_per_config = 12;
-    scale.total_budget = scale.pool_size * scale.rounds_per_config;
-    let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).unwrap();
+/// visible above sampling noise, while staying fast enough for CI — trained
+/// once for the whole file: every analysis over it is read-only.
+fn pool_and_ctx() -> (TrialRunner, &'static BenchmarkContext, &'static ConfigPool) {
+    static TRAINED: OnceLock<(BenchmarkContext, ConfigPool)> = OnceLock::new();
     let runner = TrialRunner::from_env();
-    let pool = ConfigPool::train(&runner, &ctx, scale.pool_size, 1).unwrap();
+    let (ctx, pool) = TRAINED.get_or_init(|| {
+        let mut scale = ExperimentScale::smoke();
+        scale.pool_size = 24;
+        scale.rounds_per_config = 12;
+        scale.total_budget = scale.pool_size * scale.rounds_per_config;
+        let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).unwrap();
+        let pool = ConfigPool::train(&runner, &ctx, scale.pool_size, 1).unwrap();
+        (ctx, pool)
+    });
     (runner, ctx, pool)
 }
 
@@ -31,7 +37,7 @@ fn observation1_subsampling_hurts_selection() {
     let trials = 200;
     let single = simulated_rs_trials(
         &runner,
-        &pool,
+        pool,
         &NoiseConfig::subsampled(0.1),
         8,
         8,
@@ -40,7 +46,7 @@ fn observation1_subsampling_hurts_selection() {
     )
     .unwrap();
     let full =
-        simulated_rs_trials(&runner, &pool, &NoiseConfig::noiseless(), 8, 8, trials, 3).unwrap();
+        simulated_rs_trials(&runner, pool, &NoiseConfig::noiseless(), 8, 8, trials, 3).unwrap();
     let mean_single = fedmath::stats::mean(&single);
     let mean_full = fedmath::stats::mean(&full);
     assert!(
@@ -56,7 +62,7 @@ fn observation5_stricter_privacy_degrades_selection() {
     let trials = 200;
     let strict = simulated_rs_trials(
         &runner,
-        &pool,
+        pool,
         &NoiseConfig::subsampled(rate).with_privacy(PrivacyBudget::Finite(0.1)),
         8,
         8,
@@ -66,7 +72,7 @@ fn observation5_stricter_privacy_degrades_selection() {
     .unwrap();
     let non_private = simulated_rs_trials(
         &runner,
-        &pool,
+        pool,
         &NoiseConfig::subsampled(rate).with_privacy(PrivacyBudget::Infinite),
         8,
         8,
@@ -99,7 +105,7 @@ fn more_clients_recover_selection_quality() {
     let mut medians = Vec::new();
     for rate in subsample_rate_grid(population) {
         let errors =
-            simulated_rs_trials(&runner, &pool, &NoiseConfig::subsampled(rate), 8, 8, 150, 5)
+            simulated_rs_trials(&runner, pool, &NoiseConfig::subsampled(rate), 8, 8, 150, 5)
                 .unwrap();
         medians.push(fedmath::stats::median(&errors).unwrap());
     }
@@ -118,7 +124,7 @@ fn systems_bias_with_heterogeneity_is_harmful_or_neutral() {
     let trials = 200;
     let unbiased = simulated_rs_trials(
         &runner,
-        &pool,
+        pool,
         &NoiseConfig::subsampled(rate),
         8,
         8,
@@ -128,7 +134,7 @@ fn systems_bias_with_heterogeneity_is_harmful_or_neutral() {
     .unwrap();
     let biased = simulated_rs_trials(
         &runner,
-        &pool,
+        pool,
         &NoiseConfig::subsampled(rate).with_systems_bias(3.0),
         8,
         8,

@@ -6,7 +6,7 @@ use feddata::{Benchmark, DatasetSpec, Scale};
 use fedhpo::{IntoScheduler, RandomSearch};
 use fedtune::fedtune_core::{
     run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
-    NoiseConfig, TrialRunner,
+    NoiseConfig, TrainedBenchmark, TrialRunner,
 };
 
 #[test]
@@ -57,7 +57,10 @@ fn experiment_reports_are_deterministic() {
     use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
     let scale = ExperimentScale::smoke();
     let runner = TrialRunner::from_env();
-    let a = run_subsampling_sweep(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
-    let b = run_subsampling_sweep(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
-    assert_eq!(a, b);
+    // Pool training and the bootstrap over it, end to end, twice.
+    let sweep = || {
+        let trained = TrainedBenchmark::train(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
+        run_subsampling_sweep(&runner, &trained).unwrap()
+    };
+    assert_eq!(sweep(), sweep());
 }
