@@ -1,7 +1,8 @@
 //! Hot-path kernel throughput: GFLOP/s for the fedmath kernels (square and
 //! the ragged FEMNIST-like training shapes), the batched vs. per-example
-//! client-step speedup, a FEMNIST-shape client step, one full 360-client
-//! validation pass, and full training rounds per second.
+//! client-step speedup, a FEMNIST-shape client step, one client's batched
+//! error count, one full 360-client validation pass, and full training rounds
+//! per second.
 //!
 //! The one-off summary printed before the Criterion measurements is the perf
 //! artifact tracked across PRs: with `FEDTUNE_BENCH_JSON=1` it lands in
@@ -475,10 +476,29 @@ fn round_section(summary: &mut fedbench::BenchSummary, dataset: &FederatedDatase
     println!("\nkernel_throughput: 50-client training round: {rounds_per_sec:.2} rounds/s");
 }
 
-/// One full validation pass as every noisy score pays it: the default MLP
-/// over all 360 validation clients of the paper-scale FEMNIST-like
-/// federation.
+/// The error count of one client's logits (the FEMNIST-like federation's
+/// largest client, 203 rows of 20 classes), then one full validation pass as
+/// every noisy score pays it: the default MLP over all 360 validation
+/// clients of the paper-scale FEMNIST-like federation.
 fn eval_section(summary: &mut fedbench::BenchSummary) {
+    let (_, _, classes) = FEMNIST_SHAPE;
+    let mut rng = rng_for(95, 1);
+    let logits: Vec<f64> = (0..FEMNIST_EXAMPLES * classes)
+        .map(|_| rng.gen::<f64>() - 0.5)
+        .collect();
+    let labels: Vec<usize> = (0..FEMNIST_EXAMPLES).map(|r| r % classes).collect();
+    let reps = 20000;
+    let count_secs = time_reps(reps, || {
+        // A model's class count is a runtime value; keep it one here.
+        let errors = kernel::argmax_errors(black_box(&logits), black_box(classes), |r| labels[r]);
+        black_box(errors);
+    });
+    summary.push("count_errors_203x20", count_secs, reps as u64);
+    println!(
+        "\nkernel_throughput: error count {FEMNIST_EXAMPLES}x{classes}: {:.2} us",
+        count_secs / reps as f64 * 1e6
+    );
+
     let dataset = DatasetSpec::benchmark(Benchmark::FemnistLike, Scale::Paper)
         .generate(0)
         .expect("dataset generation");

@@ -2,9 +2,10 @@
 
 use crate::client::ClientData;
 use crate::example::{Example, Task};
+use crate::packed::{PackCache, PackedSplit};
 use crate::statistics::DatasetStatistics;
 use crate::{DataError, Result};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which client pool an operation refers to.
 ///
@@ -31,7 +32,11 @@ impl std::fmt::Display for Split {
 
 /// A cross-device federated dataset: a task definition plus disjoint pools of
 /// training and validation clients, each holding private local examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Each pool also carries a lazily built [`PackedSplit`] (see
+/// [`packed`](Self::packed)). It is derived data: equality and serde ignore
+/// it, and a clone starts without one.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FederatedDataset {
     name: String,
     task: Task,
@@ -39,6 +44,42 @@ pub struct FederatedDataset {
     input_dim: usize,
     train_clients: Vec<ClientData>,
     val_clients: Vec<ClientData>,
+    train_pack: PackCache,
+    val_pack: PackCache,
+}
+
+// Written out because the vendored derive cannot skip a field: the text form
+// is the six data fields, exactly what the derive produced before the packs.
+impl Serialize for FederatedDataset {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("name".into(), self.name.to_value()),
+            ("task".into(), self.task.to_value()),
+            ("num_classes".into(), self.num_classes.to_value()),
+            ("input_dim".into(), self.input_dim.to_value()),
+            ("train_clients".into(), self.train_clients.to_value()),
+            ("val_clients".into(), self.val_clients.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for FederatedDataset {
+    fn from_value(value: &Value) -> std::result::Result<Self, DeError> {
+        let Value::Map(entries) = value else {
+            return Err(DeError::new("expected a map for struct FederatedDataset"));
+        };
+        let context = "FederatedDataset";
+        Ok(FederatedDataset {
+            name: serde::__field(entries, "name", context)?,
+            task: serde::__field(entries, "task", context)?,
+            num_classes: serde::__field(entries, "num_classes", context)?,
+            input_dim: serde::__field(entries, "input_dim", context)?,
+            train_clients: serde::__field(entries, "train_clients", context)?,
+            val_clients: serde::__field(entries, "val_clients", context)?,
+            train_pack: PackCache::default(),
+            val_pack: PackCache::default(),
+        })
+    }
 }
 
 impl FederatedDataset {
@@ -83,6 +124,8 @@ impl FederatedDataset {
             input_dim,
             train_clients,
             val_clients,
+            train_pack: PackCache::default(),
+            val_pack: PackCache::default(),
         })
     }
 
@@ -129,12 +172,39 @@ impl FederatedDataset {
         }
     }
 
-    /// Mutably borrows the clients of the given pool.
+    /// Mutably borrows the clients of the given pool. This is the only way
+    /// to change a pool in place, and it drops the pool's pack.
     pub fn clients_mut(&mut self, split: Split) -> &mut Vec<ClientData> {
+        let (clients, pack) = match split {
+            Split::Train => (&mut self.train_clients, &mut self.train_pack),
+            Split::Validation => (&mut self.val_clients, &mut self.val_pack),
+        };
+        *pack = PackCache::default();
+        clients
+    }
+
+    fn pack_cache(&self, split: Split) -> &PackCache {
         match split {
-            Split::Train => &mut self.train_clients,
-            Split::Validation => &mut self.val_clients,
+            Split::Train => &self.train_pack,
+            Split::Validation => &self.val_pack,
         }
+    }
+
+    /// The given pool as one row-major feature matrix, built on first use
+    /// and kept until [`clients_mut`](Self::clients_mut) borrows the pool.
+    /// `None` if the pool holds anything but dense rows of
+    /// [`input_dim`](Self::input_dim) features (every token dataset): such a
+    /// pool is evaluated from its examples, where input errors are reported.
+    pub fn packed(&self, split: Split) -> Option<&PackedSplit> {
+        self.pack_cache(split)
+            .get(self.clients(split), self.input_dim)
+    }
+
+    /// Whether [`packed`](Self::packed) has been asked for this pool since it
+    /// last changed (test support: the training pool is never packed).
+    #[doc(hidden)]
+    pub fn is_packed(&self, split: Split) -> bool {
+        self.pack_cache(split).is_built()
     }
 
     /// Borrows one client by index.
@@ -202,7 +272,7 @@ impl FederatedDataset {
             });
         }
         let mut out = self.clone();
-        out.val_clients = val_clients;
+        *out.clients_mut(Split::Validation) = val_clients;
         Ok(out)
     }
 
@@ -353,6 +423,59 @@ mod tests {
         let mut d = tiny_dataset();
         d.clients_mut(Split::Validation).pop();
         assert_eq!(d.num_val_clients(), 2);
+    }
+
+    #[test]
+    fn pack_is_built_on_demand_and_dropped_by_clients_mut() {
+        let mut d = tiny_dataset();
+        assert!(!d.is_packed(Split::Validation));
+        let pack = d.packed(Split::Validation).unwrap();
+        assert_eq!(pack.client(2).labels, [1; 5]);
+        assert_eq!(pack.client(1).features, [0.2, 0.8].repeat(3));
+        assert!(d.is_packed(Split::Validation));
+        assert!(!d.is_packed(Split::Train));
+        // Editing one example through the only mutable path drops the pack;
+        // the next one sees the edit.
+        d.clients_mut(Split::Validation)[1].examples_mut()[0] = Example::dense(vec![7.0, 7.0], 0);
+        assert!(!d.is_packed(Split::Validation));
+        let pack = d.packed(Split::Validation).unwrap();
+        assert_eq!(pack.client(1).features[..2], [7.0, 7.0]);
+        assert_eq!(pack.client(1).labels, [0, 1, 1]);
+        // A row the pack cannot vouch for leaves the pool without one.
+        d.clients_mut(Split::Validation)[0]
+            .examples_mut()
+            .push(Example::token(0, 0));
+        assert!(d.packed(Split::Validation).is_none());
+        let swapped = d.with_validation_pool(tiny_dataset().val_clients).unwrap();
+        assert!(swapped.packed(Split::Validation).is_some());
+    }
+
+    #[test]
+    fn pack_is_invisible_to_equality_and_serde() {
+        let packed = tiny_dataset();
+        packed.packed(Split::Validation).unwrap();
+        assert_eq!(packed, tiny_dataset());
+        assert!(!packed.clone().is_packed(Split::Validation));
+        let value = packed.to_value();
+        let Value::Map(entries) = &value else {
+            panic!("a dataset serializes as a map");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "name",
+                "task",
+                "num_classes",
+                "input_dim",
+                "train_clients",
+                "val_clients"
+            ]
+        );
+        let back = FederatedDataset::from_value(&value).unwrap();
+        assert_eq!(back, packed);
+        assert!(!back.is_packed(Split::Validation));
+        assert!(FederatedDataset::from_value(&Value::Null).is_err());
     }
 
     #[test]

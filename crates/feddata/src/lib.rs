@@ -40,6 +40,7 @@ pub mod client;
 pub mod dataset;
 pub mod example;
 pub mod generators;
+pub mod packed;
 pub mod partition;
 pub mod spec;
 pub mod statistics;
@@ -47,6 +48,7 @@ pub mod statistics;
 pub use client::ClientData;
 pub use dataset::{FederatedDataset, Split};
 pub use example::{Example, Input, Task};
+pub use packed::{PackedRows, PackedSplit};
 pub use partition::{dirichlet_label_partition, repartition_iid_fraction};
 pub use spec::{Benchmark, DatasetSpec, Scale};
 pub use statistics::{ClientSizeSummary, DatasetStatistics};

@@ -46,6 +46,9 @@
 //! - [`softmax_xent_backward`] performs, per row, the exact operation
 //!   sequence of [`crate::ops::softmax_inplace`] followed by the label
 //!   subtraction, so fusing is bit-identical to the unfused per-example path.
+//! - [`argmax_errors`] reduces nothing in floating point: each row's
+//!   prediction is [`crate::stats::argmax`]'s, first maximum and `NaN`
+//!   handling included.
 //!
 //! Kernels validate shapes with assertions (they sit below the error-typed
 //! [`crate::Matrix`] API, which has already checked shapes) and are wired
@@ -669,6 +672,48 @@ pub fn softmax_xent_backward(
     total_loss
 }
 
+/// Number of rows of the row-major `[rows × cols]` matrix `logits` whose
+/// prediction — the index [`crate::stats::argmax`] returns for the row — is
+/// not `label_of(row)`. The error count of a batch of logit rows in one sweep.
+///
+/// # Prediction contract
+///
+/// Exactly [`crate::stats::argmax`]: the running best starts at column 0 and
+/// moves only on a strict `>`, so ties (and `0.0` against `-0.0`) keep the
+/// first maximum, a `NaN` never displaces the running best, and a `NaN` in
+/// column 0 is never displaced. The comparison feeds two selects instead of
+/// a branch: a branch on fresh logits mispredicts about once a row, the
+/// selects cost the same whatever the data, and with no branch between rows
+/// the CPU overlaps the compare chains of consecutive rows by itself (at 20
+/// columns, 45 → 13 ns a row on the development CPU; interleaving 2, 4 or 8
+/// rows by hand measured no faster, so the loop stays one row at a time).
+///
+/// `label_of` is called once per row in ascending order.
+///
+/// # Panics
+///
+/// Panics if `cols` is zero or does not divide `logits.len()`.
+pub fn argmax_errors(logits: &[f64], cols: usize, label_of: impl Fn(usize) -> usize) -> usize {
+    assert!(cols > 0, "argmax_errors: rows need at least one column");
+    assert!(
+        logits.len().is_multiple_of(cols),
+        "argmax_errors: shape mismatch"
+    );
+    let mut errors = 0;
+    for (r, row) in logits.chunks_exact(cols).enumerate() {
+        // Column 0 meets itself first and loses, as in `stats::argmax`.
+        let mut best = row[0];
+        let mut best_col = 0;
+        for (col, &v) in row.iter().enumerate() {
+            let wins = v > best;
+            best = if wins { v } else { best };
+            best_col = if wins { col } else { best_col };
+        }
+        errors += usize::from(best_col != label_of(r));
+    }
+    errors
+}
+
 /// Upper bound on buffers retained by a [`BufferPool`]; beyond it, a released
 /// buffer replaces the smallest pooled one or is dropped (a safety valve, not
 /// a tuning knob — the training loop holds at most a handful of live buffers).
@@ -1072,6 +1117,29 @@ mod tests {
     }
 
     #[test]
+    fn argmax_errors_keeps_the_first_maximum_and_ignores_nan() {
+        // `stats::argmax` says 0 for all three hand cases: -0.0 ties 0.0, a
+        // NaN in column 0 is never displaced, a NaN elsewhere never wins and
+        // the tie keeps the first 1.0.
+        for row in [&[-0.0, 0.0][..], &[f64::NAN, 1.0], &[1.0, f64::NAN, 1.0]] {
+            assert_eq!(crate::stats::argmax(row).unwrap(), 0);
+            assert_eq!(argmax_errors(row, row.len(), |_| 0), 0);
+            assert_eq!(argmax_errors(row, row.len(), |_| 1), 1);
+        }
+        let logits = [0.1, 0.9, 0.3, 0.7, 0.2, 0.2, -1.0, -2.0, -0.5];
+        assert_eq!(argmax_errors(&logits, 3, |r| [1, 0, 1][r]), 1);
+        assert_eq!(argmax_errors(&[], 3, |_| unreachable!()), 0);
+        // A single column predicts class 0, whatever it holds.
+        assert_eq!(argmax_errors(&[f64::NAN, 2.0], 1, |r| r), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn argmax_errors_rejects_a_ragged_matrix() {
+        argmax_errors(&[0.0; 5], 2, |_| 0);
+    }
+
+    #[test]
     fn buffer_pool_reuses_capacity() {
         let mut pool = BufferPool::new();
         let a = pool.take(64);
@@ -1237,6 +1305,47 @@ mod proptests {
                 let tol = 1e-12 * want.abs().max(1.0);
                 prop_assert!((o - want).abs() <= tol);
             }
+        }
+
+        // 1..=70 columns and 0..=40 rows cover the models' 10 / 20-class
+        // rows, the bigram's 48 / 64-wide ones and the empty batch; the
+        // palette makes ties, signed zeros, infinities, NaNs and all-NaN rows
+        // (a diverged model) common.
+        #[test]
+        fn prop_argmax_errors_matches_row_wise_argmax(
+            cols in 1usize..=70, rows in 0usize..=40,
+            codes in proptest::collection::vec(any::<u64>(), 2800..2801),
+            row_codes in proptest::collection::vec(any::<u64>(), 40..41),
+        ) {
+            let logit = |r: usize, c: usize| {
+                let code = codes[r * cols + c];
+                if row_codes[r] % 8 == 0 {
+                    return f64::NAN;
+                }
+                match code % 16 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    4 | 5 => f64::NAN,
+                    6..=11 => ((code >> 8) % 5) as f64 - 2.0,
+                    _ => Some(f64::from_bits(code)).filter(|v| v.is_finite()).unwrap_or(0.5),
+                }
+            };
+            let logits: Vec<f64> = (0..rows * cols).map(|i| logit(i / cols, i % cols)).collect();
+            // Half the labels are the reference prediction, half arbitrary.
+            let predictions: Vec<usize> = logits
+                .chunks_exact(cols)
+                .map(|row| crate::stats::argmax(row).unwrap())
+                .collect();
+            let labels: Vec<usize> = (0..rows)
+                .map(|r| match row_codes[r] >> 8 & 1 {
+                    0 => predictions[r],
+                    _ => (row_codes[r] >> 16) as usize % cols,
+                })
+                .collect();
+            let want = predictions.iter().zip(&labels).filter(|(p, l)| p != l).count();
+            prop_assert_eq!(argmax_errors(&logits, cols, |r| labels[r]), want);
         }
 
         #[test]

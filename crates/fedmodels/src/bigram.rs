@@ -77,15 +77,16 @@ impl BigramLm {
 }
 
 impl BatchedForward for BigramLm {
-    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+    fn gather_examples(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        self.gather(examples.iter(), pool)
+    }
+
+    fn forward_rows(&self, x: &[f64], batch: usize, pool: &mut BufferPool) -> Vec<f64> {
         let (v, d) = (self.vocab_size, self.embed_dim);
-        let batch = examples.len();
-        let x = self.gather(examples.iter(), pool)?;
         let mut logits = pool.take_unzeroed(batch * v);
         let (w, bias) = (self.output.as_slice(), Epilogue::Bias(&self.bias));
-        kernel::gemm_nt_fused(batch, d, v, &x, w, bias, Pass::Evaluation, &mut logits);
-        pool.put(x);
-        Ok(logits)
+        kernel::gemm_nt_fused(batch, d, v, x, w, bias, Pass::Evaluation, &mut logits);
+        logits
     }
 }
 

@@ -129,6 +129,10 @@ impl Model for AnyModel {
         delegate!(self, m => m.count_errors(examples))
     }
 
+    fn count_errors_packed(&self, rows: feddata::PackedRows<'_>) -> Option<usize> {
+        delegate!(self, m => m.count_errors_packed(rows))
+    }
+
     fn evaluate(&self, examples: &[feddata::Example]) -> Result<crate::EvalMetrics> {
         delegate!(self, m => m.evaluate(examples))
     }

@@ -3,7 +3,7 @@
 use crate::eval::{self, BatchedForward};
 use crate::model::Model;
 use crate::{EvalMetrics, ModelError, Result};
-use feddata::{Example, Input};
+use feddata::{Example, Input, PackedRows};
 use fedmath::kernel::{self, BufferPool, Epilogue, Pass};
 use fedmath::Matrix;
 use rand::Rng;
@@ -76,15 +76,16 @@ impl SoftmaxRegression {
 }
 
 impl BatchedForward for SoftmaxRegression {
-    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+    fn gather_examples(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        self.gather(examples.iter(), pool)
+    }
+
+    fn forward_rows(&self, x: &[f64], batch: usize, pool: &mut BufferPool) -> Vec<f64> {
         let (f, c) = (self.feature_dim, self.num_classes);
-        let batch = examples.len();
-        let x = self.gather(examples.iter(), pool)?;
         let mut logits = pool.take_unzeroed(batch * c);
         let (w, bias) = (self.weights.as_slice(), Epilogue::Bias(&self.bias));
-        kernel::gemm_nt_fused(batch, f, c, &x, w, bias, Pass::Evaluation, &mut logits);
-        pool.put(x);
-        Ok(logits)
+        kernel::gemm_nt_fused(batch, f, c, x, w, bias, Pass::Evaluation, &mut logits);
+        logits
     }
 }
 
@@ -204,6 +205,10 @@ impl Model for SoftmaxRegression {
 
     fn count_errors(&self, examples: &[Example]) -> Result<usize> {
         eval::count_errors(self, examples)
+    }
+
+    fn count_errors_packed(&self, rows: PackedRows<'_>) -> Option<usize> {
+        eval::count_errors_packed(self, self.feature_dim, rows)
     }
 
     fn evaluate(&self, examples: &[Example]) -> Result<EvalMetrics> {

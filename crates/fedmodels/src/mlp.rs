@@ -8,7 +8,7 @@
 use crate::eval::{self, BatchedForward};
 use crate::model::Model;
 use crate::{EvalMetrics, ModelError, Result};
-use feddata::{Example, Input};
+use feddata::{Example, Input, PackedRows};
 use fedmath::kernel::{self, BufferPool, Epilogue, Pass};
 use fedmath::Matrix;
 use rand::Rng;
@@ -100,19 +100,20 @@ impl Mlp {
 }
 
 impl BatchedForward for Mlp {
-    fn logits_batch(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+    fn gather_examples(&self, examples: &[Example], pool: &mut BufferPool) -> Result<Vec<f64>> {
+        self.gather(examples.iter(), pool)
+    }
+
+    fn forward_rows(&self, x: &[f64], batch: usize, pool: &mut BufferPool) -> Vec<f64> {
         let (f, h, c) = (self.feature_dim, self.hidden_dim, self.num_classes);
-        let batch = examples.len();
-        let x = self.gather(examples.iter(), pool)?;
         let mut hidden = pool.take_unzeroed(batch * h);
         let (w1, b1) = (self.w1.as_slice(), Epilogue::BiasRelu(&self.b1));
-        kernel::gemm_nt_fused(batch, f, h, &x, w1, b1, Pass::Evaluation, &mut hidden);
+        kernel::gemm_nt_fused(batch, f, h, x, w1, b1, Pass::Evaluation, &mut hidden);
         let mut logits = pool.take_unzeroed(batch * c);
         let (w2, b2) = (self.w2.as_slice(), Epilogue::Bias(&self.b2));
         kernel::gemm_nt_fused(batch, h, c, &hidden, w2, b2, Pass::Evaluation, &mut logits);
-        pool.put(x);
         pool.put(hidden);
-        Ok(logits)
+        logits
     }
 }
 
@@ -287,6 +288,10 @@ impl Model for Mlp {
 
     fn count_errors(&self, examples: &[Example]) -> Result<usize> {
         eval::count_errors(self, examples)
+    }
+
+    fn count_errors_packed(&self, rows: PackedRows<'_>) -> Option<usize> {
+        eval::count_errors_packed(self, self.feature_dim, rows)
     }
 
     fn evaluate(&self, examples: &[Example]) -> Result<EvalMetrics> {

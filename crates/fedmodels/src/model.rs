@@ -2,7 +2,7 @@
 
 use crate::metrics::EvalMetrics;
 use crate::{ModelError, Result};
-use feddata::Example;
+use feddata::{Example, PackedRows};
 use fedmath::kernel::BufferPool;
 
 /// A trainable model whose parameters are exposed as a flat vector.
@@ -150,6 +150,20 @@ pub trait Model: Clone + Send + Sync {
             }
         }
         Ok(errors)
+    }
+
+    /// [`count_errors`](Self::count_errors) over a client's rows as a
+    /// `feddata::PackedSplit` holds them — already validated as dense rows
+    /// and laid out row-major, so there is nothing to gather. `None` means
+    /// "not from these rows": the default, and the built-in dense models'
+    /// answer to rows of another width, to no rows, and to labels beyond
+    /// their classes. The caller then counts over the client's examples,
+    /// which reports exactly what is wrong with them; `Some(n)` must be the
+    /// count that call would return.
+    #[doc(hidden)]
+    fn count_errors_packed(&self, rows: PackedRows<'_>) -> Option<usize> {
+        let _ = rows;
+        None
     }
 
     /// Predicted class (argmax of the logits) for one input.

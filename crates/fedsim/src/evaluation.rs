@@ -5,17 +5,19 @@
 use crate::exec::{self, ExecutionPolicy};
 use crate::sampling::ClientSampler;
 use crate::{Result, SimError};
-use feddata::{ClientData, FederatedDataset, Split};
+use feddata::{ClientData, FederatedDataset, PackedSplit, Split};
 use fedmodels::Model;
 use serde::{Deserialize, Serialize};
 
 /// Evaluation accounting on the global [`fedtrace`] registry: validation
-/// passes run (one per [`evaluate_clients_with`] call) and clients scored.
-/// Write-only counters — nothing reads them back, so tracing cannot move a
-/// score bit.
+/// passes that returned an evaluation, clients scored, and example rows
+/// gathered out of their `Example`s (rows a pass read from a dataset's
+/// [`PackedSplit`] are not gathered). Write-only counters — nothing reads
+/// them back, so tracing cannot move a score bit.
 struct EvaluationMetrics {
     passes: fedtrace::Counter,
     clients: fedtrace::Counter,
+    rows_gathered: fedtrace::Counter,
 }
 
 fn evaluation_metrics() -> &'static EvaluationMetrics {
@@ -25,6 +27,7 @@ fn evaluation_metrics() -> &'static EvaluationMetrics {
         EvaluationMetrics {
             passes: registry.counter("sim.validation_passes"),
             clients: registry.counter("sim.clients_evaluated"),
+            rows_gathered: registry.counter("sim.rows_gathered"),
         }
     })
 }
@@ -202,6 +205,24 @@ pub fn evaluate_clients_with<M: Model>(
     indices: &[usize],
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
+    evaluate_selection(policy, model, clients, None, indices, weighting)
+}
+
+/// The one evaluation pass. `pack`, if given, is the packed form of
+/// `clients` (`dataset.packed(split)` beside `dataset.clients(split)`): a
+/// client is counted from its packed rows when the model takes
+/// them and from its examples — the gather path, which also reports whatever
+/// is wrong with them — when there is no pack or the model defers. Both give
+/// the same count, so the pack never shows in the result.
+fn evaluate_selection<M: Model>(
+    policy: &ExecutionPolicy,
+    model: &M,
+    clients: &[ClientData],
+    pack: Option<&PackedSplit>,
+    indices: &[usize],
+    weighting: WeightingScheme,
+) -> Result<FederatedEvaluation> {
+    let metrics = evaluation_metrics();
     let evaluated: Vec<Result<Option<ClientEvaluation>>> =
         exec::map_range(policy, indices.len(), |i| {
             let idx = indices[i];
@@ -214,10 +235,19 @@ pub fn evaluate_clients_with<M: Model>(
             if client.is_empty() {
                 return Ok(None);
             }
+            let num_examples = client.examples().len();
+            let packed_errors = pack.and_then(|pack| model.count_errors_packed(pack.client(idx)));
+            let error_rate = match packed_errors {
+                Some(errors) => errors as f64 / num_examples as f64,
+                None => {
+                    metrics.rows_gathered.add(num_examples as u64);
+                    model.error_rate(client.examples())?
+                }
+            };
             Ok(Some(ClientEvaluation {
                 client_index: idx,
-                error_rate: model.error_rate(client.examples())?,
-                num_examples: client.examples().len(),
+                error_rate,
+                num_examples,
             }))
         });
     let mut per_client = Vec::with_capacity(indices.len());
@@ -226,10 +256,10 @@ pub fn evaluate_clients_with<M: Model>(
             per_client.push(evaluation);
         }
     }
-    let metrics = evaluation_metrics();
+    let evaluation = FederatedEvaluation::new(per_client, weighting)?;
     metrics.passes.incr();
-    metrics.clients.add(per_client.len() as u64);
-    FederatedEvaluation::new(per_client, weighting)
+    metrics.clients.add(evaluation.num_clients() as u64);
+    Ok(evaluation)
 }
 
 /// Evaluates `model` on *every* client of the given pool — the "full
@@ -267,7 +297,8 @@ pub fn evaluate_full_with<M: Model>(
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
     let indices: Vec<usize> = (0..dataset.num_clients(split)).collect();
-    evaluate_clients_with(policy, model, dataset.clients(split), &indices, weighting)
+    let (clients, pack) = (dataset.clients(split), dataset.packed(split));
+    evaluate_selection(policy, model, clients, pack, &indices, weighting)
 }
 
 /// Evaluates `model` on a subsample of `count` clients selected by `sampler`.
@@ -291,7 +322,9 @@ pub fn evaluate_subsample<M: Model>(
 ) -> Result<FederatedEvaluation> {
     let population = dataset.num_clients(split);
     let indices = sampler.sample(rng, population, count, scores)?;
-    evaluate_clients(model, dataset.clients(split), &indices, weighting)
+    let (clients, pack) = (dataset.clients(split), dataset.packed(split));
+    let policy = ExecutionPolicy::Sequential;
+    evaluate_selection(&policy, model, clients, pack, &indices, weighting)
 }
 
 #[cfg(test)]
@@ -300,7 +333,7 @@ mod tests {
     use crate::sampling::UniformSampler;
     use feddata::{Benchmark, DatasetSpec, Example, Scale};
     use fedmath::rng::rng_for;
-    use fedmodels::{ModelSpec, SoftmaxRegression};
+    use fedmodels::{AnyModel, ModelSpec, SoftmaxRegression};
 
     fn smoke_dataset() -> FederatedDataset {
         DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
@@ -353,8 +386,13 @@ mod tests {
             ClientData::new(1, vec![]),
         ];
         let model = SoftmaxRegression::zeros(2, 2);
+        // Other tests share the process-global counter: a pass that returns
+        // an evaluation raises it by at least its own one.
+        let passes = &evaluation_metrics().passes;
+        let before = passes.value();
         let eval = evaluate_clients(&model, &clients, &[0, 1], WeightingScheme::Uniform).unwrap();
         assert_eq!(eval.num_clients(), 1);
+        assert!(passes.value() > before);
         // All-empty selection is an error.
         assert!(evaluate_clients(&model, &clients, &[1], WeightingScheme::Uniform).is_err());
         // Out-of-range index is an error.
@@ -438,5 +476,147 @@ mod tests {
             (mean_est - full).abs() < 0.3,
             "estimates should roughly track the full error"
         );
+    }
+
+    /// The reference a packed pass is pinned against: the same clients as a
+    /// bare slice, which has no pack and gathers every row.
+    fn gathered(
+        policy: &ExecutionPolicy,
+        model: &AnyModel,
+        dataset: &FederatedDataset,
+        indices: &[usize],
+    ) -> Result<FederatedEvaluation> {
+        let clients = dataset.clients(Split::Validation);
+        evaluate_clients_with(policy, model, clients, indices, WeightingScheme::ByExamples)
+    }
+
+    fn full(
+        policy: &ExecutionPolicy,
+        model: &AnyModel,
+        dataset: &FederatedDataset,
+    ) -> Result<FederatedEvaluation> {
+        let (split, weighting) = (Split::Validation, WeightingScheme::ByExamples);
+        evaluate_full_with(policy, model, dataset, split, weighting)
+    }
+
+    fn assert_full_matches_gathered(model: &AnyModel, dataset: &FederatedDataset) {
+        let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
+        for policy in [
+            ExecutionPolicy::Sequential,
+            ExecutionPolicy::parallel_with(4),
+        ] {
+            assert_eq!(
+                full(&policy, model, dataset),
+                gathered(&policy, model, dataset, &everyone),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn packed_full_pass_equals_the_gathered_reference() {
+        for benchmark in [Benchmark::Cifar10Like, Benchmark::FemnistLike] {
+            let mut dataset = DatasetSpec::benchmark(benchmark, Scale::Smoke)
+                .generate(2)
+                .unwrap();
+            // One empty client, skipped alike by both paths.
+            dataset.clients_mut(Split::Validation)[1]
+                .examples_mut()
+                .clear();
+            for spec in [ModelSpec::for_dataset(&dataset), ModelSpec::Softmax] {
+                let model = spec.build(&dataset, &mut rng_for(5, 0));
+                assert_full_matches_gathered(&model, &dataset);
+                let evaluation = full(&ExecutionPolicy::Sequential, &model, &dataset).unwrap();
+                assert_eq!(evaluation.num_clients(), dataset.num_val_clients() - 1);
+                assert!(evaluation.per_client().iter().all(|c| c.client_index != 1));
+            }
+            assert!(dataset.is_packed(Split::Validation));
+            assert!(!dataset.is_packed(Split::Train));
+        }
+    }
+
+    #[test]
+    fn packed_subsample_equals_the_gathered_reference_on_the_same_indices() {
+        let dataset = smoke_dataset();
+        let model = ModelSpec::for_dataset(&dataset).build(&dataset, &mut rng_for(5, 1));
+        let sampler = UniformSampler::new();
+        for count in [1, 4, dataset.num_val_clients()] {
+            let evaluation = evaluate_subsample(
+                &model,
+                &dataset,
+                Split::Validation,
+                WeightingScheme::ByExamples,
+                &sampler,
+                count,
+                None,
+                &mut rng_for(6, count as u64),
+            );
+            let indices = sampler
+                .sample(
+                    &mut rng_for(6, count as u64),
+                    dataset.num_val_clients(),
+                    count,
+                    None,
+                )
+                .unwrap();
+            let reference = gathered(&ExecutionPolicy::Sequential, &model, &dataset, &indices);
+            assert_eq!(evaluation, reference, "{count} clients");
+        }
+    }
+
+    #[test]
+    fn a_mutated_pool_is_evaluated_as_it_now_is() {
+        let mut dataset = smoke_dataset();
+        let model = ModelSpec::Softmax.build(&dataset, &mut rng_for(5, 2));
+        let policy = ExecutionPolicy::Sequential;
+        let before = full(&policy, &model, &dataset).unwrap();
+
+        dataset.clients_mut(Split::Validation).pop();
+        let popped = full(&policy, &model, &dataset).unwrap();
+        assert_eq!(popped.num_clients(), before.num_clients() - 1);
+        assert_full_matches_gathered(&model, &dataset);
+
+        // Client 0 becomes one example the model gets right, then that
+        // example is relabelled through `examples_mut`: each pass sees the
+        // pool as it is when it runs.
+        let client = &mut dataset.clients_mut(Split::Validation)[0];
+        client.examples_mut().truncate(1);
+        let predicted = model.predict(&client.examples()[0].input).unwrap();
+        client.examples_mut()[0].label = predicted;
+        let right = full(&policy, &model, &dataset).unwrap();
+        assert_eq!(right.per_client()[0].error_rate, 0.0);
+        dataset.clients_mut(Split::Validation)[0].examples_mut()[0].label =
+            (predicted + 1) % model.num_classes();
+        let wrong = full(&policy, &model, &dataset).unwrap();
+        assert_eq!(wrong.per_client()[0].error_rate, 1.0);
+        assert_eq!(wrong.per_client()[1..], right.per_client()[1..]);
+        assert_full_matches_gathered(&model, &dataset);
+    }
+
+    #[test]
+    fn inputs_the_pack_cannot_vouch_for_get_the_gather_path_result() {
+        let dataset = smoke_dataset();
+        let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
+        let policy = ExecutionPolicy::Sequential;
+        let (dim, classes) = (dataset.input_dim(), dataset.num_classes());
+        let mut rng = rng_for(5, 3);
+        // A model of another width, and one with fewer classes than the
+        // pool's labels: the gather path's error, whatever it is.
+        for (spec, dim, classes) in [
+            (ModelSpec::Softmax, dim + 1, classes),
+            (ModelSpec::Mlp { hidden_dim: 4 }, dim, classes - 1),
+        ] {
+            let model = spec.build_with_dims(dim, classes, &mut rng);
+            let error = full(&policy, &model, &dataset).unwrap_err();
+            assert!(matches!(error, SimError::Model(_)), "{error}");
+            assert_eq!(Err(error), gathered(&policy, &model, &dataset, &everyone),);
+        }
+        // A token dataset has no pack and evaluates as it always did.
+        let text = DatasetSpec::benchmark(Benchmark::RedditLike, Scale::Smoke)
+            .generate(1)
+            .unwrap();
+        let model = ModelSpec::for_dataset(&text).build(&text, &mut rng);
+        assert!(text.packed(Split::Validation).is_none());
+        assert_full_matches_gathered(&model, &text);
     }
 }

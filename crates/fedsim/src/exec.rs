@@ -34,7 +34,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Default chunk width for deterministic [`map_chunks`] reductions.
 ///
@@ -245,6 +245,15 @@ impl<'env> JobQueue<'env> {
         })
     }
 
+    /// The queue state, poisoned or not: jobs run outside the lock, and the
+    /// two fields of `QueueState` are valid at every step of what runs
+    /// inside it, so there is nothing a panicking holder could leave half
+    /// done. Never panics, which `shut_down` (called from `drop`s, possibly
+    /// during an unwind) relies on.
+    fn lock(&self) -> MutexGuard<'_, QueueState<'env>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queues `job` behind everything pushed before it and wakes a worker.
     fn push(&self, job: PoolJob<'env>, chained: bool) {
         let metrics = pool_metrics();
@@ -252,23 +261,13 @@ impl<'env> JobQueue<'env> {
         if chained {
             metrics.steals_avoided.incr();
         }
-        let mut state = self.state.lock().expect("pool queue poisoned");
-        state.jobs.push_back(job);
-        drop(state);
+        self.lock().jobs.push_back(job);
         self.work_ready.notify_one();
     }
 
-    /// Tells the workers to return once the queue is drained. Called from
-    /// `drop`s, possibly during an unwind, so it must not panic; the two
-    /// fields of `QueueState` are valid at every step, so a poisoned lock is
-    /// safe to recover.
+    /// Tells the workers to return once the queue is drained.
     fn shut_down(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.shutdown = true;
-        drop(state);
+        self.lock().shutdown = true;
         self.work_ready.notify_all();
     }
 
@@ -279,7 +278,7 @@ impl<'env> JobQueue<'env> {
     fn work(&self, isolate: bool) {
         loop {
             let job = {
-                let mut state = self.state.lock().expect("pool queue poisoned");
+                let mut state = self.lock();
                 loop {
                     if let Some(job) = state.jobs.pop_front() {
                         break job;
@@ -287,7 +286,10 @@ impl<'env> JobQueue<'env> {
                     if state.shutdown {
                         return;
                     }
-                    state = self.work_ready.wait(state).expect("pool queue poisoned");
+                    state = self
+                        .work_ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // Run outside the lock so a panicking job cannot poison the queue.
@@ -601,6 +603,31 @@ mod tests {
             release_tx
         }));
         assert!(ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_pushes_runs_and_shuts_down() {
+        let queue = JobQueue::<'static>::new();
+        let poisoner = Arc::clone(&queue);
+        let poisoned = std::thread::spawn(move || {
+            let _held = poisoner.state.lock().expect("first holder");
+            panic!("poison the pool queue");
+        });
+        assert!(poisoned.join().is_err());
+        assert!(queue.state.is_poisoned());
+
+        let worker = std::thread::spawn({
+            let queue = Arc::clone(&queue);
+            move || queue.work(true)
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        for i in 1..=3 {
+            let tx = tx.clone();
+            queue.push(Box::new(move || tx.send(i).expect("receiver alive")), false);
+        }
+        queue.shut_down();
+        worker.join().expect("the worker returns normally");
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]

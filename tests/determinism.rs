@@ -737,3 +737,48 @@ fn evaluation_is_identical_across_policies() {
         assert_eq!(sequential, parallel, "{threads} threads");
     }
 }
+
+#[test]
+fn packed_validation_equals_the_gathered_reference_under_every_policy() {
+    // `evaluate_full` reads a dense pool's rows from the dataset's packed
+    // split; `evaluate_clients` over the same clients as a bare slice gathers
+    // every row out of its example. Same scores, same clients, same order.
+    let (split, weighting) = (
+        feddata::Split::Validation,
+        fedsim::WeightingScheme::ByExamples,
+    );
+    for benchmark in [Benchmark::Cifar10Like, Benchmark::FemnistLike] {
+        let dataset = DatasetSpec::benchmark(benchmark, Scale::Smoke)
+            .generate(3)
+            .unwrap();
+        let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
+        for spec in [ModelSpec::for_dataset(&dataset), ModelSpec::Softmax] {
+            let run = FederatedTrainer::new(TrainerConfig::default())
+                .unwrap()
+                .train(&dataset, spec, 3, 5)
+                .unwrap();
+            let policies = std::iter::once(ExecutionPolicy::Sequential)
+                .chain(THREAD_COUNTS.map(ExecutionPolicy::parallel_with));
+            for policy in policies {
+                let packed = fedsim::evaluation::evaluate_full_with(
+                    &policy,
+                    run.model(),
+                    &dataset,
+                    split,
+                    weighting,
+                )
+                .unwrap();
+                let gathered = fedsim::evaluation::evaluate_clients_with(
+                    &policy,
+                    run.model(),
+                    dataset.clients(split),
+                    &everyone,
+                    weighting,
+                )
+                .unwrap();
+                assert_eq!(packed, gathered, "{benchmark:?} {spec:?} {policy:?}");
+            }
+        }
+        assert!(dataset.is_packed(split));
+    }
+}
