@@ -1,10 +1,12 @@
 //! Support library for the benchmark harness.
 //!
-//! Every bench target in `benches/` regenerates one table or figure of the
-//! paper: it prints the regenerated rows once (so `cargo bench` output can be
-//! compared against the paper and against `examples/full_report`) and then
-//! measures the cost of the underlying experiment at a reduced scale with
-//! Criterion.
+//! The paper's tables and figures are regenerated by `examples/full_report`,
+//! a loop over `fedtune_core::experiments::figures::FIGURES` at
+//! [`report_scale`] that times each figure into one [`BenchSummary`]. The
+//! targets in `benches/` are what is gated against a committed baseline
+//! (`kernel_` / `executor_` / `service_` / `ledger_throughput`), asserts in
+//! the run (`population_scale`, `time_to_accuracy`, `surrogate_replay`), or
+//! is a micro-benchmark or ablation (`micro_*`, `abl_*`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,10 +20,10 @@ pub fn measurement_scale() -> ExperimentScale {
     ExperimentScale::smoke()
 }
 
-/// The scale used for the one-off regeneration printout at the top of each
-/// bench target. Controlled by the `FEDTUNE_BENCH_SCALE` environment variable
-/// (`smoke`, `default`, or `paper`); defaults to `smoke` so `cargo bench`
-/// stays fast.
+/// The scale `examples/full_report` and the one-off printout at the top of a
+/// bench target run at. Controlled by the `FEDTUNE_BENCH_SCALE` environment
+/// variable (`smoke`, `default`, or `paper`); defaults to `smoke` so both
+/// stay fast.
 pub fn report_scale() -> ExperimentScale {
     match std::env::var("FEDTUNE_BENCH_SCALE").as_deref() {
         Ok("paper") => ExperimentScale::paper(),
@@ -52,7 +54,7 @@ pub struct BenchEntry {
 /// `BENCH_<name>.json` so the perf trajectory can be tracked across PRs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BenchSummary {
-    /// The bench target (e.g. `"fig08_methods"`).
+    /// The bench target or example (e.g. `"full_report"`).
     pub name: String,
     /// The `FEDTUNE_BENCH_SCALE` the summary was produced at.
     pub scale: String,

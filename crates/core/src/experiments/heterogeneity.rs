@@ -2,28 +2,19 @@
 //! Fig. 7 (global error vs. minimum client error).
 
 use crate::engine::TrialRunner;
-use crate::experiments::{rate_sweep, series_report, SeedChannel};
+use crate::experiments::{rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::{validation_pool_with_iid_fraction, TrainedBenchmark};
-use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::{BenchmarkSeries, SeriesGroup};
 use crate::Result;
-use fedmath::stats::QuartileSummary;
 use fedmath::{SeedStream, SeedTree};
 use serde::{Deserialize, Serialize};
-
-/// Fig. 4 for one benchmark: one subsampling sweep per iid fraction `p`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DataHeterogeneitySweep {
-    /// Benchmark the sweep was run on.
-    pub benchmark: String,
-    /// One series per iid fraction (`p = 0`, `0.5`, `1`).
-    pub series: Vec<SeriesGroup>,
-}
 
 /// Runs Fig. 4 over one trained benchmark: the validation pool is
 /// repartitioned towards iid-ness with fraction `p ∈ {0, 0.5, 1}` (training
 /// data untouched, §3.2), the trained configurations are re-evaluated on each
-/// partition, and the RS bootstrap is repeated across subsampling rates.
+/// partition, and the RS bootstrap is repeated across subsampling rates — one
+/// series per `p`.
 ///
 /// # Errors
 ///
@@ -31,7 +22,7 @@ pub struct DataHeterogeneitySweep {
 pub fn run_data_heterogeneity(
     runner: &TrialRunner,
     trained: &TrainedBenchmark,
-) -> Result<DataHeterogeneitySweep> {
+) -> Result<BenchmarkSeries> {
     let mut seeds = SeedStream::new(trained.seed(SeedChannel::DataHeterogeneity));
     let mut series = Vec::new();
     for &p in &[0.0, 0.5, 1.0] {
@@ -49,35 +40,15 @@ pub fn run_data_heterogeneity(
             )?,
         });
     }
-    Ok(DataHeterogeneitySweep {
+    Ok(BenchmarkSeries {
         benchmark: trained.name().to_string(),
         series,
     })
 }
 
-/// Renders Fig. 4 sweeps as a report.
-pub fn data_heterogeneity_report(sweeps: &[DataHeterogeneitySweep]) -> ExperimentReport {
-    series_report(
-        "fig4",
-        "Data heterogeneity: RS under subsampling on repartitioned validation pools (Fig. 4)",
-        sweeps
-            .iter()
-            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
-    )
-}
-
-/// Fig. 6 for one benchmark: one subsampling sweep per systems-bias exponent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SystemsHeterogeneitySweep {
-    /// Benchmark the sweep was run on.
-    pub benchmark: String,
-    /// One series per bias exponent (`b = 0, 1, 1.5, 3`).
-    pub series: Vec<SeriesGroup>,
-}
-
 /// Runs Fig. 6 over one trained benchmark: evaluation-client sampling is
 /// biased towards clients on which the evaluated model performs well, with
-/// weight `(a + δ)^b`.
+/// weight `(a + δ)^b` — one series per bias exponent `b = 0, 1, 1.5, 3`.
 ///
 /// # Errors
 ///
@@ -85,7 +56,7 @@ pub struct SystemsHeterogeneitySweep {
 pub fn run_systems_heterogeneity(
     runner: &TrialRunner,
     trained: &TrainedBenchmark,
-) -> Result<SystemsHeterogeneitySweep> {
+) -> Result<BenchmarkSeries> {
     // Common random numbers across bias series: each rate's trial seed is
     // derived from the rate's position only, so every `b` replays the same
     // bootstrap draws. This reduces cross-series variance and makes the
@@ -104,21 +75,10 @@ pub fn run_systems_heterogeneity(
             )?,
         });
     }
-    Ok(SystemsHeterogeneitySweep {
+    Ok(BenchmarkSeries {
         benchmark: trained.name().to_string(),
         series,
     })
-}
-
-/// Renders Fig. 6 sweeps as a report.
-pub fn systems_heterogeneity_report(sweeps: &[SystemsHeterogeneitySweep]) -> ExperimentReport {
-    series_report(
-        "fig6",
-        "Systems heterogeneity: accuracy-biased client sampling (Fig. 6)",
-        sweeps
-            .iter()
-            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
-    )
 }
 
 /// One point of the Fig. 7 scatter: a configuration's global (full
@@ -180,40 +140,6 @@ pub fn run_min_client_scatter(trained: &TrainedBenchmark) -> MinClientScatter {
     }
 }
 
-/// Renders Fig. 7 scatters as a report (each configuration becomes one row).
-pub fn min_client_report(scatters: &[MinClientScatter]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig7",
-        "Global error vs. minimum client error per configuration (Fig. 7)",
-    );
-    for scatter in scatters {
-        let points = scatter
-            .points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.global_error_percent,
-                x_label: format!("{:.1}% global", p.global_error_percent),
-                summary: QuartileSummary {
-                    lower: p.min_client_error_percent,
-                    median: p.min_client_error_percent,
-                    upper: p.min_client_error_percent,
-                    count: 1,
-                },
-            })
-            .collect();
-        report.push_group(SeriesGroup {
-            name: scatter.benchmark.clone(),
-            points,
-        });
-        report.push_note(format!(
-            "{}: {:.0}% of configurations are globally poor (>60% error) yet have a client below 20% error",
-            scatter.benchmark,
-            scatter.deceptive_fraction(60.0, 20.0) * 100.0
-        ));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,8 +168,7 @@ mod tests {
             spread < 25.0,
             "full-evaluation medians should not diverge wildly, spread {spread}"
         );
-        let report = data_heterogeneity_report(&[sweep]);
-        assert!(report.to_table().contains("p=0"));
+        assert_eq!(sweep.series[0].name, "p=0");
     }
 
     #[test]
@@ -258,8 +183,7 @@ mod tests {
         let full_b0 = sweep.series[0].points.last().unwrap().summary.median;
         let full_b3 = sweep.series[3].points.last().unwrap().summary.median;
         assert!((full_b0 - full_b3).abs() < 10.0);
-        let report = systems_heterogeneity_report(&[sweep]);
-        assert!(report.to_table().contains("b=1.5"));
+        assert_eq!(sweep.series[2].name, "b=1.5");
     }
 
     #[test]
@@ -278,7 +202,5 @@ mod tests {
         }
         let frac = scatter.deceptive_fraction(0.0, 100.0);
         assert!((0.0..=1.0).contains(&frac));
-        let report = min_client_report(&[scatter]);
-        assert!(report.to_table().contains("fig7"));
     }
 }

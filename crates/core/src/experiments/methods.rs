@@ -235,6 +235,24 @@ impl MethodComparison {
         }
     }
 
+    /// The runs of `methods` as a comparison of their own. Cells are seeded
+    /// by grid position and the grid is method-major, so restricting an
+    /// [`EXTENDED`](TuningMethod::EXTENDED) comparison to
+    /// [`ALL`](TuningMethod::ALL) (its leading methods) gives, bit for bit,
+    /// the comparison run over `ALL` alone.
+    pub fn only(&self, methods: &[TuningMethod]) -> MethodComparison {
+        MethodComparison {
+            benchmark: self.benchmark.clone(),
+            runs: self
+                .runs
+                .iter()
+                .filter(|run| methods.iter().any(|m| m.name() == run.method))
+                .cloned()
+                .collect(),
+            budget_grid: self.budget_grid.clone(),
+        }
+    }
+
     /// Distinct (method, noise) pairs present in the runs, in insertion order.
     fn run_keys(&self) -> Vec<(String, String)> {
         let mut keys: Vec<(String, String)> = Vec::new();
@@ -364,9 +382,9 @@ pub fn paper_noise_settings() -> Vec<(String, NoiseConfig)> {
     ]
 }
 
-/// One campaign of the scheduled comparison's (method × noise setting ×
-/// trial) grid, as [`scheduled_comparison`] hands it out.
-pub struct ScheduledCampaign<'a> {
+/// One campaign of the comparison's (method × noise setting × trial) grid,
+/// as [`comparison`] hands it out.
+pub struct Campaign<'a> {
     /// The method (the scheduler handed out with the cell is its state
     /// machine at the comparison's scale).
     pub method: TuningMethod,
@@ -378,7 +396,7 @@ pub struct ScheduledCampaign<'a> {
     pub objective_seed: u64,
 }
 
-/// Enumerates the scheduled comparison's campaign grid — method-major, then
+/// Enumerates the comparison's campaign grid — method-major, then
 /// noise setting, then trial — and assembles what `campaign` logs for each
 /// cell. Every cell gets a fresh scheduler and positional seeds (the
 /// engine's: fan-out rooted at [`SeedChannel::Methods`], cell `i` on child
@@ -389,14 +407,14 @@ pub struct ScheduledCampaign<'a> {
 /// # Errors
 ///
 /// Propagates scheduler construction failures and `campaign`'s.
-pub fn scheduled_comparison(
+pub fn comparison(
     benchmark: Benchmark,
     scale: &ExperimentScale,
     methods: &[TuningMethod],
     noise_settings: &[(String, NoiseConfig)],
     seed: u64,
     mut campaign: impl FnMut(
-        &ScheduledCampaign<'_>,
+        &Campaign<'_>,
         &mut dyn Scheduler,
         &mut StdRng,
     ) -> Result<Vec<ObjectiveLogEntry>>,
@@ -407,7 +425,7 @@ pub fn scheduled_comparison(
         for (noise_label, noise) in noise_settings {
             for trial in 0..scale.method_trials {
                 let unit = tree.child(runs.len() as u64);
-                let cell = ScheduledCampaign {
+                let cell = Campaign {
                     method,
                     noise_label,
                     noise,
@@ -452,7 +470,7 @@ pub fn run_method_comparison(
 ) -> Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let threads = runner.policy().pool_threads();
-    scheduled_comparison(
+    comparison(
         benchmark,
         scale,
         methods,
@@ -589,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_comparison_covers_extended_methods() {
+    fn comparison_covers_extended_methods() {
         let scale = ExperimentScale::smoke();
         let noise_settings = paper_noise_settings();
         let comparison = run_method_comparison(
@@ -622,6 +640,28 @@ mod tests {
         let report = comparison.to_online_report().unwrap();
         assert!(report.to_table().contains("ASHA (noisy)"));
         assert!(report.to_table().contains("ASHA+RE (noisy)"));
+    }
+
+    #[test]
+    fn the_paper_methods_are_the_leading_cells_of_the_extended_comparison() {
+        let scale = ExperimentScale::smoke();
+        let noise_settings = paper_noise_settings();
+        let run = |methods: &[TuningMethod]| {
+            run_method_comparison(
+                &TrialRunner::from_env(),
+                Benchmark::Cifar10Like,
+                &scale,
+                methods,
+                &noise_settings,
+                4,
+            )
+            .unwrap()
+        };
+        let (paper, extended) = (run(&TuningMethod::ALL), run(&TuningMethod::EXTENDED));
+        let leading = TuningMethod::ALL.len() * noise_settings.len() * scale.method_trials;
+        assert_eq!(paper.runs.len(), leading);
+        assert_eq!(paper.runs, extended.runs[..leading]);
+        assert_eq!(extended.only(&TuningMethod::ALL), paper);
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! One experiment runner per table/figure of the paper's evaluation.
+//! One experiment runner per table/figure of the paper's evaluation, and
+//! [`figures::FIGURES`], the index that says which artefact is drawn by which
+//! runner from which inputs.
 //!
 //! | module | paper content |
 //! |---|---|
+//! | [`figures`] | the index: one [`figures::Figure`] per artefact, drawn from one [`figures::FigureInputs`] |
 //! | [`table1`] | Tables 1–2: dataset statistics |
 //! | [`subsampling`] | Fig. 3 (RS vs subsample rate) and Fig. 5 (error vs budget) |
 //! | [`heterogeneity`] | Fig. 4 (data heterogeneity), Fig. 6 (systems heterogeneity), Fig. 7 (min-client-error scatter) |
@@ -19,12 +22,15 @@
 //! seed taken from the pool's seed on the figure's [`SeedChannel`]). The
 //! live-training figures (1 / 8 / 15 / 16, 13, stragglers, population) take a
 //! [`crate::ExperimentScale`] and a seed. Every runner returns a serialisable
-//! result struct and can render an [`crate::ExperimentReport`]. A runner that
-//! fans trials out (pool training, bootstrap replays, tuner campaigns) takes
-//! the [`TrialRunner`] to do it on as its first argument — none of them reads
-//! `FEDTUNE_THREADS`; seeds are positional, so the result is the same bits
-//! under every runner and the caller decides the threads.
+//! result struct; [`figures`] renders them as [`crate::ExperimentReport`]s and
+//! is the one place that builds the pool set and the comparison for
+//! reporting. A runner that fans trials out (pool training, bootstrap replays,
+//! tuner campaigns) takes the [`TrialRunner`] to do it on as its first
+//! argument — none of them reads `FEDTUNE_THREADS`; seeds are positional, so
+//! the result is the same bits under every runner and the caller decides the
+//! threads.
 
+pub mod figures;
 pub mod heterogeneity;
 pub mod methods;
 pub mod population;
@@ -38,7 +44,7 @@ pub mod table1;
 use crate::engine::TrialRunner;
 use crate::noise::{noisy_error, NoiseConfig};
 use crate::pool::ConfigPool;
-use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::{rate_label, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
 use crate::{CoreError, Result};
 
@@ -281,25 +287,6 @@ pub(crate) fn budget_curve(
         })
         .collect::<Result<_>>()?;
     Ok(SeriesGroup { name, points })
-}
-
-/// The report shape Figures 4, 6 and 9 share: every sweep's series, each
-/// group named `"<benchmark> <series>"`.
-pub(crate) fn series_report<'a>(
-    id: &str,
-    title: &str,
-    sweeps: impl IntoIterator<Item = (&'a str, &'a [SeriesGroup])>,
-) -> ExperimentReport {
-    let mut report = ExperimentReport::new(id, title);
-    for (benchmark, series) in sweeps {
-        for group in series {
-            report.push_group(SeriesGroup {
-                name: format!("{benchmark} {}", group.name),
-                points: group.points.clone(),
-            });
-        }
-    }
-    report
 }
 
 /// A runner and the smoke-scale pool of `benchmark` it trained from `seed`.

@@ -2,14 +2,13 @@
 //! across evaluation-client subsampling rates.
 
 use crate::engine::TrialRunner;
-use crate::experiments::{rate_sweep, series_report, SeedChannel};
+use crate::experiments::{rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
-use crate::report::{ExperimentReport, SeriesGroup};
+use crate::report::{BenchmarkSeries, SeriesGroup};
 use crate::Result;
 use feddp::PrivacyBudget;
 use fedmath::SeedStream;
-use serde::{Deserialize, Serialize};
 
 /// The ε grid of Fig. 9.
 pub const PRIVACY_GRID: [PrivacyBudget; 5] = [
@@ -20,24 +19,19 @@ pub const PRIVACY_GRID: [PrivacyBudget; 5] = [
     PrivacyBudget::Infinite,
 ];
 
-/// Fig. 9 for one benchmark: one subsampling sweep per privacy budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PrivacySweep {
-    /// Benchmark the sweep was run on.
-    pub benchmark: String,
-    /// One series per ε (labelled `"eps=<value>"` or `"eps=inf"`).
-    pub series: Vec<SeriesGroup>,
-}
-
 /// Runs Fig. 9 over one trained benchmark: random search where every
 /// evaluation is an ε-DP release of the subsampled validation accuracy
 /// (uniform weighting, Laplace noise of scale `M / (ε |S|)` with `M = K`
-/// evaluations per tuning run).
+/// evaluations per tuning run) — one series per ε of [`PRIVACY_GRID`],
+/// labelled `"eps=<value>"` or `"eps=inf"`.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn run_privacy_sweep(runner: &TrialRunner, trained: &TrainedBenchmark) -> Result<PrivacySweep> {
+pub fn run_privacy_sweep(
+    runner: &TrialRunner,
+    trained: &TrainedBenchmark,
+) -> Result<BenchmarkSeries> {
     let mut seeds = SeedStream::new(trained.seed(SeedChannel::Privacy));
     let mut series = Vec::new();
     for budget in PRIVACY_GRID {
@@ -52,21 +46,10 @@ pub fn run_privacy_sweep(runner: &TrialRunner, trained: &TrainedBenchmark) -> Re
             )?,
         });
     }
-    Ok(PrivacySweep {
+    Ok(BenchmarkSeries {
         benchmark: trained.name().to_string(),
         series,
     })
-}
-
-/// Renders Fig. 9 sweeps as a report.
-pub fn privacy_report(sweeps: &[PrivacySweep]) -> ExperimentReport {
-    series_report(
-        "fig9",
-        "Differential privacy: RS under Laplace-perturbed evaluation (Fig. 9)",
-        sweeps
-            .iter()
-            .map(|s| (s.benchmark.as_str(), s.series.as_slice())),
-    )
 }
 
 #[cfg(test)]
@@ -98,7 +81,5 @@ mod tests {
             strict >= nonprivate_full - 1e-9,
             "strict DP ({strict}) should not beat non-private full evaluation ({nonprivate_full})"
         );
-        let report = privacy_report(&[sweep]);
-        assert!(report.to_table().contains("eps=inf"));
     }
 }

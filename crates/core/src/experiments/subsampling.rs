@@ -5,7 +5,7 @@ use crate::engine::TrialRunner;
 use crate::experiments::{budget_curve, rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
-use crate::report::{rate_label, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::{rate_label, BenchmarkSeries, SeriesPoint};
 use crate::Result;
 use fedmath::SeedTree;
 use serde::{Deserialize, Serialize};
@@ -51,44 +51,19 @@ pub fn run_subsampling_sweep(
     })
 }
 
-/// Renders Fig. 3 sweeps (one per benchmark) as a report.
-pub fn subsampling_report(sweeps: &[SubsamplingSweep]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig3",
-        "Random search under evaluation-client subsampling (Fig. 3)",
-    );
-    for sweep in sweeps {
-        report.push_group(SeriesGroup {
-            name: sweep.benchmark.clone(),
-            points: sweep.points.clone(),
-        });
-        report.push_note(format!(
-            "{}: best HPs (full evaluation) = {:.2}%",
-            sweep.benchmark, sweep.best_hps_percent
-        ));
-    }
-    report
-}
-
-/// The result of the Fig. 5 experiment for one benchmark: one error-vs-budget
-/// curve per subsampling rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BudgetCurves {
-    /// Benchmark the curves were computed on.
-    pub benchmark: String,
-    /// One curve per subsampling rate (the group name is the rate label).
-    pub curves: Vec<SeriesGroup>,
-}
-
 /// Runs the Fig. 5 experiment over one trained benchmark: the online
 /// performance of RS (true error of the incumbent) as its round budget is
-/// consumed, at a single-client rate, an intermediate rate, and full
-/// evaluation. Sequential and parallel runners produce bit-identical curves.
+/// consumed — one curve per subsampling rate, named by the rate's label: a
+/// single client, an intermediate rate, and full evaluation. Sequential and
+/// parallel runners produce bit-identical curves.
 ///
 /// # Errors
 ///
 /// Propagates noisy-evaluation failures.
-pub fn run_budget_curves(runner: &TrialRunner, trained: &TrainedBenchmark) -> Result<BudgetCurves> {
+pub fn run_budget_curves(
+    runner: &TrialRunner,
+    trained: &TrainedBenchmark,
+) -> Result<BenchmarkSeries> {
     let population = trained.pool().num_val_clients();
     // The paper plots a single client, a small percentage, and 100%.
     let rates = [
@@ -97,7 +72,7 @@ pub fn run_budget_curves(runner: &TrialRunner, trained: &TrainedBenchmark) -> Re
         1.0,
     ];
     let rate_seeds = SeedTree::new(trained.seed(SeedChannel::Budget));
-    let curves = rates
+    let series = rates
         .iter()
         .enumerate()
         .map(|(rate_idx, &rate)| {
@@ -111,27 +86,10 @@ pub fn run_budget_curves(runner: &TrialRunner, trained: &TrainedBenchmark) -> Re
             )
         })
         .collect::<Result<_>>()?;
-    Ok(BudgetCurves {
+    Ok(BenchmarkSeries {
         benchmark: trained.name().to_string(),
-        curves,
+        series,
     })
-}
-
-/// Renders Fig. 5 curves as a report.
-pub fn budget_report(all: &[BudgetCurves]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig5",
-        "RS performance vs. training budget under subsampling (Fig. 5)",
-    );
-    for curves in all {
-        for curve in &curves.curves {
-            report.push_group(SeriesGroup {
-                name: format!("{} @ {}", curves.benchmark, curve.name),
-                points: curve.points.clone(),
-            });
-        }
-    }
-    report
 }
 
 #[cfg(test)]
@@ -160,8 +118,6 @@ mod tests {
         for p in &sweep.points {
             assert!(p.summary.median + 1e-9 >= sweep.best_hps_percent);
         }
-        let report = subsampling_report(&[sweep]);
-        assert!(report.to_table().contains("fig3"));
     }
 
     #[test]
@@ -169,18 +125,16 @@ mod tests {
         let (runner, trained) = smoke_trained(Benchmark::FemnistLike, 1);
         let scale = *trained.scale();
         let curves = run_budget_curves(&runner, &trained).unwrap();
-        assert_eq!(curves.curves.len(), 3);
-        for curve in &curves.curves {
+        assert_eq!(curves.series.len(), 3);
+        for curve in &curves.series {
             assert_eq!(curve.points.len(), scale.num_configs);
             // x is the cumulative number of rounds.
             assert!((curve.points[0].x - scale.rounds_per_config as f64).abs() < 1e-9);
             // Within a curve, the median incumbent error never increases with
             // budget in the noiseless (full evaluation) case.
         }
-        let full_curve = curves.curves.last().unwrap();
+        let full_curve = curves.series.last().unwrap();
         let medians: Vec<f64> = full_curve.points.iter().map(|p| p.summary.median).collect();
         assert!(medians.windows(2).all(|w| w[1] <= w[0] + 1e-9));
-        let report = budget_report(&[curves]);
-        assert!(report.to_table().contains("fig5"));
     }
 }

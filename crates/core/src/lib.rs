@@ -75,7 +75,7 @@ pub use objective::{
     ObjectiveLogEntry,
 };
 pub use pool::{ConfigPool, PooledConfig, TrainedBenchmark};
-pub use report::{ExperimentReport, SeriesGroup, SeriesPoint};
+pub use report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{
     run_event_driven, run_event_driven_traced, run_scheduled, run_scheduled_for, DispatchedTrial,

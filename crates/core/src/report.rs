@@ -50,6 +50,17 @@ pub struct SeriesGroup {
     pub points: Vec<SeriesPoint>,
 }
 
+/// One benchmark's share of a figure drawn per benchmark (Figs. 4, 5, 6 and
+/// 9): its named series, one per level of what the figure varies.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchmarkSeries {
+    /// Benchmark the series were computed on.
+    pub benchmark: String,
+    /// One series per level (an iid fraction, a subsampling rate, a bias
+    /// exponent, an ε), named after it.
+    pub series: Vec<SeriesGroup>,
+}
+
 /// A complete experiment result: the experiment id (`"fig3"`, `"table1"`, …),
 /// a human-readable title, and its series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

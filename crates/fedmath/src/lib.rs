@@ -4,9 +4,8 @@
 //! the reproduction of *"On Noisy Evaluation in Federated Hyperparameter
 //! Tuning"* (MLSys 2023) is built on:
 //!
-//! - [`Matrix`]: a dense, row-major `f64` matrix with the linear-algebra
-//!   operations needed by hand-written model gradients (matmul, transpose,
-//!   elementwise maps, axpy-style updates).
+//! - [`Matrix`]: a dense, row-major `f64` matrix, the models' parameter
+//!   storage (row and slice access, matmul, matvec).
 //! - [`stats`]: descriptive statistics used throughout the experiment
 //!   harness (weighted means, medians, quartiles, summaries over trials).
 //! - [`rng`]: deterministic, splittable random-number utilities plus the

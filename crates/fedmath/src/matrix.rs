@@ -1,8 +1,9 @@
 //! Dense, row-major `f64` matrices.
 //!
-//! [`Matrix`] is deliberately small: it implements exactly the operations
-//! needed by the hand-written gradients in `fedmodels` (matrix products,
-//! transposes, elementwise maps, scaled in-place updates) and nothing more.
+//! [`Matrix`] is deliberately small: it is the parameter storage of the
+//! models in `fedmodels` (construction, row and slice access, matrix–matrix
+//! and matrix–vector products) and nothing more; the batched arithmetic
+//! lives in [`crate::kernel`].
 //! All fallible operations return [`MathError`] rather than
 //! panicking so that the simulation layers can surface shape bugs as errors.
 
@@ -34,15 +35,6 @@ impl Matrix {
             rows,
             cols,
             data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates a matrix of the given shape filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
         }
     }
 
@@ -189,11 +181,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Consumes the matrix and returns the underlying row-major data.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -287,168 +274,6 @@ impl Matrix {
         self.data.copy_from_slice(params);
         Ok(())
     }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        out
-    }
-
-    /// Elementwise sum `self + other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Elementwise difference `self - other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if the shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
-    fn zip_with(
-        &self,
-        other: &Matrix,
-        op: &'static str,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(MathError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-                op,
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
-    /// Returns a new matrix with every entry multiplied by `scalar`.
-    pub fn scale(&self, scalar: f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| x * scalar).collect(),
-        }
-    }
-
-    /// Returns a new matrix with `f` applied to every entry.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// In-place scaled addition: `self += alpha * other` (BLAS `axpy`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if the shapes differ.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(MathError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-                op: "axpy",
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
-    /// In-place multiplication of every entry by `scalar`.
-    pub fn scale_inplace(&mut self, scalar: f64) {
-        for x in &mut self.data {
-            *x *= scalar;
-        }
-    }
-
-    /// Sets every entry to zero.
-    pub fn fill_zero(&mut self) {
-        for x in &mut self.data {
-            *x = 0.0;
-        }
-    }
-
-    /// Sum of all entries.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all entries. Returns 0.0 for an empty matrix.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
-    /// Frobenius norm (square root of the sum of squared entries).
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Squared Frobenius norm.
-    pub fn frobenius_norm_sq(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>()
-    }
-
-    /// Returns `true` if any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// Outer product of two vectors: returns a `u.len()` x `v.len()` matrix.
-    pub fn outer(u: &[f64], v: &[f64]) -> Matrix {
-        let mut m = Matrix::zeros(u.len(), v.len());
-        for (i, &ui) in u.iter().enumerate() {
-            for (j, &vj) in v.iter().enumerate() {
-                m.data[i * v.len() + j] = ui * vj;
-            }
-        }
-        m
-    }
 }
 
 impl Default for Matrix {
@@ -462,13 +287,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_filled() {
+    fn zeros() {
         let z = Matrix::zeros(3, 4);
         assert_eq!(z.shape(), (3, 4));
-        assert_eq!(z.sum(), 0.0);
-        let f = Matrix::filled(2, 2, 1.5);
-        assert_eq!(f.sum(), 6.0);
-        assert_eq!(f.mean(), 1.5);
+        assert!(z.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -548,46 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_twice_is_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().shape(), (3, 2));
-        assert_eq!(a.transpose().get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn add_sub_hadamard() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![3.0, 5.0]]).unwrap();
-        assert_eq!(a.add(&b).unwrap().row(0), &[4.0, 7.0]);
-        assert_eq!(b.sub(&a).unwrap().row(0), &[2.0, 3.0]);
-        assert_eq!(a.hadamard(&b).unwrap().row(0), &[3.0, 10.0]);
-        let c = Matrix::zeros(2, 2);
-        assert!(a.add(&c).is_err());
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.get(0, 0), 2.0);
-        assert!(a.axpy(1.0, &Matrix::zeros(1, 1)).is_err());
-    }
-
-    #[test]
-    fn scale_and_map() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0]]).unwrap();
-        assert_eq!(a.scale(2.0).row(0), &[2.0, -4.0]);
-        assert_eq!(a.map(f64::abs).row(0), &[1.0, 2.0]);
-        let mut b = a.clone();
-        b.map_inplace(|x| x + 1.0);
-        assert_eq!(b.row(0), &[2.0, -1.0]);
-        b.scale_inplace(0.0);
-        assert_eq!(b.sum(), 0.0);
-    }
-
-    #[test]
     fn from_vec_validates_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
@@ -604,28 +386,6 @@ mod tests {
         let m = Matrix::from_fn(2, 3, |i, j| (i * 10 + j) as f64);
         assert_eq!(m.get(1, 2), 12.0);
         assert_eq!(m.get(0, 0), 0.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
-        assert_eq!(a.frobenius_norm(), 5.0);
-        assert_eq!(a.frobenius_norm_sq(), 25.0);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Matrix::zeros(1, 2);
-        assert!(!a.has_non_finite());
-        a.set(0, 1, f64::NAN);
-        assert!(a.has_non_finite());
-    }
-
-    #[test]
-    fn outer_product() {
-        let m = Matrix::outer(&[1.0, 2.0], &[3.0, 4.0, 5.0]);
-        assert_eq!(m.shape(), (2, 3));
-        assert_eq!(m.get(1, 2), 10.0);
     }
 
     #[test]

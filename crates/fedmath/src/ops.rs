@@ -50,15 +50,6 @@ pub fn softmax_inplace(logits: &mut [f64]) {
     }
 }
 
-/// Log-softmax (stable log of [`softmax`]).
-pub fn log_softmax(logits: &[f64]) -> Vec<f64> {
-    if logits.is_empty() {
-        return Vec::new();
-    }
-    let lse = log_sum_exp(logits);
-    logits.iter().map(|&v| v - lse).collect()
-}
-
 /// Cross-entropy loss `-log p(target)` for a logit vector and integer target.
 ///
 /// # Errors
@@ -98,42 +89,6 @@ pub fn relu_grad(x: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Hyperbolic tangent activation.
-pub fn tanh(x: f64) -> f64 {
-    x.tanh()
-}
-
-/// Derivative of tanh given the *activation value* `y = tanh(x)`.
-pub fn tanh_grad_from_output(y: f64) -> f64 {
-    1.0 - y * y
-}
-
-/// One-hot encodes `class` into a vector of length `num_classes`.
-///
-/// # Errors
-///
-/// Returns [`MathError::InvalidArgument`] if `class >= num_classes`.
-pub fn one_hot(class: usize, num_classes: usize) -> Result<Vec<f64>> {
-    if class >= num_classes {
-        return Err(MathError::InvalidArgument {
-            message: format!("class {class} out of range for {num_classes} classes"),
-        });
-    }
-    let mut v = vec![0.0; num_classes];
-    v[class] = 1.0;
-    Ok(v)
-}
-
-/// Clamps `x` into `[lo, hi]`.
-///
-/// # Panics
-///
-/// Panics if `lo > hi`.
-pub fn clip(x: f64, lo: f64, hi: f64) -> f64 {
-    assert!(lo <= hi, "clip bounds inverted: lo={lo} > hi={hi}");
-    x.max(lo).min(hi)
 }
 
 /// Index of the largest logit (prediction). Ties resolve to the first index.
@@ -190,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn log_softmax_is_log_of_softmax() {
-        let logits = [0.1, 0.2, 0.7];
-        let ls = log_softmax(&logits);
-        let s = softmax(&logits);
-        for (a, b) in ls.iter().zip(s.iter()) {
-            assert!((a.exp() - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn cross_entropy_matches_direct_computation() {
         let logits = [1.0, 2.0, 3.0];
         let loss = cross_entropy_from_logits(&logits, 2).unwrap();
@@ -222,33 +167,6 @@ mod tests {
         assert_eq!(relu(2.5), 2.5);
         assert_eq!(relu_grad(-1.0), 0.0);
         assert_eq!(relu_grad(3.0), 1.0);
-    }
-
-    #[test]
-    fn tanh_and_grad() {
-        assert!((tanh(0.0)).abs() < 1e-12);
-        let y = tanh(0.5);
-        assert!((tanh_grad_from_output(y) - (1.0 - y * y)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_hot_encoding() {
-        let v = one_hot(2, 4).unwrap();
-        assert_eq!(v, vec![0.0, 0.0, 1.0, 0.0]);
-        assert!(one_hot(4, 4).is_err());
-    }
-
-    #[test]
-    fn clip_bounds() {
-        assert_eq!(clip(5.0, 0.0, 1.0), 1.0);
-        assert_eq!(clip(-5.0, 0.0, 1.0), 0.0);
-        assert_eq!(clip(0.5, 0.0, 1.0), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "clip bounds inverted")]
-    fn clip_panics_on_inverted_bounds() {
-        clip(0.0, 1.0, 0.0);
     }
 
     #[test]

@@ -129,27 +129,7 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// [`FrameError::BadMagic`] / [`FrameError::Oversized`] when the header is
 /// corrupt, [`FrameError::Truncated`] when `buf` ends before the frame does.
 pub fn decode_frame(buf: &[u8]) -> Result<(Vec<u8>, usize), FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated {
-            needed: 8,
-            have: buf.len(),
-        });
-    }
-    let found = [buf[0], buf[1], buf[2], buf[3]];
-    if found != MAGIC {
-        return Err(FrameError::BadMagic { found });
-    }
-    if buf.len() < 8 {
-        return Err(FrameError::Truncated {
-            needed: 8,
-            have: buf.len(),
-        });
-    }
-    let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len: len as u64 });
-    }
-    let total = 8 + len;
+    let total = 8 + payload_len(&buf[..buf.len().min(8)])?;
     if buf.len() < total {
         return Err(FrameError::Truncated {
             needed: total,
@@ -157,6 +137,31 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Vec<u8>, usize), FrameError> {
         });
     }
     Ok((buf[8..total].to_vec(), total))
+}
+
+/// The payload length the header of a frame declares — the one place the
+/// magic and the [`MAX_FRAME`] cap are checked. `header` is as much of the
+/// eight header bytes as has arrived: a wrong magic is reported as soon as
+/// its four bytes are there, anything else short of eight is a truncation.
+fn payload_len(header: &[u8]) -> Result<usize, FrameError> {
+    let truncated = FrameError::Truncated {
+        needed: 8,
+        have: header.len(),
+    };
+    let Some(found) = header.first_chunk::<4>() else {
+        return Err(truncated);
+    };
+    if *found != MAGIC {
+        return Err(FrameError::BadMagic { found: *found });
+    }
+    let Some(len) = header[4..].first_chunk::<4>() else {
+        return Err(truncated);
+    };
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized { len: len as u64 });
+    }
+    Ok(len)
 }
 
 /// Reads one raw frame payload from a stream. `Ok(None)` is a clean close:
@@ -191,14 +196,7 @@ pub fn read_frame(stream: &mut dyn Read) -> Result<Option<Vec<u8>>, FrameError> 
             }
         }
     }
-    let found = [header[0], header[1], header[2], header[3]];
-    if found != MAGIC {
-        return Err(FrameError::BadMagic { found });
-    }
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len: len as u64 });
-    }
+    let len = payload_len(&header)?;
     let mut payload = vec![0u8; len];
     let mut got = 0;
     while got < len {

@@ -3,7 +3,7 @@
 //! [`record_method_comparison`] is a drop-in replacement for
 //! `fedtune_core::experiments::methods::run_method_comparison` that
 //! additionally persists every evaluation into a [`TrialStore`]; it walks the
-//! same campaign grid with the same positional seeds (`scheduled_comparison`),
+//! same campaign grid with the same positional seeds (`methods::comparison`),
 //! so its result is bit-identical to the live comparison — and, when the
 //! store already holds a previous (possibly interrupted) recording of the
 //! same campaign, recorded evaluations are served from the ledger instead of
@@ -20,7 +20,7 @@ use crate::store::TrialStore;
 use crate::tabular::TabularObjective;
 use feddata::Benchmark;
 use fedhpo::SearchSpace;
-use fedtune_core::experiments::methods::{scheduled_comparison, MethodComparison, TuningMethod};
+use fedtune_core::experiments::methods::{comparison, MethodComparison, TuningMethod};
 use fedtune_core::{
     run_scheduled, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective, ExperimentScale,
     NoiseConfig, TrialRunner,
@@ -61,7 +61,7 @@ pub fn record_method_comparison(
 ) -> fedtune_core::Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
     let threads = runner.policy().pool_threads();
-    scheduled_comparison(
+    comparison(
         benchmark,
         scale,
         methods,
@@ -108,7 +108,7 @@ pub fn replay_method_comparison(
     seed: u64,
 ) -> fedtune_core::Result<MethodComparison> {
     let space = SearchSpace::paper_default();
-    scheduled_comparison(
+    comparison(
         benchmark,
         scale,
         methods,
