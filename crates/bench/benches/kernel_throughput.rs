@@ -36,7 +36,7 @@ use fedmath::rng::rng_for;
 use fedmath::Matrix;
 use fedmodels::{LocalSgd, LocalSgdConfig, Mlp, Model, ModelSpec, SgdScratch};
 use fedsim::evaluation::{evaluate_full, WeightingScheme};
-use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
+use fedsim::{FederatedTrainer, TrainerConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::time::Instant;
@@ -458,7 +458,6 @@ fn round_dataset() -> FederatedDataset {
 fn round_section(summary: &mut fedbench::BenchSummary, dataset: &FederatedDataset) {
     let config = TrainerConfig {
         clients_per_round: 50,
-        execution: ExecutionPolicy::from_env(),
         ..Default::default()
     };
     let trainer = FederatedTrainer::new(config).expect("valid trainer config");
@@ -568,7 +567,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("training_round_50_clients", |bch| {
         let config = TrainerConfig {
             clients_per_round: 50,
-            execution: ExecutionPolicy::from_env(),
             ..Default::default()
         };
         let mut run = FederatedTrainer::new(config)

@@ -515,7 +515,12 @@ where
             return Err(invalid("the pump was asked to wait with no evaluation in flight").into());
         }
         let mut last_commit = None;
-        let mut next = Some(self.rx.recv().expect("the pump holds a sender itself"));
+        // The pump holds a sender itself, so the inbox cannot close under it.
+        let first = self
+            .rx
+            .recv()
+            .map_err(|_| invalid("the pump's inbox closed with evaluations in flight"))?;
+        let mut next = Some(first);
         while let Some(msg) = next {
             match msg {
                 Msg::Admit(ticket) => match self.awaiting.pop_front() {

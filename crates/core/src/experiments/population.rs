@@ -253,9 +253,7 @@ impl PopulationNoiseResult {
 
 /// The configuration grid: `num_configs` FedAdam settings spaced so that
 /// neighbouring configurations are close enough in quality for small-cohort
-/// noise to scramble their ranking (the regime the paper studies). Shared
-/// with `examples/population_scale.rs` so the example and the experiment
-/// rank the same grid.
+/// noise to scramble their ranking (the regime the paper studies).
 pub fn config_grid(num_configs: usize) -> Vec<FederatedHyperparams> {
     (0..num_configs)
         .map(|i| {
@@ -271,8 +269,7 @@ pub fn config_grid(num_configs: usize) -> Vec<FederatedHyperparams> {
 }
 
 /// Example-weighted error of `model` over an already-materialized cohort,
-/// folded in cohort order (the same float-op sequence under every execution
-/// policy).
+/// folded in cohort order.
 ///
 /// # Errors
 ///
@@ -347,7 +344,6 @@ pub fn run_population_noise_with(
                     clients_per_round: scale.train_cohort,
                     hyperparams: grid[trial.index()],
                     weighting: WeightingScheme::ByExamples,
-                    execution: fedsim::ExecutionPolicy::Sequential,
                 };
                 let mut run = FederatedTrainer::new(config)?.start_with_dims(
                     population.input_dim(),

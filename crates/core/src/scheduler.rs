@@ -490,12 +490,16 @@ impl<'a> ExecutorCore<'a> {
                         }
                         return Ok(ExecutorStep::Finished);
                     };
-                    let has_result = self.fed.get(&key).is_some_and(|stack| !stack.is_empty());
-                    if !has_result {
+                    let Some(stack) = self.fed.get_mut(&key).filter(|stack| !stack.is_empty())
+                    else {
                         return Ok(ExecutorStep::Deliver(key));
+                    };
+                    let result = stack.remove(0);
+                    if stack.is_empty() {
+                        self.fed.remove(&key);
                     }
                     let started = self.trace.map(|t| t.wall_profile().now_seconds());
-                    let delivered = self.deliver(time, key);
+                    let delivered = self.deliver(time, key, result);
                     if let (Some(t), Some(started)) = (self.trace, started) {
                         t.wall_profile().record_since("deliver", started);
                     }
@@ -620,7 +624,9 @@ impl<'a> ExecutorCore<'a> {
             if self.sim.sim_budget.is_some_and(|b| start >= b) {
                 break;
             }
-            let request = self.queue.pop_front().expect("queue checked non-empty");
+            let Some(request) = self.queue.pop_front() else {
+                break;
+            };
             let fingerprint = self.space.canonical_fingerprint(&request.config)?;
             // Incremental cost baseline: validated rounds plus rounds already
             // dispatched (staged) — the same `already` the sequential driver
@@ -677,15 +683,11 @@ impl<'a> ExecutorCore<'a> {
         Ok(batch)
     }
 
-    /// Delivers the earliest completion: advances the virtual clock, records
-    /// the result at its completion instant, and reports it.
-    fn deliver(&mut self, time: f64, key: EventKey) -> Result<()> {
+    /// Delivers the earliest completion, whose fed `result` [`step`](Self::step)
+    /// took: advances the virtual clock, records the result at its completion
+    /// instant, and reports it.
+    fn deliver(&mut self, time: f64, key: EventKey, result: TrialResult) -> Result<()> {
         self.events.pop();
-        let stack = self.fed.get_mut(&key).expect("checked fed before deliver");
-        let result = stack.remove(0);
-        if stack.is_empty() {
-            self.fed.remove(&key);
-        }
         self.clock.advance_to(time)?;
         self.outcome.push(self.ledger.record_at(&result, time));
         self.scheduler.report(&result)?;

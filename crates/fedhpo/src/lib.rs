@@ -1,8 +1,9 @@
 //! Hyperparameter-optimization methods with noisy-evaluation support.
 //!
 //! This crate implements the four HP-tuning methods compared in the paper
-//! (§2.3, Appendix A), plus the bootstrap analysis used for the RS-only
-//! figures:
+//! (§2.3, Appendix A) and the asynchronous and re-evaluating variants built
+//! on them (the RS-only figures' pool bootstrap lives in
+//! `fedtune_core::experiments`):
 //!
 //! - [`RandomSearch`] — the simple baseline (Algorithm 1/2).
 //! - [`Tpe`] — the Tree-structured Parzen Estimator (Bergstra et al. 2011),
@@ -63,7 +64,6 @@
 
 pub mod asha;
 pub mod bohb;
-pub mod bootstrap;
 pub mod hyperband;
 pub mod objective;
 pub mod random_search;
@@ -75,7 +75,6 @@ pub mod tuner;
 
 pub use asha::{Asha, AshaScheduler, AsyncAsha};
 pub use bohb::Bohb;
-pub use bootstrap::{bootstrap_selection, BootstrapOutcome};
 pub use hyperband::{BracketScheduler, Hyperband, SuccessiveHalving};
 pub use objective::{FunctionObjective, Objective};
 pub use random_search::{RandomSearch, RandomSearchScheduler};

@@ -5,8 +5,9 @@
 //! over a lazy population: each round derives its cohort from the run's own
 //! positional seed tree (so the whole campaign is a pure function of the
 //! training seed), materializes the cohort through a bounded
-//! [`ClientCache`](crate::ClientCache), trains it under the configured
-//! `ExecutionPolicy` — parallel bit-identical to sequential — and drops it.
+//! [`ClientCache`](crate::ClientCache), trains it on the calling thread, and
+//! drops it. Trials that share one cached population may train on different
+//! threads; the cache never changes a bit of what they train.
 //! A `fedsim::clock::VirtualClock` advances per round so diurnal
 //! availability windows sweep across the population as the campaign runs.
 
@@ -45,8 +46,8 @@ impl PopulationTrainingReport {
 ///
 /// The cohort RNG is the run's own per-round sampling channel, so two
 /// campaigns with the same `(run seed, population, sampler, cohort size,
-/// clock schedule)` are bit-identical — including across execution policies
-/// and thread counts (asserted in `tests/determinism.rs`).
+/// clock schedule)` are bit-identical — whatever thread runs them and
+/// whatever the cache holds (asserted in `tests/determinism.rs`).
 ///
 /// # Errors
 ///
@@ -112,15 +113,10 @@ mod tests {
     use crate::{AvailabilityModel, ClientCache, PopulationSpec, SyntheticPopulation};
     use feddata::Benchmark;
     use fedmodels::ModelSpec;
-    use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
+    use fedsim::{FederatedTrainer, TrainerConfig};
 
-    fn start_run(
-        population: &SyntheticPopulation,
-        execution: ExecutionPolicy,
-        seed: u64,
-    ) -> TrainingRun {
-        let config = TrainerConfig::default().with_execution(execution);
-        FederatedTrainer::new(config)
+    fn start_run(population: &SyntheticPopulation, seed: u64) -> TrainingRun {
+        FederatedTrainer::new(TrainerConfig::default())
             .unwrap()
             .start_with_dims(
                 population.input_dim(),
@@ -138,7 +134,7 @@ mod tests {
                 .unwrap();
         let cache = ClientCache::new(16);
         let source = CachedPopulation::new(&population, &cache);
-        let mut run = start_run(&population, ExecutionPolicy::Sequential, 11);
+        let mut run = start_run(&population, 11);
         let mut clock = VirtualClock::new();
         let report = train_on_population(
             &mut run,
@@ -171,7 +167,7 @@ mod tests {
         let run_campaign = |cache_capacity: usize| {
             let cache = ClientCache::new(cache_capacity);
             let source = CachedPopulation::new(&population, &cache);
-            let mut run = start_run(&population, ExecutionPolicy::Sequential, 21);
+            let mut run = start_run(&population, 21);
             let mut clock = VirtualClock::new();
             train_on_population(
                 &mut run,
@@ -202,7 +198,7 @@ mod tests {
         let population = SyntheticPopulation::new(spec, 5).unwrap();
         let cache = ClientCache::new(4);
         let source = CachedPopulation::new(&population, &cache);
-        let mut run = start_run(&population, ExecutionPolicy::Sequential, 1);
+        let mut run = start_run(&population, 1);
         let mut clock = VirtualClock::new();
         let report = train_on_population(
             &mut run,
@@ -226,7 +222,7 @@ mod tests {
                 .unwrap();
         let cache = ClientCache::new(4);
         let source = CachedPopulation::new(&population, &cache);
-        let mut run = start_run(&population, ExecutionPolicy::Sequential, 0);
+        let mut run = start_run(&population, 0);
         let mut clock = VirtualClock::new();
         assert!(train_on_population(
             &mut run,

@@ -88,7 +88,6 @@ impl ConfigRunner {
             clients_per_round: self.clients_per_round,
             hyperparams: hyperparams_from_config(&self.space, config)?,
             weighting: self.weighting,
-            ..TrainerConfig::default()
         })?;
         Ok(trainer.start(dataset, self.model_spec, seed)?)
     }

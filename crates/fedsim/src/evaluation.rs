@@ -2,7 +2,7 @@
 //! uniform or example-weighted average, over the full validation pool or a
 //! subsample of it.
 
-use crate::exec::{self, ExecutionPolicy};
+use crate::exec::ExecutionPolicy;
 use crate::sampling::ClientSampler;
 use crate::{Result, SimError};
 use feddata::{ClientData, FederatedDataset, PackedSplit, Split};
@@ -165,7 +165,8 @@ impl FederatedEvaluation {
     }
 }
 
-/// Evaluates `model` on the listed clients (by index into `clients`).
+/// Evaluates `model` on the listed clients (by index into `clients`), in
+/// selection order on the calling thread.
 ///
 /// Clients with no local examples are skipped; if every selected client is
 /// empty an error is returned.
@@ -181,31 +182,7 @@ pub fn evaluate_clients<M: Model>(
     indices: &[usize],
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
-    evaluate_clients_with(
-        &ExecutionPolicy::Sequential,
-        model,
-        clients,
-        indices,
-        weighting,
-    )
-}
-
-/// [`evaluate_clients`] with an explicit execution policy: per-client
-/// evaluation fans out over threads under [`ExecutionPolicy::Parallel`].
-/// Evaluation consumes no randomness, and results are collected in selection
-/// order, so the output is identical under every policy.
-///
-/// # Errors
-///
-/// Same conditions as [`evaluate_clients`].
-pub fn evaluate_clients_with<M: Model>(
-    policy: &ExecutionPolicy,
-    model: &M,
-    clients: &[ClientData],
-    indices: &[usize],
-    weighting: WeightingScheme,
-) -> Result<FederatedEvaluation> {
-    evaluate_selection(policy, model, clients, None, indices, weighting)
+    evaluate_selection(model, clients, None, indices, weighting)
 }
 
 /// The one evaluation pass. `pack`, if given, is the packed form of
@@ -215,7 +192,6 @@ pub fn evaluate_clients_with<M: Model>(
 /// is wrong with them — when there is no pack or the model defers. Both give
 /// the same count, so the pack never shows in the result.
 fn evaluate_selection<M: Model>(
-    policy: &ExecutionPolicy,
     model: &M,
     clients: &[ClientData],
     pack: Option<&PackedSplit>,
@@ -223,38 +199,31 @@ fn evaluate_selection<M: Model>(
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
     let metrics = evaluation_metrics();
-    let evaluated: Vec<Result<Option<ClientEvaluation>>> =
-        exec::map_range(policy, indices.len(), |i| {
-            let idx = indices[i];
-            let client = clients.get(idx).ok_or_else(|| SimError::Sampling {
-                message: format!(
-                    "client index {idx} out of range for pool of {}",
-                    clients.len()
-                ),
-            })?;
-            if client.is_empty() {
-                return Ok(None);
-            }
-            let num_examples = client.examples().len();
-            let packed_errors = pack.and_then(|pack| model.count_errors_packed(pack.client(idx)));
-            let error_rate = match packed_errors {
-                Some(errors) => errors as f64 / num_examples as f64,
-                None => {
-                    metrics.rows_gathered.add(num_examples as u64);
-                    model.error_rate(client.examples())?
-                }
-            };
-            Ok(Some(ClientEvaluation {
-                client_index: idx,
-                error_rate,
-                num_examples,
-            }))
-        });
     let mut per_client = Vec::with_capacity(indices.len());
-    for evaluation in evaluated {
-        if let Some(evaluation) = evaluation? {
-            per_client.push(evaluation);
+    for &idx in indices {
+        let client = clients.get(idx).ok_or_else(|| SimError::Sampling {
+            message: format!(
+                "client index {idx} out of range for pool of {}",
+                clients.len()
+            ),
+        })?;
+        if client.is_empty() {
+            continue;
         }
+        let num_examples = client.examples().len();
+        let packed_errors = pack.and_then(|pack| model.count_errors_packed(pack.client(idx)));
+        let error_rate = match packed_errors {
+            Some(errors) => errors as f64 / num_examples as f64,
+            None => {
+                metrics.rows_gathered.add(num_examples as u64);
+                model.error_rate(client.examples())?
+            }
+        };
+        per_client.push(ClientEvaluation {
+            client_index: idx,
+            error_rate,
+            num_examples,
+        });
     }
     let evaluation = FederatedEvaluation::new(per_client, weighting)?;
     metrics.passes.incr();
@@ -274,31 +243,23 @@ pub fn evaluate_full<M: Model>(
     split: Split,
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
-    evaluate_full_with(
-        &ExecutionPolicy::Sequential,
-        model,
-        dataset,
-        split,
-        weighting,
-    )
+    let indices: Vec<usize> = (0..dataset.num_clients(split)).collect();
+    let (clients, pack) = (dataset.clients(split), dataset.packed(split));
+    evaluate_selection(model, clients, pack, &indices, weighting)
 }
 
-/// [`evaluate_full`] with an explicit execution policy; see
-/// [`evaluate_clients_with`] for the execution contract.
-///
-/// # Errors
-///
-/// Propagates the conditions of [`evaluate_clients`].
+/// [`evaluate_full`] under the name the frozen `benchmark/` package imports
+/// (ROADMAP item 4(b)); the policy is ignored — a validation pass runs on
+/// the thread that owns the trial.
+#[doc(hidden)]
 pub fn evaluate_full_with<M: Model>(
-    policy: &ExecutionPolicy,
+    _policy: &ExecutionPolicy,
     model: &M,
     dataset: &FederatedDataset,
     split: Split,
     weighting: WeightingScheme,
 ) -> Result<FederatedEvaluation> {
-    let indices: Vec<usize> = (0..dataset.num_clients(split)).collect();
-    let (clients, pack) = (dataset.clients(split), dataset.packed(split));
-    evaluate_selection(policy, model, clients, pack, &indices, weighting)
+    evaluate_full(model, dataset, split, weighting)
 }
 
 /// Evaluates `model` on a subsample of `count` clients selected by `sampler`.
@@ -323,8 +284,7 @@ pub fn evaluate_subsample<M: Model>(
     let population = dataset.num_clients(split);
     let indices = sampler.sample(rng, population, count, scores)?;
     let (clients, pack) = (dataset.clients(split), dataset.packed(split));
-    let policy = ExecutionPolicy::Sequential;
-    evaluate_selection(&policy, model, clients, pack, &indices, weighting)
+    evaluate_selection(model, clients, pack, &indices, weighting)
 }
 
 #[cfg(test)]
@@ -481,36 +441,22 @@ mod tests {
     /// The reference a packed pass is pinned against: the same clients as a
     /// bare slice, which has no pack and gathers every row.
     fn gathered(
-        policy: &ExecutionPolicy,
         model: &AnyModel,
         dataset: &FederatedDataset,
         indices: &[usize],
     ) -> Result<FederatedEvaluation> {
         let clients = dataset.clients(Split::Validation);
-        evaluate_clients_with(policy, model, clients, indices, WeightingScheme::ByExamples)
+        evaluate_clients(model, clients, indices, WeightingScheme::ByExamples)
     }
 
-    fn full(
-        policy: &ExecutionPolicy,
-        model: &AnyModel,
-        dataset: &FederatedDataset,
-    ) -> Result<FederatedEvaluation> {
+    fn full(model: &AnyModel, dataset: &FederatedDataset) -> Result<FederatedEvaluation> {
         let (split, weighting) = (Split::Validation, WeightingScheme::ByExamples);
-        evaluate_full_with(policy, model, dataset, split, weighting)
+        evaluate_full(model, dataset, split, weighting)
     }
 
     fn assert_full_matches_gathered(model: &AnyModel, dataset: &FederatedDataset) {
         let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
-        for policy in [
-            ExecutionPolicy::Sequential,
-            ExecutionPolicy::parallel_with(4),
-        ] {
-            assert_eq!(
-                full(&policy, model, dataset),
-                gathered(&policy, model, dataset, &everyone),
-                "{policy:?}"
-            );
-        }
+        assert_eq!(full(model, dataset), gathered(model, dataset, &everyone));
     }
 
     #[test]
@@ -526,7 +472,7 @@ mod tests {
             for spec in [ModelSpec::for_dataset(&dataset), ModelSpec::Softmax] {
                 let model = spec.build(&dataset, &mut rng_for(5, 0));
                 assert_full_matches_gathered(&model, &dataset);
-                let evaluation = full(&ExecutionPolicy::Sequential, &model, &dataset).unwrap();
+                let evaluation = full(&model, &dataset).unwrap();
                 assert_eq!(evaluation.num_clients(), dataset.num_val_clients() - 1);
                 assert!(evaluation.per_client().iter().all(|c| c.client_index != 1));
             }
@@ -559,7 +505,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            let reference = gathered(&ExecutionPolicy::Sequential, &model, &dataset, &indices);
+            let reference = gathered(&model, &dataset, &indices);
             assert_eq!(evaluation, reference, "{count} clients");
         }
     }
@@ -568,11 +514,10 @@ mod tests {
     fn a_mutated_pool_is_evaluated_as_it_now_is() {
         let mut dataset = smoke_dataset();
         let model = ModelSpec::Softmax.build(&dataset, &mut rng_for(5, 2));
-        let policy = ExecutionPolicy::Sequential;
-        let before = full(&policy, &model, &dataset).unwrap();
+        let before = full(&model, &dataset).unwrap();
 
         dataset.clients_mut(Split::Validation).pop();
-        let popped = full(&policy, &model, &dataset).unwrap();
+        let popped = full(&model, &dataset).unwrap();
         assert_eq!(popped.num_clients(), before.num_clients() - 1);
         assert_full_matches_gathered(&model, &dataset);
 
@@ -583,11 +528,11 @@ mod tests {
         client.examples_mut().truncate(1);
         let predicted = model.predict(&client.examples()[0].input).unwrap();
         client.examples_mut()[0].label = predicted;
-        let right = full(&policy, &model, &dataset).unwrap();
+        let right = full(&model, &dataset).unwrap();
         assert_eq!(right.per_client()[0].error_rate, 0.0);
         dataset.clients_mut(Split::Validation)[0].examples_mut()[0].label =
             (predicted + 1) % model.num_classes();
-        let wrong = full(&policy, &model, &dataset).unwrap();
+        let wrong = full(&model, &dataset).unwrap();
         assert_eq!(wrong.per_client()[0].error_rate, 1.0);
         assert_eq!(wrong.per_client()[1..], right.per_client()[1..]);
         assert_full_matches_gathered(&model, &dataset);
@@ -597,7 +542,6 @@ mod tests {
     fn inputs_the_pack_cannot_vouch_for_get_the_gather_path_result() {
         let dataset = smoke_dataset();
         let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
-        let policy = ExecutionPolicy::Sequential;
         let (dim, classes) = (dataset.input_dim(), dataset.num_classes());
         let mut rng = rng_for(5, 3);
         // A model of another width, and one with fewer classes than the
@@ -607,9 +551,9 @@ mod tests {
             (ModelSpec::Mlp { hidden_dim: 4 }, dim, classes - 1),
         ] {
             let model = spec.build_with_dims(dim, classes, &mut rng);
-            let error = full(&policy, &model, &dataset).unwrap_err();
+            let error = full(&model, &dataset).unwrap_err();
             assert!(matches!(error, SimError::Model(_)), "{error}");
-            assert_eq!(Err(error), gathered(&policy, &model, &dataset, &everyone),);
+            assert_eq!(Err(error), gathered(&model, &dataset, &everyone));
         }
         // A token dataset has no pack and evaluates as it always did.
         let text = DatasetSpec::benchmark(Benchmark::RedditLike, Scale::Smoke)

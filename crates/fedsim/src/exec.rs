@@ -1,23 +1,19 @@
 //! The deterministic execution engine: a policy knob selecting sequential or
-//! multi-threaded execution, plus order-preserving parallel primitives whose
-//! results are bit-identical across policies and thread counts.
+//! multi-threaded execution of independent trials, plus order-preserving
+//! parallel primitives whose results are bit-identical across policies and
+//! thread counts.
 //!
-//! Two properties make this safe for the simulator's numerics:
-//!
-//! 1. **Order-preserving fan-out.** [`map_range`] always returns results in
-//!    index order, and every work item must derive its randomness from its
-//!    *index* (see `fedmath::SeedTree`), never from a shared sequential RNG
-//!    — so scheduling cannot leak into the output.
-//! 2. **Fixed-shape reduction.** [`map_chunks`] partitions work over fixed
-//!    chunk boundaries ([`REDUCE_CHUNK`]) that depend only on the problem
-//!    size; folding within chunks and combining the partials left-to-right
-//!    performs the same sequence of float operations — and therefore yields
-//!    the same bits — no matter how many threads computed the chunk partials.
+//! There is one level of parallelism: trials fan out, and each trial's
+//! federated rounds and validation passes run on the thread that owns it.
+//! What makes that fan-out safe for the simulator's numerics is
+//! **order preservation**: [`map_range`] always returns results in index
+//! order, and every work item must derive its randomness from its *index*
+//! (see `fedmath::SeedTree`), never from a shared sequential RNG — so
+//! scheduling cannot leak into the output.
 //!
 //! Parallelism is implemented with `std::thread::scope` rather than `rayon`:
 //! the build environment vendors all dependencies offline, and scoped threads
-//! with contiguous chunking are sufficient for the simulator's uniform
-//! workloads while keeping the reduction shape trivially deterministic.
+//! with contiguous chunking are sufficient for uniform trial workloads.
 //!
 //! For long-lived fan-out — the event-driven executor submitting one task per
 //! dispatched trial, hundreds of times per campaign — per-call spawning pays
@@ -36,14 +32,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Default chunk width for deterministic [`map_chunks`] reductions.
-///
-/// Chosen so that chunk partials parallelize usefully at ≥ 50 clients per
-/// round while keeping the combine step cheap and aggregation memory bounded
-/// by the number of chunks rather than the number of clients.
-pub const REDUCE_CHUNK: usize = 8;
-
-/// How a fan-out (client training, trial execution, evaluation) is executed.
+/// How the independent trials of an experiment fan out (the policy of a
+/// `fedtune_core::TrialRunner`; [`pool_threads`](Self::pool_threads) sizes a
+/// campaign driver's pool). A federated round and a validation pass have no
+/// policy: they run on the thread that owns their trial.
 ///
 /// Both policies produce **bit-identical** results; `Parallel` only changes
 /// wall-clock time. This is asserted by the cross-policy determinism tests in
@@ -172,28 +164,6 @@ where
             );
         }
         out
-    })
-}
-
-/// Applies `f` to fixed contiguous `chunk_size`-sized index chunks of
-/// `0..len`, returning one result per chunk in chunk order.
-///
-/// This is the deterministic map-reduce primitive: chunk boundaries depend
-/// only on `len` and `chunk_size` — never on the policy or thread count — so
-/// a caller that folds within each chunk and then combines the returned
-/// partials left-to-right performs the exact same sequence of floating-point
-/// operations under every policy. The chunk computations are what
-/// parallelize.
-pub fn map_chunks<O, F>(policy: &ExecutionPolicy, len: usize, chunk_size: usize, f: F) -> Vec<O>
-where
-    O: Send,
-    F: Fn(std::ops::Range<usize>) -> O + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let chunks = len.div_ceil(chunk_size);
-    map_range(policy, chunks, |c| {
-        let start = c * chunk_size;
-        f(start..(start + chunk_size).min(len))
     })
 }
 
@@ -509,38 +479,6 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// A chunk-fold + ordered combine, as `run_round`'s aggregation does it.
-    fn chunked_sum(policy: &ExecutionPolicy, terms: &[f64]) -> f64 {
-        let partials = map_chunks(policy, terms.len(), REDUCE_CHUNK, |slots| {
-            slots.fold(0.0, |acc, i| acc + terms[i])
-        });
-        partials.into_iter().fold(0.0, |acc, p| acc + p)
-    }
-
-    #[test]
-    fn chunked_fold_is_bit_identical_across_policies() {
-        // Pathological magnitudes so naive reassociation would change bits.
-        let terms: Vec<f64> = (0..37)
-            .map(|i| {
-                10f64.powi((i % 13) - 6)
-                    * if i % 2 == 0 {
-                        1.000000001
-                    } else {
-                        -0.999999999
-                    }
-            })
-            .collect();
-        let sequential = chunked_sum(&ExecutionPolicy::Sequential, &terms);
-        for threads in [1, 2, 5, 8] {
-            let parallel = chunked_sum(&ExecutionPolicy::parallel_with(threads), &terms);
-            assert_eq!(
-                sequential.to_bits(),
-                parallel.to_bits(),
-                "threads = {threads}"
-            );
-        }
-    }
-
     #[test]
     fn thread_pool_runs_every_submitted_job_before_returning() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -667,22 +605,5 @@ mod tests {
         });
         // One worker, one FIFO queue: completion order is submission order.
         assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn map_chunks_covers_the_range_exactly_once() {
-        let covered: Vec<usize> = map_chunks(&ExecutionPolicy::parallel_with(3), 23, 8, |slots| {
-            slots.collect::<Vec<usize>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        assert_eq!(covered, (0..23).collect::<Vec<_>>());
-        let empty: Vec<Vec<usize>> =
-            map_chunks(&ExecutionPolicy::parallel(), 0, 8, |slots| slots.collect());
-        assert!(empty.is_empty());
-        // A zero chunk size is clamped rather than dividing by zero.
-        let clamped = map_chunks(&ExecutionPolicy::Sequential, 2, 0, |slots| slots.len());
-        assert_eq!(clamped, vec![1, 1]);
     }
 }

@@ -17,11 +17,14 @@
 //!   in §3.2.
 //! - [`exec`] is the deterministic execution engine: an
 //!   [`exec::ExecutionPolicy`] (`Sequential` or `Parallel`) governs how the
-//!   clients of a round ([`TrainerConfig`]'s `execution`) and of a validation
-//!   pass (`evaluation::evaluate_*_with`) fan out over threads, with
-//!   bit-identical results under every policy. [`ExecutionPolicy::from_env`]
-//!   is the only reader of `FEDTUNE_THREADS`, and it is for the edge of a
-//!   process: nothing in this crate calls it.
+//!   independent trials of an experiment fan out over threads
+//!   ([`exec::map_range`] behind `fedtune_core::TrialRunner`), with
+//!   bit-identical results under every policy, and the pools
+//!   ([`with_thread_pool`], [`SharedPool`]) campaign drivers run their
+//!   evaluations on. That is the only level of parallelism: a round and a
+//!   validation pass run on the thread that owns their trial.
+//!   [`ExecutionPolicy::from_env`] is the only reader of `FEDTUNE_THREADS`,
+//!   and it is for the edge of a process: nothing in this crate calls it.
 //! - [`clock`] is the virtual-time layer for discrete-event campaign
 //!   simulation: a monotone [`clock::VirtualClock`], a completion queue with
 //!   total deterministic `(sim_time, key)` ordering, a virtual

@@ -1,7 +1,6 @@
 //! The federated training loop (`Algorithm 2`, training half).
 
 use crate::evaluation::WeightingScheme;
-use crate::exec::{self, ExecutionPolicy};
 use crate::hyperparams::FederatedHyperparams;
 use crate::server::{FedAdam, ServerOptimizer};
 use crate::{Result, SimError};
@@ -11,7 +10,7 @@ use fedmodels::{AnyModel, LocalSgd, Model, ModelSpec, SgdScratch};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A source of clients addressed by population id, materialized on demand.
 ///
@@ -20,8 +19,10 @@ use std::sync::{Arc, Mutex};
 /// materialize exactly those clients, trains them, and drops them — memory
 /// stays O(cohort) no matter how large the population is. Implementations
 /// must be pure in the id (`materialize(i)` always returns the same client
-/// bits), which is what keeps parallel fan-out bit-identical to sequential
-/// execution: any thread materializing client `i` gets the same shard.
+/// bits). One source (a population and its cache) is shared by every trial
+/// a `TrialRunner` trains against it, on whichever threads those trials
+/// run — hence `Sync` — and purity is what keeps that sharing invisible:
+/// any trial materializing client `i` gets the same shard.
 pub trait CohortSource: Sync {
     /// Number of clients in the population.
     fn population(&self) -> u64;
@@ -38,6 +39,9 @@ pub trait CohortSource: Sync {
 const SAMPLE_CHANNEL: u64 = 0;
 /// Seed-tree channel under which per-client-slot RNGs are derived.
 const CLIENT_CHANNEL: u64 = 1;
+/// Width of the fixed slot chunks a round folds its client deltas in.
+/// Part of the round's float-op sequence: changing it moves model bits.
+const REDUCE_CHUNK: usize = 8;
 
 /// Training-loop accounting on the global [`fedtrace`] registry: federated
 /// rounds executed and clients trained. Write-only counters — the loop never
@@ -68,9 +72,6 @@ pub struct TrainerConfig {
     /// Weighting of client updates during aggregation. The paper sets the
     /// training weights to match the evaluation weighting scheme.
     pub weighting: WeightingScheme,
-    /// How client training within a round is executed. Both policies produce
-    /// bit-identical models; `Parallel` only changes wall-clock time.
-    pub execution: ExecutionPolicy,
 }
 
 impl Default for TrainerConfig {
@@ -79,7 +80,6 @@ impl Default for TrainerConfig {
             clients_per_round: 10,
             hyperparams: FederatedHyperparams::default(),
             weighting: WeightingScheme::ByExamples,
-            execution: ExecutionPolicy::Sequential,
         }
     }
 }
@@ -93,13 +93,6 @@ impl TrainerConfig {
             hyperparams,
             ..Default::default()
         }
-    }
-
-    /// Replaces the execution policy.
-    #[must_use]
-    pub fn with_execution(mut self, execution: ExecutionPolicy) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Validates the configuration.
@@ -188,8 +181,8 @@ impl FederatedTrainer {
             config: self.config,
             round_seeds,
             rounds_completed: 0,
-            scratches: Arc::new(Mutex::new(Vec::new())),
-            deltas: Arc::new(Mutex::new(Vec::new())),
+            scratch: ClientScratch::default(),
+            chunk_delta: Vec::new(),
             base_params: Vec::new(),
             aggregate: Vec::new(),
         })
@@ -220,8 +213,9 @@ impl FederatedTrainer {
 /// All randomness is derived positionally from a per-run [`SeedTree`]: round
 /// `r` samples clients with the RNG at path `[r, SAMPLE_CHANNEL]` and trains
 /// the client in slot `s` with the RNG at path `[r, CLIENT_CHANNEL, s]`.
-/// Because no RNG state is shared across clients or rounds, client training
-/// can fan out over threads without changing a single bit of the result.
+/// Because no RNG state is shared across clients or rounds, a run is a pure
+/// function of its seed on whichever thread trains it, and resuming it
+/// lands where a fresh run does.
 #[derive(Debug, Clone)]
 pub struct TrainingRun {
     model: AnyModel,
@@ -230,35 +224,32 @@ pub struct TrainingRun {
     config: TrainerConfig,
     round_seeds: SeedTree,
     rounds_completed: usize,
-    /// Pool of per-client training scratches shared by the round's worker
-    /// chunks. Scratch contents never influence results (every buffer is
-    /// overwritten or zero-filled before use), so the pop order under
-    /// parallel execution does not matter; pooling only removes steady-state
-    /// allocations. A cloned run shares the pool — it is pure scratch.
-    scratches: Arc<Mutex<Vec<ClientScratch>>>,
-    /// Pool of spent chunk-delta buffers, recycled after each round's
-    /// combine step.
-    deltas: Arc<Mutex<Vec<Vec<f64>>>>,
+    /// Training scratch reused by every client of every round. Its contents
+    /// never influence results (every buffer is overwritten or zero-filled
+    /// before use); it only removes steady-state allocations.
+    scratch: ClientScratch,
+    /// Reused accumulator of one slot chunk's weighted deltas.
+    chunk_delta: Vec<f64>,
     /// Reused storage for the round's base parameter snapshot.
     base_params: Vec<f64>,
     /// Reused storage for the round's aggregated delta.
     aggregate: Vec<f64>,
 }
 
-/// Reusable per-worker training scratch: the SGD scratch (cached model
-/// clone, buffer pool, parameter/velocity/gradient buffers) plus the buffer
-/// receiving each client's locally-updated parameters.
+/// Reusable training scratch: the SGD scratch (cached model clone, buffer
+/// pool, parameter/velocity/gradient buffers) plus the buffer receiving each
+/// client's locally-updated parameters.
 #[derive(Debug, Default)]
 struct ClientScratch {
     sgd: SgdScratch<AnyModel>,
     new_params: Vec<f64>,
 }
 
-/// Accumulated weighted contribution of a block of client slots to a round:
-/// `Σ wᵢ` and `Σ wᵢ · (w'ᵢ - w)` over the block's non-empty clients.
-struct ClientUpdate {
-    weight: f64,
-    weighted_delta: Vec<f64>,
+/// A cloned run starts with empty scratch: there is nothing in it to keep.
+impl Clone for ClientScratch {
+    fn clone(&self) -> Self {
+        ClientScratch::default()
+    }
 }
 
 impl TrainingRun {
@@ -316,9 +307,9 @@ impl TrainingRun {
     /// The cohort's slot order is part of the round's identity: slot `s`
     /// trains with the RNG at path `[round, CLIENT_CHANNEL, s]` exactly like
     /// [`run_round`](Self::run_round), and aggregation folds fixed chunks in
-    /// slot order, so parallel execution is bit-identical to sequential.
-    /// An empty cohort (e.g. no client inside its availability window) is a
-    /// no-op round: the model is unchanged but the round counter advances.
+    /// slot order. An empty cohort (e.g. no client inside its availability
+    /// window) is a no-op round: the model is unchanged but the round counter
+    /// advances.
     ///
     /// # Errors
     ///
@@ -336,9 +327,9 @@ impl TrainingRun {
     /// client id becomes a [`ClientData`].
     fn round_core<C, Fs, Ff>(&mut self, sample: Fs, fetch: Ff) -> Result<()>
     where
-        C: Borrow<ClientData> + Send,
+        C: Borrow<ClientData>,
         Fs: FnOnce(&mut StdRng) -> Result<Vec<u64>>,
-        Ff: Fn(u64) -> Result<C> + Sync,
+        Ff: Fn(u64) -> Result<C>,
     {
         let round = self.round_seeds.child(self.rounds_completed as u64);
         let mut sample_rng = round.child(SAMPLE_CHANNEL).rng();
@@ -347,90 +338,50 @@ impl TrainingRun {
         let mut base_params = std::mem::take(&mut self.base_params);
         self.model.params_into(&mut base_params);
         let dim = base_params.len();
-        // Fan client training out according to the execution policy, fused
-        // with the first stage of the reduce: each fixed REDUCE_CHUNK-sized
-        // block of client slots trains its clients in slot order and folds
-        // their weighted deltas into one partial accumulator. Slot RNGs are
-        // derived from position and chunk boundaries depend only on the slot
-        // count, so the result is bit-identical under every policy and
-        // aggregation memory stays O(chunks × params), not
-        // O(clients × params).
-        let model = &self.model;
-        let client_opt = &self.client_opt;
-        let weighting = self.config.weighting;
-        let base = &base_params;
-        let scratches = &self.scratches;
-        let deltas = &self.deltas;
-        let chunk_partials: Vec<Result<ClientUpdate>> = exec::map_chunks(
-            &self.config.execution,
-            indices.len(),
-            exec::REDUCE_CHUNK,
-            |slots| {
-                let mut scratch = scratches
-                    .lock()
-                    .expect("scratch pool lock poisoned")
-                    .pop()
-                    .unwrap_or_default();
-                let mut weighted_delta = deltas
-                    .lock()
-                    .expect("delta pool lock poisoned")
-                    .pop()
-                    .unwrap_or_default();
-                weighted_delta.clear();
-                weighted_delta.resize(dim, 0.0);
-                let mut partial = ClientUpdate {
-                    weight: 0.0,
-                    weighted_delta,
-                };
-                for slot in slots {
-                    let client = fetch(indices[slot])?;
-                    let client = client.borrow();
-                    if client.is_empty() {
-                        continue;
-                    }
-                    let mut rng = round.derive(&[CLIENT_CHANNEL, slot as u64]).rng();
-                    client_opt.train_into(
-                        model,
-                        client.examples(),
-                        &mut rng,
-                        &mut scratch.sgd,
-                        &mut scratch.new_params,
-                    )?;
-                    let weight = weighting.weight(client.num_examples());
-                    for ((acc, &new), &old) in partial
-                        .weighted_delta
-                        .iter_mut()
-                        .zip(scratch.new_params.iter())
-                        .zip(base.iter())
-                    {
-                        *acc += weight * (new - old);
-                    }
-                    partial.weight += weight;
-                }
-                scratches
-                    .lock()
-                    .expect("scratch pool lock poisoned")
-                    .push(scratch);
-                Ok(partial)
-            },
-        );
-        // Combine chunk partials left-to-right: the same float-op sequence as
-        // the sequential policy, so the bits never depend on scheduling.
         let mut aggregate = std::mem::take(&mut self.aggregate);
         aggregate.clear();
         aggregate.resize(dim, 0.0);
         let mut total_weight = 0.0;
-        for partial in chunk_partials {
-            let partial = partial?;
-            for (acc, &v) in aggregate.iter_mut().zip(partial.weighted_delta.iter()) {
+        // Each fixed REDUCE_CHUNK-sized block of client slots trains its
+        // clients in slot order and folds `Σ wᵢ · (w'ᵢ - w)` into the chunk
+        // accumulator, which then joins the aggregate: chunks combine left to
+        // right. Slot RNGs are derived from position and chunk boundaries
+        // depend only on the slot count, so the float-op sequence is a pure
+        // function of the cohort.
+        for (chunk, ids) in indices.chunks(REDUCE_CHUNK).enumerate() {
+            self.chunk_delta.clear();
+            self.chunk_delta.resize(dim, 0.0);
+            let mut chunk_weight = 0.0;
+            for (offset, &id) in ids.iter().enumerate() {
+                let client = fetch(id)?;
+                let client = client.borrow();
+                if client.is_empty() {
+                    continue;
+                }
+                let slot = chunk * REDUCE_CHUNK + offset;
+                let mut rng = round.derive(&[CLIENT_CHANNEL, slot as u64]).rng();
+                self.client_opt.train_into(
+                    &self.model,
+                    client.examples(),
+                    &mut rng,
+                    &mut self.scratch.sgd,
+                    &mut self.scratch.new_params,
+                )?;
+                let weight = self.config.weighting.weight(client.num_examples());
+                for ((acc, &new), &old) in self
+                    .chunk_delta
+                    .iter_mut()
+                    .zip(&self.scratch.new_params)
+                    .zip(&base_params)
+                {
+                    *acc += weight * (new - old);
+                }
+                chunk_weight += weight;
+            }
+            for (acc, &v) in aggregate.iter_mut().zip(&self.chunk_delta) {
                 *acc += v;
             }
-            total_weight += partial.weight;
-            // Recycle the spent chunk buffer for the next round.
-            self.deltas
-                .lock()
-                .expect("delta pool lock poisoned")
-                .push(partial.weighted_delta);
+            total_weight += chunk_weight;
         }
         if total_weight > 0.0 {
             for a in &mut aggregate {
@@ -643,7 +594,6 @@ mod tests {
             clients_per_round: 10_000,
             hyperparams: good_hyperparams(),
             weighting: WeightingScheme::Uniform,
-            ..Default::default()
         };
         let trainer = FederatedTrainer::new(config).unwrap();
         // Should not error even though clients_per_round exceeds the pool.

@@ -4,7 +4,10 @@
 //!
 //! This is the contract that makes the `ExecutionPolicy` knob safe to flip in
 //! production: parallelism may only change wall-clock time, never a single
-//! bit of a model parameter or an experiment statistic.
+//! bit of a model parameter or an experiment statistic. There is one level
+//! of it — trials fan out, and a trial's rounds and validation passes run on
+//! the thread that owns it — so a round or a pass is pinned by running it on
+//! the worker threads of a parallel `TrialRunner` against the calling thread.
 
 use feddata::{Benchmark, DatasetSpec, Scale};
 use fedmodels::{Model, ModelSpec};
@@ -35,6 +38,20 @@ use fedtune_core::{
 const SEEDS: [u64; 3] = [0, 7, 42];
 const THREAD_COUNTS: [usize; 3] = [2, 3, 8];
 
+/// `work` once per worker of a `parallel_with(threads)` runner: each copy runs
+/// inside `run_trials` on a worker thread of its own, with that thread's
+/// scratch (kernel buffer pools, `gemm_nt` pack buffers) rather than the
+/// calling thread's.
+fn on_worker_threads<T: Send>(threads: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
+    let caller = std::thread::current().id();
+    TrialRunner::new(ExecutionPolicy::parallel_with(threads))
+        .run_trials(0, threads, |_| {
+            assert_ne!(std::thread::current().id(), caller);
+            Ok(work())
+        })
+        .unwrap()
+}
+
 fn assert_bits_equal(label: &str, a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len(), "{label}: length mismatch");
     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -51,27 +68,28 @@ fn training_run_is_bit_identical_across_policies() {
     let dataset = DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
         .generate(1)
         .unwrap();
+    let config = TrainerConfig {
+        clients_per_round: 7,
+        ..Default::default()
+    };
     for &seed in &SEEDS {
-        let sequential_config = TrainerConfig {
-            clients_per_round: 7,
-            ..Default::default()
-        };
-        let sequential = FederatedTrainer::new(sequential_config)
-            .unwrap()
-            .train(&dataset, ModelSpec::Mlp { hidden_dim: 8 }, 8, seed)
-            .unwrap();
-        for &threads in &THREAD_COUNTS {
-            let parallel_config =
-                sequential_config.with_execution(ExecutionPolicy::parallel_with(threads));
-            let parallel = FederatedTrainer::new(parallel_config)
+        let train = || {
+            FederatedTrainer::new(config)
                 .unwrap()
                 .train(&dataset, ModelSpec::Mlp { hidden_dim: 8 }, 8, seed)
-                .unwrap();
-            assert_bits_equal(
-                &format!("seed {seed}, {threads} threads"),
-                &sequential.model().params(),
-                &parallel.model().params(),
-            );
+                .unwrap()
+                .model()
+                .params()
+        };
+        let calling_thread = train();
+        for &threads in &THREAD_COUNTS {
+            for (worker, params) in on_worker_threads(threads, train).iter().enumerate() {
+                assert_bits_equal(
+                    &format!("seed {seed}, worker {worker} of {threads}"),
+                    &calling_thread,
+                    params,
+                );
+            }
         }
     }
 }
@@ -82,63 +100,66 @@ fn kernel_sized_training_run_is_bit_identical_across_policies() {
     // through their full blocking machinery: hidden_dim 64 spans four
     // 16-column register tiles in `gemm`/`gemm_tn`, and an explicit
     // batch_size of 32 exercises both full minibatch GEMMs and the smaller
-    // final chunk of each client's shard. Parallelism must stay invisible
-    // even when every hot-path kernel is engaged.
+    // final chunk of each client's shard. The worker thread a run lands on
+    // must stay invisible even when every hot-path kernel is engaged.
     let dataset = DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
         .generate(4)
         .unwrap();
     let mut hyperparams = fedsim::FederatedHyperparams::default();
     hyperparams.client.batch_size = 32;
+    let config = TrainerConfig {
+        clients_per_round: 5,
+        hyperparams,
+        ..Default::default()
+    };
     for &seed in &SEEDS {
-        let sequential_config = TrainerConfig {
-            clients_per_round: 5,
-            hyperparams,
-            ..Default::default()
-        };
-        let sequential = FederatedTrainer::new(sequential_config)
-            .unwrap()
-            .train(&dataset, ModelSpec::Mlp { hidden_dim: 64 }, 4, seed)
-            .unwrap();
-        for &threads in &THREAD_COUNTS {
-            let parallel_config =
-                sequential_config.with_execution(ExecutionPolicy::parallel_with(threads));
-            let parallel = FederatedTrainer::new(parallel_config)
+        let train = || {
+            FederatedTrainer::new(config)
                 .unwrap()
                 .train(&dataset, ModelSpec::Mlp { hidden_dim: 64 }, 4, seed)
-                .unwrap();
-            assert_bits_equal(
-                &format!("kernel-sized run, seed {seed}, {threads} threads"),
-                &sequential.model().params(),
-                &parallel.model().params(),
-            );
+                .unwrap()
+                .model()
+                .params()
+        };
+        let calling_thread = train();
+        for &threads in &THREAD_COUNTS {
+            for (worker, params) in on_worker_threads(threads, train).iter().enumerate() {
+                assert_bits_equal(
+                    &format!("kernel-sized run, seed {seed}, worker {worker} of {threads}"),
+                    &calling_thread,
+                    params,
+                );
+            }
         }
     }
 }
 
 #[test]
 fn incremental_parallel_training_matches_one_shot_sequential() {
-    // Resuming a run under one policy must land on the same model as a fresh
-    // run under the other: round seeds are positional, not consumed.
+    // Resuming a run on a worker thread must land on the same model as a
+    // fresh one-shot run on the calling thread: round seeds are positional,
+    // not consumed.
     let dataset = DatasetSpec::benchmark(Benchmark::FemnistLike, Scale::Smoke)
         .generate(2)
         .unwrap();
+    let trainer = FederatedTrainer::new(TrainerConfig::default()).unwrap();
     for &seed in &SEEDS {
-        let one_shot = FederatedTrainer::new(TrainerConfig::default())
-            .unwrap()
+        let one_shot = trainer
             .train(&dataset, ModelSpec::Softmax, 6, seed)
             .unwrap();
-        let config = TrainerConfig::default().with_execution(ExecutionPolicy::parallel_with(4));
-        let mut resumed = FederatedTrainer::new(config)
-            .unwrap()
-            .start(&dataset, ModelSpec::Softmax, seed)
-            .unwrap();
-        resumed.run_rounds(&dataset, 2).unwrap();
-        resumed.run_rounds(&dataset, 4).unwrap();
-        assert_bits_equal(
-            &format!("seed {seed}"),
-            &one_shot.model().params(),
-            &resumed.model().params(),
-        );
+        let resumed = on_worker_threads(4, || {
+            let mut resumed = trainer.start(&dataset, ModelSpec::Softmax, seed).unwrap();
+            resumed.run_rounds(&dataset, 2).unwrap();
+            resumed.run_rounds(&dataset, 4).unwrap();
+            resumed.model().params()
+        });
+        for (worker, params) in resumed.iter().enumerate() {
+            assert_bits_equal(
+                &format!("seed {seed}, worker {worker}"),
+                &one_shot.model().params(),
+                params,
+            );
+        }
     }
 }
 
@@ -593,9 +614,9 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
 }
 
 /// One population-backed campaign: train against a lazy 20k-client
-/// population with the given execution policy and cache capacity, returning
-/// the final model parameters.
-fn population_campaign(policy: ExecutionPolicy, cache_capacity: usize, seed: u64) -> Vec<f64> {
+/// population with the given cache capacity, returning the final model
+/// parameters.
+fn population_campaign(cache_capacity: usize, seed: u64) -> Vec<f64> {
     let population =
         SyntheticPopulation::new(PopulationSpec::benchmark(Benchmark::FemnistLike, 20_000), 9)
             .unwrap();
@@ -604,8 +625,7 @@ fn population_campaign(policy: ExecutionPolicy, cache_capacity: usize, seed: u64
     let config = TrainerConfig {
         clients_per_round: 11,
         ..Default::default()
-    }
-    .with_execution(policy);
+    };
     let mut run = FederatedTrainer::new(config)
         .unwrap()
         .start_with_dims(
@@ -634,24 +654,15 @@ fn population_campaign(policy: ExecutionPolicy, cache_capacity: usize, seed: u64
 #[test]
 fn population_training_is_bit_identical_across_policies() {
     // The fedpop contract: cohort training over a lazy population — ids
-    // sampled per round, shards materialized on demand through a shared
-    // cache — is a pure function of the seed. Real thread counts and cache
-    // capacities change nothing.
+    // sampled per round, shards materialized on demand through a cache — is
+    // a pure function of the seed. Cache policy is accounting, never
+    // semantics.
     for &seed in &SEEDS {
-        let sequential = population_campaign(ExecutionPolicy::Sequential, 32, seed);
-        for &threads in &THREAD_COUNTS {
-            let parallel = population_campaign(ExecutionPolicy::parallel_with(threads), 32, seed);
-            assert_bits_equal(
-                &format!("population campaign, seed {seed}, {threads} threads"),
-                &sequential,
-                &parallel,
-            );
-        }
-        // Cache policy is accounting, never semantics.
-        let uncached = population_campaign(ExecutionPolicy::parallel_with(4), 0, seed);
+        let cached = population_campaign(32, seed);
+        let uncached = population_campaign(0, seed);
         assert_bits_equal(
             &format!("population campaign, seed {seed}, uncached"),
-            &sequential,
+            &cached,
             &uncached,
         );
     }
@@ -717,24 +728,20 @@ fn evaluation_is_identical_across_policies() {
         .unwrap()
         .train(&dataset, ModelSpec::Softmax, 3, 5)
         .unwrap();
-    let sequential = fedsim::evaluation::evaluate_full_with(
-        &ExecutionPolicy::Sequential,
-        run.model(),
-        &dataset,
-        feddata::Split::Validation,
-        fedsim::WeightingScheme::ByExamples,
-    )
-    .unwrap();
-    for &threads in &THREAD_COUNTS {
-        let parallel = fedsim::evaluation::evaluate_full_with(
-            &ExecutionPolicy::parallel_with(threads),
+    let pass = || {
+        fedsim::evaluation::evaluate_full(
             run.model(),
             &dataset,
             feddata::Split::Validation,
             fedsim::WeightingScheme::ByExamples,
         )
-        .unwrap();
-        assert_eq!(sequential, parallel, "{threads} threads");
+        .unwrap()
+    };
+    let calling_thread = pass();
+    for &threads in &THREAD_COUNTS {
+        for (worker, evaluation) in on_worker_threads(threads, pass).iter().enumerate() {
+            assert_eq!(&calling_thread, evaluation, "worker {worker} of {threads}");
+        }
     }
 }
 
@@ -757,27 +764,16 @@ fn packed_validation_equals_the_gathered_reference_under_every_policy() {
                 .unwrap()
                 .train(&dataset, spec, 3, 5)
                 .unwrap();
-            let policies = std::iter::once(ExecutionPolicy::Sequential)
-                .chain(THREAD_COUNTS.map(ExecutionPolicy::parallel_with));
-            for policy in policies {
-                let packed = fedsim::evaluation::evaluate_full_with(
-                    &policy,
-                    run.model(),
-                    &dataset,
-                    split,
-                    weighting,
-                )
-                .unwrap();
-                let gathered = fedsim::evaluation::evaluate_clients_with(
-                    &policy,
-                    run.model(),
-                    dataset.clients(split),
-                    &everyone,
-                    weighting,
-                )
-                .unwrap();
-                assert_eq!(packed, gathered, "{benchmark:?} {spec:?} {policy:?}");
-            }
+            let packed =
+                fedsim::evaluation::evaluate_full(run.model(), &dataset, split, weighting).unwrap();
+            let gathered = fedsim::evaluation::evaluate_clients(
+                run.model(),
+                dataset.clients(split),
+                &everyone,
+                weighting,
+            )
+            .unwrap();
+            assert_eq!(packed, gathered, "{benchmark:?} {spec:?}");
         }
         assert!(dataset.is_packed(split));
     }

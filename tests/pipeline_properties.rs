@@ -30,7 +30,6 @@ proptest! {
             clients_per_round: 5,
             hyperparams,
             weighting: WeightingScheme::ByExamples,
-            ..Default::default()
         })
         .unwrap();
         let run = trainer

@@ -30,8 +30,7 @@ fn million_client_campaign_stays_cohort_bounded() {
     let config = TrainerConfig {
         clients_per_round: cohort,
         ..Default::default()
-    }
-    .with_execution(ExecutionPolicy::parallel_with(4));
+    };
     let mut run = FederatedTrainer::new(config)
         .unwrap()
         .start_with_dims(
