@@ -29,8 +29,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace, TrialRequest};
 use fedsim::clock::{ClientRuntimeModel, CostModel};
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, ConcurrentEval, ConcurrentObjective,
-    ConcurrentSink, EvalOutput, EventDrivenOutcome, Result as CoreResult, VirtualExecution,
+    drive, Clock, ConcurrentEval, ConcurrentObjective, ConcurrentSink, Drive, EvalOutput,
+    EventDrivenOutcome, Result as CoreResult, VirtualExecution,
 };
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -150,31 +150,21 @@ impl ConcurrentObjective for LatencyObjective {
     }
 }
 
-enum Driver {
-    /// Every evaluation inline on the calling thread: every sleep serialized.
-    Blocking,
-    Concurrent(usize),
-}
-
-/// One full campaign under the given driver, returning the outcome and its
-/// wall clock.
-fn campaign(driver: &Driver, time_scale: f64) -> (EventDrivenOutcome, f64, usize) {
+/// One full campaign on `threads` real threads — at one, every evaluation
+/// inline on the calling thread, every sleep serialized — returning the
+/// outcome and its wall clock.
+fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize) {
     let mut scheduler = AsyncAsha::from_ladder(ladder()).scheduler().unwrap();
     let scheduler: &mut dyn Scheduler = &mut scheduler;
     let mut objective = LatencyObjective::new(time_scale);
     let space = space_1d();
     let mut rng = fedmath::rng::rng_for(9, 0);
-    let sim = straggler_sim();
-    let start = Instant::now();
-    let outcome = match driver {
-        Driver::Blocking => {
-            run_event_driven(scheduler, &space, &mut objective, &mut rng, &sim).unwrap()
-        }
-        Driver::Concurrent(threads) => {
-            run_event_driven_concurrent(scheduler, &space, &mut objective, &mut rng, &sim, *threads)
-                .unwrap()
-        }
+    let config = Drive {
+        threads,
+        ..Drive::new(Clock::Virtual(straggler_sim()))
     };
+    let start = Instant::now();
+    let outcome = drive(scheduler, &space, &mut objective, &mut rng, &config).unwrap();
     let wall = start.elapsed().as_secs_f64();
     assert!(outcome.finished);
     (outcome, wall, objective.sink.committed_rounds)
@@ -186,7 +176,7 @@ fn regenerate() {
     // Calibrate the virtual→real latency scale from a dry run (no sleeps):
     // total virtual busy time comes from the timeline, which is identical
     // for every driver and thread count.
-    let (dry, _, _) = campaign(&Driver::Blocking, 0.0);
+    let (dry, _, _) = campaign(1, 0.0);
     let total_virtual: f64 = dry.timeline.iter().map(|s| s.end - s.start).sum();
     assert!(total_virtual > 0.0);
     let time_scale = TARGET_TOTAL_SLEEP / total_virtual;
@@ -198,14 +188,14 @@ fn regenerate() {
     );
 
     // The blocking reference: every evaluation latency paid in sequence.
-    let (blocking, blocking_wall, blocking_rounds) = campaign(&Driver::Blocking, time_scale);
+    let (blocking, blocking_wall, blocking_rounds) = campaign(1, time_scale);
     assert_eq!(blocking, dry, "sleeping must not move a bit");
     summary.push("campaign_blocking_1thread", blocking_wall, evals);
 
     // The concurrent driver at 4 and 8 real threads: same bits, less wall.
     let mut speedup_8 = 0.0;
     for threads in [4usize, 8] {
-        let (concurrent, wall, rounds) = campaign(&Driver::Concurrent(threads), time_scale);
+        let (concurrent, wall, rounds) = campaign(threads, time_scale);
         assert_eq!(
             concurrent, blocking,
             "{threads} threads: concurrent outcome diverged from blocking"
@@ -249,10 +239,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor_throughput");
     group.sample_size(10);
     group.bench_function("campaign_overhead_no_latency", |b| {
-        b.iter(|| campaign(&Driver::Blocking, 0.0))
+        b.iter(|| campaign(1, 0.0))
     });
     group.bench_function("campaign_overhead_concurrent_8threads", |b| {
-        b.iter(|| campaign(&Driver::Concurrent(8), 0.0))
+        b.iter(|| campaign(8, 0.0))
     });
     group.finish();
 }

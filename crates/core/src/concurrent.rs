@@ -10,13 +10,11 @@
 //! (see [`Pump::run`]). What differs between callers is passed in:
 //!
 //! - **where a job runs** — the `spawn` callable handed to [`Pump::new`]:
-//!   inline on the calling thread
-//!   ([`run_event_driven`](crate::scheduler::run_event_driven), the
-//!   single-threaded reference every identity test compares against), on a
-//!   scoped [`ThreadPool`] with a `&Eval` ([`run_event_driven_concurrent`],
-//!   [`run_scheduled`](crate::scheduler::run_scheduled) above one thread),
-//!   or on the daemon's `'static` `SharedPool` with an `Arc<Eval>`
-//!   (`fedserve::campaign::run_campaign`);
+//!   inline on the calling thread ([`drive`](crate::scheduler::drive) at
+//!   `threads <= 1`, the single-threaded reference every identity test
+//!   compares against), on a scoped [`ThreadPool`] with a `&Eval` (`drive`
+//!   above one thread), or on the daemon's `'static` `SharedPool` with an
+//!   `Arc<Eval>` (`fedserve::campaign::run_campaign`);
 //! - **admission and the turn end** — the [`Host`] the daemon implements
 //!   (fair-share gate, control flags, budgets, `sync → publish`); every
 //!   standalone lane runs [`Ungated`], which is all of the trait's defaults.
@@ -31,21 +29,24 @@
 //!    handed directly from each finished job to that trial's next queued
 //!    job, so resume points are one sequence at every thread count.
 //! 3. **Commits are sequenced.** The core hears a result when it *arrives*
-//!    (its completion buffer is order-independent and virtual events still
-//!    deliver in `(sim_time, EventKey)` order); the sink hears it at its
-//!    *dispatch-order slot*. A failed evaluation is parked like any other
-//!    and raised at its slot, so the error a campaign reports is the
-//!    earliest failing dispatch — not whichever worker lost the race — and
-//!    nothing dispatched after it is committed. How many completions a turn
-//!    happens to catch is invisible too.
+//!    (its completion buffer is order-independent and it still delivers in
+//!    its clock's order); the sink hears it at its *dispatch-order slot*. A
+//!    failed evaluation is parked like any other and raised at its slot, so
+//!    the error a campaign reports is the earliest failing dispatch — not
+//!    whichever worker lost the race — and nothing dispatched after it is
+//!    committed. How many completions a turn happens to catch is invisible
+//!    too: under [`Clock::Barrier`](crate::scheduler::Clock::Barrier) a
+//!    batch is one turn inline and may be several on a pool, but the core
+//!    delivers nothing before the batch is complete, so the whole batch is
+//!    committed and its turn ended before the scheduler hears the first
+//!    result.
 
 use crate::scheduler::{
-    event_key, DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep, VirtualExecution,
+    event_key, DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep,
 };
 use crate::{CoreError, Result};
-use fedhpo::{Scheduler, SearchSpace, TrialRequest, TrialResult};
-use fedsim::exec::{with_thread_pool, ThreadPool};
-use rand::rngs::StdRng;
+use fedhpo::{TrialRequest, TrialResult};
+use fedsim::exec::ThreadPool;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Deref;
 use std::sync::mpsc;
@@ -121,10 +122,10 @@ pub trait ConcurrentSink {
     /// and returns it from [`end_turn`](Self::end_turn).
     fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64);
 
-    /// Ends a driver **turn** (a barrier driver: a batch). A sink that
-    /// persists its commits makes everything committed since the previous
-    /// call durable here with a single sync. The default has nothing to
-    /// persist.
+    /// Ends a driver **turn** (inline under the barrier clock: a batch). A
+    /// sink that persists its commits makes everything committed since the
+    /// previous call durable here with a single sync. The default has nothing
+    /// to persist.
     ///
     /// # Errors
     ///
@@ -440,33 +441,6 @@ where
         host.end_turn(self.sink, last_commit)
     }
 
-    /// The run-and-commit-in-order half on its own, for the barrier driver:
-    /// evaluates `batch` wherever this pump's jobs run, commits it in batch
-    /// order at virtual time zero, ends **one** turn, and only then returns
-    /// the results (in batch order) for the scheduler to hear.
-    ///
-    /// # Errors
-    ///
-    /// The failure of the earliest failing request, a panicked job, or the
-    /// sink's turn end.
-    pub fn run_batch(&mut self, batch: Vec<TrialRequest>) -> Result<Vec<TrialResult>> {
-        let mut arrived = Vec::with_capacity(batch.len());
-        for request in batch {
-            let work = self.number(request, 0.0);
-            self.start(work);
-        }
-        while self.next_commit < self.next_seq {
-            self.drain(&mut Ungated, &mut |work, output| {
-                let result = TrialResult::of(&work.request, output.noisy_score);
-                arrived.push((work.seq, result));
-                Ok(())
-            })?;
-        }
-        self.sink.end_turn()?;
-        arrived.sort_unstable_by_key(|(seq, _)| *seq);
-        Ok(arrived.into_iter().map(|(_, result)| result).collect())
-    }
-
     fn number(&mut self, request: TrialRequest, sim_time: f64) -> Numbered {
         self.next_seq += 1;
         Numbered {
@@ -602,72 +576,14 @@ where
     }
 }
 
-/// [`run_event_driven`](crate::scheduler::run_event_driven) with every
-/// in-flight virtual trial evaluating **concurrently on `threads` real
-/// threads** (clamped to at least one; pass
-/// [`ExecutionPolicy::from_env().pool_threads()`](fedsim::ExecutionPolicy::pool_threads)
-/// to honor `FEDTUNE_THREADS`): the same pump, its jobs on a scoped pool.
-///
-/// The outcome — scores, selections, virtual timeline, campaign log — is
-/// bit-identical to the inline driver at every thread count; only
-/// wall-clock time changes. See the module docs for the ordering argument.
-///
-/// # Errors
-///
-/// Exactly the inline driver's conditions. A panicking evaluation
-/// propagates its panic when the pool's scope joins.
-pub fn run_event_driven_concurrent<O: ConcurrentObjective>(
-    scheduler: &mut dyn Scheduler,
-    space: &SearchSpace,
-    objective: &mut O,
-    rng: &mut StdRng,
-    sim: &VirtualExecution,
-    threads: usize,
-) -> Result<EventDrivenOutcome> {
-    run_event_driven_concurrent_traced(
-        scheduler,
-        space,
-        objective,
-        rng,
-        sim,
-        threads,
-        fedtrace::global_if_enabled(),
-    )
-}
-
-/// [`run_event_driven_concurrent`] with an explicit observability scope.
-///
-/// Wall-domain "evaluate" slices are recorded from worker threads onto the
-/// trace's [`WallProfile`](fedtrace::WallProfile); sim-domain accounting is
-/// identical to the inline driver's. Accounting, never semantics.
-///
-/// # Errors
-///
-/// Exactly [`run_event_driven_concurrent`]'s conditions.
-pub fn run_event_driven_concurrent_traced<O: ConcurrentObjective>(
-    scheduler: &mut dyn Scheduler,
-    space: &SearchSpace,
-    objective: &mut O,
-    rng: &mut StdRng,
-    sim: &VirtualExecution,
-    threads: usize,
-    trace: Option<&fedtrace::Trace>,
-) -> Result<EventDrivenOutcome> {
-    let (eval, sink) = objective.split();
-    let wall = trace.map(|t| t.wall_profile());
-    let core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
-    with_thread_pool(threads, move |pool| {
-        Pump::new(eval, sink, on_pool(pool, wall)).run(core, &mut Ungated)
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::scheduler::run_event_driven;
-    use fedhpo::{AsyncAsha, IntoScheduler, RandomSearch};
+    use crate::scheduler::{drive, Clock, Drive, VirtualExecution};
+    use fedhpo::{AsyncAsha, IntoScheduler, RandomSearch, Scheduler, SearchSpace};
     use fedmath::rng::rng_for;
     use fedsim::clock::{ClientRuntimeModel, CostModel};
+    use rand::rngs::StdRng;
     use std::cell::RefCell;
     use std::sync::{Condvar, Mutex};
 
@@ -818,7 +734,7 @@ pub(crate) mod tests {
     }
 
     /// Async ASHA under stragglers — several trials in flight at once —
-    /// inline (`threads == 0`) or on a scoped pool.
+    /// inline (`threads <= 1`) or on a scoped pool.
     fn campaign(threads: usize, eval: AnalyticEval) -> (Result<EventDrivenOutcome>, CommitLog) {
         let ladder = fedhpo::Asha::new(12, 3, 1, 9);
         let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
@@ -826,18 +742,12 @@ pub(crate) mod tests {
             eval,
             sink: CommitLog::default(),
         };
-        let (space, mut rng, sim) = (space_1d(), rng_for(3, 0), straggler_sim());
-        let outcome = match threads {
-            0 => run_event_driven(&mut scheduler, &space, &mut objective, &mut rng, &sim),
-            _ => run_event_driven_concurrent(
-                &mut scheduler,
-                &space,
-                &mut objective,
-                &mut rng,
-                &sim,
-                threads,
-            ),
+        let (space, mut rng) = (space_1d(), rng_for(3, 0));
+        let config = Drive {
+            threads,
+            ..Drive::new(Clock::Virtual(straggler_sim()))
         };
+        let outcome = drive(&mut scheduler, &space, &mut objective, &mut rng, &config);
         (outcome, objective.sink)
     }
 
@@ -887,8 +797,9 @@ pub(crate) mod tests {
     {
         let mut scheduler = RandomSearch::new(k, 3).scheduler().unwrap();
         let (space, mut rng) = (space_1d(), rng_for(5, 0));
-        let sim = VirtualExecution::new(k, CostModel::Unit);
-        let mut core = ExecutorCore::new(&mut scheduler, &space, &mut rng, &sim).unwrap();
+        let clock = Clock::Virtual(VirtualExecution::new(k, CostModel::Unit));
+        let mut core =
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, clock, None, None).unwrap();
         let held: Held<'e> = RefCell::new(Vec::new());
         let hold = |job, _chained| held.borrow_mut().push(job);
         let mut sink = CommitLog::default();

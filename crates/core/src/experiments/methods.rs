@@ -3,8 +3,8 @@
 //! BOHB under noiseless and noisy evaluation — plus the scheduler-era
 //! extensions: ASHA (asynchronous successive halving) and the noise-aware
 //! re-evaluation mitigation. Every method runs as an ask/tell scheduler
-//! under [`run_scheduled`] against a [`BatchFederatedObjective`]; there is no
-//! other tuning path.
+//! under [`drive`]'s [`Clock::Barrier`] against a [`BatchFederatedObjective`];
+//! there is no other tuning path.
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
@@ -15,7 +15,7 @@ use crate::objective::{selected_true_error, BatchFederatedObjective, ObjectiveLo
 use crate::pool::TrainedBenchmark;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
-use crate::scheduler::run_scheduled;
+use crate::scheduler::{drive, Clock, Drive};
 use crate::Result;
 use feddata::Benchmark;
 use fedhpo::{
@@ -445,8 +445,9 @@ pub fn comparison(
 }
 
 /// Runs the method comparison on one benchmark: every (method × noise
-/// setting × `method_trials`) campaign is driven by [`run_scheduled`], each
-/// suggested batch evaluated on `runner.policy().pool_threads()` real threads
+/// setting × `method_trials`) campaign is driven batch by batch
+/// ([`Clock::Barrier`]), each suggested batch evaluated on
+/// `runner.policy().pool_threads()` real threads
 /// against a [`BatchFederatedObjective`]. Campaign seeds are positional
 /// (derived from the unit's grid position), and all evaluation randomness is
 /// keyed by request coordinates, so sequential and parallel runners produce
@@ -469,7 +470,10 @@ pub fn run_method_comparison(
     seed: u64,
 ) -> Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let threads = runner.policy().pool_threads();
+    let config = Drive {
+        threads: runner.policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
     comparison(
         benchmark,
         scale,
@@ -480,8 +484,8 @@ pub fn run_method_comparison(
             let planned = cell.method.planned_evaluations(scale);
             let mut objective =
                 BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
-            run_scheduled(scheduler, ctx.space(), &mut objective, rng, threads)?;
-            Ok(objective.into_log())
+            drive(scheduler, ctx.space(), &mut objective, rng, &config)?;
+            Ok(objective.sink.into_log())
         },
     )
 }

@@ -5,8 +5,8 @@
 //! clients drop out of evaluation. This scenario models the other half of
 //! systems noise: slow clients make *training rounds* slow, and a
 //! rung-synchronous ladder stalls every worker at the barrier until the
-//! slowest trial of the rung finishes. The event-driven executor
-//! ([`run_event_driven_concurrent`]) makes that cost measurable in simulated
+//! slowest trial of the rung finishes. The virtual clock
+//! ([`Clock::Virtual`]) makes that cost measurable in simulated
 //! wall-clock and lets asynchronous ASHA demonstrate its point: promote on
 //! completion, keep every worker busy, and reach a given accuracy sooner.
 //!
@@ -14,7 +14,6 @@
 //! [`TuningMethod::AsyncAsha`]); only the driver/scheduler handshake differs,
 //! so any throughput gap is attributable to the barrier.
 
-use crate::concurrent::run_event_driven_concurrent;
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::experiments::methods::TuningMethod;
@@ -25,7 +24,7 @@ use crate::objective::{
 };
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
-use crate::scheduler::VirtualExecution;
+use crate::scheduler::{drive, Clock, Drive, VirtualExecution};
 use crate::Result;
 use feddata::Benchmark;
 use fedsim::clock::{ClientRuntimeModel, CostModel};
@@ -192,19 +191,21 @@ pub fn run_straggler_comparison(
         let mut objective =
             BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), planned, unit.seed(0))?;
         let mut rng = unit.rng(1);
-        let sim = VirtualExecution::new(workers, cost);
-        let event = run_event_driven_concurrent(
+        let config = Drive {
+            threads: runner.policy().pool_threads(),
+            ..Drive::new(Clock::Virtual(VirtualExecution::new(workers, cost)))
+        };
+        let event = drive(
             scheduler.as_mut(),
             ctx.space(),
             &mut objective,
             &mut rng,
-            &sim,
-            runner.policy().pool_threads(),
+            &config,
         )?;
         Ok(StragglerRun {
             method: method.name().to_string(),
             workers,
-            log: objective.into_log(),
+            log: objective.sink.into_log(),
             sim_elapsed: event.sim_elapsed,
             evaluations: event.outcome.num_evaluations(),
             finished: event.finished,

@@ -27,7 +27,8 @@
 //! - [`concurrent`] — the objective contract ([`ConcurrentObjective`]) and
 //!   the one [`Pump`] that drives it, inline, on a scoped pool, or for the
 //!   `fedserve` daemon.
-//! - [`scheduler`] — the sans-io [`ExecutorCore`] and the thin drivers for
+//! - [`scheduler`] — the sans-io [`ExecutorCore`] with its two [`Clock`]s
+//!   (virtual time, or batch by batch) and [`drive`], the one driver of
 //!   `fedhpo`'s ask/tell [`fedhpo::Scheduler`] methods over that pump, with
 //!   bit-identical results at every thread count.
 //! - [`experiments`] — one runner per paper table/figure, the RS figures as
@@ -62,8 +63,8 @@ pub mod scale;
 pub mod scheduler;
 
 pub use concurrent::{
-    run_event_driven_concurrent, run_event_driven_concurrent_traced, Admission, ConcurrentEval,
-    ConcurrentObjective, ConcurrentSink, EvalJob, EvalOutput, Host, Pump, Ungated,
+    Admission, ConcurrentEval, ConcurrentObjective, ConcurrentSink, EvalJob, EvalOutput, Host,
+    Pump, Ungated,
 };
 pub use context::BenchmarkContext;
 pub use engine::{TrialContext, TrialRunner};
@@ -78,9 +79,11 @@ pub use pool::{ConfigPool, PooledConfig, TrainedBenchmark};
 pub use report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{
-    run_event_driven, run_event_driven_traced, run_scheduled, run_scheduled_for, DispatchedTrial,
-    EventDrivenOutcome, ExecutorCore, ExecutorStep, VirtualExecution,
+    drive, Clock, DispatchedTrial, Drive, EventDrivenOutcome, ExecutorCore, ExecutorStep,
+    VirtualExecution,
 };
+#[doc(hidden)]
+pub use scheduler::{run_event_driven_concurrent_traced, run_event_driven_traced};
 
 use std::fmt;
 

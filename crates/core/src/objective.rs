@@ -45,8 +45,8 @@ pub struct ObjectiveLogEntry {
     /// fresh-noise re-evaluations issued by the re-evaluation mitigation.
     pub noise_rep: u64,
     /// Simulated completion time of the evaluation in virtual seconds, when
-    /// the campaign ran under the event-driven driver; `0.0` for synchronous
-    /// campaigns, which have no virtual clock.
+    /// the campaign ran under a virtual clock; `0.0` under the barrier clock,
+    /// which has no time.
     pub sim_time: f64,
 }
 
@@ -97,8 +97,8 @@ pub fn selected_true_error(log: &[ObjectiveLogEntry], budget: usize) -> Option<f
 /// rule as [`selected_true_error`], but restricted to evaluations whose
 /// virtual completion time is within `sim_budget` seconds — what a tuning
 /// service that stops at a deadline would actually have seen. Only
-/// meaningful for logs produced under the event-driven driver (synchronous
-/// logs stamp every entry at `0.0`, so any positive budget covers them all).
+/// meaningful for logs produced under a virtual clock (barrier-clock logs
+/// stamp every entry at `0.0`, so any positive budget covers them all).
 pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64) -> Option<f64> {
     let within: Vec<ObjectiveLogEntry> = log
         .iter()
@@ -257,13 +257,14 @@ impl FederatedTrialState {
 /// The objective is split sans-io style into a shared, `Sync` **evaluation
 /// core** ([`FederatedEvalCore`]) holding the immutable campaign inputs and a
 /// mutable **campaign sink** (a [`CampaignLog`]) parking per-trial state
-/// and the log — the [`ConcurrentObjective`] contract, which is all a
-/// driver asks for: the barrier driver, the inline event-driven reference
-/// and the concurrent one run this same objective with bit-identical
-/// results.
+/// and the log — the [`ConcurrentObjective`] contract, which is all
+/// [`drive`](crate::scheduler::drive) asks for: under either clock, inline
+/// or on a pool, it runs this same objective with bit-identical results.
 pub struct BatchFederatedObjective<'a> {
-    eval: FederatedEvalCore<'a>,
-    sink: CampaignLog<FederatedTrialState>,
+    /// The thread-shared half: immutable campaign inputs.
+    pub eval: FederatedEvalCore<'a>,
+    /// The driver-thread half: parked trial states and the campaign's log.
+    pub sink: CampaignLog<FederatedTrialState>,
 }
 
 /// The shared, thread-safe half of [`BatchFederatedObjective`]: immutable
@@ -315,27 +316,6 @@ impl<'a> BatchFederatedObjective<'a> {
             },
             sink: CampaignLog::default(),
         })
-    }
-
-    /// The evaluations logged so far, in commit order.
-    pub fn log(&self) -> &[ObjectiveLogEntry] {
-        self.sink.log()
-    }
-
-    /// Total training rounds consumed so far.
-    pub fn cumulative_rounds(&self) -> usize {
-        self.sink.cumulative_rounds()
-    }
-
-    /// Consumes the objective and returns its log.
-    pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
-        self.sink.into_log()
-    }
-
-    /// Noise-aware selection within the budget; see
-    /// [`selected_true_error`].
-    pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        self.sink.selected_true_error_within(budget)
     }
 }
 
@@ -404,7 +384,7 @@ mod tests {
     use super::*;
     use crate::concurrent::tests::Scripted;
     use crate::scale::ExperimentScale;
-    use crate::scheduler::run_scheduled;
+    use crate::scheduler::{drive, Clock, Drive};
     use feddata::Benchmark;
     use feddp::PrivacyBudget;
     use fedhpo::{HpConfig, IntoScheduler, RandomSearch, SearchSpace};
@@ -428,8 +408,8 @@ mod tests {
         }
     }
 
-    /// The scores of `batches` driven through the barrier driver, one
-    /// scripted batch per scheduler cycle, on `threads` real threads.
+    /// The scores of `batches` driven under the barrier clock, one scripted
+    /// batch per scheduler cycle, on `threads` real threads.
     fn scores_of(
         objective: &mut BatchFederatedObjective<'_>,
         batches: Vec<Vec<TrialRequest>>,
@@ -437,15 +417,19 @@ mod tests {
     ) -> Vec<f64> {
         let space = objective.eval.ctx.space();
         let mut scheduler = Scripted::new(batches);
-        let outcome = run_scheduled(
+        let config = Drive {
+            threads,
+            ..Drive::new(Clock::Barrier)
+        };
+        let run = drive(
             &mut scheduler,
             space,
             objective,
             &mut rng_for(0, 0),
-            threads,
+            &config,
         )
         .unwrap();
-        outcome.records().iter().map(|r| r.score).collect()
+        run.outcome.records().iter().map(|r| r.score).collect()
     }
 
     #[test]
@@ -455,16 +439,26 @@ mod tests {
             BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 2).unwrap();
         let mut scheduler = RandomSearch::new(3, 2).scheduler().unwrap();
         let mut rng = rng_for(1, 0);
-        let outcome =
-            run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng, 1).unwrap();
-        assert_eq!(outcome.num_evaluations(), 3);
-        assert_eq!(objective.log().len(), 3);
-        let selected = objective.selected_true_error_within(usize::MAX).unwrap();
+        let config = Drive::new(Clock::Barrier);
+        let run = drive(
+            &mut scheduler,
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            &config,
+        )
+        .unwrap();
+        assert_eq!(run.outcome.num_evaluations(), 3);
+        assert_eq!(objective.sink.log().len(), 3);
+        let selected = objective
+            .sink
+            .selected_true_error_within(usize::MAX)
+            .unwrap();
         assert!((0.0..=1.0).contains(&selected));
         // Within a budget covering only the first trial, selection must be
         // that trial's true error.
-        let first = objective.log()[0].true_error;
-        assert_eq!(objective.selected_true_error_within(2).unwrap(), first);
+        let first = objective.sink.log()[0].true_error;
+        assert_eq!(objective.sink.selected_true_error_within(2).unwrap(), first);
     }
 
     #[test]
@@ -474,7 +468,7 @@ mod tests {
         let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
         let config = ctx.space().sample(&mut rng_for(2, 0)).unwrap();
         scores_of(&mut objective, vec![vec![request(0, &config, 2, 0)]], 1);
-        let entry = &objective.log()[0];
+        let entry = &objective.sink.log()[0];
         assert!(
             (entry.noisy_score - entry.true_error).abs() > 1e-6,
             "with 1 client and eps=1 the noisy score should differ from the truth"
@@ -495,10 +489,10 @@ mod tests {
             1,
         );
         assert_eq!(scores.len(), 2);
-        assert_eq!(objective.cumulative_rounds(), 6);
-        assert_eq!(objective.log().len(), 2);
+        assert_eq!(objective.sink.cumulative_rounds(), 6);
+        assert_eq!(objective.sink.log().len(), 2);
         // Noiseless: noisy score equals the true error.
-        for entry in objective.log() {
+        for entry in objective.sink.log() {
             assert!((entry.noisy_score - entry.true_error).abs() < 1e-12);
             assert_eq!(entry.noise_rep, 0);
         }
@@ -509,10 +503,13 @@ mod tests {
             vec![vec![request(0, &a, 5, 0), request(0, &a, 5, 1)]],
             4,
         );
-        assert_eq!(objective.cumulative_rounds(), 8);
-        assert_eq!(objective.log()[3].noise_rep, 1);
-        assert!(objective.selected_true_error_within(usize::MAX).is_some());
-        assert_eq!(objective.into_log().len(), 4);
+        assert_eq!(objective.sink.cumulative_rounds(), 8);
+        assert_eq!(objective.sink.log()[3].noise_rep, 1);
+        assert!(objective
+            .sink
+            .selected_true_error_within(usize::MAX)
+            .is_some());
+        assert_eq!(objective.sink.into_log().len(), 4);
     }
 
     #[test]
@@ -575,7 +572,7 @@ mod tests {
             4,
         );
         assert_eq!(scores[0].to_bits(), scores[1].to_bits());
-        let log = objective.log();
+        let log = objective.sink.log();
         assert_eq!(log[0].true_error.to_bits(), log[1].true_error.to_bits());
         // Distinct points still draw independently.
         assert_ne!(scores[2].to_bits(), scores[0].to_bits());
@@ -594,7 +591,7 @@ mod tests {
         let run = |threads: usize| {
             let mut objective = BatchFederatedObjective::new(&ctx, noise, 6, 9).unwrap();
             let scores = scores_of(&mut objective, vec![requests.clone()], threads);
-            (scores, objective.into_log())
+            (scores, objective.sink.into_log())
         };
         let (inline, inline_log) = run(1);
         for threads in [2, 4, 8] {
@@ -613,9 +610,9 @@ mod tests {
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 0, 0).is_err());
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::subsampled(2.0), 4, 0).is_err());
         let objective = BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 0).unwrap();
-        assert_eq!(objective.cumulative_rounds(), 0);
-        assert!(objective.log().is_empty());
-        assert!(objective.selected_true_error_within(10).is_none());
+        assert_eq!(objective.sink.cumulative_rounds(), 0);
+        assert!(objective.sink.log().is_empty());
+        assert!(objective.sink.selected_true_error_within(10).is_none());
     }
 
     #[test]

@@ -1,41 +1,32 @@
-//! The sans-io executor state machine and the thin drivers over it: the
-//! barrier-synchronous **batch driver** and the inline **event-driven
-//! virtual-time driver**.
+//! The sans-io executor state machine and the one driver over it.
 //!
 //! `fedhpo`'s [`Scheduler`] trait inverts tuner control flow — the method
 //! *suggests* batches of [`TrialRequest`]s instead of calling the objective
-//! itself — and every driver here evaluates those requests through the one
-//! [`Pump`] over a
-//! [`ConcurrentObjective`].
+//! itself. [`drive`] evaluates those requests through the one [`Pump`] over
+//! a [`ConcurrentObjective`], inline on the calling thread or on a scoped
+//! pool of `threads` real threads, and returns an [`EventDrivenOutcome`].
 //!
-//! [`ExecutorCore`] is a **deterministic discrete-event simulation** over
-//! `fedsim`'s virtual clock: a pool of *virtual* workers pulls trials as
-//! they free up, every evaluation's simulated runtime comes from a
-//! [`CostModel`] keyed by the point's canonical fingerprint, completions are
-//! delivered to [`Scheduler::report`] in total `(sim_time, key)` order, and
-//! [`Scheduler::async_capable`] schedulers (async ASHA) are re-polled on
-//! every completion — promote-on-completion with no rung barrier, the
-//! paper's actual adaptive-allocation algorithm. Campaign budgets can be
-//! expressed in **simulated wall-clock** seconds on top of training rounds.
-//! [`run_event_driven`] is the pump over that core with every job run inline
-//! on the calling thread — the single-threaded reference;
-//! [`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent)
-//! is the same pump on a scoped thread pool.
+//! [`ExecutorCore`] decides what runs when, under one of two [`Clock`]s:
 //!
-//! [`run_scheduled`] is the barrier driver, and deliberately **not** an
-//! `ExecutorCore` at unit cost: it has no virtual clock (`sim_time` is `0.0`
-//! on every record), reports each batch in batch order — record for record
-//! what `fedhpo::run_scheduler` produces — and treats
-//! [`Scheduler::async_capable`] schedulers as barrier schedulers, all of
-//! which are pinned by tests. It shares the pump's run-and-commit-in-order
-//! half ([`Pump::run_batch`]), so it evaluates on `threads` real threads and
-//! ends one sink turn per batch before the first `report`.
+//! - [`Clock::Virtual`] is a **deterministic discrete-event simulation**
+//!   over `fedsim`'s virtual clock: a pool of *virtual* workers pulls trials
+//!   as they free up, every evaluation's simulated runtime comes from a
+//!   [`CostModel`] keyed by the point's canonical fingerprint, completions
+//!   are delivered to [`Scheduler::report`] in total `(sim_time, key)`
+//!   order, and [`Scheduler::async_capable`] schedulers (async ASHA) are
+//!   re-polled on every completion — promote-on-completion with no rung
+//!   barrier, the paper's actual adaptive-allocation algorithm. Campaign
+//!   budgets can be expressed in **simulated wall-clock** seconds.
+//! - [`Clock::Barrier`] has no time at all: a suggested batch goes out at
+//!   once, is delivered in batch order once all of it has been evaluated,
+//!   and only then is the scheduler polled again — record for record what
+//!   `fedhpo::run_scheduler` produces, every record stamped `0.0`.
 //!
 //! Because every scheduler suggests deterministically, every evaluation
 //! derives its randomness from the request's coordinates, and the virtual
 //! timeline is a pure function of the schedule and cost model, the produced
 //! [`TuningOutcome`] — including its virtual timeline — is **bit-identical**
-//! in every lane and at every real thread count (`tests/determinism.rs`).
+//! at every real thread count (`tests/determinism.rs`).
 
 use crate::concurrent::{on_pool, ConcurrentObjective, EvalJob, Pump, Ungated};
 use crate::Result;
@@ -46,100 +37,137 @@ use fedtrace::{ClockDomain, EventKind, TrialSpan};
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
 
-/// Drives `scheduler` to completion against `objective`: suggest a batch,
-/// evaluate it on `threads` real threads, report every result in batch
-/// order, repeat. `fedhpo::run_scheduler` is its one-at-a-time reference:
-/// the two produce the same outcome record for record.
-///
-/// # Errors
-///
-/// Propagates scheduler and objective errors, and fails if the scheduler
-/// stalls (returns an empty batch while unfinished).
-pub fn run_scheduled<O: ConcurrentObjective>(
-    scheduler: &mut dyn Scheduler,
-    space: &SearchSpace,
-    objective: &mut O,
-    rng: &mut StdRng,
-    threads: usize,
-) -> Result<TuningOutcome> {
-    let (outcome, finished) = run_scheduled_for(scheduler, space, objective, rng, threads, None)?;
-    debug_assert!(finished, "an unbounded run always finishes");
-    Ok(outcome)
+/// How the [`ExecutorCore`] times and orders the work it dispatches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Clock {
+    /// A simulated tuning service: virtual workers, a cost model, delivery
+    /// in `(sim_time, key)` order, async schedulers polled on every
+    /// completion.
+    Virtual(VirtualExecution),
+    /// Batch by batch: every request of a suggested batch is dispatched at
+    /// once and starts and completes at `0.0`; the batch is delivered in
+    /// dispatch (= batch) order once its last result has been fed, and the
+    /// scheduler is polled only when nothing is outstanding, whatever
+    /// [`Scheduler::async_capable`] says.
+    Barrier,
 }
 
-/// [`run_scheduled`] with an optional interruption point: drives at most
-/// `max_batches` suggest → evaluate → report cycles and returns the outcome
-/// so far plus whether the schedule completed.
+/// How [`drive`] runs a campaign. Build it with [`Drive::new`] and override
+/// fields with struct-update syntax:
+/// `Drive { threads: 4, ..Drive::new(Clock::Barrier) }`.
+#[derive(Debug, Clone, Copy)]
+pub struct Drive<'t> {
+    /// Real threads evaluating in-flight trials: at `threads <= 1` every
+    /// job runs inline on the calling thread, above that on a scoped pool.
+    /// Never changes a result bit.
+    pub threads: usize,
+    /// What runs when, and in what order it is reported.
+    pub clock: Clock,
+    /// Observability scope: `<scheduler name>.*` metrics, the campaign's
+    /// journal and `suggest` / `evaluate` / `deliver` wall slices.
+    /// Accounting, never semantics: `None` and `Some` give the same bits.
+    pub trace: Option<&'t fedtrace::Trace>,
+    /// Take no further suggestion after this many non-empty batches.
+    /// Everything already suggested is still evaluated, committed and
+    /// reported, so a run cut here is a prefix of the uncut one.
+    pub stop: Option<usize>,
+}
+
+impl Drive<'_> {
+    /// One thread, no stop, and the process-global trace when
+    /// `FEDTUNE_TRACE=1`.
+    pub fn new(clock: Clock) -> Self {
+        Drive {
+            threads: 1,
+            clock,
+            trace: fedtrace::global_if_enabled(),
+            stop: None,
+        }
+    }
+}
+
+/// Drives `scheduler` against `objective` to the end: the one driver of the
+/// workspace. Jobs run inline at `config.threads <= 1`, else on a scoped
+/// pool, through [`Pump::run`] with no host ([`Ungated`]), so the sink sees
+/// dispatch order and the outcome is the same at every thread count.
 ///
-/// Each batch goes through [`Pump::run_batch`]: at `threads <= 1` its jobs
-/// run inline on the calling thread (what a sequential policy has always
-/// meant for this driver), above that on a scoped pool of `threads` workers;
-/// either way the batch commits to the objective's sink in batch order and
-/// the sink's turn ends **once**, before the scheduler hears the first
-/// result — a recording sink has the whole batch on disk by then.
-///
-/// Interrupting at a batch boundary leaves every suggested request evaluated
-/// and reported, which is the invariant store-backed resumption relies on: a
-/// fresh scheduler re-driven with the same seed re-suggests the interrupted
-/// campaign's prefix verbatim, a recording objective (`fedstore`) serves
-/// those requests from the trial ledger without recomputation, and the
-/// campaign continues bit-identically to an uninterrupted run.
+/// Under [`Clock::Barrier`] a batch is committed and its sink turn ended
+/// before its first result is reported. A run cut by [`Drive::stop`] has
+/// reported everything it suggested, so re-driving a fresh scheduler with
+/// the same seed over a recording objective (`fedstore`) serves that prefix
+/// from the ledger and continues bit-identically to an uncut run.
 ///
 /// # Errors
 ///
-/// Propagates scheduler and objective errors, and fails if the scheduler
-/// stalls (returns an empty batch while unfinished).
-pub fn run_scheduled_for<O: ConcurrentObjective>(
+/// Propagates scheduler, objective and cost-model errors, the failure of
+/// the earliest failing dispatch, a panicked job, a failed sink turn, and
+/// fails if the scheduler stalls (nothing outstanding or queued, and an
+/// empty suggestion while unfinished).
+pub fn drive<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
     objective: &mut O,
     rng: &mut StdRng,
-    threads: usize,
-    max_batches: Option<usize>,
-) -> Result<(TuningOutcome, bool)> {
-    let mut drive = |evaluate: &mut dyn FnMut(Vec<TrialRequest>) -> Result<Vec<TrialResult>>| {
-        let mut outcome = TuningOutcome::default();
-        let mut ledger = BudgetLedger::new();
-        let mut batches = 0usize;
-        while !scheduler.is_finished() {
-            if max_batches.is_some_and(|max| batches >= max) {
-                return Ok((outcome, false));
-            }
-            let batch = scheduler.suggest(space, rng)?;
-            if batch.is_empty() {
-                if scheduler.is_finished() {
-                    break;
-                }
-                return Err(crate::CoreError::InvalidConfig {
-                    message: format!(
-                        "scheduler {} stalled: empty batch while unfinished",
-                        scheduler.name()
-                    ),
-                });
-            }
-            for result in &evaluate(batch)? {
-                outcome.push(ledger.record(result));
-                scheduler.report(result)?;
-            }
-            batches += 1;
-        }
-        Ok((outcome, true))
-    };
+    config: &Drive<'_>,
+) -> Result<EventDrivenOutcome> {
+    let Drive {
+        threads,
+        clock,
+        trace,
+        stop,
+    } = *config;
     let (eval, sink) = objective.split();
+    let wall = trace.map(|t| t.wall_profile());
+    let core = ExecutorCore::new(scheduler, space, rng, clock, trace, stop)?;
     if threads <= 1 {
-        let mut pump = Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(None));
-        drive(&mut |batch| pump.run_batch(batch))
+        Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(wall)).run(core, &mut Ungated)
     } else {
-        with_thread_pool(threads, |pool| {
-            let mut pump = Pump::new(eval, sink, on_pool(pool, None));
-            drive(&mut |batch| pump.run_batch(batch))
+        with_thread_pool(threads, move |pool| {
+            Pump::new(eval, sink, on_pool(pool, wall)).run(core, &mut Ungated)
         })
     }
 }
 
-/// Configuration of the event-driven virtual-time executor: how many
-/// *virtual* workers the simulated tuning service runs, what each evaluation
-/// costs in simulated seconds, and an optional simulated wall-clock budget.
+/// [`drive`] inline under a virtual clock with an explicit trace.
+#[doc(hidden)]
+pub fn run_event_driven_traced<O: ConcurrentObjective>(
+    scheduler: &mut dyn Scheduler,
+    space: &SearchSpace,
+    objective: &mut O,
+    rng: &mut StdRng,
+    sim: &VirtualExecution,
+    trace: Option<&fedtrace::Trace>,
+) -> Result<EventDrivenOutcome> {
+    let config = Drive {
+        trace,
+        ..Drive::new(Clock::Virtual(*sim))
+    };
+    drive(scheduler, space, objective, rng, &config)
+}
+
+/// [`drive`] under a virtual clock on `threads` threads with an explicit
+/// trace.
+#[doc(hidden)]
+pub fn run_event_driven_concurrent_traced<O: ConcurrentObjective>(
+    scheduler: &mut dyn Scheduler,
+    space: &SearchSpace,
+    objective: &mut O,
+    rng: &mut StdRng,
+    sim: &VirtualExecution,
+    threads: usize,
+    trace: Option<&fedtrace::Trace>,
+) -> Result<EventDrivenOutcome> {
+    let config = Drive {
+        threads,
+        trace,
+        ..Drive::new(Clock::Virtual(*sim))
+    };
+    drive(scheduler, space, objective, rng, &config)
+}
+
+/// Configuration of the virtual clock: how many *virtual* workers the
+/// simulated tuning service runs, what each evaluation costs in simulated
+/// seconds, and an optional simulated wall-clock budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualExecution {
     /// Number of virtual workers trials are scheduled onto. Independent of
@@ -185,25 +213,27 @@ impl VirtualExecution {
     }
 }
 
-/// The result of one event-driven campaign.
+/// The result of one driven campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventDrivenOutcome {
-    /// The evaluation history in **virtual completion order**, every record
-    /// stamped with its simulated completion time.
+    /// The evaluation history in **delivery order**, every record stamped
+    /// with its simulated completion time (`0.0` under [`Clock::Barrier`]).
     pub outcome: TuningOutcome,
     /// The simulated wall-clock the campaign took (the virtual clock at the
-    /// last delivered completion).
+    /// last delivered completion); always `0.0` under [`Clock::Barrier`],
+    /// which has no time.
     pub sim_elapsed: f64,
     /// Whether the schedule ran to completion (`false` when a simulated
-    /// wall-clock budget cut it off).
+    /// wall-clock budget, [`Drive::stop`] or [`ExecutorCore::halt`] cut it
+    /// off).
     pub finished: bool,
     /// The virtual-time execution timeline: one [`TrialSpan`] per dispatched
     /// evaluation, in dispatch order, carrying its virtual worker and
-    /// simulated start/end. Collected unconditionally — it is part of the
-    /// result, not tracing output, so its bits are covered by the driver's
-    /// determinism contract (and the replay identity asserted in
-    /// `tests/determinism.rs`). Export it with
-    /// [`fedtrace::virtual_timeline_json`].
+    /// simulated start/end; empty under [`Clock::Barrier`], which has no
+    /// workers. Collected unconditionally — it is part of the result, not
+    /// tracing output, so its bits are covered by the driver's determinism
+    /// contract (and the replay identity asserted in `tests/determinism.rs`).
+    /// Export it with [`fedtrace::virtual_timeline_json`].
     pub timeline: Vec<TrialSpan>,
 }
 
@@ -238,30 +268,31 @@ impl DriverMetrics {
 /// One externally visible action of the sans-io [`ExecutorCore`].
 #[derive(Debug)]
 pub enum ExecutorStep {
-    /// Trials were just committed to virtual workers. Evaluate them — in any
-    /// real order, on any thread — and feed each result back through
+    /// Trials were just dispatched. Evaluate them — in any real order, on
+    /// any thread — and feed each result back through
     /// [`ExecutorCore::complete`]. The core never blocks on them itself.
     Dispatch(Vec<DispatchedTrial>),
-    /// The earliest virtual event is this key and its completion has not
-    /// been fed yet; the core cannot advance virtual time until
-    /// [`ExecutorCore::complete`] is called for it. (A driver that completes
-    /// every dispatch before stepping again never sees this.)
+    /// The core cannot deliver until [`ExecutorCore::complete`] is called
+    /// for this key: the earliest virtual event, or under
+    /// [`Clock::Barrier`] the batch's first unfed request. (A driver that
+    /// completes every dispatch before stepping again never sees this.)
     Deliver(EventKey),
     /// The campaign is over: every dispatched trial has been delivered and
-    /// the scheduler has no further work (or the simulated budget cut the
+    /// the scheduler has no further work (or a budget or stop cut the
     /// schedule off). Call [`ExecutorCore::finish`].
     Finished,
 }
 
-/// One trial committed to a virtual worker by [`ExecutorCore::step`].
+/// One trial dispatched by [`ExecutorCore::step`].
 #[derive(Debug, Clone)]
 pub struct DispatchedTrial {
     /// The suggested request to evaluate.
     pub request: TrialRequest,
-    /// The virtual event-queue key identifying this evaluation; pass it to
+    /// The event key identifying this evaluation; pass it to
     /// [`ExecutorCore::complete`] together with the result.
     pub key: EventKey,
-    /// Index of the virtual worker executing the trial.
+    /// Index of the virtual worker executing the trial (`0` under
+    /// [`Clock::Barrier`]).
     pub worker: usize,
     /// Simulated start time of the evaluation.
     pub sim_start: f64,
@@ -270,7 +301,7 @@ pub struct DispatchedTrial {
     pub sim_completion: f64,
 }
 
-/// The virtual event-queue key of a request's evaluation.
+/// The event key of a request's evaluation.
 pub(crate) fn event_key(request: &TrialRequest) -> EventKey {
     EventKey::new(
         request.trial_id as u64,
@@ -286,22 +317,51 @@ enum Phase {
     Finished,
 }
 
-/// The sans-io heart of the event-driven virtual-time executor.
+/// The core's [`Clock`] with its running state.
+enum Timing {
+    Virtual {
+        sim: VirtualExecution,
+        clock: VirtualClock,
+        pool: WorkerPool,
+        /// Completion events, payload-free: results arrive via
+        /// [`ExecutorCore::complete`] and wait in `fed` until delivered.
+        events: EventQueue<()>,
+    },
+    /// The keys of the batch in flight, in dispatch order.
+    Barrier(VecDeque<EventKey>),
+}
+
+impl Timing {
+    fn now(&self) -> f64 {
+        match self {
+            Timing::Virtual { clock, .. } => clock.now(),
+            Timing::Barrier(_) => 0.0,
+        }
+    }
+
+    /// The next completion to deliver and its time.
+    fn next(&self) -> Option<(f64, EventKey)> {
+        match self {
+            Timing::Virtual { events, .. } => events.peek(),
+            Timing::Barrier(batch) => batch.front().map(|&key| (0.0, key)),
+        }
+    }
+}
+
+/// The sans-io heart of the driver.
 ///
-/// `ExecutorCore` owns the poll/dispatch/deliver state machine of
-/// [`run_event_driven`] — virtual clock, virtual [`WorkerPool`], event queue,
-/// dispatch queue, trained high-water marks, metrics — but performs **no
-/// evaluation and no waiting**. It communicates with its driver through
-/// explicit actions: [`step`](Self::step) returns what the world should do
-/// next ([`ExecutorStep`]), and the world feeds evaluation results back with
-/// [`complete`](Self::complete), in any order and from any thread's output.
-/// Virtual events are still *delivered* in strict `(sim_time, EventKey)`
-/// order, so the outcome is a pure function of the schedule and cost model —
-/// never of how, where, or in what real order evaluations ran.
+/// `ExecutorCore` owns the poll/dispatch/deliver state machine — its
+/// [`Clock`], dispatch queue, trained high-water marks, metrics — but
+/// performs **no evaluation and no waiting**. It communicates with its
+/// driver through explicit actions: [`step`](Self::step) returns what the
+/// world should do next ([`ExecutorStep`]), and the world feeds evaluation
+/// results back with [`complete`](Self::complete), in any order and from any
+/// thread's output. Results are still *delivered* in the clock's order —
+/// `(sim_time, EventKey)`, or batch order — so the outcome is a pure
+/// function of the schedule and cost model, never of how, where, or in what
+/// real order evaluations ran.
 ///
-/// Its one driver is the [`Pump`]: inline
-/// ([`run_event_driven`]), on a scoped pool
-/// ([`run_event_driven_concurrent`](crate::concurrent::run_event_driven_concurrent))
+/// Its one driver is the [`Pump`]: inline or on a scoped pool ([`drive`]),
 /// or on the `fedserve` daemon's shared pool behind its fair-share gate.
 ///
 /// Two invariants the core maintains for its callers:
@@ -314,20 +374,18 @@ enum Phase {
 ///   a staged overlay so incremental costs match the sequential driver
 ///   exactly.
 /// - **Order-independent completion.** `complete` may be called in any
-///   order; results wait in a completion buffer until their event is the
-///   earliest, and committing the high-water mark is a max-merge, so the
+///   order; results wait in a completion buffer until their turn to be
+///   delivered, and committing the high-water mark is a max-merge, so the
 ///   observable state never depends on completion order.
 pub struct ExecutorCore<'a> {
     scheduler: &'a mut dyn Scheduler,
     space: &'a SearchSpace,
     rng: &'a mut StdRng,
-    sim: VirtualExecution,
+    timing: Timing,
     async_mode: bool,
-    clock: VirtualClock,
-    pool: WorkerPool,
-    /// Virtual completion events, payload-free: results arrive via
-    /// [`complete`](Self::complete) and wait in `fed` until delivered.
-    events: EventQueue<()>,
+    stop: Option<usize>,
+    /// Non-empty batches the scheduler has suggested so far.
+    batches: usize,
     queue: VecDeque<TrialRequest>,
     /// Validated trained-rounds high-water per trial: committed only by
     /// [`complete`](Self::complete).
@@ -352,37 +410,34 @@ pub struct ExecutorCore<'a> {
 }
 
 impl<'a> ExecutorCore<'a> {
-    /// Builds an executor core over `scheduler`, tracing to the process
-    /// global scope when `FEDTUNE_TRACE=1`.
+    /// Builds an executor core over `scheduler` under `clock`, with the
+    /// [`Drive::trace`] and [`Drive::stop`] meanings of `trace` and `stop`.
     ///
     /// # Errors
     ///
-    /// Fails when `sim` is invalid (zero workers, non-finite or non-positive
-    /// budget).
+    /// Fails when a virtual clock is invalid (zero workers, non-finite or
+    /// non-positive budget, invalid cost model).
     pub fn new(
         scheduler: &'a mut dyn Scheduler,
         space: &'a SearchSpace,
         rng: &'a mut StdRng,
-        sim: &VirtualExecution,
-    ) -> Result<Self> {
-        Self::new_traced(scheduler, space, rng, sim, fedtrace::global_if_enabled())
-    }
-
-    /// [`new`](Self::new) with an explicit observability scope.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`new`](Self::new)'s conditions.
-    pub fn new_traced(
-        scheduler: &'a mut dyn Scheduler,
-        space: &'a SearchSpace,
-        rng: &'a mut StdRng,
-        sim: &VirtualExecution,
+        clock: Clock,
         trace: Option<&'a fedtrace::Trace>,
+        stop: Option<usize>,
     ) -> Result<Self> {
-        sim.validate()?;
-        let async_mode = scheduler.async_capable();
-        let pool = WorkerPool::new(sim.workers)?;
+        let (timing, async_mode) = match clock {
+            Clock::Virtual(sim) => {
+                sim.validate()?;
+                let timing = Timing::Virtual {
+                    sim,
+                    clock: VirtualClock::new(),
+                    pool: WorkerPool::new(sim.workers)?,
+                    events: EventQueue::new(),
+                };
+                (timing, scheduler.async_capable())
+            }
+            Clock::Barrier => (Timing::Barrier(VecDeque::new()), false),
+        };
         let metrics = trace.map(|t| DriverMetrics::register(t, scheduler.name()));
         if let Some(t) = trace {
             t.journal()
@@ -392,11 +447,10 @@ impl<'a> ExecutorCore<'a> {
             scheduler,
             space,
             rng,
-            sim: *sim,
+            timing,
             async_mode,
-            clock: VirtualClock::new(),
-            pool,
-            events: EventQueue::new(),
+            stop,
+            batches: 0,
             queue: VecDeque::new(),
             trained: HashMap::new(),
             staged: HashMap::new(),
@@ -411,6 +465,18 @@ impl<'a> ExecutorCore<'a> {
             phase: Phase::Poll,
             halted: false,
         })
+    }
+
+    /// [`new`](Self::new) under a virtual clock with an explicit trace.
+    #[doc(hidden)]
+    pub fn new_traced(
+        scheduler: &'a mut dyn Scheduler,
+        space: &'a SearchSpace,
+        rng: &'a mut StdRng,
+        sim: &VirtualExecution,
+        trace: Option<&'a fedtrace::Trace>,
+    ) -> Result<Self> {
+        Self::new(scheduler, space, rng, Clock::Virtual(*sim), trace, None)
     }
 
     /// Number of dispatched evaluations whose completions have not been
@@ -447,7 +513,7 @@ impl<'a> ExecutorCore<'a> {
 
     /// Advances the state machine until it has something to say.
     ///
-    /// Internally the core delivers every already-fed completion and
+    /// Internally the core delivers every already-fed completion it may and
     /// re-polls the scheduler as its contract allows; it returns as soon as
     /// new work was dispatched ([`ExecutorStep::Dispatch`]), a completion is
     /// missing ([`ExecutorStep::Deliver`]), or the campaign is over
@@ -478,18 +544,25 @@ impl<'a> ExecutorCore<'a> {
                     }
                 }
                 Phase::Deliver => {
-                    let Some((time, key)) = self.events.peek() else {
+                    let Some((time, key)) = self.timing.next() else {
                         self.phase = Phase::Finished;
                         if let Some(t) = self.trace {
                             t.journal().record_boundary(
                                 ClockDomain::Sim,
                                 EventKind::End,
                                 "campaign",
-                                self.clock.now(),
+                                self.timing.now(),
                             );
                         }
                         return Ok(ExecutorStep::Finished);
                     };
+                    // A barrier batch is held until its last result is fed.
+                    if let Timing::Barrier(batch) = &self.timing {
+                        if !self.pending.is_empty() {
+                            let unfed = batch.iter().find(|k| self.pending.contains_key(k));
+                            return Ok(ExecutorStep::Deliver(*unfed.unwrap_or(&key)));
+                        }
+                    }
                     let Some(stack) = self.fed.get_mut(&key).filter(|stack| !stack.is_empty())
                     else {
                         return Ok(ExecutorStep::Deliver(key));
@@ -514,10 +587,9 @@ impl<'a> ExecutorCore<'a> {
     /// Feeds the evaluation result of a dispatched trial back into the core.
     ///
     /// May be called in any order relative to other in-flight dispatches;
-    /// delivery to the scheduler still happens in `(sim_time, EventKey)`
-    /// order inside [`step`](Self::step). Commits the trial's validated
-    /// trained-rounds high-water mark (a max-merge, so completion order
-    /// cannot change it).
+    /// delivery to the scheduler still happens in the clock's order inside
+    /// [`step`](Self::step). Commits the trial's validated trained-rounds
+    /// high-water mark (a max-merge, so completion order cannot change it).
     ///
     /// # Errors
     ///
@@ -544,8 +616,8 @@ impl<'a> ExecutorCore<'a> {
         if stack.is_empty() {
             self.pending.remove(&key);
         }
-        // Satellite of the sans-io refactor: the high-water mark is committed
-        // only here, against a validated result — never at dispatch.
+        // The high-water mark is committed only here, against a validated
+        // result — never at dispatch.
         let committed = self.trained.entry(key.trial as usize).or_insert(0);
         *committed = (*committed).max(reached);
         self.fed.entry(key).or_default().push(result);
@@ -558,21 +630,26 @@ impl<'a> ExecutorCore<'a> {
     /// does.
     pub fn finish(self) -> EventDrivenOutcome {
         EventDrivenOutcome {
-            sim_elapsed: self.clock.now(),
+            sim_elapsed: self.timing.now(),
             finished: self.scheduler.is_finished(),
             outcome: self.outcome,
             timeline: self.timeline,
         }
     }
 
-    /// Polls the scheduler whenever its contract allows: between batches for
-    /// barrier schedulers, at any time for async ones. Fresh suggestions go
+    /// Polls the scheduler whenever its contract allows: when nothing is
+    /// outstanding for barrier schedulers (and under [`Clock::Barrier`]), at
+    /// any time for async ones under a virtual clock. Fresh suggestions go
     /// to the *front* of the dispatch queue so async promotions overtake
     /// queued fresh configurations.
     fn poll(&mut self) -> Result<()> {
-        let within_budget = self.sim.sim_budget.is_none_or(|b| self.clock.now() < b);
+        let within_budget = match &self.timing {
+            Timing::Virtual { sim, clock, .. } => sim.sim_budget.is_none_or(|b| clock.now() < b),
+            Timing::Barrier(_) => true,
+        };
         if !self.halted
             && within_budget
+            && self.stop.is_none_or(|stop| self.batches < stop)
             && !self.scheduler.is_finished()
             && (self.outstanding == 0 || self.async_mode)
         {
@@ -588,6 +665,9 @@ impl<'a> ExecutorCore<'a> {
                         self.scheduler.name()
                     ),
                 });
+            }
+            if !batch.is_empty() {
+                self.batches += 1;
             }
             if let Some(m) = &self.metrics {
                 m.suggests.incr();
@@ -605,29 +685,14 @@ impl<'a> ExecutorCore<'a> {
         Ok(())
     }
 
-    /// Dispatches queued requests to virtual workers. Barrier schedulers
-    /// commit the whole batch (workers serialize it); async schedulers only
-    /// fill workers that are idle *now*, so the next completion can re-poll
-    /// before the remaining queue is committed.
+    /// Dispatches queued requests. A barrier clock sends the whole batch at
+    /// once; on a virtual clock barrier schedulers commit the whole batch
+    /// (workers serialize it), while async schedulers only fill workers that
+    /// are idle *now*, so the next completion can re-poll before the
+    /// remaining queue is committed.
     fn dispatch(&mut self) -> Result<Vec<DispatchedTrial>> {
         let mut batch: Vec<DispatchedTrial> = Vec::new();
-        while !self.queue.is_empty() {
-            let (worker, free_at) = self.pool.next_free();
-            if self.async_mode && free_at > self.clock.now() {
-                break;
-            }
-            // The service stops handing out work at the deadline: a request
-            // whose start would land on or past the budget is never
-            // dispatched (and since `next_free` is the earliest worker, no
-            // later request could start sooner — stop here).
-            let start = free_at.max(self.clock.now());
-            if self.sim.sim_budget.is_some_and(|b| start >= b) {
-                break;
-            }
-            let Some(request) = self.queue.pop_front() else {
-                break;
-            };
-            let fingerprint = self.space.canonical_fingerprint(&request.config)?;
+        while let Some(request) = self.queue.front() {
             // Incremental cost baseline: validated rounds plus rounds already
             // dispatched (staged) — the same `already` the sequential driver
             // saw when it updated its map eagerly, without claiming
@@ -635,27 +700,55 @@ impl<'a> ExecutorCore<'a> {
             let committed = self.trained.get(&request.trial_id).copied().unwrap_or(0);
             let already = committed.max(self.staged.get(&request.trial_id).copied().unwrap_or(0));
             let reached = already.max(request.resource);
-            let seconds = self
-                .sim
-                .cost
-                .evaluation_seconds(fingerprint, already, reached);
+            let key = event_key(request);
+            let (worker, start, completion) = match &mut self.timing {
+                Timing::Barrier(in_flight) => {
+                    in_flight.push_back(key);
+                    (0, 0.0, 0.0)
+                }
+                Timing::Virtual {
+                    sim,
+                    clock,
+                    pool,
+                    events,
+                } => {
+                    let (worker, free_at) = pool.next_free();
+                    if self.async_mode && free_at > clock.now() {
+                        break;
+                    }
+                    // The service stops handing out work at the deadline: a
+                    // request whose start would land on or past the budget is
+                    // never dispatched (and since `next_free` is the earliest
+                    // worker, no later request could start sooner — stop
+                    // here).
+                    let start = free_at.max(clock.now());
+                    if sim.sim_budget.is_some_and(|b| start >= b) {
+                        break;
+                    }
+                    let fingerprint = self.space.canonical_fingerprint(&request.config)?;
+                    let seconds = sim.cost.evaluation_seconds(fingerprint, already, reached);
+                    let completion = pool.assign(worker, start, seconds)?;
+                    events.push(completion, key, ()).map_err(|e| {
+                        crate::CoreError::InvalidConfig {
+                            message: format!("virtual event queue rejected a completion: {e}"),
+                        }
+                    })?;
+                    self.timeline.push(TrialSpan {
+                        trial: request.trial_id as u64,
+                        resource: request.resource as u64,
+                        rep: request.noise_rep,
+                        worker: worker as u64,
+                        start,
+                        end: completion,
+                    });
+                    (worker, start, completion)
+                }
+            };
+            let Some(request) = self.queue.pop_front() else {
+                break;
+            };
             self.staged.insert(request.trial_id, reached);
-            let completion = self.pool.assign(worker, start, seconds)?;
-            let key = event_key(&request);
-            self.events
-                .push(completion, key, ())
-                .map_err(|e| crate::CoreError::InvalidConfig {
-                    message: format!("virtual event queue rejected a completion: {e}"),
-                })?;
             self.pending.entry(key).or_default().push(reached);
-            self.timeline.push(TrialSpan {
-                trial: request.trial_id as u64,
-                resource: request.resource as u64,
-                rep: request.noise_rep,
-                worker: worker as u64,
-                start,
-                end: completion,
-            });
             if let Some(m) = &self.metrics {
                 m.dispatched.incr();
                 m.rung_resource.observe(request.resource as u64);
@@ -674,21 +767,27 @@ impl<'a> ExecutorCore<'a> {
                 sim_completion: completion,
             });
         }
-        if let Some(m) = &self.metrics {
+        if let (Some(m), Timing::Virtual { clock, pool, .. }) = (&self.metrics, &self.timing) {
             if !batch.is_empty() {
-                m.busy_workers
-                    .observe(self.pool.busy_at(self.clock.now()) as u64);
+                m.busy_workers.observe(pool.busy_at(clock.now()) as u64);
             }
         }
         Ok(batch)
     }
 
-    /// Delivers the earliest completion, whose fed `result` [`step`](Self::step)
-    /// took: advances the virtual clock, records the result at its completion
+    /// Delivers the next completion, whose fed `result` [`step`](Self::step)
+    /// took: advances the clock, records the result at its completion
     /// instant, and reports it.
     fn deliver(&mut self, time: f64, key: EventKey, result: TrialResult) -> Result<()> {
-        self.events.pop();
-        self.clock.advance_to(time)?;
+        match &mut self.timing {
+            Timing::Virtual { clock, events, .. } => {
+                events.pop();
+                clock.advance_to(time)?;
+            }
+            Timing::Barrier(in_flight) => {
+                in_flight.pop_front();
+            }
+        }
         self.outcome.push(self.ledger.record_at(&result, time));
         self.scheduler.report(&result)?;
         self.outstanding -= 1;
@@ -708,124 +807,87 @@ impl<'a> ExecutorCore<'a> {
     }
 }
 
-/// Drives `scheduler` through a **deterministic discrete-event simulation**:
-/// a virtual [`WorkerPool`] of `sim.workers` workers executes suggested
-/// requests, each costing [`CostModel::evaluation_seconds`] simulated
-/// seconds (keyed by the configuration's canonical fingerprint and its
-/// incremental training span), and completions are delivered to
-/// [`Scheduler::report`] in total `(sim_time, trial key)` order through an
-/// [`EventQueue`].
-///
-/// Polling discipline — the heart of the sync/async distinction:
-///
-/// - **Barrier schedulers** (`async_capable() == false`, every classic
-///   method) are only polled when no results are outstanding, and each
-///   suggested batch is committed to the virtual workers in batch order.
-///   With the homogeneous [`CostModel::Unit`] this performs *exactly* the
-///   evaluations [`run_scheduled`] performs, so selections reproduce the
-///   barrier driver bit for bit (asserted in the tests below); heterogeneous
-///   costs only change *when* results land, never *what* is evaluated.
-/// - **Async schedulers** ([`fedhpo::AsyncAsha`]) are re-polled on **every**
-///   completion, and newly suggested work (promotions) jumps ahead of
-///   queued fresh configurations, while only idle virtual workers accept
-///   work — one slow trial no longer stalls a rung, which is the paper's
-///   actual asynchronous successive halving.
-///
-/// This is the [`Pump`] with every job run **inline on the calling thread**,
-/// the moment it is dispatched: the single-threaded reference the concurrent
-/// and served lanes are compared against. Since scores and costs are pure
-/// functions of request coordinates, the entire outcome **including its
-/// virtual timeline** is bit-identical to theirs.
-///
-/// # Errors
-///
-/// Propagates scheduler, objective, and cost-model errors, and fails if the
-/// scheduler stalls (no outstanding work, no queued work, and an empty
-/// suggestion while unfinished).
-pub fn run_event_driven<O: ConcurrentObjective>(
-    scheduler: &mut dyn Scheduler,
-    space: &SearchSpace,
-    objective: &mut O,
-    rng: &mut StdRng,
-    sim: &VirtualExecution,
-) -> Result<EventDrivenOutcome> {
-    // `FEDTUNE_TRACE=1` turns on the process-global trace for every caller
-    // without a signature change; the determinism suite asserts that this
-    // cannot move a result bit.
-    run_event_driven_traced(
-        scheduler,
-        space,
-        objective,
-        rng,
-        sim,
-        fedtrace::global_if_enabled(),
-    )
-}
-
-/// [`run_event_driven`] with an explicit observability scope.
-///
-/// When `trace` is `Some`, the driver registers counters and histograms
-/// under the scheduler's name (`<name>.suggests`, `<name>.reports`,
-/// `<name>.dispatched`, `<name>.promotions`, `<name>.queue_depth`,
-/// `<name>.busy_workers`, `<name>.rung_resource`), journals campaign
-/// boundaries plus one sim-domain instant per delivered completion, and
-/// records `suggest` / `evaluate` / `deliver` wall slices.
-///
-/// **Accounting, never semantics**: metrics are write-only from the
-/// driver's point of view, so `None` and `Some` produce bit-identical
-/// [`EventDrivenOutcome`]s — including the [`EventDrivenOutcome::timeline`],
-/// which is collected unconditionally as part of the result.
-///
-/// # Errors
-///
-/// Exactly [`run_event_driven`]'s conditions.
-pub fn run_event_driven_traced<O: ConcurrentObjective>(
-    scheduler: &mut dyn Scheduler,
-    space: &SearchSpace,
-    objective: &mut O,
-    rng: &mut StdRng,
-    sim: &VirtualExecution,
-    trace: Option<&fedtrace::Trace>,
-) -> Result<EventDrivenOutcome> {
-    let (eval, sink) = objective.split();
-    let wall = trace.map(|t| t.wall_profile());
-    let core = ExecutorCore::new_traced(scheduler, space, rng, sim, trace)?;
-    Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(wall)).run(core, &mut Ungated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::tests::{space_1d, AnalyticObjective};
-    use crate::context::BenchmarkContext;
-    use crate::noise::NoiseConfig;
-    use crate::objective::BatchFederatedObjective;
-    use crate::scale::ExperimentScale;
-    use feddata::Benchmark;
-    use fedhpo::{Asha, HpConfig, IntoScheduler, RandomSearch};
+    use crate::concurrent::tests::{analytic_score, space_1d, AnalyticObjective, CommitLog};
+    use fedhpo::{Asha, AsyncAsha, HpConfig, IntoScheduler, RandomSearch};
     use fedmath::rng::rng_for;
+
+    /// `scheduler` driven over the analytic objective.
+    fn analytic(scheduler: &mut dyn Scheduler, config: &Drive, seed: u64) -> EventDrivenOutcome {
+        analytic_with_sink(scheduler, config, seed).0
+    }
+
+    fn analytic_with_sink(
+        scheduler: &mut dyn Scheduler,
+        config: &Drive,
+        seed: u64,
+    ) -> (EventDrivenOutcome, CommitLog) {
+        let mut objective = AnalyticObjective::default();
+        let space = space_1d();
+        let run = drive(
+            scheduler,
+            &space,
+            &mut objective,
+            &mut rng_for(seed, 0),
+            config,
+        );
+        (run.unwrap(), objective.sink)
+    }
+
+    fn barrier() -> Drive<'static> {
+        Drive::new(Clock::Barrier)
+    }
+
+    fn unit(workers: usize) -> Clock {
+        Clock::Virtual(VirtualExecution::new(workers, CostModel::Unit))
+    }
+
+    /// Feeds every dispatch its analytic score.
+    fn feed(core: &mut ExecutorCore<'_>, batch: &[DispatchedTrial]) {
+        for d in batch {
+            let result = TrialResult::of(&d.request, analytic_score(&d.request));
+            core.complete(d.key, result).unwrap();
+        }
+    }
+
+    /// Steps `core` to the end, feeding each dispatch at once; returns the
+    /// number of dispatch steps.
+    fn run_inline(core: &mut ExecutorCore<'_>) -> usize {
+        let mut dispatches = 0;
+        loop {
+            match core.step().unwrap() {
+                ExecutorStep::Dispatch(batch) => {
+                    feed(core, &batch);
+                    dispatches += 1;
+                }
+                ExecutorStep::Deliver(key) => panic!("{key:?} was fed at dispatch"),
+                ExecutorStep::Finished => return dispatches,
+            }
+        }
+    }
 
     #[test]
     fn batched_asha_matches_sequential_tuner_outcome() {
-        // The batch driver over an analytic objective must agree exactly with
-        // fedhpo's sequential reference driver on the same scheduler.
+        // The barrier clock over an analytic objective must agree exactly
+        // with fedhpo's sequential reference driver on the same scheduler.
         let asha = Asha::new(9, 3, 1, 9);
         let batched = |threads: usize| {
-            let mut scheduler = asha.scheduler().unwrap();
-            let mut objective = AnalyticObjective::default();
-            let mut rng = rng_for(1, 0);
-            let outcome = run_scheduled(
-                &mut scheduler,
-                &space_1d(),
-                &mut objective,
-                &mut rng,
+            let config = Drive {
                 threads,
-            )
-            .unwrap();
-            // One sink turn per rung, however many threads evaluated it.
-            assert_eq!(objective.sink.turns_ended, 3, "threads = {threads}");
-            assert_eq!(objective.sink.commits.len(), outcome.num_evaluations());
-            outcome
+                ..barrier()
+            };
+            let (run, sink) = analytic_with_sink(&mut asha.scheduler().unwrap(), &config, 1);
+            // One sink turn per rung inline; a pool may catch a rung's
+            // completions over several turns.
+            if threads <= 1 {
+                assert_eq!(sink.turns_ended, 3);
+            } else {
+                assert!(sink.turns_ended >= 3, "threads = {threads}");
+            }
+            assert_eq!(sink.commits.len(), run.outcome.num_evaluations());
+            run.outcome
         };
 
         let mut sequential_objective =
@@ -851,57 +913,90 @@ mod tests {
         // evaluations still complete and deliver, nothing new is suggested,
         // and the partial outcome reports `finished == false`.
         let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
-        let mut rng = rng_for(5, 0);
-        let space = space_1d();
-        let sim = VirtualExecution::new(2, fedsim::clock::CostModel::Unit);
-        let mut core = ExecutorCore::new(&mut scheduler, &space, &mut rng, &sim).unwrap();
-        let mut first_batch = 0usize;
-        loop {
-            match core.step().unwrap() {
-                ExecutorStep::Dispatch(batch) => {
-                    assert!(!core.is_halted(), "no dispatches after halt");
-                    first_batch = batch.len();
-                    for d in batch {
-                        let x = d.request.config.values()[0];
-                        core.complete(d.key, TrialResult::of(&d.request, x))
-                            .unwrap();
-                    }
-                    core.halt();
-                    assert!(core.is_halted());
-                    core.halt(); // idempotent
-                }
-                ExecutorStep::Deliver(_) => {
-                    panic!("all dispatched work was completed inline");
-                }
-                ExecutorStep::Finished => break,
-            }
-        }
+        let (space, mut rng) = (space_1d(), rng_for(5, 0));
+        let mut core =
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(2), None, None).unwrap();
+        let ExecutorStep::Dispatch(rung) = core.step().unwrap() else {
+            panic!("a fresh campaign dispatches first");
+        };
+        assert_eq!(rung.len(), 9, "only the first rung was dispatched");
+        feed(&mut core, &rung);
+        core.halt();
+        assert!(core.is_halted());
+        core.halt(); // idempotent
+        assert_eq!(run_inline(&mut core), 0, "no dispatches after halt");
         assert_eq!(core.outstanding(), 0, "outstanding work drained");
         let outcome = core.finish();
         assert!(!outcome.finished, "halt cut the ASHA ladder off mid-rung");
-        assert_eq!(outcome.outcome.num_evaluations(), first_batch);
-        assert_eq!(first_batch, 9, "only the first rung was dispatched");
+        assert_eq!(outcome.outcome.num_evaluations(), 9);
+    }
+
+    #[test]
+    fn stop_takes_exactly_n_batches_and_drains_them() {
+        /// Counts the non-empty batches and the requests it suggested.
+        struct Counting<S> {
+            inner: S,
+            batches: usize,
+            suggested: usize,
+        }
+        impl<S: Scheduler> Scheduler for Counting<S> {
+            fn name(&self) -> &'static str {
+                self.inner.name()
+            }
+            fn suggest(
+                &mut self,
+                space: &SearchSpace,
+                rng: &mut StdRng,
+            ) -> fedhpo::Result<Vec<TrialRequest>> {
+                let batch = self.inner.suggest(space, rng)?;
+                self.batches += usize::from(!batch.is_empty());
+                self.suggested += batch.len();
+                Ok(batch)
+            }
+            fn report(&mut self, result: &TrialResult) -> fedhpo::Result<()> {
+                self.inner.report(result)
+            }
+            fn is_finished(&self) -> bool {
+                self.inner.is_finished()
+            }
+            fn async_capable(&self) -> bool {
+                self.inner.async_capable()
+            }
+        }
+        let ladder = AsyncAsha::from_ladder(Asha::new(12, 3, 1, 9));
+        let (space, mut rng) = (space_1d(), rng_for(3, 0));
+        for stop in [1usize, 3, 5] {
+            let inner = ladder.scheduler().unwrap();
+            let mut scheduler = Counting {
+                inner,
+                batches: 0,
+                suggested: 0,
+            };
+            let mut core =
+                ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(4), None, Some(stop))
+                    .unwrap();
+            run_inline(&mut core);
+            assert_eq!(core.outstanding(), 0, "stop = {stop}");
+            let outcome = core.finish();
+            assert!(!outcome.finished, "stop = {stop}");
+            assert_eq!(scheduler.batches, stop);
+            assert_eq!(outcome.outcome.num_evaluations(), scheduler.suggested);
+        }
     }
 
     #[test]
     fn bounded_driver_interrupts_at_batch_boundaries() {
-        // ASHA suggests rung by rung; capping at one batch stops after the
-        // first rung with the outcome so far, and an uncapped re-drive with
+        // ASHA suggests rung by rung; stopping after one batch ends after the
+        // first rung with the outcome so far, and an unstopped re-drive with
         // the same seed reproduces the full run exactly.
         let asha = Asha::new(9, 3, 1, 9);
-        let run_until = |max_batches: Option<usize>| {
-            let mut scheduler = asha.scheduler().unwrap();
-            let mut objective = AnalyticObjective::default();
-            let mut rng = rng_for(3, 0);
-            run_scheduled_for(
-                &mut scheduler,
-                &space_1d(),
-                &mut objective,
-                &mut rng,
-                1,
-                max_batches,
-            )
-            .unwrap()
+        let run_until = |stop: Option<usize>| {
+            let run = analytic(
+                &mut asha.scheduler().unwrap(),
+                &Drive { stop, ..barrier() },
+                3,
+            );
+            (run.outcome, run.finished)
         };
         let (full, finished) = run_until(None);
         assert!(finished);
@@ -947,66 +1042,46 @@ mod tests {
             .is_ok());
     }
 
-    /// The regression satellite: with the homogeneous unit-cost model the
-    /// event-driven executor performs exactly the evaluations the barrier
-    /// driver performs, so every `TuningMethod::EXTENDED` entry reproduces
-    /// `run_scheduled`'s selections bit for bit, at any worker count.
+    /// With the homogeneous unit-cost model the virtual clock performs
+    /// exactly the evaluations the barrier clock performs, so every
+    /// `TuningMethod::EXTENDED` entry selects the same bits under both, at
+    /// any worker count.
     #[test]
-    fn event_driven_unit_cost_reproduces_run_scheduled_selections() {
+    fn virtual_unit_cost_reproduces_barrier_selections() {
         use crate::experiments::methods::TuningMethod;
         let scale = crate::scale::ExperimentScale::smoke();
-        let space = space_1d();
+        // The evaluation multiset with score bits, and both selections.
+        let summary = |run: &EventDrivenOutcome| {
+            let mut points: Vec<_> = run
+                .outcome
+                .records()
+                .iter()
+                .map(|r| (r.trial_id, r.resource, r.noise_rep, r.score.to_bits()))
+                .collect();
+            points.sort_unstable();
+            let best = run.outcome.best().unwrap();
+            let pick = run.outcome.selected_within_budget(usize::MAX).unwrap();
+            let picks = [(best.trial_id, best.score), (pick.trial_id, pick.score)];
+            (points, picks.map(|(id, score)| (id, score.to_bits())))
+        };
         for method in TuningMethod::EXTENDED {
-            let mut scheduler = method.scheduler(&scale).unwrap();
-            let mut objective = AnalyticObjective::default();
-            let mut rng = rng_for(13, 0);
-            let scheduled =
-                run_scheduled(scheduler.as_mut(), &space, &mut objective, &mut rng, 1).unwrap();
+            let run =
+                |config: &Drive| analytic(method.scheduler(&scale).unwrap().as_mut(), config, 13);
+            let barrier = run(&barrier());
+            assert!(barrier.finished && barrier.timeline.is_empty(), "{method}");
+            assert_eq!(barrier.sim_elapsed, 0.0);
+            assert!(barrier.outcome.records().iter().all(|r| r.sim_time == 0.0));
             for workers in [1usize, 3, 16] {
-                let mut scheduler = method.scheduler(&scale).unwrap();
-                let mut objective = AnalyticObjective::default();
-                let mut rng = rng_for(13, 0);
-                let sim = VirtualExecution::new(workers, CostModel::Unit);
-                let event =
-                    run_event_driven(scheduler.as_mut(), &space, &mut objective, &mut rng, &sim)
-                        .unwrap();
-                let label = format!("{method}, {workers} workers");
-                assert!(event.finished, "{label}");
-                assert_eq!(
-                    event.outcome.num_evaluations(),
-                    scheduled.num_evaluations(),
-                    "{label}"
-                );
+                let event = run(&Drive::new(unit(workers)));
+                assert!(event.finished, "{method}, {workers} workers");
                 assert_eq!(
                     event.outcome.total_resource(),
-                    scheduled.total_resource(),
-                    "{label}"
+                    barrier.outcome.total_resource()
                 );
-                // Identical evaluation multiset with identical score bits.
-                let identity = |r: &fedhpo::EvaluationRecord| {
-                    (r.trial_id, r.resource, r.noise_rep, r.score.to_bits())
-                };
-                let mut a: Vec<_> = scheduled.records().iter().map(identity).collect();
-                let mut b: Vec<_> = event.outcome.records().iter().map(identity).collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "{label}");
-                // Selections reproduce bit for bit.
-                let scheduled_best = scheduled.best().unwrap();
-                let event_best = event.outcome.best().unwrap();
-                assert_eq!(scheduled_best.trial_id, event_best.trial_id, "{label}");
                 assert_eq!(
-                    scheduled_best.score.to_bits(),
-                    event_best.score.to_bits(),
-                    "{label}"
-                );
-                let scheduled_pick = scheduled.selected_within_budget(usize::MAX).unwrap();
-                let event_pick = event.outcome.selected_within_budget(usize::MAX).unwrap();
-                assert_eq!(scheduled_pick.trial_id, event_pick.trial_id, "{label}");
-                assert_eq!(
-                    scheduled_pick.score.to_bits(),
-                    event_pick.score.to_bits(),
-                    "{label}"
+                    summary(&event),
+                    summary(&barrier),
+                    "{method}, {workers} workers"
                 );
             }
         }
@@ -1015,12 +1090,11 @@ mod tests {
     #[test]
     fn event_driven_timeline_is_monotone_and_respects_worker_count() {
         // 8 unit-cost trials on 2 virtual workers take 4 simulated waves.
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticObjective::default();
-        let mut rng = rng_for(0, 0);
-        let sim = VirtualExecution::new(2, CostModel::Unit);
-        let event =
-            run_event_driven(&mut scheduler, &space_1d(), &mut objective, &mut rng, &sim).unwrap();
+        let event = analytic(
+            &mut RandomSearch::new(8, 2).scheduler().unwrap(),
+            &Drive::new(unit(2)),
+            0,
+        );
         assert!(event.finished);
         assert_eq!(event.outcome.num_evaluations(), 8);
         assert_eq!(event.sim_elapsed, 4.0);
@@ -1038,29 +1112,27 @@ mod tests {
     fn sim_budget_cuts_the_campaign_off_cleanly() {
         // The same 8-trial schedule on 1 worker with a 3-second budget: three
         // evaluations complete, the rest are never dispatched.
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticObjective::default();
-        let mut rng = rng_for(0, 0);
-        let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(3.0);
-        let event =
-            run_event_driven(&mut scheduler, &space_1d(), &mut objective, &mut rng, &sim).unwrap();
+        let budgeted = |budget: f64| {
+            let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(budget);
+            let config = Drive::new(Clock::Virtual(sim));
+            analytic(
+                &mut RandomSearch::new(8, 2).scheduler().unwrap(),
+                &config,
+                0,
+            )
+        };
+        let event = budgeted(3.0);
         assert!(!event.finished);
         assert_eq!(event.outcome.num_evaluations(), 3);
         assert_eq!(event.sim_elapsed, 3.0);
         // A budget larger than the whole campaign changes nothing.
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut objective = AnalyticObjective::default();
-        let mut rng = rng_for(0, 0);
-        let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(1e6);
-        let event =
-            run_event_driven(&mut scheduler, &space_1d(), &mut objective, &mut rng, &sim).unwrap();
+        let event = budgeted(1e6);
         assert!(event.finished);
         assert_eq!(event.outcome.num_evaluations(), 8);
     }
 
     #[test]
     fn async_asha_beats_sync_sha_under_stragglers() {
-        use fedhpo::AsyncAsha;
         // Heavy-tailed client runtimes with a narrow worker pool: the sync
         // ladder waits for every rung's slowest trial, the async ladder keeps
         // all workers busy and promotes on completion.
@@ -1068,14 +1140,13 @@ mod tests {
         let cost = CostModel::HeterogeneousClients(
             fedsim::clock::ClientRuntimeModel::heavy_tailed(60, 5, 17),
         );
-        let sim = VirtualExecution::new(4, cost);
-        let run = |scheduler: &mut dyn Scheduler| {
-            let mut objective = AnalyticObjective::default();
-            let mut rng = rng_for(3, 0);
-            run_event_driven(scheduler, &space_1d(), &mut objective, &mut rng, &sim).unwrap()
-        };
-        let sync = run(&mut ladder.scheduler().unwrap());
-        let asynchronous = run(&mut AsyncAsha::from_ladder(ladder).scheduler().unwrap());
+        let config = Drive::new(Clock::Virtual(VirtualExecution::new(4, cost)));
+        let sync = analytic(&mut ladder.scheduler().unwrap(), &config, 3);
+        let asynchronous = analytic(
+            &mut AsyncAsha::from_ladder(ladder).scheduler().unwrap(),
+            &config,
+            3,
+        );
         assert!(sync.finished && asynchronous.finished);
         assert!(sync.sim_elapsed > 0.0);
         // Same fresh configurations, so the first rung is identical work.
@@ -1103,7 +1174,7 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_stalled_scheduler_is_rejected() {
+    fn a_stalled_scheduler_is_rejected_under_either_clock() {
         struct Staller;
         impl Scheduler for Staller {
             fn name(&self) -> &'static str {
@@ -1123,35 +1194,34 @@ mod tests {
                 false
             }
         }
-        let mut objective = AnalyticObjective::default();
-        let mut rng = rng_for(0, 2);
-        let err = run_event_driven(
-            &mut Staller,
-            &space_1d(),
-            &mut objective,
-            &mut rng,
-            &VirtualExecution::new(2, CostModel::Unit),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("stalled"), "{err}");
+        for config in [Drive::new(unit(2)), barrier()] {
+            let mut objective = AnalyticObjective::default();
+            let mut rng = rng_for(0, 2);
+            let err = drive(&mut Staller, &space_1d(), &mut objective, &mut rng, &config);
+            let err = err.unwrap_err().to_string();
+            assert!(err.contains("stalled"), "{:?}: {err}", config.clock);
+        }
     }
 
     #[test]
     fn executor_core_enforces_budget_boundaries_sans_io() {
+        let budget = |seconds: f64| {
+            let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(seconds);
+            Clock::Virtual(sim)
+        };
         // A zero budget is rejected up front by construction.
         let space = space_1d();
         let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
         let mut rng = rng_for(0, 0);
-        let zero = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(0.0);
-        assert!(ExecutorCore::new(&mut scheduler, &space, &mut rng, &zero).is_err());
+        let zero = budget(0.0);
+        assert!(ExecutorCore::new(&mut scheduler, &space, &mut rng, zero, None, None).is_err());
 
         // A dispatch whose start lands exactly on the deadline is never
         // issued: unit costs on one worker under a 2.0-second budget admit
         // the starts at 0 and 1, and reject the start at exactly 2.0.
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
-        let mut rng = rng_for(0, 0);
-        let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(2.0);
-        let mut core = ExecutorCore::new(&mut scheduler, &space, &mut rng, &sim).unwrap();
+        let clock = budget(2.0);
+        let mut core =
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, clock, None, None).unwrap();
         let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
             panic!("expected an initial dispatch");
         };
@@ -1165,11 +1235,8 @@ mod tests {
         assert_eq!(waiting, batch[0].key);
         // Feed the completions out of dispatch order; delivery order is the
         // event queue's business, not the caller's.
-        for d in batch.iter().rev() {
-            let x = d.request.config.values()[0];
-            core.complete(d.key, TrialResult::of(&d.request, (x - 0.3).abs()))
-                .unwrap();
-        }
+        let reversed: Vec<_> = batch.iter().rev().cloned().collect();
+        feed(&mut core, &reversed);
         // Budget hit with a non-empty dispatch queue (6 of the 8 suggested
         // requests still queued): the core drains its deliveries and finishes
         // with `finished == false`, never dispatching the rest.
@@ -1183,33 +1250,34 @@ mod tests {
     }
 
     #[test]
-    fn executor_core_reports_stall_through_the_sans_io_api() {
-        struct Staller;
-        impl Scheduler for Staller {
-            fn name(&self) -> &'static str {
-                "staller"
-            }
-            fn suggest(
-                &mut self,
-                _space: &SearchSpace,
-                _rng: &mut StdRng,
-            ) -> fedhpo::Result<Vec<TrialRequest>> {
-                Ok(Vec::new())
-            }
-            fn report(&mut self, _result: &TrialResult) -> fedhpo::Result<()> {
-                Ok(())
-            }
-            fn is_finished(&self) -> bool {
-                false
-            }
+    fn a_barrier_batch_is_held_until_its_last_result_and_delivered_in_batch_order() {
+        let mut scheduler = RandomSearch::new(4, 2).scheduler().unwrap();
+        let (space, mut rng) = (space_1d(), rng_for(0, 0));
+        let mut core =
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, Clock::Barrier, None, None)
+                .unwrap();
+        let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
+            panic!("expected the whole batch");
+        };
+        assert_eq!(batch.len(), 4);
+        assert!(batch
+            .iter()
+            .all(|d| d.worker == 0 && d.sim_start == 0.0 && d.sim_completion == 0.0));
+        // Fed last to first: until the first is in, the core waits on it.
+        for d in batch[1..].iter().rev() {
+            feed(&mut core, std::slice::from_ref(d));
+            let ExecutorStep::Deliver(waiting) = core.step().unwrap() else {
+                panic!("nothing is delivered before the whole batch is in");
+            };
+            assert_eq!(waiting, batch[0].key);
         }
-        let space = space_1d();
-        let mut staller = Staller;
-        let mut rng = rng_for(0, 2);
-        let sim = VirtualExecution::new(2, CostModel::Unit);
-        let mut core = ExecutorCore::new(&mut staller, &space, &mut rng, &sim).unwrap();
-        let err = core.step().unwrap_err();
-        assert!(err.to_string().contains("stalled"), "{err}");
+        feed(&mut core, &batch[..1]);
+        assert!(matches!(core.step().unwrap(), ExecutorStep::Finished));
+        let outcome = core.finish();
+        let delivered = outcome.outcome.records().iter().map(|r| r.trial_id);
+        assert!(delivered.eq(batch.iter().map(|d| d.request.trial_id)));
+        assert!(outcome.finished && outcome.timeline.is_empty());
+        assert_eq!(outcome.sim_elapsed, 0.0);
     }
 
     #[test]
@@ -1218,11 +1286,10 @@ mod tests {
         // must not claim rounds at dispatch time, only once a result has
         // validated them — an objective failure mid-flight leaves no phantom
         // training behind.
-        let space = space_1d();
         let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
-        let mut rng = rng_for(1, 0);
-        let sim = VirtualExecution::new(9, CostModel::Unit);
-        let mut core = ExecutorCore::new(&mut scheduler, &space, &mut rng, &sim).unwrap();
+        let (space, mut rng) = (space_1d(), rng_for(1, 0));
+        let mut core =
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(9), None, None).unwrap();
         let ExecutorStep::Dispatch(rung) = core.step().unwrap() else {
             panic!("expected the first rung");
         };
@@ -1233,9 +1300,7 @@ mod tests {
         }
         let (last, rest) = rung.split_last().unwrap();
         for d in rest {
-            let x = d.request.config.values()[0];
-            core.complete(d.key, TrialResult::of(&d.request, (x - 0.3).abs()))
-                .unwrap();
+            feed(&mut core, std::slice::from_ref(d));
             assert_eq!(core.trained_rounds(d.request.trial_id), d.request.resource);
         }
         assert_eq!(core.trained_rounds(last.request.trial_id), 0);
@@ -1253,29 +1318,10 @@ mod tests {
             .complete(bogus_key, TrialResult::of(&bogus, 0.0))
             .is_err());
         // The genuine result commits the mark.
-        let x = last.request.config.values()[0];
-        core.complete(last.key, TrialResult::of(&last.request, (x - 0.3).abs()))
-            .unwrap();
+        feed(&mut core, std::slice::from_ref(last));
         assert_eq!(
             core.trained_rounds(last.request.trial_id),
             last.request.resource
         );
-    }
-
-    #[test]
-    fn drives_the_federated_batch_objective() {
-        let ctx =
-            BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), 0).unwrap();
-        let tuner = RandomSearch::new(3, 2);
-        let mut scheduler = tuner.scheduler().unwrap();
-        let mut objective =
-            BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 3, 5).unwrap();
-        let mut rng = rng_for(2, 0);
-        let outcome =
-            run_scheduled(&mut scheduler, ctx.space(), &mut objective, &mut rng, 2).unwrap();
-        assert_eq!(outcome.num_evaluations(), 3);
-        assert_eq!(objective.log().len(), 3);
-        assert_eq!(objective.cumulative_rounds(), 6);
-        assert!(outcome.best().unwrap().score.is_finite());
     }
 }

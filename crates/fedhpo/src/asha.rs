@@ -161,15 +161,15 @@ impl IntoScheduler for Asha {
 
 /// ASHA run **asynchronously**: the same ladder and promotion rule as
 /// [`Asha`], but the scheduler declares itself
-/// [`async_capable`](Scheduler::async_capable), so an event-driven driver
-/// (`fedtune_core::run_event_driven`) re-polls it on *every* completion
-/// instead of at rung barriers. Promotions then happen the moment a trial
-/// enters the top `1/η` of whatever results its rung has — the paper's
-/// actual algorithm (Li et al. 2020), where no worker ever idles waiting for
-/// a straggler to finish a rung.
+/// [`async_capable`](Scheduler::async_capable), so a virtual-time driver
+/// (`fedtune_core::drive` under `Clock::Virtual`) re-polls it on *every*
+/// completion instead of at rung barriers. Promotions then happen the moment
+/// a trial enters the top `1/η` of whatever results its rung has — the
+/// paper's actual algorithm (Li et al. 2020), where no worker ever idles
+/// waiting for a straggler to finish a rung.
 ///
-/// Driven by a barrier-synchronous driver
-/// ([`run_scheduler`](crate::run_scheduler) or the batch driver), `AsyncAsha`
+/// Driven batch by batch ([`run_scheduler`](crate::run_scheduler), or
+/// `drive` under `Clock::Barrier`), `AsyncAsha`
 /// degenerates to [`Asha`] exactly — asynchrony is a property of the
 /// driver/scheduler handshake, not of the promotion rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

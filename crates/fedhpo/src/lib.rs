@@ -27,12 +27,12 @@
 //! Every method is a batched ask/tell [`Scheduler`] (`suggest` a batch of
 //! [`TrialRequest`]s, `report` each [`TrialResult`]) built from its
 //! configuration through [`IntoScheduler`]; that is the only tuning
-//! interface. Campaigns are driven by `fedtune_core::scheduler::run_scheduled`
-//! (or the event-driven executor) against a `ConcurrentObjective`.
+//! interface. Campaigns are driven by `fedtune_core::scheduler::drive`, batch
+//! by batch or in virtual time, against a `ConcurrentObjective`.
 //! [`Objective`], [`FunctionObjective`] and [`run_scheduler`] are this crate's
-//! sequential reference loop — what `run_scheduled` is pinned against record
-//! for record and what the unit tests below the executor run on — not an API
-//! to build campaigns on.
+//! sequential reference loop — what `drive` under `Clock::Barrier` is pinned
+//! against record for record and what the unit tests below the executor run
+//! on — not an API to build campaigns on.
 //!
 //! The crate is deliberately **noise-agnostic**: schedulers minimise whatever
 //! score is reported, and the experiment harness in `fedtune-core`

@@ -15,10 +15,10 @@
 //!
 //! [`run_scheduler`] is the crate-local sequential **reference loop**: one
 //! evaluation at a time through an [`Objective`], reported before the next.
-//! It stays because the real driver — `fedtune_core::scheduler::run_scheduled`,
-//! which fans batches out through the execution engine — is pinned against it
-//! record for record, and because this crate sits below the executor and needs
-//! a loop for its own unit tests. Nothing above `fedhpo` implements
+//! It stays because the real driver — `fedtune_core::scheduler::drive` under
+//! `Clock::Barrier`, which fans batches out over real threads — is pinned
+//! against it record for record, and because this crate sits below the
+//! executor and needs a loop for its own unit tests. Nothing above `fedhpo` implements
 //! [`Objective`] or calls `run_scheduler` outside tests.
 
 use crate::objective::Objective;
@@ -194,8 +194,8 @@ pub trait IntoScheduler {
 /// The reference sequential driver: repeatedly asks `scheduler` for a batch,
 /// evaluates every request through `objective` in batch order, and reports
 /// each result before the next evaluation — the record-for-record reference
-/// `fedtune_core::scheduler::run_scheduled` is tested against, not an API to
-/// build campaigns on.
+/// `fedtune_core::scheduler::drive` under `Clock::Barrier` is tested against,
+/// not an API to build campaigns on.
 ///
 /// # Errors
 ///

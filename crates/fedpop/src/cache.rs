@@ -14,7 +14,7 @@ use crate::{Population, Result};
 use feddata::ClientData;
 use fedsim::training::CohortSource;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Point-in-time counters of a [`ClientCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,7 +118,15 @@ impl ClientCache {
 
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().expect("cache lock poisoned").stats
+        self.lock().stats
+    }
+
+    /// The cache state, poisoned or not: `generate` runs outside the lock,
+    /// and every step taken inside it leaves the map, the FIFO and the
+    /// counters consistent, so a panicking holder cannot leave work half
+    /// done.
+    fn lock(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks `id` up, materializing it with `generate` on a miss.
@@ -136,7 +144,7 @@ impl ClientCache {
         generate: impl FnOnce() -> Result<ClientData>,
     ) -> Result<Arc<ClientData>> {
         {
-            let mut inner = self.inner.lock().expect("cache lock poisoned");
+            let mut inner = self.lock();
             if let Some(found) = inner.map.get(&id).cloned() {
                 inner.stats.hits += 1;
                 return Ok(found);
@@ -147,7 +155,7 @@ impl ClientCache {
         if self.capacity == 0 {
             return Ok(generated);
         }
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         let stored = match inner.map.get(&id) {
             // Another thread inserted the same pure-function result first.
             Some(existing) => existing.clone(),
@@ -172,7 +180,7 @@ impl ClientCache {
 
     /// Drops every resident client, keeping the counters.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.map.clear();
         inner.fifo.clear();
         inner.stats.resident = 0;
@@ -321,6 +329,31 @@ mod tests {
             .get_or_materialize(0, || population.materialize(0))
             .unwrap();
         assert_eq!(cache.stats().misses, 5);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves_and_counts() {
+        let population = population();
+        let cache = ClientCache::new(2);
+        let fetch = |id: u64| {
+            let client = cache.get_or_materialize(id, || population.materialize(id));
+            assert_eq!(*client.unwrap(), population.materialize(id).unwrap());
+        };
+        fetch(1);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = cache.inner.lock().unwrap();
+                panic!("poisoning the cache lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
+        fetch(1);
+        fetch(2);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.resident), (1, 2, 2));
+        cache.clear();
+        assert_eq!((cache.stats().resident, cache.stats().misses), (0, 2));
     }
 
     #[test]

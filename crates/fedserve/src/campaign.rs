@@ -1,9 +1,8 @@
 //! One campaign driver: the pump behind the fair gate, on the shared pool.
 //!
 //! [`run_campaign`] is [`fedtune_core::Pump`] — the same loop, reorder
-//! buffer and per-trial state chaining as
-//! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent)
-//! — in the one lane that is multi-tenant:
+//! buffer and per-trial state chaining as [`fedtune_core::drive`] on a
+//! scoped pool — in the one lane that is multi-tenant:
 //!
 //! - evaluation jobs go to a process-wide [`SharedPool`] instead of a
 //!   campaign-private scoped pool, so co-tenants share threads, and
@@ -51,7 +50,7 @@ use fedhpo::{Scheduler, TrialRequest};
 use fedsim::SharedPool;
 use fedstore::{RecordingEval, RecordingObjective, RecordingSink, TrialStore};
 use fedtune_core::{
-    Admission, ConcurrentEval, EvalJob, EventDrivenOutcome, ExecutorCore, Host, Pump,
+    Admission, Clock, ConcurrentEval, EvalJob, EventDrivenOutcome, ExecutorCore, Host, Pump,
     VirtualExecution,
 };
 use std::collections::HashMap;
@@ -299,10 +298,10 @@ where
 {
     let space = spec.build_space()?;
     let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-    let sim = sim_of(spec);
     let RecordingObjective { eval, mut sink } = objective;
     let eval = Arc::new(eval);
-    let core = ExecutorCore::new_traced(scheduler, &space, &mut rng, &sim, trace.as_deref())?;
+    let clock = Clock::Virtual(sim_of(spec));
+    let core = ExecutorCore::new(scheduler, &space, &mut rng, clock, trace.as_deref(), None)?;
     // Where a job runs: on the shared pool, owning an `Arc` of everything
     // it touches.
     let mut pump = Pump::new(
@@ -358,8 +357,8 @@ mod tests {
     use fedtune_core::experiments::methods::TuningMethod;
     use fedtune_core::experiments::stragglers::straggler_cost_model;
     use fedtune_core::{
-        run_event_driven, run_event_driven_concurrent, ConcurrentObjective, ConcurrentSink,
-        EvalOutput, ExecutionPolicy, ExecutorStep, ExperimentScale,
+        ConcurrentObjective, ConcurrentSink, Drive, EvalOutput, ExecutionPolicy, ExecutorStep,
+        ExperimentScale,
     };
     use std::cell::RefCell;
     use std::path::{Path, PathBuf};
@@ -399,27 +398,31 @@ mod tests {
         }
     }
 
-    /// The campaign straight through the pump's standalone lanes, no gate or
-    /// shared pool anywhere: inline at `threads == 0`, else a scoped pool.
+    /// The campaign straight through `fedtune_core::drive` under `clock`, no
+    /// gate or shared pool anywhere: inline at `threads <= 1`, else a scoped
+    /// pool.
     fn standalone_over<O: ConcurrentObjective>(
         spec: &CampaignSpec,
+        clock: Clock,
         scheduler: &mut dyn Scheduler,
         objective: &mut O,
         threads: usize,
     ) -> fedtune_core::Result<EventDrivenOutcome> {
         let space = spec.build_space().unwrap();
         let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-        let sim = sim_of(spec);
-        match threads {
-            0 => run_event_driven(scheduler, &space, objective, &mut rng, &sim),
-            _ => run_event_driven_concurrent(scheduler, &space, objective, &mut rng, &sim, threads),
-        }
+        let config = Drive {
+            threads,
+            ..Drive::new(clock)
+        };
+        fedtune_core::drive(scheduler, &space, objective, &mut rng, &config)
     }
 
+    /// `spec`'s own virtual service standalone.
     fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
         let mut scheduler = spec.build_scheduler().unwrap();
         let mut objective = build_objective(spec, TrialStore::in_memory()).unwrap();
-        standalone_over(spec, scheduler.as_mut(), &mut objective, threads).unwrap()
+        let clock = Clock::Virtual(sim_of(spec));
+        standalone_over(spec, clock, scheduler.as_mut(), &mut objective, threads).unwrap()
     }
 
     /// A shared pool and a gate of four slots for one test's campaigns.
@@ -477,22 +480,30 @@ mod tests {
         // barrier ASHA with re-evaluation (several reps of one trial in
         // flight at once) — through every lane the pump has: inline, a
         // scoped pool at 1 / 4 / 8 threads (and whatever `FEDTUNE_THREADS`
-        // asks for), and the shared pool behind the fair gate.
+        // asks for), and the shared pool behind the fair gate. ASHA with
+        // re-evaluation runs once more batch by batch under the barrier
+        // clock, standalone only: a spec always describes a virtual service.
         let scale = ExperimentScale::smoke();
         let env_threads = ExecutionPolicy::from_env().pool_threads();
-        for method in [TuningMethod::AsyncAsha, TuningMethod::AshaReEval] {
-            let mut spec = spec("lanes", 23);
-            spec.cost = CostSpec::HeavyTailedClients {
-                clients: scale.clients_per_round * 10,
-                per_round: scale.clients_per_round,
-                seed: fedmath::rng::derive_seed(spec.seed, 11),
-            };
-            assert_eq!(spec.cost.build(), straggler_cost_model(&scale, spec.seed));
+        let mut spec = spec("lanes", 23);
+        spec.cost = CostSpec::HeavyTailedClients {
+            clients: scale.clients_per_round * 10,
+            per_round: scale.clients_per_round,
+            seed: fedmath::rng::derive_seed(spec.seed, 11),
+        };
+        assert_eq!(spec.cost.build(), straggler_cost_model(&scale, spec.seed));
+        let virtual_clock = Clock::Virtual(sim_of(&spec));
+        for (method, clock) in [
+            (TuningMethod::AsyncAsha, virtual_clock),
+            (TuningMethod::AshaReEval, virtual_clock),
+            (TuningMethod::AshaReEval, Clock::Barrier),
+        ] {
             let scheduler = || method.scheduler(&scale).unwrap();
             let lane = |threads: usize| {
                 let mut objective = build_objective(&spec, TrialStore::in_memory()).unwrap();
                 let outcome =
-                    standalone_over(&spec, scheduler().as_mut(), &mut objective, threads).unwrap();
+                    standalone_over(&spec, clock, scheduler().as_mut(), &mut objective, threads)
+                        .unwrap();
                 assert_eq!(
                     objective.sink.campaign.log().len(),
                     outcome.outcome.num_evaluations()
@@ -502,9 +513,8 @@ mod tests {
 
             let (reference, reference_store) = lane(0);
             assert!(reference.finished, "{method}");
-            assert!(!reference.timeline.is_empty());
             let reference_commits = commit_sequence(&reference_store);
-            assert_eq!(reference_commits.len(), reference.timeline.len());
+            assert!(!reference_commits.is_empty());
             for threads in [1usize, 4, 8, env_threads] {
                 let (outcome, store) = lane(threads);
                 assert_eq!(outcome, reference, "{method}, {threads} threads");
@@ -514,6 +524,15 @@ mod tests {
                     "{method}, {threads} threads"
                 );
             }
+            if clock == Clock::Barrier {
+                assert!(reference.timeline.is_empty());
+                assert!(
+                    reference_commits.iter().all(|c| c.3 == 0f64.to_bits()),
+                    "every barrier commit is stamped 0.0"
+                );
+                continue;
+            }
+            assert_eq!(reference_commits.len(), reference.timeline.len());
 
             let daemon = Daemon::new(4);
             let mut progress = Vec::new();
@@ -810,7 +829,7 @@ mod tests {
         let space = spec.build_space().unwrap();
         let mut scheduler = spec.build_scheduler().unwrap();
         let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-        let sim = sim_of(&spec);
+        let clock = Clock::Virtual(sim_of(&spec));
         let RecordingObjective { eval, mut sink } = build_objective(&spec, store).unwrap();
         let eval = Arc::new(eval);
         let held = RefCell::new(Vec::new());
@@ -828,7 +847,7 @@ mod tests {
         let mut on_progress = |p| published.borrow_mut().push(p);
         let mut driver = MidFlight {
             pump: Pump::new(Arc::clone(&eval), &mut sink, &hold),
-            core: ExecutorCore::new_traced(scheduler.as_mut(), &space, &mut rng, &sim, None)
+            core: ExecutorCore::new(scheduler.as_mut(), &space, &mut rng, clock, None, None)
                 .unwrap(),
             tenant: Tenant {
                 gate: &gate,
@@ -963,11 +982,12 @@ mod tests {
         );
 
         // The standalone lanes end their turns through the same sink.
-        for threads in [0usize, 2] {
+        for threads in [1usize, 2] {
             let mut scheduler = spec.build_scheduler().unwrap();
             let mut objective = build_objective(&spec, unsyncable_ledger(&dirs[2])).unwrap();
-            let err =
-                standalone_over(&spec, scheduler.as_mut(), &mut objective, threads).unwrap_err();
+            let clock = Clock::Virtual(sim_of(&spec));
+            let err = standalone_over(&spec, clock, scheduler.as_mut(), &mut objective, threads)
+                .unwrap_err();
             assert!(err.to_string().contains("injected sync failure"), "{err}");
         }
         for dir in &dirs {
@@ -1164,7 +1184,8 @@ mod tests {
             unsynced: &probe,
             reports: 0,
         };
-        let outcome = standalone_over(&spec, &mut scheduler, &mut objective, 4).unwrap();
+        let clock = Clock::Virtual(sim_of(&spec));
+        let outcome = standalone_over(&spec, clock, &mut scheduler, &mut objective, 4).unwrap();
         assert_eq!(outcome, reference);
         assert_eq!(scheduler.reports, outcome.outcome.num_evaluations());
         let sink = objective.sink;

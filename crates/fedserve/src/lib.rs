@@ -30,9 +30,9 @@
 //! function of its canonical `(config, resource, noise_rep)` coordinates and
 //! commits happen in dispatch order, a campaign's selections and
 //! `sim_elapsed` are bit-identical whether it runs alone through
-//! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent),
-//! shares the daemon with other tenants, or is killed and resumed from its
-//! ledger — the service-level integration tests assert all three.
+//! [`fedtune_core::drive`], shares the daemon with other tenants, or is
+//! killed and resumed from its ledger — the service-level integration tests
+//! assert all three.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

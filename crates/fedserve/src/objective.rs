@@ -28,8 +28,8 @@
 //!   same bits, and re-derives every decision that followed from it.
 //!
 //! The *standalone* reference runs — the ones the service's bit-identity
-//! tests compare against — drive the very same objective through
-//! [`run_event_driven_concurrent`](fedtune_core::run_event_driven_concurrent).
+//! tests compare against — run the very same objective through
+//! [`fedtune_core::drive`].
 
 use crate::spec::{CampaignSpec, ObjectiveSpec};
 use crate::Result;

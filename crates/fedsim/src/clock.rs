@@ -3,7 +3,7 @@
 //! The execution engine of [`exec`](crate::exec) answers *how* work fans out
 //! over real threads; this module answers *when* work would complete on a
 //! simulated federated system. Three pieces compose into a deterministic
-//! discrete-event executor (driven by `fedtune_core::run_event_driven`):
+//! discrete-event executor (`fedtune_core::drive` under `Clock::Virtual`):
 //!
 //! - [`VirtualClock`] — a monotone simulated-seconds clock.
 //! - [`EventQueue`] — a completion queue with a **total deterministic order**:

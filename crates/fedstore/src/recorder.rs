@@ -238,7 +238,7 @@ pub(crate) mod tests {
     use super::*;
     use fedhpo::{HpConfig, IntoScheduler, RandomSearch, Scheduler, TrialResult};
     use fedmath::rng::rng_for;
-    use fedtune_core::run_scheduled;
+    use fedtune_core::{drive, Clock, Drive};
     use rand::rngs::StdRng;
     use std::collections::VecDeque;
     use std::sync::atomic::AtomicUsize;
@@ -309,7 +309,15 @@ pub(crate) mod tests {
         }
     }
 
-    /// The scores of `batches` driven through the barrier driver.
+    /// Batch by batch on `threads` real threads.
+    fn barrier(threads: usize) -> Drive<'static> {
+        Drive {
+            threads,
+            ..Drive::new(Clock::Barrier)
+        }
+    }
+
+    /// The scores of `batches` driven batch by batch.
     pub(crate) fn scores_of<O: ConcurrentObjective>(
         objective: &mut O,
         space: &SearchSpace,
@@ -317,14 +325,14 @@ pub(crate) mod tests {
         threads: usize,
     ) -> fedtune_core::Result<Vec<f64>> {
         let mut scheduler = Scripted::new(batches);
-        let outcome = run_scheduled(
+        let run = drive(
             &mut scheduler,
             space,
             objective,
             &mut rng_for(0, 0),
-            threads,
+            &barrier(threads),
         )?;
-        Ok(outcome.records().iter().map(|r| r.score).collect())
+        Ok(run.outcome.records().iter().map(|r| r.score).collect())
     }
 
     fn space() -> SearchSpace {
@@ -443,12 +451,12 @@ pub(crate) mod tests {
             store.fail_next_sync();
             let mut recording = RecordingObjective::new(&inner, &space, provenance(), &mut store);
             let mut scheduler = Scripted::new(batches.clone());
-            let err = run_scheduled(
+            let err = drive(
                 &mut scheduler,
                 &space,
                 &mut recording,
                 &mut rng_for(0, 0),
-                threads,
+                &barrier(threads),
             )
             .unwrap_err();
             assert!(err.to_string().contains("injected sync failure"), "{err}");
@@ -468,14 +476,15 @@ pub(crate) mod tests {
             let inner = CountingEval::default();
             let mut recording = RecordingObjective::new(&inner, &space, provenance(), store);
             let mut scheduler = RandomSearch::new(4, 3).scheduler().unwrap();
-            let outcome = run_scheduled(
+            let outcome = drive(
                 &mut scheduler,
                 &space,
                 &mut recording,
                 &mut rng_for(1, 0),
-                threads,
+                &barrier(threads),
             )
-            .unwrap();
+            .unwrap()
+            .outcome;
             let tally = (recording.eval.hits(), recording.eval.misses());
             assert_eq!(tally.0 + tally.1, outcome.num_evaluations() as u64);
             (outcome, recording.sink.campaign.into_log(), tally)

@@ -22,8 +22,8 @@ use feddata::Benchmark;
 use fedhpo::SearchSpace;
 use fedtune_core::experiments::methods::{comparison, MethodComparison, TuningMethod};
 use fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective, ExperimentScale,
-    NoiseConfig, TrialRunner,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
+    TrialRunner,
 };
 
 /// The provenance stamp for one campaign cell.
@@ -60,7 +60,10 @@ pub fn record_method_comparison(
     store: &mut TrialStore,
 ) -> fedtune_core::Result<MethodComparison> {
     let ctx = BenchmarkContext::new(benchmark, scale, seed)?;
-    let threads = runner.policy().pool_threads();
+    let config = Drive {
+        threads: runner.policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
     comparison(
         benchmark,
         scale,
@@ -69,17 +72,17 @@ pub fn record_method_comparison(
         seed,
         |cell, scheduler, rng| {
             let planned = cell.method.planned_evaluations(scale);
-            let mut objective =
+            let objective =
                 BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
             // Only the evaluation half is wrapped: the recording sink parks
             // the trial states and keeps the campaign's log.
             let mut recording = RecordingObjective::new(
-                objective.split().0,
+                &objective.eval,
                 ctx.space(),
                 campaign_provenance(benchmark, scale, seed, cell.noise_label),
                 &mut *store,
             );
-            run_scheduled(scheduler, ctx.space(), &mut recording, rng, threads)?;
+            drive(scheduler, ctx.space(), &mut recording, rng, &config)?;
             Ok(recording.sink.campaign.into_log())
         },
     )
@@ -117,7 +120,13 @@ pub fn replay_method_comparison(
         |_, scheduler, rng| {
             let mut tabular = TabularObjective::new(store, &space);
             // Lookups are too cheap to be worth a thread hand-off each.
-            run_scheduled(scheduler, &space, &mut tabular, rng, 1)?;
+            drive(
+                scheduler,
+                &space,
+                &mut tabular,
+                rng,
+                &Drive::new(Clock::Barrier),
+            )?;
             Ok(tabular.campaign.into_log())
         },
     )

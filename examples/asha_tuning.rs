@@ -1,4 +1,4 @@
-//! ASHA through the barrier ask/tell driver: a live federated tuning
+//! ASHA driven batch by batch (the barrier clock): a live federated tuning
 //! campaign whose rungs evaluate on every core, plus the noise-aware
 //! re-evaluation mitigation on top.
 //!
@@ -14,8 +14,8 @@
 use feddata::Benchmark;
 use fedhpo::{Asha, IntoScheduler, ReEvaluation};
 use fedtune::fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ExecutionPolicy, ExperimentScale,
-    NoiseConfig,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExecutionPolicy,
+    ExperimentScale, NoiseConfig,
 };
 use fedtune::{fedhpo, fedmath};
 
@@ -37,19 +37,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Plain ASHA under noisy evaluation. Every suggested batch (a whole
     // rung) trains in parallel; results are bit-identical to sequential.
     let mut scheduler = asha.scheduler()?;
-    let threads = ExecutionPolicy::from_env().pool_threads();
+    let config = Drive {
+        threads: ExecutionPolicy::from_env().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
     let mut objective = BatchFederatedObjective::new(&ctx, noise, asha.planned_evaluations(), 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_parallel", asha.planned_evaluations() as u64, || {
-        run_scheduled(
+        drive(
             &mut scheduler,
             ctx.space(),
             &mut objective,
             &mut rng,
-            threads,
+            &config,
         )
+        .map(|run| run.outcome)
     })?;
     let selected = objective
+        .sink
         .selected_true_error_within(usize::MAX)
         .expect("asha evaluated something");
     println!(
@@ -67,15 +72,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut objective = BatchFederatedObjective::new(&ctx, noise, planned, 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_reeval_parallel", planned as u64, || {
-        run_scheduled(
+        drive(
             &mut scheduler,
             ctx.space(),
             &mut objective,
             &mut rng,
-            threads,
+            &config,
         )
+        .map(|run| run.outcome)
     })?;
     let selected = objective
+        .sink
         .selected_true_error_within(usize::MAX)
         .expect("asha+re evaluated something");
     let reevals = outcome

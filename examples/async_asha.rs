@@ -1,5 +1,4 @@
-//! Asynchronous ASHA on the event-driven virtual-time executor: the
-//! straggler scenario.
+//! Asynchronous ASHA under the virtual clock: the straggler scenario.
 //!
 //! The same ASHA ladder runs twice under heavy-tailed client runtimes —
 //! once rung-synchronously (every promotion waits for the whole rung, so
@@ -26,8 +25,8 @@ use fedtune::fedtune_core::experiments::stragglers::{
     run_straggler_comparison, straggler_cost_model,
 };
 use fedtune::fedtune_core::{
-    run_event_driven_concurrent_traced, run_event_driven_traced, BatchFederatedObjective,
-    BenchmarkContext, ExperimentScale, NoiseConfig, TrialRunner, VirtualExecution,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
+    TrialRunner, VirtualExecution,
 };
 use fedtune::{feddata, fedmath, fedsim, fedtrace};
 
@@ -80,17 +79,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("its selection in less simulated wall-clock than the rung-synchronous ladder.");
 
     // Cross-trial concurrent evaluation: the same async campaign once more,
-    // first through the inline driver (every evaluation on this thread, the
-    // reference), then with every in-flight virtual trial training
-    // concurrently on `FEDTUNE_THREADS` real threads — the same pump, its
-    // jobs somewhere else. The outcomes must match bit for bit — real
-    // parallelism buys wall clock, never a different result.
+    // first inline (every evaluation on this thread, the reference), then
+    // with every in-flight virtual trial training concurrently on
+    // `FEDTUNE_THREADS` real threads — the same pump, its jobs somewhere
+    // else. The outcomes must match bit for bit — real parallelism buys wall
+    // clock, never a different result.
     let threads = runner.policy().pool_threads();
     let seed = 0u64;
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed)?;
     let method = TuningMethod::AsyncAsha;
-    let sim = VirtualExecution::new(3, straggler_cost_model(&scale, seed));
-    let trace = fedtrace::global_if_enabled();
+    let inline_config = Drive::new(Clock::Virtual(VirtualExecution::new(
+        3,
+        straggler_cost_model(&scale, seed),
+    )));
     let fresh_objective = || {
         BatchFederatedObjective::new(
             &ctx,
@@ -104,13 +105,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scheduler = method.scheduler(&scale)?;
     let mut objective = fresh_objective()?;
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let inline = run_event_driven_traced(
+    let inline = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut objective,
         &mut rng,
-        &sim,
-        trace,
+        &inline_config,
     )?;
     let inline_wall = start.elapsed().as_secs_f64();
 
@@ -118,14 +118,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scheduler = method.scheduler(&scale)?;
     let mut objective = fresh_objective()?;
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let concurrent = run_event_driven_concurrent_traced(
+    let concurrent = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut objective,
         &mut rng,
-        &sim,
-        threads,
-        trace,
+        &Drive {
+            threads,
+            ..inline_config
+        },
     )?;
     let concurrent_wall = start.elapsed().as_secs_f64();
     assert_eq!(
@@ -142,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         concurrent.outcome.num_evaluations(),
         concurrent_wall
     );
-    println!("inline driver for reference: {inline_wall:.2}s wall — outcomes are bit-identical");
+    println!("inline for reference: {inline_wall:.2}s wall — outcomes are bit-identical");
 
     if let Some(trace) = fedtrace::global_if_enabled() {
         let tracks: Vec<fedtrace::TimelineTrack> = comparison

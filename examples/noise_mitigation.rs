@@ -14,7 +14,7 @@
 use feddata::Benchmark;
 use fedhpo::{IntoScheduler, RandomSearch, ReEvaluation};
 use fedtune::fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ExperimentScale, NoiseConfig,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
     TrialRunner,
 };
 
@@ -24,18 +24,19 @@ fn run_tuner(
     noise: NoiseConfig,
     evaluations: usize,
     seed: u64,
-    threads: usize,
+    config: &Drive<'_>,
 ) -> Result<f64, Box<dyn std::error::Error>> {
     let mut objective = BatchFederatedObjective::new(ctx, noise, evaluations, seed)?;
     let mut rng = fedmath::rng::rng_for(seed, 17);
-    run_scheduled(
+    drive(
         &mut tuner.scheduler()?,
         ctx.space(),
         &mut objective,
         &mut rng,
-        threads,
+        config,
     )?;
     Ok(objective
+        .sink
         .selected_true_error_within(usize::MAX)
         .expect("at least one evaluation"))
 }
@@ -48,7 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let noise = NoiseConfig::subsampled(1.0 / ctx.dataset().num_val_clients() as f64);
     let repeats = 8;
     let trials = 3;
-    let threads = TrialRunner::from_env().policy().pool_threads();
+    let config = Drive {
+        threads: TrialRunner::from_env().policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
 
     println!(
         "single-client evaluation on {} — true error of the selected configuration\n",
@@ -59,14 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut repeated_errors = Vec::new();
     for trial in 0..trials {
         let seed = 100 + trial;
-        let plain = run_tuner(&ctx, &rs, noise, scale.num_configs, seed, threads)?;
+        let plain = run_tuner(&ctx, &rs, noise, scale.num_configs, seed, &config)?;
         let repeated = run_tuner(
             &ctx,
             &ReEvaluation::new(rs, scale.num_configs, repeats),
             noise,
             scale.num_configs * (1 + repeats),
             seed,
-            threads,
+            &config,
         )?;
         println!(
             "trial {trial}: plain RS = {:>5.1}%   RS with {repeats} averaged re-evaluations = {:>5.1}%",

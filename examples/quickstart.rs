@@ -11,7 +11,7 @@
 use feddata::Benchmark;
 use fedhpo::{IntoScheduler, RandomSearch};
 use fedtune::fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ExperimentScale, NoiseConfig,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
     TrialRunner,
 };
 
@@ -27,24 +27,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ctx.dataset().num_val_clients()
     );
 
-    // A tuning method is an ask/tell scheduler; `run_scheduled` drives it
-    // against the objective, evaluating each suggested batch on `threads`
+    // A tuning method is an ask/tell scheduler; `drive` runs it against the
+    // objective batch by batch, evaluating each suggested batch on `threads`
     // real threads (FEDTUNE_THREADS; results are bit-identical at any count).
     let tuner = RandomSearch::new(scale.num_configs, scale.rounds_per_config);
-    let threads = TrialRunner::from_env().policy().pool_threads();
+    let config = Drive {
+        threads: TrialRunner::from_env().policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
 
     // 1. Tune with clean (full-population) evaluation.
     let mut clean_objective =
         BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 0);
-    run_scheduled(
+    drive(
         &mut tuner.scheduler()?,
         ctx.space(),
         &mut clean_objective,
         &mut rng,
-        threads,
+        &config,
     )?;
     let clean_error = clean_objective
+        .sink
         .selected_true_error_within(usize::MAX)
         .expect("at least one evaluation");
 
@@ -53,14 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut noisy_objective =
         BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 1);
-    run_scheduled(
+    drive(
         &mut tuner.scheduler()?,
         ctx.space(),
         &mut noisy_objective,
         &mut rng,
-        threads,
+        &config,
     )?;
     let noisy_error = noisy_objective
+        .sink
         .selected_true_error_within(usize::MAX)
         .expect("at least one evaluation");
 

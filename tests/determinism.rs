@@ -29,10 +29,9 @@ use fedtune_core::experiments::space_ablation::run_space_ablation;
 use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::experiments::subsampling::{run_budget_curves, run_subsampling_sweep};
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, run_event_driven_concurrent_traced,
-    run_event_driven_traced, BatchFederatedObjective, BenchmarkContext, ConcurrentObjective,
-    ConfigPool, EventDrivenOutcome, ExperimentScale, NoiseConfig, ObjectiveLogEntry,
-    TrainedBenchmark, TrialRunner, VirtualExecution,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, EventDrivenOutcome,
+    ExperimentScale, NoiseConfig, ObjectiveLogEntry, TrainedBenchmark, TrialRunner,
+    VirtualExecution,
 };
 
 const SEEDS: [u64; 3] = [0, 7, 42];
@@ -343,48 +342,111 @@ fn scheduled_extended_comparison_is_bit_identical_across_policies() {
     assert_eq!(sequential, parallel);
 }
 
-/// One async-ASHA campaign through the event-driven executor with
-/// heavy-tailed simulated client runtimes — inline on the calling thread
-/// under the sequential policy, on a scoped pool of the policy's threads
-/// otherwise — and (optionally) observed by `trace`. Returns the outcome
-/// (records in virtual completion order, stamped with sim times) and the
-/// objective log.
-fn event_driven_campaign(
+/// One campaign of `method` over the paper's noisy evaluation, driven as
+/// `config` says. Returns the outcome and the objective log.
+fn campaign(
     ctx: &BenchmarkContext,
-    scale: &ExperimentScale,
-    policy: ExecutionPolicy,
+    method: TuningMethod,
     seed: u64,
-    trace: Option<&fedtrace::Trace>,
+    config: &Drive,
 ) -> (EventDrivenOutcome, Vec<ObjectiveLogEntry>) {
-    let method = TuningMethod::AsyncAsha;
-    let mut scheduler = method.scheduler(scale).unwrap();
-    let planned = method.planned_evaluations(scale);
+    let scale = ExperimentScale::smoke();
+    let mut scheduler = method.scheduler(&scale).unwrap();
     let mut objective = BatchFederatedObjective::new(
         ctx,
         NoiseConfig::paper_noisy(),
-        planned,
+        method.planned_evaluations(&scale),
         fedmath::rng::derive_seed(seed, 0),
     )
     .unwrap();
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let sim = VirtualExecution::new(3, straggler_cost_model(scale, seed));
-    let (scheduler, space) = (scheduler.as_mut(), ctx.space());
-    let outcome = if matches!(policy, ExecutionPolicy::Parallel { .. }) {
-        let threads = policy.pool_threads();
-        run_event_driven_concurrent_traced(
-            scheduler,
-            space,
-            &mut objective,
-            &mut rng,
-            &sim,
-            threads,
-            trace,
-        )
-    } else {
-        run_event_driven_traced(scheduler, space, &mut objective, &mut rng, &sim, trace)
-    }
+    let outcome = drive(
+        scheduler.as_mut(),
+        ctx.space(),
+        &mut objective,
+        &mut rng,
+        config,
+    )
     .unwrap();
-    (outcome, objective.into_log())
+    assert!(outcome.finished);
+    (outcome, objective.sink.into_log())
+}
+
+/// One async-ASHA campaign under the virtual clock with heavy-tailed
+/// simulated client runtimes — inline at one thread, on a scoped pool of
+/// the policy's threads otherwise — and (optionally) observed by `trace`.
+/// Records come in virtual completion order, stamped with sim times.
+fn event_driven_campaign(
+    ctx: &BenchmarkContext,
+    policy: ExecutionPolicy,
+    seed: u64,
+    trace: Option<&fedtrace::Trace>,
+) -> (EventDrivenOutcome, Vec<ObjectiveLogEntry>) {
+    let sim = VirtualExecution::new(3, straggler_cost_model(&ExperimentScale::smoke(), seed));
+    let config = Drive {
+        threads: policy.pool_threads(),
+        trace,
+        ..Drive::new(Clock::Virtual(sim))
+    };
+    campaign(ctx, TuningMethod::AsyncAsha, seed, &config)
+}
+
+/// The two runs are the same bits: outcome and log, every score and
+/// virtual timestamp, and the elapsed virtual time.
+fn assert_same_bits(
+    label: &str,
+    (a, a_log): &(EventDrivenOutcome, Vec<ObjectiveLogEntry>),
+    (b, b_log): &(EventDrivenOutcome, Vec<ObjectiveLogEntry>),
+) {
+    assert_eq!(a, b, "{label}: outcome diverged");
+    assert_eq!(a_log, b_log, "{label}: log diverged");
+    for (x, y) in a.outcome.records().iter().zip(b.outcome.records()) {
+        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{label}");
+        assert_eq!(x.sim_time.to_bits(), y.sim_time.to_bits(), "{label}");
+    }
+    assert_eq!(a.sim_elapsed.to_bits(), b.sim_elapsed.to_bits(), "{label}");
+}
+
+#[test]
+fn both_clocks_evaluate_the_same_live_campaign() {
+    // One driver, two delivery rules: ASHA with re-evaluation on real
+    // training under the barrier clock and under a unit-cost virtual clock
+    // evaluates the same points to the same bits and selects the same
+    // configuration, inline and on a pool.
+    let seed = 7;
+    let ctx =
+        BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), seed).unwrap();
+    let run = |clock: Clock, threads: usize| {
+        let config = Drive {
+            threads,
+            ..Drive::new(clock)
+        };
+        campaign(&ctx, TuningMethod::AshaReEval, seed, &config)
+    };
+    let barrier = run(Clock::Barrier, 1);
+    assert!(barrier.0.timeline.is_empty() && barrier.0.sim_elapsed == 0.0);
+    assert!(barrier.1.iter().all(|e| e.sim_time == 0.0));
+    // The evaluation multiset with score bits, and the selection.
+    let summary = |(run, _): &(EventDrivenOutcome, Vec<ObjectiveLogEntry>)| {
+        let mut points: Vec<_> = run
+            .outcome
+            .records()
+            .iter()
+            .map(|r| (r.trial_id, r.resource, r.noise_rep, r.score.to_bits()))
+            .collect();
+        points.sort_unstable();
+        let pick = run.outcome.selected_within_budget(usize::MAX).unwrap();
+        (points, pick.trial_id, pick.score.to_bits())
+    };
+    let unit = Clock::Virtual(VirtualExecution::new(4, fedtune_core::CostModel::Unit));
+    for threads in [1usize, 4] {
+        assert_same_bits("barrier", &barrier, &run(Clock::Barrier, threads));
+        assert_eq!(
+            summary(&run(unit, threads)),
+            summary(&barrier),
+            "{threads} threads"
+        );
+    }
 }
 
 #[test]
@@ -394,41 +456,18 @@ fn event_driven_campaigns_are_bit_identical_across_policies() {
     // function of the schedule and cost model, so real thread counts change
     // nothing. Three seeds × three forced thread counts against the
     // sequential reference.
-    let scale = ExperimentScale::smoke();
     for &seed in &SEEDS {
-        let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
-        let (sequential, sequential_log) =
-            event_driven_campaign(&ctx, &scale, ExecutionPolicy::Sequential, seed, None);
-        assert!(sequential.finished);
-        assert!(sequential.sim_elapsed > 0.0);
+        let ctx =
+            BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), seed).unwrap();
+        let sequential = event_driven_campaign(&ctx, ExecutionPolicy::Sequential, seed, None);
+        assert!(sequential.0.sim_elapsed > 0.0);
         for &threads in &THREAD_COUNTS {
-            let (parallel, parallel_log) = event_driven_campaign(
-                &ctx,
-                &scale,
-                ExecutionPolicy::parallel_with(threads),
-                seed,
-                None,
-            );
-            assert_eq!(
-                sequential, parallel,
-                "seed {seed}, {threads} threads: event-driven outcome diverged"
-            );
-            assert_eq!(
-                sequential_log, parallel_log,
-                "seed {seed}, {threads} threads"
-            );
-            for (a, b) in sequential
-                .outcome
-                .records()
-                .iter()
-                .zip(parallel.outcome.records())
-            {
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-                assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
-            }
-            assert_eq!(
-                sequential.sim_elapsed.to_bits(),
-                parallel.sim_elapsed.to_bits()
+            let policy = ExecutionPolicy::parallel_with(threads);
+            let parallel = event_driven_campaign(&ctx, policy, seed, None);
+            assert_same_bits(
+                &format!("seed {seed}, {threads} threads"),
+                &sequential,
+                &parallel,
             );
         }
     }
@@ -439,35 +478,20 @@ fn concurrent_executor_matches_blocking_driver_bit_for_bit() {
     // The real-parallelism contract: evaluating every in-flight virtual
     // trial concurrently on real threads may change wall-clock time only.
     // Outcome, virtual timeline, and campaign log (committed in dispatch
-    // order in both lanes) are bit-identical to the inline driver on a
-    // scoped pool of 1, 4, and 8 real threads, across seeds.
-    let scale = ExperimentScale::smoke();
+    // order in both lanes) are bit-identical to the inline run at 1 thread
+    // and on a scoped pool of 4 and 8 real threads, across seeds.
     for &seed in &SEEDS {
-        let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
-        let (inline, inline_log) =
-            event_driven_campaign(&ctx, &scale, ExecutionPolicy::Sequential, seed, None);
-        assert!(inline.finished);
+        let ctx =
+            BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), seed).unwrap();
+        let inline = event_driven_campaign(&ctx, ExecutionPolicy::Sequential, seed, None);
         for threads in [1usize, 4, 8] {
             let policy = ExecutionPolicy::parallel_with(threads);
-            let (concurrent, log) = event_driven_campaign(&ctx, &scale, policy, seed, None);
-            assert_eq!(
-                inline, concurrent,
-                "seed {seed}, {threads} threads: concurrent outcome diverged"
+            let concurrent = event_driven_campaign(&ctx, policy, seed, None);
+            assert_same_bits(
+                &format!("seed {seed}, {threads} threads"),
+                &inline,
+                &concurrent,
             );
-            for (a, b) in inline
-                .outcome
-                .records()
-                .iter()
-                .zip(concurrent.outcome.records())
-            {
-                assert_eq!(a.score.to_bits(), b.score.to_bits());
-                assert_eq!(a.sim_time.to_bits(), b.sim_time.to_bits());
-            }
-            assert_eq!(
-                inline.sim_elapsed.to_bits(),
-                concurrent.sim_elapsed.to_bits()
-            );
-            assert_eq!(inline_log, log, "seed {seed}, {threads} threads");
         }
     }
 }
@@ -480,25 +504,17 @@ fn tracing_is_accounting_never_semantics() {
     // The traced run's Chrome timeline export must also be byte-identical
     // to one rendered from the untraced run's spans, because the timeline
     // is part of the outcome, not a tracing side effect.
-    let scale = ExperimentScale::smoke();
     for &seed in &SEEDS {
-        let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
-        let (untraced, untraced_log) =
-            event_driven_campaign(&ctx, &scale, ExecutionPolicy::Sequential, seed, None);
+        let ctx =
+            BenchmarkContext::new(Benchmark::Cifar10Like, &ExperimentScale::smoke(), seed).unwrap();
+        let untraced = event_driven_campaign(&ctx, ExecutionPolicy::Sequential, seed, None);
         for &threads in &THREAD_COUNTS {
             let trace = fedtrace::Trace::new();
-            let (traced, traced_log) = event_driven_campaign(
-                &ctx,
-                &scale,
-                ExecutionPolicy::parallel_with(threads),
-                seed,
-                Some(&trace),
-            );
-            assert_eq!(
-                untraced, traced,
-                "seed {seed}, {threads} threads: tracing moved the outcome"
-            );
-            assert_eq!(untraced_log, traced_log, "seed {seed}, {threads} threads");
+            let policy = ExecutionPolicy::parallel_with(threads);
+            let traced = event_driven_campaign(&ctx, policy, seed, Some(&trace));
+            let label = format!("seed {seed}, {threads} threads: tracing");
+            assert_same_bits(&label, &untraced, &traced);
+            let (untraced, traced) = (&untraced.0, &traced.0);
             let track = |spans: &[fedtrace::TrialSpan]| {
                 fedtrace::virtual_timeline_json(&[fedtrace::TimelineTrack::new(
                     "async-asha",
@@ -536,7 +552,7 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
 
     // Live, recorded.
     let mut scheduler = method.scheduler(&scale).unwrap();
-    let mut inner = BatchFederatedObjective::new(
+    let inner = BatchFederatedObjective::new(
         &ctx,
         NoiseConfig::paper_noisy(),
         planned,
@@ -544,19 +560,22 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
     )
     .unwrap();
     let mut recording = fedstore::RecordingObjective::new(
-        inner.split().0,
+        &inner.eval,
         ctx.space(),
         fedstore::campaign_provenance(Benchmark::Cifar10Like, &scale, seed, "noisy"),
         &mut store,
     );
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let live = run_event_driven_concurrent(
+    let pooled = Drive {
+        threads: ExecutionPolicy::parallel().pool_threads(),
+        ..Drive::new(Clock::Virtual(sim))
+    };
+    let live = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut recording,
         &mut rng,
-        &sim,
-        ExecutionPolicy::parallel().pool_threads(),
+        &pooled,
     )
     .unwrap();
     let live_log = recording.sink.campaign.into_log();
@@ -569,12 +588,12 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
     let mut scheduler = method.scheduler(&scale).unwrap();
     let mut tabular = fedstore::TabularObjective::new(&store, ctx.space());
     let mut rng = fedmath::rng::rng_for(seed, 1);
-    let replayed = run_event_driven(
+    let replayed = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut tabular,
         &mut rng,
-        &sim,
+        &Drive::new(Clock::Virtual(sim)),
     )
     .unwrap();
     assert_eq!(tabular.table.exact_hits(), live.outcome.num_evaluations());

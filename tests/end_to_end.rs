@@ -10,7 +10,7 @@ use fedtune::fedtune_core::experiments::methods::{
 use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
 use fedtune::fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, ExperimentScale,
     NoiseConfig, TrainedBenchmark, TrialRunner,
 };
 
@@ -33,7 +33,10 @@ fn full_tuning_pipeline_with_each_tuner() {
     let scale = smoke();
     let ctx = BenchmarkContext::new(Benchmark::FemnistLike, &scale, 1).unwrap();
 
-    let threads = TrialRunner::from_env().policy().pool_threads();
+    let config = Drive {
+        threads: TrialRunner::from_env().policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
     let tuners: Vec<(&str, Box<dyn Scheduler>)> = vec![
         ("rs", Box::new(RandomSearch::new(3, 4).scheduler().unwrap())),
         ("tpe", Box::new(Tpe::new(3, 4).scheduler().unwrap())),
@@ -46,25 +49,26 @@ fn full_tuning_pipeline_with_each_tuner() {
         let mut objective =
             BatchFederatedObjective::new(&ctx, NoiseConfig::subsampled(0.3), 8, 2).unwrap();
         let mut rng = fedmath::rng::rng_for(3, 0);
-        let outcome = run_scheduled(
+        let outcome = drive(
             tuner.as_mut(),
             ctx.space(),
             &mut objective,
             &mut rng,
-            threads,
+            &config,
         )
-        .unwrap();
+        .unwrap()
+        .outcome;
         assert!(
             outcome.num_evaluations() > 0,
             "{name} produced no evaluations"
         );
-        assert!(!objective.log().is_empty());
+        assert!(!objective.sink.log().is_empty());
         // Every logged evaluation must carry a valid true error.
-        for entry in objective.log() {
+        for entry in objective.sink.log() {
             assert!((0.0..=1.0).contains(&entry.true_error));
         }
         // The tuner's own budget accounting must match the objective's.
-        assert_eq!(outcome.total_resource(), objective.cumulative_rounds());
+        assert_eq!(outcome.total_resource(), objective.sink.cumulative_rounds());
     }
 }
 

@@ -20,8 +20,8 @@ use fedtune_core::experiments::methods::{
 };
 use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, BatchFederatedObjective, BenchmarkContext,
-    ExperimentScale, NoiseConfig, TrialRunner, VirtualExecution,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
+    TrialRunner, VirtualExecution,
 };
 
 /// One pinned scheduled run: `(noise_label, trial, log_len, selected-true-error bits)`.
@@ -147,15 +147,16 @@ fn segment_backed_record_replay_reproduces_the_pinned_bits() {
 
 const EVENT_DRIVEN_SEED: u64 = 5;
 
-/// Async ASHA through the event-driven executor at seed 5: pins the number
+/// Async ASHA under the virtual clock at seed 5: pins the number
 /// of completed evaluations, the winning trial and the exact bits of its
 /// score and of the campaign's virtual elapsed time.
 // best score 0.49957875035429833, sim_elapsed 319.327323397931
 const GOLDEN_EVENT_DRIVEN: (usize, usize, u64, u64) =
     (16, 1, 0x3fdff91926a316b0, 0x4073f53cb7759545);
 
-#[test]
-fn event_driven_async_asha_selection_is_pinned() {
+/// The pinned async-ASHA campaign on `threads` real threads, summarised as
+/// `GOLDEN_EVENT_DRIVEN` is.
+fn pinned_campaign(threads: usize) -> (usize, usize, u64, u64) {
     let scale = ExperimentScale::smoke();
     let seed = EVENT_DRIVEN_SEED;
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
@@ -170,15 +171,19 @@ fn event_driven_async_asha_selection_is_pinned() {
     .unwrap();
     let mut rng = fedmath::rng::rng_for(seed, 1);
     let sim = VirtualExecution::new(3, straggler_cost_model(&scale, seed));
-    let result = run_event_driven(
+    let config = Drive {
+        threads,
+        ..Drive::new(Clock::Virtual(sim))
+    };
+    let result = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut objective,
         &mut rng,
-        &sim,
+        &config,
     )
     .unwrap();
-    assert!(result.finished);
+    assert!(result.finished, "{threads} threads");
     let records = result.outcome.records();
     let best = records
         .iter()
@@ -193,78 +198,33 @@ fn event_driven_async_asha_selection_is_pinned() {
         best.score,
         result.sim_elapsed,
     );
-    let (num_records, best_trial, score_bits, elapsed_bits) = GOLDEN_EVENT_DRIVEN;
-    assert_eq!(records.len(), num_records, "evaluation count changed");
-    assert_eq!(best.trial_id, best_trial, "winning configuration changed");
-    assert_eq!(
+    (
+        records.len(),
+        best.trial_id,
         best.score.to_bits(),
-        score_bits,
-        "winning score drifted: got {} (0x{:016x})",
-        best.score,
-        best.score.to_bits(),
-    );
-    assert_eq!(
         result.sim_elapsed.to_bits(),
-        elapsed_bits,
-        "virtual timeline drifted: got {} (0x{:016x})",
-        result.sim_elapsed,
-        result.sim_elapsed.to_bits(),
-    );
+    )
+}
+
+#[test]
+fn event_driven_async_asha_selection_is_pinned() {
+    // Evaluation count, winning configuration, its score and the elapsed
+    // virtual time, inline on the calling thread.
+    assert_eq!(pinned_campaign(1), GOLDEN_EVENT_DRIVEN, "pin drifted");
 }
 
 #[test]
 fn concurrent_executor_reproduces_the_event_driven_pins() {
-    // The same pinned campaign through the cross-trial concurrent driver:
-    // real threads must be invisible in the golden bits. Runs at one thread,
-    // eight threads, and whatever FEDTUNE_THREADS asks for (the CI
-    // executor-smoke job sets 8), so an env override can never move a pin.
-    let scale = ExperimentScale::smoke();
-    let seed = EVENT_DRIVEN_SEED;
-    let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
-    let method = TuningMethod::AsyncAsha;
+    // The same pinned campaign with in-flight trials on real threads: they
+    // must be invisible in the golden bits. Runs at one thread, eight
+    // threads, and whatever FEDTUNE_THREADS asks for (the CI executor-smoke
+    // job sets 8), so an env override can never move a pin.
     let env_threads = ExecutionPolicy::from_env().pool_threads();
     for threads in [1usize, 8, env_threads] {
-        let mut scheduler = method.scheduler(&scale).unwrap();
-        let mut objective = BatchFederatedObjective::new(
-            &ctx,
-            NoiseConfig::paper_noisy(),
-            method.planned_evaluations(&scale),
-            fedmath::rng::derive_seed(seed, 0),
-        )
-        .unwrap();
-        let mut rng = fedmath::rng::rng_for(seed, 1);
-        let sim = VirtualExecution::new(3, straggler_cost_model(&scale, seed));
-        let result = run_event_driven_concurrent(
-            scheduler.as_mut(),
-            ctx.space(),
-            &mut objective,
-            &mut rng,
-            &sim,
-            threads,
-        )
-        .unwrap();
-        assert!(result.finished, "{threads} threads");
-        let records = result.outcome.records();
-        let best = records
-            .iter()
-            .min_by(|a, b| a.score.total_cmp(&b.score))
-            .expect("at least one completed evaluation");
-        let (num_records, best_trial, score_bits, elapsed_bits) = GOLDEN_EVENT_DRIVEN;
-        assert_eq!(records.len(), num_records, "{threads} threads");
-        assert_eq!(best.trial_id, best_trial, "{threads} threads");
         assert_eq!(
-            best.score.to_bits(),
-            score_bits,
-            "{threads} threads: winning score drifted: got {} (0x{:016x})",
-            best.score,
-            best.score.to_bits(),
-        );
-        assert_eq!(
-            result.sim_elapsed.to_bits(),
-            elapsed_bits,
-            "{threads} threads: virtual timeline drifted: got {} (0x{:016x})",
-            result.sim_elapsed,
-            result.sim_elapsed.to_bits(),
+            pinned_campaign(threads),
+            GOLDEN_EVENT_DRIVEN,
+            "{threads} threads"
         );
     }
 }

@@ -11,8 +11,8 @@ use fedtune::fedstore::{
 };
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune::fedtune_core::{
-    run_scheduled, run_scheduled_for, BatchFederatedObjective, BenchmarkContext,
-    ConcurrentObjective, ExecutionPolicy, ExperimentScale, NoiseConfig, TrialRunner,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExecutionPolicy,
+    ExperimentScale, NoiseConfig, TrialRunner,
 };
 
 fn method_slate() -> [TuningMethod; 3] {
@@ -85,21 +85,21 @@ fn recorded_and_replayed_comparisons_match_the_live_run_bitwise() {
     }
 }
 
-/// One ASHA+re-evaluation campaign, recorded into `store`, interruptible
-/// after `max_batches` scheduler cycles. Returns the outcome and whether the
-/// schedule finished.
+/// One ASHA+re-evaluation campaign, recorded into `store`, stopped after
+/// `stop` scheduler batches. Returns the outcome and whether the schedule
+/// finished.
 fn drive_campaign(
     ctx: &BenchmarkContext,
     scale: &ExperimentScale,
     policy: ExecutionPolicy,
     seed: u64,
     store: &mut TrialStore,
-    max_batches: Option<usize>,
+    stop: Option<usize>,
 ) -> (TuningOutcome, bool) {
     let method = TuningMethod::AshaReEval;
     let mut scheduler = method.scheduler(scale).unwrap();
     let planned = method.planned_evaluations(scale);
-    let mut objective = BatchFederatedObjective::new(
+    let objective = BatchFederatedObjective::new(
         ctx,
         NoiseConfig::paper_noisy(),
         planned,
@@ -107,21 +107,26 @@ fn drive_campaign(
     )
     .unwrap();
     let mut recording = RecordingObjective::new(
-        objective.split().0,
+        &objective.eval,
         ctx.space(),
         campaign_provenance(ctx.benchmark(), scale, seed, "noisy"),
         store,
     );
     let mut rng = fedtune::fedmath::rng::rng_for(seed, 1);
-    run_scheduled_for(
+    let config = Drive {
+        threads: policy.pool_threads(),
+        stop,
+        ..Drive::new(Clock::Barrier)
+    };
+    let run = drive(
         scheduler.as_mut(),
         ctx.space(),
         &mut recording,
         &mut rng,
-        policy.pool_threads(),
-        max_batches,
+        &config,
     )
-    .unwrap()
+    .unwrap();
+    (run.outcome, run.finished)
 }
 
 #[test]
@@ -351,8 +356,12 @@ fn tabular_surrogate_drives_every_extended_method() {
     let unit_index = 4 * 2 * scale.method_trials;
     let tree = fedtune::fedmath::SeedTree::new(derive_seed(seed, 7));
     let mut rng = tree.child(unit_index as u64).child(1).rng();
-    let outcome = run_scheduled(&mut scheduler, &space, &mut tabular, &mut rng, 4).unwrap();
-    assert!(outcome.num_evaluations() > 0);
+    let config = Drive {
+        threads: 4,
+        ..Drive::new(Clock::Barrier)
+    };
+    let run = drive(&mut scheduler, &space, &mut tabular, &mut rng, &config).unwrap();
+    assert!(run.outcome.num_evaluations() > 0);
     assert!(
         tabular.table.resampled() > 0,
         "extra replicates should resample"

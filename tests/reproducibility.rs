@@ -5,7 +5,7 @@
 use feddata::{Benchmark, DatasetSpec, Scale};
 use fedhpo::{IntoScheduler, RandomSearch};
 use fedtune::fedtune_core::{
-    run_scheduled, BatchFederatedObjective, BenchmarkContext, ConfigPool, ExperimentScale,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, ExperimentScale,
     NoiseConfig, TrainedBenchmark, TrialRunner,
 };
 
@@ -33,20 +33,23 @@ fn pool_training_is_deterministic_and_seed_sensitive() {
 fn noisy_tuning_runs_are_deterministic() {
     let scale = ExperimentScale::smoke();
     let ctx = BenchmarkContext::new(Benchmark::FemnistLike, &scale, 1).unwrap();
-    let threads = TrialRunner::from_env().policy().pool_threads();
+    let config = Drive {
+        threads: TrialRunner::from_env().policy().pool_threads(),
+        ..Drive::new(Clock::Barrier)
+    };
     let run = |seed: u64| {
         let mut objective =
             BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), 4, seed).unwrap();
         let mut rng = fedmath::rng::rng_for(seed, 0);
-        run_scheduled(
+        drive(
             &mut RandomSearch::new(4, 3).scheduler().unwrap(),
             ctx.space(),
             &mut objective,
             &mut rng,
-            threads,
+            &config,
         )
         .unwrap();
-        objective.into_log()
+        objective.sink.into_log()
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));

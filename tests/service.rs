@@ -16,7 +16,7 @@ use fedserve::{
     CampaignLimits, CampaignSpec, CampaignState, CampaignStatus, Client, CostSpec, DimSpec,
     ObjectiveSpec, SchedulerSpec, Selection, Service, ServiceConfig, UnixServeListener,
 };
-use fedtune_core::{run_event_driven_concurrent, EventDrivenOutcome, VirtualExecution};
+use fedtune_core::{drive, Clock, Drive, EventDrivenOutcome, VirtualExecution};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -105,7 +105,7 @@ fn beta_spec(latency_scale: f64) -> CampaignSpec {
 }
 
 /// The reference run: the same campaign straight through the library
-/// executor (`run_event_driven_concurrent`), no service anywhere.
+/// driver (`fedtune_core::drive`), no service anywhere.
 fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
     let space = spec.build_space().unwrap();
     let mut scheduler = spec.build_scheduler().unwrap();
@@ -115,13 +115,16 @@ fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
         sim = sim.with_sim_budget(budget);
     }
     let mut objective = fedserve::build_objective(spec, fedstore::TrialStore::in_memory()).unwrap();
-    let outcome = run_event_driven_concurrent(
+    let config = Drive {
+        threads,
+        ..Drive::new(Clock::Virtual(sim))
+    };
+    let outcome = drive(
         scheduler.as_mut(),
         &space,
         &mut objective,
         &mut rng,
-        &sim,
-        threads,
+        &config,
     )
     .unwrap();
     assert!(outcome.finished);
@@ -204,7 +207,7 @@ fn assert_pin(name: &str, status: &CampaignStatus, pin: (u64, usize, u64, u64)) 
 
 /// Two campaigns with different schedulers, seeds, and cost models share
 /// one daemon over an 8-thread pool: each must reproduce, bit for bit, its
-/// own standalone `run_event_driven_concurrent` run and the committed pins.
+/// own standalone `drive` run and the committed pins.
 #[test]
 fn two_tenant_daemon_reproduces_standalone_bits() {
     let alpha_ref = standalone(&alpha_spec(0.0), 8);

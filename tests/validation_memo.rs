@@ -1,7 +1,7 @@
 //! The validation memo survives between dispatches: a re-evaluation campaign
 //! (`top_k × reps` fresh-noise replicates of unchanged models, §5 of the
-//! paper) pays one full validation pass per `(trial, fidelity)` under the
-//! blocking and the concurrent driver alike, with bit-identical logs.
+//! paper) pays one full validation pass per `(trial, fidelity)` inline and
+//! on a pool alike, with bit-identical logs.
 //!
 //! This file holds a single test on purpose: it reads deltas of the
 //! process-global `sim.validation_passes` counter, which tests sharing a
@@ -11,24 +11,19 @@ use feddata::Benchmark;
 use fedtune_core::experiments::methods::TuningMethod;
 use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::{
-    run_event_driven, run_event_driven_concurrent, BatchFederatedObjective, BenchmarkContext,
-    ExperimentScale, NoiseConfig, ObjectiveLogEntry, VirtualExecution,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
+    ObjectiveLogEntry, VirtualExecution,
 };
 use std::collections::BTreeSet;
 
 const SEED: u64 = 7;
 
-/// Runs the ASHA + re-evaluation campaign through `drive` and returns its
-/// log together with the validation passes it performed.
+/// Runs the ASHA + re-evaluation campaign on `threads` real threads and
+/// returns its log together with the validation passes it performed.
 fn campaign(
     ctx: &BenchmarkContext,
     scale: &ExperimentScale,
-    drive: impl FnOnce(
-        &mut dyn fedhpo::Scheduler,
-        &mut BatchFederatedObjective<'_>,
-        &mut rand::rngs::StdRng,
-        &VirtualExecution,
-    ),
+    threads: usize,
 ) -> (Vec<ObjectiveLogEntry>, u64) {
     let method = TuningMethod::AshaReEval;
     let mut scheduler = method.scheduler(scale).unwrap();
@@ -43,13 +38,25 @@ fn campaign(
     // Fewer virtual workers than re-evaluation requests, so replicates of
     // one survivor land in different dispatches.
     let sim = VirtualExecution::new(2, straggler_cost_model(scale, SEED));
+    let config = Drive {
+        threads,
+        ..Drive::new(Clock::Virtual(sim))
+    };
     let passes = fedtrace::global()
         .registry()
         .counter("sim.validation_passes");
     let before = passes.value();
-    drive(scheduler.as_mut(), &mut objective, &mut rng, &sim);
+    let outcome = drive(
+        scheduler.as_mut(),
+        ctx.space(),
+        &mut objective,
+        &mut rng,
+        &config,
+    )
+    .unwrap();
+    assert!(outcome.finished);
     let performed = passes.value() - before;
-    (objective.into_log(), performed)
+    (objective.sink.into_log(), performed)
 }
 
 #[test]
@@ -57,14 +64,8 @@ fn re_evaluation_pays_one_validation_pass_per_trial_and_fidelity() {
     let scale = ExperimentScale::smoke();
     let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, SEED).unwrap();
 
-    let (blocking_log, blocking_passes) = campaign(&ctx, &scale, |s, o, rng, sim| {
-        let outcome = run_event_driven(s, ctx.space(), o, rng, sim).unwrap();
-        assert!(outcome.finished);
-    });
-    let (concurrent_log, concurrent_passes) = campaign(&ctx, &scale, |s, o, rng, sim| {
-        let outcome = run_event_driven_concurrent(s, ctx.space(), o, rng, sim, 4).unwrap();
-        assert!(outcome.finished);
-    });
+    let (blocking_log, blocking_passes) = campaign(&ctx, &scale, 1);
+    let (concurrent_log, concurrent_passes) = campaign(&ctx, &scale, 4);
 
     let points: BTreeSet<(usize, usize)> = blocking_log
         .iter()
