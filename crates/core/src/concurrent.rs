@@ -16,7 +16,7 @@
 //!   above one thread), or on the daemon's `'static` `SharedPool` with an
 //!   `Arc<Eval>` (`fedserve::campaign::run_campaign`);
 //! - **admission and the turn end** — the [`Host`] the daemon implements
-//!   (fair-share gate, control flags, budgets, `sync → publish`); every
+//!   (fair-share gate, control flags, `sync → publish`); every
 //!   standalone lane runs [`Ungated`], which is all of the trait's defaults.
 //!
 //! # Why the outcome is bit-identical in every lane
@@ -246,8 +246,8 @@ pub trait Host<K: ConcurrentSink> {
     type Error: From<CoreError>;
 
     /// Runs before every [`ExecutorCore::step`]: the place to
-    /// [`halt`](ExecutorCore::halt) the campaign (budgets, operator stop) or
-    /// abort it with an error.
+    /// [`halt`](ExecutorCore::halt) the campaign (operator stop) or abort it
+    /// with an error.
     ///
     /// # Errors
     ///
@@ -259,12 +259,18 @@ pub trait Host<K: ConcurrentSink> {
         Ok(())
     }
 
-    /// Asks to run one dispatch (asked again after a [`Admission::Full`]).
+    /// Asks to run one dispatch that trains `rounds` rounds beyond its
+    /// trial's earlier dispatches ([`DispatchedTrial::rounds`]); asked again
+    /// after a [`Admission::Full`].
     ///
     /// # Errors
     ///
     /// Whatever should end the campaign here and now.
-    fn admit(&mut self, _request: &TrialRequest) -> std::result::Result<Admission, Self::Error> {
+    fn admit(
+        &mut self,
+        _request: &TrialRequest,
+        _rounds: usize,
+    ) -> std::result::Result<Admission, Self::Error> {
         Ok(Admission::Run)
     }
 
@@ -407,9 +413,10 @@ where
         core: &mut ExecutorCore<'_>,
         host: &mut H,
     ) -> std::result::Result<(), H::Error> {
+        let rounds = dispatched.rounds;
         let work = self.number(dispatched.request, dispatched.sim_completion);
         let ticket = loop {
-            match host.admit(&work.request)? {
+            match host.admit(&work.request, rounds)? {
                 Admission::Run => break None,
                 Admission::Ticket(ticket) => break Some(ticket),
                 Admission::Full => self.turn(core, host)?,
@@ -579,7 +586,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::scheduler::{drive, Clock, Drive, VirtualExecution};
+    use crate::scheduler::{drive, Budget, Clock, Drive, VirtualExecution};
     use fedhpo::{AsyncAsha, IntoScheduler, RandomSearch, Scheduler, SearchSpace};
     use fedmath::rng::rng_for;
     use fedsim::clock::{ClientRuntimeModel, CostModel};
@@ -663,7 +670,7 @@ pub(crate) mod tests {
         }
 
         fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
-            self.rounds += output.rounds_delta;
+            self.rounds = self.rounds.saturating_add(output.rounds_delta);
             self.commits.push((
                 request.trial_id,
                 request.resource,
@@ -798,8 +805,15 @@ pub(crate) mod tests {
         let mut scheduler = RandomSearch::new(k, 3).scheduler().unwrap();
         let (space, mut rng) = (space_1d(), rng_for(5, 0));
         let clock = Clock::Virtual(VirtualExecution::new(k, CostModel::Unit));
-        let mut core =
-            ExecutorCore::new(&mut scheduler, &space, &mut rng, clock, None, None).unwrap();
+        let mut core = ExecutorCore::new(
+            &mut scheduler,
+            &space,
+            &mut rng,
+            clock,
+            None,
+            Budget::default(),
+        )
+        .unwrap();
         let held: Held<'e> = RefCell::new(Vec::new());
         let hold = |job, _chained| held.borrow_mut().push(job);
         let mut sink = CommitLog::default();
@@ -849,7 +863,7 @@ pub(crate) mod tests {
     impl Host<CommitLog> for Ticketing {
         type Error = CoreError;
 
-        fn admit(&mut self, _request: &TrialRequest) -> Result<Admission> {
+        fn admit(&mut self, _request: &TrialRequest, _rounds: usize) -> Result<Admission> {
             let ticket = 100 + self.issued.len() as u64;
             self.issued.push(ticket);
             Ok(Admission::Ticket(ticket))

@@ -79,8 +79,8 @@ pub use pool::{ConfigPool, PooledConfig, TrainedBenchmark};
 pub use report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{
-    drive, Clock, DispatchedTrial, Drive, EventDrivenOutcome, ExecutorCore, ExecutorStep,
-    VirtualExecution,
+    drive, Budget, Cap, Clock, DispatchedTrial, Drive, EventDrivenOutcome, ExecutorCore,
+    ExecutorStep, VirtualExecution,
 };
 #[doc(hidden)]
 pub use scheduler::{run_event_driven_concurrent_traced, run_event_driven_traced};

@@ -139,7 +139,7 @@ impl<S> CampaignLog<S> {
     ) {
         let consumed = self.consumed.entry(request.trial_id).or_insert(0);
         let reached = (*consumed).max(request.resource);
-        self.cumulative_rounds += reached - *consumed;
+        self.cumulative_rounds = self.cumulative_rounds.saturating_add(reached - *consumed);
         *consumed = reached;
         self.log.push(ObjectiveLogEntry {
             trial_id: request.trial_id,
@@ -613,6 +613,17 @@ mod tests {
         assert_eq!(objective.sink.cumulative_rounds(), 0);
         assert!(objective.sink.log().is_empty());
         assert!(objective.sink.selected_true_error_within(10).is_none());
+    }
+
+    #[test]
+    fn campaign_rounds_saturate_instead_of_wrapping() {
+        let config = HpConfig::new(vec![0.5]);
+        let mut log = CampaignLog::<()>::default();
+        for trial in 0..2 {
+            log.observe_at(&request(trial, &config, usize::MAX, 0), 0.1, 0.1, 0.0);
+        }
+        assert_eq!(log.cumulative_rounds(), usize::MAX);
+        assert_eq!(log.log()[1].cumulative_rounds, usize::MAX);
     }
 
     #[test]

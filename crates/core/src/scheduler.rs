@@ -15,8 +15,8 @@
 //!   are delivered to [`Scheduler::report`] in total `(sim_time, key)`
 //!   order, and [`Scheduler::async_capable`] schedulers (async ASHA) are
 //!   re-polled on every completion — promote-on-completion with no rung
-//!   barrier, the paper's actual adaptive-allocation algorithm. Campaign
-//!   budgets can be expressed in **simulated wall-clock** seconds.
+//!   barrier, the paper's actual adaptive-allocation algorithm. A
+//!   campaign's [`Budget`] can cap it in **simulated wall-clock** seconds.
 //! - [`Clock::Barrier`] has no time at all: a suggested batch goes out at
 //!   once, is delivered in batch order once all of it has been evaluated,
 //!   and only then is the scheduler polled again — record for record what
@@ -27,6 +27,8 @@
 //! timeline is a pure function of the schedule and cost model, the produced
 //! [`TuningOutcome`] — including its virtual timeline — is **bit-identical**
 //! at every real thread count (`tests/determinism.rs`).
+//! The core, the one dispatch point, holds and debits the campaign's one
+//! [`Budget`], so a cap halts the same dispatch in every lane.
 
 use crate::concurrent::{on_pool, ConcurrentObjective, EvalJob, Pump, Ungated};
 use crate::Result;
@@ -67,22 +69,83 @@ pub struct Drive<'t> {
     /// journal and `suggest` / `evaluate` / `deliver` wall slices.
     /// Accounting, never semantics: `None` and `Some` give the same bits.
     pub trace: Option<&'t fedtrace::Trace>,
-    /// Take no further suggestion after this many non-empty batches.
-    /// Everything already suggested is still evaluated, committed and
-    /// reported, so a run cut here is a prefix of the uncut one.
-    pub stop: Option<usize>,
+    /// The caps the core enforces as it dispatches.
+    pub budget: Budget,
 }
 
 impl Drive<'_> {
-    /// One thread, no stop, and the process-global trace when
+    /// One thread, no budget, and the process-global trace when
     /// `FEDTUNE_TRACE=1`.
     pub fn new(clock: Clock) -> Self {
         Drive {
             threads: 1,
             clock,
             trace: fedtrace::global_if_enabled(),
-            stop: None,
+            budget: Budget::default(),
         }
+    }
+}
+
+/// The one budget of a campaign, debited by the [`ExecutorCore`] as it
+/// dispatches (default: unlimited). Work dispatched before a cap trips
+/// still completes, commits and reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Budget {
+    /// No suggestion after this many non-empty batches; what was suggested
+    /// still runs, so the cut run is a prefix of the uncut one.
+    pub batches: Option<usize>,
+    /// Halt once this many evaluations were dispatched. This cap and
+    /// `rounds` are checked before each poll once a dispatch went out, so
+    /// the wave crossing one runs whole and a cap of zero sends one wave.
+    pub evaluations: Option<u64>,
+    /// Halt once this many rounds were dispatched ([`DispatchedTrial::rounds`]).
+    pub rounds: Option<u64>,
+    /// A virtual-time deadline ([`Clock::Virtual`] only): nothing starts at
+    /// or after it, and nothing is suggested once the clock reaches it.
+    pub sim_seconds: Option<f64>,
+}
+
+/// Which [`Budget`] cap cut a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cap {
+    /// [`Budget::batches`].
+    Batches,
+    /// [`Budget::evaluations`].
+    Evaluations,
+    /// [`Budget::rounds`].
+    Rounds,
+    /// [`Budget::sim_seconds`].
+    SimSeconds,
+}
+
+/// Non-empty batches, evaluations and rounds dispatched so far; saturating,
+/// so a hostile resource cannot wrap a sum back below its cap.
+#[derive(Debug, Default)]
+struct Spent(usize, u64, u64);
+
+impl Budget {
+    fn validate(&self, clock: &Clock) -> Result<()> {
+        match (self.sim_seconds, clock) {
+            (Some(b), Clock::Virtual(_)) if b.is_finite() && b > 0.0 => Ok(()),
+            (None, _) => Ok(()),
+            _ => Err(crate::CoreError::InvalidConfig {
+                message: format!("invalid budget {self:?} under {clock:?}"),
+            }),
+        }
+    }
+
+    /// The first cap `spent` has reached at virtual time `now`. Both only
+    /// grow, so a cap once reached stays reached.
+    fn reached(&self, &Spent(batches, evaluations, rounds): &Spent, now: f64) -> Option<Cap> {
+        let over = |cap: Option<u64>, used| evaluations > 0 && cap.is_some_and(|c| used >= c);
+        [
+            (over(self.evaluations, evaluations), Cap::Evaluations),
+            (over(self.rounds, rounds), Cap::Rounds),
+            (self.sim_seconds.is_some_and(|b| now >= b), Cap::SimSeconds),
+            (self.batches.is_some_and(|b| batches >= b), Cap::Batches),
+        ]
+        .into_iter()
+        .find_map(|(hit, cap)| hit.then_some(cap))
     }
 }
 
@@ -92,8 +155,8 @@ impl Drive<'_> {
 /// dispatch order and the outcome is the same at every thread count.
 ///
 /// Under [`Clock::Barrier`] a batch is committed and its sink turn ended
-/// before its first result is reported. A run cut by [`Drive::stop`] has
-/// reported everything it suggested, so re-driving a fresh scheduler with
+/// before its first result is reported. A run cut by [`Budget::batches`]
+/// has reported everything it suggested, so re-driving a fresh scheduler with
 /// the same seed over a recording objective (`fedstore`) serves that prefix
 /// from the ledger and continues bit-identically to an uncut run.
 ///
@@ -114,11 +177,11 @@ pub fn drive<O: ConcurrentObjective>(
         threads,
         clock,
         trace,
-        stop,
+        budget,
     } = *config;
     let (eval, sink) = objective.split();
     let wall = trace.map(|t| t.wall_profile());
-    let core = ExecutorCore::new(scheduler, space, rng, clock, trace, stop)?;
+    let core = ExecutorCore::new(scheduler, space, rng, clock, trace, budget)?;
     if threads <= 1 {
         Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(wall)).run(core, &mut Ungated)
     } else {
@@ -166,8 +229,8 @@ pub fn run_event_driven_concurrent_traced<O: ConcurrentObjective>(
 }
 
 /// Configuration of the virtual clock: how many *virtual* workers the
-/// simulated tuning service runs, what each evaluation costs in simulated
-/// seconds, and an optional simulated wall-clock budget.
+/// simulated tuning service runs and what each evaluation costs in simulated
+/// seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VirtualExecution {
     /// Number of virtual workers trials are scheduled onto. Independent of
@@ -176,35 +239,17 @@ pub struct VirtualExecution {
     pub workers: usize,
     /// Simulated runtime of each evaluation.
     pub cost: CostModel,
-    /// Optional simulated wall-clock budget in virtual seconds: no
-    /// evaluation *starts* at or after this deadline (in-flight evaluations
-    /// still complete and report), and no further work is suggested once the
-    /// clock reaches it.
-    pub sim_budget: Option<f64>,
 }
 
 impl VirtualExecution {
-    /// A virtual service with `workers` workers and the given cost model,
-    /// with no wall-clock budget.
+    /// A virtual service with `workers` workers and the given cost model.
     pub fn new(workers: usize, cost: CostModel) -> Self {
-        VirtualExecution {
-            workers,
-            cost,
-            sim_budget: None,
-        }
-    }
-
-    /// Sets a simulated wall-clock budget in virtual seconds.
-    #[must_use]
-    pub fn with_sim_budget(mut self, sim_budget: f64) -> Self {
-        self.sim_budget = Some(sim_budget);
-        self
+        VirtualExecution { workers, cost }
     }
 
     fn validate(&self) -> Result<()> {
         self.cost.validate()?;
-        let budget_ok = self.sim_budget.is_none_or(|b| b.is_finite() && b > 0.0);
-        if self.workers == 0 || !budget_ok {
+        if self.workers == 0 {
             return Err(crate::CoreError::InvalidConfig {
                 message: format!("invalid virtual execution: {self:?}"),
             });
@@ -223,10 +268,12 @@ pub struct EventDrivenOutcome {
     /// last delivered completion); always `0.0` under [`Clock::Barrier`],
     /// which has no time.
     pub sim_elapsed: f64,
-    /// Whether the schedule ran to completion (`false` when a simulated
-    /// wall-clock budget, [`Drive::stop`] or [`ExecutorCore::halt`] cut it
-    /// off).
+    /// Whether the schedule ran to completion (`false` when a [`Budget`]
+    /// cap or [`ExecutorCore::halt`] cut it off).
     pub finished: bool,
+    /// The [`Budget`] cap that tripped, if one did (even by the last wave,
+    /// with `finished == true`); [`ExecutorCore::halt`] sets none.
+    pub halt: Option<Cap>,
     /// The virtual-time execution timeline: one [`TrialSpan`] per dispatched
     /// evaluation, in dispatch order, carrying its virtual worker and
     /// simulated start/end; empty under [`Clock::Barrier`], which has no
@@ -278,7 +325,7 @@ pub enum ExecutorStep {
     /// completes every dispatch before stepping again never sees this.)
     Deliver(EventKey),
     /// The campaign is over: every dispatched trial has been delivered and
-    /// the scheduler has no further work (or a budget or stop cut the
+    /// the scheduler has no further work (or a budget or halt cut the
     /// schedule off). Call [`ExecutorCore::finish`].
     Finished,
 }
@@ -291,6 +338,9 @@ pub struct DispatchedTrial {
     /// The event key identifying this evaluation; pass it to
     /// [`ExecutorCore::complete`] together with the result.
     pub key: EventKey,
+    /// Training rounds this dispatch adds beyond the trial's furthest
+    /// earlier dispatch — what it debits from [`Budget::rounds`].
+    pub rounds: usize,
     /// Index of the virtual worker executing the trial (`0` under
     /// [`Clock::Barrier`]).
     pub worker: usize,
@@ -366,37 +416,31 @@ impl Timing {
 ///
 /// Two invariants the core maintains for its callers:
 ///
-/// - **Validated-only training accounting.** A trial's trained-rounds
-///   high-water mark ([`trained_rounds`](Self::trained_rounds)) is committed
-///   only when its evaluation result is fed back via `complete`; a dispatch
-///   whose evaluation errors out never claims rounds it did not train. Cost
-///   accounting for overlapping in-flight dispatches of the same trial uses
-///   a staged overlay so incremental costs match the sequential driver
-///   exactly.
+/// - **Incremental costs at dispatch.** A dispatch is charged the rounds it
+///   trains beyond its trial's furthest earlier dispatch
+///   ([`DispatchedTrial::rounds`]), so overlapping in-flight dispatches of
+///   one trial cost exactly what the sequential driver charges.
 /// - **Order-independent completion.** `complete` may be called in any
 ///   order; results wait in a completion buffer until their turn to be
-///   delivered, and committing the high-water mark is a max-merge, so the
-///   observable state never depends on completion order.
+///   delivered, so the observable state never depends on completion order.
 pub struct ExecutorCore<'a> {
     scheduler: &'a mut dyn Scheduler,
     space: &'a SearchSpace,
     rng: &'a mut StdRng,
     timing: Timing,
     async_mode: bool,
-    stop: Option<usize>,
-    /// Non-empty batches the scheduler has suggested so far.
-    batches: usize,
+    budget: Budget,
+    spent: Spent,
+    /// The cap [`poll`](Self::poll) last found reached.
+    cut: Option<Cap>,
     queue: VecDeque<TrialRequest>,
-    /// Validated trained-rounds high-water per trial: committed only by
-    /// [`complete`](Self::complete).
-    trained: HashMap<usize, usize>,
-    /// Rounds each trial has been *dispatched* to (including unvalidated
-    /// in-flight work), so costs charge only incremental rounds even when
-    /// several reps of one trial are in flight.
+    /// Rounds each trial has been *dispatched* to (including in-flight
+    /// work), so costs charge only incremental rounds even when several
+    /// reps of one trial are in flight.
     staged: HashMap<usize, usize>,
-    /// Reached-rounds values of in-flight dispatches, FIFO per key (a key
-    /// can be in flight more than once only at distinct completion times).
-    pending: HashMap<EventKey, Vec<usize>>,
+    /// In-flight dispatches per key (a key can be in flight more than once
+    /// only at distinct completion times).
+    pending: HashMap<EventKey, usize>,
     /// Completions fed in but not yet delivered.
     fed: HashMap<EventKey, Vec<TrialResult>>,
     outstanding: usize,
@@ -411,20 +455,23 @@ pub struct ExecutorCore<'a> {
 
 impl<'a> ExecutorCore<'a> {
     /// Builds an executor core over `scheduler` under `clock`, with the
-    /// [`Drive::trace`] and [`Drive::stop`] meanings of `trace` and `stop`.
+    /// [`Drive::trace`] and [`Drive::budget`] meanings of `trace` and
+    /// `budget`.
     ///
     /// # Errors
     ///
-    /// Fails when a virtual clock is invalid (zero workers, non-finite or
-    /// non-positive budget, invalid cost model).
+    /// Fails when a virtual clock is invalid (zero workers, invalid cost
+    /// model) or the budget's deadline is (non-finite, non-positive, or
+    /// under [`Clock::Barrier`], which has no time).
     pub fn new(
         scheduler: &'a mut dyn Scheduler,
         space: &'a SearchSpace,
         rng: &'a mut StdRng,
         clock: Clock,
         trace: Option<&'a fedtrace::Trace>,
-        stop: Option<usize>,
+        budget: Budget,
     ) -> Result<Self> {
+        budget.validate(&clock)?;
         let (timing, async_mode) = match clock {
             Clock::Virtual(sim) => {
                 sim.validate()?;
@@ -449,10 +496,10 @@ impl<'a> ExecutorCore<'a> {
             rng,
             timing,
             async_mode,
-            stop,
-            batches: 0,
+            budget,
+            spent: Spent::default(),
+            cut: None,
             queue: VecDeque::new(),
-            trained: HashMap::new(),
             staged: HashMap::new(),
             pending: HashMap::new(),
             fed: HashMap::new(),
@@ -476,7 +523,8 @@ impl<'a> ExecutorCore<'a> {
         sim: &VirtualExecution,
         trace: Option<&'a fedtrace::Trace>,
     ) -> Result<Self> {
-        Self::new(scheduler, space, rng, Clock::Virtual(*sim), trace, None)
+        let clock = Clock::Virtual(*sim);
+        Self::new(scheduler, space, rng, clock, trace, Budget::default())
     }
 
     /// Number of dispatched evaluations whose completions have not been
@@ -488,27 +536,12 @@ impl<'a> ExecutorCore<'a> {
     /// Halts the campaign early: the scheduler is never polled again and
     /// queued (undispatched) requests are discarded, while evaluations
     /// already dispatched still complete and deliver — so the partial
-    /// outcome remains internally consistent, exactly like a simulated
-    /// wall-clock budget cutoff. The multiplexing service daemon uses this
-    /// for per-campaign trial/resource budget enforcement and operator
-    /// stops. Idempotent.
+    /// outcome remains internally consistent, exactly like a [`Budget`]
+    /// cutoff. The multiplexing service daemon uses this for operator stops
+    /// and shutdowns. Idempotent.
     pub fn halt(&mut self) {
         self.halted = true;
         self.queue.clear();
-    }
-
-    /// Whether [`halt`](Self::halt) has been called.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The **validated** trained-rounds high-water mark of a trial: rounds
-    /// are committed only when an evaluation result covering them is fed
-    /// back through [`complete`](Self::complete), never at dispatch — so an
-    /// objective error mid-campaign cannot leave the core claiming rounds
-    /// that were never trained.
-    pub fn trained_rounds(&self, trial_id: usize) -> usize {
-        self.trained.get(&trial_id).copied().unwrap_or(0)
     }
 
     /// Advances the state machine until it has something to say.
@@ -588,15 +621,14 @@ impl<'a> ExecutorCore<'a> {
     ///
     /// May be called in any order relative to other in-flight dispatches;
     /// delivery to the scheduler still happens in the clock's order inside
-    /// [`step`](Self::step). Commits the trial's validated trained-rounds
-    /// high-water mark (a max-merge, so completion order cannot change it).
+    /// [`step`](Self::step).
     ///
     /// # Errors
     ///
     /// Fails when `key` has no in-flight dispatch or `result` does not carry
     /// the key's coordinates.
     pub fn complete(&mut self, key: EventKey, result: TrialResult) -> Result<()> {
-        let Some(stack) = self.pending.get_mut(&key) else {
+        let Some(in_flight) = self.pending.get_mut(&key) else {
             return Err(crate::CoreError::InvalidConfig {
                 message: format!("completion for unknown or already-completed key {key:?}"),
             });
@@ -612,14 +644,10 @@ impl<'a> ExecutorCore<'a> {
                 ),
             });
         }
-        let reached = stack.remove(0);
-        if stack.is_empty() {
+        *in_flight -= 1;
+        if *in_flight == 0 {
             self.pending.remove(&key);
         }
-        // The high-water mark is committed only here, against a validated
-        // result — never at dispatch.
-        let committed = self.trained.entry(key.trial as usize).or_insert(0);
-        *committed = (*committed).max(reached);
         self.fed.entry(key).or_default().push(result);
         Ok(())
     }
@@ -632,6 +660,7 @@ impl<'a> ExecutorCore<'a> {
         EventDrivenOutcome {
             sim_elapsed: self.timing.now(),
             finished: self.scheduler.is_finished(),
+            halt: self.cut,
             outcome: self.outcome,
             timeline: self.timeline,
         }
@@ -641,15 +670,15 @@ impl<'a> ExecutorCore<'a> {
     /// outstanding for barrier schedulers (and under [`Clock::Barrier`]), at
     /// any time for async ones under a virtual clock. Fresh suggestions go
     /// to the *front* of the dispatch queue so async promotions overtake
-    /// queued fresh configurations.
+    /// queued fresh configurations. A reached [`Budget`] cap stops the
+    /// polling; every cap but [`Cap::Batches`] also drops the queue.
     fn poll(&mut self) -> Result<()> {
-        let within_budget = match &self.timing {
-            Timing::Virtual { sim, clock, .. } => sim.sim_budget.is_none_or(|b| clock.now() < b),
-            Timing::Barrier(_) => true,
-        };
+        self.cut = self.budget.reached(&self.spent, self.timing.now());
+        if self.cut.is_some_and(|cap| cap != Cap::Batches) {
+            self.queue.clear();
+        }
         if !self.halted
-            && within_budget
-            && self.stop.is_none_or(|stop| self.batches < stop)
+            && self.cut.is_none()
             && !self.scheduler.is_finished()
             && (self.outstanding == 0 || self.async_mode)
         {
@@ -667,7 +696,7 @@ impl<'a> ExecutorCore<'a> {
                 });
             }
             if !batch.is_empty() {
-                self.batches += 1;
+                self.spent.0 += 1;
             }
             if let Some(m) = &self.metrics {
                 m.suggests.incr();
@@ -693,12 +722,10 @@ impl<'a> ExecutorCore<'a> {
     fn dispatch(&mut self) -> Result<Vec<DispatchedTrial>> {
         let mut batch: Vec<DispatchedTrial> = Vec::new();
         while let Some(request) = self.queue.front() {
-            // Incremental cost baseline: validated rounds plus rounds already
-            // dispatched (staged) — the same `already` the sequential driver
-            // saw when it updated its map eagerly, without claiming
-            // unvalidated rounds as trained.
-            let committed = self.trained.get(&request.trial_id).copied().unwrap_or(0);
-            let already = committed.max(self.staged.get(&request.trial_id).copied().unwrap_or(0));
+            // Incremental cost baseline: the rounds already dispatched — the
+            // same `already` the sequential driver saw when it updated its
+            // map eagerly.
+            let already = self.staged.get(&request.trial_id).copied().unwrap_or(0);
             let reached = already.max(request.resource);
             let key = event_key(request);
             let (worker, start, completion) = match &mut self.timing {
@@ -722,7 +749,7 @@ impl<'a> ExecutorCore<'a> {
                     // worker, no later request could start sooner — stop
                     // here).
                     let start = free_at.max(clock.now());
-                    if sim.sim_budget.is_some_and(|b| start >= b) {
+                    if self.budget.sim_seconds.is_some_and(|b| start >= b) {
                         break;
                     }
                     let fingerprint = self.space.canonical_fingerprint(&request.config)?;
@@ -748,7 +775,10 @@ impl<'a> ExecutorCore<'a> {
                 break;
             };
             self.staged.insert(request.trial_id, reached);
-            self.pending.entry(key).or_default().push(reached);
+            *self.pending.entry(key).or_default() += 1;
+            let rounds = reached - already;
+            self.spent.1 = self.spent.1.saturating_add(1);
+            self.spent.2 = self.spent.2.saturating_add(rounds as u64);
             if let Some(m) = &self.metrics {
                 m.dispatched.incr();
                 m.rung_resource.observe(request.resource as u64);
@@ -762,6 +792,7 @@ impl<'a> ExecutorCore<'a> {
             batch.push(DispatchedTrial {
                 request,
                 key,
+                rounds,
                 worker,
                 sim_start: start,
                 sim_completion: completion,
@@ -810,7 +841,9 @@ impl<'a> ExecutorCore<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concurrent::tests::{analytic_score, space_1d, AnalyticObjective, CommitLog};
+    use crate::concurrent::tests::{
+        analytic_score, space_1d, AnalyticObjective, CommitLog, Scripted,
+    };
     use fedhpo::{Asha, AsyncAsha, HpConfig, IntoScheduler, RandomSearch};
     use fedmath::rng::rng_for;
 
@@ -842,6 +875,51 @@ mod tests {
 
     fn unit(workers: usize) -> Clock {
         Clock::Virtual(VirtualExecution::new(workers, CostModel::Unit))
+    }
+
+    fn unlimited() -> Budget {
+        Budget::default()
+    }
+
+    /// Counts the non-empty batches and the requests it suggested.
+    struct Counting<S> {
+        inner: S,
+        batches: usize,
+        suggested: usize,
+    }
+    impl<S: Scheduler> Scheduler for Counting<S> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn suggest(
+            &mut self,
+            space: &SearchSpace,
+            rng: &mut StdRng,
+        ) -> fedhpo::Result<Vec<TrialRequest>> {
+            let batch = self.inner.suggest(space, rng)?;
+            self.batches += usize::from(!batch.is_empty());
+            self.suggested += batch.len();
+            Ok(batch)
+        }
+        fn report(&mut self, result: &TrialResult) -> fedhpo::Result<()> {
+            self.inner.report(result)
+        }
+        fn is_finished(&self) -> bool {
+            self.inner.is_finished()
+        }
+        fn async_capable(&self) -> bool {
+            self.inner.async_capable()
+        }
+    }
+
+    impl<S> Counting<S> {
+        fn new(inner: S) -> Self {
+            Counting {
+                inner,
+                batches: 0,
+                suggested: 0,
+            }
+        }
     }
 
     /// Feeds every dispatch its analytic score.
@@ -915,73 +993,104 @@ mod tests {
         let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
         let (space, mut rng) = (space_1d(), rng_for(5, 0));
         let mut core =
-            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(2), None, None).unwrap();
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(2), None, unlimited())
+                .unwrap();
         let ExecutorStep::Dispatch(rung) = core.step().unwrap() else {
             panic!("a fresh campaign dispatches first");
         };
         assert_eq!(rung.len(), 9, "only the first rung was dispatched");
         feed(&mut core, &rung);
         core.halt();
-        assert!(core.is_halted());
         core.halt(); // idempotent
         assert_eq!(run_inline(&mut core), 0, "no dispatches after halt");
         assert_eq!(core.outstanding(), 0, "outstanding work drained");
         let outcome = core.finish();
         assert!(!outcome.finished, "halt cut the ASHA ladder off mid-rung");
+        assert_eq!(outcome.halt, None, "a host halt is no budget cap");
         assert_eq!(outcome.outcome.num_evaluations(), 9);
     }
 
     #[test]
-    fn stop_takes_exactly_n_batches_and_drains_them() {
-        /// Counts the non-empty batches and the requests it suggested.
-        struct Counting<S> {
-            inner: S,
-            batches: usize,
-            suggested: usize,
-        }
-        impl<S: Scheduler> Scheduler for Counting<S> {
-            fn name(&self) -> &'static str {
-                self.inner.name()
-            }
-            fn suggest(
-                &mut self,
-                space: &SearchSpace,
-                rng: &mut StdRng,
-            ) -> fedhpo::Result<Vec<TrialRequest>> {
-                let batch = self.inner.suggest(space, rng)?;
-                self.batches += usize::from(!batch.is_empty());
-                self.suggested += batch.len();
-                Ok(batch)
-            }
-            fn report(&mut self, result: &TrialResult) -> fedhpo::Result<()> {
-                self.inner.report(result)
-            }
-            fn is_finished(&self) -> bool {
-                self.inner.is_finished()
-            }
-            fn async_capable(&self) -> bool {
-                self.inner.async_capable()
-            }
-        }
+    fn a_batch_cap_takes_exactly_n_batches_and_drains_them() {
         let ladder = AsyncAsha::from_ladder(Asha::new(12, 3, 1, 9));
         let (space, mut rng) = (space_1d(), rng_for(3, 0));
         for stop in [1usize, 3, 5] {
-            let inner = ladder.scheduler().unwrap();
-            let mut scheduler = Counting {
-                inner,
-                batches: 0,
-                suggested: 0,
+            let mut scheduler = Counting::new(ladder.scheduler().unwrap());
+            let budget = Budget {
+                batches: Some(stop),
+                ..Budget::default()
             };
             let mut core =
-                ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(4), None, Some(stop))
-                    .unwrap();
+                ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(4), None, budget).unwrap();
             run_inline(&mut core);
             assert_eq!(core.outstanding(), 0, "stop = {stop}");
             let outcome = core.finish();
             assert!(!outcome.finished, "stop = {stop}");
+            assert_eq!(outcome.halt, Some(Cap::Batches));
             assert_eq!(scheduler.batches, stop);
             assert_eq!(outcome.outcome.num_evaluations(), scheduler.suggested);
         }
+    }
+
+    #[test]
+    fn an_evaluation_cap_crossed_mid_batch_drains_the_batch_under_the_barrier_clock() {
+        // ASHA's rungs are batches of 9, 3 and 1. A cap inside a batch lets
+        // that whole batch run and suggests nothing after it, at every
+        // thread count.
+        let asha = Asha::new(9, 3, 1, 9);
+        for (cap, batches, evaluations) in [(5u64, 1usize, 9usize), (10, 2, 12)] {
+            for threads in [1usize, 4] {
+                let mut scheduler = Counting::new(asha.scheduler().unwrap());
+                let config = Drive {
+                    threads,
+                    budget: Budget {
+                        evaluations: Some(cap),
+                        ..Budget::default()
+                    },
+                    ..barrier()
+                };
+                let run = analytic(&mut scheduler, &config, 1);
+                let at = format!("cap {cap}, {threads} threads");
+                assert_eq!(run.halt, Some(Cap::Evaluations), "{at}");
+                assert!(!run.finished, "{at}");
+                assert_eq!(scheduler.batches, batches, "{at}");
+                assert_eq!(scheduler.suggested, evaluations, "{at}");
+                assert_eq!(run.outcome.num_evaluations(), evaluations, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn budget_sums_saturate_and_still_trip_their_cap() {
+        // One batch of two trials asking for `usize::MAX` rounds each: the
+        // rounds spent saturate at `u64::MAX` (a wrapped sum would fall back
+        // below the cap), the cap trips and the next batch is never
+        // suggested.
+        let config = HpConfig::new(vec![0.5]);
+        let request = |trial_id| TrialRequest {
+            trial_id,
+            config: config.clone(),
+            resource: usize::MAX,
+            noise_rep: 0,
+        };
+        let batches = vec![vec![request(0), request(1)], vec![request(2)]];
+        let mut scheduler = Counting::new(Scripted::new(batches));
+        let budget = Budget {
+            rounds: Some(u64::MAX),
+            ..Budget::default()
+        };
+        let run = analytic(
+            &mut scheduler,
+            &Drive {
+                budget,
+                ..barrier()
+            },
+            0,
+        );
+        assert_eq!(run.halt, Some(Cap::Rounds));
+        assert_eq!(scheduler.batches, 1);
+        assert_eq!(run.outcome.num_evaluations(), 2);
+        assert_eq!(run.outcome.total_resource(), usize::MAX);
     }
 
     #[test]
@@ -990,10 +1099,17 @@ mod tests {
         // first rung with the outcome so far, and an unstopped re-drive with
         // the same seed reproduces the full run exactly.
         let asha = Asha::new(9, 3, 1, 9);
-        let run_until = |stop: Option<usize>| {
+        let run_until = |batches: Option<usize>| {
+            let budget = Budget {
+                batches,
+                ..Budget::default()
+            };
             let run = analytic(
                 &mut asha.scheduler().unwrap(),
-                &Drive { stop, ..barrier() },
+                &Drive {
+                    budget,
+                    ..barrier()
+                },
                 3,
             );
             (run.outcome, run.finished)
@@ -1028,18 +1144,22 @@ mod tests {
         )
         .validate()
         .is_err());
-        assert!(VirtualExecution::new(4, CostModel::Unit)
-            .with_sim_budget(0.0)
-            .validate()
-            .is_err());
-        assert!(VirtualExecution::new(4, CostModel::Unit)
-            .with_sim_budget(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(VirtualExecution::new(4, CostModel::Unit)
-            .with_sim_budget(10.0)
-            .validate()
-            .is_ok());
+    }
+
+    #[test]
+    fn a_deadline_must_be_finite_positive_and_on_a_virtual_clock() {
+        let deadline = |sim_seconds| Budget {
+            sim_seconds: Some(sim_seconds),
+            ..Budget::default()
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(deadline(bad).validate(&unit(4)).is_err(), "{bad}");
+        }
+        assert!(deadline(10.0).validate(&unit(4)).is_ok());
+        // The barrier clock has no time to run out of.
+        let err = deadline(10.0).validate(&Clock::Barrier).unwrap_err();
+        assert!(matches!(err, crate::CoreError::InvalidConfig { .. }));
+        assert!(unlimited().validate(&Clock::Barrier).is_ok());
     }
 
     /// With the homogeneous unit-cost model the virtual clock performs
@@ -1112,9 +1232,14 @@ mod tests {
     fn sim_budget_cuts_the_campaign_off_cleanly() {
         // The same 8-trial schedule on 1 worker with a 3-second budget: three
         // evaluations complete, the rest are never dispatched.
-        let budgeted = |budget: f64| {
-            let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(budget);
-            let config = Drive::new(Clock::Virtual(sim));
+        let budgeted = |sim_seconds: f64| {
+            let config = Drive {
+                budget: Budget {
+                    sim_seconds: Some(sim_seconds),
+                    ..Budget::default()
+                },
+                ..Drive::new(unit(1))
+            };
             analytic(
                 &mut RandomSearch::new(8, 2).scheduler().unwrap(),
                 &config,
@@ -1123,11 +1248,13 @@ mod tests {
         };
         let event = budgeted(3.0);
         assert!(!event.finished);
+        assert_eq!(event.halt, Some(Cap::SimSeconds));
         assert_eq!(event.outcome.num_evaluations(), 3);
         assert_eq!(event.sim_elapsed, 3.0);
         // A budget larger than the whole campaign changes nothing.
         let event = budgeted(1e6);
         assert!(event.finished);
+        assert_eq!(event.halt, None);
         assert_eq!(event.outcome.num_evaluations(), 8);
     }
 
@@ -1205,23 +1332,23 @@ mod tests {
 
     #[test]
     fn executor_core_enforces_budget_boundaries_sans_io() {
-        let budget = |seconds: f64| {
-            let sim = VirtualExecution::new(1, CostModel::Unit).with_sim_budget(seconds);
-            Clock::Virtual(sim)
+        let budget = |seconds: f64| Budget {
+            sim_seconds: Some(seconds),
+            ..Budget::default()
         };
         // A zero budget is rejected up front by construction.
         let space = space_1d();
         let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
         let mut rng = rng_for(0, 0);
         let zero = budget(0.0);
-        assert!(ExecutorCore::new(&mut scheduler, &space, &mut rng, zero, None, None).is_err());
+        assert!(ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(1), None, zero).is_err());
 
         // A dispatch whose start lands exactly on the deadline is never
         // issued: unit costs on one worker under a 2.0-second budget admit
         // the starts at 0 and 1, and reject the start at exactly 2.0.
-        let clock = budget(2.0);
         let mut core =
-            ExecutorCore::new(&mut scheduler, &space, &mut rng, clock, None, None).unwrap();
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(1), None, budget(2.0))
+                .unwrap();
         let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
             panic!("expected an initial dispatch");
         };
@@ -1253,9 +1380,15 @@ mod tests {
     fn a_barrier_batch_is_held_until_its_last_result_and_delivered_in_batch_order() {
         let mut scheduler = RandomSearch::new(4, 2).scheduler().unwrap();
         let (space, mut rng) = (space_1d(), rng_for(0, 0));
-        let mut core =
-            ExecutorCore::new(&mut scheduler, &space, &mut rng, Clock::Barrier, None, None)
-                .unwrap();
+        let mut core = ExecutorCore::new(
+            &mut scheduler,
+            &space,
+            &mut rng,
+            Clock::Barrier,
+            None,
+            unlimited(),
+        )
+        .unwrap();
         let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
             panic!("expected the whole batch");
         };
@@ -1281,35 +1414,23 @@ mod tests {
     }
 
     #[test]
-    fn trained_rounds_commit_only_on_validated_results() {
-        // ASHA promotions resume from the trained high-water mark; the core
-        // must not claim rounds at dispatch time, only once a result has
-        // validated them — an objective failure mid-flight leaves no phantom
-        // training behind.
+    fn completions_must_match_a_dispatch_and_promotions_pay_increments() {
         let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
         let (space, mut rng) = (space_1d(), rng_for(1, 0));
         let mut core =
-            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(9), None, None).unwrap();
+            ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(9), None, unlimited())
+                .unwrap();
         let ExecutorStep::Dispatch(rung) = core.step().unwrap() else {
             panic!("expected the first rung");
         };
         assert_eq!(rung.len(), 9);
-        // In flight, nothing is validated yet.
-        for d in &rung {
-            assert_eq!(core.trained_rounds(d.request.trial_id), 0);
-        }
+        assert!(rung.iter().all(|d| d.rounds == 1));
         let (last, rest) = rung.split_last().unwrap();
-        for d in rest {
-            feed(&mut core, std::slice::from_ref(d));
-            assert_eq!(core.trained_rounds(d.request.trial_id), d.request.resource);
-        }
-        assert_eq!(core.trained_rounds(last.request.trial_id), 0);
-        // A result that does not carry the key's coordinates is refused and
-        // commits nothing.
+        feed(&mut core, rest);
+        // A result that does not carry the key's coordinates is refused.
         let mut wrong = TrialResult::of(&last.request, 0.0);
         wrong.resource += 1;
         assert!(core.complete(last.key, wrong).is_err());
-        assert_eq!(core.trained_rounds(last.request.trial_id), 0);
         // So is a completion for a key that was never dispatched.
         let mut bogus = last.request.clone();
         bogus.trial_id = 99;
@@ -1317,11 +1438,17 @@ mod tests {
         assert!(core
             .complete(bogus_key, TrialResult::of(&bogus, 0.0))
             .is_err());
-        // The genuine result commits the mark.
+        // The genuine result is taken once.
         feed(&mut core, std::slice::from_ref(last));
-        assert_eq!(
-            core.trained_rounds(last.request.trial_id),
-            last.request.resource
-        );
+        let again = TrialResult::of(&last.request, 0.0);
+        assert!(core.complete(last.key, again).is_err());
+        // Promotions from resource 1 to 3 pay the two rounds in between.
+        let ExecutorStep::Dispatch(promoted) = core.step().unwrap() else {
+            panic!("expected the promotions");
+        };
+        assert_eq!(promoted.len(), 3);
+        assert!(promoted
+            .iter()
+            .all(|d| d.request.resource == 3 && d.rounds == 2));
     }
 }

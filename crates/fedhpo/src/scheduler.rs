@@ -161,7 +161,9 @@ impl BudgetLedger {
     /// virtual-time order and stamp each record with its completion instant.
     pub fn record_at(&mut self, result: &TrialResult, sim_time: f64) -> EvaluationRecord {
         let consumed = self.consumed.entry(result.trial_id).or_insert(0);
-        self.cumulative += result.resource.saturating_sub(*consumed);
+        self.cumulative = self
+            .cumulative
+            .saturating_add(result.resource.saturating_sub(*consumed));
         *consumed = (*consumed).max(result.resource);
         EvaluationRecord {
             trial_id: result.trial_id,
@@ -343,6 +345,12 @@ mod tests {
         // A second trial pays its own way.
         assert_eq!(ledger.record(&result(1, 4, 0)).cumulative_resource, 13);
         assert_eq!(ledger.cumulative(), 13);
+        // Hostile resources saturate the sum instead of wrapping it.
+        ledger.record(&result(2, usize::MAX, 0));
+        assert_eq!(
+            ledger.record(&result(3, usize::MAX, 0)).cumulative_resource,
+            usize::MAX
+        );
     }
 
     #[test]

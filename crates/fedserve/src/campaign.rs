@@ -9,9 +9,9 @@
 //! - the private `Tenant` [`Host`] puts every dispatch through the
 //!   [`FairGate`] before it touches a real worker (admission may lag
 //!   dispatch; grants arrive in the pump's own inbox, in dispatch order, so
-//!   the reorder logic is unchanged), raises the control flags and the
-//!   dispatch-side budgets before each step, and ends each turn with
-//!   `sync → publish Progress`.
+//!   the reorder logic is unchanged), raises the control flags before each
+//!   step, and ends each turn with `sync → publish Progress`. Budgets are
+//!   the core's ([`CampaignSpec::budget`]), as in every standalone lane.
 //!
 //! A **turn** blocks for one inbox message, drains every grant and
 //! completion already waiting behind it, stages the commits that are in
@@ -44,16 +44,15 @@
 
 use crate::dispatch::{DrrConfig, FairGate, GateError};
 use crate::objective::build_objective;
-use crate::spec::{CampaignLimits, CampaignSpec};
+use crate::spec::{CampaignSpec, CampaignState};
 use crate::{Result, ServeError};
 use fedhpo::{Scheduler, TrialRequest};
 use fedsim::SharedPool;
 use fedstore::{RecordingEval, RecordingObjective, RecordingSink, TrialStore};
 use fedtune_core::{
-    Admission, Clock, ConcurrentEval, EvalJob, EventDrivenOutcome, ExecutorCore, Host, Pump,
+    Admission, Cap, Clock, ConcurrentEval, EvalJob, EventDrivenOutcome, ExecutorCore, Host, Pump,
     VirtualExecution,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -120,6 +119,19 @@ pub struct CampaignOutcome {
     pub store: TrialStore,
 }
 
+impl CampaignOutcome {
+    /// The state the registry settles this campaign in.
+    pub fn state(&self) -> CampaignState {
+        match self.halt {
+            Some(HaltReason::Stopped) => CampaignState::Stopped,
+            Some(HaltReason::Suspended) => CampaignState::Suspended,
+            None if self.outcome.finished => CampaignState::Completed,
+            // A cap, or no halt on an unfinished schedule: the deadline.
+            _ => CampaignState::BudgetExhausted,
+        }
+    }
+}
+
 /// One campaign's seat in the daemon: what [`Host`] means behind the
 /// [`FairGate`]. Dropping it deregisters the campaign from the gate on every
 /// exit path, releasing its admitted capacity to the co-tenants.
@@ -127,19 +139,10 @@ struct Tenant<'a, E> {
     gate: &'a FairGate,
     member: u64,
     flags: &'a CampaignFlags,
-    limits: &'a CampaignLimits,
     eval: &'a RecordingEval<E>,
     on_progress: &'a mut dyn FnMut(Progress),
+    /// The flag that halted the campaign, if one did.
     halt: Option<HaltReason>,
-    /// Budget enforcement is *dispatch-side*: the dispatch sequence is a
-    /// pure function of the virtual state machine (never of real thread
-    /// timing), so the halt lands on the same evaluation in every execution
-    /// and a budget-capped campaign stays bit-reproducible. `planned`
-    /// mirrors each trial's dispatched (not yet necessarily committed)
-    /// training rounds.
-    planned: HashMap<usize, usize>,
-    planned_rounds: u64,
-    dispatched: u64,
 }
 
 impl<E> Drop for Tenant<'_, E> {
@@ -159,48 +162,25 @@ where
         if self.flags.kill.load(Ordering::Relaxed) {
             return Err(ServeError::Killed);
         }
+        use HaltReason::{Stopped, Suspended};
         if self.halt.is_none() {
-            // Trial/resource budgets cut the schedule off at dispatch
-            // granularity, once a wave has gone out: everything already
-            // dispatched still drains (exactly like a simulated wall-clock
-            // cutoff).
-            let spent = |cap: Option<u64>, used: u64| {
-                self.dispatched > 0 && cap.is_some_and(|cap| used >= cap)
-            };
-            self.halt = if spent(self.limits.max_evaluations, self.dispatched) {
-                Some(HaltReason::BudgetEvaluations)
-            } else if spent(self.limits.max_resource, self.planned_rounds) {
-                Some(HaltReason::BudgetResource)
-            } else if self.flags.stop.load(Ordering::Relaxed) {
-                Some(HaltReason::Stopped)
-            } else if self.flags.suspend.load(Ordering::Relaxed) {
-                Some(HaltReason::Suspended)
-            } else {
-                None
-            };
-            if self.halt.is_some() {
+            let stop = self.flags.stop.load(Ordering::Relaxed);
+            if stop || self.flags.suspend.load(Ordering::Relaxed) {
+                self.halt = Some(if stop { Stopped } else { Suspended });
                 core.halt();
             }
         }
         Ok(())
     }
 
-    fn admit(&mut self, request: &TrialRequest) -> Result<Admission> {
+    fn admit(&mut self, _request: &TrialRequest, rounds: usize) -> Result<Admission> {
         if self.flags.kill.load(Ordering::Relaxed) {
             return Err(ServeError::Killed);
         }
         // Admission cost = incremental rounds this evaluation will train
         // (affects only fairness, never bits).
-        let trained = self.planned.get(&request.trial_id).copied().unwrap_or(0);
-        let delta = request.resource.saturating_sub(trained) as u64;
-        match self.gate.enqueue(self.member, delta.max(1)) {
-            Ok(ticket) => {
-                self.planned
-                    .insert(request.trial_id, trained.max(request.resource));
-                self.planned_rounds += delta;
-                self.dispatched += 1;
-                Ok(Admission::Ticket(ticket))
-            }
+        match self.gate.enqueue(self.member, (rounds as u64).max(1)) {
+            Ok(ticket) => Ok(Admission::Ticket(ticket)),
             Err(GateError::QueueFull { .. }) => Ok(Admission::Full),
             Err(e @ GateError::UnknownMember { .. }) => Err(ServeError::Core {
                 message: e.to_string(),
@@ -236,11 +216,7 @@ where
 
 /// The virtual service a spec describes.
 fn sim_of(spec: &CampaignSpec) -> VirtualExecution {
-    VirtualExecution {
-        workers: spec.workers,
-        cost: spec.cost.build(),
-        sim_budget: spec.sim_budget,
-    }
+    VirtualExecution::new(spec.workers, spec.cost.build())
 }
 
 /// Runs one campaign to a settled outcome over the shared pool and gate.
@@ -301,7 +277,8 @@ where
     let RecordingObjective { eval, mut sink } = objective;
     let eval = Arc::new(eval);
     let clock = Clock::Virtual(sim_of(spec));
-    let core = ExecutorCore::new(scheduler, &space, &mut rng, clock, trace.as_deref(), None)?;
+    let budget = spec.budget();
+    let core = ExecutorCore::new(scheduler, &space, &mut rng, clock, trace.as_deref(), budget)?;
     // Where a job runs: on the shared pool, owning an `Arc` of everything
     // it touches.
     let mut pump = Pump::new(
@@ -326,16 +303,18 @@ where
         gate,
         member: gate.register(config, pump.admitter()),
         flags,
-        limits: &spec.limits,
         eval: &eval,
         on_progress,
         halt: None,
-        planned: HashMap::new(),
-        planned_rounds: 0,
-        dispatched: 0,
     };
     let outcome = pump.run(core, &mut tenant)?;
-    let halt = tenant.halt;
+    // A cap outranks a flag seen on the same step. A passed deadline shows
+    // as no halt on an unfinished schedule; a spec sets no batch cap.
+    let halt = match outcome.halt {
+        Some(Cap::Evaluations) => Some(HaltReason::BudgetEvaluations),
+        Some(Cap::Rounds) => Some(HaltReason::BudgetResource),
+        _ => tenant.halt,
+    };
     drop((pump, tenant));
     Ok(CampaignOutcome {
         outcome,
@@ -352,7 +331,7 @@ where
 mod tests {
     use super::*;
     use crate::objective::AnalyticEval;
-    use crate::spec::{CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
+    use crate::spec::{CampaignLimits, CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
     use fedhpo::TrialResult;
     use fedtune_core::experiments::methods::TuningMethod;
     use fedtune_core::experiments::stragglers::straggler_cost_model;
@@ -398,9 +377,9 @@ mod tests {
         }
     }
 
-    /// The campaign straight through `fedtune_core::drive` under `clock`, no
-    /// gate or shared pool anywhere: inline at `threads <= 1`, else a scoped
-    /// pool.
+    /// The campaign straight through `fedtune_core::drive` under `clock` and
+    /// the spec's budget, no gate or shared pool anywhere: inline at
+    /// `threads <= 1`, else a scoped pool.
     fn standalone_over<O: ConcurrentObjective>(
         spec: &CampaignSpec,
         clock: Clock,
@@ -412,12 +391,13 @@ mod tests {
         let mut rng = fedmath::rng::rng_for(spec.seed, 0);
         let config = Drive {
             threads,
+            budget: spec.budget(),
             ..Drive::new(clock)
         };
         fedtune_core::drive(scheduler, &space, objective, &mut rng, &config)
     }
 
-    /// `spec`'s own virtual service standalone.
+    /// `spec`'s own virtual service and budget standalone.
     fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
         let mut scheduler = spec.build_scheduler().unwrap();
         let mut objective = build_objective(spec, TrialStore::in_memory()).unwrap();
@@ -480,9 +460,11 @@ mod tests {
         // barrier ASHA with re-evaluation (several reps of one trial in
         // flight at once) — through every lane the pump has: inline, a
         // scoped pool at 1 / 4 / 8 threads (and whatever `FEDTUNE_THREADS`
-        // asks for), and the shared pool behind the fair gate. ASHA with
-        // re-evaluation runs once more batch by batch under the barrier
-        // clock, standalone only: a spec always describes a virtual service.
+        // asks for), and the shared pool behind the fair gate. Async ASHA
+        // runs once more under an evaluation cap, which the core enforces in
+        // every lane alike. ASHA with re-evaluation runs once more batch by
+        // batch under the barrier clock, standalone only: a spec always
+        // describes a virtual service.
         let scale = ExperimentScale::smoke();
         let env_threads = ExecutionPolicy::from_env().pool_threads();
         let mut spec = spec("lanes", 23);
@@ -493,16 +475,24 @@ mod tests {
         };
         assert_eq!(spec.cost.build(), straggler_cost_model(&scale, spec.seed));
         let virtual_clock = Clock::Virtual(sim_of(&spec));
-        for (method, clock) in [
-            (TuningMethod::AsyncAsha, virtual_clock),
-            (TuningMethod::AshaReEval, virtual_clock),
-            (TuningMethod::AshaReEval, Clock::Barrier),
+        let mut capped = spec.clone();
+        capped.limits.max_evaluations = Some(10);
+        for (spec, method, clock, halt) in [
+            (&spec, TuningMethod::AsyncAsha, virtual_clock, None),
+            (&spec, TuningMethod::AshaReEval, virtual_clock, None),
+            (&spec, TuningMethod::AshaReEval, Clock::Barrier, None),
+            (
+                &capped,
+                TuningMethod::AsyncAsha,
+                virtual_clock,
+                Some(Cap::Evaluations),
+            ),
         ] {
             let scheduler = || method.scheduler(&scale).unwrap();
             let lane = |threads: usize| {
-                let mut objective = build_objective(&spec, TrialStore::in_memory()).unwrap();
+                let mut objective = build_objective(spec, TrialStore::in_memory()).unwrap();
                 let outcome =
-                    standalone_over(&spec, clock, scheduler().as_mut(), &mut objective, threads)
+                    standalone_over(spec, clock, scheduler().as_mut(), &mut objective, threads)
                         .unwrap();
                 assert_eq!(
                     objective.sink.campaign.log().len(),
@@ -512,7 +502,8 @@ mod tests {
             };
 
             let (reference, reference_store) = lane(0);
-            assert!(reference.finished, "{method}");
+            assert_eq!(reference.halt, halt, "{method}");
+            assert_eq!(reference.finished, halt.is_none(), "{method}");
             let reference_commits = commit_sequence(&reference_store);
             assert!(!reference_commits.is_empty());
             for threads in [1usize, 4, 8, env_threads] {
@@ -537,9 +528,9 @@ mod tests {
             let daemon = Daemon::new(4);
             let mut progress = Vec::new();
             let served = drive(
-                &spec,
+                spec,
                 scheduler().as_mut(),
-                build_objective(&spec, TrialStore::in_memory()).unwrap(),
+                build_objective(spec, TrialStore::in_memory()).unwrap(),
                 &daemon.pool,
                 &daemon.gate,
                 &CampaignFlags::default(),
@@ -553,7 +544,8 @@ mod tests {
                 reference.sim_elapsed.to_bits()
             );
             assert_eq!(commit_sequence(&served.store), reference_commits);
-            assert!(served.halt.is_none());
+            let capped = halt.map(|_| HaltReason::BudgetEvaluations);
+            assert_eq!(served.halt, capped, "{method}");
             assert_eq!(served.evaluations, reference_commits.len() as u64);
             assert_eq!(served.ledger_misses, served.evaluations);
             assert_eq!(served.ledger_hits, 0);
@@ -570,29 +562,170 @@ mod tests {
         }
     }
 
+    // -- Budget boundaries -------------------------------------------------
+
+    /// What a budget pin records of a settled campaign.
+    #[derive(Debug, PartialEq)]
+    struct BudgetPin {
+        evaluations: u64,
+        resource_spent: u64,
+        halt: Option<HaltReason>,
+        state: CampaignState,
+        finished: bool,
+        /// FNV-1a over every delivered record's `(trial, resource, rep,
+        /// score bits, sim_time bits)` and `sim_elapsed`'s bits.
+        digest: u64,
+    }
+
+    fn budget_pin(out: &CampaignOutcome) -> BudgetPin {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in out.outcome.outcome.records() {
+            fold(r.trial_id as u64);
+            fold(r.resource as u64);
+            fold(r.noise_rep);
+            fold(r.score.to_bits());
+            fold(r.sim_time.to_bits());
+        }
+        fold(out.outcome.sim_elapsed.to_bits());
+        BudgetPin {
+            evaluations: out.evaluations,
+            resource_spent: out.resource_spent,
+            halt: out.halt,
+            state: out.state(),
+            finished: out.outcome.finished,
+            digest,
+        }
+    }
+
+    /// Serves `spec` twice on one daemon and returns its pin, after checking
+    /// the two runs agree bit for bit.
+    fn served_pin(spec: &CampaignSpec) -> BudgetPin {
+        let daemon = Daemon::new(2);
+        let flags = CampaignFlags::default();
+        let run = || {
+            daemon
+                .run(spec, TrialStore::in_memory(), &flags, &mut |_| {})
+                .unwrap()
+        };
+        let (first, again) = (run(), run());
+        assert_eq!(again.outcome, first.outcome, "{}", spec.name);
+        assert_eq!(daemon.gate.global_in_flight(), 0, "{}", spec.name);
+        let pin = budget_pin(&first);
+        assert_eq!(budget_pin(&again), pin, "{}", spec.name);
+        pin
+    }
+
+    use CampaignState::BudgetExhausted;
+    use HaltReason::{BudgetEvaluations, BudgetResource};
+
     #[test]
     fn evaluation_budget_halts_deterministically() {
         let mut capped = spec("budget", 17);
         capped.limits.max_evaluations = Some(7);
-        let daemon = Daemon::new(2);
-        let flags = CampaignFlags::default();
-        let outcome = daemon
-            .run(&capped, TrialStore::in_memory(), &flags, &mut |_| {})
-            .unwrap();
-        assert_eq!(outcome.halt, Some(HaltReason::BudgetEvaluations));
-        assert!(!outcome.outcome.finished);
-        // The halt lands after the budget-crossing commit plus whatever was
-        // already dispatched — never more than the in-flight cap beyond it.
-        assert!(outcome.evaluations >= 7);
-        assert!(
-            outcome.evaluations <= 7 + capped.limits.max_in_flight as u64 + capped.workers as u64
+        let expected = BudgetPin {
+            evaluations: 7,
+            resource_spent: 8,
+            halt: Some(BudgetEvaluations),
+            state: BudgetExhausted,
+            finished: false,
+            digest: 14386532482416582575,
+        };
+        assert_eq!(served_pin(&capped), expected);
+    }
+
+    #[test]
+    fn resource_budget_halts_deterministically() {
+        let mut capped = spec("rounds", 19);
+        capped.limits.max_resource = Some(12);
+        let expected = BudgetPin {
+            evaluations: 11,
+            resource_spent: 13,
+            halt: Some(BudgetResource),
+            state: BudgetExhausted,
+            finished: false,
+            digest: 8586097291544881451,
+        };
+        assert_eq!(served_pin(&capped), expected);
+    }
+
+    #[test]
+    fn a_cap_of_zero_still_sends_one_wave() {
+        // Nothing trips before the first wave is out: the four virtual
+        // workers' first dispatches all run, commit and settle.
+        let first_wave = |halt| BudgetPin {
+            evaluations: 4,
+            resource_spent: 4,
+            halt: Some(halt),
+            state: BudgetExhausted,
+            finished: false,
+            digest: 7308484474135349900,
+        };
+        let mut zero = spec("zero", 17);
+        zero.limits.max_evaluations = Some(0);
+        assert_eq!(served_pin(&zero), first_wave(BudgetEvaluations));
+        zero.limits = CampaignLimits {
+            max_resource: Some(0),
+            ..CampaignLimits::default()
+        };
+        assert_eq!(served_pin(&zero), first_wave(BudgetResource));
+    }
+
+    #[test]
+    fn a_cap_at_the_schedules_exact_length_settles_exhausted_and_finished() {
+        // The last wave reaches the cap: the schedule finishes, yet the
+        // campaign settles on its budget.
+        let mut exact = spec("exact", 17);
+        let full = standalone(&exact, 0);
+        assert_eq!(
+            (
+                full.outcome.num_evaluations(),
+                full.outcome.total_resource()
+            ),
+            (17, 26)
         );
-        // Run it again: the cutoff is bit-stable.
-        let again = daemon
-            .run(&capped, TrialStore::in_memory(), &flags, &mut |_| {})
-            .unwrap();
-        assert_eq!(again.outcome, outcome.outcome);
-        assert_eq!(again.evaluations, outcome.evaluations);
+        let at_cap = |halt| BudgetPin {
+            evaluations: 17,
+            resource_spent: 26,
+            halt: Some(halt),
+            state: BudgetExhausted,
+            finished: true,
+            digest: 529389457961130099,
+        };
+        exact.limits.max_evaluations = Some(17);
+        assert_eq!(served_pin(&exact), at_cap(BudgetEvaluations));
+        exact.limits = CampaignLimits {
+            max_resource: Some(26),
+            ..CampaignLimits::default()
+        };
+        assert_eq!(served_pin(&exact), at_cap(BudgetResource));
+    }
+
+    #[test]
+    fn a_sim_deadline_crossed_with_work_outstanding_drains_it() {
+        let mut deadline = spec("deadline", 17);
+        let full = standalone(&deadline, 0);
+        let cut = full.sim_elapsed / 3.0;
+        deadline.sim_budget = Some(cut);
+        let expected = BudgetPin {
+            evaluations: 13,
+            resource_spent: 16,
+            halt: None,
+            state: BudgetExhausted,
+            finished: false,
+            digest: 9665077603117567595,
+        };
+        assert_eq!(served_pin(&deadline), expected);
+        // Every dispatch started before the deadline, and some were still
+        // running across it: they drained rather than being dropped.
+        let capped = standalone(&deadline, 0);
+        assert_eq!(capped.outcome.num_evaluations(), 13);
+        assert!(capped.timeline.iter().all(|span| span.start < cut));
+        assert!(capped.timeline.iter().any(|span| span.end > cut));
     }
 
     #[test]
@@ -847,19 +980,22 @@ mod tests {
         let mut on_progress = |p| published.borrow_mut().push(p);
         let mut driver = MidFlight {
             pump: Pump::new(Arc::clone(&eval), &mut sink, &hold),
-            core: ExecutorCore::new(scheduler.as_mut(), &space, &mut rng, clock, None, None)
-                .unwrap(),
+            core: ExecutorCore::new(
+                scheduler.as_mut(),
+                &space,
+                &mut rng,
+                clock,
+                None,
+                spec.budget(),
+            )
+            .unwrap(),
             tenant: Tenant {
                 gate: &gate,
                 member,
                 flags: &CampaignFlags::default(),
-                limits: &spec.limits,
                 eval: &eval,
                 on_progress: &mut on_progress,
                 halt: None,
-                planned: HashMap::new(),
-                planned_rounds: 0,
-                dispatched: 0,
             },
             held: &held,
             published: &published,

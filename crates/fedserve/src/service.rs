@@ -24,7 +24,7 @@
 //! is a thread-per-connection loop speaking the [`proto`]
 //! framing. Unix sockets and TCP differ only in the listener constructor.
 
-use crate::campaign::{run_campaign, CampaignFlags, CampaignOutcome, HaltReason, Progress};
+use crate::campaign::{run_campaign, CampaignFlags, CampaignOutcome, Progress};
 use crate::dispatch::FairGate;
 use crate::proto::{self, ErrorCode, Request, Response};
 use crate::spec::{CampaignSpec, CampaignState, CampaignStatus, Selection};
@@ -256,14 +256,8 @@ impl Service {
             // per turn: a turn's commits are on disk before the scheduler or
             // a status reply sees any of them.
             store.set_durability(Durability::PerInsert);
-            let state = Arc::clone(&self.state);
-            let progress_name = name.clone();
-            let mut on_progress = move |p: Progress| {
-                let mut cells = match state.cells.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                if let Some(cell) = cells.get_mut(&progress_name) {
+            let mut on_progress = |p: Progress| {
+                if let Some(cell) = self.locked_cells().get_mut(&name) {
                     cell.status.evaluations = p.evaluations;
                     cell.status.resource_spent = p.resource_spent;
                     cell.status.sim_elapsed = p.sim_time;
@@ -306,17 +300,7 @@ impl Service {
                         resource: best.resource,
                         sim_time: best.sim_time,
                     });
-                    cell.status.state = match out.halt {
-                        None if out.outcome.finished => CampaignState::Completed,
-                        // No halt but unfinished: the simulated budget cut
-                        // the schedule off.
-                        None => CampaignState::BudgetExhausted,
-                        Some(HaltReason::Stopped) => CampaignState::Stopped,
-                        Some(HaltReason::Suspended) => CampaignState::Suspended,
-                        Some(HaltReason::BudgetEvaluations | HaltReason::BudgetResource) => {
-                            CampaignState::BudgetExhausted
-                        }
-                    };
+                    cell.status.state = out.state();
                 }
                 Err(ServeError::Killed) => {
                     // Simulated crash: leave no terminal marker so the next
@@ -414,20 +398,7 @@ impl Service {
     /// campaign suspends (resumable on the next [`Service::open`]), and all
     /// driver threads are joined.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let handles: Vec<_> = {
-            let mut cells = self.locked_cells();
-            cells
-                .values_mut()
-                .map(|cell| {
-                    cell.flags.suspend.store(true, Ordering::Relaxed);
-                    cell.handle.take()
-                })
-                .collect()
-        };
-        for handle in handles.into_iter().flatten() {
-            let _ = handle.join();
-        }
+        self.raise_and_join(|flags| &flags.suspend);
     }
 
     /// Simulates a crash: every driver aborts as soon as it observes the
@@ -435,17 +406,21 @@ impl Service {
     /// possibly stale) — exactly the state a killed process leaves. The
     /// next [`Service::open`] on the same root must resume bit-exactly.
     pub fn kill(&self) {
+        self.raise_and_join(|flags| &flags.kill);
+    }
+
+    /// Takes no new submissions, raises `flag` on every campaign and joins
+    /// every driver thread.
+    fn raise_and_join(&self, flag: fn(&CampaignFlags) -> &AtomicBool) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let handles: Vec<_> = {
-            let mut cells = self.locked_cells();
-            cells
-                .values_mut()
-                .map(|cell| {
-                    cell.flags.kill.store(true, Ordering::Relaxed);
-                    cell.handle.take()
-                })
-                .collect()
-        };
+        let handles: Vec<_> = self
+            .locked_cells()
+            .values_mut()
+            .map(|cell| {
+                flag(&cell.flags).store(true, Ordering::Relaxed);
+                cell.handle.take()
+            })
+            .collect();
         for handle in handles.into_iter().flatten() {
             let _ = handle.join();
         }
@@ -459,11 +434,6 @@ impl Service {
             snapshot.merge(&cell.trace.snapshot());
         }
         snapshot
-    }
-
-    /// Whether [`Service::shutdown`] or [`Service::kill`] has been called.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Serves connections until a `Shutdown` request (or

@@ -18,6 +18,7 @@ use crate::{Result, ServeError};
 use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace};
 use fedsim::clock::{ClientRuntimeModel, CostModel};
 use fedstore::Provenance;
+use fedtune_core::Budget;
 use serde::{Deserialize, Serialize};
 
 /// One dimension of a campaign's search space.
@@ -231,9 +232,10 @@ pub struct CampaignLimits {
     /// training rounds) granted per scheduling pass. Larger quanta favor
     /// this campaign proportionally.
     pub quantum: u64,
-    /// Terminate the campaign after this many committed evaluations.
+    /// Terminate the campaign once this many evaluations were *dispatched*,
+    /// at wave granularity: the wave reaching it still commits in full.
     pub max_evaluations: Option<u64>,
-    /// Terminate the campaign once committed training rounds reach this.
+    /// Terminate the campaign once this many rounds were *dispatched*, alike.
     pub max_resource: Option<u64>,
 }
 
@@ -393,6 +395,16 @@ impl CampaignSpec {
     /// Propagates invalid scheduler parameters.
     pub fn build_scheduler(&self) -> Result<Box<dyn Scheduler>> {
         self.scheduler.build()
+    }
+
+    /// The budget the executor core enforces for this campaign.
+    pub fn budget(&self) -> Budget {
+        Budget {
+            evaluations: self.limits.max_evaluations,
+            rounds: self.limits.max_resource,
+            sim_seconds: self.sim_budget,
+            ..Budget::default()
+        }
     }
 
     /// The ledger provenance records of this campaign carry.

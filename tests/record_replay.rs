@@ -11,7 +11,7 @@ use fedtune::fedstore::{
 };
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune::fedtune_core::{
-    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExecutionPolicy,
+    drive, BatchFederatedObjective, BenchmarkContext, Budget, Clock, Drive, ExecutionPolicy,
     ExperimentScale, NoiseConfig, TrialRunner,
 };
 
@@ -115,7 +115,10 @@ fn drive_campaign(
     let mut rng = fedtune::fedmath::rng::rng_for(seed, 1);
     let config = Drive {
         threads: policy.pool_threads(),
-        stop,
+        budget: Budget {
+            batches: stop,
+            ..Budget::default()
+        },
         ..Drive::new(Clock::Barrier)
     };
     let run = drive(

@@ -16,7 +16,7 @@ use fedserve::{
     CampaignLimits, CampaignSpec, CampaignState, CampaignStatus, Client, CostSpec, DimSpec,
     ObjectiveSpec, SchedulerSpec, Selection, Service, ServiceConfig, UnixServeListener,
 };
-use fedtune_core::{drive, Clock, Drive, EventDrivenOutcome, VirtualExecution};
+use fedtune_core::{drive, Cap, Clock, Drive, EventDrivenOutcome, VirtualExecution};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,19 +104,17 @@ fn beta_spec(latency_scale: f64) -> CampaignSpec {
     }
 }
 
-/// The reference run: the same campaign straight through the library
-/// driver (`fedtune_core::drive`), no service anywhere.
+/// The reference run: the same campaign, budget included, straight through
+/// the library driver (`fedtune_core::drive`), no service anywhere.
 fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
     let space = spec.build_space().unwrap();
     let mut scheduler = spec.build_scheduler().unwrap();
     let mut rng = fedmath::rng::rng_for(spec.seed, 0);
-    let mut sim = VirtualExecution::new(spec.workers, spec.cost.build());
-    if let Some(budget) = spec.sim_budget {
-        sim = sim.with_sim_budget(budget);
-    }
+    let sim = VirtualExecution::new(spec.workers, spec.cost.build());
     let mut objective = fedserve::build_objective(spec, fedstore::TrialStore::in_memory()).unwrap();
     let config = Drive {
         threads,
+        budget: spec.budget(),
         ..Drive::new(Clock::Virtual(sim))
     };
     let outcome = drive(
@@ -127,7 +125,8 @@ fn standalone(spec: &CampaignSpec, threads: usize) -> EventDrivenOutcome {
         &config,
     )
     .unwrap();
-    assert!(outcome.finished);
+    // The specs here that carry a cap hit it before their schedule ends.
+    assert_eq!(outcome.finished, outcome.halt.is_none(), "{}", spec.name);
     outcome
 }
 
@@ -145,7 +144,11 @@ fn print_actual(name: &str, status: &CampaignStatus) {
 }
 
 fn assert_matches_standalone(status: &CampaignStatus, reference: &EventDrivenOutcome) {
-    assert_eq!(status.state, CampaignState::Completed, "{}", status.name);
+    let settled = match reference.halt {
+        None => CampaignState::Completed,
+        Some(_) => CampaignState::BudgetExhausted,
+    };
+    assert_eq!(status.state, settled, "{}", status.name);
     assert_eq!(
         status.sim_elapsed.to_bits(),
         reference.sim_elapsed.to_bits(),
@@ -242,6 +245,40 @@ fn two_tenant_daemon_reproduces_standalone_bits() {
     assert_eq!(alpha.ledger_hits, 0);
     assert_eq!(alpha.ledger_misses, alpha.evaluations);
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A budget-capped tenant next to an uncapped one: the daemon halts it on
+/// the same dispatch as the standalone driver under the same budget, so it
+/// settles `BudgetExhausted` with the standalone run's bits.
+#[test]
+fn a_budget_capped_tenant_reproduces_standalone_bits() {
+    let mut capped = alpha_spec(0.0);
+    capped.name = "capped".to_string();
+    capped.limits.max_evaluations = Some(9);
+    let capped_ref = standalone(&capped, 8);
+    assert_eq!(capped_ref.halt, Some(Cap::Evaluations));
+    assert!(capped_ref.outcome.num_evaluations() < GOLDEN_ALPHA.0 as usize);
+    let beta_ref = standalone(&beta_spec(0.0), 8);
+
+    let root = unique_root("capped");
+    let service = Service::open(
+        &root,
+        ServiceConfig {
+            threads: 4,
+            global_in_flight: 4,
+        },
+    )
+    .unwrap();
+    service.submit(capped).unwrap();
+    service.submit(beta_spec(0.0)).unwrap();
+    let capped = service.wait("capped", Duration::from_secs(120)).unwrap();
+    let beta = service.wait("beta", Duration::from_secs(120)).unwrap();
+    service.shutdown();
+
+    assert_matches_standalone(&capped, &capped_ref);
+    assert_matches_standalone(&beta, &beta_ref);
+    assert_pin("beta", &beta, GOLDEN_BETA);
     let _ = std::fs::remove_dir_all(&root);
 }
 
