@@ -125,11 +125,26 @@ pub enum Scores<'a> {
     Proxy(&'a [f64]),
 }
 
+/// The selection rule of a random search that sees `scores` in order: entry
+/// `j` is the index of its incumbent after `j + 1` scores — the lowest so
+/// far, the earliest on ties. The last entry is what the search selects.
+fn incumbents(scores: &[f64]) -> Vec<usize> {
+    let mut best = 0;
+    (0..scores.len())
+        .map(|j| {
+            if scores[j] < scores[best] {
+                best = j;
+            }
+            best
+        })
+        .collect()
+}
+
 /// Simulates the *online* trajectory of one random-search trial over a
 /// pre-trained pool — the one bootstrap kernel behind every RS figure: draw
 /// `k` distinct configurations, observe each through `scores`, and after each
 /// one report the *true* full-validation error of the incumbent (the lowest
-/// score so far, [`fedproxy::incumbents`]). Entry `j` of the returned vector
+/// score so far, [`incumbents`]). Entry `j` of the returned vector
 /// is the incumbent's true error after `j + 1` configurations
 /// (`rounds_per_config` budget units each); the last entry is what the trial
 /// selects (§3, "Evaluation").
@@ -163,7 +178,7 @@ pub fn simulated_rs_trajectory(
             Scores::Proxy(column) => Ok(column[idx]),
         })
         .collect::<Result<Vec<f64>>>()?;
-    Ok(fedproxy::incumbents(&observed)
+    Ok(incumbents(&observed)
         .into_iter()
         .map(|j| entries[subset[j]].full_error)
         .collect())
@@ -321,6 +336,12 @@ mod tests {
             SeedChannel::Methods.seed(3),
             fedmath::rng::derive_seed(3, 7)
         );
+    }
+
+    #[test]
+    fn incumbents_track_the_lowest_score_so_far() {
+        assert_eq!(incumbents(&[0.5, 0.7, 0.2, 0.2, 0.1]), [0, 0, 2, 2, 4]);
+        assert!(incumbents(&[]).is_empty());
     }
 
     #[test]

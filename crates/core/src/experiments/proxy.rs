@@ -17,7 +17,6 @@ use feddata::Benchmark;
 use feddp::PrivacyBudget;
 use fedmath::stats::QuartileSummary;
 use fedmath::SeedTree;
-use fedproxy::{transfer_analysis, TransferAnalysis};
 use serde::{Deserialize, Serialize};
 
 /// The dataset pairs of Fig. 10 (same task family) and Fig. 14 (cross
@@ -28,6 +27,88 @@ pub const TRANSFER_PAIRS: [(Benchmark, Benchmark); 4] = [
     (Benchmark::Cifar10Like, Benchmark::RedditLike),
     (Benchmark::FemnistLike, Benchmark::StackOverflowLike),
 ];
+
+/// One configuration evaluated on two datasets.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct TransferPoint {
+    /// Index of the configuration in the evaluated batch.
+    pub config_index: usize,
+    /// Full-validation error on the first dataset.
+    pub error_a: f64,
+    /// Full-validation error on the second dataset.
+    pub error_b: f64,
+}
+
+/// The scatter of Fig. 10/14 plus summary correlations: how well does a
+/// configuration's quality on one dataset predict its quality on another?
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TransferAnalysis {
+    /// Name of the first dataset.
+    pub dataset_a: String,
+    /// Name of the second dataset.
+    pub dataset_b: String,
+    /// Per-configuration error pairs.
+    pub points: Vec<TransferPoint>,
+    /// Pearson correlation between the two error columns (`None` if either
+    /// column is constant).
+    pub pearson: Option<f64>,
+    /// Spearman rank correlation between the two error columns.
+    pub spearman: Option<f64>,
+}
+
+impl TransferAnalysis {
+    /// Errors on the first dataset, in configuration order.
+    pub fn errors_a(&self) -> Vec<f64> {
+        self.points.iter().map(|p| p.error_a).collect()
+    }
+
+    /// Errors on the second dataset, in configuration order.
+    pub fn errors_b(&self) -> Vec<f64> {
+        self.points.iter().map(|p| p.error_b).collect()
+    }
+}
+
+/// The transfer scatter of Fig. 10/14 from the full-validation errors the
+/// *same* configurations reached on two datasets (`errors_a[i]` and
+/// `errors_b[i]` belong to configuration `i`).
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] if the columns are empty or differ
+/// in length.
+pub fn transfer_analysis(
+    dataset_a: &str,
+    errors_a: &[f64],
+    dataset_b: &str,
+    errors_b: &[f64],
+) -> Result<TransferAnalysis> {
+    if errors_a.is_empty() || errors_a.len() != errors_b.len() {
+        return Err(CoreError::InvalidConfig {
+            message: format!(
+                "transfer analysis needs one error per configuration on both datasets, got {} and {}",
+                errors_a.len(),
+                errors_b.len()
+            ),
+        });
+    }
+    let points = errors_a
+        .iter()
+        .zip(errors_b)
+        .enumerate()
+        .map(|(config_index, (&error_a, &error_b))| TransferPoint {
+            config_index,
+            error_a,
+            error_b,
+        })
+        .collect();
+    Ok(TransferAnalysis {
+        dataset_a: dataset_a.to_string(),
+        dataset_b: dataset_b.to_string(),
+        points,
+        pearson: fedmath::stats::pearson_correlation(errors_a, errors_b).ok(),
+        spearman: fedmath::stats::spearman_correlation(errors_a, errors_b).ok(),
+    })
+}
 
 /// The HP-transfer analysis of Fig. 10/14 over a trained pool set: every
 /// pooled configuration (the paper's 128) at its full-validation error on
@@ -43,9 +124,7 @@ pub fn run_transfer_pairs(trained: &[TrainedBenchmark]) -> Result<Vec<TransferAn
         .map(|&(a, b)| {
             let b = TrainedBenchmark::find(trained, b)?;
             let errors_a = b.proxy_scores(TrainedBenchmark::find(trained, a)?)?;
-            let analysis =
-                transfer_analysis(a.name(), &errors_a, b.name(), &b.pool().true_errors())?;
-            Ok(analysis)
+            transfer_analysis(a.name(), &errors_a, b.name(), &b.pool().true_errors())
         })
         .collect()
 }
@@ -244,7 +323,12 @@ pub fn run_proxy_vs_noisy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::BenchmarkContext;
     use crate::scale::ExperimentScale;
+    use feddata::Split;
+    use fedhpo::HpConfig;
+    use fedsim::evaluation::evaluate_full;
+    use fedsim::WeightingScheme;
 
     fn smoke_set(seed: u64) -> (TrialRunner, Vec<TrainedBenchmark>) {
         let runner = TrialRunner::from_env();
@@ -277,6 +361,58 @@ mod tests {
         assert_eq!(report.groups.len(), 4);
         assert!(report.groups.iter().all(|g| g.points.len() == 4));
         assert!(report.to_table().contains("proxy="));
+    }
+
+    #[test]
+    fn transfer_within_the_same_task_family_is_positive() {
+        // CIFAR10-like and FEMNIST-like are both dense-classification tasks;
+        // the paper finds HPs transfer well within a family. With a handful
+        // of very different configurations the rank correlation should be
+        // positive.
+        let configs = [
+            HpConfig::new(vec![1e-6, 0.0, 0.0, 0.9999, 1e-6, 0.0, 5e-5, 128.0, 1.0]),
+            HpConfig::new(vec![1e-5, 0.3, 0.5, 0.9999, 1e-4, 0.3, 5e-5, 64.0, 1.0]),
+            HpConfig::new(vec![1e-3, 0.6, 0.9, 0.9999, 1e-2, 0.5, 5e-5, 32.0, 1.0]),
+            HpConfig::new(vec![3e-2, 0.9, 0.99, 0.9999, 5e-2, 0.7, 5e-5, 32.0, 1.0]),
+        ];
+        let errors_on = |benchmark: Benchmark| -> Vec<f64> {
+            let ctx = BenchmarkContext::new(benchmark, &ExperimentScale::smoke(), 0).unwrap();
+            let weighting = WeightingScheme::ByExamples;
+            configs
+                .iter()
+                .enumerate()
+                .map(|(i, config)| {
+                    let mut run = ctx.start_run(config, i as u64, weighting).unwrap();
+                    run.run_rounds(ctx.dataset(), 15).unwrap();
+                    evaluate_full(run.model(), ctx.dataset(), Split::Validation, weighting)
+                        .unwrap()
+                        .weighted_error()
+                        .unwrap()
+                })
+                .collect()
+        };
+        let cifar = errors_on(Benchmark::Cifar10Like);
+        let femnist = errors_on(Benchmark::FemnistLike);
+        let analysis = transfer_analysis("cifar10-like", &cifar, "femnist-like", &femnist).unwrap();
+        assert_eq!(analysis.points.len(), 4);
+        assert_eq!(analysis.errors_a(), cifar);
+        assert_eq!(analysis.errors_b(), femnist);
+        if let Some(s) = analysis.spearman {
+            assert!(s > 0.0, "expected positive rank correlation, got {s}");
+        }
+    }
+
+    #[test]
+    fn empty_or_ragged_columns_are_rejected() {
+        assert!(transfer_analysis("a", &[], "b", &[]).is_err());
+        assert!(transfer_analysis("a", &[0.1, 0.2], "b", &[0.1]).is_err());
+    }
+
+    #[test]
+    fn constant_columns_have_no_correlation() {
+        let analysis = transfer_analysis("a", &[0.5, 0.5, 0.5], "b", &[0.1, 0.2, 0.3]).unwrap();
+        assert_eq!(analysis.pearson, None);
+        assert_eq!(analysis.points[2].config_index, 2);
     }
 
     #[test]

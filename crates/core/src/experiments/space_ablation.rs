@@ -69,9 +69,10 @@ pub fn run_space_ablation(
     let mut seeds = SeedStream::new(SeedChannel::SpaceAblation.seed(seed));
     let mut noiseless_points = Vec::new();
     let mut noisy_points = Vec::new();
+    let base = BenchmarkContext::new(benchmark, scale, seed)?;
     for width in 1u32..=4 {
         let space = SearchSpace::paper_nested_lr_space(width)?;
-        let ctx = BenchmarkContext::new(benchmark, scale, seed)?.with_space(space);
+        let ctx = base.clone().with_space(space);
         let pool = ConfigPool::train(runner, &ctx, scale.pool_size, seeds.next_seed())?;
         let k = pool.len();
 

@@ -66,7 +66,7 @@ pub use concurrent::{
     Admission, ConcurrentEval, ConcurrentObjective, ConcurrentSink, EvalJob, EvalOutput, Host,
     Pump, Ungated,
 };
-pub use context::BenchmarkContext;
+pub use context::{hyperparams_from_config, BenchmarkContext};
 pub use engine::{TrialContext, TrialRunner};
 pub use fedsim::clock::{ClientRuntimeModel, CostModel};
 pub use fedsim::ExecutionPolicy;
@@ -106,8 +106,6 @@ pub enum CoreError {
     Hpo(fedhpo::HpoError),
     /// An underlying privacy mechanism failed.
     Dp(feddp::DpError),
-    /// An underlying proxy-tuning operation failed.
-    Proxy(fedproxy::ProxyError),
     /// An underlying population operation failed.
     Pop(fedpop::PopError),
     /// An underlying numerical routine failed.
@@ -125,7 +123,6 @@ impl fmt::Display for CoreError {
             CoreError::Model(e) => write!(f, "model error: {e}"),
             CoreError::Hpo(e) => write!(f, "hpo error: {e}"),
             CoreError::Dp(e) => write!(f, "privacy error: {e}"),
-            CoreError::Proxy(e) => write!(f, "proxy error: {e}"),
             CoreError::Pop(e) => write!(f, "population error: {e}"),
             CoreError::Math(e) => write!(f, "math error: {e}"),
             CoreError::EvalPanicked => write!(f, "an evaluation task panicked"),
@@ -142,7 +139,6 @@ impl std::error::Error for CoreError {
             CoreError::Model(e) => Some(e),
             CoreError::Hpo(e) => Some(e),
             CoreError::Dp(e) => Some(e),
-            CoreError::Proxy(e) => Some(e),
             CoreError::Pop(e) => Some(e),
             CoreError::Math(e) => Some(e),
         }
@@ -164,7 +160,6 @@ impl_from_error!(Sim, fedsim::SimError);
 impl_from_error!(Model, fedmodels::ModelError);
 impl_from_error!(Hpo, fedhpo::HpoError);
 impl_from_error!(Dp, feddp::DpError);
-impl_from_error!(Proxy, fedproxy::ProxyError);
 impl_from_error!(Pop, fedpop::PopError);
 impl_from_error!(Math, fedmath::MathError);
 
@@ -198,10 +193,6 @@ mod tests {
             }
             .into(),
             feddp::DpError::InvalidParameter {
-                message: "x".into(),
-            }
-            .into(),
-            fedproxy::ProxyError::InvalidConfig {
                 message: "x".into(),
             }
             .into(),

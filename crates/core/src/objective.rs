@@ -9,7 +9,7 @@
 //! evaluation is logged so experiments can report what the tuner's choices
 //! actually cost.
 //!
-//! A trial starts through the context's [`fedproxy::ConfigRunner`], and all
+//! A trial starts through [`BenchmarkContext::start_run`], and all
 //! randomness is keyed by the evaluated point (see
 //! [`BatchFederatedObjective`]). The objective has no thread knob: inside
 //! one evaluation rounds and validation run sequentially, and how many
@@ -22,7 +22,6 @@ use crate::Result;
 use feddata::{FederatedDataset, Split};
 use fedhpo::TrialRequest;
 use fedmath::{SeedStream, SeedTree};
-use fedproxy::ConfigRunner;
 use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
 use fedsim::{TrainingRun, WeightingScheme};
 use serde::{Deserialize, Serialize};
@@ -214,7 +213,7 @@ impl FederatedTrialState {
         dataset: &FederatedDataset,
         weighting: WeightingScheme,
         resource: usize,
-        start: impl FnOnce() -> fedproxy::Result<TrainingRun>,
+        start: impl FnOnce() -> Result<TrainingRun>,
     ) -> Result<(usize, usize, &FederatedEvaluation)> {
         let run = match &mut self.run {
             Some(run) => run,
@@ -272,7 +271,6 @@ pub struct BatchFederatedObjective<'a> {
 /// evaluate any request against a per-trial [`FederatedTrialState`].
 pub struct FederatedEvalCore<'a> {
     ctx: &'a BenchmarkContext,
-    runner: ConfigRunner,
     noise: NoiseConfig,
     total_evaluations: usize,
     trial_seeds: SeedTree,
@@ -308,7 +306,6 @@ impl<'a> BatchFederatedObjective<'a> {
         Ok(BatchFederatedObjective {
             eval: FederatedEvalCore {
                 ctx,
-                runner: ctx.config_runner().with_weighting(noise.weighting),
                 noise,
                 total_evaluations,
                 trial_seeds,
@@ -347,7 +344,8 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
         let (rounds_delta, resource_completed, full_eval) =
             state.advance(dataset, self.noise.weighting, request.resource, || {
                 let run_seed = self.trial_seeds.child(fingerprint).seed();
-                self.runner.start(dataset, &request.config, run_seed)
+                self.ctx
+                    .start_run(&request.config, run_seed, self.noise.weighting)
             })?;
         let true_error = full_eval.weighted_error()?;
         let mut noise_rng = self

@@ -19,7 +19,7 @@ use feddata::{Benchmark, ClientData, Split};
 use fedhpo::HpConfig;
 use fedmath::SeedStream;
 use fedmodels::AnyModel;
-use fedsim::evaluation::{evaluate_clients, FederatedEvaluation};
+use fedsim::evaluation::{evaluate_clients, evaluate_full, FederatedEvaluation};
 use fedsim::WeightingScheme;
 use rand::rngs::StdRng;
 
@@ -69,17 +69,21 @@ impl ConfigPool {
         let mut sample_rng = seeds.next_rng();
         let configs = ctx.space().sample_many(pool_size, &mut sample_rng)?;
         let trial_root = seeds.next_seed();
-        let config_runner = ctx.config_runner();
+        let weighting = WeightingScheme::ByExamples;
 
         let entries = runner.run_trials(trial_root, pool_size, |trial| {
             let config = &configs[trial.index()];
-            let result = config_runner.run(ctx.dataset(), config, trial.seed(0))?;
+            let mut run = ctx.start_run(config, trial.seed(0), weighting)?;
+            run.run_rounds(ctx.dataset(), ctx.scale().rounds_per_config)?;
+            let evaluation =
+                evaluate_full(run.model(), ctx.dataset(), Split::Validation, weighting)?;
+            let full_error = evaluation.weighted_error()?;
             Ok(PooledConfig {
                 index: trial.index(),
                 config: config.clone(),
-                model: result.model,
-                evaluation: result.evaluation,
-                full_error: result.full_error,
+                model: run.into_model(),
+                evaluation,
+                full_error,
             })
         })?;
         Ok(ConfigPool { entries })

@@ -21,6 +21,16 @@ use fedstore::Provenance;
 use fedtune_core::Budget;
 use serde::{Deserialize, Serialize};
 
+/// The most trials a campaign's scheduler may plan: more is refused at
+/// submit rather than queued for ever.
+pub const MAX_TRIALS: usize = 1 << 20;
+
+/// The most rounds one evaluation may request (a random search's
+/// `resource`, an ASHA ladder's `max_resource`). An admission costs its
+/// rounds, and the fair-share gate spends one pass per `quantum` of cost
+/// under its lock, so this bounds the passes a single admission can take.
+pub const MAX_RESOURCE: usize = 1 << 16;
+
 /// One dimension of a campaign's search space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DimSpec {
@@ -319,8 +329,11 @@ impl CampaignSpec {
         }
         match &self.scheduler {
             SchedulerSpec::RandomSearch { trials, resource } => {
-                if *trials == 0 || *resource == 0 {
-                    return fail("random search needs trials >= 1 and resource >= 1".to_string());
+                if !(1..=MAX_TRIALS).contains(trials) || !(1..=MAX_RESOURCE).contains(resource) {
+                    return fail(format!(
+                        "random search needs trials in 1..={MAX_TRIALS} and resource in \
+                         1..={MAX_RESOURCE}, got {trials} and {resource}"
+                    ));
                 }
             }
             SchedulerSpec::Asha {
@@ -335,10 +348,15 @@ impl CampaignSpec {
                 min_resource,
                 max_resource,
             } => {
-                if *trials == 0 || *eta < 2 || *min_resource == 0 || max_resource < min_resource {
+                if !(1..=MAX_TRIALS).contains(trials)
+                    || *eta < 2
+                    || *min_resource == 0
+                    || max_resource < min_resource
+                    || *max_resource > MAX_RESOURCE
+                {
                     return fail(format!(
-                        "invalid ASHA ladder: trials {trials}, eta {eta}, \
-                         resource {min_resource}..{max_resource}"
+                        "invalid ASHA ladder: trials {trials} (at most {MAX_TRIALS}), eta {eta}, \
+                         resource {min_resource}..{max_resource} (at most {MAX_RESOURCE})"
                     ));
                 }
             }
@@ -597,6 +615,31 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         bad = demo_spec("ok");
+        bad.scheduler = SchedulerSpec::RandomSearch {
+            trials: 4,
+            resource: usize::MAX,
+        };
+        assert!(bad.validate().is_err());
+        bad.scheduler = SchedulerSpec::RandomSearch {
+            trials: MAX_TRIALS,
+            resource: MAX_RESOURCE,
+        };
+        assert!(bad.validate().is_ok());
+        bad.scheduler = SchedulerSpec::Asha {
+            trials: 4,
+            eta: 3,
+            min_resource: 1,
+            max_resource: usize::MAX,
+        };
+        assert!(bad.validate().is_err());
+        bad.scheduler = SchedulerSpec::AsyncAsha {
+            trials: MAX_TRIALS + 1,
+            eta: 3,
+            min_resource: 1,
+            max_resource: 9,
+        };
+        assert!(bad.validate().is_err());
+        bad = demo_spec("ok");
         bad.objective = ObjectiveSpec::Analytic {
             target: 0.3,
             noise_sd: -1.0,
@@ -605,6 +648,23 @@ mod tests {
             panic_trial: None,
         };
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn every_example_spec_validates() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let spec: CampaignSpec =
+                    serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+                spec.validate()
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no specs under {}", dir.display());
     }
 
     #[test]

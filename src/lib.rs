@@ -13,7 +13,6 @@
 //! - [`fedhpo`] — hyperparameter-optimization methods (RS, TPE, Hyperband,
 //!   BOHB, ASHA, the re-evaluation mitigation) behind the batched ask/tell
 //!   scheduler interface.
-//! - [`fedproxy`] — proxy-data tuning and HP-transfer analysis.
 //! - [`fedpop`] — lazy virtual client populations: O(cohort)
 //!   materialization of million-client federations, cohort sampling, and
 //!   availability windows.
@@ -39,7 +38,6 @@ pub use fedhpo;
 pub use fedmath;
 pub use fedmodels;
 pub use fedpop;
-pub use fedproxy;
 pub use fedsim;
 pub use fedstore;
 pub use fedtrace;

@@ -3,7 +3,6 @@
 
 use feddata::{Benchmark, Split};
 use fedhpo::{Hyperband, IntoScheduler, RandomSearch, Scheduler, Tpe};
-use fedtune::fedproxy::OneShotProxy;
 use fedtune::fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, TuningMethod,
 };
@@ -125,22 +124,4 @@ fn method_comparison_produces_bars_for_all_methods() {
             "missing bars for {method}: {names:?}"
         );
     }
-}
-
-#[test]
-fn proxy_pipeline_transfers_between_task_families() {
-    let scale = smoke();
-    let client = BenchmarkContext::new(Benchmark::StackOverflowLike, &scale, 7).unwrap();
-    let proxy = BenchmarkContext::new(Benchmark::RedditLike, &scale, 7).unwrap();
-    let outcome = OneShotProxy::new(3)
-        .run(
-            proxy.dataset(),
-            &proxy.config_runner(),
-            client.dataset(),
-            &client.config_runner(),
-            1,
-        )
-        .unwrap();
-    assert!((0.0..=1.0).contains(&outcome.client_error));
-    assert_eq!(outcome.all_proxy_errors.len(), 3);
 }

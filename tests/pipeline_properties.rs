@@ -4,10 +4,9 @@
 
 use feddata::{Benchmark, DatasetSpec, Scale, Split};
 use fedhpo::SearchSpace;
-use fedproxy::hyperparams_from_config;
 use fedsim::evaluation::evaluate_full;
 use fedsim::{FederatedTrainer, TrainerConfig, WeightingScheme};
-use fedtune_core::{noisy_error, NoiseConfig};
+use fedtune_core::{hyperparams_from_config, noisy_error, NoiseConfig};
 use proptest::prelude::*;
 
 proptest! {
