@@ -19,11 +19,21 @@
 //! bench asserts the outcomes are **bit-identical** before comparing clocks,
 //! and asserts the 8-thread speedup is at least [`SPEEDUP_FLOOR`].
 //!
+//! Two more entries guard the scheduler's own cost: async ASHA (η 3,
+//! resources 1..=81) at 243 and at 2187 trials over the same evaluation with
+//! no sleep, inline, so the wall clock is the scheduler plus the executor
+//! core. The bench asserts that the wall per evaluation at 2187 trials is
+//! under [`SCHEDULER_COST_RATIO_CEILING`] times that at 243 — a ratio of two
+//! runs on one host, so it holds on any host. A scheduler that sorts a whole
+//! rung on every poll grows by ≈ 9× between the two (measured on a 2-vCPU
+//! x86-64 host).
+//!
 //! With `FEDTUNE_BENCH_JSON=1` the summary lands in
 //! `BENCH_executor_throughput.json`, which CI's `executor-smoke` job gates
 //! against the committed baseline via `perf_compare` (a >30% throughput drop
 //! fails). Sleep-backed entries are stable under CI noise because the
-//! measured time is parked, not scheduled.
+//! measured time is parked, not scheduled; the two scheduler-cost entries are
+//! CPU-bound and keep the best of [`SCHEDULER_COST_REPS`] runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace, TrialRequest};
@@ -47,6 +57,17 @@ const TARGET_TOTAL_SLEEP: f64 = 6.0;
 
 /// The committed floor on the 8-thread speedup over the inline driver.
 const SPEEDUP_FLOOR: f64 = 3.0;
+
+/// Trials of the two scheduler-cost campaigns: the second is nine times the
+/// first.
+const SCHEDULER_COST_TRIALS: [usize; 2] = [243, 2187];
+
+/// The committed ceiling on the per-evaluation wall of the larger
+/// scheduler-cost campaign over that of the smaller.
+const SCHEDULER_COST_RATIO_CEILING: f64 = 3.0;
+
+/// Runs of each scheduler-cost campaign; the fastest is recorded.
+const SCHEDULER_COST_REPS: usize = 5;
 
 fn ladder() -> fedhpo::Asha {
     fedhpo::Asha::new(24, 3, 1, 9)
@@ -150,11 +171,15 @@ impl ConcurrentObjective for LatencyObjective {
     }
 }
 
-/// One full campaign on `threads` real threads — at one, every evaluation
-/// inline on the calling thread, every sleep serialized — returning the
-/// outcome and its wall clock.
-fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize) {
-    let mut scheduler = AsyncAsha::from_ladder(ladder()).scheduler().unwrap();
+/// One full campaign of `ladder` on `threads` real threads — at one, every
+/// evaluation inline on the calling thread, every sleep serialized —
+/// returning the outcome and its wall clock.
+fn campaign_of(
+    ladder: fedhpo::Asha,
+    threads: usize,
+    time_scale: f64,
+) -> (EventDrivenOutcome, f64, usize) {
+    let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
     let scheduler: &mut dyn Scheduler = &mut scheduler;
     let mut objective = LatencyObjective::new(time_scale);
     let space = space_1d();
@@ -168,6 +193,26 @@ fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize)
     let wall = start.elapsed().as_secs_f64();
     assert!(outcome.finished);
     (outcome, wall, objective.sink.committed_rounds)
+}
+
+/// [`campaign_of`] the straggler bench's own ladder.
+fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize) {
+    campaign_of(ladder(), threads, time_scale)
+}
+
+/// The fastest of [`SCHEDULER_COST_REPS`] inline, sleep-free async-ASHA
+/// campaigns over `trials` configurations: wall seconds and evaluations.
+fn scheduler_cost(trials: usize) -> (f64, u64) {
+    let ladder = fedhpo::Asha::new(trials, 3, 1, 81);
+    let runs: Vec<(EventDrivenOutcome, f64, usize)> = (0..SCHEDULER_COST_REPS)
+        .map(|_| campaign_of(ladder, 1, 0.0))
+        .collect();
+    assert!(runs.iter().all(|(outcome, _, _)| *outcome == runs[0].0));
+    let wall = runs
+        .iter()
+        .map(|&(_, wall, _)| wall)
+        .fold(f64::MAX, f64::min);
+    (wall, runs[0].0.outcome.num_evaluations() as u64)
 }
 
 fn regenerate() {
@@ -223,6 +268,31 @@ fn regenerate() {
     // Gate the ratio itself: throughput_per_second of this entry is the
     // speedup ×1000, so perf_compare's 30% window tracks it directly.
     summary.push("speedup_8threads_x1000", 1.0, (speedup_8 * 1000.0) as u64);
+
+    // The scheduler's own cost must grow far slower than the campaign.
+    let per_evaluation = SCHEDULER_COST_TRIALS.map(|trials| {
+        let (wall, evals) = scheduler_cost(trials);
+        summary.push(
+            &format!("async_asha_{trials}_trials_no_latency"),
+            wall,
+            evals,
+        );
+        let per_evaluation = wall / evals as f64;
+        println!(
+            "async asha, {trials} trials: {evals} evaluations in {wall:.4}s, \
+             {:.2} us per evaluation",
+            per_evaluation * 1e6
+        );
+        per_evaluation
+    });
+    let ratio = per_evaluation[1] / per_evaluation[0];
+    assert!(
+        ratio < SCHEDULER_COST_RATIO_CEILING,
+        "wall per evaluation at {} trials must stay under {SCHEDULER_COST_RATIO_CEILING}x \
+         that at {}, got {ratio:.2}x",
+        SCHEDULER_COST_TRIALS[1],
+        SCHEDULER_COST_TRIALS[0]
+    );
     summary.headline("sim_elapsed", blocking.sim_elapsed);
     summary.headline(
         "trials_per_sim_hour",

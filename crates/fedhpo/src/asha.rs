@@ -8,18 +8,26 @@
 //! tuning at scale.
 //!
 //! Determinism: promotions are a pure function of the *set* of reported
-//! results. Within a rung, candidates are ranked by `(score, trial_id)` with
-//! `f64::total_cmp`, so the promotion decision is invariant to the order in
-//! which results arrive (asserted by a property test below). Each
-//! [`suggest`](Scheduler::suggest) call first emits every promotion the
-//! current results justify (highest rung first), then tops the batch up with
-//! fresh uniformly-sampled configurations.
+//! results. Within a rung, candidates are ranked by `(score, trial_id)` —
+//! finite scores in `f64::total_cmp` order, every non-finite score last — so
+//! the promotion decision is invariant to the order in which results arrive
+//! (asserted by a property test below). Each [`suggest`](Scheduler::suggest)
+//! call first emits every promotion the current results justify (highest
+//! rung first), then tops the batch up with fresh uniformly-sampled
+//! configurations.
+//!
+//! Cost: each rung keeps its results in rank order together with the last
+//! result of its top-`⌊n/η⌋` prefix and the unpromoted trials inside that
+//! prefix. A new result moves the prefix boundary by at most one place, so
+//! `report` is `O(log n)`, `suggest` pops each promotion in `O(log n)` and
+//! `is_finished` is `O(rungs)`.
 
-use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Configuration of the ASHA tuner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +158,7 @@ impl IntoScheduler for Asha {
         Ok(AshaScheduler {
             params: *self,
             configs: BTreeMap::new(),
-            rungs: vec![BTreeMap::new(); self.num_rungs()],
-            promoted: vec![BTreeSet::new(); self.num_rungs()],
+            rungs: vec![Rung::default(); self.num_rungs()],
             pending: BTreeSet::new(),
             sampled: 0,
             asynchronous: false,
@@ -231,6 +238,92 @@ impl IntoScheduler for AsyncAsha {
     }
 }
 
+/// A result's place in its rung: `(score_rank(score), trial_id)`.
+type Ranked = (u64, usize);
+
+/// The results of one rung and its promotion index, kept current by
+/// [`Rung::insert`].
+#[derive(Debug, Clone, Default)]
+struct Rung {
+    /// Reported score per trial id.
+    scores: BTreeMap<usize, f64>,
+    /// Every result, best first.
+    ranked: BTreeSet<Ranked>,
+    /// The last result of the top-`⌊n/η⌋` prefix; `None` while it is empty.
+    boundary: Option<Ranked>,
+    /// Unpromoted trials inside the prefix, best first.
+    candidates: BTreeSet<Ranked>,
+    /// Trials already promoted out of this rung.
+    promoted: BTreeSet<usize>,
+}
+
+impl Rung {
+    /// Records `trial_id`'s score and moves the prefix boundary.
+    fn insert(&mut self, trial_id: usize, score: f64, eta: usize) {
+        let entry = (score_rank(score), trial_id);
+        if let Some(old) = self.scores.insert(trial_id, score) {
+            // A re-report at the same rung comes only from replayed or
+            // out-of-band histories: rebuild the prefix in O(n).
+            self.ranked.remove(&(score_rank(old), trial_id));
+            self.ranked.insert(entry);
+            self.rebuild(eta);
+            return;
+        }
+        let top_before = self.ranked.len() / eta;
+        self.ranked.insert(entry);
+        let grows = self.ranked.len() / eta > top_before;
+        match self.boundary {
+            // The new result lands inside the prefix; unless the prefix
+            // grows, its old last result drops out.
+            Some(last) if entry < last => {
+                self.admit(entry);
+                if !grows {
+                    self.candidates.remove(&last);
+                    self.boundary = self.ranked.range(..last).next_back().copied();
+                }
+            }
+            // The prefix grows past its old end by one result.
+            _ if grows => {
+                let next = match self.boundary {
+                    Some(last) => self.ranked.range((Excluded(last), Unbounded)).next(),
+                    None => self.ranked.first(),
+                }
+                .copied();
+                if let Some(next) = next {
+                    self.admit(next);
+                }
+                self.boundary = next;
+            }
+            _ => {}
+        }
+    }
+
+    /// Recomputes the prefix boundary and candidates from `ranked`.
+    fn rebuild(&mut self, eta: usize) {
+        let prefix = self.ranked.iter().take(self.ranked.len() / eta);
+        self.boundary = prefix.clone().next_back().copied();
+        self.candidates = prefix
+            .filter(|(_, trial_id)| !self.promoted.contains(trial_id))
+            .copied()
+            .collect();
+    }
+
+    /// Makes a result that entered the prefix a candidate unless it was
+    /// already promoted.
+    fn admit(&mut self, entry: Ranked) {
+        if !self.promoted.contains(&entry.1) {
+            self.candidates.insert(entry);
+        }
+    }
+
+    /// Promotes the best candidate, if any.
+    fn promote(&mut self) -> Option<usize> {
+        let (_, trial_id) = self.candidates.pop_first()?;
+        self.promoted.insert(trial_id);
+        Some(trial_id)
+    }
+}
+
 /// Ask/tell state of an ASHA campaign. All bookkeeping lives in ordered maps
 /// keyed by trial id, so every decision is a function of *which* results have
 /// arrived, never of when.
@@ -239,10 +332,8 @@ pub struct AshaScheduler {
     params: Asha,
     /// Configuration of every trial seen so far.
     configs: BTreeMap<usize, HpConfig>,
-    /// Reported scores per rung, keyed by trial id.
-    rungs: Vec<BTreeMap<usize, f64>>,
-    /// Trials already promoted out of each rung.
-    promoted: Vec<BTreeSet<usize>>,
+    /// Reported results and promotion index per rung.
+    rungs: Vec<Rung>,
     /// Trials with an outstanding request.
     pending: BTreeSet<usize>,
     /// Fresh configurations sampled so far.
@@ -257,27 +348,40 @@ impl AshaScheduler {
         (0..self.params.num_rungs()).find(|&k| self.params.rung_resource(k) == resource)
     }
 
-    /// All promotions the current results justify: for each non-terminal rung
-    /// `k`, the unpromoted trials ranked (by score, then trial id) within the
-    /// top `⌊|results at k| / η⌋`. Ordered highest rung first, best score
-    /// first — a deterministic function of the reported result set.
+    /// The rungs a trial can be promoted out of: all but the last.
+    fn promoting_rungs(&self) -> &[Rung] {
+        &self.rungs[..self.rungs.len() - 1]
+    }
+
+    /// The sort-based reference the index is tested against: for each
+    /// non-terminal rung `k`, the unpromoted trials ranked (by score, then
+    /// trial id) within the top `⌊|results at k| / η⌋`. Ordered highest rung
+    /// first, best score first.
+    #[cfg(test)]
     fn promotable(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        let num_rungs = self.params.num_rungs();
-        for k in (0..num_rungs.saturating_sub(1)).rev() {
-            let results = &self.rungs[k];
-            let top = results.len() / self.params.eta;
-            if top == 0 {
-                continue;
-            }
-            let mut ranked: Vec<(usize, f64)> =
-                results.iter().map(|(&id, &score)| (id, score)).collect();
-            ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            for (trial_id, _) in ranked.into_iter().take(top) {
-                if !self.promoted[k].contains(&trial_id) {
+        for (k, rung) in self.promoting_rungs().iter().enumerate().rev() {
+            let mut ranked: Vec<Ranked> = rung
+                .scores
+                .iter()
+                .map(|(&id, &score)| (score_rank(score), id))
+                .collect();
+            ranked.sort();
+            for (_, trial_id) in ranked.into_iter().take(rung.scores.len() / self.params.eta) {
+                if !rung.promoted.contains(&trial_id) {
                     out.push((trial_id, k));
                 }
             }
+        }
+        out
+    }
+
+    /// What the index holds as promotable, in the order `suggest` pops it.
+    #[cfg(test)]
+    fn indexed(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (k, rung) in self.promoting_rungs().iter().enumerate().rev() {
+            out.extend(rung.candidates.iter().map(|&(_, trial_id)| (trial_id, k)));
         }
         out
     }
@@ -298,19 +402,19 @@ impl Scheduler for AshaScheduler {
 
     fn suggest(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Result<Vec<TrialRequest>> {
         let mut batch = Vec::new();
-        for (trial_id, rung) in self.promotable() {
-            if batch.len() >= self.params.max_concurrency {
-                break;
+        for rung in (0..self.rungs.len() - 1).rev() {
+            while batch.len() < self.params.max_concurrency {
+                let Some(trial_id) = self.rungs[rung].promote() else {
+                    break;
+                };
+                self.pending.insert(trial_id);
+                batch.push(TrialRequest {
+                    trial_id,
+                    config: self.configs[&trial_id].clone(),
+                    resource: self.params.rung_resource(rung + 1),
+                    noise_rep: 0,
+                });
             }
-            let config = self.configs[&trial_id].clone();
-            self.promoted[rung].insert(trial_id);
-            self.pending.insert(trial_id);
-            batch.push(TrialRequest {
-                trial_id,
-                config,
-                resource: self.params.rung_resource(rung + 1),
-                noise_rep: 0,
-            });
         }
         while self.sampled < self.params.num_configs && batch.len() < self.params.max_concurrency {
             let trial_id = self.sampled;
@@ -343,7 +447,7 @@ impl Scheduler for AshaScheduler {
             .entry(result.trial_id)
             .or_insert_with(|| result.config.clone());
         self.sampled = self.sampled.max(result.trial_id + 1);
-        self.rungs[rung].insert(result.trial_id, result.score);
+        self.rungs[rung].insert(result.trial_id, result.score, self.params.eta);
         self.pending.remove(&result.trial_id);
         Ok(())
     }
@@ -351,7 +455,10 @@ impl Scheduler for AshaScheduler {
     fn is_finished(&self) -> bool {
         self.sampled >= self.params.num_configs
             && self.pending.is_empty()
-            && self.promotable().is_empty()
+            && self
+                .promoting_rungs()
+                .iter()
+                .all(|rung| rung.candidates.is_empty())
     }
 }
 
@@ -457,6 +564,37 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_scores_rank_last() {
+        let asha = Asha::new(6, 3, 1, 9);
+        let mut scheduler = asha.scheduler().unwrap();
+        let space = space_1d();
+        let mut rng = rng_for(4, 0);
+        let batch = scheduler.suggest(&space, &mut rng).unwrap();
+        // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
+        // which `total_cmp` alone ranks before every finite score.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let scores = [
+            negative_nan,
+            f64::NEG_INFINITY,
+            0.3,
+            f64::INFINITY,
+            0.1,
+            f64::NAN,
+        ];
+        for (request, score) in batch.iter().zip(scores) {
+            scheduler.report(&TrialResult::of(request, score)).unwrap();
+        }
+        assert_eq!(scheduler.promotable(), vec![(4, 0), (2, 0)]);
+        let promoted: Vec<usize> = scheduler
+            .suggest(&space, &mut rng)
+            .unwrap()
+            .iter()
+            .map(|r| r.trial_id)
+            .collect();
+        assert_eq!(promoted, vec![4, 2]);
+    }
+
+    #[test]
     fn rejects_results_off_the_ladder() {
         let asha = Asha::new(3, 3, 1, 9);
         let mut scheduler = asha.scheduler().unwrap();
@@ -527,6 +665,7 @@ mod proptests {
     use super::*;
     use fedmath::rng::rng_for;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::Rng;
 
     /// Replays the same rung-0 result set in a permuted arrival order and
@@ -577,6 +716,105 @@ mod proptests {
             prop_assert_eq!(&a, &b);
             // The promoted set is the top third by score.
             prop_assert_eq!(a.len(), num_configs / 3);
+        }
+    }
+
+    /// A score from a pool that stresses the rank key: ties, signed zeros,
+    /// infinities and NaN of both signs beside ordinary values.
+    fn hostile_score(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::NAN,
+            5 => f64::from_bits(0xfff8_0000_0000_0000),
+            6 | 7 => f64::from(rng.gen_range(0..4u8)) / 4.0,
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    /// Asserts the index agrees with the sort-based oracle, and
+    /// `is_finished` with the oracle's answer.
+    fn check_against_oracle(scheduler: &AshaScheduler) -> std::result::Result<(), TestCaseError> {
+        let oracle = scheduler.promotable();
+        prop_assert_eq!(scheduler.indexed(), oracle.clone());
+        prop_assert_eq!(
+            scheduler.is_finished(),
+            scheduler.sampled >= scheduler.params.num_configs
+                && scheduler.pending.is_empty()
+                && oracle.is_empty()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random report histories — live results in any order, out-of-band
+        /// results, same-rung re-reports with a new score — never let the
+        /// rung index drift from the sort-based oracle, and `suggest` pops
+        /// exactly the oracle's first promotions.
+        #[test]
+        fn prop_index_matches_the_sort_oracle(
+            seed in any::<u64>(),
+            eta in 2usize..=4,
+            rungs in 1u32..=5,
+            num_configs in 1usize..300,
+            concurrency in 1usize..12,
+        ) {
+            let asha = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1))
+                .with_concurrency(concurrency);
+            let space = SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap();
+            let mut scheduler = asha.scheduler().unwrap();
+            let mut rng = rng_for(seed, 0);
+            let mut outstanding: Vec<TrialRequest> = Vec::new();
+            let mut reported: Vec<TrialResult> = Vec::new();
+            for _ in 0..3 * num_configs {
+                let result = match rng.gen_range(0..10) {
+                    0..=2 => {
+                        let expected: Vec<(usize, usize)> = scheduler
+                            .promotable()
+                            .into_iter()
+                            .take(concurrency)
+                            .map(|(id, k)| (id, asha.rung_resource(k + 1)))
+                            .collect();
+                        let batch = scheduler.suggest(&space, &mut rng).unwrap();
+                        let promoted: Vec<(usize, usize)> = batch
+                            .iter()
+                            .take(expected.len())
+                            .map(|r| (r.trial_id, r.resource))
+                            .collect();
+                        prop_assert_eq!(promoted, expected);
+                        outstanding.extend(batch);
+                        check_against_oracle(&scheduler)?;
+                        continue;
+                    }
+                    3 => TrialResult {
+                        trial_id: rng.gen_range(0..num_configs + 8),
+                        config: HpConfig::new(vec![0.5]),
+                        resource: asha.rung_resource(rng.gen_range(0..rungs as usize)),
+                        noise_rep: 0,
+                        score: hostile_score(&mut rng),
+                    },
+                    4 if !reported.is_empty() => {
+                        let earlier = &reported[rng.gen_range(0..reported.len())];
+                        TrialResult {
+                            score: hostile_score(&mut rng),
+                            ..earlier.clone()
+                        }
+                    }
+                    _ if !outstanding.is_empty() => {
+                        let request =
+                            outstanding.swap_remove(rng.gen_range(0..outstanding.len()));
+                        TrialResult::of(&request, hostile_score(&mut rng))
+                    }
+                    _ => continue,
+                };
+                scheduler.report(&result).unwrap();
+                reported.push(result);
+                check_against_oracle(&scheduler)?;
+            }
         }
     }
 }

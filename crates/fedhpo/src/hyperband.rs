@@ -7,7 +7,7 @@
 //! runs 5 brackets with elimination factor `η = 3` and a maximum of 405
 //! rounds per configuration.
 
-use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
 use crate::tpe::TpeSampler;
 use crate::{HpoError, Result};
@@ -77,9 +77,10 @@ impl Proposer {
 /// Ask/tell state machine executing a sequence of Successive Halving
 /// brackets: every *rung* (all active configurations at one fidelity) is
 /// suggested as a single batch, so a parallel batch driver trains an entire
-/// rung concurrently. Survivor selection is deterministic — scores are
-/// ordered with `f64::total_cmp` and ties (and equal scores) resolve to the
-/// earlier trial id, so non-finite scores are eliminated first.
+/// rung concurrently. Survivor selection is deterministic — finite scores
+/// are ordered with `f64::total_cmp`, every non-finite score after them, and
+/// ties resolve to the earlier trial id, so non-finite scores are eliminated
+/// first.
 ///
 /// Shared by [`SuccessiveHalving`] (one bracket), [`Hyperband`] (the bracket
 /// ladder), and [`crate::Bohb`] (the ladder with TPE proposals).
@@ -139,12 +140,9 @@ impl BracketScheduler {
         // Keep the best ⌊n/η⌋ configurations (at least one).
         let keep = (self.active.len() / self.eta).max(1);
         let mut order: Vec<usize> = (0..self.active.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (
-                self.scores[a].unwrap_or(f64::NAN),
-                self.scores[b].unwrap_or(f64::NAN),
-            );
-            sa.total_cmp(&sb)
+        order.sort_by_key(|&i| {
+            let score = self.scores[i].unwrap_or(f64::NAN);
+            (score_rank(score), self.active[i].0)
         });
         let survivors: std::collections::HashSet<usize> = order.into_iter().take(keep).collect();
         self.active = self
@@ -659,17 +657,20 @@ mod tests {
     fn nan_scores_are_eliminated_first() {
         use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = space_1d();
-        let mut scheduler = SuccessiveHalving::new(3, 3, 1, 9).scheduler().unwrap();
-        let mut rng = rng_for(7, 0);
-        let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
-        scheduler
-            .report(&TrialResult::of(&rung0[0], f64::NAN))
-            .unwrap();
-        scheduler.report(&TrialResult::of(&rung0[1], 0.9)).unwrap();
-        scheduler.report(&TrialResult::of(&rung0[2], 0.1)).unwrap();
-        let rung1 = scheduler.suggest(&space, &mut rng).unwrap();
-        assert_eq!(rung1.len(), 1);
-        assert_eq!(rung1[0].trial_id, rung0[2].trial_id);
+        // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
+        // which `total_cmp` alone ranks before every finite score.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        for scores in [[f64::NAN, 0.9, 0.1], [negative_nan, f64::NEG_INFINITY, 0.9]] {
+            let mut scheduler = SuccessiveHalving::new(3, 3, 1, 9).scheduler().unwrap();
+            let mut rng = rng_for(7, 0);
+            let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
+            for (request, score) in rung0.iter().zip(scores) {
+                scheduler.report(&TrialResult::of(request, score)).unwrap();
+            }
+            let rung1 = scheduler.suggest(&space, &mut rng).unwrap();
+            assert_eq!(rung1.len(), 1);
+            assert_eq!(rung1[0].trial_id, rung0[2].trial_id);
+        }
     }
 
     #[test]

@@ -78,6 +78,25 @@ impl TrialResult {
     }
 }
 
+/// Rank key of a score under the crate's one "lower is better" order: finite
+/// scores in `f64::total_cmp` order, then every non-finite score (`±∞` and NaN
+/// of either sign) tied last. `total_cmp` alone would rank `-∞` and a
+/// negative-sign NaN (which is what `0.0 / 0.0` yields on x86-64) before
+/// every finite score. Callers break ties by trial id or by a stable sort.
+pub(crate) fn score_rank(score: f64) -> u64 {
+    if !score.is_finite() {
+        return u64::MAX;
+    }
+    // Flip negatives entirely and set the sign bit of positives: unsigned
+    // order then equals `total_cmp` order, and no finite score maps to MAX.
+    let bits = score.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// A batched ask/tell tuning method.
 ///
 /// Drivers interact with a scheduler in rounds: call [`suggest`], evaluate

@@ -11,7 +11,7 @@
 //! assumes noiseless evaluations — this implementation makes no attempt to
 //! model evaluation noise, which is exactly the behaviour the paper studies.
 
-use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{Dimension, HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
@@ -110,13 +110,7 @@ impl TpeSampler {
         if observations.len() < self.config.num_startup.max(2) {
             return space.sample(rng);
         }
-        // Split observations into good (low score) and bad.
-        let mut sorted: Vec<&(HpConfig, f64)> = observations.iter().collect();
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let n_good = ((observations.len() as f64 * self.config.gamma).ceil() as usize)
-            .clamp(1, observations.len() - 1);
-        let good: Vec<&HpConfig> = sorted[..n_good].iter().map(|(c, _)| c).collect();
-        let bad: Vec<&HpConfig> = sorted[n_good..].iter().map(|(c, _)| c).collect();
+        let (good, bad) = self.split(observations);
 
         // Draw candidates from l(θ) and keep the one maximising l/g.
         let mut best: Option<(f64, HpConfig)> = None;
@@ -130,6 +124,23 @@ impl TpeSampler {
             }
         }
         Ok(best.expect("num_candidates >= 1").1)
+    }
+
+    /// Splits at least two observations into the good set (the lowest `γ`
+    /// share by score, at least one) and the bad set (the rest, at least
+    /// one). Non-finite scores rank last; the stable sort keeps arrival order
+    /// among ties.
+    fn split<'a>(
+        &self,
+        observations: &'a [(HpConfig, f64)],
+    ) -> (Vec<&'a HpConfig>, Vec<&'a HpConfig>) {
+        let mut sorted: Vec<&(HpConfig, f64)> = observations.iter().collect();
+        sorted.sort_by_key(|(_, score)| score_rank(*score));
+        let n_good = ((observations.len() as f64 * self.config.gamma).ceil() as usize)
+            .clamp(1, observations.len() - 1);
+        let good = sorted[..n_good].iter().map(|(c, _)| c).collect();
+        let bad = sorted[n_good..].iter().map(|(c, _)| c).collect();
+        (good, bad)
     }
 
     /// Samples one configuration from the kernel-density mixture centred on
@@ -455,6 +466,34 @@ mod tests {
             assert!(space.validate_config(&proposal).is_ok());
         }
         assert_eq!(sampler.config().num_candidates, 24);
+    }
+
+    #[test]
+    fn the_split_ranks_non_finite_scores_last_and_keeps_ties_in_order() {
+        let sampler = TpeSampler::new(TpeConfig {
+            gamma: 0.5,
+            num_startup: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
+        // which `total_cmp` alone ranks before every finite score.
+        let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
+        let scores = [negative_nan, 0.4, f64::NEG_INFINITY, 0.2, 0.4, f64::NAN];
+        let observations: Vec<(HpConfig, f64)> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &score)| (HpConfig::new(vec![i as f64]), score))
+            .collect();
+        let (good, bad) = sampler.split(&observations);
+        let ids = |set: &[&HpConfig]| -> Vec<f64> { set.iter().map(|c| c.values()[0]).collect() };
+        assert_eq!(ids(&good), vec![3.0, 1.0, 4.0]);
+        assert_eq!(ids(&bad), vec![0.0, 2.0, 5.0]);
+        // Proposing over such a history neither panics nor leaves the space.
+        let space = SearchSpace::new().with_uniform("x", 0.0, 5.0).unwrap();
+        let mut rng = rng_for(3, 0);
+        let proposal = sampler.propose(&space, &observations, &mut rng).unwrap();
+        assert!(space.validate_config(&proposal).is_ok());
     }
 
     #[test]

@@ -31,6 +31,19 @@ pub const MAX_TRIALS: usize = 1 << 20;
 /// under its lock, so this bounds the passes a single admission can take.
 pub const MAX_RESOURCE: usize = 1 << 16;
 
+/// The most dimensions a campaign's search space may have: the widest
+/// configuration the segment ledger will encode.
+pub const MAX_DIMENSIONS: usize = fedstore::segment::MAX_ARITY;
+
+/// The most values one categorical dimension may offer.
+pub const MAX_CHOICES: usize = 1 << 10;
+
+/// The most evaluations one campaign may hold in flight on real workers.
+pub const MAX_IN_FLIGHT: usize = 1 << 10;
+
+/// The most dispatches one campaign may queue at the fair-share gate.
+pub const MAX_QUEUED: usize = 1 << 12;
+
 /// One dimension of a campaign's search space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DimSpec {
@@ -309,9 +322,23 @@ impl CampaignSpec {
                 self.name
             ));
         }
-        if self.space.is_empty() {
-            return fail("search space has no dimensions".to_string());
+        if !(1..=MAX_DIMENSIONS).contains(&self.space.len()) {
+            return fail(format!(
+                "search space needs 1..={MAX_DIMENSIONS} dimensions, got {}",
+                self.space.len()
+            ));
         }
+        for dim in &self.space {
+            if let DimSpec::Categorical { name, choices } = dim {
+                if choices.len() > MAX_CHOICES {
+                    return fail(format!(
+                        "categorical dimension {name:?} has {} choices (at most {MAX_CHOICES})",
+                        choices.len()
+                    ));
+                }
+            }
+        }
+        self.build_space()?;
         if self.workers == 0 {
             return fail("campaign needs at least one virtual worker".to_string());
         }
@@ -321,9 +348,13 @@ impl CampaignSpec {
             }
         }
         let limits = &self.limits;
-        if limits.max_in_flight == 0 || limits.max_queued == 0 || limits.quantum == 0 {
+        if !(1..=MAX_IN_FLIGHT).contains(&limits.max_in_flight)
+            || !(1..=MAX_QUEUED).contains(&limits.max_queued)
+            || limits.quantum == 0
+        {
             return fail(format!(
-                "limits must be positive: max_in_flight {}, max_queued {}, quantum {}",
+                "limits need max_in_flight in 1..={MAX_IN_FLIGHT}, max_queued in \
+                 1..={MAX_QUEUED} and a positive quantum, got {}, {} and {}",
                 limits.max_in_flight, limits.max_queued, limits.quantum
             ));
         }
@@ -388,22 +419,24 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates invalid dimension bounds.
+    /// Returns [`ServeError::InvalidSpec`] for invalid dimension bounds or
+    /// names.
     pub fn build_space(&self) -> Result<SearchSpace> {
-        let mut space = SearchSpace::new();
-        for dim in &self.space {
-            space = match dim {
-                DimSpec::Uniform { name, low, high } => space.with_uniform(name, *low, *high)?,
+        self.space
+            .iter()
+            .try_fold(SearchSpace::new(), |space, dim| match dim {
+                DimSpec::Uniform { name, low, high } => space.with_uniform(name, *low, *high),
                 DimSpec::LogUniform { name, low, high } => {
-                    space.with_log_uniform(name, *low, *high)?
+                    space.with_log_uniform(name, *low, *high)
                 }
                 DimSpec::Categorical { name, choices } => {
-                    space.with_categorical(name, choices.clone())?
+                    space.with_categorical(name, choices.clone())
                 }
-                DimSpec::Fixed { name, value } => space.with_fixed(name, *value)?,
-            };
-        }
-        Ok(space)
+                DimSpec::Fixed { name, value } => space.with_fixed(name, *value),
+            })
+            .map_err(|e| ServeError::InvalidSpec {
+                message: format!("search space: {e}"),
+            })
     }
 
     /// Builds the scheduler this spec describes.
@@ -647,6 +680,65 @@ mod tests {
             fail_trial: None,
             panic_trial: None,
         };
+        assert!(bad.validate().is_err());
+        // The search space must build: NaN or inverted bounds, a non-positive
+        // log bound, a NaN choice or a duplicate name are refused up front.
+        let uniform = |name: &str, low: f64, high: f64| DimSpec::Uniform {
+            name: name.to_string(),
+            low,
+            high,
+        };
+        for space in [
+            vec![uniform("x", f64::NAN, 1.0)],
+            vec![uniform("x", 1.0, 0.0)],
+            vec![uniform("x", 0.0, f64::INFINITY)],
+            vec![DimSpec::LogUniform {
+                name: "lr".to_string(),
+                low: 0.0,
+                high: 1.0,
+            }],
+            vec![DimSpec::Categorical {
+                name: "c".to_string(),
+                choices: vec![1.0, f64::NAN],
+            }],
+            vec![uniform("x", 0.0, 1.0), uniform("x", 0.0, 2.0)],
+        ] {
+            bad = demo_spec("ok");
+            bad.space = space;
+            assert!(
+                matches!(bad.validate(), Err(ServeError::InvalidSpec { .. })),
+                "{:?}",
+                bad.space
+            );
+        }
+        // The width caps: dimensions at the ledger's arity, choices and the
+        // in-flight / queued limits at their constants.
+        bad = demo_spec("ok");
+        bad.space = (0..MAX_DIMENSIONS)
+            .map(|i| uniform(&format!("x{i}"), 0.0, 1.0))
+            .collect();
+        assert!(bad.validate().is_ok());
+        bad.space.push(uniform("one-too-many", 0.0, 1.0));
+        assert!(bad.validate().is_err());
+        bad = demo_spec("ok");
+        bad.space = vec![DimSpec::Categorical {
+            name: "c".to_string(),
+            choices: (0..MAX_CHOICES).map(|i| i as f64).collect(),
+        }];
+        assert!(bad.validate().is_ok());
+        bad.space = vec![DimSpec::Categorical {
+            name: "c".to_string(),
+            choices: (0..=MAX_CHOICES).map(|i| i as f64).collect(),
+        }];
+        assert!(bad.validate().is_err());
+        bad = demo_spec("ok");
+        bad.limits.max_in_flight = MAX_IN_FLIGHT;
+        bad.limits.max_queued = MAX_QUEUED;
+        assert!(bad.validate().is_ok());
+        bad.limits.max_in_flight = MAX_IN_FLIGHT + 1;
+        assert!(bad.validate().is_err());
+        bad.limits.max_in_flight = MAX_IN_FLIGHT;
+        bad.limits.max_queued = usize::MAX;
         assert!(bad.validate().is_err());
     }
 
