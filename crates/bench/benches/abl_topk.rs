@@ -8,8 +8,8 @@
 //! identifies the truly best configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use feddp::laplace::{sample_laplace, PrivacyBudget};
-use feddp::topk::{one_shot_noise_scale, one_shot_top_k};
+use fedtune_core::noise::{one_shot_noise_scale, one_shot_top_k, sample_laplace};
+use fedtune_core::PrivacyBudget;
 
 /// Synthetic candidate accuracies: a clear winner ahead by 5 points.
 fn candidate_accuracies() -> Vec<f64> {

@@ -26,7 +26,7 @@ fn bench(c: &mut Criterion) {
     // Laplace sampling (the DP hot path).
     group.bench_function("laplace_sample", |bch| {
         let mut rng = fedmath::rng::rng_for(0, 0);
-        bch.iter(|| feddp::laplace::sample_laplace(&mut rng, 0.5))
+        bch.iter(|| fedtune_core::noise::sample_laplace(&mut rng, 0.5))
     });
 
     // Client sampling without replacement from a large population.

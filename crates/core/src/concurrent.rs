@@ -44,7 +44,7 @@
 use crate::scheduler::{
     event_key, DispatchedTrial, EventDrivenOutcome, ExecutorCore, ExecutorStep,
 };
-use crate::{CoreError, Result};
+use crate::{invalid, CoreError, Result};
 use fedhpo::{TrialRequest, TrialResult};
 use fedsim::exec::ThreadPool;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -553,12 +553,6 @@ where
             next = self.rx.try_recv().ok();
         }
         Ok(last_commit)
-    }
-}
-
-fn invalid(message: impl Into<String>) -> CoreError {
-    CoreError::InvalidConfig {
-        message: message.into(),
     }
 }
 

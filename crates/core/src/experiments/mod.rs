@@ -144,7 +144,7 @@ fn incumbents(scores: &[f64]) -> Vec<usize> {
 /// pre-trained pool — the one bootstrap kernel behind every RS figure: draw
 /// `k` distinct configurations, observe each through `scores`, and after each
 /// one report the *true* full-validation error of the incumbent (the lowest
-/// score so far, [`incumbents`]). Entry `j` of the returned vector
+/// score so far, the private `incumbents` rule). Entry `j` of the returned vector
 /// is the incumbent's true error after `j + 1` configurations
 /// (`rounds_per_config` budget units each); the last entry is what the trial
 /// selects (§3, "Evaluation").

@@ -6,8 +6,7 @@ use crate::experiments::{rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
 use crate::report::{BenchmarkSeries, SeriesGroup};
-use crate::Result;
-use feddp::PrivacyBudget;
+use crate::{PrivacyBudget, Result};
 use fedmath::SeedStream;
 
 /// The ε grid of Fig. 9.

@@ -12,9 +12,8 @@ use crate::experiments::{
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
-use crate::{CoreError, Result};
+use crate::{CoreError, PrivacyBudget, Result};
 use feddata::Benchmark;
-use feddp::PrivacyBudget;
 use fedmath::stats::QuartileSummary;
 use fedmath::SeedTree;
 use serde::{Deserialize, Serialize};

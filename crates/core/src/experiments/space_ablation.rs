@@ -9,9 +9,8 @@ use crate::noise::NoiseConfig;
 use crate::pool::ConfigPool;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
-use crate::Result;
+use crate::{PrivacyBudget, Result};
 use feddata::Benchmark;
-use feddp::PrivacyBudget;
 use fedhpo::SearchSpace;
 use fedmath::SeedStream;
 use serde::{Deserialize, Serialize};

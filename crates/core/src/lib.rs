@@ -15,7 +15,9 @@
 //!   model architecture.
 //! - [`noise`] — the [`NoiseConfig`] describing every evaluation-noise source
 //!   studied in the paper (client subsampling, systems-heterogeneity bias,
-//!   differential privacy, weighting scheme) and the noisy-evaluation kernel.
+//!   differential privacy, weighting scheme), the noisy-evaluation kernel,
+//!   and the Laplace calibration and one-shot top-k release behind its
+//!   [`PrivacyBudget`].
 //! - [`pool`] — the pre-trained configuration pool behind the paper's
 //!   RS-only analyses: [`TrainedBenchmark`] trains 128 configurations per
 //!   benchmark once, and every RS figure simulates many noisy tuning runs
@@ -70,7 +72,7 @@ pub use context::{hyperparams_from_config, BenchmarkContext};
 pub use engine::{TrialContext, TrialRunner};
 pub use fedsim::clock::{ClientRuntimeModel, CostModel};
 pub use fedsim::ExecutionPolicy;
-pub use noise::{noisy_error, NoiseConfig};
+pub use noise::{noisy_error, NoiseConfig, PrivacyBudget};
 pub use objective::{
     selected_true_error, selected_true_error_within_sim, BatchFederatedObjective, CampaignLog,
     ObjectiveLogEntry,
@@ -104,8 +106,6 @@ pub enum CoreError {
     Model(fedmodels::ModelError),
     /// An underlying HPO operation failed.
     Hpo(fedhpo::HpoError),
-    /// An underlying privacy mechanism failed.
-    Dp(feddp::DpError),
     /// An underlying population operation failed.
     Pop(fedpop::PopError),
     /// An underlying numerical routine failed.
@@ -122,7 +122,6 @@ impl fmt::Display for CoreError {
             CoreError::Sim(e) => write!(f, "simulation error: {e}"),
             CoreError::Model(e) => write!(f, "model error: {e}"),
             CoreError::Hpo(e) => write!(f, "hpo error: {e}"),
-            CoreError::Dp(e) => write!(f, "privacy error: {e}"),
             CoreError::Pop(e) => write!(f, "population error: {e}"),
             CoreError::Math(e) => write!(f, "math error: {e}"),
             CoreError::EvalPanicked => write!(f, "an evaluation task panicked"),
@@ -138,7 +137,6 @@ impl std::error::Error for CoreError {
             CoreError::Sim(e) => Some(e),
             CoreError::Model(e) => Some(e),
             CoreError::Hpo(e) => Some(e),
-            CoreError::Dp(e) => Some(e),
             CoreError::Pop(e) => Some(e),
             CoreError::Math(e) => Some(e),
         }
@@ -159,12 +157,17 @@ impl_from_error!(Data, feddata::DataError);
 impl_from_error!(Sim, fedsim::SimError);
 impl_from_error!(Model, fedmodels::ModelError);
 impl_from_error!(Hpo, fedhpo::HpoError);
-impl_from_error!(Dp, feddp::DpError);
 impl_from_error!(Pop, fedpop::PopError);
 impl_from_error!(Math, fedmath::MathError);
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
+
+pub(crate) fn invalid(message: impl Into<String>) -> CoreError {
+    CoreError::InvalidConfig {
+        message: message.into(),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -189,10 +192,6 @@ mod tests {
             .into(),
             fedmodels::ModelError::EmptyBatch.into(),
             fedhpo::HpoError::InvalidConfig {
-                message: "x".into(),
-            }
-            .into(),
-            feddp::DpError::InvalidParameter {
                 message: "x".into(),
             }
             .into(),

@@ -383,8 +383,8 @@ mod tests {
     use crate::concurrent::tests::Scripted;
     use crate::scale::ExperimentScale;
     use crate::scheduler::{drive, Clock, Drive};
+    use crate::PrivacyBudget;
     use feddata::Benchmark;
-    use feddp::PrivacyBudget;
     use fedhpo::{HpConfig, IntoScheduler, RandomSearch, SearchSpace};
     use fedmath::rng::rng_for;
 

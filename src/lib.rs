@@ -9,14 +9,14 @@
 //! - [`feddata`] — synthetic federated datasets and partitioning.
 //! - [`fedmodels`] — models with hand-written gradients and local SGD.
 //! - [`fedsim`] — the cross-device federated-learning simulator.
-//! - [`feddp`] — the differential-privacy substrate (Laplace, one-shot top-k).
 //! - [`fedhpo`] — hyperparameter-optimization methods (RS, TPE, Hyperband,
 //!   BOHB, ASHA, the re-evaluation mitigation) behind the batched ask/tell
 //!   scheduler interface.
 //! - [`fedpop`] — lazy virtual client populations: O(cohort)
 //!   materialization of million-client federations, cohort sampling, and
 //!   availability windows.
-//! - [`fedtune_core`] — noise-aware evaluation pipeline and the per-figure
+//! - [`fedtune_core`] — noise-aware evaluation pipeline (client subsampling,
+//!   systems bias, Laplace differential privacy) and the per-figure
 //!   experiment runners (the paper's primary contribution as a library).
 //! - [`fedstore`] — the persistent trial ledger and tabular surrogate
 //!   objectives: record live campaigns once, then replay method sweeps
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 
 pub use feddata;
-pub use feddp;
 pub use fedhpo;
 pub use fedmath;
 pub use fedmodels;

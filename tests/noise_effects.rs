@@ -3,13 +3,12 @@
 //! from the paper.
 
 use feddata::Benchmark;
-use feddp::PrivacyBudget;
 use fedtune::fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, TuningMethod,
 };
 use fedtune::fedtune_core::experiments::{simulated_rs_trials, subsample_rate_grid};
 use fedtune::fedtune_core::{
-    BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig, TrialRunner,
+    BenchmarkContext, ConfigPool, ExperimentScale, NoiseConfig, PrivacyBudget, TrialRunner,
 };
 use std::sync::OnceLock;
 

@@ -6,7 +6,8 @@ use feddata::{Benchmark, DatasetSpec, Scale, Split};
 use fedhpo::SearchSpace;
 use fedsim::evaluation::evaluate_full;
 use fedsim::{FederatedTrainer, TrainerConfig, WeightingScheme};
-use fedtune_core::{hyperparams_from_config, noisy_error, NoiseConfig};
+use fedtune_core::noise::{evaluation_noise_scale, one_shot_top_k, sample_laplace};
+use fedtune_core::{hyperparams_from_config, noisy_error, NoiseConfig, PrivacyBudget};
 use proptest::prelude::*;
 
 proptest! {
@@ -65,19 +66,40 @@ proptest! {
         }
     }
 
-    /// Privacy accounting never exceeds its budget when the per-query split
-    /// is used for every query.
+    /// The Laplace scale of one evaluation is its sensitivity `1/|S|` over
+    /// the even split `ε/M`, so `M` evaluations compose to exactly `ε` and
+    /// never exceed it; more evaluation clients always mean less noise.
     #[test]
-    fn prop_accountant_even_split_never_exhausts(
+    fn prop_even_split_calibrates_the_laplace_scale(
         epsilon in 0.01f64..100.0,
-        queries in 1usize..200,
+        evaluations in 1usize..200,
+        sample_size in 1usize..500,
+        extra_clients in 1usize..500,
     ) {
-        let mut acc = feddp::PrivacyAccountant::new(feddp::PrivacyBudget::Finite(epsilon)).unwrap();
-        let per_query = acc.per_query_epsilon(queries).unwrap().unwrap();
-        for _ in 0..queries {
-            acc.spend(per_query).unwrap();
-        }
-        prop_assert_eq!(acc.queries(), queries);
-        prop_assert!(acc.remaining().unwrap() >= -1e-9);
+        let budget = PrivacyBudget::Finite(epsilon);
+        let scale = evaluation_noise_scale(budget, evaluations, sample_size).unwrap();
+        let per_evaluation = (1.0 / sample_size as f64) / scale;
+        let composed = per_evaluation * evaluations as f64;
+        prop_assert!((composed - epsilon).abs() <= 1e-9 * epsilon);
+        let wider = evaluation_noise_scale(budget, evaluations, sample_size + extra_clients).unwrap();
+        prop_assert!(wider < scale);
+    }
+
+    /// One-shot top-k releases `k` distinct valid indices at any noise
+    /// scale, and a Laplace draw is always finite.
+    #[test]
+    fn prop_top_k_valid_for_any_scale(
+        seed in any::<u64>(),
+        scores in proptest::collection::vec(0.0f64..1.0, 1..40),
+        scale in 0.0f64..50.0,
+    ) {
+        let mut rng = fedmath::rng::rng_for(seed, 0);
+        let k = 1 + (seed as usize) % scores.len();
+        let top = one_shot_top_k(&scores, k, scale, &mut rng).unwrap();
+        prop_assert_eq!(top.len(), k);
+        let unique: std::collections::HashSet<usize> = top.iter().copied().collect();
+        prop_assert_eq!(unique.len(), k);
+        prop_assert!(top.iter().all(|&i| i < scores.len()));
+        prop_assert!(sample_laplace(&mut rng, scale).is_finite());
     }
 }
