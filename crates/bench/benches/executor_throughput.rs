@@ -108,23 +108,19 @@ impl ConcurrentEval for LatencyEval {
         if self.time_scale > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(virtual_seconds * self.time_scale));
         }
-        let delta = reached - already;
         *trained = reached;
         Ok(EvalOutput {
             noisy_score: analytic_score(request),
             true_error: analytic_score(request),
-            rounds_delta: delta,
-            resource_completed: reached,
         })
     }
 }
 
 /// Driver-thread half: parks each trial's trained-rounds mirror between
-/// dispatches and counts committed rounds.
+/// dispatches. What a campaign committed is its outcome, compared whole.
 #[derive(Default)]
 struct LatencySink {
     trained: HashMap<usize, usize>,
-    committed_rounds: usize,
 }
 
 impl ConcurrentSink for LatencySink {
@@ -138,9 +134,7 @@ impl ConcurrentSink for LatencySink {
         self.trained.insert(trial_id, state);
     }
 
-    fn commit(&mut self, _request: &TrialRequest, output: &EvalOutput, _sim_time: f64) {
-        self.committed_rounds += output.rounds_delta;
-    }
+    fn commit(&mut self, _request: &TrialRequest, _output: &EvalOutput, _sim_time: f64) {}
 }
 
 struct LatencyObjective {
@@ -174,11 +168,7 @@ impl ConcurrentObjective for LatencyObjective {
 /// One full campaign of `ladder` on `threads` real threads — at one, every
 /// evaluation inline on the calling thread, every sleep serialized —
 /// returning the outcome and its wall clock.
-fn campaign_of(
-    ladder: fedhpo::Asha,
-    threads: usize,
-    time_scale: f64,
-) -> (EventDrivenOutcome, f64, usize) {
+fn campaign_of(ladder: fedhpo::Asha, threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64) {
     let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
     let scheduler: &mut dyn Scheduler = &mut scheduler;
     let mut objective = LatencyObjective::new(time_scale);
@@ -192,11 +182,11 @@ fn campaign_of(
     let outcome = drive(scheduler, &space, &mut objective, &mut rng, &config).unwrap();
     let wall = start.elapsed().as_secs_f64();
     assert!(outcome.finished);
-    (outcome, wall, objective.sink.committed_rounds)
+    (outcome, wall)
 }
 
 /// [`campaign_of`] the straggler bench's own ladder.
-fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize) {
+fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64) {
     campaign_of(ladder(), threads, time_scale)
 }
 
@@ -204,14 +194,11 @@ fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64, usize)
 /// campaigns over `trials` configurations: wall seconds and evaluations.
 fn scheduler_cost(trials: usize) -> (f64, u64) {
     let ladder = fedhpo::Asha::new(trials, 3, 1, 81);
-    let runs: Vec<(EventDrivenOutcome, f64, usize)> = (0..SCHEDULER_COST_REPS)
+    let runs: Vec<(EventDrivenOutcome, f64)> = (0..SCHEDULER_COST_REPS)
         .map(|_| campaign_of(ladder, 1, 0.0))
         .collect();
-    assert!(runs.iter().all(|(outcome, _, _)| *outcome == runs[0].0));
-    let wall = runs
-        .iter()
-        .map(|&(_, wall, _)| wall)
-        .fold(f64::MAX, f64::min);
+    assert!(runs.iter().all(|(outcome, _)| *outcome == runs[0].0));
+    let wall = runs.iter().map(|&(_, wall)| wall).fold(f64::MAX, f64::min);
     (wall, runs[0].0.outcome.num_evaluations() as u64)
 }
 
@@ -221,7 +208,7 @@ fn regenerate() {
     // Calibrate the virtual→real latency scale from a dry run (no sleeps):
     // total virtual busy time comes from the timeline, which is identical
     // for every driver and thread count.
-    let (dry, _, _) = campaign(1, 0.0);
+    let (dry, _) = campaign(1, 0.0);
     let total_virtual: f64 = dry.timeline.iter().map(|s| s.end - s.start).sum();
     assert!(total_virtual > 0.0);
     let time_scale = TARGET_TOTAL_SLEEP / total_virtual;
@@ -233,19 +220,19 @@ fn regenerate() {
     );
 
     // The blocking reference: every evaluation latency paid in sequence.
-    let (blocking, blocking_wall, blocking_rounds) = campaign(1, time_scale);
+    let (blocking, blocking_wall) = campaign(1, time_scale);
     assert_eq!(blocking, dry, "sleeping must not move a bit");
     summary.push("campaign_blocking_1thread", blocking_wall, evals);
 
-    // The concurrent driver at 4 and 8 real threads: same bits, less wall.
+    // The concurrent driver at 4 and 8 real threads: same bits — the whole
+    // outcome, the rounds every record was charged included — less wall.
     let mut speedup_8 = 0.0;
     for threads in [4usize, 8] {
-        let (concurrent, wall, rounds) = campaign(threads, time_scale);
+        let (concurrent, wall) = campaign(threads, time_scale);
         assert_eq!(
             concurrent, blocking,
             "{threads} threads: concurrent outcome diverged from blocking"
         );
-        assert_eq!(rounds, blocking_rounds, "{threads} threads");
         summary.push(
             &format!("campaign_concurrent_{threads}threads"),
             wall,

@@ -12,9 +12,11 @@
 //! - **where a job runs** — the `spawn` callable handed to [`Pump::new`]:
 //!   inline on the calling thread ([`drive`](crate::scheduler::drive) at
 //!   `threads <= 1`, the single-threaded reference every identity test
-//!   compares against), on a scoped [`ThreadPool`] with a `&Eval` (`drive`
-//!   above one thread), or on the daemon's `'static` `SharedPool` with an
-//!   `Arc<Eval>` (`fedserve::campaign::run_campaign`);
+//!   compares against), or as a job on a [`ThreadPool`]: scoped with a
+//!   `&Eval` (`drive` above one thread), or the daemon's owned `SharedPool`
+//!   with an `Arc<Eval>` (`fedserve::campaign::run_campaign`). Either pool
+//!   contains a panicking job, and the pump fails the campaign with
+//!   [`CoreError::EvalPanicked`];
 //! - **admission and the turn end** — the [`Host`] the daemon implements
 //!   (fair-share gate, control flags, `sync → publish`); every
 //!   standalone lane runs [`Ungated`], which is all of the trait's defaults.
@@ -62,10 +64,6 @@ pub struct EvalOutput {
     pub noisy_score: f64,
     /// The true (noise-free) objective value of the same evaluation.
     pub true_error: f64,
-    /// Incremental training rounds this evaluation consumed.
-    pub rounds_delta: usize,
-    /// Cumulative rounds the trial's run had completed afterwards.
-    pub resource_completed: usize,
 }
 
 /// The shared, thread-safe half of an objective: evaluates one request
@@ -303,9 +301,8 @@ impl<K: ConcurrentSink> Host<K> for Ungated {
 /// The one driver loop over [`ExecutorCore`]; see the module docs.
 ///
 /// `E` is how a job reaches the evaluation half (`&Eval`, `Arc<Eval>`),
-/// `K` the sink, `F` where a job runs: `spawn(job, chained)` must see to it
-/// that [`EvalJob::run`] is called once (`chained` marks a job that inherits
-/// its predecessor's warm state, for the pools' accounting).
+/// `K` the sink, `F` where a job runs: `spawn(job)` must see to it that
+/// [`EvalJob::run`] is called once.
 pub struct Pump<'s, E, K: ConcurrentSink, F> {
     eval: E,
     sink: &'s mut K,
@@ -330,7 +327,7 @@ where
     E: Deref + Clone,
     E::Target: ConcurrentEval<State = K::State>,
     K: ConcurrentSink,
-    F: FnMut(EvalJob<E, K::State>, bool),
+    F: FnMut(EvalJob<E, K::State>),
 {
     /// A pump evaluating through `eval`, committing to `sink`, running its
     /// jobs wherever `spawn` puts them.
@@ -378,9 +375,10 @@ where
     /// # Errors
     ///
     /// The core's conditions (scheduler stall, invalid completion), the
-    /// failure of the earliest failing dispatch, a panicked job
-    /// ([`CoreError::EvalPanicked`]), or whatever the host or the sink's
-    /// turn end fails with.
+    /// failure of the earliest failing dispatch, a job that panicked on a
+    /// pool ([`CoreError::EvalPanicked`]; a `spawn` that runs the job
+    /// inline lets the panic unwind to the caller instead), or whatever the
+    /// host or the sink's turn end fails with.
     pub fn run<H: Host<K>>(
         &mut self,
         mut core: ExecutorCore<'_>,
@@ -467,19 +465,18 @@ where
             None => {
                 self.busy.insert(trial, VecDeque::new());
                 let state = self.sink.take_state(trial);
-                self.launch(work, state, false);
+                self.launch(work, state);
             }
         }
     }
 
-    fn launch(&mut self, work: Numbered, state: K::State, chained: bool) {
-        let job = EvalJob {
+    fn launch(&mut self, work: Numbered, state: K::State) {
+        (self.spawn)(EvalJob {
             eval: self.eval.clone(),
             tx: self.tx.clone(),
             work,
             state,
-        };
-        (self.spawn)(job, chained);
+        });
     }
 
     /// Blocks for one inbox message and handles it and every message
@@ -541,7 +538,7 @@ where
                     match queue.pop_front() {
                         // Hand the warm state straight to the trial's next
                         // job — no round trip through the sink.
-                        Some(queued) => self.launch(queued, state, true),
+                        Some(queued) => self.launch(queued, state),
                         None => {
                             self.busy.remove(&trial);
                             self.sink.put_state(trial, state);
@@ -561,20 +558,13 @@ where
 pub(crate) fn on_pool<'p, 'env, E, S>(
     pool: &'p ThreadPool<'env>,
     wall: Option<&'env fedtrace::WallProfile>,
-) -> impl FnMut(EvalJob<E, S>, bool) + use<'p, 'env, E, S>
+) -> impl FnMut(EvalJob<E, S>) + use<'p, 'env, E, S>
 where
     E: Deref + Send + 'env,
     E::Target: ConcurrentEval<State = S>,
     S: Send + 'env,
 {
-    move |job, chained| {
-        let run = move || job.run(wall);
-        if chained {
-            pool.submit_chained(run);
-        } else {
-            pool.submit(run);
-        }
-    }
+    move |job| pool.submit(move || job.run(wall))
 }
 
 #[cfg(test)]
@@ -630,13 +620,10 @@ pub(crate) mod tests {
                 return Err(invalid(format!("injected failure for trial {trial}")));
             }
             let score = analytic_score(request);
-            let delta = request.resource.saturating_sub(*state);
             *state = (*state).max(request.resource);
             Ok(EvalOutput {
                 noisy_score: score,
                 true_error: score,
-                rounds_delta: delta,
-                resource_completed: *state,
             })
         }
     }
@@ -648,7 +635,6 @@ pub(crate) mod tests {
         states: HashMap<usize, usize>,
         /// `(trial, resource, rep, score bits, sim_time bits)` per commit.
         pub(crate) commits: Vec<(usize, usize, u64, u64, u64)>,
-        pub(crate) rounds: usize,
         pub(crate) turns_ended: usize,
     }
 
@@ -664,7 +650,6 @@ pub(crate) mod tests {
         }
 
         fn commit(&mut self, request: &TrialRequest, output: &EvalOutput, sim_time: f64) {
-            self.rounds = self.rounds.saturating_add(output.rounds_delta);
             self.commits.push((
                 request.trial_id,
                 request.resource,
@@ -783,7 +768,7 @@ pub(crate) mod tests {
     /// its choosing.
     type Job<'e> = EvalJob<&'e AnalyticEval, usize>;
     type Held<'e> = RefCell<Vec<Job<'e>>>;
-    type HoldingPump<'p, 'e> = Pump<'p, &'e AnalyticEval, CommitLog, &'p dyn Fn(Job<'e>, bool)>;
+    type HoldingPump<'p, 'e> = Pump<'p, &'e AnalyticEval, CommitLog, &'p dyn Fn(Job<'e>)>;
 
     /// A pump frozen after the first dispatch wave of a `k`-trial random
     /// search: every dispatch has passed `host` and — where admitted — sits
@@ -809,7 +794,7 @@ pub(crate) mod tests {
         )
         .unwrap();
         let held: Held<'e> = RefCell::new(Vec::new());
-        let hold = |job, _chained| held.borrow_mut().push(job);
+        let hold = |job| held.borrow_mut().push(job);
         let mut sink = CommitLog::default();
         let mut pump: HoldingPump<'_, 'e> = Pump::new(eval, &mut sink, &hold);
         let ExecutorStep::Dispatch(batch) = core.step().unwrap() else {
@@ -951,5 +936,45 @@ pub(crate) mod tests {
             assert!(unwound.is_err());
             assert_eq!(pump.turn(core, host), Err(CoreError::EvalPanicked));
         });
+    }
+
+    fn panicking_trial_1() -> AnalyticEval {
+        AnalyticEval {
+            panicking: Some(1),
+            ..AnalyticEval::default()
+        }
+    }
+
+    #[test]
+    fn a_panicking_evaluation_fails_its_campaign_on_a_pool() {
+        for threads in [4usize, 8] {
+            // On a helper thread, so a hang fails the timeout, not the suite.
+            let (tx, rx) = mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let _ = tx.send(campaign(threads, panicking_trial_1()).0);
+            });
+            let outcome = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("threads = {threads}: drive hung or panicked"));
+            helper.join().expect("the helper returns after sending");
+            assert_eq!(
+                outcome.unwrap_err(),
+                CoreError::EvalPanicked,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn inline_a_panicking_evaluation_unwinds_to_the_caller_with_its_payload() {
+        for threads in [0usize, 1] {
+            let unwound = std::panic::catch_unwind(|| campaign(threads, panicking_trial_1()));
+            let payload = unwound.err().expect("the inline lane is a plain call");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert_eq!(message, "injected panic for trial 1", "threads = {threads}");
+        }
     }
 }

@@ -58,12 +58,6 @@ impl BenchmarkContext {
         &self.dataset
     }
 
-    /// Mutable access to the dataset (used to repartition the validation
-    /// pool for the heterogeneity experiments).
-    pub fn dataset_mut(&mut self) -> &mut FederatedDataset {
-        &mut self.dataset
-    }
-
     /// The hyperparameter search space.
     pub fn space(&self) -> &SearchSpace {
         &self.space
@@ -279,16 +273,5 @@ mod tests {
         let mut scale = ExperimentScale::smoke();
         scale.num_configs = 0;
         assert!(BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).is_err());
-    }
-
-    #[test]
-    fn dataset_mut_allows_repartitioning() {
-        let scale = ExperimentScale::smoke();
-        let mut ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, 0).unwrap();
-        let n = ctx.dataset().num_val_clients();
-        ctx.dataset_mut()
-            .clients_mut(feddata::Split::Validation)
-            .pop();
-        assert_eq!(ctx.dataset().num_val_clients(), n - 1);
     }
 }

@@ -180,15 +180,6 @@ pub struct ProxyMatrix {
 }
 
 impl ProxyMatrix {
-    /// The best proxy for a given client dataset (lowest median client
-    /// error).
-    pub fn best_proxy_for(&self, client: &str) -> Option<&ProxyMatrixCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.client == client)
-            .min_by(|a, b| a.client_error.median.total_cmp(&b.client_error.median))
-    }
-
     /// Renders the matrix as a report (one series per client dataset, one
     /// point per proxy).
     pub fn to_report(&self) -> ExperimentReport {
@@ -348,13 +339,9 @@ mod tests {
         // Trial for trial, no proxy can beat selecting by the client's own
         // errors: the diagonal is each row's floor.
         for client in &trained {
-            let best = matrix.best_proxy_for(client.name()).unwrap();
-            let own = matrix
-                .cells
-                .iter()
-                .find(|c| c.client == client.name() && c.proxy == client.name())
-                .unwrap();
-            assert_eq!(best.client_error.median, own.client_error.median);
+            let row = || matrix.cells.iter().filter(|c| c.client == client.name());
+            let own = row().find(|c| c.proxy == client.name()).unwrap();
+            assert!(row().all(|c| own.client_error.median <= c.client_error.median));
         }
         let report = matrix.to_report();
         assert_eq!(report.groups.len(), 4);

@@ -206,21 +206,19 @@ impl FederatedTrialState {
     /// The advance-and-validate body of a live evaluation: trains the
     /// trial's run — started by `start` on first use — up to `resource`
     /// rounds, then validates the model on the full validation pool, once
-    /// per fidelity. Returns the rounds this call trained, the fidelity
-    /// reached, and the evaluation there.
+    /// per fidelity, and returns that evaluation.
     fn advance(
         &mut self,
         dataset: &FederatedDataset,
         weighting: WeightingScheme,
         resource: usize,
         start: impl FnOnce() -> Result<TrainingRun>,
-    ) -> Result<(usize, usize, &FederatedEvaluation)> {
+    ) -> Result<&FederatedEvaluation> {
         let run = match &mut self.run {
             Some(run) => run,
             None => self.run.insert(start()?),
         };
-        let rounds_delta = resource.saturating_sub(run.rounds_completed());
-        run.run_rounds(dataset, rounds_delta)?;
+        run.run_rounds(dataset, resource.saturating_sub(run.rounds_completed()))?;
         let fidelity = run.rounds_completed();
         let cached = match self.eval_cache.take() {
             Some(hit) if hit.0 == fidelity => hit,
@@ -229,8 +227,7 @@ impl FederatedTrialState {
                 evaluate_full(run.model(), dataset, Split::Validation, weighting)?,
             ),
         };
-        let evaluation = &self.eval_cache.insert(cached).1;
-        Ok((rounds_delta, fidelity, evaluation))
+        Ok(&self.eval_cache.insert(cached).1)
     }
 }
 
@@ -341,12 +338,11 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
         // by.
         let fingerprint = self.ctx.space().canonical_fingerprint(&request.config)?;
         let dataset = self.ctx.dataset();
-        let (rounds_delta, resource_completed, full_eval) =
-            state.advance(dataset, self.noise.weighting, request.resource, || {
-                let run_seed = self.trial_seeds.child(fingerprint).seed();
-                self.ctx
-                    .start_run(&request.config, run_seed, self.noise.weighting)
-            })?;
+        let full_eval = state.advance(dataset, self.noise.weighting, request.resource, || {
+            let run_seed = self.trial_seeds.child(fingerprint).seed();
+            self.ctx
+                .start_run(&request.config, run_seed, self.noise.weighting)
+        })?;
         let true_error = full_eval.weighted_error()?;
         let mut noise_rng = self
             .noise_seeds
@@ -361,8 +357,6 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
         Ok(EvalOutput {
             noisy_score,
             true_error,
-            rounds_delta,
-            resource_completed,
         })
     }
 }

@@ -163,9 +163,12 @@ impl Budget {
 /// # Errors
 ///
 /// Propagates scheduler, objective and cost-model errors, the failure of
-/// the earliest failing dispatch, a panicked job, a failed sink turn, and
-/// fails if the scheduler stalls (nothing outstanding or queued, and an
-/// empty suggestion while unfinished).
+/// the earliest failing dispatch, a failed sink turn, and fails if the
+/// scheduler stalls (nothing outstanding or queued, and an empty suggestion
+/// while unfinished). An evaluation that panics on the pool fails the
+/// campaign with [`CoreError::EvalPanicked`](crate::CoreError::EvalPanicked);
+/// inline (`threads <= 1`) the job is a plain call and its panic unwinds to
+/// the caller with its own payload.
 pub fn drive<O: ConcurrentObjective>(
     scheduler: &mut dyn Scheduler,
     space: &SearchSpace,
@@ -183,7 +186,7 @@ pub fn drive<O: ConcurrentObjective>(
     let wall = trace.map(|t| t.wall_profile());
     let core = ExecutorCore::new(scheduler, space, rng, clock, trace, budget)?;
     if threads <= 1 {
-        Pump::new(eval, sink, |job: EvalJob<_, _>, _| job.run(wall)).run(core, &mut Ungated)
+        Pump::new(eval, sink, |job: EvalJob<_, _>| job.run(wall)).run(core, &mut Ungated)
     } else {
         with_thread_pool(threads, move |pool| {
             Pump::new(eval, sink, on_pool(pool, wall)).run(core, &mut Ungated)

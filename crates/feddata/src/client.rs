@@ -59,12 +59,6 @@ impl ClientData {
         }
         hist
     }
-
-    /// Replaces the client's examples, keeping the id.
-    pub fn with_examples(mut self, examples: Vec<Example>) -> Self {
-        self.examples = examples;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -97,13 +91,6 @@ mod tests {
         assert_eq!(c.label_histogram(3), vec![1, 2, 0]);
         // Labels outside the bin range are ignored rather than panicking.
         assert_eq!(c.label_histogram(1), vec![1]);
-    }
-
-    #[test]
-    fn with_examples_replaces_data() {
-        let c = sample_client().with_examples(vec![Example::token(0, 1)]);
-        assert_eq!(c.id(), 3);
-        assert_eq!(c.num_examples(), 1);
     }
 
     #[test]

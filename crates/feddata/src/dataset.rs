@@ -1,7 +1,7 @@
 //! The federated dataset: disjoint training and validation client pools.
 
 use crate::client::ClientData;
-use crate::example::{Example, Task};
+use crate::example::Task;
 use crate::packed::{PackCache, PackedSplit};
 use crate::statistics::DatasetStatistics;
 use crate::{DataError, Result};
@@ -220,36 +220,9 @@ impl FederatedDataset {
         })
     }
 
-    /// Per-client example counts for the given pool, used as the weights
-    /// `p_{val,k}` of the *weighted* evaluation objective (Eq. 2).
-    pub fn client_weights_by_examples(&self, split: Split) -> Vec<f64> {
-        self.clients(split)
-            .iter()
-            .map(|c| c.num_examples() as f64)
-            .collect()
-    }
-
-    /// All-ones weights for the *uniform* evaluation objective
-    /// (`p_{val,k} = 1` for every client), used by the paper whenever
-    /// differential privacy is applied.
-    pub fn uniform_client_weights(&self, split: Split) -> Vec<f64> {
-        vec![1.0; self.num_clients(split)]
-    }
-
     /// Total number of examples in the given pool.
     pub fn total_examples(&self, split: Split) -> usize {
         self.clients(split).iter().map(|c| c.num_examples()).sum()
-    }
-
-    /// Flattens every example of the given pool into one vector (cloned).
-    ///
-    /// This is the "pool all of the eval data" step used by the paper's
-    /// iid repartitioning protocol (§3.2) and by centralized baselines.
-    pub fn pooled_examples(&self, split: Split) -> Vec<Example> {
-        self.clients(split)
-            .iter()
-            .flat_map(|c| c.examples().iter().cloned())
-            .collect()
     }
 
     /// Summary statistics in the format of Table 1/2 of the paper.
@@ -378,26 +351,6 @@ mod tests {
             d.client(Split::Validation, 3),
             Err(DataError::ClientOutOfRange { index: 3, len: 3 })
         ));
-    }
-
-    #[test]
-    fn weights() {
-        let d = tiny_dataset();
-        assert_eq!(
-            d.client_weights_by_examples(Split::Validation),
-            vec![2.0, 3.0, 5.0]
-        );
-        assert_eq!(
-            d.uniform_client_weights(Split::Validation),
-            vec![1.0, 1.0, 1.0]
-        );
-    }
-
-    #[test]
-    fn pooled_examples_flattens_everything() {
-        let d = tiny_dataset();
-        let pooled = d.pooled_examples(Split::Validation);
-        assert_eq!(pooled.len(), 10);
     }
 
     #[test]

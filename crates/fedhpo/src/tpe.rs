@@ -273,15 +273,6 @@ impl Tpe {
         }
     }
 
-    /// Creates a TPE tuner with explicit sampler settings.
-    pub fn with_config(num_configs: usize, rounds_per_config: usize, config: TpeConfig) -> Self {
-        Tpe {
-            num_configs,
-            rounds_per_config,
-            sampler_config: config,
-        }
-    }
-
     /// The paper's configuration: `K = 16` sequential configurations.
     pub fn paper_default(max_rounds: usize) -> Self {
         Tpe::new(16, max_rounds)

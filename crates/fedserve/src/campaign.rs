@@ -36,11 +36,11 @@
 //! [`ExecutorCore::halt`]: the scheduler is never polled again but already
 //! dispatched evaluations drain, leaving a consistent partial outcome.
 //! A panicking or failing evaluation aborts only its own campaign — the
-//! shared pool isolates the panic, the pump reports it and the driver
-//! returns [`ServeError::EvalPanicked`]; a failing one is reported as the
-//! earliest failing dispatch, whatever order the workers finished in — and
-//! the tenant's drop releases the campaign's admitted capacity on the way
-//! out.
+//! pool contains the panic at the job boundary, as every pool does, the
+//! pump reports it and the driver returns [`ServeError::EvalPanicked`]; a
+//! failing one is reported as the earliest failing dispatch, whatever order
+//! the workers finished in — and the tenant's drop releases the campaign's
+//! admitted capacity on the way out.
 
 use crate::dispatch::{DrrConfig, FairGate, GateError};
 use crate::objective::build_objective;
@@ -281,19 +281,10 @@ where
     let core = ExecutorCore::new(scheduler, &space, &mut rng, clock, trace.as_deref(), budget)?;
     // Where a job runs: on the shared pool, owning an `Arc` of everything
     // it touches.
-    let mut pump = Pump::new(
-        Arc::clone(&eval),
-        &mut sink,
-        |job: EvalJob<_, _>, chained| {
-            let trace = trace.clone();
-            let run = move || job.run(trace.as_deref().map(fedtrace::Trace::wall_profile));
-            if chained {
-                pool.submit_chained(run);
-            } else {
-                pool.submit(run);
-            }
-        },
-    );
+    let mut pump = Pump::new(Arc::clone(&eval), &mut sink, |job: EvalJob<_, _>| {
+        let trace = trace.clone();
+        pool.submit(move || job.run(trace.as_deref().map(fedtrace::Trace::wall_profile)));
+    });
     let config = DrrConfig {
         quantum: spec.limits.quantum,
         max_in_flight: spec.limits.max_in_flight,
@@ -924,7 +915,7 @@ mod tests {
     /// the real tenant, and a gate whose grants go to the test instead of
     /// the inbox.
     struct MidFlight<'a, 'p> {
-        pump: Pump<'p, Eval, Sink, &'p dyn Fn(Job, bool)>,
+        pump: Pump<'p, Eval, Sink, &'p dyn Fn(Job)>,
         core: ExecutorCore<'a>,
         tenant: Tenant<'a, AnalyticEval>,
         /// Admitted dispatches whose evaluation has not run yet.
@@ -966,7 +957,7 @@ mod tests {
         let RecordingObjective { eval, mut sink } = build_objective(&spec, store).unwrap();
         let eval = Arc::new(eval);
         let held = RefCell::new(Vec::new());
-        let hold = |job, _chained| held.borrow_mut().push(job);
+        let hold = |job| held.borrow_mut().push(job);
         let gate = FairGate::new(k);
         let config = DrrConfig {
             quantum: 1,

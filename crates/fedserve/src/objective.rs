@@ -142,8 +142,6 @@ impl ConcurrentEval for AnalyticEval {
         Ok(EvalOutput {
             noisy_score: true_error + self.noise_draw(&key, *noise_sd),
             true_error,
-            rounds_delta: reached - already,
-            resource_completed: reached,
         })
     }
 }

@@ -141,14 +141,6 @@ impl<T> EventQueue<T> {
         self.events.is_empty()
     }
 
-    /// Simulated time of the next event to pop, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.events
-            .keys()
-            .next()
-            .map(|slot| f64::from_bits(slot.time_bits))
-    }
-
     /// The earliest queued event as `(time, key)`, without removing it.
     ///
     /// The executor core uses this to decide whether the next virtual event
@@ -219,11 +211,6 @@ impl WorkerPool {
         })
     }
 
-    /// Number of virtual workers.
-    pub fn num_workers(&self) -> usize {
-        self.free_at.len()
-    }
-
     /// The worker that frees up first, as `(worker index, free time)` —
     /// ties resolve to the lowest index.
     pub fn next_free(&self) -> (usize, f64) {
@@ -234,11 +221,6 @@ impl WorkerPool {
             .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
             .expect("pool is never empty");
         (worker, *free_at)
-    }
-
-    /// `true` if some worker is free at simulated time `now`.
-    pub fn has_idle(&self, now: f64) -> bool {
-        self.next_free().1 <= now
     }
 
     /// Number of workers still busy at simulated time `now` (their booked
@@ -469,14 +451,13 @@ mod tests {
     fn queue_pops_by_time_then_key() {
         let mut queue = EventQueue::new();
         assert!(queue.is_empty());
-        assert!(queue.peek_time().is_none());
+        assert!(queue.peek().is_none());
         queue.push(3.0, EventKey::new(0, 1, 0), "late").unwrap();
         queue.push(1.0, EventKey::new(9, 1, 0), "early").unwrap();
         queue
             .push(3.0, EventKey::new(0, 0, 1), "tie-low-key")
             .unwrap();
         assert_eq!(queue.len(), 3);
-        assert_eq!(queue.peek_time(), Some(1.0));
         assert_eq!(queue.peek(), Some((1.0, EventKey::new(9, 1, 0))));
         let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!["early", "tie-low-key", "late"]);
@@ -502,13 +483,10 @@ mod tests {
     fn worker_pool_books_earliest_free_worker() {
         assert!(WorkerPool::new(0).is_err());
         let mut pool = WorkerPool::new(2).unwrap();
-        assert_eq!(pool.num_workers(), 2);
         assert_eq!(pool.next_free(), (0, 0.0));
-        assert!(pool.has_idle(0.0));
         assert_eq!(pool.assign(0, 0.0, 5.0).unwrap(), 5.0);
         assert_eq!(pool.next_free(), (1, 0.0));
         assert_eq!(pool.assign(1, 0.0, 2.0).unwrap(), 2.0);
-        assert!(!pool.has_idle(1.0));
         assert_eq!(pool.busy_at(1.0), 2);
         assert_eq!(pool.busy_at(2.0), 1);
         assert_eq!(pool.busy_at(5.0), 0);

@@ -134,29 +134,12 @@ impl FederatedEvaluation {
         fedmath::stats::weighted_mean(&errors, &self.weights()).map_err(SimError::from)
     }
 
-    /// The aggregated accuracy (`1 - weighted_error`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`weighted_error`](Self::weighted_error).
-    pub fn weighted_accuracy(&self) -> Result<f64> {
-        Ok(1.0 - self.weighted_error()?)
-    }
-
     /// The smallest per-client error (y-axis of Fig. 7).
     pub fn min_client_error(&self) -> f64 {
         self.per_client
             .iter()
             .map(|c| c.error_rate)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The largest per-client error.
-    pub fn max_client_error(&self) -> f64 {
-        self.per_client
-            .iter()
-            .map(|c| c.error_rate)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Per-client accuracies, indexed like [`per_client`](Self::per_client).
@@ -326,9 +309,7 @@ mod tests {
             FederatedEvaluation::new(per_client.clone(), WeightingScheme::ByExamples).unwrap();
         assert_eq!(eval.num_clients(), 2);
         assert!((eval.weighted_error().unwrap() - 0.75).abs() < 1e-12);
-        assert!((eval.weighted_accuracy().unwrap() - 0.25).abs() < 1e-12);
         assert_eq!(eval.min_client_error(), 0.0);
-        assert_eq!(eval.max_client_error(), 1.0);
         assert_eq!(eval.client_accuracies(), vec![1.0, 0.0]);
         assert_eq!(eval.weighting(), WeightingScheme::ByExamples);
         assert_eq!(eval.per_client()[0].accuracy(), 1.0);

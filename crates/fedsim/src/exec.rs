@@ -15,18 +15,17 @@
 //! the build environment vendors all dependencies offline, and scoped threads
 //! with contiguous chunking are sufficient for uniform trial workloads.
 //!
-//! For long-lived fan-out — the event-driven executor submitting one task per
-//! dispatched trial, hundreds of times per campaign — per-call spawning pays
-//! thread-creation cost on every round trip. [`with_thread_pool`] amortizes
-//! it: a campaign-scoped pool of persistent workers drains a FIFO injector
-//! queue, so task *start* order always equals submission order, and the
-//! caller decides (deterministically) how results are committed. Because the
-//! crates in this workspace forbid `unsafe`, the pool is scoped rather than
-//! global: jobs may borrow anything that outlives the [`with_thread_pool`]
-//! call, which is exactly the shape of the concurrent trial executor (shared
-//! evaluation core by reference, per-trial state by value) but *not* of
-//! [`map_range`]'s arbitrary call-site borrows — the per-call scoped spawns
-//! remain there, where fan-outs are wide and infrequent.
+//! For long-lived fan-out — a campaign driver submitting one job per
+//! dispatched evaluation, hundreds of times per campaign — per-call spawning
+//! pays thread-creation cost on every round trip. One pool type,
+//! [`ThreadPool`], amortizes it: persistent workers drain a FIFO queue, so
+//! job *start* order equals submission order, and the caller decides
+//! (deterministically) how results are committed. It is scoped
+//! ([`with_thread_pool`], jobs borrow the caller's data) or owned
+//! ([`SharedPool`], `'static` jobs, the daemon's), with one worker loop and
+//! one panic policy. [`map_range`] keeps its per-call scoped spawns: its
+//! fan-outs are wide and infrequent, and its jobs borrow arbitrary
+//! call-site data.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -175,10 +174,9 @@ struct QueueState<'env> {
     shutdown: bool,
 }
 
-/// The one FIFO injector queue behind both pool handles: jobs *start* in
-/// exactly the order they were pushed (there is no per-worker deque and
-/// hence no stealing), which keeps pool scheduling out of any determinism
-/// argument.
+/// The FIFO injector queue behind a [`ThreadPool`]: jobs *start* in exactly
+/// the order they were pushed (there is no per-worker deque and hence no
+/// stealing), which keeps pool scheduling out of any determinism argument.
 struct JobQueue<'env> {
     state: Mutex<QueueState<'env>>,
     work_ready: Condvar,
@@ -188,7 +186,6 @@ struct JobQueue<'env> {
 /// pool never reads these back, so tracing cannot change scheduling.
 struct PoolMetrics {
     tasks: fedtrace::Counter,
-    steals_avoided: fedtrace::Counter,
     task_panics: fedtrace::Counter,
 }
 
@@ -198,7 +195,6 @@ fn pool_metrics() -> &'static PoolMetrics {
         let registry = fedtrace::global().registry();
         PoolMetrics {
             tasks: registry.counter("exec.pool.tasks"),
-            steals_avoided: registry.counter("exec.pool.steals_avoided"),
             task_panics: registry.counter("exec.pool.task_panics"),
         }
     })
@@ -225,12 +221,8 @@ impl<'env> JobQueue<'env> {
     }
 
     /// Queues `job` behind everything pushed before it and wakes a worker.
-    fn push(&self, job: PoolJob<'env>, chained: bool) {
-        let metrics = pool_metrics();
-        metrics.tasks.incr();
-        if chained {
-            metrics.steals_avoided.incr();
-        }
+    fn push(&self, job: PoolJob<'env>) {
+        pool_metrics().tasks.incr();
         self.lock().jobs.push_back(job);
         self.work_ready.notify_one();
     }
@@ -242,10 +234,11 @@ impl<'env> JobQueue<'env> {
     }
 
     /// A worker's life: run queued jobs in order until shut down and
-    /// drained. With `isolate`, a panicking job is contained at the job
-    /// boundary (counted as `exec.pool.task_panics`) and the worker keeps
-    /// serving the queue; without it the panic takes the worker with it.
-    fn work(&self, isolate: bool) {
+    /// drained. A panicking job stops at the job boundary (counted as
+    /// `exec.pool.task_panics`) and the worker keeps serving the queue; the
+    /// job's owner hears of it through its own channel (the pump's panic
+    /// guard), so the pool stays policy-free.
+    fn work(&self) {
         loop {
             let job = {
                 let mut state = self.lock();
@@ -263,56 +256,71 @@ impl<'env> JobQueue<'env> {
                 }
             };
             // Run outside the lock so a panicking job cannot poison the queue.
-            if !isolate {
-                job();
-            } else if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
                 pool_metrics().task_panics.incr();
             }
         }
     }
 }
 
-/// Handle to a persistent, order-preserving worker pool created by
-/// [`with_thread_pool`].
+/// A persistent, order-preserving worker pool: long-lived threads draining
+/// one shared FIFO queue, so tasks *start* in exactly the order they were
+/// submitted and a caller that commits results in submission order gets
+/// bit-identical output at every worker count.
 ///
-/// Workers are long-lived threads draining one shared FIFO queue: tasks
-/// *start* in exactly the order they were submitted, so a caller that
-/// commits results in submission order gets bit-identical output at every
-/// worker count.
+/// Two constructors, one pool:
 ///
-/// The counter `exec.pool.tasks` records every submission and
-/// `exec.pool.steals_avoided` every [chained](Self::submit_chained) one.
-/// Accounting, never semantics.
+/// - [`with_thread_pool`] is **scoped**: jobs may borrow anything that
+///   outlives the call (`'env`), and the workers are joined by the scope.
+/// - [`SharedPool::new`](ThreadPool::new) is **owned**: `'static` jobs, for
+///   a process-lifetime pool many drivers share (the tuning daemon's
+///   campaigns come and go while it persists). Dropping it joins the
+///   workers after the queue drains.
+///
+/// Both run every job under the same policy: a panic stops at the job
+/// boundary and is counted as `exec.pool.task_panics`; the worker survives
+/// to run what is queued behind it. The counter `exec.pool.tasks` records
+/// every submission. Accounting, never semantics.
 pub struct ThreadPool<'env> {
     queue: Arc<JobQueue<'env>>,
+    /// The owned pool's workers; empty for a scoped pool, whose scope joins
+    /// them.
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
+
+/// The owned, `'static` form of [`ThreadPool`].
+pub type SharedPool = ThreadPool<'static>;
 
 impl<'env> ThreadPool<'env> {
     /// Queues `job` for execution on the next idle worker. Jobs start in
-    /// submission order; all submitted jobs complete before
-    /// [`with_thread_pool`] returns.
+    /// submission order; every submitted job runs before the pool's workers
+    /// return.
     pub fn submit<F: FnOnce() + Send + 'env>(&self, job: F) {
-        self.queue.push(Box::new(job), false);
-    }
-
-    /// [`submit`](Self::submit) for a task that inherits its predecessor's
-    /// warm per-task state (the pump chaining a trial's next dispatch onto
-    /// the state its completed dispatch just freed). Counted as
-    /// `exec.pool.steals_avoided`: the state handoff bypasses the shared
-    /// parked-state round trip a work-stealing pool would pay.
-    pub fn submit_chained<F: FnOnce() + Send + 'env>(&self, job: F) {
-        self.queue.push(Box::new(job), true);
+        self.queue.push(Box::new(job));
     }
 }
 
-/// Runs `f` with a persistent pool of `threads.max(1)` workers, shutting the
-/// pool down (after draining every submitted job) when `f` returns.
+impl ThreadPool<'static> {
+    /// Starts an owned pool of `threads.max(1)` persistent workers.
+    pub fn new(threads: usize) -> Self {
+        let queue = JobQueue::new();
+        let handles = (0..threads.max(1))
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || queue.work())
+            })
+            .collect();
+        ThreadPool { queue, handles }
+    }
+}
+
+/// Runs `f` with a scoped pool of `threads.max(1)` workers, shutting the pool
+/// down (after draining every submitted job) when `f` returns.
 ///
 /// The `'env` lifetime is the borrow horizon for jobs: anything a job borrows
-/// must outlive the `with_thread_pool` call itself. Built on
-/// `std::thread::scope`, so a panicking job propagates to the caller once the
-/// scope joins — and so does a panic in `f` itself: the workers are told to
-/// shut down on unwind too, drain the queue, and let the join finish.
+/// must outlive the `with_thread_pool` call itself. A panic in `f` unwinds to
+/// the caller once the scope joins: the workers are told to shut down on
+/// unwind too, drain the queue, and let the join finish.
 pub fn with_thread_pool<'env, R, F>(threads: usize, f: F) -> R
 where
     F: FnOnce(&ThreadPool<'env>) -> R,
@@ -321,72 +329,19 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             let queue = Arc::clone(&queue);
-            scope.spawn(move || queue.work(false));
+            scope.spawn(move || queue.work());
         }
-        f(&ThreadPool { queue })
+        f(&ThreadPool {
+            queue,
+            handles: Vec::new(),
+        })
     })
 }
 
-/// Ends the workers when [`with_thread_pool`]'s handle goes, whether the
-/// driver returned or is unwinding — without it a panicking driver leaves
-/// them waiting and the scope's join never returns.
+/// Ends the workers when the pool goes, whether its owner returned or is
+/// unwinding — without it a panicking driver leaves them waiting and a
+/// scope's join never returns — and joins an owned pool's workers.
 impl Drop for ThreadPool<'_> {
-    fn drop(&mut self) {
-        self.queue.shut_down();
-    }
-}
-
-/// A process-lifetime worker pool shared by many independent drivers — the
-/// multiplexing substrate of the tuning service daemon.
-///
-/// Differences from the scoped [`ThreadPool`] (the queue is the same one):
-///
-/// - **Owned, `'static` jobs.** Campaign drivers come and go while the pool
-///   persists, so jobs must own their captures (typically `Arc` clones of a
-///   shared evaluation core plus per-trial state by value).
-/// - **Panic isolation.** Each job runs under `catch_unwind`: one tenant's
-///   panicking evaluation is swallowed at the job boundary (counted as
-///   `exec.pool.task_panics`) and the worker thread survives to serve other
-///   tenants. The panicking tenant learns of the death through its own
-///   channel-guard protocol — the pool stays policy-free.
-/// - **Explicit shutdown.** Dropping the pool sets the shutdown flag and
-///   joins every worker after the queue drains.
-///
-/// Tasks *start* in submission order, so fair-share admission decisions made
-/// upstream are not reordered by the pool itself.
-pub struct SharedPool {
-    queue: Arc<JobQueue<'static>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl SharedPool {
-    /// Starts a pool of `threads.max(1)` persistent workers.
-    pub fn new(threads: usize) -> Self {
-        let queue = JobQueue::new();
-        let handles = (0..threads.max(1))
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || queue.work(true))
-            })
-            .collect();
-        SharedPool { queue, handles }
-    }
-
-    /// Queues `job` for execution on the next idle worker. Jobs start in
-    /// submission order.
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.queue.push(Box::new(job), false);
-    }
-
-    /// [`submit`](Self::submit) for a task chained onto its predecessor's
-    /// warm per-trial state; counted as `exec.pool.steals_avoided` exactly
-    /// like the scoped pool's chained submissions.
-    pub fn submit_chained<F: FnOnce() + Send + 'static>(&self, job: F) {
-        self.queue.push(Box::new(job), true);
-    }
-}
-
-impl Drop for SharedPool {
     fn drop(&mut self) {
         self.queue.shut_down();
         for handle in self.handles.drain(..) {
@@ -451,21 +406,32 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 50);
     }
 
-    #[test]
-    fn shared_pool_survives_a_panicking_job() {
-        use std::sync::mpsc;
-        let pool = SharedPool::new(2);
-        let panics_before = pool_metrics().task_panics.value();
-        pool.submit(|| panic!("tenant bug"));
-        let (tx, rx) = mpsc::channel::<u32>();
+    /// Queues a panicking job and then a healthy one on `pool` (one worker),
+    /// and waits for the healthy one.
+    fn queue_behind_a_panic(pool: &ThreadPool<'_>) -> std::sync::mpsc::Receiver<u32> {
+        let (tx, rx) = std::sync::mpsc::channel::<u32>();
+        pool.submit(|| panic!("evaluation bug"));
         pool.submit(move || {
             let _ = tx.send(7);
         });
-        // The worker that ran the panicking job is still alive to run this.
+        rx
+    }
+
+    #[test]
+    fn a_job_queued_behind_a_panicking_job_runs_on_either_pool() {
+        let counted = |before: u64| pool_metrics().task_panics.value() > before;
+        // Owned: the only worker survives the panic to run the next job.
+        let before = pool_metrics().task_panics.value();
+        let pool = SharedPool::new(1);
+        let rx = queue_behind_a_panic(&pool);
         assert_eq!(rx.recv().unwrap(), 7);
-        // Drop joins the workers; none of them died to the panic.
         drop(pool);
-        assert!(pool_metrics().task_panics.value() > panics_before);
+        assert!(counted(before));
+        // Scoped: the same, and the scope joins without a panic of its own.
+        let before = pool_metrics().task_panics.value();
+        let rx = with_thread_pool(1, queue_behind_a_panic);
+        assert_eq!(rx.try_recv(), Ok(7));
+        assert!(counted(before));
     }
 
     #[test]
@@ -556,12 +522,12 @@ mod tests {
 
         let worker = std::thread::spawn({
             let queue = Arc::clone(&queue);
-            move || queue.work(true)
+            move || queue.work()
         });
         let (tx, rx) = std::sync::mpsc::channel();
         for i in 1..=3 {
             let tx = tx.clone();
-            queue.push(Box::new(move || tx.send(i).expect("receiver alive")), false);
+            queue.push(Box::new(move || tx.send(i).expect("receiver alive")));
         }
         queue.shut_down();
         worker.join().expect("the worker returns normally");

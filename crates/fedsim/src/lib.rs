@@ -19,10 +19,12 @@
 //!   [`exec::ExecutionPolicy`] (`Sequential` or `Parallel`) governs how the
 //!   independent trials of an experiment fan out over threads
 //!   ([`exec::map_range`] behind `fedtune_core::TrialRunner`), with
-//!   bit-identical results under every policy, and the pools
-//!   ([`with_thread_pool`], [`SharedPool`]) campaign drivers run their
-//!   evaluations on. That is the only level of parallelism: a round and a
-//!   validation pass run on the thread that owns their trial.
+//!   bit-identical results under every policy, and the one worker pool type
+//!   campaign drivers run their evaluations on, [`ThreadPool`]: scoped
+//!   ([`with_thread_pool`]) or owned ([`SharedPool`]), with one panic
+//!   policy (a panicking job is contained and counted, its worker lives
+//!   on). That is the only level of parallelism: a round and a validation
+//!   pass run on the thread that owns their trial.
 //!   [`ExecutionPolicy::from_env`] is the only reader of `FEDTUNE_THREADS`,
 //!   and it is for the edge of a process: nothing in this crate calls it.
 //! - [`clock`] is the virtual-time layer for discrete-event campaign

@@ -141,8 +141,6 @@ impl<E: ConcurrentEval> ConcurrentEval for RecordingEval<E> {
         Ok(EvalOutput {
             noisy_score,
             true_error,
-            rounds_delta: 0,
-            resource_completed: request.resource,
         })
     }
 }
@@ -258,14 +256,11 @@ pub(crate) mod tests {
             request: &TrialRequest,
         ) -> fedtune_core::Result<EvalOutput> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            let rounds_delta = request.resource.saturating_sub(*trained);
             *trained = (*trained).max(request.resource);
             let score = request.config.values()[0] + request.resource as f64;
             Ok(EvalOutput {
                 noisy_score: score,
                 true_error: score,
-                rounds_delta,
-                resource_completed: *trained,
             })
         }
     }

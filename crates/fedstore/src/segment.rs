@@ -1181,6 +1181,112 @@ mod tests {
         drop(writer);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// One payload per error branch of [`decode_payload`], each paired with
+    /// the reason it must be refused for, against a one-entry dictionary.
+    /// Bit flips never get this far (CRC32C rejects them first): these are
+    /// what a CRC-valid frame written by a buggy or hostile writer can hold.
+    fn hostile_payloads() -> Vec<(&'static str, Vec<u8>)> {
+        let mut good = Vec::new();
+        encode_record(&mut good, 0, &record(1.0, 2, 3));
+        // `good` is [tag][provenance id 0][rest]: splice a raw varint in.
+        let record_with_id = |id: &[u8]| [&[TAG_RECORD][..], id, &good[2..]].concat();
+        let varint = |v: u64| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v);
+            buf
+        };
+        let provenance_with_len =
+            |len: u64| [&[TAG_PROVENANCE, 0][..], &varint(len), b"cifar"].concat();
+        let mut out_of_order = Vec::new();
+        encode_provenance(&mut out_of_order, 2, &provenance("noisy"));
+        let mut negative_time = record(1.0, 2, 3);
+        negative_time.sim_time = -1.0;
+        let mut negative = Vec::new();
+        encode_record(&mut negative, 0, &negative_time);
+        vec![
+            ("varint longer than 10 bytes", record_with_id(&[0x80; 11])),
+            (
+                "varint overflows u64",
+                record_with_id(&[[0xff; 9].as_slice(), &[0x02]].concat()),
+            ),
+            ("payload truncated", provenance_with_len(1 << 40)),
+            // A length whose end offset would overflow `usize`.
+            ("payload truncated", provenance_with_len(u64::MAX)),
+            (
+                "exceeds the 4096 cap",
+                [&[TAG_RECORD, 0][..], &varint(MAX_ARITY as u64 + 1)].concat(),
+            ),
+            (
+                "exceeds the 4096 cap",
+                [&[TAG_RECORD, 0][..], &varint(u64::MAX)].concat(),
+            ),
+            ("unknown provenance 1", record_with_id(&[1])),
+            ("unknown provenance", record_with_id(&varint(u64::MAX))),
+            ("out of order (expected 1)", out_of_order),
+            (
+                "provenance id exceeds u32",
+                [&[TAG_PROVENANCE][..], &varint(1 << 33)].concat(),
+            ),
+            ("1 trailing payload bytes", [&good[..], &[0]].concat()),
+            ("unknown payload tag 3", vec![3]),
+            ("payload truncated at byte 0", Vec::new()),
+            ("must be finite and non-negative", negative),
+        ]
+    }
+
+    #[test]
+    fn hostile_payloads_are_refused_with_their_reason() {
+        let dict = [provenance("noisy")];
+        let mut good = Vec::new();
+        encode_record(&mut good, 0, &record(1.0, 2, 3));
+        assert!(matches!(
+            decode_payload(&good, &dict),
+            Ok(Payload::Record(_))
+        ));
+        for (reason, payload) in hostile_payloads() {
+            match decode_payload(&payload, &dict) {
+                Err(message) => assert!(message.contains(reason), "{reason}: got {message}"),
+                Ok(_) => panic!("{reason}: {payload:?} decoded"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_crc_valid_hostile_last_frame_reopens_to_the_frames_before_it() {
+        for (i, (reason, payload)) in hostile_payloads().into_iter().enumerate() {
+            let dir = temp_dir(&format!("hostile{i}"));
+            let originals: Vec<TrialRecord> = (0..4).map(|j| record(j as f64, 1, 0)).collect();
+            {
+                let mut writer = SegmentWriter::open(&dir, SegmentConfig::group_commit()).unwrap();
+                for r in &originals {
+                    writer.append(r).unwrap();
+                }
+                writer.flush().unwrap();
+            }
+            let (_, path) = &list_segments(&dir).unwrap()[0];
+            let clean_len = std::fs::metadata(path).unwrap().len();
+            let mut bytes = std::fs::read(path).unwrap();
+            append_frame(&mut bytes, &payload);
+            std::fs::write(path, &bytes).unwrap();
+
+            let store = crate::TrialStore::open_segments(&dir).unwrap();
+            assert_eq!(store.len(), originals.len(), "{reason}");
+            drop(store);
+            assert_eq!(
+                std::fs::metadata(path).unwrap().len(),
+                clean_len,
+                "{reason}"
+            );
+            let survivors = collect(&dir);
+            assert_eq!(survivors.len(), originals.len(), "{reason}");
+            for (a, b) in originals.iter().zip(&survivors) {
+                assert_eq!(a.config, b.config, "{reason}");
+                assert_eq!(a.noisy_score.to_bits(), b.noisy_score.to_bits(), "{reason}");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }
 
 #[cfg(test)]

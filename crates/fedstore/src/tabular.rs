@@ -129,8 +129,6 @@ impl ConcurrentEval for Table<'_> {
         Ok(EvalOutput {
             noisy_score,
             true_error,
-            rounds_delta: 0,
-            resource_completed: request.resource,
         })
     }
 }

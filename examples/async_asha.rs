@@ -174,9 +174,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             serde_json::to_string_pretty(&snapshot)?,
         )?;
         println!(
-            "thread pool: {} tasks, {} queue round-trips avoided",
-            snapshot.counter("exec.pool.tasks").unwrap_or(0),
-            snapshot.counter("exec.pool.steals_avoided").unwrap_or(0)
+            "thread pool: {} tasks",
+            snapshot.counter("exec.pool.tasks").unwrap_or(0)
         );
         summary.record_metrics(snapshot);
         println!("wrote trace-async_asha.json (open it in Perfetto: https://ui.perfetto.dev)");
