@@ -13,7 +13,7 @@
 use crate::{invalid, CoreError, Result};
 use fedsim::evaluation::FederatedEvaluation;
 use fedsim::sampling::clients_for_rate;
-use fedsim::WeightingScheme;
+use fedsim::{BiasedSampler, ClientSampler, WeightingScheme};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -222,16 +222,18 @@ pub fn noisy_error(
     let population = full_evaluation.num_clients();
     let sample_size = clients_for_rate(population, noise.subsample_rate)?;
 
-    // 1. Select which clients report their error.
+    // 1. Select which clients report their error. Only a biased selection
+    // reads the client accuracies; an unbiased one samples uniformly.
     let selected: Vec<usize> = if sample_size == population {
         (0..population).collect()
-    } else if noise.systems_bias > 0.0 {
-        let accuracies = full_evaluation.client_accuracies();
-        let sampler = fedsim::BiasedSampler::new(noise.systems_bias)?;
-        let weights = sampler.weights(&accuracies);
-        fedmath::rng::weighted_sample_without_replacement(rng, &weights, sample_size)?
     } else {
-        fedmath::rng::sample_without_replacement(rng, population, sample_size)?
+        let accuracies = (noise.systems_bias > 0.0).then(|| full_evaluation.client_accuracies());
+        BiasedSampler::new(noise.systems_bias)?.sample(
+            rng,
+            population,
+            sample_size,
+            accuracies.as_deref(),
+        )?
     };
 
     // 2. Aggregate the sampled per-client errors.

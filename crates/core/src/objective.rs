@@ -648,6 +648,87 @@ mod tests {
         assert_eq!(selected_true_error(&[], 10), None);
     }
 
+    /// `(x - 0.25)²` observed with uniform noise of half-width 0.5, drawn
+    /// from the evaluation's `(trial, rep)` coordinates.
+    struct NoisyQuadratic {
+        seed: u64,
+    }
+
+    impl ConcurrentEval for NoisyQuadratic {
+        type State = ();
+
+        fn evaluate(&self, _: &mut (), request: &TrialRequest) -> Result<EvalOutput> {
+            use rand::Rng;
+            let true_error = (request.config.values()[0] - 0.25).powi(2);
+            let stream = (request.trial_id as u64) << 16 | request.noise_rep;
+            let noise = rng_for(self.seed, stream).gen_range(-1.0..1.0) * 0.5;
+            Ok(EvalOutput {
+                noisy_score: true_error + noise,
+                true_error,
+            })
+        }
+    }
+
+    struct QuadraticObjective {
+        eval: NoisyQuadratic,
+        sink: CampaignLog,
+    }
+
+    impl ConcurrentObjective for QuadraticObjective {
+        type State = ();
+        type Eval = NoisyQuadratic;
+        type Sink = CampaignLog;
+
+        fn split(&mut self) -> (&NoisyQuadratic, &mut CampaignLog) {
+            (&self.eval, &mut self.sink)
+        }
+    }
+
+    #[test]
+    fn reevaluating_every_config_averages_out_evaluation_noise() {
+        // "Resample previously seen configurations" (§5): RS with every
+        // configuration re-evaluated (`top_k = num_configs`) selects on the
+        // mean of fresh draws, and under heavy evaluation noise that mean
+        // should (usually) pick a configuration at least as good as plain
+        // RS's single-draw minimum over the same candidates and draws.
+        use fedhpo::{ReEvaluation, Scheduler};
+        let space = SearchSpace::new().with_uniform("x", -1.0, 1.0).unwrap();
+        let selected = |scheduler: &mut dyn Scheduler, seed: u64| {
+            let mut objective = QuadraticObjective {
+                eval: NoisyQuadratic { seed: 99 + seed },
+                sink: CampaignLog::default(),
+            };
+            let config = Drive::new(Clock::Barrier);
+            drive(
+                scheduler,
+                &space,
+                &mut objective,
+                &mut rng_for(seed, 0),
+                &config,
+            )
+            .unwrap();
+            assert_eq!(objective.sink.cumulative_rounds(), 12);
+            objective
+                .sink
+                .selected_true_error_within(usize::MAX)
+                .unwrap()
+        };
+        let trials = 20;
+        let mut wins = 0;
+        for seed in 10..10 + trials {
+            let averaged = ReEvaluation::new(RandomSearch::new(12, 1), 12, 8);
+            let averaged = selected(&mut averaged.scheduler().unwrap(), seed);
+            let plain = selected(&mut RandomSearch::new(12, 1).scheduler().unwrap(), seed);
+            if averaged <= plain {
+                wins += 1;
+            }
+        }
+        assert!(
+            wins >= trials / 2,
+            "averaged re-evaluations should win at least half the time, won {wins}/{trials}"
+        );
+    }
+
     #[test]
     fn works_with_nested_search_space() {
         let scale = ExperimentScale::smoke();

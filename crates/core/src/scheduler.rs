@@ -35,7 +35,7 @@ use crate::Result;
 use fedhpo::{BudgetLedger, Scheduler, SearchSpace, TrialRequest, TrialResult, TuningOutcome};
 use fedsim::clock::{CostModel, EventKey, EventQueue, VirtualClock, WorkerPool};
 use fedsim::exec::with_thread_pool;
-use fedtrace::{ClockDomain, EventKind, TrialSpan};
+use fedtrace::TrialSpan;
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
 
@@ -65,8 +65,8 @@ pub struct Drive<'t> {
     pub threads: usize,
     /// What runs when, and in what order it is reported.
     pub clock: Clock,
-    /// Observability scope: `<scheduler name>.*` metrics, the campaign's
-    /// journal and `suggest` / `evaluate` / `deliver` wall slices.
+    /// Observability scope: `<scheduler name>.*` metrics and `suggest` /
+    /// `evaluate` / `deliver` wall slices.
     /// Accounting, never semantics: `None` and `Some` give the same bits.
     pub trace: Option<&'t fedtrace::Trace>,
     /// The caps the core enforces as it dispatches.
@@ -489,10 +489,6 @@ impl<'a> ExecutorCore<'a> {
             Clock::Barrier => (Timing::Barrier(VecDeque::new()), false),
         };
         let metrics = trace.map(|t| DriverMetrics::register(t, scheduler.name()));
-        if let Some(t) = trace {
-            t.journal()
-                .record_boundary(ClockDomain::Sim, EventKind::Begin, "campaign", 0.0);
-        }
         Ok(ExecutorCore {
             scheduler,
             space,
@@ -582,14 +578,6 @@ impl<'a> ExecutorCore<'a> {
                 Phase::Deliver => {
                     let Some((time, key)) = self.timing.next() else {
                         self.phase = Phase::Finished;
-                        if let Some(t) = self.trace {
-                            t.journal().record_boundary(
-                                ClockDomain::Sim,
-                                EventKind::End,
-                                "campaign",
-                                self.timing.now(),
-                            );
-                        }
                         return Ok(ExecutorStep::Finished);
                     };
                     // A barrier batch is held until its last result is fed.
@@ -608,7 +596,7 @@ impl<'a> ExecutorCore<'a> {
                         self.fed.remove(&key);
                     }
                     let started = self.trace.map(|t| t.wall_profile().now_seconds());
-                    let delivered = self.deliver(time, key, result);
+                    let delivered = self.deliver(time, result);
                     if let (Some(t), Some(started)) = (self.trace, started) {
                         t.wall_profile().record_since("deliver", started);
                     }
@@ -812,7 +800,7 @@ impl<'a> ExecutorCore<'a> {
     /// Delivers the next completion, whose fed `result` [`step`](Self::step)
     /// took: advances the clock, records the result at its completion
     /// instant, and reports it.
-    fn deliver(&mut self, time: f64, key: EventKey, result: TrialResult) -> Result<()> {
+    fn deliver(&mut self, time: f64, result: TrialResult) -> Result<()> {
         match &mut self.timing {
             Timing::Virtual { clock, events, .. } => {
                 events.pop();
@@ -828,15 +816,6 @@ impl<'a> ExecutorCore<'a> {
         if let Some(m) = &self.metrics {
             m.reports.incr();
         }
-        if let Some(t) = self.trace {
-            t.journal().record_instant(
-                ClockDomain::Sim,
-                "trial.complete",
-                time,
-                key.trial,
-                key.resource,
-            );
-        }
         Ok(())
     }
 }
@@ -847,6 +826,8 @@ mod tests {
     use crate::concurrent::tests::{
         analytic_score, space_1d, AnalyticObjective, CommitLog, Scripted,
     };
+    use crate::objective::{selected_true_error, selected_true_error_within_sim};
+    use crate::ObjectiveLogEntry;
     use fedhpo::{Asha, AsyncAsha, HpConfig, IntoScheduler, RandomSearch};
     use fedmath::rng::rng_for;
 
@@ -870,6 +851,24 @@ mod tests {
             config,
         );
         (run.unwrap(), objective.sink)
+    }
+
+    /// The outcome as a campaign log: every analytic score is its own true
+    /// error.
+    fn as_log(outcome: &TuningOutcome) -> Vec<ObjectiveLogEntry> {
+        outcome
+            .records()
+            .iter()
+            .map(|r| ObjectiveLogEntry {
+                trial_id: r.trial_id,
+                resource: r.resource,
+                noisy_score: r.score,
+                true_error: r.score,
+                cumulative_rounds: r.cumulative_resource,
+                noise_rep: r.noise_rep,
+                sim_time: r.sim_time,
+            })
+            .collect()
     }
 
     fn barrier() -> Drive<'static> {
@@ -1183,9 +1182,8 @@ mod tests {
                 .collect();
             points.sort_unstable();
             let best = run.outcome.best().unwrap();
-            let pick = run.outcome.selected_within_budget(usize::MAX).unwrap();
-            let picks = [(best.trial_id, best.score), (pick.trial_id, pick.score)];
-            (points, picks.map(|(id, score)| (id, score.to_bits())))
+            let pick = selected_true_error(&as_log(&run.outcome), usize::MAX).unwrap();
+            (points, best.trial_id, best.score.to_bits(), pick.to_bits())
         };
         for method in TuningMethod::EXTENDED {
             let run =
@@ -1227,8 +1225,9 @@ mod tests {
         // Two completions per wave at times 1, 2, 3, 4.
         assert_eq!(times, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]);
         // Virtual-time selection sees only what had completed by then.
-        assert!(event.outcome.best_within_sim_time(0.5).is_none());
-        assert!(event.outcome.best_within_sim_time(1.0).is_some());
+        let log = as_log(&event.outcome);
+        assert!(selected_true_error_within_sim(&log, 0.5).is_none());
+        assert!(selected_true_error_within_sim(&log, 1.0).is_some());
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct Asha {
     eta: usize,
     min_resource: usize,
     max_resource: usize,
-    max_concurrency: usize,
 }
 
 impl Asha {
@@ -49,16 +48,7 @@ impl Asha {
             eta,
             min_resource,
             max_resource,
-            max_concurrency: num_configs.max(1),
         }
-    }
-
-    /// Caps the number of requests suggested per batch (the "worker pool"
-    /// width). Defaults to `num_configs` — the whole first rung in one batch.
-    #[must_use]
-    pub fn with_concurrency(mut self, max_concurrency: usize) -> Self {
-        self.max_concurrency = max_concurrency;
-        self
     }
 
     /// Number of fresh configurations the schedule samples.
@@ -141,11 +131,6 @@ impl Asha {
                 ),
             });
         }
-        if self.max_concurrency == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "max_concurrency must be positive".into(),
-            });
-        }
         Ok(())
     }
 }
@@ -195,14 +180,6 @@ impl AsyncAsha {
     /// Runs an existing ladder configuration asynchronously.
     pub fn from_ladder(ladder: Asha) -> Self {
         AsyncAsha { ladder }
-    }
-
-    /// Caps the number of requests suggested per poll; see
-    /// [`Asha::with_concurrency`].
-    #[must_use]
-    pub fn with_concurrency(mut self, max_concurrency: usize) -> Self {
-        self.ladder = self.ladder.with_concurrency(max_concurrency);
-        self
     }
 
     /// The underlying ladder configuration.
@@ -403,10 +380,7 @@ impl Scheduler for AshaScheduler {
     fn suggest(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Result<Vec<TrialRequest>> {
         let mut batch = Vec::new();
         for rung in (0..self.rungs.len() - 1).rev() {
-            while batch.len() < self.params.max_concurrency {
-                let Some(trial_id) = self.rungs[rung].promote() else {
-                    break;
-                };
+            while let Some(trial_id) = self.rungs[rung].promote() {
                 self.pending.insert(trial_id);
                 batch.push(TrialRequest {
                     trial_id,
@@ -416,7 +390,7 @@ impl Scheduler for AshaScheduler {
                 });
             }
         }
-        while self.sampled < self.params.num_configs && batch.len() < self.params.max_concurrency {
+        while self.sampled < self.params.num_configs {
             let trial_id = self.sampled;
             let config = space.sample(rng)?;
             self.configs.insert(trial_id, config.clone());
@@ -487,10 +461,6 @@ mod tests {
         assert!(Asha::new(9, 1, 1, 9).scheduler().is_err());
         assert!(Asha::new(9, 3, 0, 9).scheduler().is_err());
         assert!(Asha::new(9, 3, 10, 9).scheduler().is_err());
-        assert!(Asha::new(9, 3, 1, 9)
-            .with_concurrency(0)
-            .scheduler()
-            .is_err());
         let asha = Asha::new(9, 3, 1, 9);
         assert_eq!(asha.scheduler().unwrap().name(), "asha");
         assert_eq!(asha.num_configs(), 9);
@@ -525,21 +495,6 @@ mod tests {
         assert_eq!(per_rung.get(&3), Some(&3));
         assert_eq!(per_rung.get(&9), Some(&1));
         assert_eq!(outcome.total_resource(), 21);
-    }
-
-    #[test]
-    fn bounded_concurrency_keeps_promoting() {
-        let mut rng = rng_for(1, 0);
-        let mut objective = resource_aware_objective();
-        let asha = Asha::new(9, 3, 1, 9).with_concurrency(2);
-        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
-        // Same ladder, narrower batches: every rung still fills eventually.
-        let mut per_rung: HashMap<usize, usize> = HashMap::new();
-        for r in outcome.records() {
-            *per_rung.entry(r.resource).or_default() += 1;
-        }
-        assert_eq!(per_rung.get(&1), Some(&9));
-        assert!(per_rung.get(&3).copied().unwrap_or(0) >= 1);
     }
 
     #[test]
@@ -611,12 +566,9 @@ mod tests {
     #[test]
     fn async_asha_declares_async_and_degenerates_under_a_barrier_driver() {
         let asha = Asha::new(9, 3, 1, 9);
-        let async_asha = AsyncAsha::from_ladder(asha).with_concurrency(9);
+        let async_asha = AsyncAsha::from_ladder(asha);
         assert_eq!(async_asha.scheduler().unwrap().name(), "async-asha");
-        assert_eq!(
-            async_asha.ladder(),
-            &Asha::new(9, 3, 1, 9).with_concurrency(9)
-        );
+        assert_eq!(async_asha.ladder(), &Asha::new(9, 3, 1, 9));
         assert_eq!(async_asha.planned_evaluations(), asha.planned_evaluations());
         // The async hard cap dominates the nominal synchronous plan.
         assert_eq!(async_asha.max_evaluations(), 9 * 3);
@@ -653,7 +605,10 @@ mod tests {
         let asha = Asha::new(27, 3, 1, 27);
         let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
         let best = outcome
-            .best_at_max_fidelity_within_budget(usize::MAX)
+            .records()
+            .iter()
+            .filter(|r| r.resource == 27)
+            .min_by(|a, b| a.score.total_cmp(&b.score))
             .unwrap();
         let x = best.config.values()[0];
         assert!((x - 0.3).abs() < 0.25, "best x = {x} should be near 0.3");
@@ -761,10 +716,8 @@ mod proptests {
             eta in 2usize..=4,
             rungs in 1u32..=5,
             num_configs in 1usize..300,
-            concurrency in 1usize..12,
         ) {
-            let asha = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1))
-                .with_concurrency(concurrency);
+            let asha = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1));
             let space = SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap();
             let mut scheduler = asha.scheduler().unwrap();
             let mut rng = rng_for(seed, 0);
@@ -776,7 +729,6 @@ mod proptests {
                         let expected: Vec<(usize, usize)> = scheduler
                             .promotable()
                             .into_iter()
-                            .take(concurrency)
                             .map(|(id, k)| (id, asha.rung_resource(k + 1)))
                             .collect();
                         let batch = scheduler.suggest(&space, &mut rng).unwrap();

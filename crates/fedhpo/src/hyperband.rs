@@ -1,11 +1,11 @@
-//! Successive Halving and Hyperband (Li et al. 2017).
+//! Hyperband (Li et al. 2017) over Successive Halving brackets.
 //!
-//! Successive Halving (SHA) trains `n` configurations for a small resource,
-//! keeps the best `⌊n/η⌋`, multiplies the resource by `η`, and repeats.
-//! Hyperband hedges over the exploration/exploitation trade-off by running
-//! several SHA brackets with different initial `n` and resource. The paper
-//! runs 5 brackets with elimination factor `η = 3` and a maximum of 405
-//! rounds per configuration.
+//! A Successive Halving (SHA) bracket trains `n` configurations for a small
+//! resource, keeps the best `⌊n/η⌋`, multiplies the resource by `η`, and
+//! repeats. Hyperband hedges over the exploration/exploitation trade-off by
+//! running several SHA brackets with different initial `n` and resource.
+//! The paper runs 5 brackets with elimination factor `η = 3` and a maximum
+//! of 405 rounds per configuration.
 
 use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// How a [`BracketScheduler`] draws the configurations entering a bracket.
 #[derive(Debug, Clone)]
 pub(crate) enum Proposer {
-    /// Uniform random sampling (Successive Halving, Hyperband).
+    /// Uniform random sampling (Hyperband).
     Uniform,
     /// TPE-model proposals fitted on the highest fidelity with enough
     /// observations (BOHB).
@@ -82,8 +82,8 @@ impl Proposer {
 /// ties resolve to the earlier trial id, so non-finite scores are eliminated
 /// first.
 ///
-/// Shared by [`SuccessiveHalving`] (one bracket), [`Hyperband`] (the bracket
-/// ladder), and [`crate::Bohb`] (the ladder with TPE proposals).
+/// Shared by [`Hyperband`] (the bracket ladder) and [`crate::Bohb`] (the
+/// ladder with TPE proposals).
 #[derive(Debug, Clone)]
 pub struct BracketScheduler {
     name: &'static str,
@@ -234,84 +234,6 @@ impl Scheduler for BracketScheduler {
     }
 }
 
-/// One Successive Halving bracket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuccessiveHalving {
-    num_configs: usize,
-    eta: usize,
-    min_resource: usize,
-    max_resource: usize,
-}
-
-impl SuccessiveHalving {
-    /// Creates a SHA bracket configuration.
-    pub fn new(num_configs: usize, eta: usize, min_resource: usize, max_resource: usize) -> Self {
-        SuccessiveHalving {
-            num_configs,
-            eta,
-            min_resource,
-            max_resource,
-        }
-    }
-
-    /// Number of configurations entering the bracket.
-    pub fn num_configs(&self) -> usize {
-        self.num_configs
-    }
-
-    /// Elimination factor `η`.
-    pub fn eta(&self) -> usize {
-        self.eta
-    }
-
-    /// Resource of the first rung.
-    pub fn min_resource(&self) -> usize {
-        self.min_resource
-    }
-
-    /// Maximum resource any configuration may receive.
-    pub fn max_resource(&self) -> usize {
-        self.max_resource
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.num_configs == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "successive halving needs at least one configuration".into(),
-            });
-        }
-        if self.eta < 2 {
-            return Err(HpoError::InvalidConfig {
-                message: format!("eta must be at least 2, got {}", self.eta),
-            });
-        }
-        if self.min_resource == 0 || self.min_resource > self.max_resource {
-            return Err(HpoError::InvalidConfig {
-                message: format!(
-                    "resource range [{}, {}] is invalid",
-                    self.min_resource, self.max_resource
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl IntoScheduler for SuccessiveHalving {
-    type Scheduler = BracketScheduler;
-
-    fn scheduler(&self) -> Result<BracketScheduler> {
-        self.validate()?;
-        Ok(BracketScheduler::new(
-            "sha",
-            self.eta,
-            self.max_resource,
-            vec![(self.num_configs, self.min_resource)],
-            Proposer::Uniform,
-        ))
-    }
-}
-
 /// Hyperband: a collection of SHA brackets trading off the number of
 /// configurations against the resource each receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,74 +372,36 @@ mod tests {
     }
 
     #[test]
-    fn sha_validation() {
-        let mut rng = rng_for(0, 0);
-        let mut obj = resource_aware_objective();
-        assert!(run_fresh(
-            &SuccessiveHalving::new(0, 3, 1, 9),
-            &space_1d(),
-            &mut obj,
-            &mut rng
-        )
-        .is_err());
-        assert!(run_fresh(
-            &SuccessiveHalving::new(9, 1, 1, 9),
-            &space_1d(),
-            &mut obj,
-            &mut rng
-        )
-        .is_err());
-        assert!(run_fresh(
-            &SuccessiveHalving::new(9, 3, 0, 9),
-            &space_1d(),
-            &mut obj,
-            &mut rng
-        )
-        .is_err());
-        assert!(run_fresh(
-            &SuccessiveHalving::new(9, 3, 10, 9),
-            &space_1d(),
-            &mut obj,
-            &mut rng
-        )
-        .is_err());
-        let sha = SuccessiveHalving::new(9, 3, 1, 9);
-        assert_eq!(sha.scheduler().unwrap().name(), "sha");
-        assert_eq!(sha.num_configs(), 9);
-        assert_eq!(sha.eta(), 3);
-        assert_eq!(sha.min_resource(), 1);
-        assert_eq!(sha.max_resource(), 9);
-    }
-
-    #[test]
-    fn sha_eliminates_configs_and_promotes_survivors() {
+    fn a_bracket_eliminates_configs_and_promotes_survivors() {
         let mut rng = rng_for(1, 0);
         let mut obj = resource_aware_objective();
-        let sha = SuccessiveHalving::new(9, 3, 1, 9);
-        let outcome = run_fresh(&sha, &space_1d(), &mut obj, &mut rng).unwrap();
+        // The first of three brackets is SHA with 9 configurations at r=1.
+        let hb = Hyperband::new(9, 3, Some(3));
+        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let bracket: Vec<_> = outcome.records().iter().take(13).collect();
+        assert!(bracket.iter().all(|r| r.trial_id < 9));
+        assert!(outcome.records()[13..].iter().all(|r| r.trial_id >= 9));
 
         // Count evaluations per rung: 9 at r=1, 3 at r=3, 1 at r=9.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
-        for r in outcome.records() {
+        for r in &bracket {
             *per_rung.entry(r.resource).or_default() += 1;
         }
         assert_eq!(per_rung.get(&1), Some(&9));
         assert_eq!(per_rung.get(&3), Some(&3));
         assert_eq!(per_rung.get(&9), Some(&1));
 
-        // Total budget: 9*1 + 3*(3-1) + 1*(9-3) = 21.
-        assert_eq!(outcome.total_resource(), 21);
+        // Bracket budget: 9*1 + 3*(3-1) + 1*(9-3) = 21.
+        assert_eq!(bracket[12].cumulative_resource, 21);
 
         // Only configurations that were among the best at the previous rung
         // are promoted.
-        let rung1_scores: HashMap<usize, f64> = outcome
-            .records()
+        let rung1_scores: HashMap<usize, f64> = bracket
             .iter()
             .filter(|r| r.resource == 1)
             .map(|r| (r.trial_id, r.score))
             .collect();
-        let promoted: Vec<usize> = outcome
-            .records()
+        let promoted: Vec<usize> = bracket
             .iter()
             .filter(|r| r.resource == 3)
             .map(|r| r.trial_id)
@@ -586,7 +470,10 @@ mod tests {
         let hb = Hyperband::new(27, 3, Some(3));
         let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
         let best = outcome
-            .best_at_max_fidelity_within_budget(usize::MAX)
+            .records()
+            .iter()
+            .filter(|r| r.resource == 27)
+            .min_by(|a, b| a.score.total_cmp(&b.score))
             .unwrap();
         let x = best.config.values()[0];
         assert!((x - 0.3).abs() < 0.2, "best x = {x} should be near 0.3");
@@ -616,8 +503,7 @@ mod tests {
     fn scheduler_suggests_whole_rungs_as_batches() {
         use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = space_1d();
-        let sha = SuccessiveHalving::new(9, 3, 1, 9);
-        let mut scheduler = sha.scheduler().unwrap();
+        let mut scheduler = Hyperband::new(9, 3, Some(3)).scheduler().unwrap();
         let mut rng = rng_for(6, 0);
         // Rung 0: 9 configurations at resource 1, one batch.
         let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
@@ -644,11 +530,36 @@ mod tests {
         assert!(scheduler.report(&TrialResult::of(&bogus, 0.0)).is_err());
         scheduler.report(&TrialResult::of(&rung1[1], 1.0)).unwrap();
         scheduler.report(&TrialResult::of(&rung1[2], 2.0)).unwrap();
-        // Rung 2: the single survivor at max resource, then finished.
+        // Rung 2: the single survivor at max resource closes the bracket.
         let rung2 = scheduler.suggest(&space, &mut rng).unwrap();
         assert_eq!(rung2.len(), 1);
         assert_eq!(rung2[0].resource, 9);
         scheduler.report(&TrialResult::of(&rung2[0], 0.5)).unwrap();
+        // The next bracket starts with fresh trials: 5 at resource 3.
+        let next = scheduler.suggest(&space, &mut rng).unwrap();
+        let ids: Vec<usize> = next.iter().map(|r| r.trial_id).collect();
+        assert_eq!(ids, (9..14).collect::<Vec<_>>());
+        assert!(next.iter().all(|r| r.resource == 3));
+        for request in &next {
+            let score = request.trial_id as f64; // trial 9 is best
+            scheduler.report(&TrialResult::of(request, score)).unwrap();
+        }
+        let survivor = scheduler.suggest(&space, &mut rng).unwrap();
+        assert_eq!(survivor.len(), 1);
+        assert_eq!((survivor[0].trial_id, survivor[0].resource), (9, 9));
+        scheduler
+            .report(&TrialResult::of(&survivor[0], 0.5))
+            .unwrap();
+        // The last bracket: 3 configurations straight at max resource.
+        let last = scheduler.suggest(&space, &mut rng).unwrap();
+        let ids: Vec<usize> = last.iter().map(|r| r.trial_id).collect();
+        assert_eq!(ids, (14..17).collect::<Vec<_>>());
+        assert!(last.iter().all(|r| r.resource == 9));
+        for request in &last {
+            assert!(!scheduler.is_finished());
+            scheduler.report(&TrialResult::of(request, 1.0)).unwrap();
+        }
+        // The ladder is done: finished, and suggesting returns no work.
         assert!(scheduler.is_finished());
         assert!(scheduler.suggest(&space, &mut rng).unwrap().is_empty());
     }
@@ -661,7 +572,8 @@ mod tests {
         // which `total_cmp` alone ranks before every finite score.
         let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
         for scores in [[f64::NAN, 0.9, 0.1], [negative_nan, f64::NEG_INFINITY, 0.9]] {
-            let mut scheduler = SuccessiveHalving::new(3, 3, 1, 9).scheduler().unwrap();
+            // One bracket opening with 3 configurations at r=1 of R=3.
+            let mut scheduler = Hyperband::new(3, 3, Some(2)).scheduler().unwrap();
             let mut rng = rng_for(7, 0);
             let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
             for (request, score) in rung0.iter().zip(scores) {

@@ -9,8 +9,8 @@
 //! - [`Tpe`] — the Tree-structured Parzen Estimator (Bergstra et al. 2011),
 //!   a Bayesian-optimization method based on kernel-density estimates of the
 //!   good and bad configuration distributions.
-//! - [`SuccessiveHalving`] / [`Hyperband`] — early-stopping methods
-//!   (Li et al. 2017).
+//! - [`Hyperband`] — the early-stopping method (Li et al. 2017): a ladder
+//!   of Successive Halving brackets run by one [`BracketScheduler`].
 //! - [`Bohb`] — the hybrid that replaces Hyperband's random sampling with the
 //!   TPE acquisition function (Falkner et al. 2018).
 //! - [`Asha`] — asynchronous successive halving (Li et al. 2020): per-rung
@@ -22,7 +22,9 @@
 //! - [`ReEvaluation`] — the paper's §5 mitigation as a wrapper policy:
 //!   top-k survivors are re-evaluated with fresh noise draws before
 //!   selection. Over [`RandomSearch`] with `top_k = num_configs` it is the
-//!   "resample previously seen configurations" mitigation.
+//!   "resample previously seen configurations" mitigation. Selection itself
+//!   reads the campaign log (`fedtune_core::selected_true_error`), which
+//!   averages each finalist's fresh draws.
 //!
 //! Every method is a batched ask/tell [`Scheduler`] (`suggest` a batch of
 //! [`TrialRequest`]s, `report` each [`TrialResult`]) built from its
@@ -75,7 +77,7 @@ pub mod tuner;
 
 pub use asha::{Asha, AshaScheduler, AsyncAsha};
 pub use bohb::Bohb;
-pub use hyperband::{BracketScheduler, Hyperband, SuccessiveHalving};
+pub use hyperband::{BracketScheduler, Hyperband};
 pub use objective::{FunctionObjective, Objective};
 pub use random_search::{RandomSearch, RandomSearchScheduler};
 pub use reeval::{ReEvalScheduler, ReEvaluation};

@@ -1,5 +1,7 @@
 //! The evaluation history a tuning run produces: [`EvaluationRecord`] and
-//! [`TuningOutcome`], with the selection rules the experiments read off it.
+//! [`TuningOutcome`]. The experiments' noise-aware selection rule reads the
+//! campaign log instead (`fedtune_core::selected_true_error`), which also
+//! carries each evaluation's true error.
 
 use crate::space::HpConfig;
 use serde::{Deserialize, Serialize};
@@ -38,11 +40,6 @@ pub struct TuningOutcome {
 }
 
 impl TuningOutcome {
-    /// Creates an outcome from raw records (mainly for tests).
-    pub fn from_records(records: Vec<EvaluationRecord>) -> Self {
-        TuningOutcome { records }
-    }
-
     /// All evaluation records in chronological order.
     pub fn records(&self) -> &[EvaluationRecord] {
         &self.records
@@ -68,73 +65,6 @@ impl TuningOutcome {
             .min_by(|a, b| a.score.total_cmp(&b.score))
     }
 
-    /// The best finite-score record among evaluations completed within the
-    /// given resource budget — used to draw "performance vs. budget" curves
-    /// (Fig. 5, 8, 12).
-    pub fn best_within_budget(&self, budget: usize) -> Option<&EvaluationRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.cumulative_resource <= budget && r.score.is_finite())
-            .min_by(|a, b| a.score.total_cmp(&b.score))
-    }
-
-    /// The best record restricted to evaluations at the highest fidelity seen
-    /// so far within the budget. Early-stopping methods evaluate many
-    /// configurations at low fidelity; selecting only among the highest
-    /// fidelity mirrors how Hyperband reports its incumbent. Non-finite
-    /// scores are skipped for selection (but still count towards the maximum
-    /// fidelity seen).
-    pub fn best_at_max_fidelity_within_budget(&self, budget: usize) -> Option<&EvaluationRecord> {
-        let within: Vec<&EvaluationRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.cumulative_resource <= budget)
-            .collect();
-        let max_fidelity = within.iter().map(|r| r.resource).max()?;
-        within
-            .into_iter()
-            .filter(|r| r.resource == max_fidelity && r.score.is_finite())
-            .min_by(|a, b| a.score.total_cmp(&b.score))
-    }
-
-    /// Noise-aware selection within the budget: if the run contains
-    /// fresh-noise re-evaluations (`noise_rep >= 1`, issued by the
-    /// re-evaluation mitigation), the winner is the re-evaluated
-    /// configuration with the lowest *mean* re-evaluation score — averaging
-    /// fresh draws cancels evaluation noise instead of rewarding it the way a
-    /// plain minimum does. Without re-evaluations this falls back to
-    /// [`best_within_budget`](Self::best_within_budget). The returned record
-    /// is the winner's last re-evaluation within the budget.
-    pub fn selected_within_budget(&self, budget: usize) -> Option<&EvaluationRecord> {
-        // (trial_id, score sum, count) per re-evaluated trial, insertion order.
-        let mut means: Vec<(usize, f64, usize)> = Vec::new();
-        for r in self
-            .records
-            .iter()
-            .filter(|r| r.cumulative_resource <= budget && r.noise_rep >= 1 && r.score.is_finite())
-        {
-            match means.iter_mut().find(|(id, _, _)| *id == r.trial_id) {
-                Some((_, sum, count)) => {
-                    *sum += r.score;
-                    *count += 1;
-                }
-                None => means.push((r.trial_id, r.score, 1)),
-            }
-        }
-        let winner = match means
-            .iter()
-            .map(|&(id, sum, count)| (id, sum / count as f64))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-        {
-            Some((id, _)) => id,
-            None => return self.best_within_budget(budget),
-        };
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.trial_id == winner && r.noise_rep >= 1 && r.cumulative_resource <= budget)
-    }
-
     /// Appends a record (used by the scheduler drivers).
     pub fn push(&mut self, record: EvaluationRecord) {
         self.records.push(record);
@@ -144,17 +74,6 @@ impl TuningOutcome {
     /// `0.0` for synchronous campaigns, which carry no virtual timestamps.
     pub fn sim_elapsed(&self) -> f64 {
         self.records.iter().map(|r| r.sim_time).fold(0.0, f64::max)
-    }
-
-    /// The best finite-score record among evaluations completed within the
-    /// given simulated wall-clock budget — the virtual-time counterpart of
-    /// [`best_within_budget`](Self::best_within_budget), used to draw
-    /// time-to-accuracy curves for event-driven campaigns.
-    pub fn best_within_sim_time(&self, sim_budget: f64) -> Option<&EvaluationRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.sim_time <= sim_budget && r.score.is_finite())
-            .min_by(|a, b| a.score.total_cmp(&b.score))
     }
 }
 
@@ -174,16 +93,17 @@ mod tests {
         }
     }
 
-    fn reeval(trial: usize, resource: usize, score: f64, cumulative: usize) -> EvaluationRecord {
-        EvaluationRecord {
-            noise_rep: 1,
-            ..record(trial, resource, score, cumulative)
+    fn history(records: Vec<EvaluationRecord>) -> TuningOutcome {
+        let mut outcome = TuningOutcome::default();
+        for record in records {
+            outcome.push(record);
         }
+        outcome
     }
 
     #[test]
-    fn outcome_best_and_budget_queries() {
-        let outcome = TuningOutcome::from_records(vec![
+    fn outcome_best_and_totals() {
+        let outcome = history(vec![
             record(0, 10, 0.8, 10),
             record(1, 10, 0.5, 20),
             record(2, 10, 0.9, 30),
@@ -192,38 +112,7 @@ mod tests {
         assert_eq!(outcome.num_evaluations(), 4);
         assert_eq!(outcome.total_resource(), 40);
         assert_eq!(outcome.best().unwrap().trial_id, 3);
-        assert_eq!(outcome.best_within_budget(25).unwrap().trial_id, 1);
-        assert_eq!(outcome.best_within_budget(5), None);
-        assert_eq!(outcome.best_within_budget(1000).unwrap().trial_id, 3);
-    }
-
-    #[test]
-    fn outcome_max_fidelity_selection() {
-        // Trial 1 is best at low fidelity but trial 2 is the best among
-        // configurations trained to the highest fidelity.
-        let outcome = TuningOutcome::from_records(vec![
-            record(0, 5, 0.6, 5),
-            record(1, 5, 0.1, 10),
-            record(2, 15, 0.4, 25),
-            record(3, 15, 0.5, 40),
-        ]);
-        assert_eq!(outcome.best().unwrap().trial_id, 1);
-        assert_eq!(
-            outcome
-                .best_at_max_fidelity_within_budget(40)
-                .unwrap()
-                .trial_id,
-            2
-        );
-        // Within a smaller budget the max fidelity seen is 5.
-        assert_eq!(
-            outcome
-                .best_at_max_fidelity_within_budget(10)
-                .unwrap()
-                .trial_id,
-            1
-        );
-        assert!(outcome.best_at_max_fidelity_within_budget(1).is_none());
+        assert_eq!(outcome.sim_elapsed(), 0.0);
     }
 
     #[test]
@@ -232,7 +121,6 @@ mod tests {
         assert_eq!(outcome.num_evaluations(), 0);
         assert_eq!(outcome.total_resource(), 0);
         assert!(outcome.best().is_none());
-        assert!(outcome.best_within_budget(10).is_none());
     }
 
     #[test]
@@ -246,54 +134,15 @@ mod tests {
     fn nan_scores_never_win_selection() {
         // Regression: `partial_cmp(..).unwrap_or(Equal)` used to let a NaN
         // score (a diverged training run) win `min_by` and poison selection.
-        let outcome = TuningOutcome::from_records(vec![
+        let outcome = history(vec![
             record(0, 10, f64::NAN, 10),
             record(1, 10, 0.5, 20),
             record(2, 10, f64::NEG_INFINITY, 30),
             record(3, 10, 0.3, 40),
         ]);
         assert_eq!(outcome.best().unwrap().trial_id, 3);
-        assert_eq!(outcome.best_within_budget(20).unwrap().trial_id, 1);
-        assert_eq!(
-            outcome
-                .best_at_max_fidelity_within_budget(40)
-                .unwrap()
-                .trial_id,
-            3
-        );
         // An all-NaN history selects nothing rather than garbage.
-        let poisoned = TuningOutcome::from_records(vec![record(0, 5, f64::NAN, 5)]);
+        let poisoned = history(vec![record(0, 5, f64::NAN, 5)]);
         assert!(poisoned.best().is_none());
-        assert!(poisoned.best_within_budget(10).is_none());
-        assert!(poisoned.best_at_max_fidelity_within_budget(10).is_none());
-    }
-
-    #[test]
-    fn reevaluated_selection_averages_fresh_draws() {
-        // Trial 1 got a lucky noisy minimum at rep 0, but its fresh-noise
-        // re-evaluations average worse than trial 2's.
-        let mut records = vec![
-            record(1, 10, 0.10, 10),
-            record(2, 10, 0.35, 20),
-            reeval(1, 10, 0.50, 20),
-            reeval(1, 10, 0.60, 20),
-            reeval(2, 10, 0.30, 20),
-        ];
-        records.push(EvaluationRecord {
-            noise_rep: 2,
-            ..record(2, 10, 0.40, 20)
-        });
-        let outcome = TuningOutcome::from_records(records);
-        // Plain min-selection is fooled by the lucky draw ...
-        assert_eq!(outcome.best_within_budget(20).unwrap().trial_id, 1);
-        // ... mean-of-re-evaluations selection is not (0.55 vs 0.35).
-        let selected = outcome.selected_within_budget(20).unwrap();
-        assert_eq!(selected.trial_id, 2);
-        assert!(selected.noise_rep >= 1);
-        // Without re-evaluations in range, fall back to the plain rule.
-        assert_eq!(outcome.selected_within_budget(10).unwrap().trial_id, 1);
-        assert!(TuningOutcome::default()
-            .selected_within_budget(10)
-            .is_none());
     }
 }

@@ -319,7 +319,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::objective::AnalyticEval;
     use crate::spec::{CampaignLimits, CostSpec, DimSpec, ObjectiveSpec, SchedulerSpec};
@@ -867,7 +867,7 @@ mod tests {
     /// this binary keep their ledgers in memory and move none of it).
     static LEDGER_ACCOUNTING: Mutex<()> = Mutex::new(());
 
-    fn ledger_accounting() -> MutexGuard<'static, ()> {
+    pub(crate) fn ledger_accounting() -> MutexGuard<'static, ()> {
         LEDGER_ACCOUNTING
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())

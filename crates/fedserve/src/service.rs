@@ -51,8 +51,17 @@ pub struct ServiceConfig {
 struct Cell {
     status: CampaignStatus,
     flags: Arc<CampaignFlags>,
-    trace: Arc<fedtrace::Trace>,
+    metrics: CampaignMetrics,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+/// What [`Service::metrics`] reads for one campaign.
+enum CampaignMetrics {
+    /// The running driver's trace, registry and wall profile both growing.
+    Live(Arc<fedtrace::Trace>),
+    /// The registry as the campaign settled. Its trace is dropped with it,
+    /// so a settled campaign holds no wall profile.
+    Settled(fedtrace::MetricsSnapshot),
 }
 
 /// Registry state shared with driver threads.
@@ -148,7 +157,7 @@ impl Service {
                     Cell {
                         status,
                         flags: Arc::new(CampaignFlags::default()),
-                        trace: Arc::new(fedtrace::Trace::new()),
+                        metrics: CampaignMetrics::Settled(fedtrace::MetricsSnapshot::empty()),
                         handle: None,
                     },
                 );
@@ -220,7 +229,7 @@ impl Service {
                 Cell {
                     status,
                     flags: Arc::clone(&flags),
-                    trace: Arc::clone(&trace),
+                    metrics: CampaignMetrics::Live(Arc::clone(&trace)),
                     handle: None,
                 },
             );
@@ -279,13 +288,17 @@ impl Service {
     }
 
     /// Folds a driver result into the cell's terminal (or suspended)
-    /// status and persists `DONE.json` for terminal states.
+    /// status, swaps its trace for the final snapshot, and persists
+    /// `DONE.json` for terminal states.
     fn settle(&self, name: &str, dir: &Path, result: Result<CampaignOutcome>) {
         let status = {
             let mut cells = self.locked_cells();
             let Some(cell) = cells.get_mut(name) else {
                 return;
             };
+            if let CampaignMetrics::Live(trace) = &cell.metrics {
+                cell.metrics = CampaignMetrics::Settled(trace.snapshot());
+            }
             match &result {
                 Ok(out) => {
                     cell.status.evaluations = out.evaluations;
@@ -426,12 +439,16 @@ impl Service {
         }
     }
 
-    /// Merged metrics: the service registry plus every campaign registry.
+    /// Merged metrics: the service registry, every running campaign's
+    /// registry and every settled campaign's final snapshot.
     pub fn metrics(&self) -> fedtrace::MetricsSnapshot {
         let mut snapshot = self.trace.snapshot();
         let cells = self.locked_cells();
         for cell in cells.values() {
-            snapshot.merge(&cell.trace.snapshot());
+            match &cell.metrics {
+                CampaignMetrics::Live(trace) => snapshot.merge(&trace.snapshot()),
+                CampaignMetrics::Settled(last) => snapshot.merge(last),
+            }
         }
         snapshot
     }
@@ -691,5 +708,33 @@ impl ServeListener for TcpServeListener {
         self.listener
             .local_addr()
             .map_or_else(|_| "tcp:?".to_string(), |addr| format!("tcp:{addr}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::tests::ledger_accounting;
+    use crate::spec::tests::demo_spec;
+
+    #[test]
+    fn a_settled_campaign_keeps_its_counters_and_drops_its_trace() {
+        let _accounting = ledger_accounting();
+        let root = std::env::temp_dir().join(format!("fedserve_settle_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = Service::open(&root, ServiceConfig::default()).unwrap();
+        service.submit(demo_spec("settles")).unwrap();
+        let status = service.wait("settles", Duration::from_secs(60)).unwrap();
+        assert_eq!(status.state, CampaignState::Completed);
+        assert!(matches!(
+            service.locked_cells()["settles"].metrics,
+            CampaignMetrics::Settled(_)
+        ));
+        let metrics = service.metrics();
+        let dispatched = metrics.counter("async-asha.dispatched").unwrap_or(0);
+        assert_eq!(dispatched, status.evaluations as u64);
+        assert_eq!(metrics.counter(M_SETTLED), Some(1));
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

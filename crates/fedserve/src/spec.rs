@@ -568,7 +568,7 @@ impl CampaignStatus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn demo_spec(name: &str) -> CampaignSpec {

@@ -177,8 +177,7 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event as `(time, key, payload)`.
     pub fn pop(&mut self) -> Option<(f64, EventKey, T)> {
-        let slot = *self.events.keys().next()?;
-        let payload = self.events.remove(&slot).expect("peeked slot exists");
+        let (slot, payload) = self.events.pop_first()?;
         Some((f64::from_bits(slot.time_bits), slot.key, payload))
     }
 }
@@ -214,13 +213,19 @@ impl WorkerPool {
     /// The worker that frees up first, as `(worker index, free time)` —
     /// ties resolve to the lowest index.
     pub fn next_free(&self) -> (usize, f64) {
-        let (worker, free_at) = self
-            .free_at
+        // `new` refuses an empty pool and no free time is NaN (`assign`
+        // adds a finite non-negative duration), so this is `min_by` with the
+        // first minimum kept.
+        self.free_at
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(&b.0)))
-            .expect("pool is never empty");
-        (worker, *free_at)
+            .fold((0, f64::INFINITY), |best, (worker, &free_at)| {
+                if free_at.total_cmp(&best.1).is_lt() {
+                    (worker, free_at)
+                } else {
+                    best
+                }
+            })
     }
 
     /// Number of workers still busy at simulated time `now` (their booked

@@ -65,6 +65,10 @@ impl ClientSampler for UniformSampler {
     }
 }
 
+/// The paper's additive constant `δ`, keeping every selection weight
+/// positive.
+const DELTA: f64 = 1e-4;
+
 /// Accuracy-biased sampling `(a + δ)^b` modelling systems heterogeneity.
 ///
 /// When no per-client scores are available (e.g. the very first evaluation of
@@ -73,41 +77,21 @@ impl ClientSampler for UniformSampler {
 pub struct BiasedSampler {
     /// Bias exponent `b`; 0 recovers uniform sampling.
     bias: f64,
-    /// Additive constant `δ` keeping every weight positive.
-    delta: f64,
 }
 
 impl BiasedSampler {
-    /// The paper's value of the additive constant `δ`.
-    pub const DEFAULT_DELTA: f64 = 1e-4;
-
     /// Creates a biased sampler with exponent `b` and the paper's `δ = 1e-4`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if `bias` is negative or not finite.
     pub fn new(bias: f64) -> Result<Self> {
-        Self::with_delta(bias, Self::DEFAULT_DELTA)
-    }
-
-    /// Creates a biased sampler with an explicit `δ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `bias` is negative/not finite or
-    /// `delta` is not strictly positive.
-    pub fn with_delta(bias: f64, delta: f64) -> Result<Self> {
         if bias < 0.0 || !bias.is_finite() {
             return Err(SimError::InvalidConfig {
                 message: format!("bias exponent must be non-negative, got {bias}"),
             });
         }
-        if delta <= 0.0 || !delta.is_finite() {
-            return Err(SimError::InvalidConfig {
-                message: format!("delta must be positive, got {delta}"),
-            });
-        }
-        Ok(BiasedSampler { bias, delta })
+        Ok(BiasedSampler { bias })
     }
 
     /// The bias exponent `b`.
@@ -116,10 +100,10 @@ impl BiasedSampler {
     }
 
     /// Converts per-client accuracies into (unnormalised) selection weights.
-    pub fn weights(&self, accuracies: &[f64]) -> Vec<f64> {
+    fn weights(&self, accuracies: &[f64]) -> Vec<f64> {
         accuracies
             .iter()
-            .map(|&a| (a.clamp(0.0, 1.0) + self.delta).powf(self.bias))
+            .map(|&a| (a.clamp(0.0, 1.0) + DELTA).powf(self.bias))
             .collect()
     }
 }
@@ -201,7 +185,7 @@ mod tests {
     #[test]
     fn biased_sampler_validation() {
         assert!(BiasedSampler::new(-1.0).is_err());
-        assert!(BiasedSampler::with_delta(1.0, 0.0).is_err());
+        assert!(BiasedSampler::new(f64::NAN).is_err());
         assert!(BiasedSampler::new(1.5).is_ok());
         assert_eq!(BiasedSampler::new(3.0).unwrap().bias(), 3.0);
     }
@@ -267,7 +251,7 @@ mod tests {
         let sampler = BiasedSampler::new(1.0).unwrap();
         let w = sampler.weights(&[-0.5, 0.5, 1.5]);
         assert!(w[0] > 0.0);
-        assert!(w[2] <= (1.0 + BiasedSampler::DEFAULT_DELTA).powf(1.0) + 1e-12);
+        assert!(w[2] <= (1.0 + DELTA).powf(1.0) + 1e-12);
         assert!(sampler.name().contains("biased"));
     }
 

@@ -16,7 +16,7 @@
 //! phases, for performance work only.
 
 use crate::span::TrialSpan;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 fn push_u64(out: &mut String, v: u64) {
@@ -25,8 +25,12 @@ fn push_u64(out: &mut String, v: u64) {
 
 fn push_micros(out: &mut String, seconds: f64) {
     // Microseconds as f64: deterministic arithmetic on deterministic inputs,
-    // printed in shortest round-trip form.
-    serde_json::write_f64(out, seconds * 1e6).expect("trace times are finite");
+    // printed in shortest round-trip form. Sim times are validated finite and
+    // wall times come from `Instant`, so `null` marks a broken input rather
+    // than panicking an exporter.
+    if serde_json::write_f64(out, seconds * 1e6).is_err() {
+        out.push_str("null");
+    }
 }
 
 fn push_metadata(out: &mut String, what: &str, pid: usize, tid: u64, name: &str) {
@@ -150,6 +154,12 @@ impl WallProfile {
         }
     }
 
+    /// The recorded slices, poisoned or not: a push that panicked left the
+    /// `Vec` as it was.
+    fn slices(&self) -> MutexGuard<'_, Vec<WallSlice>> {
+        self.slices.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Runs `work`, recording its wall-clock extent as a named slice.
     pub fn time<T>(&self, name: &str, work: impl FnOnce() -> T) -> T {
         let start = self.now_seconds();
@@ -170,19 +180,16 @@ impl WallProfile {
     /// from [`now_seconds`](Self::now_seconds)) to now.
     pub fn record_since(&self, name: &str, start_seconds: f64) {
         let end = self.now_seconds();
-        self.slices
-            .lock()
-            .expect("profile lock poisoned")
-            .push(WallSlice {
-                name: name.to_string(),
-                start_seconds,
-                duration_seconds: end - start_seconds,
-            });
+        self.slices().push(WallSlice {
+            name: name.to_string(),
+            start_seconds,
+            duration_seconds: end - start_seconds,
+        });
     }
 
     /// Number of recorded slices.
     pub fn len(&self) -> usize {
-        self.slices.lock().expect("profile lock poisoned").len()
+        self.slices().len()
     }
 
     /// Whether no slice has been recorded.
@@ -193,7 +200,7 @@ impl WallProfile {
     /// Chrome `trace_event` JSON of the recorded slices (`cat:"wall"`, one
     /// process, one lane).
     pub fn to_chrome_json(&self) -> String {
-        let slices = self.slices.lock().expect("profile lock poisoned");
+        let slices = self.slices();
         let mut out = String::with_capacity(256 + 128 * slices.len());
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         push_metadata(&mut out, "process_name", 0, 0, "wall clock");

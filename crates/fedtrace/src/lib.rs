@@ -1,37 +1,38 @@
-//! Deterministic observability for the tuning stack: a metrics registry, a
-//! bounded event journal, and Chrome `trace_event` exporters over the
-//! virtual-time executor timeline.
+//! Deterministic observability for the tuning stack: a metrics registry and
+//! Chrome `trace_event` exporters over the virtual-time executor timeline
+//! and the wall-clock phase profile.
 //!
 //! # The contract: accounting, never semantics
 //!
 //! Every handle in this crate is **write-only from the instrumented code's
 //! point of view**: nothing in the tuning stack ever branches on a counter,
-//! gauge, histogram, or journal state. Turning tracing on or off, swapping
+//! gauge, histogram, or profile slice. Turning tracing on or off, swapping
 //! exporters, or changing the real thread count must not move a single
 //! result bit — the same contract `fedpop`'s `ClientCache` established for
 //! caching, enforced end to end in `tests/determinism.rs`.
 //!
-//! # Two clock domains
+//! # Two exporters, two clocks
 //!
-//! - **`sim`** — virtual time from the event-driven executor's
-//!   `VirtualClock`. Sim-domain data (the [`TrialSpan`] timeline, sim-stamped
-//!   journal events) is bit-deterministic and replay-identical: a recorded
-//!   campaign and its ledger replay export byte-identical Chrome traces.
-//! - **`wall`** — real time from [`std::time::Instant`]. Wall-domain data
-//!   (sync-latency histograms, [`WallProfile`] slices) is for performance
-//!   work only and is **never observed by any semantic path**.
+//! - [`virtual_timeline_json`] reads **sim** time from the event-driven
+//!   executor's `VirtualClock`. The [`TrialSpan`] timeline is
+//!   bit-deterministic and replay-identical: a recorded campaign and its
+//!   ledger replay export byte-identical Chrome traces.
+//! - [`WallProfile`] reads **wall** time from [`std::time::Instant`]. Its
+//!   slices, like the sync-latency histograms, are for performance work
+//!   only and are **never observed by any semantic path**.
 //!
 //! # Hot-path cost
 //!
 //! Counter increments are a thread-local shard lookup plus one relaxed
 //! atomic add — no locks, no allocation. Handles are registered once (a
 //! mutex-guarded name lookup) and then cloned freely; clones share storage.
+//! A lock poisoned by a panicking thread is recovered, never re-raised:
+//! metrics hold no invariant a half-finished update could break.
 //!
 //! # Export formats
 //!
 //! - [`MetricsSnapshot`] — typed, serde-round-trippable JSON of every
 //!   registered metric, sorted by name (deterministic output).
-//! - [`Journal::to_json`] — the bounded ring-buffer event journal.
 //! - [`chrome::virtual_timeline_json`] / [`WallProfile::to_chrome_json`] —
 //!   Chrome `trace_event` JSON (the `traceEvents` array format), loadable in
 //!   Perfetto or `chrome://tracing`.
@@ -40,57 +41,37 @@
 #![forbid(unsafe_code)]
 
 pub mod chrome;
-pub mod journal;
 pub mod metrics;
 pub mod span;
 
 pub use chrome::{virtual_timeline_json, TimelineTrack, WallProfile};
-pub use journal::{EventKind, Journal, SpanEvent};
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramBucket, HistogramSnapshot,
     MetricsSnapshot, Registry,
 };
-pub use span::{ClockDomain, TrialSpan};
+pub use span::TrialSpan;
 
 use std::sync::OnceLock;
 
-/// Default capacity of a [`Trace`]'s event journal.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1 << 16;
-
-/// One observability scope: a metrics [`Registry`] plus a bounded event
-/// [`Journal`]. Instrumented drivers take an `Option<&Trace>`; `None` means
-/// fully untraced (and must be bit-identical to `Some` — the determinism
-/// contract).
-#[derive(Debug)]
+/// One observability scope: a metrics [`Registry`] plus a wall-clock
+/// [`WallProfile`]. Instrumented drivers take an `Option<&Trace>`; `None`
+/// means fully untraced (and must be bit-identical to `Some` — the
+/// determinism contract).
+#[derive(Debug, Default)]
 pub struct Trace {
     registry: Registry,
-    journal: Journal,
     wall: WallProfile,
 }
 
 impl Trace {
-    /// A fresh trace with an empty registry and the default journal bound.
+    /// A fresh trace with an empty registry and an empty profile.
     pub fn new() -> Self {
-        Trace::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A fresh trace whose journal retains at most `capacity` events.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
-        Trace {
-            registry: Registry::new(),
-            journal: Journal::new(capacity),
-            wall: WallProfile::new(),
-        }
+        Trace::default()
     }
 
     /// The metrics registry of this scope.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The event journal of this scope.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
     }
 
     /// The wall-clock phase profile of this scope: real-time slices (driver
@@ -104,12 +85,6 @@ impl Trace {
     /// Snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
-    }
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::new()
     }
 }
 
@@ -140,22 +115,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_scopes_registry_and_journal() {
+    fn trace_scopes_its_registry() {
         let trace = Trace::new();
         trace.registry().counter("a").add(2);
         trace.registry().counter("a").add(3);
-        trace
-            .journal()
-            .record_instant(ClockDomain::Sim, "evt", 1.5, 7, 9);
         let snap = trace.snapshot();
         assert_eq!(snap.counters.len(), 1);
         assert_eq!(snap.counters[0].name, "a");
         assert_eq!(snap.counters[0].value, 5);
-        assert_eq!(trace.journal().len(), 1);
         // A second trace is fully independent.
         let other = Trace::default();
         assert!(other.snapshot().counters.is_empty());
-        assert_eq!(other.journal().len(), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of counter/histogram shards. A power of two so the thread-slot
 /// assignment wraps cheaply; more shards than typical worker counts keeps
@@ -436,21 +436,28 @@ impl Registry {
         Registry::default()
     }
 
+    /// The name table, poisoned or not: a thread that panicked while holding
+    /// the lock left at most one entry half-inserted into a map, which is
+    /// still a valid map.
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.lock();
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// The gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.lock();
         inner.gauges.entry(name.to_string()).or_default().clone()
     }
 
     /// The histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_string())
@@ -460,7 +467,7 @@ impl Registry {
 
     /// Snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry lock poisoned");
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner
                 .counters
@@ -637,6 +644,29 @@ mod tests {
         assert_eq!(snap.gauge("m.gauge").unwrap().value, 1.5);
         assert_eq!(snap.histogram("h.hist").unwrap().count, 1);
         assert!(MetricsSnapshot::empty().counters.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_registers_and_snapshots() {
+        let r = Registry::new();
+        r.counter("before").add(1);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _held = r.inner.lock().unwrap();
+                panic!("poisoning the registry lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(r.inner.is_poisoned());
+        r.counter("before").add(2);
+        r.counter("after").add(4);
+        r.gauge("g").set(0.5);
+        r.histogram("h").observe(3);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("before"), Some(3));
+        assert_eq!(snap.counter("after"), Some(4));
+        assert_eq!(snap.gauge("g").unwrap().value, 0.5);
+        assert_eq!(snap.histogram("h").unwrap().count, 1);
     }
 
     #[test]

@@ -1,27 +1,6 @@
-//! Structured spans with explicit clock domains.
+//! The sim-domain trial span of the virtual-time executor timeline.
 
 use serde::{Deserialize, Serialize};
-
-/// Which clock stamped a time value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClockDomain {
-    /// Virtual time from the event-driven executor's `VirtualClock`:
-    /// bit-deterministic, replay-identical, safe to compare across runs.
-    Sim,
-    /// Real time from `std::time::Instant`: performance accounting only,
-    /// never observed by any semantic path and never compared across runs.
-    Wall,
-}
-
-impl ClockDomain {
-    /// The Chrome trace `cat` label of the domain.
-    pub fn label(self) -> &'static str {
-        match self {
-            ClockDomain::Sim => "sim",
-            ClockDomain::Wall => "wall",
-        }
-    }
-}
 
 /// One evaluation slice of the virtual-time executor timeline: trial
 /// `trial` trained to rung `resource` on virtual worker `worker`, occupying
@@ -57,15 +36,6 @@ impl TrialSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_domains_label_and_serialize() {
-        assert_eq!(ClockDomain::Sim.label(), "sim");
-        assert_eq!(ClockDomain::Wall.label(), "wall");
-        let json = serde_json::to_string(&ClockDomain::Sim).unwrap();
-        let back: ClockDomain = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ClockDomain::Sim);
-    }
 
     #[test]
     fn trial_span_round_trips_with_exact_bits() {

@@ -22,8 +22,8 @@
 //!   objectives: record live campaigns once, then replay method sweeps
 //!   against the table and resume interrupted campaigns bit-identically.
 //! - [`fedtrace`] — deterministic observability: the sharded metrics
-//!   registry, the bounded event journal, and the Chrome `trace_event`
-//!   exporters over the virtual-time executor timeline. Accounting, never
+//!   registry and the Chrome `trace_event` exporters over the virtual-time
+//!   executor timeline and the wall-clock phase profile. Accounting, never
 //!   semantics: tracing on/off cannot move a result bit.
 //!
 //! See `examples/` for runnable entry points and `crates/bench` for the
