@@ -1,4 +1,4 @@
-//! Streams a trial ledger to stdout as JSONL, one record per line.
+//! Streams a trial ledger to stdout as JSON lines, one record per line.
 //!
 //! ```text
 //! ledger_dump <DIR> [--limit N]
@@ -7,9 +7,9 @@
 //! `DIR` is a segment-ledger directory (the binary format written by
 //! `TrialStore::open_segments`, e.g. a fedserve campaign's `ledger/` dir).
 //! It streams in bounded memory, so a multi-million-record ledger dumps
-//! without loading it whole. The output is the store's own JSONL
-//! interchange encoding (what `TrialStore::import_jsonl` reads back) — the
-//! human-readable escape hatch for the binary format.
+//! without loading it whole. Each line is `TrialRecord::to_line`: the
+//! ledger's one text view, for reading and diffing. It is write-only —
+//! nothing imports it back; the segment directory is the ledger.
 
 use fedstore::record::TrialRecord;
 use fedstore::segment;

@@ -91,9 +91,6 @@ impl Drive<'_> {
 /// still completes, commits and reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Budget {
-    /// No suggestion after this many non-empty batches; what was suggested
-    /// still runs, so the cut run is a prefix of the uncut one.
-    pub batches: Option<usize>,
     /// Halt once this many evaluations were dispatched. This cap and
     /// `rounds` are checked before each poll once a dispatch went out, so
     /// the wave crossing one runs whole and a cap of zero sends one wave.
@@ -108,8 +105,6 @@ pub struct Budget {
 /// Which [`Budget`] cap cut a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cap {
-    /// [`Budget::batches`].
-    Batches,
     /// [`Budget::evaluations`].
     Evaluations,
     /// [`Budget::rounds`].
@@ -118,10 +113,10 @@ pub enum Cap {
     SimSeconds,
 }
 
-/// Non-empty batches, evaluations and rounds dispatched so far; saturating,
-/// so a hostile resource cannot wrap a sum back below its cap.
+/// Evaluations and rounds dispatched so far; saturating, so a hostile
+/// resource cannot wrap a sum back below its cap.
 #[derive(Debug, Default)]
-struct Spent(usize, u64, u64);
+struct Spent(u64, u64);
 
 impl Budget {
     fn validate(&self, clock: &Clock) -> Result<()> {
@@ -136,13 +131,12 @@ impl Budget {
 
     /// The first cap `spent` has reached at virtual time `now`. Both only
     /// grow, so a cap once reached stays reached.
-    fn reached(&self, &Spent(batches, evaluations, rounds): &Spent, now: f64) -> Option<Cap> {
+    fn reached(&self, &Spent(evaluations, rounds): &Spent, now: f64) -> Option<Cap> {
         let over = |cap: Option<u64>, used| evaluations > 0 && cap.is_some_and(|c| used >= c);
         [
             (over(self.evaluations, evaluations), Cap::Evaluations),
             (over(self.rounds, rounds), Cap::Rounds),
             (self.sim_seconds.is_some_and(|b| now >= b), Cap::SimSeconds),
-            (self.batches.is_some_and(|b| batches >= b), Cap::Batches),
         ]
         .into_iter()
         .find_map(|(hit, cap)| hit.then_some(cap))
@@ -155,10 +149,11 @@ impl Budget {
 /// dispatch order and the outcome is the same at every thread count.
 ///
 /// Under [`Clock::Barrier`] a batch is committed and its sink turn ended
-/// before its first result is reported. A run cut by [`Budget::batches`]
-/// has reported everything it suggested, so re-driving a fresh scheduler with
-/// the same seed over a recording objective (`fedstore`) serves that prefix
-/// from the ledger and continues bit-identically to an uncut run.
+/// before its first result is reported. A run cut by [`Budget::evaluations`]
+/// there ran the wave that crossed the cap whole, so it has reported
+/// everything it suggested: re-driving a fresh scheduler with the same seed
+/// over a recording objective (`fedstore`) serves that prefix from the
+/// ledger and continues bit-identically to an uncut run.
 ///
 /// # Errors
 ///
@@ -662,10 +657,10 @@ impl<'a> ExecutorCore<'a> {
     /// any time for async ones under a virtual clock. Fresh suggestions go
     /// to the *front* of the dispatch queue so async promotions overtake
     /// queued fresh configurations. A reached [`Budget`] cap stops the
-    /// polling; every cap but [`Cap::Batches`] also drops the queue.
+    /// polling and drops the queue.
     fn poll(&mut self) -> Result<()> {
         self.cut = self.budget.reached(&self.spent, self.timing.now());
-        if self.cut.is_some_and(|cap| cap != Cap::Batches) {
+        if self.cut.is_some() {
             self.queue.clear();
         }
         if !self.halted
@@ -685,9 +680,6 @@ impl<'a> ExecutorCore<'a> {
                         self.scheduler.name()
                     ),
                 });
-            }
-            if !batch.is_empty() {
-                self.spent.0 += 1;
             }
             if let Some(m) = &self.metrics {
                 m.suggests.incr();
@@ -768,8 +760,8 @@ impl<'a> ExecutorCore<'a> {
             self.staged.insert(request.trial_id, reached);
             *self.pending.entry(key).or_default() += 1;
             let rounds = reached - already;
-            self.spent.1 = self.spent.1.saturating_add(1);
-            self.spent.2 = self.spent.2.saturating_add(rounds as u64);
+            self.spent.0 = self.spent.0.saturating_add(1);
+            self.spent.1 = self.spent.1.saturating_add(rounds as u64);
             if let Some(m) = &self.metrics {
                 m.dispatched.incr();
                 m.rung_resource.observe(request.resource as u64);
@@ -1013,28 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_cap_takes_exactly_n_batches_and_drains_them() {
-        let ladder = AsyncAsha::from_ladder(Asha::new(12, 3, 1, 9));
-        let (space, mut rng) = (space_1d(), rng_for(3, 0));
-        for stop in [1usize, 3, 5] {
-            let mut scheduler = Counting::new(ladder.scheduler().unwrap());
-            let budget = Budget {
-                batches: Some(stop),
-                ..Budget::default()
-            };
-            let mut core =
-                ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(4), None, budget).unwrap();
-            run_inline(&mut core);
-            assert_eq!(core.outstanding(), 0, "stop = {stop}");
-            let outcome = core.finish();
-            assert!(!outcome.finished, "stop = {stop}");
-            assert_eq!(outcome.halt, Some(Cap::Batches));
-            assert_eq!(scheduler.batches, stop);
-            assert_eq!(outcome.outcome.num_evaluations(), scheduler.suggested);
-        }
-    }
-
-    #[test]
     fn an_evaluation_cap_crossed_mid_batch_drains_the_batch_under_the_barrier_clock() {
         // ASHA's rungs are batches of 9, 3 and 1. A cap inside a batch lets
         // that whole batch run and suggests nothing after it, at every
@@ -1097,13 +1067,14 @@ mod tests {
 
     #[test]
     fn bounded_driver_interrupts_at_batch_boundaries() {
-        // ASHA suggests rung by rung; stopping after one batch ends after the
-        // first rung with the outcome so far, and an unstopped re-drive with
-        // the same seed reproduces the full run exactly.
+        // ASHA suggests rung by rung; an evaluation cap of one ends after the
+        // first rung (the wave crossing the cap runs whole) with the outcome
+        // so far, and an unstopped re-drive with the same seed reproduces the
+        // full run exactly.
         let asha = Asha::new(9, 3, 1, 9);
-        let run_until = |batches: Option<usize>| {
+        let run_until = |evaluations: Option<u64>| {
             let budget = Budget {
-                batches,
+                evaluations,
                 ..Budget::default()
             };
             let run = analytic(
@@ -1120,13 +1091,14 @@ mod tests {
         assert!(finished);
         let (first_rung, finished) = run_until(Some(1));
         assert!(!finished);
+        assert_eq!(first_rung.num_evaluations(), 9, "exactly the first rung");
         assert!(first_rung.num_evaluations() < full.num_evaluations());
         // The interrupted prefix is exactly the head of the full run.
         assert_eq!(
             full.records()[..first_rung.num_evaluations()],
             *first_rung.records()
         );
-        let (rerun, finished) = run_until(Some(usize::MAX));
+        let (rerun, finished) = run_until(Some(u64::MAX));
         assert!(finished);
         assert_eq!(full, rerun);
     }

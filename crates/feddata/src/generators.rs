@@ -335,7 +335,7 @@ impl LanguageWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::label_heterogeneity;
+    use crate::partition::tests::label_heterogeneity;
     use fedmath::rng::rng_for;
 
     fn classification_config() -> ClassificationConfig {

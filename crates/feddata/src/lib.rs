@@ -10,11 +10,11 @@
 //! 1. **Scale statistics** (Table 1/2): number of training/validation
 //!    clients, per-client example counts (including the long tails of the
 //!    text datasets).
-//! 2. **Data heterogeneity**: Dirichlet label partitioning (Hsu et al. 2019,
-//!    exactly the paper's CIFAR10 protocol) and client-specific feature or
-//!    topic shifts for the naturally-partitioned datasets, plus the
-//!    iid-refraction knob `p` used in §3.2 to interpolate between non-iid
-//!    (`p = 0`) and iid (`p = 1`) validation pools.
+//! 2. **Data heterogeneity**: each generated client draws its own Dir(α)
+//!    label mix (the paper's CIFAR10 protocol, α = 0.1) or topic mix, plus a
+//!    client-specific feature shift for the naturally-partitioned datasets,
+//!    and the iid-refraction knob `p` used in §3.2 interpolates between
+//!    non-iid (`p = 0`) and iid (`p = 1`) validation pools.
 //! 3. **Task-family structure**: two image-classification-like datasets and
 //!    two next-token-prediction-like datasets so that HP transfer is easy
 //!    within a family and hard across families (§4, Fig. 10/11).
@@ -49,7 +49,7 @@ pub use client::ClientData;
 pub use dataset::{FederatedDataset, Split};
 pub use example::{Example, Input, Task};
 pub use packed::{PackedRows, PackedSplit};
-pub use partition::{dirichlet_label_partition, repartition_iid_fraction};
+pub use partition::repartition_iid_fraction;
 pub use spec::{Benchmark, DatasetSpec, Scale};
 pub use statistics::{ClientSizeSummary, DatasetStatistics};
 

@@ -1,5 +1,13 @@
-//! Client partitioning: Dirichlet label skew, long-tailed client sizes, and
-//! the iid-refraction repartitioning used in the heterogeneity experiments.
+//! The primitives the generators partition clients with — Dirichlet label
+//! and topic mixes, long-tailed client sizes — and the iid-refraction
+//! repartitioning of the heterogeneity experiments.
+//!
+//! - [`sample_dirichlet`] draws each generated client's Dir(α) label (or
+//!   topic) mix, the paper's label-skew protocol for CIFAR10 (α = 0.1, §3.2).
+//! - [`LongTailedSizes`] is what [`crate::spec::ClientSizes::LogNormal`]
+//!   compiles to: clamped log-normal client sizes, drawn positionally.
+//! - [`repartition_iid_fraction`] is §3.2's knob `p` between a natural
+//!   non-iid pool (`p = 0`) and an iid one (`p = 1`).
 
 use crate::client::ClientData;
 use crate::example::Example;
@@ -43,154 +51,6 @@ pub fn sample_dirichlet(rng: &mut impl Rng, dim: usize, alpha: f64) -> Result<Ve
         total = 1.0;
     }
     Ok(draws.into_iter().map(|d| d / total).collect())
-}
-
-/// Partitions `examples` across `num_clients` clients with Dirichlet label
-/// skew (Hsu et al. 2019), the protocol the paper uses to synthesise
-/// imbalanced client labels for CIFAR10 (`alpha = 0.1`).
-///
-/// For every class, a proportion vector over clients is drawn from
-/// `Dirichlet(alpha)` and the class's examples are dealt out according to
-/// those proportions. Smaller `alpha` means more skew (each client sees fewer
-/// classes); large `alpha` approaches an iid split.
-///
-/// Every example is assigned to exactly one client; clients that end up empty
-/// receive one example stolen from the largest client so that every client
-/// participates in evaluation.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidSpec`] if `examples` is empty, `num_clients`
-/// is zero, `num_classes` is zero, or `alpha <= 0`.
-pub fn dirichlet_label_partition(
-    rng: &mut impl Rng,
-    examples: Vec<Example>,
-    num_clients: usize,
-    num_classes: usize,
-    alpha: f64,
-) -> Result<Vec<ClientData>> {
-    if examples.is_empty() {
-        return Err(DataError::InvalidSpec {
-            message: "cannot partition zero examples".into(),
-        });
-    }
-    if num_clients == 0 {
-        return Err(DataError::InvalidSpec {
-            message: "cannot partition across zero clients".into(),
-        });
-    }
-    if num_classes == 0 {
-        return Err(DataError::InvalidSpec {
-            message: "number of classes must be positive".into(),
-        });
-    }
-    // Group example indices by label.
-    let mut by_class: Vec<Vec<Example>> = (0..num_classes).map(|_| Vec::new()).collect();
-    for e in examples {
-        let label = e.label.min(num_classes - 1);
-        by_class[label].push(e);
-    }
-    let mut buckets: Vec<Vec<Example>> = (0..num_clients).map(|_| Vec::new()).collect();
-    for mut class_examples in by_class {
-        if class_examples.is_empty() {
-            continue;
-        }
-        class_examples.shuffle(rng);
-        let proportions = sample_dirichlet(rng, num_clients, alpha)?;
-        // Convert proportions into integer counts that sum to the class size.
-        let n = class_examples.len();
-        let mut counts: Vec<usize> = proportions
-            .iter()
-            .map(|p| (p * n as f64).floor() as usize)
-            .collect();
-        let mut assigned: usize = counts.iter().sum();
-        // Distribute the remainder to the clients with the largest fractional parts.
-        let mut fracs: Vec<(f64, usize)> = proportions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p * n as f64 - counts[i] as f64, i))
-            .collect();
-        fracs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
-        let mut fi = 0;
-        while assigned < n {
-            counts[fracs[fi % fracs.len()].1] += 1;
-            assigned += 1;
-            fi += 1;
-        }
-        let mut iter = class_examples.into_iter();
-        for (client, &count) in counts.iter().enumerate() {
-            for _ in 0..count {
-                if let Some(e) = iter.next() {
-                    buckets[client].push(e);
-                }
-            }
-        }
-    }
-    rebalance_empty_clients(&mut buckets);
-    Ok(buckets
-        .into_iter()
-        .enumerate()
-        .map(|(id, examples)| ClientData::new(id, examples))
-        .collect())
-}
-
-/// Moves single examples from the largest buckets into empty ones so that no
-/// client ends up with zero examples.
-fn rebalance_empty_clients(buckets: &mut [Vec<Example>]) {
-    loop {
-        let Some(empty_idx) = buckets.iter().position(|b| b.is_empty()) else {
-            return;
-        };
-        let largest_idx = buckets
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| b.len())
-            .map(|(i, _)| i)
-            .expect("non-empty slice");
-        if buckets[largest_idx].len() <= 1 {
-            // Not enough examples to give every client one; leave remaining empty.
-            return;
-        }
-        let moved = buckets[largest_idx]
-            .pop()
-            .expect("largest bucket is non-empty");
-        buckets[empty_idx].push(moved);
-    }
-}
-
-/// Partitions `examples` across `num_clients` clients uniformly at random
-/// (an iid split), preserving only the target per-client sizes if provided.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidSpec`] if `examples` is empty or
-/// `num_clients == 0`.
-pub fn iid_partition(
-    rng: &mut impl Rng,
-    mut examples: Vec<Example>,
-    num_clients: usize,
-) -> Result<Vec<ClientData>> {
-    if examples.is_empty() {
-        return Err(DataError::InvalidSpec {
-            message: "cannot partition zero examples".into(),
-        });
-    }
-    if num_clients == 0 {
-        return Err(DataError::InvalidSpec {
-            message: "cannot partition across zero clients".into(),
-        });
-    }
-    examples.shuffle(rng);
-    let mut buckets: Vec<Vec<Example>> = (0..num_clients).map(|_| Vec::new()).collect();
-    for (i, e) in examples.into_iter().enumerate() {
-        buckets[i % num_clients].push(e);
-    }
-    rebalance_empty_clients(&mut buckets);
-    Ok(buckets
-        .into_iter()
-        .enumerate()
-        .map(|(id, ex)| ClientData::new(id, ex))
-        .collect())
 }
 
 /// Repartitions a client pool towards iid-ness by the fraction `p ∈ [0, 1]`,
@@ -270,34 +130,19 @@ pub fn validate_long_tailed_sizes(mean: f64, min: usize, max: usize, sigma: f64)
     Ok(())
 }
 
-/// The long-tailed example count of client `id`, drawn **positionally** from
-/// `tree`: a pure function of `(tree seed, id)` that never looks at any other
-/// client. This is what lets a virtual population of millions of clients
-/// materialize one shard at a time — sizes come from a clamped log-normal
-/// with `mu = ln(mean) - sigma²/2` (so the analytic pre-clamp mean is
-/// `mean`), rounded to an integer in `[max(min, 1), max]`.
+/// A validated, precompiled long-tailed size distribution. Client `id`'s
+/// size is drawn **positionally** from a seed tree: a pure function of
+/// `(tree seed, id)` that never looks at any other client, which is what
+/// lets a virtual population of millions of clients materialize one shard
+/// at a time, and keeps eager generation consistent with it.
 ///
-/// Every client is guaranteed **at least one example** regardless of how the
-/// float draw rounds: the lower clamp bound is `max(min, 1)`, never 0.
-///
-/// # Errors
-///
-/// See [`validate_long_tailed_sizes`].
-pub fn long_tailed_size_at(
-    tree: &fedmath::SeedTree,
-    id: u64,
-    mean: f64,
-    min: usize,
-    max: usize,
-    sigma: f64,
-) -> Result<usize> {
-    Ok(LongTailedSizes::new(mean, min, max, sigma)?.size_at(tree, id))
-}
-
-/// A validated, precompiled long-tailed size distribution: the form of
-/// [`long_tailed_size_at`] for hot loops (e.g. size-weighted rejection
-/// sampling over a lazy population), where validating the parameters and
-/// rebuilding the log-normal on every per-client query would dominate.
+/// Sizes come from a clamped log-normal with `mu = ln(mean) - sigma²/2`, so
+/// `mean` is the analytic **pre-clamp** mean, rounded to an integer in
+/// `[max(min, 1), max]`: every client gets at least one example however the
+/// float draw rounds. Clamping truncates the heavy upper tail, so the
+/// realized mean undershoots `mean` for aggressive `(mean, sigma, max)`; an
+/// exact correction would need a global pass over all clients, which
+/// positional materialization rules out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongTailedSizes {
     dist: LogNormal,
@@ -327,8 +172,7 @@ impl LongTailedSizes {
         })
     }
 
-    /// The size of client `id` below `tree` — identical to
-    /// [`long_tailed_size_at`] with this distribution's parameters.
+    /// The size of client `id` below `tree`.
     pub fn size_at(&self, tree: &fedmath::SeedTree, id: u64) -> usize {
         let draw = self.dist.sample(&mut tree.child(id).rng());
         // Clamp in float space first (both bounds are integers, so rounding
@@ -337,99 +181,57 @@ impl LongTailedSizes {
     }
 }
 
-/// Draws `num_clients` long-tailed per-client example counts targeting the
-/// given mean, minimum, and maximum, mimicking the client-size distributions
-/// of the text datasets in Table 2 (min 1, max five orders of magnitude
-/// larger).
-///
-/// Counts are drawn positionally via [`long_tailed_size_at`] below a root
-/// derived from `rng`: client `i`'s size depends only on that root and `i`,
-/// never on a sequential pass over the whole population. This keeps eager
-/// generation ([`crate::DatasetSpec::generate`]) consistent with lazy
-/// per-client materialization at population scale, and guarantees every
-/// client at least one example.
-///
-/// `mean` is the **analytic pre-clamp mean** of the log-normal
-/// (`mu = ln(mean) - sigma²/2`). Clamping to `[max(min, 1), max]` truncates
-/// the heavy upper tail, so the realized empirical mean undershoots `mean`
-/// for aggressive `(mean, sigma, max)` combinations — a deliberate trade:
-/// an exact empirical correction would need a global pass over all clients,
-/// which positional per-client materialization rules out.
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidSpec`] if `num_clients == 0` or the
-/// distribution parameters are invalid (see [`validate_long_tailed_sizes`]).
-pub fn long_tailed_client_sizes(
-    rng: &mut impl Rng,
-    num_clients: usize,
-    mean: f64,
-    min: usize,
-    max: usize,
-    sigma: f64,
-) -> Result<Vec<usize>> {
-    if num_clients == 0 {
-        return Err(DataError::InvalidSpec {
-            message: "need at least one client".into(),
-        });
-    }
-    let dist = LongTailedSizes::new(mean, min, max, sigma)?;
-    let tree = fedmath::SeedTree::new(rng.gen());
-    Ok((0..num_clients)
-        .map(|i| dist.size_at(&tree, i as u64))
-        .collect())
-}
-
-/// Computes a simple scalar measure of label heterogeneity across clients:
-/// the mean total-variation distance between each client's label distribution
-/// and the global label distribution. 0 means perfectly iid; values near 1
-/// mean clients see nearly disjoint label sets.
-pub fn label_heterogeneity(clients: &[ClientData], num_classes: usize) -> f64 {
-    if clients.is_empty() || num_classes == 0 {
-        return 0.0;
-    }
-    let mut global = vec![0.0f64; num_classes];
-    let mut total = 0.0;
-    for c in clients {
-        for (i, count) in c.label_histogram(num_classes).into_iter().enumerate() {
-            global[i] += count as f64;
-            total += count as f64;
-        }
-    }
-    if total == 0.0 {
-        return 0.0;
-    }
-    for g in &mut global {
-        *g /= total;
-    }
-    let mut tv_sum = 0.0;
-    let mut counted = 0usize;
-    for c in clients {
-        let hist = c.label_histogram(num_classes);
-        let n: usize = hist.iter().sum();
-        if n == 0 {
-            continue;
-        }
-        let tv: f64 = hist
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| (h as f64 / n as f64 - global[i]).abs())
-            .sum::<f64>()
-            / 2.0;
-        tv_sum += tv;
-        counted += 1;
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        tv_sum / counted as f64
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::spec::ClientSizes;
     use fedmath::rng::rng_for;
+
+    /// A simple scalar measure of label heterogeneity across clients: the
+    /// mean total-variation distance between each client's label
+    /// distribution and the global one. 0 means perfectly iid; values near 1
+    /// mean clients see nearly disjoint label sets.
+    pub(crate) fn label_heterogeneity(clients: &[ClientData], num_classes: usize) -> f64 {
+        if clients.is_empty() || num_classes == 0 {
+            return 0.0;
+        }
+        let mut global = vec![0.0f64; num_classes];
+        let mut total = 0.0;
+        for c in clients {
+            for (i, count) in c.label_histogram(num_classes).into_iter().enumerate() {
+                global[i] += count as f64;
+                total += count as f64;
+            }
+        }
+        if total == 0.0 {
+            return 0.0;
+        }
+        for g in &mut global {
+            *g /= total;
+        }
+        let mut tv_sum = 0.0;
+        let mut counted = 0usize;
+        for c in clients {
+            let hist = c.label_histogram(num_classes);
+            let n: usize = hist.iter().sum();
+            if n == 0 {
+                continue;
+            }
+            let tv: f64 = hist
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| (h as f64 / n as f64 - global[i]).abs())
+                .sum::<f64>()
+                / 2.0;
+            tv_sum += tv;
+            counted += 1;
+        }
+        if counted == 0 {
+            0.0
+        } else {
+            tv_sum / counted as f64
+        }
+    }
 
     fn labelled_examples(per_class: usize, num_classes: usize) -> Vec<Example> {
         let mut out = Vec::new();
@@ -439,6 +241,32 @@ mod tests {
             }
         }
         out
+    }
+
+    /// A maximally non-iid pool: client `i` holds only class
+    /// `i % num_classes`, with `per_client * (1 + i % 3)` examples so sizes
+    /// differ.
+    pub(super) fn one_class_per_client(
+        num_clients: usize,
+        num_classes: usize,
+        per_client: usize,
+    ) -> Vec<ClientData> {
+        (0..num_clients)
+            .map(|i| {
+                let class = i % num_classes;
+                let n = per_client * (1 + i % 3);
+                ClientData::new(i, vec![Example::dense(vec![class as f64], class); n])
+            })
+            .collect()
+    }
+
+    fn log_normal(mean: f64, min: usize, max: usize, sigma: f64) -> ClientSizes {
+        ClientSizes::LogNormal {
+            mean,
+            min,
+            max,
+            sigma,
+        }
     }
 
     #[test]
@@ -461,86 +289,21 @@ mod tests {
     }
 
     #[test]
-    fn dirichlet_partition_preserves_examples() {
-        let mut rng = rng_for(1, 0);
-        let examples = labelled_examples(50, 10);
-        let clients = dirichlet_label_partition(&mut rng, examples.clone(), 20, 10, 0.1).unwrap();
-        assert_eq!(clients.len(), 20);
-        let total: usize = clients.iter().map(|c| c.num_examples()).sum();
-        assert_eq!(total, examples.len());
-        // With this many examples per client-slot, rebalancing guarantees
-        // non-empty clients.
-        assert!(clients.iter().all(|c| !c.is_empty()));
-        // Ids are assigned sequentially.
-        for (i, c) in clients.iter().enumerate() {
-            assert_eq!(c.id(), i);
-        }
-    }
-
-    #[test]
-    fn small_alpha_is_more_heterogeneous_than_large_alpha() {
-        let mut rng = rng_for(2, 0);
-        let examples = labelled_examples(100, 10);
-        let skewed = dirichlet_label_partition(&mut rng, examples.clone(), 20, 10, 0.05).unwrap();
-        let uniform = dirichlet_label_partition(&mut rng, examples, 20, 10, 100.0).unwrap();
-        let h_skewed = label_heterogeneity(&skewed, 10);
-        let h_uniform = label_heterogeneity(&uniform, 10);
-        assert!(
-            h_skewed > h_uniform + 0.1,
-            "expected skewed ({h_skewed}) >> uniform ({h_uniform})"
-        );
-    }
-
-    #[test]
-    fn dirichlet_partition_validation() {
-        let mut rng = rng_for(2, 1);
-        assert!(dirichlet_label_partition(&mut rng, vec![], 5, 2, 1.0).is_err());
-        let ex = labelled_examples(2, 2);
-        assert!(dirichlet_label_partition(&mut rng, ex.clone(), 0, 2, 1.0).is_err());
-        assert!(dirichlet_label_partition(&mut rng, ex.clone(), 5, 0, 1.0).is_err());
-        assert!(dirichlet_label_partition(&mut rng, ex, 5, 2, 0.0).is_err());
-    }
-
-    #[test]
-    fn iid_partition_balances_sizes() {
-        let mut rng = rng_for(3, 0);
-        let examples = labelled_examples(30, 4);
-        let clients = iid_partition(&mut rng, examples, 12).unwrap();
-        assert_eq!(clients.len(), 12);
-        let sizes: Vec<usize> = clients.iter().map(|c| c.num_examples()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 120);
-        assert!(sizes.iter().all(|&s| s == 10));
-    }
-
-    #[test]
-    fn iid_partition_validation() {
-        let mut rng = rng_for(3, 1);
-        assert!(iid_partition(&mut rng, vec![], 2).is_err());
-        assert!(iid_partition(&mut rng, labelled_examples(1, 2), 0).is_err());
-    }
-
-    #[test]
     fn repartition_p_zero_is_identity_up_to_order() {
         let mut rng = rng_for(4, 0);
-        let examples = labelled_examples(20, 4);
-        let clients = dirichlet_label_partition(&mut rng, examples, 8, 4, 0.1).unwrap();
+        let clients = one_class_per_client(8, 4, 5);
         let repartitioned = repartition_iid_fraction(&mut rng, &clients, 0.0).unwrap();
         for (before, after) in clients.iter().zip(repartitioned.iter()) {
             assert_eq!(before.num_examples(), after.num_examples());
             // p = 0 keeps exactly the client's own examples (order may differ).
-            let mut b = before.label_histogram(4);
-            let mut a = after.label_histogram(4);
-            b.sort_unstable();
-            a.sort_unstable();
-            assert_eq!(a, b);
+            assert_eq!(before.label_histogram(4), after.label_histogram(4));
         }
     }
 
     #[test]
     fn repartition_p_one_reduces_heterogeneity() {
         let mut rng = rng_for(4, 1);
-        let examples = labelled_examples(100, 10);
-        let clients = dirichlet_label_partition(&mut rng, examples, 20, 10, 0.05).unwrap();
+        let clients = one_class_per_client(20, 10, 25);
         let h_before = label_heterogeneity(&clients, 10);
         let iid = repartition_iid_fraction(&mut rng, &clients, 1.0).unwrap();
         let h_after = label_heterogeneity(&iid, 10);
@@ -567,7 +330,9 @@ mod tests {
     #[test]
     fn long_tailed_sizes_respect_bounds() {
         let mut rng = rng_for(5, 0);
-        let sizes = long_tailed_client_sizes(&mut rng, 500, 40.0, 1, 5000, 1.5).unwrap();
+        let sizes = log_normal(40.0, 1, 5000, 1.5)
+            .sample(&mut rng, 500)
+            .unwrap();
         assert_eq!(sizes.len(), 500);
         assert!(sizes.iter().all(|&s| (1..=5000).contains(&s)));
         let mean = sizes.iter().sum::<usize>() as f64 / 500.0;
@@ -590,12 +355,13 @@ mod tests {
         // a client and an empty shard. The lower clamp bound now saturates
         // at 1 for every client at any population size.
         let tree = fedmath::SeedTree::new(123);
+        let sampler = log_normal(2.0, 0, 10_000, 2.5).compile().unwrap();
         for id in 0..5_000u64 {
-            let s = long_tailed_size_at(&tree, id, 2.0, 0, 10_000, 2.5).unwrap();
+            let s = sampler.size_at(&tree, id);
             assert!(s >= 1, "client {id} drew a zero-sized shard");
         }
         let mut rng = rng_for(5, 7);
-        let sizes = long_tailed_client_sizes(&mut rng, 2_000, 2.0, 0, 50, 2.0).unwrap();
+        let sizes = log_normal(2.0, 0, 50, 2.0).sample(&mut rng, 2_000).unwrap();
         assert!(sizes.iter().all(|&s| (1..=50).contains(&s)));
     }
 
@@ -604,29 +370,33 @@ mod tests {
         // Client id's size is a pure function of (tree, id): deriving other
         // ids first, or none at all, changes nothing.
         let tree = fedmath::SeedTree::new(77);
-        let direct = long_tailed_size_at(&tree, 9_999_999, 40.0, 1, 5_000, 1.5).unwrap();
-        let mut scattered = Vec::new();
-        for id in [123u64, 9_999_999, 0, 42] {
-            scattered.push((
-                id,
-                long_tailed_size_at(&tree, id, 40.0, 1, 5_000, 1.5).unwrap(),
-            ));
-        }
+        let sizes = log_normal(40.0, 1, 5_000, 1.5);
+        let direct = sizes.compile().unwrap().size_at(&tree, 9_999_999);
+        let sampler = sizes.compile().unwrap();
+        let scattered: Vec<(u64, usize)> = [123u64, 9_999_999, 0, 42]
+            .into_iter()
+            .map(|id| (id, sampler.size_at(&tree, id)))
+            .collect();
         assert_eq!(scattered[1], (9_999_999, direct));
         // And the whole-population draw agrees with itself across calls.
-        let a = long_tailed_client_sizes(&mut rng_for(6, 0), 100, 40.0, 1, 5_000, 1.5).unwrap();
-        let b = long_tailed_client_sizes(&mut rng_for(6, 0), 100, 40.0, 1, 5_000, 1.5).unwrap();
+        let a = sizes.sample(&mut rng_for(6, 0), 100).unwrap();
+        let b = sizes.sample(&mut rng_for(6, 0), 100).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
     fn long_tailed_sizes_validation() {
         let mut rng = rng_for(5, 1);
-        assert!(long_tailed_client_sizes(&mut rng, 0, 10.0, 1, 100, 1.0).is_err());
-        assert!(long_tailed_client_sizes(&mut rng, 5, 10.0, 100, 1, 1.0).is_err());
-        assert!(long_tailed_client_sizes(&mut rng, 5, 0.0, 1, 100, 1.0).is_err());
-        assert!(long_tailed_client_sizes(&mut rng, 5, 1000.0, 1, 100, 1.0).is_err());
-        assert!(long_tailed_client_sizes(&mut rng, 5, 10.0, 1, 100, 0.0).is_err());
+        assert!(log_normal(10.0, 1, 100, 1.0).sample(&mut rng, 0).is_err());
+        for bad in [
+            log_normal(10.0, 100, 1, 1.0),
+            log_normal(0.0, 1, 100, 1.0),
+            log_normal(1000.0, 1, 100, 1.0),
+            log_normal(10.0, 1, 100, 0.0),
+        ] {
+            assert!(bad.sample(&mut rng, 5).is_err(), "{bad:?}");
+            assert!(bad.compile().is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -650,7 +420,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::one_class_per_client;
     use super::*;
+    use crate::spec::ClientSizes;
     use fedmath::rng::rng_for;
     use proptest::prelude::*;
 
@@ -658,40 +430,12 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         #[test]
-        fn prop_dirichlet_partition_preserves_count(
-            seed in any::<u64>(),
-            per_class in 5usize..30,
-            num_classes in 2usize..8,
-            num_clients in 1usize..20,
-            alpha in 0.05f64..10.0,
-        ) {
-            let mut rng = rng_for(seed, 0);
-            let mut examples = Vec::new();
-            for class in 0..num_classes {
-                for _ in 0..per_class {
-                    examples.push(Example::dense(vec![class as f64], class));
-                }
-            }
-            let n = examples.len();
-            let clients = dirichlet_label_partition(&mut rng, examples, num_clients, num_classes, alpha).unwrap();
-            prop_assert_eq!(clients.len(), num_clients);
-            let total: usize = clients.iter().map(|c| c.num_examples()).sum();
-            prop_assert_eq!(total, n);
-        }
-
-        #[test]
         fn prop_repartition_preserves_sizes(
             seed in any::<u64>(),
             p in 0.0f64..1.0,
         ) {
             let mut rng = rng_for(seed, 1);
-            let mut examples = Vec::new();
-            for class in 0..5usize {
-                for _ in 0..40 {
-                    examples.push(Example::dense(vec![class as f64], class));
-                }
-            }
-            let clients = dirichlet_label_partition(&mut rng, examples, 10, 5, 0.2).unwrap();
+            let clients = one_class_per_client(10, 5, 10);
             let re = repartition_iid_fraction(&mut rng, &clients, p).unwrap();
             prop_assert_eq!(re.len(), clients.len());
             for (b, a) in clients.iter().zip(re.iter()) {
@@ -706,7 +450,9 @@ mod proptests {
             num_clients in 1usize..100,
         ) {
             let mut rng = rng_for(seed, 2);
-            let sizes = long_tailed_client_sizes(&mut rng, num_clients, 30.0, 2, 400, 1.2).unwrap();
+            let sizes = ClientSizes::LogNormal { mean: 30.0, min: 2, max: 400, sigma: 1.2 }
+                .sample(&mut rng, num_clients)
+                .unwrap();
             prop_assert_eq!(sizes.len(), num_clients);
             prop_assert!(sizes.iter().all(|&s| (2..=400).contains(&s)));
         }

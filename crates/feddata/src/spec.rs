@@ -161,27 +161,14 @@ impl ClientSizes {
         })
     }
 
-    /// The example count of client `id`, drawn **positionally** from `tree`:
-    /// a pure function of `(tree seed, id)`. Every returned size is at least
-    /// one — a lazy population can query any client's size in O(1) without
-    /// touching its neighbours. Repeated callers should
-    /// [`compile`](Self::compile) once instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidSpec`] if the parameters are inconsistent
-    /// (see [`validate`](Self::validate)).
-    pub fn size_at(&self, tree: &fedmath::SeedTree, id: u64) -> Result<usize> {
-        Ok(self.compile()?.size_at(tree, id))
-    }
-
     /// Draws `num_clients` sizes, positionally below a root derived from
-    /// `rng` (size `i` comes from [`size_at`](Self::size_at) at id `i`).
+    /// `rng`: size `i` is [`SizeSampler::size_at`] at id `i`, so it never
+    /// depends on any other client's draw.
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidSpec`] if the parameters are inconsistent
-    /// (see [`crate::partition::long_tailed_client_sizes`]).
+    /// Returns [`DataError::InvalidSpec`] if `num_clients == 0` or the
+    /// parameters are inconsistent (see [`validate`](Self::validate)).
     pub fn sample(&self, rng: &mut impl Rng, num_clients: usize) -> Result<Vec<usize>> {
         if num_clients == 0 {
             return Err(DataError::InvalidSpec {
@@ -213,8 +200,9 @@ pub enum SizeSampler {
 }
 
 impl SizeSampler {
-    /// The example count of client `id`, drawn positionally from `tree` —
-    /// identical to [`ClientSizes::size_at`] on the source distribution.
+    /// The example count of client `id`, drawn **positionally** from `tree`:
+    /// a pure function of `(tree seed, id)`, at least one. A lazy population
+    /// queries any client's size in O(1) without touching its neighbours.
     pub fn size_at(&self, tree: &fedmath::SeedTree, id: u64) -> usize {
         match *self {
             SizeSampler::Uniform { low, high } => tree.child(id).rng().gen_range(low..=high),

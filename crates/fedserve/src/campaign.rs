@@ -300,7 +300,7 @@ where
     };
     let outcome = pump.run(core, &mut tenant)?;
     // A cap outranks a flag seen on the same step. A passed deadline shows
-    // as no halt on an unfinished schedule; a spec sets no batch cap.
+    // as no halt on an unfinished schedule.
     let halt = match outcome.halt {
         Some(Cap::Evaluations) => Some(HaltReason::BudgetEvaluations),
         Some(Cap::Rounds) => Some(HaltReason::BudgetResource),

@@ -30,7 +30,7 @@ use crate::proto::{self, ErrorCode, Request, Response};
 use crate::spec::{CampaignSpec, CampaignState, CampaignStatus, Selection};
 use crate::{Result, ServeError};
 use fedsim::SharedPool;
-use fedstore::{Durability, LedgerLock, TrialStore};
+use fedstore::{LedgerLock, TrialStore};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -260,11 +260,8 @@ impl Service {
         let name = spec.name.clone();
         let result = (|| -> Result<CampaignOutcome> {
             let _lock = LedgerLock::acquire(&dir)?;
-            let mut store = TrialStore::open_segments(dir.join("ledger"))?;
-            // Sync at every batch boundary, and the driver marks exactly one
-            // per turn: a turn's commits are on disk before the scheduler or
-            // a status reply sees any of them.
-            store.set_durability(Durability::PerInsert);
+            // Default per-insert durability: each turn is synced before anything reads it.
+            let store = TrialStore::open_segments(dir.join("ledger"))?;
             let mut on_progress = |p: Progress| {
                 if let Some(cell) = self.locked_cells().get_mut(&name) {
                     cell.status.evaluations = p.evaluations;

@@ -454,7 +454,6 @@ impl CampaignSpec {
             evaluations: self.limits.max_evaluations,
             rounds: self.limits.max_resource,
             sim_seconds: self.sim_budget,
-            ..Budget::default()
         }
     }
 

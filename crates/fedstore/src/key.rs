@@ -73,10 +73,10 @@ impl ConfigKey {
         self.bits.iter().map(|&b| f64::from_bits(b)).collect()
     }
 
-    /// A stable 64-bit digest of the key (used to seed deterministic
-    /// replicate resampling): the shared [`fedhpo::space::fingerprint_bits`]
-    /// definition, the same digest the live batch objective keys its
-    /// randomness by.
+    /// A stable 64-bit digest of the key: the shared
+    /// [`fedhpo::space::fingerprint_bits`] definition, the same digest the
+    /// live batch objective keys its randomness by (`fedserve`'s analytic
+    /// objective keys its noise draws and latencies by it too).
     pub fn fingerprint(&self) -> u64 {
         fedhpo::space::fingerprint_bits(&self.bits)
     }

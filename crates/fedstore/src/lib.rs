@@ -13,7 +13,7 @@
 //! - [`record`] — [`TrialRecord`]: one evaluation (noisy observation *and*
 //!   ground-truth error) with [`Provenance`] (benchmark, scale, seed, noise
 //!   source); its JSON-line form (with a non-finite score guard) is the
-//!   interchange text `export_jsonl` / `import_jsonl` / `ledger_dump` speak.
+//!   write-only text view the `ledger_dump` binary prints.
 //! - [`segment`] — the one on-disk format: CRC32C-framed binary segments
 //!   with group commit, torn-tail recovery and (in [`compaction`]) a
 //!   crash-safe snapshot swap.
@@ -28,9 +28,9 @@
 //!   re-driving an interrupted campaign skips its recorded prefix and
 //!   continues bit-identically. Every driver records through it.
 //! - [`tabular`] — [`TabularObjective`]: the scheduler-facing surrogate.
-//!   Campaigns replay against the table with exact-hit semantics and
-//!   deterministic noise resampling from recorded replicates — orders of
-//!   magnitude faster than live simulation.
+//!   Campaigns replay against the table with exact-hit semantics — a
+//!   request gets its recorded bits or fails with [`StoreError::Miss`] —
+//!   orders of magnitude faster than live simulation.
 //! - [`replay`] — drop-in record/replay counterparts of
 //!   `fedtune_core::experiments::methods::run_method_comparison`.
 //!
@@ -102,20 +102,13 @@ pub enum StoreError {
         /// The underlying failure.
         message: String,
     },
-    /// A JSONL interchange line could not be parsed back into a record.
-    Parse {
-        /// 1-based line number within the file.
-        line: usize,
-        /// The underlying failure.
-        message: String,
-    },
     /// An insert collided with an existing record under the same key but a
     /// different payload.
     Conflict {
         /// Description of the colliding key.
         message: String,
     },
-    /// A replay lookup found nothing usable for a request.
+    /// A replay lookup found no record under a request's exact key.
     Miss {
         /// Description of the missing point.
         message: String,
@@ -141,9 +134,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { path, message } => write!(f, "ledger io error ({path}): {message}"),
-            StoreError::Parse { line, message } => {
-                write!(f, "ledger parse error at line {line}: {message}")
-            }
             StoreError::Conflict { message } => write!(f, "ledger conflict: {message}"),
             StoreError::Miss { message } => write!(f, "table miss: {message}"),
             StoreError::InvalidRecord { message } => write!(f, "invalid record: {message}"),
@@ -211,10 +201,6 @@ mod tests {
         for e in [
             StoreError::Io {
                 path: "p".into(),
-                message: "m".into(),
-            },
-            StoreError::Parse {
-                line: 3,
                 message: "m".into(),
             },
             StoreError::InvalidRecord {

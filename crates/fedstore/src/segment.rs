@@ -1,6 +1,6 @@
 //! The binary segment ledger: fixed-size segment files of CRC32C-framed
-//! records with batched group commit — the ledger's one on-disk format, with
-//! JSONL kept as the interchange format.
+//! records with batched group commit — the ledger's one on-disk format (its
+//! JSON-line text view is write-only).
 //!
 //! # Layout
 //!
@@ -491,11 +491,6 @@ impl SegmentWriter {
     /// The active configuration.
     pub fn config(&self) -> &SegmentConfig {
         &self.config
-    }
-
-    /// Changes the durability policy for subsequent batch boundaries.
-    pub fn set_durability(&mut self, durability: Durability) {
-        self.config.durability = durability;
     }
 
     /// Records appended through this writer.

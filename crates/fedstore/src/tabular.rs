@@ -1,28 +1,21 @@
 //! The tabular surrogate objective: tuning campaigns replayed against a
 //! recorded [`TrialStore`] instead of the live federated simulator.
 //!
-//! Lookup semantics per request `(config, resource, rep)`:
+//! Lookup is **exact hit or miss** per request `(config, resource, rep)`:
 //!
-//! 1. **Exact hit** — the key is recorded: the stored noisy score and true
-//!    error are returned bit-for-bit. A replayed campaign whose scheduler
-//!    re-derives the recorded schedule (same method, same seeds) is therefore
-//!    bit-identical to the live run.
-//! 2. **Replicate resample** — the point `(config, resource)` is recorded but
-//!    not this replicate index: one recorded replicate is chosen by a seed
-//!    derived from `(resample seed, config fingerprint, resource, rep)`.
-//!    This is deterministic (the same request always draws the same recorded
-//!    observation, independent of call order) and lets noise-mitigation
-//!    studies run *more* replicates than were recorded by treating the
-//!    recorded draws as an empirical noise distribution.
-//! 3. **Miss** — nothing is recorded at the point: the evaluation fails with
-//!    a [`StoreError::Miss`], because silently inventing objective values
-//!    would corrupt every conclusion drawn from the sweep.
+//! - **Hit** — the key is recorded: the stored noisy score and true error
+//!   are returned bit-for-bit. A replayed campaign whose scheduler
+//!   re-derives the recorded schedule (same method, same seeds) is therefore
+//!   bit-identical to the live run.
+//! - **Miss** — anything else, an unrecorded replicate of a recorded point
+//!   included: the evaluation fails with a [`StoreError::Miss`], because
+//!   silently inventing objective values would corrupt every conclusion
+//!   drawn from the sweep.
 
 use crate::key::TrialKey;
 use crate::store::TrialStore;
 use crate::{Result, StoreError};
 use fedhpo::{SearchSpace, TrialRequest};
-use fedmath::rng::derive_seed;
 use fedtune_core::{CampaignLog, ConcurrentEval, ConcurrentObjective, CoreError, EvalOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,9 +35,7 @@ pub struct TabularObjective<'s> {
 pub struct Table<'s> {
     store: &'s TrialStore,
     space: SearchSpace,
-    resample_seed: u64,
     exact_hits: AtomicUsize,
-    resampled: AtomicUsize,
 }
 
 impl<'s> TabularObjective<'s> {
@@ -55,20 +46,10 @@ impl<'s> TabularObjective<'s> {
             table: Table {
                 store,
                 space: space.clone(),
-                resample_seed: 0,
                 exact_hits: AtomicUsize::new(0),
-                resampled: AtomicUsize::new(0),
             },
             campaign: CampaignLog::default(),
         }
-    }
-
-    /// Sets the seed of the deterministic replicate-resampling channel
-    /// (distinct seeds draw independent resample assignments).
-    #[must_use]
-    pub fn with_resample_seed(mut self, seed: u64) -> Self {
-        self.table.resample_seed = seed;
-        self
     }
 }
 
@@ -78,45 +59,24 @@ impl Table<'_> {
         self.exact_hits.load(Ordering::Relaxed)
     }
 
-    /// Requests answered by deterministic replicate resampling.
-    pub fn resampled(&self) -> usize {
-        self.resampled.load(Ordering::Relaxed)
-    }
-
     /// Answers one request from the table, returning
     /// `(noisy score, true error)`.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Miss`] when the point is not recorded at all.
+    /// Returns [`StoreError::Miss`] when the exact key is not recorded.
     fn lookup(&self, request: &TrialRequest) -> Result<(f64, f64)> {
         let key = TrialKey::for_request(&self.space, request)?;
-        if let Some(record) = self.store.get(&key) {
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((record.noisy_score, record.true_error));
-        }
-        let replicates = self.store.replicates(&key.config, key.resource);
-        if replicates.is_empty() {
-            return Err(StoreError::Miss {
-                message: format!(
-                    "no recorded evaluation of config {:?} at resource {}",
-                    key.config.values(),
-                    key.resource,
-                ),
-            });
-        }
-        // Deterministic resample: pure function of the request coordinates
-        // and the resample seed, independent of call order.
-        let channel = derive_seed(
-            derive_seed(
-                derive_seed(self.resample_seed, key.config.fingerprint()),
-                key.resource as u64,
+        let record = self.store.get(&key).ok_or_else(|| StoreError::Miss {
+            message: format!(
+                "no recorded evaluation of config {:?} at resource {}, replicate {}",
+                key.config.values(),
+                key.resource,
+                key.rep,
             ),
-            key.rep,
-        );
-        let pick = &replicates[(channel % replicates.len() as u64) as usize];
-        self.resampled.fetch_add(1, Ordering::Relaxed);
-        Ok((pick.noisy_score, pick.true_error))
+        })?;
+        self.exact_hits.fetch_add(1, Ordering::Relaxed);
+        Ok((record.noisy_score, record.true_error))
     }
 }
 
@@ -207,7 +167,6 @@ mod tests {
         assert_eq!(scores[0].to_bits(), 0.40f64.to_bits());
         assert_eq!(scores[1].to_bits(), 0.60f64.to_bits());
         assert_eq!(tabular.table.exact_hits(), 2);
-        assert_eq!(tabular.table.resampled(), 0);
         let truths: Vec<f64> = tabular
             .campaign
             .log()
@@ -224,31 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn unrecorded_replicates_resample_deterministically() {
+    fn unrecorded_replicates_miss() {
         let store = table();
-        let run = |seed: u64, rep: u64| {
-            let mut tabular = TabularObjective::new(&store, &space()).with_resample_seed(seed);
-            let batch = vec![request(0, 1.0, 2, rep)];
-            let score = scores_of(&mut tabular, &space(), vec![batch], 1).unwrap()[0];
-            (score, tabular.table.resampled())
-        };
-        // Replicate 7 was never recorded: it resamples one of the recorded
-        // draws, the same one every time.
-        let (a, resampled) = run(0, 7);
-        assert_eq!(resampled, 1);
-        assert!([0.40f64, 0.50, 0.44]
-            .iter()
-            .any(|v| v.to_bits() == a.to_bits()));
-        let (b, _) = run(0, 7);
-        assert_eq!(a.to_bits(), b.to_bits());
-        // Different replicate indices spread across the recorded pool.
-        let distinct: std::collections::HashSet<u64> =
-            (0..32).map(|rep| run(0, rep).0.to_bits()).collect();
-        assert!(distinct.len() > 1);
-        // Recorded replicates still hit exactly.
-        let (exact, resampled) = run(0, 1);
-        let _ = resampled;
-        assert_eq!(exact.to_bits(), 0.50f64.to_bits());
+        let mut tabular = TabularObjective::new(&store, &space());
+        // Replicates 0–2 of (1.0, 2) are recorded; replicate 7 is not, and
+        // nothing is drawn in its place.
+        let scores = scores_of(&mut tabular, &space(), vec![vec![request(0, 1.0, 2, 1)]], 1);
+        assert_eq!(scores.unwrap()[0].to_bits(), 0.50f64.to_bits());
+        let err =
+            scores_of(&mut tabular, &space(), vec![vec![request(1, 1.0, 2, 7)]], 1).unwrap_err();
+        assert!(err.to_string().contains("table miss"), "{err}");
+        assert!(err.to_string().contains("replicate 7"), "{err}");
+        assert_eq!(tabular.table.exact_hits(), 1);
     }
 
     #[test]

@@ -85,16 +85,17 @@ fn recorded_and_replayed_comparisons_match_the_live_run_bitwise() {
     }
 }
 
-/// One ASHA+re-evaluation campaign, recorded into `store`, stopped after
-/// `stop` scheduler batches. Returns the outcome and whether the schedule
-/// finished.
+/// One ASHA+re-evaluation campaign, recorded into `store`, stopped once
+/// `stop` evaluations were dispatched (under the barrier clock the batch
+/// crossing the cap runs whole, so a cut run is a prefix of whole batches).
+/// Returns the outcome and whether the schedule finished.
 fn drive_campaign(
     ctx: &BenchmarkContext,
     scale: &ExperimentScale,
     policy: ExecutionPolicy,
     seed: u64,
     store: &mut TrialStore,
-    stop: Option<usize>,
+    stop: Option<u64>,
 ) -> (TuningOutcome, bool) {
     let method = TuningMethod::AshaReEval;
     let mut scheduler = method.scheduler(scale).unwrap();
@@ -116,7 +117,7 @@ fn drive_campaign(
     let config = Drive {
         threads: policy.pool_threads(),
         budget: Budget {
-            batches: stop,
+            evaluations: stop,
             ..Budget::default()
         },
         ..Drive::new(Clock::Barrier)
@@ -150,7 +151,8 @@ fn interrupted_resume_is_bit_identical_across_seeds_and_thread_counts() {
         assert!(finished);
         for threads in [1usize, 2, 4] {
             let policy = ExecutionPolicy::parallel_with(threads);
-            // Interrupt after the first scheduler batch ...
+            // Interrupt after the first scheduler batch (an evaluation cap
+            // of one lets that batch run whole) ...
             let mut store = TrialStore::in_memory();
             let (prefix, finished) =
                 drive_campaign(&ctx, &scale, policy, seed, &mut store, Some(1));
@@ -184,16 +186,13 @@ fn interrupted_resume_is_bit_identical_across_seeds_and_thread_counts() {
 }
 
 #[test]
-fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
-    // Record each campaign straight into a binary segment ledger, carry it
-    // through the JSONL interchange (export_jsonl → import_jsonl) into a
-    // second segment ledger, then replay from fresh reopens of *both* under
-    // every thread count: the trip through text and the parallelism must
-    // both be invisible in the bits.
+fn segment_replays_are_bit_identical_across_seeds_and_threads() {
+    // Record each campaign straight into a binary segment ledger, then
+    // replay from a fresh reopen under every thread count: the trip through
+    // disk and the parallelism must both be invisible in the bits.
     let scale = ExperimentScale::smoke();
     let base = std::env::temp_dir().join(format!("fedstore_backend_replay_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
     for seed in [0u64, 1, 2] {
         let ctx = BenchmarkContext::new(Benchmark::Cifar10Like, &scale, seed).unwrap();
         let seg_dir = base.join(format!("segments_{seed}"));
@@ -207,16 +206,9 @@ fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
             None,
         );
         assert!(finished);
-        let jsonl_path = base.join(format!("ledger_{seed}.jsonl"));
-        seg_store.export_jsonl(&jsonl_path).unwrap();
+        assert_eq!(seg_store.len(), reference.num_evaluations());
+        let recorded = seg_store.records().to_vec();
         drop(seg_store);
-        let imported_dir = base.join(format!("imported_{seed}"));
-        let mut imported = TrialStore::open_segments(&imported_dir).unwrap();
-        assert_eq!(
-            imported.import_jsonl(&jsonl_path).unwrap(),
-            reference.num_evaluations()
-        );
-        drop(imported);
 
         for threads in [1usize, 2, 4] {
             let policy = ExecutionPolicy::parallel_with(threads);
@@ -226,24 +218,16 @@ fn binary_and_jsonl_replays_are_bit_identical_across_seeds_and_threads() {
             let (seg_outcome, finished) =
                 drive_campaign(&ctx, &scale, policy, seed, &mut from_segments, None);
             assert!(finished);
-            let mut from_jsonl = TrialStore::open_segments(&imported_dir).unwrap();
-            let (jsonl_outcome, finished) =
-                drive_campaign(&ctx, &scale, policy, seed, &mut from_jsonl, None);
-            assert!(finished);
             assert_eq!(
                 seg_outcome, reference,
                 "seed {seed}, {threads} threads: segment replay diverged"
             );
-            assert_eq!(
-                jsonl_outcome, reference,
-                "seed {seed}, {threads} threads: JSONL replay diverged"
-            );
-            for (a, b) in seg_outcome.records().iter().zip(jsonl_outcome.records()) {
+            for (a, b) in seg_outcome.records().iter().zip(reference.records()) {
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
-            // The two ledgers themselves hold bit-identical records.
-            assert_eq!(from_segments.len(), from_jsonl.len());
-            for (a, b) in from_segments.records().iter().zip(from_jsonl.records()) {
+            // The reopened ledger holds the recorded records bit for bit.
+            assert_eq!(from_segments.len(), recorded.len());
+            for (a, b) in from_segments.records().iter().zip(&recorded) {
                 assert_eq!(a.config, b.config);
                 assert_eq!(a.noisy_score.to_bits(), b.noisy_score.to_bits());
                 assert_eq!(a.true_error.to_bits(), b.true_error.to_bits());
@@ -338,9 +322,9 @@ fn tabular_surrogate_drives_every_extended_method() {
         replayed.to_online_report().unwrap().to_table()
     );
 
-    // Replicate resampling: a fresh re-evaluation schedule with a different
-    // resample seed still replays (drawing from recorded replicates) even
-    // though its exact replicate indices were never recorded.
+    // Exact-hit replay: a fresh re-evaluation schedule asks for replicate
+    // indices the recorded grid never ran, and the table refuses to invent
+    // them — the replay fails with a table miss instead of resampling.
     // The recorded ASHA ladder at smoke scale: 12 configs, eta 3, rungs at
     // 2 and 6 rounds (mirrors `TuningMethod::asha`).
     let asha = fedtune::fedhpo::Asha::new(
@@ -352,7 +336,7 @@ fn tabular_surrogate_drives_every_extended_method() {
     let policy = fedtune::fedhpo::ReEvaluation::new(asha, 2, 5);
     let mut scheduler = policy.scheduler().unwrap();
     let space = fedtune::fedhpo::SearchSpace::paper_default();
-    let mut tabular = TabularObjective::new(&store, &space).with_resample_seed(99);
+    let mut tabular = TabularObjective::new(&store, &space);
     // Unit 8 of the recorded grid is ASHA (method index 4) under the
     // noiseless setting, trial 0: methods are enumerated method-major with
     // 2 settings x method_trials trials each.
@@ -363,11 +347,13 @@ fn tabular_surrogate_drives_every_extended_method() {
         threads: 4,
         ..Drive::new(Clock::Barrier)
     };
-    let run = drive(&mut scheduler, &space, &mut tabular, &mut rng, &config).unwrap();
-    assert!(run.outcome.num_evaluations() > 0);
+    let err = drive(&mut scheduler, &space, &mut tabular, &mut rng, &config).unwrap_err();
     assert!(
-        tabular.table.resampled() > 0,
-        "extra replicates should resample"
+        err.to_string().contains("table miss"),
+        "an unrecorded replicate must miss: {err}"
     );
-    assert!(tabular.table.exact_hits() > 0);
+    assert!(
+        tabular.table.exact_hits() > 0,
+        "recorded replicates hit first"
+    );
 }
