@@ -1,4 +1,4 @@
-//! Streams a trial ledger to stdout as JSON lines, one record per line.
+//! Streams a trial ledger to stdout as JSON lines, one entry per line.
 //!
 //! ```text
 //! ledger_dump <DIR> [--limit N]
@@ -7,12 +7,15 @@
 //! `DIR` is a segment-ledger directory (the binary format written by
 //! `TrialStore::open_segments`, e.g. a fedserve campaign's `ledger/` dir).
 //! It streams in bounded memory, so a multi-million-record ledger dumps
-//! without loading it whole. Each line is `TrialRecord::to_line`: the
-//! ledger's one text view, for reading and diffing. It is write-only —
-//! nothing imports it back; the segment directory is the ledger.
+//! without loading it whole. A record's line is `TrialRecord::to_line`; a
+//! note's line is `{"note":<its JSON>}` (a note that is not JSON shows as a
+//! JSON string), in ledger order. `--limit N` caps the record lines only:
+//! every note is printed. This is the ledger's one text view, for reading
+//! and diffing. It is write-only — nothing imports it back; the segment
+//! directory is the ledger.
 
-use fedstore::record::TrialRecord;
-use fedstore::segment;
+use fedstore::segment::{self, LedgerEntry};
+use serde::Value;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -59,36 +62,34 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut emitted: u64 = 0;
-    let mut emit = |record: &TrialRecord| -> Result<bool, String> {
-        if limit.is_some_and(|cap| emitted >= cap) {
-            return Ok(false);
-        }
-        let line = record
-            .to_line()
-            .map_err(|e| format!("encoding record: {e}"))?;
-        writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))?;
-        emitted += 1;
-        Ok(true)
+    let mut records: u64 = 0;
+    let mut emit = |entry: LedgerEntry| -> Result<(), String> {
+        let line = match entry {
+            // Past a `limit` the scan only skips records.
+            LedgerEntry::Record(_) if limit.is_some_and(|cap| records >= cap) => return Ok(()),
+            LedgerEntry::Record(record) => {
+                records += 1;
+                record
+                    .to_line()
+                    .map_err(|e| format!("encoding record: {e}"))?
+            }
+            LedgerEntry::Note(bytes) => {
+                let text = String::from_utf8_lossy(&bytes);
+                let note =
+                    serde_json::parse_str(&text).unwrap_or_else(|_| Value::Str(text.into_owned()));
+                serde_json::to_string(&Value::Map(vec![("note".into(), note)]))
+                    .map_err(|e| format!("encoding note: {e}"))?
+            }
+        };
+        writeln!(out, "{line}").map_err(|e| format!("writing stdout: {e}"))
     };
 
-    // Stream records in ledger order; past a `limit` the scan only skips.
-    let mut done = false;
-    segment::for_each_record(target, |record| {
-        if done {
-            return Ok(());
-        }
-        match emit(&record) {
-            Ok(true) => Ok(()),
-            Ok(false) => {
-                done = true;
-                Ok(())
-            }
-            Err(message) => Err(fedstore::StoreError::Io {
-                path: target.display().to_string(),
-                message,
-            }),
-        }
+    // Stream entries in ledger order.
+    segment::for_each_entry(target, |entry| {
+        emit(entry).map_err(|message| fedstore::StoreError::Io {
+            path: target.display().to_string(),
+            message,
+        })
     })
     .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| format!("flushing stdout: {e}"))?;

@@ -31,7 +31,7 @@
 //!
 //! Three cooperative flags steer a driver mid-flight: `stop` (operator
 //! request → terminal), `suspend` (service shutdown → resumable), and
-//! `kill` (simulated crash → abort *now*, no terminal marker, restart
+//! `kill` (simulated crash → abort *now*, no `Settled` note, restart
 //! resumes from the ledger). Stop and suspend use
 //! [`ExecutorCore::halt`]: the scheduler is never polled again but already
 //! dispatched evaluations drain, leaving a consistent partial outcome.
@@ -61,7 +61,7 @@ use std::sync::Arc;
 pub enum HaltReason {
     /// An operator stop request (terminal).
     Stopped,
-    /// A graceful service shutdown (resumable: no terminal marker is
+    /// A graceful service shutdown (resumable: no `Settled` note is
     /// written, the next service start resumes from the ledger).
     Suspended,
     /// The campaign's `max_evaluations` budget was reached (terminal).

@@ -11,8 +11,8 @@
 //! - [`proto`] — a std-only length-prefixed JSON protocol spoken over unix
 //!   sockets and TCP behind one listener trait, plus the [`Client`] library.
 //! - [`spec`] — serializable campaign specifications (search space,
-//!   scheduler, objective, cost model, limits) that double as the on-disk
-//!   `spec.json` a crashed service restarts from.
+//!   scheduler, objective, cost model, limits) that double as the `Spec`
+//!   note in the campaign's ledger a crashed service restarts from.
 //! - [`dispatch`] — deficit-round-robin fair-share admission: ready
 //!   dispatches from all campaigns multiplex onto the bounded worker pool
 //!   with per-campaign max-in-flight and queue-depth caps.

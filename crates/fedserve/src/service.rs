@@ -5,19 +5,27 @@
 //!
 //! ```text
 //! <root>/campaigns/<name>/
-//!     spec.json     the full CampaignSpec (written once at submit)
-//!     ledger/       the campaign's segment ledger (one sync per driver turn)
+//!     ledger/       the campaign's segment ledger: a `Spec` note, the
+//!                   records (one sync per driver turn), and a `Settled`
+//!                   note once terminal
 //!     LOCK          single-writer pid file while a driver is live
-//!     DONE.json     terminal CampaignStatus (absent while incomplete)
 //! ```
 //!
-//! That tree *is* the service's persistent state — there is no separate
-//! database. [`Service::open`] scans it: campaigns with `DONE.json` are
-//! terminal and merely reported; campaigns without it had their process die
-//! (or suspend) mid-run, so the service breaks their stale locks and
-//! respawns their drivers, which replay the ledger prefix bit-exactly and
-//! continue. Crash-restart therefore needs no coordination beyond what the
-//! objective layer already guarantees.
+//! That tree *is* the service's persistent state, and the ledger is its one
+//! durable format: the campaign's spec and terminal status are JSON notes
+//! in it (see [`fedstore::TrialStore::append_note`]), each synced before
+//! anyone hears of it. A `Submit` answers only once its `Spec` note is
+//! synced; a terminal state is published only once its `Settled` note is.
+//! A campaign is terminal iff its last note is `Settled`. [`Service::open`]
+//! breaks each campaign's stale lock and streams its ledger's notes: a
+//! terminal campaign is merely reported; any other campaign with a `Spec`
+//! note had its process die (or suspend) mid-run, so the service opens its
+//! ledger and respawns its driver, which replays the ledger prefix
+//! bit-exactly and continues. A directory with no ledger, no notes (its
+//! `Submit` was never answered), a note that does not decode or a segment
+//! of another format version is left on disk, skipped and counted
+//! (`serve.campaigns_skipped`). Crash-restart therefore needs no
+//! coordination beyond what the objective layer already guarantees.
 //!
 //! Each campaign runs on its own driver thread with its own fedtrace
 //! registry; the frontend ([`Service::serve`] over a [`ServeListener`])
@@ -30,8 +38,10 @@ use crate::proto::{self, ErrorCode, Request, Response};
 use crate::spec::{CampaignSpec, CampaignState, CampaignStatus, Selection};
 use crate::{Result, ServeError};
 use fedsim::SharedPool;
+use fedstore::segment::LedgerEntry;
 use fedstore::{LedgerLock, TrialStore};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,10 +80,48 @@ struct State {
     settled: Condvar,
 }
 
+/// A campaign's ledger directory, under its campaign directory.
+const LEDGER: &str = "ledger";
+
+/// What the service keeps in a campaign's ledger besides its records, one
+/// JSON note each: the spec it was submitted with, first, and the status it
+/// settled in, last, once terminal.
+#[derive(Serialize, Deserialize)]
+enum Note {
+    Spec(CampaignSpec),
+    Settled(CampaignStatus),
+}
+
+impl Note {
+    /// Appends the note; under the ledger's default per-insert durability it
+    /// is synced before this returns.
+    fn append_to(&self, store: &mut TrialStore) -> Result<()> {
+        let json = serde_json::to_string(self).map_err(|e| ServeError::Io {
+            message: format!("encoding a ledger note: {e}"),
+        })?;
+        Ok(store.append_note(json.as_bytes())?)
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Note> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        serde_json::from_str(text).ok()
+    }
+}
+
+/// Takes a campaign directory's lock and opens its ledger (default
+/// per-insert durability: every note and every driver turn is synced before
+/// anything reads it): what a submit and a recovery both hand the driver.
+fn open_campaign(dir: &Path) -> Result<(LedgerLock, TrialStore)> {
+    let lock = LedgerLock::acquire(dir)?;
+    let store = TrialStore::open_segments(dir.join(LEDGER))?;
+    Ok((lock, store))
+}
+
 /// Service-level metric names.
 const M_SUBMITTED: &str = "serve.campaigns_submitted";
 const M_RESUMED: &str = "serve.campaigns_resumed";
 const M_SETTLED: &str = "serve.campaigns_settled";
+const M_SKIPPED: &str = "serve.campaigns_skipped";
 const M_FRAMES: &str = "serve.frames_rx";
 const M_PROTO_ERRORS: &str = "serve.proto_errors";
 
@@ -93,13 +141,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem failures and undecodable on-disk state.
+    /// Only a failure to create or scan `<root>/campaigns` itself: a
+    /// campaign directory that cannot be restored is skipped and counted.
     pub fn open(root: impl AsRef<Path>, config: ServiceConfig) -> Result<Arc<Self>> {
         let root = root.as_ref().to_path_buf();
         let campaigns = root.join("campaigns");
-        std::fs::create_dir_all(&campaigns).map_err(|e| ServeError::Io {
-            message: format!("creating {}: {e}", campaigns.display()),
-        })?;
+        fedstore::segment::create_dir_durable(&campaigns)?;
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -130,8 +177,8 @@ impl Service {
         &self.root
     }
 
-    /// Scans the campaign tree, reporting terminal campaigns and
-    /// respawning incomplete ones.
+    /// Scans the campaign tree, reporting terminal campaigns, respawning
+    /// incomplete ones and counting the directories it skips.
     fn recover(self: &Arc<Self>, campaigns: &Path) -> Result<()> {
         let entries = std::fs::read_dir(campaigns).map_err(|e| ServeError::Io {
             message: format!("scanning {}: {e}", campaigns.display()),
@@ -142,35 +189,65 @@ impl Service {
             .collect();
         dirs.sort();
         for dir in dirs {
-            let spec_path = dir.join("spec.json");
-            if !spec_path.exists() {
-                continue;
+            if !self.recover_campaign(&dir) {
+                self.trace.registry().counter(M_SKIPPED).add(1);
             }
-            let spec: CampaignSpec = read_json(&spec_path)?;
-            let done_path = dir.join("DONE.json");
-            if done_path.exists() {
-                // Terminal: report as-is, never respawn.
-                let status: CampaignStatus = read_json(&done_path)?;
-                let mut cells = self.locked_cells();
-                cells.insert(
+        }
+        Ok(())
+    }
+
+    /// Restores one campaign from its ledger notes, or returns `false` and
+    /// leaves the directory as it is, less a stale lock and a torn tail.
+    fn recover_campaign(self: &Arc<Self>, dir: &Path) -> bool {
+        let Some(name) = dir.file_name().and_then(|name| name.to_str()) else {
+            return false;
+        };
+        // We own this tree exclusively, so a leftover lock is stale by
+        // definition, also in a directory whose ledger was never created.
+        let ledger = dir.join(LEDGER);
+        if LedgerLock::break_stale(dir).is_err() || !ledger.is_dir() {
+            return false;
+        }
+        // Classify on the notes alone: the scan repairs a torn tail but
+        // indexes no record, so a terminal campaign costs one pass.
+        let mut raw = Vec::new();
+        let scanned = fedstore::segment::recover_with(&ledger, |entry| {
+            if let LedgerEntry::Note(bytes) = entry {
+                raw.push(bytes);
+            }
+            Ok(())
+        });
+        let notes: Option<Vec<Note>> = scanned
+            .ok()
+            .and_then(|_| raw.iter().map(|bytes| Note::decode(bytes)).collect());
+        match notes.as_deref() {
+            Some([Note::Spec(spec), .., Note::Settled(status)]) if spec.name == name => {
+                self.locked_cells().insert(
                     spec.name.clone(),
                     Cell {
-                        status,
+                        status: status.clone(),
                         flags: Arc::new(CampaignFlags::default()),
                         metrics: CampaignMetrics::Settled(fedtrace::MetricsSnapshot::empty()),
                         handle: None,
                     },
                 );
-                continue;
+                true
             }
-            // Incomplete: the previous process died or suspended. We own
-            // this tree exclusively, so a leftover lock is stale by
-            // definition.
-            LedgerLock::break_stale(&dir)?;
-            self.trace.registry().counter(M_RESUMED).add(1);
-            self.spawn(spec)?;
+            Some([Note::Spec(spec), ..]) if spec.name == name => {
+                let spec = spec.clone();
+                let resumed = self
+                    .start(name, || {
+                        let (lock, store) = open_campaign(dir)?;
+                        Ok((spec, lock, store))
+                    })
+                    .is_ok();
+                if resumed {
+                    self.trace.registry().counter(M_RESUMED).add(1);
+                }
+                resumed
+            }
+            _ => false,
         }
-        Ok(())
     }
 
     fn locked_cells(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Cell>> {
@@ -184,7 +261,8 @@ impl Service {
         self.root.join("campaigns").join(name)
     }
 
-    /// Registers a new campaign, persists its spec, and starts its driver.
+    /// Registers a new campaign, makes its spec durable in its ledger, and
+    /// starts its driver.
     ///
     /// # Errors
     ///
@@ -195,142 +273,170 @@ impl Service {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err(ServeError::ShuttingDown);
         }
-        {
-            let cells = self.locked_cells();
-            if cells.contains_key(&spec.name) {
-                return Err(ServeError::DuplicateCampaign {
-                    name: spec.name.clone(),
-                });
-            }
-        }
-        let dir = self.campaign_dir(&spec.name);
-        std::fs::create_dir_all(&dir).map_err(|e| ServeError::Io {
-            message: format!("creating {}: {e}", dir.display()),
-        })?;
-        write_json(&dir.join("spec.json"), &spec)?;
-        self.trace.registry().counter(M_SUBMITTED).add(1);
-        self.spawn(spec)
-    }
-
-    /// Inserts a Running cell and spawns the driver thread for `spec`.
-    fn spawn(self: &Arc<Self>, spec: CampaignSpec) -> Result<()> {
         let name = spec.name.clone();
-        let flags = Arc::new(CampaignFlags::default());
-        let trace = Arc::new(fedtrace::Trace::new());
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let mut status = CampaignStatus::fresh(&name);
-        status.state = CampaignState::Running;
-        {
-            let mut cells = self.locked_cells();
-            cells.insert(
-                name.clone(),
-                Cell {
-                    status,
-                    flags: Arc::clone(&flags),
-                    metrics: CampaignMetrics::Live(Arc::clone(&trace)),
-                    handle: None,
-                },
-            );
-        }
-        let service = Arc::clone(self);
-        let thread_name = format!("fedserve-{name}");
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || service.drive(spec, flags, trace))
-            .map_err(|e| ServeError::Io {
-                message: format!("spawning campaign driver: {e}"),
-            })?;
-        let mut cells = self.locked_cells();
-        if let Some(cell) = cells.get_mut(&name) {
-            cell.handle = Some(handle);
-        }
+        let dir = self.campaign_dir(&name);
+        self.start(&name, || {
+            let (lock, mut store) = open_campaign(&dir)?;
+            if store.notes().next().is_some() {
+                // A campaign another process left here that this one could
+                // not restore: its directory is not reusable.
+                return Err(ServeError::DuplicateCampaign { name: name.clone() });
+            }
+            Note::Spec(spec.clone()).append_to(&mut store)?;
+            Ok((spec, lock, store))
+        })?;
+        self.trace.registry().counter(M_SUBMITTED).add(1);
         Ok(())
     }
 
-    /// Body of one campaign driver thread: lock, recover, run, settle.
+    /// Reserves `name` as a Pending cell, under the same registry lock as
+    /// the duplicate check, then starts a driver thread on the campaign
+    /// `open` hands over; the reservation goes again if either fails.
+    fn start(
+        self: &Arc<Self>,
+        name: &str,
+        open: impl FnOnce() -> Result<(CampaignSpec, LedgerLock, TrialStore)>,
+    ) -> Result<()> {
+        let flags = Arc::new(CampaignFlags::default());
+        let trace = Arc::new(fedtrace::Trace::new());
+        match self.locked_cells().entry(name.to_string()) {
+            Entry::Occupied(_) => {
+                return Err(ServeError::DuplicateCampaign {
+                    name: name.to_string(),
+                })
+            }
+            Entry::Vacant(slot) => slot.insert(Cell {
+                status: CampaignStatus::fresh(name),
+                flags: Arc::clone(&flags),
+                metrics: CampaignMetrics::Live(Arc::clone(&trace)),
+                handle: None,
+            }),
+        };
+        let opened = open();
+        // The shutdown check, the spawn and the handle's store happen under
+        // the registry lock `raise_and_join` sweeps handles under, so every
+        // driver spawned is joined; a spec already synced resumes on the
+        // next open.
+        let mut cells = self.locked_cells();
+        let started = opened.and_then(|(spec, lock, store)| {
+            if self.shutdown.load(Ordering::Relaxed) {
+                return Err(ServeError::ShuttingDown);
+            }
+            let service = Arc::clone(self);
+            std::thread::Builder::new()
+                .name(format!("fedserve-{name}"))
+                .spawn(move || service.drive(spec, lock, store, flags, trace))
+                .map_err(|e| ServeError::Io {
+                    message: format!("spawning campaign driver: {e}"),
+                })
+        });
+        match started {
+            Ok(handle) => {
+                if let Some(cell) = cells.get_mut(name) {
+                    cell.status.state = CampaignState::Running;
+                    cell.handle = Some(handle);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                cells.remove(name);
+                self.state.settled.notify_all();
+                Err(e)
+            }
+        }
+    }
+
+    /// Body of one campaign driver thread: run, settle, and only then
+    /// release the campaign's lock.
     fn drive(
         self: Arc<Self>,
         spec: CampaignSpec,
+        _lock: LedgerLock,
+        store: TrialStore,
         flags: Arc<CampaignFlags>,
         trace: Arc<fedtrace::Trace>,
     ) {
-        let dir = self.campaign_dir(&spec.name);
         let name = spec.name.clone();
-        let result = (|| -> Result<CampaignOutcome> {
-            let _lock = LedgerLock::acquire(&dir)?;
-            // Default per-insert durability: each turn is synced before anything reads it.
-            let store = TrialStore::open_segments(dir.join("ledger"))?;
-            let mut on_progress = |p: Progress| {
-                if let Some(cell) = self.locked_cells().get_mut(&name) {
-                    cell.status.evaluations = p.evaluations;
-                    cell.status.resource_spent = p.resource_spent;
-                    cell.status.sim_elapsed = p.sim_time;
-                    cell.status.ledger_hits = p.ledger_hits;
-                    cell.status.ledger_misses = p.ledger_misses;
-                }
-            };
-            run_campaign(
-                &spec,
-                store,
-                &self.pool,
-                &self.gate,
-                &flags,
-                Some(trace),
-                &mut on_progress,
-            )
-        })();
-        self.settle(&name, &dir, result);
+        let mut on_progress = |p: Progress| {
+            if let Some(cell) = self.locked_cells().get_mut(&name) {
+                cell.status.evaluations = p.evaluations;
+                cell.status.resource_spent = p.resource_spent;
+                cell.status.sim_elapsed = p.sim_time;
+                cell.status.ledger_hits = p.ledger_hits;
+                cell.status.ledger_misses = p.ledger_misses;
+            }
+        };
+        let result = run_campaign(
+            &spec,
+            store,
+            &self.pool,
+            &self.gate,
+            &flags,
+            Some(trace),
+            &mut on_progress,
+        );
+        self.settle(&name, result);
     }
 
-    /// Folds a driver result into the cell's terminal (or suspended)
-    /// status, swaps its trace for the final snapshot, and persists
-    /// `DONE.json` for terminal states.
-    fn settle(&self, name: &str, dir: &Path, result: Result<CampaignOutcome>) {
-        let status = {
-            let mut cells = self.locked_cells();
-            let Some(cell) = cells.get_mut(name) else {
-                return;
-            };
+    /// Folds a driver result into the campaign's settled status. A terminal
+    /// status is first appended to the ledger as a `Settled` note, synced;
+    /// only then does the cell publish it and swap its trace for the final
+    /// snapshot.
+    fn settle(&self, name: &str, result: Result<CampaignOutcome>) {
+        let Some(mut status) = self.locked_cells().get(name).map(|c| c.status.clone()) else {
+            return;
+        };
+        let store = match result {
+            Ok(out) => {
+                status.evaluations = out.evaluations;
+                status.resource_spent = out.resource_spent;
+                status.sim_elapsed = out.outcome.sim_elapsed;
+                status.ledger_hits = out.ledger_hits;
+                status.ledger_misses = out.ledger_misses;
+                status.selection = out.outcome.outcome.best().map(|best| Selection {
+                    trial_id: best.trial_id,
+                    config: best.config.values().to_vec(),
+                    score: best.score,
+                    resource: best.resource,
+                    sim_time: best.sim_time,
+                });
+                status.state = out.state();
+                Some(out.store)
+            }
+            Err(ServeError::Killed) => {
+                // Simulated crash: leave no terminal note so the next open
+                // resumes from the ledger, exactly like a real process
+                // death.
+                status.state = CampaignState::Suspended;
+                status.error = Some("killed (crash simulation)".to_string());
+                None
+            }
+            Err(e) => {
+                status.state = CampaignState::Failed;
+                status.error = Some(e.to_string());
+                None
+            }
+        };
+        if status.state.is_terminal() {
+            // A failed driver's store went down with it; this thread still
+            // holds the campaign's lock, so reopen the ledger.
+            let ledger = self.campaign_dir(name).join(LEDGER);
+            let recorded = store
+                .map_or_else(|| TrialStore::open_segments(ledger), Ok)
+                .map_err(ServeError::from)
+                .and_then(|mut store| Note::Settled(status.clone()).append_to(&mut store));
+            if let Err(e) = recorded {
+                // Not on disk, so not terminal: the next open resumes the
+                // campaign, which settles the same way again.
+                status.state = CampaignState::Suspended;
+                status.error = Some(format!("recording the settled status failed: {e}"));
+            }
+        }
+        if let Some(cell) = self.locked_cells().get_mut(name) {
             if let CampaignMetrics::Live(trace) = &cell.metrics {
                 cell.metrics = CampaignMetrics::Settled(trace.snapshot());
             }
-            match &result {
-                Ok(out) => {
-                    cell.status.evaluations = out.evaluations;
-                    cell.status.resource_spent = out.resource_spent;
-                    cell.status.sim_elapsed = out.outcome.sim_elapsed;
-                    cell.status.ledger_hits = out.ledger_hits;
-                    cell.status.ledger_misses = out.ledger_misses;
-                    cell.status.selection = out.outcome.outcome.best().map(|best| Selection {
-                        trial_id: best.trial_id,
-                        config: best.config.values().to_vec(),
-                        score: best.score,
-                        resource: best.resource,
-                        sim_time: best.sim_time,
-                    });
-                    cell.status.state = out.state();
-                }
-                Err(ServeError::Killed) => {
-                    // Simulated crash: leave no terminal marker so the next
-                    // open resumes from the ledger, exactly like a real
-                    // process death.
-                    cell.status.state = CampaignState::Suspended;
-                    cell.status.error = Some("killed (crash simulation)".to_string());
-                }
-                Err(e) => {
-                    cell.status.state = CampaignState::Failed;
-                    cell.status.error = Some(e.to_string());
-                }
-            }
-            cell.status.clone()
-        };
-        if status.state.is_terminal() {
-            // Persist terminal statuses; failures to do so leave the
-            // campaign resumable, which is safe (it will settle the same
-            // way again).
-            let _ = write_json(&dir.join("DONE.json"), &status);
+            cell.status = status;
         }
         self.trace.registry().counter(M_SETTLED).add(1);
         self.state.settled.notify_all();
@@ -412,7 +518,7 @@ impl Service {
     }
 
     /// Simulates a crash: every driver aborts as soon as it observes the
-    /// flag, leaving only spec + ledger on disk (no terminal markers, locks
+    /// flag, leaving only its ledger on disk (no `Settled` note, locks
     /// possibly stale) — exactly the state a killed process leaves. The
     /// next [`Service::open`] on the same root must resume bit-exactly.
     pub fn kill(&self) {
@@ -572,30 +678,6 @@ fn error_response(e: &ServeError) -> Response {
         code,
         message: e.to_string(),
     }
-}
-
-fn read_json<T: serde::Deserialize>(path: &Path) -> Result<T> {
-    let text = std::fs::read_to_string(path).map_err(|e| ServeError::Io {
-        message: format!("reading {}: {e}", path.display()),
-    })?;
-    serde_json::from_str(&text).map_err(|e| ServeError::Io {
-        message: format!("decoding {}: {e}", path.display()),
-    })
-}
-
-/// Writes `value` as JSON via temp-file + rename, so readers never observe
-/// a torn file.
-fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<()> {
-    let json = serde_json::to_string_pretty(value).map_err(|e| ServeError::Io {
-        message: format!("encoding {}: {e}", path.display()),
-    })?;
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, json.as_bytes()).map_err(|e| ServeError::Io {
-        message: format!("writing {}: {e}", tmp.display()),
-    })?;
-    std::fs::rename(&tmp, path).map_err(|e| ServeError::Io {
-        message: format!("publishing {}: {e}", path.display()),
-    })
 }
 
 /// One accepted connection: a bidirectional byte stream.

@@ -3,11 +3,11 @@
 //! A [`CampaignSpec`] is the *whole* definition of a tuning campaign — search
 //! space, scheduler, objective, cost model, budgets, and fairness limits — in
 //! one serde value. It travels over the wire in a
-//! [`Request::Submit`](crate::proto::Request) and is persisted as
-//! `spec.json` in the campaign's directory, which is what lets a crashed
-//! service reconstruct every incomplete campaign from disk alone: the spec
-//! rebuilds the scheduler/space/objective, and the segment ledger replays
-//! the already-paid evaluations bit-exactly.
+//! [`Request::Submit`](crate::proto::Request) and is persisted as the
+//! `Spec` note that opens the campaign's segment ledger, which is what lets
+//! a crashed service reconstruct every incomplete campaign from its ledger
+//! alone: the spec rebuilds the scheduler/space/objective, and the ledger's
+//! records replay the already-paid evaluations bit-exactly.
 //!
 //! Determinism is positional throughout: the spec carries a root `seed`, and
 //! every derived quantity (suggestions, noise draws) is keyed off canonical
@@ -524,8 +524,9 @@ pub struct Selection {
     pub sim_time: f64,
 }
 
-/// A point-in-time public view of one campaign; also the on-disk `DONE.json`
-/// a terminal campaign leaves behind.
+/// A point-in-time public view of one campaign. A terminal one is also the
+/// `Settled` note that ends the campaign's ledger, which is what a restarted
+/// service reports it from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignStatus {
     /// Campaign name.

@@ -68,7 +68,8 @@ fn ledger_footprint(dir: &Path) -> Result<(u64, u64)> {
 }
 
 /// Rewrites the ledger at `dir` as a snapshot of `records` (already deduped
-/// by the caller — the store hands over its index order) and swaps it in
+/// by the caller — the store hands over its index order) and `notes` (each
+/// written before the record at its position) and swaps it in
 /// crash-safely. The ledger directory must already be recovered; any
 /// interrupted previous swap is finished first.
 ///
@@ -76,10 +77,11 @@ fn ledger_footprint(dir: &Path) -> Result<(u64, u64)> {
 ///
 /// Returns [`StoreError::Io`] on filesystem failures and any append error
 /// from the snapshot writer.
-pub(crate) fn swap_in_snapshot<'a>(
+pub(crate) fn swap_in_snapshot(
     dir: &Path,
     config: SegmentConfig,
-    records: impl Iterator<Item = &'a TrialRecord>,
+    records: &[TrialRecord],
+    notes: &[(usize, Vec<u8>)],
 ) -> Result<CompactionReport> {
     resume_pending_swap(dir)?;
     let (bytes_before, segments_before) = ledger_footprint(dir)?;
@@ -96,10 +98,15 @@ pub(crate) fn swap_in_snapshot<'a>(
         CMP_PREFIX,
         0,
     )?;
-    let mut records_out = 0;
-    for record in records {
+    let mut notes = notes.iter().peekable();
+    for (position, record) in records.iter().enumerate() {
+        while let Some((_, note)) = notes.next_if(|(at, _)| *at <= position) {
+            writer.append_note_unsynced(note)?;
+        }
         writer.append_unsynced(record)?;
-        records_out += 1;
+    }
+    for (_, note) in notes {
+        writer.append_note_unsynced(note)?;
     }
     writer.flush()?;
     drop(writer);
@@ -123,7 +130,7 @@ pub(crate) fn swap_in_snapshot<'a>(
 
     let (bytes_after, segments_after) = ledger_footprint(dir)?;
     Ok(CompactionReport {
-        records: records_out,
+        records: records.len() as u64,
         bytes_before,
         bytes_after,
         segments_before,
@@ -265,7 +272,7 @@ mod tests {
     fn compaction_dedups_and_shrinks() {
         let dir = temp_dir("shrink");
         let unique = fragmented_ledger(&dir, 24);
-        let report = swap_in_snapshot(&dir, SegmentConfig::default(), unique.iter()).unwrap();
+        let report = swap_in_snapshot(&dir, SegmentConfig::default(), &unique, &[]).unwrap();
         assert_eq!(report.records, 24);
         assert!(report.bytes_after < report.bytes_before, "{report:?}");
         assert!(report.segments_after < report.segments_before, "{report:?}");
@@ -394,7 +401,7 @@ mod tests {
     fn empty_snapshot_empties_the_ledger() {
         let dir = temp_dir("empty");
         fragmented_ledger(&dir, 4);
-        let report = swap_in_snapshot(&dir, SegmentConfig::default(), std::iter::empty()).unwrap();
+        let report = swap_in_snapshot(&dir, SegmentConfig::default(), &[], &[]).unwrap();
         assert_eq!(report.records, 0);
         assert_eq!(report.segments_after, 0);
         assert!(collect(&dir).is_empty());

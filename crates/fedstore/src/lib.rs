@@ -15,8 +15,8 @@
 //!   source); its JSON-line form (with a non-finite score guard) is the
 //!   write-only text view the `ledger_dump` binary prints.
 //! - [`segment`] — the one on-disk format: CRC32C-framed binary segments
-//!   with group commit, torn-tail recovery and (in [`compaction`]) a
-//!   crash-safe snapshot swap.
+//!   of trial records and opaque notes, with group commit, torn-tail
+//!   recovery and (in [`compaction`]) a crash-safe snapshot swap.
 //! - [`store`] — [`TrialStore`]: an in-memory index over a segment ledger.
 //!   Opening an existing ledger recovers and re-indexes it; inserts are
 //!   durable immediately unless the [`Durability`] policy batches them.

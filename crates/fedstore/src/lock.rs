@@ -39,10 +39,7 @@ impl LedgerLock {
     /// includes the holder recorded inside the file, typically its pid).
     pub fn acquire(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
-        fs::create_dir_all(dir).map_err(|e| StoreError::Io {
-            path: dir.display().to_string(),
-            message: format!("creating lock directory: {e}"),
-        })?;
+        crate::segment::create_dir_durable(dir)?;
         let path = dir.join(LOCK_FILE);
         match fs::OpenOptions::new()
             .write(true)

@@ -6,9 +6,9 @@
 //!
 //! A segment ledger is a directory of files `seg-00000000.fsb`,
 //! `seg-00000001.fsb`, … Each segment starts with an 8-byte header (magic
-//! `FSEG` + little-endian format version) followed by frames (see
-//! [`crate::framing`]). Two payload kinds exist, distinguished by their
-//! first byte:
+//! `FSEG` + little-endian format version, currently 2) followed by frames
+//! (see [`crate::framing`]). Three payload kinds exist, distinguished by
+//! their first byte:
 //!
 //! ```text
 //! provenance definition (tag 1):
@@ -16,10 +16,20 @@
 //! trial record (tag 2):
 //!   [2][provenance id: u32][arity: u32][arity x config bits: u64]
 //!   [resource: u64][rep: u64][noisy bits: u64][true bits: u64][sim bits: u64]
+//! note (tag 3):
+//!   [3][len: u32][len opaque bytes]
 //! ```
 //!
 //! where `str` is a `u32` byte length followed by UTF-8 bytes and all
-//! integers are little-endian. Floats are stored as raw IEEE-754 bits, so
+//! integers are little-endian. A note is whatever its writer put there (the
+//! `fedserve` daemon keeps a campaign's spec and terminal status as JSON
+//! notes); the ledger keeps notes in order and never interprets them, and
+//! [`for_each_record`] skips them. Version 2 added notes: a segment of any
+//! other version is refused with [`StoreError::Corrupt`] and left as it is
+//! on disk, so an older checkout refuses a version-2 ledger and this one
+//! refuses a version-1 ledger; there is no migration path.
+//!
+//! Floats are stored as raw IEEE-754 bits, so
 //! NaN/inf scores need no guard encoding and every round trip is bit-exact
 //! by construction. Provenances repeat across millions of records, so each
 //! segment interns them: the first record under a provenance emits one
@@ -38,7 +48,7 @@
 //! frame (torn tail or bit flip alike) back to the last valid one, and drops
 //! the unreachable remainder of the ledger.
 
-use crate::framing::{append_frame, FrameReadError, FrameReader};
+use crate::framing::{append_frame, FrameReadError, FrameReader, MAX_FRAME_PAYLOAD};
 use crate::key::ConfigKey;
 use crate::record::{Provenance, TrialRecord};
 use crate::{Result, StoreError};
@@ -50,8 +60,8 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"FSEG";
 
-/// Format version written into every segment header.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Format version written into every segment header, and the only one read.
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// Bytes of the segment header (magic + version).
 pub const SEGMENT_HEADER_BYTES: u64 = 8;
@@ -63,6 +73,11 @@ pub const MAX_ARITY: usize = 4096;
 
 const TAG_PROVENANCE: u8 = 1;
 const TAG_RECORD: u8 = 2;
+const TAG_NOTE: u8 = 3;
+
+/// Bytes a note frame spends besides the note: its tag and the longest
+/// length varint.
+const NOTE_OVERHEAD: usize = 11;
 
 pub(crate) const SEG_PREFIX: &str = "seg-";
 pub(crate) const SEG_SUFFIX: &str = ".fsb";
@@ -201,6 +216,31 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
         .map_err(io_error(dir))
 }
 
+/// Creates `dir` and its missing ancestors, syncing the parent of each
+/// directory it creates: a synced file inside survives a crash only if
+/// every directory entry on its path does too.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Io`] when a directory cannot be created or synced.
+pub fn create_dir_durable(dir: &Path) -> Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = dir
+        .parent()
+        .filter(|parent| !parent.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    if parent != dir {
+        create_dir_durable(parent)?;
+    }
+    match std::fs::create_dir(dir) {
+        Ok(()) => sync_dir(parent),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
+        Err(e) => Err(io_error(dir)(e)),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload encoding
 // ---------------------------------------------------------------------------
@@ -327,13 +367,26 @@ impl<'a> Cursor<'a> {
 }
 
 /// What one decoded frame contained.
-enum Payload {
+enum Payload<'a> {
     Provenance(Provenance),
     Record(TrialRecord),
+    Note(&'a [u8]),
+}
+
+/// One entry of a ledger, in ledger order: a trial record or a note.
+#[derive(Debug, PartialEq)]
+pub enum LedgerEntry {
+    /// A trial record.
+    Record(TrialRecord),
+    /// A note's bytes, exactly as appended.
+    Note(Vec<u8>),
 }
 
 /// Decodes a frame payload against the segment's provenance dictionary.
-fn decode_payload(bytes: &[u8], dict: &[Provenance]) -> std::result::Result<Payload, String> {
+fn decode_payload<'a>(
+    bytes: &'a [u8],
+    dict: &[Provenance],
+) -> std::result::Result<Payload<'a>, String> {
     let mut cur = Cursor { bytes, pos: 0 };
     match cur.take_u8()? {
         TAG_PROVENANCE => {
@@ -394,6 +447,13 @@ fn decode_payload(bytes: &[u8], dict: &[Provenance]) -> std::result::Result<Payl
                 .validate_sim_time()
                 .map_err(|e| format!("invalid record: {e}"))?;
             Ok(Payload::Record(record))
+        }
+        TAG_NOTE => {
+            let len = usize::try_from(cur.take_varint()?)
+                .map_err(|_| "note length exceeds usize".to_string())?;
+            let note = cur.take(len)?;
+            cur.finish()?;
+            Ok(Payload::Note(note))
         }
         tag => Err(format!("unknown payload tag {tag}")),
     }
@@ -465,7 +525,7 @@ impl SegmentWriter {
         start_index: u64,
     ) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(io_error(&dir))?;
+        create_dir_durable(&dir)?;
         Ok(SegmentWriter {
             dir,
             config,
@@ -537,10 +597,7 @@ impl SegmentWriter {
                 ),
             });
         }
-        if self.file.is_some() && self.segment_bytes >= self.config.segment_bytes {
-            self.seal_segment()?;
-        }
-        self.ensure_segment()?;
+        self.roll_if_full()?;
         let provenance_id = match self.dict.get(&record.provenance) {
             Some(&id) => id,
             None => {
@@ -560,6 +617,36 @@ impl SegmentWriter {
         self.records += 1;
         self.unsynced += 1;
         crate::metrics::metrics().records_appended.incr();
+        Ok(())
+    }
+
+    /// Appends one note **without** consulting the durability policy, like
+    /// [`SegmentWriter::append_unsynced`]. It counts as an unsynced append
+    /// but not as a record.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::InvalidRecord`] for a note too large for one
+    /// frame and [`StoreError::Io`] on write failures.
+    pub fn append_note_unsynced(&mut self, note: &[u8]) -> Result<()> {
+        if note.len() > MAX_FRAME_PAYLOAD - NOTE_OVERHEAD {
+            return Err(StoreError::InvalidRecord {
+                message: format!(
+                    "a note of {} bytes exceeds the {}-byte frame cap",
+                    note.len(),
+                    MAX_FRAME_PAYLOAD - NOTE_OVERHEAD
+                ),
+            });
+        }
+        self.roll_if_full()?;
+        self.payload_buf.clear();
+        self.payload_buf.push(TAG_NOTE);
+        put_varint(&mut self.payload_buf, note.len() as u64);
+        self.payload_buf.extend_from_slice(note);
+        self.frame_buf.clear();
+        append_frame(&mut self.frame_buf, &self.payload_buf);
+        self.write_frame_buf()?;
+        self.unsynced += 1;
         Ok(())
     }
 
@@ -616,6 +703,14 @@ impl SegmentWriter {
         Ok(())
     }
 
+    /// Seals a full segment, then makes sure one is open for the next frame.
+    fn roll_if_full(&mut self) -> Result<()> {
+        if self.file.is_some() && self.segment_bytes >= self.config.segment_bytes {
+            self.seal_segment()?;
+        }
+        self.ensure_segment()
+    }
+
     /// Opens the current segment file lazily (so a writer that never appends
     /// leaves no empty segments behind).
     fn ensure_segment(&mut self) -> Result<()> {
@@ -628,6 +723,8 @@ impl SegmentWriter {
             .create_new(true)
             .open(&path)
             .map_err(io_error(&path))?;
+        // The segment's frames are synced later; its directory entry now.
+        sync_dir(&self.dir)?;
         let mut file = BufWriter::new(file);
         file.write_all(SEGMENT_MAGIC).map_err(io_error(&path))?;
         file.write_all(&SEGMENT_VERSION.to_le_bytes())
@@ -691,11 +788,14 @@ enum SegmentScan {
     Corrupt { valid_up_to: u64, reason: String },
 }
 
-/// Streams one segment through `on_record`. Never holds more than one frame
-/// in memory.
+/// Streams one segment's entries through `on_entry`. Never holds more than
+/// one frame in memory.
+///
+/// A full header of another format version is an error, never a repair: the
+/// segment is not this build's to truncate or delete.
 fn scan_segment(
     path: &Path,
-    on_record: &mut dyn FnMut(TrialRecord) -> Result<()>,
+    on_entry: &mut dyn FnMut(LedgerEntry) -> Result<()>,
 ) -> Result<SegmentScan> {
     let file = File::open(path).map_err(io_error(path))?;
     let file_len = file.metadata().map_err(io_error(path))?.len();
@@ -719,10 +819,13 @@ fn scan_segment(
     }
     let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if version != SEGMENT_VERSION {
-        return Ok(SegmentScan::Corrupt {
-            valid_up_to: 0,
-            reason: format!("unsupported segment version {version}"),
-        });
+        return Err(corrupt_error(
+            path,
+            format!(
+                "segment format version {version} is not this build's version \
+                 {SEGMENT_VERSION}; the segment is left untouched"
+            ),
+        ));
     }
     let mut frames = FrameReader::new(reader, SEGMENT_HEADER_BYTES);
     let mut dict: Vec<Provenance> = Vec::new();
@@ -732,7 +835,8 @@ fn scan_segment(
             Ok(None) => return Ok(SegmentScan::Clean { bytes: frame_start }),
             Ok(Some(payload)) => match decode_payload(payload, &dict) {
                 Ok(Payload::Provenance(provenance)) => dict.push(provenance),
-                Ok(Payload::Record(record)) => on_record(record)?,
+                Ok(Payload::Record(record)) => on_entry(LedgerEntry::Record(record))?,
+                Ok(Payload::Note(note)) => on_entry(LedgerEntry::Note(note.to_vec()))?,
                 Err(reason) => {
                     return Ok(SegmentScan::Corrupt {
                         valid_up_to: frame_start,
@@ -754,11 +858,11 @@ fn scan_segment(
     }
 }
 
-/// Streams every record of the ledger at `dir` through `on_record`, in
-/// ledger order, **repairing** corruption along the way: the first corrupt
-/// frame (torn tail, bit flip, bad header) truncates its segment back to the
-/// last valid frame, and every later segment — unreachable under the
-/// append-order contract — is deleted. Records streamed before the
+/// Streams every entry of the ledger at `dir` through `on_entry`, in ledger
+/// order, **repairing** corruption along the way: the first corrupt frame
+/// (torn tail, bit flip, torn header, bad magic) truncates its segment back
+/// to the last valid frame, and every later segment — unreachable under the
+/// append-order contract — is deleted. Entries streamed before the
 /// corruption are exactly the surviving ledger.
 ///
 /// Memory use is one frame plus one segment dictionary, independent of
@@ -766,20 +870,22 @@ fn scan_segment(
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Io`] on filesystem failures and whatever
-/// `on_record` itself returns.
+/// Returns [`StoreError::Io`] on filesystem failures,
+/// [`StoreError::Corrupt`] for a segment of another format version (found
+/// before any repair touches a file), and whatever `on_entry` itself
+/// returns.
 pub fn recover_with(
     dir: &Path,
-    mut on_record: impl FnMut(TrialRecord) -> Result<()>,
+    mut on_entry: impl FnMut(LedgerEntry) -> Result<()>,
 ) -> Result<ScanReport> {
     crate::compaction::resume_pending_swap(dir)?;
     let segments = list_segments(dir)?;
     let mut report = ScanReport::default();
     let mut corrupted = false;
     for (i, (_, path)) in segments.iter().enumerate() {
-        match scan_segment(path, &mut |record| {
-            report.records += 1;
-            on_record(record)
+        match scan_segment(path, &mut |entry| {
+            report.records += u64::from(matches!(entry, LedgerEntry::Record(_)));
+            on_entry(entry)
         })? {
             SegmentScan::Clean { bytes } => {
                 report.segments += 1;
@@ -827,7 +933,7 @@ pub fn recover_with(
     Ok(report)
 }
 
-/// Repairs the ledger at `dir` without observing its records.
+/// Repairs the ledger at `dir` without observing its entries.
 ///
 /// # Errors
 ///
@@ -836,23 +942,24 @@ pub fn recover(dir: &Path) -> Result<ScanReport> {
     recover_with(dir, |_| Ok(()))
 }
 
-/// Streams every record of the (already-recovered) ledger at `dir` through
-/// `on_record` read-only: any corruption is an error, never a repair. This
+/// Streams every entry of the (already-recovered) ledger at `dir` through
+/// `on_entry` read-only: any corruption is an error, never a repair. This
 /// is the bounded-memory replay path.
 ///
 /// # Errors
 ///
-/// Returns [`StoreError::Corrupt`] on a damaged frame, [`StoreError::Io`] on
-/// filesystem failures, and whatever `on_record` returns.
-pub fn for_each_record(
+/// Returns [`StoreError::Corrupt`] on a damaged frame or a segment of
+/// another format version, [`StoreError::Io`] on filesystem failures, and
+/// whatever `on_entry` returns.
+pub fn for_each_entry(
     dir: &Path,
-    mut on_record: impl FnMut(TrialRecord) -> Result<()>,
+    mut on_entry: impl FnMut(LedgerEntry) -> Result<()>,
 ) -> Result<ScanReport> {
     let mut report = ScanReport::default();
     for (_, path) in list_segments(dir)? {
-        match scan_segment(&path, &mut |record| {
-            report.records += 1;
-            on_record(record)
+        match scan_segment(&path, &mut |entry| {
+            report.records += u64::from(matches!(entry, LedgerEntry::Record(_)));
+            on_entry(entry)
         })? {
             SegmentScan::Clean { bytes } => {
                 report.segments += 1;
@@ -873,6 +980,21 @@ pub fn for_each_record(
         .records_replayed
         .add(report.records);
     Ok(report)
+}
+
+/// [`for_each_entry`] over the trial records alone: notes are skipped.
+///
+/// # Errors
+///
+/// See [`for_each_entry`].
+pub fn for_each_record(
+    dir: &Path,
+    mut on_record: impl FnMut(TrialRecord) -> Result<()>,
+) -> Result<ScanReport> {
+    for_each_entry(dir, |entry| match entry {
+        LedgerEntry::Record(record) => on_record(record),
+        LedgerEntry::Note(_) => Ok(()),
+    })
 }
 
 #[cfg(test)]
@@ -1128,6 +1250,73 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_of_another_version_is_refused_and_left_untouched() {
+        for version in [1u32, 3] {
+            let dir = temp_dir(&format!("version{version}"));
+            {
+                let mut writer = SegmentWriter::open(&dir, SegmentConfig::default()).unwrap();
+                writer.append(&record(1.0, 1, 0)).unwrap();
+            }
+            let path = segment_path(&dir, 0);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let named = |err: StoreError| {
+                assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+                assert!(
+                    err.to_string().contains(&format!("version {version}")),
+                    "{err}"
+                );
+            };
+            named(crate::TrialStore::open_segments(&dir).unwrap_err());
+            named(recover(&dir).unwrap_err());
+            named(for_each_record(&dir, |_| Ok(())).unwrap_err());
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            assert_eq!(list_segments(&dir).unwrap().len(), 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn notes_keep_their_place_and_records_skip_them() {
+        let dir = temp_dir("notes");
+        let config = SegmentConfig {
+            segment_bytes: 128,
+            durability: Durability::OnFlush,
+        };
+        let mut writer = SegmentWriter::open(&dir, config).unwrap();
+        writer.append_note_unsynced(b"first").unwrap();
+        for i in 0..6 {
+            writer.append(&record(i as f64, 1, 0)).unwrap();
+        }
+        writer.append_note_unsynced(b"").unwrap();
+        writer.append_note_unsynced(&[0xff, 0]).unwrap();
+        writer.flush().unwrap();
+        assert_eq!(writer.records_appended(), 6);
+        drop(writer);
+        assert!(
+            list_segments(&dir).unwrap().len() > 1,
+            "notes roll like records"
+        );
+        let mut entries = Vec::new();
+        let report = for_each_entry(&dir, |entry| {
+            entries.push(entry);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(report.records, 6);
+        let note = |bytes: &[u8]| LedgerEntry::Note(bytes.to_vec());
+        assert_eq!(entries.len(), 9);
+        assert_eq!(entries[0], note(b"first"));
+        assert!(entries[1..7]
+            .iter()
+            .all(|e| matches!(e, LedgerEntry::Record(_))));
+        assert_eq!(entries[7..], [note(b""), note(&[0xff, 0])]);
+        assert_eq!(collect(&dir).len(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn durability_policies_sync_when_promised() {
         assert!(Durability::PerInsert.wants_sync(1));
         assert!(!Durability::PerInsert.wants_sync(0));
@@ -1224,7 +1413,10 @@ mod tests {
                 [&[TAG_PROVENANCE][..], &varint(1 << 33)].concat(),
             ),
             ("1 trailing payload bytes", [&good[..], &[0]].concat()),
-            ("unknown payload tag 3", vec![3]),
+            ("payload truncated at byte 1", vec![TAG_NOTE]),
+            ("payload truncated at byte 2", vec![TAG_NOTE, 2, b'x']),
+            ("1 trailing payload bytes", vec![TAG_NOTE, 1, b'x', b'y']),
+            ("unknown payload tag 4", vec![4]),
             ("payload truncated at byte 0", Vec::new()),
             ("must be finite and non-negative", negative),
         ]
@@ -1417,7 +1609,8 @@ mod proptests {
 
         /// Flipping a single bit anywhere — header, frame headers, payloads,
         /// CRCs: reopening never panics and the surviving records are a
-        /// bit-exact prefix of the originals.
+        /// bit-exact prefix of the originals, or, for a flip in the version
+        /// field, the segment is refused and left byte-identical.
         #[test]
         fn prop_single_bit_flip_recovers_a_clean_prefix(
             seed in any::<u64>(),
@@ -1440,6 +1633,15 @@ mod proptests {
             // may not (the flip's frame is rejected, everything after is
             // dropped). The recovered store must be a prefix.
             let survivors_min = ends.iter().filter(|&&e| e <= target as u64).count();
+            if (4..8).contains(&target) {
+                // A flipped version is another format's segment: refused,
+                // and left as it is.
+                let err = crate::TrialStore::open_segments(&dir).unwrap_err();
+                prop_assert!(err.to_string().contains("version"), "{}", err);
+                prop_assert_eq!(std::fs::read(&path).unwrap(), bytes);
+                std::fs::remove_dir_all(&dir).unwrap();
+                return Ok(());
+            }
             let mut store = crate::TrialStore::open_segments(&dir).unwrap();
             prop_assert!(store.len() <= n);
             let len = store.len();

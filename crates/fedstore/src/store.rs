@@ -13,13 +13,16 @@
 //! group commit (see [`crate::segment`]), plus crash-safe
 //! [compaction](TrialStore::compact). Opening recovers a torn tail and
 //! streams the ledger into the index — it never buffers the whole ledger.
-//! Its one text form is the write-only view the `ledger_dump` binary
-//! prints, one [`TrialRecord::to_line`] per record.
+//! Beside its records the store keeps the ledger's notes
+//! ([`TrialStore::append_note`]): opaque byte strings, in ledger order,
+//! that it never interprets. Its one text form is the write-only view the
+//! `ledger_dump` binary prints, one [`TrialRecord::to_line`] per record and
+//! one line per note.
 
 use crate::compaction::{self, CompactionReport};
 use crate::key::TrialKey;
 use crate::record::TrialRecord;
-use crate::segment::{self, io_error, SegmentConfig, SegmentWriter};
+use crate::segment::{self, LedgerEntry, SegmentConfig, SegmentWriter};
 use crate::{Result, StoreError};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::Path;
@@ -30,6 +33,9 @@ pub struct TrialStore {
     records: Vec<TrialRecord>,
     /// The one index, key → position in `records`.
     index: BTreeMap<TrialKey, usize>,
+    /// The notes in ledger order, each with the number of records that
+    /// preceded it, so compaction writes it back in the same place.
+    notes: Vec<(usize, Vec<u8>)>,
     /// The append handle of a file-backed store; `None` in memory.
     backend: Option<SegmentWriter>,
 }
@@ -60,13 +66,21 @@ impl TrialStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failures and
-    /// [`StoreError::Conflict`] on a ledger with contradictory records.
+    /// Returns [`StoreError::Io`] on filesystem failures,
+    /// [`StoreError::Conflict`] on a ledger with contradictory records and
+    /// [`StoreError::Corrupt`] on a segment of another format version, which
+    /// it leaves untouched.
     pub fn open_segments_with(dir: impl AsRef<Path>, config: SegmentConfig) -> Result<Self> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(io_error(dir))?;
+        segment::create_dir_durable(dir)?;
         let mut store = TrialStore::in_memory();
-        segment::recover_with(dir, |record| store.insert(record).map(|_| ()))?;
+        segment::recover_with(dir, |entry| match entry {
+            LedgerEntry::Record(record) => store.insert(record).map(|_| ()),
+            LedgerEntry::Note(note) => {
+                store.notes.push((store.records.len(), note));
+                Ok(())
+            }
+        })?;
         let writer = SegmentWriter::open_assume_recovered(dir, config)?;
         store.backend = Some(writer);
         Ok(store)
@@ -189,6 +203,27 @@ impl TrialStore {
         Ok(true)
     }
 
+    /// The notes, in ledger order.
+    pub fn notes(&self) -> impl DoubleEndedIterator<Item = &[u8]> + '_ {
+        self.notes.iter().map(|(_, note)| note.as_slice())
+    }
+
+    /// Appends an opaque note to the ledger and marks a batch boundary, like
+    /// [`TrialStore::insert`]: under [`crate::Durability::PerInsert`] the
+    /// note is synced before this returns. The store never interprets it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::InvalidRecord`] for a note too large for one
+    /// frame and [`StoreError::Io`] when the append or its sync fails.
+    pub fn append_note(&mut self, note: &[u8]) -> Result<()> {
+        if let Some(writer) = &mut self.backend {
+            writer.append_note_unsynced(note)?;
+        }
+        self.notes.push((self.records.len(), note.to_vec()));
+        self.group_commit()
+    }
+
     /// Marks a batch boundary: syncs the ledger now if its durability
     /// policy asks for it, given the records appended since the last sync.
     ///
@@ -230,7 +265,8 @@ impl TrialStore {
 
     /// Compacts the ledger in place: rewrites it as a snapshot of the
     /// current index — one record per key, in insertion order, duplicates
-    /// long since dropped by idempotent re-inserts — and swaps it in with
+    /// long since dropped by idempotent re-inserts, every note where it
+    /// stood among them — and swaps it in with
     /// the marker-committed protocol of [`crate::compaction`]. In-memory
     /// stores report themselves unchanged.
     ///
@@ -248,7 +284,7 @@ impl TrialStore {
         let config = *writer.config();
         // Seal the writer (its Drop flushes) before touching files.
         drop(writer);
-        let report = compaction::swap_in_snapshot(&dir, config, self.records.iter());
+        let report = compaction::swap_in_snapshot(&dir, config, &self.records, &self.notes);
         // Whatever happened, reattach a writer — the swap protocol
         // guarantees the directory is the old or the new snapshot.
         self.backend = Some(SegmentWriter::open_assume_recovered(&dir, config)?);
@@ -400,6 +436,48 @@ mod tests {
         }
         let reopened = TrialStore::open_segments(&dir).unwrap();
         assert_eq!(reopened.len(), 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn notes_survive_reopen_and_compaction_in_ledger_order() {
+        let dir = temp_dir("notes");
+        let entries = |dir: &Path| {
+            let mut out = Vec::new();
+            segment::for_each_entry(dir, |entry| {
+                out.push(match entry {
+                    LedgerEntry::Record(r) => format!("r{}", r.rep),
+                    LedgerEntry::Note(n) => String::from_utf8(n).unwrap(),
+                });
+                Ok(())
+            })
+            .unwrap();
+            out
+        };
+        {
+            let mut store = TrialStore::open_segments(&dir).unwrap();
+            store.append_note(b"spec").unwrap();
+            assert_eq!(store.unsynced(), 0, "a note is an insert's batch boundary");
+            store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
+            // A duplicate record is not appended, so the note after it
+            // follows the first record in the ledger too.
+            store.insert(record(&[0.5], 3, 0, 0.4)).unwrap();
+            store.append_note(b"mid").unwrap();
+            store.insert(record(&[0.5], 3, 1, 0.6)).unwrap();
+            store.append_note(b"last").unwrap();
+            assert_eq!(store.len(), 2);
+        }
+        let want = ["spec", "r0", "mid", "r1", "last"];
+        assert_eq!(entries(&dir), want);
+        let mut store = TrialStore::open_segments(&dir).unwrap();
+        let notes: Vec<&[u8]> = store.notes().collect();
+        assert_eq!(notes, [&b"spec"[..], b"mid", b"last"]);
+        store.compact().unwrap();
+        assert_eq!(entries(&dir), want);
+        drop(store);
+        let reopened = TrialStore::open_segments(&dir).unwrap();
+        assert_eq!(reopened.notes().next_back(), Some(&b"last"[..]));
+        assert_eq!(reopened.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,10 +16,12 @@ use fedserve::{
     CampaignLimits, CampaignSpec, CampaignState, CampaignStatus, Client, CostSpec, DimSpec,
     ObjectiveSpec, SchedulerSpec, Selection, Service, ServiceConfig, UnixServeListener,
 };
+use fedstore::framing::FrameReader;
+use fedstore::segment::{self, LedgerEntry, SEGMENT_HEADER_BYTES};
 use fedtune_core::{drive, Cap, Clock, Drive, EventDrivenOutcome, VirtualExecution};
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// Service-level golden pins: `(name, evaluations, best trial, score bits,
 /// sim_elapsed bits)` for the two tenant campaigns of the daemon tests.
@@ -386,6 +388,27 @@ fn unix_socket_daemon_end_to_end() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The campaign's ledger notes as their JSON text, in ledger order.
+fn ledger_notes(root: &Path, name: &str) -> Vec<String> {
+    let mut notes = Vec::new();
+    segment::for_each_entry(&ledger_dir(root, name), |entry| {
+        if let LedgerEntry::Note(note) = entry {
+            notes.push(String::from_utf8(note).unwrap());
+        }
+        Ok(())
+    })
+    .unwrap();
+    notes
+}
+
+fn ledger_dir(root: &Path, name: &str) -> PathBuf {
+    root.join("campaigns").join(name).join("ledger")
+}
+
+fn is_settled(note: &str) -> bool {
+    note.starts_with(r#"{"Settled":"#)
+}
+
 /// Polls until the named campaign has committed at least `target`
 /// evaluations (or settled), so a kill lands mid-run, not before it.
 fn wait_for_progress(service: &Service, name: &str, target: u64) {
@@ -400,7 +423,7 @@ fn wait_for_progress(service: &Service, name: &str, target: u64) {
 }
 
 /// Kill-and-restart bit identity, across three seeds: a daemon killed
-/// mid-campaign (simulated crash — only spec + ledger survive) and
+/// mid-campaign (simulated crash — only the ledger survives) and
 /// reopened from the same root must finish with selections and virtual
 /// timelines bit-identical to a never-interrupted run, replaying the
 /// committed prefix from the ledger instead of re-evaluating it.
@@ -443,12 +466,10 @@ fn kill_and_restart_resumes_bit_identically() {
             interrupted.state
         );
         assert!(
-            !root
-                .join("campaigns")
-                .join(&spec.name)
-                .join("DONE.json")
-                .exists(),
-            "seed {seed}: crash must not leave a terminal marker"
+            !ledger_notes(&root, &spec.name)
+                .iter()
+                .any(|n| is_settled(n)),
+            "seed {seed}: crash must not leave a Settled note"
         );
 
         // Second life: reopen the same root. Recovery respawns the driver,
@@ -488,7 +509,7 @@ fn kill_and_restart_resumes_bit_identically() {
         assert_eq!(
             reloaded.selection.as_ref().unwrap().score.to_bits(),
             selection.score.to_bits(),
-            "seed {seed}: DONE.json round-trip changed the selection"
+            "seed {seed}: the Settled note round-trip changed the selection"
         );
         service.shutdown();
         let _ = std::fs::remove_dir_all(&root);
@@ -579,6 +600,380 @@ fn a_panicking_tenant_does_not_touch_its_neighbor() {
     assert_matches_standalone(&beta, &reference);
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Eight threads behind a barrier submit one spec under one fresh name, 20
+/// times over: exactly one submit per name is accepted, the rest are
+/// duplicates, and every accepted campaign runs alone in its directory to
+/// the standalone bits and reopens `Completed`.
+#[test]
+fn concurrent_same_name_submits_start_exactly_one_campaign() {
+    let reference = standalone(&beta_spec(0.0), 8);
+    let root = unique_root("same_name");
+    let config = ServiceConfig {
+        threads: 4,
+        global_in_flight: 4,
+    };
+    let service = Service::open(&root, config).unwrap();
+    let names: Vec<String> = (0..20).map(|round| format!("race-{round}")).collect();
+    for name in &names {
+        let mut spec = beta_spec(0.0);
+        spec.name = name.clone();
+        let barrier = Barrier::new(8);
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let submits: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        service.submit(spec.clone())
+                    })
+                })
+                .collect();
+            submits.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        let accepted = results.iter().filter(|r| r.is_ok()).count();
+        assert_eq!(accepted, 1, "{name}: {results:?}");
+        for result in results {
+            if let Err(e) = result {
+                assert!(
+                    matches!(e, fedserve::ServeError::DuplicateCampaign { .. }),
+                    "{name}: {e}"
+                );
+            }
+        }
+    }
+    for name in &names {
+        let status = service.wait(name, Duration::from_secs(120)).unwrap();
+        assert_matches_standalone(&status, &reference);
+    }
+    service.shutdown();
+    drop(service);
+
+    let service = Service::open(&root, config).unwrap();
+    for name in &names {
+        let status = service.status(Some(name)).unwrap().remove(0);
+        assert_eq!(status.state, CampaignState::Completed, "{name}");
+    }
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// How a reopened service ended a campaign whose ledger was cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Ending {
+    /// Resumed from the ledger and completed with the pinned bits.
+    Resumed,
+    /// Reported terminal from its `Settled` note, with the same selection.
+    Terminal,
+    /// Never acknowledged: skipped and counted.
+    Skipped,
+}
+
+/// `(end offset, payload tag)` of every frame of one segment file.
+fn frames(segment: &[u8]) -> Vec<(usize, u8)> {
+    let header = SEGMENT_HEADER_BYTES as usize;
+    let mut reader = FrameReader::new(&segment[header..], SEGMENT_HEADER_BYTES);
+    let mut out = Vec::new();
+    while let Some(payload) = reader.next_frame().unwrap() {
+        let tag = payload[0];
+        out.push((reader.valid_up_to() as usize, tag));
+    }
+    out
+}
+
+/// Rebuilds a service root holding only `alpha`'s ledger, its one segment
+/// cut to `cut` bytes, opens a service on it (which must not fail) and
+/// reports how the campaign ended. `settled` is its status before the cut.
+fn reopen_cut(root: &Path, segment_bytes: &[u8], cut: usize, settled: &CampaignStatus) -> Ending {
+    let _ = std::fs::remove_dir_all(root);
+    let ledger = ledger_dir(root, "alpha");
+    std::fs::create_dir_all(&ledger).unwrap();
+    std::fs::write(segment::segment_path(&ledger, 0), &segment_bytes[..cut]).unwrap();
+    let service = Service::open(
+        root,
+        ServiceConfig {
+            threads: 2,
+            global_in_flight: 2,
+        },
+    )
+    .unwrap_or_else(|e| panic!("cut at {cut}: open failed: {e}"));
+    let counter = |name: &str| service.metrics().counter(name).unwrap_or(0);
+    let (skipped, resumed) = (
+        counter("serve.campaigns_skipped"),
+        counter("serve.campaigns_resumed"),
+    );
+    let ending = if service.status(Some("alpha")).is_err() {
+        assert_eq!((skipped, resumed), (1, 0), "cut at {cut}");
+        Ending::Skipped
+    } else if resumed == 1 {
+        assert_eq!(skipped, 0, "cut at {cut}");
+        let status = service.wait("alpha", Duration::from_secs(120)).unwrap();
+        assert_eq!(status.state, CampaignState::Completed, "cut at {cut}");
+        assert_eq!(
+            status.ledger_hits + status.ledger_misses,
+            status.evaluations,
+            "cut at {cut}"
+        );
+        assert_pin("alpha", &status, GOLDEN_ALPHA);
+        Ending::Resumed
+    } else {
+        assert_eq!(skipped, 0, "cut at {cut}");
+        let status = service.status(Some("alpha")).unwrap().remove(0);
+        assert_eq!(&status, settled, "cut at {cut}");
+        Ending::Terminal
+    };
+    service.shutdown();
+    ending
+}
+
+/// A `Submit` answers only once its spec is on disk: a kill right after it,
+/// before a slow first evaluation commits, leaves a campaign the next open
+/// resumes to the pinned bits. Cut at every byte offset up to the end of
+/// its spec note, the ledger reopens every time: never acknowledged before
+/// that offset, resumed at it.
+#[test]
+fn a_submit_is_durable_and_every_cut_of_its_spec_note_reopens() {
+    let root = unique_root("submit_cut");
+    let config = ServiceConfig {
+        threads: 2,
+        global_in_flight: 2,
+    };
+    let service = Service::open(&root, config).unwrap();
+    service.submit(alpha_spec(0.005)).unwrap();
+    service.kill();
+    drop(service);
+    let notes = ledger_notes(&root, "alpha");
+    assert_eq!(notes.len(), 1, "{notes:?}");
+    assert!(notes[0].starts_with(r#"{"Spec":"#), "{notes:?}");
+
+    let ledger = ledger_dir(&root, "alpha");
+    assert_eq!(segment::list_segments(&ledger).unwrap().len(), 1);
+    let pristine = std::fs::read(segment::segment_path(&ledger, 0)).unwrap();
+    let (spec_end, tag) = frames(&pristine)[0];
+    assert_eq!(tag, 3, "the spec note opens the ledger");
+
+    let unused = CampaignStatus::fresh("alpha");
+    let swept = unique_root("submit_cut_sweep");
+    let started = Instant::now();
+    for cut in 0..=spec_end {
+        let want = if cut < spec_end {
+            Ending::Skipped
+        } else {
+            Ending::Resumed
+        };
+        assert_eq!(
+            reopen_cut(&swept, &pristine, cut, &unused),
+            want,
+            "cut at {cut}"
+        );
+    }
+    println!(
+        "{} cuts of the submitted ledger in {:.2?}",
+        spec_end + 1,
+        started.elapsed()
+    );
+
+    // The ledger as the kill left it (with whatever the first turns
+    // committed) resumes too.
+    let service = Service::open(&root, config).unwrap();
+    assert_eq!(
+        service.metrics().counter("serve.campaigns_resumed"),
+        Some(1)
+    );
+    let resumed = service.wait("alpha", Duration::from_secs(120)).unwrap();
+    service.shutdown();
+    assert_pin("alpha", &resumed, GOLDEN_ALPHA);
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&swept);
+}
+
+/// A completed campaign's ledger cut at every byte offset inside its
+/// `Settled` note and its last turn's records, and at every frame boundary
+/// before those: the service always opens, and the campaign ends exactly
+/// one way — never acknowledged (cut inside the spec note), resumed to the
+/// pinned bits (cut after it, before the end), or terminal with the same
+/// status (no cut).
+#[test]
+fn every_cut_of_a_settled_ledger_reopens_to_one_ending() {
+    let root = unique_root("settled_cut");
+    let service = Service::open(
+        &root,
+        ServiceConfig {
+            threads: 2,
+            global_in_flight: 2,
+        },
+    )
+    .unwrap();
+    service.submit(alpha_spec(0.0)).unwrap();
+    let settled = service.wait("alpha", Duration::from_secs(120)).unwrap();
+    service.shutdown();
+    drop(service);
+    assert_pin("alpha", &settled, GOLDEN_ALPHA);
+
+    let ledger = ledger_dir(&root, "alpha");
+    assert_eq!(segment::list_segments(&ledger).unwrap().len(), 1);
+    let pristine = std::fs::read(segment::segment_path(&ledger, 0)).unwrap();
+    let frames = frames(&pristine);
+    let (spec_end, _) = frames[0];
+    assert_eq!(
+        frames.last().map(|&(end, tag)| (end, tag)),
+        Some((pristine.len(), 3))
+    );
+    assert!(is_settled(ledger_notes(&root, "alpha").last().unwrap()));
+    // Alpha runs four virtual workers, so no turn commits more than four
+    // records: every byte from the fifth-last record frame's end on.
+    let records: Vec<usize> = frames
+        .iter()
+        .filter(|&&(_, tag)| tag == 2)
+        .map(|&(end, _)| end)
+        .collect();
+    assert_eq!(records.len() as u64, settled.evaluations);
+    let dense_from = records[records.len() - 5];
+    let boundaries = [0, SEGMENT_HEADER_BYTES as usize]
+        .into_iter()
+        .chain(frames.iter().map(|&(end, _)| end))
+        .filter(|&end| end < dense_from);
+    let cuts: Vec<usize> = boundaries.chain(dense_from..=pristine.len()).collect();
+
+    let swept = unique_root("settled_cut_sweep");
+    let started = Instant::now();
+    for &cut in &cuts {
+        let want = if cut < spec_end {
+            Ending::Skipped
+        } else if cut < pristine.len() {
+            Ending::Resumed
+        } else {
+            Ending::Terminal
+        };
+        assert_eq!(
+            reopen_cut(&swept, &pristine, cut, &settled),
+            want,
+            "cut at {cut}"
+        );
+    }
+    println!(
+        "{} cuts of the settled ledger in {:.2?}",
+        cuts.len(),
+        started.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&swept);
+}
+
+/// One bad campaign directory never stops the daemon: a root holding a
+/// terminal campaign, a suspended one, and one directory each with no
+/// ledger, only a torn spec note, a segment of another format version and a
+/// note that does not decode opens; the terminal one reports its stored
+/// status, the suspended one resumes to its pinned bits, and the four bad
+/// directories are skipped, counted and left on disk.
+#[test]
+fn one_bad_campaign_directory_never_stops_the_daemon() {
+    let root = unique_root("bad_dirs");
+    let config = ServiceConfig {
+        threads: 2,
+        global_in_flight: 2,
+    };
+    let (terminal, resumable) = {
+        let service = Service::open(&root, config).unwrap();
+        service.submit(beta_spec(0.0)).unwrap();
+        let terminal = service.wait("beta", Duration::from_secs(120)).unwrap();
+        service.submit(alpha_spec(0.002)).unwrap();
+        wait_for_progress(&service, "alpha", 4);
+        service.kill();
+        let resumable = service.status(Some("alpha")).unwrap().remove(0);
+        (terminal, resumable)
+    };
+    assert_eq!(terminal.state, CampaignState::Completed);
+    assert!(!resumable.state.is_terminal());
+
+    let campaigns = root.join("campaigns");
+    std::fs::create_dir_all(campaigns.join("no-ledger")).unwrap();
+    // A submit that died between taking its lock and creating its ledger.
+    std::fs::create_dir_all(campaigns.join("stale-lock")).unwrap();
+    std::fs::write(campaigns.join("stale-lock").join("LOCK"), "pid 1\n").unwrap();
+    let bad_ledger = |name: &str, bytes: &[u8]| {
+        let ledger = ledger_dir(&root, name);
+        std::fs::create_dir_all(&ledger).unwrap();
+        std::fs::write(segment::segment_path(&ledger, 0), bytes).unwrap();
+    };
+    let spec_note = std::fs::read(segment::segment_path(&ledger_dir(&root, "beta"), 0)).unwrap();
+    let (spec_end, _) = frames(&spec_note)[0];
+    bad_ledger("torn-spec", &spec_note[..spec_end - 1]);
+    let mut old_version = spec_note[..spec_end].to_vec();
+    old_version[4..8].copy_from_slice(&1u32.to_le_bytes());
+    bad_ledger("old-version", &old_version);
+    let mut undecodable =
+        fedstore::TrialStore::open_segments(ledger_dir(&root, "undecodable")).unwrap();
+    undecodable.append_note(b"{\"Spec\": 42}").unwrap();
+    drop(undecodable);
+    let before = |name: &str| {
+        let mut files: Vec<_> = walk(&campaigns.join(name));
+        files.sort();
+        files
+    };
+    let bad = [
+        "no-ledger",
+        "stale-lock",
+        "torn-spec",
+        "old-version",
+        "undecodable",
+    ];
+    let kept: Vec<_> = bad.iter().map(|name| before(name)).collect();
+
+    let service = Service::open(&root, config).unwrap();
+    assert_eq!(
+        service.metrics().counter("serve.campaigns_skipped"),
+        Some(5)
+    );
+    assert_eq!(service.status(Some("beta")).unwrap().remove(0), terminal);
+    let resumed = service.wait("alpha", Duration::from_secs(120)).unwrap();
+    assert_eq!(resumed.state, CampaignState::Completed);
+    assert!(resumed.ledger_hits > 0);
+    assert_pin("alpha", &resumed, GOLDEN_ALPHA);
+    for name in bad {
+        assert!(service.status(Some(name)).is_err(), "{name}");
+    }
+    // A directory whose notes the service could not restore is not
+    // reused by a new submit of its name.
+    let mut reuse = beta_spec(0.0);
+    reuse.name = "undecodable".to_string();
+    assert!(matches!(
+        service.submit(reuse),
+        Err(fedserve::ServeError::DuplicateCampaign { .. })
+    ));
+    // Opening broke the stale lock, so the name is submittable again.
+    assert!(!campaigns.join("stale-lock").join("LOCK").exists());
+    let mut retry = beta_spec(0.0);
+    retry.name = "stale-lock".to_string();
+    service.submit(retry).unwrap();
+    let retried = service
+        .wait("stale-lock", Duration::from_secs(120))
+        .unwrap();
+    assert_pin("stale-lock", &retried, GOLDEN_BETA);
+    service.shutdown();
+    // Opening truncated the torn note away, as ledger recovery does; every
+    // other bad directory is byte-identical.
+    for (name, files) in bad.iter().zip(&kept) {
+        if !matches!(*name, "torn-spec" | "stale-lock") {
+            assert_eq!(&before(name), files, "{name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every file under `dir` with its bytes.
+fn walk(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(walk(&path));
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            out.push((path, bytes));
+        }
+    }
+    out
 }
 
 /// The spec → selection record survives the JSON wire format bit-exactly.
