@@ -593,16 +593,16 @@ mod tests {
             ExperimentScale::paper(),
         ] {
             for method in TuningMethod::EXTENDED {
-                let mut objective = fedhpo::FunctionObjective::new(|_: &fedhpo::HpConfig, _| 0.5);
-                let outcome = fedhpo::run_scheduler(
+                let run = crate::scheduler::drive(
                     method.scheduler(&scale).unwrap().as_mut(),
                     &space,
-                    &mut objective,
+                    &mut crate::concurrent::tests::AnalyticObjective::default(),
                     &mut fedmath::rng::rng_for(0, 0),
+                    &crate::scheduler::Drive::new(crate::scheduler::Clock::Barrier),
                 )
                 .unwrap();
                 assert_eq!(
-                    outcome.num_evaluations(),
+                    run.outcome.num_evaluations(),
                     method.planned_evaluations(&scale),
                     "{method} at {scale:?}"
                 );

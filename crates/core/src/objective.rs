@@ -20,7 +20,7 @@ use crate::context::BenchmarkContext;
 use crate::noise::{noisy_error, NoiseConfig};
 use crate::Result;
 use feddata::{FederatedDataset, Split};
-use fedhpo::TrialRequest;
+use fedhpo::{BudgetLedger, TrialRequest};
 use fedmath::{SeedStream, SeedTree};
 use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
 use fedsim::{TrainingRun, WeightingScheme};
@@ -110,9 +110,9 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
 /// The campaign sink every scheduled objective in the workspace commits to:
 /// per-trial state of type `S` parked between that trial's dispatches, and
 /// the commit-ordered log with **campaign-side** resource accounting — a
-/// configuration is charged only for fidelity above what it has already
-/// reached, and an evaluation's logged `resource` is the fidelity actually
-/// reached. For a live objective that is exactly what its evaluations
+/// configuration is charged by [`BudgetLedger`] only for fidelity above what
+/// it has already reached, and an evaluation's logged `resource` is the
+/// fidelity actually reached. For a live objective that is exactly what its evaluations
 /// trained; for one that can answer without training (the `fedstore`
 /// recording and tabular-replay objectives) it is what the request cost the
 /// campaign, so store-backed logs are comparable (and, for replayed
@@ -120,8 +120,8 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
 #[derive(Debug, Clone, Default)]
 pub struct CampaignLog<S = ()> {
     log: Vec<ObjectiveLogEntry>,
-    consumed: HashMap<usize, usize>,
-    cumulative_rounds: usize,
+    /// Rounds charged in commit order.
+    ledger: BudgetLedger,
     states: HashMap<usize, S>,
 }
 
@@ -136,16 +136,13 @@ impl<S> CampaignLog<S> {
         true_error: f64,
         sim_time: f64,
     ) {
-        let consumed = self.consumed.entry(request.trial_id).or_insert(0);
-        let reached = (*consumed).max(request.resource);
-        self.cumulative_rounds = self.cumulative_rounds.saturating_add(reached - *consumed);
-        *consumed = reached;
+        self.ledger.charge(request.trial_id, request.resource);
         self.log.push(ObjectiveLogEntry {
             trial_id: request.trial_id,
-            resource: reached,
+            resource: self.ledger.reached(request.trial_id),
             noisy_score,
             true_error,
-            cumulative_rounds: self.cumulative_rounds,
+            cumulative_rounds: self.ledger.cumulative(),
             noise_rep: request.noise_rep,
             sim_time,
         });
@@ -163,7 +160,7 @@ impl<S> CampaignLog<S> {
 
     /// Total campaign rounds charged so far.
     pub fn cumulative_rounds(&self) -> usize {
-        self.cumulative_rounds
+        self.ledger.cumulative()
     }
 
     /// Noise-aware selection over the log; see [`selected_true_error`].

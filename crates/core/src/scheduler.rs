@@ -19,8 +19,9 @@
 //!   campaign's [`Budget`] can cap it in **simulated wall-clock** seconds.
 //! - [`Clock::Barrier`] has no time at all: a suggested batch goes out at
 //!   once, is delivered in batch order once all of it has been evaluated,
-//!   and only then is the scheduler polled again — record for record what
-//!   `fedhpo::run_scheduler` produces, every record stamped `0.0`.
+//!   and only then is the scheduler polled again — record for record a
+//!   loop that reports each result before evaluating the next, every
+//!   record stamped `0.0`.
 //!
 //! Because every scheduler suggests deterministically, every evaluation
 //! derives its randomness from the request's coordinates, and the virtual
@@ -28,7 +29,9 @@
 //! [`TuningOutcome`] — including its virtual timeline — is **bit-identical**
 //! at every real thread count (`tests/determinism.rs`).
 //! The core, the one dispatch point, holds and debits the campaign's one
-//! [`Budget`], so a cap halts the same dispatch in every lane.
+//! [`Budget`], so a cap halts the same dispatch in every lane. Rounds are
+//! charged by one rule, [`BudgetLedger`], applied at dispatch here, at
+//! delivery by [`TuningOutcome::record`] and at commit by the campaign log.
 
 use crate::concurrent::{on_pool, ConcurrentObjective, EvalJob, Pump, Ungated};
 use crate::Result;
@@ -113,11 +116,6 @@ pub enum Cap {
     SimSeconds,
 }
 
-/// Evaluations and rounds dispatched so far; saturating, so a hostile
-/// resource cannot wrap a sum back below its cap.
-#[derive(Debug, Default)]
-struct Spent(u64, u64);
-
 impl Budget {
     fn validate(&self, clock: &Clock) -> Result<()> {
         match (self.sim_seconds, clock) {
@@ -129,9 +127,10 @@ impl Budget {
         }
     }
 
-    /// The first cap `spent` has reached at virtual time `now`. Both only
-    /// grow, so a cap once reached stays reached.
-    fn reached(&self, &Spent(evaluations, rounds): &Spent, now: f64) -> Option<Cap> {
+    /// The first cap reached by the `evaluations` and `rounds` dispatched by
+    /// virtual time `now`. All three only grow, so a cap once reached stays
+    /// reached.
+    fn reached(&self, evaluations: u64, rounds: u64, now: f64) -> Option<Cap> {
         let over = |cap: Option<u64>, used| evaluations > 0 && cap.is_some_and(|c| used >= c);
         [
             (over(self.evaluations, evaluations), Cap::Evaluations),
@@ -417,7 +416,7 @@ impl Timing {
 /// - **Incremental costs at dispatch.** A dispatch is charged the rounds it
 ///   trains beyond its trial's furthest earlier dispatch
 ///   ([`DispatchedTrial::rounds`]), so overlapping in-flight dispatches of
-///   one trial cost exactly what the sequential driver charges.
+///   one trial cost in sum what delivery charges the outcome.
 /// - **Order-independent completion.** `complete` may be called in any
 ///   order; results wait in a completion buffer until their turn to be
 ///   delivered, so the observable state never depends on completion order.
@@ -428,21 +427,20 @@ pub struct ExecutorCore<'a> {
     timing: Timing,
     async_mode: bool,
     budget: Budget,
-    spent: Spent,
+    /// Evaluations dispatched so far (saturating).
+    evaluations: u64,
+    /// Rounds charged at dispatch, in-flight work included, so overlapping
+    /// dispatches of one trial pay only their increments.
+    rounds: BudgetLedger,
     /// The cap [`poll`](Self::poll) last found reached.
     cut: Option<Cap>,
     queue: VecDeque<TrialRequest>,
-    /// Rounds each trial has been *dispatched* to (including in-flight
-    /// work), so costs charge only incremental rounds even when several
-    /// reps of one trial are in flight.
-    staged: HashMap<usize, usize>,
     /// In-flight dispatches per key (a key can be in flight more than once
     /// only at distinct completion times).
     pending: HashMap<EventKey, usize>,
     /// Completions fed in but not yet delivered.
     fed: HashMap<EventKey, Vec<TrialResult>>,
     outstanding: usize,
-    ledger: BudgetLedger,
     outcome: TuningOutcome,
     timeline: Vec<TrialSpan>,
     metrics: Option<DriverMetrics>,
@@ -491,14 +489,13 @@ impl<'a> ExecutorCore<'a> {
             timing,
             async_mode,
             budget,
-            spent: Spent::default(),
+            evaluations: 0,
+            rounds: BudgetLedger::new(),
             cut: None,
             queue: VecDeque::new(),
-            staged: HashMap::new(),
             pending: HashMap::new(),
             fed: HashMap::new(),
             outstanding: 0,
-            ledger: BudgetLedger::new(),
             outcome: TuningOutcome::default(),
             timeline: Vec::new(),
             metrics,
@@ -659,7 +656,8 @@ impl<'a> ExecutorCore<'a> {
     /// queued fresh configurations. A reached [`Budget`] cap stops the
     /// polling and drops the queue.
     fn poll(&mut self) -> Result<()> {
-        self.cut = self.budget.reached(&self.spent, self.timing.now());
+        let (rounds, now) = (self.rounds.cumulative() as u64, self.timing.now());
+        self.cut = self.budget.reached(self.evaluations, rounds, now);
         if self.cut.is_some() {
             self.queue.clear();
         }
@@ -704,39 +702,45 @@ impl<'a> ExecutorCore<'a> {
     /// remaining queue is committed.
     fn dispatch(&mut self) -> Result<Vec<DispatchedTrial>> {
         let mut batch: Vec<DispatchedTrial> = Vec::new();
-        while let Some(request) = self.queue.front() {
-            // Incremental cost baseline: the rounds already dispatched — the
-            // same `already` the sequential driver saw when it updated its
-            // map eagerly.
-            let already = self.staged.get(&request.trial_id).copied().unwrap_or(0);
-            let reached = already.max(request.resource);
-            let key = event_key(request);
-            let (worker, start, completion) = match &mut self.timing {
+        while !self.queue.is_empty() {
+            // The virtual worker and start of the next dispatch, unless it
+            // must wait: an async scheduler only fills workers idle now, and
+            // nothing starts on or past the deadline (`next_free` is the
+            // earliest worker, so no later request could start sooner).
+            let (worker, start) = match &self.timing {
+                Timing::Barrier(_) => (0, 0.0),
+                Timing::Virtual { clock, pool, .. } => {
+                    let (worker, free_at) = pool.next_free();
+                    let start = free_at.max(clock.now());
+                    if (self.async_mode && free_at > clock.now())
+                        || self.budget.sim_seconds.is_some_and(|b| start >= b)
+                    {
+                        break;
+                    }
+                    (worker, start)
+                }
+            };
+            let Some(request) = self.queue.pop_front() else {
+                break;
+            };
+            let rounds = self.rounds.charge(request.trial_id, request.resource);
+            let key = event_key(&request);
+            let completion = match &mut self.timing {
                 Timing::Barrier(in_flight) => {
                     in_flight.push_back(key);
-                    (0, 0.0, 0.0)
+                    0.0
                 }
                 Timing::Virtual {
-                    sim,
-                    clock,
-                    pool,
-                    events,
+                    sim, pool, events, ..
                 } => {
-                    let (worker, free_at) = pool.next_free();
-                    if self.async_mode && free_at > clock.now() {
-                        break;
-                    }
-                    // The service stops handing out work at the deadline: a
-                    // request whose start would land on or past the budget is
-                    // never dispatched (and since `next_free` is the earliest
-                    // worker, no later request could start sooner — stop
-                    // here).
-                    let start = free_at.max(clock.now());
-                    if self.budget.sim_seconds.is_some_and(|b| start >= b) {
-                        break;
-                    }
+                    // The dispatch trains rounds `resource - rounds .. resource`
+                    // (none when the trial had reached `resource`).
                     let fingerprint = self.space.canonical_fingerprint(&request.config)?;
-                    let seconds = sim.cost.evaluation_seconds(fingerprint, already, reached);
+                    let seconds = sim.cost.evaluation_seconds(
+                        fingerprint,
+                        request.resource - rounds,
+                        request.resource,
+                    );
                     let completion = pool.assign(worker, start, seconds)?;
                     events.push(completion, key, ()).map_err(|e| {
                         crate::CoreError::InvalidConfig {
@@ -751,21 +755,15 @@ impl<'a> ExecutorCore<'a> {
                         start,
                         end: completion,
                     });
-                    (worker, start, completion)
+                    completion
                 }
             };
-            let Some(request) = self.queue.pop_front() else {
-                break;
-            };
-            self.staged.insert(request.trial_id, reached);
             *self.pending.entry(key).or_default() += 1;
-            let rounds = reached - already;
-            self.spent.0 = self.spent.0.saturating_add(1);
-            self.spent.1 = self.spent.1.saturating_add(rounds as u64);
+            self.evaluations = self.evaluations.saturating_add(1);
             if let Some(m) = &self.metrics {
                 m.dispatched.incr();
                 m.rung_resource.observe(request.resource as u64);
-                if already > 0 {
+                if rounds < request.resource {
                     // Re-dispatching a trained trial is a promotion (ASHA) or
                     // a resume/re-evaluation (fresh-noise reps).
                     m.promotions.incr();
@@ -802,7 +800,7 @@ impl<'a> ExecutorCore<'a> {
                 in_flight.pop_front();
             }
         }
-        self.outcome.push(self.ledger.record_at(&result, time));
+        self.outcome.record(&result, time);
         self.scheduler.report(&result)?;
         self.outstanding -= 1;
         if let Some(m) = &self.metrics {
@@ -943,7 +941,7 @@ mod tests {
     #[test]
     fn batched_asha_matches_sequential_tuner_outcome() {
         // The barrier clock over an analytic objective must agree exactly
-        // with fedhpo's sequential reference driver on the same scheduler.
+        // with a loop that reports each result before evaluating the next.
         let asha = Asha::new(9, 3, 1, 9);
         let batched = |threads: usize| {
             let config = Drive {
@@ -962,19 +960,16 @@ mod tests {
             run.outcome
         };
 
-        let mut sequential_objective =
-            fedhpo::FunctionObjective::new(|config: &HpConfig, resource: usize| {
-                let x = config.values()[0];
-                (x - 0.3).abs() + 1.0 / (resource as f64 + 1.0)
-            });
+        let (mut scheduler, space) = (asha.scheduler().unwrap(), space_1d());
         let mut rng = rng_for(1, 0);
-        let sequential = fedhpo::run_scheduler(
-            &mut asha.scheduler().unwrap(),
-            &space_1d(),
-            &mut sequential_objective,
-            &mut rng,
-        )
-        .unwrap();
+        let mut sequential = TuningOutcome::default();
+        while !scheduler.is_finished() {
+            for request in scheduler.suggest(&space, &mut rng).unwrap() {
+                let result = TrialResult::of(&request, analytic_score(&request));
+                sequential.record(&result, 0.0);
+                scheduler.report(&result).unwrap();
+            }
+        }
         assert_eq!(batched(1), sequential);
         assert_eq!(batched(4), sequential);
     }
@@ -1191,7 +1186,6 @@ mod tests {
         assert!(event.finished);
         assert_eq!(event.outcome.num_evaluations(), 8);
         assert_eq!(event.sim_elapsed, 4.0);
-        assert_eq!(event.outcome.sim_elapsed(), 4.0);
         let times: Vec<f64> = event.outcome.records().iter().map(|r| r.sim_time).collect();
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
         // Two completions per wave at times 1, 2, 3, 4.
@@ -1424,5 +1418,53 @@ mod tests {
         assert!(promoted
             .iter()
             .all(|d| d.request.resource == 3 && d.rounds == 2));
+    }
+
+    #[test]
+    fn dispatch_delivery_and_commit_charge_the_same_rounds() {
+        // One rule applied in three orders: Σ `DispatchedTrial::rounds` in
+        // dispatch order, the outcome's total in delivery order and the
+        // campaign log's in commit (= dispatch) order. Async ASHA among
+        // stragglers delivers far out of dispatch order.
+        use crate::concurrent::{ConcurrentSink, EvalOutput};
+        use crate::experiments::methods::TuningMethod;
+        use crate::experiments::stragglers::straggler_cost_model;
+        use crate::objective::CampaignLog;
+        let scale = crate::scale::ExperimentScale::smoke();
+        let stragglers = VirtualExecution::new(4, straggler_cost_model(&scale, 3));
+        let cases = TuningMethod::EXTENDED
+            .iter()
+            .map(|&method| (method, Clock::Barrier))
+            .chain([(TuningMethod::AsyncAsha, Clock::Virtual(stragglers))]);
+        for (method, clock) in cases {
+            let mut scheduler = method.scheduler(&scale).unwrap();
+            let (space, mut rng) = (space_1d(), rng_for(3, 0));
+            let mut core = ExecutorCore::new(
+                scheduler.as_mut(),
+                &space,
+                &mut rng,
+                clock,
+                None,
+                unlimited(),
+            )
+            .unwrap();
+            let (mut dispatched, mut log) = (0, CampaignLog::<()>::default());
+            while let ExecutorStep::Dispatch(batch) = core.step().unwrap() {
+                for d in &batch {
+                    dispatched += d.rounds;
+                    let score = analytic_score(&d.request);
+                    let output = EvalOutput {
+                        noisy_score: score,
+                        true_error: score,
+                    };
+                    log.commit(&d.request, &output, d.sim_completion);
+                }
+                feed(&mut core, &batch);
+            }
+            let run = core.finish();
+            assert!(run.finished && dispatched > 0, "{method}");
+            assert_eq!(dispatched, run.outcome.total_resource(), "{method}");
+            assert_eq!(dispatched, log.cumulative_rounds(), "{method}");
+        }
     }
 }

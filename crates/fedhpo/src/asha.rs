@@ -160,8 +160,7 @@ impl IntoScheduler for Asha {
 /// paper's actual algorithm (Li et al. 2020), where no worker ever idles
 /// waiting for a straggler to finish a rung.
 ///
-/// Driven batch by batch ([`run_scheduler`](crate::run_scheduler), or
-/// `drive` under `Clock::Barrier`), `AsyncAsha`
+/// Driven batch by batch (`drive` under `Clock::Barrier`), `AsyncAsha`
 /// degenerates to [`Asha`] exactly — asynchrony is a property of the
 /// driver/scheduler handshake, not of the promotion rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,7 +438,6 @@ impl Scheduler for AshaScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
     use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
@@ -448,11 +446,9 @@ mod tests {
         SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap()
     }
 
-    fn resource_aware_objective() -> FunctionObjective<impl FnMut(&HpConfig, usize) -> f64> {
-        FunctionObjective::new(|config: &HpConfig, resource: usize| {
-            let x = config.values()[0];
-            (x - 0.3).abs() + 1.0 / (resource as f64 + 1.0)
-        })
+    fn resource_aware(config: &HpConfig, resource: usize) -> f64 {
+        let x = config.values()[0];
+        (x - 0.3).abs() + 1.0 / (resource as f64 + 1.0)
     }
 
     #[test]
@@ -482,9 +478,8 @@ mod tests {
     #[test]
     fn full_campaign_matches_sha_shape() {
         let mut rng = rng_for(0, 0);
-        let mut objective = resource_aware_objective();
         let asha = Asha::new(9, 3, 1, 9);
-        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
         // With the whole first rung in one batch, ASHA degenerates to SHA's
         // rung counts: 9 at r=1, 3 at r=3, 1 at r=9.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
@@ -584,14 +579,12 @@ mod tests {
         // Under the sequential barrier driver the campaigns are identical:
         // asynchrony only changes how a driver may poll, never the rule.
         let mut rng = rng_for(5, 0);
-        let mut objective = resource_aware_objective();
-        let sync_outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
+        let sync_outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
         let mut rng = rng_for(5, 0);
-        let mut objective = resource_aware_objective();
         let async_outcome = run_fresh(
             &AsyncAsha::from_ladder(asha),
             &space_1d(),
-            &mut objective,
+            resource_aware,
             &mut rng,
         )
         .unwrap();
@@ -601,9 +594,8 @@ mod tests {
     #[test]
     fn finds_good_configs() {
         let mut rng = rng_for(2, 0);
-        let mut objective = resource_aware_objective();
         let asha = Asha::new(27, 3, 1, 27);
-        let outcome = run_fresh(&asha, &space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
         let best = outcome
             .records()
             .iter()

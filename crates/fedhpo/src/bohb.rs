@@ -72,7 +72,6 @@ impl IntoScheduler for Bohb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
     use crate::scheduler::run_fresh;
     use crate::scheduler::Scheduler;
     use crate::space::{HpConfig, SearchSpace};
@@ -82,11 +81,9 @@ mod tests {
         SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap()
     }
 
-    fn objective() -> FunctionObjective<impl FnMut(&HpConfig, usize) -> f64> {
-        FunctionObjective::new(|config: &HpConfig, resource: usize| {
-            let x = config.values()[0];
-            (x - 0.7).abs() + 0.5 / (resource as f64 + 1.0)
-        })
+    fn score(config: &HpConfig, resource: usize) -> f64 {
+        let x = config.values()[0];
+        (x - 0.7).abs() + 0.5 / (resource as f64 + 1.0)
     }
 
     #[test]
@@ -102,17 +99,15 @@ mod tests {
     #[test]
     fn bohb_runs_and_respects_resource_limits() {
         let mut rng = rng_for(0, 0);
-        let mut obj = objective();
         let bohb = Bohb::new(27, 3, Some(3));
-        let outcome = run_fresh(&bohb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space_1d(), score, &mut rng).unwrap();
         assert!(outcome.num_evaluations() > 0);
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         assert!(outcome.records().iter().any(|r| r.resource == 27));
         // Same bracket structure as Hyperband, so the same total budget.
         let mut rng = rng_for(0, 0);
-        let mut obj = objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let hb_outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let hb_outcome = run_fresh(&hb, &space_1d(), score, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), hb_outcome.total_resource());
     }
 
@@ -120,12 +115,10 @@ mod tests {
     fn bohb_proposals_remain_valid_in_paper_space() {
         let space = SearchSpace::paper_default();
         let mut rng = rng_for(1, 0);
-        let mut obj = FunctionObjective::new(|config: &HpConfig, _| {
-            // Score depends on server lr distance from 1e-3 (in log space).
-            (config.values()[0].log10() + 3.0).abs()
-        });
+        // Score depends on server lr distance from 1e-3 (in log space).
+        let lr_distance = |config: &HpConfig, _| (config.values()[0].log10() + 3.0).abs();
         let bohb = Bohb::new(9, 3, Some(2));
-        let outcome = run_fresh(&bohb, &space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space, lr_distance, &mut rng).unwrap();
         for record in outcome.records() {
             assert!(space.validate_config(&record.config).is_ok());
         }
@@ -136,12 +129,11 @@ mod tests {
         // With several brackets the later proposals should cluster near the
         // optimum x = 0.7 more than uniform sampling would.
         let mut rng = rng_for(2, 0);
-        let mut obj = objective();
         let bohb = Bohb::new(27, 3, Some(3)).with_tpe_config(TpeConfig {
             num_startup: 2,
             ..Default::default()
         });
-        let outcome = run_fresh(&bohb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&bohb, &space_1d(), score, &mut rng).unwrap();
         let n = outcome.num_evaluations();
         let late: Vec<f64> = outcome.records()[n / 2..]
             .iter()

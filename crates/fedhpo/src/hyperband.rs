@@ -352,7 +352,6 @@ impl IntoScheduler for Hyperband {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
     use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
@@ -362,22 +361,19 @@ mod tests {
     }
 
     /// Objective where the score improves with resource and depends on |x - 0.3|.
-    fn resource_aware_objective() -> FunctionObjective<impl FnMut(&HpConfig, usize) -> f64> {
-        FunctionObjective::new(|config: &HpConfig, resource: usize| {
-            let x = config.values()[0];
-            let quality = (x - 0.3).abs();
-            // More resource reveals the true quality (less "bias").
-            quality + 1.0 / (resource as f64 + 1.0)
-        })
+    fn resource_aware(config: &HpConfig, resource: usize) -> f64 {
+        let x = config.values()[0];
+        let quality = (x - 0.3).abs();
+        // More resource reveals the true quality (less "bias").
+        quality + 1.0 / (resource as f64 + 1.0)
     }
 
     #[test]
     fn a_bracket_eliminates_configs_and_promotes_survivors() {
         let mut rng = rng_for(1, 0);
-        let mut obj = resource_aware_objective();
         // The first of three brackets is SHA with 9 configurations at r=1.
         let hb = Hyperband::new(9, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
         let bracket: Vec<_> = outcome.records().iter().take(13).collect();
         assert!(bracket.iter().all(|r| r.trial_id < 9));
         assert!(outcome.records()[13..].iter().all(|r| r.trial_id >= 9));
@@ -447,9 +443,8 @@ mod tests {
     #[test]
     fn hyperband_runs_all_brackets_and_respects_max_resource() {
         let mut rng = rng_for(2, 0);
-        let mut obj = resource_aware_objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
         assert!(outcome.num_evaluations() > 0);
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         // The most exploitative bracket evaluates at full resource.
@@ -466,9 +461,8 @@ mod tests {
     #[test]
     fn hyperband_finds_good_configs_on_resource_aware_objective() {
         let mut rng = rng_for(3, 0);
-        let mut obj = resource_aware_objective();
         let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
         let best = outcome
             .records()
             .iter()
@@ -482,18 +476,17 @@ mod tests {
     #[test]
     fn hyperband_validation() {
         let mut rng = rng_for(4, 0);
-        let mut obj = resource_aware_objective();
         assert!(run_fresh(
             &Hyperband::new(0, 3, Some(2)),
             &space_1d(),
-            &mut obj,
+            resource_aware,
             &mut rng
         )
         .is_err());
         assert!(run_fresh(
             &Hyperband::new(9, 1, Some(2)),
             &space_1d(),
-            &mut obj,
+            resource_aware,
             &mut rng
         )
         .is_err());
@@ -588,9 +581,8 @@ mod tests {
     #[test]
     fn trial_ids_are_unique_across_brackets() {
         let mut rng = rng_for(5, 0);
-        let mut obj = resource_aware_objective();
         let hb = Hyperband::new(9, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
         // A trial id must always map to one configuration.
         let mut seen: HashMap<usize, Vec<f64>> = HashMap::new();
         for r in outcome.records() {

@@ -30,11 +30,10 @@
 //! [`TrialRequest`]s, `report` each [`TrialResult`]) built from its
 //! configuration through [`IntoScheduler`]; that is the only tuning
 //! interface. Campaigns are driven by `fedtune_core::scheduler::drive`, batch
-//! by batch or in virtual time, against a `ConcurrentObjective`.
-//! [`Objective`], [`FunctionObjective`] and [`run_scheduler`] are this crate's
-//! sequential reference loop — what `drive` under `Clock::Barrier` is pinned
-//! against record for record and what the unit tests below the executor run
-//! on — not an API to build campaigns on.
+//! by batch or in virtual time, against a `ConcurrentObjective`; it is the
+//! one loop that runs a scheduler. [`BudgetLedger`] is the one rule that
+//! charges a campaign's rounds, and [`TuningOutcome::record`] applies it in
+//! delivery order.
 //!
 //! The crate is deliberately **noise-agnostic**: schedulers minimise whatever
 //! score is reported, and the experiment harness in `fedtune-core`
@@ -45,20 +44,26 @@
 //!
 //! # Example
 //!
-//! ```
-//! use fedhpo::{run_scheduler, FunctionObjective, IntoScheduler, RandomSearch, SearchSpace};
+//! The contract by hand: suggest a batch, evaluate each request, report each
+//! result. Here RS minimises a quadratic over a 1-D space.
 //!
-//! // Minimise a quadratic over a 1-D space with RS.
+//! ```
+//! use fedhpo::{IntoScheduler, RandomSearch, Scheduler, SearchSpace, TrialResult, TuningOutcome};
+//!
 //! let space = SearchSpace::new().with_uniform("x", -5.0, 5.0).unwrap();
-//! let mut objective = FunctionObjective::new(|config, _resource| {
-//!     let x = config.values()[0];
-//!     (x - 1.0) * (x - 1.0)
-//! });
 //! let mut scheduler = RandomSearch::new(32, 1).scheduler().unwrap();
 //! let mut rng = fedmath::rng::rng_for(0, 0);
-//! let outcome = run_scheduler(&mut scheduler, &space, &mut objective, &mut rng).unwrap();
-//! let best = outcome.best().unwrap();
-//! assert!(best.score < 0.5);
+//! let mut outcome = TuningOutcome::default();
+//! while !scheduler.is_finished() {
+//!     for request in scheduler.suggest(&space, &mut rng).unwrap() {
+//!         let x = request.config.values()[0];
+//!         let result = TrialResult::of(&request, (x - 1.0) * (x - 1.0));
+//!         outcome.record(&result, 0.0);
+//!         scheduler.report(&result).unwrap();
+//!     }
+//! }
+//! assert_eq!(outcome.num_evaluations(), 32);
+//! assert!(outcome.best().unwrap().score < 0.5);
 //! ```
 
 #![warn(missing_docs)]
@@ -67,7 +72,6 @@
 pub mod asha;
 pub mod bohb;
 pub mod hyperband;
-pub mod objective;
 pub mod random_search;
 pub mod reeval;
 pub mod scheduler;
@@ -78,12 +82,9 @@ pub mod tuner;
 pub use asha::{Asha, AshaScheduler, AsyncAsha};
 pub use bohb::Bohb;
 pub use hyperband::{BracketScheduler, Hyperband};
-pub use objective::{FunctionObjective, Objective};
 pub use random_search::{RandomSearch, RandomSearchScheduler};
 pub use reeval::{ReEvalScheduler, ReEvaluation};
-pub use scheduler::{
-    run_scheduler, BudgetLedger, IntoScheduler, Scheduler, TrialRequest, TrialResult,
-};
+pub use scheduler::{BudgetLedger, IntoScheduler, Scheduler, TrialRequest, TrialResult};
 pub use space::{Dimension, HpConfig, SearchSpace};
 pub use tpe::{Tpe, TpeConfig, TpeScheduler};
 pub use tuner::{EvaluationRecord, TuningOutcome};

@@ -110,7 +110,6 @@ impl Scheduler for RandomSearchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
     use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
 
@@ -125,10 +124,10 @@ mod tests {
     #[test]
     fn validation() {
         let space = quadratic_space();
-        let mut obj = FunctionObjective::new(|_: &crate::HpConfig, _| 0.0);
         let mut rng = rng_for(0, 0);
-        assert!(run_fresh(&RandomSearch::new(0, 1), &space, &mut obj, &mut rng).is_err());
-        assert!(run_fresh(&RandomSearch::new(1, 0), &space, &mut obj, &mut rng).is_err());
+        let zero = |_: &crate::HpConfig, _| 0.0;
+        assert!(run_fresh(&RandomSearch::new(0, 1), &space, zero, &mut rng).is_err());
+        assert!(run_fresh(&RandomSearch::new(1, 0), &space, zero, &mut rng).is_err());
         assert_eq!(RandomSearch::paper_default(405).num_configs(), 16);
         assert_eq!(RandomSearch::paper_default(405).rounds_per_config(), 405);
         assert_eq!(RandomSearch::new(4, 2).scheduler().unwrap().name(), "rs");
@@ -137,16 +136,18 @@ mod tests {
     #[test]
     fn finds_a_reasonable_minimum_of_a_quadratic() {
         let space = quadratic_space();
-        let mut obj = FunctionObjective::new(|config: &crate::HpConfig, _| {
+        let mut calls = 0;
+        let quadratic = |config: &crate::HpConfig, _| {
+            calls += 1;
             let x = config.values()[0];
             let y = config.values()[1];
             (x - 2.0).powi(2) + (y + 3.0).powi(2)
-        });
+        };
         let tuner = RandomSearch::new(200, 1);
         let mut rng = rng_for(1, 0);
-        let outcome = run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&tuner, &space, quadratic, &mut rng).unwrap();
         assert_eq!(outcome.num_evaluations(), 200);
-        assert_eq!(obj.calls(), 200);
+        assert_eq!(calls, 200);
         let best = outcome.best().unwrap();
         assert!(
             best.score < 2.0,
@@ -158,10 +159,9 @@ mod tests {
     #[test]
     fn budget_accounting_is_linear() {
         let space = quadratic_space();
-        let mut obj = FunctionObjective::new(|_: &crate::HpConfig, _| 1.0);
         let tuner = RandomSearch::new(8, 5);
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&tuner, &space, |_, _| 1.0, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), 40);
         for (i, record) in outcome.records().iter().enumerate() {
             assert_eq!(record.trial_id, i);
@@ -199,9 +199,8 @@ mod tests {
         let space = quadratic_space();
         let tuner = RandomSearch::new(10, 1);
         let run = |seed: u64| {
-            let mut obj = FunctionObjective::new(|c: &crate::HpConfig, _| c.values()[0]);
             let mut rng = rng_for(seed, 0);
-            run_fresh(&tuner, &space, &mut obj, &mut rng).unwrap()
+            run_fresh(&tuner, &space, |c, _| c.values()[0], &mut rng).unwrap()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).best().unwrap().score, run(8).best().unwrap().score);

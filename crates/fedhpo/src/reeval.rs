@@ -217,7 +217,6 @@ impl<S: Scheduler> Scheduler for ReEvalScheduler<S> {
 mod tests {
     use super::*;
     use crate::hyperband::Hyperband;
-    use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
     use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
@@ -246,13 +245,13 @@ mod tests {
         // A deterministic "noisy" objective: every call adds a different
         // perturbation, so re-evaluations genuinely draw fresh values.
         let mut calls = 0usize;
-        let mut objective = FunctionObjective::new(move |config: &HpConfig, _| {
+        let noisy = |config: &HpConfig, _| {
             calls += 1;
             config.values()[0] + 0.01 * (calls as f64 * 7.0).sin()
-        });
+        };
         let policy = ReEvaluation::new(RandomSearch::new(6, 5), 2, 3);
         let mut rng = rng_for(0, 0);
-        let outcome = run_fresh(&policy, &space_1d(), &mut objective, &mut rng).unwrap();
+        let outcome = run_fresh(&policy, &space_1d(), noisy, &mut rng).unwrap();
         // 6 schedule evaluations + 2 survivors × 3 reps.
         assert_eq!(outcome.num_evaluations(), 6 + 6);
         let reevals: Vec<_> = outcome
@@ -310,27 +309,24 @@ mod tests {
 
     #[test]
     fn top_k_clamps_to_available_trials() {
-        let mut objective = FunctionObjective::new(|config: &HpConfig, _| config.values()[0]);
         let policy = ReEvaluation::new(RandomSearch::new(2, 1), 10, 2);
         let mut rng = rng_for(1, 0);
-        let outcome = run_fresh(&policy, &space_1d(), &mut objective, &mut rng).unwrap();
+        let x = |config: &HpConfig, _| config.values()[0];
+        let outcome = run_fresh(&policy, &space_1d(), x, &mut rng).unwrap();
         // Only 2 trials exist; both get re-evaluated twice.
         assert_eq!(outcome.num_evaluations(), 2 + 4);
     }
 
     #[test]
     fn wraps_early_stopping_methods_at_max_fidelity_only() {
-        let objective = || {
-            FunctionObjective::new(|config: &HpConfig, resource| {
-                config.values()[0] + 1.0 / (resource as f64 + 1.0)
-            })
-        };
+        let score =
+            |config: &HpConfig, resource| config.values()[0] + 1.0 / (resource as f64 + 1.0);
         // Two brackets: 3 configurations at r=3 of which one reaches r=9,
         // then 2 configurations at r=9.
         let hb = Hyperband::new(9, 3, Some(2));
         let policy = ReEvaluation::new(hb, 5, 2);
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&policy, &space_1d(), &mut objective(), &mut rng).unwrap();
+        let outcome = run_fresh(&policy, &space_1d(), score, &mut rng).unwrap();
         let reevals: Vec<_> = outcome
             .records()
             .iter()
@@ -342,7 +338,7 @@ mod tests {
         assert!(reevals.iter().all(|r| r.resource == 9));
         // Same training budget as the unwrapped ladder.
         let mut rng = rng_for(2, 0);
-        let plain = run_fresh(&hb, &space_1d(), &mut objective(), &mut rng).unwrap();
+        let plain = run_fresh(&hb, &space_1d(), score, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), plain.total_resource());
     }
 }

@@ -13,18 +13,13 @@
 //! lets a batch be evaluated in parallel and reported in any deterministic
 //! order while reproducing the sequential run bit for bit.
 //!
-//! [`run_scheduler`] is the crate-local sequential **reference loop**: one
-//! evaluation at a time through an [`Objective`], reported before the next.
-//! It stays because the real driver — `fedtune_core::scheduler::drive` under
-//! `Clock::Barrier`, which fans batches out over real threads — is pinned
-//! against it record for record, and because this crate sits below the
-//! executor and needs a loop for its own unit tests. Nothing above `fedhpo` implements
-//! [`Objective`] or calls `run_scheduler` outside tests.
+//! This crate owns no evaluation loop. Campaigns run under
+//! `fedtune_core::drive`, which fans batches out and reports results in a
+//! deterministic order; [`BudgetLedger`] is the one rule that turns the
+//! resources requests ask for into the rounds a campaign spends.
 
-use crate::objective::Objective;
 use crate::space::{HpConfig, SearchSpace};
-use crate::tuner::{EvaluationRecord, TuningOutcome};
-use crate::{HpoError, Result};
+use crate::Result;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -117,7 +112,7 @@ pub trait Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`HpoError::InvalidConfig`] if called while results are
+    /// Returns [`HpoError::InvalidConfig`](crate::HpoError::InvalidConfig) if called while results are
     /// outstanding, and propagates sampling failures.
     fn suggest(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Result<Vec<TrialRequest>>;
 
@@ -125,7 +120,7 @@ pub trait Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`HpoError::InvalidConfig`] for results the scheduler never
+    /// Returns [`HpoError::InvalidConfig`](crate::HpoError::InvalidConfig) for results the scheduler never
     /// asked for (implementations may choose to accept out-of-band results,
     /// e.g. ASHA tolerates any arrival order).
     fn report(&mut self, result: &TrialResult) -> Result<()>;
@@ -146,14 +141,16 @@ pub trait Scheduler {
     }
 }
 
-/// Resource accounting shared by every scheduler driver: converts a stream of
-/// [`TrialResult`]s into [`EvaluationRecord`]s, charging each configuration
-/// only for the *incremental* resource above what it had already consumed
-/// (early-stopping methods resume runs; re-evaluations at an already-reached
-/// fidelity are free).
-#[derive(Debug, Clone, Default)]
+/// The one incremental-charge rule of a campaign's rounds: each
+/// configuration pays only for resource above the furthest it was already
+/// charged to (early-stopping methods resume runs; re-evaluations at an
+/// already-reached fidelity are free). Every user applies it in its own
+/// order — the executor at dispatch, [`TuningOutcome`](crate::TuningOutcome)
+/// at delivery, the campaign log at commit — and all three agree on the
+/// total.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetLedger {
-    consumed: HashMap<usize, usize>,
+    reached: HashMap<usize, usize>,
     cumulative: usize,
 }
 
@@ -163,36 +160,25 @@ impl BudgetLedger {
         BudgetLedger::default()
     }
 
-    /// Total resource charged so far across all configurations.
+    /// Total resource charged so far across all configurations; saturates
+    /// instead of wrapping.
     pub fn cumulative(&self) -> usize {
         self.cumulative
     }
 
-    /// Charges `result`'s incremental resource and produces its record,
-    /// stamped at simulated time zero (synchronous drivers have no virtual
-    /// clock).
-    pub fn record(&mut self, result: &TrialResult) -> EvaluationRecord {
-        self.record_at(result, 0.0)
+    /// The furthest resource `trial_id` has been charged to (`0` if never).
+    pub fn reached(&self, trial_id: usize) -> usize {
+        self.reached.get(&trial_id).copied().unwrap_or(0)
     }
 
-    /// [`record`](Self::record) with an explicit simulated completion time —
-    /// the entry point for event-driven drivers, which deliver results in
-    /// virtual-time order and stamp each record with its completion instant.
-    pub fn record_at(&mut self, result: &TrialResult, sim_time: f64) -> EvaluationRecord {
-        let consumed = self.consumed.entry(result.trial_id).or_insert(0);
-        self.cumulative = self
-            .cumulative
-            .saturating_add(result.resource.saturating_sub(*consumed));
-        *consumed = (*consumed).max(result.resource);
-        EvaluationRecord {
-            trial_id: result.trial_id,
-            config: result.config.clone(),
-            resource: result.resource,
-            score: result.score,
-            cumulative_resource: self.cumulative,
-            noise_rep: result.noise_rep,
-            sim_time,
-        }
+    /// Charges `trial_id` up to `resource` and returns the increment: the
+    /// resource above its earlier high-water mark, `0` if it had reached it.
+    pub fn charge(&mut self, trial_id: usize, resource: usize) -> usize {
+        let reached = self.reached.entry(trial_id).or_insert(0);
+        let increment = resource.saturating_sub(*reached);
+        *reached = (*reached).max(resource);
+        self.cumulative = self.cumulative.saturating_add(increment);
+        increment
     }
 }
 
@@ -208,168 +194,64 @@ pub trait IntoScheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`HpoError::InvalidConfig`] if the configuration is invalid.
+    /// Returns [`HpoError::InvalidConfig`](crate::HpoError::InvalidConfig) if the configuration is invalid.
     fn scheduler(&self) -> Result<Self::Scheduler>;
 }
 
-/// The reference sequential driver: repeatedly asks `scheduler` for a batch,
-/// evaluates every request through `objective` in batch order, and reports
-/// each result before the next evaluation — the record-for-record reference
-/// `fedtune_core::scheduler::drive` under `Clock::Barrier` is tested against,
-/// not an API to build campaigns on.
-///
-/// # Errors
-///
-/// Propagates objective and scheduler errors, and fails if the scheduler
-/// stalls (returns an empty batch while unfinished).
-pub fn run_scheduler(
-    scheduler: &mut dyn Scheduler,
+/// Test loop: a fresh scheduler of `method` run to the end, one request at
+/// a time, each scored by `score(config, resource)` and reported before the
+/// next is evaluated.
+#[cfg(test)]
+pub(crate) fn run_fresh(
+    method: &impl IntoScheduler,
     space: &SearchSpace,
-    objective: &mut dyn Objective,
+    mut score: impl FnMut(&HpConfig, usize) -> f64,
     rng: &mut StdRng,
-) -> Result<TuningOutcome> {
-    let mut outcome = TuningOutcome::default();
-    let mut ledger = BudgetLedger::new();
+) -> Result<crate::TuningOutcome> {
+    let mut scheduler = method.scheduler()?;
+    let mut outcome = crate::TuningOutcome::default();
     while !scheduler.is_finished() {
         let batch = scheduler.suggest(space, rng)?;
-        if batch.is_empty() {
-            if scheduler.is_finished() {
-                break;
-            }
-            return Err(HpoError::InvalidConfig {
-                message: format!(
-                    "scheduler {} stalled: empty batch while unfinished",
-                    scheduler.name()
-                ),
-            });
-        }
+        assert!(
+            !batch.is_empty() || scheduler.is_finished(),
+            "{} stalled",
+            scheduler.name()
+        );
         for request in &batch {
-            let score = objective.evaluate_rep(
-                request.trial_id,
-                &request.config,
-                request.resource,
-                request.noise_rep,
-            )?;
-            let result = TrialResult::of(request, score);
-            outcome.push(ledger.record(&result));
+            let result = TrialResult::of(request, score(&request.config, request.resource));
+            outcome.record(&result, 0.0);
             scheduler.report(&result)?;
         }
     }
     Ok(outcome)
 }
 
-/// Test shorthand: [`run_scheduler`] over a fresh scheduler of `method`.
-#[cfg(test)]
-pub(crate) fn run_fresh(
-    method: &impl IntoScheduler,
-    space: &SearchSpace,
-    objective: &mut dyn Objective,
-    rng: &mut StdRng,
-) -> Result<TuningOutcome> {
-    run_scheduler(&mut method.scheduler()?, space, objective, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
-    use fedmath::rng::rng_for;
-
-    struct CountingScheduler {
-        remaining: usize,
-        outstanding: usize,
-        stall: bool,
-    }
-
-    impl Scheduler for CountingScheduler {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-
-        fn suggest(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Result<Vec<TrialRequest>> {
-            if self.stall || self.remaining == 0 {
-                return Ok(Vec::new());
-            }
-            let trial_id = self.remaining;
-            self.remaining -= 1;
-            self.outstanding += 1;
-            Ok(vec![TrialRequest {
-                trial_id,
-                config: space.sample(rng)?,
-                resource: 2,
-                noise_rep: 0,
-            }])
-        }
-
-        fn report(&mut self, _result: &TrialResult) -> Result<()> {
-            self.outstanding -= 1;
-            Ok(())
-        }
-
-        fn is_finished(&self) -> bool {
-            !self.stall && self.remaining == 0 && self.outstanding == 0
-        }
-    }
-
-    fn space() -> SearchSpace {
-        SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap()
-    }
-
-    #[test]
-    fn driver_runs_to_completion() {
-        let mut scheduler = CountingScheduler {
-            remaining: 3,
-            outstanding: 0,
-            stall: false,
-        };
-        let mut objective = FunctionObjective::new(|c: &HpConfig, _| c.values()[0]);
-        let mut rng = rng_for(0, 0);
-        let outcome = run_scheduler(&mut scheduler, &space(), &mut objective, &mut rng).unwrap();
-        assert_eq!(outcome.num_evaluations(), 3);
-        assert_eq!(outcome.total_resource(), 6);
-        assert_eq!(objective.calls(), 3);
-    }
-
-    #[test]
-    fn driver_rejects_stalled_scheduler() {
-        let mut scheduler = CountingScheduler {
-            remaining: 3,
-            outstanding: 0,
-            stall: true,
-        };
-        let mut objective = FunctionObjective::new(|_: &HpConfig, _| 0.0);
-        let mut rng = rng_for(0, 1);
-        let err = run_scheduler(&mut scheduler, &space(), &mut objective, &mut rng).unwrap_err();
-        assert!(err.to_string().contains("stalled"), "{err}");
-    }
 
     #[test]
     fn ledger_charges_incremental_resource_only() {
         let mut ledger = BudgetLedger::new();
-        let config = HpConfig::new(vec![0.0]);
-        let result = |trial_id, resource, noise_rep| TrialResult {
-            trial_id,
-            config: config.clone(),
-            resource,
-            noise_rep,
-            score: 0.5,
-        };
-        assert_eq!(ledger.record(&result(0, 3, 0)).cumulative_resource, 3);
+        assert_eq!(ledger.charge(0, 3), 3);
         // Resuming trial 0 to 9 pays only the 6 extra rounds.
-        assert_eq!(ledger.record(&result(0, 9, 0)).cumulative_resource, 9);
+        assert_eq!(ledger.charge(0, 9), 6);
         // A fresh-noise re-evaluation at an already-reached fidelity is free.
-        let record = ledger.record(&result(0, 9, 1));
-        assert_eq!(record.cumulative_resource, 9);
-        assert_eq!(record.noise_rep, 1);
+        assert_eq!(ledger.charge(0, 9), 0);
         // A second trial pays its own way.
-        assert_eq!(ledger.record(&result(1, 4, 0)).cumulative_resource, 13);
+        assert_eq!(ledger.charge(1, 4), 4);
         assert_eq!(ledger.cumulative(), 13);
+        // Out of order: a trial charged to 9 first pays nothing for 3, and
+        // its high-water mark stays at 9.
+        assert_eq!(ledger.charge(2, 9), 9);
+        assert_eq!(ledger.charge(2, 3), 0);
+        assert_eq!(ledger.reached(2), 9);
+        assert_eq!(ledger.reached(7), 0);
+        assert_eq!(ledger.cumulative(), 22);
         // Hostile resources saturate the sum instead of wrapping it.
-        ledger.record(&result(2, usize::MAX, 0));
-        assert_eq!(
-            ledger.record(&result(3, usize::MAX, 0)).cumulative_resource,
-            usize::MAX
-        );
+        assert_eq!(ledger.charge(3, usize::MAX), usize::MAX);
+        assert_eq!(ledger.charge(4, usize::MAX), usize::MAX);
+        assert_eq!(ledger.cumulative(), usize::MAX);
     }
 
     #[test]

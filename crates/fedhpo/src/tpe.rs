@@ -383,7 +383,6 @@ impl Scheduler for TpeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::FunctionObjective;
     use crate::random_search::RandomSearch;
     use crate::scheduler::run_fresh;
     use fedmath::rng::rng_for;
@@ -435,9 +434,9 @@ mod tests {
         })
         .is_err());
         let mut rng = rng_for(0, 0);
-        let mut obj = FunctionObjective::new(|_: &HpConfig, _| 0.0);
-        assert!(run_fresh(&Tpe::new(0, 1), &space_2d(), &mut obj, &mut rng).is_err());
-        assert!(run_fresh(&Tpe::new(1, 0), &space_2d(), &mut obj, &mut rng).is_err());
+        let zero = |_: &HpConfig, _| 0.0;
+        assert!(run_fresh(&Tpe::new(0, 1), &space_2d(), zero, &mut rng).is_err());
+        assert!(run_fresh(&Tpe::new(1, 0), &space_2d(), zero, &mut rng).is_err());
         assert_eq!(Tpe::paper_default(405).scheduler().unwrap().name(), "tpe");
     }
 
@@ -512,16 +511,14 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = rng_for(10, seed);
-            let mut obj = FunctionObjective::new(|c: &HpConfig, _| f(c));
-            let tpe_best = run_fresh(&Tpe::new(24, 1), &space, &mut obj, &mut rng)
+            let tpe_best = run_fresh(&Tpe::new(24, 1), &space, |c, _| f(c), &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
                 .score;
 
             let mut rng = rng_for(20, seed);
-            let mut obj = FunctionObjective::new(|c: &HpConfig, _| f(c));
-            let rs_best = run_fresh(&RandomSearch::new(24, 1), &space, &mut obj, &mut rng)
+            let rs_best = run_fresh(&RandomSearch::new(24, 1), &space, |c, _| f(c), &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
@@ -564,9 +561,8 @@ mod tests {
     #[test]
     fn budget_accounting() {
         let space = space_2d();
-        let mut obj = FunctionObjective::new(|_: &HpConfig, _| 0.5);
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&Tpe::new(6, 10), &space, &mut obj, &mut rng).unwrap();
+        let outcome = run_fresh(&Tpe::new(6, 10), &space, |_, _| 0.5, &mut rng).unwrap();
         assert_eq!(outcome.num_evaluations(), 6);
         assert_eq!(outcome.total_resource(), 60);
     }

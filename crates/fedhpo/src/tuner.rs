@@ -3,11 +3,11 @@
 //! campaign log instead (`fedtune_core::selected_true_error`), which also
 //! carries each evaluation's true error.
 
+use crate::scheduler::{BudgetLedger, TrialResult};
 use crate::space::HpConfig;
-use serde::{Deserialize, Serialize};
 
 /// One evaluation performed during a tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationRecord {
     /// Identifier of the configuration being evaluated (stable across
     /// re-evaluations of the same configuration at higher fidelity).
@@ -33,10 +33,12 @@ pub struct EvaluationRecord {
     pub sim_time: f64,
 }
 
-/// The full history of a tuning run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// The full history of a tuning run, in delivery order.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TuningOutcome {
     records: Vec<EvaluationRecord>,
+    /// Rounds charged in delivery order.
+    ledger: BudgetLedger,
 }
 
 impl TuningOutcome {
@@ -52,7 +54,7 @@ impl TuningOutcome {
 
     /// Total resource (training rounds) spent by the run.
     pub fn total_resource(&self) -> usize {
-        self.records.last().map_or(0, |r| r.cumulative_resource)
+        self.ledger.cumulative()
     }
 
     /// The record with the lowest score over the entire run, i.e. the
@@ -65,15 +67,20 @@ impl TuningOutcome {
             .min_by(|a, b| a.score.total_cmp(&b.score))
     }
 
-    /// Appends a record (used by the scheduler drivers).
-    pub fn push(&mut self, record: EvaluationRecord) {
-        self.records.push(record);
-    }
-
-    /// Simulated seconds the run took: the latest completion time on record.
-    /// `0.0` for synchronous campaigns, which carry no virtual timestamps.
-    pub fn sim_elapsed(&self) -> f64 {
-        self.records.iter().map(|r| r.sim_time).fold(0.0, f64::max)
+    /// Records a delivered `result`, completed at `sim_time` virtual seconds
+    /// (`0.0` where there is no virtual clock), charging its trial the
+    /// resource above what earlier deliveries charged it.
+    pub fn record(&mut self, result: &TrialResult, sim_time: f64) {
+        self.ledger.charge(result.trial_id, result.resource);
+        self.records.push(EvaluationRecord {
+            trial_id: result.trial_id,
+            config: result.config.clone(),
+            resource: result.resource,
+            score: result.score,
+            cumulative_resource: self.ledger.cumulative(),
+            noise_rep: result.noise_rep,
+            sim_time,
+        });
     }
 }
 
@@ -81,38 +88,28 @@ impl TuningOutcome {
 mod tests {
     use super::*;
 
-    fn record(trial: usize, resource: usize, score: f64, cumulative: usize) -> EvaluationRecord {
-        EvaluationRecord {
-            trial_id: trial,
-            config: HpConfig::new(vec![trial as f64]),
-            resource,
-            score,
-            cumulative_resource: cumulative,
-            noise_rep: 0,
-            sim_time: 0.0,
-        }
-    }
-
-    fn history(records: Vec<EvaluationRecord>) -> TuningOutcome {
+    /// Delivers `(trial, resource, score)` results in order at time zero.
+    fn history(results: &[(usize, usize, f64)]) -> TuningOutcome {
         let mut outcome = TuningOutcome::default();
-        for record in records {
-            outcome.push(record);
+        for &(trial_id, resource, score) in results {
+            let result = TrialResult {
+                trial_id,
+                config: HpConfig::new(vec![trial_id as f64]),
+                resource,
+                noise_rep: 0,
+                score,
+            };
+            outcome.record(&result, 0.0);
         }
         outcome
     }
 
     #[test]
     fn outcome_best_and_totals() {
-        let outcome = history(vec![
-            record(0, 10, 0.8, 10),
-            record(1, 10, 0.5, 20),
-            record(2, 10, 0.9, 30),
-            record(3, 10, 0.3, 40),
-        ]);
+        let outcome = history(&[(0, 10, 0.8), (1, 10, 0.5), (2, 10, 0.9), (3, 10, 0.3)]);
         assert_eq!(outcome.num_evaluations(), 4);
         assert_eq!(outcome.total_resource(), 40);
         assert_eq!(outcome.best().unwrap().trial_id, 3);
-        assert_eq!(outcome.sim_elapsed(), 0.0);
     }
 
     #[test]
@@ -124,25 +121,32 @@ mod tests {
     }
 
     #[test]
-    fn push_appends() {
-        let mut outcome = TuningOutcome::default();
-        outcome.push(record(0, 1, 1.0, 1));
-        assert_eq!(outcome.num_evaluations(), 1);
+    fn records_charge_in_delivery_order() {
+        // Trial 0 delivered at 9 before 3: the later, lower fidelity is free
+        // and keeps its own resource on record.
+        let outcome = history(&[(0, 9, 0.5), (0, 3, 0.6), (1, 4, 0.7)]);
+        let charged: Vec<_> = outcome
+            .records()
+            .iter()
+            .map(|r| (r.resource, r.cumulative_resource))
+            .collect();
+        assert_eq!(charged, vec![(9, 9), (3, 9), (4, 13)]);
+        assert_eq!(outcome.total_resource(), 13);
     }
 
     #[test]
     fn nan_scores_never_win_selection() {
         // Regression: `partial_cmp(..).unwrap_or(Equal)` used to let a NaN
         // score (a diverged training run) win `min_by` and poison selection.
-        let outcome = history(vec![
-            record(0, 10, f64::NAN, 10),
-            record(1, 10, 0.5, 20),
-            record(2, 10, f64::NEG_INFINITY, 30),
-            record(3, 10, 0.3, 40),
+        let outcome = history(&[
+            (0, 10, f64::NAN),
+            (1, 10, 0.5),
+            (2, 10, f64::NEG_INFINITY),
+            (3, 10, 0.3),
         ]);
         assert_eq!(outcome.best().unwrap().trial_id, 3);
         // An all-NaN history selects nothing rather than garbage.
-        let poisoned = history(vec![record(0, 5, f64::NAN, 5)]);
+        let poisoned = history(&[(0, 5, f64::NAN)]);
         assert!(poisoned.best().is_none());
     }
 }

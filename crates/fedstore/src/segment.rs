@@ -788,6 +788,35 @@ enum SegmentScan {
     Corrupt { valid_up_to: u64, reason: String },
 }
 
+/// Reads a segment header; `None` when the file is shorter than one.
+fn read_header(
+    reader: &mut impl std::io::Read,
+    path: &Path,
+) -> Result<Option<[u8; SEGMENT_HEADER_BYTES as usize]>> {
+    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
+    match reader.read_exact(&mut header) {
+        Ok(()) => Ok(Some(header)),
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(io_error(path)(e)),
+    }
+}
+
+/// Refuses a full header with this format's magic and another version: that
+/// segment is not this build's to read, truncate or delete.
+fn refuse_foreign_version(path: &Path, header: &[u8; SEGMENT_HEADER_BYTES as usize]) -> Result<()> {
+    let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if &header[..4] != SEGMENT_MAGIC || version == SEGMENT_VERSION {
+        return Ok(());
+    }
+    Err(corrupt_error(
+        path,
+        format!(
+            "segment format version {version} is not this build's version \
+             {SEGMENT_VERSION}; the segment is left untouched"
+        ),
+    ))
+}
+
 /// Streams one segment's entries through `on_entry`. Never holds more than
 /// one frame in memory.
 ///
@@ -800,33 +829,19 @@ fn scan_segment(
     let file = File::open(path).map_err(io_error(path))?;
     let file_len = file.metadata().map_err(io_error(path))?.len();
     let mut reader = BufReader::with_capacity(1 << 20, file);
-    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
-    match std::io::Read::read_exact(&mut reader, &mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            return Ok(SegmentScan::Corrupt {
-                valid_up_to: 0,
-                reason: format!("segment header torn ({file_len} bytes)"),
-            });
-        }
-        Err(e) => return Err(io_error(path)(e)),
-    }
+    let Some(header) = read_header(&mut reader, path)? else {
+        return Ok(SegmentScan::Corrupt {
+            valid_up_to: 0,
+            reason: format!("segment header torn ({file_len} bytes)"),
+        });
+    };
     if &header[..4] != SEGMENT_MAGIC {
         return Ok(SegmentScan::Corrupt {
             valid_up_to: 0,
             reason: "bad segment magic".into(),
         });
     }
-    let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if version != SEGMENT_VERSION {
-        return Err(corrupt_error(
-            path,
-            format!(
-                "segment format version {version} is not this build's version \
-                 {SEGMENT_VERSION}; the segment is left untouched"
-            ),
-        ));
-    }
+    refuse_foreign_version(path, &header)?;
     let mut frames = FrameReader::new(reader, SEGMENT_HEADER_BYTES);
     let mut dict: Vec<Provenance> = Vec::new();
     loop {
@@ -863,7 +878,8 @@ fn scan_segment(
 /// (torn tail, bit flip, torn header, bad magic) truncates its segment back
 /// to the last valid frame, and every later segment — unreachable under the
 /// append-order contract — is deleted. Entries streamed before the
-/// corruption are exactly the surviving ledger.
+/// corruption are exactly the surviving ledger. A later segment of another
+/// format version refuses the repair before it touches any file.
 ///
 /// Memory use is one frame plus one segment dictionary, independent of
 /// ledger size.
@@ -895,6 +911,12 @@ pub fn recover_with(
                 valid_up_to,
                 reason: _,
             } => {
+                for (_, later) in &segments[i + 1..] {
+                    let mut file = File::open(later).map_err(io_error(later))?;
+                    if let Some(header) = read_header(&mut file, later)? {
+                        refuse_foreign_version(later, &header)?;
+                    }
+                }
                 let file_len = std::fs::metadata(path).map_err(io_error(path))?.len();
                 if valid_up_to == 0 {
                     // Headerless/bogus file: nothing salvageable.
@@ -1275,6 +1297,41 @@ mod tests {
             assert_eq!(list_segments(&dir).unwrap().len(), 1);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_foreign_version_behind_a_corrupt_segment_is_refused_before_repair() {
+        let dir = temp_dir("foreign-behind-torn");
+        {
+            let config = SegmentConfig {
+                segment_bytes: 128,
+                durability: Durability::OnFlush,
+            };
+            let mut writer = SegmentWriter::open(&dir, config).unwrap();
+            for i in 0..8 {
+                writer.append(&record(i as f64, 1, 0)).unwrap();
+            }
+            writer.flush().unwrap();
+        }
+        let segments = list_segments(&dir).unwrap();
+        assert!(segments.len() >= 2, "want >=2 segments, got {segments:?}");
+        let (torn, foreign) = (&segments[0].1, &segments[1].1);
+        let bytes = std::fs::read(torn).unwrap();
+        std::fs::write(torn, &bytes[..bytes.len() - 3]).unwrap();
+        let mut bytes = std::fs::read(foreign).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(foreign, &bytes).unwrap();
+        let pristine: Vec<Vec<u8>> = segments
+            .iter()
+            .map(|(_, path)| std::fs::read(path).unwrap())
+            .collect();
+        let err = recover_with(&dir, |_| Ok(())).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("version 3"), "{err}");
+        for ((_, path), before) in segments.iter().zip(&pristine) {
+            assert_eq!(&std::fs::read(path).unwrap(), before, "{path:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
