@@ -148,7 +148,7 @@ fn regenerate() {
             TARGET_TOTAL_SLEEP / CAMPAIGNS as f64 / virtual_busy
         })
         .collect();
-    let evals: u64 = dry.iter().map(|out| out.evaluations).sum();
+    let evals: u64 = dry.iter().map(|out| out.status.evaluations).sum();
     println!("{CAMPAIGNS} campaigns: {evals} evaluations, {TARGET_TOTAL_SLEEP:.1}s target sleep");
 
     // Sequential baseline: each campaign standalone, one after another.

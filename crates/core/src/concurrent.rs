@@ -275,9 +275,10 @@ pub trait Host<K: ConcurrentSink> {
     /// One admitted evaluation finished and gave its worker back.
     fn release(&mut self) {}
 
-    /// Ends a turn whose commits are staged in `sink`; `last_commit` is the
-    /// virtual time of the latest one, `None` when the turn committed
-    /// nothing.
+    /// Ends a turn whose commits are staged in `sink`; `latest_commit` is
+    /// the largest virtual completion time among them (commits go in
+    /// dispatch order, so it need not be the last one's), `None` when the
+    /// turn committed nothing.
     ///
     /// # Errors
     ///
@@ -285,7 +286,7 @@ pub trait Host<K: ConcurrentSink> {
     fn end_turn(
         &mut self,
         sink: &mut K,
-        _last_commit: Option<f64>,
+        _latest_commit: Option<f64>,
     ) -> std::result::Result<(), Self::Error> {
         sink.end_turn().map_err(Into::into)
     }
@@ -439,11 +440,11 @@ where
         core: &mut ExecutorCore<'_>,
         host: &mut H,
     ) -> std::result::Result<(), H::Error> {
-        let last_commit = self.drain(host, &mut |work, output| {
+        let latest_commit = self.drain(host, &mut |work, output| {
             let result = TrialResult::of(&work.request, output.noisy_score);
             core.complete(event_key(&work.request), result)
         })?;
-        host.end_turn(self.sink, last_commit)
+        host.end_turn(self.sink, latest_commit)
     }
 
     fn number(&mut self, request: TrialRequest, sim_time: f64) -> Numbered {
@@ -483,7 +484,7 @@ where
     /// already waiting: admissions start their dispatch; a finished
     /// evaluation releases its admission, is reported to `arrived` (if it
     /// succeeded), parks in the commit buffer, and hands its trial's state
-    /// on. Returns the virtual time of the latest commit.
+    /// on. Returns the largest virtual completion time it committed.
     fn drain<H: Host<K>>(
         &mut self,
         host: &mut H,
@@ -492,7 +493,7 @@ where
         if self.busy.is_empty() && self.awaiting.is_empty() {
             return Err(invalid("the pump was asked to wait with no evaluation in flight").into());
         }
-        let mut last_commit = None;
+        let mut latest_commit = None;
         // The pump holds a sender itself, so the inbox cannot close under it.
         let first = self
             .rx
@@ -527,7 +528,8 @@ where
                         // slot, whenever it arrived.
                         self.sink.commit(&work.request, &output?, work.sim_time);
                         self.next_commit += 1;
-                        last_commit = Some(work.sim_time);
+                        let t = work.sim_time;
+                        latest_commit = Some(latest_commit.map_or(t, |l: f64| l.max(t)));
                     }
                     let Some(queue) = self.busy.get_mut(&trial) else {
                         return Err(invalid(format!(
@@ -549,7 +551,7 @@ where
             }
             next = self.rx.try_recv().ok();
         }
-        Ok(last_commit)
+        Ok(latest_commit)
     }
 }
 

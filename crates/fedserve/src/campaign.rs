@@ -10,7 +10,7 @@
 //!   [`FairGate`] before it touches a real worker (admission may lag
 //!   dispatch; grants arrive in the pump's own inbox, in dispatch order, so
 //!   the reorder logic is unchanged), raises the control flags before each
-//!   step, and ends each turn with `sync → publish Progress`. Budgets are
+//!   step, and ends each turn with `sync → publish status`. Budgets are
 //!   the core's ([`CampaignSpec::budget`]), as in every standalone lane.
 //!
 //! A **turn** blocks for one inbox message, drains every grant and
@@ -44,7 +44,7 @@
 
 use crate::dispatch::{DrrConfig, FairGate, GateError};
 use crate::objective::build_objective;
-use crate::spec::{CampaignSpec, CampaignState};
+use crate::spec::{CampaignSpec, CampaignState, CampaignStatus, Selection};
 use crate::{Result, ServeError};
 use fedhpo::{Scheduler, TrialRequest};
 use fedsim::SharedPool;
@@ -55,20 +55,6 @@ use fedtune_core::{
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Why a campaign halted before its schedule finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HaltReason {
-    /// An operator stop request (terminal).
-    Stopped,
-    /// A graceful service shutdown (resumable: no `Settled` note is
-    /// written, the next service start resumes from the ledger).
-    Suspended,
-    /// The campaign's `max_evaluations` budget was reached (terminal).
-    BudgetEvaluations,
-    /// The campaign's `max_resource` budget was reached (terminal).
-    BudgetResource,
-}
 
 /// Cooperative control flags shared between the service frontend and one
 /// campaign driver. All flags are one-way: once raised they stay raised.
@@ -82,53 +68,67 @@ pub struct CampaignFlags {
     pub kill: AtomicBool,
 }
 
-/// Live progress counters a driver publishes once per turn, after the
-/// turn's commits are durable.
-#[derive(Debug, Clone, Copy)]
-pub struct Progress {
-    /// Committed evaluations so far.
-    pub evaluations: u64,
-    /// Committed training rounds so far.
-    pub resource_spent: u64,
-    /// Virtual completion time of the latest commit.
-    pub sim_time: f64,
-    /// Evaluations served from the recovered ledger so far.
-    pub ledger_hits: u64,
-    /// Evaluations computed live so far.
-    pub ledger_misses: u64,
-}
-
 /// Everything a settled campaign driver hands back to the registry.
 #[derive(Debug)]
 pub struct CampaignOutcome {
     /// The tuning outcome (selections, log, timeline, `sim_elapsed`).
     pub outcome: EventDrivenOutcome,
-    /// Why the driver halted early, if it did. `None` with
-    /// `outcome.finished == false` means the *simulated* budget cut the
-    /// schedule off.
-    pub halt: Option<HaltReason>,
-    /// Committed evaluations.
-    pub evaluations: u64,
-    /// Committed training rounds.
-    pub resource_spent: u64,
-    /// Evaluations served from the recovered ledger.
-    pub ledger_hits: u64,
-    /// Evaluations computed live.
-    pub ledger_misses: u64,
+    /// The status the registry settles the campaign in.
+    pub status: CampaignStatus,
     /// The campaign's ledger, every commit durably appended.
     pub store: TrialStore,
 }
 
-impl CampaignOutcome {
-    /// The state the registry settles this campaign in.
-    pub fn state(&self) -> CampaignState {
-        match self.halt {
-            Some(HaltReason::Stopped) => CampaignState::Stopped,
-            Some(HaltReason::Suspended) => CampaignState::Suspended,
-            None if self.outcome.finished => CampaignState::Completed,
-            // A cap, or no halt on an unfinished schedule: the deadline.
-            _ => CampaignState::BudgetExhausted,
+/// Where a campaign stands when [`status`] describes it.
+enum Standing<'o> {
+    /// Between turns, with the largest completion time committed so far.
+    Running(f64),
+    /// Settled on `outcome`, with the flag state (`Stopped` or `Suspended`)
+    /// that halted it, if one did.
+    Settled(&'o EventDrivenOutcome, Option<CampaignState>),
+}
+
+/// A campaign's status, the one place its counters, state, selection and
+/// `sim_elapsed` are set. The counters are the commit log's and the ledger's
+/// hit / miss tally. A settled campaign is `BudgetExhausted` on an
+/// evaluation or round cap (even one the last wave reached, the schedule
+/// finished), else in its halting flag's state, else `Completed` if the
+/// schedule finished and `BudgetExhausted` if the deadline cut it off.
+fn status<S, E>(
+    name: &str,
+    sink: &RecordingSink<S, TrialStore>,
+    eval: &RecordingEval<E>,
+    standing: Standing<'_>,
+) -> CampaignStatus {
+    let (state, sim_elapsed, selection) = match standing {
+        Standing::Running(sim_elapsed) => (CampaignState::Running, sim_elapsed, None),
+        Standing::Settled(outcome, flag) => {
+            let state = match (outcome.halt, flag) {
+                (Some(Cap::Evaluations | Cap::Rounds), _) => CampaignState::BudgetExhausted,
+                (_, Some(flag)) => flag,
+                _ if outcome.finished => CampaignState::Completed,
+                _ => CampaignState::BudgetExhausted,
+            };
+            let selection = outcome.outcome.best().map(|best| Selection {
+                trial_id: best.trial_id,
+                config: best.config.values().to_vec(),
+                score: best.score,
+                resource: best.resource,
+                sim_time: best.sim_time,
+            });
+            (state, outcome.sim_elapsed, selection)
         }
+    };
+    CampaignStatus {
+        name: name.to_string(),
+        state,
+        evaluations: sink.campaign.log().len() as u64,
+        resource_spent: sink.campaign.cumulative_rounds() as u64,
+        sim_elapsed,
+        ledger_hits: eval.hits(),
+        ledger_misses: eval.misses(),
+        selection,
+        error: None,
     }
 }
 
@@ -136,13 +136,16 @@ impl CampaignOutcome {
 /// [`FairGate`]. Dropping it deregisters the campaign from the gate on every
 /// exit path, releasing its admitted capacity to the co-tenants.
 struct Tenant<'a, E> {
+    name: &'a str,
     gate: &'a FairGate,
     member: u64,
     flags: &'a CampaignFlags,
     eval: &'a RecordingEval<E>,
-    on_progress: &'a mut dyn FnMut(Progress),
-    /// The flag that halted the campaign, if one did.
-    halt: Option<HaltReason>,
+    on_status: &'a mut dyn FnMut(&CampaignStatus),
+    /// The largest completion time committed so far.
+    sim_elapsed: f64,
+    /// The state of the flag that halted the campaign, if one did.
+    halted_by: Option<CampaignState>,
 }
 
 impl<E> Drop for Tenant<'_, E> {
@@ -162,11 +165,14 @@ where
         if self.flags.kill.load(Ordering::Relaxed) {
             return Err(ServeError::Killed);
         }
-        use HaltReason::{Stopped, Suspended};
-        if self.halt.is_none() {
+        if self.halted_by.is_none() {
             let stop = self.flags.stop.load(Ordering::Relaxed);
             if stop || self.flags.suspend.load(Ordering::Relaxed) {
-                self.halt = Some(if stop { Stopped } else { Suspended });
+                self.halted_by = Some(if stop {
+                    CampaignState::Stopped
+                } else {
+                    CampaignState::Suspended
+                });
                 core.halt();
             }
         }
@@ -198,17 +204,13 @@ where
     fn end_turn(
         &mut self,
         sink: &mut RecordingSink<E::State, TrialStore>,
-        last_commit: Option<f64>,
+        latest_commit: Option<f64>,
     ) -> Result<()> {
         sink.sync()?;
-        if let Some(sim_time) = last_commit {
-            (self.on_progress)(Progress {
-                evaluations: sink.campaign.log().len() as u64,
-                resource_spent: sink.campaign.cumulative_rounds() as u64,
-                sim_time,
-                ledger_hits: self.eval.hits(),
-                ledger_misses: self.eval.misses(),
-            });
+        if let Some(sim_time) = latest_commit {
+            self.sim_elapsed = self.sim_elapsed.max(sim_time);
+            let standing = Standing::Running(self.sim_elapsed);
+            (self.on_status)(&status(self.name, sink, self.eval, standing));
         }
         Ok(())
     }
@@ -239,7 +241,7 @@ pub fn run_campaign(
     gate: &FairGate,
     flags: &CampaignFlags,
     trace: Option<Arc<fedtrace::Trace>>,
-    on_progress: &mut dyn FnMut(Progress),
+    on_status: &mut dyn FnMut(&CampaignStatus),
 ) -> Result<CampaignOutcome> {
     spec.validate()?;
     let mut scheduler = spec.build_scheduler()?;
@@ -251,7 +253,7 @@ pub fn run_campaign(
         gate,
         flags,
         trace,
-        on_progress,
+        on_status,
     )
 }
 
@@ -266,7 +268,7 @@ fn drive<E>(
     gate: &FairGate,
     flags: &CampaignFlags,
     trace: Option<Arc<fedtrace::Trace>>,
-    on_progress: &mut dyn FnMut(Progress),
+    on_status: &mut dyn FnMut(&CampaignStatus),
 ) -> Result<CampaignOutcome>
 where
     E: ConcurrentEval + Send + 'static,
@@ -291,29 +293,23 @@ where
         max_queued: spec.limits.max_queued,
     };
     let mut tenant = Tenant {
+        name: &spec.name,
         gate,
         member: gate.register(config, pump.admitter()),
         flags,
         eval: &eval,
-        on_progress,
-        halt: None,
+        on_status,
+        sim_elapsed: 0.0,
+        halted_by: None,
     };
     let outcome = pump.run(core, &mut tenant)?;
-    // A cap outranks a flag seen on the same step. A passed deadline shows
-    // as no halt on an unfinished schedule.
-    let halt = match outcome.halt {
-        Some(Cap::Evaluations) => Some(HaltReason::BudgetEvaluations),
-        Some(Cap::Rounds) => Some(HaltReason::BudgetResource),
-        _ => tenant.halt,
-    };
+    let halted_by = tenant.halted_by;
     drop((pump, tenant));
+    let standing = Standing::Settled(&outcome, halted_by);
+    let status = status(&spec.name, &sink, &eval, standing);
     Ok(CampaignOutcome {
         outcome,
-        halt,
-        evaluations: sink.campaign.log().len() as u64,
-        resource_spent: sink.campaign.cumulative_rounds() as u64,
-        ledger_hits: eval.hits(),
-        ledger_misses: eval.misses(),
+        status,
         store: sink.into_store(),
     })
 }
@@ -416,17 +412,9 @@ pub(crate) mod tests {
             spec: &CampaignSpec,
             store: TrialStore,
             flags: &CampaignFlags,
-            on_progress: &mut dyn FnMut(Progress),
+            on_status: &mut dyn FnMut(&CampaignStatus),
         ) -> Result<CampaignOutcome> {
-            run_campaign(
-                spec,
-                store,
-                &self.pool,
-                &self.gate,
-                flags,
-                None,
-                on_progress,
-            )
+            run_campaign(spec, store, &self.pool, &self.gate, flags, None, on_status)
         }
     }
 
@@ -517,7 +505,7 @@ pub(crate) mod tests {
             assert_eq!(reference_commits.len(), reference.timeline.len());
 
             let daemon = Daemon::new(4);
-            let mut progress = Vec::new();
+            let mut published = Vec::new();
             let served = drive(
                 spec,
                 scheduler().as_mut(),
@@ -526,7 +514,7 @@ pub(crate) mod tests {
                 &daemon.gate,
                 &CampaignFlags::default(),
                 None,
-                &mut |p| progress.push(p.evaluations),
+                &mut |status| published.push(status.clone()),
             )
             .unwrap();
             assert_eq!(served.outcome, reference, "{method}: served");
@@ -535,16 +523,34 @@ pub(crate) mod tests {
                 reference.sim_elapsed.to_bits()
             );
             assert_eq!(commit_sequence(&served.store), reference_commits);
-            let capped = halt.map(|_| HaltReason::BudgetEvaluations);
-            assert_eq!(served.halt, capped, "{method}");
-            assert_eq!(served.evaluations, reference_commits.len() as u64);
-            assert_eq!(served.ledger_misses, served.evaluations);
-            assert_eq!(served.ledger_hits, 0);
-            assert_eq!(
-                progress.last().copied(),
-                Some(served.evaluations),
-                "progress callback tracked every commit"
+            let settled = &served.status;
+            let state = halt.map_or(CampaignState::Completed, |_| BudgetExhausted);
+            assert_eq!(settled.state, state, "{method}");
+            assert_eq!(settled.evaluations, reference_commits.len() as u64);
+            assert_eq!(settled.ledger_misses, settled.evaluations);
+            assert_eq!(settled.ledger_hits, 0);
+            // A virtual worker freed early can finish a later dispatch
+            // sooner, so commit order is not time order: the published
+            // clock still never runs backwards, and the last status a
+            // running campaign published already says what it settles on.
+            let clock: Vec<f64> = published.iter().map(|s| s.sim_elapsed).collect();
+            assert!(
+                clock.windows(2).all(|w| w[0] <= w[1]),
+                "{method}: published sim_elapsed went backwards: {clock:?}"
             );
+            let last = published.last().expect("a turn published a status");
+            assert_eq!(last.state, CampaignState::Running);
+            assert_eq!(last.selection, None);
+            assert_eq!(
+                CampaignStatus {
+                    state: settled.state,
+                    selection: settled.selection.clone(),
+                    ..last.clone()
+                },
+                *settled,
+                "{method}: the last published status is the settled one"
+            );
+            assert_eq!(last.sim_elapsed.to_bits(), settled.sim_elapsed.to_bits());
             assert_eq!(
                 daemon.gate.global_in_flight(),
                 0,
@@ -560,7 +566,7 @@ pub(crate) mod tests {
     struct BudgetPin {
         evaluations: u64,
         resource_spent: u64,
-        halt: Option<HaltReason>,
+        halt: Option<Cap>,
         state: CampaignState,
         finished: bool,
         /// FNV-1a over every delivered record's `(trial, resource, rep,
@@ -584,10 +590,10 @@ pub(crate) mod tests {
         }
         fold(out.outcome.sim_elapsed.to_bits());
         BudgetPin {
-            evaluations: out.evaluations,
-            resource_spent: out.resource_spent,
-            halt: out.halt,
-            state: out.state(),
+            evaluations: out.status.evaluations,
+            resource_spent: out.status.resource_spent,
+            halt: out.outcome.halt,
+            state: out.status.state,
             finished: out.outcome.finished,
             digest,
         }
@@ -612,7 +618,6 @@ pub(crate) mod tests {
     }
 
     use CampaignState::BudgetExhausted;
-    use HaltReason::{BudgetEvaluations, BudgetResource};
 
     #[test]
     fn evaluation_budget_halts_deterministically() {
@@ -621,7 +626,7 @@ pub(crate) mod tests {
         let expected = BudgetPin {
             evaluations: 7,
             resource_spent: 8,
-            halt: Some(BudgetEvaluations),
+            halt: Some(Cap::Evaluations),
             state: BudgetExhausted,
             finished: false,
             digest: 14386532482416582575,
@@ -636,7 +641,7 @@ pub(crate) mod tests {
         let expected = BudgetPin {
             evaluations: 11,
             resource_spent: 13,
-            halt: Some(BudgetResource),
+            halt: Some(Cap::Rounds),
             state: BudgetExhausted,
             finished: false,
             digest: 8586097291544881451,
@@ -658,12 +663,12 @@ pub(crate) mod tests {
         };
         let mut zero = spec("zero", 17);
         zero.limits.max_evaluations = Some(0);
-        assert_eq!(served_pin(&zero), first_wave(BudgetEvaluations));
+        assert_eq!(served_pin(&zero), first_wave(Cap::Evaluations));
         zero.limits = CampaignLimits {
             max_resource: Some(0),
             ..CampaignLimits::default()
         };
-        assert_eq!(served_pin(&zero), first_wave(BudgetResource));
+        assert_eq!(served_pin(&zero), first_wave(Cap::Rounds));
     }
 
     #[test]
@@ -688,12 +693,12 @@ pub(crate) mod tests {
             digest: 529389457961130099,
         };
         exact.limits.max_evaluations = Some(17);
-        assert_eq!(served_pin(&exact), at_cap(BudgetEvaluations));
+        assert_eq!(served_pin(&exact), at_cap(Cap::Evaluations));
         exact.limits = CampaignLimits {
             max_resource: Some(26),
             ..CampaignLimits::default()
         };
-        assert_eq!(served_pin(&exact), at_cap(BudgetResource));
+        assert_eq!(served_pin(&exact), at_cap(Cap::Rounds));
     }
 
     #[test]
@@ -705,7 +710,7 @@ pub(crate) mod tests {
         let expected = BudgetPin {
             evaluations: 13,
             resource_spent: 16,
-            halt: None,
+            halt: Some(Cap::SimSeconds),
             state: BudgetExhausted,
             finished: false,
             digest: 9665077603117567595,
@@ -730,9 +735,13 @@ pub(crate) mod tests {
         let outcome = daemon
             .run(&spec, TrialStore::in_memory(), &flags, &mut |_| {})
             .unwrap();
-        assert_eq!(outcome.halt, Some(HaltReason::Stopped));
+        assert_eq!(outcome.status.state, CampaignState::Stopped);
+        assert_eq!(outcome.outcome.halt, None);
         assert!(!outcome.outcome.finished);
-        assert!(outcome.evaluations < 30, "halt cut the schedule short");
+        assert!(
+            outcome.status.evaluations < 30,
+            "halt cut the schedule short"
+        );
     }
 
     #[test]
@@ -845,14 +854,14 @@ pub(crate) mod tests {
                 &daemon.gate,
                 &CampaignFlags::default(),
                 None,
-                &mut |p| published = p.evaluations,
+                &mut |status| published = status.evaluations,
             );
             match result {
                 Err(ServeError::Core { message }) => assert!(
                     message.contains(&format!("rigged failure of trial {}", first_wave[1])),
                     "{workers} workers: {message}"
                 ),
-                other => panic!("{workers} workers: {:?}", other.map(|o| o.evaluations)),
+                other => panic!("{workers} workers: {:?}", other.map(|o| o.status)),
             }
             // Only the dispatch ahead of the failure was ever committed.
             assert!(published <= 1, "{workers} workers: {published} published");
@@ -920,7 +929,7 @@ pub(crate) mod tests {
         tenant: Tenant<'a, AnalyticEval>,
         /// Admitted dispatches whose evaluation has not run yet.
         held: &'p RefCell<Vec<Job>>,
-        published: &'a RefCell<Vec<Progress>>,
+        published: &'a RefCell<Vec<CampaignStatus>>,
         /// The gate's grants, in the order it made them.
         granted: Vec<u64>,
         /// `(configuration, sim_completion bits)` per dispatch.
@@ -928,7 +937,7 @@ pub(crate) mod tests {
     }
 
     impl MidFlight<'_, '_> {
-        fn turn(&mut self) -> (Result<()>, Vec<Progress>) {
+        fn turn(&mut self) -> (Result<()>, Vec<CampaignStatus>) {
             let result = self.pump.turn(&mut self.core, &mut self.tenant);
             (result, self.published.take())
         }
@@ -968,7 +977,7 @@ pub(crate) mod tests {
         let grants = Arc::clone(&granted);
         let member = gate.register(config, move |ticket| grants.lock().unwrap().push(ticket));
         let published = RefCell::new(Vec::new());
-        let mut on_progress = |p| published.borrow_mut().push(p);
+        let mut on_status = |status: &CampaignStatus| published.borrow_mut().push(status.clone());
         let mut driver = MidFlight {
             pump: Pump::new(Arc::clone(&eval), &mut sink, &hold),
             core: ExecutorCore::new(
@@ -981,12 +990,14 @@ pub(crate) mod tests {
             )
             .unwrap(),
             tenant: Tenant {
+                name: &spec.name,
                 gate: &gate,
                 member,
                 flags: &CampaignFlags::default(),
                 eval: &eval,
-                on_progress: &mut on_progress,
-                halt: None,
+                on_status: &mut on_status,
+                sim_elapsed: 0.0,
+                halted_by: None,
             },
             held: &held,
             published: &published,
@@ -1099,7 +1110,7 @@ pub(crate) mod tests {
         assert!(
             matches!(result, Err(ServeError::Store { .. })),
             "{:?}",
-            result.map(|out| out.evaluations)
+            result.map(|out| out.status)
         );
         assert_eq!(published, 0);
         assert_eq!(
@@ -1219,17 +1230,18 @@ pub(crate) mod tests {
             &daemon.gate,
             &CampaignFlags::default(),
             None,
-            &mut |p| {
+            &mut |status| {
                 assert_eq!(process_unsynced(), 0, "status ran ahead of the disk");
-                assert!(p.evaluations > published, "a turn publishes once");
-                published = p.evaluations;
+                assert!(status.evaluations > published, "a turn publishes once");
+                published = status.evaluations;
             },
         )
         .unwrap();
         assert_eq!(served.outcome, reference);
-        assert_eq!(scheduler.reports as u64, served.evaluations);
-        assert_eq!(published, served.evaluations);
-        assert_eq!(served.store.len() as u64, served.evaluations);
+        let evaluations = served.status.evaluations;
+        assert_eq!(scheduler.reports as u64, evaluations);
+        assert_eq!(published, evaluations);
+        assert_eq!(served.store.len() as u64, evaluations);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1348,9 +1360,9 @@ pub(crate) mod tests {
                     &spec,
                     TrialStore::open_segments(&dir).unwrap(),
                     &flags,
-                    &mut |p| {
+                    &mut |status| {
                         turns += 1;
-                        published = p.evaluations;
+                        published = status.evaluations;
                         if turns == kill_at {
                             flags.kill.store(true, Ordering::Relaxed);
                         }
@@ -1379,6 +1391,7 @@ pub(crate) mod tests {
                     resumed.outcome.sim_elapsed.to_bits(),
                     reference.sim_elapsed.to_bits()
                 );
+                let resumed = &resumed.status;
                 assert!(
                     resumed.ledger_hits >= published,
                     "seed {seed}, turn {kill_at}: a published evaluation was not on disk \

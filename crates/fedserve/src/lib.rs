@@ -17,7 +17,8 @@
 //!   dispatches from all campaigns multiplex onto the bounded worker pool
 //!   with per-campaign max-in-flight and queue-depth caps.
 //! - [`campaign`] — one driver per campaign, pumping its `ExecutorCore`
-//!   non-blockingly through grants and completions.
+//!   non-blockingly through grants and completions, and the one function
+//!   that builds a campaign's [`CampaignStatus`], live and settled.
 //! - [`service`] — the registry: per-campaign directories (own segment
 //!   ledger, lock, fedtrace registry), budget enforcement, crash-restart
 //!   from the ledgers alone, and the socket frontend.
@@ -45,7 +46,7 @@ pub mod proto;
 pub mod service;
 pub mod spec;
 
-pub use campaign::{CampaignOutcome, HaltReason};
+pub use campaign::CampaignOutcome;
 pub use client::Client;
 pub use dispatch::{DrrConfig, DrrState, FairGate, GateError};
 pub use objective::{build_objective, AnalyticEval};

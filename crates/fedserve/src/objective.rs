@@ -19,7 +19,7 @@
 //!   from disk.
 //! - **Durability.** The unit of durability is the driver *turn*: commits
 //!   are staged in the segment ledger in dispatch order and one sync at the
-//!   turn's end makes them durable before the driver publishes progress. So
+//!   turn's end makes them durable before the driver publishes a status. So
 //!   a *status* never runs ahead of the disk. The *scheduler* can: the
 //!   executor core hears a result when it arrives, while its commit may
 //!   still be parked behind an earlier dispatch that has not finished. A
@@ -35,7 +35,7 @@ use crate::spec::{CampaignSpec, ObjectiveSpec};
 use crate::Result;
 use fedhpo::{SearchSpace, TrialRequest};
 use fedsim::clock::CostModel;
-use fedstore::{RecordingObjective, TrialKey, TrialStore};
+use fedstore::{RecordingObjective, TrialStore};
 use fedtune_core::{ConcurrentEval, CoreError, EvalOutput};
 use rand_distr::{Distribution, Normal};
 use std::time::Duration;
@@ -77,19 +77,18 @@ impl AnalyticEval {
         }
     }
 
-    /// The positional observation-noise draw for one ledger key.
-    fn noise_draw(&self, key: &TrialKey, noise_sd: f64) -> f64 {
+    /// The positional observation-noise draw for one request whose
+    /// canonical configuration has `fingerprint`.
+    fn noise_draw(&self, fingerprint: u64, request: &TrialRequest, noise_sd: f64) -> f64 {
         if noise_sd <= 0.0 {
             return 0.0;
         }
         // Keyed by canonical coordinates, not trial id: promotions of the
         // same config to a new rung draw fresh noise, re-evaluations of the
         // same (config, resource, rep) reproduce the same draw.
-        let index = key
-            .config
-            .fingerprint()
-            .wrapping_add((key.resource as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(key.rep.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        let index = fingerprint
+            .wrapping_add((request.resource as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(request.noise_rep.wrapping_mul(0xBF58_476D_1CE4_E5B9));
         let mut rng = fedmath::rng::rng_for(self.seed, index);
         match Normal::new(0.0, noise_sd) {
             Ok(normal) => normal.sample(&mut rng),
@@ -107,8 +106,10 @@ impl ConcurrentEval for AnalyticEval {
         trained: &mut usize,
         request: &TrialRequest,
     ) -> fedtune_core::Result<EvalOutput> {
-        let key =
-            TrialKey::for_request(&self.space, request).map_err(|e| CoreError::InvalidConfig {
+        let fingerprint = self
+            .space
+            .canonical_fingerprint(&request.config)
+            .map_err(|e| CoreError::InvalidConfig {
                 message: format!("unkeyable request: {e}"),
             })?;
         let already = *trained;
@@ -134,13 +135,12 @@ impl ConcurrentEval for AnalyticEval {
             // from `already` to `reached` rounds under the campaign's cost
             // model, scaled from virtual to real seconds. Pure in the same
             // coordinates as the score, so sleeping never moves a bit.
-            let fingerprint = key.config.fingerprint();
             let virtual_seconds = self.cost.evaluation_seconds(fingerprint, already, reached);
             std::thread::sleep(Duration::from_secs_f64(virtual_seconds * latency_scale));
         }
         let true_error = self.true_error(request);
         Ok(EvalOutput {
-            noisy_score: true_error + self.noise_draw(&key, *noise_sd),
+            noisy_score: true_error + self.noise_draw(fingerprint, request, *noise_sd),
             true_error,
         })
     }

@@ -32,10 +32,10 @@
 //! is a thread-per-connection loop speaking the [`proto`]
 //! framing. Unix sockets and TCP differ only in the listener constructor.
 
-use crate::campaign::{run_campaign, CampaignFlags, CampaignOutcome, Progress};
+use crate::campaign::{run_campaign, CampaignFlags, CampaignOutcome};
 use crate::dispatch::FairGate;
 use crate::proto::{self, ErrorCode, Request, Response};
-use crate::spec::{CampaignSpec, CampaignState, CampaignStatus, Selection};
+use crate::spec::{CampaignSpec, CampaignState, CampaignStatus};
 use crate::{Result, ServeError};
 use fedsim::SharedPool;
 use fedstore::segment::LedgerEntry;
@@ -356,14 +356,9 @@ impl Service {
         flags: Arc<CampaignFlags>,
         trace: Arc<fedtrace::Trace>,
     ) {
-        let name = spec.name.clone();
-        let mut on_progress = |p: Progress| {
-            if let Some(cell) = self.locked_cells().get_mut(&name) {
-                cell.status.evaluations = p.evaluations;
-                cell.status.resource_spent = p.resource_spent;
-                cell.status.sim_elapsed = p.sim_time;
-                cell.status.ledger_hits = p.ledger_hits;
-                cell.status.ledger_misses = p.ledger_misses;
+        let mut publish = |status: &CampaignStatus| {
+            if let Some(cell) = self.locked_cells().get_mut(&spec.name) {
+                cell.status.clone_from(status);
             }
         };
         let result = run_campaign(
@@ -373,12 +368,13 @@ impl Service {
             &self.gate,
             &flags,
             Some(trace),
-            &mut on_progress,
+            &mut publish,
         );
-        self.settle(&name, result);
+        self.settle(&spec.name, result);
     }
 
-    /// Folds a driver result into the campaign's settled status. A terminal
+    /// Stores a driver's settled status, or marks the last published one
+    /// failed or suspended when the driver ended in an error. A terminal
     /// status is first appended to the ledger as a `Settled` note, synced;
     /// only then does the cell publish it and swap its trace for the final
     /// snapshot.
@@ -388,19 +384,7 @@ impl Service {
         };
         let store = match result {
             Ok(out) => {
-                status.evaluations = out.evaluations;
-                status.resource_spent = out.resource_spent;
-                status.sim_elapsed = out.outcome.sim_elapsed;
-                status.ledger_hits = out.ledger_hits;
-                status.ledger_misses = out.ledger_misses;
-                status.selection = out.outcome.outcome.best().map(|best| Selection {
-                    trial_id: best.trial_id,
-                    config: best.config.values().to_vec(),
-                    score: best.score,
-                    resource: best.resource,
-                    sim_time: best.sim_time,
-                });
-                status.state = out.state();
+                status = out.status;
                 Some(out.store)
             }
             Err(ServeError::Killed) => {
