@@ -15,9 +15,9 @@
 //!   function of position, so results are identical no matter how trials are
 //!   scheduled.
 //! - **Policy-driven fan-out.** Trials execute through
-//!   [`fedsim::exec::map_range`] under the runner's
-//!   [`ExecutionPolicy`], sequentially or across threads, with bit-identical
-//!   results (asserted by `tests/determinism.rs`).
+//!   [`fedmath::par::map_range`] at the runner's
+//!   [`ExecutionPolicy::effective_threads`], sequentially or across threads,
+//!   with bit-identical results (asserted by `tests/determinism.rs`).
 //!
 //! The runner is an argument: every experiment entry point and
 //! [`ConfigPool`](crate::ConfigPool) constructor that fans trials out takes
@@ -30,7 +30,7 @@
 
 use crate::Result;
 use fedmath::SeedTree;
-use fedsim::exec::{self, ExecutionPolicy};
+use fedsim::exec::ExecutionPolicy;
 use rand::rngs::StdRng;
 use std::sync::OnceLock;
 
@@ -134,7 +134,8 @@ impl TrialRunner {
         let counters = engine_counters();
         counters.planned.add(count as u64);
         let root = SeedTree::new(root_seed);
-        let results = exec::map_range(&self.policy, count, |index| {
+        let threads = self.policy.effective_threads(count);
+        let results = fedmath::par::map_range(threads, count, |index| {
             let result = trial(&TrialContext {
                 index,
                 seeds: root.child(index as u64),

@@ -211,23 +211,18 @@ impl ClassificationWorld {
     /// controlled by `label_alpha` in the configuration. Clients are
     /// materialized positionally via [`client_at`](Self::client_at) below a
     /// root derived from `rng`, so an eagerly generated pool is exactly what
-    /// a lazy population would materialize client by client.
+    /// a lazy population would materialize client by client. That is what
+    /// lets the pool fan out over every available core and still come back
+    /// bit-identical, in id order, at any thread count.
     ///
     /// # Errors
     ///
     /// Returns [`DataError::InvalidSpec`] if `sizes` is empty or contains zero.
     pub fn generate_clients(&self, rng: &mut impl Rng, sizes: &[usize]) -> Result<Vec<ClientData>> {
-        if sizes.is_empty() {
-            return Err(DataError::InvalidSpec {
-                message: "need at least one client size".into(),
-            });
-        }
-        let tree = fedmath::SeedTree::new(rng.gen());
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(id, &n)| self.client_at(&tree, id as u64, n))
-            .collect()
+        let tree = pool_root(rng, sizes)?;
+        positional_pool(fedmath::par::available_threads(), sizes, |id, n| {
+            self.client_at(&tree, id, n)
+        })
     }
 }
 
@@ -312,24 +307,50 @@ impl LanguageWorld {
 
     /// Generates one client pool with the given per-client example counts,
     /// materialized positionally via [`client_at`](Self::client_at) below a
-    /// root derived from `rng` (see [`ClassificationWorld::generate_clients`]).
+    /// root derived from `rng` and fanned out over every available core (see
+    /// [`ClassificationWorld::generate_clients`]).
     ///
     /// # Errors
     ///
     /// Returns [`DataError::InvalidSpec`] if `sizes` is empty or contains zero.
     pub fn generate_clients(&self, rng: &mut impl Rng, sizes: &[usize]) -> Result<Vec<ClientData>> {
-        if sizes.is_empty() {
-            return Err(DataError::InvalidSpec {
-                message: "need at least one client size".into(),
-            });
-        }
-        let tree = fedmath::SeedTree::new(rng.gen());
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(id, &n)| self.client_at(&tree, id as u64, n))
-            .collect()
+        let tree = pool_root(rng, sizes)?;
+        positional_pool(fedmath::par::available_threads(), sizes, |id, n| {
+            self.client_at(&tree, id, n)
+        })
     }
+}
+
+/// The root a pool's clients are materialized below: one draw from `rng`.
+///
+/// # Errors
+///
+/// Returns [`DataError::InvalidSpec`] if `sizes` is empty.
+fn pool_root(rng: &mut impl Rng, sizes: &[usize]) -> Result<fedmath::SeedTree> {
+    if sizes.is_empty() {
+        return Err(DataError::InvalidSpec {
+            message: "need at least one client size".into(),
+        });
+    }
+    Ok(fedmath::SeedTree::new(rng.gen()))
+}
+
+/// Materializes client `id` of size `sizes[id]` for every id, fanned out over
+/// `threads` through [`fedmath::par::map_range`] and stitched back in id
+/// order. Each client is a pure function of its id and size, so the pool is
+/// the sequential loop's at any thread count, and so is its error: the
+/// lowest failing id's, with no partial pool.
+///
+/// Generation takes no execution policy: its output cannot depend on the
+/// thread count, and it runs before any trial fans out, never inside one.
+fn positional_pool(
+    threads: usize,
+    sizes: &[usize],
+    client: impl Fn(u64, usize) -> Result<ClientData> + Sync,
+) -> Result<Vec<ClientData>> {
+    fedmath::par::map_range(threads, sizes.len(), |id| client(id as u64, sizes[id]))
+        .into_iter()
+        .collect()
 }
 
 #[cfg(test)]
@@ -526,19 +547,58 @@ mod tests {
     #[test]
     fn eager_pool_matches_lazy_per_client_materialization() {
         // generate_clients must produce exactly what client-by-client
-        // materialization below the same root would: the eager path is the
-        // lazy path, fused.
+        // materialization below the same root would — the eager path is the
+        // lazy path, fused and fanned out — for both worlds and at every
+        // thread count: one, counts that do and do not divide 37, one per
+        // client, and more threads than clients. 37 clients, so no chunk
+        // boundary lines up with a thread count but 1 and 37.
+        type Client<'a> = &'a (dyn Fn(u64, usize) -> Result<ClientData> + Sync);
+        let check = |sizes: &[usize], client: Client<'_>, expected: Result<Vec<ClientData>>| {
+            let sequential: Result<Vec<_>> = (0..sizes.len())
+                .map(|id| client(id as u64, sizes[id]))
+                .collect();
+            assert_eq!(sequential, expected);
+            for threads in [1, 2, 3, 4, 5, 8, 37, 64] {
+                let pool = positional_pool(threads, sizes, client);
+                assert_eq!(pool, expected, "threads = {threads}");
+            }
+            expected
+        };
+        let mut sizes: Vec<usize> = (0..37).map(|id| 1 + (id * 7) % 11).collect();
+        let tree = fedmath::SeedTree::new(rand::Rng::gen::<u64>(&mut rng_for(13, 1)));
         let mut rng = rng_for(13, 0);
         let world = ClassificationWorld::generate(&mut rng, classification_config()).unwrap();
-        let sizes = vec![4, 9, 2, 7];
-        let mut pool_rng = rng_for(13, 1);
-        let pool = world.generate_clients(&mut pool_rng, &sizes).unwrap();
-        let mut root_rng = rng_for(13, 1);
-        let tree = fedmath::SeedTree::new(rand::Rng::gen::<u64>(&mut root_rng));
-        for (id, &n) in sizes.iter().enumerate() {
-            let lazy = world.client_at(&tree, id as u64, n).unwrap();
-            assert_eq!(pool[id], lazy, "client {id} diverged between paths");
-        }
+        let lang = LanguageWorld::generate(&mut rng, language_config()).unwrap();
+        let classification = |id, n| world.client_at(&tree, id, n);
+        let language = |id, n| lang.client_at(&tree, id, n);
+
+        let eager = world.generate_clients(&mut rng_for(13, 1), &sizes);
+        let pool = check(&sizes, &classification, eager).unwrap();
+        let ids: Vec<usize> = pool.iter().map(ClientData::id).collect();
+        assert_eq!(ids, (0..37).collect::<Vec<_>>());
+        let eager = lang.generate_clients(&mut rng_for(13, 1), &sizes);
+        check(&sizes, &language, eager).unwrap();
+
+        // A zero size at id 30: the sequential loop's InvalidSpec and no
+        // partial pool, at every thread count.
+        sizes[30] = 0;
+        let eager = world.generate_clients(&mut rng_for(13, 1), &sizes);
+        let error = check(&sizes, &classification, eager).unwrap_err();
+        assert!(matches!(error, DataError::InvalidSpec { .. }));
+        let eager = lang.generate_clients(&mut rng_for(13, 1), &sizes);
+        assert_eq!(check(&sizes, &language, eager), Err(error));
+        // Two failing ids, in different chunks at most thread counts: the
+        // lower id's error wins, as in the sequential loop.
+        let failing = |id: u64, n: usize| match id {
+            30 | 36 => Err(DataError::InvalidSpec {
+                message: format!("client {id}"),
+            }),
+            _ => world.client_at(&tree, id, n),
+        };
+        let first = Err(DataError::InvalidSpec {
+            message: "client 30".into(),
+        });
+        check(&sizes, &failing, first).unwrap_err();
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   softmax/cross-entropy backward) and the [`kernel::BufferPool`] scratch
 //!   arena used by the training hot path; each kernel documents one fixed
 //!   accumulation order.
+//! - [`par`]: the workspace's one scoped, chunked fan-out
+//!   ([`par::map_range`]), order-preserving at every thread count.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 pub mod kernel;
 pub mod matrix;
 pub mod ops;
+pub mod par;
 pub mod rng;
 pub mod stats;
 

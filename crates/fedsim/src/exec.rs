@@ -1,19 +1,13 @@
 //! The deterministic execution engine: a policy knob selecting sequential or
-//! multi-threaded execution of independent trials, plus order-preserving
-//! parallel primitives whose results are bit-identical across policies and
-//! thread counts.
+//! multi-threaded execution of independent trials, and the one worker pool.
 //!
 //! There is one level of parallelism: trials fan out, and each trial's
 //! federated rounds and validation passes run on the thread that owns it.
-//! What makes that fan-out safe for the simulator's numerics is
-//! **order preservation**: [`map_range`] always returns results in index
-//! order, and every work item must derive its randomness from its *index*
-//! (see `fedmath::SeedTree`), never from a shared sequential RNG — so
-//! scheduling cannot leak into the output.
-//!
-//! Parallelism is implemented with `std::thread::scope` rather than `rayon`:
-//! the build environment vendors all dependencies offline, and scoped threads
-//! with contiguous chunking are sufficient for uniform trial workloads.
+//! A `fedtune_core::TrialRunner` fans its trials out through
+//! [`fedmath::par::map_range`] at
+//! [`ExecutionPolicy::effective_threads`]; that fan-out returns results in
+//! index order, and every trial derives its randomness from its *index*
+//! (see `fedmath::SeedTree`), so scheduling cannot leak into the output.
 //!
 //! For long-lived fan-out — a campaign driver submitting one job per
 //! dispatched evaluation, hundreds of times per campaign — per-call spawning
@@ -23,9 +17,7 @@
 //! (deterministically) how results are committed. It is scoped
 //! ([`with_thread_pool`], jobs borrow the caller's data) or owned
 //! ([`SharedPool`], `'static` jobs, the daemon's), with one worker loop and
-//! one panic policy. [`map_range`] keeps its per-call scoped spawns: its
-//! fan-outs are wide and infrequent, and its jobs borrow arbitrary
-//! call-site data.
+//! one panic policy.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -100,7 +92,7 @@ impl ExecutionPolicy {
             ExecutionPolicy::Sequential => 1,
             ExecutionPolicy::Parallel { threads } => {
                 let requested = if *threads == 0 {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                    fedmath::par::available_threads()
                 } else {
                     *threads
                 };
@@ -125,45 +117,6 @@ fn parse_threads(value: Option<&str>) -> std::result::Result<ExecutionPolicy, St
         Ok(threads) => Ok(ExecutionPolicy::Parallel { threads }),
         Err(_) => Err(raw.to_string()),
     }
-}
-
-/// Applies `f` to every index in `0..len`, returning results in index order.
-///
-/// Under [`ExecutionPolicy::Parallel`] the index range is split into
-/// contiguous chunks, one scoped thread per chunk; results are stitched back
-/// together in chunk order, so the output is identical to the sequential
-/// policy whenever `f` is a pure function of its index. A panic in `f`
-/// reaches the caller with its own payload under every policy (the
-/// lowest-index chunk's, when several workers panic).
-pub fn map_range<O, F>(policy: &ExecutionPolicy, len: usize, f: F) -> Vec<O>
-where
-    O: Send,
-    F: Fn(usize) -> O + Sync,
-{
-    let threads = policy.effective_threads(len);
-    if threads <= 1 || len <= 1 {
-        return (0..len).map(f).collect();
-    }
-    let chunk = len.div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(len);
-                scope.spawn(move || (start..end).map(f).collect::<Vec<O>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(len);
-        for handle in handles {
-            out.extend(
-                handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        out
-    })
 }
 
 /// A unit of work queued on a pool.
@@ -432,17 +385,6 @@ mod tests {
         let rx = with_thread_pool(1, queue_behind_a_panic);
         assert_eq!(rx.try_recv(), Ok(7));
         assert!(counted(before));
-    }
-
-    #[test]
-    fn map_range_preserves_order_across_policies() {
-        let sequential = map_range(&ExecutionPolicy::Sequential, 100, |i| i * i);
-        for threads in [1, 2, 3, 7, 16] {
-            let parallel = map_range(&ExecutionPolicy::parallel_with(threads), 100, |i| i * i);
-            assert_eq!(sequential, parallel, "threads = {threads}");
-        }
-        let empty: Vec<usize> = map_range(&ExecutionPolicy::parallel(), 0, |i| i);
-        assert!(empty.is_empty());
     }
 
     #[test]

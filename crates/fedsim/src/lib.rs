@@ -18,7 +18,7 @@
 //! - [`exec`] is the deterministic execution engine: an
 //!   [`exec::ExecutionPolicy`] (`Sequential` or `Parallel`) governs how the
 //!   independent trials of an experiment fan out over threads
-//!   ([`exec::map_range`] behind `fedtune_core::TrialRunner`), with
+//!   ([`fedmath::par::map_range`] behind `fedtune_core::TrialRunner`), with
 //!   bit-identical results under every policy, and the one worker pool type
 //!   campaign drivers run their evaluations on, [`ThreadPool`]: scoped
 //!   ([`with_thread_pool`]) or owned ([`SharedPool`]), with one panic

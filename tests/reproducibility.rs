@@ -17,6 +17,66 @@ fn dataset_generation_is_deterministic() {
     }
 }
 
+/// FNV-1a over the generated bits of `dataset`: training pool then
+/// validation pool, clients in pool order, examples in client order; per
+/// example its feature bits (or token id) and its label.
+fn dataset_digest(dataset: &feddata::FederatedDataset) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut word = |value: u64| {
+        for byte in value.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for split in [feddata::Split::Train, feddata::Split::Validation] {
+        for client in dataset.clients(split) {
+            word(client.num_examples() as u64);
+            for example in client.examples() {
+                match &example.input {
+                    feddata::Input::Dense(features) => {
+                        features.iter().for_each(|x| word(x.to_bits()));
+                    }
+                    feddata::Input::Token(token) => word(*token as u64),
+                }
+                word(example.label as u64);
+            }
+        }
+    }
+    hash
+}
+
+/// The generated bits themselves, pinned: every benchmark at smoke scale and
+/// the FEMNIST-like federation at default scale. A change to the generators,
+/// the size sampler or the order clients are stitched in moves a constant.
+#[test]
+fn generated_datasets_match_their_pinned_digests() {
+    let pinned = [
+        (
+            Benchmark::Cifar10Like,
+            Scale::Smoke,
+            0xbf5d_e50c_4d84_379e_u64,
+        ),
+        (Benchmark::FemnistLike, Scale::Smoke, 0x4264_ee53_b4d4_32f1),
+        (
+            Benchmark::StackOverflowLike,
+            Scale::Smoke,
+            0x1803_6ecb_709b_7c4f,
+        ),
+        (Benchmark::RedditLike, Scale::Smoke, 0x4c19_b9d5_0484_fc99),
+        (
+            Benchmark::FemnistLike,
+            Scale::Default,
+            0xf160_082f_00ca_ec51,
+        ),
+    ];
+    for (benchmark, scale, expected) in pinned {
+        let dataset = DatasetSpec::benchmark(benchmark, scale)
+            .generate(123)
+            .unwrap();
+        let digest = dataset_digest(&dataset);
+        assert_eq!(digest, expected, "{benchmark} at {scale:?}: {digest:#018x}");
+    }
+}
+
 #[test]
 fn pool_training_is_deterministic_and_seed_sensitive() {
     let scale = ExperimentScale::smoke();
