@@ -36,7 +36,7 @@
 //! CPU-bound and keep the best of [`SCHEDULER_COST_REPS`] runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace, TrialRequest};
+use fedhpo::{Asha, Scheduler, SearchSpace, TrialRequest};
 use fedsim::clock::{ClientRuntimeModel, CostModel};
 use fedtune_core::{
     drive, Clock, ConcurrentEval, ConcurrentObjective, ConcurrentSink, Drive, EvalOutput,
@@ -69,8 +69,8 @@ const SCHEDULER_COST_RATIO_CEILING: f64 = 3.0;
 /// Runs of each scheduler-cost campaign; the fastest is recorded.
 const SCHEDULER_COST_REPS: usize = 5;
 
-fn ladder() -> fedhpo::Asha {
-    fedhpo::Asha::new(24, 3, 1, 9)
+fn ladder() -> Asha {
+    Asha::asynchronous(24, 3, 1, 9).unwrap()
 }
 
 fn straggler_sim() -> VirtualExecution {
@@ -165,12 +165,11 @@ impl ConcurrentObjective for LatencyObjective {
     }
 }
 
-/// One full campaign of `ladder` on `threads` real threads — at one, every
+/// One full campaign of the async-ASHA `ladder` on `threads` real threads — at one, every
 /// evaluation inline on the calling thread, every sleep serialized —
 /// returning the outcome and its wall clock.
-fn campaign_of(ladder: fedhpo::Asha, threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64) {
-    let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
-    let scheduler: &mut dyn Scheduler = &mut scheduler;
+fn campaign_of(mut ladder: Asha, threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64) {
+    let scheduler: &mut dyn Scheduler = &mut ladder;
     let mut objective = LatencyObjective::new(time_scale);
     let space = space_1d();
     let mut rng = fedmath::rng::rng_for(9, 0);
@@ -193,9 +192,9 @@ fn campaign(threads: usize, time_scale: f64) -> (EventDrivenOutcome, f64) {
 /// The fastest of [`SCHEDULER_COST_REPS`] inline, sleep-free async-ASHA
 /// campaigns over `trials` configurations: wall seconds and evaluations.
 fn scheduler_cost(trials: usize) -> (f64, u64) {
-    let ladder = fedhpo::Asha::new(trials, 3, 1, 81);
+    let ladder = Asha::asynchronous(trials, 3, 1, 81).unwrap();
     let runs: Vec<(EventDrivenOutcome, f64)> = (0..SCHEDULER_COST_REPS)
-        .map(|_| campaign_of(ladder, 1, 0.0))
+        .map(|_| campaign_of(ladder.clone(), 1, 0.0))
         .collect();
     assert!(runs.iter().all(|(outcome, _)| *outcome == runs[0].0));
     let wall = runs.iter().map(|&(_, wall)| wall).fold(f64::MAX, f64::min);

@@ -573,7 +573,7 @@ where
 pub(crate) mod tests {
     use super::*;
     use crate::scheduler::{drive, Budget, Clock, Drive, VirtualExecution};
-    use fedhpo::{AsyncAsha, IntoScheduler, RandomSearch, Scheduler, SearchSpace};
+    use fedhpo::{RandomSearch, Scheduler, SearchSpace};
     use fedmath::rng::rng_for;
     use fedsim::clock::{ClientRuntimeModel, CostModel};
     use rand::rngs::StdRng;
@@ -724,8 +724,7 @@ pub(crate) mod tests {
     /// Async ASHA under stragglers — several trials in flight at once —
     /// inline (`threads <= 1`) or on a scoped pool.
     fn campaign(threads: usize, eval: AnalyticEval) -> (Result<EventDrivenOutcome>, CommitLog) {
-        let ladder = fedhpo::Asha::new(12, 3, 1, 9);
-        let mut scheduler = AsyncAsha::from_ladder(ladder).scheduler().unwrap();
+        let mut scheduler = fedhpo::Asha::asynchronous(12, 3, 1, 9).unwrap();
         let mut objective = AnalyticObjective {
             eval,
             sink: CommitLog::default(),
@@ -783,7 +782,7 @@ pub(crate) mod tests {
     ) where
         H::Error: std::fmt::Debug,
     {
-        let mut scheduler = RandomSearch::new(k, 3).scheduler().unwrap();
+        let mut scheduler = RandomSearch::new(k, 3).unwrap();
         let (space, mut rng) = (space_1d(), rng_for(5, 0));
         let clock = Clock::Virtual(VirtualExecution::new(k, CostModel::Unit));
         let mut core = ExecutorCore::new(

@@ -18,9 +18,7 @@ use crate::scale::ExperimentScale;
 use crate::scheduler::{drive, Clock, Drive};
 use crate::Result;
 use feddata::Benchmark;
-use fedhpo::{
-    Asha, AsyncAsha, Bohb, Hyperband, IntoScheduler, RandomSearch, ReEvaluation, Scheduler, Tpe,
-};
+use fedhpo::{Asha, Hyperband, RandomSearch, ReEvaluation, Scheduler, Tpe};
 use fedmath::SeedTree;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -86,17 +84,18 @@ impl TuningMethod {
         }
     }
 
-    /// The ASHA ladder at the given scale: as many starting configurations
-    /// as Hyperband's most exploratory bracket would sample, the same rung
-    /// spacing (`min = R / η^(brackets-1)`), and the full per-config budget
-    /// at the top rung.
-    fn asha(scale: &ExperimentScale) -> Asha {
+    /// The ASHA ladder at the given scale, `(num_configs, eta, min, max)`:
+    /// as many starting configurations as Hyperband's most exploratory
+    /// bracket would sample, the same rung spacing
+    /// (`min = R / η^(brackets-1)`), and the full per-config budget at the
+    /// top rung.
+    fn asha_ladder(scale: &ExperimentScale) -> (usize, usize, usize, usize) {
         let eta = scale.eta.max(2) as f64;
         let min_resource = ((scale.rounds_per_config as f64)
             / eta.powi(scale.num_brackets.saturating_sub(1) as i32))
         .round()
         .max(1.0) as usize;
-        Asha::new(
+        (
             scale.num_configs * scale.eta,
             scale.eta,
             min_resource.min(scale.rounds_per_config),
@@ -104,73 +103,73 @@ impl TuningMethod {
         )
     }
 
+    /// The synchronous ASHA ladder at the given scale.
+    fn asha(scale: &ExperimentScale) -> fedhpo::Result<Asha> {
+        let (n, eta, min, max) = Self::asha_ladder(scale);
+        Asha::new(n, eta, min, max)
+    }
+
     /// The re-evaluation mitigation at the given scale: the top quarter of
     /// the searched configurations (at least 2), three fresh draws each,
     /// around the ASHA ladder.
-    fn asha_reeval(scale: &ExperimentScale) -> ReEvaluation<Asha> {
-        ReEvaluation::new(Self::asha(scale), (scale.num_configs / 4).max(2), 3)
-    }
-
-    /// The [`asha`](Self::asha) ladder run asynchronously (see
-    /// [`fedhpo::AsyncAsha`]).
-    fn async_asha(scale: &ExperimentScale) -> AsyncAsha {
-        AsyncAsha::from_ladder(Self::asha(scale))
-    }
-
-    /// RS at the scale's budgets: `K` configurations at full fidelity.
-    fn rs(scale: &ExperimentScale) -> RandomSearch {
-        RandomSearch::new(scale.num_configs, scale.rounds_per_config)
-    }
-
-    /// TPE at the scale's budgets: `K` sequential proposals at full fidelity.
-    fn tpe(scale: &ExperimentScale) -> Tpe {
-        Tpe::new(scale.num_configs, scale.rounds_per_config)
+    fn asha_reeval(scale: &ExperimentScale) -> fedhpo::Result<ReEvaluation<Asha>> {
+        ReEvaluation::new(Self::asha(scale)?, (scale.num_configs / 4).max(2), 3)
     }
 
     /// Hyperband at the scale's budgets: η and bracket count from the scale.
-    fn hyperband(scale: &ExperimentScale) -> Hyperband {
+    fn hyperband(scale: &ExperimentScale) -> fedhpo::Result<Hyperband> {
         Hyperband::new(scale.rounds_per_config, scale.eta, Some(scale.num_brackets))
     }
 
-    /// BOHB on the same bracket ladder as [`hyperband`](Self::hyperband).
-    fn bohb(scale: &ExperimentScale) -> Bohb {
-        Bohb::new(scale.rounds_per_config, scale.eta, Some(scale.num_brackets))
-    }
-
     /// Builds the ask/tell scheduler for this method at the given scale —
-    /// the state machine driven by [`run_method_comparison`].
+    /// the state machine driven by [`run_method_comparison`]. RS and TPE
+    /// search `K` configurations at full fidelity, BOHB runs on Hyperband's
+    /// ladder, and async ASHA on the synchronous one.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
     pub fn scheduler(&self, scale: &ExperimentScale) -> fedhpo::Result<Box<dyn Scheduler>> {
+        let (k, rounds) = (scale.num_configs, scale.rounds_per_config);
         Ok(match self {
-            TuningMethod::RandomSearch => Box::new(Self::rs(scale).scheduler()?),
-            TuningMethod::Tpe => Box::new(Self::tpe(scale).scheduler()?),
-            TuningMethod::Hyperband => Box::new(Self::hyperband(scale).scheduler()?),
-            TuningMethod::Bohb => Box::new(Self::bohb(scale).scheduler()?),
-            TuningMethod::Asha => Box::new(Self::asha(scale).scheduler()?),
-            TuningMethod::AshaReEval => Box::new(Self::asha_reeval(scale).scheduler()?),
-            TuningMethod::AsyncAsha => Box::new(Self::async_asha(scale).scheduler()?),
+            TuningMethod::RandomSearch => Box::new(RandomSearch::new(k, rounds)?),
+            TuningMethod::Tpe => Box::new(Tpe::new(k, rounds)?),
+            TuningMethod::Hyperband => Box::new(Self::hyperband(scale)?),
+            TuningMethod::Bohb => Box::new(Hyperband::bohb(
+                rounds,
+                scale.eta,
+                Some(scale.num_brackets),
+            )?),
+            TuningMethod::Asha => Box::new(Self::asha(scale)?),
+            TuningMethod::AshaReEval => Box::new(Self::asha_reeval(scale)?),
+            TuningMethod::AsyncAsha => {
+                let (n, eta, min, max) = Self::asha_ladder(scale);
+                Box::new(Asha::asynchronous(n, eta, min, max)?)
+            }
         })
     }
 
     /// Number of objective evaluations the method plans to perform — the DP
-    /// composition length `M` used to calibrate Laplace noise. For
+    /// composition length `M` used to calibrate Laplace noise; `0` at a
+    /// scale no [`scheduler`](Self::scheduler) can be built for. For
     /// [`AsyncAsha`](Self::AsyncAsha) this is the *nominal* rung-synchronous
     /// plan (shared with [`Asha`](Self::Asha) so the sync and async variants
     /// face comparable noise); an event-driven async campaign may exceed it
-    /// by promoting on partial rungs (see
-    /// [`fedhpo::AsyncAsha::planned_evaluations`]).
+    /// by promoting on partial rungs (see [`Asha::planned_evaluations`]).
     pub fn planned_evaluations(&self, scale: &ExperimentScale) -> usize {
-        match self {
-            TuningMethod::RandomSearch | TuningMethod::Tpe => scale.num_configs,
+        let planned = match self {
+            TuningMethod::RandomSearch | TuningMethod::Tpe => Ok(scale.num_configs),
             TuningMethod::Hyperband | TuningMethod::Bohb => {
-                Self::hyperband(scale).planned_evaluations()
+                Self::hyperband(scale).map(|hb| hb.planned_evaluations())
             }
-            TuningMethod::Asha | TuningMethod::AsyncAsha => Self::asha(scale).planned_evaluations(),
-            TuningMethod::AshaReEval => Self::asha_reeval(scale).planned_evaluations(),
-        }
+            TuningMethod::Asha | TuningMethod::AsyncAsha => {
+                Self::asha(scale).map(|asha| asha.planned_evaluations())
+            }
+            TuningMethod::AshaReEval => {
+                Self::asha_reeval(scale).map(|policy| policy.planned_evaluations())
+            }
+        };
+        planned.unwrap_or(0)
     }
 }
 
@@ -582,17 +581,74 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every delivered record's `(trial, resource, rep, config
+    /// bits, score bits)`.
+    fn stream_digest(outcome: &fedhpo::TuningOutcome) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in outcome.records() {
+            fold(r.trial_id as u64);
+            fold(r.resource as u64);
+            fold(r.noise_rep);
+            for value in r.config.values() {
+                fold(value.to_bits());
+            }
+            fold(r.score.to_bits());
+        }
+        digest
+    }
+
     #[test]
     fn planned_evaluations_match_what_the_scheduler_suggests() {
         // `M` calibrates the Laplace scale, so a plan that drifts from the
-        // schedule silently mis-states ε.
+        // schedule silently mis-states ε. The delivered stream of every
+        // method is pinned per scale: a refactor of a scheduler moves no bit.
+        const PINS: [[u64; 7]; 3] = [
+            [
+                0x6bdd_e1b5_3719_aeea,
+                0x6bdd_e1b5_3719_aeea,
+                0xaf11_b8e4_a93a_a65e,
+                0xaf11_b8e4_a93a_a65e,
+                0x9d60_1ca4_f833_b9f4,
+                0x74cb_2ae6_7bea_5045,
+                0x9d60_1ca4_f833_b9f4,
+            ],
+            [
+                0x5426_b078_ad44_383d,
+                0x5765_7ec1_57de_3187,
+                0xb249_956e_8b7f_aa09,
+                0xbb45_22ae_6d97_e8aa,
+                0x44e2_f8e4_560f_e5fc,
+                0x8f37_c5cb_31b7_71e1,
+                0x44e2_f8e4_560f_e5fc,
+            ],
+            [
+                0x497d_7d54_0381_7111,
+                0xbe93_9f63_36d8_af4c,
+                0xf19d_d41b_1778_5b58,
+                0x6881_4e17_1f4c_017f,
+                0x1dff_23a9_c121_0d21,
+                0x61b6_1e7a_0ce0_a533,
+                0x1dff_23a9_c121_0d21,
+            ],
+        ];
         let space = fedhpo::SearchSpace::paper_default();
-        for scale in [
+        for (scale, pins) in [
             ExperimentScale::smoke(),
             ExperimentScale::default_scale(),
             ExperimentScale::paper(),
-        ] {
-            for method in TuningMethod::EXTENDED {
+        ]
+        .into_iter()
+        .zip(PINS)
+        {
+            let methods = TuningMethod::EXTENDED
+                .into_iter()
+                .chain([TuningMethod::AsyncAsha]);
+            for (method, pin) in methods.zip(pins) {
                 let run = crate::scheduler::drive(
                     method.scheduler(&scale).unwrap().as_mut(),
                     &space,
@@ -606,6 +662,7 @@ mod tests {
                     method.planned_evaluations(&scale),
                     "{method} at {scale:?}"
                 );
+                assert_eq!(stream_digest(&run.outcome), pin, "{method} at {scale:?}");
             }
         }
     }

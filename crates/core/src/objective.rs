@@ -376,7 +376,7 @@ mod tests {
     use crate::scheduler::{drive, Clock, Drive};
     use crate::PrivacyBudget;
     use feddata::Benchmark;
-    use fedhpo::{HpConfig, IntoScheduler, RandomSearch, SearchSpace};
+    use fedhpo::{HpConfig, RandomSearch, SearchSpace};
     use fedmath::rng::rng_for;
 
     fn ctx() -> BenchmarkContext {
@@ -426,7 +426,7 @@ mod tests {
         let ctx = ctx();
         let mut objective =
             BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 2).unwrap();
-        let mut scheduler = RandomSearch::new(3, 2).scheduler().unwrap();
+        let mut scheduler = RandomSearch::new(3, 2).unwrap();
         let mut rng = rng_for(1, 0);
         let config = Drive::new(Clock::Barrier);
         let run = drive(
@@ -713,9 +713,9 @@ mod tests {
         let trials = 20;
         let mut wins = 0;
         for seed in 10..10 + trials {
-            let averaged = ReEvaluation::new(RandomSearch::new(12, 1), 12, 8);
-            let averaged = selected(&mut averaged.scheduler().unwrap(), seed);
-            let plain = selected(&mut RandomSearch::new(12, 1).scheduler().unwrap(), seed);
+            let mut averaged = ReEvaluation::new(RandomSearch::new(12, 1).unwrap(), 12, 8).unwrap();
+            let averaged = selected(&mut averaged, seed);
+            let plain = selected(&mut RandomSearch::new(12, 1).unwrap(), seed);
             if averaged <= plain {
                 wins += 1;
             }

@@ -818,7 +818,7 @@ mod tests {
     };
     use crate::objective::{selected_true_error, selected_true_error_within_sim};
     use crate::ObjectiveLogEntry;
-    use fedhpo::{Asha, AsyncAsha, HpConfig, IntoScheduler, RandomSearch};
+    use fedhpo::{Asha, HpConfig, RandomSearch};
     use fedmath::rng::rng_for;
 
     /// `scheduler` driven over the analytic objective.
@@ -942,13 +942,13 @@ mod tests {
     fn batched_asha_matches_sequential_tuner_outcome() {
         // The barrier clock over an analytic objective must agree exactly
         // with a loop that reports each result before evaluating the next.
-        let asha = Asha::new(9, 3, 1, 9);
+        let asha = Asha::new(9, 3, 1, 9).unwrap();
         let batched = |threads: usize| {
             let config = Drive {
                 threads,
                 ..barrier()
             };
-            let (run, sink) = analytic_with_sink(&mut asha.scheduler().unwrap(), &config, 1);
+            let (run, sink) = analytic_with_sink(&mut asha.clone(), &config, 1);
             // One sink turn per rung inline; a pool may catch a rung's
             // completions over several turns.
             if threads <= 1 {
@@ -960,7 +960,7 @@ mod tests {
             run.outcome
         };
 
-        let (mut scheduler, space) = (asha.scheduler().unwrap(), space_1d());
+        let (mut scheduler, space) = (asha.clone(), space_1d());
         let mut rng = rng_for(1, 0);
         let mut sequential = TuningOutcome::default();
         while !scheduler.is_finished() {
@@ -979,7 +979,7 @@ mod tests {
         // Halt right after the first dispatch batch: the already-dispatched
         // evaluations still complete and deliver, nothing new is suggested,
         // and the partial outcome reports `finished == false`.
-        let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
+        let mut scheduler = Asha::new(9, 3, 1, 9).unwrap();
         let (space, mut rng) = (space_1d(), rng_for(5, 0));
         let mut core =
             ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(2), None, unlimited())
@@ -1004,10 +1004,10 @@ mod tests {
         // ASHA's rungs are batches of 9, 3 and 1. A cap inside a batch lets
         // that whole batch run and suggests nothing after it, at every
         // thread count.
-        let asha = Asha::new(9, 3, 1, 9);
+        let asha = Asha::new(9, 3, 1, 9).unwrap();
         for (cap, batches, evaluations) in [(5u64, 1usize, 9usize), (10, 2, 12)] {
             for threads in [1usize, 4] {
-                let mut scheduler = Counting::new(asha.scheduler().unwrap());
+                let mut scheduler = Counting::new(asha.clone());
                 let config = Drive {
                     threads,
                     budget: Budget {
@@ -1066,14 +1066,14 @@ mod tests {
         // first rung (the wave crossing the cap runs whole) with the outcome
         // so far, and an unstopped re-drive with the same seed reproduces the
         // full run exactly.
-        let asha = Asha::new(9, 3, 1, 9);
+        let asha = Asha::new(9, 3, 1, 9).unwrap();
         let run_until = |evaluations: Option<u64>| {
             let budget = Budget {
                 evaluations,
                 ..Budget::default()
             };
             let run = analytic(
-                &mut asha.scheduler().unwrap(),
+                &mut asha.clone(),
                 &Drive {
                     budget,
                     ..barrier()
@@ -1179,7 +1179,7 @@ mod tests {
     fn event_driven_timeline_is_monotone_and_respects_worker_count() {
         // 8 unit-cost trials on 2 virtual workers take 4 simulated waves.
         let event = analytic(
-            &mut RandomSearch::new(8, 2).scheduler().unwrap(),
+            &mut RandomSearch::new(8, 2).unwrap(),
             &Drive::new(unit(2)),
             0,
         );
@@ -1208,11 +1208,7 @@ mod tests {
                 },
                 ..Drive::new(unit(1))
             };
-            analytic(
-                &mut RandomSearch::new(8, 2).scheduler().unwrap(),
-                &config,
-                0,
-            )
+            analytic(&mut RandomSearch::new(8, 2).unwrap(), &config, 0)
         };
         let event = budgeted(3.0);
         assert!(!event.finished);
@@ -1231,17 +1227,12 @@ mod tests {
         // Heavy-tailed client runtimes with a narrow worker pool: the sync
         // ladder waits for every rung's slowest trial, the async ladder keeps
         // all workers busy and promotes on completion.
-        let ladder = fedhpo::Asha::new(12, 3, 1, 9);
         let cost = CostModel::HeterogeneousClients(
             fedsim::clock::ClientRuntimeModel::heavy_tailed(60, 5, 17),
         );
         let config = Drive::new(Clock::Virtual(VirtualExecution::new(4, cost)));
-        let sync = analytic(&mut ladder.scheduler().unwrap(), &config, 3);
-        let asynchronous = analytic(
-            &mut AsyncAsha::from_ladder(ladder).scheduler().unwrap(),
-            &config,
-            3,
-        );
+        let sync = analytic(&mut Asha::new(12, 3, 1, 9).unwrap(), &config, 3);
+        let asynchronous = analytic(&mut Asha::asynchronous(12, 3, 1, 9).unwrap(), &config, 3);
         assert!(sync.finished && asynchronous.finished);
         assert!(sync.sim_elapsed > 0.0);
         // Same fresh configurations, so the first rung is identical work.
@@ -1306,7 +1297,7 @@ mod tests {
         };
         // A zero budget is rejected up front by construction.
         let space = space_1d();
-        let mut scheduler = RandomSearch::new(8, 2).scheduler().unwrap();
+        let mut scheduler = RandomSearch::new(8, 2).unwrap();
         let mut rng = rng_for(0, 0);
         let zero = budget(0.0);
         assert!(ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(1), None, zero).is_err());
@@ -1346,7 +1337,7 @@ mod tests {
 
     #[test]
     fn a_barrier_batch_is_held_until_its_last_result_and_delivered_in_batch_order() {
-        let mut scheduler = RandomSearch::new(4, 2).scheduler().unwrap();
+        let mut scheduler = RandomSearch::new(4, 2).unwrap();
         let (space, mut rng) = (space_1d(), rng_for(0, 0));
         let mut core = ExecutorCore::new(
             &mut scheduler,
@@ -1383,7 +1374,7 @@ mod tests {
 
     #[test]
     fn completions_must_match_a_dispatch_and_promotions_pay_increments() {
-        let mut scheduler = Asha::new(9, 3, 1, 9).scheduler().unwrap();
+        let mut scheduler = Asha::new(9, 3, 1, 9).unwrap();
         let (space, mut rng) = (space_1d(), rng_for(1, 0));
         let mut core =
             ExecutorCore::new(&mut scheduler, &space, &mut rng, unit(9), None, unlimited())

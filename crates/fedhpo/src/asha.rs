@@ -22,197 +22,12 @@
 //! `report` is `O(log n)`, `suggest` pops each promotion in `O(log n)` and
 //! `is_finished` is `O(rungs)`.
 
-use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
-
-/// Configuration of the ASHA tuner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Asha {
-    num_configs: usize,
-    eta: usize,
-    min_resource: usize,
-    max_resource: usize,
-}
-
-impl Asha {
-    /// Creates an ASHA tuner: up to `num_configs` configurations, rung
-    /// resources `min_resource · η^k` capped at `max_resource`, promoting the
-    /// top `1/η` of each rung.
-    pub fn new(num_configs: usize, eta: usize, min_resource: usize, max_resource: usize) -> Self {
-        Asha {
-            num_configs,
-            eta,
-            min_resource,
-            max_resource,
-        }
-    }
-
-    /// Number of fresh configurations the schedule samples.
-    pub fn num_configs(&self) -> usize {
-        self.num_configs
-    }
-
-    /// Elimination factor `η`.
-    pub fn eta(&self) -> usize {
-        self.eta
-    }
-
-    /// Resource of the first rung.
-    pub fn min_resource(&self) -> usize {
-        self.min_resource
-    }
-
-    /// Maximum resource any configuration may receive.
-    pub fn max_resource(&self) -> usize {
-        self.max_resource
-    }
-
-    /// The resource of rung `k`: `min_resource · η^k`, capped at
-    /// `max_resource`.
-    pub fn rung_resource(&self, rung: usize) -> usize {
-        let mut resource = self.min_resource.min(self.max_resource);
-        for _ in 0..rung {
-            resource = (resource * self.eta).min(self.max_resource);
-        }
-        resource
-    }
-
-    /// Number of rungs in the ladder (the last rung sits at `max_resource`).
-    pub fn num_rungs(&self) -> usize {
-        let mut rungs = 1;
-        let mut resource = self.min_resource.min(self.max_resource);
-        while resource < self.max_resource {
-            resource = (resource * self.eta).min(self.max_resource);
-            rungs += 1;
-        }
-        rungs
-    }
-
-    /// Trials evaluated at each rung when every rung fills and every
-    /// promotion is taken: `num_configs`, then a `1/η` share per rung, up to
-    /// the first rung nobody reaches.
-    pub fn rung_sizes(&self) -> Vec<usize> {
-        let mut n = self.num_configs;
-        (0..self.num_rungs())
-            .map_while(|_| {
-                let here = n;
-                n /= self.eta;
-                (here > 0).then_some(here)
-            })
-            .collect()
-    }
-
-    /// Worst-case number of evaluations the schedule performs (every rung
-    /// full, every promotion taken) — the DP composition length `M`.
-    pub fn planned_evaluations(&self) -> usize {
-        self.rung_sizes().iter().sum::<usize>().max(1)
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.num_configs == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "asha needs at least one configuration".into(),
-            });
-        }
-        if self.eta < 2 {
-            return Err(HpoError::InvalidConfig {
-                message: format!("eta must be at least 2, got {}", self.eta),
-            });
-        }
-        if self.min_resource == 0 || self.min_resource > self.max_resource {
-            return Err(HpoError::InvalidConfig {
-                message: format!(
-                    "resource range [{}, {}] is invalid",
-                    self.min_resource, self.max_resource
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-impl IntoScheduler for Asha {
-    type Scheduler = AshaScheduler;
-
-    fn scheduler(&self) -> Result<AshaScheduler> {
-        self.validate()?;
-        Ok(AshaScheduler {
-            params: *self,
-            configs: BTreeMap::new(),
-            rungs: vec![Rung::default(); self.num_rungs()],
-            pending: BTreeSet::new(),
-            sampled: 0,
-            asynchronous: false,
-        })
-    }
-}
-
-/// ASHA run **asynchronously**: the same ladder and promotion rule as
-/// [`Asha`], but the scheduler declares itself
-/// [`async_capable`](Scheduler::async_capable), so a virtual-time driver
-/// (`fedtune_core::drive` under `Clock::Virtual`) re-polls it on *every*
-/// completion instead of at rung barriers. Promotions then happen the moment
-/// a trial enters the top `1/η` of whatever results its rung has — the
-/// paper's actual algorithm (Li et al. 2020), where no worker ever idles
-/// waiting for a straggler to finish a rung.
-///
-/// Driven batch by batch (`drive` under `Clock::Barrier`), `AsyncAsha`
-/// degenerates to [`Asha`] exactly — asynchrony is a property of the
-/// driver/scheduler handshake, not of the promotion rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AsyncAsha {
-    ladder: Asha,
-}
-
-impl AsyncAsha {
-    /// Creates an asynchronous ASHA tuner; parameters as [`Asha::new`].
-    pub fn new(num_configs: usize, eta: usize, min_resource: usize, max_resource: usize) -> Self {
-        AsyncAsha {
-            ladder: Asha::new(num_configs, eta, min_resource, max_resource),
-        }
-    }
-
-    /// Runs an existing ladder configuration asynchronously.
-    pub fn from_ladder(ladder: Asha) -> Self {
-        AsyncAsha { ladder }
-    }
-
-    /// The underlying ladder configuration.
-    pub fn ladder(&self) -> &Asha {
-        &self.ladder
-    }
-
-    /// The rung-synchronous plan length ([`Asha::planned_evaluations`]) —
-    /// the *nominal* schedule size used to calibrate DP noise, shared with
-    /// the sync ladder so both variants face comparable noise. It is **not**
-    /// a worst-case bound for an asynchronous campaign: promoting on partial
-    /// rungs can promote trials that fall out of the final top `1/η`, so an
-    /// event-driven run may perform more evaluations (hard cap: one
-    /// evaluation per trial per rung, `num_configs × num_rungs`).
-    pub fn planned_evaluations(&self) -> usize {
-        self.ladder.planned_evaluations()
-    }
-
-    /// Hard upper bound on an asynchronous campaign's evaluations: every
-    /// trial evaluated once at every rung.
-    pub fn max_evaluations(&self) -> usize {
-        self.ladder.num_configs() * self.ladder.num_rungs()
-    }
-}
-
-impl IntoScheduler for AsyncAsha {
-    type Scheduler = AshaScheduler;
-
-    fn scheduler(&self) -> Result<AshaScheduler> {
-        let mut scheduler = self.ladder.scheduler()?;
-        scheduler.asynchronous = true;
-        Ok(scheduler)
-    }
-}
 
 /// A result's place in its rung: `(score_rank(score), trial_id)`.
 type Ranked = (u64, usize);
@@ -300,12 +115,30 @@ impl Rung {
     }
 }
 
-/// Ask/tell state of an ASHA campaign. All bookkeeping lives in ordered maps
-/// keyed by trial id, so every decision is a function of *which* results have
-/// arrived, never of when.
+/// ASHA: up to `num_configs` configurations, rung resources
+/// `min_resource · η^k` capped at `max_resource`, promoting the top `1/η` of
+/// each rung. All bookkeeping lives in ordered maps keyed by trial id, so
+/// every decision is a function of *which* results have arrived, never of
+/// when.
+///
+/// Built by [`asynchronous`](Self::asynchronous), the same ladder declares
+/// itself [`async_capable`](Scheduler::async_capable), so a virtual-time
+/// driver (`fedtune_core::drive` under `Clock::Virtual`) re-polls it on
+/// *every* completion instead of at rung barriers. Promotions then happen the
+/// moment a trial enters the top `1/η` of whatever results its rung has — the
+/// paper's actual algorithm (Li et al. 2020), where no worker ever idles
+/// waiting for a straggler to finish a rung. Driven batch by batch (`drive`
+/// under `Clock::Barrier`), it degenerates to [`new`](Self::new)'s ladder
+/// exactly: asynchrony is a property of the driver/scheduler handshake, not
+/// of the promotion rule.
 #[derive(Debug, Clone)]
-pub struct AshaScheduler {
-    params: Asha,
+pub struct Asha {
+    num_configs: usize,
+    eta: usize,
+    min_resource: usize,
+    max_resource: usize,
+    /// Whether the scheduler advertises per-completion re-polling.
+    asynchronous: bool,
     /// Configuration of every trial seen so far.
     configs: BTreeMap<usize, HpConfig>,
     /// Reported results and promotion index per rung.
@@ -314,14 +147,118 @@ pub struct AshaScheduler {
     pending: BTreeSet<usize>,
     /// Fresh configurations sampled so far.
     sampled: usize,
-    /// Whether the scheduler advertises per-completion re-polling.
-    asynchronous: bool,
 }
 
-impl AshaScheduler {
+impl Asha {
+    /// A fresh rung-synchronous ASHA campaign.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpoError::InvalidConfig`] for zero configurations, an `eta`
+    /// below 2, or a resource range that is empty or starts at zero.
+    pub fn new(
+        num_configs: usize,
+        eta: usize,
+        min_resource: usize,
+        max_resource: usize,
+    ) -> Result<Self> {
+        if num_configs == 0 {
+            return Err(HpoError::InvalidConfig {
+                message: "asha needs at least one configuration".into(),
+            });
+        }
+        if eta < 2 {
+            return Err(HpoError::InvalidConfig {
+                message: format!("eta must be at least 2, got {eta}"),
+            });
+        }
+        if min_resource == 0 || min_resource > max_resource {
+            return Err(HpoError::InvalidConfig {
+                message: format!("resource range [{min_resource}, {max_resource}] is invalid"),
+            });
+        }
+        let mut asha = Asha {
+            num_configs,
+            eta,
+            min_resource,
+            max_resource,
+            asynchronous: false,
+            configs: BTreeMap::new(),
+            rungs: Vec::new(),
+            pending: BTreeSet::new(),
+            sampled: 0,
+        };
+        asha.rungs = vec![Rung::default(); asha.num_rungs()];
+        Ok(asha)
+    }
+
+    /// A fresh asynchronous ASHA campaign on the [`new`](Self::new) ladder.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn asynchronous(
+        num_configs: usize,
+        eta: usize,
+        min_resource: usize,
+        max_resource: usize,
+    ) -> Result<Self> {
+        Ok(Asha {
+            asynchronous: true,
+            ..Asha::new(num_configs, eta, min_resource, max_resource)?
+        })
+    }
+
+    /// The resource of rung `k`: `min_resource · η^k`, capped at
+    /// `max_resource`.
+    pub fn rung_resource(&self, rung: usize) -> usize {
+        let mut resource = self.min_resource;
+        for _ in 0..rung {
+            resource = resource.saturating_mul(self.eta).min(self.max_resource);
+        }
+        resource
+    }
+
+    /// Number of rungs in the ladder (the last rung sits at `max_resource`).
+    pub fn num_rungs(&self) -> usize {
+        let mut rungs = 1;
+        let mut resource = self.min_resource;
+        while resource < self.max_resource {
+            resource = resource.saturating_mul(self.eta).min(self.max_resource);
+            rungs += 1;
+        }
+        rungs
+    }
+
+    /// Trials evaluated at each rung when every rung fills and every
+    /// promotion is taken: `num_configs`, then a `1/η` share per rung, up to
+    /// the first rung nobody reaches.
+    pub fn rung_sizes(&self) -> Vec<usize> {
+        let mut n = self.num_configs;
+        (0..self.num_rungs())
+            .map_while(|_| {
+                let here = n;
+                n /= self.eta;
+                (here > 0).then_some(here)
+            })
+            .collect()
+    }
+
+    /// The rung-synchronous plan length (every rung full, every promotion
+    /// taken) — the DP composition length `M`. For an
+    /// [`asynchronous`](Self::asynchronous) campaign it is the *nominal*
+    /// schedule size, shared with the sync ladder so both variants face
+    /// comparable noise, and **not** a worst-case bound: promoting on partial
+    /// rungs can promote trials that fall out of the final top `1/η`, so an
+    /// event-driven run may perform more evaluations (hard cap: one
+    /// evaluation per trial per rung, `num_configs × num_rungs`).
+    pub fn planned_evaluations(&self) -> usize {
+        self.rung_sizes().iter().sum::<usize>().max(1)
+    }
+
     /// The rung index whose resource is exactly `resource`, if any.
     fn rung_for_resource(&self, resource: usize) -> Option<usize> {
-        (0..self.params.num_rungs()).find(|&k| self.params.rung_resource(k) == resource)
+        (0..self.rungs.len()).find(|&k| self.rung_resource(k) == resource)
     }
 
     /// The rungs a trial can be promoted out of: all but the last.
@@ -343,7 +280,7 @@ impl AshaScheduler {
                 .map(|(&id, &score)| (score_rank(score), id))
                 .collect();
             ranked.sort();
-            for (_, trial_id) in ranked.into_iter().take(rung.scores.len() / self.params.eta) {
+            for (_, trial_id) in ranked.into_iter().take(rung.scores.len() / self.eta) {
                 if !rung.promoted.contains(&trial_id) {
                     out.push((trial_id, k));
                 }
@@ -363,7 +300,7 @@ impl AshaScheduler {
     }
 }
 
-impl Scheduler for AshaScheduler {
+impl Scheduler for Asha {
     fn name(&self) -> &'static str {
         if self.asynchronous {
             "async-asha"
@@ -384,12 +321,12 @@ impl Scheduler for AshaScheduler {
                 batch.push(TrialRequest {
                     trial_id,
                     config: self.configs[&trial_id].clone(),
-                    resource: self.params.rung_resource(rung + 1),
+                    resource: self.rung_resource(rung + 1),
                     noise_rep: 0,
                 });
             }
         }
-        while self.sampled < self.params.num_configs {
+        while self.sampled < self.num_configs {
             let trial_id = self.sampled;
             let config = space.sample(rng)?;
             self.configs.insert(trial_id, config.clone());
@@ -398,7 +335,7 @@ impl Scheduler for AshaScheduler {
             batch.push(TrialRequest {
                 trial_id,
                 config,
-                resource: self.params.rung_resource(0),
+                resource: self.rung_resource(0),
                 noise_rep: 0,
             });
         }
@@ -420,13 +357,13 @@ impl Scheduler for AshaScheduler {
             .entry(result.trial_id)
             .or_insert_with(|| result.config.clone());
         self.sampled = self.sampled.max(result.trial_id + 1);
-        self.rungs[rung].insert(result.trial_id, result.score, self.params.eta);
+        self.rungs[rung].insert(result.trial_id, result.score, self.eta);
         self.pending.remove(&result.trial_id);
         Ok(())
     }
 
     fn is_finished(&self) -> bool {
-        self.sampled >= self.params.num_configs
+        self.sampled >= self.num_configs
             && self.pending.is_empty()
             && self
                 .promoting_rungs()
@@ -452,17 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn validation_and_accessors() {
-        assert!(Asha::new(0, 3, 1, 9).scheduler().is_err());
-        assert!(Asha::new(9, 1, 1, 9).scheduler().is_err());
-        assert!(Asha::new(9, 3, 0, 9).scheduler().is_err());
-        assert!(Asha::new(9, 3, 10, 9).scheduler().is_err());
-        let asha = Asha::new(9, 3, 1, 9);
-        assert_eq!(asha.scheduler().unwrap().name(), "asha");
-        assert_eq!(asha.num_configs(), 9);
-        assert_eq!(asha.eta(), 3);
-        assert_eq!(asha.min_resource(), 1);
-        assert_eq!(asha.max_resource(), 9);
+    fn validation_and_ladder() {
+        for build in [Asha::new, Asha::asynchronous] {
+            assert!(build(0, 3, 1, 9).is_err());
+            assert!(build(9, 1, 1, 9).is_err());
+            assert!(build(9, 3, 0, 9).is_err());
+            assert!(build(9, 3, 10, 9).is_err());
+        }
+        let asha = Asha::new(9, 3, 1, 9).unwrap();
+        assert_eq!(asha.name(), "asha");
         assert_eq!(asha.num_rungs(), 3);
         assert_eq!(asha.rung_resource(0), 1);
         assert_eq!(asha.rung_resource(1), 3);
@@ -470,16 +405,26 @@ mod tests {
         // 9 + 3 + 1 evaluations if every promotion is taken.
         assert_eq!(asha.planned_evaluations(), 13);
         // Non-power ladders cap at max_resource.
-        let uneven = Asha::new(4, 3, 2, 10);
+        let uneven = Asha::new(4, 3, 2, 10).unwrap();
         assert_eq!(uneven.num_rungs(), 3);
         assert_eq!(uneven.rung_resource(2), 10);
     }
 
     #[test]
+    fn a_hostile_eta_saturates_instead_of_wrapping() {
+        // A wrapping 2 · 2^63 = 0 would never reach the top rung: the ladder
+        // saturates at max_resource instead.
+        let asha = Asha::new(1, 1 << 63, 2, 3).unwrap();
+        assert_eq!(asha.num_rungs(), 2);
+        assert_eq!(asha.rung_resource(1), 3);
+        assert_eq!(asha.rung_sizes(), vec![1]);
+    }
+
+    #[test]
     fn full_campaign_matches_sha_shape() {
         let mut rng = rng_for(0, 0);
-        let asha = Asha::new(9, 3, 1, 9);
-        let outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
+        let asha = Asha::new(9, 3, 1, 9).unwrap();
+        let outcome = run_fresh(asha, &space_1d(), resource_aware, &mut rng).unwrap();
         // With the whole first rung in one batch, ASHA degenerates to SHA's
         // rung counts: 9 at r=1, 3 at r=3, 1 at r=9.
         let mut per_rung: HashMap<usize, usize> = HashMap::new();
@@ -494,8 +439,7 @@ mod tests {
 
     #[test]
     fn promotions_prefer_low_scores_and_low_trial_ids() {
-        let asha = Asha::new(6, 3, 1, 9);
-        let mut scheduler = asha.scheduler().unwrap();
+        let mut scheduler = Asha::new(6, 3, 1, 9).unwrap();
         let config = HpConfig::new(vec![0.5]);
         let result = |trial_id, score| TrialResult {
             trial_id,
@@ -515,8 +459,7 @@ mod tests {
 
     #[test]
     fn non_finite_scores_rank_last() {
-        let asha = Asha::new(6, 3, 1, 9);
-        let mut scheduler = asha.scheduler().unwrap();
+        let mut scheduler = Asha::new(6, 3, 1, 9).unwrap();
         let space = space_1d();
         let mut rng = rng_for(4, 0);
         let batch = scheduler.suggest(&space, &mut rng).unwrap();
@@ -546,8 +489,7 @@ mod tests {
 
     #[test]
     fn rejects_results_off_the_ladder() {
-        let asha = Asha::new(3, 3, 1, 9);
-        let mut scheduler = asha.scheduler().unwrap();
+        let mut scheduler = Asha::new(3, 3, 1, 9).unwrap();
         let result = TrialResult {
             trial_id: 0,
             config: HpConfig::new(vec![0.5]),
@@ -560,42 +502,33 @@ mod tests {
 
     #[test]
     fn async_asha_declares_async_and_degenerates_under_a_barrier_driver() {
-        let asha = Asha::new(9, 3, 1, 9);
-        let async_asha = AsyncAsha::from_ladder(asha);
-        assert_eq!(async_asha.scheduler().unwrap().name(), "async-asha");
-        assert_eq!(async_asha.ladder(), &Asha::new(9, 3, 1, 9));
-        assert_eq!(async_asha.planned_evaluations(), asha.planned_evaluations());
-        // The async hard cap dominates the nominal synchronous plan.
-        assert_eq!(async_asha.max_evaluations(), 9 * 3);
-        assert!(async_asha.max_evaluations() >= async_asha.planned_evaluations());
-        let sync_scheduler = asha.scheduler().unwrap();
-        let async_scheduler = async_asha.scheduler().unwrap();
-        assert!(!sync_scheduler.async_capable());
-        assert!(async_scheduler.async_capable());
-        assert_eq!(sync_scheduler.name(), "asha");
-        assert_eq!(async_scheduler.name(), "async-asha");
-        // Invalid ladders are rejected through the same validation.
-        assert!(AsyncAsha::new(0, 3, 1, 9).scheduler().is_err());
+        let sync_asha = Asha::new(9, 3, 1, 9).unwrap();
+        let async_asha = Asha::asynchronous(9, 3, 1, 9).unwrap();
+        assert!(!sync_asha.async_capable());
+        assert!(async_asha.async_capable());
+        assert_eq!(sync_asha.name(), "asha");
+        assert_eq!(async_asha.name(), "async-asha");
+        assert_eq!(
+            async_asha.planned_evaluations(),
+            sync_asha.planned_evaluations()
+        );
+        // The async hard cap (every trial at every rung) dominates the
+        // nominal synchronous plan.
+        assert!(9 * async_asha.num_rungs() >= async_asha.planned_evaluations());
         // Under the sequential barrier driver the campaigns are identical:
         // asynchrony only changes how a driver may poll, never the rule.
         let mut rng = rng_for(5, 0);
-        let sync_outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
+        let sync_outcome = run_fresh(sync_asha, &space_1d(), resource_aware, &mut rng).unwrap();
         let mut rng = rng_for(5, 0);
-        let async_outcome = run_fresh(
-            &AsyncAsha::from_ladder(asha),
-            &space_1d(),
-            resource_aware,
-            &mut rng,
-        )
-        .unwrap();
+        let async_outcome = run_fresh(async_asha, &space_1d(), resource_aware, &mut rng).unwrap();
         assert_eq!(sync_outcome, async_outcome);
     }
 
     #[test]
     fn finds_good_configs() {
         let mut rng = rng_for(2, 0);
-        let asha = Asha::new(27, 3, 1, 27);
-        let outcome = run_fresh(&asha, &space_1d(), resource_aware, &mut rng).unwrap();
+        let asha = Asha::new(27, 3, 1, 27).unwrap();
+        let outcome = run_fresh(asha, &space_1d(), resource_aware, &mut rng).unwrap();
         let best = outcome
             .records()
             .iter()
@@ -618,9 +551,8 @@ mod proptests {
     /// Replays the same rung-0 result set in a permuted arrival order and
     /// asserts the next suggested batch — i.e. the promotion decision — is
     /// identical: ASHA promotions are invariant to result arrival order.
-    fn promotions_for(order: &[usize], scores: &[f64], asha: Asha) -> Vec<(usize, usize)> {
+    fn promotions_for(order: &[usize], scores: &[f64], mut scheduler: Asha) -> Vec<(usize, usize)> {
         let space = SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap();
-        let mut scheduler = asha.scheduler().unwrap();
         let mut rng = rng_for(11, 0);
         let batch = scheduler.suggest(&space, &mut rng).unwrap();
         assert_eq!(batch.len(), scores.len());
@@ -648,7 +580,7 @@ mod proptests {
             seed in any::<u64>(),
             num_configs in 3usize..20,
         ) {
-            let asha = Asha::new(num_configs, 3, 1, 9);
+            let asha = Asha::new(num_configs, 3, 1, 9).unwrap();
             let mut score_rng = rng_for(seed, 0);
             let scores: Vec<f64> = (0..num_configs)
                 .map(|_| score_rng.gen_range(0.0..1.0))
@@ -658,7 +590,7 @@ mod proptests {
             let shuffled =
                 fedmath::rng::sample_without_replacement(&mut shuffle_rng, num_configs, num_configs)
                     .unwrap();
-            let a = promotions_for(&forward, &scores, asha);
+            let a = promotions_for(&forward, &scores, asha.clone());
             let b = promotions_for(&shuffled, &scores, asha);
             prop_assert_eq!(&a, &b);
             // The promoted set is the top third by score.
@@ -683,12 +615,12 @@ mod proptests {
 
     /// Asserts the index agrees with the sort-based oracle, and
     /// `is_finished` with the oracle's answer.
-    fn check_against_oracle(scheduler: &AshaScheduler) -> std::result::Result<(), TestCaseError> {
+    fn check_against_oracle(scheduler: &Asha) -> std::result::Result<(), TestCaseError> {
         let oracle = scheduler.promotable();
         prop_assert_eq!(scheduler.indexed(), oracle.clone());
         prop_assert_eq!(
             scheduler.is_finished(),
-            scheduler.sampled >= scheduler.params.num_configs
+            scheduler.sampled >= scheduler.num_configs
                 && scheduler.pending.is_empty()
                 && oracle.is_empty()
         );
@@ -709,9 +641,8 @@ mod proptests {
             rungs in 1u32..=5,
             num_configs in 1usize..300,
         ) {
-            let asha = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1));
+            let mut scheduler = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1)).unwrap();
             let space = SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap();
-            let mut scheduler = asha.scheduler().unwrap();
             let mut rng = rng_for(seed, 0);
             let mut outstanding: Vec<TrialRequest> = Vec::new();
             let mut reported: Vec<TrialResult> = Vec::new();
@@ -721,7 +652,7 @@ mod proptests {
                         let expected: Vec<(usize, usize)> = scheduler
                             .promotable()
                             .into_iter()
-                            .map(|(id, k)| (id, asha.rung_resource(k + 1)))
+                            .map(|(id, k)| (id, scheduler.rung_resource(k + 1)))
                             .collect();
                         let batch = scheduler.suggest(&space, &mut rng).unwrap();
                         let promoted: Vec<(usize, usize)> = batch
@@ -737,7 +668,7 @@ mod proptests {
                     3 => TrialResult {
                         trial_id: rng.gen_range(0..num_configs + 8),
                         config: HpConfig::new(vec![0.5]),
-                        resource: asha.rung_resource(rng.gen_range(0..rungs as usize)),
+                        resource: scheduler.rung_resource(rng.gen_range(0..rungs as usize)),
                         noise_rep: 0,
                         score: hostile_score(&mut rng),
                     },

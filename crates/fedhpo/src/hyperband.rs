@@ -1,4 +1,5 @@
-//! Hyperband (Li et al. 2017) over Successive Halving brackets.
+//! Hyperband (Li et al. 2017) over Successive Halving brackets, and BOHB
+//! (Falkner, Klein & Hutter 2018) on the same ladder.
 //!
 //! A Successive Halving (SHA) bracket trains `n` configurations for a small
 //! resource, keeps the best `⌊n/η⌋`, multiplies the resource by `η`, and
@@ -6,29 +7,32 @@
 //! running several SHA brackets with different initial `n` and resource.
 //! The paper runs 5 brackets with elimination factor `η = 3` and a maximum
 //! of 405 rounds per configuration.
+//!
+//! BOHB keeps Hyperband's bracket structure but replaces its uniform random
+//! sampling of new configurations with proposals from a TPE model fitted on
+//! the observations gathered so far. Following the original method, the model
+//! is fitted on the *highest fidelity* (largest resource) that has collected
+//! enough observations, and falls back to random sampling early on.
 
-use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
-use crate::tpe::TpeSampler;
-use crate::{HpoError, Result};
+use crate::{tpe, HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
-/// How a [`BracketScheduler`] draws the configurations entering a bracket.
+/// Observations BOHB needs at a fidelity before it trusts the TPE model
+/// there.
+const BOHB_MIN_OBSERVATIONS: usize = 6;
+
+/// How a [`Hyperband`] ladder draws the configurations entering a bracket.
 #[derive(Debug, Clone)]
-pub(crate) enum Proposer {
+enum Proposer {
     /// Uniform random sampling (Hyperband).
     Uniform,
     /// TPE-model proposals fitted on the highest fidelity with enough
-    /// observations (BOHB).
-    Tpe {
-        /// The shared TPE proposal engine.
-        sampler: TpeSampler,
-        /// Observations needed at a fidelity before its model is trusted.
-        min_observations: usize,
-        /// All reported `(config, score)` pairs, keyed by fidelity.
-        observations: BTreeMap<usize, Vec<(HpConfig, f64)>>,
-    },
+    /// observations (BOHB), from all reported `(config, score)` pairs keyed
+    /// by fidelity.
+    Tpe(BTreeMap<usize, Vec<(HpConfig, f64)>>),
 }
 
 impl Proposer {
@@ -40,21 +44,17 @@ impl Proposer {
     ) -> Result<Vec<HpConfig>> {
         match self {
             Proposer::Uniform => space.sample_many(count, rng),
-            Proposer::Tpe {
-                sampler,
-                min_observations,
-                observations,
-            } => {
+            Proposer::Tpe(observations) => {
                 // Highest fidelity with enough observations, if any.
                 let model_obs = observations
                     .iter()
                     .rev()
-                    .find(|(_, obs)| obs.len() >= *min_observations)
+                    .find(|(_, obs)| obs.len() >= BOHB_MIN_OBSERVATIONS)
                     .map(|(_, obs)| obs.as_slice());
                 let mut configs = Vec::with_capacity(count);
                 for _ in 0..count {
                     let config = match model_obs {
-                        Some(obs) => sampler.propose(space, obs, rng)?,
+                        Some(obs) => tpe::propose(space, obs, rng)?,
                         None => space.sample(rng)?,
                     };
                     configs.push(config);
@@ -65,7 +65,7 @@ impl Proposer {
     }
 
     fn observe(&mut self, result: &TrialResult) {
-        if let Proposer::Tpe { observations, .. } = self {
+        if let Proposer::Tpe(observations) = self {
             observations
                 .entry(result.resource)
                 .or_default()
@@ -74,22 +74,22 @@ impl Proposer {
     }
 }
 
-/// Ask/tell state machine executing a sequence of Successive Halving
-/// brackets: every *rung* (all active configurations at one fidelity) is
+/// Hyperband (or BOHB): a ladder of SHA brackets trading off the number of
+/// configurations against the resource each receives.
+///
+/// Every *rung* (all active configurations of a bracket at one fidelity) is
 /// suggested as a single batch, so a parallel batch driver trains an entire
 /// rung concurrently. Survivor selection is deterministic — finite scores
 /// are ordered with `f64::total_cmp`, every non-finite score after them, and
 /// ties resolve to the earlier trial id, so non-finite scores are eliminated
 /// first.
-///
-/// Shared by [`Hyperband`] (the bracket ladder) and [`crate::Bohb`] (the
-/// ladder with TPE proposals).
 #[derive(Debug, Clone)]
-pub struct BracketScheduler {
+pub struct Hyperband {
     name: &'static str,
     eta: usize,
     max_resource: usize,
-    /// `(num_configs, min_resource)` per bracket, in execution order.
+    /// `(num_configs, min_resource)` per bracket, in execution order (most
+    /// exploratory first).
     brackets: Vec<(usize, usize)>,
     bracket_idx: usize,
     started: bool,
@@ -104,15 +104,64 @@ pub struct BracketScheduler {
     proposer: Proposer,
 }
 
-impl BracketScheduler {
-    pub(crate) fn new(
+impl Hyperband {
+    /// A fresh Hyperband campaign with uniformly sampled brackets.
+    /// `num_brackets = None` derives the standard `⌊log_η(max_resource)⌋ + 1`
+    /// bracket count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpoError::InvalidConfig`] for a zero `max_resource` or an
+    /// `eta` below 2.
+    pub fn new(max_resource: usize, eta: usize, num_brackets: Option<usize>) -> Result<Self> {
+        Self::ladder("hb", max_resource, eta, num_brackets, Proposer::Uniform)
+    }
+
+    /// A fresh BOHB campaign: the [`new`](Self::new) ladder with brackets
+    /// drawn from a TPE model.
+    ///
+    /// # Errors
+    ///
+    /// As [`new`](Self::new).
+    pub fn bohb(max_resource: usize, eta: usize, num_brackets: Option<usize>) -> Result<Self> {
+        let proposer = Proposer::Tpe(BTreeMap::new());
+        Self::ladder("bohb", max_resource, eta, num_brackets, proposer)
+    }
+
+    fn ladder(
         name: &'static str,
-        eta: usize,
         max_resource: usize,
-        brackets: Vec<(usize, usize)>,
+        eta: usize,
+        num_brackets: Option<usize>,
         proposer: Proposer,
-    ) -> Self {
-        BracketScheduler {
+    ) -> Result<Self> {
+        if max_resource == 0 {
+            return Err(HpoError::InvalidConfig {
+                message: "max_resource must be positive".into(),
+            });
+        }
+        if eta < 2 {
+            return Err(HpoError::InvalidConfig {
+                message: format!("eta must be at least 2, got {eta}"),
+            });
+        }
+        let num_brackets = num_brackets
+            .unwrap_or(((max_resource as f64).ln() / (eta as f64).ln()).floor() as usize + 1)
+            .max(1);
+        // Bracket `s` (`s = num_brackets - 1` is the most exploratory) opens
+        // with `n` configurations at resource `r`.
+        let eta_f = eta as f64;
+        let brackets = (0..num_brackets)
+            .rev()
+            .map(|s| {
+                let n = ((num_brackets as f64 / (s + 1) as f64) * eta_f.powi(s as i32)).ceil();
+                let r = (max_resource as f64 / eta_f.powi(s as i32))
+                    .round()
+                    .max(1.0);
+                ((n as usize).max(1), (r as usize).min(max_resource))
+            })
+            .collect();
+        Ok(Hyperband {
             name,
             eta,
             max_resource,
@@ -125,7 +174,24 @@ impl BracketScheduler {
             awaiting: 0,
             next_trial_id: 0,
             proposer,
+        })
+    }
+
+    /// Number of evaluations the schedule performs over all brackets — the
+    /// DP composition length `M` of a Hyperband / BOHB run.
+    pub fn planned_evaluations(&self) -> usize {
+        let mut evaluations = 0;
+        for &(mut n, mut r) in &self.brackets {
+            loop {
+                evaluations += n;
+                if n < self.eta || r >= self.max_resource {
+                    break;
+                }
+                n = (n / self.eta).max(1);
+                r = r.saturating_mul(self.eta).min(self.max_resource);
+            }
         }
+        evaluations
     }
 
     /// Completes the current rung: eliminate, promote, or close the bracket.
@@ -152,11 +218,14 @@ impl BracketScheduler {
             .filter(|(i, _)| survivors.contains(i))
             .map(|(_, x)| x.clone())
             .collect();
-        self.resource = (self.resource * self.eta).min(self.max_resource);
+        self.resource = self
+            .resource
+            .saturating_mul(self.eta)
+            .min(self.max_resource);
     }
 }
 
-impl Scheduler for BracketScheduler {
+impl Scheduler for Hyperband {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -234,121 +303,6 @@ impl Scheduler for BracketScheduler {
     }
 }
 
-/// Hyperband: a collection of SHA brackets trading off the number of
-/// configurations against the resource each receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hyperband {
-    max_resource: usize,
-    eta: usize,
-    num_brackets: usize,
-}
-
-impl Hyperband {
-    /// Creates a Hyperband tuner. `num_brackets = None` derives the standard
-    /// `⌊log_η(max_resource)⌋ + 1` bracket count.
-    pub fn new(max_resource: usize, eta: usize, num_brackets: Option<usize>) -> Self {
-        let derived = if max_resource > 0 && eta >= 2 {
-            ((max_resource as f64).ln() / (eta as f64).ln()).floor() as usize + 1
-        } else {
-            1
-        };
-        Hyperband {
-            max_resource,
-            eta,
-            num_brackets: num_brackets.unwrap_or(derived).max(1),
-        }
-    }
-
-    /// The paper's configuration: `η = 3` and 5 SHA brackets, with the given
-    /// maximum rounds per configuration.
-    pub fn paper_default(max_rounds: usize) -> Self {
-        Hyperband::new(max_rounds, 3, Some(5))
-    }
-
-    /// Maximum resource per configuration.
-    pub fn max_resource(&self) -> usize {
-        self.max_resource
-    }
-
-    /// Elimination factor `η`.
-    pub fn eta(&self) -> usize {
-        self.eta
-    }
-
-    /// Number of SHA brackets.
-    pub fn num_brackets(&self) -> usize {
-        self.num_brackets
-    }
-
-    pub(crate) fn validate(&self) -> Result<()> {
-        if self.max_resource == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "max_resource must be positive".into(),
-            });
-        }
-        if self.eta < 2 {
-            return Err(HpoError::InvalidConfig {
-                message: format!("eta must be at least 2, got {}", self.eta),
-            });
-        }
-        Ok(())
-    }
-
-    /// The `(num_configs, min_resource)` pair for bracket `s`
-    /// (`s = num_brackets - 1` is the most exploratory bracket).
-    pub fn bracket_plan(&self, s: usize) -> (usize, usize) {
-        let s_max = self.num_brackets - 1;
-        let eta = self.eta as f64;
-        let n = (((s_max + 1) as f64 / (s + 1) as f64) * eta.powi(s as i32)).ceil() as usize;
-        let r = ((self.max_resource as f64) / eta.powi(s as i32))
-            .round()
-            .max(1.0) as usize;
-        (n.max(1), r.min(self.max_resource))
-    }
-
-    /// Number of evaluations the schedule performs over all brackets — the
-    /// DP composition length `M` of a Hyperband / BOHB run.
-    pub fn planned_evaluations(&self) -> usize {
-        let mut evaluations = 0;
-        for (mut n, mut r) in self.bracket_ladder() {
-            loop {
-                evaluations += n;
-                if n < self.eta || r >= self.max_resource {
-                    break;
-                }
-                n = (n / self.eta).max(1);
-                r = (r * self.eta).min(self.max_resource);
-            }
-        }
-        evaluations
-    }
-}
-
-impl Hyperband {
-    /// The bracket ladder in execution order (most exploratory first).
-    pub(crate) fn bracket_ladder(&self) -> Vec<(usize, usize)> {
-        (0..self.num_brackets)
-            .rev()
-            .map(|s| self.bracket_plan(s))
-            .collect()
-    }
-}
-
-impl IntoScheduler for Hyperband {
-    type Scheduler = BracketScheduler;
-
-    fn scheduler(&self) -> Result<BracketScheduler> {
-        self.validate()?;
-        Ok(BracketScheduler::new(
-            "hb",
-            self.eta,
-            self.max_resource,
-            self.bracket_ladder(),
-            Proposer::Uniform,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,8 +326,8 @@ mod tests {
     fn a_bracket_eliminates_configs_and_promotes_survivors() {
         let mut rng = rng_for(1, 0);
         // The first of three brackets is SHA with 9 configurations at r=1.
-        let hb = Hyperband::new(9, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
+        let hb = Hyperband::new(9, 3, Some(3)).unwrap();
+        let outcome = run_fresh(hb, &space_1d(), resource_aware, &mut rng).unwrap();
         let bracket: Vec<_> = outcome.records().iter().take(13).collect();
         assert!(bracket.iter().all(|r| r.trial_id < 9));
         assert!(outcome.records()[13..].iter().all(|r| r.trial_id >= 9));
@@ -413,43 +367,41 @@ mod tests {
 
     #[test]
     fn hyperband_bracket_plan_matches_paper_shape() {
-        // R = 405, eta = 3, 5 brackets reproduces the paper's structure.
-        let hb = Hyperband::paper_default(405);
-        assert_eq!(hb.num_brackets(), 5);
-        assert_eq!(hb.eta(), 3);
-        assert_eq!(hb.max_resource(), 405);
-        assert_eq!(hb.bracket_plan(4), (81, 5));
-        assert_eq!(hb.bracket_plan(3), (34, 15));
-        assert_eq!(hb.bracket_plan(2), (15, 45));
-        assert_eq!(hb.bracket_plan(1), (8, 135));
-        assert_eq!(hb.bracket_plan(0), (5, 405));
+        // R = 405, eta = 3, 5 brackets reproduces the paper's structure,
+        // most exploratory bracket first.
+        let hb = Hyperband::new(405, 3, Some(5)).unwrap();
+        assert_eq!((hb.eta, hb.max_resource), (3, 405));
+        assert_eq!(
+            hb.brackets,
+            vec![(81, 5), (34, 15), (15, 45), (8, 135), (5, 405)]
+        );
         // R = 9, eta = 3, 3 brackets: s=2 runs 9 + 3 + 1 evaluations
         // (n=9, r=1), s=1 runs 5 + 1 (n=5, r=3), s=0 runs 3 (n=3, r=9).
         assert_eq!(
-            Hyperband::new(9, 3, Some(3)).planned_evaluations(),
+            Hyperband::new(9, 3, Some(3)).unwrap().planned_evaluations(),
             9 + 3 + 1 + 5 + 1 + 3
         );
     }
 
     #[test]
     fn hyperband_derives_bracket_count() {
-        let hb = Hyperband::new(81, 3, None);
+        let hb = Hyperband::new(81, 3, None).unwrap();
         // log3(81) = 4 -> 5 brackets.
-        assert_eq!(hb.num_brackets(), 5);
-        let hb = Hyperband::new(1, 3, None);
-        assert_eq!(hb.num_brackets(), 1);
+        assert_eq!(hb.brackets.len(), 5);
+        let hb = Hyperband::new(1, 3, None).unwrap();
+        assert_eq!(hb.brackets.len(), 1);
     }
 
     #[test]
     fn hyperband_runs_all_brackets_and_respects_max_resource() {
         let mut rng = rng_for(2, 0);
-        let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
+        let hb = Hyperband::new(27, 3, Some(3)).unwrap();
+        assert_eq!(hb.name(), "hb");
+        let outcome = run_fresh(hb, &space_1d(), resource_aware, &mut rng).unwrap();
         assert!(outcome.num_evaluations() > 0);
         assert!(outcome.records().iter().all(|r| r.resource <= 27));
         // The most exploitative bracket evaluates at full resource.
         assert!(outcome.records().iter().any(|r| r.resource == 27));
-        assert_eq!(hb.scheduler().unwrap().name(), "hb");
         // Cumulative budget is strictly increasing.
         let mut prev = 0;
         for r in outcome.records() {
@@ -461,8 +413,8 @@ mod tests {
     #[test]
     fn hyperband_finds_good_configs_on_resource_aware_objective() {
         let mut rng = rng_for(3, 0);
-        let hb = Hyperband::new(27, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
+        let hb = Hyperband::new(27, 3, Some(3)).unwrap();
+        let outcome = run_fresh(hb, &space_1d(), resource_aware, &mut rng).unwrap();
         let best = outcome
             .records()
             .iter()
@@ -474,29 +426,17 @@ mod tests {
     }
 
     #[test]
-    fn hyperband_validation() {
-        let mut rng = rng_for(4, 0);
-        assert!(run_fresh(
-            &Hyperband::new(0, 3, Some(2)),
-            &space_1d(),
-            resource_aware,
-            &mut rng
-        )
-        .is_err());
-        assert!(run_fresh(
-            &Hyperband::new(9, 1, Some(2)),
-            &space_1d(),
-            resource_aware,
-            &mut rng
-        )
-        .is_err());
+    fn validation() {
+        for build in [Hyperband::new, Hyperband::bohb] {
+            assert!(build(0, 3, Some(2)).is_err());
+            assert!(build(9, 1, Some(2)).is_err());
+        }
     }
 
     #[test]
     fn scheduler_suggests_whole_rungs_as_batches() {
-        use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = space_1d();
-        let mut scheduler = Hyperband::new(9, 3, Some(3)).scheduler().unwrap();
+        let mut scheduler = Hyperband::new(9, 3, Some(3)).unwrap();
         let mut rng = rng_for(6, 0);
         // Rung 0: 9 configurations at resource 1, one batch.
         let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
@@ -559,14 +499,13 @@ mod tests {
 
     #[test]
     fn nan_scores_are_eliminated_first() {
-        use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = space_1d();
         // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
         // which `total_cmp` alone ranks before every finite score.
         let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
         for scores in [[f64::NAN, 0.9, 0.1], [negative_nan, f64::NEG_INFINITY, 0.9]] {
             // One bracket opening with 3 configurations at r=1 of R=3.
-            let mut scheduler = Hyperband::new(3, 3, Some(2)).scheduler().unwrap();
+            let mut scheduler = Hyperband::new(3, 3, Some(2)).unwrap();
             let mut rng = rng_for(7, 0);
             let rung0 = scheduler.suggest(&space, &mut rng).unwrap();
             for (request, score) in rung0.iter().zip(scores) {
@@ -581,8 +520,8 @@ mod tests {
     #[test]
     fn trial_ids_are_unique_across_brackets() {
         let mut rng = rng_for(5, 0);
-        let hb = Hyperband::new(9, 3, Some(3));
-        let outcome = run_fresh(&hb, &space_1d(), resource_aware, &mut rng).unwrap();
+        let hb = Hyperband::new(9, 3, Some(3)).unwrap();
+        let outcome = run_fresh(hb, &space_1d(), resource_aware, &mut rng).unwrap();
         // A trial id must always map to one configuration.
         let mut seen: HashMap<usize, Vec<f64>> = HashMap::new();
         for r in outcome.records() {
@@ -590,6 +529,75 @@ mod tests {
                 .entry(r.trial_id)
                 .or_insert_with(|| r.config.values().to_vec());
             assert_eq!(entry, &r.config.values().to_vec());
+        }
+    }
+
+    fn bohb_score(config: &HpConfig, resource: usize) -> f64 {
+        let x = config.values()[0];
+        (x - 0.7).abs() + 0.5 / (resource as f64 + 1.0)
+    }
+
+    #[test]
+    fn bohb_runs_hyperbands_ladder() {
+        let bohb = Hyperband::bohb(27, 3, Some(3)).unwrap();
+        assert_eq!(bohb.name(), "bohb");
+        let hb = Hyperband::new(27, 3, Some(3)).unwrap();
+        assert_eq!(bohb.brackets, hb.brackets);
+        let mut rng = rng_for(0, 0);
+        let outcome = run_fresh(bohb, &space_1d(), bohb_score, &mut rng).unwrap();
+        assert!(outcome.num_evaluations() > 0);
+        assert!(outcome.records().iter().all(|r| r.resource <= 27));
+        assert!(outcome.records().iter().any(|r| r.resource == 27));
+        // Same bracket structure as Hyperband, so the same total budget.
+        let mut rng = rng_for(0, 0);
+        let hb_outcome = run_fresh(hb, &space_1d(), bohb_score, &mut rng).unwrap();
+        assert_eq!(outcome.total_resource(), hb_outcome.total_resource());
+    }
+
+    #[test]
+    fn bohb_proposals_remain_valid_in_paper_space() {
+        let space = SearchSpace::paper_default();
+        let mut rng = rng_for(1, 0);
+        // Score depends on server lr distance from 1e-3 (in log space).
+        let lr_distance = |config: &HpConfig, _| (config.values()[0].log10() + 3.0).abs();
+        let bohb = Hyperband::bohb(9, 3, Some(2)).unwrap();
+        let outcome = run_fresh(bohb, &space, lr_distance, &mut rng).unwrap();
+        for record in outcome.records() {
+            assert!(space.validate_config(&record.config).is_ok());
+        }
+    }
+
+    #[test]
+    fn bohb_eventually_concentrates_near_the_optimum() {
+        // With several brackets the later proposals should cluster near the
+        // optimum x = 0.7 more than uniform sampling would.
+        let mut rng = rng_for(2, 0);
+        let bohb = Hyperband::bohb(27, 3, Some(3)).unwrap();
+        let outcome = run_fresh(bohb, &space_1d(), bohb_score, &mut rng).unwrap();
+        let n = outcome.num_evaluations();
+        let late: Vec<f64> = outcome.records()[n / 2..]
+            .iter()
+            .map(|r| (r.config.values()[0] - 0.7).abs())
+            .collect();
+        let mean_late = fedmath::stats::mean(&late);
+        // Uniform sampling over [0,1] has mean distance ~0.29 from 0.7.
+        assert!(
+            mean_late < 0.29,
+            "late proposals (mean distance {mean_late}) show no concentration"
+        );
+    }
+
+    #[test]
+    fn bohb_proposes_valid_configs_without_observations() {
+        let space = space_1d();
+        let mut scheduler = Hyperband::bohb(9, 3, Some(2)).unwrap();
+        let mut rng = rng_for(3, 0);
+        // Without observations the first bracket falls back to uniform
+        // sampling and must still produce valid configurations.
+        let batch = scheduler.suggest(&space, &mut rng).unwrap();
+        assert!(!batch.is_empty());
+        for request in &batch {
+            assert!(space.validate_config(&request.config).is_ok());
         }
     }
 }

@@ -10,13 +10,13 @@
 //!   a Bayesian-optimization method based on kernel-density estimates of the
 //!   good and bad configuration distributions.
 //! - [`Hyperband`] — the early-stopping method (Li et al. 2017): a ladder
-//!   of Successive Halving brackets run by one [`BracketScheduler`].
-//! - [`Bohb`] — the hybrid that replaces Hyperband's random sampling with the
-//!   TPE acquisition function (Falkner et al. 2018).
+//!   of Successive Halving brackets. [`Hyperband::bohb`] builds BOHB on the
+//!   same ladder, replacing its random sampling with the TPE acquisition
+//!   function (Falkner et al. 2018).
 //! - [`Asha`] — asynchronous successive halving (Li et al. 2020): per-rung
 //!   promotions computed from whatever results have arrived.
-//! - [`AsyncAsha`] — the same ladder run genuinely asynchronously: the
-//!   scheduler is [`Scheduler::async_capable`], so event-driven drivers
+//!   [`Asha::asynchronous`] runs the same ladder genuinely asynchronously:
+//!   the scheduler is [`Scheduler::async_capable`], so event-driven drivers
 //!   re-poll it on every completion and promotions fire without rung
 //!   barriers.
 //! - [`ReEvaluation`] — the paper's §5 mitigation as a wrapper policy:
@@ -26,14 +26,14 @@
 //!   reads the campaign log (`fedtune_core::selected_true_error`), which
 //!   averages each finalist's fresh draws.
 //!
-//! Every method is a batched ask/tell [`Scheduler`] (`suggest` a batch of
-//! [`TrialRequest`]s, `report` each [`TrialResult`]) built from its
-//! configuration through [`IntoScheduler`]; that is the only tuning
-//! interface. Campaigns are driven by `fedtune_core::scheduler::drive`, batch
-//! by batch or in virtual time, against a `ConcurrentObjective`; it is the
-//! one loop that runs a scheduler. [`BudgetLedger`] is the one rule that
-//! charges a campaign's rounds, and [`TuningOutcome::record`] applies it in
-//! delivery order.
+//! Every method is one type: a batched ask/tell [`Scheduler`] (`suggest` a
+//! batch of [`TrialRequest`]s, `report` each [`TrialResult`]) whose
+//! constructor validates its parameters and returns a fresh campaign; that
+//! is the only tuning interface. Campaigns are driven by
+//! `fedtune_core::scheduler::drive`, batch by batch or in virtual time,
+//! against a `ConcurrentObjective`; it is the one loop that runs a
+//! scheduler. [`BudgetLedger`] is the one rule that charges a campaign's
+//! rounds, and [`TuningOutcome::record`] applies it in delivery order.
 //!
 //! The crate is deliberately **noise-agnostic**: schedulers minimise whatever
 //! score is reported, and the experiment harness in `fedtune-core`
@@ -48,10 +48,10 @@
 //! result. Here RS minimises a quadratic over a 1-D space.
 //!
 //! ```
-//! use fedhpo::{IntoScheduler, RandomSearch, Scheduler, SearchSpace, TrialResult, TuningOutcome};
+//! use fedhpo::{RandomSearch, Scheduler, SearchSpace, TrialResult, TuningOutcome};
 //!
 //! let space = SearchSpace::new().with_uniform("x", -5.0, 5.0).unwrap();
-//! let mut scheduler = RandomSearch::new(32, 1).scheduler().unwrap();
+//! let mut scheduler = RandomSearch::new(32, 1).unwrap();
 //! let mut rng = fedmath::rng::rng_for(0, 0);
 //! let mut outcome = TuningOutcome::default();
 //! while !scheduler.is_finished() {
@@ -70,7 +70,6 @@
 #![forbid(unsafe_code)]
 
 pub mod asha;
-pub mod bohb;
 pub mod hyperband;
 pub mod random_search;
 pub mod reeval;
@@ -79,14 +78,13 @@ pub mod space;
 pub mod tpe;
 pub mod tuner;
 
-pub use asha::{Asha, AshaScheduler, AsyncAsha};
-pub use bohb::Bohb;
-pub use hyperband::{BracketScheduler, Hyperband};
-pub use random_search::{RandomSearch, RandomSearchScheduler};
-pub use reeval::{ReEvalScheduler, ReEvaluation};
-pub use scheduler::{BudgetLedger, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+pub use asha::Asha;
+pub use hyperband::Hyperband;
+pub use random_search::RandomSearch;
+pub use reeval::ReEvaluation;
+pub use scheduler::{BudgetLedger, Scheduler, TrialRequest, TrialResult};
 pub use space::{Dimension, HpConfig, SearchSpace};
-pub use tpe::{Tpe, TpeConfig, TpeScheduler};
+pub use tpe::Tpe;
 pub use tuner::{EvaluationRecord, TuningOutcome};
 
 use std::fmt;

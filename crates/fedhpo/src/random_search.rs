@@ -1,6 +1,6 @@
 //! Random search (Algorithm 1/2 of the paper).
 
-use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{Scheduler, TrialRequest, TrialResult};
 use crate::space::SearchSpace;
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
@@ -9,73 +9,40 @@ use rand::rngs::StdRng;
 /// space, train each for `rounds_per_config` budget units, evaluate once, and
 /// select the best.
 ///
+/// All configurations are independent, so the entire schedule is a *single
+/// batch* — under a parallel batch driver every trial trains concurrently.
 /// In the paper RS searches `K = 16` configurations with up to 405 rounds
 /// each (6480 rounds total).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RandomSearch {
     num_configs: usize,
     rounds_per_config: usize,
+    suggested: bool,
+    reported: usize,
 }
 
 impl RandomSearch {
-    /// Creates a random-search tuner.
-    pub fn new(num_configs: usize, rounds_per_config: usize) -> Self {
-        RandomSearch {
-            num_configs,
-            rounds_per_config,
-        }
-    }
-
-    /// The paper's configuration: `K = 16` configurations at
-    /// `max_rounds` rounds each.
-    pub fn paper_default(max_rounds: usize) -> Self {
-        RandomSearch::new(16, max_rounds)
-    }
-
-    /// Number of configurations searched.
-    pub fn num_configs(&self) -> usize {
-        self.num_configs
-    }
-
-    /// Training rounds allocated to each configuration.
-    pub fn rounds_per_config(&self) -> usize {
-        self.rounds_per_config
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.num_configs == 0 || self.rounds_per_config == 0 {
+    /// A fresh random-search campaign.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpoError::InvalidConfig`] unless both counts are positive.
+    pub fn new(num_configs: usize, rounds_per_config: usize) -> Result<Self> {
+        if num_configs == 0 || rounds_per_config == 0 {
             return Err(HpoError::InvalidConfig {
                 message: "random search needs positive num_configs and rounds_per_config".into(),
             });
         }
-        Ok(())
-    }
-}
-
-impl IntoScheduler for RandomSearch {
-    type Scheduler = RandomSearchScheduler;
-
-    fn scheduler(&self) -> Result<RandomSearchScheduler> {
-        self.validate()?;
-        Ok(RandomSearchScheduler {
-            params: *self,
+        Ok(RandomSearch {
+            num_configs,
+            rounds_per_config,
             suggested: false,
             reported: 0,
         })
     }
 }
 
-/// Ask/tell state of a random-search campaign. All configurations are
-/// independent, so the entire schedule is a *single batch* — under a parallel
-/// batch driver every trial trains concurrently.
-#[derive(Debug, Clone)]
-pub struct RandomSearchScheduler {
-    params: RandomSearch,
-    suggested: bool,
-    reported: usize,
-}
-
-impl Scheduler for RandomSearchScheduler {
+impl Scheduler for RandomSearch {
     fn name(&self) -> &'static str {
         "rs"
     }
@@ -85,12 +52,12 @@ impl Scheduler for RandomSearchScheduler {
             return Ok(Vec::new());
         }
         self.suggested = true;
-        (0..self.params.num_configs)
+        (0..self.num_configs)
             .map(|trial_id| {
                 Ok(TrialRequest {
                     trial_id,
                     config: space.sample(rng)?,
-                    resource: self.params.rounds_per_config,
+                    resource: self.rounds_per_config,
                     noise_rep: 0,
                 })
             })
@@ -103,7 +70,7 @@ impl Scheduler for RandomSearchScheduler {
     }
 
     fn is_finished(&self) -> bool {
-        self.suggested && self.reported >= self.params.num_configs
+        self.suggested && self.reported >= self.num_configs
     }
 }
 
@@ -123,14 +90,11 @@ mod tests {
 
     #[test]
     fn validation() {
-        let space = quadratic_space();
-        let mut rng = rng_for(0, 0);
-        let zero = |_: &crate::HpConfig, _| 0.0;
-        assert!(run_fresh(&RandomSearch::new(0, 1), &space, zero, &mut rng).is_err());
-        assert!(run_fresh(&RandomSearch::new(1, 0), &space, zero, &mut rng).is_err());
-        assert_eq!(RandomSearch::paper_default(405).num_configs(), 16);
-        assert_eq!(RandomSearch::paper_default(405).rounds_per_config(), 405);
-        assert_eq!(RandomSearch::new(4, 2).scheduler().unwrap().name(), "rs");
+        assert!(RandomSearch::new(0, 1).is_err());
+        assert!(RandomSearch::new(1, 0).is_err());
+        let rs = RandomSearch::new(16, 405).unwrap();
+        assert_eq!((rs.num_configs, rs.rounds_per_config), (16, 405));
+        assert_eq!(rs.name(), "rs");
     }
 
     #[test]
@@ -143,9 +107,14 @@ mod tests {
             let y = config.values()[1];
             (x - 2.0).powi(2) + (y + 3.0).powi(2)
         };
-        let tuner = RandomSearch::new(200, 1);
         let mut rng = rng_for(1, 0);
-        let outcome = run_fresh(&tuner, &space, quadratic, &mut rng).unwrap();
+        let outcome = run_fresh(
+            RandomSearch::new(200, 1).unwrap(),
+            &space,
+            quadratic,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(outcome.num_evaluations(), 200);
         assert_eq!(calls, 200);
         let best = outcome.best().unwrap();
@@ -159,9 +128,14 @@ mod tests {
     #[test]
     fn budget_accounting_is_linear() {
         let space = quadratic_space();
-        let tuner = RandomSearch::new(8, 5);
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&tuner, &space, |_, _| 1.0, &mut rng).unwrap();
+        let outcome = run_fresh(
+            RandomSearch::new(8, 5).unwrap(),
+            &space,
+            |_, _| 1.0,
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(outcome.total_resource(), 40);
         for (i, record) in outcome.records().iter().enumerate() {
             assert_eq!(record.trial_id, i);
@@ -172,9 +146,8 @@ mod tests {
 
     #[test]
     fn scheduler_suggests_one_full_batch() {
-        use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = quadratic_space();
-        let mut scheduler = RandomSearch::new(6, 3).scheduler().unwrap();
+        let mut scheduler = RandomSearch::new(6, 3).unwrap();
         let mut rng = rng_for(4, 0);
         assert!(!scheduler.is_finished());
         let batch = scheduler.suggest(&space, &mut rng).unwrap();
@@ -191,16 +164,15 @@ mod tests {
             scheduler.report(&TrialResult::of(request, 1.0)).unwrap();
         }
         assert!(scheduler.is_finished());
-        assert!(RandomSearch::new(0, 1).scheduler().is_err());
     }
 
     #[test]
     fn deterministic_given_rng_seed() {
         let space = quadratic_space();
-        let tuner = RandomSearch::new(10, 1);
+        let tuner = RandomSearch::new(10, 1).unwrap();
         let run = |seed: u64| {
             let mut rng = rng_for(seed, 0);
-            run_fresh(&tuner, &space, |c, _| c.values()[0], &mut rng).unwrap()
+            run_fresh(tuner.clone(), &space, |c, _| c.values()[0], &mut rng).unwrap()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).best().unwrap().score, run(8).best().unwrap().score);

@@ -15,7 +15,7 @@
 //! `fedtune_core::selected_true_error`, which averages the fresh draws per
 //! survivor.
 
-use crate::scheduler::{IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
@@ -23,43 +23,38 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Wraps an inner tuning method with the top-k fresh-noise re-evaluation
 /// mitigation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReEvaluation<C> {
-    inner: C,
+#[derive(Debug, Clone)]
+pub struct ReEvaluation<S> {
+    inner: S,
     top_k: usize,
     reps: usize,
+    /// Per trial: `(max fidelity reached, last rep-0 score there, config)`.
+    incumbents: BTreeMap<usize, (usize, f64, HpConfig)>,
+    phase: Phase,
 }
 
-impl<C> ReEvaluation<C> {
-    /// Wraps `inner`: after its schedule finishes, the `top_k` best
-    /// configurations at the highest reached fidelity are each re-evaluated
-    /// `reps` times with fresh noise draws.
-    pub fn new(inner: C, top_k: usize, reps: usize) -> Self {
-        ReEvaluation { inner, top_k, reps }
-    }
-
-    /// The wrapped tuning method.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Number of survivors re-evaluated.
-    pub fn top_k(&self) -> usize {
-        self.top_k
-    }
-
-    /// Fresh noise draws per survivor.
-    pub fn reps(&self) -> usize {
-        self.reps
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.top_k == 0 || self.reps == 0 {
+impl<S: Scheduler> ReEvaluation<S> {
+    /// Wraps the fresh scheduler `inner`: after its schedule finishes, the
+    /// `top_k` best configurations at the highest reached fidelity are each
+    /// re-evaluated `reps` times with fresh noise draws.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpoError::InvalidConfig`] unless `top_k` and `reps` are
+    /// positive.
+    pub fn new(inner: S, top_k: usize, reps: usize) -> Result<Self> {
+        if top_k == 0 || reps == 0 {
             return Err(HpoError::InvalidConfig {
                 message: "re-evaluation needs positive top_k and reps".into(),
             });
         }
-        Ok(())
+        Ok(ReEvaluation {
+            inner,
+            top_k,
+            reps,
+            incumbents: BTreeMap::new(),
+            phase: Phase::Inner,
+        })
     }
 }
 
@@ -74,21 +69,6 @@ impl ReEvaluation<crate::Asha> {
     }
 }
 
-impl<C: IntoScheduler> IntoScheduler for ReEvaluation<C> {
-    type Scheduler = ReEvalScheduler<C::Scheduler>;
-
-    fn scheduler(&self) -> Result<ReEvalScheduler<C::Scheduler>> {
-        self.validate()?;
-        Ok(ReEvalScheduler {
-            inner: self.inner.scheduler()?,
-            top_k: self.top_k,
-            reps: self.reps,
-            incumbents: BTreeMap::new(),
-            phase: Phase::Inner,
-        })
-    }
-}
-
 #[derive(Debug, Clone, PartialEq)]
 enum Phase {
     /// Delegating to the inner schedule.
@@ -100,18 +80,7 @@ enum Phase {
     Done,
 }
 
-/// Ask/tell state of a re-evaluation-wrapped campaign.
-#[derive(Debug, Clone)]
-pub struct ReEvalScheduler<S> {
-    inner: S,
-    top_k: usize,
-    reps: usize,
-    /// Per trial: `(max fidelity reached, last rep-0 score there, config)`.
-    incumbents: BTreeMap<usize, (usize, f64, HpConfig)>,
-    phase: Phase,
-}
-
-impl<S> ReEvalScheduler<S> {
+impl<S> ReEvaluation<S> {
     /// The `top_k` best trials at the overall highest fidelity, ordered by
     /// `(score, trial_id)` — a deterministic function of the inner history.
     fn finalists(&self) -> Vec<(usize, usize, HpConfig)> {
@@ -134,7 +103,7 @@ impl<S> ReEvalScheduler<S> {
     }
 }
 
-impl<S: Scheduler> Scheduler for ReEvalScheduler<S> {
+impl<S: Scheduler> Scheduler for ReEvaluation<S> {
     fn name(&self) -> &'static str {
         "re-eval"
     }
@@ -225,19 +194,17 @@ mod tests {
         SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap()
     }
 
+    fn rs(num_configs: usize, rounds: usize) -> RandomSearch {
+        RandomSearch::new(num_configs, rounds).unwrap()
+    }
+
     #[test]
     fn validation() {
-        assert!(ReEvaluation::new(RandomSearch::new(4, 1), 0, 3)
-            .scheduler()
-            .is_err());
-        assert!(ReEvaluation::new(RandomSearch::new(4, 1), 2, 0)
-            .scheduler()
-            .is_err());
-        let policy = ReEvaluation::new(RandomSearch::new(4, 1), 2, 3);
-        assert_eq!(policy.scheduler().unwrap().name(), "re-eval");
-        assert_eq!(policy.top_k(), 2);
-        assert_eq!(policy.reps(), 3);
-        assert_eq!(policy.inner().num_configs(), 4);
+        assert!(ReEvaluation::new(rs(4, 1), 0, 3).is_err());
+        assert!(ReEvaluation::new(rs(4, 1), 2, 0).is_err());
+        let policy = ReEvaluation::new(rs(4, 1), 2, 3).unwrap();
+        assert_eq!(policy.name(), "re-eval");
+        assert_eq!((policy.top_k, policy.reps), (2, 3));
     }
 
     #[test]
@@ -249,9 +216,9 @@ mod tests {
             calls += 1;
             config.values()[0] + 0.01 * (calls as f64 * 7.0).sin()
         };
-        let policy = ReEvaluation::new(RandomSearch::new(6, 5), 2, 3);
+        let policy = ReEvaluation::new(rs(6, 5), 2, 3).unwrap();
         let mut rng = rng_for(0, 0);
-        let outcome = run_fresh(&policy, &space_1d(), noisy, &mut rng).unwrap();
+        let outcome = run_fresh(policy, &space_1d(), noisy, &mut rng).unwrap();
         // 6 schedule evaluations + 2 survivors × 3 reps.
         assert_eq!(outcome.num_evaluations(), 6 + 6);
         let reevals: Vec<_> = outcome
@@ -271,9 +238,7 @@ mod tests {
 
     #[test]
     fn reevaluation_phase_rejects_duplicate_and_unknown_results() {
-        use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
-        let policy = ReEvaluation::new(RandomSearch::new(2, 1), 1, 2);
-        let mut scheduler = policy.scheduler().unwrap();
+        let mut scheduler = ReEvaluation::new(rs(2, 1), 1, 2).unwrap();
         let space = space_1d();
         let mut rng = rng_for(3, 0);
         let inner_batch = scheduler.suggest(&space, &mut rng).unwrap();
@@ -309,10 +274,10 @@ mod tests {
 
     #[test]
     fn top_k_clamps_to_available_trials() {
-        let policy = ReEvaluation::new(RandomSearch::new(2, 1), 10, 2);
+        let policy = ReEvaluation::new(rs(2, 1), 10, 2).unwrap();
         let mut rng = rng_for(1, 0);
         let x = |config: &HpConfig, _| config.values()[0];
-        let outcome = run_fresh(&policy, &space_1d(), x, &mut rng).unwrap();
+        let outcome = run_fresh(policy, &space_1d(), x, &mut rng).unwrap();
         // Only 2 trials exist; both get re-evaluated twice.
         assert_eq!(outcome.num_evaluations(), 2 + 4);
     }
@@ -323,10 +288,10 @@ mod tests {
             |config: &HpConfig, resource| config.values()[0] + 1.0 / (resource as f64 + 1.0);
         // Two brackets: 3 configurations at r=3 of which one reaches r=9,
         // then 2 configurations at r=9.
-        let hb = Hyperband::new(9, 3, Some(2));
-        let policy = ReEvaluation::new(hb, 5, 2);
+        let hb = Hyperband::new(9, 3, Some(2)).unwrap();
+        let policy = ReEvaluation::new(hb.clone(), 5, 2).unwrap();
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&policy, &space_1d(), score, &mut rng).unwrap();
+        let outcome = run_fresh(policy, &space_1d(), score, &mut rng).unwrap();
         let reevals: Vec<_> = outcome
             .records()
             .iter()
@@ -338,7 +303,7 @@ mod tests {
         assert!(reevals.iter().all(|r| r.resource == 9));
         // Same training budget as the unwrapped ladder.
         let mut rng = rng_for(2, 0);
-        let plain = run_fresh(&hb, &space_1d(), score, &mut rng).unwrap();
+        let plain = run_fresh(hb, &space_1d(), score, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), plain.total_resource());
     }
 }

@@ -6,7 +6,7 @@
 //! *reports* each [`TrialResult`] back.
 //!
 //! Determinism contract: a scheduler's suggestions must be a pure function of
-//! (its configuration, the RNG passed to [`Scheduler::suggest`], and the
+//! (its parameters, the RNG passed to [`Scheduler::suggest`], and the
 //! multiset of results reported so far). In particular, promotion and
 //! proposal decisions must not depend on the *arrival order* of results
 //! beyond the batch boundaries the scheduler itself created — this is what
@@ -132,7 +132,7 @@ pub trait Scheduler {
     /// `true` if [`suggest`](Self::suggest) may be called while results are
     /// still outstanding. Barrier-style schedulers (the default) are only
     /// polled between batches; asynchronous schedulers (e.g.
-    /// [`AsyncAsha`](crate::AsyncAsha)) are re-polled by event-driven
+    /// [`Asha::asynchronous`](crate::Asha::asynchronous)) are re-polled by event-driven
     /// drivers on **every** completion, which is what turns rung-synchronous
     /// successive halving into the paper's actual promote-on-completion
     /// algorithm.
@@ -182,33 +182,16 @@ impl BudgetLedger {
     }
 }
 
-/// Conversion from a tuner configuration into its ask/tell scheduler state.
-///
-/// Implemented by every tuning method in this crate; the associated scheduler
-/// is a fresh state machine, so one configuration can drive many campaigns.
-pub trait IntoScheduler {
-    /// The scheduler state machine this configuration builds.
-    type Scheduler: Scheduler;
-
-    /// Builds a fresh scheduler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpoError::InvalidConfig`](crate::HpoError::InvalidConfig) if the configuration is invalid.
-    fn scheduler(&self) -> Result<Self::Scheduler>;
-}
-
-/// Test loop: a fresh scheduler of `method` run to the end, one request at
-/// a time, each scored by `score(config, resource)` and reported before the
-/// next is evaluated.
+/// Test loop: `scheduler` run to the end, one request at a time, each
+/// scored by `score(config, resource)` and reported before the next is
+/// evaluated.
 #[cfg(test)]
 pub(crate) fn run_fresh(
-    method: &impl IntoScheduler,
+    mut scheduler: impl Scheduler,
     space: &SearchSpace,
     mut score: impl FnMut(&HpConfig, usize) -> f64,
     rng: &mut StdRng,
 ) -> Result<crate::TuningOutcome> {
-    let mut scheduler = method.scheduler()?;
     let mut outcome = crate::TuningOutcome::default();
     while !scheduler.is_finished() {
         let batch = scheduler.suggest(space, rng)?;

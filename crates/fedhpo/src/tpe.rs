@@ -11,226 +11,150 @@
 //! assumes noiseless evaluations — this implementation makes no attempt to
 //! model evaluation noise, which is exactly the behaviour the paper studies.
 
-use crate::scheduler::{score_rank, IntoScheduler, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{score_rank, Scheduler, TrialRequest, TrialResult};
 use crate::space::{Dimension, HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the TPE sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TpeConfig {
-    /// Fraction of observations treated as "good" (the `γ` quantile).
-    pub gamma: f64,
-    /// Number of candidates drawn from `l(θ)` per proposal.
-    pub num_candidates: usize,
-    /// Number of initial configurations sampled uniformly at random before
-    /// the density model is used.
-    pub num_startup: usize,
-    /// Kernel bandwidth for continuous dimensions, as a fraction of the
-    /// dimension's range.
-    pub bandwidth: f64,
-}
+/// Fraction of observations treated as "good" (the `γ` quantile).
+const GAMMA: f64 = 0.25;
+/// Candidates drawn from `l(θ)` per proposal.
+const NUM_CANDIDATES: usize = 24;
+/// Observations needed before the density model replaces uniform sampling.
+const NUM_STARTUP: usize = 4;
+/// Kernel bandwidth for continuous dimensions, as a fraction of the
+/// dimension's range.
+const BANDWIDTH: f64 = 0.2;
 
-impl Default for TpeConfig {
-    fn default() -> Self {
-        TpeConfig {
-            gamma: 0.25,
-            num_candidates: 24,
-            num_startup: 4,
-            bandwidth: 0.2,
+/// The TPE proposal engine, shared by [`Tpe`] and BOHB: proposes the next
+/// configuration to evaluate given the observations `(config, score)`
+/// collected so far (lower scores are better). Falls back to uniform random
+/// sampling while fewer than `NUM_STARTUP` observations are available.
+///
+/// # Errors
+///
+/// Propagates space sampling errors.
+pub(crate) fn propose(
+    space: &SearchSpace,
+    observations: &[(HpConfig, f64)],
+    rng: &mut StdRng,
+) -> Result<HpConfig> {
+    if observations.len() < NUM_STARTUP {
+        return space.sample(rng);
+    }
+    let (good, bad) = split(observations);
+    let ratio = |candidate: &HpConfig| {
+        log_density(space, &good, candidate) - log_density(space, &bad, candidate)
+    };
+
+    // Draw candidates from l(θ) and keep the first one maximising l/g.
+    let mut best = sample_from_kde(space, &good, rng)?;
+    let mut best_ratio = ratio(&best);
+    for _ in 1..NUM_CANDIDATES {
+        let candidate = sample_from_kde(space, &good, rng)?;
+        let candidate_ratio = ratio(&candidate);
+        if candidate_ratio > best_ratio {
+            (best, best_ratio) = (candidate, candidate_ratio);
         }
     }
+    Ok(best)
 }
 
-impl TpeConfig {
-    fn validate(&self) -> Result<()> {
-        if !(0.0 < self.gamma && self.gamma < 1.0) {
-            return Err(HpoError::InvalidConfig {
-                message: format!("gamma must be in (0, 1), got {}", self.gamma),
-            });
-        }
-        if self.num_candidates == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "num_candidates must be positive".into(),
-            });
-        }
-        if self.num_startup == 0 {
-            return Err(HpoError::InvalidConfig {
-                message: "num_startup must be positive".into(),
-            });
-        }
-        if self.bandwidth <= 0.0 || !self.bandwidth.is_finite() {
-            return Err(HpoError::InvalidConfig {
-                message: format!("bandwidth must be positive, got {}", self.bandwidth),
-            });
-        }
-        Ok(())
-    }
+/// Splits at least two observations into the good set (the lowest `γ`
+/// share by score, at least one) and the bad set (the rest, at least
+/// one). Non-finite scores rank last; the stable sort keeps arrival order
+/// among ties.
+fn split(observations: &[(HpConfig, f64)]) -> (Vec<&HpConfig>, Vec<&HpConfig>) {
+    let mut sorted: Vec<&(HpConfig, f64)> = observations.iter().collect();
+    sorted.sort_by_key(|(_, score)| score_rank(*score));
+    let n_good =
+        ((observations.len() as f64 * GAMMA).ceil() as usize).clamp(1, observations.len() - 1);
+    let good = sorted[..n_good].iter().map(|(c, _)| c).collect();
+    let bad = sorted[n_good..].iter().map(|(c, _)| c).collect();
+    (good, bad)
 }
 
-/// A reusable TPE proposal engine, shared by the [`Tpe`] tuner and
-/// [`crate::Bohb`].
-#[derive(Debug, Clone, Copy)]
-pub struct TpeSampler {
-    config: TpeConfig,
-}
-
-impl TpeSampler {
-    /// Creates a sampler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpoError::InvalidConfig`] if the configuration is invalid.
-    pub fn new(config: TpeConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(TpeSampler { config })
+/// Samples one configuration from the kernel-density mixture centred on
+/// the given observations.
+fn sample_from_kde(
+    space: &SearchSpace,
+    observations: &[&HpConfig],
+    rng: &mut StdRng,
+) -> Result<HpConfig> {
+    if observations.is_empty() {
+        return space.sample(rng);
     }
-
-    /// The sampler configuration.
-    pub fn config(&self) -> &TpeConfig {
-        &self.config
-    }
-
-    /// Proposes the next configuration to evaluate given the observations
-    /// `(config, score)` collected so far (lower scores are better). Falls
-    /// back to uniform random sampling while fewer than
-    /// [`TpeConfig::num_startup`] (or 2) observations are available.
-    ///
-    /// # Errors
-    ///
-    /// Propagates space sampling errors.
-    pub fn propose(
-        &self,
-        space: &SearchSpace,
-        observations: &[(HpConfig, f64)],
-        rng: &mut StdRng,
-    ) -> Result<HpConfig> {
-        if observations.len() < self.config.num_startup.max(2) {
-            return space.sample(rng);
-        }
-        let (good, bad) = self.split(observations);
-
-        // Draw candidates from l(θ) and keep the one maximising l/g.
-        let mut best: Option<(f64, HpConfig)> = None;
-        for _ in 0..self.config.num_candidates {
-            let candidate = self.sample_from_kde(space, &good, rng)?;
-            let log_l = self.log_density(space, &good, &candidate);
-            let log_g = self.log_density(space, &bad, &candidate);
-            let ratio = log_l - log_g;
-            if best.as_ref().is_none_or(|(b, _)| ratio > *b) {
-                best = Some((ratio, candidate));
+    let center = observations[rng.gen_range(0..observations.len())];
+    let mut values = Vec::with_capacity(space.len());
+    for (i, dim) in space.dimensions().iter().enumerate() {
+        let v = center.values()[i];
+        let sampled = match dim {
+            Dimension::Uniform { low, high } => {
+                let sigma = (high - low) * BANDWIDTH;
+                sample_truncated_normal(rng, v, sigma, *low, *high)
             }
-        }
-        Ok(best.expect("num_candidates >= 1").1)
+            Dimension::LogUniform { low, high } => {
+                let (ll, lh) = (low.log10(), high.log10());
+                let sigma = (lh - ll) * BANDWIDTH;
+                10f64.powf(sample_truncated_normal(rng, v.log10(), sigma, ll, lh))
+            }
+            Dimension::Categorical { choices } => {
+                // Keep the centre's value with high probability, otherwise
+                // explore a uniformly random choice.
+                if rng.gen::<f64>() < 0.8 {
+                    v
+                } else {
+                    choices[rng.gen_range(0..choices.len())]
+                }
+            }
+            Dimension::Fixed { value } => *value,
+        };
+        values.push(sampled);
     }
+    Ok(HpConfig::new(values))
+}
 
-    /// Splits at least two observations into the good set (the lowest `γ`
-    /// share by score, at least one) and the bad set (the rest, at least
-    /// one). Non-finite scores rank last; the stable sort keeps arrival order
-    /// among ties.
-    fn split<'a>(
-        &self,
-        observations: &'a [(HpConfig, f64)],
-    ) -> (Vec<&'a HpConfig>, Vec<&'a HpConfig>) {
-        let mut sorted: Vec<&(HpConfig, f64)> = observations.iter().collect();
-        sorted.sort_by_key(|(_, score)| score_rank(*score));
-        let n_good = ((observations.len() as f64 * self.config.gamma).ceil() as usize)
-            .clamp(1, observations.len() - 1);
-        let good = sorted[..n_good].iter().map(|(c, _)| c).collect();
-        let bad = sorted[n_good..].iter().map(|(c, _)| c).collect();
-        (good, bad)
+/// Log of the mixture kernel density of `config` under the observations.
+fn log_density(space: &SearchSpace, observations: &[&HpConfig], config: &HpConfig) -> f64 {
+    if observations.is_empty() {
+        return 0.0;
     }
-
-    /// Samples one configuration from the kernel-density mixture centred on
-    /// the given observations.
-    fn sample_from_kde(
-        &self,
-        space: &SearchSpace,
-        observations: &[&HpConfig],
-        rng: &mut StdRng,
-    ) -> Result<HpConfig> {
-        if observations.is_empty() {
-            return space.sample(rng);
-        }
-        let center = observations[rng.gen_range(0..observations.len())];
-        let mut values = Vec::with_capacity(space.len());
+    // Mixture over observations; each component is a product of per-dim
+    // kernels. Work with per-component log densities and log-sum-exp.
+    let mut component_logs = Vec::with_capacity(observations.len());
+    for obs in observations {
+        let mut log_p = 0.0;
         for (i, dim) in space.dimensions().iter().enumerate() {
-            let v = center.values()[i];
-            let sampled = match dim {
+            let x = config.values()[i];
+            let mu = obs.values()[i];
+            log_p += match dim {
                 Dimension::Uniform { low, high } => {
-                    let sigma = (high - low) * self.config.bandwidth;
-                    sample_truncated_normal(rng, v, sigma, *low, *high)
+                    let sigma = ((high - low) * BANDWIDTH).max(1e-12);
+                    log_normal_pdf(x, mu, sigma)
                 }
                 Dimension::LogUniform { low, high } => {
                     let (ll, lh) = (low.log10(), high.log10());
-                    let sigma = (lh - ll) * self.config.bandwidth;
-                    10f64.powf(sample_truncated_normal(rng, v.log10(), sigma, ll, lh))
+                    let sigma = ((lh - ll) * BANDWIDTH).max(1e-12);
+                    log_normal_pdf(x.log10(), mu.log10(), sigma)
                 }
                 Dimension::Categorical { choices } => {
-                    // Keep the centre's value with high probability, otherwise
-                    // explore a uniformly random choice.
-                    if rng.gen::<f64>() < 0.8 {
-                        v
+                    // Smoothed categorical kernel: probability mass 0.8 on
+                    // the observed value, spread 0.2 over the rest.
+                    let k = choices.len() as f64;
+                    if (x - mu).abs() < 1e-12 {
+                        (0.8 + 0.2 / k).ln()
                     } else {
-                        choices[rng.gen_range(0..choices.len())]
+                        (0.2 / k).max(1e-12).ln()
                     }
                 }
-                Dimension::Fixed { value } => *value,
+                Dimension::Fixed { .. } => 0.0,
             };
-            values.push(sampled);
         }
-        Ok(HpConfig::new(values))
+        component_logs.push(log_p);
     }
-
-    /// Log of the mixture kernel density of `config` under the observations.
-    fn log_density(
-        &self,
-        space: &SearchSpace,
-        observations: &[&HpConfig],
-        config: &HpConfig,
-    ) -> f64 {
-        if observations.is_empty() {
-            return 0.0;
-        }
-        // Mixture over observations; each component is a product of per-dim
-        // kernels. Work with per-component log densities and log-sum-exp.
-        let mut component_logs = Vec::with_capacity(observations.len());
-        for obs in observations {
-            let mut log_p = 0.0;
-            for (i, dim) in space.dimensions().iter().enumerate() {
-                let x = config.values()[i];
-                let mu = obs.values()[i];
-                log_p += match dim {
-                    Dimension::Uniform { low, high } => {
-                        let sigma = ((high - low) * self.config.bandwidth).max(1e-12);
-                        log_normal_pdf(x, mu, sigma)
-                    }
-                    Dimension::LogUniform { low, high } => {
-                        let (ll, lh) = (low.log10(), high.log10());
-                        let sigma = ((lh - ll) * self.config.bandwidth).max(1e-12);
-                        log_normal_pdf(x.log10(), mu.log10(), sigma)
-                    }
-                    Dimension::Categorical { choices } => {
-                        // Smoothed categorical kernel: probability mass 0.8 on
-                        // the observed value, spread 0.2 over the rest.
-                        let k = choices.len() as f64;
-                        if (x - mu).abs() < 1e-12 {
-                            (0.8 + 0.2 / k).ln()
-                        } else {
-                            (0.2 / k).max(1e-12).ln()
-                        }
-                    }
-                    Dimension::Fixed { .. } => 0.0,
-                };
-            }
-            component_logs.push(log_p);
-        }
-        fedmath::ops::log_sum_exp(&component_logs) - (observations.len() as f64).ln()
-    }
+    fedmath::ops::log_sum_exp(&component_logs) - (observations.len() as f64).ln()
 }
-
 fn log_normal_pdf(x: f64, mu: f64, sigma: f64) -> f64 {
     let z = (x - mu) / sigma;
     -0.5 * z * z - sigma.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
@@ -256,94 +180,41 @@ fn sample_truncated_normal(rng: &mut StdRng, mu: f64, sigma: f64, low: f64, high
 /// The TPE tuner: sequentially proposes and evaluates `num_configs`
 /// configurations, each trained for `rounds_per_config` rounds, using the
 /// density-ratio acquisition to pick each new configuration.
-#[derive(Debug, Clone, Copy)]
+///
+/// The startup proposals are independent uniform samples, so they form one
+/// parallel batch; once the density model takes over, every proposal depends
+/// on all previous scores and the schedule degrades to batches of one —
+/// exactly the sequential structure of the original method.
+#[derive(Debug, Clone)]
 pub struct Tpe {
     num_configs: usize,
     rounds_per_config: usize,
-    sampler_config: TpeConfig,
+    observations: Vec<(HpConfig, f64)>,
+    suggested: usize,
 }
 
 impl Tpe {
-    /// Creates a TPE tuner with default sampler settings.
-    pub fn new(num_configs: usize, rounds_per_config: usize) -> Self {
-        Tpe {
-            num_configs,
-            rounds_per_config,
-            sampler_config: TpeConfig::default(),
-        }
-    }
-
-    /// The paper's configuration: `K = 16` sequential configurations.
-    pub fn paper_default(max_rounds: usize) -> Self {
-        Tpe::new(16, max_rounds)
-    }
-
-    fn validate(&self) -> Result<()> {
-        if self.num_configs == 0 || self.rounds_per_config == 0 {
+    /// A fresh TPE campaign.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HpoError::InvalidConfig`] unless both counts are positive.
+    pub fn new(num_configs: usize, rounds_per_config: usize) -> Result<Self> {
+        if num_configs == 0 || rounds_per_config == 0 {
             return Err(HpoError::InvalidConfig {
                 message: "tpe needs positive num_configs and rounds_per_config".into(),
             });
         }
-        self.sampler_config.validate()
-    }
-}
-
-impl IntoScheduler for Tpe {
-    type Scheduler = TpeScheduler;
-
-    fn scheduler(&self) -> Result<TpeScheduler> {
-        self.validate()?;
-        Ok(TpeScheduler {
-            num_configs: self.num_configs,
-            rounds_per_config: self.rounds_per_config,
-            sampler: TpeSampler::new(self.sampler_config)?,
+        Ok(Tpe {
+            num_configs,
+            rounds_per_config,
             observations: Vec::new(),
             suggested: 0,
         })
     }
 }
 
-/// Ask/tell state of a TPE campaign. The startup proposals are independent
-/// uniform samples, so they form one parallel batch; once the density model
-/// takes over, every proposal depends on all previous scores and the
-/// schedule degrades to batches of one — exactly the sequential structure of
-/// the original method.
-#[derive(Debug, Clone)]
-pub struct TpeScheduler {
-    num_configs: usize,
-    rounds_per_config: usize,
-    sampler: TpeSampler,
-    observations: Vec<(HpConfig, f64)>,
-    suggested: usize,
-}
-
-impl TpeScheduler {
-    /// Number of leading proposals that fall back to uniform sampling (and
-    /// can therefore be suggested as one batch).
-    fn startup(&self) -> usize {
-        self.sampler
-            .config()
-            .num_startup
-            .max(2)
-            .min(self.num_configs)
-    }
-
-    fn request_for(
-        &self,
-        trial_id: usize,
-        space: &SearchSpace,
-        rng: &mut StdRng,
-    ) -> Result<TrialRequest> {
-        Ok(TrialRequest {
-            trial_id,
-            config: self.sampler.propose(space, &self.observations, rng)?,
-            resource: self.rounds_per_config,
-            noise_rep: 0,
-        })
-    }
-}
-
-impl Scheduler for TpeScheduler {
+impl Scheduler for Tpe {
     fn name(&self) -> &'static str {
         "tpe"
     }
@@ -357,13 +228,22 @@ impl Scheduler for TpeScheduler {
                 message: "tpe scheduler asked for a batch with results outstanding".into(),
             });
         }
+        // The leading proposals fall back to uniform sampling and go out as
+        // one batch.
         let batch_end = if self.suggested == 0 {
-            self.startup()
+            NUM_STARTUP.min(self.num_configs)
         } else {
             self.suggested + 1
         };
         let batch: Result<Vec<TrialRequest>> = (self.suggested..batch_end)
-            .map(|trial_id| self.request_for(trial_id, space, rng))
+            .map(|trial_id| {
+                Ok(TrialRequest {
+                    trial_id,
+                    config: propose(space, &self.observations, rng)?,
+                    resource: self.rounds_per_config,
+                    noise_rep: 0,
+                })
+            })
             .collect();
         self.suggested = batch_end;
         batch
@@ -396,54 +276,15 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        assert!(TpeConfig::default().validate().is_ok());
-        assert!(TpeConfig {
-            gamma: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TpeConfig {
-            gamma: 1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TpeConfig {
-            num_candidates: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TpeConfig {
-            num_startup: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TpeConfig {
-            bandwidth: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TpeSampler::new(TpeConfig {
-            bandwidth: -1.0,
-            ..Default::default()
-        })
-        .is_err());
-        let mut rng = rng_for(0, 0);
-        let zero = |_: &HpConfig, _| 0.0;
-        assert!(run_fresh(&Tpe::new(0, 1), &space_2d(), zero, &mut rng).is_err());
-        assert!(run_fresh(&Tpe::new(1, 0), &space_2d(), zero, &mut rng).is_err());
-        assert_eq!(Tpe::paper_default(405).scheduler().unwrap().name(), "tpe");
+    fn validation() {
+        assert!(Tpe::new(0, 1).is_err());
+        assert!(Tpe::new(1, 0).is_err());
+        assert_eq!(Tpe::new(16, 405).unwrap().name(), "tpe");
     }
 
     #[test]
     fn proposals_stay_within_the_space() {
         let space = SearchSpace::paper_default();
-        let sampler = TpeSampler::new(TpeConfig::default()).unwrap();
         let mut rng = rng_for(1, 0);
         // Build synthetic observations from valid samples.
         let mut observations = Vec::new();
@@ -452,20 +293,13 @@ mod tests {
             observations.push((c, i as f64 / 12.0));
         }
         for _ in 0..30 {
-            let proposal = sampler.propose(&space, &observations, &mut rng).unwrap();
+            let proposal = propose(&space, &observations, &mut rng).unwrap();
             assert!(space.validate_config(&proposal).is_ok());
         }
-        assert_eq!(sampler.config().num_candidates, 24);
     }
 
     #[test]
     fn the_split_ranks_non_finite_scores_last_and_keeps_ties_in_order() {
-        let sampler = TpeSampler::new(TpeConfig {
-            gamma: 0.5,
-            num_startup: 2,
-            ..Default::default()
-        })
-        .unwrap();
         // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
         // which `total_cmp` alone ranks before every finite score.
         let negative_nan = f64::from_bits(0xfff8_0000_0000_0000);
@@ -475,25 +309,26 @@ mod tests {
             .enumerate()
             .map(|(i, &score)| (HpConfig::new(vec![i as f64]), score))
             .collect();
-        let (good, bad) = sampler.split(&observations);
+        // γ = 0.25 of six: the best two are good, and the tie at 0.4 splits
+        // in arrival order.
+        let (good, bad) = split(&observations);
         let ids = |set: &[&HpConfig]| -> Vec<f64> { set.iter().map(|c| c.values()[0]).collect() };
-        assert_eq!(ids(&good), vec![3.0, 1.0, 4.0]);
-        assert_eq!(ids(&bad), vec![0.0, 2.0, 5.0]);
+        assert_eq!(ids(&good), vec![3.0, 1.0]);
+        assert_eq!(ids(&bad), vec![4.0, 0.0, 2.0, 5.0]);
         // Proposing over such a history neither panics nor leaves the space.
         let space = SearchSpace::new().with_uniform("x", 0.0, 5.0).unwrap();
         let mut rng = rng_for(3, 0);
-        let proposal = sampler.propose(&space, &observations, &mut rng).unwrap();
+        let proposal = propose(&space, &observations, &mut rng).unwrap();
         assert!(space.validate_config(&proposal).is_ok());
     }
 
     #[test]
     fn startup_phase_is_random() {
         let space = space_2d();
-        let sampler = TpeSampler::new(TpeConfig::default()).unwrap();
         let mut rng = rng_for(1, 1);
-        // With fewer than num_startup observations, proposals are just
+        // With fewer than NUM_STARTUP observations, proposals are just
         // uniform samples and must still be valid.
-        let proposal = sampler.propose(&space, &[], &mut rng).unwrap();
+        let proposal = propose(&space, &[], &mut rng).unwrap();
         assert!(space.validate_config(&proposal).is_ok());
     }
 
@@ -511,14 +346,15 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = rng_for(10, seed);
-            let tpe_best = run_fresh(&Tpe::new(24, 1), &space, |c, _| f(c), &mut rng)
+            let tpe_best = run_fresh(Tpe::new(24, 1).unwrap(), &space, |c, _| f(c), &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
                 .score;
 
             let mut rng = rng_for(20, seed);
-            let rs_best = run_fresh(&RandomSearch::new(24, 1), &space, |c, _| f(c), &mut rng)
+            let rs = RandomSearch::new(24, 1).unwrap();
+            let rs_best = run_fresh(rs, &space, |c, _| f(c), &mut rng)
                 .unwrap()
                 .best()
                 .unwrap()
@@ -535,11 +371,10 @@ mod tests {
 
     #[test]
     fn scheduler_batches_startup_then_goes_sequential() {
-        use crate::scheduler::{IntoScheduler, Scheduler, TrialResult};
         let space = space_2d();
-        let mut scheduler = Tpe::new(8, 2).scheduler().unwrap();
+        let mut scheduler = Tpe::new(8, 2).unwrap();
         let mut rng = rng_for(5, 0);
-        // Default num_startup = 4: the first batch holds all uniform startup
+        // NUM_STARTUP = 4: the first batch holds all uniform startup
         // proposals, every later batch exactly one model-guided proposal.
         let startup = scheduler.suggest(&space, &mut rng).unwrap();
         assert_eq!(startup.len(), 4);
@@ -562,7 +397,7 @@ mod tests {
     fn budget_accounting() {
         let space = space_2d();
         let mut rng = rng_for(2, 0);
-        let outcome = run_fresh(&Tpe::new(6, 10), &space, |_, _| 0.5, &mut rng).unwrap();
+        let outcome = run_fresh(Tpe::new(6, 10).unwrap(), &space, |_, _| 0.5, &mut rng).unwrap();
         assert_eq!(outcome.num_evaluations(), 6);
         assert_eq!(outcome.total_resource(), 60);
     }
@@ -581,14 +416,13 @@ mod tests {
     #[test]
     fn log_density_prefers_nearby_points() {
         let space = space_2d();
-        let sampler = TpeSampler::new(TpeConfig::default()).unwrap();
         let obs_configs = [
             HpConfig::new(vec![0.0, 0.0]),
             HpConfig::new(vec![0.1, -0.1]),
         ];
         let obs: Vec<&HpConfig> = obs_configs.iter().collect();
-        let near = sampler.log_density(&space, &obs, &HpConfig::new(vec![0.05, 0.0]));
-        let far = sampler.log_density(&space, &obs, &HpConfig::new(vec![4.5, 4.5]));
+        let near = log_density(&space, &obs, &HpConfig::new(vec![0.05, 0.0]));
+        let far = log_density(&space, &obs, &HpConfig::new(vec![4.5, 4.5]));
         assert!(near > far);
     }
 }

@@ -7,24 +7,20 @@
 //! surfaces as [`ServeError::Remote`].
 
 use crate::proto::{self, Request, Response};
+use crate::service::Conn;
 use crate::spec::{CampaignSpec, CampaignStatus};
 use crate::{Result, ServeError};
 use fedtrace::MetricsSnapshot;
-use std::io::{Read, Write};
 use std::path::Path;
 
 /// A connected protocol client.
 pub struct Client {
-    stream: Box<dyn Stream>,
+    stream: Box<dyn Conn>,
 }
-
-/// The transport a client runs over.
-pub trait Stream: Read + Write + Send {}
-impl<T: Read + Write + Send> Stream for T {}
 
 impl Client {
     /// Wraps an already-connected stream.
-    pub fn new(stream: Box<dyn Stream>) -> Self {
+    pub fn new(stream: Box<dyn Conn>) -> Self {
         Client { stream }
     }
 

@@ -664,7 +664,8 @@ fn error_response(e: &ServeError) -> Response {
     }
 }
 
-/// One accepted connection: a bidirectional byte stream.
+/// A bidirectional byte stream: a connection the service accepted, or the
+/// one a [`Client`](crate::Client) runs over.
 pub trait Conn: Read + Write + Send {}
 impl<T: Read + Write + Send> Conn for T {}
 
@@ -797,6 +798,29 @@ mod tests {
         let dispatched = metrics.counter("async-asha.dispatched").unwrap_or(0);
         assert_eq!(dispatched, status.evaluations as u64);
         assert_eq!(metrics.counter(M_SETTLED), Some(1));
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_hostile_ladder_settles_instead_of_spinning() {
+        let _accounting = ledger_accounting();
+        let root = std::env::temp_dir().join(format!("fedserve_hostile_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let service = Service::open(&root, ServiceConfig::default()).unwrap();
+        let mut spec = demo_spec("hostile");
+        // 2 · 2^63 wraps to 0 unless the ladder saturates: the campaign's
+        // driver thread would spin for ever.
+        spec.scheduler = crate::spec::SchedulerSpec::AsyncAsha {
+            trials: 1,
+            eta: 1 << 63,
+            min_resource: 2,
+            max_resource: 3,
+        };
+        service.submit(spec).unwrap();
+        let status = service.wait("hostile", Duration::from_secs(60)).unwrap();
+        assert_eq!(status.state, CampaignState::Completed);
+        assert_eq!(status.evaluations, 1);
         service.shutdown();
         let _ = std::fs::remove_dir_all(&root);
     }

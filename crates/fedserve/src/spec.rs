@@ -15,7 +15,7 @@
 //! bit-identical behavior.
 
 use crate::{Result, ServeError};
-use fedhpo::{AsyncAsha, IntoScheduler, Scheduler, SearchSpace};
+use fedhpo::{Asha, RandomSearch, Scheduler, SearchSpace};
 use fedsim::clock::{ClientRuntimeModel, CostModel};
 use fedstore::Provenance;
 use fedtune_core::Budget;
@@ -133,28 +133,23 @@ impl SchedulerSpec {
     ///
     /// Propagates invalid scheduler parameters.
     pub fn build(&self) -> Result<Box<dyn Scheduler>> {
-        match *self {
-            SchedulerSpec::RandomSearch { trials, resource } => Ok(Box::new(
-                fedhpo::RandomSearch::new(trials, resource).scheduler()?,
-            )),
+        Ok(match *self {
+            SchedulerSpec::RandomSearch { trials, resource } => {
+                Box::new(RandomSearch::new(trials, resource)?)
+            }
             SchedulerSpec::Asha {
                 trials,
                 eta,
                 min_resource,
                 max_resource,
-            } => Ok(Box::new(
-                fedhpo::Asha::new(trials, eta, min_resource, max_resource).scheduler()?,
-            )),
+            } => Box::new(Asha::new(trials, eta, min_resource, max_resource)?),
             SchedulerSpec::AsyncAsha {
                 trials,
                 eta,
                 min_resource,
                 max_resource,
-            } => Ok(Box::new(
-                AsyncAsha::from_ladder(fedhpo::Asha::new(trials, eta, min_resource, max_resource))
-                    .scheduler()?,
-            )),
-        }
+            } => Box::new(Asha::asynchronous(trials, eta, min_resource, max_resource)?),
+        })
     }
 }
 
@@ -358,40 +353,31 @@ impl CampaignSpec {
                 limits.max_in_flight, limits.max_queued, limits.quantum
             ));
         }
-        match &self.scheduler {
-            SchedulerSpec::RandomSearch { trials, resource } => {
-                if !(1..=MAX_TRIALS).contains(trials) || !(1..=MAX_RESOURCE).contains(resource) {
-                    return fail(format!(
-                        "random search needs trials in 1..={MAX_TRIALS} and resource in \
-                         1..={MAX_RESOURCE}, got {trials} and {resource}"
-                    ));
-                }
-            }
+        // The service's caps; the scheduler's constructor checks the rest.
+        let (trials, resource) = match self.scheduler {
+            SchedulerSpec::RandomSearch { trials, resource } => (trials, resource),
             SchedulerSpec::Asha {
                 trials,
-                eta,
-                min_resource,
                 max_resource,
+                ..
             }
             | SchedulerSpec::AsyncAsha {
                 trials,
-                eta,
-                min_resource,
                 max_resource,
-            } => {
-                if !(1..=MAX_TRIALS).contains(trials)
-                    || *eta < 2
-                    || *min_resource == 0
-                    || max_resource < min_resource
-                    || *max_resource > MAX_RESOURCE
-                {
-                    return fail(format!(
-                        "invalid ASHA ladder: trials {trials} (at most {MAX_TRIALS}), eta {eta}, \
-                         resource {min_resource}..{max_resource} (at most {MAX_RESOURCE})"
-                    ));
-                }
-            }
+                ..
+            } => (trials, max_resource),
+        };
+        if trials > MAX_TRIALS || resource > MAX_RESOURCE {
+            return fail(format!(
+                "{} needs at most {MAX_TRIALS} trials and {MAX_RESOURCE} rounds per \
+                 evaluation, got {trials} and {resource}",
+                self.scheduler.label()
+            ));
         }
+        self.build_scheduler()
+            .map_err(|e| ServeError::InvalidSpec {
+                message: format!("scheduler: {e}"),
+            })?;
         match &self.objective {
             ObjectiveSpec::Analytic {
                 target,

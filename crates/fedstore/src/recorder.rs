@@ -234,7 +234,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fedhpo::{HpConfig, IntoScheduler, RandomSearch, Scheduler, TrialResult};
+    use fedhpo::{HpConfig, RandomSearch, Scheduler, TrialResult};
     use fedmath::rng::rng_for;
     use fedtune_core::{drive, Clock, Drive};
     use rand::rngs::StdRng;
@@ -470,7 +470,7 @@ pub(crate) mod tests {
         let run = |store: &mut TrialStore, threads: usize| {
             let inner = CountingEval::default();
             let mut recording = RecordingObjective::new(&inner, &space, provenance(), store);
-            let mut scheduler = RandomSearch::new(4, 3).scheduler().unwrap();
+            let mut scheduler = RandomSearch::new(4, 3).unwrap();
             let outcome = drive(
                 &mut scheduler,
                 &space,

@@ -12,7 +12,7 @@
 //! on the calling thread, N = N threads, 0/unset = all cores).
 
 use feddata::Benchmark;
-use fedhpo::{Asha, IntoScheduler, ReEvaluation};
+use fedhpo::{Asha, ReEvaluation};
 use fedtune::fedtune_core::{
     drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExecutionPolicy,
     ExperimentScale, NoiseConfig,
@@ -26,17 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut summary = fedbench::BenchSummary::new("asha_tuning");
 
     // An ASHA ladder: 12 configurations, eta = 3, rungs at 2 and 6 rounds.
-    let asha = Asha::new(12, 3, 2, scale.rounds_per_config);
+    let configs = 12;
+    let asha = Asha::new(configs, 3, 2, scale.rounds_per_config)?;
     println!(
-        "ASHA: {} configs, {} rungs, <= {} evaluations",
-        asha.num_configs(),
+        "ASHA: {configs} configs, {} rungs, <= {} evaluations",
         asha.num_rungs(),
         asha.planned_evaluations()
     );
 
     // Plain ASHA under noisy evaluation. Every suggested batch (a whole
     // rung) trains in parallel; results are bit-identical to sequential.
-    let mut scheduler = asha.scheduler()?;
+    let mut scheduler = asha.clone();
     let config = Drive {
         threads: ExecutionPolicy::from_env().pool_threads(),
         ..Drive::new(Clock::Barrier)
@@ -66,9 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same ladder wrapped in the re-evaluation mitigation: the top-3
     // survivors get 3 fresh noise draws each, and selection averages them.
-    let policy = ReEvaluation::new(asha, 3, 3);
-    let mut scheduler = policy.scheduler()?;
-    let planned = policy.planned_evaluations();
+    let mut scheduler = ReEvaluation::new(asha, 3, 3)?;
+    let planned = scheduler.planned_evaluations();
     let mut objective = BatchFederatedObjective::new(&ctx, noise, planned, 1)?;
     let mut rng = fedmath::rng::rng_for(1, 0);
     let outcome = summary.time("asha_reeval_parallel", planned as u64, || {

@@ -12,7 +12,7 @@
 //! ```
 
 use feddata::Benchmark;
-use fedhpo::{IntoScheduler, RandomSearch, ReEvaluation};
+use fedhpo::{RandomSearch, ReEvaluation, Scheduler};
 use fedtune::fedtune_core::{
     drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
     TrialRunner,
@@ -20,7 +20,7 @@ use fedtune::fedtune_core::{
 
 fn run_tuner(
     ctx: &BenchmarkContext,
-    tuner: &impl IntoScheduler,
+    mut tuner: impl Scheduler,
     noise: NoiseConfig,
     evaluations: usize,
     seed: u64,
@@ -28,13 +28,7 @@ fn run_tuner(
 ) -> Result<f64, Box<dyn std::error::Error>> {
     let mut objective = BatchFederatedObjective::new(ctx, noise, evaluations, seed)?;
     let mut rng = fedmath::rng::rng_for(seed, 17);
-    drive(
-        &mut tuner.scheduler()?,
-        ctx.space(),
-        &mut objective,
-        &mut rng,
-        config,
-    )?;
+    drive(&mut tuner, ctx.space(), &mut objective, &mut rng, config)?;
     Ok(objective
         .sink
         .selected_true_error_within(usize::MAX)
@@ -58,15 +52,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "single-client evaluation on {} — true error of the selected configuration\n",
         ctx.dataset().name()
     );
-    let rs = RandomSearch::new(scale.num_configs, scale.rounds_per_config);
+    let rs = RandomSearch::new(scale.num_configs, scale.rounds_per_config)?;
     let mut plain_errors = Vec::new();
     let mut repeated_errors = Vec::new();
     for trial in 0..trials {
         let seed = 100 + trial;
-        let plain = run_tuner(&ctx, &rs, noise, scale.num_configs, seed, &config)?;
+        let plain = run_tuner(&ctx, rs.clone(), noise, scale.num_configs, seed, &config)?;
         let repeated = run_tuner(
             &ctx,
-            &ReEvaluation::new(rs, scale.num_configs, repeats),
+            ReEvaluation::new(rs.clone(), scale.num_configs, repeats)?,
             noise,
             scale.num_configs * (1 + repeats),
             seed,

@@ -9,7 +9,7 @@
 //! ```
 
 use feddata::Benchmark;
-use fedhpo::{IntoScheduler, RandomSearch};
+use fedhpo::RandomSearch;
 use fedtune::fedtune_core::{
     drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
     TrialRunner,
@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tuning method is an ask/tell scheduler; `drive` runs it against the
     // objective batch by batch, evaluating each suggested batch on `threads`
     // real threads (FEDTUNE_THREADS; results are bit-identical at any count).
-    let tuner = RandomSearch::new(scale.num_configs, scale.rounds_per_config);
+    // Both campaigns start from a clone of one fresh scheduler.
+    let tuner = RandomSearch::new(scale.num_configs, scale.rounds_per_config)?;
     let config = Drive {
         threads: TrialRunner::from_env().policy().pool_threads(),
         ..Drive::new(Clock::Barrier)
@@ -41,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 0);
     drive(
-        &mut tuner.scheduler()?,
+        &mut tuner.clone(),
         ctx.space(),
         &mut clean_objective,
         &mut rng,
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), scale.num_configs, 1)?;
     let mut rng = fedmath::rng::rng_for(7, 1);
     drive(
-        &mut tuner.scheduler()?,
+        &mut tuner.clone(),
         ctx.space(),
         &mut noisy_objective,
         &mut rng,

@@ -2,7 +2,7 @@
 //! through federated training, noisy evaluation, and hyperparameter tuning.
 
 use feddata::{Benchmark, Split};
-use fedhpo::{Hyperband, IntoScheduler, RandomSearch, Scheduler, Tpe};
+use fedhpo::{Hyperband, RandomSearch, Scheduler, Tpe};
 use fedtune::fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, TuningMethod,
 };
@@ -37,12 +37,9 @@ fn full_tuning_pipeline_with_each_tuner() {
         ..Drive::new(Clock::Barrier)
     };
     let tuners: Vec<(&str, Box<dyn Scheduler>)> = vec![
-        ("rs", Box::new(RandomSearch::new(3, 4).scheduler().unwrap())),
-        ("tpe", Box::new(Tpe::new(3, 4).scheduler().unwrap())),
-        (
-            "hb",
-            Box::new(Hyperband::new(4, 3, Some(2)).scheduler().unwrap()),
-        ),
+        ("rs", Box::new(RandomSearch::new(3, 4).unwrap())),
+        ("tpe", Box::new(Tpe::new(3, 4).unwrap())),
+        ("hb", Box::new(Hyperband::new(4, 3, Some(2)).unwrap())),
     ];
     for (name, mut tuner) in tuners {
         let mut objective =

@@ -3,7 +3,7 @@
 //! are all **bit-identical** to the live run.
 
 use fedtune::feddata::Benchmark;
-use fedtune::fedhpo::{IntoScheduler, TuningOutcome};
+use fedtune::fedhpo::TuningOutcome;
 use fedtune::fedmath::rng::derive_seed;
 use fedtune::fedstore::{
     campaign_provenance, record_method_comparison, replay_method_comparison, RecordingObjective,
@@ -332,9 +332,9 @@ fn tabular_surrogate_drives_every_extended_method() {
         scale.eta,
         2,
         scale.rounds_per_config,
-    );
-    let policy = fedtune::fedhpo::ReEvaluation::new(asha, 2, 5);
-    let mut scheduler = policy.scheduler().unwrap();
+    )
+    .unwrap();
+    let mut scheduler = fedtune::fedhpo::ReEvaluation::new(asha, 2, 5).unwrap();
     let space = fedtune::fedhpo::SearchSpace::paper_default();
     let mut tabular = TabularObjective::new(&store, &space);
     // Unit 8 of the recorded grid is ASHA (method index 4) under the

@@ -3,7 +3,7 @@
 //! the whole pipeline.
 
 use feddata::{Benchmark, DatasetSpec, Scale};
-use fedhpo::{IntoScheduler, RandomSearch};
+use fedhpo::RandomSearch;
 use fedtune::fedtune_core::{
     drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, ExperimentScale,
     NoiseConfig, TrainedBenchmark, TrialRunner,
@@ -102,7 +102,7 @@ fn noisy_tuning_runs_are_deterministic() {
             BatchFederatedObjective::new(&ctx, NoiseConfig::paper_noisy(), 4, seed).unwrap();
         let mut rng = fedmath::rng::rng_for(seed, 0);
         drive(
-            &mut RandomSearch::new(4, 3).scheduler().unwrap(),
+            &mut RandomSearch::new(4, 3).unwrap(),
             ctx.space(),
             &mut objective,
             &mut rng,
