@@ -60,13 +60,13 @@ fn print_summary(population: &SyntheticPopulation) {
     let cache = ClientCache::new(probe);
     for &id in &ids {
         cache
-            .get_or_materialize(id, || population.materialize(id))
+            .get_or_materialize(id, |storage| population.materialize_into(id, storage))
             .expect("fill");
     }
     let start = Instant::now();
     for &id in &ids {
         cache
-            .get_or_materialize(id, || population.materialize(id))
+            .get_or_materialize(id, |storage| population.materialize_into(id, storage))
             .expect("hit");
     }
     let warm = start.elapsed().as_secs_f64();

@@ -166,6 +166,8 @@ pub struct PopulationSweep {
     pub cache_peak_resident: usize,
     /// Total clients materialized (cache misses) during the campaign.
     pub clients_materialized: u64,
+    /// Of those, the ones generated into an evicted client's storage.
+    pub clients_recycled: u64,
 }
 
 /// The full population-noise experiment result.
@@ -221,7 +223,7 @@ impl PopulationNoiseResult {
                     .collect(),
             });
             report.push_note(format!(
-                "N={}: true errors span [{:.4}, {:.4}], cache hit rate {:.1}%, {} clients materialized (peak resident {})",
+                "N={}: true errors span [{:.4}, {:.4}], cache hit rate {:.1}%, {} clients materialized ({} recycled, peak resident {})",
                 sweep.population,
                 sweep
                     .true_errors
@@ -233,6 +235,7 @@ impl PopulationNoiseResult {
                     .fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
                 sweep.cache_hit_rate * 100.0,
                 sweep.clients_materialized,
+                sweep.clients_recycled,
                 sweep.cache_peak_resident,
             ));
             for p in &sweep.points {
@@ -449,6 +452,7 @@ pub fn run_population_noise_with(
             cache_hit_rate: stats.hit_rate(),
             cache_peak_resident: stats.peak_resident,
             clients_materialized: stats.misses,
+            clients_recycled: stats.recycled,
         });
     }
     Ok(PopulationNoiseResult {

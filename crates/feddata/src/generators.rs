@@ -8,7 +8,7 @@
 //! substitution argument.
 
 use crate::client::ClientData;
-use crate::example::Example;
+use crate::example::{Example, Input};
 use crate::partition::sample_dirichlet;
 use crate::{DataError, Result};
 use rand::Rng;
@@ -164,19 +164,40 @@ impl ClassificationWorld {
     /// is the primitive behind lazy million-client populations: any one
     /// client of a virtual pool can be synthesized on demand in O(size).
     ///
+    /// This is [`client_into`](Self::client_into) on empty storage, so the
+    /// shard holds exactly `size` examples of exactly `feature_dim` features
+    /// each, with no spare capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::InvalidSpec`] if `size == 0`.
+    pub fn client_at(&self, tree: &fedmath::SeedTree, id: u64, size: usize) -> Result<ClientData> {
+        let mut client = ClientData::new(id as usize, Vec::new());
+        self.client_into(tree, id, size, &mut client)?;
+        Ok(client)
+    }
+
+    /// Overwrites `storage` with the shard [`client_at`](Self::client_at)
+    /// returns, reusing its examples `Vec` and each example's feature `Vec`
+    /// instead of allocating new ones. The draws are the same, in the same
+    /// order, and every element is overwritten, so what `storage` held before
+    /// cannot show in the result.
+    ///
     /// The client draws its own label distribution (Dirichlet
     /// `label_alpha`) and private feature shift from the RNG at
     /// `tree.child(id)`, then samples `size` examples.
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidSpec`] if `size == 0`.
-    pub fn client_at(&self, tree: &fedmath::SeedTree, id: u64, size: usize) -> Result<ClientData> {
-        if size == 0 {
-            return Err(DataError::InvalidSpec {
-                message: "every client must have at least one example".into(),
-            });
-        }
+    /// Returns [`DataError::InvalidSpec`] if `size == 0`, leaving `storage`
+    /// untouched.
+    pub fn client_into(
+        &self,
+        tree: &fedmath::SeedTree,
+        id: u64,
+        size: usize,
+        storage: &mut ClientData,
+    ) -> Result<()> {
         let cfg = &self.config;
         let normal = Normal::new(0.0, 1.0).expect("valid std");
         let mut rng = tree.child(id).rng();
@@ -184,24 +205,26 @@ impl ClassificationWorld {
         let shift: Vec<f64> = (0..cfg.feature_dim)
             .map(|_| normal.sample(&mut rng) * cfg.client_shift_std)
             .collect();
-        let mut examples = Vec::with_capacity(size);
-        for _ in 0..size {
+        refill(storage, id, size, |old| {
             let true_class = fedmath::rng::sample_categorical(&mut rng, &label_dist);
-            let features: Vec<f64> = (0..cfg.feature_dim)
-                .map(|d| {
-                    self.prototypes[true_class][d]
-                        + shift[d]
-                        + normal.sample(&mut rng) * cfg.feature_noise
-                })
-                .collect();
+            let mut features = match old.map(|e| &mut e.input) {
+                Some(Input::Dense(features)) => std::mem::take(features),
+                _ => Vec::new(),
+            };
+            features.clear();
+            features.reserve_exact(cfg.feature_dim);
+            features.extend((0..cfg.feature_dim).map(|d| {
+                self.prototypes[true_class][d]
+                    + shift[d]
+                    + normal.sample(&mut rng) * cfg.feature_noise
+            }));
             let label = if rng.gen::<f64>() < cfg.label_noise {
                 rng.gen_range(0..cfg.num_classes)
             } else {
                 true_class
             };
-            examples.push(Example::dense(features, label));
-        }
-        Ok(ClientData::new(id as usize, examples))
+            Example::dense(features, label)
+        })
     }
 
     /// Generates one client pool with the given per-client example counts.
@@ -276,7 +299,21 @@ impl LanguageWorld {
 
     /// Materializes the shard of a single client **positionally** — a pure
     /// function of `(tree seed, id, size)`, independent of every other
-    /// client. See [`ClassificationWorld::client_at`] for the contract.
+    /// client. See [`ClassificationWorld::client_at`] for the contract; this
+    /// is [`client_into`](Self::client_into) on empty storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::InvalidSpec`] if `size == 0`.
+    pub fn client_at(&self, tree: &fedmath::SeedTree, id: u64, size: usize) -> Result<ClientData> {
+        let mut client = ClientData::new(id as usize, Vec::new());
+        self.client_into(tree, id, size, &mut client)?;
+        Ok(client)
+    }
+
+    /// Overwrites `storage` with the shard [`client_at`](Self::client_at)
+    /// returns, reusing its examples `Vec` (see
+    /// [`ClassificationWorld::client_into`]).
     ///
     /// The client draws its private topic mixture from the RNG at
     /// `tree.child(id)`, then samples `size` `(context, next)` pairs from
@@ -284,25 +321,25 @@ impl LanguageWorld {
     ///
     /// # Errors
     ///
-    /// Returns [`DataError::InvalidSpec`] if `size == 0`.
-    pub fn client_at(&self, tree: &fedmath::SeedTree, id: u64, size: usize) -> Result<ClientData> {
-        if size == 0 {
-            return Err(DataError::InvalidSpec {
-                message: "every client must have at least one example".into(),
-            });
-        }
+    /// Returns [`DataError::InvalidSpec`] if `size == 0`, leaving `storage`
+    /// untouched.
+    pub fn client_into(
+        &self,
+        tree: &fedmath::SeedTree,
+        id: u64,
+        size: usize,
+        storage: &mut ClientData,
+    ) -> Result<()> {
         let cfg = &self.config;
         let mut rng = tree.child(id).rng();
         let topic_mixture = sample_dirichlet(&mut rng, cfg.num_topics, cfg.client_topic_alpha)?;
-        let mut examples = Vec::with_capacity(size);
-        for _ in 0..size {
+        refill(storage, id, size, |_| {
             let context = fedmath::rng::sample_categorical(&mut rng, &self.context_distribution);
             let topic = fedmath::rng::sample_categorical(&mut rng, &topic_mixture);
             let next =
                 fedmath::rng::sample_categorical(&mut rng, &self.topic_transitions[topic][context]);
-            examples.push(Example::token(context, next));
-        }
-        Ok(ClientData::new(id as usize, examples))
+            Example::token(context, next)
+        })
     }
 
     /// Generates one client pool with the given per-client example counts,
@@ -319,6 +356,39 @@ impl LanguageWorld {
             self.client_at(&tree, id, n)
         })
     }
+}
+
+/// Makes `storage` client `id` with the `size` examples `example` returns, in
+/// order. Each call gets the example `storage` held at that position, if any,
+/// to take its buffers from. Empty storage gets exactly `size` slots.
+///
+/// # Errors
+///
+/// Returns [`DataError::InvalidSpec`] if `size == 0`, leaving `storage`
+/// untouched.
+fn refill(
+    storage: &mut ClientData,
+    id: u64,
+    size: usize,
+    mut example: impl FnMut(Option<&mut Example>) -> Example,
+) -> Result<()> {
+    if size == 0 {
+        return Err(DataError::InvalidSpec {
+            message: "every client must have at least one example".into(),
+        });
+    }
+    let mut examples = std::mem::take(storage.examples_mut());
+    examples.truncate(size);
+    examples.reserve_exact(size - examples.len());
+    for i in 0..size {
+        let next = example(examples.get_mut(i));
+        match examples.get_mut(i) {
+            Some(slot) => *slot = next,
+            None => examples.push(next),
+        }
+    }
+    *storage = ClientData::new(id as usize, examples);
+    Ok(())
 }
 
 /// The root a pool's clients are materialized below: one draw from `rng`.
@@ -542,6 +612,41 @@ mod tests {
         let again = lang.client_at(&tree, 11, 8).unwrap();
         assert_eq!(direct, again);
         assert!(lang.client_at(&tree, 11, 0).is_err());
+    }
+
+    #[test]
+    fn client_into_ignores_what_the_storage_held() {
+        let tree = fedmath::SeedTree::new(77);
+        let dense =
+            ClassificationWorld::generate(&mut rng_for(14, 0), classification_config()).unwrap();
+        let tokens = LanguageWorld::generate(&mut rng_for(14, 1), language_config()).unwrap();
+        // Storage of the other task family, longer and shorter than the
+        // target, and a dense client of another feature width.
+        let mut wide = classification_config();
+        wide.feature_dim += 5;
+        let wide = ClassificationWorld::generate(&mut rng_for(14, 2), wide).unwrap();
+        let donors = || {
+            [
+                tokens.client_at(&tree, 1, 40).unwrap(),
+                tokens.client_at(&tree, 2, 3).unwrap(),
+                wide.client_at(&tree, 3, 12).unwrap(),
+                dense.client_at(&tree, 4, 12).unwrap(),
+            ]
+        };
+        let expected = dense.client_at(&tree, 9, 12).unwrap();
+        for mut storage in donors() {
+            dense.client_into(&tree, 9, 12, &mut storage).unwrap();
+            assert_eq!(storage, expected);
+        }
+        let expected = tokens.client_at(&tree, 9, 20).unwrap();
+        for mut storage in donors() {
+            tokens.client_into(&tree, 9, 20, &mut storage).unwrap();
+            assert_eq!(storage, expected);
+        }
+        // A refused size leaves the storage as it was.
+        let mut storage = dense.client_at(&tree, 4, 12).unwrap();
+        assert!(dense.client_into(&tree, 9, 0, &mut storage).is_err());
+        assert_eq!(storage, dense.client_at(&tree, 4, 12).unwrap());
     }
 
     #[test]

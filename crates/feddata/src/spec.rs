@@ -469,6 +469,29 @@ impl DatasetSpec {
 mod tests {
     use super::*;
     use crate::dataset::Split;
+    use crate::example::Input;
+
+    /// Generation reserves exactly what it fills: a shard's examples `Vec`
+    /// and every dense feature `Vec` have no spare capacity, which a whole
+    /// federation's resident memory would pay for.
+    #[test]
+    fn generated_clients_carry_no_spare_capacity() {
+        for benchmark in [Benchmark::FemnistLike, Benchmark::RedditLike] {
+            let spec = DatasetSpec::benchmark(benchmark, Scale::Smoke);
+            let mut dataset = spec.generate(3).unwrap();
+            for split in [Split::Train, Split::Validation] {
+                for client in dataset.clients_mut(split) {
+                    let examples = client.examples_mut();
+                    assert_eq!(examples.capacity(), examples.len());
+                    for example in examples.iter() {
+                        if let Input::Dense(features) = &example.input {
+                            assert_eq!(features.capacity(), spec.input_dim());
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn benchmark_names_and_tasks() {

@@ -215,10 +215,18 @@ impl LocalSgd {
                     &mut scratch.pool,
                     &mut scratch.grad,
                 )?;
-                for i in 0..scratch.params.len() {
-                    let g = scratch.grad[i] + cfg.weight_decay * scratch.params[i];
-                    scratch.velocity[i] = cfg.momentum * scratch.velocity[i] + g;
-                    scratch.params[i] -= cfg.learning_rate * scratch.velocity[i];
+                // One zipped pass with no bounds checks, so it vectorises;
+                // the per-element ops (and so the bits) are the indexed
+                // loop's, with no fused multiply-add.
+                for ((p, v), &grad) in scratch
+                    .params
+                    .iter_mut()
+                    .zip(scratch.velocity.iter_mut())
+                    .zip(&scratch.grad)
+                {
+                    let g = grad + cfg.weight_decay * *p;
+                    *v = cfg.momentum * *v + g;
+                    *p -= cfg.learning_rate * *v;
                 }
                 start = end;
             }
@@ -436,6 +444,51 @@ mod tests {
             allocs_after_warmup,
             "steady-state training must not allocate fresh buffers"
         );
+    }
+
+    /// FNV-1a over the bits of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// Pins `train_into`'s bits for an MLP with momentum and weight decay at
+    /// every batch size of the paper's space, each leaving a ragged last
+    /// batch (300 examples). CI also runs this on baseline x86-64, so the
+    /// update loop must give the same bits at every vector width.
+    #[test]
+    fn mlp_local_sgd_bits_are_pinned() {
+        use crate::mlp::Mlp;
+        use rand_distr::{Distribution, Normal};
+        let mut rng = rng_for(21, 0);
+        let normal = Normal::new(0.0, 1.0).unwrap();
+        let examples: Vec<Example> = (0..300)
+            .map(|_| {
+                let features = (0..16).map(|_| normal.sample(&mut rng)).collect();
+                Example::dense(features, rng.gen_range(0..10))
+            })
+            .collect();
+        let model = Mlp::new(16, 32, 10, &mut rng);
+        let mut scratch = SgdScratch::new();
+        let mut out = Vec::new();
+        let digest = fnv([32usize, 64, 128].into_iter().flat_map(|batch_size| {
+            let sgd = LocalSgd::new(LocalSgdConfig {
+                learning_rate: 0.05,
+                momentum: 0.9,
+                weight_decay: 5e-3,
+                batch_size,
+                epochs: 2,
+            })
+            .unwrap();
+            let mut train_rng = rng_for(22, batch_size as u64);
+            sgd.train_into(&model, &examples, &mut train_rng, &mut scratch, &mut out)
+                .unwrap();
+            out.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+        }));
+        assert_eq!(digest, 0x4f90_fb82_9d32_99ab, "digest {digest:#018x}");
     }
 
     #[test]

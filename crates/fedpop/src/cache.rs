@@ -9,6 +9,15 @@
 //! accounting itself (hit rate, evictions, peak residency) feeds the
 //! `BENCH_*.json` summaries and the in-process memory-bound assertions of
 //! the population examples.
+//!
+//! Recycling is accounting too. A miss at capacity (the misses still
+//! generating count as resident) evicts the FIFO head before it generates,
+//! and when the cache held the evicted client's only `Arc`, the new client
+//! is generated into that client's buffers
+//! ([`Population::materialize_into`]) instead of fresh ones, so a warm cache
+//! stops allocating and freeing shards. Generation overwrites every element,
+//! so a recycled client is bit-identical to a fresh one; the
+//! [`CacheStats::recycled`] count says only how many allocations were saved.
 
 use crate::{Population, Result};
 use feddata::ClientData;
@@ -25,6 +34,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Clients evicted to respect the capacity bound.
     pub evictions: u64,
+    /// Misses generated into the storage of an evicted client the cache
+    /// held alone; at most `evictions`.
+    pub recycled: u64,
     /// Clients currently resident.
     pub resident: usize,
     /// The largest number of clients ever resident at once — bounded by the
@@ -46,10 +58,10 @@ impl CacheStats {
 
     /// Publishes this snapshot as gauges on a [`fedtrace`] registry, one per
     /// field plus the hit rate, named `<prefix>.hits`, `<prefix>.misses`,
-    /// `<prefix>.evictions`, `<prefix>.resident`, `<prefix>.peak_resident`,
-    /// and `<prefix>.hit_rate`. Folding the cache's existing accounting into
-    /// the shared registry this way keeps one export path for every
-    /// subsystem's statistics.
+    /// `<prefix>.evictions`, `<prefix>.recycled`, `<prefix>.resident`,
+    /// `<prefix>.peak_resident`, and `<prefix>.hit_rate`. Folding the
+    /// cache's existing accounting into the shared registry this way keeps
+    /// one export path for every subsystem's statistics.
     pub fn publish(&self, registry: &fedtrace::Registry, prefix: &str) {
         registry
             .gauge(&format!("{prefix}.hits"))
@@ -60,6 +72,9 @@ impl CacheStats {
         registry
             .gauge(&format!("{prefix}.evictions"))
             .set(self.evictions as f64);
+        registry
+            .gauge(&format!("{prefix}.recycled"))
+            .set(self.recycled as f64);
         registry
             .gauge(&format!("{prefix}.resident"))
             .set(self.resident as f64);
@@ -76,6 +91,24 @@ struct CacheInner {
     map: HashMap<u64, Arc<ClientData>>,
     fifo: VecDeque<u64>,
     stats: CacheStats,
+    /// Misses generating outside the lock, each holding the slot it will
+    /// insert into. Counting them lets a miss evict, and so recycle, while
+    /// other misses are in flight, instead of all of them inserting into a
+    /// cache that then overflows. A `generate` that panics never returns
+    /// its slot, which only shrinks the cache by one client.
+    generating: usize,
+}
+
+impl CacheInner {
+    /// Evicts the oldest resident client and returns the cache's reference
+    /// to it, or `None` when nothing is resident.
+    fn evict_head(&mut self) -> Option<Arc<ClientData>> {
+        let id = self.fifo.pop_front()?;
+        let evicted = self.map.remove(&id);
+        self.stats.evictions += 1;
+        self.stats.resident = self.map.len();
+        evicted
+    }
 }
 
 /// A bounded FIFO cache of materialized clients, safe to share across the
@@ -107,6 +140,7 @@ impl ClientCache {
                 map: HashMap::new(),
                 fifo: VecDeque::new(),
                 stats: CacheStats::default(),
+                generating: 0,
             }),
         }
     }
@@ -131,9 +165,13 @@ impl ClientCache {
 
     /// Looks `id` up, materializing it with `generate` on a miss.
     ///
-    /// Generation runs **outside** the lock so parallel cohorts materialize
-    /// concurrently; if two threads race on the same id the first insert
-    /// wins and the loser's (bit-identical) shard is dropped.
+    /// `generate` must overwrite the storage it is given with client `id`
+    /// whatever the storage held before: an empty client, or, when the
+    /// resident clients and the misses still generating fill the capacity,
+    /// the client this miss evicted if nothing outside the cache still holds
+    /// it. Generation runs **outside** the lock so parallel cohorts
+    /// materialize concurrently; if two threads race on the same id the
+    /// first insert wins and the loser's (bit-identical) shard is dropped.
     ///
     /// # Errors
     ///
@@ -141,36 +179,48 @@ impl ClientCache {
     pub fn get_or_materialize(
         &self,
         id: u64,
-        generate: impl FnOnce() -> Result<ClientData>,
+        generate: impl FnOnce(&mut ClientData) -> Result<()>,
     ) -> Result<Arc<ClientData>> {
-        {
+        let recycled = {
             let mut inner = self.lock();
             if let Some(found) = inner.map.get(&id).cloned() {
                 inner.stats.hits += 1;
                 return Ok(found);
             }
             inner.stats.misses += 1;
-        }
-        let generated = Arc::new(generate()?);
+            if self.capacity == 0 {
+                None
+            } else {
+                let evicted = if inner.map.len() + inner.generating >= self.capacity {
+                    inner.evict_head()
+                } else {
+                    None
+                };
+                inner.generating += 1;
+                let recycled = evicted.and_then(|client| Arc::try_unwrap(client).ok());
+                inner.stats.recycled += u64::from(recycled.is_some());
+                recycled
+            }
+        };
+        let mut client = recycled.unwrap_or_else(|| ClientData::new(id as usize, Vec::new()));
+        let generated = generate(&mut client);
         if self.capacity == 0 {
-            return Ok(generated);
+            return generated.map(|()| Arc::new(client));
         }
         let mut inner = self.lock();
+        inner.generating -= 1;
+        generated?;
         let stored = match inner.map.get(&id) {
             // Another thread inserted the same pure-function result first.
             Some(existing) => existing.clone(),
             None => {
-                inner.map.insert(id, generated.clone());
+                let client = Arc::new(client);
+                inner.map.insert(id, client.clone());
                 inner.fifo.push_back(id);
-                while inner.map.len() > self.capacity {
-                    if let Some(evict) = inner.fifo.pop_front() {
-                        inner.map.remove(&evict);
-                        inner.stats.evictions += 1;
-                    } else {
-                        break;
-                    }
-                }
-                generated
+                // More misses in flight than the capacity find nothing left
+                // to evict and overfill the cache.
+                while inner.map.len() > self.capacity && inner.evict_head().is_some() {}
+                client
             }
         };
         inner.stats.resident = inner.map.len();
@@ -219,7 +269,7 @@ impl<P: Population + ?Sized> CohortSource for CachedPopulation<'_, P> {
 
     fn materialize(&self, id: u64) -> fedsim::Result<Arc<ClientData>> {
         self.cache
-            .get_or_materialize(id, || self.population.materialize(id))
+            .get_or_materialize(id, |storage| self.population.materialize_into(id, storage))
             .map_err(fedsim::SimError::from)
     }
 }
@@ -242,7 +292,7 @@ mod tests {
         assert_eq!(cache.capacity(), 3);
         for &id in &[1u64, 2, 3, 1, 2, 3, 1] {
             cache
-                .get_or_materialize(id, || population.materialize(id))
+                .get_or_materialize(id, |storage| population.materialize_into(id, storage))
                 .unwrap();
         }
         let stats = cache.stats();
@@ -260,19 +310,79 @@ mod tests {
         let cache = ClientCache::new(2);
         for id in 0..10u64 {
             cache
-                .get_or_materialize(id, || population.materialize(id))
+                .get_or_materialize(id, |storage| population.materialize_into(id, storage))
                 .unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 10);
         assert_eq!(stats.evictions, 8);
+        // Nothing outside the cache held an evicted client.
+        assert_eq!(stats.recycled, 8);
         assert_eq!(stats.resident, 2);
         assert_eq!(stats.peak_resident, 2);
         // The two newest survive; re-fetching them hits.
         cache
-            .get_or_materialize(9, || population.materialize(9))
+            .get_or_materialize(9, |storage| population.materialize_into(9, storage))
             .unwrap();
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_client_held_outside_the_cache_is_never_recycled() {
+        let population = population();
+        let cache = ClientCache::new(2);
+        let fetch = |id: u64| {
+            cache
+                .get_or_materialize(id, |storage| population.materialize_into(id, storage))
+                .unwrap()
+        };
+        let held = fetch(0);
+        fetch(1);
+        // Evicts 0, which `held` still shares, then 1, which nothing does.
+        assert_eq!(*fetch(2), population.materialize(2).unwrap());
+        assert_eq!(*fetch(3), population.materialize(3).unwrap());
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.recycled), (2, 1));
+        assert_eq!(*held, population.materialize(0).unwrap());
+    }
+
+    #[test]
+    fn a_miss_evicts_for_the_misses_still_generating() {
+        // Full cache [0, 1]. While one thread generates client 2 into 0's
+        // storage, a miss on 3 must count that slot as taken and recycle 1,
+        // rather than generate into fresh storage and overfill the cache.
+        let population = population();
+        let cache = ClientCache::new(2);
+        let fetch = |id: u64| {
+            cache
+                .get_or_materialize(id, |storage| population.materialize_into(id, storage))
+                .unwrap()
+        };
+        fetch(0);
+        fetch(1);
+        let (started, wait_started) = std::sync::mpsc::channel();
+        let (go, wait_go) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // Owned here, so a panic below drops it and frees the thread.
+            let go = go;
+            let (cache, population) = (&cache, &population);
+            let slow = scope.spawn(move || {
+                cache
+                    .get_or_materialize(2, |storage| {
+                        started.send(()).unwrap();
+                        wait_go.recv().unwrap();
+                        population.materialize_into(2, storage)
+                    })
+                    .unwrap()
+            });
+            wait_started.recv().unwrap();
+            assert_eq!(*fetch(3), population.materialize(3).unwrap());
+            go.send(()).unwrap();
+            assert_eq!(*slow.join().unwrap(), population.materialize(2).unwrap());
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.evictions, stats.recycled), (2, 2));
+        assert_eq!((stats.resident, stats.peak_resident), (2, 2));
     }
 
     #[test]
@@ -281,7 +391,7 @@ mod tests {
         let cache = ClientCache::new(0);
         for _ in 0..3 {
             cache
-                .get_or_materialize(7, || population.materialize(7))
+                .get_or_materialize(7, |storage| population.materialize_into(7, storage))
                 .unwrap();
         }
         let stats = cache.stats();
@@ -300,12 +410,12 @@ mod tests {
         let cache = ClientCache::new(8);
         let direct = population.materialize(123).unwrap();
         let via_cache = cache
-            .get_or_materialize(123, || population.materialize(123))
+            .get_or_materialize(123, |storage| population.materialize_into(123, storage))
             .unwrap();
         assert_eq!(*via_cache, direct);
         // A hit returns the same shard again.
         let hit = cache
-            .get_or_materialize(123, || population.materialize(123))
+            .get_or_materialize(123, |storage| population.materialize_into(123, storage))
             .unwrap();
         assert_eq!(*hit, direct);
     }
@@ -316,7 +426,7 @@ mod tests {
         let cache = ClientCache::new(4);
         for id in 0..4u64 {
             cache
-                .get_or_materialize(id, || population.materialize(id))
+                .get_or_materialize(id, |storage| population.materialize_into(id, storage))
                 .unwrap();
         }
         cache.clear();
@@ -326,7 +436,7 @@ mod tests {
         assert_eq!(stats.peak_resident, 4);
         // Post-clear lookups miss again.
         cache
-            .get_or_materialize(0, || population.materialize(0))
+            .get_or_materialize(0, |storage| population.materialize_into(0, storage))
             .unwrap();
         assert_eq!(cache.stats().misses, 5);
     }
@@ -336,7 +446,8 @@ mod tests {
         let population = population();
         let cache = ClientCache::new(2);
         let fetch = |id: u64| {
-            let client = cache.get_or_materialize(id, || population.materialize(id));
+            let client =
+                cache.get_or_materialize(id, |storage| population.materialize_into(id, storage));
             assert_eq!(*client.unwrap(), population.materialize(id).unwrap());
         };
         fetch(1);
@@ -362,6 +473,7 @@ mod tests {
             hits: 3,
             misses: 1,
             evictions: 2,
+            recycled: 1,
             resident: 5,
             peak_resident: 7,
         };
@@ -371,6 +483,7 @@ mod tests {
         assert_eq!(snap.gauge("pop.cache.hits").unwrap().value, 3.0);
         assert_eq!(snap.gauge("pop.cache.misses").unwrap().value, 1.0);
         assert_eq!(snap.gauge("pop.cache.evictions").unwrap().value, 2.0);
+        assert_eq!(snap.gauge("pop.cache.recycled").unwrap().value, 1.0);
         assert_eq!(snap.gauge("pop.cache.resident").unwrap().value, 5.0);
         assert_eq!(snap.gauge("pop.cache.peak_resident").unwrap().value, 7.0);
         assert_eq!(snap.gauge("pop.cache.hit_rate").unwrap().value, 0.75);

@@ -14,7 +14,8 @@
 //! The pieces:
 //!
 //! - [`Population`] — the trait: population size, per-client O(1) metadata
-//!   (size, availability), and on-demand [`Population::materialize`].
+//!   (size, availability), and on-demand [`Population::materialize`], or
+//!   [`Population::materialize_into`] an existing shard's storage.
 //! - [`SyntheticPopulation`] — the implementation backed by the `feddata`
 //!   generators, refactored so one client's shard generates positionally
 //!   without building the whole dataset.
@@ -22,7 +23,8 @@
 //!   size-weighted (rejection sampling against the O(1) size bound), and
 //!   diurnal availability windows keyed to `fedsim::clock` simulated time.
 //! - [`ClientCache`] — a bounded cache with hit/miss/eviction accounting for
-//!   repeated sampling across rounds; [`CachedPopulation`] adapts a
+//!   repeated sampling across rounds, which generates a miss into the
+//!   storage of the client it evicts; [`CachedPopulation`] adapts a
 //!   population + cache into `fedsim::CohortSource` so
 //!   `TrainingRun::run_cohort_round` can train against it.
 //! - [`train_on_population`] — the round loop: sample cohort ids →

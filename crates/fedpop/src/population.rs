@@ -53,13 +53,27 @@ pub trait Population: Sync {
     /// Whether client `id` is reachable at simulated time `sim_time`.
     fn available(&self, id: u64, sim_time: f64) -> bool;
 
-    /// Materializes the full shard of client `id`.
+    /// Overwrites `storage` with the full shard of client `id`, reusing its
+    /// buffers. The result must not depend on what `storage` held: it is
+    /// exactly [`materialize`](Self::materialize)`(id)`, which is this on
+    /// empty storage.
     ///
     /// # Errors
     ///
     /// Returns [`PopError::ClientOutOfRange`] for ids past the population
     /// and propagates generation failures.
-    fn materialize(&self, id: u64) -> Result<ClientData>;
+    fn materialize_into(&self, id: u64, storage: &mut ClientData) -> Result<()>;
+
+    /// Materializes the full shard of client `id`.
+    ///
+    /// # Errors
+    ///
+    /// As [`materialize_into`](Self::materialize_into).
+    fn materialize(&self, id: u64) -> Result<ClientData> {
+        let mut client = ClientData::new(id as usize, Vec::new());
+        self.materialize_into(id, &mut client)?;
+        Ok(client)
+    }
 }
 
 /// The world structure shared by every client of a synthetic population.
@@ -172,13 +186,13 @@ impl Population for SyntheticPopulation {
                 .available(&self.availability, id, sim_time)
     }
 
-    fn materialize(&self, id: u64) -> Result<ClientData> {
+    fn materialize_into(&self, id: u64, storage: &mut ClientData) -> Result<()> {
         let size = self.client_size(id)?;
-        let client = match &self.world {
-            World::Classification(world) => world.client_at(&self.clients, id, size)?,
-            World::Language(world) => world.client_at(&self.clients, id, size)?,
-        };
-        Ok(client)
+        match &self.world {
+            World::Classification(world) => world.client_into(&self.clients, id, size, storage)?,
+            World::Language(world) => world.client_into(&self.clients, id, size, storage)?,
+        }
+        Ok(())
     }
 }
 
@@ -255,6 +269,34 @@ mod tests {
             let size = population.client_size(id).unwrap();
             assert!(size >= 1);
             assert!(size <= bound, "size {size} exceeds bound {bound}");
+        }
+    }
+
+    /// `materialize_into` over storage left by a larger, a smaller and an
+    /// equal-size client is `materialize`, for both task families.
+    #[test]
+    fn materialize_into_recycled_storage_is_materialize() {
+        for benchmark in [Benchmark::Cifar10Like, Benchmark::RedditLike] {
+            let population =
+                SyntheticPopulation::new(PopulationSpec::benchmark(benchmark, 5_000), 8).unwrap();
+            let target = 2_500;
+            let size = population.client_size(target).unwrap();
+            let donor = |keep: fn(usize, usize) -> bool| {
+                (0..5_000)
+                    .filter(|&id| id != target)
+                    .find(|&id| keep(population.client_size(id).unwrap(), size))
+                    .expect("a donor of that size")
+            };
+            let expected = population.materialize(target).unwrap();
+            for id in [
+                donor(|d, s| d > s),
+                donor(|d, s| d < s),
+                donor(|d, s| d == s),
+            ] {
+                let mut storage = population.materialize(id).unwrap();
+                population.materialize_into(target, &mut storage).unwrap();
+                assert_eq!(storage, expected, "{benchmark:?}, donor {id}");
+            }
         }
     }
 

@@ -106,9 +106,9 @@ impl ServerOptimizer for FedSgd {
         if self.velocity.len() != params.len() {
             self.velocity = vec![0.0; params.len()];
         }
-        for i in 0..params.len() {
-            self.velocity[i] = self.momentum * self.velocity[i] + delta[i];
-            params[i] += self.learning_rate * self.velocity[i];
+        for ((p, v), &d) in params.iter_mut().zip(&mut self.velocity).zip(delta) {
+            *v = self.momentum * *v + d;
+            *p += self.learning_rate * *v;
         }
         Ok(())
     }
@@ -170,10 +170,15 @@ impl ServerOptimizer for FedAdam {
         let b1 = self.config.beta1;
         let b2 = self.config.beta2;
         let eps = self.config.epsilon;
-        for i in 0..params.len() {
-            self.first_moment[i] = b1 * self.first_moment[i] + (1.0 - b1) * delta[i];
-            self.second_moment[i] = b2 * self.second_moment[i] + (1.0 - b2) * delta[i] * delta[i];
-            params[i] += lr * self.first_moment[i] / (self.second_moment[i].sqrt() + eps);
+        for (((p, m), s), &d) in params
+            .iter_mut()
+            .zip(&mut self.first_moment)
+            .zip(&mut self.second_moment)
+            .zip(delta)
+        {
+            *m = b1 * *m + (1.0 - b1) * d;
+            *s = b2 * *s + (1.0 - b2) * d * d;
+            *p += lr * *m / (s.sqrt() + eps);
         }
         self.round += 1;
         Ok(())

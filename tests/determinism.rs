@@ -693,16 +693,24 @@ fn population_noise_experiment_is_bit_identical_across_policies() {
     use fedtune_core::experiments::population::{
         run_population_noise_with, PopulationExperimentScale,
     };
+    // The reference runs with no cache. Smoke scale's cache recycles evicted
+    // clients' storage under both policies, so a stale-data bug they shared
+    // would pass a comparison of the two; it cannot match capacity 0, which
+    // generates every client into empty storage.
     let scale = PopulationExperimentScale::smoke();
+    let uncached = PopulationExperimentScale {
+        cache_capacity: 0,
+        ..scale.clone()
+    };
     for &seed in &SEEDS {
         let sequential = run_population_noise_with(
             &TrialRunner::sequential(),
             Benchmark::Cifar10Like,
-            &scale,
+            &uncached,
             seed,
         )
         .unwrap();
-        for &threads in &THREAD_COUNTS {
+        for threads in std::iter::once(1).chain(THREAD_COUNTS) {
             let parallel = run_population_noise_with(
                 &TrialRunner::new(ExecutionPolicy::parallel_with(threads)),
                 Benchmark::Cifar10Like,

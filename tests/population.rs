@@ -67,6 +67,42 @@ fn million_client_campaign_stays_cohort_bounded() {
 }
 
 #[test]
+fn a_shared_cache_below_the_working_set_serves_fresh_clients() {
+    // Several threads look up a working set larger than the cache through
+    // one `CachedPopulation`, so misses keep evicting and recycling storage
+    // under contention. Every client must still be the direct shard, and
+    // the counters must add up.
+    let population =
+        SyntheticPopulation::new(PopulationSpec::benchmark(Benchmark::Cifar10Like, 1_000), 6)
+            .unwrap();
+    let working_set = 96u64;
+    let capacity = 24;
+    let (threads, lookups) = (4u64, 240u64);
+    let direct: Vec<_> = (0..working_set)
+        .map(|id| population.materialize(id).unwrap())
+        .collect();
+    let cache = ClientCache::new(capacity);
+    let source = CachedPopulation::new(&population, &cache);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (source, direct) = (&source, &direct);
+            scope.spawn(move || {
+                for i in 0..lookups {
+                    let id = (t * 31 + i * 7) % working_set;
+                    let client = fedsim::training::CohortSource::materialize(source, id).unwrap();
+                    assert_eq!(*client, direct[id as usize], "client {id}");
+                }
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, threads * lookups);
+    assert!(stats.peak_resident <= capacity);
+    assert!(stats.recycled <= stats.evictions);
+    assert!(stats.recycled > 0, "no miss recycled storage: {stats:?}");
+}
+
+#[test]
 fn sparse_ids_materialize_without_neighbours() {
     let population = SyntheticPopulation::new(
         PopulationSpec::benchmark(Benchmark::StackOverflowLike, 1_000_000),
