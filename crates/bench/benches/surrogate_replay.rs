@@ -10,7 +10,7 @@ use fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune_core::TrialRunner;
 
 fn regenerate() {
-    let scale = fedbench::report_scale();
+    let scale = fedbench::report_scale().unwrap_or_else(|e| panic!("{e}"));
     let mut summary = fedbench::BenchSummary::new("surrogate_replay");
     let settings = paper_noise_settings();
     let campaigns = (TuningMethod::EXTENDED.len() * 2 * scale.method_trials) as u64;

@@ -18,7 +18,7 @@ const WORKER_GRID: [usize; 3] = [10, 50, 100];
 /// slots both drivers trivially run everything in parallel and the barrier
 /// costs nothing.)
 fn scale_for(workers: usize) -> fedtune_core::ExperimentScale {
-    let mut scale = fedbench::report_scale();
+    let mut scale = fedbench::report_scale().unwrap_or_else(|e| panic!("{e}"));
     let ladder_width = scale.num_configs * scale.eta;
     if ladder_width < 2 * workers {
         scale.num_configs = (2 * workers).div_ceil(scale.eta.max(1));

@@ -3,13 +3,16 @@
 //! The paper's tables and figures are regenerated by `examples/full_report`,
 //! a loop over `fedtune_core::experiments::figures::FIGURES` at
 //! [`report_scale`] that times each figure into one [`BenchSummary`]. The
-//! targets in `benches/` are what is gated against a committed baseline
-//! (`kernel_` / `executor_` / `service_` / `ledger_throughput`), asserts in
-//! the run (`population_scale`, `time_to_accuracy`, `surrogate_replay`), or
-//! is a micro-benchmark or ablation (`micro_*`, `abl_*`).
+//! paper's claims about them are the rows of `FIDELITY.json`, checked over
+//! its seeds by the `fidelity_check` binary ([`fidelity`]). The targets in
+//! `benches/` are what is gated against a committed baseline
+//! (`kernel_` / `executor_` / `service_` / `ledger_throughput`) or asserts
+//! in the run (`population_scale`, `time_to_accuracy`, `surrogate_replay`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod fidelity;
 
 use fedtune_core::ExperimentScale;
 use std::collections::BTreeMap;
@@ -20,16 +23,35 @@ pub fn measurement_scale() -> ExperimentScale {
     ExperimentScale::smoke()
 }
 
-/// The scale `examples/full_report` and the one-off printout at the top of a
-/// bench target run at. Controlled by the `FEDTUNE_BENCH_SCALE` environment
-/// variable (`smoke`, `default`, or `paper`); defaults to `smoke` so both
-/// stay fast.
-pub fn report_scale() -> ExperimentScale {
-    match std::env::var("FEDTUNE_BENCH_SCALE").as_deref() {
-        Ok("paper") => ExperimentScale::paper(),
-        Ok("default") => ExperimentScale::default_scale(),
-        _ => ExperimentScale::smoke(),
+/// The scale called `name`.
+///
+/// # Errors
+///
+/// Lists the names when `name` is none of them.
+pub fn scale_named(name: &str) -> Result<ExperimentScale, String> {
+    match name {
+        "smoke" => Ok(ExperimentScale::smoke()),
+        "default" => Ok(ExperimentScale::default_scale()),
+        "paper" => Ok(ExperimentScale::paper()),
+        _ => Err(format!(
+            "unknown scale {name:?}: expected smoke | default | paper"
+        )),
     }
+}
+
+/// The scale `examples/full_report` and the one-off printout at the top of a
+/// bench target run at: the [`scale_named`] by the `FEDTUNE_BENCH_SCALE`
+/// environment variable, `smoke` when it is unset, so both stay fast.
+///
+/// # Errors
+///
+/// Fails on a value that names no scale, rather than running another one.
+pub fn report_scale() -> Result<ExperimentScale, String> {
+    scale_named(
+        std::env::var("FEDTUNE_BENCH_SCALE")
+            .as_deref()
+            .unwrap_or("smoke"),
+    )
 }
 
 /// Prints a regenerated report with a consistent banner.
@@ -342,7 +364,20 @@ mod tests {
     #[test]
     fn scales_resolve() {
         assert!(measurement_scale().validate().is_ok());
-        assert!(report_scale().validate().is_ok());
+        for name in ["smoke", "default", "paper"] {
+            assert!(scale_named(name).unwrap().validate().is_ok());
+        }
+        assert_eq!(
+            scale_named("default").unwrap(),
+            ExperimentScale::default_scale()
+        );
+    }
+
+    #[test]
+    fn a_misspelt_scale_is_an_error_that_lists_the_names() {
+        let err = scale_named("defualt").unwrap_err();
+        assert!(err.contains("\"defualt\""), "{err}");
+        assert!(err.contains("smoke | default | paper"), "{err}");
     }
 
     #[test]

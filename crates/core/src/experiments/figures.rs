@@ -17,6 +17,8 @@
 //! | `fig09` | [`run_privacy_sweep`] | pools |
 //! | `fig10` (also Fig. 14), `fig11`, `fig12` | [`run_transfer_pairs`], [`run_proxy_matrix`], [`run_proxy_vs_noisy`] | pools |
 //! | `fig13` | [`run_space_ablation`] | scale, seed (trains its own four pools) |
+//! | `pop` | [`run_population_noise_with`] (§3.1, N up to 1e6) | scale, seed (trains its own grid) |
+//! | `weighting` | example-weighted vs. uniform error rank correlation | pools |
 //!
 //! A report the table assembles across benchmarks (Figs. 3–7, 9, 10) is
 //! headed by its entry's title; a typed result that renders itself names the
@@ -29,6 +31,7 @@ use crate::experiments::heterogeneity::{
 use crate::experiments::methods::{
     paper_noise_settings, run_headline, run_method_comparison, MethodComparison, TuningMethod,
 };
+use crate::experiments::population::{run_population_noise_with, PopulationExperimentScale};
 use crate::experiments::privacy::run_privacy_sweep;
 use crate::experiments::proxy::{run_proxy_matrix, run_proxy_vs_noisy, run_transfer_pairs};
 use crate::experiments::space_ablation::run_space_ablation;
@@ -39,7 +42,6 @@ use crate::report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint}
 use crate::scale::ExperimentScale;
 use crate::Result;
 use feddata::Benchmark;
-use fedmath::stats::QuartileSummary;
 use std::cell::OnceCell;
 
 /// One artefact of the paper: its id (what `full_report` takes on its
@@ -110,7 +112,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         id: "fig09",
         title: "Differential privacy: RS under Laplace-perturbed evaluation (Fig. 9)",
-        draw: |inputs| series_figure(inputs, "fig09", " ", run_privacy_sweep),
+        draw: fig09,
     },
     Figure {
         id: "fig10",
@@ -167,6 +169,29 @@ pub const FIGURES: &[Figure] = &[
                 .comparison()?
                 .to_bars_report("fig16", budget)?])
         },
+    },
+    Figure {
+        id: "pop",
+        title: "Subsampling noise vs. cohort size at population scale (§3.1)",
+        draw: |inputs| {
+            let scale = if inputs.scale.data_scale == feddata::Scale::Smoke {
+                PopulationExperimentScale::smoke()
+            } else {
+                PopulationExperimentScale::paper_story()
+            };
+            let result = run_population_noise_with(
+                inputs.runner,
+                Benchmark::Cifar10Like,
+                &scale,
+                inputs.seed,
+            )?;
+            Ok(result.to_reports())
+        },
+    },
+    Figure {
+        id: "weighting",
+        title: "Example-weighted vs. uniform evaluation: rank agreement over each pool",
+        draw: weighting,
     },
 ];
 
@@ -240,17 +265,12 @@ fn headed(id: &str) -> ExperimentReport {
     ExperimentReport::new(id.replacen("fig0", "fig", 1), title)
 }
 
-/// A scatter row: `y` at `x`, a single observation.
-fn scatter_point(x: f64, x_label: String, y: f64) -> SeriesPoint {
-    SeriesPoint {
-        x,
-        x_label,
-        summary: QuartileSummary {
-            lower: y,
-            median: y,
-            upper: y,
-            count: 1,
-        },
+/// A series of one point: a statistic a claim reads, such as a correlation
+/// or a reference level.
+fn single(name: String, x: f64, x_label: &str, y: f64) -> SeriesGroup {
+    SeriesGroup {
+        name,
+        points: vec![SeriesPoint::single(x, x_label, y)],
     }
 }
 
@@ -296,13 +316,14 @@ fn fig07(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
     let mut report = headed("fig07");
     for trained in inputs.pools()? {
         let scatter = run_min_client_scatter(trained);
-        report.push_note(format!(
-            "{}: {:.0}% of configurations are globally poor (>60% error) yet have a client below 20% error",
-            scatter.benchmark,
-            scatter.deceptive_fraction(60.0, 20.0) * 100.0
+        report.push_group(single(
+            format!("{} deceptive", scatter.benchmark),
+            60.0,
+            "% poor (>60%) with a client <20%",
+            scatter.deceptive_fraction(60.0, 20.0) * 100.0,
         ));
         let points = scatter.points.iter().map(|p| {
-            scatter_point(
+            SeriesPoint::single(
                 p.global_error_percent,
                 format!("{:.1}% global", p.global_error_percent),
                 p.min_client_error_percent,
@@ -317,13 +338,14 @@ fn fig07(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
     Ok(vec![report])
 }
 
-/// Fig. 10 / 14: one row per configuration and pair, plus correlation notes.
+/// Fig. 10 / 14: one row per configuration and pair, plus the pair's
+/// correlations as one-point series.
 fn fig10(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
     let mut report = headed("fig10");
     for analysis in run_transfer_pairs(inputs.pools()?)? {
         let (a, b) = (&analysis.dataset_a, &analysis.dataset_b);
         let points = analysis.points.iter().map(|p| {
-            scatter_point(
+            SeriesPoint::single(
                 p.error_a * 100.0,
                 format!("{:.1}% on {a}", p.error_a * 100.0),
                 p.error_b * 100.0,
@@ -333,10 +355,63 @@ fn fig10(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
             name: format!("{a} vs {b}"),
             points: points.collect(),
         });
-        report.push_note(format!(
-            "{a} vs {b}: pearson = {:?}, spearman = {:?}",
-            analysis.pearson, analysis.spearman
+        for (name, value) in [
+            ("pearson", analysis.pearson),
+            ("spearman", analysis.spearman),
+        ] {
+            if let Some(value) = value {
+                report.push_group(single(
+                    format!("{a} vs {b} {name}"),
+                    0.0,
+                    "correlation",
+                    value,
+                ));
+            }
+        }
+    }
+    Ok(vec![report])
+}
+
+/// Fig. 9, plus each benchmark's random-choice reference: the pool's mean
+/// true error, what a selection that ignores its scores expects.
+fn fig09(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
+    let mut reports = series_figure(inputs, "fig09", " ", run_privacy_sweep)?;
+    for trained in inputs.pools()? {
+        let pool_mean = fedmath::stats::mean(&trained.pool().true_errors()) * 100.0;
+        reports[0].push_group(single(
+            format!("{} random choice", trained.name()),
+            0.0,
+            "pool mean",
+            pool_mean,
         ));
+    }
+    Ok(reports)
+}
+
+/// The weighting ablation over the trained pools: the Spearman correlation
+/// between each configuration's example-weighted error (the default
+/// objective) and its uniformly weighted one (the objective under DP). A
+/// benchmark whose errors admit no ranking draws no series.
+fn weighting(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
+    let mut report = headed("weighting");
+    for trained in inputs.pools()? {
+        let pool = trained.pool();
+        let uniform: Vec<f64> = pool
+            .entries()
+            .iter()
+            .map(|entry| {
+                let per_client = entry.evaluation.per_client();
+                fedmath::stats::mean(&per_client.iter().map(|c| c.error_rate).collect::<Vec<_>>())
+            })
+            .collect();
+        if let Ok(rho) = fedmath::stats::spearman_correlation(&pool.true_errors(), &uniform) {
+            report.push_group(single(
+                format!("{} spearman", trained.name()),
+                0.0,
+                "weighted vs uniform",
+                rho,
+            ));
+        }
     }
     Ok(vec![report])
 }
@@ -350,32 +425,79 @@ mod tests {
         let runner = TrialRunner::from_env();
         let scale = ExperimentScale::smoke();
         let inputs = FigureInputs::new(&runner, &scale, 0);
-        for (id, header, series) in [
-            ("fig03", "== fig3 — Random search under", "cifar10-like"),
-            ("fig04", "== fig4 — Data heterogeneity", "reddit-like p=0.5"),
-            ("fig05", "== fig5 — RS performance", "femnist-like @ 100%"),
+        for (id, header, series, count) in [
+            (
+                "fig03",
+                "== fig3 — Random search under",
+                &["cifar10-like"][..],
+                1,
+            ),
+            (
+                "fig04",
+                "== fig4 — Data heterogeneity",
+                &["reddit-like p=0.5"],
+                1,
+            ),
+            (
+                "fig05",
+                "== fig5 — RS performance",
+                &["femnist-like @ 100%"],
+                1,
+            ),
             (
                 "fig06",
                 "== fig6 — Systems heterogeneity",
-                "cifar10-like b=1.5",
+                &["cifar10-like b=1.5"],
+                1,
             ),
-            ("fig07", "== fig7 — Global error", "% global"),
+            (
+                "fig07",
+                "== fig7 — Global error",
+                &["% global", "femnist-like deceptive"],
+                1,
+            ),
             (
                 "fig09",
                 "== fig9 — Differential privacy",
-                "cifar10-like eps=inf",
+                &["cifar10-like eps=inf", "reddit-like random choice"],
+                1,
             ),
             (
                 "fig10",
                 "== fig10 — Hyperparameter transfer",
-                "stackoverflow-like vs reddit-like",
+                &[
+                    "stackoverflow-like vs reddit-like",
+                    "cifar10-like vs femnist-like pearson",
+                    "cifar10-like vs femnist-like spearman",
+                ],
+                1,
+            ),
+            (
+                "fig12",
+                "== fig12 — Noisy-evaluation RS vs. one-shot proxy tuning on cifar10-like",
+                &["eps=1", "proxy cifar10-like", "proxy reddit-like"],
+                4,
+            ),
+            (
+                "pop",
+                "== pop — Subsampling noise",
+                &["spearman", "noise variance"],
+                1,
+            ),
+            (
+                "weighting",
+                "== weighting — Example-weighted",
+                &["cifar10-like spearman"],
+                1,
             ),
         ] {
             let reports = (find(id).unwrap().draw)(&inputs).unwrap();
-            assert_eq!(reports.len(), 1, "{id}");
+            assert_eq!(reports.len(), count, "{id}");
             let table = reports[0].to_table();
             assert!(table.starts_with(header), "{id}: {table}");
-            assert!(table.contains(series), "{id}: {table}");
+            for series in series {
+                assert!(table.contains(series), "{id} lacks {series}: {table}");
+            }
         }
         assert!(find("fig02").is_none());
     }

@@ -73,21 +73,6 @@ impl PopulationExperimentScale {
         }
     }
 
-    /// The reduced-scale smoke sweep used by CI: `N = 100 000`, three
-    /// spread-out cohort sizes, enough repeats for stable monotone curves.
-    pub fn ci_smoke() -> Self {
-        PopulationExperimentScale {
-            populations: vec![100_000],
-            cohort_sizes: vec![2, 16, 128],
-            num_configs: 6,
-            train_cohort: 10,
-            train_rounds: 8,
-            repeats: 16,
-            reference_probe: 512,
-            cache_capacity: 256,
-        }
-    }
-
     /// The full paper-story sweep: `N ∈ {1e3, 1e5, 1e6}` with cohort sizes
     /// spanning one client to a thousand.
     pub fn paper_story() -> Self {
@@ -199,58 +184,43 @@ impl PopulationNoiseResult {
         })
     }
 
-    /// Renders the sweep as a report: one Spearman curve and one
-    /// noise-standard-deviation curve per population size.
-    pub fn to_report(&self) -> ExperimentReport {
-        let mut report = ExperimentReport::new(
-            "population",
-            "Subsampling noise vs cohort size at population scale",
-        );
-        for sweep in &self.sweeps {
-            report.push_group(SeriesGroup {
-                name: format!("N={} spearman", sweep.population),
-                points: sweep
-                    .points
-                    .iter()
-                    .filter_map(|p| {
-                        SeriesPoint::from_error_rates(
-                            p.cohort_size as f64,
-                            format!("K={}", p.cohort_size),
-                            &p.spearman_per_repeat,
-                        )
-                        .ok()
-                    })
-                    .collect(),
-            });
-            report.push_note(format!(
-                "N={}: true errors span [{:.4}, {:.4}], cache hit rate {:.1}%, {} clients materialized ({} recycled, peak resident {})",
-                sweep.population,
-                sweep
-                    .true_errors
-                    .iter()
-                    .fold(f64::INFINITY, |a, &b| a.min(b)),
-                sweep
-                    .true_errors
-                    .iter()
-                    .fold(f64::NEG_INFINITY, |a, &b| a.max(b)),
-                sweep.cache_hit_rate * 100.0,
-                sweep.clients_materialized,
-                sweep.clients_recycled,
-                sweep.cache_peak_resident,
-            ));
-            for p in &sweep.points {
-                let degenerate = if p.degenerate_repeats > 0 {
-                    format!(" ({} degenerate repeats excluded)", p.degenerate_repeats)
-                } else {
-                    String::new()
+    /// Renders the sweeps, one report per population size in grid order: the
+    /// mean Spearman rank correlation and the noise variance as curves in
+    /// the cohort size `K`.
+    pub fn to_reports(&self) -> Vec<ExperimentReport> {
+        self.sweeps
+            .iter()
+            .map(|sweep| {
+                let mut report = ExperimentReport::new(
+                    "pop",
+                    format!(
+                        "Subsampling noise vs. cohort size at N = {} (§3.1)",
+                        sweep.population
+                    ),
+                );
+                let curve = |name: &str, value: fn(&PopulationNoisePoint) -> f64| SeriesGroup {
+                    name: name.to_string(),
+                    points: sweep
+                        .points
+                        .iter()
+                        .map(|p| {
+                            let label = format!("K={}", p.cohort_size);
+                            SeriesPoint::single(p.cohort_size as f64, label, value(p))
+                        })
+                        .collect(),
                 };
+                report.push_group(curve("spearman", |p| p.spearman));
+                report.push_group(curve("noise variance", |p| p.noise_variance));
                 report.push_note(format!(
-                    "N={} K={}: noise variance {:.3e}, spearman {:.3}{degenerate}",
-                    p.population, p.cohort_size, p.noise_variance, p.spearman
+                    "cache hit rate {:.1}%, {} clients materialized ({} recycled, peak resident {})",
+                    sweep.cache_hit_rate * 100.0,
+                    sweep.clients_materialized,
+                    sweep.clients_recycled,
+                    sweep.cache_peak_resident,
                 ));
-            }
-        }
-        report
+                report
+            })
+            .collect()
     }
 }
 
@@ -468,7 +438,6 @@ mod tests {
     #[test]
     fn scale_validation() {
         assert!(PopulationExperimentScale::smoke().validate().is_ok());
-        assert!(PopulationExperimentScale::ci_smoke().validate().is_ok());
         assert!(PopulationExperimentScale::paper_story().validate().is_ok());
         let mut bad = PopulationExperimentScale::smoke();
         bad.populations.clear();
@@ -529,9 +498,11 @@ mod tests {
         // Repeated cohort sampling over a small population hits the cache.
         assert!(sweep.cache_hit_rate > 0.0);
         assert!(sweep.cache_peak_resident <= scale.cache_capacity);
-        let report = result.to_report();
-        let table = report.to_table();
-        assert!(table.contains("population"));
+        let reports = result.to_reports();
+        assert_eq!(reports.len(), 1);
+        let table = reports[0].to_table();
+        assert!(table.contains("N = 1000"));
         assert!(table.contains("spearman"));
+        assert!(table.contains("noise variance"));
     }
 }

@@ -254,10 +254,14 @@ impl ProxyVsNoisy {
             report.push_group(curve.clone());
         }
         for (proxy, error) in &self.proxy_references {
-            report.push_note(format!(
-                "proxy {proxy}: {:.2}% [{:.2}, {:.2}] client error over {} trials (budget-independent)",
-                error.median, error.lower, error.upper, error.count
-            ));
+            report.push_group(SeriesGroup {
+                name: format!("proxy {proxy}"),
+                points: vec![SeriesPoint {
+                    x: 0.0,
+                    x_label: "any budget".into(),
+                    summary: *error,
+                }],
+            });
         }
         report
     }

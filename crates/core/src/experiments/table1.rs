@@ -32,18 +32,6 @@ impl DatasetTable {
         Ok(DatasetTable { rows })
     }
 
-    /// Renders the table in the layout of Table 2.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&DatasetStatistics::table_header());
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.to_table_row());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Converts the table into the uniform report format (one series per
     /// dataset; x = train clients, median column = mean examples per client).
     pub fn to_report(&self) -> ExperimentReport {
@@ -97,9 +85,6 @@ mod tests {
             assert!(row.val_clients > 0);
             assert!(row.examples.total > 0);
         }
-        let text = table.to_text();
-        assert!(text.contains("cifar10-like"));
-        assert!(text.contains("Total"));
         let report = table.to_report();
         assert_eq!(report.groups.len(), 4);
         assert_eq!(report.id, "table1");

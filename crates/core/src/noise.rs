@@ -5,10 +5,7 @@
 //! average accuracy over `|S|` sampled clients, so its sensitivity to one
 //! client is `1/|S|`; a total budget `ε` split evenly over `M` evaluations
 //! by basic composition gives each evaluation `ε/M`, hence
-//! `Lap(M / (ε·|S|))` noise ([`evaluation_noise_scale`]). The identities of
-//! the best configurations of an elimination round can instead be released
-//! with the one-shot Laplace top-k mechanism of Qiao et al. 2021
-//! ([`one_shot_top_k`], scale `2·T·k / (ε·|S|)`).
+//! `Lap(M / (ε·|S|))` noise ([`evaluation_noise_scale`]).
 
 use crate::{invalid, CoreError, Result};
 use fedsim::evaluation::FederatedEvaluation;
@@ -310,75 +307,6 @@ pub fn sample_laplace(rng: &mut impl Rng, scale: f64) -> f64 {
     -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
 }
 
-/// Noise scale of the one-shot top-k mechanism at one evaluation round:
-/// `2·T·k / (ε·|S|)` where `T` is the total number of evaluation rounds, `k`
-/// the number of identities released, and `|S|` the number of clients in the
-/// evaluation sample. Returns 0.0 for the non-private budget.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] if any count is zero, a finite ε is
-/// not positive, or the scale overflows.
-pub fn one_shot_noise_scale(
-    budget: PrivacyBudget,
-    total_rounds: usize,
-    k: usize,
-    sample_size: usize,
-) -> Result<f64> {
-    budget.validate()?;
-    if total_rounds == 0 || k == 0 || sample_size == 0 {
-        return Err(invalid(format!(
-            "total_rounds ({total_rounds}), k ({k}), and sample_size ({sample_size}) must all be positive"
-        )));
-    }
-    laplace_scale(budget, 2.0 * total_rounds as f64 * k as f64, sample_size)
-}
-
-/// Releases the indices of the `k` largest values of `scores` after adding
-/// one Laplace perturbation of the given `scale` to every score.
-///
-/// With `scale = 0` this reduces to exact (non-private) top-k selection.
-/// The returned indices are ordered from best to worst noisy score; equal
-/// noisy scores keep index order (`+0.0` ranks above `-0.0`).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] if `scores` is empty or holds a
-/// non-finite value, `k` is zero or exceeds `scores.len()`, or `scale` is
-/// negative or not finite.
-pub fn one_shot_top_k(
-    scores: &[f64],
-    k: usize,
-    scale: f64,
-    rng: &mut impl Rng,
-) -> Result<Vec<usize>> {
-    if k == 0 || k > scores.len() {
-        return Err(invalid(format!("k = {k} must be in [1, {}]", scores.len())));
-    }
-    if let Some(s) = scores.iter().find(|s| !s.is_finite()) {
-        return Err(invalid(format!("scores must be finite, got {s}")));
-    }
-    if scale < 0.0 || !scale.is_finite() {
-        return Err(invalid(format!(
-            "noise scale must be non-negative and finite, got {scale}"
-        )));
-    }
-    let mut noisy: Vec<(f64, usize)> = scores
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let perturbed = if scale == 0.0 {
-                s
-            } else {
-                s + sample_laplace(rng, scale)
-            };
-            (perturbed, i)
-        })
-        .collect();
-    noisy.sort_by(|a, b| b.0.total_cmp(&a.0));
-    Ok(noisy.into_iter().take(k).map(|(_, i)| i).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,81 +525,6 @@ mod tests {
         noisy_error(&eval, &NoiseConfig::noiseless(), 16, &mut used).unwrap();
         let mut fresh = rng_for(0, 5);
         assert_eq!(used.gen::<u64>(), fresh.gen::<u64>());
-    }
-
-    #[test]
-    fn one_shot_noise_scale_formula_and_validation() {
-        // 2 * T * k / (eps * |S|) with T = 5, k = 3, eps = 10, |S| = 6.
-        let scale = one_shot_noise_scale(PrivacyBudget::Finite(10.0), 5, 3, 6).unwrap();
-        assert!((scale - 0.5).abs() < 1e-12);
-        assert_eq!(
-            one_shot_noise_scale(PrivacyBudget::Infinite, 5, 3, 6).unwrap(),
-            0.0
-        );
-        assert!(one_shot_noise_scale(PrivacyBudget::Finite(1.0), 0, 1, 1).is_err());
-        assert!(one_shot_noise_scale(PrivacyBudget::Finite(1.0), 1, 0, 1).is_err());
-        assert!(one_shot_noise_scale(PrivacyBudget::Finite(1.0), 1, 1, 0).is_err());
-        assert!(one_shot_noise_scale(PrivacyBudget::Finite(0.0), 1, 1, 1).is_err());
-    }
-
-    #[test]
-    fn zero_scale_top_k_is_exact_selection() {
-        let mut rng = rng_for(0, 0);
-        let scores = [0.1, 0.9, 0.5, 0.7];
-        assert_eq!(
-            one_shot_top_k(&scores, 2, 0.0, &mut rng).unwrap(),
-            vec![1, 3]
-        );
-        assert_eq!(one_shot_top_k(&scores, 1, 0.0, &mut rng).unwrap(), vec![1]);
-        assert_eq!(
-            one_shot_top_k(&scores, 4, 0.0, &mut rng).unwrap(),
-            vec![1, 3, 2, 0]
-        );
-        // Ties keep index order.
-        assert_eq!(
-            one_shot_top_k(&[0.5, 0.7, 0.5], 3, 0.0, &mut rng).unwrap(),
-            vec![1, 0, 2]
-        );
-    }
-
-    #[test]
-    fn top_k_validation() {
-        let mut rng = rng_for(0, 1);
-        assert!(one_shot_top_k(&[], 1, 0.0, &mut rng).is_err());
-        assert!(one_shot_top_k(&[1.0], 0, 0.0, &mut rng).is_err());
-        assert!(one_shot_top_k(&[1.0], 2, 0.0, &mut rng).is_err());
-        assert!(one_shot_top_k(&[1.0, 2.0], 1, -1.0, &mut rng).is_err());
-        assert!(one_shot_top_k(&[1.0, 2.0], 1, f64::NAN, &mut rng).is_err());
-        // A NaN score is refused rather than panicking the sort.
-        let nan = f64::from_bits(0xfff8_0000_0000_0000);
-        for bad in [nan, f64::NAN, f64::INFINITY] {
-            let err = one_shot_top_k(&[0.1, bad, 0.3], 1, 1.0, &mut rng).unwrap_err();
-            assert!(matches!(err, CoreError::InvalidConfig { .. }));
-        }
-    }
-
-    #[test]
-    fn top_k_noise_preserves_a_clear_winner_and_drowns_a_close_one() {
-        let hit_rate = |scores: &[f64], winner: usize, scale: f64, stream: u64| {
-            let mut rng = rng_for(0, stream);
-            let trials = 1000;
-            let hits = (0..trials)
-                .filter(|_| one_shot_top_k(scores, 1, scale, &mut rng).unwrap()[0] == winner)
-                .count();
-            hits as f64 / trials as f64
-        };
-        // Clear winner with a wide margin vs. noise scale 0.01.
-        let clear = hit_rate(&[0.1, 0.2, 0.15, 0.12, 0.95], 4, 0.01, 3);
-        assert!(
-            clear > 0.95,
-            "winner selected only {clear} of the time under tiny noise"
-        );
-        // Differences of ~0.1 drowned by noise of scale 100: chance level, 1/5.
-        let drowned = hit_rate(&[0.5, 0.6, 0.55, 0.58, 0.61], 4, 100.0, 4);
-        assert!(
-            (drowned - 0.2).abs() < 0.08,
-            "expected ~chance selection, got {drowned}"
-        );
     }
 
     #[test]

@@ -39,6 +39,20 @@ impl SeriesPoint {
             summary: QuartileSummary::from_values(&percents)?,
         })
     }
+
+    /// A scatter point: `y` at `x`, a single observation.
+    pub fn single(x: f64, x_label: impl Into<String>, y: f64) -> Self {
+        SeriesPoint {
+            x,
+            x_label: x_label.into(),
+            summary: QuartileSummary {
+                lower: y,
+                median: y,
+                upper: y,
+                count: 1,
+            },
+        }
+    }
 }
 
 /// One named series (one curve / one bar group member).

@@ -77,30 +77,6 @@ impl DatasetStatistics {
             examples: ClientSizeSummary::from_counts(&counts),
         }
     }
-
-    /// Formats the row in the layout of Table 2
-    /// (`name, task, #train, #eval, mean, min, max, total`).
-    pub fn to_table_row(&self) -> String {
-        format!(
-            "{:<20} {:<24} {:>8} {:>8} {:>9.1} {:>7} {:>9} {:>10}",
-            self.name,
-            self.task,
-            self.train_clients,
-            self.val_clients,
-            self.examples.mean,
-            self.examples.min,
-            self.examples.max,
-            self.examples.total
-        )
-    }
-
-    /// Header matching [`DatasetStatistics::to_table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<20} {:<24} {:>8} {:>8} {:>9} {:>7} {:>9} {:>10}",
-            "Dataset", "Task", "Train", "Eval", "Mean", "Min", "Max", "Total"
-        )
-    }
 }
 
 #[cfg(test)]
@@ -139,18 +115,5 @@ mod tests {
         assert!((s.examples.mean - 5.0).abs() < 1e-12);
         assert_eq!(s.name, "stats-test");
         assert_eq!(s.task, "image-classification");
-    }
-
-    #[test]
-    fn table_row_formatting_contains_fields() {
-        let train = vec![ClientData::new(0, vec![Example::token(0, 1); 3])];
-        let val = vec![ClientData::new(0, vec![Example::token(1, 0); 2])];
-        let d = FederatedDataset::new("fmt", Task::NextTokenPrediction, 2, 2, train, val).unwrap();
-        let row = d.statistics().to_table_row();
-        assert!(row.contains("fmt"));
-        assert!(row.contains("next-token-prediction"));
-        let header = DatasetStatistics::table_header();
-        assert!(header.contains("Train"));
-        assert!(header.contains("Total"));
     }
 }

@@ -12,7 +12,7 @@
 //!   the language-modelling family).
 //!
 //! All models expose their parameters as a flat `Vec<f64>` so that the server
-//! optimizers in `fedsim` (FedAvg / FedAdam) can treat model updates as plain
+//! optimizer in `fedsim` (FedAdam) can treat model updates as plain
 //! vectors, exactly as `ServerOPT` does in Algorithm 2 of the paper.
 //! [`LocalSgd`] implements `ClientOPT`: mini-batch SGD with momentum, weight
 //! decay, and a configurable batch size and epoch count — the client

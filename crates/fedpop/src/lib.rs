@@ -30,9 +30,8 @@
 //! - [`train_on_population`] — the round loop: sample cohort ids →
 //!   materialize → train → drop, advancing a virtual clock so availability
 //!   windows move with simulated time.
-//! - [`PopulationSummary`] — population-level statistics (size quantiles,
-//!   tail skew, availability coverage) computed from O(probe) metadata
-//!   without materializing a single example.
+//! - [`stride_probe_ids`] — an even-stride probe of client ids, the
+//!   reference set scored without materializing the rest of the population.
 //!
 //! # Example
 //!
@@ -61,7 +60,7 @@ pub use cache::{CacheStats, CachedPopulation, ClientCache};
 pub use population::{Population, SyntheticPopulation};
 pub use sampler::CohortSampler;
 pub use spec::{AvailabilityModel, PopulationSpec};
-pub use summary::{stride_probe_ids, PopulationSummary};
+pub use summary::stride_probe_ids;
 pub use training::{train_on_population, PopulationTrainingReport};
 
 use std::fmt;

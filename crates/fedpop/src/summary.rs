@@ -1,17 +1,11 @@
-//! Population-level statistics without materializing clients.
-//!
-//! Everything here reads only O(1) per-client metadata — positional size
-//! draws and availability phases — so summarizing a million-client
-//! population costs a probe over ids, never a single generated example.
-
-use crate::{PopError, Population, Result};
+//! Probing a population without materializing it: a deterministic,
+//! order-free set of client ids.
 
 /// Up to `probe` deterministic client ids spread evenly across
 /// `0..population`: an order-free probe set for population-level statistics
 /// and reference scoring. Unbiased for positional draws — client `i`'s
-/// metadata ignores every other id — and shared by
-/// [`PopulationSummary::probe`] and the `experiments::population` reference
-/// scores so both always probe the same client set.
+/// metadata ignores every other id — behind the `experiments::population`
+/// reference scores.
 pub fn stride_probe_ids(population: u64, probe: usize) -> Vec<u64> {
     let probed = probe
         .min(usize::try_from(population).unwrap_or(usize::MAX))
@@ -20,177 +14,4 @@ pub fn stride_probe_ids(population: u64, probe: usize) -> Vec<u64> {
     (0..probed)
         .map(|j| (j as u64).saturating_mul(stride))
         .collect()
-}
-
-/// Summary statistics of a population, computed from a deterministic probe
-/// of client ids (an even stride across `0..N`, see [`stride_probe_ids`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PopulationSummary {
-    /// Number of clients in the population.
-    pub num_clients: u64,
-    /// Number of clients probed for the statistics below.
-    pub probed: usize,
-    /// Mean probed client size.
-    pub mean_size: f64,
-    /// Size quantiles over the probe: `(quantile, value)` for
-    /// p10/p50/p90/p99.
-    pub size_quantiles: Vec<(f64, f64)>,
-    /// Smallest probed size (≥ 1 by construction).
-    pub min_size: usize,
-    /// Largest probed size.
-    pub max_size: usize,
-    /// Tail skew: mean divided by median — 1 for symmetric size
-    /// distributions, ≫ 1 for the long-tailed text-style populations.
-    pub skew: f64,
-    /// Fraction of probed clients reachable at a few simulated times across
-    /// one day: `(sim_time, fraction)`.
-    pub availability_coverage: Vec<(f64, f64)>,
-}
-
-impl PopulationSummary {
-    /// Probes at most `max_probe` evenly-strided clients of `population`
-    /// and summarizes their sizes and availability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopError::InvalidSpec`] if `max_probe == 0`, and propagates
-    /// size-query failures.
-    pub fn probe<P: Population + ?Sized>(population: &P, max_probe: usize) -> Result<Self> {
-        if max_probe == 0 {
-            return Err(PopError::InvalidSpec {
-                message: "need at least one probed client".into(),
-            });
-        }
-        let n = population.num_clients();
-        if n == 0 {
-            return Err(PopError::InvalidSpec {
-                message: "population is empty".into(),
-            });
-        }
-        let ids = stride_probe_ids(n, max_probe);
-        let probed = ids.len();
-        let sizes: Vec<f64> = ids
-            .iter()
-            .map(|&id| population.client_size(id).map(|s| s as f64))
-            .collect::<Result<_>>()?;
-        let mean_size = fedmath::stats::mean(&sizes);
-        let median = fedmath::stats::median(&sizes)?;
-        let size_quantiles = [0.1, 0.5, 0.9, 0.99]
-            .iter()
-            .map(|&q| fedmath::stats::quantile(&sizes, q).map(|v| (q, v)))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        // Availability probed at four points across one simulated day.
-        let day = 86_400.0;
-        let availability_coverage = [0.0, 0.25, 0.5, 0.75]
-            .iter()
-            .map(|&frac| {
-                let t = frac * day;
-                let reachable = ids
-                    .iter()
-                    .filter(|&&id| population.available(id, t))
-                    .count();
-                (t, reachable as f64 / probed as f64)
-            })
-            .collect();
-        Ok(PopulationSummary {
-            num_clients: n,
-            probed,
-            mean_size,
-            size_quantiles,
-            min_size: sizes.iter().fold(f64::INFINITY, |a, &b| a.min(b)) as usize,
-            max_size: sizes.iter().fold(0.0f64, |a, &b| a.max(b)) as usize,
-            skew: if median > 0.0 {
-                mean_size / median
-            } else {
-                0.0
-            },
-            availability_coverage,
-        })
-    }
-
-    /// A compact multi-line rendering for report printouts.
-    pub fn to_text(&self) -> String {
-        let quantiles = self
-            .size_quantiles
-            .iter()
-            .map(|(q, v)| format!("p{:.0}={v:.1}", q * 100.0))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let coverage = self
-            .availability_coverage
-            .iter()
-            .map(|(t, f)| format!("t={t:.0}s: {:.0}%", f * 100.0))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "clients: {}  (probed {})\n\
-             sizes:   mean {:.1}  min {}  max {}  {quantiles}  skew(mean/median) {:.2}\n\
-             availability: {coverage}",
-            self.num_clients, self.probed, self.mean_size, self.min_size, self.max_size, self.skew
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{AvailabilityModel, PopulationSpec, SyntheticPopulation};
-    use feddata::Benchmark;
-
-    #[test]
-    fn probing_a_million_client_population_is_cheap_and_sane() {
-        let population = SyntheticPopulation::new(
-            PopulationSpec::benchmark(Benchmark::StackOverflowLike, 1_000_000),
-            0,
-        )
-        .unwrap();
-        let summary = PopulationSummary::probe(&population, 2_000).unwrap();
-        assert_eq!(summary.num_clients, 1_000_000);
-        assert_eq!(summary.probed, 2_000);
-        assert!(summary.min_size >= 1);
-        assert!(summary.max_size >= summary.min_size);
-        assert!(summary.mean_size >= 1.0);
-        // StackOverflow-like sizes are long-tailed: mean well above median.
-        assert!(
-            summary.skew > 1.5,
-            "expected heavy tail, skew {}",
-            summary.skew
-        );
-        assert_eq!(summary.size_quantiles.len(), 4);
-        let p50 = summary.size_quantiles[1].1;
-        let p99 = summary.size_quantiles[3].1;
-        assert!(p99 > p50);
-        // Always-available preset: full coverage at every probe time.
-        assert!(summary
-            .availability_coverage
-            .iter()
-            .all(|&(_, f)| (f - 1.0).abs() < 1e-12));
-        let text = summary.to_text();
-        assert!(text.contains("clients: 1000000"));
-        assert!(text.contains("skew"));
-    }
-
-    #[test]
-    fn diurnal_coverage_shows_up_in_the_summary() {
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 20_000)
-            .with_availability(AvailabilityModel::diurnal(0.25));
-        let population = SyntheticPopulation::new(spec, 1).unwrap();
-        let summary = PopulationSummary::probe(&population, 4_000).unwrap();
-        for &(_, fraction) in &summary.availability_coverage {
-            assert!(
-                (fraction - 0.25).abs() < 0.05,
-                "coverage {fraction} far from the 25% window"
-            );
-        }
-    }
-
-    #[test]
-    fn probe_validation_and_small_populations() {
-        let population =
-            SyntheticPopulation::new(PopulationSpec::benchmark(Benchmark::Cifar10Like, 7), 1)
-                .unwrap();
-        assert!(PopulationSummary::probe(&population, 0).is_err());
-        let summary = PopulationSummary::probe(&population, 100).unwrap();
-        assert_eq!(summary.probed, 7);
-    }
 }

@@ -5,9 +5,8 @@
 //!
 //! - [`training::FederatedTrainer`] runs federated training rounds: sample a
 //!   subset of training clients, run local SGD (`ClientOPT`) on each, average
-//!   the client updates, and apply a server optimizer (`ServerOPT`) —
-//!   [`server::FedAvg`], [`server::FedSgd`], or [`server::FedAdam`] (the
-//!   paper's choice, Reddi et al. 2020).
+//!   the client updates, and apply the server optimizer (`ServerOPT`),
+//!   [`server::FedAdam`] (the paper's choice, Reddi et al. 2020).
 //! - [`evaluation`] implements the federated validation objective of Eq. 2:
 //!   per-client error rates combined by a uniform or example-weighted
 //!   average, over either the full validation pool or a subsample.
@@ -65,7 +64,7 @@ pub use evaluation::{ClientEvaluation, FederatedEvaluation, WeightingScheme};
 pub use exec::{with_thread_pool, ExecutionPolicy, SharedPool, ThreadPool};
 pub use hyperparams::{FedAdamConfig, FederatedHyperparams};
 pub use sampling::{BiasedSampler, ClientSampler, UniformSampler};
-pub use server::{FedAdam, FedAvg, FedSgd, ServerOptimizer};
+pub use server::FedAdam;
 pub use training::{CohortSource, FederatedTrainer, TrainerConfig, TrainingRun};
 
 use std::fmt;

@@ -2,7 +2,7 @@
 
 use crate::evaluation::WeightingScheme;
 use crate::hyperparams::FederatedHyperparams;
-use crate::server::{FedAdam, ServerOptimizer};
+use crate::server::FedAdam;
 use crate::{Result, SimError};
 use feddata::{ClientData, FederatedDataset, Split};
 use fedmath::{SeedStream, SeedTree};

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! `FEDTUNE_BENCH_SCALE` may be `smoke` (the default; seconds), `default`
-//! (under a minute) or `paper` (the paper's raw budgets; hours). With
+//! (under a minute) or `paper` (the paper's raw budgets; hours); any other
+//! value is an error. With
 //! `FEDTUNE_BENCH_JSON=1` the run writes `BENCH_full_report.json`: one entry
 //! per figure drawn, in order — the first figure to need the pool set or the
 //! comparison is the one that pays for it.
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect()
     };
 
-    let scale = fedbench::report_scale();
+    let scale = fedbench::report_scale()?;
     // FEDTUNE_THREADS overrides the trial fan-out (1 = sequential, N = N
     // threads, 0/unset = all cores); results are bit-identical either way.
     let runner = TrialRunner::from_env();

@@ -11,6 +11,7 @@ use fedtune_core::experiments::figures::{find, FigureInputs, FIGURES};
 use fedtune_core::experiments::methods::{
     paper_noise_settings, run_method_comparison, TuningMethod,
 };
+use fedtune_core::experiments::population::PopulationExperimentScale;
 use fedtune_core::{ExperimentScale, TrialRunner};
 
 #[test]
@@ -51,6 +52,9 @@ fn the_table_draws_every_figure_from_one_pool_set_and_one_comparison() {
     assert!(one_comparison > 0);
     let one_pool = (scale.pool_size * scale.rounds_per_config) as u64;
     let one_pool_set = Benchmark::ALL.len() as u64 * one_pool;
+    // The population sweep trains its own configuration grid per population.
+    let pop = PopulationExperimentScale::smoke();
+    let one_pop_grid = (pop.populations.len() * pop.num_configs * pop.train_rounds) as u64;
 
     // The whole table, in order: Fig. 1 is the first to need either input
     // and pays for both; after it only Fig. 13 trains (its own four pools).
@@ -59,6 +63,7 @@ fn the_table_draws_every_figure_from_one_pool_set_and_one_comparison() {
         let expected = match id {
             "fig01" => one_comparison + one_pool_set,
             "fig13" => 4 * one_pool,
+            "pop" => one_pop_grid,
             _ => 0,
         };
         assert_eq!(cost_of(&inputs, id), expected, "{id}");
@@ -78,4 +83,5 @@ fn the_table_draws_every_figure_from_one_pool_set_and_one_comparison() {
     let inputs = FigureInputs::new(&runner, &scale, seed);
     assert_eq!(cost_of(&inputs, "fig03"), one_pool_set);
     assert_eq!(cost_of(&inputs, "fig09"), 0);
+    assert_eq!(cost_of(&inputs, "weighting"), 0);
 }

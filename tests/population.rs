@@ -6,7 +6,7 @@ use feddata::Benchmark;
 use fedmodels::ModelSpec;
 use fedpop::{
     train_on_population, AvailabilityModel, CachedPopulation, ClientCache, CohortSampler,
-    Population, PopulationSpec, PopulationSummary, SyntheticPopulation,
+    Population, PopulationSpec, SyntheticPopulation,
 };
 use fedsim::clock::VirtualClock;
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
@@ -142,9 +142,11 @@ fn diurnal_windows_shift_cohorts_with_simulated_time() {
     assert!(morning.iter().all(|&id| population.available(id, 0.0)));
     assert!(evening.iter().all(|&id| population.available(id, 43_200.0)));
     assert_ne!(morning, evening, "the availability window never moved");
-    // The probe summary sees partial coverage at every time of day.
-    let summary = PopulationSummary::probe(&population, 2_000).unwrap();
-    for &(_, fraction) in &summary.availability_coverage {
+    // An even-stride probe sees partial coverage at every time of day.
+    let probe = fedpop::stride_probe_ids(population.num_clients(), 2_000);
+    for t in [0.0, 21_600.0, 43_200.0, 64_800.0] {
+        let reachable = probe.iter().filter(|&&id| population.available(id, t));
+        let fraction = reachable.count() as f64 / probe.len() as f64;
         assert!(
             fraction > 0.2 && fraction < 0.5,
             "coverage {fraction} inconsistent with a 35% window"
