@@ -12,7 +12,7 @@ use crate::example::{Example, Input};
 use crate::partition::sample_dirichlet;
 use crate::{DataError, Result};
 use rand::Rng;
-use rand_distr::{Distribution, Normal};
+use rand_distr::{Distribution, StandardNormal};
 
 /// Parameters for the dense-classification generator (the stand-in for the
 /// CIFAR10/FEMNIST image-classification family).
@@ -137,11 +137,10 @@ impl ClassificationWorld {
     /// Returns [`DataError::InvalidSpec`] if the configuration is invalid.
     pub fn generate(rng: &mut impl Rng, config: ClassificationConfig) -> Result<Self> {
         config.validate()?;
-        let normal = Normal::new(0.0, 1.0).expect("valid std");
         let prototypes = (0..config.num_classes)
             .map(|_| {
                 (0..config.feature_dim)
-                    .map(|_| normal.sample(rng) * config.class_separation)
+                    .map(|_| StandardNormal.sample(rng) * config.class_separation)
                     .collect()
             })
             .collect();
@@ -199,11 +198,10 @@ impl ClassificationWorld {
         storage: &mut ClientData,
     ) -> Result<()> {
         let cfg = &self.config;
-        let normal = Normal::new(0.0, 1.0).expect("valid std");
         let mut rng = tree.child(id).rng();
         let label_dist = sample_dirichlet(&mut rng, cfg.num_classes, cfg.label_alpha)?;
         let shift: Vec<f64> = (0..cfg.feature_dim)
-            .map(|_| normal.sample(&mut rng) * cfg.client_shift_std)
+            .map(|_| StandardNormal.sample(&mut rng) * cfg.client_shift_std)
             .collect();
         refill(storage, id, size, |old| {
             let true_class = fedmath::rng::sample_categorical(&mut rng, &label_dist);
@@ -216,7 +214,7 @@ impl ClassificationWorld {
             features.extend((0..cfg.feature_dim).map(|d| {
                 self.prototypes[true_class][d]
                     + shift[d]
-                    + normal.sample(&mut rng) * cfg.feature_noise
+                    + StandardNormal.sample(&mut rng) * cfg.feature_noise
             }));
             let label = if rng.gen::<f64>() < cfg.label_noise {
                 rng.gen_range(0..cfg.num_classes)

@@ -629,7 +629,7 @@ pub(crate) mod tests {
             halt: Some(Cap::Evaluations),
             state: BudgetExhausted,
             finished: false,
-            digest: 14386532482416582575,
+            digest: 7810499346482292746,
         };
         assert_eq!(served_pin(&capped), expected);
     }
@@ -644,7 +644,7 @@ pub(crate) mod tests {
             halt: Some(Cap::Rounds),
             state: BudgetExhausted,
             finished: false,
-            digest: 8586097291544881451,
+            digest: 17659933832709723897,
         };
         assert_eq!(served_pin(&capped), expected);
     }
@@ -659,7 +659,7 @@ pub(crate) mod tests {
             halt: Some(halt),
             state: BudgetExhausted,
             finished: false,
-            digest: 7308484474135349900,
+            digest: 898831516722511309,
         };
         let mut zero = spec("zero", 17);
         zero.limits.max_evaluations = Some(0);
@@ -690,7 +690,7 @@ pub(crate) mod tests {
             halt: Some(halt),
             state: BudgetExhausted,
             finished: true,
-            digest: 529389457961130099,
+            digest: 7306193510048649415,
         };
         exact.limits.max_evaluations = Some(17);
         assert_eq!(served_pin(&exact), at_cap(Cap::Evaluations));
@@ -708,18 +708,18 @@ pub(crate) mod tests {
         let cut = full.sim_elapsed / 3.0;
         deadline.sim_budget = Some(cut);
         let expected = BudgetPin {
-            evaluations: 13,
-            resource_spent: 16,
+            evaluations: 12,
+            resource_spent: 14,
             halt: Some(Cap::SimSeconds),
             state: BudgetExhausted,
             finished: false,
-            digest: 9665077603117567595,
+            digest: 17639173697866040359,
         };
         assert_eq!(served_pin(&deadline), expected);
         // Every dispatch started before the deadline, and some were still
         // running across it: they drained rather than being dropped.
         let capped = standalone(&deadline, 0);
-        assert_eq!(capped.outcome.num_evaluations(), 13);
+        assert_eq!(capped.outcome.num_evaluations(), 12);
         assert!(capped.timeline.iter().all(|span| span.start < cut));
         assert!(capped.timeline.iter().any(|span| span.end > cut));
     }

@@ -524,12 +524,18 @@ mod tests {
         let dataset = smoke_dataset();
         let everyone: Vec<usize> = (0..dataset.num_val_clients()).collect();
         let (dim, classes) = (dataset.input_dim(), dataset.num_classes());
+        let max_label = dataset
+            .clients(Split::Validation)
+            .iter()
+            .flat_map(|client| client.examples().iter().map(|example| example.label))
+            .max()
+            .unwrap();
         let mut rng = rng_for(5, 3);
-        // A model of another width, and one with fewer classes than the
-        // pool's labels: the gather path's error, whatever it is.
+        // A model of another width, and one with no class for the pool's
+        // largest validation label: the gather path's error, whatever it is.
         for (spec, dim, classes) in [
             (ModelSpec::Softmax, dim + 1, classes),
-            (ModelSpec::Mlp { hidden_dim: 4 }, dim, classes - 1),
+            (ModelSpec::Mlp { hidden_dim: 4 }, dim, max_label),
         ] {
             let model = spec.build_with_dims(dim, classes, &mut rng);
             let error = full(&model, &dataset).unwrap_err();

@@ -32,10 +32,10 @@ type ScheduledGolden = (&'static str, usize, usize, u64);
 /// the final element pins the bits of the true error of the configuration
 /// the tuner selects at the full round budget.
 const GOLDEN_SCHEDULED_ASHA: [ScheduledGolden; 4] = [
-    ("noiseless", 0, 16, 0x3fe8a2126ad1f4f3), // selected true error 0.7697841726618705
-    ("noiseless", 1, 16, 0x3fe568fa798dd01d), // selected true error 0.6690647482014388
-    ("noisy", 0, 16, 0x3fe79a0ded975c13),     // selected true error 0.7375554695562435
-    ("noisy", 1, 16, 0x3feafb79255d37fb),     // selected true error 0.8431974153297682
+    ("noiseless", 0, 16, 0x3fe952e0b0ce45fc), // selected true error 0.7913669064748201
+    ("noiseless", 1, 16, 0x3fe4f31ba03aef6d), // selected true error 0.6546762589928058
+    ("noisy", 0, 16, 0x3fe84a993c63d4c4),     // selected true error 0.759106271695281
+    ("noisy", 1, 16, 0x3feb161322918aee),     // selected true error 0.8464446711699034
 ];
 
 const SCHEDULED_SEED: u64 = 3;
@@ -150,9 +150,9 @@ const EVENT_DRIVEN_SEED: u64 = 5;
 /// Async ASHA under the virtual clock at seed 5: pins the number
 /// of completed evaluations, the winning trial and the exact bits of its
 /// score and of the campaign's virtual elapsed time.
-// best score 0.49957875035429833, sim_elapsed 319.327323397931
+// best score 0.5063022842033957, sim_elapsed 204.44684877987896
 const GOLDEN_EVENT_DRIVEN: (usize, usize, u64, u64) =
-    (16, 1, 0x3fdff91926a316b0, 0x4073f53cb7759545);
+    (16, 0, 0x3fe033a0d91165d8, 0x40698e4c95cfface);
 
 /// The pinned async-ASHA campaign on `threads` real threads, summarised as
 /// `GOLDEN_EVENT_DRIVEN` is.

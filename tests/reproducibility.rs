@@ -53,19 +53,19 @@ fn generated_datasets_match_their_pinned_digests() {
         (
             Benchmark::Cifar10Like,
             Scale::Smoke,
-            0xbf5d_e50c_4d84_379e_u64,
+            0xa341_e05d_9453_ad2f_u64,
         ),
-        (Benchmark::FemnistLike, Scale::Smoke, 0x4264_ee53_b4d4_32f1),
+        (Benchmark::FemnistLike, Scale::Smoke, 0x90bf_2657_1b52_45df),
         (
             Benchmark::StackOverflowLike,
             Scale::Smoke,
-            0x1803_6ecb_709b_7c4f,
+            0x44ea_c842_a7df_743d,
         ),
-        (Benchmark::RedditLike, Scale::Smoke, 0x4c19_b9d5_0484_fc99),
+        (Benchmark::RedditLike, Scale::Smoke, 0xa980_5f5a_b898_8aa3),
         (
             Benchmark::FemnistLike,
             Scale::Default,
-            0xf160_082f_00ca_ec51,
+            0xc2d5_6da0_d538_e1a1,
         ),
     ];
     for (benchmark, scale, expected) in pinned {

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 
 /// Service-level golden pins: `(name, evaluations, best trial, score bits,
 /// sim_elapsed bits)` for the two tenant campaigns of the daemon tests.
-const GOLDEN_ALPHA: (u64, usize, u64, u64) = (19, 7, 0x3fd244caf1d2a73c, 0x406d1d48e6ac78b3); // score 0.2854487763930711, sim_elapsed 232.91514905629955
-const GOLDEN_BETA: (u64, usize, u64, u64) = (10, 2, 0x3fbcd49ae6e50b78, 0x4072800000000000); // score 0.11261909615590848, sim_elapsed 296
+const GOLDEN_ALPHA: (u64, usize, u64, u64) = (19, 3, 0x3fd087f5361b5d46, 0x40664bf1a0fee698); // score 0.25829820903659984, sim_elapsed 178.37324571404747
+const GOLDEN_BETA: (u64, usize, u64, u64) = (10, 2, 0x3fc2c92535605792, 0x4072800000000000); // score 0.1467634688021318, sim_elapsed 296
 
 fn unique_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("fedserve_test_{tag}_{}", std::process::id()));
