@@ -619,18 +619,18 @@ mod tests {
             ],
             [
                 0x5426_b078_ad44_383d,
-                0x5765_7ec1_57de_3187,
+                0x7df9_dce4_299a_6a41,
                 0xb249_956e_8b7f_aa09,
-                0xbb45_22ae_6d97_e8aa,
+                0x8427_bcc8_a768_770f,
                 0x44e2_f8e4_560f_e5fc,
                 0x8f37_c5cb_31b7_71e1,
                 0x44e2_f8e4_560f_e5fc,
             ],
             [
                 0x497d_7d54_0381_7111,
-                0xbe93_9f63_36d8_af4c,
+                0x1aa2_934f_5a9f_12b8,
                 0xf19d_d41b_1778_5b58,
-                0x6881_4e17_1f4c_017f,
+                0x0062_dbcf_0503_1892,
                 0x1dff_23a9_c121_0d21,
                 0x61b6_1e7a_0ce0_a533,
                 0x1dff_23a9_c121_0d21,

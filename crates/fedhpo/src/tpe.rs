@@ -16,6 +16,7 @@ use crate::space::{Dimension, HpConfig, SearchSpace};
 use crate::{HpoError, Result};
 use rand::rngs::StdRng;
 use rand::Rng;
+use rand_distr::{Distribution, StandardNormal};
 
 /// Fraction of observations treated as "good" (the `γ` quantile).
 const GAMMA: f64 = 0.25;
@@ -166,9 +167,7 @@ fn sample_truncated_normal(rng: &mut StdRng, mu: f64, sigma: f64, low: f64, high
     }
     // Rejection sampling with a clamp fallback after a bounded number of tries.
     for _ in 0..32 {
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let z: f64 = StandardNormal.sample(rng);
         let x = mu + sigma * z;
         if x >= low && x <= high {
             return x;

@@ -46,6 +46,9 @@
 //! - [`softmax_xent_backward`] performs, per row, the exact operation
 //!   sequence of [`crate::ops::softmax_inplace`] followed by the label
 //!   subtraction, so fusing is bit-identical to the unfused per-example path.
+//!   Both exponentiate through [`crate::ops::exp`], which is plain IEEE 754
+//!   arithmetic (`mul_add`, multiplies, exponent bits) and calls no libm
+//!   `exp`, so the softmax's bits do not depend on the C library either.
 //! - [`argmax_errors`] reduces nothing in floating point: each row's
 //!   prediction is [`crate::stats::argmax`]'s, first maximum and `NaN`
 //!   handling included.
@@ -111,14 +114,20 @@ const REG_J: usize = 16;
 const REG_I: usize = 4;
 
 /// Output columns per packed `Bᵀ` panel in [`gemm_nt`]: one panel step is 8
-/// contiguous `f64`s (a full AVX-512 register, two AVX2 ones), so each of the
-/// four [`dot`] lanes is a vector accumulator spanning 8 output columns.
+/// contiguous `f64`s (one AVX-512 register, which the build's
+/// `-prefer-256-bit` lets LLVM use, or two AVX2 ones), so each of the four
+/// [`dot`] lanes is a vector accumulator spanning 8 output columns.
 const NT_COLS: usize = 8;
 
 /// Rows of `A` sharing each packed-panel load in [`gemm_nt`]. Two rows × four
-/// lanes × 8 columns is what fits the vector register file at LLVM's default
-/// 256-bit preference; four rows spill.
+/// lanes × 8 columns is 8 AVX-512 or 16 AVX2 accumulators; four rows spill
+/// the 16-register AVX2 file.
 const NT_ROWS: usize = 2;
+
+/// Logit rows per block of [`softmax_xent_backward`]: their `v - max`
+/// values are exponentiated as one flat slice, 320 elements at FEMNIST's 20
+/// classes, instead of one 20-element row (2.5 AVX-512 vectors) at a time.
+const XENT_ROWS: usize = 16;
 
 thread_local! {
     /// Per-thread packing scratch of [`gemm_nt`]: grows to the largest
@@ -629,10 +638,17 @@ pub fn col_sum_add(rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
 /// # Accumulation order
 ///
 /// Per row, the operation sequence is exactly
-/// [`crate::ops::softmax_inplace`] (max by sequential fold, exponentiate and
-/// sum in ascending order, divide) followed by `row[label] -= 1.0`, so the
-/// fused kernel is bit-identical to the unfused per-example path. The loss
-/// terms are summed over rows in ascending order.
+/// [`crate::ops::softmax_inplace`] (max by sequential fold, exponentiate
+/// through [`crate::ops::exp`] and sum in ascending order, divide) followed
+/// by `row[label] -= 1.0`, so the fused kernel is bit-identical to the
+/// unfused per-example path. The loss terms are summed over rows in
+/// ascending order, each as `(max + ln(total)) - label_logit` — the
+/// [`crate::ops::cross_entropy_from_logits`] of the row.
+///
+/// Rows go `XENT_ROWS` at a time: each row's max is subtracted first, then
+/// the whole block is exponentiated as one flat slice, so the exponential
+/// runs at full vector width whatever the row width. `exp` is elementwise,
+/// so blocking moves no bit.
 ///
 /// # Panics
 ///
@@ -649,25 +665,34 @@ pub fn softmax_xent_backward(
         "softmax_xent_backward: shape mismatch"
     );
     let mut total_loss = 0.0;
-    for (r, row) in logits.chunks_exact_mut(cols.max(1)).enumerate() {
-        let label = label_of(r);
-        assert!(label < cols, "softmax_xent_backward: label out of range");
-        let label_logit = row[label];
-        // The exact softmax_inplace sequence: shared max, exp, running sum,
-        // then one divide per element.
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut total = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            total += *v;
+    for (b, block) in logits.chunks_mut(XENT_ROWS * cols.max(1)).enumerate() {
+        // Per row: `(label, label logit, max)`, then `v - max` in place.
+        let mut stats = [(0usize, 0.0f64, 0.0f64); XENT_ROWS];
+        for (i, (row, stat)) in block.chunks_exact_mut(cols).zip(&mut stats).enumerate() {
+            let label = label_of(b * XENT_ROWS + i);
+            assert!(label < cols, "softmax_xent_backward: label out of range");
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            *stat = (label, row[label], max);
+            for v in row.iter_mut() {
+                *v -= max;
+            }
         }
-        for v in row.iter_mut() {
-            *v /= total;
+        for v in block.iter_mut() {
+            *v = crate::ops::exp(*v);
         }
-        row[label] -= 1.0;
-        // Stable cross-entropy from the quantities already on hand:
-        // logsumexp = max + ln(Σ exp(v - max)).
-        total_loss += max + total.ln() - label_logit;
+        for (row, &(label, label_logit, max)) in block.chunks_exact_mut(cols).zip(&stats) {
+            let mut total = 0.0;
+            for &v in row.iter() {
+                total += v;
+            }
+            for v in row.iter_mut() {
+                *v /= total;
+            }
+            row[label] -= 1.0;
+            // Stable cross-entropy from the quantities already on hand:
+            // logsumexp = max + ln(Σ exp(v - max)).
+            total_loss += max + total.ln() - label_logit;
+        }
     }
     total_loss
 }
@@ -1096,6 +1121,36 @@ mod tests {
             }
         }
         assert!((loss - expected_loss).abs() <= 1e-12 * expected_loss.abs().max(1.0));
+    }
+
+    #[test]
+    fn fused_xent_backward_is_bitwise_unfused_at_block_boundaries() {
+        for rows in [
+            1,
+            XENT_ROWS - 1,
+            XENT_ROWS,
+            XENT_ROWS + 1,
+            2 * XENT_ROWS + 1,
+        ] {
+            for cols in [1, 7, 20, 64] {
+                let logits = seq(rows * cols, 3.1);
+                let labels: Vec<usize> = (0..rows).map(|r| (3 * r + 1) % cols).collect();
+                let mut fused = logits.clone();
+                let loss = softmax_xent_backward(&mut fused, rows, cols, |r| labels[r]);
+                let mut want = Vec::with_capacity(rows * cols);
+                let mut want_loss = 0.0;
+                for (row, &label) in logits.chunks(cols).zip(&labels) {
+                    want_loss += crate::ops::cross_entropy_from_logits(row, label).unwrap();
+                    let mut row = row.to_vec();
+                    crate::ops::softmax_inplace(&mut row);
+                    row[label] -= 1.0;
+                    want.extend(row);
+                }
+                let what = format!("{rows}x{cols}");
+                assert_same_bits(&fused, &want, &what);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{what} loss");
+            }
+        }
     }
 
     #[test]
