@@ -386,7 +386,7 @@ mod tests {
             let mut rng = rng_for(7, i);
             estimates.push(noisy_error(&eval, &noise, 16, &mut rng).unwrap());
         }
-        let spread = fedmath::stats::std_dev(&estimates);
+        let spread = fedmath::stats::variance(&estimates).sqrt();
         assert!(
             spread > 0.1,
             "single-client estimates should vary a lot, got {spread}"

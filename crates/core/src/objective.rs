@@ -22,6 +22,7 @@ use crate::Result;
 use feddata::{FederatedDataset, Split};
 use fedhpo::{BudgetLedger, TrialRequest};
 use fedmath::{SeedStream, SeedTree};
+use fedmodels::AnyModel;
 use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
 use fedsim::{TrainingRun, WeightingScheme};
 use serde::{Deserialize, Serialize};
@@ -225,6 +226,13 @@ impl FederatedTrialState {
             ),
         };
         Ok(&self.eval_cache.insert(cached).1)
+    }
+
+    /// The trained model and its memoised full-validation evaluation, or
+    /// `None` before the trial's first evaluation: what a pool keeps of each
+    /// configuration its campaign trained.
+    pub(crate) fn into_trained(self) -> Option<(AnyModel, FederatedEvaluation)> {
+        Some((self.run?.into_model(), self.eval_cache?.1))
     }
 }
 

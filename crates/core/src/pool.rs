@@ -6,20 +6,26 @@
 //! selection many times is what makes the subsampling / heterogeneity /
 //! privacy / proxy analyses tractable: [`TrainedBenchmark::train`] is the one
 //! place an experiment trains a pool, and every RS figure of
-//! [`crate::experiments`] is an analysis over the result. Training and
-//! re-evaluation fan out over configurations through the caller's
-//! [`TrialRunner`].
+//! [`crate::experiments`] is an analysis over the result.
+//!
+//! A pool is trained as a live campaign is: [`ConfigPool::train`] fans out
+//! through [`drive`] on [`BatchFederatedObjective`], not through
+//! [`TrialRunner::run_trials`], which only re-evaluation uses.
 
+use crate::concurrent::ConcurrentSink;
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
 use crate::experiments::SeedChannel;
+use crate::noise::NoiseConfig;
+use crate::objective::BatchFederatedObjective;
 use crate::scale::ExperimentScale;
+use crate::scheduler::{drive, Clock, Drive};
 use crate::{CoreError, Result};
 use feddata::{Benchmark, ClientData, Split};
-use fedhpo::HpConfig;
+use fedhpo::{HpConfig, RandomSearch};
 use fedmath::SeedStream;
 use fedmodels::AnyModel;
-use fedsim::evaluation::{evaluate_clients, evaluate_full, FederatedEvaluation};
+use fedsim::evaluation::{evaluate_clients, FederatedEvaluation};
 use fedsim::WeightingScheme;
 use rand::rngs::StdRng;
 
@@ -47,45 +53,67 @@ pub struct ConfigPool {
 
 impl ConfigPool {
     /// Samples `pool_size` configurations from the context's search space and
-    /// trains each for the scale's per-configuration round budget, one
-    /// `runner` trial per configuration. Sequential and parallel runners
-    /// produce bit-identical pools.
+    /// trains each for the scale's per-configuration round budget: one
+    /// [`RandomSearch`] campaign of `pool_size` trials at
+    /// `rounds_per_config`, driven by [`drive`] under [`Clock::Barrier`] on
+    /// `runner.policy().pool_threads()` threads against a noiseless
+    /// [`BatchFederatedObjective`]. The campaign samples from the first rng
+    /// of `SeedStream::new(seed)` and the objective is seeded by the stream's
+    /// next seed. Each entry is the trial state the campaign parked: the
+    /// model a live campaign on that objective seed trains for the same
+    /// configuration. Every runner produces bit-identical pools.
     ///
     /// # Errors
     ///
-    /// Propagates sampling, training, and evaluation failures.
+    /// Propagates sampling, training, and evaluation failures, and fails on
+    /// a zero `pool_size` or round budget.
     pub fn train(
         runner: &TrialRunner,
         ctx: &BenchmarkContext,
         pool_size: usize,
         seed: u64,
     ) -> Result<Self> {
-        if pool_size == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "pool size must be positive".into(),
-            });
-        }
         let mut seeds = SeedStream::new(seed);
-        let mut sample_rng = seeds.next_rng();
-        let configs = ctx.space().sample_many(pool_size, &mut sample_rng)?;
-        let trial_root = seeds.next_seed();
-        let weighting = WeightingScheme::ByExamples;
-
-        let entries = runner.run_trials(trial_root, pool_size, |trial| {
-            let config = &configs[trial.index()];
-            let mut run = ctx.start_run(config, trial.seed(0), weighting)?;
-            run.run_rounds(ctx.dataset(), ctx.scale().rounds_per_config)?;
-            let evaluation =
-                evaluate_full(run.model(), ctx.dataset(), Split::Validation, weighting)?;
-            let full_error = evaluation.weighted_error()?;
-            Ok(PooledConfig {
-                index: trial.index(),
-                config: config.clone(),
-                model: run.into_model(),
-                evaluation,
-                full_error,
+        let mut rng = seeds.next_rng();
+        let mut campaign = RandomSearch::new(pool_size, ctx.scale().rounds_per_config)?;
+        let mut objective = BatchFederatedObjective::new(
+            ctx,
+            NoiseConfig::noiseless(),
+            pool_size,
+            seeds.next_seed(),
+        )?;
+        let config = Drive {
+            threads: runner.policy().pool_threads(),
+            ..Drive::new(Clock::Barrier)
+        };
+        let run = drive(
+            &mut campaign,
+            ctx.space(),
+            &mut objective,
+            &mut rng,
+            &config,
+        )?;
+        let entries = run
+            .outcome
+            .records()
+            .iter()
+            .map(|record| {
+                let (model, evaluation) = objective
+                    .sink
+                    .take_state(record.trial_id)
+                    .into_trained()
+                    .ok_or_else(|| CoreError::InvalidConfig {
+                        message: format!("pool trial {} was never evaluated", record.trial_id),
+                    })?;
+                Ok(PooledConfig {
+                    index: record.trial_id,
+                    config: record.config.clone(),
+                    model,
+                    full_error: evaluation.weighted_error()?,
+                    evaluation,
+                })
             })
-        })?;
+            .collect::<Result<_>>()?;
         Ok(ConfigPool { entries })
     }
 
@@ -347,6 +375,64 @@ mod tests {
             Err(CoreError::InvalidConfig { .. })
         ));
         assert!(TrainedBenchmark::find(&set[..1], Benchmark::RedditLike).is_err());
+    }
+
+    #[test]
+    fn a_pooled_configuration_is_the_live_objectives_model() {
+        use crate::concurrent::ConcurrentEval;
+        use crate::objective::FederatedTrialState;
+        use fedhpo::TrialRequest;
+        use fedmodels::Model;
+
+        let ctx = smoke_context();
+        let (pool_size, seed) = (3, 5);
+        let pool = train(&ctx, pool_size, seed).unwrap();
+        // The configuration draws did not move: the campaign's rng is the
+        // first of the seed's stream, as `sample_many`'s was.
+        let mut seeds = SeedStream::new(seed);
+        let configs = ctx
+            .space()
+            .sample_many(pool_size, &mut seeds.next_rng())
+            .unwrap();
+        let pooled: Vec<&HpConfig> = pool.entries().iter().map(|e| &e.config).collect();
+        assert_eq!(pooled, configs.iter().collect::<Vec<_>>());
+        // Each entry is bitwise what a noiseless live objective on the same
+        // objective seed trains and validates for that configuration.
+        let live = BatchFederatedObjective::new(
+            &ctx,
+            NoiseConfig::noiseless(),
+            pool_size,
+            seeds.next_seed(),
+        )
+        .unwrap();
+        let bits = |evaluation: &FederatedEvaluation| -> Vec<(usize, u64, usize)> {
+            evaluation
+                .per_client()
+                .iter()
+                .map(|c| (c.client_index, c.error_rate.to_bits(), c.num_examples))
+                .collect()
+        };
+        for (entry, config) in pool.entries().iter().zip(&configs) {
+            let request = TrialRequest {
+                trial_id: 0,
+                config: config.clone(),
+                resource: ctx.scale().rounds_per_config,
+                noise_rep: 0,
+            };
+            let mut state = FederatedTrialState::default();
+            let output = live.eval.evaluate(&mut state, &request).unwrap();
+            let (model, evaluation) = state.into_trained().unwrap();
+            assert_eq!(
+                bits(&entry.evaluation),
+                bits(&evaluation),
+                "{}",
+                entry.index
+            );
+            assert_eq!(entry.full_error.to_bits(), output.true_error.to_bits());
+            let params =
+                |m: &AnyModel| -> Vec<u64> { m.params().iter().map(|p| p.to_bits()).collect() };
+            assert_eq!(params(&entry.model), params(&model), "{}", entry.index);
+        }
     }
 
     #[test]

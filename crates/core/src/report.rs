@@ -137,17 +137,6 @@ impl ExperimentReport {
         }
         out
     }
-
-    /// Serialises the report as pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialisation fails (it cannot for these types).
-    pub fn to_json(&self) -> crate::Result<String> {
-        serde_json::to_string_pretty(self).map_err(|e| crate::CoreError::InvalidConfig {
-            message: format!("failed to serialise report: {e}"),
-        })
-    }
 }
 
 /// Formats a subsample rate as the paper's x-axis labels do:
@@ -188,7 +177,7 @@ mod tests {
         assert!(table.contains("cifar10-like"));
         assert!(table.contains("1% (1)"));
         assert!(table.contains("note: smoke scale"));
-        let json = report.to_json().unwrap();
+        let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("\"id\": \"fig3\""));
     }
 

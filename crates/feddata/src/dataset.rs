@@ -220,33 +220,9 @@ impl FederatedDataset {
         })
     }
 
-    /// Total number of examples in the given pool.
-    pub fn total_examples(&self, split: Split) -> usize {
-        self.clients(split).iter().map(|c| c.num_examples()).sum()
-    }
-
     /// Summary statistics in the format of Table 1/2 of the paper.
     pub fn statistics(&self) -> DatasetStatistics {
         DatasetStatistics::from_dataset(self)
-    }
-
-    /// Returns a copy of the dataset with the validation pool replaced.
-    ///
-    /// Used by the heterogeneity experiments, which repartition only the
-    /// evaluation clients and leave the training pool untouched (§3.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidSpec`] if `val_clients` is empty.
-    pub fn with_validation_pool(&self, val_clients: Vec<ClientData>) -> Result<Self> {
-        if val_clients.is_empty() {
-            return Err(DataError::InvalidSpec {
-                message: "validation pool must be non-empty".into(),
-            });
-        }
-        let mut out = self.clone();
-        *out.clients_mut(Split::Validation) = val_clients;
-        Ok(out)
     }
 
     /// Global label histogram over a pool (length `num_classes`).
@@ -339,8 +315,10 @@ mod tests {
         assert_eq!(d.num_train_clients(), 2);
         assert_eq!(d.num_val_clients(), 3);
         assert_eq!(d.num_clients(Split::Train), 2);
-        assert_eq!(d.total_examples(Split::Train), 10);
-        assert_eq!(d.total_examples(Split::Validation), 10);
+        for split in [Split::Train, Split::Validation] {
+            let examples: usize = d.clients(split).iter().map(|c| c.num_examples()).sum();
+            assert_eq!(examples, 10);
+        }
     }
 
     #[test]
@@ -351,16 +329,6 @@ mod tests {
             d.client(Split::Validation, 3),
             Err(DataError::ClientOutOfRange { index: 3, len: 3 })
         ));
-    }
-
-    #[test]
-    fn with_validation_pool_swaps_only_val() {
-        let d = tiny_dataset();
-        let new_val = vec![ClientData::new(0, vec![Example::dense(vec![0.0, 0.0], 1)])];
-        let d2 = d.with_validation_pool(new_val).unwrap();
-        assert_eq!(d2.num_val_clients(), 1);
-        assert_eq!(d2.num_train_clients(), 2);
-        assert!(d.with_validation_pool(vec![]).is_err());
     }
 
     #[test]
@@ -399,8 +367,8 @@ mod tests {
             .examples_mut()
             .push(Example::token(0, 0));
         assert!(d.packed(Split::Validation).is_none());
-        let swapped = d.with_validation_pool(tiny_dataset().val_clients).unwrap();
-        assert!(swapped.packed(Split::Validation).is_some());
+        *d.clients_mut(Split::Validation) = tiny_dataset().val_clients;
+        assert!(d.packed(Split::Validation).is_some());
     }
 
     #[test]

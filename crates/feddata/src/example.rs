@@ -44,24 +44,6 @@ pub enum Input {
     Token(usize),
 }
 
-impl Input {
-    /// Dimensionality of a dense input, or `None` for token inputs.
-    pub fn dense_dim(&self) -> Option<usize> {
-        match self {
-            Input::Dense(v) => Some(v.len()),
-            Input::Token(_) => None,
-        }
-    }
-
-    /// The token id of a token input, or `None` for dense inputs.
-    pub fn token_id(&self) -> Option<usize> {
-        match self {
-            Input::Dense(_) => None,
-            Input::Token(t) => Some(*t),
-        }
-    }
-}
-
 /// A single supervised example: an input and an integer label.
 ///
 /// For the classification family the label is the class index; for the
@@ -108,8 +90,7 @@ mod tests {
     fn dense_example_accessors() {
         let e = Example::dense(vec![1.0, 2.0, 3.0], 4);
         assert_eq!(e.label, 4);
-        assert_eq!(e.input.dense_dim(), Some(3));
-        assert_eq!(e.input.token_id(), None);
+        assert_eq!(e.input, Input::Dense(vec![1.0, 2.0, 3.0]));
         assert_eq!(e.task(), Task::DenseClassification);
     }
 
@@ -117,8 +98,7 @@ mod tests {
     fn token_example_accessors() {
         let e = Example::token(7, 9);
         assert_eq!(e.label, 9);
-        assert_eq!(e.input.token_id(), Some(7));
-        assert_eq!(e.input.dense_dim(), None);
+        assert_eq!(e.input, Input::Token(7));
         assert_eq!(e.task(), Task::NextTokenPrediction);
     }
 

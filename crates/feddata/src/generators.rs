@@ -467,7 +467,7 @@ mod tests {
         for (c, &s) in clients.iter().zip(sizes.iter()) {
             assert_eq!(c.num_examples(), s);
             for e in c.examples() {
-                assert_eq!(e.input.dense_dim(), Some(8));
+                assert!(matches!(&e.input, Input::Dense(v) if v.len() == 8));
                 assert!(e.label < 5);
             }
         }
@@ -528,8 +528,7 @@ mod tests {
         assert_eq!(clients.len(), 2);
         for c in &clients {
             for e in c.examples() {
-                let context = e.input.token_id().expect("token input");
-                assert!(context < 16);
+                assert!(matches!(e.input, Input::Token(context) if context < 16));
                 assert!(e.label < 16);
             }
         }

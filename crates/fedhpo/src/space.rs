@@ -75,11 +75,6 @@ impl Dimension {
         }
     }
 
-    /// Returns `true` for dimensions that are actually searched (not fixed).
-    pub fn is_searchable(&self) -> bool {
-        !matches!(self, Dimension::Fixed { .. })
-    }
-
     /// The canonical bit-level representative of `value` within this
     /// dimension, or `None` if the value is non-finite or outside the
     /// dimension.
@@ -553,8 +548,6 @@ mod tests {
         assert!(!c.contains(33.0));
         assert!(!f.contains(0.4));
         assert!(f.contains(0.5));
-        assert!(u.is_searchable());
-        assert!(!f.is_searchable());
     }
 
     #[test]

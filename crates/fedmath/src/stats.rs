@@ -27,11 +27,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation of `values`.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Weighted mean `sum(w_k * v_k) / sum(w_k)`.
 ///
 /// This is exactly the federated evaluation objective of Eq. 2 in the paper
@@ -201,11 +196,6 @@ impl QuartileSummary {
             count: values.len(),
         })
     }
-
-    /// Interquartile range (`upper - lower`).
-    pub fn iqr(&self) -> f64 {
-        self.upper - self.lower
-    }
 }
 
 /// Running summary of scalar observations (count / mean / min / max), used by
@@ -373,7 +363,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(variance(&[1.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -428,7 +417,6 @@ mod tests {
         assert_eq!(s.median, 3.0);
         assert_eq!(s.lower, 2.0);
         assert_eq!(s.upper, 4.0);
-        assert_eq!(s.iqr(), 2.0);
         assert_eq!(s.count, 5);
         assert!(QuartileSummary::from_values(&[]).is_err());
     }

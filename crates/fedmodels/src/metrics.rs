@@ -18,34 +18,6 @@ impl EvalMetrics {
     pub fn accuracy(&self) -> f64 {
         1.0 - self.error_rate
     }
-
-    /// Error rate as a percentage in `[0, 100]`, the unit used by every
-    /// figure of the paper.
-    pub fn error_percent(&self) -> f64 {
-        self.error_rate * 100.0
-    }
-
-    /// Combines per-client metrics into an example-weighted aggregate.
-    ///
-    /// Returns `None` if `metrics` is empty or contains no examples.
-    pub fn weighted_aggregate(metrics: &[EvalMetrics]) -> Option<EvalMetrics> {
-        let total: usize = metrics.iter().map(|m| m.num_examples).sum();
-        if total == 0 {
-            return None;
-        }
-        let mut loss = 0.0;
-        let mut error = 0.0;
-        for m in metrics {
-            let w = m.num_examples as f64 / total as f64;
-            loss += w * m.loss;
-            error += w * m.error_rate;
-        }
-        Some(EvalMetrics {
-            loss,
-            error_rate: error,
-            num_examples: total,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -53,42 +25,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accuracy_and_percent() {
+    fn accuracy() {
         let m = EvalMetrics {
             loss: 1.0,
             error_rate: 0.25,
             num_examples: 4,
         };
         assert_eq!(m.accuracy(), 0.75);
-        assert_eq!(m.error_percent(), 25.0);
-    }
-
-    #[test]
-    fn weighted_aggregate_weights_by_examples() {
-        let a = EvalMetrics {
-            loss: 1.0,
-            error_rate: 0.0,
-            num_examples: 1,
-        };
-        let b = EvalMetrics {
-            loss: 2.0,
-            error_rate: 1.0,
-            num_examples: 3,
-        };
-        let agg = EvalMetrics::weighted_aggregate(&[a, b]).unwrap();
-        assert_eq!(agg.num_examples, 4);
-        assert!((agg.error_rate - 0.75).abs() < 1e-12);
-        assert!((agg.loss - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_aggregate_empty_is_none() {
-        assert!(EvalMetrics::weighted_aggregate(&[]).is_none());
-        let zero = EvalMetrics {
-            loss: 0.0,
-            error_rate: 0.0,
-            num_examples: 0,
-        };
-        assert!(EvalMetrics::weighted_aggregate(&[zero]).is_none());
     }
 }

@@ -307,7 +307,7 @@ mod tests {
                 .unwrap();
         let client = population.materialize(42).unwrap();
         for e in client.examples() {
-            assert!(e.input.token_id().expect("token input") < 48);
+            assert!(matches!(e.input, feddata::Input::Token(context) if context < 48));
             assert!(e.label < 48);
         }
     }

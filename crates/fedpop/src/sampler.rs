@@ -225,8 +225,10 @@ mod tests {
 
     #[test]
     fn available_sampler_respects_the_window() {
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 5_000)
-            .with_availability(AvailabilityModel::diurnal(0.4));
+        let spec = PopulationSpec {
+            availability: AvailabilityModel::diurnal(0.4),
+            ..PopulationSpec::benchmark(Benchmark::Cifar10Like, 5_000)
+        };
         let population = SyntheticPopulation::new(spec, 2).unwrap();
         let mut rng = rng_for(2, 0);
         let sim_time = 30_000.0;

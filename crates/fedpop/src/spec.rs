@@ -79,16 +79,6 @@ impl AvailabilityModel {
         }
     }
 
-    /// The expected fraction of the population reachable at any instant.
-    pub fn expected_coverage(&self) -> f64 {
-        match *self {
-            AvailabilityModel::Always => 1.0,
-            AvailabilityModel::Diurnal {
-                window_fraction, ..
-            } => window_fraction,
-        }
-    }
-
     /// Whether client `id` is reachable at simulated time `sim_time`, given
     /// the population's availability seed tree. Pure in `(tree, id,
     /// sim_time)`; negative or non-finite times count as "campaign start"
@@ -145,13 +135,6 @@ impl PopulationSpec {
             task: dataset.task,
             availability: AvailabilityModel::Always,
         }
-    }
-
-    /// Replaces the availability model.
-    #[must_use]
-    pub fn with_availability(mut self, availability: AvailabilityModel) -> Self {
-        self.availability = availability;
-        self
     }
 
     /// Validates every component of the spec.
@@ -220,19 +203,18 @@ mod tests {
         let mut spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 10);
         spec.client_sizes = ClientSizes::Uniform { low: 5, high: 3 };
         assert!(spec.validate().is_err());
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 10).with_availability(
+        for availability in [
             AvailabilityModel::Diurnal {
                 day_seconds: 0.0,
                 window_fraction: 0.5,
             },
-        );
-        assert!(spec.validate().is_err());
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 10)
-            .with_availability(AvailabilityModel::diurnal(0.0));
-        assert!(spec.validate().is_err());
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 10)
-            .with_availability(AvailabilityModel::diurnal(1.5));
-        assert!(spec.validate().is_err());
+            AvailabilityModel::diurnal(0.0),
+            AvailabilityModel::diurnal(1.5),
+        ] {
+            let mut spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 10);
+            spec.availability = availability;
+            assert!(spec.validate().is_err());
+        }
     }
 
     #[test]
@@ -270,8 +252,6 @@ mod tests {
             (fraction - 0.3).abs() < 0.05,
             "expected ~30% available, got {fraction}"
         );
-        assert_eq!(model.expected_coverage(), 0.3);
-        assert_eq!(AvailabilityModel::Always.expected_coverage(), 1.0);
         assert!(AvailabilityModel::Always.available(&tree, 0, 0.0));
     }
 }

@@ -193,8 +193,10 @@ mod tests {
     fn diurnal_campaign_tolerates_empty_rounds() {
         // A razor-thin availability window: some rounds find nobody, and the
         // campaign keeps going as no-op rounds.
-        let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 64)
-            .with_availability(AvailabilityModel::diurnal(0.02));
+        let spec = PopulationSpec {
+            availability: AvailabilityModel::diurnal(0.02),
+            ..PopulationSpec::benchmark(Benchmark::Cifar10Like, 64)
+        };
         let population = SyntheticPopulation::new(spec, 5).unwrap();
         let cache = ClientCache::new(4);
         let source = CachedPopulation::new(&population, &cache);

@@ -172,16 +172,6 @@ impl DrrState {
         self.global_in_flight
     }
 
-    /// Admitted dispatches of one member right now.
-    pub fn member_in_flight(&self, id: u64) -> usize {
-        self.members.get(&id).map_or(0, |m| m.in_flight)
-    }
-
-    /// Queued (not yet admitted) dispatches of one member.
-    pub fn member_queued(&self, id: u64) -> usize {
-        self.members.get(&id).map_or(0, |m| m.queue.len())
-    }
-
     /// Runs DRR passes until no further grant is possible, returning the
     /// granted `(member, ticket)` pairs in admission order.
     ///
@@ -489,8 +479,8 @@ mod tests {
         // In-flight cap: plenty of deficit and global room, two grants only.
         let grants = drr.pump();
         assert_eq!(grants.len(), 2);
-        assert_eq!(drr.member_in_flight(member), 2);
-        assert_eq!(drr.member_queued(member), 1);
+        assert_eq!(drr.members[&member].in_flight, 2);
+        assert_eq!(drr.members[&member].queue.len(), 1);
         // No progress without a release, then exactly one more.
         assert!(drr.pump().is_empty());
         drr.release(member);

@@ -410,7 +410,7 @@ mod tests {
             .unwrap();
             estimates.push(sub);
         }
-        let spread = fedmath::stats::std_dev(&estimates);
+        let spread = fedmath::stats::variance(&estimates).sqrt();
         assert!(spread > 0.0, "single-client estimates should vary");
         let mean_est = fedmath::stats::mean(&estimates);
         assert!(

@@ -85,16 +85,6 @@ impl Default for TrainerConfig {
 }
 
 impl TrainerConfig {
-    /// Creates a configuration with the given hyperparameters and the
-    /// paper's defaults for everything else (10 clients per round,
-    /// example-weighted aggregation).
-    pub fn with_hyperparams(hyperparams: FederatedHyperparams) -> Self {
-        TrainerConfig {
-            hyperparams,
-            ..Default::default()
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -435,6 +425,14 @@ mod tests {
             .unwrap()
     }
 
+    fn trainer_with(hyperparams: FederatedHyperparams) -> FederatedTrainer {
+        FederatedTrainer::new(TrainerConfig {
+            hyperparams,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
     fn good_hyperparams() -> FederatedHyperparams {
         FederatedHyperparams {
             server: FedAdamConfig {
@@ -471,8 +469,7 @@ mod tests {
     #[test]
     fn training_reduces_full_validation_error() {
         let dataset = smoke_dataset(Benchmark::Cifar10Like);
-        let trainer =
-            FederatedTrainer::new(TrainerConfig::with_hyperparams(good_hyperparams())).unwrap();
+        let trainer = trainer_with(good_hyperparams());
         let run0 = trainer
             .start(&dataset, ModelSpec::Mlp { hidden_dim: 16 }, 3)
             .unwrap();
@@ -508,8 +505,7 @@ mod tests {
     #[test]
     fn training_works_on_language_datasets() {
         let dataset = smoke_dataset(Benchmark::StackOverflowLike);
-        let trainer =
-            FederatedTrainer::new(TrainerConfig::with_hyperparams(good_hyperparams())).unwrap();
+        let trainer = trainer_with(good_hyperparams());
         let spec = ModelSpec::for_dataset(&dataset);
         let run = trainer.train(&dataset, spec, 10, 1).unwrap();
         let eval = evaluate_full(
@@ -526,8 +522,7 @@ mod tests {
     #[test]
     fn incremental_training_matches_one_shot() {
         let dataset = smoke_dataset(Benchmark::FemnistLike);
-        let trainer =
-            FederatedTrainer::new(TrainerConfig::with_hyperparams(good_hyperparams())).unwrap();
+        let trainer = trainer_with(good_hyperparams());
         let spec = ModelSpec::Mlp { hidden_dim: 8 };
 
         let one_shot = trainer.train(&dataset, spec, 6, 11).unwrap();
@@ -543,8 +538,7 @@ mod tests {
     #[test]
     fn training_is_deterministic_in_the_seed() {
         let dataset = smoke_dataset(Benchmark::Cifar10Like);
-        let trainer =
-            FederatedTrainer::new(TrainerConfig::with_hyperparams(good_hyperparams())).unwrap();
+        let trainer = trainer_with(good_hyperparams());
         let spec = ModelSpec::Softmax;
         let a = trainer.train(&dataset, spec, 5, 42).unwrap();
         let b = trainer.train(&dataset, spec, 5, 42).unwrap();
@@ -559,7 +553,7 @@ mod tests {
         let mut hp = good_hyperparams();
         hp.client.learning_rate = 1e3;
         hp.server.learning_rate = 0.1;
-        let trainer = FederatedTrainer::new(TrainerConfig::with_hyperparams(hp)).unwrap();
+        let trainer = trainer_with(hp);
         let run = trainer
             .train(&dataset, ModelSpec::Mlp { hidden_dim: 8 }, 10, 0)
             .unwrap();
@@ -579,8 +573,7 @@ mod tests {
     #[test]
     fn into_model_returns_trained_model() {
         let dataset = smoke_dataset(Benchmark::Cifar10Like);
-        let trainer =
-            FederatedTrainer::new(TrainerConfig::with_hyperparams(good_hyperparams())).unwrap();
+        let trainer = trainer_with(good_hyperparams());
         let run = trainer.train(&dataset, ModelSpec::Softmax, 2, 0).unwrap();
         let params_before = run.model().params();
         let model = run.into_model();

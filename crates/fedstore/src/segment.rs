@@ -101,7 +101,7 @@ impl Durability {
     /// Whether the policy wants a sync now, given records appended since the
     /// last sync. Called once per insert *batch*, so `insert_many` amortizes
     /// one sync over the whole batch even under [`Durability::PerInsert`].
-    pub fn wants_sync(&self, unsynced: u64) -> bool {
+    fn wants_sync(&self, unsynced: u64) -> bool {
         match self {
             Durability::PerInsert => unsynced > 0,
             Durability::EveryN(n) => unsynced >= *n,

@@ -46,7 +46,11 @@ fn a_packed_pass_gathers_nothing_and_costs_the_same_flops() {
     assert_eq!(rows, 0, "the packed pass must not gather");
     assert_eq!((passes, flops), (1, 0));
     assert!(eval_flops > 0);
-    let total_examples = dataset.total_examples(split) as u64;
+    let total_examples: u64 = dataset
+        .clients(split)
+        .iter()
+        .map(|c| c.num_examples() as u64)
+        .sum();
     assert_eq!(
         delta(after_packed, after_gathered),
         [total_examples, 1, 0, eval_flops]

@@ -126,8 +126,10 @@ fn sparse_ids_materialize_without_neighbours() {
 
 #[test]
 fn diurnal_windows_shift_cohorts_with_simulated_time() {
-    let spec = PopulationSpec::benchmark(Benchmark::Cifar10Like, 50_000)
-        .with_availability(AvailabilityModel::diurnal(0.35));
+    let spec = PopulationSpec {
+        availability: AvailabilityModel::diurnal(0.35),
+        ..PopulationSpec::benchmark(Benchmark::Cifar10Like, 50_000)
+    };
     let population = SyntheticPopulation::new(spec, 21).unwrap();
     // The same RNG state at two times half a day apart selects different
     // (but valid) cohorts: the window moved across the population.
