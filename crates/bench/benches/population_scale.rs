@@ -39,7 +39,7 @@ fn print_summary(population: &SyntheticPopulation) {
     // Cold materialization: distinct ids, nothing cached.
     let probe = 4_000usize;
     let mut rng = fedmath::rng::rng_for(1, 0);
-    let ids = fedmath::rng::sample_ids_without_replacement(&mut rng, POPULATION, probe)
+    let ids = fedmath::rng::sample_without_replacement(&mut rng, POPULATION, probe)
         .expect("probe sample");
     let start = Instant::now();
     let mut examples = 0usize;

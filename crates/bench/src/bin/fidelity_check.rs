@@ -1,8 +1,8 @@
 //! CI science gate: draws, for every seed of the committed `FIDELITY.json`,
 //! the figures its rows name (one `FigureInputs` per seed, at `default`
-//! scale), then prints each row's measured effect beside its floor and
-//! exits 1 when a `reproduced` row no longer holds or a row's series is
-//! gone. Takes no arguments.
+//! scale), prints the seconds each figure took per seed, then each row's
+//! measured effect beside its floor, and exits 1 when a `reproduced` row no
+//! longer holds or a row's series is gone. Takes no arguments.
 //!
 //! ```text
 //! cargo run --release -p fedbench --bin fidelity_check
@@ -14,7 +14,6 @@
 use fedbench::fidelity::{draw, Scorecard};
 use fedtune_core::{ExperimentScale, TrialRunner};
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn run() -> Result<bool, String> {
     let card = Scorecard::committed()?;
@@ -31,9 +30,13 @@ fn run() -> Result<bool, String> {
         .seeds
         .iter()
         .map(|&seed| {
-            let start = Instant::now();
-            let drawn = draw(&ids, &runner, &scale, seed)?;
-            println!("seed {seed}: {:.1} s", start.elapsed().as_secs_f64());
+            let (drawn, seconds) = draw(&ids, &runner, &scale, seed)?;
+            let total: f64 = seconds.iter().map(|(_, s)| s).sum();
+            let figures: Vec<String> = seconds
+                .iter()
+                .map(|(id, s)| format!("{id} {s:.1}"))
+                .collect();
+            println!("seed {seed}: {total:.1} s ({})", figures.join(", "));
             Ok(drawn)
         })
         .collect::<Result<Vec<_>, String>>()?;

@@ -24,6 +24,7 @@ use fedtune_core::experiments::figures::{self, FigureInputs, FIGURES};
 use fedtune_core::{ExperimentReport, ExperimentScale, TrialRunner};
 use serde::{Deserialize, Value};
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// Where the committed scorecard lives.
 const FIDELITY_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FIDELITY.json");
@@ -373,7 +374,7 @@ impl Scorecard {
 }
 
 /// Draws, from one `FigureInputs` at `scale` and `seed`, every figure `ids`
-/// names.
+/// names, and the wall seconds each figure took, in `ids` order.
 ///
 /// # Errors
 ///
@@ -383,13 +384,16 @@ pub fn draw(
     runner: &TrialRunner,
     scale: &ExperimentScale,
     seed: u64,
-) -> Result<Drawn, String> {
+) -> Result<(Drawn, Vec<(String, f64)>), String> {
     let inputs = FigureInputs::new(runner, scale, seed);
-    ids.iter()
-        .map(|&id| {
-            let figure = figures::find(id).ok_or_else(|| format!("no figure {id:?}"))?;
-            let reports = (figure.draw)(&inputs).map_err(|e| format!("{id}: {e}"))?;
-            Ok((id.to_string(), reports))
-        })
-        .collect()
+    let mut drawn = Drawn::new();
+    let mut seconds = Vec::with_capacity(ids.len());
+    for &id in ids {
+        let figure = figures::find(id).ok_or_else(|| format!("no figure {id:?}"))?;
+        let start = Instant::now();
+        let reports = (figure.draw)(&inputs).map_err(|e| format!("{id}: {e}"))?;
+        seconds.push((id.to_string(), start.elapsed().as_secs_f64()));
+        drawn.insert(id.to_string(), reports);
+    }
+    Ok((drawn, seconds))
 }

@@ -166,7 +166,11 @@ pub fn simulated_rs_trajectory(
             });
         }
     }
-    let subset = fedmath::rng::sample_without_replacement(rng, pool.len(), k.min(pool.len()))?;
+    let subset: Vec<usize> =
+        fedmath::rng::sample_without_replacement(rng, pool.len() as u64, k.min(pool.len()))?
+            .into_iter()
+            .map(|idx| idx as usize)
+            .collect();
     let entries = pool.entries();
     let observed = subset
         .iter()

@@ -145,7 +145,9 @@ pub struct PopulationSweep {
     pub true_errors: Vec<f64>,
     /// One point per cohort size, in grid order.
     pub points: Vec<PopulationNoisePoint>,
-    /// Client-cache hit rate over the population's whole campaign.
+    /// Client-cache hit rate over the population's whole campaign. This
+    /// and the three cache counts below depend on how the runner's threads
+    /// interleave over the shared cache, so no report renders them.
     pub cache_hit_rate: f64,
     /// Peak clients resident in the cache during the campaign.
     pub cache_peak_resident: usize,
@@ -192,13 +194,6 @@ impl PopulationNoiseResult {
                 };
                 report.push_group(curve("spearman", |p| p.spearman));
                 report.push_group(curve("noise variance", |p| p.noise_variance));
-                report.push_note(format!(
-                    "cache hit rate {:.1}%, {} clients materialized ({} recycled, peak resident {})",
-                    sweep.cache_hit_rate * 100.0,
-                    sweep.clients_materialized,
-                    sweep.clients_recycled,
-                    sweep.cache_peak_resident,
-                ));
                 report
             })
             .collect()

@@ -10,7 +10,7 @@
 use crate::{invalid, CoreError, Result};
 use fedsim::evaluation::FederatedEvaluation;
 use fedsim::sampling::clients_for_rate;
-use fedsim::{BiasedSampler, ClientSampler, WeightingScheme};
+use fedsim::{CohortSampler, WeightingScheme};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -220,17 +220,19 @@ pub fn noisy_error(
     let sample_size = clients_for_rate(population, noise.subsample_rate)?;
 
     // 1. Select which clients report their error. Only a biased selection
-    // reads the client accuracies; an unbiased one samples uniformly.
-    let selected: Vec<usize> = if sample_size == population {
-        (0..population).collect()
+    // reads the client accuracies; an unbiased one samples uniformly, and
+    // the whole pool draws nothing.
+    let selected: Vec<u64> = if sample_size == population {
+        (0..population as u64).collect()
     } else {
-        let accuracies = (noise.systems_bias > 0.0).then(|| full_evaluation.client_accuracies());
-        BiasedSampler::new(noise.systems_bias)?.sample(
-            rng,
-            population,
-            sample_size,
-            accuracies.as_deref(),
-        )?
+        let sampler = if noise.systems_bias > 0.0 {
+            CohortSampler::Biased {
+                bias: noise.systems_bias,
+            }
+        } else {
+            CohortSampler::Uniform
+        };
+        sampler.sample(full_evaluation, rng, sample_size, 0.0)?
     };
 
     // 2. Aggregate the sampled per-client errors.
@@ -238,7 +240,7 @@ pub fn noisy_error(
     let mut errors = Vec::with_capacity(selected.len());
     let mut weights = Vec::with_capacity(selected.len());
     for &idx in &selected {
-        let c = &per_client[idx];
+        let c = &per_client[idx as usize];
         errors.push(c.error_rate);
         weights.push(noise.weighting.weight(c.num_examples));
     }

@@ -587,9 +587,15 @@ mod proptests {
                 .collect();
             let forward: Vec<usize> = (0..num_configs).collect();
             let mut shuffle_rng = rng_for(seed, 1);
-            let shuffled =
-                fedmath::rng::sample_without_replacement(&mut shuffle_rng, num_configs, num_configs)
-                    .unwrap();
+            let shuffled: Vec<usize> = fedmath::rng::sample_without_replacement(
+                &mut shuffle_rng,
+                num_configs as u64,
+                num_configs,
+            )
+            .unwrap()
+            .into_iter()
+            .map(|i| i as usize)
+            .collect();
             let a = promotions_for(&forward, &scores, asha.clone());
             let b = promotions_for(&shuffled, &scores, asha);
             prop_assert_eq!(&a, &b);

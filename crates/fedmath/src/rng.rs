@@ -13,8 +13,9 @@
 
 use crate::{MathError, Result};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Derives independent child seeds (and RNGs) from a root seed.
 ///
@@ -157,55 +158,24 @@ pub fn rng_for(root: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed(root, index))
 }
 
-/// Samples `count` distinct indices uniformly at random from `0..population`,
-/// without replacement (Algorithm 2's client-selection step).
+/// Samples `count` distinct ids uniformly at random from `0..population`,
+/// without replacement (Algorithm 2's client-selection step), in O(count)
+/// time and memory whatever the population size.
 ///
-/// The returned indices are in random order.
+/// This is a partial Fisher–Yates shuffle of the virtual array
+/// `0..population`: step `i` swaps position `i` with a uniform position
+/// `j ∈ [i, population)` and emits what `j` held. Only displaced positions
+/// are stored, so a cohort of a million-client population costs as much as
+/// one of a few thousand. The ids come out in random order; the draws are
+/// exactly those of shuffling a dense index vector (`count` calls of
+/// `gen_range(i..population)`), so the output and the RNG state after it
+/// match the dense shuffle bit for bit.
 ///
 /// # Errors
 ///
 /// Returns [`MathError::InvalidArgument`] if `count > population` or
 /// `count == 0`.
 pub fn sample_without_replacement(
-    rng: &mut impl Rng,
-    population: usize,
-    count: usize,
-) -> Result<Vec<usize>> {
-    if count == 0 {
-        return Err(MathError::InvalidArgument {
-            message: "cannot sample 0 elements".into(),
-        });
-    }
-    if count > population {
-        return Err(MathError::InvalidArgument {
-            message: format!("cannot sample {count} from population of {population}"),
-        });
-    }
-    // For small sample fractions a partial Fisher-Yates over an index vector
-    // is both simple and O(population); population sizes here are at most a
-    // few tens of thousands of clients so this is never a bottleneck.
-    let mut indices: Vec<usize> = (0..population).collect();
-    let (sampled, _) = indices.partial_shuffle(rng, count);
-    Ok(sampled.to_vec())
-}
-
-/// Samples `count` distinct ids uniformly at random from `0..population`
-/// without replacement in **O(count)** time and memory, independent of the
-/// population size.
-///
-/// Where [`sample_without_replacement`] shuffles an index vector (O(population),
-/// fine for a few thousand clients), this uses Robert Floyd's algorithm so a
-/// cohort can be drawn from a population of millions of virtual clients
-/// without ever allocating population-sized state. The returned ids are in
-/// the order Floyd's algorithm emits them — deterministic in the RNG, but not
-/// uniform over permutations; callers that need a random *order* should
-/// shuffle the result.
-///
-/// # Errors
-///
-/// Returns [`MathError::InvalidArgument`] if `count == 0` or
-/// `count > population`.
-pub fn sample_ids_without_replacement(
     rng: &mut impl Rng,
     population: u64,
     count: usize,
@@ -220,21 +190,40 @@ pub fn sample_ids_without_replacement(
             message: format!("cannot sample {count} from population of {population}"),
         });
     }
-    // Floyd's algorithm: for j = population - count .. population, draw
-    // t ∈ [0, j]; insert t unless already chosen, else insert j. Every
-    // count-subset is equally likely and exactly `count` draws are consumed.
-    let mut chosen: std::collections::HashSet<u64> =
-        std::collections::HashSet::with_capacity(count);
+    // What each displaced position holds now; a position not in the map
+    // still holds its own id.
+    let mut displaced: HashMap<u64, u64, BuildHasherDefault<IdHasher>> =
+        HashMap::with_capacity_and_hasher(count, Default::default());
     let mut out = Vec::with_capacity(count);
-    for j in (population - count as u64)..population {
-        let t = rng.gen_range(0..=j);
-        let id = if chosen.insert(t) { t } else { j };
-        if id != t {
-            chosen.insert(id);
-        }
-        out.push(id);
+    for i in 0..count as u64 {
+        let j = rng.gen_range(i..population);
+        let at_i = displaced.get(&i).copied().unwrap_or(i);
+        out.push(displaced.insert(j, at_i).unwrap_or(j));
     }
     Ok(out)
+}
+
+/// A multiplicative hasher for the `u64` positions of
+/// [`sample_without_replacement`]: std's SipHash would double the draw's
+/// cost, and the keys are uniform draws, not attacker input.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 /// Samples `count` distinct indices without replacement with probability
@@ -410,16 +399,21 @@ mod tests {
         let mut rng = rng_for(0, 0);
         let s = sample_without_replacement(&mut rng, 100, 30).unwrap();
         assert_eq!(s.len(), 30);
-        let unique: HashSet<usize> = s.iter().copied().collect();
+        let unique: HashSet<u64> = s.iter().copied().collect();
         assert_eq!(unique.len(), 30);
         assert!(s.iter().all(|&i| i < 100));
+        // A population far too large to enumerate: memory stays O(count).
+        let s = sample_without_replacement(&mut rng, 1_000_000_000_000, 64).unwrap();
+        let unique: HashSet<u64> = s.iter().copied().collect();
+        assert_eq!(unique.len(), 64);
+        assert!(s.iter().all(|&i| i < 1_000_000_000_000));
     }
 
     #[test]
     fn sample_without_replacement_full_population() {
         let mut rng = rng_for(0, 1);
         let s = sample_without_replacement(&mut rng, 10, 10).unwrap();
-        let unique: HashSet<usize> = s.iter().copied().collect();
+        let unique: HashSet<u64> = s.iter().copied().collect();
         assert_eq!(unique.len(), 10);
     }
 
@@ -430,41 +424,53 @@ mod tests {
         assert!(sample_without_replacement(&mut rng, 5, 0).is_err());
     }
 
-    #[test]
-    fn floyd_sampling_distinct_in_range_and_o_count() {
-        let mut rng = rng_for(8, 0);
-        // A population far too large to enumerate: memory stays O(count).
-        let s = sample_ids_without_replacement(&mut rng, 1_000_000_000_000, 64).unwrap();
-        assert_eq!(s.len(), 64);
-        let unique: HashSet<u64> = s.iter().copied().collect();
-        assert_eq!(unique.len(), 64);
-        assert!(s.iter().all(|&i| i < 1_000_000_000_000));
-        // Full-population sample covers everything.
-        let all = sample_ids_without_replacement(&mut rng, 12, 12).unwrap();
-        let unique: HashSet<u64> = all.iter().copied().collect();
-        assert_eq!(unique.len(), 12);
-        assert!(all.iter().all(|&i| i < 12));
+    /// The dense partial Fisher–Yates the sparse draw replaced: shuffle
+    /// the first `count` slots of the whole index vector.
+    fn dense_reference(rng: &mut StdRng, population: usize, count: usize) -> Vec<u64> {
+        use rand::seq::SliceRandom;
+        let mut indices: Vec<usize> = (0..population).collect();
+        let (sampled, _) = indices.partial_shuffle(rng, count);
+        sampled.iter().map(|&i| i as u64).collect()
     }
 
     #[test]
-    fn floyd_sampling_is_deterministic_and_validated() {
-        let a = sample_ids_without_replacement(&mut rng_for(9, 0), 1000, 10).unwrap();
-        let b = sample_ids_without_replacement(&mut rng_for(9, 0), 1000, 10).unwrap();
-        assert_eq!(a, b);
-        let mut rng = rng_for(9, 1);
-        assert!(sample_ids_without_replacement(&mut rng, 5, 6).is_err());
-        assert!(sample_ids_without_replacement(&mut rng, 5, 0).is_err());
+    fn the_sparse_draw_is_the_dense_shuffle_bit_for_bit() {
+        use rand::RngCore;
+        let shapes = [
+            (1, 1),
+            (10, 10),
+            (360, 4),
+            (360, 97),
+            (3507, 50),
+            (1000, 999),
+        ];
+        for seed in 0..200 {
+            for (index, &(population, count)) in shapes.iter().enumerate() {
+                let (mut sparse, mut dense) =
+                    (rng_for(seed, index as u64), rng_for(seed, index as u64));
+                assert_eq!(
+                    sample_without_replacement(&mut sparse, population as u64, count).unwrap(),
+                    dense_reference(&mut dense, population, count),
+                    "seed {seed}, {count} of {population}"
+                );
+                assert_eq!(
+                    sparse.next_u64(),
+                    dense.next_u64(),
+                    "seed {seed}, {count} of {population}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn floyd_sampling_is_roughly_uniform() {
+    fn uniform_sampling_is_roughly_uniform() {
         // Each of 10 ids should appear in a 2-of-10 sample with frequency
         // 0.2; allow a generous tolerance over 3000 draws.
         let mut rng = rng_for(9, 2);
         let mut counts = [0usize; 10];
         let trials = 3000;
         for _ in 0..trials {
-            for id in sample_ids_without_replacement(&mut rng, 10, 2).unwrap() {
+            for id in sample_without_replacement(&mut rng, 10, 2).unwrap() {
                 counts[id as usize] += 1;
             }
         }
@@ -558,14 +564,14 @@ mod proptests {
         #[test]
         fn prop_sample_without_replacement_is_a_set(
             seed in any::<u64>(),
-            population in 1usize..200,
+            population in 1u64..200,
             frac in 0.01f64..1.0,
         ) {
-            let count = ((population as f64 * frac).ceil() as usize).clamp(1, population);
+            let count = ((population as f64 * frac).ceil() as usize).clamp(1, population as usize);
             let mut rng = rng_for(seed, 0);
             let s = sample_without_replacement(&mut rng, population, count).unwrap();
             prop_assert_eq!(s.len(), count);
-            let unique: std::collections::HashSet<usize> = s.iter().copied().collect();
+            let unique: std::collections::HashSet<u64> = s.iter().copied().collect();
             prop_assert_eq!(unique.len(), count);
             prop_assert!(s.iter().all(|&i| i < population));
         }

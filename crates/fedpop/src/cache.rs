@@ -277,7 +277,7 @@ impl<P: Population + ?Sized> CohortSource for CachedPopulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PopulationSpec, SyntheticPopulation};
+    use crate::{ClientFrame, PopulationSpec, SyntheticPopulation};
     use feddata::Benchmark;
 
     fn population() -> SyntheticPopulation {

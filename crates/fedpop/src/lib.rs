@@ -13,13 +13,14 @@
 //!
 //! The pieces:
 //!
-//! - [`Population`] — the trait: population size, per-client O(1) metadata
-//!   (size, availability), and on-demand [`Population::materialize`], or
-//!   [`Population::materialize_into`] an existing shard's storage.
+//! - [`Population`] — the trait: on-demand [`Population::materialize`], or
+//!   [`Population::materialize_into`] an existing shard's storage, over
+//!   `fedsim`'s [`ClientFrame`] (population size and per-client O(1)
+//!   metadata: size, availability).
 //! - [`SyntheticPopulation`] — the implementation backed by the `feddata`
 //!   generators, refactored so one client's shard generates positionally
 //!   without building the whole dataset.
-//! - [`CohortSampler`] — deterministic cohort selection: uniform,
+//! - [`CohortSampler`] — `fedsim`'s one cohort draw, re-exported: uniform,
 //!   size-weighted (rejection sampling against the O(1) size bound), and
 //!   diurnal availability windows keyed to `fedsim::clock` simulated time.
 //! - [`ClientCache`] — a bounded cache with hit/miss/eviction accounting for
@@ -36,7 +37,7 @@
 //! # Example
 //!
 //! ```
-//! use fedpop::{ClientCache, CohortSampler, PopulationSpec, SyntheticPopulation, Population};
+//! use fedpop::{ClientFrame, Population, PopulationSpec, SyntheticPopulation};
 //!
 //! // A million-client population occupies a few hundred bytes until sampled.
 //! let spec = PopulationSpec::benchmark(feddata::Benchmark::RedditLike, 1_000_000);
@@ -51,14 +52,13 @@
 
 pub mod cache;
 pub mod population;
-pub mod sampler;
 pub mod spec;
 pub mod summary;
 pub mod training;
 
 pub use cache::{CacheStats, CachedPopulation, ClientCache};
+pub use fedsim::{ClientFrame, CohortSampler};
 pub use population::{Population, SyntheticPopulation};
-pub use sampler::CohortSampler;
 pub use spec::{AvailabilityModel, PopulationSpec};
 pub use summary::stride_probe_ids;
 pub use training::{train_on_population, PopulationTrainingReport};
@@ -81,12 +81,6 @@ pub enum PopError {
         /// The population size.
         population: u64,
     },
-    /// A cohort could not be drawn (e.g. rejection sampling exhausted its
-    /// attempt budget against a narrow availability window).
-    Sampling {
-        /// Description of the problem.
-        message: String,
-    },
     /// An underlying data-generation operation failed.
     Data(feddata::DataError),
     /// An underlying simulator operation (training round) failed.
@@ -105,7 +99,6 @@ impl fmt::Display for PopError {
                     "client id {id} out of range for population of {population}"
                 )
             }
-            PopError::Sampling { message } => write!(f, "cohort sampling error: {message}"),
             PopError::Data(e) => write!(f, "data error: {e}"),
             PopError::Sim(e) => write!(f, "simulation error: {e}"),
             PopError::Math(e) => write!(f, "math error: {e}"),
@@ -148,7 +141,6 @@ impl From<PopError> for fedsim::SimError {
             PopError::Data(d) => fedsim::SimError::Data(d),
             PopError::Sim(s) => s,
             PopError::Math(m) => fedsim::SimError::Math(m),
-            PopError::Sampling { message } => fedsim::SimError::Sampling { message },
             other => fedsim::SimError::InvalidConfig {
                 message: other.to_string(),
             },
@@ -176,10 +168,6 @@ mod tests {
             population: 3,
         };
         assert!(e.to_string().contains('5'));
-        let e = PopError::Sampling {
-            message: "window too narrow".into(),
-        };
-        assert!(e.to_string().contains("window"));
         let e: PopError = feddata::DataError::InvalidSpec {
             message: "x".into(),
         }
@@ -196,11 +184,6 @@ mod tests {
         })
         .into();
         assert!(matches!(data, fedsim::SimError::Data(_)));
-        let sampling: fedsim::SimError = PopError::Sampling {
-            message: "y".into(),
-        }
-        .into();
-        assert!(matches!(sampling, fedsim::SimError::Sampling { .. }));
         let range: fedsim::SimError = PopError::ClientOutOfRange {
             id: 1,
             population: 0,

@@ -5,6 +5,7 @@ use feddata::generators::{ClassificationWorld, LanguageWorld};
 use feddata::spec::TaskConfig;
 use feddata::{ClientData, Task};
 use fedmath::SeedTree;
+use fedsim::ClientFrame;
 
 /// Seed-tree channel of the shared world structure (prototypes / topics).
 const CHANNEL_WORLD: u64 = 0;
@@ -15,7 +16,9 @@ const CHANNEL_CLIENTS: u64 = 2;
 /// Seed-tree channel of per-client availability phases.
 const CHANNEL_AVAILABILITY: u64 = 3;
 
-/// A virtual population of clients, addressed by id.
+/// A virtual population of clients, addressed by id. Its size and O(1)
+/// per-client metadata (example count, availability) are its
+/// [`ClientFrame`], which is what a cohort draw reads.
 ///
 /// Implementations must treat every per-client query as a **pure function of
 /// the population identity and the id**: `materialize(i)` returns the same
@@ -24,10 +27,7 @@ const CHANNEL_AVAILABILITY: u64 = 3;
 /// test in this crate) is what makes parallel cohort training bit-identical
 /// to sequential training, and what lets caches of any policy sit in front
 /// of a population without changing results.
-pub trait Population: Sync {
-    /// Number of clients in the population (`N`).
-    fn num_clients(&self) -> u64;
-
+pub trait Population: ClientFrame + Sync {
     /// Task family of the population's data.
     fn task(&self) -> Task;
 
@@ -36,22 +36,6 @@ pub trait Population: Sync {
 
     /// Input dimensionality (dense feature dim, or vocabulary size).
     fn input_dim(&self) -> usize;
-
-    /// The example count of client `id`, in O(1) and without materializing
-    /// the shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopError::ClientOutOfRange`] for ids past the population.
-    fn client_size(&self, id: u64) -> Result<usize>;
-
-    /// An upper bound on [`client_size`](Self::client_size) over the whole
-    /// population, in O(1) — the envelope used by size-weighted rejection
-    /// sampling.
-    fn max_client_size(&self) -> usize;
-
-    /// Whether client `id` is reachable at simulated time `sim_time`.
-    fn available(&self, id: u64, sim_time: f64) -> bool;
 
     /// Overwrites `storage` with the full shard of client `id`, reusing its
     /// buffers. The result must not depend on what `storage` held: it is
@@ -100,7 +84,7 @@ pub struct SyntheticPopulation {
     spec: PopulationSpec,
     world: World,
     /// The spec's size distribution, validated and precompiled once:
-    /// [`Population::client_size`] sits in the size-weighted sampler's
+    /// [`ClientFrame::client_size`] sits in the size-weighted sampler's
     /// rejection loop, so per-query validation would dominate.
     size_sampler: feddata::spec::SizeSampler,
     sizes: SeedTree,
@@ -152,24 +136,12 @@ impl SyntheticPopulation {
     }
 }
 
-impl Population for SyntheticPopulation {
+impl ClientFrame for SyntheticPopulation {
     fn num_clients(&self) -> u64 {
         self.spec.num_clients
     }
 
-    fn task(&self) -> Task {
-        self.spec.task_kind()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.spec.num_classes()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.spec.input_dim()
-    }
-
-    fn client_size(&self, id: u64) -> Result<usize> {
+    fn client_size(&self, id: u64) -> fedsim::Result<usize> {
         self.check_id(id)?;
         Ok(self.size_sampler.size_at(&self.sizes, id))
     }
@@ -185,9 +157,24 @@ impl Population for SyntheticPopulation {
                 .availability
                 .available(&self.availability, id, sim_time)
     }
+}
+
+impl Population for SyntheticPopulation {
+    fn task(&self) -> Task {
+        self.spec.task_kind()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.spec.num_classes()
+    }
+
+    fn input_dim(&self) -> usize {
+        self.spec.input_dim()
+    }
 
     fn materialize_into(&self, id: u64, storage: &mut ClientData) -> Result<()> {
-        let size = self.client_size(id)?;
+        self.check_id(id)?;
+        let size = self.size_sampler.size_at(&self.sizes, id);
         match &self.world {
             World::Classification(world) => world.client_into(&self.clients, id, size, storage)?,
             World::Language(world) => world.client_into(&self.clients, id, size, storage)?,
@@ -199,6 +186,7 @@ impl Population for SyntheticPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CohortSampler;
     use feddata::Benchmark;
 
     fn small_population(n: u64) -> SyntheticPopulation {
@@ -257,6 +245,27 @@ mod tests {
         assert!(population.client_size(11).is_err());
         assert!(!population.available(10, 0.0));
         assert!(population.available(9, 0.0));
+    }
+
+    /// A population is a frame every draw but the biased one can read: it
+    /// knows sizes and availability, not accuracies.
+    #[test]
+    fn a_population_frame_draws_every_variant_but_biased() {
+        let population = small_population(5_000);
+        for sampler in [
+            CohortSampler::Uniform,
+            CohortSampler::SizeWeighted,
+            CohortSampler::Available,
+        ] {
+            let cohort = sampler
+                .sample(&population, &mut fedmath::rng::rng_for(1, 0), 64, 0.0)
+                .unwrap();
+            assert_eq!(cohort.len(), 64, "{sampler:?}");
+            assert!(cohort.iter().all(|&id| id < 5_000));
+        }
+        let biased = CohortSampler::Biased { bias: 1.0 };
+        let error = biased.sample(&population, &mut fedmath::rng::rng_for(1, 1), 64, 0.0);
+        assert!(matches!(error, Err(fedsim::SimError::Sampling { .. })));
     }
 
     #[test]

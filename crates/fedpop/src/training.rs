@@ -84,9 +84,7 @@ pub fn train_on_population<P: Population + ?Sized>(
         let population = source.population();
         let mut cohort_len = 0usize;
         run.run_cohort_round(source, |rng| {
-            let cohort = sampler
-                .sample(population, rng, cohort_size, now)
-                .map_err(fedsim::SimError::from)?;
+            let cohort = sampler.sample(population, rng, cohort_size, now)?;
             cohort_len = cohort.len();
             Ok(cohort)
         })

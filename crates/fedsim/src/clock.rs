@@ -654,7 +654,11 @@ mod proptests {
             let forward: Vec<usize> = (0..count).collect();
             let mut shuffle_rng = rng_for(seed, 1);
             let shuffled =
-                fedmath::rng::sample_without_replacement(&mut shuffle_rng, count, count).unwrap();
+                fedmath::rng::sample_without_replacement(&mut shuffle_rng, count as u64, count)
+                    .unwrap()
+                    .into_iter()
+                    .map(|i| i as usize)
+                    .collect::<Vec<usize>>();
             let a = drain(&forward, &events);
             let b = drain(&shuffled, &events);
             prop_assert_eq!(&a, &b);

@@ -3,10 +3,11 @@
 //! subsample of it.
 
 use crate::exec::ExecutionPolicy;
-use crate::sampling::ClientSampler;
+use crate::sampling::ClientFrame;
 use crate::{Result, SimError};
 use feddata::{ClientData, FederatedDataset, PackedSplit, Split};
 use fedmodels::Model;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Evaluation accounting on the global [`fedtrace`] registry: validation
@@ -141,10 +142,42 @@ impl FederatedEvaluation {
             .map(|c| c.error_rate)
             .fold(f64::INFINITY, f64::min)
     }
+}
 
-    /// Per-client accuracies, indexed like [`per_client`](Self::per_client).
-    pub fn client_accuracies(&self) -> Vec<f64> {
-        self.per_client.iter().map(|c| c.accuracy()).collect()
+/// An evaluation is the frame of its own clients, by position in
+/// [`per_client`](FederatedEvaluation::per_client): sizes are their example
+/// counts, every client is available, and accuracy is `1 − error`.
+impl ClientFrame for FederatedEvaluation {
+    fn num_clients(&self) -> u64 {
+        self.per_client.len() as u64
+    }
+
+    fn client_size(&self, id: u64) -> Result<usize> {
+        let client = self.per_client.get(id as usize);
+        client
+            .map(|c| c.num_examples)
+            .ok_or_else(|| SimError::Sampling {
+                message: format!(
+                    "no client {id} in an evaluation of {}",
+                    self.per_client.len()
+                ),
+            })
+    }
+
+    fn max_client_size(&self) -> usize {
+        self.per_client
+            .iter()
+            .map(|c| c.num_examples)
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn available(&self, id: u64, _sim_time: f64) -> bool {
+        id < self.per_client.len() as u64
+    }
+
+    fn accuracy(&self, id: u64) -> Option<f64> {
+        self.per_client.get(id as usize).map(|c| c.accuracy())
     }
 }
 
@@ -245,27 +278,29 @@ pub fn evaluate_full_with<M: Model>(
     evaluate_full(model, dataset, split, weighting)
 }
 
-/// Evaluates `model` on a subsample of `count` clients selected by `sampler`.
-///
-/// `scores` is the optional per-client signal passed to the sampler (used by
-/// [`crate::sampling::BiasedSampler`] to model systems heterogeneity).
-///
-/// # Errors
-///
-/// Propagates sampler errors and the conditions of [`evaluate_clients`].
-#[allow(clippy::too_many_arguments)] // mirrors the paper's evaluation signature
+/// A pass over `count` uniformly drawn clients, in the name and call shape
+/// the frozen `benchmark/` package uses (ROADMAP item 4(b)); the sampler
+/// and scores arguments are ignored. Nothing in the workspace calls it.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)] // the frozen call shape
 pub fn evaluate_subsample<M: Model>(
     model: &M,
     dataset: &FederatedDataset,
     split: Split,
     weighting: WeightingScheme,
-    sampler: &dyn ClientSampler,
+    _sampler: &crate::sampling::UniformSampler,
     count: usize,
-    scores: Option<&[f64]>,
-    rng: &mut dyn rand::RngCore,
+    _scores: Option<&[f64]>,
+    rng: &mut StdRng,
 ) -> Result<FederatedEvaluation> {
-    let population = dataset.num_clients(split);
-    let indices = sampler.sample(rng, population, count, scores)?;
+    let population = dataset.num_clients(split) as u64;
+    let indices: Vec<usize> = fedmath::rng::sample_without_replacement(rng, population, count)
+        .map_err(|e| SimError::Sampling {
+            message: e.to_string(),
+        })?
+        .into_iter()
+        .map(|id| id as usize)
+        .collect();
     let (clients, pack) = (dataset.clients(split), dataset.packed(split));
     evaluate_selection(model, clients, pack, &indices, weighting)
 }
@@ -273,7 +308,7 @@ pub fn evaluate_subsample<M: Model>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampling::UniformSampler;
+    use crate::sampling::CohortSampler;
     use feddata::{Benchmark, DatasetSpec, Example, Scale};
     use fedmath::rng::rng_for;
     use fedmodels::{AnyModel, ModelSpec, SoftmaxRegression};
@@ -310,7 +345,7 @@ mod tests {
         assert_eq!(eval.num_clients(), 2);
         assert!((eval.weighted_error().unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(eval.min_client_error(), 0.0);
-        assert_eq!(eval.client_accuracies(), vec![1.0, 0.0]);
+        assert_eq!((eval.accuracy(0), eval.accuracy(1)), (Some(1.0), Some(0.0)));
         assert_eq!(eval.weighting(), WeightingScheme::ByExamples);
         assert_eq!(eval.per_client()[0].accuracy(), 1.0);
 
@@ -358,25 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_subsample_uses_requested_count() {
-        let dataset = smoke_dataset();
-        let mut rng = rng_for(0, 1);
-        let model = ModelSpec::Softmax.build(&dataset, &mut rng);
-        let eval = evaluate_subsample(
-            &model,
-            &dataset,
-            Split::Validation,
-            WeightingScheme::Uniform,
-            &UniformSampler::new(),
-            3,
-            None,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(eval.num_clients(), 3);
-    }
-
-    #[test]
     fn subsampled_error_varies_more_than_full_error() {
         // The core premise of the paper: subsampled evaluation is a noisy
         // estimate of the full-population error.
@@ -393,17 +409,15 @@ mod tests {
         .weighted_error()
         .unwrap();
         let mut estimates = Vec::new();
+        let population = dataset.num_val_clients() as u64;
         for i in 0..50 {
-            let mut trial_rng = rng_for(100, i);
-            let sub = evaluate_subsample(
+            let drawn =
+                fedmath::rng::sample_without_replacement(&mut rng_for(100, i), population, 1);
+            let sub = evaluate_clients(
                 &model,
-                &dataset,
-                Split::Validation,
+                dataset.clients(Split::Validation),
+                &[drawn.unwrap()[0] as usize],
                 WeightingScheme::Uniform,
-                &UniformSampler::new(),
-                1,
-                None,
-                &mut trial_rng,
             )
             .unwrap()
             .weighted_error()
@@ -466,29 +480,43 @@ mod tests {
     fn packed_subsample_equals_the_gathered_reference_on_the_same_indices() {
         let dataset = smoke_dataset();
         let model = ModelSpec::for_dataset(&dataset).build(&dataset, &mut rng_for(5, 1));
-        let sampler = UniformSampler::new();
+        let everyone = full(&model, &dataset).unwrap();
         for count in [1, 4, dataset.num_val_clients()] {
-            let evaluation = evaluate_subsample(
-                &model,
-                &dataset,
-                Split::Validation,
-                WeightingScheme::ByExamples,
-                &sampler,
-                count,
-                None,
-                &mut rng_for(6, count as u64),
+            let mut rng = rng_for(6, count as u64);
+            let drawn = CohortSampler::Uniform.sample(&everyone, &mut rng, count, 0.0);
+            let indices: Vec<usize> = drawn.unwrap().iter().map(|&id| id as usize).collect();
+            let (clients, pack) = (
+                dataset.clients(Split::Validation),
+                dataset.packed(Split::Validation),
             );
-            let indices = sampler
-                .sample(
-                    &mut rng_for(6, count as u64),
-                    dataset.num_val_clients(),
-                    count,
-                    None,
-                )
-                .unwrap();
-            let reference = gathered(&model, &dataset, &indices);
-            assert_eq!(evaluation, reference, "{count} clients");
+            let weighting = WeightingScheme::ByExamples;
+            let packed = evaluate_selection(&model, clients, pack, &indices, weighting);
+            assert_eq!(packed.as_ref().map(|e| e.num_clients()), Ok(count));
+            assert_eq!(
+                packed,
+                gathered(&model, &dataset, &indices),
+                "{count} clients"
+            );
         }
+    }
+
+    #[test]
+    fn an_evaluation_is_the_frame_of_its_clients() {
+        let dataset = smoke_dataset();
+        let model = ModelSpec::Softmax.build(&dataset, &mut rng_for(5, 4));
+        let evaluation = full(&model, &dataset).unwrap();
+        let n = evaluation.per_client().len();
+        assert_eq!(ClientFrame::num_clients(&evaluation), n as u64);
+        for (id, client) in evaluation.per_client().iter().enumerate() {
+            let id = id as u64;
+            assert_eq!(evaluation.client_size(id), Ok(client.num_examples));
+            assert_eq!(evaluation.accuracy(id), Some(client.accuracy()));
+            assert!(evaluation.available(id, 0.0));
+            assert!(client.num_examples <= evaluation.max_client_size());
+        }
+        assert!(evaluation.client_size(n as u64).is_err());
+        assert_eq!(evaluation.accuracy(n as u64), None);
+        assert!(!evaluation.available(n as u64, 0.0));
     }
 
     #[test]

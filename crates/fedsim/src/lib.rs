@@ -10,10 +10,11 @@
 //! - [`evaluation`] implements the federated validation objective of Eq. 2:
 //!   per-client error rates combined by a uniform or example-weighted
 //!   average, over either the full validation pool or a subsample.
-//! - [`sampling`] provides the client-selection strategies: uniform
-//!   sampling without replacement (the default protocol) and the
+//! - [`sampling`] holds the one cohort draw, [`CohortSampler`]: uniform
+//!   sampling without replacement (the default protocol), the
 //!   accuracy-biased sampling `(a + δ)^b` used to model systems heterogeneity
-//!   in §3.2.
+//!   in §3.2, and size-weighted and availability-gated draws over a
+//!   population, each against a [`ClientFrame`].
 //! - [`exec`] is the deterministic execution engine: an
 //!   [`exec::ExecutionPolicy`] (`Sequential` or `Parallel`) governs how the
 //!   independent trials of an experiment fan out over threads
@@ -63,7 +64,7 @@ pub use clock::{ClientRuntimeModel, CostModel, EventKey, EventQueue, VirtualCloc
 pub use evaluation::{ClientEvaluation, FederatedEvaluation, WeightingScheme};
 pub use exec::{with_thread_pool, ExecutionPolicy, SharedPool, ThreadPool};
 pub use hyperparams::{FedAdamConfig, FederatedHyperparams};
-pub use sampling::{BiasedSampler, ClientSampler, UniformSampler};
+pub use sampling::{ClientFrame, CohortSampler, UniformSampler};
 pub use server::FedAdam;
 pub use training::{CohortSource, FederatedTrainer, TrainerConfig, TrainingRun};
 

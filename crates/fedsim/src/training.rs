@@ -272,11 +272,11 @@ impl TrainingRun {
         let count = self.config.clients_per_round.min(population);
         self.round_core(
             |rng| {
-                let picked = fedmath::rng::sample_without_replacement(rng, population, count)
-                    .map_err(|e| SimError::Sampling {
+                fedmath::rng::sample_without_replacement(rng, population as u64, count).map_err(
+                    |e| SimError::Sampling {
                         message: e.to_string(),
-                    })?;
-                Ok(picked.into_iter().map(|i| i as u64).collect())
+                    },
+                )
             },
             |id| {
                 dataset

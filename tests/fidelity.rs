@@ -170,7 +170,7 @@ fn every_committed_row_names_what_its_figure_draws() {
         );
     }
     let smoke = fedtune_core::ExperimentScale::smoke();
-    let drawn = draw(&ids, &TrialRunner::from_env(), &smoke, card.seeds[0]).unwrap();
+    let (drawn, _) = draw(&ids, &TrialRunner::from_env(), &smoke, card.seeds[0]).unwrap();
     for row in &card.rows {
         if let Err(missing) = row.effect(&drawn) {
             panic!("{} {:?}: {missing}", row.figure, row.claim);

@@ -5,8 +5,8 @@
 use feddata::Benchmark;
 use fedmodels::ModelSpec;
 use fedpop::{
-    train_on_population, AvailabilityModel, CachedPopulation, ClientCache, CohortSampler,
-    Population, PopulationSpec, SyntheticPopulation,
+    train_on_population, AvailabilityModel, CachedPopulation, ClientCache, ClientFrame,
+    CohortSampler, Population, PopulationSpec, SyntheticPopulation,
 };
 use fedsim::clock::VirtualClock;
 use fedsim::{ExecutionPolicy, FederatedTrainer, TrainerConfig};
@@ -175,4 +175,20 @@ fn noise_story_holds_under_the_parallel_runner() {
     let last = sweep.points.last().unwrap();
     assert!(last.noise_variance < first.noise_variance / 2.0);
     assert!(last.spearman > first.spearman);
+}
+
+#[test]
+fn pop_tables_are_byte_equal_under_one_and_four_threads() {
+    // The figure renders what the seed decides, not the hit rate of the
+    // cache that concurrent trials share.
+    let render = |runner: TrialRunner| -> String {
+        let scale = PopulationExperimentScale::smoke();
+        let result = run_population_noise_with(&runner, Benchmark::Cifar10Like, &scale, 3);
+        let reports = result.unwrap().to_reports();
+        reports.iter().map(|report| report.to_table()).collect()
+    };
+    assert_eq!(
+        render(TrialRunner::sequential()),
+        render(TrialRunner::new(ExecutionPolicy::parallel_with(4)))
+    );
 }
