@@ -1,7 +1,8 @@
 //! The record→replay smoke of the `fedstore` subsystem: records the fig08
-//! method comparison once (live federated training), replays it against the
-//! resulting table, asserts the replayed selection matches the live run
-//! bit-for-bit, and reports the live-vs-replay speedup.
+//! method comparison once (live federated training), replays it from the
+//! resulting ledger alone (the recorder over an evaluation with nothing
+//! live), asserts the replayed selection matches the live run bit-for-bit,
+//! and reports the live-vs-replay speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use feddata::Benchmark;
@@ -29,7 +30,7 @@ fn regenerate() {
     });
     let replayed = summary.time("replay_table", campaigns, || {
         replay_method_comparison(
-            &store,
+            &mut store,
             Benchmark::Cifar10Like,
             &scale,
             &TuningMethod::EXTENDED,
@@ -40,7 +41,7 @@ fn regenerate() {
     });
     assert_eq!(
         live, replayed,
-        "tabular replay must match the live campaigns bit-for-bit"
+        "the replay must match the live campaigns bit-for-bit"
     );
     let speedup = match (summary.entries.first(), summary.entries.get(1)) {
         (Some(record), Some(replay)) if replay.wall_seconds > 0.0 => {
@@ -80,7 +81,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("replay_extended_methods", |b| {
         b.iter(|| {
             replay_method_comparison(
-                &store,
+                &mut store,
                 Benchmark::Cifar10Like,
                 &scale,
                 &TuningMethod::EXTENDED,

@@ -60,8 +60,8 @@ pub struct ObjectiveLogEntry {
 /// (the selection rule the paper shows noise corrupts). Non-finite noisy
 /// scores never win.
 ///
-/// Public so store-backed objectives (`fedstore`'s recording and tabular
-/// replay objectives) apply the exact same selection rule to their logs.
+/// Public so store-backed objectives (`fedstore`'s recorder, which also
+/// replays) apply the exact same selection rule to their logs.
 pub fn selected_true_error(log: &[ObjectiveLogEntry], budget: usize) -> Option<f64> {
     let within = || {
         log.iter()
@@ -115,7 +115,7 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
 /// it has already reached, and an evaluation's logged `resource` is the
 /// fidelity actually reached. For a live objective that is exactly what its evaluations
 /// trained; for one that can answer without training (the `fedstore`
-/// recording and tabular-replay objectives) it is what the request cost the
+/// recorder's hits, all of a replay's) it is what the request cost the
 /// campaign, so store-backed logs are comparable (and, for replayed
 /// campaigns, bit-identical) to live ones.
 #[derive(Debug, Clone, Default)]

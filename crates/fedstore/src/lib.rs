@@ -1,5 +1,5 @@
-//! A persistent, content-addressed **trial ledger** plus the tabular
-//! surrogate objectives built on top of it.
+//! A persistent, content-addressed **trial ledger** and the one objective
+//! that records campaigns into it and replays them from it.
 //!
 //! Every live federated tuning campaign pays full simulation cost for every
 //! `(configuration, resource, replicate)` evaluation, so large
@@ -26,11 +26,11 @@
 //!   store with one group commit per driver turn, and serves
 //!   already-recorded requests *from* the store — which is exactly resume:
 //!   re-driving an interrupted campaign skips its recorded prefix and
-//!   continues bit-identically. Every driver records through it.
-//! - [`tabular`] — [`TabularObjective`]: the scheduler-facing surrogate.
-//!   Campaigns replay against the table with exact-hit semantics — a
-//!   request gets its recorded bits or fails with [`StoreError::Miss`] —
-//!   orders of magnitude faster than live simulation.
+//!   continues bit-identically. Every driver records through it. Over
+//!   [`LedgerOnly`], an inner evaluation with nothing live, it is the
+//!   replay: a request gets its recorded bits or fails with
+//!   [`StoreError::Miss`], orders of magnitude faster than live
+//!   simulation.
 //! - [`replay`] — drop-in record/replay counterparts of
 //!   `fedtune_core::experiments::methods::run_method_comparison`.
 //!
@@ -58,10 +58,19 @@
 //! )
 //! .unwrap();
 //! // ... then sweep methods against the table, bit-identically.
-//! let replayed =
-//!     replay_method_comparison(&store, Benchmark::Cifar10Like, &scale, &methods, &settings, 0)
-//!         .unwrap();
+//! let recorded = store.len();
+//! let replayed = replay_method_comparison(
+//!     &mut store,
+//!     Benchmark::Cifar10Like,
+//!     &scale,
+//!     &methods,
+//!     &settings,
+//!     0,
+//! )
+//! .unwrap();
 //! assert_eq!(live, replayed);
+//! // Every request hit, so the replay appended nothing.
+//! assert_eq!(store.len(), recorded);
 //! ```
 
 #![warn(missing_docs)]
@@ -77,17 +86,15 @@ pub mod recorder;
 pub mod replay;
 pub mod segment;
 pub mod store;
-pub mod tabular;
 
 pub use compaction::CompactionReport;
 pub use key::{ConfigKey, TrialKey};
 pub use lock::LedgerLock;
 pub use record::{Provenance, TrialRecord};
-pub use recorder::{RecordingEval, RecordingObjective, RecordingSink};
+pub use recorder::{LedgerOnly, RecordingEval, RecordingObjective, RecordingSink};
 pub use replay::{campaign_provenance, record_method_comparison, replay_method_comparison};
 pub use segment::{Durability, ScanReport, SegmentConfig, SegmentWriter};
 pub use store::TrialStore;
-pub use tabular::TabularObjective;
 
 use std::fmt;
 
@@ -102,13 +109,13 @@ pub enum StoreError {
         /// The underlying failure.
         message: String,
     },
-    /// An insert collided with an existing record under the same key but a
-    /// different payload.
+    /// An insert collided with an existing record under the same key but
+    /// different scores or provenance.
     Conflict {
         /// Description of the colliding key.
         message: String,
     },
-    /// A replay lookup found no record under a request's exact key.
+    /// A replay found no record under a request's exact key.
     Miss {
         /// Description of the missing point.
         message: String,

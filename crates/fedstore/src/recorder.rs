@@ -26,6 +26,13 @@
 //! where it stopped — bit-identically to an uninterrupted run, because every
 //! served score is the recorded bit pattern and all live randomness is
 //! positional.
+//!
+//! It is also *replay*: over [`LedgerOnly`], the inner evaluation with
+//! nothing live, every request is its recorded bits or a
+//! [`StoreError::Miss`] — no dataset, no training, and nothing invented.
+//! A replay that hits throughout appends and syncs nothing; a hit recorded
+//! under another [`Provenance`] fails its re-staging with
+//! [`StoreError::Conflict`].
 
 use crate::key::TrialKey;
 use crate::record::Provenance;
@@ -142,6 +149,29 @@ impl<E: ConcurrentEval> ConcurrentEval for RecordingEval<E> {
             noisy_score,
             true_error,
         })
+    }
+}
+
+/// The inner evaluation of a replay: nothing is live, so every request
+/// that reaches it — one the ledger does not hold under its exact key, an
+/// unrecorded replicate of a recorded point included — fails with
+/// [`StoreError::Miss`] rather than invent objective values.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LedgerOnly;
+
+impl ConcurrentEval for LedgerOnly {
+    type State = ();
+
+    fn evaluate(&self, _: &mut (), request: &TrialRequest) -> fedtune_core::Result<EvalOutput> {
+        Err(StoreError::Miss {
+            message: format!(
+                "no recorded evaluation of config {:?} at resource {}, replicate {}",
+                request.config.values(),
+                request.resource,
+                request.noise_rep,
+            ),
+        }
+        .into())
     }
 }
 
@@ -344,12 +374,20 @@ pub(crate) mod tests {
     }
 
     fn request(trial_id: usize, x: f64, resource: usize) -> TrialRequest {
+        replicate(trial_id, x, resource, 0)
+    }
+
+    fn replicate(trial_id: usize, x: f64, resource: usize, noise_rep: u64) -> TrialRequest {
         TrialRequest {
             trial_id,
             config: HpConfig::new(vec![x]),
             resource,
-            noise_rep: 0,
+            noise_rep,
         }
+    }
+
+    fn bits(scores: &[f64]) -> Vec<u64> {
+        scores.iter().map(|s| s.to_bits()).collect()
     }
 
     #[test]
@@ -361,18 +399,76 @@ pub(crate) mod tests {
         let mut recording = RecordingObjective::new(&inner, &space, provenance(), &mut store);
         let first = scores_of(&mut recording, &space, vec![batch.clone()], 1).unwrap();
         assert_eq!((recording.eval.misses(), recording.eval.hits()), (2, 0));
-        assert_eq!(recording.sink.campaign.log().len(), 2);
+        let recorded_log = recording.sink.campaign.into_log();
+        assert_eq!(recorded_log.len(), 2);
         assert_eq!(store.len(), 2);
         // The same points over the recorded ledger, on a pool this time: all
         // hits, inner untouched, same bits, nothing appended.
         let mut replaying = RecordingObjective::new(&inner, &space, provenance(), &mut store);
-        let second = scores_of(&mut replaying, &space, vec![batch], 4).unwrap();
+        let second = scores_of(&mut replaying, &space, vec![batch.clone()], 4).unwrap();
         assert_eq!((replaying.eval.misses(), replaying.eval.hits()), (0, 2));
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&first), bits(&second));
         assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
         assert_eq!(store.len(), 2);
+        // And with nothing live behind the ledger: the same hits, and the
+        // log — true errors and rounds included — is the recorded one.
+        let mut replay = RecordingObjective::new(LedgerOnly, &space, provenance(), &mut store);
+        let third = scores_of(&mut replay, &space, vec![batch], 4).unwrap();
+        assert_eq!((replay.eval.misses(), replay.eval.hits()), (0, 2));
+        assert_eq!(bits(&first), bits(&third));
+        assert_eq!(replay.sink.campaign.cumulative_rounds(), 4);
+        assert!(replay
+            .sink
+            .campaign
+            .selected_true_error_within(usize::MAX)
+            .is_some());
+        assert_eq!(replay.sink.campaign.into_log(), recorded_log);
+        assert_eq!(store.len(), 2);
+    }
+
+    #[test]
+    fn ledger_only_serves_exact_keys_and_misses_everything_else() {
+        let space = space();
+        let mut store = TrialStore::in_memory();
+        for (x, resource, rep, noisy, true_error) in [
+            (1.0, 2, 0u64, 0.40, 0.45),
+            (1.0, 2, 1, 0.50, 0.45),
+            (1.0, 2, 2, 0.44, 0.45),
+            (1.0, 4, 0, 0.30, 0.33),
+            (3.0, 2, 0, 0.60, 0.58),
+        ] {
+            store
+                .insert(TrialRecord {
+                    config: crate::ConfigKey::from_canonical_values(&[x]).unwrap(),
+                    resource,
+                    rep,
+                    noisy_score: noisy,
+                    true_error,
+                    sim_time: 0.0,
+                    provenance: provenance(),
+                })
+                .unwrap();
+        }
+        let mut replay = RecordingObjective::new(LedgerOnly, &space, provenance(), &mut store);
+        // Replicates 0–2 of (1.0, 2) are recorded; replicate 7 is not, and
+        // nothing is drawn in its place.
+        let scores = scores_of(&mut replay, &space, vec![vec![replicate(0, 1.0, 2, 1)]], 1);
+        assert_eq!(scores.unwrap()[0].to_bits(), 0.50f64.to_bits());
+        let batch = vec![vec![replicate(1, 1.0, 2, 7)]];
+        let err = scores_of(&mut replay, &space, batch, 1).unwrap_err();
+        assert!(err.to_string().contains("table miss"), "{err}");
+        assert!(err.to_string().contains("replicate 7"), "{err}");
+        assert_eq!((replay.eval.hits(), replay.eval.misses()), (1, 1));
+        // An unrecorded configuration misses ...
+        let mut replay = RecordingObjective::new(LedgerOnly, &space, provenance(), &mut store);
+        let err = scores_of(&mut replay, &space, vec![vec![request(0, 9.0, 2)]], 1).unwrap_err();
+        assert!(err.to_string().contains("no recorded evaluation"), "{err}");
+        // ... and so does an unrecorded fidelity of a recorded one, with
+        // nothing dispatched after the miss logged.
+        let batch = vec![request(0, 3.0, 4), request(1, 1.0, 2)];
+        assert!(scores_of(&mut replay, &space, vec![batch], 1).is_err());
+        assert!(replay.sink.campaign.log().is_empty());
+        assert_eq!(store.len(), 5);
     }
 
     #[test]
@@ -381,17 +477,35 @@ pub(crate) mod tests {
         let inner = CountingEval::default();
         let mut recording =
             RecordingObjective::new(&inner, &space, provenance(), TrialStore::in_memory());
+        // Trial 0's promotion from 2 to 5 is charged its delta; a replicate
+        // at a fidelity it has reached is free.
         let batches = vec![
-            vec![request(0, 1.0, 2), request(0, 1.0, 5)],
+            vec![
+                request(0, 1.0, 2),
+                request(0, 1.0, 5),
+                replicate(0, 1.0, 2, 1),
+            ],
             vec![request(1, 2.0, 3)],
         ];
-        scores_of(&mut recording, &space, batches, 1).unwrap();
+        scores_of(&mut recording, &space, batches.clone(), 1).unwrap();
         let log = recording.sink.campaign.log();
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.len(), 4);
         assert_eq!(log[0].cumulative_rounds, 2);
         assert_eq!(log[1].cumulative_rounds, 5);
-        assert_eq!(log[2].cumulative_rounds, 8);
-        assert_eq!(recording.sink.campaign.into_log().len(), 3);
+        assert_eq!(log[2].cumulative_rounds, 5);
+        // The replicate's logged fidelity is the one reached.
+        assert_eq!(log[2].resource, 5);
+        assert_eq!(log[3].cumulative_rounds, 8);
+        let recorded_log = log.to_vec();
+        // A replay accounts the same, though it trains nothing.
+        let mut replay = RecordingObjective::new(
+            LedgerOnly,
+            &space,
+            provenance(),
+            recording.sink.into_store(),
+        );
+        scores_of(&mut replay, &space, batches, 1).unwrap();
+        assert_eq!(replay.sink.campaign.into_log(), recorded_log);
     }
 
     #[test]
@@ -461,6 +575,44 @@ pub(crate) mod tests {
         assert_eq!((store.len(), store.unsynced()), (2, 2));
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replaying_a_reopened_segment_ledger_leaves_it_untouched() {
+        let dir = std::env::temp_dir().join(format!("fedstore_replay_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let space = space();
+        let batches = vec![
+            vec![request(0, 1.0, 2), request(1, 3.0, 2)],
+            vec![request(0, 1.0, 6), replicate(1, 3.0, 2, 1)],
+        ];
+        {
+            let inner = CountingEval::default();
+            let store = TrialStore::open_segments(&dir).unwrap();
+            let mut recording = RecordingObjective::new(&inner, &space, provenance(), store);
+            scores_of(&mut recording, &space, batches.clone(), 1).unwrap();
+        }
+        let bytes = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    (path.clone(), std::fs::read(path).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let mut store = TrialStore::open_segments(&dir).unwrap();
+        let before = bytes();
+        let mut replay = RecordingObjective::new(LedgerOnly, &space, provenance(), &mut store);
+        scores_of(&mut replay, &space, batches, 4).unwrap();
+        assert_eq!((replay.eval.hits(), replay.eval.misses()), (4, 0));
+        assert_eq!((store.len(), store.unsynced()), (4, 0));
+        assert_eq!(bytes(), before);
+        drop(store);
+        assert_eq!(bytes(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

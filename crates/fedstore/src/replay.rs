@@ -10,20 +10,20 @@
 //! recomputed.
 //!
 //! [`replay_method_comparison`] then re-runs the whole comparison against the
-//! table alone: no datasets are generated and no model is trained, so method
-//! sweeps (fig08/fig15-16 style) cost tuner time instead of simulation time
-//! while reproducing the live selection bit-for-bit.
+//! table alone: the same recorder over [`LedgerOnly`], so no dataset is
+//! generated and no model is trained, and method sweeps (fig08/fig15-16
+//! style) cost tuner time instead of simulation time while reproducing the
+//! live selection bit-for-bit.
 
 use crate::record::Provenance;
-use crate::recorder::RecordingObjective;
+use crate::recorder::{LedgerOnly, RecordingObjective};
 use crate::store::TrialStore;
-use crate::tabular::TabularObjective;
 use feddata::Benchmark;
 use fedhpo::SearchSpace;
-use fedtune_core::experiments::methods::{comparison, MethodComparison, TuningMethod};
+use fedtune_core::experiments::methods::{comparison, Campaign, MethodComparison, TuningMethod};
 use fedtune_core::{
-    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
-    TrialRunner,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConcurrentEval, Drive,
+    ExperimentScale, NoiseConfig, TrialRunner,
 };
 
 /// The provenance stamp for one campaign cell.
@@ -64,6 +64,70 @@ pub fn record_method_comparison(
         threads: runner.policy().pool_threads(),
         ..Drive::new(Clock::Barrier)
     };
+    let grid = (benchmark, scale, methods, noise_settings, seed);
+    recorded_comparison(grid, ctx.space(), &config, store, |cell| {
+        let planned = cell.method.planned_evaluations(scale);
+        // Only the evaluation half is wrapped: the recording sink parks the
+        // trial states and keeps the campaign's log.
+        Ok(BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?.eval)
+    })
+}
+
+/// Replays the method comparison against `store` alone — no dataset
+/// generation, no training. The schedulers re-derive the recorded
+/// campaigns from the same positional seeds, every request hits the ledger
+/// exactly, and the produced [`MethodComparison`] (logs, selection, budget
+/// grid) is bit-identical to the live run that recorded the table. A replay
+/// that hits on every request appends nothing to `store` and syncs nothing.
+///
+/// The replay assumes the recording used the paper's default search space
+/// (which every benchmark context builds); campaigns recorded under a custom
+/// space need a [`RecordingObjective`] over [`LedgerOnly`] driven directly.
+///
+/// # Errors
+///
+/// Propagates scheduler failures, table misses (e.g. replaying a campaign
+/// that was never recorded, or at a different seed) and ledger conflicts (a
+/// recorded point stamped with another provenance, e.g. under another noise
+/// label).
+pub fn replay_method_comparison(
+    store: &mut TrialStore,
+    benchmark: Benchmark,
+    scale: &ExperimentScale,
+    methods: &[TuningMethod],
+    noise_settings: &[(String, NoiseConfig)],
+    seed: u64,
+) -> fedtune_core::Result<MethodComparison> {
+    let grid = (benchmark, scale, methods, noise_settings, seed);
+    // Lookups are too cheap to be worth a thread hand-off each.
+    let config = Drive::new(Clock::Barrier);
+    recorded_comparison(grid, &SearchSpace::paper_default(), &config, store, |_| {
+        Ok(LedgerOnly)
+    })
+}
+
+/// The comparison's arguments that pick its campaign grid and seeds.
+type Grid<'a> = (
+    Benchmark,
+    &'a ExperimentScale,
+    &'a [TuningMethod],
+    &'a [(String, NoiseConfig)],
+    u64,
+);
+
+/// Drives every campaign of `grid` through a [`RecordingObjective`] over the
+/// evaluation `inner` builds for its cell.
+fn recorded_comparison<E>(
+    (benchmark, scale, methods, noise_settings, seed): Grid<'_>,
+    space: &SearchSpace,
+    config: &Drive<'_>,
+    store: &mut TrialStore,
+    mut inner: impl FnMut(&Campaign<'_>) -> fedtune_core::Result<E>,
+) -> fedtune_core::Result<MethodComparison>
+where
+    E: ConcurrentEval,
+    E::State: Default,
+{
     comparison(
         benchmark,
         scale,
@@ -71,63 +135,14 @@ pub fn record_method_comparison(
         noise_settings,
         seed,
         |cell, scheduler, rng| {
-            let planned = cell.method.planned_evaluations(scale);
-            let objective =
-                BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
-            // Only the evaluation half is wrapped: the recording sink parks
-            // the trial states and keeps the campaign's log.
             let mut recording = RecordingObjective::new(
-                &objective.eval,
-                ctx.space(),
+                inner(cell)?,
+                space,
                 campaign_provenance(benchmark, scale, seed, cell.noise_label),
                 &mut *store,
             );
-            drive(scheduler, ctx.space(), &mut recording, rng, &config)?;
+            drive(scheduler, space, &mut recording, rng, config)?;
             Ok(recording.sink.campaign.into_log())
-        },
-    )
-}
-
-/// Replays the method comparison against `store` alone — no dataset
-/// generation, no training. The schedulers re-derive the recorded
-/// campaigns from the same positional seeds, every lookup hits the table
-/// exactly, and the produced [`MethodComparison`] (logs, selection, budget
-/// grid) is bit-identical to the live run that recorded the table.
-///
-/// The replay assumes the recording used the paper's default search space
-/// (which every benchmark context builds); campaigns recorded under a custom
-/// space need a matching [`TabularObjective`] driven directly.
-///
-/// # Errors
-///
-/// Propagates scheduler failures and table misses (e.g. replaying a campaign
-/// that was never recorded, or at a different seed).
-pub fn replay_method_comparison(
-    store: &TrialStore,
-    benchmark: Benchmark,
-    scale: &ExperimentScale,
-    methods: &[TuningMethod],
-    noise_settings: &[(String, NoiseConfig)],
-    seed: u64,
-) -> fedtune_core::Result<MethodComparison> {
-    let space = SearchSpace::paper_default();
-    comparison(
-        benchmark,
-        scale,
-        methods,
-        noise_settings,
-        seed,
-        |_, scheduler, rng| {
-            let mut tabular = TabularObjective::new(store, &space);
-            // Lookups are too cheap to be worth a thread hand-off each.
-            drive(
-                scheduler,
-                &space,
-                &mut tabular,
-                rng,
-                &Drive::new(Clock::Barrier),
-            )?;
-            Ok(tabular.campaign.into_log())
         },
     )
 }
@@ -155,26 +170,32 @@ mod tests {
         .unwrap();
         assert_eq!(recorded.runs.len(), 2 * scale.method_trials);
         assert!(!store.is_empty());
-        let replayed = replay_method_comparison(
-            &store,
-            Benchmark::Cifar10Like,
-            &scale,
-            &methods,
-            &settings,
-            3,
-        )
-        .unwrap();
-        assert_eq!(recorded, replayed);
+        let len = store.len();
+        let replay = |store: &mut TrialStore, settings: &[(String, NoiseConfig)], seed| {
+            replay_method_comparison(
+                store,
+                Benchmark::Cifar10Like,
+                &scale,
+                &methods,
+                settings,
+                seed,
+            )
+        };
+        assert_eq!(recorded, replay(&mut store, &settings, 3).unwrap());
         // Replaying at a seed that was never recorded misses the table.
-        assert!(replay_method_comparison(
-            &store,
-            Benchmark::Cifar10Like,
-            &scale,
-            &methods,
-            &settings,
-            4,
-        )
-        .is_err());
+        let err = replay(&mut store, &settings, 4).unwrap_err();
+        assert!(err.to_string().contains("table miss"), "{err}");
+        // The recorded points under relabelled noise settings are not hits:
+        // the first one's re-staging conflicts with its recorded provenance.
+        let relabelled: Vec<_> = settings
+            .iter()
+            .map(|(label, noise)| (format!("{label}-relabelled"), *noise))
+            .collect();
+        let err = replay(&mut store, &relabelled, 3).unwrap_err();
+        assert!(err.to_string().contains("ledger conflict"), "{err}");
+        assert!(err.to_string().contains("a different provenance"), "{err}");
+        assert!(!err.to_string().contains("scores"), "{err}");
+        assert_eq!(store.len(), len);
     }
 
     #[test]

@@ -129,9 +129,9 @@ impl TrialStore {
     /// # Errors
     ///
     /// Returns [`StoreError::InvalidRecord`] for a negative or non-finite
-    /// `sim_time`, [`StoreError::Conflict`] when the key exists with a
-    /// different payload, and [`StoreError::Io`] when the ledger append
-    /// fails.
+    /// `sim_time`, [`StoreError::Conflict`] when the key exists with
+    /// different scores or provenance, and [`StoreError::Io`] when the
+    /// ledger append fails.
     pub fn insert(&mut self, record: TrialRecord) -> Result<bool> {
         let added = self.insert_unsynced(record)?;
         self.group_commit()?;
@@ -184,14 +184,7 @@ impl TrialStore {
                 return if identical {
                     Ok(false)
                 } else {
-                    Err(StoreError::Conflict {
-                        message: format!(
-                            "(resource {}, rep {}) of config {:?} already recorded with a different payload",
-                            record.resource,
-                            record.rep,
-                            record.config.values(),
-                        ),
-                    })
+                    Err(conflict(existing, &record))
                 };
             }
         };
@@ -292,6 +285,36 @@ impl TrialStore {
     }
 }
 
+/// The [`StoreError::Conflict`] of offering `offered` under the key of
+/// `existing`, naming what differs: the scores, the provenance, or both.
+#[cold]
+fn conflict(existing: &TrialRecord, offered: &TrialRecord) -> StoreError {
+    let mut differs = Vec::new();
+    if existing.noisy_score.to_bits() != offered.noisy_score.to_bits()
+        || existing.true_error.to_bits() != offered.true_error.to_bits()
+    {
+        differs.push(format!(
+            "different scores (recorded noisy {:?}, true {:?}; offered noisy {:?}, true {:?})",
+            existing.noisy_score, existing.true_error, offered.noisy_score, offered.true_error,
+        ));
+    }
+    if existing.provenance != offered.provenance {
+        differs.push(format!(
+            "a different provenance (recorded {:?}; offered {:?})",
+            existing.provenance, offered.provenance,
+        ));
+    }
+    StoreError::Conflict {
+        message: format!(
+            "(resource {}, rep {}) of config {:?} already recorded with {}",
+            offered.resource,
+            offered.rep,
+            offered.config.values(),
+            differs.join(" and "),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,13 +386,32 @@ mod tests {
         // Bit-identical: no-op.
         assert!(!store.insert(record(&[0.5], 3, 0, 0.4)).unwrap());
         assert_eq!(store.len(), 1);
-        // Same key, different score: conflict.
+        // Same key, different score: conflict, naming both scores.
         let err = store.insert(record(&[0.5], 3, 0, 0.5)).unwrap_err();
         assert!(matches!(err, StoreError::Conflict { .. }), "{err}");
-        // Same key, different provenance: conflict too.
+        let message = err.to_string();
+        assert!(message.contains("different scores"), "{message}");
+        assert!(
+            message.contains("recorded noisy 0.4, true 0.2"),
+            "{message}"
+        );
+        assert!(
+            message.contains("offered noisy 0.5, true 0.25"),
+            "{message}"
+        );
+        assert!(!message.contains("provenance"), "{message}");
+        // Same key, bit-equal scores, different provenance: conflict too,
+        // naming both provenances and no score.
         let mut other = record(&[0.5], 3, 0, 0.4);
         other.provenance = provenance("noiseless");
-        assert!(store.insert(other).is_err());
+        let err = store.insert(other).unwrap_err();
+        assert!(matches!(err, StoreError::Conflict { .. }), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("a different provenance"), "{message}");
+        assert!(message.contains(r#"noise: "noisy""#), "{message}");
+        assert!(message.contains(r#"noise: "noiseless""#), "{message}");
+        assert!(!message.contains("scores"), "{message}");
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! - [`fedtune_core`] — noise-aware evaluation pipeline (client subsampling,
 //!   systems bias, Laplace differential privacy) and the per-figure
 //!   experiment runners (the paper's primary contribution as a library).
-//! - [`fedstore`] — the persistent trial ledger and tabular surrogate
-//!   objectives: record live campaigns once, then replay method sweeps
-//!   against the table and resume interrupted campaigns bit-identically.
+//! - [`fedstore`] — the persistent trial ledger and the recorder over it:
+//!   record live campaigns once, then replay method sweeps from the ledger
+//!   alone and resume interrupted campaigns bit-identically.
 //! - [`fedtrace`] — deterministic observability: the sharded metrics
 //!   registry and the Chrome `trace_event` exporters over the virtual-time
 //!   executor timeline and the wall-clock phase profile. Accounting, never

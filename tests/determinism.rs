@@ -585,18 +585,26 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
 
     // Replayed from the ledger alone: no dataset, no training.
     let mut scheduler = method.scheduler(&scale).unwrap();
-    let mut tabular = fedstore::TabularObjective::new(&store, ctx.space());
+    let mut replay = fedstore::RecordingObjective::new(
+        fedstore::LedgerOnly,
+        ctx.space(),
+        fedstore::campaign_provenance(Benchmark::Cifar10Like, &scale, seed, "noisy"),
+        &mut store,
+    );
     let mut rng = fedmath::rng::rng_for(seed, 1);
     let replayed = drive(
         scheduler.as_mut(),
         ctx.space(),
-        &mut tabular,
+        &mut replay,
         &mut rng,
         &Drive::new(Clock::Virtual(sim)),
     )
     .unwrap();
-    assert_eq!(tabular.table.exact_hits(), live.outcome.num_evaluations());
-    let replay_log = tabular.campaign.into_log();
+    assert_eq!(
+        (replay.eval.hits(), replay.eval.misses()),
+        (live.outcome.num_evaluations() as u64, 0)
+    );
+    let replay_log = replay.sink.campaign.into_log();
     assert_eq!(live, replayed, "replayed virtual timeline diverged");
     assert_eq!(live.sim_elapsed.to_bits(), replayed.sim_elapsed.to_bits());
     for (a, b) in live

@@ -113,10 +113,10 @@ fn segment_backed_record_replay_reproduces_the_pinned_bits() {
         )
         .unwrap()
     };
-    let store = TrialStore::open_segments(&dir).unwrap();
+    let mut store = TrialStore::open_segments(&dir).unwrap();
     assert!(!store.is_empty());
     let replayed = replay_method_comparison(
-        &store,
+        &mut store,
         Benchmark::Cifar10Like,
         &scale,
         &[TuningMethod::Asha],

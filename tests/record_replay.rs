@@ -1,13 +1,13 @@
 //! The `fedstore` acceptance contract: recording a live campaign, replaying
-//! it through the tabular surrogate, and resuming an interrupted campaign
+//! it from the ledger alone, and resuming an interrupted campaign
 //! are all **bit-identical** to the live run.
 
 use fedtune::feddata::Benchmark;
 use fedtune::fedhpo::TuningOutcome;
 use fedtune::fedmath::rng::derive_seed;
 use fedtune::fedstore::{
-    campaign_provenance, record_method_comparison, replay_method_comparison, RecordingObjective,
-    TabularObjective, TrialStore,
+    campaign_provenance, record_method_comparison, replay_method_comparison, LedgerOnly,
+    RecordingObjective, TrialStore,
 };
 use fedtune::fedtune_core::experiments::methods::{paper_noise_settings, TuningMethod};
 use fedtune::fedtune_core::{
@@ -59,7 +59,7 @@ fn recorded_and_replayed_comparisons_match_the_live_run_bitwise() {
     // Replaying against the table reproduces logs, selection, and scores —
     // bit for bit, with no simulation.
     let replayed = replay_method_comparison(
-        &store,
+        &mut store,
         Benchmark::Cifar10Like,
         &scale,
         &methods,
@@ -289,8 +289,8 @@ fn file_backed_ledger_resumes_across_processes() {
 #[test]
 fn tabular_surrogate_drives_every_extended_method() {
     // Record the full extended slate once, then re-drive each method's
-    // scheduler directly against a TabularObjective — the fig08-style sweep
-    // a recorded table exists for.
+    // scheduler directly against the ledger alone (a recorder over
+    // LedgerOnly) — the fig08-style sweep a recorded table exists for.
     let scale = ExperimentScale::smoke();
     let settings = paper_noise_settings();
     let seed = 21;
@@ -306,7 +306,7 @@ fn tabular_surrogate_drives_every_extended_method() {
     )
     .unwrap();
     let replayed = replay_method_comparison(
-        &store,
+        &mut store,
         Benchmark::Cifar10Like,
         &scale,
         &TuningMethod::EXTENDED,
@@ -336,7 +336,12 @@ fn tabular_surrogate_drives_every_extended_method() {
     .unwrap();
     let mut scheduler = fedtune::fedhpo::ReEvaluation::new(asha, 2, 5).unwrap();
     let space = fedtune::fedhpo::SearchSpace::paper_default();
-    let mut tabular = TabularObjective::new(&store, &space);
+    let mut replay = RecordingObjective::new(
+        LedgerOnly,
+        &space,
+        campaign_provenance(Benchmark::Cifar10Like, &scale, seed, "noiseless"),
+        &mut store,
+    );
     // Unit 8 of the recorded grid is ASHA (method index 4) under the
     // noiseless setting, trial 0: methods are enumerated method-major with
     // 2 settings x method_trials trials each.
@@ -347,13 +352,11 @@ fn tabular_surrogate_drives_every_extended_method() {
         threads: 4,
         ..Drive::new(Clock::Barrier)
     };
-    let err = drive(&mut scheduler, &space, &mut tabular, &mut rng, &config).unwrap_err();
+    let err = drive(&mut scheduler, &space, &mut replay, &mut rng, &config).unwrap_err();
     assert!(
         err.to_string().contains("table miss"),
         "an unrecorded replicate must miss: {err}"
     );
-    assert!(
-        tabular.table.exact_hits() > 0,
-        "recorded replicates hit first"
-    );
+    assert!(replay.eval.hits() > 0, "recorded replicates hit first");
+    assert!(replay.eval.misses() > 0, "and the unrecorded one misses");
 }
