@@ -2,13 +2,15 @@
 # Fails when a retired name (.github/retired-names.tsv) comes back. Run from
 # the repository root: bash .github/check-retired-names.sh
 set -u
-# Non-test lines of the files named on stdin, each `path:line: text`; with
-# skip_comments=1, lines that start with // are left out too.
+# Non-test lines of the files named on stdin that match the pattern, each
+# `path:line: text`; with skip_comments=1, lines that start with // are left
+# out too. awk blanks what is left out and grep matches, so a pattern means
+# what it means in every other scope (awk reads \b as a backspace).
 nontest() {
   while read -r f; do
-    awk -v f="$f" -v pat="$1" -v skip="$2" '/^#\[cfg\(test\)\]/{exit}
-      {l=$0; sub(/^[ \t]+/,"",l)}
-      !(skip && l ~ /^\/\//) && $0 ~ pat {print f":"FNR": "l}' "$f"
+    awk -v skip="$2" '/^#\[cfg\(test\)\]/{exit}
+      {l=$0; sub(/^[ \t]+/,"",l); print (skip && l ~ /^\/\//) ? "" : $0}' "$f" |
+      grep -nE -e "$1" | sed -E "s|^([0-9]+):[[:space:]]*|$f:\1: |"
   done
 }
 failed=0

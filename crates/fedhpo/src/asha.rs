@@ -16,6 +16,10 @@
 //! rung first), then tops the batch up with fresh uniformly-sampled
 //! configurations.
 //!
+//! Every [`Hyperband`](crate::Hyperband) bracket is this ladder, polled only
+//! between rungs. A ladder accepts exactly the results it asked for, each at
+//! its trial's requested resource, once, and rejects any other unmoved.
+//!
 //! Cost: each rung keeps its results in rank order together with the last
 //! result of its top-`⌊n/η⌋` prefix and the unpromoted trials inside that
 //! prefix. A new result moves the prefix boundary by at most one place, so
@@ -36,8 +40,6 @@ type Ranked = (u64, usize);
 /// [`Rung::insert`].
 #[derive(Debug, Clone, Default)]
 struct Rung {
-    /// Reported score per trial id.
-    scores: BTreeMap<usize, f64>,
     /// Every result, best first.
     ranked: BTreeSet<Ranked>,
     /// The last result of the top-`⌊n/η⌋` prefix; `None` while it is empty.
@@ -49,17 +51,10 @@ struct Rung {
 }
 
 impl Rung {
-    /// Records `trial_id`'s score and moves the prefix boundary.
+    /// Records the first result of `trial_id` at this rung and moves the
+    /// prefix boundary.
     fn insert(&mut self, trial_id: usize, score: f64, eta: usize) {
         let entry = (score_rank(score), trial_id);
-        if let Some(old) = self.scores.insert(trial_id, score) {
-            // A re-report at the same rung comes only from replayed or
-            // out-of-band histories: rebuild the prefix in O(n).
-            self.ranked.remove(&(score_rank(old), trial_id));
-            self.ranked.insert(entry);
-            self.rebuild(eta);
-            return;
-        }
         let top_before = self.ranked.len() / eta;
         self.ranked.insert(entry);
         let grows = self.ranked.len() / eta > top_before;
@@ -87,16 +82,6 @@ impl Rung {
             }
             _ => {}
         }
-    }
-
-    /// Recomputes the prefix boundary and candidates from `ranked`.
-    fn rebuild(&mut self, eta: usize) {
-        let prefix = self.ranked.iter().take(self.ranked.len() / eta);
-        self.boundary = prefix.clone().next_back().copied();
-        self.candidates = prefix
-            .filter(|(_, trial_id)| !self.promoted.contains(trial_id))
-            .copied()
-            .collect();
     }
 
     /// Makes a result that entered the prefix a candidate unless it was
@@ -139,13 +124,14 @@ pub struct Asha {
     max_resource: usize,
     /// Whether the scheduler advertises per-completion re-polling.
     asynchronous: bool,
-    /// Configuration of every trial seen so far.
-    configs: BTreeMap<usize, HpConfig>,
+    /// Configuration per trial id: the bottom rung's configurations drawn so
+    /// far, or all of them for a bracket.
+    configs: Vec<HpConfig>,
     /// Reported results and promotion index per rung.
     rungs: Vec<Rung>,
-    /// Trials with an outstanding request.
-    pending: BTreeSet<usize>,
-    /// Fresh configurations sampled so far.
+    /// The rung of every trial with an outstanding request.
+    pending: BTreeMap<usize, usize>,
+    /// Trials that entered the bottom rung so far.
     sampled: usize,
 }
 
@@ -183,9 +169,9 @@ impl Asha {
             min_resource,
             max_resource,
             asynchronous: false,
-            configs: BTreeMap::new(),
+            configs: Vec::new(),
             rungs: Vec::new(),
-            pending: BTreeSet::new(),
+            pending: BTreeMap::new(),
             sampled: 0,
         };
         asha.rungs = vec![Rung::default(); asha.num_rungs()];
@@ -207,6 +193,18 @@ impl Asha {
             asynchronous: true,
             ..Asha::new(num_configs, eta, min_resource, max_resource)?
         })
+    }
+
+    /// A Hyperband/BOHB bracket: the [`new`](Self::new) ladder with trial `i`
+    /// on `configs[i]` instead of on a fresh sample.
+    pub(crate) fn bracket(
+        configs: Vec<HpConfig>,
+        eta: usize,
+        min_resource: usize,
+        max_resource: usize,
+    ) -> Result<Self> {
+        let ladder = Asha::new(configs.len(), eta, min_resource, max_resource)?;
+        Ok(Asha { configs, ..ladder })
     }
 
     /// The resource of rung `k`: `min_resource · η^k`, capped at
@@ -251,14 +249,37 @@ impl Asha {
     /// comparable noise, and **not** a worst-case bound: promoting on partial
     /// rungs can promote trials that fall out of the final top `1/η`, so an
     /// event-driven run may perform more evaluations (hard cap: one
-    /// evaluation per trial per rung, `num_configs × num_rungs`).
+    /// evaluation per trial per rung, `num_configs × num_rungs`). Saturates
+    /// at `usize::MAX`.
     pub fn planned_evaluations(&self) -> usize {
-        self.rung_sizes().iter().sum::<usize>().max(1)
+        self.rung_sizes()
+            .into_iter()
+            .fold(0, usize::saturating_add)
+            .max(1)
     }
 
-    /// The rung index whose resource is exactly `resource`, if any.
-    fn rung_for_resource(&self, resource: usize) -> Option<usize> {
-        (0..self.rungs.len()).find(|&k| self.rung_resource(k) == resource)
+    /// Requests suggested and not yet reported.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// [`report`](Scheduler::report) under the ladder's own `trial_id` (a
+    /// bracket numbers its trials from 0): an error that moves nothing
+    /// unless that trial has a request outstanding at `result.resource`.
+    pub(crate) fn tell(&mut self, trial_id: usize, result: &TrialResult) -> Result<()> {
+        match self.pending.get(&trial_id) {
+            Some(&rung) if self.rung_resource(rung) == result.resource => {
+                self.pending.remove(&trial_id);
+                self.rungs[rung].insert(trial_id, result.score, self.eta);
+                Ok(())
+            }
+            _ => Err(HpoError::InvalidConfig {
+                message: format!(
+                    "no request outstanding for trial {} at resource {}",
+                    result.trial_id, result.resource
+                ),
+            }),
+        }
     }
 
     /// The rungs a trial can be promoted out of: all but the last.
@@ -268,19 +289,20 @@ impl Asha {
 
     /// The sort-based reference the index is tested against: for each
     /// non-terminal rung `k`, the unpromoted trials ranked (by score, then
-    /// trial id) within the top `⌊|results at k| / η⌋`. Ordered highest rung
-    /// first, best score first.
+    /// trial id) within the top `⌊|results at k| / η⌋` of the accepted
+    /// results in `reported`. Ordered highest rung first, best score first.
     #[cfg(test)]
-    fn promotable(&self) -> Vec<(usize, usize)> {
+    fn promotable(&self, reported: &[TrialResult]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (k, rung) in self.promoting_rungs().iter().enumerate().rev() {
-            let mut ranked: Vec<Ranked> = rung
-                .scores
+            let mut ranked: Vec<Ranked> = reported
                 .iter()
-                .map(|(&id, &score)| (score_rank(score), id))
+                .filter(|result| result.resource == self.rung_resource(k))
+                .map(|result| (score_rank(result.score), result.trial_id))
                 .collect();
             ranked.sort();
-            for (_, trial_id) in ranked.into_iter().take(rung.scores.len() / self.eta) {
+            let top = ranked.len() / self.eta;
+            for (_, trial_id) in ranked.into_iter().take(top) {
                 if !rung.promoted.contains(&trial_id) {
                     out.push((trial_id, k));
                 }
@@ -317,10 +339,10 @@ impl Scheduler for Asha {
         let mut batch = Vec::new();
         for rung in (0..self.rungs.len() - 1).rev() {
             while let Some(trial_id) = self.rungs[rung].promote() {
-                self.pending.insert(trial_id);
+                self.pending.insert(trial_id, rung + 1);
                 batch.push(TrialRequest {
                     trial_id,
-                    config: self.configs[&trial_id].clone(),
+                    config: self.configs[trial_id].clone(),
                     resource: self.rung_resource(rung + 1),
                     noise_rep: 0,
                 });
@@ -328,13 +350,14 @@ impl Scheduler for Asha {
         }
         while self.sampled < self.num_configs {
             let trial_id = self.sampled;
-            let config = space.sample(rng)?;
-            self.configs.insert(trial_id, config.clone());
-            self.pending.insert(trial_id);
+            if trial_id == self.configs.len() {
+                self.configs.push(space.sample(rng)?);
+            }
+            self.pending.insert(trial_id, 0);
             self.sampled += 1;
             batch.push(TrialRequest {
                 trial_id,
-                config,
+                config: self.configs[trial_id].clone(),
                 resource: self.rung_resource(0),
                 noise_rep: 0,
             });
@@ -343,23 +366,7 @@ impl Scheduler for Asha {
     }
 
     fn report(&mut self, result: &TrialResult) -> Result<()> {
-        let rung =
-            self.rung_for_resource(result.resource)
-                .ok_or_else(|| HpoError::InvalidConfig {
-                    message: format!(
-                        "asha received a result at resource {} which is not a rung",
-                        result.resource
-                    ),
-                })?;
-        // Accept out-of-band results (e.g. replayed histories in tests): the
-        // promotion rule only depends on the resulting score sets.
-        self.configs
-            .entry(result.trial_id)
-            .or_insert_with(|| result.config.clone());
-        self.sampled = self.sampled.max(result.trial_id + 1);
-        self.rungs[rung].insert(result.trial_id, result.score, self.eta);
-        self.pending.remove(&result.trial_id);
-        Ok(())
+        self.tell(result.trial_id, result)
     }
 
     fn is_finished(&self) -> bool {
@@ -440,21 +447,20 @@ mod tests {
     #[test]
     fn promotions_prefer_low_scores_and_low_trial_ids() {
         let mut scheduler = Asha::new(6, 3, 1, 9).unwrap();
-        let config = HpConfig::new(vec![0.5]);
-        let result = |trial_id, score| TrialResult {
-            trial_id,
-            config: config.clone(),
-            resource: 1,
-            noise_rep: 0,
-            score,
-        };
+        let batch = scheduler.suggest(&space_1d(), &mut rng_for(0, 0)).unwrap();
         // Six rung-0 results; top third = 2 promotions; a score tie between
         // trials 4 and 5 resolves to the lower id.
-        for (id, score) in [(0, 0.9), (1, 0.8), (2, 0.7), (3, 0.6), (4, 0.5), (5, 0.5)] {
-            scheduler.report(&result(id, score)).unwrap();
+        let scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.5];
+        let reported: Vec<TrialResult> = batch
+            .iter()
+            .zip(scores)
+            .map(|(request, score)| TrialResult::of(request, score))
+            .collect();
+        for result in &reported {
+            scheduler.report(result).unwrap();
         }
-        let promotable = scheduler.promotable();
-        assert_eq!(promotable, vec![(4, 0), (5, 0)]);
+        assert_eq!(scheduler.promotable(&reported), vec![(4, 0), (5, 0)]);
+        assert_eq!(scheduler.indexed(), vec![(4, 0), (5, 0)]);
     }
 
     #[test]
@@ -474,10 +480,15 @@ mod tests {
             0.1,
             f64::NAN,
         ];
-        for (request, score) in batch.iter().zip(scores) {
-            scheduler.report(&TrialResult::of(request, score)).unwrap();
+        let reported: Vec<TrialResult> = batch
+            .iter()
+            .zip(scores)
+            .map(|(request, score)| TrialResult::of(request, score))
+            .collect();
+        for result in &reported {
+            scheduler.report(result).unwrap();
         }
-        assert_eq!(scheduler.promotable(), vec![(4, 0), (2, 0)]);
+        assert_eq!(scheduler.promotable(&reported), vec![(4, 0), (2, 0)]);
         let promoted: Vec<usize> = scheduler
             .suggest(&space, &mut rng)
             .unwrap()
@@ -489,15 +500,50 @@ mod tests {
 
     #[test]
     fn rejects_results_off_the_ladder() {
+        let space = space_1d();
+        let mut rng = rng_for(8, 0);
         let mut scheduler = Asha::new(3, 3, 1, 9).unwrap();
-        let result = TrialResult {
-            trial_id: 0,
-            config: HpConfig::new(vec![0.5]),
-            resource: 4,
-            noise_rep: 0,
-            score: 0.5,
-        };
-        assert!(scheduler.report(&result).is_err());
+        let batch = scheduler.suggest(&space, &mut rng).unwrap();
+        // An unknown trial, a resource that is no rung, and another rung's.
+        let asked = TrialResult::of(&batch[0], 0.1);
+        for bogus in [
+            TrialResult {
+                trial_id: 3,
+                ..asked.clone()
+            },
+            TrialResult {
+                resource: 4,
+                ..asked.clone()
+            },
+            TrialResult {
+                resource: 3,
+                ..asked.clone()
+            },
+        ] {
+            assert!(scheduler.report(&bogus).is_err());
+        }
+        assert_eq!(scheduler.outstanding(), 3);
+        let scores = [0.1, 0.5, 0.9];
+        for (request, score) in batch.iter().zip(scores) {
+            scheduler.report(&TrialResult::of(request, score)).unwrap();
+            // A second report, even with another score, moves nothing.
+            assert!(scheduler.report(&TrialResult::of(request, -score)).is_err());
+        }
+        assert_eq!(scheduler.indexed(), vec![(0, 0)]);
+        let promoted = scheduler.suggest(&space, &mut rng).unwrap();
+        assert_eq!((promoted[0].trial_id, promoted[0].resource), (0, 3));
+        // The promoted trial is asked for at rung 1 only.
+        assert!(scheduler.report(&asked).is_err());
+        scheduler
+            .report(&TrialResult::of(&promoted[0], 0.2))
+            .unwrap();
+        assert!(scheduler.is_finished());
+    }
+
+    #[test]
+    fn plans_saturate_instead_of_overflowing() {
+        let huge = Asha::new(usize::MAX, 2, 1, 1 << 20).unwrap();
+        assert_eq!(huge.planned_evaluations(), usize::MAX);
     }
 
     #[test]
@@ -619,15 +665,19 @@ mod proptests {
         }
     }
 
-    /// Asserts the index agrees with the sort-based oracle, and
-    /// `is_finished` with the oracle's answer.
-    fn check_against_oracle(scheduler: &Asha) -> std::result::Result<(), TestCaseError> {
-        let oracle = scheduler.promotable();
+    /// Asserts the index agrees with the sort-based oracle over the accepted
+    /// results, and `is_finished` with the oracle's answer.
+    fn check_against_oracle(
+        scheduler: &Asha,
+        reported: &[TrialResult],
+        outstanding: &[TrialRequest],
+    ) -> std::result::Result<(), TestCaseError> {
+        let oracle = scheduler.promotable(reported);
         prop_assert_eq!(scheduler.indexed(), oracle.clone());
         prop_assert_eq!(
             scheduler.is_finished(),
             scheduler.sampled >= scheduler.num_configs
-                && scheduler.pending.is_empty()
+                && outstanding.is_empty()
                 && oracle.is_empty()
         );
         Ok(())
@@ -636,10 +686,12 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random report histories — live results in any order, out-of-band
-        /// results, same-rung re-reports with a new score — never let the
-        /// rung index drift from the sort-based oracle, and `suggest` pops
-        /// exactly the oracle's first promotions.
+        /// Random report histories — live results in any order, results
+        /// nobody asked for, re-reports with a new score — never let the
+        /// rung index drift from the sort-based oracle: the ladder accepts
+        /// exactly the results the test holds a request for, rejects the
+        /// rest without moving, and `suggest` pops exactly the oracle's first
+        /// promotions.
         #[test]
         fn prop_index_matches_the_sort_oracle(
             seed in any::<u64>(),
@@ -656,7 +708,7 @@ mod proptests {
                 let result = match rng.gen_range(0..10) {
                     0..=2 => {
                         let expected: Vec<(usize, usize)> = scheduler
-                            .promotable()
+                            .promotable(&reported)
                             .into_iter()
                             .map(|(id, k)| (id, scheduler.rung_resource(k + 1)))
                             .collect();
@@ -668,7 +720,7 @@ mod proptests {
                             .collect();
                         prop_assert_eq!(promoted, expected);
                         outstanding.extend(batch);
-                        check_against_oracle(&scheduler)?;
+                        check_against_oracle(&scheduler, &reported, &outstanding)?;
                         continue;
                     }
                     3 => TrialResult {
@@ -686,15 +738,24 @@ mod proptests {
                         }
                     }
                     _ if !outstanding.is_empty() => {
-                        let request =
-                            outstanding.swap_remove(rng.gen_range(0..outstanding.len()));
-                        TrialResult::of(&request, hostile_score(&mut rng))
+                        let request = &outstanding[rng.gen_range(0..outstanding.len())];
+                        TrialResult::of(request, hostile_score(&mut rng))
                     }
                     _ => continue,
                 };
-                scheduler.report(&result).unwrap();
-                reported.push(result);
-                check_against_oracle(&scheduler)?;
+                let asked = outstanding
+                    .iter()
+                    .position(|r| (r.trial_id, r.resource) == (result.trial_id, result.resource));
+                if let Some(position) = asked {
+                    outstanding.swap_remove(position);
+                    scheduler.report(&result).unwrap();
+                    reported.push(result);
+                } else {
+                    let before = (scheduler.promotable(&reported), scheduler.indexed());
+                    prop_assert!(scheduler.report(&result).is_err());
+                    prop_assert_eq!((scheduler.promotable(&reported), scheduler.indexed()), before);
+                }
+                check_against_oracle(&scheduler, &reported, &outstanding)?;
             }
         }
     }

@@ -8,15 +8,19 @@
 //! The paper runs 5 brackets with elimination factor `η = 3` and a maximum
 //! of 405 rounds per configuration.
 //!
+//! A bracket is a rung-synchronous [`Asha`] ladder opened on the
+//! configurations the bracket drew: this module plans the brackets, draws
+//! their configurations and numbers their trials, and ranks nothing itself.
+//!
 //! BOHB keeps Hyperband's bracket structure but replaces its uniform random
 //! sampling of new configurations with proposals from a TPE model fitted on
 //! the observations gathered so far. Following the original method, the model
 //! is fitted on the *highest fidelity* (largest resource) that has collected
 //! enough observations, and falls back to random sampling early on.
 
-use crate::scheduler::{score_rank, Scheduler, TrialRequest, TrialResult};
+use crate::scheduler::{Scheduler, TrialRequest, TrialResult};
 use crate::space::{HpConfig, SearchSpace};
-use crate::{tpe, HpoError, Result};
+use crate::{tpe, Asha, HpoError, Result};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
@@ -77,12 +81,12 @@ impl Proposer {
 /// Hyperband (or BOHB): a ladder of SHA brackets trading off the number of
 /// configurations against the resource each receives.
 ///
-/// Every *rung* (all active configurations of a bracket at one fidelity) is
-/// suggested as a single batch, so a parallel batch driver trains an entire
-/// rung concurrently. Survivor selection is deterministic — finite scores
-/// are ordered with `f64::total_cmp`, every non-finite score after them, and
-/// ties resolve to the earlier trial id, so non-finite scores are eliminated
-/// first.
+/// Each bracket is a rung-synchronous [`Asha`] ladder opened on the
+/// configurations the proposer drew, so the rank rule, the survivor count
+/// and the rejection of results nobody asked for are ASHA's. Every *rung*
+/// (all active configurations of a bracket at one fidelity) is suggested as
+/// a single batch in trial-id order, so a parallel batch driver trains an
+/// entire rung concurrently. Trial ids run on across brackets.
 #[derive(Debug, Clone)]
 pub struct Hyperband {
     name: &'static str,
@@ -91,16 +95,12 @@ pub struct Hyperband {
     /// `(num_configs, min_resource)` per bracket, in execution order (most
     /// exploratory first).
     brackets: Vec<(usize, usize)>,
-    bracket_idx: usize,
-    started: bool,
-    /// Active configurations of the current bracket: `(trial_id, config)`.
-    active: Vec<(usize, HpConfig)>,
-    /// Fidelity of the current rung.
-    resource: usize,
-    /// Scores of the current rung, by `active` position.
-    scores: Vec<Option<f64>>,
-    awaiting: usize,
-    next_trial_id: usize,
+    /// Brackets opened so far.
+    opened: usize,
+    /// The open bracket, numbering its trials from 0.
+    ladder: Option<Asha>,
+    /// The trial id of the open bracket's trial 0.
+    first_trial_id: usize,
     proposer: Proposer,
 }
 
@@ -166,62 +166,25 @@ impl Hyperband {
             eta,
             max_resource,
             brackets,
-            bracket_idx: 0,
-            started: false,
-            active: Vec::new(),
-            resource: 0,
-            scores: Vec::new(),
-            awaiting: 0,
-            next_trial_id: 0,
+            opened: 0,
+            ladder: None,
+            first_trial_id: 0,
             proposer,
         })
     }
 
     /// Number of evaluations the schedule performs over all brackets — the
-    /// DP composition length `M` of a Hyperband / BOHB run.
+    /// DP composition length `M` of a Hyperband / BOHB run: the sum of the
+    /// brackets' [`Asha::planned_evaluations`], saturating at `usize::MAX`.
     pub fn planned_evaluations(&self) -> usize {
-        let mut evaluations = 0;
-        for &(mut n, mut r) in &self.brackets {
-            loop {
-                evaluations += n;
-                if n < self.eta || r >= self.max_resource {
-                    break;
-                }
-                n = (n / self.eta).max(1);
-                r = r.saturating_mul(self.eta).min(self.max_resource);
-            }
-        }
-        evaluations
-    }
-
-    /// Completes the current rung: eliminate, promote, or close the bracket.
-    fn advance_rung(&mut self) {
-        if self.active.len() < self.eta || self.resource >= self.max_resource {
-            self.bracket_idx += 1;
-            self.started = false;
-            self.active.clear();
-            self.scores.clear();
-            return;
-        }
-        // Keep the best ⌊n/η⌋ configurations (at least one).
-        let keep = (self.active.len() / self.eta).max(1);
-        let mut order: Vec<usize> = (0..self.active.len()).collect();
-        order.sort_by_key(|&i| {
-            let score = self.scores[i].unwrap_or(f64::NAN);
-            (score_rank(score), self.active[i].0)
-        });
-        let survivors: std::collections::HashSet<usize> = order.into_iter().take(keep).collect();
-        self.active = self
-            .active
+        self.brackets
             .iter()
-            .enumerate()
-            .filter(|(i, _)| survivors.contains(i))
-            .map(|(_, x)| x.clone())
-            .collect();
-        self.resource = self
-            .resource
-            .saturating_mul(self.eta)
-            .min(self.max_resource);
+            .map(|&(n, r)| {
+                // Every bracket is a valid ladder: `n`, `r` ≥ 1, `r` ≤ R.
+                Asha::new(n, self.eta, r, self.max_resource)
+                    .map_or(0, |bracket| bracket.planned_evaluations())
+            })
+            .fold(0, usize::saturating_add)
     }
 }
 
@@ -234,72 +197,54 @@ impl Scheduler for Hyperband {
         if self.is_finished() {
             return Ok(Vec::new());
         }
-        if self.awaiting > 0 {
+        let outstanding = self.ladder.as_ref().map_or(0, Asha::outstanding);
+        if outstanding > 0 {
             return Err(HpoError::InvalidConfig {
                 message: format!(
-                    "{} scheduler asked for a batch with {} rung results outstanding",
-                    self.name, self.awaiting
+                    "{} scheduler asked for a batch with {outstanding} rung results outstanding",
+                    self.name
                 ),
             });
         }
-        if !self.started {
-            let (n, min_resource) = self.brackets[self.bracket_idx];
-            let configs = self.proposer.propose(space, n, rng)?;
-            self.active = configs
-                .into_iter()
-                .map(|config| {
-                    let id = self.next_trial_id;
-                    self.next_trial_id += 1;
-                    (id, config)
-                })
-                .collect();
-            self.resource = min_resource.min(self.max_resource);
-            self.started = true;
+        let ladder = match &mut self.ladder {
+            Some(ladder) if !ladder.is_finished() => ladder,
+            closed => {
+                let (n, min_resource) = self.brackets[self.opened];
+                let configs = self.proposer.propose(space, n, rng)?;
+                let ladder = Asha::bracket(configs, self.eta, min_resource, self.max_resource)?;
+                self.first_trial_id = self.brackets[..self.opened].iter().map(|b| b.0).sum();
+                self.opened += 1;
+                closed.insert(ladder)
+            }
+        };
+        // A rung's survivors come best first; dispatch them in trial-id order.
+        let mut batch = ladder.suggest(space, rng)?;
+        batch.sort_unstable_by_key(|request| request.trial_id);
+        for request in &mut batch {
+            request.trial_id += self.first_trial_id;
         }
-        self.scores = vec![None; self.active.len()];
-        self.awaiting = self.active.len();
-        Ok(self
-            .active
-            .iter()
-            .map(|(trial_id, config)| TrialRequest {
-                trial_id: *trial_id,
-                config: config.clone(),
-                resource: self.resource,
-                noise_rep: 0,
-            })
-            .collect())
+        Ok(batch)
     }
 
     fn report(&mut self, result: &TrialResult) -> Result<()> {
-        let position = self
-            .active
-            .iter()
-            .position(|(id, _)| *id == result.trial_id)
-            .ok_or_else(|| HpoError::InvalidConfig {
-                message: format!(
-                    "{} scheduler received a result for unknown trial {}",
-                    self.name, result.trial_id
-                ),
-            })?;
-        if self.scores[position].is_some() {
-            return Err(HpoError::InvalidConfig {
-                message: format!(
-                    "{} scheduler received a duplicate result for trial {}",
-                    self.name, result.trial_id
-                ),
-            });
+        let trial_id = result.trial_id.checked_sub(self.first_trial_id);
+        match (self.ladder.as_mut(), trial_id) {
+            (Some(ladder), Some(trial_id)) => ladder.tell(trial_id, result)?,
+            _ => {
+                return Err(HpoError::InvalidConfig {
+                    message: format!(
+                        "{} scheduler received a result for trial {} outside its open bracket",
+                        self.name, result.trial_id
+                    ),
+                })
+            }
         }
         self.proposer.observe(result);
-        self.scores[position] = Some(result.score);
-        self.awaiting -= 1;
-        if self.awaiting == 0 {
-            self.advance_rung();
-        }
         Ok(())
     }
 
     fn is_finished(&self) -> bool {
-        self.bracket_idx >= self.brackets.len() && self.awaiting == 0
+        self.opened == self.brackets.len() && self.ladder.as_ref().is_none_or(Asha::is_finished)
     }
 }
 
@@ -381,6 +326,14 @@ mod tests {
             Hyperband::new(9, 3, Some(3)).unwrap().planned_evaluations(),
             9 + 3 + 1 + 5 + 1 + 3
         );
+    }
+
+    #[test]
+    fn the_plan_saturates_instead_of_overflowing() {
+        // Brackets past s ≈ 40 hold usize::MAX configurations.
+        let hb = Hyperband::new(405, 3, Some(64)).unwrap();
+        assert_eq!(hb.brackets[0].0, usize::MAX);
+        assert_eq!(hb.planned_evaluations(), usize::MAX);
     }
 
     #[test]
@@ -498,6 +451,57 @@ mod tests {
     }
 
     #[test]
+    fn rejections_run_through_the_bracket_offset() {
+        let space = space_1d();
+        let mut scheduler = Hyperband::new(9, 3, Some(3)).unwrap();
+        let mut rng = rng_for(9, 0);
+        // Nothing is asked for before the first bracket opens.
+        let probe = TrialResult {
+            trial_id: 0,
+            config: HpConfig::new(vec![0.5]),
+            resource: 1,
+            noise_rep: 0,
+            score: 0.0,
+        };
+        assert!(scheduler.report(&probe).is_err());
+        // Run the first bracket to its close: 9 at r=1, 3 at r=3, 1 at r=9.
+        let mut rung = scheduler.suggest(&space, &mut rng).unwrap();
+        for _ in 0..2 {
+            for request in &rung {
+                let score = request.trial_id as f64;
+                scheduler.report(&TrialResult::of(request, score)).unwrap();
+            }
+            rung = scheduler.suggest(&space, &mut rng).unwrap();
+        }
+        assert_eq!((rung.len(), rung[0].resource), (1, 9));
+        scheduler.report(&TrialResult::of(&rung[0], 0.0)).unwrap();
+        // The bracket has closed: its survivor's result a second time, or
+        // any of its trials at any rung, is refused.
+        assert!(scheduler.report(&TrialResult::of(&rung[0], 0.0)).is_err());
+        assert!(scheduler.report(&probe).is_err());
+        // The next bracket opens on trials 9..14 at r=3.
+        let next = scheduler.suggest(&space, &mut rng).unwrap();
+        let ids: Vec<usize> = next.iter().map(|r| r.trial_id).collect();
+        assert_eq!(ids, (9..14).collect::<Vec<_>>());
+        // Ids below the open bracket's first id, and one past its last, are
+        // refused at the bracket's own rung.
+        for trial_id in [0, 8, 14] {
+            let bogus = TrialResult {
+                trial_id,
+                ..TrialResult::of(&next[0], 0.0)
+            };
+            assert!(scheduler.report(&bogus).is_err(), "trial {trial_id}");
+        }
+        // The refusals moved nothing: trial 13 scores best and survives.
+        for request in &next {
+            let score = 20.0 - request.trial_id as f64;
+            scheduler.report(&TrialResult::of(request, score)).unwrap();
+        }
+        let survivor = scheduler.suggest(&space, &mut rng).unwrap();
+        assert_eq!((survivor.len(), survivor[0].trial_id), (1, 13));
+    }
+
+    #[test]
     fn nan_scores_are_eliminated_first() {
         let space = space_1d();
         // 0.0 / 0.0 at run time on x86-64: a NaN with the sign bit set,
@@ -530,6 +534,69 @@ mod tests {
                 .or_insert_with(|| r.config.values().to_vec());
             assert_eq!(entry, &r.config.values().to_vec());
         }
+    }
+
+    /// A score with ties, NaN and infinities, so pins cover the rank rule.
+    fn hostile_score(config: &HpConfig, resource: usize) -> f64 {
+        let x = config.values()[0];
+        match x {
+            x if x < 0.05 => f64::NAN,
+            x if x > 0.95 => f64::INFINITY,
+            x => ((x - 0.7).abs() * 8.0).floor() / 8.0 + 0.5 / (resource as f64 + 1.0),
+        }
+    }
+
+    #[test]
+    fn campaign_records_are_pinned() {
+        // `(ladder, records, digest of every record's trial id, config bits,
+        // resource, score bits and cumulative resource)` at seed 4.
+        let pins: [(Hyperband, usize, u64); 6] = [
+            (
+                Hyperband::new(27, 3, Some(3)).unwrap(),
+                22,
+                0xb3364518c2aa9d9b,
+            ),
+            (
+                Hyperband::bohb(27, 3, Some(3)).unwrap(),
+                22,
+                0x83dfac200c380f4b,
+            ),
+            (
+                Hyperband::new(405, 3, Some(5)).unwrap(),
+                206,
+                0x93182ae64e21f549,
+            ),
+            (
+                Hyperband::bohb(405, 3, Some(5)).unwrap(),
+                206,
+                0xd67a2cae7998cbad,
+            ),
+            (Hyperband::new(16, 2, None).unwrap(), 72, 0x20bb2bd9c5fd98b1),
+            (
+                Hyperband::bohb(16, 2, None).unwrap(),
+                72,
+                0x067ff97f07c7d1dd,
+            ),
+        ];
+        let mut actual = Vec::new();
+        for (ladder, _, _) in &pins {
+            let planned = ladder.planned_evaluations();
+            let mut rng = rng_for(4, 0);
+            let outcome = run_fresh(ladder.clone(), &space_1d(), hostile_score, &mut rng).unwrap();
+            assert_eq!(outcome.num_evaluations(), planned);
+            let mut bits = Vec::new();
+            for r in outcome.records() {
+                bits.push(r.trial_id as u64);
+                bits.extend(r.config.values().iter().map(|v| v.to_bits()));
+                bits.extend([r.resource as u64, r.score.to_bits()]);
+                bits.push(r.cumulative_resource as u64);
+            }
+            let digest = crate::space::fingerprint_bits(&bits);
+            println!("actual: ({}, {planned}, 0x{digest:016x})", ladder.name());
+            actual.push((planned, digest));
+        }
+        let expected: Vec<(usize, u64)> = pins.iter().map(|&(_, n, d)| (n, d)).collect();
+        assert_eq!(actual, expected);
     }
 
     fn bohb_score(config: &HpConfig, resource: usize) -> f64 {

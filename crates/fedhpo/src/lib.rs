@@ -10,9 +10,10 @@
 //!   a Bayesian-optimization method based on kernel-density estimates of the
 //!   good and bad configuration distributions.
 //! - [`Hyperband`] — the early-stopping method (Li et al. 2017): a ladder
-//!   of Successive Halving brackets. [`Hyperband::bohb`] builds BOHB on the
-//!   same ladder, replacing its random sampling with the TPE acquisition
-//!   function (Falkner et al. 2018).
+//!   of Successive Halving brackets, each a rung-synchronous [`Asha`]
+//!   ladder. [`Hyperband::bohb`] builds BOHB on the same ladder, replacing
+//!   its random sampling with the TPE acquisition function (Falkner et al.
+//!   2018).
 //! - [`Asha`] — asynchronous successive halving (Li et al. 2020): per-rung
 //!   promotions computed from whatever results have arrived.
 //!   [`Asha::asynchronous`] runs the same ladder genuinely asynchronously:

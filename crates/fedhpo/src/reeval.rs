@@ -63,9 +63,11 @@ impl ReEvaluation<crate::Asha> {
     /// the ladder's plan plus `reps` fresh draws for each finalist. Finalists
     /// are the best `top_k` of whoever reached the ladder's highest populated
     /// rung, so fewer than `top_k` once the ladder narrows below it.
+    /// Saturates at `usize::MAX`.
     pub fn planned_evaluations(&self) -> usize {
         let top_rung = self.inner.rung_sizes().last().copied().unwrap_or(0);
-        self.inner.planned_evaluations() + self.top_k.min(top_rung) * self.reps
+        let finals = self.top_k.min(top_rung).saturating_mul(self.reps);
+        self.inner.planned_evaluations().saturating_add(finals)
     }
 }
 
@@ -305,5 +307,16 @@ mod tests {
         let mut rng = rng_for(2, 0);
         let plain = run_fresh(hb, &space_1d(), score, &mut rng).unwrap();
         assert_eq!(outcome.total_resource(), plain.total_resource());
+    }
+
+    #[test]
+    fn the_plan_saturates_instead_of_overflowing() {
+        let huge = crate::Asha::new(usize::MAX, 2, 1, 1 << 20).unwrap();
+        let policy = ReEvaluation::new(huge, usize::MAX, 3).unwrap();
+        assert_eq!(policy.planned_evaluations(), usize::MAX);
+        // The finalists alone overflow: top_k · reps past usize::MAX.
+        let small = crate::Asha::new(9, 3, 1, 9).unwrap();
+        let policy = ReEvaluation::new(small, usize::MAX, usize::MAX).unwrap();
+        assert_eq!(policy.planned_evaluations(), usize::MAX);
     }
 }

@@ -121,8 +121,11 @@ pub trait Scheduler {
     /// # Errors
     ///
     /// Returns [`HpoError::InvalidConfig`](crate::HpoError::InvalidConfig) for results the scheduler never
-    /// asked for (implementations may choose to accept out-of-band results,
-    /// e.g. ASHA tolerates any arrival order).
+    /// asked for. The successive-halving ladders ([`Asha`](crate::Asha) and
+    /// every [`Hyperband`](crate::Hyperband) bracket) reject an unknown
+    /// trial, a wrong resource and a second report, in any arrival order;
+    /// [`RandomSearch`](crate::RandomSearch) and [`Tpe`](crate::Tpe) track
+    /// no requests.
     fn report(&mut self, result: &TrialResult) -> Result<()>;
 
     /// `true` once the schedule is exhausted: no further suggestions will be

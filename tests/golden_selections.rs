@@ -38,23 +38,44 @@ const GOLDEN_SCHEDULED_ASHA: [ScheduledGolden; 4] = [
     ("noisy", 1, 16, 0x3feb161322918aee),     // selected true error 0.8464446711699034
 ];
 
+/// Hyperband through the same pinned comparison as
+/// [`GOLDEN_SCHEDULED_ASHA`]: seed 3, smoke scale, both paper noise settings.
+const GOLDEN_SCHEDULED_HB: [ScheduledGolden; 4] = [
+    ("noiseless", 0, 6, 0x3feb654b82c33918), // selected true error 0.8561151079136691
+    ("noiseless", 1, 6, 0x3fe5ded952e0b0ce), // selected true error 0.6834532374100719
+    ("noisy", 0, 6, 0x3fe3f3b8ed9914cb),     // selected true error 0.6235012665353222
+    ("noisy", 1, 6, 0x3fe76e21b2f84c53),     // selected true error 0.732193803358664
+];
+
+/// BOHB through the same pinned comparison as [`GOLDEN_SCHEDULED_ASHA`]. At
+/// smoke scale no fidelity collects the six observations BOHB's TPE model
+/// needs, so BOHB runs Hyperband's campaign draw for draw; `fedhpo`'s
+/// `campaign_records_are_pinned` pins the model-driven brackets.
+const GOLDEN_SCHEDULED_BOHB: [ScheduledGolden; 4] = [
+    ("noiseless", 0, 6, 0x3feb654b82c33918), // selected true error 0.8561151079136691
+    ("noiseless", 1, 6, 0x3fe5ded952e0b0ce), // selected true error 0.6834532374100719
+    ("noisy", 0, 6, 0x3fe3f3b8ed9914cb),     // selected true error 0.6235012665353222
+    ("noisy", 1, 6, 0x3fe76e21b2f84c53),     // selected true error 0.732193803358664
+];
+
 const SCHEDULED_SEED: u64 = 3;
 
-#[test]
-fn scheduled_asha_selections_are_pinned() {
+/// Runs `method` through the pinned comparison and asserts its selections
+/// match `golden`.
+fn assert_scheduled_selections(method: TuningMethod, golden: &[ScheduledGolden]) {
     let scale = ExperimentScale::smoke();
     let noise_settings = paper_noise_settings();
     let comparison = run_method_comparison(
         &TrialRunner::sequential(),
         Benchmark::Cifar10Like,
         &scale,
-        &[TuningMethod::Asha],
+        &[method],
         &noise_settings,
         SCHEDULED_SEED,
     )
     .unwrap();
     let budget = *comparison.budget_grid.last().unwrap();
-    assert_eq!(comparison.runs.len(), GOLDEN_SCHEDULED_ASHA.len());
+    assert_eq!(comparison.runs.len(), golden.len());
     // Print every actual before asserting, so a drift in run 0 still shows
     // the full re-baselining table.
     for run in &comparison.runs {
@@ -62,7 +83,7 @@ fn scheduled_asha_selections_are_pinned() {
             .selected_true_error_within(budget)
             .expect("campaign evaluated at least one configuration");
         println!(
-            "actual: (\"{}\", {}, {}, 0x{:016x}), // selected true error {}",
+            "actual {method}: (\"{}\", {}, {}, 0x{:016x}), // selected true error {}",
             run.noise_label,
             run.trial,
             run.log.len(),
@@ -70,13 +91,11 @@ fn scheduled_asha_selections_are_pinned() {
             selected,
         );
     }
-    for (run, &(noise_label, trial, log_len, bits)) in
-        comparison.runs.iter().zip(GOLDEN_SCHEDULED_ASHA.iter())
-    {
+    for (run, &(noise_label, trial, log_len, bits)) in comparison.runs.iter().zip(golden) {
         let selected = run
             .selected_true_error_within(budget)
             .expect("campaign evaluated at least one configuration");
-        assert_eq!(run.method, "ASHA");
+        assert_eq!(run.method, method.to_string());
         assert_eq!(run.noise_label, noise_label);
         assert_eq!(run.trial, trial);
         assert_eq!(run.log.len(), log_len, "evaluation schedule changed");
@@ -87,6 +106,21 @@ fn scheduled_asha_selections_are_pinned() {
             selected.to_bits(),
         );
     }
+}
+
+#[test]
+fn scheduled_asha_selections_are_pinned() {
+    assert_scheduled_selections(TuningMethod::Asha, &GOLDEN_SCHEDULED_ASHA);
+}
+
+#[test]
+fn scheduled_hyperband_selections_are_pinned() {
+    assert_scheduled_selections(TuningMethod::Hyperband, &GOLDEN_SCHEDULED_HB);
+}
+
+#[test]
+fn scheduled_bohb_selections_are_pinned() {
+    assert_scheduled_selections(TuningMethod::Bohb, &GOLDEN_SCHEDULED_BOHB);
 }
 
 #[test]
