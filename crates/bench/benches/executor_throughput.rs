@@ -111,7 +111,7 @@ impl ConcurrentEval for LatencyEval {
         *trained = reached;
         Ok(EvalOutput {
             noisy_score: analytic_score(request),
-            true_error: analytic_score(request),
+            true_error: Some(analytic_score(request)),
         })
     }
 }

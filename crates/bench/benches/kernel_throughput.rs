@@ -477,8 +477,8 @@ fn round_section(summary: &mut fedbench::BenchSummary, dataset: &FederatedDatase
 
 /// The error count of one client's logits (the FEMNIST-like federation's
 /// largest client, 203 rows of 20 classes), then one full validation pass as
-/// every noisy score pays it: the default MLP over all 360 validation
-/// clients of the paper-scale FEMNIST-like federation.
+/// a true error (or a biased draw) pays it: the default MLP over all 360
+/// validation clients of the paper-scale FEMNIST-like federation.
 fn eval_section(summary: &mut fedbench::BenchSummary) {
     let (_, _, classes) = FEMNIST_SHAPE;
     let mut rng = rng_for(95, 1);

@@ -62,8 +62,11 @@ use std::sync::mpsc;
 pub struct EvalOutput {
     /// The noisy score reported to the tuner (lower is better).
     pub noisy_score: f64,
-    /// The true (noise-free) objective value of the same evaluation.
-    pub true_error: f64,
+    /// The true (noise-free) objective value of the same evaluation, where
+    /// it came free with the score; `None` where only
+    /// [`ConcurrentEval::true_error`] pays for it (a federated score read
+    /// from a sampled cohort: no real server knows the truth).
+    pub true_error: Option<f64>,
 }
 
 /// The shared, thread-safe half of an objective: evaluates one request
@@ -88,6 +91,23 @@ pub trait ConcurrentEval: Sync {
     ///
     /// Propagates evaluation failures.
     fn evaluate(&self, state: &mut Self::State, request: &TrialRequest) -> Result<EvalOutput>;
+
+    /// The true error of the model `state` evaluated for `request`, whose
+    /// [`evaluate`](Self::evaluate) returned none: what an experimenter
+    /// reads and a tuner never does, paid when asked. `request.resource` is
+    /// the fidelity the evaluation reached (its log entry's `resource`).
+    /// The default serves an evaluation that always returns its truth.
+    ///
+    /// # Errors
+    ///
+    /// Fails for an evaluation the state does not hold, and propagates
+    /// evaluation failures.
+    fn true_error(&self, _state: &mut Self::State, request: &TrialRequest) -> Result<f64> {
+        Err(invalid(format!(
+            "trial {} at resource {}: this objective reports its true error with every score",
+            request.trial_id, request.resource
+        )))
+    }
 }
 
 impl<T: ConcurrentEval + ?Sized> ConcurrentEval for &T {
@@ -95,6 +115,10 @@ impl<T: ConcurrentEval + ?Sized> ConcurrentEval for &T {
 
     fn evaluate(&self, state: &mut T::State, request: &TrialRequest) -> Result<EvalOutput> {
         (**self).evaluate(state, request)
+    }
+
+    fn true_error(&self, state: &mut T::State, request: &TrialRequest) -> Result<f64> {
+        (**self).true_error(state, request)
     }
 }
 
@@ -625,7 +649,7 @@ pub(crate) mod tests {
             *state = (*state).max(request.resource);
             Ok(EvalOutput {
                 noisy_score: score,
-                true_error: score,
+                true_error: Some(score),
             })
         }
     }

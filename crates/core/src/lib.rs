@@ -72,7 +72,7 @@ pub use context::{hyperparams_from_config, BenchmarkContext};
 pub use engine::{TrialContext, TrialRunner};
 pub use fedsim::clock::{ClientRuntimeModel, CostModel};
 pub use fedsim::ExecutionPolicy;
-pub use noise::{noisy_error, NoiseConfig, PrivacyBudget};
+pub use noise::{noisy_error, NoiseConfig, PrivacyBudget, Validation};
 pub use objective::{
     selected_true_error, selected_true_error_within_sim, BatchFederatedObjective, CampaignLog,
     ObjectiveLogEntry,

@@ -8,9 +8,11 @@
 //! `Lap(M / (ε·|S|))` noise ([`evaluation_noise_scale`]).
 
 use crate::{invalid, CoreError, Result};
-use fedsim::evaluation::FederatedEvaluation;
+use feddata::{FederatedDataset, Split};
+use fedmodels::AnyModel;
+use fedsim::evaluation::{evaluate_full, FederatedEvaluation, PoolFrame};
 use fedsim::sampling::clients_for_rate;
-use fedsim::{CohortSampler, WeightingScheme};
+use fedsim::{ClientFrame, CohortSampler, WeightingScheme};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -194,53 +196,99 @@ impl Default for NoiseConfig {
     }
 }
 
-/// Applies every configured noise source to a *full* federated evaluation and
+/// What a noisy evaluation reads its sampled clients' errors from.
+#[derive(Debug)]
+pub enum Validation<'a> {
+    /// A finished full evaluation: every scorable client's error is known.
+    Full(&'a FederatedEvaluation),
+    /// A model and its dataset's validation pool, scored on demand: a
+    /// uniform draw of fewer than all clients scores its cohort alone. A
+    /// draw that reads every client's accuracy (a biased one) or takes the
+    /// whole pool runs the full pass and leaves it in `full`, whose
+    /// weighted error is then the evaluation's true error, for free.
+    Pool {
+        /// The model being evaluated.
+        model: &'a AnyModel,
+        /// The dataset whose validation pool reports.
+        dataset: &'a FederatedDataset,
+        /// Receives the full pass, when the draw ran one.
+        full: &'a mut Option<FederatedEvaluation>,
+    },
+}
+
+impl<'a> From<&'a FederatedEvaluation> for Validation<'a> {
+    fn from(evaluation: &'a FederatedEvaluation) -> Self {
+        Validation::Full(evaluation)
+    }
+}
+
+/// Applies every configured noise source to a federated evaluation and
 /// returns the noisy error estimate the tuner observes.
 ///
-/// The full evaluation carries one entry per validation client; this function
-/// (1) subsamples clients uniformly or with accuracy bias, (2) aggregates the
-/// sampled errors with the configured weighting, and (3) perturbs the
-/// corresponding accuracy with Laplace noise of scale
-/// `M / (ε · |S|)` where `M = total_evaluations` (§3.3). The returned value
-/// is an error rate and may leave `[0, 1]` when DP noise is large — exactly
-/// like the paper's perturbed accuracies.
+/// The clients are the validation pool's scorable ones, by position (the
+/// entries of a full evaluation); this function (1) subsamples them
+/// uniformly or with accuracy bias, (2) aggregates the sampled errors with
+/// the configured weighting, and (3) perturbs the corresponding accuracy
+/// with Laplace noise of scale `M / (ε · |S|)` where
+/// `M = total_evaluations` (§3.3). The returned value is an error rate and
+/// may leave `[0, 1]` when DP noise is large — exactly like the paper's
+/// perturbed accuracies. Both kinds of [`Validation`] give the same bits
+/// and leave `rng` in the same state.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] for invalid noise settings and
-/// propagates sampling/aggregation failures.
-pub fn noisy_error(
-    full_evaluation: &FederatedEvaluation,
+/// propagates sampling, evaluation and aggregation failures.
+pub fn noisy_error<'a>(
+    validation: impl Into<Validation<'a>>,
     noise: &NoiseConfig,
     total_evaluations: usize,
     rng: &mut StdRng,
 ) -> Result<f64> {
     noise.validate()?;
-    let population = full_evaluation.num_clients();
-    let sample_size = clients_for_rate(population, noise.subsample_rate)?;
-
-    // 1. Select which clients report their error. Only a biased selection
-    // reads the client accuracies; an unbiased one samples uniformly, and
-    // the whole pool draws nothing.
-    let selected: Vec<u64> = if sample_size == population {
-        (0..population as u64).collect()
+    let sampler = if noise.systems_bias > 0.0 {
+        CohortSampler::Biased {
+            bias: noise.systems_bias,
+        }
     } else {
-        let sampler = if noise.systems_bias > 0.0 {
-            CohortSampler::Biased {
-                bias: noise.systems_bias,
+        CohortSampler::Uniform
+    };
+
+    // 1. Select which clients report their error: `reporting`'s clients at
+    // the `drawn` positions, or all of them. Only a biased selection reads
+    // the client accuracies, so only it (or the whole pool, which draws
+    // nothing) needs every client scored; a uniform one scores its cohort
+    // alone, which then reports in draw order.
+    let cohort;
+    let (reporting, drawn) = match validation.into() {
+        Validation::Full(evaluation) => (evaluation, draw(evaluation, sampler, noise, rng)?),
+        Validation::Pool {
+            model,
+            dataset,
+            full,
+        } => {
+            let frame = PoolFrame::new(dataset, Split::Validation);
+            let population = frame.num_clients() as usize;
+            let sample_size = clients_for_rate(population, noise.subsample_rate)?;
+            if sample_size == population || sampler != CohortSampler::Uniform {
+                let evaluation = evaluate_full(model, dataset, Split::Validation, noise.weighting)?;
+                let evaluation = &*full.insert(evaluation);
+                (evaluation, draw(evaluation, sampler, noise, rng)?)
+            } else {
+                let drawn = sampler.sample(&frame, rng, sample_size, 0.0)?;
+                cohort = frame.evaluate(model, &drawn, noise.weighting)?;
+                (&cohort, None)
             }
-        } else {
-            CohortSampler::Uniform
-        };
-        sampler.sample(full_evaluation, rng, sample_size, 0.0)?
+        }
     };
 
     // 2. Aggregate the sampled per-client errors.
-    let per_client = full_evaluation.per_client();
-    let mut errors = Vec::with_capacity(selected.len());
-    let mut weights = Vec::with_capacity(selected.len());
-    for &idx in &selected {
-        let c = &per_client[idx as usize];
+    let per_client = reporting.per_client();
+    let sample_size = drawn.as_ref().map_or(per_client.len(), Vec::len);
+    let mut errors = Vec::with_capacity(sample_size);
+    let mut weights = Vec::with_capacity(sample_size);
+    for i in 0..sample_size {
+        let c = &per_client[drawn.as_ref().map_or(i, |ids| ids[i] as usize)];
         errors.push(c.error_rate);
         weights.push(noise.weighting.weight(c.num_examples));
     }
@@ -256,6 +304,23 @@ pub fn noisy_error(
         accuracy + sample_laplace(rng, scale)
     };
     Ok(1.0 - noisy_accuracy)
+}
+
+/// The positions of a full evaluation's clients that report, in draw
+/// order: a cohort drawn by `sampler` at the noise's rate, or `None` for
+/// everyone, which draws nothing.
+fn draw(
+    evaluation: &FederatedEvaluation,
+    sampler: CohortSampler,
+    noise: &NoiseConfig,
+    rng: &mut StdRng,
+) -> Result<Option<Vec<u64>>> {
+    let population = evaluation.num_clients();
+    let sample_size = clients_for_rate(population, noise.subsample_rate)?;
+    if sample_size == population {
+        return Ok(None);
+    }
+    Ok(Some(sampler.sample(evaluation, rng, sample_size, 0.0)?))
 }
 
 /// The paper's calibration of evaluation noise (§3.3): an evaluation averages
@@ -527,6 +592,59 @@ mod tests {
         noisy_error(&eval, &NoiseConfig::noiseless(), 16, &mut used).unwrap();
         let mut fresh = rng_for(0, 5);
         assert_eq!(used.gen::<u64>(), fresh.gen::<u64>());
+    }
+
+    #[test]
+    fn a_cohort_only_score_is_the_full_evaluations_bit_for_bit() {
+        use feddata::{Benchmark, DatasetSpec, Scale};
+        use fedmodels::ModelSpec;
+
+        let mut dataset = DatasetSpec::benchmark(Benchmark::Cifar10Like, Scale::Smoke)
+            .generate(3)
+            .unwrap();
+        let model = ModelSpec::for_dataset(&dataset).build(&dataset, &mut rng_for(4, 0));
+        for emptied in [false, true] {
+            if emptied {
+                // An empty client is no position of either index space.
+                dataset.clients_mut(Split::Validation)[1]
+                    .examples_mut()
+                    .clear();
+            }
+            let weighting = WeightingScheme::ByExamples;
+            let full = evaluate_full(&model, &dataset, Split::Validation, weighting).unwrap();
+            let n = full.num_clients();
+            assert_eq!(n, dataset.num_val_clients() - usize::from(emptied));
+            for size in [1, 3, n - 1, n] {
+                let rate = size as f64 / n as f64;
+                let private =
+                    NoiseConfig::subsampled(rate).with_privacy(PrivacyBudget::Finite(1.0));
+                let biased = NoiseConfig::subsampled(rate).with_systems_bias(3.0);
+                for noise in [NoiseConfig::subsampled(rate), private, biased] {
+                    for seed in 0..10 {
+                        let mut from_full = rng_for(seed, size as u64);
+                        let mut on_demand = from_full.clone();
+                        let expected = noisy_error(&full, &noise, 16, &mut from_full).unwrap();
+                        let mut kept = None;
+                        let pool = Validation::Pool {
+                            model: &model,
+                            dataset: &dataset,
+                            full: &mut kept,
+                        };
+                        let score = noisy_error(pool, &noise, 16, &mut on_demand).unwrap();
+                        let case = format!("{size} of {n}, {}, seed {seed}", noise.label());
+                        assert_eq!(score.to_bits(), expected.to_bits(), "{case}");
+                        assert_eq!(on_demand.gen::<u64>(), from_full.gen::<u64>(), "{case}");
+                        // Only a draw that reads every client's accuracy, or
+                        // takes them all, scores them all.
+                        let reads_all = size == n || noise.systems_bias > 0.0;
+                        assert_eq!(kept.is_some(), reads_all, "{case}");
+                        if let Some(kept) = kept {
+                            assert_eq!(kept.per_client(), full.per_client(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! [`BatchFederatedObjective`] (a [`ConcurrentObjective`]) connects the HPO
 //! methods of `fedhpo` to the federated simulator: every evaluation trains
 //! (or resumes) the configuration's federated training run up to the
-//! requested rounds, evaluates the current global model on the validation
-//! pool, applies the configured evaluation noise, and returns the noisy
-//! error the scheduler acts on. The true full-validation error of every
-//! evaluation is logged so experiments can report what the tuner's choices
-//! actually cost.
+//! requested rounds and scores the current global model as the paper's
+//! server does — on the validation clients the evaluation samples, with the
+//! configured evaluation noise — and returns the noisy error the scheduler
+//! acts on. The true full-validation error is what an experimenter asks
+//! for, not what the server sees: an evaluation returns it only where it
+//! came free (every client was scored), and the campaign log pays for the
+//! rest when it is read ([`BatchFederatedObjective::log`]), once per
+//! `(trial, fidelity)`. A campaign whose log nobody reads pays no full pass.
 //!
 //! A trial starts through [`BenchmarkContext::start_run`], and all
 //! randomness is keyed by the evaluated point (see
@@ -17,16 +20,17 @@
 
 use crate::concurrent::{ConcurrentEval, ConcurrentObjective, ConcurrentSink, EvalOutput};
 use crate::context::BenchmarkContext;
-use crate::noise::{noisy_error, NoiseConfig};
-use crate::Result;
-use feddata::{FederatedDataset, Split};
+use crate::noise::{noisy_error, NoiseConfig, Validation};
+use crate::{invalid, Result};
+use feddata::Split;
 use fedhpo::{BudgetLedger, TrialRequest};
 use fedmath::{SeedStream, SeedTree};
 use fedmodels::AnyModel;
 use fedsim::evaluation::{evaluate_full, FederatedEvaluation};
-use fedsim::{TrainingRun, WeightingScheme};
+use fedsim::TrainingRun;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
 
 /// One logged evaluation of the objective.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -118,9 +122,16 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
 /// recorder's hits, all of a replay's) it is what the request cost the
 /// campaign, so store-backed logs are comparable (and, for replayed
 /// campaigns, bit-identical) to live ones.
+///
+/// An evaluation that returned no true error leaves its entry **owed**:
+/// [`resolve`](Self::resolve) pays every owed truth through the evaluation
+/// half, and the log cannot be read before that.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignLog<S = ()> {
     log: Vec<ObjectiveLogEntry>,
+    /// Log position of each entry whose truth is owed, with the request
+    /// that pays it (at the fidelity the entry logs).
+    owed: Vec<(usize, TrialRequest)>,
     /// Rounds charged in commit order.
     ledger: BudgetLedger,
     states: HashMap<usize, S>,
@@ -129,20 +140,29 @@ pub struct CampaignLog<S = ()> {
 impl<S> CampaignLog<S> {
     /// Logs one observation for `request`, completed at `sim_time` virtual
     /// seconds (`0.0` where there is no virtual clock), with incremental
-    /// resource accounting.
+    /// resource accounting; a `true_error` of `None` is owed until
+    /// [`resolve`](Self::resolve).
     pub fn observe_at(
         &mut self,
         request: &TrialRequest,
         noisy_score: f64,
-        true_error: f64,
+        true_error: Option<f64>,
         sim_time: f64,
     ) {
         self.ledger.charge(request.trial_id, request.resource);
+        let resource = self.ledger.reached(request.trial_id);
+        if true_error.is_none() {
+            let at_fidelity = TrialRequest {
+                resource,
+                ..request.clone()
+            };
+            self.owed.push((self.log.len(), at_fidelity));
+        }
         self.log.push(ObjectiveLogEntry {
             trial_id: request.trial_id,
-            resource: self.ledger.reached(request.trial_id),
+            resource,
             noisy_score,
-            true_error,
+            true_error: true_error.unwrap_or(f64::NAN),
             cumulative_rounds: self.ledger.cumulative(),
             noise_rep: request.noise_rep,
             sim_time,
@@ -150,12 +170,27 @@ impl<S> CampaignLog<S> {
     }
 
     /// The campaign log so far, in commit order.
+    ///
+    /// # Panics
+    ///
+    /// If a true error is still owed: read such a log through
+    /// [`resolve`](Self::resolve).
     pub fn log(&self) -> &[ObjectiveLogEntry] {
+        assert!(
+            self.owed.is_empty(),
+            "{} true errors are owed: read the log through `resolve`",
+            self.owed.len()
+        );
         &self.log
     }
 
     /// Consumes the bookkeeping and returns the log.
+    ///
+    /// # Panics
+    ///
+    /// As [`log`](Self::log).
     pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
+        self.log();
         self.log
     }
 
@@ -165,8 +200,74 @@ impl<S> CampaignLog<S> {
     }
 
     /// Noise-aware selection over the log; see [`selected_true_error`].
+    ///
+    /// # Panics
+    ///
+    /// As [`log`](Self::log).
     pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        selected_true_error(&self.log, budget)
+        selected_true_error(self.log(), budget)
+    }
+}
+
+impl<S: Send + Default> CampaignLog<S> {
+    /// Pays every owed true error through `eval` and returns the log. Each
+    /// trial's truths are paid in commit order against its parked state, and
+    /// distinct trials — which share nothing — on up to `threads` threads
+    /// (`fedmath::par::map_range`), so no bit depends on `threads`. What is
+    /// paid stays paid: a failure leaves its entry and that trial's later
+    /// ones owed.
+    ///
+    /// # Errors
+    ///
+    /// The failing [`ConcurrentEval::true_error`] earliest in commit order.
+    pub fn resolve<E>(&mut self, eval: &E, threads: usize) -> Result<&[ObjectiveLogEntry]>
+    where
+        E: ConcurrentEval<State = S> + ?Sized,
+    {
+        let mut by_trial: BTreeMap<usize, Vec<(usize, TrialRequest)>> = BTreeMap::new();
+        for (position, request) in self.owed.drain(..) {
+            let owed = by_trial.entry(request.trial_id).or_default();
+            owed.push((position, request));
+        }
+        let trials: Vec<_> = by_trial
+            .into_iter()
+            .map(|(trial, owed)| Mutex::new((self.states.remove(&trial).unwrap_or_default(), owed)))
+            .collect();
+        let paid = fedmath::par::map_range(threads, trials.len(), |i| {
+            let mut trial = trials[i].lock().unwrap_or_else(PoisonError::into_inner);
+            let (state, owed) = &mut *trial;
+            let mut paid = Vec::with_capacity(owed.len());
+            for (_, request) in owed.iter() {
+                match eval.true_error(state, request) {
+                    Ok(true_error) => paid.push(true_error),
+                    Err(e) => return (paid, Some(e)),
+                }
+            }
+            (paid, None)
+        });
+        let mut failure: Option<(usize, crate::CoreError)> = None;
+        for (trial, (paid, error)) in trials.into_iter().zip(paid) {
+            let (state, owed) = trial.into_inner().unwrap_or_else(PoisonError::into_inner);
+            self.states.insert(owed[0].1.trial_id, state);
+            for (&(position, _), &true_error) in owed.iter().zip(&paid) {
+                self.log[position].true_error = true_error;
+            }
+            if let Some(e) = error {
+                let position = owed[paid.len()].0;
+                if failure
+                    .as_ref()
+                    .is_none_or(|(earliest, _)| position < *earliest)
+                {
+                    failure = Some((position, e));
+                }
+            }
+            self.owed.extend(owed.into_iter().skip(paid.len()));
+        }
+        self.owed.sort_unstable_by_key(|(position, _)| *position);
+        match failure {
+            Some((_, e)) => Err(e),
+            None => Ok(&self.log),
+        }
     }
 }
 
@@ -186,53 +287,48 @@ impl<S: Send + Default> ConcurrentSink for CampaignLog<S> {
     }
 }
 
+/// What one evaluated fidelity of a trial holds for its true error.
+#[derive(Debug)]
+enum Truth {
+    /// The full validation pass: free where the noisy score read every
+    /// client, else paid by a truth query.
+    Paid(FederatedEvaluation),
+    /// Owed; the trial's run still holds the evaluated model.
+    Live,
+    /// Owed; the evaluated model, kept when the run trained past it.
+    Snapshot(AnyModel),
+}
+
 /// Per-trial mutable state of a live federated objective: the training run
-/// plus the memoised full-validation evaluation at its current fidelity.
+/// plus, for each fidelity it evaluated, what that fidelity's true error
+/// needs — the full pass once paid, else the model to pay it from.
 ///
 /// Exactly one evaluation job owns a trial's state at a time; between
-/// dispatches the whole state — memo included — is parked in the campaign
-/// sink, so fresh-noise replicates (`noise_rep >= 1`) of an unchanged model
-/// pay the validation pass once per `(trial, fidelity)` in every lane. Fresh
+/// dispatches the whole state is parked in the campaign sink, so fresh-noise
+/// replicates (`noise_rep >= 1`) of an unchanged model share one truth, paid
+/// at most once per `(trial, fidelity)` in every lane. A model is copied
+/// only when its run trains past a fidelity whose truth is owed. Fresh
 /// trials start empty.
 #[derive(Debug, Default)]
 pub struct FederatedTrialState {
     run: Option<TrainingRun>,
-    eval_cache: Option<(usize, FederatedEvaluation)>,
+    /// One entry per fidelity evaluated, in evaluation order.
+    truths: Vec<(usize, Truth)>,
 }
 
 impl FederatedTrialState {
-    /// The advance-and-validate body of a live evaluation: trains the
-    /// trial's run — started by `start` on first use — up to `resource`
-    /// rounds, then validates the model on the full validation pool, once
-    /// per fidelity, and returns that evaluation.
-    fn advance(
-        &mut self,
-        dataset: &FederatedDataset,
-        weighting: WeightingScheme,
-        resource: usize,
-        start: impl FnOnce() -> Result<TrainingRun>,
-    ) -> Result<&FederatedEvaluation> {
-        let run = match &mut self.run {
-            Some(run) => run,
-            None => self.run.insert(start()?),
-        };
-        run.run_rounds(dataset, resource.saturating_sub(run.rounds_completed()))?;
-        let fidelity = run.rounds_completed();
-        let cached = match self.eval_cache.take() {
-            Some(hit) if hit.0 == fidelity => hit,
-            _ => (
-                fidelity,
-                evaluate_full(run.model(), dataset, Split::Validation, weighting)?,
-            ),
-        };
-        Ok(&self.eval_cache.insert(cached).1)
-    }
-
-    /// The trained model and its memoised full-validation evaluation, or
-    /// `None` before the trial's first evaluation: what a pool keeps of each
-    /// configuration its campaign trained.
+    /// The trained model and its full-validation evaluation at the run's
+    /// fidelity, or `None` before the trial's first evaluation or while that
+    /// fidelity's truth is owed: what a pool (a noiseless campaign, whose
+    /// every score reads every client) keeps of each configuration.
     pub(crate) fn into_trained(self) -> Option<(AnyModel, FederatedEvaluation)> {
-        Some((self.run?.into_model(), self.eval_cache?.1))
+        let run = self.run?;
+        let fidelity = run.rounds_completed();
+        let evaluation = self.truths.into_iter().find_map(|(f, truth)| match truth {
+            Truth::Paid(evaluation) if f == fidelity => Some(evaluation),
+            _ => None,
+        })?;
+        Some((run.into_model(), evaluation))
     }
 }
 
@@ -326,11 +422,11 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
     /// derived positionally, so the caller may execute requests for distinct
     /// trials in any order or in parallel.
     ///
-    /// The state's `eval_cache` memoises the full validation evaluation at
-    /// the run's current fidelity: fresh-noise replicates (`noise_rep >= 1`)
-    /// evaluate an unchanged model, so only the noise draw differs and the
-    /// validation pass is paid once per `(trial, fidelity)` rather than once
-    /// per rep.
+    /// The noise draw picks the cohort before anything is scored, and a
+    /// uniform draw of fewer than all clients scores its cohort alone: the
+    /// output then has no true error (see [`true_error`](Self::true_error)).
+    /// A draw that reads every client runs the full pass, and the state
+    /// keeps it for the fidelity's replicates and its truth.
     fn evaluate(
         &self,
         state: &mut FederatedTrialState,
@@ -343,26 +439,114 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
         // by.
         let fingerprint = self.ctx.space().canonical_fingerprint(&request.config)?;
         let dataset = self.ctx.dataset();
-        let full_eval = state.advance(dataset, self.noise.weighting, request.resource, || {
-            let run_seed = self.trial_seeds.child(fingerprint).seed();
-            self.ctx
-                .start_run(&request.config, run_seed, self.noise.weighting)
-        })?;
-        let true_error = full_eval.weighted_error()?;
+        let FederatedTrialState { run, truths } = state;
+        let run = match run {
+            Some(run) => run,
+            None => {
+                let run_seed = self.trial_seeds.child(fingerprint).seed();
+                let started =
+                    self.ctx
+                        .start_run(&request.config, run_seed, self.noise.weighting)?;
+                run.insert(started)
+            }
+        };
+        let rounds = request.resource.saturating_sub(run.rounds_completed());
+        if rounds > 0 {
+            // The evaluated model is about to change: keep what an owed
+            // truth needs.
+            for (_, truth) in truths.iter_mut() {
+                if let Truth::Live = truth {
+                    *truth = Truth::Snapshot(run.model().clone());
+                }
+            }
+            run.run_rounds(dataset, rounds)?;
+        }
+        let fidelity = run.rounds_completed();
+        let at = match truths.iter().position(|(f, _)| *f == fidelity) {
+            Some(at) => at,
+            None => {
+                truths.push((fidelity, Truth::Live));
+                truths.len() - 1
+            }
+        };
+        let mut full = None;
+        let validation = match &truths[at].1 {
+            Truth::Paid(evaluation) => Validation::Full(evaluation),
+            _ => Validation::Pool {
+                model: run.model(),
+                dataset,
+                full: &mut full,
+            },
+        };
         let mut noise_rng = self
             .noise_seeds
             .derive(&[fingerprint, request.resource as u64, request.noise_rep])
             .rng();
         let noisy_score = noisy_error(
-            full_eval,
+            validation,
             &self.noise,
             self.total_evaluations,
             &mut noise_rng,
         )?;
+        if let Some(evaluation) = full {
+            truths[at].1 = Truth::Paid(evaluation);
+        }
+        let true_error = match &truths[at].1 {
+            Truth::Paid(evaluation) => Some(evaluation.weighted_error()?),
+            _ => None,
+        };
         Ok(EvalOutput {
             noisy_score,
             true_error,
         })
+    }
+
+    /// The full-validation error of the model the state evaluated at
+    /// fidelity `request.resource`, from the run or the snapshot the state
+    /// kept of it; the pass is paid on the first ask and memoised, so each
+    /// `(trial, fidelity)` pays at most one.
+    fn true_error(&self, state: &mut FederatedTrialState, request: &TrialRequest) -> Result<f64> {
+        let fidelity = request.resource;
+        let FederatedTrialState { run, truths } = state;
+        let Some((_, truth)) = truths.iter_mut().find(|(f, _)| *f == fidelity) else {
+            return Err(invalid(format!(
+                "trial {} was not evaluated at fidelity {fidelity}",
+                request.trial_id
+            )));
+        };
+        let model = match (&*truth, &*run) {
+            (Truth::Paid(evaluation), _) => return Ok(evaluation.weighted_error()?),
+            (Truth::Snapshot(model), _) => model,
+            (Truth::Live, Some(run)) => run.model(),
+            (Truth::Live, None) => return Err(invalid("a live truth without a run")),
+        };
+        let weighting = self.noise.weighting;
+        let evaluation = evaluate_full(model, self.ctx.dataset(), Split::Validation, weighting)?;
+        let true_error = evaluation.weighted_error()?;
+        *truth = Truth::Paid(evaluation);
+        Ok(true_error)
+    }
+}
+
+impl BatchFederatedObjective<'_> {
+    /// The campaign log, every entry's true error paid on up to `threads`
+    /// threads ([`CampaignLog::resolve`]).
+    ///
+    /// # Errors
+    ///
+    /// A failed validation pass.
+    pub fn log(&mut self, threads: usize) -> Result<&[ObjectiveLogEntry]> {
+        self.sink.resolve(&self.eval, threads)
+    }
+
+    /// Consumes the objective and returns its [`log`](Self::log).
+    ///
+    /// # Errors
+    ///
+    /// As [`log`](Self::log).
+    pub fn into_log(mut self, threads: usize) -> Result<Vec<ObjectiveLogEntry>> {
+        self.sink.resolve(&self.eval, threads)?;
+        Ok(self.sink.into_log())
     }
 }
 
@@ -465,11 +649,79 @@ mod tests {
         let mut objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
         let config = ctx.space().sample(&mut rng_for(2, 0)).unwrap();
         scores_of(&mut objective, vec![vec![request(0, &config, 2, 0)]], 1);
-        let entry = &objective.sink.log()[0];
+        let entry = &objective.log(1).unwrap()[0];
         assert!(
             (entry.noisy_score - entry.true_error).abs() > 1e-6,
             "with 1 client and eps=1 the noisy score should differ from the truth"
         );
+    }
+
+    #[test]
+    fn a_cohort_score_is_the_full_passes_and_its_truth_is_paid_once() {
+        let ctx = ctx();
+        let noise = NoiseConfig::subsampled(0.1).with_privacy(PrivacyBudget::Finite(10.0));
+        let objective = BatchFederatedObjective::new(&ctx, noise, 4, 3).unwrap();
+        let config = ctx.space().sample(&mut rng_for(2, 0)).unwrap();
+        let fingerprint = ctx.space().canonical_fingerprint(&config).unwrap();
+        let dataset = ctx.dataset();
+        let full_pass = |model: &AnyModel| {
+            evaluate_full(model, dataset, Split::Validation, noise.weighting).unwrap()
+        };
+        let passes = fedtrace::global()
+            .registry()
+            .counter("sim.validation_passes");
+        let mut state = FederatedTrialState::default();
+        let at_two = request(0, &config, 2, 0);
+        let output = objective.eval.evaluate(&mut state, &at_two).unwrap();
+        // A cohort of the pool scored the model; no truth came with it.
+        assert_eq!(output.true_error, None);
+        let model_at_two = state.run.as_ref().unwrap().model().clone();
+        let full = full_pass(&model_at_two);
+        let mut rng = objective
+            .eval
+            .noise_seeds
+            .derive(&[fingerprint, 2, 0])
+            .rng();
+        let expected = noisy_error(&full, &noise, 4, &mut rng).unwrap();
+        assert_eq!(output.noisy_score.to_bits(), expected.to_bits());
+
+        // The first ask pays the full pass (other tests share the counter:
+        // at least one runs), and a memoised answer is the same bits.
+        let truth = full.weighted_error().unwrap();
+        let before = passes.value();
+        let paid = objective.eval.true_error(&mut state, &at_two).unwrap();
+        assert!(passes.value() > before);
+        assert_eq!(paid.to_bits(), truth.to_bits());
+        let again = objective.eval.true_error(&mut state, &at_two).unwrap();
+        assert_eq!(again.to_bits(), truth.to_bits());
+        // A replicate of a paid fidelity reads its full pass, truth included.
+        let replicate = request(0, &config, 2, 1);
+        let output = objective.eval.evaluate(&mut state, &replicate).unwrap();
+        assert_eq!(output.true_error.map(f64::to_bits), Some(truth.to_bits()));
+
+        // Training past an owed fidelity keeps its model for the truth.
+        let at_four = request(0, &config, 4, 0);
+        assert_eq!(
+            objective
+                .eval
+                .evaluate(&mut state, &at_four)
+                .unwrap()
+                .true_error,
+            None
+        );
+        let model_at_four = state.run.as_ref().unwrap().model().clone();
+        objective
+            .eval
+            .evaluate(&mut state, &request(0, &config, 6, 0))
+            .unwrap();
+        let at_four_truth = objective.eval.true_error(&mut state, &at_four).unwrap();
+        let expected = full_pass(&model_at_four).weighted_error().unwrap();
+        assert_eq!(at_four_truth.to_bits(), expected.to_bits());
+        // A fidelity the trial never evaluated has no truth to pay.
+        assert!(objective
+            .eval
+            .true_error(&mut state, &request(0, &config, 3, 0))
+            .is_err());
     }
 
     #[test]
@@ -569,7 +821,7 @@ mod tests {
             4,
         );
         assert_eq!(scores[0].to_bits(), scores[1].to_bits());
-        let log = objective.sink.log();
+        let log = objective.log(1).unwrap();
         assert_eq!(log[0].true_error.to_bits(), log[1].true_error.to_bits());
         // Distinct points still draw independently.
         assert_ne!(scores[2].to_bits(), scores[0].to_bits());
@@ -588,7 +840,7 @@ mod tests {
         let run = |threads: usize| {
             let mut objective = BatchFederatedObjective::new(&ctx, noise, 6, 9).unwrap();
             let scores = scores_of(&mut objective, vec![requests.clone()], threads);
-            (scores, objective.sink.into_log())
+            (scores, objective.into_log(threads).unwrap())
         };
         let (inline, inline_log) = run(1);
         for threads in [2, 4, 8] {
@@ -617,10 +869,62 @@ mod tests {
         let config = HpConfig::new(vec![0.5]);
         let mut log = CampaignLog::<()>::default();
         for trial in 0..2 {
-            log.observe_at(&request(trial, &config, usize::MAX, 0), 0.1, 0.1, 0.0);
+            log.observe_at(&request(trial, &config, usize::MAX, 0), 0.1, Some(0.1), 0.0);
         }
         assert_eq!(log.cumulative_rounds(), usize::MAX);
         assert_eq!(log.log()[1].cumulative_rounds, usize::MAX);
+    }
+
+    /// Owes every truth; pays `trial + resource / 10` except trial 1's at
+    /// resource 2, and counts what it paid in the trial's state.
+    struct OwedTruth;
+
+    impl ConcurrentEval for OwedTruth {
+        type State = usize;
+
+        fn evaluate(&self, _: &mut usize, _: &TrialRequest) -> Result<EvalOutput> {
+            Ok(EvalOutput {
+                noisy_score: 0.0,
+                true_error: None,
+            })
+        }
+
+        fn true_error(&self, paid: &mut usize, request: &TrialRequest) -> Result<f64> {
+            if (request.trial_id, request.resource) == (1, 2) {
+                return Err(invalid("injected truth failure"));
+            }
+            *paid += 1;
+            Ok(request.trial_id as f64 + request.resource as f64 / 10.0)
+        }
+    }
+
+    #[test]
+    fn resolving_pays_what_it_can_and_keeps_the_rest_owed() {
+        let config = HpConfig::new(vec![0.5]);
+        for threads in [1, 3] {
+            let mut log = CampaignLog::<usize>::default();
+            let points = [(0, 1), (1, 1), (1, 2), (2, 1), (1, 3), (0, 2)];
+            for (trial, resource) in points {
+                log.observe_at(&request(trial, &config, resource, 0), 0.0, None, 0.0);
+            }
+            assert!(log.resolve(&OwedTruth, threads).is_err());
+            // Trials 0 and 2 are paid, trial 1 up to its failure; the rest
+            // stays owed, in commit order.
+            let truths: Vec<u64> = log.log.iter().map(|e| e.true_error.to_bits()).collect();
+            for position in [0, 1, 3, 5] {
+                let (trial, resource) = points[position];
+                let expected = trial as f64 + resource as f64 / 10.0;
+                assert_eq!(truths[position], expected.to_bits(), "{threads} threads");
+            }
+            let owed: Vec<usize> = log.owed.iter().map(|(position, _)| *position).collect();
+            assert_eq!(owed, vec![2, 4], "{threads} threads");
+            let paid: Vec<usize> = (0..3).map(|trial| log.states[&trial]).collect();
+            assert_eq!(paid, vec![2, 1, 1], "{threads} threads");
+            // Asked again, it fails at the same entry and pays nothing twice.
+            assert!(log.resolve(&OwedTruth, threads).is_err());
+            assert_eq!(log.owed.len(), 2);
+            assert_eq!(log.states[&0], 2);
+        }
     }
 
     #[test]
@@ -669,7 +973,7 @@ mod tests {
             let noise = rng_for(self.seed, stream).gen_range(-1.0..1.0) * 0.5;
             Ok(EvalOutput {
                 noisy_score: true_error + noise,
-                true_error,
+                true_error: Some(true_error),
             })
         }
     }

@@ -1446,7 +1446,7 @@ mod tests {
                     let score = analytic_score(&d.request);
                     let output = EvalOutput {
                         noisy_score: score,
-                        true_error: score,
+                        true_error: Some(score),
                     };
                     log.commit(&d.request, &output, d.sim_completion);
                 }

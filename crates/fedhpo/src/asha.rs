@@ -258,11 +258,6 @@ impl Asha {
             .max(1)
     }
 
-    /// Requests suggested and not yet reported.
-    pub(crate) fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
     /// [`report`](Scheduler::report) under the ladder's own `trial_id` (a
     /// bracket numbers its trials from 0): an error that moves nothing
     /// unless that trial has a request outstanding at `result.resource`.
@@ -336,6 +331,16 @@ impl Scheduler for Asha {
     }
 
     fn suggest(&mut self, space: &SearchSpace, rng: &mut StdRng) -> Result<Vec<TrialRequest>> {
+        // A rung-synchronous ladder promotes at rung barriers: asked while
+        // its batch is out, it would promote on a partial rung.
+        if !self.asynchronous && !self.pending.is_empty() {
+            return Err(HpoError::InvalidConfig {
+                message: format!(
+                    "a rung-synchronous ladder was asked for a batch with {} results outstanding",
+                    self.pending.len()
+                ),
+            });
+        }
         let mut batch = Vec::new();
         for rung in (0..self.rungs.len() - 1).rev() {
             while let Some(trial_id) = self.rungs[rung].promote() {
@@ -522,7 +527,10 @@ mod tests {
         ] {
             assert!(scheduler.report(&bogus).is_err());
         }
-        assert_eq!(scheduler.outstanding(), 3);
+        assert_eq!(scheduler.pending.len(), 3);
+        // Asked again with its batch out, the synchronous ladder refuses.
+        assert!(scheduler.suggest(&space, &mut rng).is_err());
+        assert_eq!(scheduler.pending.len(), 3);
         let scores = [0.1, 0.5, 0.9];
         for (request, score) in batch.iter().zip(scores) {
             scheduler.report(&TrialResult::of(request, score)).unwrap();
@@ -699,7 +707,10 @@ mod proptests {
             rungs in 1u32..=5,
             num_configs in 1usize..300,
         ) {
-            let mut scheduler = Asha::new(num_configs, eta, 1, eta.pow(rungs - 1)).unwrap();
+            // The asynchronous ladder: only it may be polled with results
+            // outstanding, which is what a random history does.
+            let mut scheduler =
+                Asha::asynchronous(num_configs, eta, 1, eta.pow(rungs - 1)).unwrap();
             let space = SearchSpace::new().with_uniform("x", 0.0, 1.0).unwrap();
             let mut rng = rng_for(seed, 0);
             let mut outstanding: Vec<TrialRequest> = Vec::new();

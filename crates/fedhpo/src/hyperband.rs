@@ -197,15 +197,6 @@ impl Scheduler for Hyperband {
         if self.is_finished() {
             return Ok(Vec::new());
         }
-        let outstanding = self.ladder.as_ref().map_or(0, Asha::outstanding);
-        if outstanding > 0 {
-            return Err(HpoError::InvalidConfig {
-                message: format!(
-                    "{} scheduler asked for a batch with {outstanding} rung results outstanding",
-                    self.name
-                ),
-            });
-        }
         let ladder = match &mut self.ladder {
             Some(ladder) if !ladder.is_finished() => ladder,
             closed => {

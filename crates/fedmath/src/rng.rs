@@ -260,7 +260,8 @@ pub fn weighted_sample_without_replacement(
     }
     // Efraimidis-Spirakis reservoir-style keys: item i gets key u^(1/w_i); the
     // `count` largest keys form a without-replacement sample proportional to
-    // the weights. Using log-keys avoids underflow for tiny weights.
+    // the weights. Using log-keys avoids underflow for tiny weights (whose
+    // keys may still reach −∞).
     let mut keyed: Vec<(f64, usize)> = weights
         .iter()
         .enumerate()
@@ -270,8 +271,15 @@ pub fn weighted_sample_without_replacement(
             (u.ln() / w, i)
         })
         .collect();
-    keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
-    Ok(keyed.into_iter().take(count).map(|(_, i)| i).collect())
+    // Key descending, ties by ascending index: a total order, so selecting
+    // the top `count` and sorting only those is the full sort's prefix.
+    let order = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if count < keyed.len() {
+        keyed.select_nth_unstable_by(count - 1, order);
+        keyed.truncate(count);
+    }
+    keyed.sort_unstable_by(order);
+    Ok(keyed.into_iter().map(|(_, i)| i).collect())
 }
 
 /// Normalises `weights` into a probability vector.
@@ -510,6 +518,54 @@ mod tests {
         // Expected frequency 10/13 ~= 0.77; allow wide tolerance.
         let freq = count_heavy as f64 / trials as f64;
         assert!(freq > 0.6, "heavy item frequency was {freq}");
+    }
+
+    #[test]
+    fn weighted_sampling_selects_the_full_sorts_prefix() {
+        // The full stable sort by key, descending, that the draw once paid
+        // for every item: the top `count` of it is the sample.
+        let oracle = |rng: &mut StdRng, weights: &[f64], count: usize| -> Vec<usize> {
+            let mut keyed: Vec<(f64, usize)> = weights
+                .iter()
+                .enumerate()
+                .filter(|(_, &w)| w > 0.0)
+                .map(|(i, &w)| (rng.gen_range(f64::MIN_POSITIVE..1.0).ln() / w, i))
+                .collect();
+            keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
+            keyed.into_iter().take(count).map(|(_, i)| i).collect()
+        };
+        let shapes: [(&str, Vec<f64>); 4] = [
+            ("graded", (1..=60).map(|i| i as f64 / 7.0).collect()),
+            ("equal", vec![1.0; 40]),
+            // Keys of ln(u) / 1e-310 overflow to −∞ and tie.
+            (
+                "tiny",
+                (0..30)
+                    .map(|i| if i % 3 == 0 { 1e-310 } else { 0.5 })
+                    .collect(),
+            ),
+            (
+                "sparse",
+                (0..50).map(|i| f64::from(i % 4 == 0) * 2.0).collect(),
+            ),
+        ];
+        for (name, weights) in &shapes {
+            let positive = weights.iter().filter(|&&w| w > 0.0).count();
+            for count in [1, 2, positive / 2, positive - 1, positive] {
+                for seed in 0..200 {
+                    let mut rng = rng_for(seed, count as u64);
+                    let mut reference = rng.clone();
+                    let drawn = weighted_sample_without_replacement(&mut rng, weights, count);
+                    let expected = oracle(&mut reference, weights, count);
+                    assert_eq!(
+                        drawn.unwrap(),
+                        expected,
+                        "{name}, count {count}, seed {seed}"
+                    );
+                    assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+                }
+            }
+        }
     }
 
     #[test]

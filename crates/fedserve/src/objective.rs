@@ -141,7 +141,7 @@ impl ConcurrentEval for AnalyticEval {
         let true_error = self.true_error(request);
         Ok(EvalOutput {
             noisy_score: true_error + self.noise_draw(fingerprint, request, *noise_sd),
-            true_error,
+            true_error: Some(true_error),
         })
     }
 }
@@ -226,11 +226,17 @@ mod tests {
         // Same coordinates under a different trial id: identical bits.
         let b = eval.evaluate(&mut s1, &request(9, 0.75, 2, 0)).unwrap();
         assert_eq!(a.noisy_score.to_bits(), b.noisy_score.to_bits());
-        assert_eq!(a.true_error.to_bits(), b.true_error.to_bits());
+        assert_eq!(
+            a.true_error.map(f64::to_bits),
+            b.true_error.map(f64::to_bits)
+        );
         // A different replicate draws different noise around the same truth.
         let mut s2 = 0usize;
         let c = eval.evaluate(&mut s2, &request(0, 0.75, 2, 1)).unwrap();
-        assert_eq!(a.true_error.to_bits(), c.true_error.to_bits());
+        assert_eq!(
+            a.true_error.map(f64::to_bits),
+            c.true_error.map(f64::to_bits)
+        );
         assert_ne!(a.noisy_score.to_bits(), c.noisy_score.to_bits());
         assert_eq!(eval.misses(), 3);
         assert_eq!(eval.hits(), 0);
@@ -260,7 +266,10 @@ mod tests {
         let mut state = 0usize;
         let again = eval.evaluate(&mut state, &req).unwrap();
         assert_eq!(first.noisy_score.to_bits(), again.noisy_score.to_bits());
-        assert_eq!(first.true_error.to_bits(), again.true_error.to_bits());
+        assert_eq!(
+            first.true_error.map(f64::to_bits),
+            again.true_error.map(f64::to_bits)
+        );
         assert_eq!(eval.hits(), 1);
         assert_eq!(eval.misses(), 0);
     }

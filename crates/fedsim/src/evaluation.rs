@@ -264,6 +264,97 @@ pub fn evaluate_full<M: Model>(
     evaluate_selection(model, clients, pack, &indices, weighting)
 }
 
+/// A pool's scorable clients — its non-empty ones, in pool order — as a
+/// [`ClientFrame`] known before any client is scored: by position, the
+/// frame of the evaluation [`evaluate_full`] returns for the pool, less the
+/// accuracies. A cohort drawn from it is scored with
+/// [`evaluate`](Self::evaluate), so a server pays for the clients it
+/// samples and no others.
+#[derive(Debug, Clone)]
+pub struct PoolFrame<'a> {
+    dataset: &'a FederatedDataset,
+    split: Split,
+    /// Pool index of each scorable client, by frame position.
+    scorable: Vec<usize>,
+}
+
+impl<'a> PoolFrame<'a> {
+    /// The frame of `dataset`'s `split` pool.
+    pub fn new(dataset: &'a FederatedDataset, split: Split) -> Self {
+        let scorable = dataset
+            .clients(split)
+            .iter()
+            .enumerate()
+            .filter(|(_, client)| !client.is_empty())
+            .map(|(index, _)| index)
+            .collect();
+        PoolFrame {
+            dataset,
+            split,
+            scorable,
+        }
+    }
+
+    /// Evaluates `model` on the frame's clients `ids`, in that order, with
+    /// the pass [`evaluate_full`] runs: each client's error is bitwise the
+    /// one the full evaluation holds at that position.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Sampling`] for an id past the frame, and the conditions
+    /// of [`evaluate_clients`].
+    pub fn evaluate<M: Model>(
+        &self,
+        model: &M,
+        ids: &[u64],
+        weighting: WeightingScheme,
+    ) -> Result<FederatedEvaluation> {
+        let indices = ids
+            .iter()
+            .map(|&id| {
+                let index = usize::try_from(id).ok();
+                index.and_then(|i| self.scorable.get(i).copied())
+            })
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| SimError::Sampling {
+                message: format!(
+                    "a cohort of {ids:?} is not within a frame of {} clients",
+                    self.scorable.len()
+                ),
+            })?;
+        let (dataset, split) = (self.dataset, self.split);
+        let (clients, pack) = (dataset.clients(split), dataset.packed(split));
+        evaluate_selection(model, clients, pack, &indices, weighting)
+    }
+}
+
+impl ClientFrame for PoolFrame<'_> {
+    fn num_clients(&self) -> u64 {
+        self.scorable.len() as u64
+    }
+
+    fn client_size(&self, id: u64) -> Result<usize> {
+        let clients = self.dataset.clients(self.split);
+        let index = usize::try_from(id).ok();
+        index
+            .and_then(|i| self.scorable.get(i))
+            .map(|&index| clients[index].examples().len())
+            .ok_or_else(|| SimError::Sampling {
+                message: format!("no client {id} in a frame of {}", self.scorable.len()),
+            })
+    }
+
+    fn max_client_size(&self) -> usize {
+        let clients = self.dataset.clients(self.split);
+        let sizes = self.scorable.iter().map(|&i| clients[i].examples().len());
+        sizes.max().unwrap_or(0)
+    }
+
+    fn available(&self, id: u64, _sim_time: f64) -> bool {
+        id < self.scorable.len() as u64
+    }
+}
+
 /// [`evaluate_full`] under the name the frozen `benchmark/` package imports
 /// (ROADMAP item 4(b)); the policy is ignored — a validation pass runs on
 /// the thread that owns the trial.
@@ -498,6 +589,41 @@ mod tests {
                 "{count} clients"
             );
         }
+    }
+
+    #[test]
+    fn a_pool_frame_scores_a_cohort_as_the_full_pass_does() {
+        let mut dataset = smoke_dataset();
+        // An empty client is no position of the frame, as it is none of
+        // the full evaluation.
+        dataset.clients_mut(Split::Validation)[2]
+            .examples_mut()
+            .clear();
+        let model = ModelSpec::for_dataset(&dataset).build(&dataset, &mut rng_for(5, 5));
+        let everyone = full(&model, &dataset).unwrap();
+        let frame = PoolFrame::new(&dataset, Split::Validation);
+        assert_eq!(
+            ClientFrame::num_clients(&frame),
+            everyone.num_clients() as u64
+        );
+        let n = everyone.num_clients() as u64;
+        for (id, client) in everyone.per_client().iter().enumerate() {
+            assert_eq!(frame.client_size(id as u64), Ok(client.num_examples));
+            assert_eq!(frame.accuracy(id as u64), None);
+        }
+        assert_eq!(frame.max_client_size(), everyone.max_client_size());
+        assert!(frame.client_size(n).is_err() && !frame.available(n, 0.0));
+        let weighting = WeightingScheme::ByExamples;
+        for cohort in [vec![0], vec![n - 1, 2, 7], (0..n).rev().collect()] {
+            let scored = frame.evaluate(&model, &cohort, weighting).unwrap();
+            let expected: Vec<ClientEvaluation> = cohort
+                .iter()
+                .map(|&id| everyone.per_client()[id as usize])
+                .collect();
+            assert_eq!(scored.per_client(), &expected[..]);
+        }
+        assert!(frame.evaluate(&model, &[n], weighting).is_err());
+        assert!(frame.evaluate(&model, &[], weighting).is_err());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod server;
 pub mod training;
 
 pub use clock::{ClientRuntimeModel, CostModel, EventKey, EventQueue, VirtualClock, WorkerPool};
-pub use evaluation::{ClientEvaluation, FederatedEvaluation, WeightingScheme};
+pub use evaluation::{ClientEvaluation, FederatedEvaluation, PoolFrame, WeightingScheme};
 pub use exec::{with_thread_pool, ExecutionPolicy, SharedPool, ThreadPool};
 pub use hyperparams::{FedAdamConfig, FederatedHyperparams};
 pub use sampling::{ClientFrame, CohortSampler, UniformSampler};

@@ -140,14 +140,20 @@ impl<E: ConcurrentEval> ConcurrentEval for RecordingEval<E> {
         let key = TrialKey::for_request(&self.space, request).map_err(CoreError::from)?;
         let Some(&(noisy_score, true_error)) = self.recorded.get(&key) else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return self.inner.evaluate(state, request);
+            let mut output = self.inner.evaluate(state, request)?;
+            // A record carries its truth: a live miss pays for it here, on
+            // the worker that holds the trial's state.
+            if output.true_error.is_none() {
+                output.true_error = Some(self.inner.true_error(state, request)?);
+            }
+            return Ok(output);
         };
         // Recorded bits; the inner objective (and its state) is untouched.
         // What the request costs the campaign is the sink's accounting.
         self.hits.fetch_add(1, Ordering::Relaxed);
         Ok(EvalOutput {
             noisy_score,
-            true_error,
+            true_error: Some(true_error),
         })
     }
 }
@@ -209,17 +215,21 @@ impl<S, T: BorrowMut<TrialStore>> RecordingSink<S, T> {
         sim_time: f64,
     ) -> Result<(), StoreError> {
         let key = TrialKey::for_request(&self.space, request)?;
+        // `RecordingEval` returns every output with its truth.
+        let true_error = output.true_error.ok_or_else(|| StoreError::InvalidRecord {
+            message: format!("trial {} has no true error to record", request.trial_id),
+        })?;
         self.store.borrow_mut().insert_unsynced(TrialRecord {
             config: key.config,
             resource: key.resource,
             rep: key.rep,
             noisy_score: output.noisy_score,
-            true_error: output.true_error,
+            true_error,
             sim_time,
             provenance: self.provenance.clone(),
         })?;
         self.campaign
-            .observe_at(request, output.noisy_score, output.true_error, sim_time);
+            .observe_at(request, output.noisy_score, Some(true_error), sim_time);
         Ok(())
     }
 }
@@ -290,7 +300,7 @@ pub(crate) mod tests {
             let score = request.config.values()[0] + request.resource as f64;
             Ok(EvalOutput {
                 noisy_score: score,
-                true_error: score,
+                true_error: Some(score),
             })
         }
     }

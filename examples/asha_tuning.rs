@@ -14,8 +14,8 @@
 use feddata::Benchmark;
 use fedhpo::{Asha, ReEvaluation};
 use fedtune::fedtune_core::{
-    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExecutionPolicy,
-    ExperimentScale, NoiseConfig,
+    drive, selected_true_error, BatchFederatedObjective, BenchmarkContext, Clock, Drive,
+    ExecutionPolicy, ExperimentScale, NoiseConfig,
 };
 use fedtune::{fedhpo, fedmath};
 
@@ -53,9 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .map(|run| run.outcome)
     })?;
-    let selected = objective
-        .sink
-        .selected_true_error_within(usize::MAX)
+    let selected = selected_true_error(objective.log(config.threads)?, usize::MAX)
         .expect("asha evaluated something");
     println!(
         "ASHA        : {} evaluations, {} rounds, selected config true error {:.2}%",
@@ -80,9 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .map(|run| run.outcome)
     })?;
-    let selected = objective
-        .sink
-        .selected_true_error_within(usize::MAX)
+    let selected = selected_true_error(objective.log(config.threads)?, usize::MAX)
         .expect("asha+re evaluated something");
     let reevals = outcome
         .records()

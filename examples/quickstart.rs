@@ -11,8 +11,8 @@
 use feddata::Benchmark;
 use fedhpo::RandomSearch;
 use fedtune::fedtune_core::{
-    drive, BatchFederatedObjective, BenchmarkContext, Clock, Drive, ExperimentScale, NoiseConfig,
-    TrialRunner,
+    drive, selected_true_error, BatchFederatedObjective, BenchmarkContext, Clock, Drive,
+    ExperimentScale, NoiseConfig, TrialRunner,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,9 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng,
         &config,
     )?;
-    let clean_error = clean_objective
-        .sink
-        .selected_true_error_within(usize::MAX)
+    let clean_error = selected_true_error(clean_objective.log(config.threads)?, usize::MAX)
         .expect("at least one evaluation");
 
     // 2. Tune with the paper's noisy evaluation: 1% of validation clients per
@@ -65,9 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng,
         &config,
     )?;
-    let noisy_error = noisy_objective
-        .sink
-        .selected_true_error_within(usize::MAX)
+    let noisy_error = selected_true_error(noisy_objective.log(config.threads)?, usize::MAX)
         .expect("at least one evaluation");
 
     println!(

@@ -369,7 +369,7 @@ fn campaign(
     )
     .unwrap();
     assert!(outcome.finished);
-    (outcome, objective.sink.into_log())
+    (outcome, objective.into_log(config.threads).unwrap())
 }
 
 /// One async-ASHA campaign under the virtual clock with heavy-tailed

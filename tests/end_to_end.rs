@@ -58,9 +58,10 @@ fn full_tuning_pipeline_with_each_tuner() {
             outcome.num_evaluations() > 0,
             "{name} produced no evaluations"
         );
-        assert!(!objective.sink.log().is_empty());
+        let log = objective.log(config.threads).unwrap();
+        assert!(!log.is_empty());
         // Every logged evaluation must carry a valid true error.
-        for entry in objective.sink.log() {
+        for entry in log {
             assert!((0.0..=1.0).contains(&entry.true_error));
         }
         // The tuner's own budget accounting must match the objective's.
