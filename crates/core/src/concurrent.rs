@@ -92,20 +92,23 @@ pub trait ConcurrentEval: Sync {
     /// Propagates evaluation failures.
     fn evaluate(&self, state: &mut Self::State, request: &TrialRequest) -> Result<EvalOutput>;
 
-    /// The true error of the model `state` evaluated for `request`, whose
-    /// [`evaluate`](Self::evaluate) returned none: what an experimenter
-    /// reads and a tuner never does, paid when asked. `request.resource` is
-    /// the fidelity the evaluation reached (its log entry's `resource`).
-    /// The default serves an evaluation that always returns its truth.
+    /// The true error of the model `state` evaluated for `trial_id` at
+    /// `fidelity`, whose [`evaluate`](Self::evaluate) returned none: what an
+    /// experimenter reads and a tuner never does, paid when asked.
+    /// `fidelity` is the reached one, the log entry's `resource`, which
+    /// [`CampaignLog::resolve`](crate::CampaignLog::resolve) passes.
+    /// `fedstore`'s recorder passes the requested resource, which equals it:
+    /// ladders only promote upward, and `ReEvaluation` re-evaluates a
+    /// finalist at its highest resource. The default serves an evaluation
+    /// that always returns its truth.
     ///
     /// # Errors
     ///
     /// Fails for an evaluation the state does not hold, and propagates
     /// evaluation failures.
-    fn true_error(&self, _state: &mut Self::State, request: &TrialRequest) -> Result<f64> {
+    fn true_error(&self, _: &mut Self::State, trial_id: usize, fidelity: usize) -> Result<f64> {
         Err(invalid(format!(
-            "trial {} at resource {}: this objective reports its true error with every score",
-            request.trial_id, request.resource
+            "trial {trial_id} at resource {fidelity}: this objective reports its true error with every score"
         )))
     }
 }
@@ -117,8 +120,8 @@ impl<T: ConcurrentEval + ?Sized> ConcurrentEval for &T {
         (**self).evaluate(state, request)
     }
 
-    fn true_error(&self, state: &mut T::State, request: &TrialRequest) -> Result<f64> {
-        (**self).true_error(state, request)
+    fn true_error(&self, state: &mut T::State, trial_id: usize, fidelity: usize) -> Result<f64> {
+        (**self).true_error(state, trial_id, fidelity)
     }
 }
 

@@ -484,7 +484,7 @@ pub fn run_method_comparison(
             let mut objective =
                 BatchFederatedObjective::new(&ctx, *cell.noise, planned, cell.objective_seed)?;
             drive(scheduler, ctx.space(), &mut objective, rng, &config)?;
-            objective.into_log(config.threads)
+            objective.log(config.threads)
         },
     )
 }

@@ -205,7 +205,7 @@ pub fn run_straggler_comparison(
         Ok(StragglerRun {
             method: method.name().to_string(),
             workers,
-            log: objective.into_log(config.threads)?,
+            log: objective.log(config.threads)?,
             sim_elapsed: event.sim_elapsed,
             evaluations: event.outcome.num_evaluations(),
             finished: event.finished,

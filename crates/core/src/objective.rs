@@ -8,9 +8,11 @@
 //! configured evaluation noise — and returns the noisy error the scheduler
 //! acts on. The true full-validation error is what an experimenter asks
 //! for, not what the server sees: an evaluation returns it only where it
-//! came free (every client was scored), and the campaign log pays for the
-//! rest when it is read ([`BatchFederatedObjective::log`]), once per
-//! `(trial, fidelity)`. A campaign whose log nobody reads pays no full pass.
+//! came free (every client was scored), and a [`CampaignLog`] holds the rest
+//! as owed (`None`). The log is read only by paying what it owes
+//! ([`CampaignLog::resolve`], or [`BatchFederatedObjective::log`]), once per
+//! `(trial, fidelity)`; counting its entries ([`CampaignLog::len`]) pays
+//! nothing. A campaign whose log nobody reads pays no full pass.
 //!
 //! A trial starts through [`BenchmarkContext::start_run`], and all
 //! randomness is keyed by the evaluated point (see
@@ -54,6 +56,34 @@ pub struct ObjectiveLogEntry {
     pub sim_time: f64,
 }
 
+/// An [`ObjectiveLogEntry`] as a [`CampaignLog`] holds it: its truth is
+/// `None` while owed.
+#[derive(Debug, Clone)]
+struct Committed {
+    trial_id: usize,
+    resource: usize,
+    noisy_score: f64,
+    true_error: Option<f64>,
+    cumulative_rounds: usize,
+    noise_rep: u64,
+    sim_time: f64,
+}
+
+impl Committed {
+    /// The entry with its truth, or `None` while that is owed.
+    fn paid(&self) -> Option<ObjectiveLogEntry> {
+        Some(ObjectiveLogEntry {
+            trial_id: self.trial_id,
+            resource: self.resource,
+            noisy_score: self.noisy_score,
+            true_error: self.true_error?,
+            cumulative_rounds: self.cumulative_rounds,
+            noise_rep: self.noise_rep,
+            sim_time: self.sim_time,
+        })
+    }
+}
+
 /// Noise-aware selection over an objective log: the true error of the
 /// configuration a tuner would pick within `budget` training rounds.
 ///
@@ -67,10 +97,23 @@ pub struct ObjectiveLogEntry {
 /// Public so store-backed objectives (`fedstore`'s recorder, which also
 /// replays) apply the exact same selection rule to their logs.
 pub fn selected_true_error(log: &[ObjectiveLogEntry], budget: usize) -> Option<f64> {
-    let within = || {
-        log.iter()
-            .filter(move |e| e.cumulative_rounds <= budget && e.noisy_score.is_finite())
-    };
+    select(log, |e| e.cumulative_rounds <= budget)
+}
+
+/// Noise-aware selection under a **simulated wall-clock** budget: the same
+/// rule as [`selected_true_error`], but restricted to evaluations whose
+/// virtual completion time is within `sim_budget` seconds — what a tuning
+/// service that stops at a deadline would actually have seen. Only
+/// meaningful for logs produced under a virtual clock (barrier-clock logs
+/// stamp every entry at `0.0`, so any positive budget covers them all).
+pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64) -> Option<f64> {
+    select(log, |e| e.sim_time <= sim_budget)
+}
+
+/// The selection rule of [`selected_true_error`] over the entries `seen`
+/// keeps.
+fn select(log: &[ObjectiveLogEntry], seen: impl Fn(&ObjectiveLogEntry) -> bool) -> Option<f64> {
+    let within = || log.iter().filter(|e| seen(e) && e.noisy_score.is_finite());
     // (trial_id, noisy sum, true sum, count) per re-evaluated trial.
     let mut means: Vec<(usize, f64, f64, usize)> = Vec::new();
     for e in within().filter(|e| e.noise_rep >= 1) {
@@ -97,21 +140,6 @@ pub fn selected_true_error(log: &[ObjectiveLogEntry], budget: usize) -> Option<f
         })
 }
 
-/// Noise-aware selection under a **simulated wall-clock** budget: the same
-/// rule as [`selected_true_error`], but restricted to evaluations whose
-/// virtual completion time is within `sim_budget` seconds — what a tuning
-/// service that stops at a deadline would actually have seen. Only
-/// meaningful for logs produced under a virtual clock (barrier-clock logs
-/// stamp every entry at `0.0`, so any positive budget covers them all).
-pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64) -> Option<f64> {
-    let within: Vec<ObjectiveLogEntry> = log
-        .iter()
-        .filter(|e| e.sim_time <= sim_budget)
-        .cloned()
-        .collect();
-    selected_true_error(&within, usize::MAX)
-}
-
 /// The campaign sink every scheduled objective in the workspace commits to:
 /// per-trial state of type `S` parked between that trial's dispatches, and
 /// the commit-ordered log with **campaign-side** resource accounting — a
@@ -123,15 +151,12 @@ pub fn selected_true_error_within_sim(log: &[ObjectiveLogEntry], sim_budget: f64
 /// campaign, so store-backed logs are comparable (and, for replayed
 /// campaigns, bit-identical) to live ones.
 ///
-/// An evaluation that returned no true error leaves its entry **owed**:
-/// [`resolve`](Self::resolve) pays every owed truth through the evaluation
-/// half, and the log cannot be read before that.
+/// An evaluation that returned no true error leaves its entry's truth
+/// **owed** (`None`): [`resolve`](Self::resolve) pays it through the
+/// evaluation half, and is the only way to read the log.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignLog<S = ()> {
-    log: Vec<ObjectiveLogEntry>,
-    /// Log position of each entry whose truth is owed, with the request
-    /// that pays it (at the fidelity the entry logs).
-    owed: Vec<(usize, TrialRequest)>,
+    log: Vec<Committed>,
     /// Rounds charged in commit order.
     ledger: BudgetLedger,
     states: HashMap<usize, S>,
@@ -150,124 +175,91 @@ impl<S> CampaignLog<S> {
         sim_time: f64,
     ) {
         self.ledger.charge(request.trial_id, request.resource);
-        let resource = self.ledger.reached(request.trial_id);
-        if true_error.is_none() {
-            let at_fidelity = TrialRequest {
-                resource,
-                ..request.clone()
-            };
-            self.owed.push((self.log.len(), at_fidelity));
-        }
-        self.log.push(ObjectiveLogEntry {
+        self.log.push(Committed {
             trial_id: request.trial_id,
-            resource,
+            resource: self.ledger.reached(request.trial_id),
             noisy_score,
-            true_error: true_error.unwrap_or(f64::NAN),
+            true_error,
             cumulative_rounds: self.ledger.cumulative(),
             noise_rep: request.noise_rep,
             sim_time,
         });
     }
 
-    /// The campaign log so far, in commit order.
-    ///
-    /// # Panics
-    ///
-    /// If a true error is still owed: read such a log through
-    /// [`resolve`](Self::resolve).
-    pub fn log(&self) -> &[ObjectiveLogEntry] {
-        assert!(
-            self.owed.is_empty(),
-            "{} true errors are owed: read the log through `resolve`",
-            self.owed.len()
-        );
-        &self.log
+    /// Evaluations logged so far, their truths owed or paid; pays nothing.
+    pub fn len(&self) -> usize {
+        self.log.len()
     }
 
-    /// Consumes the bookkeeping and returns the log.
-    ///
-    /// # Panics
-    ///
-    /// As [`log`](Self::log).
-    pub fn into_log(self) -> Vec<ObjectiveLogEntry> {
-        self.log();
-        self.log
+    /// Whether nothing has been logged.
+    pub fn is_empty(&self) -> bool {
+        self.log.is_empty()
     }
 
     /// Total campaign rounds charged so far.
     pub fn cumulative_rounds(&self) -> usize {
         self.ledger.cumulative()
     }
-
-    /// Noise-aware selection over the log; see [`selected_true_error`].
-    ///
-    /// # Panics
-    ///
-    /// As [`log`](Self::log).
-    pub fn selected_true_error_within(&self, budget: usize) -> Option<f64> {
-        selected_true_error(self.log(), budget)
-    }
 }
 
 impl<S: Send + Default> CampaignLog<S> {
-    /// Pays every owed true error through `eval` and returns the log. Each
-    /// trial's truths are paid in commit order against its parked state, and
-    /// distinct trials — which share nothing — on up to `threads` threads
+    /// Pays every owed true error through `eval` and returns the log, in
+    /// commit order. Each trial's truths are paid in commit order against
+    /// its parked state, at the fidelity its entry reached, and distinct
+    /// trials — which share nothing — on up to `threads` threads
     /// (`fedmath::par::map_range`), so no bit depends on `threads`. What is
     /// paid stays paid: a failure leaves its entry and that trial's later
-    /// ones owed.
+    /// ones owed. A log that owes nothing is read without calling `eval`.
     ///
     /// # Errors
     ///
     /// The failing [`ConcurrentEval::true_error`] earliest in commit order.
-    pub fn resolve<E>(&mut self, eval: &E, threads: usize) -> Result<&[ObjectiveLogEntry]>
+    pub fn resolve<E>(&mut self, eval: &E, threads: usize) -> Result<Vec<ObjectiveLogEntry>>
     where
         E: ConcurrentEval<State = S> + ?Sized,
     {
-        let mut by_trial: BTreeMap<usize, Vec<(usize, TrialRequest)>> = BTreeMap::new();
-        for (position, request) in self.owed.drain(..) {
-            let owed = by_trial.entry(request.trial_id).or_default();
-            owed.push((position, request));
+        let mut owed: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (position, entry) in self.log.iter().enumerate() {
+            if entry.true_error.is_none() {
+                owed.entry(entry.trial_id).or_default().push(position);
+            }
         }
-        let trials: Vec<_> = by_trial
+        let trials: Vec<_> = owed
             .into_iter()
-            .map(|(trial, owed)| Mutex::new((self.states.remove(&trial).unwrap_or_default(), owed)))
+            .map(|(trial, owed)| {
+                let state = self.states.remove(&trial).unwrap_or_default();
+                Mutex::new((trial, state, owed))
+            })
             .collect();
+        let log = &self.log;
         let paid = fedmath::par::map_range(threads, trials.len(), |i| {
             let mut trial = trials[i].lock().unwrap_or_else(PoisonError::into_inner);
-            let (state, owed) = &mut *trial;
+            let (trial, state, owed) = &mut *trial;
             let mut paid = Vec::with_capacity(owed.len());
-            for (_, request) in owed.iter() {
-                match eval.true_error(state, request) {
+            for &position in owed.iter() {
+                match eval.true_error(state, *trial, log[position].resource) {
                     Ok(true_error) => paid.push(true_error),
                     Err(e) => return (paid, Some(e)),
                 }
             }
             (paid, None)
         });
-        let mut failure: Option<(usize, crate::CoreError)> = None;
+        let mut failures = Vec::new();
         for (trial, (paid, error)) in trials.into_iter().zip(paid) {
-            let (state, owed) = trial.into_inner().unwrap_or_else(PoisonError::into_inner);
-            self.states.insert(owed[0].1.trial_id, state);
-            for (&(position, _), &true_error) in owed.iter().zip(&paid) {
-                self.log[position].true_error = true_error;
+            let (trial, state, owed) = trial.into_inner().unwrap_or_else(PoisonError::into_inner);
+            self.states.insert(trial, state);
+            for (&position, &true_error) in owed.iter().zip(&paid) {
+                self.log[position].true_error = Some(true_error);
             }
             if let Some(e) = error {
-                let position = owed[paid.len()].0;
-                if failure
-                    .as_ref()
-                    .is_none_or(|(earliest, _)| position < *earliest)
-                {
-                    failure = Some((position, e));
-                }
+                failures.push((owed[paid.len()], e));
             }
-            self.owed.extend(owed.into_iter().skip(paid.len()));
         }
-        self.owed.sort_unstable_by_key(|(position, _)| *position);
-        match failure {
-            Some((_, e)) => Err(e),
-            None => Ok(&self.log),
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(position, _)| *position) {
+            return Err(e);
         }
+        // Every truth is paid.
+        Ok(self.log.iter().filter_map(Committed::paid).collect())
     }
 }
 
@@ -502,16 +494,19 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
     }
 
     /// The full-validation error of the model the state evaluated at
-    /// fidelity `request.resource`, from the run or the snapshot the state
-    /// kept of it; the pass is paid on the first ask and memoised, so each
+    /// `fidelity`, from the run or the snapshot the state kept of it; the
+    /// pass is paid on the first ask and memoised, so each
     /// `(trial, fidelity)` pays at most one.
-    fn true_error(&self, state: &mut FederatedTrialState, request: &TrialRequest) -> Result<f64> {
-        let fidelity = request.resource;
+    fn true_error(
+        &self,
+        state: &mut FederatedTrialState,
+        trial_id: usize,
+        fidelity: usize,
+    ) -> Result<f64> {
         let FederatedTrialState { run, truths } = state;
         let Some((_, truth)) = truths.iter_mut().find(|(f, _)| *f == fidelity) else {
             return Err(invalid(format!(
-                "trial {} was not evaluated at fidelity {fidelity}",
-                request.trial_id
+                "trial {trial_id} was not evaluated at fidelity {fidelity}"
             )));
         };
         let model = match (&*truth, &*run) {
@@ -529,24 +524,14 @@ impl ConcurrentEval for FederatedEvalCore<'_> {
 }
 
 impl BatchFederatedObjective<'_> {
-    /// The campaign log, every entry's true error paid on up to `threads`
+    /// The campaign log, every owed true error paid on up to `threads`
     /// threads ([`CampaignLog::resolve`]).
     ///
     /// # Errors
     ///
     /// A failed validation pass.
-    pub fn log(&mut self, threads: usize) -> Result<&[ObjectiveLogEntry]> {
+    pub fn log(&mut self, threads: usize) -> Result<Vec<ObjectiveLogEntry>> {
         self.sink.resolve(&self.eval, threads)
-    }
-
-    /// Consumes the objective and returns its [`log`](Self::log).
-    ///
-    /// # Errors
-    ///
-    /// As [`log`](Self::log).
-    pub fn into_log(mut self, threads: usize) -> Result<Vec<ObjectiveLogEntry>> {
-        self.sink.resolve(&self.eval, threads)?;
-        Ok(self.sink.into_log())
     }
 }
 
@@ -630,16 +615,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.outcome.num_evaluations(), 3);
-        assert_eq!(objective.sink.log().len(), 3);
-        let selected = objective
-            .sink
-            .selected_true_error_within(usize::MAX)
-            .unwrap();
+        let log = objective.log(1).unwrap();
+        assert_eq!(log.len(), 3);
+        let selected = selected_true_error(&log, usize::MAX).unwrap();
         assert!((0.0..=1.0).contains(&selected));
         // Within a budget covering only the first trial, selection must be
         // that trial's true error.
-        let first = objective.sink.log()[0].true_error;
-        assert_eq!(objective.sink.selected_true_error_within(2).unwrap(), first);
+        assert_eq!(selected_true_error(&log, 2).unwrap(), log[0].true_error);
     }
 
     #[test]
@@ -689,10 +671,10 @@ mod tests {
         // at least one runs), and a memoised answer is the same bits.
         let truth = full.weighted_error().unwrap();
         let before = passes.value();
-        let paid = objective.eval.true_error(&mut state, &at_two).unwrap();
+        let paid = objective.eval.true_error(&mut state, 0, 2).unwrap();
         assert!(passes.value() > before);
         assert_eq!(paid.to_bits(), truth.to_bits());
-        let again = objective.eval.true_error(&mut state, &at_two).unwrap();
+        let again = objective.eval.true_error(&mut state, 0, 2).unwrap();
         assert_eq!(again.to_bits(), truth.to_bits());
         // A replicate of a paid fidelity reads its full pass, truth included.
         let replicate = request(0, &config, 2, 1);
@@ -714,14 +696,11 @@ mod tests {
             .eval
             .evaluate(&mut state, &request(0, &config, 6, 0))
             .unwrap();
-        let at_four_truth = objective.eval.true_error(&mut state, &at_four).unwrap();
+        let at_four_truth = objective.eval.true_error(&mut state, 0, 4).unwrap();
         let expected = full_pass(&model_at_four).weighted_error().unwrap();
         assert_eq!(at_four_truth.to_bits(), expected.to_bits());
         // A fidelity the trial never evaluated has no truth to pay.
-        assert!(objective
-            .eval
-            .true_error(&mut state, &request(0, &config, 3, 0))
-            .is_err());
+        assert!(objective.eval.true_error(&mut state, 0, 3).is_err());
     }
 
     #[test]
@@ -739,9 +718,9 @@ mod tests {
         );
         assert_eq!(scores.len(), 2);
         assert_eq!(objective.sink.cumulative_rounds(), 6);
-        assert_eq!(objective.sink.log().len(), 2);
+        assert_eq!(objective.sink.len(), 2);
         // Noiseless: noisy score equals the true error.
-        for entry in objective.sink.log() {
+        for entry in objective.log(1).unwrap() {
             assert!((entry.noisy_score - entry.true_error).abs() < 1e-12);
             assert_eq!(entry.noise_rep, 0);
         }
@@ -753,12 +732,10 @@ mod tests {
             4,
         );
         assert_eq!(objective.sink.cumulative_rounds(), 8);
-        assert_eq!(objective.sink.log()[3].noise_rep, 1);
-        assert!(objective
-            .sink
-            .selected_true_error_within(usize::MAX)
-            .is_some());
-        assert_eq!(objective.sink.into_log().len(), 4);
+        let log = objective.log(1).unwrap();
+        assert_eq!(log[3].noise_rep, 1);
+        assert!(selected_true_error(&log, usize::MAX).is_some());
+        assert_eq!(log.len(), 4);
     }
 
     #[test]
@@ -840,7 +817,7 @@ mod tests {
         let run = |threads: usize| {
             let mut objective = BatchFederatedObjective::new(&ctx, noise, 6, 9).unwrap();
             let scores = scores_of(&mut objective, vec![requests.clone()], threads);
-            (scores, objective.into_log(threads).unwrap())
+            (scores, objective.log(threads).unwrap())
         };
         let (inline, inline_log) = run(1);
         for threads in [2, 4, 8] {
@@ -858,10 +835,11 @@ mod tests {
         let ctx = ctx();
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 0, 0).is_err());
         assert!(BatchFederatedObjective::new(&ctx, NoiseConfig::subsampled(2.0), 4, 0).is_err());
-        let objective = BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 0).unwrap();
+        let mut objective =
+            BatchFederatedObjective::new(&ctx, NoiseConfig::noiseless(), 4, 0).unwrap();
         assert_eq!(objective.sink.cumulative_rounds(), 0);
-        assert!(objective.sink.log().is_empty());
-        assert!(objective.sink.selected_true_error_within(10).is_none());
+        assert!(objective.sink.is_empty());
+        assert!(selected_true_error(&objective.log(1).unwrap(), 10).is_none());
     }
 
     #[test]
@@ -872,7 +850,7 @@ mod tests {
             log.observe_at(&request(trial, &config, usize::MAX, 0), 0.1, Some(0.1), 0.0);
         }
         assert_eq!(log.cumulative_rounds(), usize::MAX);
-        assert_eq!(log.log()[1].cumulative_rounds, usize::MAX);
+        assert_eq!(log.log[1].cumulative_rounds, usize::MAX);
     }
 
     /// Owes every truth; pays `trial + resource / 10` except trial 1's at
@@ -889,12 +867,12 @@ mod tests {
             })
         }
 
-        fn true_error(&self, paid: &mut usize, request: &TrialRequest) -> Result<f64> {
-            if (request.trial_id, request.resource) == (1, 2) {
+        fn true_error(&self, paid: &mut usize, trial_id: usize, fidelity: usize) -> Result<f64> {
+            if (trial_id, fidelity) == (1, 2) {
                 return Err(invalid("injected truth failure"));
             }
             *paid += 1;
-            Ok(request.trial_id as f64 + request.resource as f64 / 10.0)
+            Ok(trial_id as f64 + fidelity as f64 / 10.0)
         }
     }
 
@@ -907,23 +885,29 @@ mod tests {
             for (trial, resource) in points {
                 log.observe_at(&request(trial, &config, resource, 0), 0.0, None, 0.0);
             }
+            // Counting an owing log pays nothing.
+            assert_eq!(log.len(), points.len());
+            assert!(log.states.is_empty());
             assert!(log.resolve(&OwedTruth, threads).is_err());
             // Trials 0 and 2 are paid, trial 1 up to its failure; the rest
-            // stays owed, in commit order.
-            let truths: Vec<u64> = log.log.iter().map(|e| e.true_error.to_bits()).collect();
-            for position in [0, 1, 3, 5] {
-                let (trial, resource) = points[position];
+            // stays owed.
+            let truths: Vec<Option<u64>> = log
+                .log
+                .iter()
+                .map(|e| e.true_error.map(f64::to_bits))
+                .collect();
+            for (position, &(trial, resource)) in points.iter().enumerate() {
                 let expected = trial as f64 + resource as f64 / 10.0;
-                assert_eq!(truths[position], expected.to_bits(), "{threads} threads");
+                let expected = (![2, 4].contains(&position)).then_some(expected.to_bits());
+                assert_eq!(truths[position], expected, "{threads} threads");
             }
-            let owed: Vec<usize> = log.owed.iter().map(|(position, _)| *position).collect();
-            assert_eq!(owed, vec![2, 4], "{threads} threads");
+            assert_eq!(log.len(), points.len());
             let paid: Vec<usize> = (0..3).map(|trial| log.states[&trial]).collect();
             assert_eq!(paid, vec![2, 1, 1], "{threads} threads");
             // Asked again, it fails at the same entry and pays nothing twice.
             assert!(log.resolve(&OwedTruth, threads).is_err());
-            assert_eq!(log.owed.len(), 2);
-            assert_eq!(log.states[&0], 2);
+            let paid: Vec<usize> = (0..3).map(|trial| log.states[&trial]).collect();
+            assert_eq!(paid, vec![2, 1, 1], "{threads} threads");
         }
     }
 
@@ -1017,10 +1001,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!(objective.sink.cumulative_rounds(), 12);
-            objective
-                .sink
-                .selected_true_error_within(usize::MAX)
-                .unwrap()
+            let log = objective.sink.resolve(&objective.eval, 1).unwrap();
+            selected_true_error(&log, usize::MAX).unwrap()
         };
         let trials = 20;
         let mut wins = 0;

@@ -1458,4 +1458,36 @@ mod tests {
             assert_eq!(dispatched, log.cumulative_rounds(), "{method}");
         }
     }
+
+    #[test]
+    fn bohb_leaves_hyperband_once_a_rung_collects_enough_observations() {
+        // At `ExperimentScale::smoke()` no fidelity collects the six
+        // observations BOHB's model needs, so BOHB runs as Hyperband there.
+        // This ladder opens with 9 configurations at resource 3: the second
+        // bracket is drawn from a model of that rung.
+        use fedhpo::Hyperband;
+        let run = |mut scheduler: Hyperband| analytic(&mut scheduler, &barrier(), 11);
+        let bohb = run(Hyperband::bohb(27, 3, Some(3)).unwrap());
+        let hyperband = run(Hyperband::new(27, 3, Some(3)).unwrap());
+        let (bohb, hyperband) = (bohb.outcome.records(), hyperband.outcome.records());
+        let first_rung = hyperband.iter().take_while(|r| r.resource == 3).count();
+        assert_eq!(first_rung, 9);
+        let same = bohb
+            .iter()
+            .zip(hyperband)
+            .take_while(|(a, b)| a == b)
+            .count();
+        assert!(
+            same >= first_rung,
+            "diverged at {same}, inside the first rung"
+        );
+        assert!(
+            same < bohb.len().min(hyperband.len()),
+            "BOHB ran as Hyperband"
+        );
+        let space = space_1d();
+        assert!(bohb
+            .iter()
+            .all(|r| space.validate_config(&r.config).is_ok()));
+    }
 }

@@ -122,7 +122,7 @@ fn status<S, E>(
     CampaignStatus {
         name: name.to_string(),
         state,
-        evaluations: sink.campaign.log().len() as u64,
+        evaluations: sink.campaign.len() as u64,
         resource_spent: sink.campaign.cumulative_rounds() as u64,
         sim_elapsed,
         ledger_hits: eval.hits(),
@@ -474,7 +474,7 @@ pub(crate) mod tests {
                     standalone_over(spec, clock, scheduler().as_mut(), &mut objective, threads)
                         .unwrap();
                 assert_eq!(
-                    objective.sink.campaign.log().len(),
+                    objective.sink.campaign.len(),
                     outcome.outcome.num_evaluations()
                 );
                 (outcome, objective.sink.into_store())

@@ -254,7 +254,7 @@ mod tests {
         let (_, sink) = live.split();
         sink.commit(&req, &first, 7.5);
         sink.end_turn().unwrap();
-        assert_eq!(sink.campaign.log().len(), 1);
+        assert_eq!(sink.campaign.len(), 1);
         assert_eq!(sink.campaign.cumulative_rounds(), 3);
 
         // Second pass: an objective rebuilt over the committed ledger serves

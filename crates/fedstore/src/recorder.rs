@@ -144,7 +144,10 @@ impl<E: ConcurrentEval> ConcurrentEval for RecordingEval<E> {
             // A record carries its truth: a live miss pays for it here, on
             // the worker that holds the trial's state.
             if output.true_error.is_none() {
-                output.true_error = Some(self.inner.true_error(state, request)?);
+                let truth = self
+                    .inner
+                    .true_error(state, request.trial_id, request.resource)?;
+                output.true_error = Some(truth);
             }
             return Ok(output);
         };
@@ -276,7 +279,7 @@ pub(crate) mod tests {
     use super::*;
     use fedhpo::{HpConfig, RandomSearch, Scheduler, TrialResult};
     use fedmath::rng::rng_for;
-    use fedtune_core::{drive, Clock, Drive};
+    use fedtune_core::{drive, selected_true_error, Clock, Drive};
     use rand::rngs::StdRng;
     use std::collections::VecDeque;
     use std::sync::atomic::AtomicUsize;
@@ -409,7 +412,7 @@ pub(crate) mod tests {
         let mut recording = RecordingObjective::new(&inner, &space, provenance(), &mut store);
         let first = scores_of(&mut recording, &space, vec![batch.clone()], 1).unwrap();
         assert_eq!((recording.eval.misses(), recording.eval.hits()), (2, 0));
-        let recorded_log = recording.sink.campaign.into_log();
+        let recorded_log = recording.sink.campaign.resolve(&recording.eval, 1).unwrap();
         assert_eq!(recorded_log.len(), 2);
         assert_eq!(store.len(), 2);
         // The same points over the recorded ledger, on a pool this time: all
@@ -427,12 +430,9 @@ pub(crate) mod tests {
         assert_eq!((replay.eval.misses(), replay.eval.hits()), (0, 2));
         assert_eq!(bits(&first), bits(&third));
         assert_eq!(replay.sink.campaign.cumulative_rounds(), 4);
-        assert!(replay
-            .sink
-            .campaign
-            .selected_true_error_within(usize::MAX)
-            .is_some());
-        assert_eq!(replay.sink.campaign.into_log(), recorded_log);
+        let replayed_log = replay.sink.campaign.resolve(&replay.eval, 1).unwrap();
+        assert!(selected_true_error(&replayed_log, usize::MAX).is_some());
+        assert_eq!(replayed_log, recorded_log);
         assert_eq!(store.len(), 2);
     }
 
@@ -477,7 +477,7 @@ pub(crate) mod tests {
         // nothing dispatched after the miss logged.
         let batch = vec![request(0, 3.0, 4), request(1, 1.0, 2)];
         assert!(scores_of(&mut replay, &space, vec![batch], 1).is_err());
-        assert!(replay.sink.campaign.log().is_empty());
+        assert!(replay.sink.campaign.is_empty());
         assert_eq!(store.len(), 5);
     }
 
@@ -498,15 +498,14 @@ pub(crate) mod tests {
             vec![request(1, 2.0, 3)],
         ];
         scores_of(&mut recording, &space, batches.clone(), 1).unwrap();
-        let log = recording.sink.campaign.log();
-        assert_eq!(log.len(), 4);
-        assert_eq!(log[0].cumulative_rounds, 2);
-        assert_eq!(log[1].cumulative_rounds, 5);
-        assert_eq!(log[2].cumulative_rounds, 5);
+        let recorded_log = recording.sink.campaign.resolve(&recording.eval, 1).unwrap();
+        assert_eq!(recorded_log.len(), 4);
+        assert_eq!(recorded_log[0].cumulative_rounds, 2);
+        assert_eq!(recorded_log[1].cumulative_rounds, 5);
+        assert_eq!(recorded_log[2].cumulative_rounds, 5);
         // The replicate's logged fidelity is the one reached.
-        assert_eq!(log[2].resource, 5);
-        assert_eq!(log[3].cumulative_rounds, 8);
-        let recorded_log = log.to_vec();
+        assert_eq!(recorded_log[2].resource, 5);
+        assert_eq!(recorded_log[3].cumulative_rounds, 8);
         // A replay accounts the same, though it trains nothing.
         let mut replay = RecordingObjective::new(
             LedgerOnly,
@@ -515,7 +514,8 @@ pub(crate) mod tests {
             recording.sink.into_store(),
         );
         scores_of(&mut replay, &space, batches, 1).unwrap();
-        assert_eq!(replay.sink.campaign.into_log(), recorded_log);
+        let replayed_log = replay.sink.campaign.resolve(&replay.eval, 1).unwrap();
+        assert_eq!(replayed_log, recorded_log);
     }
 
     #[test]
@@ -539,16 +539,8 @@ pub(crate) mod tests {
         // The campaign log still accounts the prefix as paid-for work: trial
         // 0's promotion is charged 6 − 2 rounds although this process
         // evaluated it from scratch.
-        assert_eq!(
-            recording
-                .sink
-                .campaign
-                .log()
-                .last()
-                .unwrap()
-                .cumulative_rounds,
-            10
-        );
+        let log = recording.sink.campaign.resolve(&recording.eval, 1).unwrap();
+        assert_eq!(log.last().unwrap().cumulative_rounds, 10);
         assert_eq!(inner.calls.load(Ordering::Relaxed), 2);
         assert_eq!(store.len(), 4);
     }
@@ -644,7 +636,8 @@ pub(crate) mod tests {
             .outcome;
             let tally = (recording.eval.hits(), recording.eval.misses());
             assert_eq!(tally.0 + tally.1, outcome.num_evaluations() as u64);
-            (outcome, recording.sink.campaign.into_log(), tally)
+            let log = recording.sink.campaign.resolve(&recording.eval, 1).unwrap();
+            (outcome, log, tally)
         };
         let mut store = TrialStore::in_memory();
         // Snapshot semantics: the ledger was empty when the campaign began,

@@ -142,7 +142,8 @@ where
                 &mut *store,
             );
             drive(scheduler, space, &mut recording, rng, config)?;
-            Ok(recording.sink.campaign.into_log())
+            // Every record carries its truth: reading the log pays nothing.
+            recording.sink.campaign.resolve(&recording.eval, 1)
         },
     )
 }

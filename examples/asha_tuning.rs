@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .map(|run| run.outcome)
     })?;
-    let selected = selected_true_error(objective.log(config.threads)?, usize::MAX)
+    let selected = selected_true_error(&objective.log(config.threads)?, usize::MAX)
         .expect("asha evaluated something");
     println!(
         "ASHA        : {} evaluations, {} rounds, selected config true error {:.2}%",
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .map(|run| run.outcome)
     })?;
-    let selected = selected_true_error(objective.log(config.threads)?, usize::MAX)
+    let selected = selected_true_error(&objective.log(config.threads)?, usize::MAX)
         .expect("asha+re evaluated something");
     let reevals = outcome
         .records()

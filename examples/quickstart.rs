@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng,
         &config,
     )?;
-    let clean_error = selected_true_error(clean_objective.log(config.threads)?, usize::MAX)
+    let clean_error = selected_true_error(&clean_objective.log(config.threads)?, usize::MAX)
         .expect("at least one evaluation");
 
     // 2. Tune with the paper's noisy evaluation: 1% of validation clients per
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut rng,
         &config,
     )?;
-    let noisy_error = selected_true_error(noisy_objective.log(config.threads)?, usize::MAX)
+    let noisy_error = selected_true_error(&noisy_objective.log(config.threads)?, usize::MAX)
         .expect("at least one evaluation");
 
     println!(

@@ -369,7 +369,7 @@ fn campaign(
     )
     .unwrap();
     assert!(outcome.finished);
-    (outcome, objective.into_log(config.threads).unwrap())
+    (outcome, objective.log(config.threads).unwrap())
 }
 
 /// One async-ASHA campaign under the virtual clock with heavy-tailed
@@ -577,7 +577,7 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
         &pooled,
     )
     .unwrap();
-    let live_log = recording.sink.campaign.into_log();
+    let live_log = recording.sink.campaign.resolve(&recording.eval, 1).unwrap();
     assert!(live.finished);
     assert!(!store.is_empty());
     // The ledger carries the virtual stamps of the recording campaign.
@@ -604,7 +604,7 @@ fn recorded_async_campaign_replays_with_identical_virtual_timeline() {
         (replay.eval.hits(), replay.eval.misses()),
         (live.outcome.num_evaluations() as u64, 0)
     );
-    let replay_log = replay.sink.campaign.into_log();
+    let replay_log = replay.sink.campaign.resolve(&replay.eval, 1).unwrap();
     assert_eq!(live, replayed, "replayed virtual timeline diverged");
     assert_eq!(live.sim_elapsed.to_bits(), replayed.sim_elapsed.to_bits());
     for (a, b) in live

@@ -109,7 +109,7 @@ fn noisy_tuning_runs_are_deterministic() {
             &config,
         )
         .unwrap();
-        objective.into_log(config.threads).unwrap()
+        objective.log(config.threads).unwrap()
     };
     assert_eq!(run(9), run(9));
     assert_ne!(run(9), run(10));
