@@ -427,9 +427,15 @@ mod tests {
         let inputs = FigureInputs::new(&runner, &scale, 0);
         for (id, header, series, count) in [
             (
+                "table1",
+                "== table1 — Dataset statistics (Tables 1-2) ==\n",
+                &["femnist-like"][..],
+                1,
+            ),
+            (
                 "fig03",
                 "== fig3 — Random search under",
-                &["cifar10-like"][..],
+                &["cifar10-like"],
                 1,
             ),
             (
@@ -470,6 +476,12 @@ mod tests {
                     "cifar10-like vs femnist-like pearson",
                     "cifar10-like vs femnist-like spearman",
                 ],
+                1,
+            ),
+            (
+                "fig11",
+                "== fig11 — One-shot proxy RS across dataset pairs (Fig. 11) ==\n",
+                &["client=reddit-like"],
                 1,
             ),
             (
