@@ -11,34 +11,39 @@
 //! |---|---|---|
 //! | `table1` | [`DatasetTable::generate`] | scale, seed |
 //! | `fig01` | [`run_headline`] | comparison (the paper's four methods) + pools |
-//! | `fig03`, `fig05` | [`run_subsampling_sweep`], [`run_budget_curves`] | pools |
-//! | `fig04`, `fig06`, `fig07` | [`run_data_heterogeneity`], [`run_systems_heterogeneity`], [`run_min_client_scatter`] | pools |
+//! | `fig03`, `fig05` | [`run_subsampling_sweep`], [`run_budget_curves`] per benchmark | pools |
+//! | `fig04`, `fig06`, `fig07` | [`run_data_heterogeneity`], [`run_systems_heterogeneity`], [`run_min_client_scatter`] per benchmark | pools |
 //! | `fig08`, `fig15`, `fig16` | [`MethodComparison`]'s online curves and bars | comparison |
-//! | `fig09` | [`run_privacy_sweep`] | pools |
-//! | `fig10` (also Fig. 14), `fig11`, `fig12` | [`run_transfer_pairs`], [`run_proxy_matrix`], [`run_proxy_vs_noisy`] | pools |
+//! | `fig09` | [`run_privacy_sweep`] per benchmark, then each pool's mean | pools |
+//! | `fig10` (also Fig. 14), `fig11`, `fig12` | [`run_transfer_pairs`], [`run_proxy_matrix`], [`run_proxy_vs_noisy`] (a report per client benchmark) | pools |
 //! | `fig13` | [`run_space_ablation`] | scale, seed (trains its own four pools) |
 //! | `pop` | [`run_population_noise_with`] (§3.1, N up to 1e6) | scale, seed (trains its own grid) |
 //! | `weighting` | example-weighted vs. uniform error rank correlation | pools |
 //!
 //! A report the table assembles across benchmarks (Figs. 3–7, 9, 10) is
-//! headed by its entry's title; a typed result that renders itself names the
-//! benchmark or budget it was computed at in its own header.
+//! headed by its entry's title, and its runner pushes one benchmark's (or,
+//! for Fig. 10, every pair's) named series into it. A runner whose report
+//! carries the entry's own title (Figs. 1, 11, and the tables) heads it with
+//! `headed` too; one that names the benchmark or budget it was computed at
+//! (Figs. 8, 12, 13, 15, 16) writes its own header.
 
 use crate::engine::TrialRunner;
 use crate::experiments::heterogeneity::{
     run_data_heterogeneity, run_min_client_scatter, run_systems_heterogeneity,
 };
 use crate::experiments::methods::{
-    paper_noise_settings, run_headline, run_method_comparison, MethodComparison, TuningMethod,
+    one_third_budget, paper_noise_settings, run_headline, run_method_comparison, MethodComparison,
+    TuningMethod,
 };
 use crate::experiments::population::{run_population_noise_with, PopulationExperimentScale};
 use crate::experiments::privacy::run_privacy_sweep;
 use crate::experiments::proxy::{run_proxy_matrix, run_proxy_vs_noisy, run_transfer_pairs};
+use crate::experiments::single;
 use crate::experiments::space_ablation::run_space_ablation;
 use crate::experiments::subsampling::{run_budget_curves, run_subsampling_sweep};
 use crate::experiments::table1::DatasetTable;
 use crate::pool::TrainedBenchmark;
-use crate::report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint};
+use crate::report::ExperimentReport;
 use crate::scale::ExperimentScale;
 use crate::Result;
 use feddata::Benchmark;
@@ -74,35 +79,43 @@ pub const FIGURES: &[Figure] = &[
         title: "Headline: tuning methods under noise vs. proxy RS on CIFAR10-like (Fig. 1)",
         draw: |inputs| {
             let paper_methods = inputs.comparison()?.only(&TuningMethod::ALL);
-            let headline = run_headline(inputs.runner, &paper_methods, inputs.pools()?)?;
-            Ok(vec![headline.to_report()])
+            Ok(vec![run_headline(
+                inputs.runner,
+                &paper_methods,
+                inputs.pools()?,
+            )?])
         },
     },
     Figure {
         id: "fig03",
         title: "Random search under evaluation-client subsampling (Fig. 3)",
-        draw: fig03,
+        draw: |inputs| per_benchmark(inputs, "fig03", run_subsampling_sweep),
     },
     Figure {
         id: "fig04",
         title:
             "Data heterogeneity: RS under subsampling on repartitioned validation pools (Fig. 4)",
-        draw: |inputs| series_figure(inputs, "fig04", " ", run_data_heterogeneity),
+        draw: |inputs| per_benchmark(inputs, "fig04", run_data_heterogeneity),
     },
     Figure {
         id: "fig05",
         title: "RS performance vs. training budget under subsampling (Fig. 5)",
-        draw: |inputs| series_figure(inputs, "fig05", " @ ", run_budget_curves),
+        draw: |inputs| per_benchmark(inputs, "fig05", run_budget_curves),
     },
     Figure {
         id: "fig06",
         title: "Systems heterogeneity: accuracy-biased client sampling (Fig. 6)",
-        draw: |inputs| series_figure(inputs, "fig06", " ", run_systems_heterogeneity),
+        draw: |inputs| per_benchmark(inputs, "fig06", run_systems_heterogeneity),
     },
     Figure {
         id: "fig07",
         title: "Global error vs. minimum client error per configuration (Fig. 7)",
-        draw: fig07,
+        draw: |inputs| {
+            per_benchmark(inputs, "fig07", |_, trained, report| {
+                run_min_client_scatter(trained, report);
+                Ok(())
+            })
+        },
     },
     Figure {
         id: "fig08",
@@ -117,16 +130,16 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         id: "fig10",
         title: "Hyperparameter transfer between dataset pairs (Fig. 10 and Fig. 14)",
-        draw: fig10,
+        draw: |inputs| {
+            let mut report = headed("fig10");
+            run_transfer_pairs(inputs.pools()?, &mut report)?;
+            Ok(vec![report])
+        },
     },
     Figure {
         id: "fig11",
         title: "One-shot proxy RS across dataset pairs (Fig. 11)",
-        draw: |inputs| {
-            Ok(vec![
-                run_proxy_matrix(inputs.runner, inputs.pools()?)?.to_report()
-            ])
-        },
+        draw: |inputs| Ok(vec![run_proxy_matrix(inputs.runner, inputs.pools()?)?]),
     },
     Figure {
         id: "fig12",
@@ -135,7 +148,7 @@ pub const FIGURES: &[Figure] = &[
             let pools = inputs.pools()?;
             pools
                 .iter()
-                .map(|client| Ok(run_proxy_vs_noisy(inputs.runner, client, pools)?.to_report()))
+                .map(|client| run_proxy_vs_noisy(inputs.runner, client, pools))
                 .collect()
         },
     },
@@ -143,20 +156,19 @@ pub const FIGURES: &[Figure] = &[
         id: "fig13",
         title: "Search-space size under noisy evaluation on CIFAR10-like (Fig. 13)",
         draw: |inputs| {
-            let ablation = run_space_ablation(
+            Ok(vec![run_space_ablation(
                 inputs.runner,
                 Benchmark::Cifar10Like,
                 inputs.scale,
                 inputs.seed,
-            )?;
-            Ok(vec![ablation.to_report()])
+            )?])
         },
     },
     Figure {
         id: "fig15",
         title: "Method comparison at one third of the budget on CIFAR10-like (Fig. 15)",
         draw: |inputs| {
-            let third = (inputs.scale.total_budget / 3).max(1);
+            let third = one_third_budget(inputs.scale);
             Ok(vec![inputs.comparison()?.to_bars_report("fig15", third)?])
         },
     },
@@ -260,114 +272,21 @@ fn once<T>(cell: &OnceCell<T>, build: impl FnOnce() -> Result<T>) -> Result<&T> 
 /// An empty report under `id`'s table entry. The header keeps the paper's
 /// own numbering (`fig3` for entry `fig03`), which is what these reports
 /// have always printed.
-fn headed(id: &str) -> ExperimentReport {
+pub(crate) fn headed(id: &str) -> ExperimentReport {
     let title = find(id).map_or("", |figure| figure.title);
     ExperimentReport::new(id.replacen("fig0", "fig", 1), title)
 }
 
-/// A series of one point: a statistic a claim reads, such as a correlation
-/// or a reference level.
-fn single(name: String, x: f64, x_label: &str, y: f64) -> SeriesGroup {
-    SeriesGroup {
-        name,
-        points: vec![SeriesPoint::single(x, x_label, y)],
-    }
-}
-
-/// The shape Figs. 4, 5, 6 and 9 share: `run` over every trained benchmark,
-/// each series named `"<benchmark><sep><series>"`.
-fn series_figure(
+/// The shape Figs. 3–7 and 9 share: `id`'s report, into which `run` pushes
+/// every trained benchmark's series in turn.
+fn per_benchmark(
     inputs: &FigureInputs<'_>,
     id: &str,
-    sep: &str,
-    run: fn(&TrialRunner, &TrainedBenchmark) -> Result<BenchmarkSeries>,
+    run: fn(&TrialRunner, &TrainedBenchmark, &mut ExperimentReport) -> Result<()>,
 ) -> Result<Vec<ExperimentReport>> {
     let mut report = headed(id);
     for trained in inputs.pools()? {
-        let BenchmarkSeries { benchmark, series } = run(inputs.runner, trained)?;
-        for group in series {
-            report.push_group(SeriesGroup {
-                name: format!("{benchmark}{sep}{}", group.name),
-                points: group.points,
-            });
-        }
-    }
-    Ok(vec![report])
-}
-
-fn fig03(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
-    let mut report = headed("fig03");
-    for trained in inputs.pools()? {
-        let sweep = run_subsampling_sweep(inputs.runner, trained)?;
-        report.push_note(format!(
-            "{}: best HPs (full evaluation) = {:.2}%",
-            sweep.benchmark, sweep.best_hps_percent
-        ));
-        report.push_group(SeriesGroup {
-            name: sweep.benchmark,
-            points: sweep.points,
-        });
-    }
-    Ok(vec![report])
-}
-
-/// Fig. 7: each pooled configuration becomes one row.
-fn fig07(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
-    let mut report = headed("fig07");
-    for trained in inputs.pools()? {
-        let scatter = run_min_client_scatter(trained);
-        report.push_group(single(
-            format!("{} deceptive", scatter.benchmark),
-            60.0,
-            "% poor (>60%) with a client <20%",
-            scatter.deceptive_fraction(60.0, 20.0) * 100.0,
-        ));
-        let points = scatter.points.iter().map(|p| {
-            SeriesPoint::single(
-                p.global_error_percent,
-                format!("{:.1}% global", p.global_error_percent),
-                p.min_client_error_percent,
-            )
-        });
-        let points = points.collect();
-        report.push_group(SeriesGroup {
-            name: scatter.benchmark,
-            points,
-        });
-    }
-    Ok(vec![report])
-}
-
-/// Fig. 10 / 14: one row per configuration and pair, plus the pair's
-/// correlations as one-point series.
-fn fig10(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
-    let mut report = headed("fig10");
-    for analysis in run_transfer_pairs(inputs.pools()?)? {
-        let (a, b) = (&analysis.dataset_a, &analysis.dataset_b);
-        let points = analysis.points.iter().map(|p| {
-            SeriesPoint::single(
-                p.error_a * 100.0,
-                format!("{:.1}% on {a}", p.error_a * 100.0),
-                p.error_b * 100.0,
-            )
-        });
-        report.push_group(SeriesGroup {
-            name: format!("{a} vs {b}"),
-            points: points.collect(),
-        });
-        for (name, value) in [
-            ("pearson", analysis.pearson),
-            ("spearman", analysis.spearman),
-        ] {
-            if let Some(value) = value {
-                report.push_group(single(
-                    format!("{a} vs {b} {name}"),
-                    0.0,
-                    "correlation",
-                    value,
-                ));
-            }
-        }
+        run(inputs.runner, trained, &mut report)?;
     }
     Ok(vec![report])
 }
@@ -375,7 +294,7 @@ fn fig10(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
 /// Fig. 9, plus each benchmark's random-choice reference: the pool's mean
 /// true error, what a selection that ignores its scores expects.
 fn fig09(inputs: &FigureInputs<'_>) -> Result<Vec<ExperimentReport>> {
-    let mut reports = series_figure(inputs, "fig09", " ", run_privacy_sweep)?;
+    let mut reports = per_benchmark(inputs, "fig09", run_privacy_sweep)?;
     for trained in inputs.pools()? {
         let pool_mean = fedmath::stats::mean(&trained.pool().true_errors()) * 100.0;
         reports[0].push_group(single(
@@ -512,5 +431,27 @@ mod tests {
             }
         }
         assert!(find("fig02").is_none());
+    }
+
+    #[test]
+    fn figs_1_and_15_read_their_bars_at_one_budget() {
+        // Two configurations of 6 rounds: a third of the 12-round budget is
+        // 4 rounds, less than one configuration, so both read theirs at 6.
+        let scale = ExperimentScale {
+            num_configs: 2,
+            total_budget: 12,
+            ..ExperimentScale::smoke()
+        };
+        scale.validate().unwrap();
+        assert_eq!(one_third_budget(&scale), scale.rounds_per_config);
+        let runner = TrialRunner::from_env();
+        let inputs = FigureInputs::new(&runner, &scale, 0);
+        for id in ["fig01", "fig15"] {
+            let reports = (find(id).unwrap().draw)(&inputs).unwrap();
+            let points = reports[0].groups.iter().flat_map(|g| &g.points);
+            let labels: Vec<&str> = points.map(|p| p.x_label.as_str()).collect();
+            assert!(!labels.is_empty(), "{id}");
+            assert!(labels.iter().all(|&l| l == "6 rounds"), "{id}: {labels:?}");
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::context::BenchmarkContext;
 use crate::engine::TrialRunner;
+use crate::experiments::figures::headed;
 use crate::experiments::proxy::proxy_rs;
 use crate::experiments::SeedChannel;
 use crate::noise::NoiseConfig;
@@ -489,48 +490,18 @@ pub fn run_method_comparison(
     )
 }
 
-/// The Fig. 1 headline: method bars on CIFAR10-like at one third of the
-/// budget, noiseless vs. noisy, plus the proxy-RS reference (which is
-/// unaffected by evaluation noise).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HeadlineResult {
-    /// Bars for the four tuning methods.
-    pub method_bars: Vec<SeriesGroup>,
-    /// Full-validation error (percent) of one-shot proxy RS over the
-    /// bootstrap trials.
-    pub proxy_rs: fedmath::stats::QuartileSummary,
-    /// The round budget the bars are evaluated at (one third of the total).
-    pub budget: usize,
-}
-
-impl HeadlineResult {
-    /// Renders Fig. 1.
-    pub fn to_report(&self) -> ExperimentReport {
-        let mut report = ExperimentReport::new(
-            "fig1",
-            "Headline: tuning methods under noise vs. proxy RS on CIFAR10-like (Fig. 1)",
-        );
-        for group in &self.method_bars {
-            report.push_group(group.clone());
-        }
-        report.push_group(SeriesGroup {
-            name: "RS (proxy)".into(),
-            points: vec![SeriesPoint {
-                x: self.budget as f64,
-                x_label: format!("{} rounds", self.budget),
-                summary: self.proxy_rs,
-            }],
-        });
-        report
-            .push_note("proxy RS tunes on FEMNIST-like data and is unaffected by evaluation noise");
-        report
-    }
+/// The round budget Figs. 1 and 15 read their bars at: one third of the
+/// total, but never less than one configuration's rounds, so every method
+/// has finished an evaluation by then.
+pub fn one_third_budget(scale: &ExperimentScale) -> usize {
+    (scale.total_budget / 3).max(scale.rounds_per_config)
 }
 
 /// The Fig. 1 headline from what its caller already has: the bars of
-/// `comparison` (the CIFAR10-like method comparison Fig. 8 draws) at one
-/// third of the budget, and one-shot proxy RS over `trained` with
-/// FEMNIST-like as the proxy (the best proxy for CIFAR10 in Fig. 11).
+/// `comparison` (the CIFAR10-like method comparison Fig. 8 draws) at
+/// [`one_third_budget`], noiseless vs. noisy, and the series `"RS (proxy)"`:
+/// one-shot proxy RS over `trained` with FEMNIST-like as the proxy (the best
+/// proxy for CIFAR10 in Fig. 11), which evaluation noise does not touch.
 ///
 /// # Errors
 ///
@@ -540,16 +511,24 @@ pub fn run_headline(
     runner: &TrialRunner,
     comparison: &MethodComparison,
     trained: &[TrainedBenchmark],
-) -> Result<HeadlineResult> {
+) -> Result<ExperimentReport> {
     let client = TrainedBenchmark::find(trained, Benchmark::Cifar10Like)?;
     let proxy = TrainedBenchmark::find(trained, Benchmark::FemnistLike)?;
-    let scale = client.scale();
-    let budget = (scale.total_budget / 3).max(scale.rounds_per_config);
-    Ok(HeadlineResult {
-        method_bars: comparison.bars_at(budget)?,
-        proxy_rs: proxy_rs(runner, proxy, client)?,
-        budget,
-    })
+    let budget = one_third_budget(client.scale());
+    let mut report = headed("fig01");
+    for group in comparison.bars_at(budget)? {
+        report.push_group(group);
+    }
+    report.push_group(SeriesGroup {
+        name: "RS (proxy)".into(),
+        points: vec![SeriesPoint {
+            x: budget as f64,
+            x_label: format!("{budget} rounds"),
+            summary: proxy_rs(runner, proxy, client)?,
+        }],
+    });
+    report.push_note("proxy RS tunes on FEMNIST-like data and is unaffected by evaluation noise");
+    Ok(report)
 }
 
 #[cfg(test)]

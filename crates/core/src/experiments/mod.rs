@@ -21,10 +21,12 @@
 //! figure, which only bootstraps over the stored per-client evaluations (its
 //! seed taken from the pool's seed on the figure's [`SeedChannel`]). The
 //! live-training figures (1 / 8 / 15 / 16, 13, stragglers, population) take a
-//! [`crate::ExperimentScale`] and a seed. Every runner returns a serialisable
-//! result struct; [`figures`] renders them as [`crate::ExperimentReport`]s and
-//! is the one place that builds the pool set and the comparison for
-//! reporting. A runner that fans trials out (pool training, bootstrap replays,
+//! [`crate::ExperimentScale`] and a seed. Each figure is drawn by one
+//! runner: one benchmark's share of a figure assembled across benchmarks
+//! (Figs. 3–7, 9, 10) is pushed into that figure's
+//! [`crate::ExperimentReport`], and a figure with a report of its own (Figs. 1,
+//! 11, 12, 13) is returned as one. [`figures`] is the one place that builds
+//! the pool set and the comparison for reporting. A runner that fans trials out (pool training, bootstrap replays,
 //! tuner campaigns) takes the [`TrialRunner`] to do it on as its first
 //! argument — none of them reads `FEDTUNE_THREADS`; seeds are positional, so
 //! the result is the same bits under every runner and the caller decides the
@@ -51,9 +53,10 @@ use crate::{CoreError, Result};
 /// The named children of an experiment seed: every figure derives its
 /// randomness from `derive_seed(seed, channel)`, so two figures sharing a
 /// seed never share a stream. Discriminants are the channel numbers (the
-/// compiler rejects a duplicate); `Methods`, `StragglerCampaigns`,
-/// `StragglerCostModel` and `SpaceAblation` feed golden-pinned or gated
-/// results and must keep theirs.
+/// compiler rejects a duplicate); [`Self::Methods`],
+/// [`Self::StragglerCampaigns`], [`Self::StragglerCostModel`] and
+/// [`Self::SpaceAblation`] feed golden-pinned or gated results and must keep
+/// theirs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedChannel {
     /// Fig. 3 bootstrap.
@@ -306,6 +309,15 @@ pub(crate) fn budget_curve(
         })
         .collect::<Result<_>>()?;
     Ok(SeriesGroup { name, points })
+}
+
+/// A series of one point: a statistic a claim reads, such as a correlation
+/// or a reference level.
+pub(crate) fn single(name: String, x: f64, x_label: &str, y: f64) -> SeriesGroup {
+    SeriesGroup {
+        name,
+        points: vec![SeriesPoint::single(x, x_label, y)],
+    }
 }
 
 /// A runner and the smoke-scale pool of `benchmark` it trained from `seed`.

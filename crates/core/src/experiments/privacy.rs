@@ -5,7 +5,7 @@ use crate::engine::TrialRunner;
 use crate::experiments::{rate_sweep, SeedChannel};
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
-use crate::report::{BenchmarkSeries, SeriesGroup};
+use crate::report::{ExperimentReport, SeriesGroup};
 use crate::{PrivacyBudget, Result};
 use fedmath::SeedStream;
 
@@ -22,7 +22,7 @@ pub const PRIVACY_GRID: [PrivacyBudget; 5] = [
 /// evaluation is an ε-DP release of the subsampled validation accuracy
 /// (uniform weighting, Laplace noise of scale `M / (ε |S|)` with `M = K`
 /// evaluations per tuning run) — one series per ε of [`PRIVACY_GRID`],
-/// labelled `"eps=<value>"` or `"eps=inf"`.
+/// named `"<benchmark> eps=<value>"` or `"<benchmark> eps=inf"`.
 ///
 /// # Errors
 ///
@@ -30,12 +30,12 @@ pub const PRIVACY_GRID: [PrivacyBudget; 5] = [
 pub fn run_privacy_sweep(
     runner: &TrialRunner,
     trained: &TrainedBenchmark,
-) -> Result<BenchmarkSeries> {
+    report: &mut ExperimentReport,
+) -> Result<()> {
     let mut seeds = SeedStream::new(trained.seed(SeedChannel::Privacy));
-    let mut series = Vec::new();
     for budget in PRIVACY_GRID {
-        series.push(SeriesGroup {
-            name: format!("eps={}", budget.label()),
+        report.push_group(SeriesGroup {
+            name: format!("{} eps={}", trained.name(), budget.label()),
             points: rate_sweep(
                 runner,
                 trained.pool(),
@@ -45,10 +45,7 @@ pub fn run_privacy_sweep(
             )?,
         });
     }
-    Ok(BenchmarkSeries {
-        benchmark: trained.name().to_string(),
-        series,
-    })
+    Ok(())
 }
 
 #[cfg(test)]
@@ -59,23 +56,25 @@ mod tests {
     #[test]
     fn privacy_sweep_shape_and_ordering() {
         let (runner, trained) = smoke_trained(feddata::Benchmark::Cifar10Like, 0);
-        let sweep = run_privacy_sweep(&runner, &trained).unwrap();
-        assert_eq!(sweep.series.len(), 5);
-        assert_eq!(sweep.series[0].name, "eps=0.1");
-        assert_eq!(sweep.series[4].name, "eps=inf");
+        let mut report = ExperimentReport::default();
+        run_privacy_sweep(&runner, &trained, &mut report).unwrap();
+        let sweep = &report.groups;
+        assert_eq!(sweep.len(), 5);
+        assert_eq!(sweep[0].name, "cifar10-like eps=0.1");
+        assert_eq!(sweep[4].name, "cifar10-like eps=inf");
         let grid_len = subsample_rate_grid(10).len();
-        for s in &sweep.series {
+        for s in sweep {
             assert_eq!(s.points.len(), grid_len);
         }
         // Strict privacy with a single client should be no better than
         // non-private evaluation with a single client (medians compared).
-        let strict_single = sweep.series[0].points[0].summary.median;
-        let nonprivate_single = sweep.series[4].points[0].summary.median;
+        let strict_single = sweep[0].points[0].summary.median;
+        let nonprivate_single = sweep[4].points[0].summary.median;
         assert!(strict_single + 1e-9 >= nonprivate_single - 20.0);
         // At ε = 0.1 with one client, selection should be close to random:
         // its median error is far above the non-private full-evaluation one.
-        let strict = sweep.series[0].points[0].summary.median;
-        let nonprivate_full = sweep.series[4].points.last().unwrap().summary.median;
+        let strict = sweep[0].points[0].summary.median;
+        let nonprivate_full = sweep[4].points.last().unwrap().summary.median;
         assert!(
             strict >= nonprivate_full - 1e-9,
             "strict DP ({strict}) should not beat non-private full evaluation ({nonprivate_full})"

@@ -6,8 +6,9 @@
 //! pool's errors and reporting the *client* pool's.
 
 use crate::engine::TrialRunner;
+use crate::experiments::figures::headed;
 use crate::experiments::{
-    budget_curve, selections, simulated_rs_trajectories, Scores, SeedChannel,
+    budget_curve, selections, simulated_rs_trajectories, single, Scores, SeedChannel,
 };
 use crate::noise::NoiseConfig;
 use crate::pool::TrainedBenchmark;
@@ -16,7 +17,6 @@ use crate::{CoreError, PrivacyBudget, Result};
 use feddata::Benchmark;
 use fedmath::stats::QuartileSummary;
 use fedmath::SeedTree;
-use serde::{Deserialize, Serialize};
 
 /// The dataset pairs of Fig. 10 (same task family) and Fig. 14 (cross
 /// family), in the paper's order.
@@ -27,49 +27,12 @@ pub const TRANSFER_PAIRS: [(Benchmark, Benchmark); 4] = [
     (Benchmark::FemnistLike, Benchmark::StackOverflowLike),
 ];
 
-/// One configuration evaluated on two datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransferPoint {
-    /// Index of the configuration in the evaluated batch.
-    pub config_index: usize,
-    /// Full-validation error on the first dataset.
-    pub error_a: f64,
-    /// Full-validation error on the second dataset.
-    pub error_b: f64,
-}
-
-/// The scatter of Fig. 10/14 plus summary correlations: how well does a
-/// configuration's quality on one dataset predict its quality on another?
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TransferAnalysis {
-    /// Name of the first dataset.
-    pub dataset_a: String,
-    /// Name of the second dataset.
-    pub dataset_b: String,
-    /// Per-configuration error pairs.
-    pub points: Vec<TransferPoint>,
-    /// Pearson correlation between the two error columns (`None` if either
-    /// column is constant).
-    pub pearson: Option<f64>,
-    /// Spearman rank correlation between the two error columns.
-    pub spearman: Option<f64>,
-}
-
-impl TransferAnalysis {
-    /// Errors on the first dataset, in configuration order.
-    pub fn errors_a(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.error_a).collect()
-    }
-
-    /// Errors on the second dataset, in configuration order.
-    pub fn errors_b(&self) -> Vec<f64> {
-        self.points.iter().map(|p| p.error_b).collect()
-    }
-}
-
 /// The transfer scatter of Fig. 10/14 from the full-validation errors the
 /// *same* configurations reached on two datasets (`errors_a[i]` and
-/// `errors_b[i]` belong to configuration `i`).
+/// `errors_b[i]` belong to configuration `i`): pushes the series
+/// `"<a> vs <b>"`, one point per configuration at its two errors in percent,
+/// then each correlation between the columns that exists (a constant column
+/// has none) as a one-point series `"<a> vs <b> pearson"` / `"… spearman"`.
 ///
 /// # Errors
 ///
@@ -80,7 +43,8 @@ pub fn transfer_analysis(
     errors_a: &[f64],
     dataset_b: &str,
     errors_b: &[f64],
-) -> Result<TransferAnalysis> {
+    report: &mut ExperimentReport,
+) -> Result<()> {
     if errors_a.is_empty() || errors_a.len() != errors_b.len() {
         return Err(CoreError::InvalidConfig {
             message: format!(
@@ -90,42 +54,63 @@ pub fn transfer_analysis(
             ),
         });
     }
-    let points = errors_a
-        .iter()
-        .zip(errors_b)
-        .enumerate()
-        .map(|(config_index, (&error_a, &error_b))| TransferPoint {
-            config_index,
-            error_a,
-            error_b,
-        })
-        .collect();
-    Ok(TransferAnalysis {
-        dataset_a: dataset_a.to_string(),
-        dataset_b: dataset_b.to_string(),
-        points,
-        pearson: fedmath::stats::pearson_correlation(errors_a, errors_b).ok(),
-        spearman: fedmath::stats::spearman_correlation(errors_a, errors_b).ok(),
-    })
+    let points = errors_a.iter().zip(errors_b).map(|(&error_a, &error_b)| {
+        SeriesPoint::single(
+            error_a * 100.0,
+            format!("{:.1}% on {dataset_a}", error_a * 100.0),
+            error_b * 100.0,
+        )
+    });
+    report.push_group(SeriesGroup {
+        name: format!("{dataset_a} vs {dataset_b}"),
+        points: points.collect(),
+    });
+    for (name, value) in [
+        (
+            "pearson",
+            fedmath::stats::pearson_correlation(errors_a, errors_b),
+        ),
+        (
+            "spearman",
+            fedmath::stats::spearman_correlation(errors_a, errors_b),
+        ),
+    ] {
+        if let Ok(value) = value {
+            report.push_group(single(
+                format!("{dataset_a} vs {dataset_b} {name}"),
+                0.0,
+                "correlation",
+                value,
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The HP-transfer analysis of Fig. 10/14 over a trained pool set: every
 /// pooled configuration (the paper's 128) at its full-validation error on
-/// both datasets of every pair.
+/// both datasets of every pair of [`TRANSFER_PAIRS`], in order.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] if `trained` lacks a benchmark of a
 /// pair or two pools hold different configurations.
-pub fn run_transfer_pairs(trained: &[TrainedBenchmark]) -> Result<Vec<TransferAnalysis>> {
-    TRANSFER_PAIRS
-        .iter()
-        .map(|&(a, b)| {
-            let b = TrainedBenchmark::find(trained, b)?;
-            let errors_a = b.proxy_scores(TrainedBenchmark::find(trained, a)?)?;
-            transfer_analysis(a.name(), &errors_a, b.name(), &b.pool().true_errors())
-        })
-        .collect()
+pub fn run_transfer_pairs(
+    trained: &[TrainedBenchmark],
+    report: &mut ExperimentReport,
+) -> Result<()> {
+    for &(a, b) in &TRANSFER_PAIRS {
+        let b = TrainedBenchmark::find(trained, b)?;
+        let errors_a = b.proxy_scores(TrainedBenchmark::find(trained, a)?)?;
+        transfer_analysis(
+            a.name(),
+            &errors_a,
+            b.name(),
+            &b.pool().true_errors(),
+            report,
+        )?;
+    }
+    Ok(())
 }
 
 /// One-shot proxy RS over a trained pair (§4): bootstrap
@@ -160,117 +145,40 @@ pub fn proxy_rs(
     QuartileSummary::from_values(&percents).map_err(CoreError::from)
 }
 
-/// One cell of the Fig. 11 matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProxyMatrixCell {
-    /// Proxy dataset used for the search.
-    pub proxy: String,
-    /// Client dataset the selected configuration was deployed on.
-    pub client: String,
-    /// Full-validation error on the client dataset over the bootstrap
-    /// trials, in percent.
-    pub client_error: QuartileSummary,
-}
-
-/// The Fig. 11 matrix: one-shot proxy RS for every (proxy, client) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProxyMatrix {
-    /// All cells, grouped by client dataset then proxy dataset.
-    pub cells: Vec<ProxyMatrixCell>,
-}
-
-impl ProxyMatrix {
-    /// Renders the matrix as a report (one series per client dataset, one
-    /// point per proxy).
-    pub fn to_report(&self) -> ExperimentReport {
-        let mut report =
-            ExperimentReport::new("fig11", "One-shot proxy RS across dataset pairs (Fig. 11)");
-        for row in self.cells.chunk_by(|a, b| a.client == b.client) {
-            let points = row
-                .iter()
-                .enumerate()
-                .map(|(i, cell)| SeriesPoint {
-                    x: i as f64,
-                    x_label: format!("proxy={}", cell.proxy),
-                    summary: cell.client_error,
-                })
-                .collect();
-            report.push_group(SeriesGroup {
-                name: format!("client={}", row[0].client),
-                points,
-            });
-        }
-        report
-    }
-}
-
 /// Runs the Fig. 11 experiment over a trained pool set: [`proxy_rs`] for
-/// every (proxy, client) pair of it.
+/// every (proxy, client) pair of it — one series `"client=<name>"` per client
+/// benchmark, one point `"proxy=<name>"` per proxy, in set order.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] if two pools hold different
 /// configurations.
-pub fn run_proxy_matrix(runner: &TrialRunner, trained: &[TrainedBenchmark]) -> Result<ProxyMatrix> {
-    let mut cells = Vec::new();
+pub fn run_proxy_matrix(
+    runner: &TrialRunner,
+    trained: &[TrainedBenchmark],
+) -> Result<ExperimentReport> {
+    let mut report = headed("fig11");
     for client in trained {
-        for proxy in trained {
-            cells.push(ProxyMatrixCell {
-                proxy: proxy.name().to_string(),
-                client: client.name().to_string(),
-                client_error: proxy_rs(runner, proxy, client)?,
-            });
-        }
+        let points = trained.iter().enumerate().map(|(i, proxy)| {
+            Ok(SeriesPoint {
+                x: i as f64,
+                x_label: format!("proxy={}", proxy.name()),
+                summary: proxy_rs(runner, proxy, client)?,
+            })
+        });
+        report.push_group(SeriesGroup {
+            name: format!("client={}", client.name()),
+            points: points.collect::<Result<_>>()?,
+        });
     }
-    Ok(ProxyMatrix { cells })
-}
-
-/// Fig. 12 for one client benchmark: noisy-RS budget curves at several
-/// privacy levels, plus the (budget-independent) one-shot proxy baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProxyVsNoisy {
-    /// The client benchmark.
-    pub benchmark: String,
-    /// One curve per privacy budget (`eps=1`, `eps=10`, `eps=inf`), each at a
-    /// 1% client subsample.
-    pub noisy_curves: Vec<SeriesGroup>,
-    /// One horizontal reference per proxy dataset: the client error of the
-    /// configuration chosen by one-shot proxy RS over the bootstrap trials,
-    /// in percent.
-    pub proxy_references: Vec<(String, QuartileSummary)>,
-}
-
-impl ProxyVsNoisy {
-    /// Renders Fig. 12 for this benchmark.
-    pub fn to_report(&self) -> ExperimentReport {
-        let mut report = ExperimentReport::new(
-            "fig12",
-            format!(
-                "Noisy-evaluation RS vs. one-shot proxy tuning on {} (Fig. 12)",
-                self.benchmark
-            ),
-        );
-        for curve in &self.noisy_curves {
-            report.push_group(curve.clone());
-        }
-        for (proxy, error) in &self.proxy_references {
-            report.push_group(SeriesGroup {
-                name: format!("proxy {proxy}"),
-                points: vec![SeriesPoint {
-                    x: 0.0,
-                    x_label: "any budget".into(),
-                    summary: *error,
-                }],
-            });
-        }
-        report
-    }
+    Ok(report)
 }
 
 /// Runs Fig. 12 for one trained client benchmark: RS budget curves under 1%
-/// subsampling at ε ∈ {1, 10, ∞} over the client's pool, and the [`proxy_rs`]
-/// reference from each of `proxies` (the paper includes the client itself,
-/// the "perfect" proxy).
+/// subsampling at ε ∈ {1, 10, ∞} over the client's pool (series `"eps=1"`,
+/// `"eps=10"`, `"eps=inf"`), and the budget-independent [`proxy_rs`]
+/// reference from each of `proxies` as a one-point series `"proxy <name>"`
+/// (the paper includes the client itself, the "perfect" proxy).
 ///
 /// # Errors
 ///
@@ -281,7 +189,14 @@ pub fn run_proxy_vs_noisy(
     runner: &TrialRunner,
     client: &TrainedBenchmark,
     proxies: &[TrainedBenchmark],
-) -> Result<ProxyVsNoisy> {
+) -> Result<ExperimentReport> {
+    let mut report = ExperimentReport::new(
+        "fig12",
+        format!(
+            "Noisy-evaluation RS vs. one-shot proxy tuning on {} (Fig. 12)",
+            client.name()
+        ),
+    );
     let subsample = 0.01f64.max(1.0 / client.pool().num_val_clients() as f64);
     let budgets = [
         PrivacyBudget::Finite(1.0),
@@ -289,29 +204,27 @@ pub fn run_proxy_vs_noisy(
         PrivacyBudget::Infinite,
     ];
     let curve_seeds = SeedTree::new(client.seed(SeedChannel::ProxyVsNoisy));
-    let noisy_curves = budgets
-        .iter()
-        .enumerate()
-        .map(|(i, &privacy)| {
-            budget_curve(
-                runner,
-                client.pool(),
-                client.scale(),
-                format!("eps={}", privacy.label()),
-                &NoiseConfig::subsampled(subsample).with_privacy(privacy),
-                curve_seeds.child(i as u64).seed(),
-            )
-        })
-        .collect::<Result<_>>()?;
-    let proxy_references = proxies
-        .iter()
-        .map(|proxy| Ok((proxy.name().to_string(), proxy_rs(runner, proxy, client)?)))
-        .collect::<Result<_>>()?;
-    Ok(ProxyVsNoisy {
-        benchmark: client.name().to_string(),
-        noisy_curves,
-        proxy_references,
-    })
+    for (i, &privacy) in budgets.iter().enumerate() {
+        report.push_group(budget_curve(
+            runner,
+            client.pool(),
+            client.scale(),
+            format!("eps={}", privacy.label()),
+            &NoiseConfig::subsampled(subsample).with_privacy(privacy),
+            curve_seeds.child(i as u64).seed(),
+        )?);
+    }
+    for proxy in proxies {
+        report.push_group(SeriesGroup {
+            name: format!("proxy {}", proxy.name()),
+            points: vec![SeriesPoint {
+                x: 0.0,
+                x_label: "any budget".into(),
+                summary: proxy_rs(runner, proxy, client)?,
+            }],
+        });
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -334,23 +247,45 @@ mod tests {
     fn proxy_matrix_smoke() {
         let (runner, trained) = smoke_set(0);
         let scale = ExperimentScale::smoke();
-        let matrix = run_proxy_matrix(&runner, &trained).unwrap();
-        assert_eq!(matrix.cells.len(), 16);
-        for cell in &matrix.cells {
-            assert!((0.0..=100.0).contains(&cell.client_error.median));
-            assert_eq!(cell.client_error.count, scale.bootstrap_trials);
+        let report = run_proxy_matrix(&runner, &trained).unwrap();
+        assert_eq!(report.groups.len(), 4);
+        assert!(report.groups.iter().all(|g| g.points.len() == 4));
+        for cell in report.groups.iter().flat_map(|g| &g.points) {
+            assert!((0.0..=100.0).contains(&cell.summary.median));
+            assert_eq!(cell.summary.count, scale.bootstrap_trials);
         }
         // Trial for trial, no proxy can beat selecting by the client's own
         // errors: the diagonal is each row's floor.
         for client in &trained {
-            let row = || matrix.cells.iter().filter(|c| c.client == client.name());
-            let own = row().find(|c| c.proxy == client.name()).unwrap();
-            assert!(row().all(|c| own.client_error.median <= c.client_error.median));
+            let row = report
+                .groups
+                .iter()
+                .find(|g| g.name == format!("client={}", client.name()))
+                .unwrap();
+            let own = row
+                .points
+                .iter()
+                .find(|p| p.x_label == format!("proxy={}", client.name()))
+                .unwrap();
+            assert!(row
+                .points
+                .iter()
+                .all(|p| own.summary.median <= p.summary.median));
         }
-        let report = matrix.to_report();
-        assert_eq!(report.groups.len(), 4);
-        assert!(report.groups.iter().all(|g| g.points.len() == 4));
         assert!(report.to_table().contains("proxy="));
+    }
+
+    /// The report `transfer_analysis` pushes for two columns, or its error.
+    fn transfer(errors_a: &[f64], errors_b: &[f64]) -> Result<ExperimentReport> {
+        let mut report = ExperimentReport::default();
+        transfer_analysis("a", errors_a, "b", errors_b, &mut report)?;
+        Ok(report)
+    }
+
+    /// The one-point series `name` of `report`, if it has one.
+    fn statistic(report: &ExperimentReport, name: &str) -> Option<f64> {
+        let group = report.groups.iter().find(|g| g.name == name)?;
+        Some(group.points[0].summary.median)
     }
 
     #[test]
@@ -383,42 +318,61 @@ mod tests {
         };
         let cifar = errors_on(Benchmark::Cifar10Like);
         let femnist = errors_on(Benchmark::FemnistLike);
-        let analysis = transfer_analysis("cifar10-like", &cifar, "femnist-like", &femnist).unwrap();
-        assert_eq!(analysis.points.len(), 4);
-        assert_eq!(analysis.errors_a(), cifar);
-        assert_eq!(analysis.errors_b(), femnist);
-        if let Some(s) = analysis.spearman {
+        let mut report = ExperimentReport::default();
+        transfer_analysis(
+            "cifar10-like",
+            &cifar,
+            "femnist-like",
+            &femnist,
+            &mut report,
+        )
+        .unwrap();
+        let scatter = &report.groups[0];
+        assert_eq!(scatter.name, "cifar10-like vs femnist-like");
+        assert_eq!(scatter.points.len(), 4);
+        let percent = |errors: &[f64]| errors.iter().map(|e| e * 100.0).collect::<Vec<_>>();
+        let xs: Vec<f64> = scatter.points.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = scatter.points.iter().map(|p| p.summary.median).collect();
+        assert_eq!(xs, percent(&cifar));
+        assert_eq!(ys, percent(&femnist));
+        if let Some(s) = statistic(&report, "cifar10-like vs femnist-like spearman") {
             assert!(s > 0.0, "expected positive rank correlation, got {s}");
         }
     }
 
     #[test]
     fn empty_or_ragged_columns_are_rejected() {
-        assert!(transfer_analysis("a", &[], "b", &[]).is_err());
-        assert!(transfer_analysis("a", &[0.1, 0.2], "b", &[0.1]).is_err());
+        assert!(transfer(&[], &[]).is_err());
+        assert!(transfer(&[0.1, 0.2], &[0.1]).is_err());
     }
 
     #[test]
     fn constant_columns_have_no_correlation() {
-        let analysis = transfer_analysis("a", &[0.5, 0.5, 0.5], "b", &[0.1, 0.2, 0.3]).unwrap();
-        assert_eq!(analysis.pearson, None);
-        assert_eq!(analysis.points[2].config_index, 2);
+        let report = transfer(&[0.5, 0.5, 0.5], &[0.1, 0.2, 0.3]).unwrap();
+        assert_eq!(statistic(&report, "a vs b pearson"), None);
+        assert_eq!(report.groups[0].points[2].summary.median, 0.3 * 100.0);
     }
 
     #[test]
     fn transfer_pairs_smoke() {
         let (_, trained) = smoke_set(1);
-        let analyses = run_transfer_pairs(&trained).unwrap();
-        assert_eq!(analyses.len(), 4);
-        assert_eq!(analyses[0].dataset_a, "cifar10-like");
-        assert_eq!(analyses[0].dataset_b, "femnist-like");
-        for a in &analyses {
+        let mut report = ExperimentReport::default();
+        run_transfer_pairs(&trained, &mut report).unwrap();
+        let scatters: Vec<_> = report
+            .groups
+            .iter()
+            .filter(|g| !g.name.ends_with("pearson") && !g.name.ends_with("spearman"))
+            .collect();
+        assert_eq!(scatters.len(), 4);
+        assert_eq!(scatters[0].name, "cifar10-like vs femnist-like");
+        for scatter in &scatters {
             // One point per pooled configuration, not per searched one.
-            assert_eq!(a.points.len(), ExperimentScale::smoke().pool_size);
+            assert_eq!(scatter.points.len(), ExperimentScale::smoke().pool_size);
         }
-        assert_eq!(analyses[0].errors_a(), trained[0].pool().true_errors());
-        assert_eq!(analyses[1].dataset_a, "stackoverflow-like");
-        assert_eq!(analyses[1].dataset_b, "reddit-like");
+        let xs: Vec<f64> = scatters[0].points.iter().map(|p| p.x).collect();
+        let own: Vec<f64> = trained[0].pool().true_errors();
+        assert_eq!(xs, own.iter().map(|e| e * 100.0).collect::<Vec<_>>());
+        assert_eq!(scatters[1].name, "stackoverflow-like vs reddit-like");
     }
 
     #[test]
@@ -432,33 +386,36 @@ mod tests {
         )
         .unwrap();
         let invalid = |e: CoreError| matches!(e, CoreError::InvalidConfig { .. });
-        assert!(invalid(run_transfer_pairs(&trained).unwrap_err()));
+        let transfer_pairs =
+            |set: &[TrainedBenchmark]| run_transfer_pairs(set, &mut ExperimentReport::default());
+        assert!(invalid(transfer_pairs(&trained).unwrap_err()));
         assert!(invalid(run_proxy_matrix(&runner, &trained).unwrap_err()));
         assert!(invalid(
             run_proxy_vs_noisy(&runner, &trained[0], &trained).unwrap_err()
         ));
         // A set missing a benchmark of a pair is an error too.
-        assert!(invalid(run_transfer_pairs(&trained[..1]).unwrap_err()));
+        assert!(invalid(transfer_pairs(&trained[..1]).unwrap_err()));
     }
 
     #[test]
     fn proxy_vs_noisy_smoke() {
         let (runner, trained) = smoke_set(2);
         let scale = ExperimentScale::smoke();
-        let result = run_proxy_vs_noisy(&runner, &trained[0], &trained).unwrap();
-        assert_eq!(result.benchmark, "cifar10-like");
-        assert_eq!(result.noisy_curves.len(), 3);
-        assert_eq!(result.proxy_references.len(), 4);
-        for curve in &result.noisy_curves {
+        let report = run_proxy_vs_noisy(&runner, &trained[0], &trained).unwrap();
+        assert!(report.title.contains("on cifar10-like"), "{}", report.title);
+        let (curves, references) = report.groups.split_at(3);
+        assert_eq!(references.len(), 4);
+        for curve in curves {
+            assert!(curve.name.starts_with("eps="), "{}", curve.name);
             assert_eq!(curve.points.len(), scale.num_configs);
         }
         // The self-proxy (tuning on the client dataset itself without noise)
         // is among the proxies reported, every reference over every trial.
-        assert_eq!(result.proxy_references[0].0, "cifar10-like");
-        for (_, reference) in &result.proxy_references {
-            assert_eq!(reference.count, scale.bootstrap_trials);
+        assert_eq!(references[0].name, "proxy cifar10-like");
+        for reference in references {
+            assert_eq!(reference.points.len(), 1);
+            assert_eq!(reference.points[0].summary.count, scale.bootstrap_trials);
         }
-        let report = result.to_report();
         assert!(report.to_table().contains("eps=inf"));
         assert!(report.to_table().contains("proxy"));
     }

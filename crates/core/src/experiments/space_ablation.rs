@@ -13,48 +13,13 @@ use crate::{PrivacyBudget, Result};
 use feddata::Benchmark;
 use fedhpo::SearchSpace;
 use fedmath::SeedStream;
-use serde::{Deserialize, Serialize};
-
-/// Fig. 13 for one benchmark: noiseless vs. noisy selection error as a
-/// function of the (log-) width of the server-learning-rate search interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpaceAblation {
-    /// Benchmark the ablation was run on.
-    pub benchmark: String,
-    /// Selection error under noiseless evaluation, one point per width.
-    pub noiseless: Vec<SeriesPoint>,
-    /// Selection error under noisy evaluation (single-client subsample,
-    /// ε = 10), one point per width.
-    pub noisy: Vec<SeriesPoint>,
-}
-
-impl SpaceAblation {
-    /// Renders Fig. 13 for this benchmark.
-    pub fn to_report(&self) -> ExperimentReport {
-        let mut report = ExperimentReport::new(
-            "fig13",
-            format!(
-                "Search-space size under noisy evaluation on {} (Fig. 13)",
-                self.benchmark
-            ),
-        );
-        report.push_group(SeriesGroup {
-            name: format!("{} noiseless", self.benchmark),
-            points: self.noiseless.clone(),
-        });
-        report.push_group(SeriesGroup {
-            name: format!("{} noisy", self.benchmark),
-            points: self.noisy.clone(),
-        });
-        report.push_note("x = log10(eta_max / eta_min) of the server learning-rate interval");
-        report
-    }
-}
 
 /// Runs Fig. 13: for each nested server-lr interval width `w ∈ {1, 2, 3, 4}`,
 /// train a pool of configurations sampled from that space and compare RS
 /// selection over the *whole* pool (the paper's `K = 128`) under noiseless
 /// evaluation against selection under single-client, ε = 10 evaluation.
+/// The report has one series per setting, `"<benchmark> noiseless"` and
+/// `"<benchmark> noisy"`, one point per width.
 ///
 /// # Errors
 ///
@@ -64,7 +29,7 @@ pub fn run_space_ablation(
     benchmark: Benchmark,
     scale: &ExperimentScale,
     seed: u64,
-) -> Result<SpaceAblation> {
+) -> Result<ExperimentReport> {
     let mut seeds = SeedStream::new(SeedChannel::SpaceAblation.seed(seed));
     let mut noiseless_points = Vec::new();
     let mut noisy_points = Vec::new();
@@ -111,11 +76,23 @@ pub fn run_space_ablation(
             &noisy_errors,
         )?);
     }
-    Ok(SpaceAblation {
-        benchmark: benchmark.name().to_string(),
-        noiseless: noiseless_points,
-        noisy: noisy_points,
-    })
+    let mut report = ExperimentReport::new(
+        "fig13",
+        format!(
+            "Search-space size under noisy evaluation on {} (Fig. 13)",
+            benchmark.name()
+        ),
+    );
+    report.push_group(SeriesGroup {
+        name: format!("{} noiseless", benchmark.name()),
+        points: noiseless_points,
+    });
+    report.push_group(SeriesGroup {
+        name: format!("{} noisy", benchmark.name()),
+        points: noisy_points,
+    });
+    report.push_note("x = log10(eta_max / eta_min) of the server learning-rate interval");
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -125,17 +102,19 @@ mod tests {
     #[test]
     fn space_ablation_smoke() {
         let scale = ExperimentScale::smoke();
-        let ablation =
+        let report =
             run_space_ablation(&TrialRunner::from_env(), Benchmark::Cifar10Like, &scale, 0)
                 .unwrap();
-        assert_eq!(ablation.noiseless.len(), 4);
-        assert_eq!(ablation.noisy.len(), 4);
-        for (clean, noisy) in ablation.noiseless.iter().zip(ablation.noisy.iter()) {
+        let [noiseless, noisy] = &report.groups[..] else {
+            panic!("a noiseless and a noisy series: {report:?}")
+        };
+        assert_eq!(noiseless.points.len(), 4);
+        assert_eq!(noisy.points.len(), 4);
+        for (clean, noisy) in noiseless.points.iter().zip(noisy.points.iter()) {
             // Noisy selection can never beat noiseless selection in the median
             // (both select from the same pool; noiseless always picks the best).
             assert!(noisy.summary.median + 1e-9 >= clean.summary.median);
         }
-        let report = ablation.to_report();
         assert!(report.to_table().contains("width 4"));
         assert!(report.to_table().contains("noisy"));
     }

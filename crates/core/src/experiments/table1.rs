@@ -1,5 +1,6 @@
 //! Tables 1 and 2: statistics of the four benchmark datasets.
 
+use crate::experiments::figures::headed;
 use crate::report::{ExperimentReport, SeriesGroup, SeriesPoint};
 use crate::scale::ExperimentScale;
 use crate::Result;
@@ -35,7 +36,7 @@ impl DatasetTable {
     /// Converts the table into the uniform report format (one series per
     /// dataset; x = train clients, median column = mean examples per client).
     pub fn to_report(&self) -> ExperimentReport {
-        let mut report = ExperimentReport::new("table1", "Dataset statistics (Tables 1-2)");
+        let mut report = headed("table1");
         for row in &self.rows {
             let point = SeriesPoint {
                 x: row.train_clients as f64,

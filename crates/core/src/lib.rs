@@ -78,7 +78,7 @@ pub use objective::{
     ObjectiveLogEntry,
 };
 pub use pool::{ConfigPool, PooledConfig, TrainedBenchmark};
-pub use report::{BenchmarkSeries, ExperimentReport, SeriesGroup, SeriesPoint};
+pub use report::{ExperimentReport, SeriesGroup, SeriesPoint};
 pub use scale::ExperimentScale;
 pub use scheduler::{
     drive, Budget, Cap, Clock, DispatchedTrial, Drive, EventDrivenOutcome, ExecutorCore,

@@ -30,8 +30,8 @@ use fedtune_core::experiments::stragglers::straggler_cost_model;
 use fedtune_core::experiments::subsampling::{run_budget_curves, run_subsampling_sweep};
 use fedtune_core::{
     drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, EventDrivenOutcome,
-    ExperimentScale, NoiseConfig, ObjectiveLogEntry, TrainedBenchmark, TrialRunner,
-    VirtualExecution,
+    ExperimentReport, ExperimentScale, NoiseConfig, ObjectiveLogEntry, TrainedBenchmark,
+    TrialRunner, VirtualExecution,
 };
 
 const SEEDS: [u64; 3] = [0, 7, 42];
@@ -190,6 +190,13 @@ fn config_pool_training_is_bit_identical_across_policies() {
     }
 }
 
+/// The report `draw` pushes its series into.
+fn drawn(draw: impl FnOnce(&mut ExperimentReport) -> fedtune_core::Result<()>) -> ExperimentReport {
+    let mut report = ExperimentReport::default();
+    draw(&mut report).unwrap();
+    report
+}
+
 #[test]
 fn subsampling_experiment_is_bit_identical_across_policies() {
     // A full experiment end to end: pool training plus the Fig. 3 bootstrap
@@ -199,7 +206,7 @@ fn subsampling_experiment_is_bit_identical_across_policies() {
         let sweep = |runner: &TrialRunner| {
             let trained =
                 TrainedBenchmark::train(runner, Benchmark::Cifar10Like, &scale, seed).unwrap();
-            run_subsampling_sweep(runner, &trained).unwrap()
+            drawn(|report| run_subsampling_sweep(runner, &trained, report))
         };
         assert_eq!(
             sweep(&TrialRunner::sequential()),
@@ -236,15 +243,26 @@ fn pooled_noise_figures_are_bit_identical_across_policies() {
         assert_eq!(sequential, parallel, "{figure}");
     }
     check("fig 4", &sets, |r, t| {
-        run_data_heterogeneity(r, &t[0]).unwrap()
+        drawn(|report| run_data_heterogeneity(r, &t[0], report))
     });
-    check("fig 5", &sets, |r, t| run_budget_curves(r, &t[0]).unwrap());
+    check("fig 5", &sets, |r, t| {
+        drawn(|report| run_budget_curves(r, &t[0], report))
+    });
     check("fig 6", &sets, |r, t| {
-        run_systems_heterogeneity(r, &t[0]).unwrap()
+        drawn(|report| run_systems_heterogeneity(r, &t[0], report))
     });
-    check("fig 7", &sets, |_, t| run_min_client_scatter(&t[0]));
-    check("fig 9", &sets, |r, t| run_privacy_sweep(r, &t[0]).unwrap());
-    check("fig 10 / 14", &sets, |_, t| run_transfer_pairs(t).unwrap());
+    check("fig 7", &sets, |_, t| {
+        drawn(|report| {
+            run_min_client_scatter(&t[0], report);
+            Ok(())
+        })
+    });
+    check("fig 9", &sets, |r, t| {
+        drawn(|report| run_privacy_sweep(r, &t[0], report))
+    });
+    check("fig 10 / 14", &sets, |_, t| {
+        drawn(|report| run_transfer_pairs(t, report))
+    });
     check("fig 11", &sets, |r, t| run_proxy_matrix(r, t).unwrap());
     check("fig 12", &sets, |r, t| {
         run_proxy_vs_noisy(r, &t[0], t).unwrap()

@@ -9,8 +9,8 @@ use fedtune::fedtune_core::experiments::methods::{
 use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
 use fedtune::fedtune_core::experiments::table1::DatasetTable;
 use fedtune::fedtune_core::{
-    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, ExperimentScale,
-    NoiseConfig, TrainedBenchmark, TrialRunner,
+    drive, BatchFederatedObjective, BenchmarkContext, Clock, ConfigPool, Drive, ExperimentReport,
+    ExperimentScale, NoiseConfig, TrainedBenchmark, TrialRunner,
 };
 
 fn smoke() -> ExperimentScale {
@@ -94,7 +94,9 @@ fn pool_based_and_live_objectives_agree_on_the_noiseless_truth() {
 fn subsampling_sweep_runs_for_text_benchmark() {
     let runner = TrialRunner::from_env();
     let trained = TrainedBenchmark::train(&runner, Benchmark::RedditLike, &smoke(), 5).unwrap();
-    let sweep = run_subsampling_sweep(&runner, &trained).unwrap();
+    let mut report = ExperimentReport::default();
+    run_subsampling_sweep(&runner, &trained, &mut report).unwrap();
+    let sweep = &report.groups[0];
     assert!(!sweep.points.is_empty());
     // Error percentages stay in range.
     for p in &sweep.points {

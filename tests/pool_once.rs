@@ -16,7 +16,7 @@ use fedtune_core::experiments::methods::{
 use fedtune_core::experiments::privacy::run_privacy_sweep;
 use fedtune_core::experiments::proxy::{run_proxy_matrix, run_proxy_vs_noisy, run_transfer_pairs};
 use fedtune_core::experiments::subsampling::{run_budget_curves, run_subsampling_sweep};
-use fedtune_core::{ExperimentScale, TrainedBenchmark, TrialRunner};
+use fedtune_core::{ExperimentReport, ExperimentScale, TrainedBenchmark, TrialRunner};
 
 #[test]
 fn every_pooled_figure_costs_one_pool_per_benchmark() {
@@ -38,26 +38,29 @@ fn every_pooled_figure_costs_one_pool_per_benchmark() {
     let before = rounds.value();
 
     let trained = TrainedBenchmark::train_all(&runner, &scale, seed).unwrap();
+    let mut report = ExperimentReport::default();
     for t in &trained {
-        run_subsampling_sweep(&runner, t).unwrap();
-        run_data_heterogeneity(&runner, t).unwrap();
-        run_budget_curves(&runner, t).unwrap();
-        run_systems_heterogeneity(&runner, t).unwrap();
-        run_min_client_scatter(t);
-        run_privacy_sweep(&runner, t).unwrap();
+        run_subsampling_sweep(&runner, t, &mut report).unwrap();
+        run_data_heterogeneity(&runner, t, &mut report).unwrap();
+        run_budget_curves(&runner, t, &mut report).unwrap();
+        run_systems_heterogeneity(&runner, t, &mut report).unwrap();
+        run_min_client_scatter(t, &mut report);
+        run_privacy_sweep(&runner, t, &mut report).unwrap();
     }
-    assert_eq!(
-        run_transfer_pairs(&trained).unwrap()[0].points.len(),
-        scale.pool_size
-    );
+    let mut transfer = ExperimentReport::default();
+    run_transfer_pairs(&trained, &mut transfer).unwrap();
+    assert_eq!(transfer.groups[0].points.len(), scale.pool_size);
     let matrix = run_proxy_matrix(&runner, &trained).unwrap();
-    let mut draws: Vec<usize> = matrix.cells.iter().map(|c| c.client_error.count).collect();
+    let cells = matrix.groups.iter().flat_map(|g| &g.points);
+    let mut draws: Vec<usize> = cells.map(|p| p.summary.count).collect();
     for client in &trained {
         let fig12 = run_proxy_vs_noisy(&runner, client, &trained).unwrap();
-        draws.extend(fig12.proxy_references.iter().map(|(_, r)| r.count));
+        let references = fig12.groups.iter().filter(|g| g.name.starts_with("proxy "));
+        draws.extend(references.map(|g| g.points[0].summary.count));
     }
     let headline = run_headline(&runner, &comparison, &trained).unwrap();
-    draws.push(headline.proxy_rs.count);
+    let proxy_bar = headline.groups.iter().find(|g| g.name == "RS (proxy)");
+    draws.push(proxy_bar.unwrap().points[0].summary.count);
 
     assert_eq!(
         rounds.value() - before,

@@ -118,12 +118,15 @@ fn noisy_tuning_runs_are_deterministic() {
 #[test]
 fn experiment_reports_are_deterministic() {
     use fedtune::fedtune_core::experiments::subsampling::run_subsampling_sweep;
+    use fedtune::fedtune_core::ExperimentReport;
     let scale = ExperimentScale::smoke();
     let runner = TrialRunner::from_env();
     // Pool training and the bootstrap over it, end to end, twice.
     let sweep = || {
         let trained = TrainedBenchmark::train(&runner, Benchmark::Cifar10Like, &scale, 2).unwrap();
-        run_subsampling_sweep(&runner, &trained).unwrap()
+        let mut report = ExperimentReport::default();
+        run_subsampling_sweep(&runner, &trained, &mut report).unwrap();
+        report
     };
     assert_eq!(sweep(), sweep());
 }
