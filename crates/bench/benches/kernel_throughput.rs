@@ -328,52 +328,6 @@ fn client_step_section(summary: &mut fedbench::BenchSummary) {
         "seed-path emulation diverged from gradient(): max diff {max_diff}"
     );
 
-    if std::env::var("FEDTUNE_BENCH_DEBUG").as_deref() == Ok("1") {
-        use fedmath::kernel::BufferPool;
-        let order: Vec<usize> = (0..BATCH).collect();
-        let mut pool = BufferPool::new();
-        let mut grad = Vec::new();
-        model
-            .gradient_batch_into(&examples, &order, &mut pool, &mut grad)
-            .expect("warm");
-        let n = 2000;
-        let t_batch = time_reps(n, || {
-            model
-                .gradient_batch_into(&examples, &order, &mut pool, &mut grad)
-                .expect("batched");
-            black_box(&grad);
-        });
-        let t_seed = time_reps(n, || {
-            black_box(seed_model.gradient(probe));
-        });
-        let t_cur = time_reps(n, || {
-            black_box(model.gradient(probe).expect("per-example"));
-        });
-        let (m, k, nn) = (BATCH, FEATURES, HIDDEN);
-        let a: Vec<f64> = vec![0.5; m * k];
-        let b: Vec<f64> = vec![0.5; nn * k];
-        let mut cbuf = vec![0.0; m * nn];
-        let t_nt = time_reps(n, || {
-            cbuf.iter_mut().for_each(|v| *v = 0.0);
-            kernel::gemm_nt(m, k, nn, &a, &b, &mut cbuf);
-            black_box(&cbuf);
-        });
-        let mut gbuf = vec![0.0; nn * k];
-        let t_tn = time_reps(n, || {
-            gbuf.iter_mut().for_each(|v| *v = 0.0);
-            kernel::gemm_tn(nn, m, k, &cbuf, &a, &mut gbuf);
-            black_box(&gbuf);
-        });
-        println!(
-            "  [debug] per call: batched grad {:.1}us, seed grad {:.1}us, current per-example grad {:.1}us, gemm_nt(32,64,64) {:.1}us, gemm_tn(64,32,64) {:.1}us",
-            t_batch / n as f64 * 1e6,
-            t_seed / n as f64 * 1e6,
-            t_cur / n as f64 * 1e6,
-            t_nt / n as f64 * 1e6,
-            t_tn / n as f64 * 1e6,
-        );
-    }
-
     // Warm-up both paths once, then time. Identical per-iteration RNG streams
     // keep the two variants shuffling the same mini-batches.
     let _ = per_example_client_step(&sgd, &seed_model, &examples, &mut rng_for(93, 0));

@@ -1,5 +1,6 @@
-//! Trial-ledger storage-engine throughput, plus the 10M-trial
-//! record→replay cycle with bounded memory asserted.
+//! Trial-ledger storage-engine throughput, the 10M-trial record→replay
+//! cycle with bounded memory asserted, and a million-trial crash-recovery
+//! cycle.
 //!
 //! The one-off summary measures, at `FEDTUNE_LEDGER_TRIALS` scale (default
 //! four million):
@@ -13,32 +14,62 @@
 //! - **indexed re-open** — `TrialStore::open_segments` over the ledger the
 //!   indexed ingest just wrote: what a restarted campaign or daemon waits for.
 //!
-//! A separate scale phase then runs the full record→replay cycle at
-//! `FEDTUNE_LEDGER_SCALE_TRIALS` (default ten million). Peak RSS is read
-//! before and after: the delta must stay under a fixed cap whatever the
-//! trial count, asserting the cycle streams in bounded memory. The scale
-//! phase is deliberately *not* a gated summary entry — at half-gigabyte
-//! ledger sizes its wall time measures the host's page provisioning and
-//! writeback, not the engine, and would flake a relative gate.
+//! The phases run in this order:
+//!
+//! 1. the **scale phase**: the full record→replay cycle at
+//!    `FEDTUNE_LEDGER_SCALE_TRIALS` (default ten million). Peak RSS is read
+//!    before and after, and the growth must stay under a fixed cap whatever
+//!    the trial count: the cycle streams in bounded memory;
+//! 2. group-commit ingest and streaming replay (gated);
+//! 3. indexed ingest and indexed re-open (gated);
+//! 4. the **recovery phase**: a million trials recorded and replayed in
+//!    8 MiB segments, one byte of the newest segment flipped, the ledger
+//!    re-opened (recovery truncates at the corrupt frame), appended to,
+//!    re-opened again and compacted. Its accounting is read from the global
+//!    `fedtrace` registry's `store.*` counters, as deltas around the phase.
+//!
+//! The scale phase runs first because peak RSS is the process's high-water
+//! mark (`VmHWM`): a `TrialStore` index built earlier raises that mark by
+//! tens of MiB, and even the gated cycle leaves it at the cycle's own peak,
+//! so a growth measured under either reads 0 whatever the cycle does.
+//! Neither the scale phase nor the recovery phase is a gated summary entry
+//! — at half-gigabyte ledger sizes the scale phase's wall time measures the
+//! host's page provisioning and writeback, not the engine, and would flake
+//! a relative gate.
 //!
 //! With `FEDTUNE_BENCH_JSON=1` the summary lands in
 //! `BENCH_ledger_throughput.json`, which CI gates against the committed
 //! baseline via `perf_compare` (a >30% throughput drop fails).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedstore::segment::for_each_record;
+use fedstore::segment::{for_each_record, list_segments};
 use fedstore::{
     ConfigKey, Durability, Provenance, SegmentConfig, SegmentWriter, TrialRecord, TrialStore,
 };
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Group-commit batch: one `sync_data` per this many appended records.
 const COMMIT_EVERY: u64 = 1 << 16;
 
-/// The bounded-memory cap on the whole record→replay cycle's RSS growth.
-/// The 10M-trial ledger is ~700 MB on disk; the cycle must not scale with
-/// it.
-const RSS_CAP_KB: u64 = 256 * 1024;
+/// The bounded-memory cap on the scale phase's peak-RSS growth. The
+/// 10M-trial ledger is ~530 MB on disk; the cycle must not scale with it.
+const RSS_CAP_KB: u64 = 64 * 1024;
+
+/// Trials the recovery phase records before corrupting its ledger.
+const RECOVERY_TRIALS: u64 = 1_000_000;
+
+/// Wall-clock bound on the whole recovery phase (it takes a few seconds in
+/// release).
+const RECOVERY_BOUND_SECS: f64 = 120.0;
+
+/// The registry counters the recovery phase reads, as deltas around it.
+const RECOVERY_COUNTERS: [&str; 4] = [
+    "store.records_appended",
+    "store.records_replayed",
+    "store.recovery_truncated_bytes",
+    "store.compaction_swaps",
+];
 
 /// Absolute ingest floor (trials/s): the engine must sustain a million
 /// group-committed trials per second, with `perf_compare` handling the
@@ -105,15 +136,26 @@ fn bench_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Records `n` trials with group commit and streams them all back,
-/// returning (ledger bytes, ingest seconds, replay seconds). The shared
-/// engine cycle behind both the gated entries and the 10M scale phase.
-fn record_replay_cycle(dir: &PathBuf, n: u64, p: &Provenance) -> (u64, f64, f64) {
-    let config = SegmentConfig {
+/// The writer configuration of the gated cycle and the scale phase: 64 MiB
+/// segments, group commit every [`COMMIT_EVERY`] records.
+fn bulk_config() -> SegmentConfig {
+    SegmentConfig {
         segment_bytes: 64 << 20,
         durability: Durability::EveryN(COMMIT_EVERY),
-    };
-    let start = std::time::Instant::now();
+    }
+}
+
+/// Records `n` trials with group commit (one `sync_data` per
+/// [`COMMIT_EVERY`] records) and streams them all back, returning (ledger
+/// bytes, ingest seconds, replay seconds). The shared engine cycle behind
+/// the gated entries, the scale phase and the recovery phase.
+fn record_replay_cycle(
+    dir: &PathBuf,
+    n: u64,
+    p: &Provenance,
+    config: SegmentConfig,
+) -> (u64, f64, f64) {
+    let start = Instant::now();
     let mut writer = SegmentWriter::open(dir, config).expect("open writer");
     for i in 0..n {
         writer.append_unsynced(&trial(i, p)).expect("append");
@@ -126,7 +168,7 @@ fn record_replay_cycle(dir: &PathBuf, n: u64, p: &Provenance) -> (u64, f64, f64)
     drop(writer);
     let ingest_seconds = start.elapsed().as_secs_f64();
 
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut replayed = 0u64;
     let mut checksum = 0u64;
     for_each_record(dir, |r| {
@@ -146,11 +188,35 @@ fn regenerate() {
     let n = env_trials("FEDTUNE_LEDGER_TRIALS", 4_000_000);
     let p = provenance();
 
-    // 1 + 2. Group-commit ingest and streaming replay: the engine numbers,
+    // 1. The scale phase: the full record→replay cycle at ten million
+    // trials, gated on *memory*, not time — its wall clock is dominated by
+    // how fast the host provisions and writes back half a gigabyte of pages.
+    // It runs first, so the high-water mark it starts from is the
+    // process's baseline, not the peak of an earlier phase.
+    let scale_n = env_trials("FEDTUNE_LEDGER_SCALE_TRIALS", 10_000_000);
+    let dir = bench_dir("scale");
+    let rss_before = fedbench::peak_rss_kb();
+    let (scale_bytes, scale_ingest_s, scale_replay_s) =
+        record_replay_cycle(&dir, scale_n, &p, bulk_config());
+    if let (Some(before), Some(after)) = (rss_before, fedbench::peak_rss_kb()) {
+        let grew = after.saturating_sub(before);
+        assert!(
+            grew < RSS_CAP_KB,
+            "record→replay of {scale_n} trials grew peak RSS by {grew} KiB (cap {RSS_CAP_KB} KiB)"
+        );
+        println!(
+            "scale cycle: {scale_n} trials recorded in {scale_ingest_s:.1}s, \
+             replayed in {scale_replay_s:.1}s, peak RSS {before} -> {after} KiB \
+             (growth {grew} KiB, cap {RSS_CAP_KB} KiB)"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // 2. Group-commit ingest and streaming replay: the engine numbers,
     // measured at a working-set size that stays in memory so the gate tracks
     // the storage engine rather than the host's paging behaviour.
     let dir = bench_dir("ingest");
-    let (bytes, ingest_seconds, replay_seconds) = record_replay_cycle(&dir, n, &p);
+    let (bytes, ingest_seconds, replay_seconds) = record_replay_cycle(&dir, n, &p, bulk_config());
     summary.push("segment_group_commit_ingest", ingest_seconds, n);
     summary.push("segment_stream_replay", replay_seconds, n);
     let _ = std::fs::remove_dir_all(&dir);
@@ -185,25 +251,8 @@ fn regenerate() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 4. The scale phase: the full record→replay cycle at ten million
-    // trials, gated on *memory*, not time — its wall clock is dominated by
-    // how fast the host provisions and writes back half a gigabyte of pages.
-    let scale_n = env_trials("FEDTUNE_LEDGER_SCALE_TRIALS", 10_000_000);
-    let dir = bench_dir("scale");
-    let rss_before = fedbench::peak_rss_kb();
-    let (scale_bytes, scale_ingest_s, scale_replay_s) = record_replay_cycle(&dir, scale_n, &p);
-    if let (Some(before), Some(after)) = (rss_before, fedbench::peak_rss_kb()) {
-        let grew = after.saturating_sub(before);
-        assert!(
-            grew < RSS_CAP_KB,
-            "record→replay of {scale_n} trials grew peak RSS by {grew} KiB (cap {RSS_CAP_KB} KiB)"
-        );
-        println!(
-            "scale cycle: {scale_n} trials recorded in {scale_ingest_s:.1}s, \
-             replayed in {scale_replay_s:.1}s, peak RSS growth {grew} KiB"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    // 4. Corruption, recovery and compaction.
+    recovery_phase(&p);
 
     let ingest = summary.entries[0].throughput_per_second;
     let replay = summary.entries[1].throughput_per_second;
@@ -228,6 +277,92 @@ fn regenerate() {
         replay / 1e6,
     );
     summary.write_if_enabled();
+}
+
+/// The registry's [`RECOVERY_COUNTERS`] now.
+fn store_counters() -> [u64; 4] {
+    let snapshot = fedtrace::global().snapshot();
+    RECOVERY_COUNTERS.map(|name| snapshot.counter(name).unwrap_or(0))
+}
+
+/// Records [`RECOVERY_TRIALS`] trials in 8 MiB segments, flips one byte of
+/// the newest segment, and checks that re-opening truncates the ledger at
+/// the corrupt frame, keeps it writable, converges on a second re-open, and
+/// compacts every survivor.
+fn recovery_phase(p: &Provenance) {
+    let n = RECOVERY_TRIALS;
+    let dir = bench_dir("recovery");
+    let counters_before = store_counters();
+    let started = Instant::now();
+    let config = SegmentConfig {
+        durability: Durability::EveryN(COMMIT_EVERY),
+        ..SegmentConfig::default()
+    };
+    record_replay_cycle(&dir, n, p, config);
+
+    // Flip one byte three quarters of the way into the newest segment.
+    // Every byte past the header belongs to some CRC-framed record, so this
+    // always lands inside a frame.
+    let (_, newest) = list_segments(&dir)
+        .expect("list segments")
+        .into_iter()
+        .next_back()
+        .expect("ledger has segments");
+    let mut bytes = std::fs::read(&newest).expect("read segment");
+    let target = (bytes.len() * 3 / 4).max(9);
+    bytes[target] ^= 0x40;
+    std::fs::write(&newest, &bytes).expect("write segment");
+
+    // Recovery truncates at the corrupt frame and the store stays
+    // writable; a second re-open sees the same ledger plus the append.
+    let mut store = TrialStore::open_segments(&dir).expect("recover");
+    let survivors = store.len() as u64;
+    assert!(survivors > 0, "recovery must keep the valid prefix");
+    assert!(survivors < n, "corruption must cost at least one record");
+    let accepted = store.insert(trial(n + 1, p)).expect("append");
+    assert!(accepted, "the recovered store accepts appends");
+    store.flush().expect("flush");
+    drop(store);
+    let mut store = TrialStore::open_segments(&dir).expect("re-open");
+    let reopened = store.len() as u64;
+    assert_eq!(
+        reopened,
+        survivors + 1,
+        "the second re-open must converge on the recovered ledger plus the append"
+    );
+    let compacted = store.compact().expect("compact");
+    assert_eq!(compacted.records, survivors + 1);
+    assert_eq!(store.len() as u64, survivors + 1);
+    drop(store);
+    let seconds = started.elapsed().as_secs_f64();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let [appended, replayed, truncated, swaps] = {
+        let after = store_counters();
+        std::array::from_fn(|i| after[i] - counters_before[i])
+    };
+    println!(
+        "recovery phase: flipped byte {target} of {}; {survivors} of {n} trials survive, \
+         append accepted: {accepted}, second re-open: {reopened}, compacted: {} records \
+         ({} -> {} segments); store.records_appended +{appended}, \
+         store.records_replayed +{replayed}, store.recovery_truncated_bytes +{truncated}, \
+         store.compaction_swaps +{swaps}; {seconds:.2}s (bound {RECOVERY_BOUND_SECS}s)",
+        newest.file_name().unwrap_or_default().to_string_lossy(),
+        compacted.records,
+        compacted.segments_before,
+        compacted.segments_after,
+    );
+    assert!(
+        appended >= n,
+        "store.records_appended rose by {appended} < {n}"
+    );
+    assert_eq!(replayed, n, "store.records_replayed");
+    assert!(truncated > 0, "recovery truncated nothing");
+    assert_eq!(swaps, 1, "store.compaction_swaps");
+    assert!(
+        seconds < RECOVERY_BOUND_SECS,
+        "the recovery phase took {seconds:.1}s (bound {RECOVERY_BOUND_SECS}s)"
+    );
 }
 
 fn bench(c: &mut Criterion) {

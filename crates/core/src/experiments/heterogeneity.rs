@@ -125,7 +125,7 @@ pub fn run_min_client_scatter(trained: &TrainedBenchmark, report: &mut Experimen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{smoke_trained, subsample_rate_grid};
+    use crate::experiments::{subsample_rate_grid, tests::smoke_trained};
     use feddata::Benchmark;
 
     #[test]

@@ -334,16 +334,23 @@ impl MethodComparison {
         Ok(groups)
     }
 
-    /// Renders the Fig. 8 online curves.
+    /// Renders the Fig. 8 online curves, headed by the methods it draws.
     ///
     /// # Errors
     ///
     /// Propagates summary failures.
     pub fn to_online_report(&self) -> Result<ExperimentReport> {
+        let mut methods: Vec<String> = Vec::new();
+        for (method, _) in self.run_keys() {
+            if !methods.contains(&method) {
+                methods.push(method);
+            }
+        }
         let mut report = ExperimentReport::new(
             "fig8",
             format!(
-                "Online performance of RS/TPE/HB/BOHB on {} (Fig. 8)",
+                "Online performance of {} on {} (Fig. 8)",
+                methods.join("/"),
                 self.benchmark
             ),
         );
@@ -747,6 +754,43 @@ mod tests {
             .to_bars_report("fig16", scale.total_budget)
             .unwrap();
         assert!(report.to_table().contains("BOHB"));
+    }
+
+    #[test]
+    fn the_online_report_is_headed_by_every_method_it_draws() {
+        let runs = TuningMethod::EXTENDED
+            .iter()
+            .flat_map(|method| {
+                paper_noise_settings()
+                    .into_iter()
+                    .map(move |(noise_label, _)| MethodRun {
+                        method: method.name().to_string(),
+                        noise_label,
+                        trial: 0,
+                        log: Vec::new(),
+                    })
+            })
+            .collect();
+        let comparison = MethodComparison {
+            benchmark: "cifar10-like".into(),
+            runs,
+            budget_grid: vec![10],
+        };
+        let report = comparison.to_online_report().unwrap();
+        assert_eq!(
+            report.to_table().lines().next(),
+            Some("== fig8 — Online performance of RS/TPE/HB/BOHB/ASHA/ASHA+RE on cifar10-like (Fig. 8) ==")
+        );
+        assert_eq!(report.groups.len(), 12);
+        assert_eq!(report.groups[11].name, "ASHA+RE (noisy)");
+        assert_eq!(
+            comparison
+                .only(&TuningMethod::ALL)
+                .to_online_report()
+                .unwrap()
+                .title,
+            "Online performance of RS/TPE/HB/BOHB on cifar10-like (Fig. 8)"
+        );
     }
 
     #[test]

@@ -320,24 +320,23 @@ pub(crate) fn single(name: String, x: f64, x_label: &str, y: f64) -> SeriesGroup
     }
 }
 
-/// A runner and the smoke-scale pool of `benchmark` it trained from `seed`.
 #[cfg(test)]
-pub(crate) fn smoke_trained(
-    benchmark: feddata::Benchmark,
-    seed: u64,
-) -> (TrialRunner, crate::TrainedBenchmark) {
-    let runner = TrialRunner::from_env();
-    let trained =
-        crate::TrainedBenchmark::train(&runner, benchmark, &ExperimentScale::smoke(), seed)
-            .unwrap();
-    (runner, trained)
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use feddata::Benchmark;
     use fedmath::rng::rng_for;
+
+    /// A runner and the smoke-scale pool of `benchmark` it trained from `seed`.
+    pub(crate) fn smoke_trained(
+        benchmark: feddata::Benchmark,
+        seed: u64,
+    ) -> (TrialRunner, crate::TrainedBenchmark) {
+        let runner = TrialRunner::from_env();
+        let trained =
+            crate::TrainedBenchmark::train(&runner, benchmark, &ExperimentScale::smoke(), seed)
+                .unwrap();
+        (runner, trained)
+    }
 
     #[test]
     fn pinned_seed_channels_keep_their_numbers() {

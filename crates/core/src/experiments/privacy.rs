@@ -51,7 +51,7 @@ pub fn run_privacy_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{smoke_trained, subsample_rate_grid};
+    use crate::experiments::{subsample_rate_grid, tests::smoke_trained};
 
     #[test]
     fn privacy_sweep_shape_and_ordering() {

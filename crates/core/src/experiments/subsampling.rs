@@ -85,7 +85,7 @@ pub fn run_budget_curves(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::smoke_trained;
+    use crate::experiments::tests::smoke_trained;
     use feddata::Benchmark;
 
     #[test]

@@ -387,7 +387,7 @@ impl Scheduler for Asha {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::run_fresh;
+    use crate::scheduler::tests::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 

@@ -242,7 +242,7 @@ impl Scheduler for Hyperband {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::run_fresh;
+    use crate::scheduler::tests::run_fresh;
     use fedmath::rng::rng_for;
     use std::collections::HashMap;
 

@@ -77,7 +77,7 @@ impl Scheduler for RandomSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::run_fresh;
+    use crate::scheduler::tests::run_fresh;
     use fedmath::rng::rng_for;
 
     fn quadratic_space() -> SearchSpace {

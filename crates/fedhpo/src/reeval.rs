@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use crate::hyperband::Hyperband;
     use crate::random_search::RandomSearch;
-    use crate::scheduler::run_fresh;
+    use crate::scheduler::tests::run_fresh;
     use fedmath::rng::rng_for;
 
     fn space_1d() -> SearchSpace {

@@ -185,36 +185,35 @@ impl BudgetLedger {
     }
 }
 
-/// Test loop: `scheduler` run to the end, one request at a time, each
-/// scored by `score(config, resource)` and reported before the next is
-/// evaluated.
 #[cfg(test)]
-pub(crate) fn run_fresh(
-    mut scheduler: impl Scheduler,
-    space: &SearchSpace,
-    mut score: impl FnMut(&HpConfig, usize) -> f64,
-    rng: &mut StdRng,
-) -> Result<crate::TuningOutcome> {
-    let mut outcome = crate::TuningOutcome::default();
-    while !scheduler.is_finished() {
-        let batch = scheduler.suggest(space, rng)?;
-        assert!(
-            !batch.is_empty() || scheduler.is_finished(),
-            "{} stalled",
-            scheduler.name()
-        );
-        for request in &batch {
-            let result = TrialResult::of(request, score(&request.config, request.resource));
-            outcome.record(&result, 0.0);
-            scheduler.report(&result)?;
-        }
-    }
-    Ok(outcome)
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Test loop: `scheduler` run to the end, one request at a time, each
+    /// scored by `score(config, resource)` and reported before the next is
+    /// evaluated.
+    pub(crate) fn run_fresh(
+        mut scheduler: impl Scheduler,
+        space: &SearchSpace,
+        mut score: impl FnMut(&HpConfig, usize) -> f64,
+        rng: &mut StdRng,
+    ) -> Result<crate::TuningOutcome> {
+        let mut outcome = crate::TuningOutcome::default();
+        while !scheduler.is_finished() {
+            let batch = scheduler.suggest(space, rng)?;
+            assert!(
+                !batch.is_empty() || scheduler.is_finished(),
+                "{} stalled",
+                scheduler.name()
+            );
+            for request in &batch {
+                let result = TrialResult::of(request, score(&request.config, request.resource));
+                outcome.record(&result, 0.0);
+                scheduler.report(&result)?;
+            }
+        }
+        Ok(outcome)
+    }
 
     #[test]
     fn ledger_charges_incremental_resource_only() {

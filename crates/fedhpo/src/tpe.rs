@@ -263,7 +263,7 @@ impl Scheduler for Tpe {
 mod tests {
     use super::*;
     use crate::random_search::RandomSearch;
-    use crate::scheduler::run_fresh;
+    use crate::scheduler::tests::run_fresh;
     use fedmath::rng::rng_for;
 
     fn space_2d() -> SearchSpace {

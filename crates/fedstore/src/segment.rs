@@ -168,11 +168,6 @@ fn parse_indexed_name(name: &str, prefix: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-#[cfg(test)]
-fn parse_segment_name(name: &str) -> Option<u64> {
-    parse_indexed_name(name, SEG_PREFIX)
-}
-
 /// The file path of a `prefix`-class segment `index` under `dir`.
 pub(crate) fn prefixed_path(dir: &Path, prefix: &str, index: u64) -> PathBuf {
     dir.join(format!("{prefix}{index:08}{SEG_SUFFIX}"))
@@ -775,13 +770,6 @@ pub struct ScanReport {
     pub dropped_segments: u64,
 }
 
-impl ScanReport {
-    /// Whether repair changed the ledger.
-    pub fn repaired(&self) -> bool {
-        self.truncated_bytes > 0 || self.dropped_segments > 0
-    }
-}
-
 /// Where a scan stopped inside one segment.
 enum SegmentScan {
     Clean { bytes: u64 },
@@ -1023,6 +1011,10 @@ pub fn for_each_record(
 mod tests {
     use super::*;
 
+    fn parse_segment_name(name: &str) -> Option<u64> {
+        parse_indexed_name(name, SEG_PREFIX)
+    }
+
     fn provenance(noise: &str) -> Provenance {
         Provenance {
             benchmark: "cifar10-like".into(),
@@ -1188,7 +1180,6 @@ mod tests {
 
         let before = collect_until_valid(&dir);
         let report = recover(&dir).unwrap();
-        assert!(report.repaired());
         assert!(report.truncated_bytes > 0);
         assert!(report.dropped_segments >= 1);
         // Survivors: segment 0 in full plus the valid prefix of segment 1.
@@ -1197,7 +1188,7 @@ mod tests {
         assert!(!after.is_empty());
         // Recovery is idempotent.
         let again = recover(&dir).unwrap();
-        assert!(!again.repaired());
+        assert_eq!((again.truncated_bytes, again.dropped_segments), (0, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1240,7 +1231,7 @@ mod tests {
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         // ... recovery keeps the valid prefix and re-reading succeeds.
         let report = recover(&dir).unwrap();
-        assert!(report.repaired());
+        assert!(report.truncated_bytes > 0 || report.dropped_segments > 0);
         let survivors = collect(&dir);
         assert!(survivors.len() < 8, "flip must cost at least one record");
         for (i, r) in survivors.iter().enumerate() {
